@@ -3,11 +3,15 @@ package stress_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/check/stress"
+	"repro/internal/core"
 	"repro/internal/gmem"
+	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
@@ -68,5 +72,222 @@ func TestCheckerStrongGoldenViolations(t *testing.T) {
 func TestModeTagsMirrorGmem(t *testing.T) {
 	if gmem.ModeStrong != 0 || gmem.ModeRelease != 1 || gmem.ModeLease != 2 || gmem.NumModes != 3 {
 		t.Fatalf("gmem.Mode values moved; update the check package's mode tags to match")
+	}
+}
+
+// ladderGoldens pins one seeded run per branch of the GM access ladder. The
+// digests were captured at the commit before the access pipeline replaced the
+// per-operation ladders (PR 13), so "the refactor is bit-identical" is this
+// test, not a claim: the digest covers every recorded event's kind, address,
+// arguments, result, flags, mode tag and virtual-time interval, and virtual
+// time moves with every message, local-access charge and retry.
+var ladderGoldens = []struct {
+	name string
+	o    stress.Options
+	want string
+}{
+	{"strong-message", stress.Options{Seed: 21, NumPE: 4, OpsPerPE: 300}, "0fb833e71707cce9f8fe1e234b444972b1695852ccad531c9be17b072de3a397"},
+	{"mixed-tiers", stress.Options{Seed: 7, NumPE: 4, OpsPerPE: 400, Modes: true, LeaseDuration: 100 * sim.Microsecond}, "60ce4cacd9db4c82980362b80e4cba864f1222f9876eb2663e0e6433a62bb6c4"},
+	{"mixed-tiers-caching", stress.Options{Seed: 8, NumPE: 4, OpsPerPE: 300, Modes: true, Caching: true}, "3126de0382d9ddf885484bef3df853350b21995941bc904297fd5009a1873b44"},
+	{"caching-fault-free", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Caching: true}, "e924f6d44305681474279d8546e35bd2087111dde0cd033a5667c7bc2300c0e7"},
+	{"onesided-shards1", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Shards: 1, DirectReads: 1, Rings: 1}, "37c8080531ff85bd5d150ae230de299291150d290a569c7c9565ec83b28b9155"},
+	{"onesided-shards2", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Shards: 2, DirectReads: 1, Rings: 1}, "37c8080531ff85bd5d150ae230de299291150d290a569c7c9565ec83b28b9155"},
+	{"onesided-mixed-tiers", stress.Options{Seed: 10, NumPE: 4, OpsPerPE: 300, Shards: 2, DirectReads: 1, Rings: 1, Modes: true}, "4dbd700986d125cfc575bd05ea2847c1a90d6493cf34ecc2cc937c9fd73ea2fa"},
+	{"loss-retry", stress.Options{Seed: 42, NumPE: 4, OpsPerPE: 200, Loss: 0.1, Jitter: 300 * sim.Microsecond}, "74d2ecde294f0eceaea3b70b857fea720767823cbf8a0d33c7f77f8a2cf31fc6"},
+	{"loss-retry-onesided", stress.Options{Seed: 42, NumPE: 4, OpsPerPE: 150, Loss: 0.05, Jitter: 300 * sim.Microsecond, Shards: 2, DirectReads: 1, Rings: 1}, "1795addcc0651d871612e81d24dbdac62c53850349240aec871c978d5597be58"},
+	{"loss-retry-mixed-tiers", stress.Options{Seed: 43, NumPE: 4, OpsPerPE: 200, Loss: 0.1, Modes: true}, "9fa8ee449b792c86c9ac495db5230e542ec450f92a4e1e0a4a01cc0724ab7294"},
+	{"kill", stress.Options{Seed: 11, NumPE: 4, OpsPerPE: 200, Loss: 0.02, Modes: true, KillPE: 2, KillAt: 2 * sim.Second}, "a7d84364d0c6eafdc7e285ec004fdc15334982f7f675fa9e337c63b508721194"},
+	{"kill-onesided", stress.Options{Seed: 13, NumPE: 4, OpsPerPE: 150, Loss: 0.02, KillPE: 2, KillAt: 100 * sim.Millisecond, Shards: 2, DirectReads: 1, Rings: 1}, "80a66cacc4fd2c07da947574517718de81d63b032ab427302f38e90d5da36fb5"},
+	{"churn-migrate", stress.Options{Seed: 3, NumPE: 5, OpsPerPE: 200, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 30}, "860746dcb4113b8919e36749d09cc82fa70b755edb4c5006114009f539432bed"},
+	{"churn-migrate-mixed-tiers", stress.Options{Seed: 4, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 30}, "2283588e47275bd93a16e1d1efa608bbb7426b9e58bb461da54f709a832706dd"},
+	{"churn-migrate-onesided", stress.Options{Seed: 5, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 20, Shards: 2, DirectReads: 1, Rings: 1}, "04901a0f4ff807f464caa19da933261a83c135b98fd28a5c3608b52d46bb0e8a"},
+}
+
+func TestLadderGoldenDigests(t *testing.T) {
+	for _, g := range ladderGoldens {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			t.Parallel()
+			res, err := stress.Run(g.o)
+			if err != nil {
+				t.Fatalf("stress run: %v", err)
+			}
+			if res.Err != nil {
+				t.Fatalf("PE error: %v", res.Err)
+			}
+			if !res.Report.OK() {
+				t.Fatalf("checker violations:\n%s", res.Report)
+			}
+			if got := res.History.Digest(); got != g.want {
+				t.Errorf("history digest drifted (%d events):\n got %s\nwant %s", res.History.Len(), got, g.want)
+			}
+		})
+	}
+}
+
+// namespaceProgram drives all eight GM entry points from PEs bound to a
+// namespace (dsesched's per-job guard): in-region traffic over the one-sided
+// and message paths, plus one stray per entry point that the PE-side guard
+// must refuse before anything is recorded or sent.
+func namespaceProgram(pe *core.PE) error {
+	const words = 128
+	data := pe.Alloc(words)
+	outside := pe.Alloc(words)
+	pe.Barrier()
+	pe.BindNamespace(data, data+words)
+	rng := sim.NewRand(77 ^ uint64(pe.ID()+1)*0x9e3779b97f4a7c15)
+	uniq := int64(pe.ID()+1) << 40
+	next := func() int64 { uniq++; return uniq }
+	// The block forms have no Err tier: a refused access panics with the
+	// typed error.
+	panicErr := func(fn func()) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err, _ = r.(error)
+			}
+		}()
+		fn()
+		return nil
+	}
+	for i := 0; i < 120; i++ {
+		a := data + uint64(rng.Intn(words-16))
+		var err error
+		switch i % 8 {
+		case 0:
+			_, err = pe.GMReadErr(a)
+		case 1:
+			err = pe.GMWriteErr(a, next())
+		case 2:
+			_, err = pe.FetchAddErr(data+words-1-uint64(rng.Intn(4)), 1)
+		case 3:
+			_, _, err = pe.CASErr(data+words-8+uint64(rng.Intn(4)), 0, next())
+		case 4:
+			pe.GMReadBlock(a, 2+rng.Intn(14))
+		case 5:
+			ws := make([]int64, 2+rng.Intn(14))
+			for j := range ws {
+				ws[j] = next()
+			}
+			pe.GMWriteBlock(a, ws)
+		case 6:
+			pe.GMGather([]uint64{a, data + uint64(rng.Intn(words-16)), a + 9})
+		case 7:
+			pe.GMScatter([]uint64{a, data + uint64(rng.Intn(words-16))}, []int64{next(), next()})
+		}
+		if err != nil {
+			return err
+		}
+		if i%40 == 39 {
+			pe.Barrier()
+		}
+	}
+	_, rerr := pe.GMReadErr(outside)
+	_, faerr := pe.FetchAddErr(outside, 1)
+	_, _, caserr := pe.CASErr(outside, 0, 1)
+	strays := []struct {
+		what string
+		err  error
+	}{
+		{"read", rerr},
+		{"write", pe.GMWriteErr(outside, 1)},
+		{"fetch-add", faerr},
+		{"cas", caserr},
+		{"read-block", panicErr(func() { pe.GMReadBlock(data+words-2, 4) })},
+		{"write-block", panicErr(func() { pe.GMWriteBlock(data+words-2, make([]int64, 4)) })},
+		{"gather", panicErr(func() { pe.GMGather([]uint64{data, outside}) })},
+		{"scatter", panicErr(func() { pe.GMScatter([]uint64{data, outside}, []int64{1, 2}) })},
+	}
+	for _, s := range strays {
+		var nsErr *core.NamespaceError
+		if !errors.As(s.err, &nsErr) {
+			return fmt.Errorf("PE %d: stray %s: got %v, want *core.NamespaceError", pe.ID(), s.what, s.err)
+		}
+	}
+	pe.ClearNamespace()
+	pe.Barrier()
+	return nil
+}
+
+// tierSpanProgram covers what the stress workload's single-tier regions
+// cannot: block reads and writes that SPAN allocations of different
+// consistency tiers (split per tier by the mode table), and atomics on
+// lease-mode words (strong protocol, lease dropped first).
+func tierSpanProgram(pe *core.PE) error {
+	const words = 48
+	base := pe.Alloc(words)
+	pe.AllocMode(words, gmem.ModeRelease)
+	pe.AllocMode(words, gmem.ModeLease)
+	pe.Alloc(words)
+	ctrs := pe.AllocMode(4, gmem.ModeLease)
+	rng := sim.NewRand(99 ^ uint64(pe.ID()+1)*0x9e3779b97f4a7c15)
+	uniq := int64(pe.ID()+1) << 40
+	for i := 0; i < 96; i++ {
+		n := 8 + rng.Intn(40)
+		a := base + uint64(rng.Intn(4*words-n))
+		switch i % 4 {
+		case 0:
+			pe.GMReadBlock(a, n)
+		case 2:
+			uniq++
+			pe.GMWrite(a, uniq)
+			pe.GMRead(a + uint64(n) - 1)
+		case 1:
+			ws := make([]int64, n)
+			for j := range ws {
+				uniq++
+				ws[j] = uniq
+			}
+			pe.GMWriteBlock(a, ws)
+		case 3:
+			c := ctrs + uint64(rng.Intn(4))
+			pe.FetchAdd(c, 1)
+			pe.GMRead(c)
+		}
+		if i%16 == 15 {
+			pe.Barrier()
+		}
+	}
+	return nil
+}
+
+// TestLadderGoldenPrograms pins the ladder branches the stress workload has
+// no option for: PEs bound to a namespace (dsesched binds them exactly like
+// this), the legacy organisation's per-call IPC charge, and tier-spanning
+// block operations.
+func TestLadderGoldenPrograms(t *testing.T) {
+	for _, g := range []struct {
+		name          string
+		program       core.Program
+		direct, rings int
+		legacy        bool // the old two-process organisation's per-call IPC charge
+		denials       uint64
+		want          string
+	}{
+		{"ns-message", namespaceProgram, -1, -1, false, 4 * 8, "5968ed679ff96c1a240c17665ab8e932bdb38b097672aed66cec4e4bbe9e5d64"},
+		{"ns-onesided", namespaceProgram, 1, 1, false, 4 * 8, "135cbf92b3c3b367fd26bfd25bbddacf97a1b016c611e0815edea0fe47ab234c"},
+		{"ns-legacy", namespaceProgram, -1, -1, true, 4 * 8, "8729cecea53a0a6c4816972717353f457835ca677c1ea903074191153d782131"},
+		{"tier-span-message", tierSpanProgram, -1, -1, false, 0, "bc9618b87563ff355173e6c86c2bd2337ca7d55b00587c2e70192c5acfaabdeb"},
+		{"tier-span-onesided", tierSpanProgram, 1, 1, false, 0, "50b5f79815d74c5288be791402c6f040268c37f1c30fa050bd885c8ef01601ea"},
+	} {
+		res, err := core.Run(core.Config{
+			NumPE: 4, Platform: platform.SparcSunOS, Seed: 77, RecordHistory: true,
+			KernelShards: 2, DirectReads: g.direct, WriteRings: g.rings, Legacy: g.legacy,
+			LeaseDuration: 200 * sim.Microsecond,
+		}, g.program)
+		if err != nil {
+			t.Fatalf("%s: run: %v", g.name, err)
+		}
+		if err := res.FirstErr(); err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		if got := res.Total.NsDenials; got != g.denials {
+			t.Errorf("%s: NsDenials = %d, want %d", g.name, got, g.denials)
+		}
+		if rep := check.Check(res.History); !rep.OK() {
+			t.Fatalf("%s: checker violations:\n%s", g.name, rep)
+		}
+		if got := res.History.Digest(); got != g.want {
+			t.Errorf("%s: history digest drifted (%d events):\n got %s\nwant %s", g.name, res.History.Len(), got, g.want)
+		}
 	}
 }
