@@ -107,9 +107,10 @@ func (e Event) String() string {
 type PERecorder struct {
 	events []Event
 	pe     int32
+	clock  Clock // stamps Open/Close; nil until SetClock
 }
 
-// Add appends a completed event (reads and sync ops record after success).
+// Add appends a completed event (sync ops record after success).
 func (r *PERecorder) Add(ev Event) {
 	if r == nil {
 		return
@@ -119,8 +120,8 @@ func (r *PERecorder) Add(ev Event) {
 	r.events = append(r.events, ev)
 }
 
-// Begin appends ev as in-flight — Failed until Complete — and returns its
-// index. Mutating ops record through Begin/Complete so an op that dies
+// Begin appends ev as in-flight — Failed until completed — and returns its
+// index. Global-memory ops are recorded in-flight first, so an op that dies
 // mid-request (timeout, panic, peer down) is retained with its "may have
 // applied" status rather than lost.
 func (r *PERecorder) Begin(ev Event) int {
@@ -142,6 +143,75 @@ func (r *PERecorder) Complete(idx int, out int64, ok bool, resp sim.Time) {
 	e := &r.events[idx]
 	e.Out, e.Ok, e.Resp = out, ok, resp
 	e.Failed = false
+}
+
+// Clock supplies the instants Open, Close, CloseRead and FailReads stamp
+// (the runtime hands in the PE's own clock: virtual time under simulation).
+type Clock interface{ Now() sim.Time }
+
+// SetClock installs the clock of the PE recording through r.
+func (r *PERecorder) SetClock(c Clock) {
+	if r != nil {
+		r.clock = c
+	}
+}
+
+// Open, Close, CloseRead and FailReads record a global-memory operation as
+// the runtime's access path sees it: opened at invocation — one event per
+// word, contiguous for a multi-word operation — and closed with the word's
+// result. Open and CloseRead, the two on the path of a read that can take
+// tens of nanoseconds, are a nil check in front of the real work, small
+// enough to inline, so recording switched off costs that path no call.
+
+// Open Begins an operation invoked now and returns its index.
+func (r *PERecorder) Open(kind Kind, addr uint64, arg1, arg2 int64, mode uint8) int {
+	if r == nil {
+		return -1
+	}
+	return r.open(kind, addr, arg1, arg2, mode)
+}
+
+func (r *PERecorder) open(kind Kind, addr uint64, arg1, arg2 int64, mode uint8) int {
+	return r.Begin(Event{Kind: kind, Addr: addr, Arg1: arg1, Arg2: arg2, Mode: mode, Inv: r.clock.Now()})
+}
+
+// Close Completes the mutation (or flush) idx now.
+func (r *PERecorder) Close(idx int, out int64, ok bool) {
+	if r != nil {
+		r.Complete(idx, out, ok, r.clock.Now())
+	}
+}
+
+// CloseRead marks the read idx successful now: out is the value observed,
+// cached whether a local copy (block cache or lease) served it. A
+// lease-served read carries its lease's grant and expiry instants, the window
+// that bounds its permitted staleness (see Event.Mode).
+func (r *PERecorder) CloseRead(idx int, out int64, cached bool, grant, until sim.Time) {
+	if r != nil {
+		r.closeRead(idx, out, cached, grant, until)
+	}
+}
+
+func (r *PERecorder) closeRead(idx int, out int64, cached bool, grant, until sim.Time) {
+	e := &r.events[idx]
+	e.Out, e.Cached, e.Arg1, e.Arg2, e.Resp = out, cached, int64(grant), int64(until), r.clock.Now()
+	e.Failed = false
+}
+
+// FailReads stamps the failure instant on the reads still open among the n
+// events starting at idx. They stay Failed, but a failed read had no effect on
+// memory, so unlike a failed mutation (left open-ended: it may have applied)
+// its interval is closed.
+func (r *PERecorder) FailReads(idx, n int) {
+	if r == nil {
+		return
+	}
+	now := r.clock.Now()
+	for i := idx; i < idx+n; i++ {
+		if e := &r.events[i]; e.Failed && e.Kind == KindRead {
+			e.Resp = now
+		}
+	}
 }
 
 // Recorder fans out one PERecorder per PE.

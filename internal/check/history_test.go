@@ -1,6 +1,10 @@
 package check
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
 
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
@@ -10,6 +14,45 @@ func TestRecorderNilSafe(t *testing.T) {
 	}
 	pr.Add(Event{}) // must not panic
 	pr.Complete(pr.Begin(Event{}), 0, false, 0)
+	pr.SetClock(nil)
+	h := pr.Open(KindRead, 8, 0, 0, 0)
+	pr.CloseRead(h, 1, false, 0, 0)
+	pr.Close(h, 1, true)
+	pr.FailReads(h, 1)
+}
+
+// tick is a clock that advances by one on every reading.
+type tick struct{ t sim.Time }
+
+func (c *tick) Now() sim.Time { c.t++; return c.t }
+
+// The clocked tier stamps invocation and response itself, leaves an event
+// Failed until its result closes it, and closes a failed read's interval
+// while leaving a failed mutation's open.
+func TestRecorderClockedOpenClose(t *testing.T) {
+	r := NewRecorder(1)
+	pr := r.PE(0)
+	pr.SetClock(&tick{})
+	rd := pr.Open(KindRead, 8, 0, 0, 2)      // Inv 1
+	wr := pr.Open(KindWrite, 9, 7, 0, 0)     // Inv 2
+	lost := pr.Open(KindRead, 10, 0, 0, 0)   // Inv 3
+	stuck := pr.Open(KindWrite, 11, 1, 0, 0) // Inv 4
+	pr.CloseRead(rd, 5, true, 20, 30)        // Resp 5
+	pr.Close(wr, 0, true)                    // Resp 6
+	pr.FailReads(rd, 4)                      // Resp 7, on the open read only
+	ev := r.History().Events
+	if e := ev[rd]; e.Failed || e.Out != 5 || !e.Cached || e.Arg1 != 20 || e.Arg2 != 30 || e.Mode != 2 || e.Inv != 1 || e.Resp != 5 {
+		t.Errorf("closed read: %+v", e)
+	}
+	if e := ev[wr]; e.Failed || !e.Ok || e.Arg1 != 7 || e.Inv != 2 || e.Resp != 6 {
+		t.Errorf("closed write: %+v", e)
+	}
+	if e := ev[lost]; !e.Failed || e.Resp != 7 {
+		t.Errorf("failed read must stay Failed with its interval closed: %+v", e)
+	}
+	if e := ev[stuck]; !e.Failed || e.Resp != 0 {
+		t.Errorf("failed mutation must stay open-ended: %+v", e)
+	}
 }
 
 func TestRecorderMergeOrdersByInvocation(t *testing.T) {

@@ -5,32 +5,48 @@ import (
 
 	"repro/internal/platform"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
-// runBenchProgram runs body once over an inproc cluster, b.N iterations
-// inside the program (cluster construction excluded from the loop cost
-// only approximately; these benchmarks measure runtime primitives, not
-// the constructor).
-func runBenchProgram(b *testing.B, n int, body Program) {
+// messagePath pins a benchmark cluster to the request/reply message path:
+// one shard (no workers), no one-sided window, no rings. Left at zero the
+// three knobs resolve from GOMAXPROCS, and on any multi-core host remote
+// scalar ops silently take the ~50 ns window instead of the ~3 µs message
+// round trip the benchmarks below describe.
+var messagePath = Config{Transport: TransportInproc, KernelShards: 1, DirectReads: -1, WriteRings: -1}
+
+// runBenchProgram runs body once over the cluster cfg describes with n PEs,
+// b.N iterations inside the program (cluster construction excluded from the
+// loop cost only approximately; these benchmarks measure runtime primitives,
+// not the constructor).
+func runBenchProgram(b *testing.B, cfg Config, n int, body Program) *Result {
 	b.Helper()
-	res, err := Run(Config{NumPE: n, Transport: TransportInproc}, body)
+	cfg.NumPE = n
+	res, err := Run(cfg, body)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if err := res.FirstErr(); err != nil {
 		b.Fatal(err)
 	}
+	return res
 }
 
-// BenchmarkGMRemoteWordRoundTrip measures one remote read request/response
-// through kernel service, wire codec and mailbox plumbing (inproc).
-func BenchmarkGMRemoteWordRoundTrip(b *testing.B) {
-	runBenchProgram(b, 2, func(pe *PE) error {
-		addr := pe.Alloc(64)
-		// Find a word homed at the *other* kernel.
-		for pe.Space().HomeOf(addr) == pe.ID() {
-			addr++
-		}
+// remoteWord returns a word of a fresh allocation homed at the other kernel
+// of a 2-PE cluster.
+func remoteWord(pe *PE) uint64 {
+	addr := pe.Alloc(64)
+	for pe.Space().HomeOf(addr) == pe.ID() {
+		addr++
+	}
+	return addr
+}
+
+// benchRemoteRead times PE 0 reading a word homed at PE 1 over the message
+// path and asserts from the counters that no read took the window.
+func benchRemoteRead(b *testing.B, cfg Config) {
+	res := runBenchProgram(b, cfg, 2, func(pe *PE) error {
+		addr := remoteWord(pe)
 		pe.Barrier()
 		if pe.ID() == 0 {
 			b.ResetTimer()
@@ -42,11 +58,76 @@ func BenchmarkGMRemoteWordRoundTrip(b *testing.B) {
 		pe.Barrier()
 		return nil
 	})
+	if got := res.Total.DirectGM + res.Total.RingGM; got != 0 {
+		b.Fatalf("message-path benchmark took a one-sided path %d times", got)
+	}
+}
+
+// BenchmarkGMRemoteWordRoundTrip measures one remote read request/response
+// through kernel service, wire codec and mailbox plumbing (inproc).
+func BenchmarkGMRemoteWordRoundTrip(b *testing.B) {
+	benchRemoteRead(b, messagePath)
+}
+
+// BenchmarkGMWord is the per-layer check that the access pipeline keeps the
+// scalar ladder flat: a read and a write on each path a word can take, every
+// cell asserting its path from PE 0's counters (PE 0 issues nothing but the
+// timed operations) and reporting allocations.
+func BenchmarkGMWord(b *testing.B) {
+	type counts struct{ local, remote, direct, ring, msgs uint64 }
+	onesided := Config{Transport: TransportInproc, KernelShards: 2, DirectReads: 1, WriteRings: 1}
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		remote bool
+		write  bool
+		per    counts // what one operation adds to the counters
+	}{
+		{"local/read", messagePath, false, false, counts{local: 1}},
+		{"local/write", messagePath, false, true, counts{local: 1}},
+		{"window/read", onesided, true, false, counts{remote: 1, direct: 1}},
+		{"ring/write", onesided, true, true, counts{remote: 1, ring: 1}},
+		{"message/read", messagePath, true, false, counts{remote: 1, msgs: 1}},
+		{"message/write", messagePath, true, true, counts{remote: 1, msgs: 1}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			res := runBenchProgram(b, c.cfg, 2, func(pe *PE) error {
+				addr := remoteWord(pe)
+				if !c.remote {
+					addr = pe.Alloc(64)
+					for pe.Space().HomeOf(addr) != 0 {
+						addr++
+					}
+				}
+				pe.Barrier()
+				if pe.ID() == 0 {
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if c.write {
+							pe.GMWrite(addr, int64(i))
+						} else {
+							pe.GMRead(addr)
+						}
+					}
+					b.StopTimer()
+				}
+				pe.Barrier()
+				return nil
+			})
+			s := &res.PerPE[0]
+			got := counts{s.LocalGM, s.RemoteGM, s.DirectGM, s.RingGM, s.ByOp[wire.OpRead].Msgs + s.ByOp[wire.OpWrite].Msgs}
+			n, p := uint64(b.N), c.per
+			if want := (counts{p.local * n, p.remote * n, p.direct * n, p.ring * n, p.msgs * n}); got != want {
+				b.Fatalf("PE 0 path counters over %d ops: got %+v, want %+v", b.N, got, want)
+			}
+		})
+	}
 }
 
 // BenchmarkBarrier measures the central barrier end to end on 4 PEs.
 func BenchmarkBarrier(b *testing.B) {
-	runBenchProgram(b, 4, func(pe *PE) error {
+	runBenchProgram(b, Config{Transport: TransportInproc}, 4, func(pe *PE) error {
 		if pe.ID() == 0 {
 			b.ResetTimer()
 		}
@@ -63,7 +144,7 @@ func BenchmarkBarrier(b *testing.B) {
 
 // BenchmarkFetchAddPool measures the job-pool primitive under contention.
 func BenchmarkFetchAddPool(b *testing.B) {
-	runBenchProgram(b, 4, func(pe *PE) error {
+	runBenchProgram(b, Config{Transport: TransportInproc}, 4, func(pe *PE) error {
 		counter := pe.Alloc(1)
 		pe.Barrier()
 		if pe.ID() == 0 {
@@ -92,43 +173,16 @@ func BenchmarkSimClusterConstruction(b *testing.B) {
 	}
 }
 
-// benchRemoteRead builds the remote-read round trip loop used by the
-// tracing-overhead benchmarks.
-func benchRemoteRead(b *testing.B, cfg Config) {
-	cfg.NumPE = 2
-	cfg.Transport = TransportInproc
-	res, err := Run(cfg, func(pe *PE) error {
-		addr := pe.Alloc(64)
-		for pe.Space().HomeOf(addr) == pe.ID() {
-			addr++
-		}
-		pe.Barrier()
-		if pe.ID() == 0 {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pe.GMRead(addr)
-			}
-			b.StopTimer()
-		}
-		pe.Barrier()
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := res.FirstErr(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkRoundTripTracingDisabled is the default path: histograms are
 // always on, span tracing costs one nil check.
 func BenchmarkRoundTripTracingDisabled(b *testing.B) {
-	benchRemoteRead(b, Config{})
+	benchRemoteRead(b, messagePath)
 }
 
 // BenchmarkRoundTripTracingEnabled records a span per round trip on both
 // the requester and home sides.
 func BenchmarkRoundTripTracingEnabled(b *testing.B) {
-	benchRemoteRead(b, Config{Tracing: trace.TracingConfig{Enabled: true, RingSize: 1 << 16}})
+	cfg := messagePath
+	cfg.Tracing = trace.TracingConfig{Enabled: true, RingSize: 1 << 16}
+	benchRemoteRead(b, cfg)
 }

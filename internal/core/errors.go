@@ -4,8 +4,10 @@ import "fmt"
 
 // The reliability layer surfaces request failures as typed errors through the
 // *Err API tier (GMReadErr, GMWriteErr, FetchAddErr, CASErr, PingErr). The
-// classic panic tier (GMRead, GMWrite, ...) wraps that tier and panics with
-// the error text, preserving the original "timed out" / "shut down" messages.
+// classic panic tier (GMRead, GMWrite, the block and vectored operations, ...)
+// wraps that tier and panics with the error itself, so the failure reaches
+// Result.Errs with its type visible to errors.As and its original "timed out"
+// / "is down" / "shut down" text.
 
 // TimeoutError reports that a request exhausted its timeout (and, when
 // retries are configured, every retry attempt).

@@ -57,27 +57,6 @@ func (k *Kernel) homeOf(addr uint64) int {
 	return k.dir.HomeOf(k.space, addr)
 }
 
-// homeRuns splits [addr, addr+n) into single-home runs like
-// gmem.Space.HomeRuns, but against the live directory. Runs never cross a
-// block boundary, matching the static splitter's invariant.
-func (k *Kernel) homeRuns(addr uint64, n int, fn func(home int, start uint64, count int)) {
-	if k.dir.Static() {
-		k.space.HomeRuns(addr, n, fn)
-		return
-	}
-	bw := uint64(k.space.BlockWords)
-	end := addr + uint64(n)
-	for start := addr; start < end; {
-		b := start / bw
-		stop := (b + 1) * bw
-		if stop > end {
-			stop = end
-		}
-		fn(k.dir.HomeOfBlock(b), start, int(stop-start))
-		start = stop
-	}
-}
-
 // escrowPut parks an extracted block until its commit (or epoch update).
 func (k *Kernel) escrowPut(b gmem.BlockSnapshot, dst int) {
 	k.escrowMu.Lock()
@@ -514,7 +493,7 @@ func (pe *PE) grant(op wire.Op) (uint64, error) {
 // redirects and apply exactly once.
 func (pe *PE) Join() error {
 	k := pe.k
-	if k.cache != nil {
+	if pe.writeThrough() {
 		return fmt.Errorf("core: PE %d: membership changes require the uncached protocol", k.id)
 	}
 	if k.dir.Member(k.id).State == gmem.MemberActive {
@@ -565,7 +544,7 @@ func (pe *PE) Join() error {
 // synchronisation managers and the grant service.
 func (pe *PE) Leave() error {
 	k := pe.k
-	if k.cache != nil {
+	if pe.writeThrough() {
 		return fmt.Errorf("core: PE %d: membership changes require the uncached protocol", k.id)
 	}
 	if k.id == 0 {
@@ -621,7 +600,7 @@ func (pe *PE) Leave() error {
 // per range.
 func (pe *PE) MigrateRange(addr uint64, nblocks, dst int) error {
 	k := pe.k
-	if k.cache != nil {
+	if pe.writeThrough() {
 		return fmt.Errorf("core: PE %d: migration requires the uncached protocol", k.id)
 	}
 	if dst < 0 || dst >= k.n {

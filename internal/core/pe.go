@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -58,44 +59,11 @@ type PE struct {
 
 	// Scratch reused across calls by the hot-path operations.
 	words []int64   // decoded response payloads
-	vruns []vrun    // home-runs of the block/gather being assembled
+	vruns []vrun    // remote runs of the range operation being assembled
 	hruns []vrun    // the same runs, grouped by home
 	reqs  []homeReq // one in-flight request per remote home
 	fl    []uint64  // drained WC addresses (ascending) of the current flush
 	flv   []int64   // drained WC values, parallel to fl
-}
-
-// leaseEntry is one cached block under a read lease: words is the block
-// snapshot fetched from the home, grant the fetch request's start instant
-// (the staleness bound the checker holds lease-served reads to) and until
-// the expiry instant after which the snapshot must not be served.
-type leaseEntry struct {
-	words []int64
-	grant sim.Time
-	until sim.Time
-}
-
-// vrun is one single-home run of a block or gather operation. A run never
-// crosses a block boundary (HomeRuns caps runs at the block end), so it also
-// has a single home-side shard.
-type vrun struct {
-	home  int
-	shard int // home-side kernel shard owning this run's block
-	start uint64
-	count int
-	off   int // word offset within the caller's buffer
-}
-
-// homeReq is one coalesced per-home request of a pipelined transfer. When
-// the home kernels run shard workers, transfers coalesce per (home, shard)
-// instead of per home, so a gather spanning k shards becomes k sub-requests
-// serviced in parallel; shard is stamped into the request header for the
-// home's dispatcher.
-type homeReq struct {
-	seq    uint64
-	shard  int
-	lo, hi int // pe.hruns[lo:hi] travelled in this request
-	done   bool
 }
 
 func newPE(k *Kernel) *PE {
@@ -111,6 +79,7 @@ func newPE(k *Kernel) *PE {
 		wc:      gmem.NewWCBuf(),
 		leases:  make(map[uint64]*leaseEntry),
 	}
+	pe.hist.SetClock(pe.app)
 	if rs := k.cfg.restore; rs != nil {
 		pe.ckptEpoch = rs.epoch
 		pe.viewGen = rs.viewGen
@@ -180,14 +149,22 @@ func (pe *PE) legacyCrossing() {
 // request sends m to kernel dst and blocks until the response arrives in
 // the persistent reply mailbox. Request time beyond the send-side overhead
 // is accounted as wait time. The caller owns both m and the returned
-// response; recycle them with wire.PutMessage when done. Failures panic;
-// requestErr is the error-returning tier underneath.
+// response; recycle them with wire.PutMessage when done. Failures panic with
+// the typed error of requestErr, the error-returning tier underneath.
 func (pe *PE) request(dst int, m *wire.Message) *wire.Message {
 	resp, err := pe.requestErr(dst, m)
-	if err != nil {
-		panic(err.Error())
-	}
+	must(err)
 	return resp
+}
+
+// must is the whole of every panicking Parallel-API form: the error of the
+// error-returning tier underneath, raised as a panic with its type intact —
+// runPE turns it into the PE's Result.Errs entry, so callers still classify
+// the failure with errors.As.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 // requestErr is request with failures surfaced as errors: *TimeoutError
@@ -329,6 +306,16 @@ func (pe *PE) requestSeqErr(dst int, m *wire.Message, seq uint64) (*wire.Message
 	}
 }
 
+// takeWithin takes the next message from mb, waiting at most d (0 = forever).
+// ok is false when the mailbox closed (cluster shutdown).
+func takeWithin(mb transport.Mailbox, d sim.Duration) (m *wire.Message, ok, timedOut bool) {
+	if d > 0 {
+		return mb.TakeTimeout(d)
+	}
+	m, ok = mb.Take()
+	return m, ok, false
+}
+
 // takeReply blocks on the reply mailbox until the response to seq arrives or
 // the per-attempt timeout expires. Sequence validation is what makes the
 // persistent mailbox safe: residue of an earlier timed-out request (a stale
@@ -339,20 +326,15 @@ func (pe *PE) takeReply(seq uint64, op wire.Op, dst int, attempts int) (*wire.Me
 	d := k.requestTimeout()
 	deadline := pe.app.Now() + d
 	for {
-		var resp *wire.Message
-		var ok bool
+		remaining := d
 		if d > 0 {
-			remaining := deadline - pe.app.Now()
-			if remaining <= 0 {
+			if remaining = deadline - pe.app.Now(); remaining <= 0 {
 				return nil, &TimeoutError{PE: k.id, Dst: dst, Op: op.String(), Attempts: attempts}
 			}
-			var timedOut bool
-			resp, ok, timedOut = pe.replyMb.TakeTimeout(remaining)
-			if timedOut {
-				return nil, &TimeoutError{PE: k.id, Dst: dst, Op: op.String(), Attempts: attempts}
-			}
-		} else {
-			resp, ok = pe.replyMb.Take()
+		}
+		resp, ok, timedOut := takeWithin(pe.replyMb, remaining)
+		if timedOut {
+			return nil, &TimeoutError{PE: k.id, Dst: dst, Op: op.String(), Attempts: attempts}
 		}
 		if !ok {
 			return nil, &ShutdownError{PE: k.id, Op: op.String()}
@@ -375,1319 +357,18 @@ func (pe *PE) takeReply(seq uint64, op wire.Op, dst int, attempts int) (*wire.Me
 	}
 }
 
-// --- Global memory: word operations ---
-
-// GMRead reads the global-memory word at addr, panicking on failure.
-func (pe *PE) GMRead(addr uint64) int64 {
-	v, err := pe.GMReadErr(addr)
-	if err != nil {
-		panic(err.Error())
-	}
-	return v
-}
-
-// GMReadErr reads the global-memory word at addr, surfacing request
-// failures (timeout, peer down, shutdown) as errors instead of panicking.
-// The word's consistency mode picks the protocol: strong words take the
-// home-served path, release words consult the PE's own write-combining
-// buffer first (read-your-writes between sync edges), lease words are
-// served from time-bounded block leases.
-func (pe *PE) GMReadErr(addr uint64) (int64, error) {
-	if err := pe.nsCheck("read", addr, 1); err != nil {
-		return 0, err
-	}
-	pe.legacyCrossing()
-	switch pe.modes.Lookup(addr) {
-	case gmem.ModeRelease:
-		if v, ok := pe.wc.Lookup(addr); ok {
-			var t0 sim.Time
-			if pe.hist != nil {
-				t0 = pe.app.Now()
-			}
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			pe.recordRead(addr, v, false, t0, uint8(gmem.ModeRelease))
-			return v, nil
-		}
-		return pe.readWord(addr, uint8(gmem.ModeRelease))
-	case gmem.ModeLease:
-		return pe.readLease(addr)
-	}
-	return pe.readWord(addr, 0)
-}
-
-// readWord is the home-served scalar read shared by the strong and release
-// tiers (mode only tags the recorded events; the protocol is identical).
-func (pe *PE) readWord(addr uint64, mode uint8) (int64, error) {
-	k := pe.k
-	var t0 sim.Time
-	if pe.hist != nil {
-		t0 = pe.app.Now()
-	}
-	if k.cache != nil {
-		if v, ok := k.cache.Lookup(addr); ok {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			pe.recordRead(addr, v, true, t0, mode)
-			return v, nil
-		}
-		if k.homeOf(addr) == k.id {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			v := k.seg.ReadWord(addr)
-			pe.recordRead(addr, v, false, t0, mode)
-			return v, nil
-		}
-		pe.extra.RemoteGM++
-		req := wire.GetMessage()
-		req.Op, req.Addr, req.Arg2 = wire.OpRead, addr, 1
-		resp, err := pe.requestErr(k.homeOf(addr), req)
-		wire.PutMessage(req)
-		if err != nil {
-			pe.recordReadFailed(addr, t0, mode)
-			return 0, err
-		}
-		pe.words = resp.WordsInto(pe.words)
-		wire.PutMessage(resp)
-		k.cache.Insert(addr, pe.words)
-		v := pe.words[addr%uint64(k.space.BlockWords)]
-		pe.recordRead(addr, v, false, t0, mode)
-		return v, nil
-	}
-	home := k.homeOf(addr)
-	if home == k.id {
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		v := k.seg.ReadWord(addr)
-		pe.recordRead(addr, v, false, t0, mode)
-		return v, nil
-	}
-	pe.extra.RemoteGM++
-	if wins := k.windows; wins != nil && !k.deadFlags[home].Load() {
-		// One-sided fast path: the home's segment is mapped in this address
-		// space, so resolve the read directly through its seqlock instead of
-		// a request/reply pair. Every word has a single home and the seqlock
-		// yields a torn-free value, so this is as consistent as the message
-		// path it replaces (uncached mode only: no directory to update). The
-		// ownership check inside the home's seqlock critical section makes
-		// the window migration-safe: a block mid-handoff fails the check
-		// (the extract bumped the write sequence) and the read falls through
-		// to the message path, which follows the NACK redirect.
-		pe.app.LocalAccess()
-		if v, ok := wins[home].DirectReadOwned(addr); ok {
-			pe.extra.DirectGM++
-			pe.recordRead(addr, v, false, t0, mode)
-			return v, nil
-		}
-	}
-	req := wire.GetMessage()
-	req.Op, req.Addr, req.Arg1 = wire.OpRead, addr, 1
-	resp, err := pe.requestErr(home, req)
-	wire.PutMessage(req)
-	if err != nil {
-		pe.recordReadFailed(addr, t0, mode)
-		return 0, err
-	}
-	v := resp.Word(0)
-	wire.PutMessage(resp)
-	pe.recordRead(addr, v, false, t0, mode)
-	return v, nil
-}
-
-// recordRead logs one successful word read into the operation history
-// (no-op unless Config.RecordHistory).
-func (pe *PE) recordRead(addr uint64, v int64, cached bool, t0 sim.Time, mode uint8) {
-	if pe.hist == nil {
-		return
-	}
-	pe.hist.Add(check.Event{
-		Kind: check.KindRead, Addr: addr, Out: v, Cached: cached, Mode: mode,
-		Inv: t0, Resp: pe.app.Now(),
-	})
-}
-
-// recordReadFailed logs a read that errored (no effect on memory; the
-// checker ignores it beyond counting).
-func (pe *PE) recordReadFailed(addr uint64, t0 sim.Time, mode uint8) {
-	if pe.hist == nil {
-		return
-	}
-	pe.hist.Add(check.Event{
-		Kind: check.KindRead, Addr: addr, Failed: true, Mode: mode,
-		Inv: t0, Resp: pe.app.Now(),
-	})
-}
-
-// --- Lease-mode reads (ModeLease, DESIGN.md §14) ---
-
-// readLease serves a lease-mode scalar read: a live lease covering the
-// word's block answers locally with no messages, a miss fetches the block
-// under a fresh time-bounded lease. Own-home words read the segment
-// directly — always fresh, so they carry a strong staleness bound.
-func (pe *PE) readLease(addr uint64) (int64, error) {
-	k := pe.k
-	var t0 sim.Time
-	if pe.hist != nil {
-		t0 = pe.app.Now()
-	}
-	bw := uint64(k.space.BlockWords)
-	base := addr - addr%bw
-	if le := pe.leaseHit(base); le != nil {
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		v := le.words[addr-base]
-		pe.recordLeaseRead(addr, v, t0, le)
-		return v, nil
-	}
-	if k.homeOf(addr) == k.id {
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		v := k.seg.ReadWord(addr)
-		pe.recordRead(addr, v, false, t0, uint8(gmem.ModeLease))
-		return v, nil
-	}
-	le, err := pe.fetchLease(base)
-	if err != nil {
-		pe.recordReadFailed(addr, t0, uint8(gmem.ModeLease))
-		return 0, err
-	}
-	v := le.words[addr-base]
-	pe.recordLeaseRead(addr, v, t0, le)
-	return v, nil
-}
-
-// leaseHit returns the live lease covering the block at base, dropping an
-// expired one. The TEST-ONLY FaultIgnoreLeaseExpiry keeps serving expired
-// leases — the checker's lease-overstay rule must flag those reads.
-func (pe *PE) leaseHit(base uint64) *leaseEntry {
-	le, ok := pe.leases[base]
-	if !ok {
-		return nil
-	}
-	if pe.app.Now() > le.until && !pe.k.cfg.FaultIgnoreLeaseExpiry {
-		delete(pe.leases, base)
-		pe.extra.LeaseExpiries++
-		return nil
-	}
-	return le
-}
-
-// fetchLease fetches the block at base from its home under a read lease and
-// caches it until the home-granted duration elapses (measured from receipt).
-// The recorded staleness bound is the REQUEST start: the home serves the
-// block no earlier than that, so every write completed before the grant
-// instant is already reflected in the snapshot.
-func (pe *PE) fetchLease(base uint64) (*leaseEntry, error) {
-	k := pe.k
-	grant := pe.app.Now()
-	pe.extra.RemoteGM++
-	req := wire.GetMessage()
-	req.Op, req.Addr = wire.OpReadLease, base
-	resp, err := pe.requestErr(k.homeOf(base), req)
-	wire.PutMessage(req)
-	if err != nil {
-		return nil, err
-	}
-	le := &leaseEntry{grant: grant, until: pe.app.Now() + sim.Duration(resp.Arg2)}
-	le.words = resp.WordsInto(le.words)
-	wire.PutMessage(resp)
-	pe.leases[base] = le
-	pe.extra.LeaseGrants++
-	return le, nil
-}
-
-// recordLeaseRead logs a read served under a lease: Cached marks it
-// lease-served, Arg1/Arg2 carry the grant and expiry instants the checker's
-// lease rules bound staleness with.
-func (pe *PE) recordLeaseRead(addr uint64, v int64, t0 sim.Time, le *leaseEntry) {
-	if pe.hist == nil {
-		return
-	}
-	pe.hist.Add(check.Event{
-		Kind: check.KindRead, Addr: addr, Out: v, Cached: true,
-		Mode: uint8(gmem.ModeLease), Arg1: int64(le.grant), Arg2: int64(le.until),
-		Inv: t0, Resp: pe.app.Now(),
-	})
-}
-
-// dropLeases discards this PE's leases covering [addr, addr+n): its own
-// writes must not keep being answered from a snapshot that predates them.
-func (pe *PE) dropLeases(addr uint64, n int) {
-	if len(pe.leases) == 0 {
-		return
-	}
-	bw := uint64(pe.k.space.BlockWords)
-	for base := addr - addr%bw; base < addr+uint64(n); base += bw {
-		delete(pe.leases, base)
-	}
-}
-
-// clearLeases drops every cached lease: crossing an acquire edge (barrier,
-// lock or semaphore grant, membership transition) must re-observe the
-// cluster instead of extending pre-edge snapshots past it.
-func (pe *PE) clearLeases() {
-	clear(pe.leases)
-}
-
-// GMWrite stores v at addr, panicking on failure.
-func (pe *PE) GMWrite(addr uint64, v int64) {
-	if err := pe.GMWriteErr(addr, v); err != nil {
-		panic(err.Error())
-	}
-}
-
-// ringStatus is the outcome of a one-sided write submission attempt.
-type ringStatus int
-
-const (
-	// ringUnavailable: nothing was published (path off, home dead, home no
-	// longer owns the block, or ring full) — fall back to the message path
-	// with a fresh sequence.
-	ringUnavailable ringStatus = iota
-	// ringApplied: the write was consumed with no migration in flight — it
-	// is applied and globally visible.
-	ringApplied
-	// ringAmbiguous: the write was consumed, but the home's migration
-	// generation moved while it was in flight, so the drain may have
-	// discarded it as disowned. The caller must confirm through the message
-	// path REUSING the ring sequence: if the drain did apply it, the home's
-	// dedup window absorbs the message as a duplicate; if it was discarded,
-	// the message applies it (or chases the NACK redirect to the new home).
-	// Either way the write lands exactly once.
-	ringAmbiguous
-)
-
-// ringWrite attempts the one-sided write fast path: publish (addr, v) into
-// the co-located home's per-shard submission ring and wait until the owning
-// shard has consumed it. The ring sequence comes from the same counter as
-// message sequences, so the home's dedup window gives the two paths one
-// exactly-once space. The home's migration generation is sampled before the
-// push and rechecked after consumption — see ringAmbiguous for the race this
-// closes.
-func (pe *PE) ringWrite(home int, addr uint64, v int64) (ringStatus, uint64) {
-	k := pe.k
-	if k.ringPeers == nil || k.deadFlags[home].Load() {
-		return ringUnavailable, 0
-	}
-	hk := k.ringPeers[home]
-	sh := hk.shards[k.space.ShardOf(addr, hk.nshards)]
-	if sh.ring == nil {
-		return ringUnavailable, 0
-	}
-	// The generation is sampled UNCONDITIONALLY, not gated on the directory
-	// being live: the FIRST migration can flip the directory between this
-	// point and the shard drain, and a producer that skipped the sample
-	// because the directory looked static would also skip the recheck below
-	// and report ringApplied for a write the drain filtered as disowned. A
-	// static directory never bumps migGen, so the cost is one atomic load.
-	gen := hk.migGen.Load()
-	if !hk.dir.Static() && !hk.dir.Owns(home, k.space.BlockOf(addr)) {
-		return ringUnavailable, 0 // block already migrated away
-	}
-	pe.app.LocalAccess()
-	w := gmem.RingWrite{Addr: addr, Val: v, Seq: k.seqCtr.Add(1), Src: int32(k.id)}
-	pos, ok := sh.ring.Push(w)
-	if !ok {
-		return ringUnavailable, 0
-	}
-	pe.extra.RingGM++
-	if hk.workers {
-		sh.nudge()
-		sh.ring.AwaitConsumed(pos)
-	} else {
-		// Simulated transport: drain inline at the submit point. The sim
-		// engine runs one cooperative context at a time, so this is both
-		// race-free and deterministic, and the write is applied before the
-		// submitting PE's virtual time advances again.
-		sh.drainRing()
-	}
-	if hk.migGen.Load() != gen {
-		return ringAmbiguous, w.Seq
-	}
-	return ringApplied, w.Seq
-}
-
-// GMWriteErr stores v at addr, surfacing request failures as errors. The
-// word's consistency mode picks the protocol: release-mode stores land in
-// the PE's write-combining buffer (published at the next sync edge), every
-// other mode runs the home-served strong protocol.
-func (pe *PE) GMWriteErr(addr uint64, v int64) error {
-	if err := pe.nsCheck("write", addr, 1); err != nil {
-		return err
-	}
-	pe.legacyCrossing()
-	switch pe.modes.Lookup(addr) {
-	case gmem.ModeRelease:
-		pe.bufferWrite(addr, v)
-		return nil
-	case gmem.ModeLease:
-		pe.dropLeases(addr, 1)
-		return pe.writeWord(addr, v, uint8(gmem.ModeLease))
-	}
-	return pe.writeWord(addr, v, 0)
-}
-
-// bufferWrite absorbs a release-mode store into the write-combining buffer:
-// purely local, same-word stores coalesce last-writer-wins, and the next
-// sync edge publishes the buffer. The recorded event's instantaneous
-// interval is the buffering instant; the checker derives the store's effect
-// window from the first sync fence at or after it.
-func (pe *PE) bufferWrite(addr uint64, v int64) {
-	pe.app.LocalAccess()
-	pe.extra.LocalGM++
-	if pe.hist != nil {
-		now := pe.app.Now()
-		idx := pe.hist.Begin(check.Event{
-			Kind: check.KindWrite, Addr: addr, Arg1: v,
-			Mode: uint8(gmem.ModeRelease), Inv: now,
-		})
-		pe.hist.Complete(idx, 0, true, now)
-	}
-	pe.wc.Put(addr, v)
-}
-
-// writeWord is the home-served scalar store shared by the strong and lease
-// tiers (mode only tags the recorded event).
-func (pe *PE) writeWord(addr uint64, v int64, mode uint8) error {
-	k := pe.k
-	hidx := -1
-	if pe.hist != nil {
-		hidx = pe.hist.Begin(check.Event{
-			Kind: check.KindWrite, Addr: addr, Arg1: v, Mode: mode, Inv: pe.app.Now(),
-		})
-	}
-	if k.cache == nil {
-		home := k.homeOf(addr)
-		if home == k.id {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			k.seg.WriteWord(addr, v)
-			if pe.hist != nil {
-				pe.hist.Complete(hidx, 0, true, pe.app.Now())
-			}
-			return nil
-		}
-		st, ringSeq := pe.ringWrite(home, addr, v)
-		if st == ringApplied {
-			pe.extra.RemoteGM++
-			if pe.hist != nil {
-				pe.hist.Complete(hidx, 0, true, pe.app.Now())
-			}
-			return nil
-		}
-		if st == ringAmbiguous {
-			// A migration raced the ring submission: confirm through the
-			// message path with the SAME sequence number (see ringAmbiguous).
-			pe.extra.RemoteGM++
-			req := wire.GetMessage()
-			req.Op, req.Addr = wire.OpWrite, addr
-			req.PutWord(v)
-			resp, err := pe.requestSeqErr(home, req, ringSeq)
-			wire.PutMessage(req)
-			if err != nil {
-				return err
-			}
-			wire.PutMessage(resp)
-			if pe.hist != nil {
-				pe.hist.Complete(hidx, 0, true, pe.app.Now())
-			}
-			return nil
-		}
-	}
-	// Under caching every mutation goes through the home's invalidation
-	// machinery, including our own home (via the own-node message path).
-	// The writer drops its own cached copy too: a kept-warm copy would no
-	// longer be registered in the home's directory, so later writes by
-	// other PEs could not invalidate it.
-	pe.extra.RemoteGM++
-	req := wire.GetMessage()
-	req.Op, req.Addr = wire.OpWrite, addr
-	req.PutWord(v)
-	resp, err := pe.requestErr(k.homeOf(addr), req)
-	wire.PutMessage(req)
-	if err != nil {
-		return err
-	}
-	wire.PutMessage(resp)
-	if k.cache != nil {
-		k.cache.Invalidate(addr)
-	}
-	if pe.hist != nil {
-		pe.hist.Complete(hidx, 0, true, pe.app.Now())
-	}
-	return nil
-}
-
-// FetchAdd atomically adds delta to the word at addr, returning the old
-// value. The primitive behind job pools and work counters. Panics on failure.
-func (pe *PE) FetchAdd(addr uint64, delta int64) int64 {
-	old, err := pe.FetchAddErr(addr, delta)
-	if err != nil {
-		panic(err.Error())
-	}
-	return old
-}
-
-// FetchAddErr is FetchAdd with request failures surfaced as errors. A retry
-// that slips past a lost reply is absorbed by the home's dedup window, so
-// the addition is applied exactly once even under retransmission.
-func (pe *PE) FetchAddErr(addr uint64, delta int64) (int64, error) {
-	if err := pe.nsCheck("fetch-add", addr, 1); err != nil {
-		return 0, err
-	}
-	pe.legacyCrossing()
-	k := pe.k
-	// Atomics always run the strong protocol at the home; the tag only marks
-	// which per-word rule set judges them. A lease over the word is dropped
-	// so later lease reads re-observe the mutation.
-	mode := uint8(pe.modes.Lookup(addr))
-	if mode == uint8(gmem.ModeLease) {
-		pe.dropLeases(addr, 1)
-	}
-	hidx := -1
-	if pe.hist != nil {
-		hidx = pe.hist.Begin(check.Event{
-			Kind: check.KindFetchAdd, Addr: addr, Arg1: delta, Mode: mode, Inv: pe.app.Now(),
-		})
-	}
-	if k.cache == nil && k.homeOf(addr) == k.id {
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		old := k.seg.FetchAdd(addr, delta)
-		if pe.hist != nil {
-			pe.hist.Complete(hidx, old, true, pe.app.Now())
-		}
-		return old, nil
-	}
-	pe.extra.RemoteGM++
-	req := wire.GetMessage()
-	req.Op, req.Addr, req.Arg1 = wire.OpFetchAdd, addr, delta
-	resp, err := pe.requestErr(k.homeOf(addr), req)
-	wire.PutMessage(req)
-	if err != nil {
-		return 0, err
-	}
-	old := resp.Arg1
-	wire.PutMessage(resp)
-	if k.cache != nil {
-		k.cache.Invalidate(addr)
-	}
-	if pe.hist != nil {
-		pe.hist.Complete(hidx, old, true, pe.app.Now())
-	}
-	return old, nil
-}
-
-// CAS atomically compares-and-swaps the word at addr; it returns the
-// previous value and whether the swap happened. Panics on failure.
-func (pe *PE) CAS(addr uint64, old, new int64) (int64, bool) {
-	prev, sw, err := pe.CASErr(addr, old, new)
-	if err != nil {
-		panic(err.Error())
-	}
-	return prev, sw
-}
-
-// CASErr is CAS with request failures surfaced as errors; like FetchAddErr
-// it stays exactly-once under retransmission.
-func (pe *PE) CASErr(addr uint64, old, new int64) (int64, bool, error) {
-	if err := pe.nsCheck("cas", addr, 1); err != nil {
-		return 0, false, err
-	}
-	pe.legacyCrossing()
-	k := pe.k
-	// Strong protocol regardless of mode, like FetchAddErr.
-	mode := uint8(pe.modes.Lookup(addr))
-	if mode == uint8(gmem.ModeLease) {
-		pe.dropLeases(addr, 1)
-	}
-	hidx := -1
-	if pe.hist != nil {
-		hidx = pe.hist.Begin(check.Event{
-			Kind: check.KindCAS, Addr: addr, Arg1: old, Arg2: new, Mode: mode, Inv: pe.app.Now(),
-		})
-	}
-	if k.cache == nil && k.homeOf(addr) == k.id {
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		prev, sw := k.seg.CAS(addr, old, new)
-		if pe.hist != nil {
-			pe.hist.Complete(hidx, prev, sw, pe.app.Now())
-		}
-		return prev, sw, nil
-	}
-	pe.extra.RemoteGM++
-	req := wire.GetMessage()
-	req.Op, req.Addr, req.Arg1, req.Arg2 = wire.OpCAS, addr, old, new
-	resp, err := pe.requestErr(k.homeOf(addr), req)
-	wire.PutMessage(req)
-	if err != nil {
-		return 0, false, err
-	}
-	prev, sw := resp.Arg1, resp.Arg2 == 1
-	wire.PutMessage(resp)
-	if k.cache != nil {
-		k.cache.Invalidate(addr)
-	}
-	if pe.hist != nil {
-		pe.hist.Complete(hidx, prev, sw, pe.app.Now())
-	}
-	return prev, sw, nil
-}
-
-// --- Global memory: block and vectored (scatter/gather) operations ---
-
-// sendAsync issues a request without waiting for its reply (which will
-// arrive in the persistent reply mailbox, matched by the returned Seq).
-// The DSE kernel's asynchronous-I/O design lets a DSE process keep several
-// requests in flight, so a transfer overlaps its per-home round trips.
-func (pe *PE) sendAsync(dst int, m *wire.Message) uint64 {
-	k := pe.k
-	m.Src = int32(k.id)
-	m.Dst = int32(dst)
-	seq, dead := k.addPending(pe.replyMb, dst)
-	if dead {
-		pe.dropTransferPending()
-		panic((&PeerDownError{PE: k.id, Peer: dst, Op: m.Op.String()}).Error())
-	}
-	m.Seq = seq
-	pe.app.Send(dst, m)
-	return seq
-}
-
-// groupRunsByHome regroups pe.vruns into pe.hruns ordered by home (and, when
-// the home kernels run shard workers, by shard within each home, so each
-// sub-request lands wholly in one shard and the shards service them in
-// parallel); callers then slice pe.hruns per request. Runs keep their
-// relative (ascending-address) order within each group. Without workers a
-// single per-home request is still stamped with its first run's shard — the
-// handlers don't care, every table the request touches is inline-owned.
-func (pe *PE) groupRunsByHome() {
-	pe.hruns = pe.hruns[:0]
-	pe.reqs = pe.reqs[:0]
-	nsh := 1
-	if pe.k.workers {
-		nsh = pe.k.nshards
-	}
-	for home := 0; home < pe.k.n; home++ {
-		for s := 0; s < nsh; s++ {
-			lo := len(pe.hruns)
-			for _, r := range pe.vruns {
-				if r.home != home || (nsh > 1 && r.shard != s) {
-					continue
-				}
-				pe.hruns = append(pe.hruns, r)
-			}
-			if hi := len(pe.hruns); hi > lo {
-				pe.reqs = append(pe.reqs, homeReq{lo: lo, hi: hi, shard: pe.hruns[lo].shard})
-			}
-		}
-	}
-}
-
-// awaitGather collects the per-home read responses of a pipelined gather,
-// scattering each response's words into out at the runs' offsets. Replies
-// are matched by Seq, so out-of-order arrival is fine and stale mailbox
-// residue is discarded rather than corrupting the transfer.
-func (pe *PE) awaitGather(out []int64) {
-	start := pe.app.Now()
-	var nacked []*homeReq
-	for remaining := len(pe.reqs); remaining > 0; {
-		resp := pe.takeTransfer(wire.OpReadV)
-		g := pe.findReq(resp.Seq)
-		if g == nil {
-			pe.extra.StaleReplies++
-			wire.PutMessage(resp)
-			continue
-		}
-		remaining--
-		if resp.Op == wire.OpMigrateNack {
-			// One of the sub-request's blocks migrated away; the home NACKed
-			// the whole message before touching anything. Park the group until
-			// every other sub-response has drained: the synchronous replay
-			// shares the reply mailbox, and its stale-reply filter would
-			// destroy any still-outstanding sibling response it raced.
-			wire.PutMessage(resp)
-			pe.extra.MigrateNacks++
-			nacked = append(nacked, g)
-			continue
-		}
-		pe.words = resp.WordsInto(pe.words)
-		wire.PutMessage(resp)
-		woff := 0
-		for _, r := range pe.hruns[g.lo:g.hi] {
-			copy(out[r.off:r.off+r.count], pe.words[woff:woff+r.count])
-			woff += r.count
-		}
-	}
-	for _, g := range nacked {
-		// Re-issue each run synchronously — requestSeqErr follows the
-		// redirect chain and learns the new homes along the way.
-		pe.regatherRuns(g, out)
-	}
-	pe.finishTransfer(wire.OpReadV, start)
-}
-
-// regatherRuns re-reads every run of a NACKed gather sub-request through the
-// scalar request path (one request per run, routed by the live directory).
-// Rare — at most once per sub-request per overlapping migration — so the
-// lost pipelining doesn't matter.
-func (pe *PE) regatherRuns(g *homeReq, out []int64) {
-	k := pe.k
-	for _, r := range pe.hruns[g.lo:g.hi] {
-		req := wire.GetMessage()
-		req.Op, req.Addr, req.Arg1 = wire.OpRead, r.start, int64(r.count)
-		resp, err := pe.requestErr(k.homeOf(r.start), req)
-		wire.PutMessage(req)
-		if err != nil {
-			pe.dropTransferPending()
-			panic(fmt.Sprintf("core: PE %d: re-reading run at %d after a home migration: %v", k.id, r.start, err))
-		}
-		pe.words = resp.WordsInto(pe.words)
-		wire.PutMessage(resp)
-		copy(out[r.off:r.off+r.count], pe.words[:r.count])
-	}
-}
-
-// finishTransfer charges a pipelined transfer's wait phase and records its
-// span (the per-home round trips overlap, so the transfer — not each
-// request — is the observable unit).
-func (pe *PE) finishTransfer(op wire.Op, start sim.Time) {
-	end := pe.app.Now()
-	pe.extra.WaitTime += end - start
-	pe.extra.RTTByOp[op].Observe(end - start)
-	if pe.live != nil {
-		pe.live.Observe(end - start)
-	}
-	if pe.spans != nil && pe.spans.Sampled() {
-		pe.spans.Record(trace.Span{
-			Kind: trace.SpanTransfer, Op: op, PE: int32(pe.k.id),
-			Peer: int32(pe.k.id), Start: start, End: end,
-		})
-	}
-}
-
-// awaitAcks drains one ack per outstanding per-home request. src is the
-// buffer the transfer's runs index into with their off/count fields (the
-// caller's words for a block write, vals for a scatter): a sub-request
-// NACKed by a migrating home is replayed from it run by run.
-func (pe *PE) awaitAcks(src []int64) {
-	start := pe.app.Now()
-	var nacked []*homeReq
-	for remaining := len(pe.reqs); remaining > 0; {
-		resp := pe.takeTransfer(wire.OpWriteV)
-		g := pe.findReq(resp.Seq)
-		op := resp.Op
-		wire.PutMessage(resp)
-		if g == nil {
-			pe.extra.StaleReplies++
-			continue
-		}
-		remaining--
-		if op == wire.OpMigrateNack {
-			// The home NACKed the whole sub-request before applying any run
-			// (all-or-nothing), so replaying every run with fresh sequences
-			// cannot double-apply. The replay is parked until every other
-			// sub-response has drained: it shares the reply mailbox, and its
-			// stale-reply filter would destroy a sibling response it raced.
-			pe.extra.MigrateNacks++
-			nacked = append(nacked, g)
-		}
-	}
-	for _, g := range nacked {
-		// Each replay routes by the live directory and follows redirects.
-		pe.rewriteRuns(g, src)
-	}
-	pe.finishTransfer(wire.OpWriteV, start)
-}
-
-// rewriteRuns replays every run of a NACKed write sub-request through the
-// scalar request path.
-func (pe *PE) rewriteRuns(g *homeReq, src []int64) {
-	k := pe.k
-	for _, r := range pe.hruns[g.lo:g.hi] {
-		req := wire.GetMessage()
-		req.Op, req.Addr = wire.OpWrite, r.start
-		req.PutWords(src[r.off : r.off+r.count])
-		resp, err := pe.requestErr(k.homeOf(r.start), req)
-		wire.PutMessage(req)
-		if err != nil {
-			pe.dropTransferPending()
-			panic(fmt.Sprintf("core: PE %d: re-writing run at %d after a home migration: %v", k.id, r.start, err))
-		}
-		wire.PutMessage(resp)
-	}
-}
-
-// takeTransfer blocks on the reply mailbox for the next transfer reply,
-// panicking on timeout, shutdown or a peer-down notice for one of the
-// transfer's outstanding requests.
-func (pe *PE) takeTransfer(op wire.Op) *wire.Message {
-	k := pe.k
-	for {
-		var resp *wire.Message
-		var ok bool
-		if d := k.requestTimeout(); d > 0 {
-			var timedOut bool
-			resp, ok, timedOut = pe.replyMb.TakeTimeout(d)
-			if timedOut {
-				pe.dropTransferPending()
-				panic(fmt.Sprintf("core: PE %d: %v transfer timed out after %v", k.id, op, d))
-			}
-		} else {
-			resp, ok = pe.replyMb.Take()
-		}
-		if !ok {
-			panic(fmt.Sprintf("core: PE %d: cluster shut down during %v request", k.id, op))
-		}
-		if resp.Op == wire.OpPeerDown {
-			peer, seq := int(resp.Src), resp.Seq
-			wire.PutMessage(resp)
-			if !pe.transferSeq(seq) {
-				pe.extra.StaleReplies++ // notice for an older, non-transfer request
-				continue
-			}
-			pe.dropTransferPending()
-			panic(fmt.Sprintf("core: PE %d: %v transfer failed: peer %d is down", k.id, op, peer))
-		}
-		return resp
-	}
-}
-
-// transferSeq reports whether seq belongs to an outstanding (not yet done)
-// request of the current transfer.
-func (pe *PE) transferSeq(seq uint64) bool {
-	for i := range pe.reqs {
-		if pe.reqs[i].seq == seq && !pe.reqs[i].done {
-			return true
-		}
-	}
-	return false
-}
-
-// dropTransferPending forgets the still-outstanding requests of an aborted
-// transfer so their late replies are dropped as stray instead of lingering
-// in the reply mailbox.
-func (pe *PE) dropTransferPending() {
-	for i := range pe.reqs {
-		if pe.reqs[i].seq != 0 && !pe.reqs[i].done {
-			pe.k.dropPending(pe.reqs[i].seq)
-		}
-	}
-}
-
-// findReq marks the outstanding request with seq done and returns it; nil
-// means seq matches none of them (stale residue — the caller discards it).
-func (pe *PE) findReq(seq uint64) *homeReq {
-	for i := range pe.reqs {
-		if pe.reqs[i].seq == seq && !pe.reqs[i].done {
-			pe.reqs[i].done = true
-			return &pe.reqs[i]
-		}
-	}
-	return nil
-}
-
-// GMReadBlock reads n words starting at addr, splitting the range across
-// homes as needed. All runs homed at one kernel travel in a single
-// (vectored, if more than one run) request, and the per-home requests are
-// pipelined. Block reads bypass the read cache (they are always served
-// fresh by the homes).
-func (pe *PE) GMReadBlock(addr uint64, n int) []int64 {
-	if err := pe.nsCheck("read-block", addr, n); err != nil {
-		panic(err)
-	}
-	pe.legacyCrossing()
-	out := make([]int64, n)
-	if m, uni := pe.modes.Uniform(addr, n); uni {
-		pe.readBlockInto(out, addr, uint8(m))
-	} else {
-		pe.modes.ModeRuns(addr, n, func(m gmem.Mode, start uint64, count int) {
-			off := start - addr
-			pe.readBlockInto(out[off:off+uint64(count)], start, uint8(m))
-		})
-	}
-	return out
-}
-
-// readBlockInto reads len(out) words starting at addr through the protocol
-// of the given mode: strong and release share the home-served vectored path
-// (release overlays the PE's own buffered writes afterwards), lease serves
-// whole blocks from the lease cache.
-func (pe *PE) readBlockInto(out []int64, addr uint64, mode uint8) {
-	if mode == uint8(gmem.ModeLease) {
-		pe.readLeaseRange(out, addr)
-		return
-	}
-	k := pe.k
-	n := len(out)
-	var t0 sim.Time
-	if pe.hist != nil {
-		t0 = pe.app.Now()
-	}
-	pe.vruns = pe.vruns[:0]
-	k.homeRuns(addr, n, func(home int, start uint64, count int) {
-		off := int(start - addr)
-		if home == k.id {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			k.seg.ReadInto(out[off:off+count], start)
-			return
-		}
-		pe.extra.RemoteGM++
-		pe.vruns = append(pe.vruns, vrun{
-			home: home, shard: k.space.ShardOf(start, k.nshards),
-			start: start, count: count, off: off,
-		})
-	})
-	if len(pe.vruns) == 0 {
-		pe.overlayWC(out, addr, mode)
-		pe.recordBlockRead(addr, out, t0, mode)
-		return
-	}
-	pe.groupRunsByHome()
-	for i := range pe.reqs {
-		g := &pe.reqs[i]
-		req := wire.GetMessage()
-		if g.hi-g.lo == 1 {
-			r := pe.hruns[g.lo]
-			req.Op, req.Addr, req.Arg1 = wire.OpRead, r.start, int64(r.count)
-		} else {
-			req.Op = wire.OpReadV
-			for _, r := range pe.hruns[g.lo:g.hi] {
-				req.AppendRange(r.start, r.count)
-			}
-		}
-		req.Shard = uint8(g.shard)
-		g.seq = pe.sendAsync(pe.hruns[g.lo].home, req)
-		wire.PutMessage(req)
-	}
-	pe.awaitGather(out)
-	pe.overlayWC(out, addr, mode)
-	pe.recordBlockRead(addr, out, t0, mode)
-}
-
-// overlayWC merges the PE's own buffered release-mode writes over a fetched
-// range — the block-read half of read-your-writes between sync edges. The
-// history records the overlaid values: they are what the application saw.
-func (pe *PE) overlayWC(out []int64, addr uint64, mode uint8) {
-	if mode != uint8(gmem.ModeRelease) || pe.wc.Len() == 0 {
-		return
-	}
-	for i := range out {
-		if v, ok := pe.wc.Lookup(addr + uint64(i)); ok {
-			out[i] = v
-		}
-	}
-}
-
-// readLeaseRange serves a lease-mode range read block by block from the
-// lease cache, fetching leases on misses; own-home blocks read the segment
-// directly (fresh, so strong-bounded, like readLease).
-func (pe *PE) readLeaseRange(out []int64, addr uint64) {
-	k := pe.k
-	var t0 sim.Time
-	if pe.hist != nil {
-		t0 = pe.app.Now()
-	}
-	bw := uint64(k.space.BlockWords)
-	end := addr + uint64(len(out))
-	for base := addr - addr%bw; base < end; base += bw {
-		lo, hi := base, base+bw
-		if lo < addr {
-			lo = addr
-		}
-		if hi > end {
-			hi = end
-		}
-		if k.homeOf(base) == k.id {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			k.seg.ReadInto(out[lo-addr:hi-addr], lo)
-			pe.recordBlockRead(lo, out[lo-addr:hi-addr], t0, uint8(gmem.ModeLease))
-			continue
-		}
-		le := pe.leaseHit(base)
-		if le == nil {
-			var err error
-			if le, err = pe.fetchLease(base); err != nil {
-				panic(err.Error())
-			}
-		} else {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-		}
-		copy(out[lo-addr:hi-addr], le.words[lo-base:hi-base])
-		if pe.hist != nil {
-			resp := pe.app.Now()
-			for a := lo; a < hi; a++ {
-				pe.hist.Add(check.Event{
-					Kind: check.KindRead, Addr: a, Out: out[a-addr], Cached: true,
-					Mode: uint8(gmem.ModeLease), Arg1: int64(le.grant), Arg2: int64(le.until),
-					Inv: t0, Resp: resp,
-				})
-			}
-		}
-	}
-}
-
-// recordBlockRead logs one read event per word of a completed block read;
-// the words share the block operation's invocation/response interval.
-func (pe *PE) recordBlockRead(addr uint64, out []int64, t0 sim.Time, mode uint8) {
-	if pe.hist == nil {
-		return
-	}
-	resp := pe.app.Now()
-	for i, v := range out {
-		pe.hist.Add(check.Event{
-			Kind: check.KindRead, Addr: addr + uint64(i), Out: v, Mode: mode, Inv: t0, Resp: resp,
-		})
-	}
-}
-
-// beginBlockWrite logs one in-flight write event per word of a block write
-// and returns the index of the first; the indices are contiguous, so
-// completeBlock(first, len(words)) closes them all.
-func (pe *PE) beginBlockWrite(addr uint64, words []int64, mode uint8) int {
-	if pe.hist == nil {
-		return -1
-	}
-	t0 := pe.app.Now()
-	first := -1
-	for i, v := range words {
-		idx := pe.hist.Begin(check.Event{
-			Kind: check.KindWrite, Addr: addr + uint64(i), Arg1: v, Mode: mode, Inv: t0,
-		})
-		if first < 0 {
-			first = idx
-		}
-	}
-	return first
-}
-
-// completeBlock marks the n contiguous events starting at first successful.
-func (pe *PE) completeBlock(first, n int) {
-	if pe.hist == nil {
-		return
-	}
-	resp := pe.app.Now()
-	for i := 0; i < n; i++ {
-		pe.hist.Complete(first+i, 0, true, resp)
-	}
-}
-
-// GMWriteBlock stores words starting at addr, splitting across homes; all
-// runs homed at one kernel travel in a single (vectored, if more than one
-// run) request, and the per-home requests are pipelined.
-func (pe *PE) GMWriteBlock(addr uint64, words []int64) {
-	if err := pe.nsCheck("write-block", addr, len(words)); err != nil {
-		panic(err)
-	}
-	pe.legacyCrossing()
-	if m, uni := pe.modes.Uniform(addr, len(words)); uni {
-		pe.writeBlockRange(addr, words, uint8(m))
-	} else {
-		pe.modes.ModeRuns(addr, len(words), func(m gmem.Mode, start uint64, count int) {
-			off := start - addr
-			pe.writeBlockRange(start, words[off:off+uint64(count)], uint8(m))
-		})
-	}
-}
-
-// writeBlockRange stores words starting at addr through the given mode's
-// write protocol: release buffers every word locally (the next sync edge
-// publishes them coalesced), the other modes run the home-served vectored
-// path.
-func (pe *PE) writeBlockRange(addr uint64, words []int64, mode uint8) {
-	k := pe.k
-	if mode == uint8(gmem.ModeRelease) {
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		if pe.hist != nil {
-			now := pe.app.Now()
-			for i, v := range words {
-				idx := pe.hist.Begin(check.Event{
-					Kind: check.KindWrite, Addr: addr + uint64(i), Arg1: v,
-					Mode: mode, Inv: now,
-				})
-				pe.hist.Complete(idx, 0, true, now)
-			}
-		}
-		for i, v := range words {
-			pe.wc.Put(addr+uint64(i), v)
-		}
-		return
-	}
-	if mode == uint8(gmem.ModeLease) {
-		pe.dropLeases(addr, len(words))
-	}
-	first := pe.beginBlockWrite(addr, words, mode)
-	pe.vruns = pe.vruns[:0]
-	k.homeRuns(addr, len(words), func(home int, start uint64, count int) {
-		off := int(start - addr)
-		if k.cache == nil && home == k.id {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			k.seg.Write(start, words[off:off+count])
-			return
-		}
-		pe.extra.RemoteGM++
-		pe.vruns = append(pe.vruns, vrun{
-			home: home, shard: k.space.ShardOf(start, k.nshards),
-			start: start, count: count, off: off,
-		})
-		if k.cache != nil {
-			k.cache.Invalidate(start)
-		}
-	})
-	if len(pe.vruns) == 0 {
-		pe.completeBlock(first, len(words))
-		return
-	}
-	pe.groupRunsByHome()
-	for i := range pe.reqs {
-		g := &pe.reqs[i]
-		req := wire.GetMessage()
-		if g.hi-g.lo == 1 {
-			r := pe.hruns[g.lo]
-			req.Op, req.Addr = wire.OpWrite, r.start
-			req.PutWords(words[r.off : r.off+r.count])
-		} else {
-			req.Op = wire.OpWriteV
-			for _, r := range pe.hruns[g.lo:g.hi] {
-				req.AppendWriteRun(r.start, words[r.off:r.off+r.count])
-			}
-		}
-		req.Shard = uint8(g.shard)
-		g.seq = pe.sendAsync(pe.hruns[g.lo].home, req)
-		wire.PutMessage(req)
-	}
-	pe.awaitAcks(words)
-	pe.completeBlock(first, len(words))
-}
-
-// GMGather reads the words at the given (arbitrary, possibly scattered)
-// addresses, returning them in input order. All addresses homed at one
-// kernel travel in a single vectored request; gathers bypass the read
-// cache. The fine-grained-access aggregation standard in user-level DSMs:
-// one message per home instead of one per word.
-func (pe *PE) GMGather(addrs []uint64) []int64 {
-	if pe.ns.Limit != 0 {
-		// All-or-nothing up front, like the kernel-side scan.
-		for _, a := range addrs {
-			if err := pe.nsCheck("gather", a, 1); err != nil {
-				panic(err)
-			}
-		}
-	}
-	if pe.nonStrongMode(addrs) {
-		// Rare mixed-mode gather: serve each address through its mode's
-		// scalar path (WC overlay, leases) at the cost of aggregation.
-		out := make([]int64, len(addrs))
-		for i, a := range addrs {
-			out[i] = pe.GMRead(a)
-		}
-		return out
-	}
-	pe.legacyCrossing()
-	k := pe.k
-	var t0 sim.Time
-	if pe.hist != nil {
-		t0 = pe.app.Now()
-	}
-	out := make([]int64, len(addrs))
-	pe.vruns = pe.vruns[:0]
-	for i, addr := range addrs {
-		if home := k.homeOf(addr); home != k.id {
-			pe.extra.RemoteGM++
-			pe.vruns = append(pe.vruns, vrun{
-				home: home, shard: k.space.ShardOf(addr, k.nshards),
-				start: addr, count: 1, off: i,
-			})
-			continue
-		}
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		out[i] = k.seg.ReadWord(addr)
-	}
-	if len(pe.vruns) == 0 {
-		pe.recordGather(addrs, out, t0)
-		return out
-	}
-	pe.groupRunsByHome()
-	for i := range pe.reqs {
-		g := &pe.reqs[i]
-		req := wire.GetMessage()
-		if g.hi-g.lo == 1 {
-			r := pe.hruns[g.lo]
-			req.Op, req.Addr, req.Arg1 = wire.OpRead, r.start, 1
-		} else {
-			req.Op = wire.OpReadV
-			for _, r := range pe.hruns[g.lo:g.hi] {
-				req.AppendRange(r.start, 1)
-			}
-		}
-		req.Shard = uint8(g.shard)
-		g.seq = pe.sendAsync(pe.hruns[g.lo].home, req)
-		wire.PutMessage(req)
-	}
-	pe.awaitGather(out)
-	pe.recordGather(addrs, out, t0)
-	return out
-}
-
-// nonStrongMode reports whether any of addrs is in a non-strong mode — the
-// vectored gather/scatter paths aggregate strong accesses only.
-func (pe *PE) nonStrongMode(addrs []uint64) bool {
-	if pe.modes.AllStrong() {
-		return false
-	}
-	for _, a := range addrs {
-		if pe.modes.Lookup(a) != gmem.ModeStrong {
-			return true
-		}
-	}
-	return false
-}
-
-// recordGather logs one read event per gathered address.
-func (pe *PE) recordGather(addrs []uint64, out []int64, t0 sim.Time) {
-	if pe.hist == nil {
-		return
-	}
-	resp := pe.app.Now()
-	for i, a := range addrs {
-		pe.hist.Add(check.Event{
-			Kind: check.KindRead, Addr: a, Out: out[i], Inv: t0, Resp: resp,
-		})
-	}
-}
-
-// beginScatter logs one in-flight write event per scattered address and
-// returns the first index (contiguous, like beginBlockWrite).
-func (pe *PE) beginScatter(addrs []uint64, vals []int64) int {
-	if pe.hist == nil {
-		return -1
-	}
-	t0 := pe.app.Now()
-	first := -1
-	for i, a := range addrs {
-		idx := pe.hist.Begin(check.Event{
-			Kind: check.KindWrite, Addr: a, Arg1: vals[i], Inv: t0,
-		})
-		if first < 0 {
-			first = idx
-		}
-	}
-	return first
-}
-
-// GMScatter stores vals[i] at addrs[i] for every i. All addresses homed at
-// one kernel travel in a single vectored request. Under caching, touched
-// blocks are invalidated like GMWrite does.
-func (pe *PE) GMScatter(addrs []uint64, vals []int64) {
-	if len(addrs) != len(vals) {
-		panic("core: GMScatter length mismatch")
-	}
-	if pe.ns.Limit != 0 {
-		for _, a := range addrs {
-			if err := pe.nsCheck("scatter", a, 1); err != nil {
-				panic(err)
-			}
-		}
-	}
-	if pe.nonStrongMode(addrs) {
-		// Mixed-mode scatter: each element through its mode's scalar path.
-		for i, a := range addrs {
-			pe.GMWrite(a, vals[i])
-		}
-		return
-	}
-	pe.legacyCrossing()
-	k := pe.k
-	first := pe.beginScatter(addrs, vals)
-	pe.vruns = pe.vruns[:0]
-	for i, addr := range addrs {
-		if home := k.homeOf(addr); home != k.id || k.cache != nil {
-			pe.extra.RemoteGM++
-			pe.vruns = append(pe.vruns, vrun{
-				home: home, shard: k.space.ShardOf(addr, k.nshards),
-				start: addr, count: 1, off: i,
-			})
-			if k.cache != nil {
-				k.cache.Invalidate(addr)
-			}
-			continue
-		}
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		k.seg.WriteWord(addr, vals[i])
-	}
-	if len(pe.vruns) == 0 {
-		pe.completeBlock(first, len(addrs))
-		return
-	}
-	pe.groupRunsByHome()
-	for i := range pe.reqs {
-		g := &pe.reqs[i]
-		req := wire.GetMessage()
-		if g.hi-g.lo == 1 {
-			r := pe.hruns[g.lo]
-			req.Op, req.Addr = wire.OpWrite, r.start
-			req.PutWords(vals[r.off : r.off+1])
-		} else {
-			req.Op = wire.OpWriteV
-			for _, r := range pe.hruns[g.lo:g.hi] {
-				req.AppendWriteRun(r.start, vals[r.off:r.off+1])
-			}
-		}
-		req.Shard = uint8(g.shard)
-		g.seq = pe.sendAsync(pe.hruns[g.lo].home, req)
-		wire.PutMessage(req)
-	}
-	pe.awaitAcks(vals)
-	pe.completeBlock(first, len(addrs))
-}
-
-// --- Global memory: float64 convenience ---
-
-// GMReadF reads a float64 stored at addr.
-func (pe *PE) GMReadF(addr uint64) float64 { return gmem.W2F(pe.GMRead(addr)) }
-
-// GMWriteF stores a float64 at addr.
-func (pe *PE) GMWriteF(addr uint64, v float64) { pe.GMWrite(addr, gmem.F2W(v)) }
-
-// GMReadBlockF reads n float64 values starting at addr.
-func (pe *PE) GMReadBlockF(addr uint64, n int) []float64 {
-	ws := pe.GMReadBlock(addr, n)
-	fs := make([]float64, len(ws))
-	for i, w := range ws {
-		fs[i] = gmem.W2F(w)
-	}
-	return fs
-}
-
-// GMWriteBlockF stores float64 values starting at addr.
-func (pe *PE) GMWriteBlockF(addr uint64, vs []float64) {
-	ws := make([]int64, len(vs))
-	for i, v := range vs {
-		ws[i] = gmem.F2W(v)
-	}
-	pe.GMWriteBlock(addr, ws)
-}
-
 // --- Synchronisation ---
 
-// flushWC publishes the write-combining buffer: one coalesced vectored
-// OpFlushV per (home, shard), own-home words applied directly when uncached.
-// fenceInv is the enclosing sync operation's invocation instant — the
-// KindFlush event is recorded FIRST with that same Inv, so it sorts ahead of
-// the sync event, and a flush that fails anywhere is left open (Failed ⇒
-// unbounded effect window in the checker), shielding the buffered writes
-// from wrongly convicting readers. Failures degrade softly instead of
-// failing the sync operation itself: words homed at a dead peer are
-// discarded for good (their blocks died with it), words that timed out
-// re-enter the buffer and retry at the next sync edge.
+// flushWC publishes the write-combining buffer: one coalesced OpFlushV per
+// (home, shard), own-home words applied directly when uncached. fenceInv is
+// the enclosing sync operation's invocation instant — the KindFlush event is
+// recorded FIRST with that same Inv, so it sorts ahead of the sync event,
+// and a flush that fails anywhere is left open (Failed ⇒ unbounded effect
+// window in the checker), shielding the buffered writes from wrongly
+// convicting readers. Failures degrade softly instead of failing the sync
+// operation itself: words homed at a dead peer are discarded for good (their
+// blocks died with it), words that timed out re-enter the buffer and retry
+// at the next sync edge.
 func (pe *PE) flushWC(fenceInv sim.Time) {
 	if pe.wc.Len() == 0 {
 		return
@@ -1701,18 +382,14 @@ func (pe *PE) flushWC(fenceInv sim.Time) {
 		return
 	}
 	start := pe.app.Now()
-	hidx := -1
-	if pe.hist != nil {
-		hidx = pe.hist.Begin(check.Event{
-			Kind: check.KindFlush, Arg1: int64(pe.wc.Len()), Inv: fenceInv,
-		})
-	}
+	h := pe.hist.Begin(check.Event{Kind: check.KindFlush, Arg1: int64(pe.wc.Len()), Inv: fenceInv})
 	pe.fl, pe.flv = pe.fl[:0], pe.flv[:0]
 	pe.wc.Drain(func(addr uint64, v int64) {
 		pe.fl = append(pe.fl, addr)
 		pe.flv = append(pe.flv, v)
 	})
 	pe.extra.WCFlushes++
+	// One run per stretch of consecutive addresses inside one block.
 	pe.vruns = pe.vruns[:0]
 	bw := uint64(k.space.BlockWords)
 	for i := 0; i < len(pe.fl); {
@@ -1722,54 +399,31 @@ func (pe *PE) flushWC(fenceInv sim.Time) {
 		for j < len(pe.fl) && pe.fl[j] == pe.fl[j-1]+1 && pe.fl[j] < blockEnd {
 			j++
 		}
-		home := k.homeOf(addr)
-		if k.cache == nil && home == k.id {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			k.seg.Write(addr, pe.flv[i:j])
-		} else {
-			pe.extra.RemoteGM++
-			pe.vruns = append(pe.vruns, vrun{
-				home: home, shard: k.space.ShardOf(addr, k.nshards),
-				start: addr, count: j - i, off: i,
-			})
-			if k.cache != nil {
-				k.cache.Invalidate(addr)
-			}
-		}
+		pe.addRun(check.KindFlush, pe.flv, addr, j-i, i)
 		i = j
 	}
 	ok := true
-	if len(pe.vruns) > 0 {
-		pe.groupRunsByHome()
-		for gi := range pe.reqs {
-			g := &pe.reqs[gi]
-			req := wire.GetMessage()
-			req.Op = wire.OpFlushV
+	pe.groupRunsByHome()
+	for gi := range pe.reqs {
+		g := &pe.reqs[gi]
+		err := pe.roundTrip(g, check.KindFlush, pe.flv)
+		if err == nil {
+			continue
+		}
+		ok = false
+		var down *PeerDownError
+		if !errors.As(err, &down) {
+			// The home may still be alive: keep its words buffered and
+			// retry this part of the flush at the next sync edge.
 			for _, r := range pe.hruns[g.lo:g.hi] {
-				req.AppendWriteRun(r.start, pe.flv[r.off:r.off+r.count])
-			}
-			req.Shard = uint8(g.shard)
-			resp, err := pe.requestErr(pe.hruns[g.lo].home, req)
-			wire.PutMessage(req)
-			if err != nil {
-				ok = false
-				if _, down := err.(*PeerDownError); !down {
-					// The home may still be alive: keep its words buffered and
-					// retry this part of the flush at the next sync edge.
-					for _, r := range pe.hruns[g.lo:g.hi] {
-						for w := 0; w < r.count; w++ {
-							pe.wc.Put(r.start+uint64(w), pe.flv[r.off+w])
-						}
-					}
+				for w := 0; w < r.count; w++ {
+					pe.wc.Put(r.start+uint64(w), pe.flv[r.off+w])
 				}
-				continue
 			}
-			wire.PutMessage(resp)
 		}
 	}
-	if pe.hist != nil && ok {
-		pe.hist.Complete(hidx, 0, true, pe.app.Now())
+	if ok {
+		pe.hist.Close(h, 0, true)
 	}
 	pe.extra.FlushStall.Observe(pe.app.Now() - start)
 }
@@ -1914,22 +568,12 @@ func (pe *PE) takeSync() *wire.Message {
 		// wedge the wake cannot break.
 		d = 0
 	}
-	var m *wire.Message
-	if d > 0 {
-		var ok, timedOut bool
-		m, ok, timedOut = pe.k.syncMb.TakeTimeout(d)
-		if timedOut {
-			panic(fmt.Sprintf("core: PE %d: synchronisation wait timed out after %v", pe.k.id, d))
-		}
-		if !ok {
-			panic(fmt.Sprintf("core: PE %d: cluster shut down during synchronisation", pe.k.id))
-		}
-	} else {
-		var ok bool
-		m, ok = pe.k.syncMb.Take()
-		if !ok {
-			panic(fmt.Sprintf("core: PE %d: cluster shut down during synchronisation", pe.k.id))
-		}
+	m, ok, timedOut := takeWithin(pe.k.syncMb, d)
+	if timedOut {
+		panic(fmt.Sprintf("core: PE %d: synchronisation wait timed out after %v", pe.k.id, d))
+	}
+	if !ok {
+		panic(fmt.Sprintf("core: PE %d: cluster shut down during synchronisation", pe.k.id))
 	}
 	if m.Op == wire.OpPeerDown {
 		// A peer died while we were blocked (kernels feed this only under
@@ -2133,22 +777,13 @@ func (pe *PE) RecvMsg(tag int32) (src int, payload []byte) {
 	pe.legacyCrossing()
 	mb := pe.k.userMb(tag)
 	start := pe.app.Now()
-	var m *wire.Message
-	if d := pe.k.requestTimeout(); d > 0 {
-		var ok, timedOut bool
-		m, ok, timedOut = mb.TakeTimeout(d)
-		if timedOut {
-			panic(fmt.Sprintf("core: PE %d: RecvMsg(tag=%d) timed out after %v", pe.k.id, tag, d))
-		}
-		if !ok {
-			panic(fmt.Sprintf("core: PE %d: cluster shut down in RecvMsg", pe.k.id))
-		}
-	} else {
-		var ok bool
-		m, ok = mb.Take()
-		if !ok {
-			panic(fmt.Sprintf("core: PE %d: cluster shut down in RecvMsg", pe.k.id))
-		}
+	d := pe.k.requestTimeout()
+	m, ok, timedOut := takeWithin(mb, d)
+	if timedOut {
+		panic(fmt.Sprintf("core: PE %d: RecvMsg(tag=%d) timed out after %v", pe.k.id, tag, d))
+	}
+	if !ok {
+		panic(fmt.Sprintf("core: PE %d: cluster shut down in RecvMsg", pe.k.id))
 	}
 	pe.extra.WaitTime += pe.app.Now() - start
 	return int(m.Src), m.Data
@@ -2194,9 +829,7 @@ func (pe *PE) Processes() []procmgmt.Entry {
 // Panics on failure.
 func (pe *PE) Ping(dst int) sim.Duration {
 	d, err := pe.PingErr(dst)
-	if err != nil {
-		panic(err.Error())
-	}
+	must(err)
 	return d
 }
 
@@ -2214,13 +847,4 @@ func (pe *PE) PingErr(dst int) (sim.Duration, error) {
 	}
 	wire.PutMessage(resp)
 	return pe.app.Now() - start, nil
-}
-
-// CacheStats reports cache hits, misses and invalidations (zeros when the
-// caching protocol is disabled).
-func (pe *PE) CacheStats() (hits, misses, invalidations uint64) {
-	if pe.k.cache == nil {
-		return 0, 0, 0
-	}
-	return pe.k.cache.Stats()
 }

@@ -1,0 +1,503 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/check"
+	"repro/internal/gmem"
+	"repro/internal/trace"
+	"repro/internal/wire"
+)
+
+// vrun is one single-home run of a range operation. A run never crosses a
+// block boundary, so it also has a single home-side shard.
+type vrun struct {
+	home  int
+	shard int // home-side kernel shard owning this run's block
+	start uint64
+	count int
+	off   int // word offset within the operation's buffer
+}
+
+// homeReq is one coalesced per-home request of a range operation. When the
+// home kernels run shard workers, requests coalesce per (home, shard)
+// instead of per home, so a gather spanning k shards becomes k sub-requests
+// serviced in parallel; shard is stamped into the request header for the
+// home's dispatcher.
+type homeReq struct {
+	seq    uint64
+	shard  int
+	lo, hi int // pe.hruns[lo:hi] travel in this request
+	done   bool
+}
+
+// rangeOp is the range executor: one block (addrs == nil: the len(buf) words
+// at addr) or vectored (addrs[i] pairs with buf[i]) operation run through the
+// access pipeline (see access.go). Like the word executor's, a range
+// operation's kind is its history kind: check.KindRead (buf is the
+// destination) or check.KindWrite (buf is the source) here, and for the pieces
+// flushWC drives itself check.KindFlush — a write whose requests are always
+// the vectored OpFlushV and travel one at a time through the scalar request
+// path, so they retry like scalar operations do.
+func (pe *PE) rangeOp(name string, kind check.Kind, addr uint64, addrs []uint64, buf []int64) error {
+	if pe.ns.Limit != 0 && len(buf) > 0 {
+		// Guard, all-or-nothing up front like the kernel-side scan: a block is
+		// one span, a vector one single-word span per address.
+		spans, words := addrs, 1
+		if addrs == nil {
+			spans, words = []uint64{addr}, len(buf)
+		}
+		for _, a := range spans {
+			if err := pe.nsCheck(name, a, words); err != nil {
+				return err
+			}
+		}
+	}
+	if addrs != nil && pe.nonStrongMode(addrs) {
+		// Rare mixed-mode vector: serve each word through its mode's scalar
+		// path (WC overlay, leases) at the cost of aggregation.
+		for i, a := range addrs {
+			v, _, err := pe.wordOp(kind, a, buf[i], 0)
+			if err != nil {
+				return err
+			}
+			if kind == check.KindRead {
+				buf[i] = v
+			}
+		}
+		return nil
+	}
+	pe.legacyCrossing()
+	if len(buf) == 0 {
+		return nil // an empty range touches nothing
+	}
+	if addrs != nil {
+		return pe.rangeRun(kind, gmem.ModeStrong, 0, addrs, buf)
+	}
+	// A block spanning allocations of different tiers is served piecewise,
+	// each piece through its own mode's protocol.
+	if m, uniform := pe.modes.Uniform(addr, len(buf)); uniform {
+		return pe.rangeRun(kind, m, addr, nil, buf)
+	}
+	var err error
+	pe.modes.ModeRuns(addr, len(buf), func(m gmem.Mode, start uint64, count int) {
+		if err == nil {
+			off := start - addr
+			err = pe.rangeRun(kind, m, start, nil, buf[off:off+uint64(count)])
+		}
+	})
+	return err
+}
+
+// nonStrongMode reports whether any of addrs is in a non-strong mode — the
+// vectored gather/scatter requests aggregate strong accesses only.
+func (pe *PE) nonStrongMode(addrs []uint64) bool {
+	if pe.modes.AllStrong() {
+		return false
+	}
+	for _, a := range addrs {
+		if pe.modes.Lookup(a) != gmem.ModeStrong {
+			return true
+		}
+	}
+	return false
+}
+
+// rangeRun executes one single-mode piece of a range operation: tier, then
+// one run per single-home span (runs homed here are served from the segment
+// on the spot, remote ones queued), then the transfer of the queued runs.
+// Strong and release share the home-served path (a release read overlays the
+// PE's own buffered writes afterwards); release writes stop at the
+// write-combining buffer; lease reads are served block by block from the
+// lease cache. Block reads and gathers bypass the read cache: they are always
+// served fresh by the homes.
+func (pe *PE) rangeRun(kind check.Kind, mode gmem.Mode, addr uint64, addrs []uint64, buf []int64) error {
+	write := kind != check.KindRead
+	switch {
+	case write && mode == gmem.ModeRelease:
+		pe.bufferWords(addr, buf)
+		return nil
+	case write && mode == gmem.ModeLease:
+		pe.dropLeases(addr, len(buf))
+	}
+	h := pe.openRange(kind, mode, addr, addrs, buf)
+	var err error
+	if !write && mode == gmem.ModeLease {
+		err = pe.leaseRead(buf, addr, h)
+	} else {
+		pe.vruns = pe.vruns[:0]
+		if addrs != nil {
+			for i, a := range addrs {
+				pe.addRun(kind, buf, a, 1, i)
+			}
+		} else {
+			bw := uint64(pe.k.space.BlockWords)
+			for start, end := addr, addr+uint64(len(buf)); start < end; {
+				stop := min(start-start%bw+bw, end)
+				pe.addRun(kind, buf, start, int(stop-start), int(start-addr))
+				start = stop
+			}
+		}
+		if err = pe.transfer(kind, buf); err == nil {
+			if !write && mode == gmem.ModeRelease {
+				pe.overlayWC(buf, addr)
+			}
+			pe.closeRange(h, kind, buf)
+		}
+	}
+	if err != nil {
+		pe.hist.FailReads(h, len(buf)) // failed writes stay open: they may have applied
+	}
+	return err
+}
+
+// openRange opens one history event per word of a range operation (the words
+// share the operation's invocation/response interval) and returns the index
+// of the first; closeRange closes them with the operation's result.
+func (pe *PE) openRange(kind check.Kind, mode gmem.Mode, addr uint64, addrs []uint64, buf []int64) int {
+	if pe.hist == nil {
+		return -1
+	}
+	h := -1
+	for i, v := range buf {
+		a := addr + uint64(i)
+		if addrs != nil {
+			a = addrs[i]
+		}
+		if kind == check.KindRead {
+			v = 0
+		}
+		h = pe.hist.Open(kind, a, v, 0, uint8(mode))
+	}
+	return h - len(buf) + 1 // the events are contiguous
+}
+
+func (pe *PE) closeRange(h int, kind check.Kind, buf []int64) {
+	if pe.hist == nil {
+		return
+	}
+	for i, v := range buf {
+		if kind == check.KindRead {
+			pe.hist.CloseRead(h+i, v, false, 0, 0)
+		} else {
+			pe.hist.Close(h+i, 0, true)
+		}
+	}
+}
+
+// addRun routes one single-home run of a range operation: served from this
+// kernel's own segment right away when resolve allows it, otherwise queued
+// in pe.vruns for its home's request (RemoteGM counts remote runs, not
+// words). off locates the run's words in buf.
+func (pe *PE) addRun(kind check.Kind, buf []int64, start uint64, count, off int) {
+	k := pe.k
+	write := kind != check.KindRead
+	home, local := pe.resolve(start, write)
+	if local {
+		pe.chargeLocal()
+		if write {
+			k.seg.Write(start, buf[off:off+count])
+		} else {
+			k.seg.ReadInto(buf[off:off+count], start)
+		}
+		return
+	}
+	pe.extra.RemoteGM++
+	pe.vruns = append(pe.vruns, vrun{
+		home: home, shard: k.space.ShardOf(start, k.nshards),
+		start: start, count: count, off: off,
+	})
+	if write {
+		pe.cacheDrop(start)
+	}
+}
+
+// groupRunsByHome regroups pe.vruns into pe.hruns ordered by home (and, when
+// the home kernels run shard workers, by shard within each home, so each
+// sub-request lands wholly in one shard and the shards service them in
+// parallel), with one pe.reqs entry per group. Runs keep their relative
+// (ascending-address) order within each group. Without workers a single
+// per-home request is still stamped with its first run's shard — the
+// handlers don't care, every table the request touches is inline-owned.
+func (pe *PE) groupRunsByHome() {
+	pe.hruns = pe.hruns[:0]
+	pe.reqs = pe.reqs[:0]
+	nsh := 1
+	if pe.k.workers {
+		nsh = pe.k.nshards
+	}
+	for home := 0; home < pe.k.n; home++ {
+		for s := 0; s < nsh; s++ {
+			lo := len(pe.hruns)
+			for _, r := range pe.vruns {
+				if r.home != home || (nsh > 1 && r.shard != s) {
+					continue
+				}
+				pe.hruns = append(pe.hruns, r)
+			}
+			if hi := len(pe.hruns); hi > lo {
+				pe.reqs = append(pe.reqs, homeReq{lo: lo, hi: hi, shard: pe.hruns[lo].shard})
+			}
+		}
+	}
+}
+
+// buildReq is the one place a group of runs becomes a wire request: a lone
+// run travels as the scalar OpRead/OpWrite, several as one vectored request,
+// and a flush always as OpFlushV (the home counts it as a publication even
+// for a single run). The caller recycles the message.
+func (pe *PE) buildReq(g *homeReq, kind check.Kind, buf []int64) *wire.Message {
+	runs := pe.hruns[g.lo:g.hi]
+	req := wire.GetMessage()
+	req.Shard = uint8(g.shard)
+	switch r := runs[0]; {
+	case kind == check.KindFlush:
+		req.Op = wire.OpFlushV
+	case len(runs) > 1 && kind == check.KindRead:
+		req.Op = wire.OpReadV
+	case len(runs) > 1:
+		req.Op = wire.OpWriteV
+	case kind == check.KindRead:
+		req.Op, req.Addr, req.Arg1 = wire.OpRead, r.start, int64(r.count)
+		return req
+	default:
+		req.Op, req.Addr = wire.OpWrite, r.start
+		req.PutWords(buf[r.off : r.off+r.count])
+		return req
+	}
+	for _, r := range runs {
+		if kind == check.KindRead {
+			req.AppendRange(r.start, r.count)
+		} else {
+			req.AppendWriteRun(r.start, buf[r.off:r.off+r.count])
+		}
+	}
+	return req
+}
+
+// landReply scatters a read reply's words into buf at the group's runs.
+func (pe *PE) landReply(g *homeReq, resp *wire.Message, buf []int64) {
+	pe.words = resp.WordsInto(pe.words)
+	woff := 0
+	for _, r := range pe.hruns[g.lo:g.hi] {
+		copy(buf[r.off:r.off+r.count], pe.words[woff:woff+r.count])
+		woff += r.count
+	}
+}
+
+// roundTrip sends group g's request through the scalar request path — one at
+// a time, with its retries and NACK-redirect chasing — and lands the reply.
+func (pe *PE) roundTrip(g *homeReq, kind check.Kind, buf []int64) error {
+	req := pe.buildReq(g, kind, buf)
+	resp, err := pe.requestErr(pe.hruns[g.lo].home, req)
+	wire.PutMessage(req)
+	if err != nil {
+		return err
+	}
+	if kind == check.KindRead {
+		pe.landReply(g, resp, buf)
+	}
+	wire.PutMessage(resp)
+	return nil
+}
+
+// transfer moves the queued remote runs of a read or write: one request per
+// (home, shard) group, all sent before the first reply is awaited — the DSE
+// kernel's asynchronous-I/O design lets a process keep several requests in
+// flight, so the per-home round trips overlap — then one reply each, matched
+// by Seq (out-of-order arrival is fine, stale mailbox residue is discarded).
+//
+// A home that no longer owns one of a sub-request's blocks NACKs it whole
+// before touching anything (all-or-nothing, so a replay with fresh sequences
+// cannot double-apply). The NACKed group is parked until every other reply
+// has drained — the replay shares the reply mailbox, and its stale-reply
+// filter would destroy a sibling reply it raced — and then replayed run by
+// run through roundTrip, routed by the live directory. Rare (at most once
+// per sub-request per overlapping migration), so the lost pipelining does
+// not matter.
+func (pe *PE) transfer(kind check.Kind, buf []int64) error {
+	if len(pe.vruns) == 0 {
+		return nil
+	}
+	k := pe.k
+	op := wire.OpReadV
+	if kind != check.KindRead {
+		op = wire.OpWriteV
+	}
+	pe.groupRunsByHome()
+	for i := range pe.reqs {
+		g := &pe.reqs[i]
+		dst := pe.hruns[g.lo].home
+		seq, dead := k.addPending(pe.replyMb, dst)
+		if dead {
+			pe.dropTransferPending()
+			return &PeerDownError{PE: k.id, Peer: dst, Op: op.String()}
+		}
+		req := pe.buildReq(g, kind, buf)
+		req.Src, req.Dst, req.Seq, g.seq = int32(k.id), int32(dst), seq, seq
+		pe.app.Send(dst, req)
+		wire.PutMessage(req)
+	}
+	start := pe.app.Now()
+	var nacked []*homeReq
+	for remaining := len(pe.reqs); remaining > 0; {
+		resp, err := pe.takeTransfer(op)
+		if err != nil {
+			pe.dropTransferPending()
+			return err
+		}
+		g := pe.outstanding(resp.Seq)
+		switch {
+		case g == nil:
+			pe.extra.StaleReplies++
+		case resp.Op == wire.OpMigrateNack:
+			pe.extra.MigrateNacks++
+			nacked = append(nacked, g)
+		case kind == check.KindRead:
+			pe.landReply(g, resp, buf)
+		}
+		if g != nil {
+			g.done = true
+			remaining--
+		}
+		wire.PutMessage(resp)
+	}
+	for _, g := range nacked {
+		for i := g.lo; i < g.hi; i++ {
+			r := &pe.hruns[i]
+			r.home = k.homeOf(r.start)
+			if err := pe.roundTrip(&homeReq{lo: i, hi: i + 1, shard: r.shard}, kind, buf); err != nil {
+				return fmt.Errorf("core: PE %d: replaying run at %d after a home migration: %w", k.id, r.start, err)
+			}
+		}
+	}
+	// The per-home round trips overlap, so the transfer — not each request —
+	// is the observable unit of wait time, latency and tracing.
+	end := pe.app.Now()
+	pe.extra.WaitTime += end - start
+	pe.extra.RTTByOp[op].Observe(end - start)
+	if pe.live != nil {
+		pe.live.Observe(end - start)
+	}
+	if pe.spans != nil && pe.spans.Sampled() {
+		pe.spans.Record(trace.Span{
+			Kind: trace.SpanTransfer, Op: op, PE: int32(k.id),
+			Peer: int32(k.id), Start: start, End: end,
+		})
+	}
+	return nil
+}
+
+// takeTransfer blocks on the reply mailbox for the next reply of the transfer
+// in flight. Each reply gets the full request timeout; transfers do not
+// retry. A peer-down notice fails the transfer only if it is for one of its
+// outstanding requests.
+func (pe *PE) takeTransfer(op wire.Op) (*wire.Message, error) {
+	k := pe.k
+	for {
+		resp, ok, timedOut := takeWithin(pe.replyMb, k.requestTimeout())
+		if timedOut {
+			dst := -1
+			for i := range pe.reqs {
+				if g := &pe.reqs[i]; !g.done {
+					dst = pe.hruns[g.lo].home
+					break
+				}
+			}
+			return nil, &TimeoutError{PE: k.id, Dst: dst, Op: op.String(), Attempts: 1}
+		}
+		if !ok {
+			return nil, &ShutdownError{PE: k.id, Op: op.String()}
+		}
+		if resp.Op != wire.OpPeerDown {
+			return resp, nil
+		}
+		peer, seq := int(resp.Src), resp.Seq
+		wire.PutMessage(resp)
+		if pe.outstanding(seq) != nil {
+			return nil, &PeerDownError{PE: k.id, Peer: peer, Op: op.String()}
+		}
+		pe.extra.StaleReplies++ // notice for an older, non-transfer request
+	}
+}
+
+// outstanding returns the transfer's not-yet-answered request with sequence
+// number seq; nil means seq matches none of them — stale residue the caller
+// discards.
+func (pe *PE) outstanding(seq uint64) *homeReq {
+	for i := range pe.reqs {
+		if g := &pe.reqs[i]; g.seq == seq && !g.done {
+			return g
+		}
+	}
+	return nil
+}
+
+// dropTransferPending forgets the still-outstanding requests of an aborted
+// transfer so their late replies are dropped as stray instead of lingering
+// in the reply mailbox.
+func (pe *PE) dropTransferPending() {
+	for i := range pe.reqs {
+		if g := &pe.reqs[i]; g.seq != 0 && !g.done {
+			pe.k.dropPending(g.seq)
+		}
+	}
+}
+
+// GMReadBlock reads n words starting at addr, splitting the range across
+// homes as needed. All runs homed at one kernel travel in a single
+// (vectored, if more than one run) request, and the per-home requests are
+// pipelined. Block reads bypass the read cache (they are always served
+// fresh by the homes). Panics on failure.
+func (pe *PE) GMReadBlock(addr uint64, n int) []int64 {
+	out := make([]int64, n)
+	must(pe.rangeOp("read-block", check.KindRead, addr, nil, out))
+	return out
+}
+
+// GMWriteBlock stores words starting at addr, splitting across homes; all
+// runs homed at one kernel travel in a single (vectored, if more than one
+// run) request, and the per-home requests are pipelined. Panics on failure.
+func (pe *PE) GMWriteBlock(addr uint64, words []int64) {
+	must(pe.rangeOp("write-block", check.KindWrite, addr, nil, words))
+}
+
+// GMGather reads the words at the given (arbitrary, possibly scattered)
+// addresses, returning them in input order. All addresses homed at one
+// kernel travel in a single vectored request; gathers bypass the read
+// cache. The fine-grained-access aggregation standard in user-level DSMs:
+// one message per home instead of one per word. Panics on failure.
+func (pe *PE) GMGather(addrs []uint64) []int64 {
+	out := make([]int64, len(addrs))
+	must(pe.rangeOp("gather", check.KindRead, 0, addrs, out))
+	return out
+}
+
+// GMScatter stores vals[i] at addrs[i] for every i. All addresses homed at
+// one kernel travel in a single vectored request. Under caching, touched
+// blocks are invalidated like GMWrite does. Panics on failure.
+func (pe *PE) GMScatter(addrs []uint64, vals []int64) {
+	if len(addrs) != len(vals) {
+		panic("core: GMScatter length mismatch")
+	}
+	must(pe.rangeOp("scatter", check.KindWrite, 0, addrs, vals))
+}
+
+// GMReadBlockF reads n float64 values starting at addr.
+func (pe *PE) GMReadBlockF(addr uint64, n int) []float64 {
+	ws := pe.GMReadBlock(addr, n)
+	fs := make([]float64, len(ws))
+	for i, w := range ws {
+		fs[i] = gmem.W2F(w)
+	}
+	return fs
+}
+
+// GMWriteBlockF stores float64 values starting at addr.
+func (pe *PE) GMWriteBlockF(addr uint64, vs []float64) {
+	ws := make([]int64, len(vs))
+	for i, v := range vs {
+		ws[i] = gmem.F2W(v)
+	}
+	pe.GMWriteBlock(addr, ws)
+}
