@@ -378,6 +378,12 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 			panic(fmt.Sprintf("core: kernel %d: restoring snapshot: %v", id, err))
 		}
 	}
+	if sn, ok := node.(transport.SinkNode); ok {
+		// Real transports hand app-bound messages over on the context that
+		// received them, past the serve loop; simnet has no sink and routes
+		// the same messages through handle.
+		sn.SetSink(k.deliverApp)
+	}
 	return k
 }
 
@@ -611,14 +617,10 @@ func (k *Kernel) serve() {
 	}
 }
 
-// handle dispatches one incoming message. It reports whether the message
-// was consumed here (true → serve recycles it); false means ownership moved
-// to another context: a reply mailbox, the sync mailbox, a user queue or a
-// shard worker.
-func (k *Kernel) handle(m *wire.Message) bool {
-	k.logMessage(m)
-	switch m.Op {
-	// Responses to this kernel's own outstanding requests.
+// isReply reports whether op answers one of this kernel's own outstanding
+// requests.
+func isReply(op wire.Op) bool {
+	switch op {
 	case wire.OpReadResp, wire.OpWriteAck, wire.OpFetchAddResp, wire.OpCASResp,
 		wire.OpReadVResp, wire.OpCkptMarkResp,
 		wire.OpProcRegResp, wire.OpProcExitAck, wire.OpProcListResp,
@@ -627,21 +629,60 @@ func (k *Kernel) handle(m *wire.Message) bool {
 		wire.OpMigrateNack, wire.OpJoinResp, wire.OpLeaveResp, wire.OpEpochUpdateResp,
 		wire.OpReadLeaseResp,
 		wire.OpNsBindAck, wire.OpNsFreeAck, wire.OpNsNack, wire.OpJobPurgeAck:
-		if mb, ok := k.takePending(m.Seq); ok {
-			mb.Put(m)
+		return true
+	}
+	return false
+}
+
+// deliverApp is the one router for app-bound messages: a reply goes to the
+// mailbox its pending request registered, a central barrier release or a
+// lock/semaphore grant to the sync mailbox. It reports whether it took m;
+// everything else — a request, a tree-barrier release (which forwards down
+// the tree from the serve loop), a reply whose request is no longer pending
+// — is declined and left to handle.
+//
+// It has two callers. Real transports call it as the node's sink, on the
+// context that received m (any goroutine, concurrently), so the blocked
+// application is woken without a visit to this kernel's serve loop; handle
+// calls it first for every message Recv returns, which is how simnet and
+// messages that arrived before the sink was installed are routed. It
+// therefore touches only state safe from any goroutine: the pending table
+// under k.mu, the mailboxes, and the message log under logMu.
+func (k *Kernel) deliverApp(m *wire.Message) bool {
+	var mb transport.Mailbox
+	switch {
+	case isReply(m.Op):
+		var ok bool
+		if mb, ok = k.takePending(m.Seq); !ok {
 			return false
 		}
-		// Stray: a reply that outlived its request (timeout, retry already
-		// answered, peer-down already surfaced). Count and drop.
-		k.extra.StrayDrops++
-		return true
-
-	// Synchronisation grants for the application context.
-	case wire.OpBarrierRelease:
-		return k.handleBarrierRelease(m)
-	case wire.OpLockGrant, wire.OpSemGrant:
-		k.syncMb.Put(m)
+	case m.Op == wire.OpLockGrant, m.Op == wire.OpSemGrant,
+		// Sized releases (job-group barriers) are central by construction
+		// and never forwarded down a tree.
+		m.Op == wire.OpBarrierRelease && (k.cfg.Barrier != BarrierTree || m.Arg2 != 0):
+		mb = k.syncMb
+	default:
 		return false
+	}
+	k.logMessage(m)
+	mb.Put(m)
+	return true
+}
+
+// handle dispatches one incoming message. It reports whether the message
+// was consumed here (true → serve recycles it); false means ownership moved
+// to another context: a reply mailbox, the sync mailbox, a user queue or a
+// shard worker.
+func (k *Kernel) handle(m *wire.Message) bool {
+	if k.deliverApp(m) {
+		return false
+	}
+	k.logMessage(m)
+	switch m.Op {
+	// A tree-barrier release: wake the local application and forward the
+	// release to this kernel's subtree.
+	case wire.OpBarrierRelease:
+		k.releaseDown(m.Tag)
 
 	// Global memory service (this kernel is the home): route to the shard
 	// owning the address range. GM mutations dedup inside the shard.
@@ -758,9 +799,15 @@ func (k *Kernel) handle(m *wire.Message) bool {
 		k.reply(m, resp)
 
 	default:
-		// Unknown op: malformed or hostile traffic must not take the kernel
-		// down. Count and drop.
-		k.extra.CorruptDrops++
+		if isReply(m.Op) {
+			// Stray: a reply that outlived its request (timeout, retry already
+			// answered, peer-down already surfaced). Count and drop.
+			k.extra.StrayDrops++
+		} else {
+			// Unknown op: malformed or hostile traffic must not take the
+			// kernel down. Count and drop.
+			k.extra.CorruptDrops++
+		}
 	}
 	return true
 }
@@ -829,20 +876,6 @@ func (k *Kernel) handleBarrierArrive(m *wire.Message) {
 			wire.PutMessage(rel)
 		}
 	}
-}
-
-// handleBarrierRelease wakes the local application and, for the tree
-// barrier, forwards the release to this kernel's subtree. It reports
-// whether the message was consumed (central releases move to the sync
-// mailbox instead). Sized releases (job-group barriers) are central by
-// construction and never forwarded down a tree.
-func (k *Kernel) handleBarrierRelease(m *wire.Message) bool {
-	if k.cfg.Barrier == BarrierTree && m.Arg2 == 0 {
-		k.releaseDown(m.Tag)
-		return true
-	}
-	k.syncMb.Put(m)
-	return false
 }
 
 func (k *Kernel) releaseDown(tag int32) {

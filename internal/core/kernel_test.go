@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/transport/inproc"
 	"repro/internal/wire"
 )
@@ -51,6 +52,18 @@ func recvFrom(t *testing.T, net *inproc.Net, i int) *wire.Message {
 	}
 }
 
+// syncFrom pops the next grant from kernel k's sync mailbox with a deadline.
+// Grants never reach the peer's receive queue on inproc: the sending
+// kernel's Send hands them to the peer's sink (Kernel.deliverApp).
+func syncFrom(t *testing.T, k *Kernel) *wire.Message {
+	t.Helper()
+	m, ok, timedOut := k.syncMb.TakeTimeout(10 * sim.Second)
+	if timedOut || !ok {
+		t.Fatalf("no grant arrived at kernel %d's sync mailbox", k.id)
+	}
+	return m
+}
+
 func TestKernelHandleReadRepliesWithWords(t *testing.T) {
 	net, ks := testKernels(t, 2, nil)
 	// Address homed at kernel 0 (block 0).
@@ -84,34 +97,29 @@ func TestKernelHandleWriteAndFetchAdd(t *testing.T) {
 }
 
 func TestKernelCentralBarrierReleasesAll(t *testing.T) {
-	net, ks := testKernels(t, 3, nil)
+	_, ks := testKernels(t, 3, nil)
 	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 1, Tag: 4})
 	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 2, Tag: 4})
 	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 0, Tag: 4})
-	for _, node := range []int{1, 2} {
-		if m := recvFrom(t, net, node); m.Op != wire.OpBarrierRelease || m.Tag != 4 {
-			t.Fatalf("node %d got %v", node, m)
+	// Every release, kernel 0's own included, lands in its kernel's sync
+	// mailbox without a handle() at the receiver.
+	for _, k := range ks {
+		if m := syncFrom(t, k); m.Op != wire.OpBarrierRelease || m.Tag != 4 {
+			t.Fatalf("kernel %d got %v", k.id, m)
 		}
-	}
-	// Kernel 0's own release is routed straight to its sync mailbox by the
-	// next handle() of the self-delivered message.
-	self := recvFrom(t, net, 0)
-	ks[0].handle(self)
-	if m, ok := ks[0].syncMb.Take(); !ok || m.Op != wire.OpBarrierRelease {
-		t.Fatalf("kernel 0 sync mailbox got %v", m)
 	}
 }
 
 func TestKernelLockGrantChain(t *testing.T) {
-	net, ks := testKernels(t, 3, nil)
+	_, ks := testKernels(t, 3, nil)
 	ks[0].handle(&wire.Message{Op: wire.OpLockAcquire, Src: 1, Tag: 2})
-	if m := recvFrom(t, net, 1); m.Op != wire.OpLockGrant {
+	if m := syncFrom(t, ks[1]); m.Op != wire.OpLockGrant {
 		t.Fatalf("first acquire: %v", m)
 	}
 	// Second acquirer queues: no grant yet.
 	ks[0].handle(&wire.Message{Op: wire.OpLockAcquire, Src: 2, Tag: 2})
 	ks[0].handle(&wire.Message{Op: wire.OpLockRelease, Src: 1, Tag: 2})
-	if m := recvFrom(t, net, 2); m.Op != wire.OpLockGrant || m.Tag != 2 {
+	if m := syncFrom(t, ks[2]); m.Op != wire.OpLockGrant || m.Tag != 2 {
 		t.Fatalf("queued acquire: %v", m)
 	}
 }

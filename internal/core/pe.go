@@ -324,7 +324,10 @@ func takeWithin(mb transport.Mailbox, d sim.Duration) (m *wire.Message, ok, time
 func (pe *PE) takeReply(seq uint64, op wire.Op, dst int, attempts int) (*wire.Message, error) {
 	k := pe.k
 	d := k.requestTimeout()
-	deadline := pe.app.Now() + d
+	var deadline sim.Time
+	if d > 0 {
+		deadline = pe.app.Now() + d // no clock read on the wait-forever path
+	}
 	for {
 		remaining := d
 		if d > 0 {

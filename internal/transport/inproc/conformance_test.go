@@ -11,3 +11,9 @@ func TestConformance(t *testing.T) {
 		return New(n)
 	})
 }
+
+func TestSinkConformance(t *testing.T) {
+	transporttest.RunSink(t, func(t *testing.T, n int) transporttest.Network {
+		return New(n)
+	})
+}

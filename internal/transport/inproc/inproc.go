@@ -2,10 +2,16 @@
 // messages over in-process Go channels with no cost model. It exists for
 // fast unit/integration testing of the runtime logic, independent of both
 // the simulator and real sockets.
+//
+// A message is encoded and decoded on the sending goroutine, which is
+// therefore the receive-side delivery context: it counts the arrival, offers
+// the message to the destination's sink (transport.SinkNode) and queues what
+// the sink declines for the destination's Recv.
 package inproc
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -27,19 +33,15 @@ func New(n int) *Net {
 	}
 	net := &Net{start: time.Now()}
 	for i := 0; i < n; i++ {
-		net.nodes = append(net.nodes, &Node{
-			net:  net,
-			id:   i,
-			rx:   make(chan *encBuf, 1<<14),
-			done: make(chan struct{}),
-		})
+		net.nodes = append(net.nodes, &Node{net: net, id: i, rx: transport.NewChanMailbox(0)})
 	}
 	return net
 }
 
-// encBuf is a pooled encoded-frame buffer: Send serialises into one, Recv
-// decodes out of it (copying the payload into the pooled message) and
-// recycles it, so steady-state traffic allocates nothing.
+// encBuf is a pooled encoded-frame buffer: Send serialises into one and
+// decodes straight back out of it (copying the payload into a pooled
+// message), so the receiver sees the same ownership rules as over a real
+// wire and steady-state traffic allocates nothing.
 type encBuf struct{ b []byte }
 
 var bufPool = sync.Pool{New: func() interface{} { return new(encBuf) }}
@@ -59,11 +61,10 @@ func (n *Net) Stop() {
 
 // Node is one in-process endpoint. App and Svc share a single context.
 type Node struct {
-	net       *Net
-	id        int
-	rx        chan *encBuf
-	done      chan struct{}
-	closeOnce sync.Once
+	net  *Net
+	id   int
+	rx   *transport.ChanMailbox
+	sink atomic.Pointer[transport.Sink]
 
 	mu    sync.Mutex
 	stats trace.PEStats
@@ -71,7 +72,7 @@ type Node struct {
 	pd transport.PeerDownNotifier
 }
 
-var _ transport.Node = (*Node)(nil)
+var _ transport.SinkNode = (*Node)(nil)
 
 // ID implements transport.Node.
 func (nd *Node) ID() int { return nd.id }
@@ -94,37 +95,45 @@ func (nd *Node) Svc() transport.Port { return (*port)(nd) }
 
 // Recv implements transport.Node.
 func (nd *Node) Recv() (*wire.Message, bool) {
-	select {
-	case eb := <-nd.rx:
-		m := wire.GetMessage()
-		if err := wire.DecodeInto(m, eb.b); err != nil {
-			panic("inproc: corrupt message: " + err.Error())
-		}
-		size := len(eb.b)
-		bufPool.Put(eb)
-		nd.mu.Lock()
-		nd.stats.MsgsRecv++
-		nd.stats.BytesRecv += uint64(size)
-		nd.mu.Unlock()
+	m, ok := nd.rx.Take()
+	if ok {
 		m.RecvAt = (*port)(nd).Now()
-		return m, true
-	case <-nd.done:
-		return nil, false
 	}
+	return m, ok
 }
 
 // CloseRecv implements transport.Node.
-func (nd *Node) CloseRecv() { nd.closeOnce.Do(func() { close(nd.done) }) }
+func (nd *Node) CloseRecv() { nd.rx.Close() }
 
 // SetPeerDown implements transport.Node.
 func (nd *Node) SetPeerDown(fn func(peer int)) { nd.pd.Set(fn) }
 
+// SetSink implements transport.SinkNode.
+func (nd *Node) SetSink(fn transport.Sink) { nd.sink.Store(&fn) }
+
 // NewMailbox implements transport.Node.
 func (nd *Node) NewMailbox(capacity int) transport.Mailbox {
-	if capacity <= 0 {
-		capacity = 1 << 14
+	return transport.NewChanMailbox(capacity)
+}
+
+// arrive takes delivery of m on the sender's goroutine: counted, offered to
+// the sink, queued for Recv if declined. It reports false, m still the
+// caller's, when the node has shut down.
+func (nd *Node) arrive(m *wire.Message) bool {
+	if nd.rx.Closed() {
+		return false
 	}
-	return &mailbox{ch: make(chan *wire.Message, capacity), done: make(chan struct{})}
+	nd.mu.Lock()
+	nd.stats.MsgsRecv++
+	nd.stats.BytesRecv += uint64(m.WireSize())
+	nd.mu.Unlock()
+	if sink := nd.sink.Load(); sink != nil {
+		m.RecvAt = (*port)(nd).Now()
+		if (*sink)(m) {
+			return true
+		}
+	}
+	return nd.rx.Offer(m)
 }
 
 // port implements transport.Port for a node; computation is free here.
@@ -132,22 +141,26 @@ type port Node
 
 func (pt *port) Send(dst int, m *wire.Message) {
 	nd := (*Node)(pt)
-	peer := nd.net.nodes[dst]
 	eb := bufPool.Get().(*encBuf)
 	eb.b = m.Append(eb.b[:0])
+	dec := wire.GetMessage()
+	err := wire.DecodeInto(dec, eb.b)
 	size := len(eb.b)
-	select {
-	case peer.rx <- eb:
-		nd.mu.Lock()
-		nd.stats.MsgsSent++
-		nd.stats.BytesSent += uint64(size)
-		nd.stats.CountSent(m.Op, size)
-		nd.mu.Unlock()
-	case <-peer.done:
-		// Peer shut down: drop, as a real network would, and declare it dead.
-		bufPool.Put(eb)
-		nd.pd.Report(dst)
+	bufPool.Put(eb)
+	if err != nil {
+		panic("inproc: corrupt message: " + err.Error())
 	}
+	if !nd.net.nodes[dst].arrive(dec) {
+		// Peer shut down: drop, as a real network would, and declare it dead.
+		wire.PutMessage(dec)
+		nd.pd.Report(dst)
+		return
+	}
+	nd.mu.Lock()
+	nd.stats.MsgsSent++
+	nd.stats.BytesSent += uint64(size)
+	nd.stats.CountSent(m.Op, size)
+	nd.mu.Unlock()
 }
 
 func (pt *port) Compute(ops float64) {}
@@ -159,46 +172,3 @@ func (pt *port) LegacyIPC() {}
 func (pt *port) Sleep(d sim.Duration) { time.Sleep(time.Duration(d) / 1000) } // compressed real sleep
 
 func (pt *port) Now() sim.Time { return sim.Time(time.Since((*Node)(pt).net.start)) }
-
-type mailbox struct {
-	ch        chan *wire.Message
-	done      chan struct{}
-	closeOnce sync.Once
-}
-
-func (mb *mailbox) Put(m *wire.Message) {
-	select {
-	case mb.ch <- m:
-	case <-mb.done:
-	}
-}
-
-func (mb *mailbox) Take() (*wire.Message, bool) {
-	select {
-	case m := <-mb.ch:
-		return m, true
-	case <-mb.done:
-		// Drain anything racing with close.
-		select {
-		case m := <-mb.ch:
-			return m, true
-		default:
-			return nil, false
-		}
-	}
-}
-
-func (mb *mailbox) TakeTimeout(d sim.Duration) (*wire.Message, bool, bool) {
-	t := time.NewTimer(time.Duration(d))
-	defer t.Stop()
-	select {
-	case m := <-mb.ch:
-		return m, true, false
-	case <-mb.done:
-		return nil, false, false
-	case <-t.C:
-		return nil, false, true
-	}
-}
-
-func (mb *mailbox) Close() { mb.closeOnce.Do(func() { close(mb.done) }) }

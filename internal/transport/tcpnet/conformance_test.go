@@ -15,3 +15,13 @@ func TestConformance(t *testing.T) {
 		return net
 	})
 }
+
+func TestSinkConformance(t *testing.T) {
+	transporttest.RunSink(t, func(t *testing.T, n int) transporttest.Network {
+		net, err := NewLocal(n)
+		if err != nil {
+			t.Fatalf("NewLocal: %v", err)
+		}
+		return net
+	})
+}

@@ -1,7 +1,10 @@
 package tcpnet
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 
 	"repro/internal/wire"
@@ -73,5 +76,34 @@ func TestFrameUnderHeaderSizeRejected(t *testing.T) {
 	go c1.Write(pre[:])
 	if _, err := readFrame(c2); err == nil {
 		t.Fatal("under-header frame size accepted")
+	}
+}
+
+// The reader goroutine reads frames through one bufio.Reader: frames that
+// arrived back to back in one segment, a frame larger than the buffer and a
+// frame cut off by the peer's death must each decode exactly as unbuffered.
+func TestFramesThroughBufferedReader(t *testing.T) {
+	var stream bytes.Buffer
+	sizes := []int{0, 8, 512, readBufSize - wire.HeaderSize - 4, 3 * readBufSize, 8}
+	for i, size := range sizes {
+		m := &wire.Message{Op: wire.OpUserMsg, Seq: uint64(i), Data: bytes.Repeat([]byte{byte(i + 1)}, size)}
+		if err := writeFrame(&stream, m); err != nil {
+			t.Fatalf("writeFrame %d: %v", i, err)
+		}
+	}
+	stream.Truncate(stream.Len() - 3) // the last frame is cut short
+	br := bufio.NewReaderSize(&stream, readBufSize)
+	for i, size := range sizes[:len(sizes)-1] {
+		m, err := readFrame(br)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if m.Seq != uint64(i) || !bytes.Equal(m.Data, bytes.Repeat([]byte{byte(i + 1)}, size)) {
+			t.Fatalf("frame %d corrupted: seq %d, %d bytes", i, m.Seq, len(m.Data))
+		}
+		wire.PutMessage(m)
+	}
+	if _, err := readFrame(br); err != io.ErrUnexpectedEOF {
+		t.Fatalf("short last frame: %v, want io.ErrUnexpectedEOF", err)
 	}
 }

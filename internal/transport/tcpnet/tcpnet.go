@@ -3,15 +3,22 @@
 // It demonstrates the paper's portability claim — the identical parallel
 // application and runtime run over an actual protocol stack, between
 // separate OS processes if desired (see cmd/dsenode).
+//
+// Each peer connection has one reader goroutine, which owns the
+// connection's buffered reader and is the receive-side delivery context: it
+// decodes a frame, counts the arrival, offers the message to the node's sink
+// (transport.SinkNode) and queues what the sink declines for Recv.
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -129,7 +136,7 @@ func (c *Net) Attach(id int) (*Node, error) {
 		ln:    c.lns[id],
 		conns: make([]net.Conn, n),
 		wmu:   make([]sync.Mutex, n),
-		rx:    make(chan *wire.Message, 1<<14),
+		rx:    transport.NewChanMailbox(0),
 		done:  make(chan struct{}),
 		start: time.Now(),
 	}
@@ -176,7 +183,7 @@ func open(id int, addrs []string, ln net.Listener, skip map[int]bool) (*Node, er
 		ln:    ln,
 		conns: make([]net.Conn, n),
 		wmu:   make([]sync.Mutex, n),
-		rx:    make(chan *wire.Message, 1<<14),
+		rx:    transport.NewChanMailbox(0),
 		done:  make(chan struct{}),
 		start: time.Now(),
 	}
@@ -309,8 +316,9 @@ type Node struct {
 	ln    net.Listener
 	conns []net.Conn
 	wmu   []sync.Mutex
-	rx    chan *wire.Message
-	done  chan struct{}
+	rx    *transport.ChanMailbox
+	sink  atomic.Pointer[transport.Sink]
+	done  chan struct{} // closed by Kill: stops mesh assembly and the accept loop
 	start time.Time
 
 	closeOnce sync.Once
@@ -321,7 +329,7 @@ type Node struct {
 	pd transport.PeerDownNotifier
 }
 
-var _ transport.Node = (*Node)(nil)
+var _ transport.SinkNode = (*Node)(nil)
 
 func (nd *Node) writeHello(conn net.Conn) error {
 	hello := &wire.Message{Op: wire.OpHello, Src: int32(nd.id), Arg1: 1}
@@ -351,9 +359,18 @@ func (nd *Node) register(peer int, conn net.Conn) {
 	go nd.reader(peer, conn)
 }
 
+// readBufSize is the per-connection read buffer: large enough that the size
+// prefix and the frame behind it — a scalar op, or a block of up to ~2k words
+// — arrive in one read(2); larger frames are read straight into their own
+// buffer.
+const readBufSize = 16 << 10
+
+// reader is peer's receive-side delivery context: it owns the connection's
+// read buffer, decodes each frame and takes delivery of it (arrive).
 func (nd *Node) reader(peer int, conn net.Conn) {
+	br := bufio.NewReaderSize(conn, readBufSize)
 	for {
-		m, err := readFrame(conn)
+		m, err := readFrame(br)
 		if err != nil {
 			// Peer gone (EOF or reset); Recv keeps serving other peers. If we
 			// are not ourselves shutting down, declare the peer dead so the
@@ -366,12 +383,31 @@ func (nd *Node) reader(peer int, conn net.Conn) {
 			}
 			return
 		}
-		select {
-		case nd.rx <- m:
-		case <-nd.done:
+		if !nd.arrive(m) {
+			wire.PutMessage(m)
 			return
 		}
 	}
+}
+
+// arrive takes delivery of a decoded message on the context that read it:
+// counted, offered to the sink, queued for Recv if declined. It reports
+// false, m still the caller's, when the node has shut down.
+func (nd *Node) arrive(m *wire.Message) bool {
+	if nd.rx.Closed() {
+		return false
+	}
+	nd.mu.Lock()
+	nd.stats.MsgsRecv++
+	nd.stats.BytesRecv += uint64(m.WireSize())
+	nd.mu.Unlock()
+	if sink := nd.sink.Load(); sink != nil {
+		m.RecvAt = sim.Time(time.Since(nd.start))
+		if (*sink)(m) {
+			return true
+		}
+	}
+	return nd.rx.Offer(m)
 }
 
 // framePool recycles encode/read buffers across frames; steady-state
@@ -379,20 +415,20 @@ func (nd *Node) reader(peer int, conn net.Conn) {
 // 4-byte size prefix (prefix and frame go out in one Write).
 var framePool = sync.Pool{New: func() interface{} { return new([]byte) }}
 
-func writeFrame(conn net.Conn, m *wire.Message) error {
+func writeFrame(w io.Writer, m *wire.Message) error {
 	bp := framePool.Get().(*[]byte)
 	buf := append((*bp)[:0], 0, 0, 0, 0)
 	buf = m.Append(buf)
 	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
-	_, err := conn.Write(buf)
+	_, err := w.Write(buf)
 	*bp = buf
 	framePool.Put(bp)
 	return err
 }
 
-func readFrame(conn net.Conn) (*wire.Message, error) {
+func readFrame(r io.Reader) (*wire.Message, error) {
 	var pre [4]byte
-	if _, err := io.ReadFull(conn, pre[:]); err != nil {
+	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return nil, err
 	}
 	size := binary.LittleEndian.Uint32(pre[:])
@@ -406,7 +442,7 @@ func readFrame(conn net.Conn) (*wire.Message, error) {
 	} else {
 		buf = buf[:size]
 	}
-	if _, err := io.ReadFull(conn, buf); err != nil {
+	if _, err := io.ReadFull(r, buf); err != nil {
 		*bp = buf
 		framePool.Put(bp)
 		return nil, err
@@ -431,8 +467,14 @@ func (nd *Node) N() int { return nd.n }
 // Hostname implements transport.Node.
 func (nd *Node) Hostname() string { return nd.ln.Addr().String() }
 
-// Stats implements transport.Node.
-func (nd *Node) Stats() *trace.PEStats { return &nd.stats }
+// Stats implements transport.Node. Reader goroutines count arrivals and
+// outlive Kill, so the counters are copied under the node's lock.
+func (nd *Node) Stats() *trace.PEStats {
+	nd.mu.Lock()
+	s := nd.stats
+	nd.mu.Unlock()
+	return &s
+}
 
 // App implements transport.Node.
 func (nd *Node) App() transport.Port { return (*port)(nd) }
@@ -442,17 +484,11 @@ func (nd *Node) Svc() transport.Port { return (*port)(nd) }
 
 // Recv implements transport.Node.
 func (nd *Node) Recv() (*wire.Message, bool) {
-	select {
-	case m := <-nd.rx:
-		nd.mu.Lock()
-		nd.stats.MsgsRecv++
-		nd.stats.BytesRecv += uint64(m.WireSize())
-		nd.mu.Unlock()
+	m, ok := nd.rx.Take()
+	if ok {
 		m.RecvAt = sim.Time(time.Since(nd.start))
-		return m, true
-	case <-nd.done:
-		return nil, false
 	}
+	return m, ok
 }
 
 // CloseRecv implements transport.Node.
@@ -461,11 +497,16 @@ func (nd *Node) CloseRecv() { nd.Kill() }
 // SetPeerDown implements transport.Node.
 func (nd *Node) SetPeerDown(fn func(peer int)) { nd.pd.Set(fn) }
 
+// SetSink implements transport.SinkNode. Readers may already be running
+// (register starts them before any kernel exists), hence the atomic store.
+func (nd *Node) SetSink(fn transport.Sink) { nd.sink.Store(&fn) }
+
 // Kill tears the node down: listener, sockets and receivers. Used both for
 // orderly shutdown and for failure injection in tests.
 func (nd *Node) Kill() {
 	nd.closeOnce.Do(func() {
 		close(nd.done)
+		nd.rx.Close()
 		if nd.ln != nil {
 			nd.ln.Close()
 		}
@@ -488,10 +529,7 @@ func (nd *Node) Err() error {
 
 // NewMailbox implements transport.Node.
 func (nd *Node) NewMailbox(capacity int) transport.Mailbox {
-	if capacity <= 0 {
-		capacity = 1 << 14
-	}
-	return &mailbox{ch: make(chan *wire.Message, capacity), done: make(chan struct{})}
+	return transport.NewChanMailbox(capacity)
 }
 
 // port implements transport.Port; App and Svc share it.
@@ -510,9 +548,7 @@ func (pt *port) Send(dst int, m *wire.Message) {
 		if err != nil {
 			panic("tcpnet: self-send encode round-trip failed: " + err.Error())
 		}
-		select {
-		case nd.rx <- dec:
-		case <-nd.done:
+		if !nd.arrive(dec) {
 			wire.PutMessage(dec)
 		}
 		return
@@ -555,45 +591,3 @@ func (pt *port) LegacyIPC() {}
 func (pt *port) Sleep(d sim.Duration) { time.Sleep(time.Duration(d)) }
 
 func (pt *port) Now() sim.Time { return sim.Time(time.Since((*Node)(pt).start)) }
-
-type mailbox struct {
-	ch        chan *wire.Message
-	done      chan struct{}
-	closeOnce sync.Once
-}
-
-func (mb *mailbox) Put(m *wire.Message) {
-	select {
-	case mb.ch <- m:
-	case <-mb.done:
-	}
-}
-
-func (mb *mailbox) Take() (*wire.Message, bool) {
-	select {
-	case m := <-mb.ch:
-		return m, true
-	case <-mb.done:
-		select {
-		case m := <-mb.ch:
-			return m, true
-		default:
-			return nil, false
-		}
-	}
-}
-
-func (mb *mailbox) TakeTimeout(d sim.Duration) (*wire.Message, bool, bool) {
-	t := time.NewTimer(time.Duration(d))
-	defer t.Stop()
-	select {
-	case m := <-mb.ch:
-		return m, true, false
-	case <-mb.done:
-		return nil, false, false
-	case <-t.C:
-		return nil, false, true
-	}
-}
-
-func (mb *mailbox) Close() { mb.closeOnce.Do(func() { close(mb.done) }) }

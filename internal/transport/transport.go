@@ -17,6 +17,19 @@
 // requests from other nodes). On the simulated transport the two contexts
 // are distinct cooperative processes, mirroring the asynchronous-I/O
 // interleaving of kernel and process inside one UNIX process.
+//
+// Delivery contexts and ordering. A message reaches the kernel one of two
+// ways. Recv hands it to the Svc context (the serve loop) in per-sender
+// arrival order. A node that implements SinkNode additionally offers every
+// arriving message to an installed Sink first, on the context that already
+// holds the decoded message — the sending goroutine on inproc, the per-peer
+// reader goroutine on tcpnet — and only what the sink declines goes on to
+// Recv. The kernel's sink takes replies and synchronisation grants straight
+// to the mailbox the application is parked on, so such a message may
+// overtake an earlier message of another kind from the same sender that is
+// still queued for Recv. Per-sender FIFO therefore holds among the messages
+// Recv returns and among the messages a sink accepts, not across the two;
+// simnet has no sink and keeps one order (DESIGN.md §17).
 package transport
 
 import (
@@ -103,6 +116,24 @@ type Node interface {
 	// after a failure still learns about it. fn may be invoked from any
 	// goroutine or context and must not block.
 	SetPeerDown(fn func(peer int))
+}
+
+// Sink receives a message on the transport's delivering context. It returns
+// true to take ownership of m (the transport must not touch it again) and
+// false to decline, leaving m to be queued for Recv. It must not block and
+// is called with no transport lock held, possibly from several goroutines
+// at once.
+type Sink func(m *wire.Message) bool
+
+// SinkNode is implemented by nodes that can deliver on the receiving
+// context (inproc, tcpnet). Installation is opt-in and may race with
+// traffic: messages arriving before SetSink, like declined ones, go to Recv,
+// and a node without a sink behaves exactly as a plain Node. Accepted
+// messages are counted (MsgsRecv/BytesRecv) and stamped (RecvAt) like
+// received ones.
+type SinkNode interface {
+	Node
+	SetSink(fn Sink)
 }
 
 // Network is a constructed cluster of nodes sharing a medium.

@@ -2,8 +2,9 @@
 // implementations whose ports may be driven from ordinary goroutines
 // (inproc, tcpnet). It checks the contract the DSE kernel relies on:
 // addressing, self-delivery, per-sender FIFO, payload integrity, mailbox
-// semantics and shutdown behaviour. The simulated transport has its own
-// in-engine tests.
+// semantics and shutdown behaviour; RunSink adds the receive-side delivery
+// hook (transport.SinkNode) and shutdown with a full receive queue. The
+// simulated transport has its own in-engine tests.
 package transporttest
 
 import (
@@ -392,4 +393,242 @@ func testConcurrent(t *testing.T, factory Factory) {
 		}()
 	}
 	wg.Wait()
+}
+
+// RunSink executes the delivery-hook cases against the factory, whose nodes
+// must implement transport.SinkNode.
+func RunSink(t *testing.T, factory Factory) {
+	t.Helper()
+	t.Run("InstalledBeforeTraffic", func(t *testing.T) { testSinkBefore(t, factory) })
+	t.Run("InstalledAfterTraffic", func(t *testing.T) { testSinkAfter(t, factory) })
+	t.Run("DeclineFallsThroughInOrder", func(t *testing.T) { testSinkDecline(t, factory) })
+	t.Run("CloseRecvFullQueue", func(t *testing.T) { testCloseRecvFull(t, factory) })
+}
+
+// collector is a sink that keeps what it accepts, from any goroutine. got
+// must be deep enough for everything the case sends: a sink may not block.
+type collector struct {
+	got    chan *wire.Message
+	accept func(m *wire.Message) bool // nil accepts everything
+}
+
+func (c *collector) sink(m *wire.Message) bool {
+	if c.accept != nil && !c.accept(m) {
+		return false
+	}
+	c.got <- m
+	return true
+}
+
+// wait returns the next n messages the sink accepted, in acceptance order.
+func (c *collector) wait(t *testing.T, n int) []*wire.Message {
+	t.Helper()
+	out := make([]*wire.Message, 0, n)
+	timeout := time.After(10 * time.Second)
+	for len(out) < n {
+		select {
+		case m := <-c.got:
+			out = append(out, m)
+		case <-timeout:
+			t.Fatalf("sink accepted %d of %d messages", len(out), n)
+		}
+	}
+	return out
+}
+
+func sinkNode(t *testing.T, net Network, i int) transport.SinkNode {
+	t.Helper()
+	sn, ok := net.Node(i).(transport.SinkNode)
+	if !ok {
+		t.Fatalf("node %d (%T) does not implement transport.SinkNode", i, net.Node(i))
+	}
+	return sn
+}
+
+// testSinkBefore: with a sink installed first, every message — remote and
+// self-sent — is handed to it on arrival, stamped and counted, and it owns
+// what it accepts: the sender recycling its own message right after Send
+// (as the kernel does) must not reach the delivered copy.
+func testSinkBefore(t *testing.T, factory Factory) {
+	net := factory(t, 2)
+	defer net.Stop()
+	const count = 50
+	c := collector{got: make(chan *wire.Message, count)}
+	sinkNode(t, net, 1).SetSink(c.sink)
+	m := wire.GetMessage()
+	for i := 0; i < count; i++ {
+		src := i % 2 // alternate remote and self sends
+		m.Op, m.Src, m.Dst, m.Seq = wire.OpReadResp, int32(src), 1, uint64(i)
+		m.PutWords([]int64{int64(i), int64(-i)})
+		net.Node(src).Svc().Send(1, m)
+	}
+	wire.PutMessage(m)
+	got := c.wait(t, count)
+	next := [2]uint64{0, 1}
+	for _, g := range got {
+		if g.Seq != next[g.Src] {
+			t.Fatalf("sender %d: sink saw seq %d, want %d", g.Src, g.Seq, next[g.Src])
+		}
+		next[g.Src] += 2
+		if ws := g.Words(); len(ws) != 2 || ws[0] != int64(g.Seq) || ws[1] != -int64(g.Seq) {
+			t.Fatalf("seq %d: delivered payload %v does not survive the sender's recycle", g.Seq, ws)
+		}
+		if g.RecvAt <= 0 {
+			t.Fatalf("seq %d: RecvAt not stamped", g.Seq)
+		}
+	}
+	if s := net.Node(1).Stats(); s.MsgsRecv != count || s.BytesRecv != count*uint64(got[0].WireSize()) {
+		t.Fatalf("receiver stats MsgsRecv=%d BytesRecv=%d, want %d messages", s.MsgsRecv, s.BytesRecv, count)
+	}
+	if s := net.Node(0).Stats(); s.MsgsSent != count/2 || s.ByOp[wire.OpReadResp].Msgs != count/2 {
+		t.Fatalf("sender stats MsgsSent=%d ByOp=%d, want %d", s.MsgsSent, s.ByOp[wire.OpReadResp].Msgs, count/2)
+	}
+}
+
+// testSinkAfter: installation is opt-in and may follow traffic. What
+// arrived first is read from Recv as on a bare node; only later arrivals
+// reach the sink.
+func testSinkAfter(t *testing.T, factory Factory) {
+	net := factory(t, 2)
+	defer net.Stop()
+	for i := 0; i < 3; i++ {
+		net.Node(0).App().Send(1, &wire.Message{Op: wire.OpPong, Seq: uint64(i)})
+	}
+	for i := 0; i < 3; i++ {
+		if m, ok := net.Node(1).Recv(); !ok || m.Seq != uint64(i) {
+			t.Fatalf("before install: Recv %d = %v %v", i, m, ok)
+		}
+	}
+	c := collector{got: make(chan *wire.Message, 3)}
+	sinkNode(t, net, 1).SetSink(c.sink)
+	for i := 3; i < 6; i++ {
+		net.Node(0).App().Send(1, &wire.Message{Op: wire.OpPong, Seq: uint64(i)})
+	}
+	for i, g := range c.wait(t, 3) {
+		if g.Seq != uint64(3+i) {
+			t.Fatalf("after install: sink message %d has seq %d", i, g.Seq)
+		}
+	}
+}
+
+// testSinkDecline: a declined message goes to Recv in arrival order while
+// accepted ones around it are taken, with several senders calling the sink
+// at once.
+func testSinkDecline(t *testing.T, factory Factory) {
+	const senders, each = 2, 400
+	net := factory(t, senders+1)
+	defer net.Stop()
+	dst := senders
+	c := collector{
+		got:    make(chan *wire.Message, senders*each),
+		accept: func(m *wire.Message) bool { return m.Op == wire.OpReadResp },
+	}
+	sinkNode(t, net, dst).SetSink(c.sink)
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		s := s
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				op := wire.OpRead // declined
+				if i%3 == 0 {
+					op = wire.OpReadResp
+				}
+				net.Node(s).App().Send(dst, &wire.Message{Op: op, Src: int32(s), Dst: int32(dst), Seq: uint64(i)})
+			}
+		}()
+	}
+	declined := senders * (each - (each+2)/3)
+	var next [senders]uint64
+	for i := 0; i < declined; i++ {
+		m, ok := net.Node(dst).Recv()
+		if !ok {
+			t.Fatalf("Recv closed after %d of %d declined messages", i, declined)
+		}
+		if m.Op != wire.OpRead {
+			t.Fatalf("Recv returned %v, which the sink accepts", m)
+		}
+		if next[m.Src]%3 == 0 {
+			next[m.Src]++
+		}
+		if m.Seq != next[m.Src] {
+			t.Fatalf("sender %d: Recv saw seq %d, want %d", m.Src, m.Seq, next[m.Src])
+		}
+		next[m.Src]++
+	}
+	wg.Wait()
+	var nextAcc [senders]uint64
+	for _, g := range c.wait(t, senders*each-declined) {
+		if g.Seq != nextAcc[g.Src] {
+			t.Fatalf("sender %d: sink saw seq %d, want %d", g.Src, g.Seq, nextAcc[g.Src])
+		}
+		nextAcc[g.Src] += 3
+	}
+}
+
+// testCloseRecvFull shuts a node down while its receive queue is full and a
+// sender is still pushing: the sender must be released, the peer must be
+// reported down, and Recv must drain what was queued — in order — and then
+// report closed instead of parking.
+func testCloseRecvFull(t *testing.T, factory Factory) {
+	net := factory(t, 2)
+	defer net.Stop()
+	died := make(chan int, 4)
+	net.Node(0).SetPeerDown(func(peer int) { died <- peer })
+	const total = transport.DefaultDepth + 512
+	queueFull := make(chan struct{})
+	senderDone := make(chan struct{})
+	go func() {
+		defer close(senderDone)
+		m := &wire.Message{Op: wire.OpUserMsg, Src: 0, Dst: 1, Data: make([]byte, 1024)}
+		for i := 0; i < total; i++ {
+			if i == transport.DefaultDepth {
+				close(queueFull) // the next Send finds inproc's queue full
+			}
+			m.Seq = uint64(i)
+			net.Node(0).App().Send(1, m)
+		}
+	}()
+	select {
+	case <-queueFull:
+	case <-time.After(20 * time.Second):
+		t.Fatal("sender stalled before filling the receive queue")
+	}
+	net.Node(1).CloseRecv()
+	select {
+	case <-senderDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("sender still blocked after the peer's CloseRecv")
+	}
+	select {
+	case p := <-died:
+		if p != 1 {
+			t.Fatalf("peer-down reported peer %d, want 1", p)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("peer death never reported to the sender")
+	}
+	drained := make(chan error, 1)
+	go func() {
+		for want := uint64(0); ; want++ {
+			m, ok := net.Node(1).Recv()
+			if !ok {
+				drained <- nil
+				return
+			}
+			if m.Seq != want {
+				drained <- fmt.Errorf("drain: seq %d, want %d", m.Seq, want)
+				return
+			}
+		}
+	}()
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Recv parked on a closed node")
+	}
 }
