@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/platform"
@@ -120,6 +121,45 @@ func BenchmarkGMWord(b *testing.B) {
 			n, p := uint64(b.N), c.per
 			if want := (counts{p.local * n, p.remote * n, p.direct * n, p.ring * n, p.msgs * n}); got != want {
 				b.Fatalf("PE 0 path counters over %d ops: got %+v, want %+v", b.N, got, want)
+			}
+		})
+	}
+}
+
+// BenchmarkGMHomeFanIn measures one home's message-path read throughput with
+// several requesters sharing it: PE 0 homes the word and only serves, every
+// other PE issues its share of the b.N reads, so ns/op is the wall time per
+// read serviced. The home's serial loop is the contended resource here, and
+// on inproc it runs the reply's decode and routing (Kernel.deliverApp) inside
+// its own Send.
+func BenchmarkGMHomeFanIn(b *testing.B) {
+	for _, requesters := range []int{1, 3, 7} {
+		b.Run(fmt.Sprintf("requesters=%d", requesters), func(b *testing.B) {
+			each := b.N/requesters + 1
+			res := runBenchProgram(b, messagePath, requesters+1, func(pe *PE) error {
+				addr := pe.Alloc(64)
+				for pe.Space().HomeOf(addr) != 0 {
+					addr++
+				}
+				pe.Barrier()
+				if pe.ID() == 0 {
+					b.ResetTimer()
+				} else {
+					for i := 0; i < each; i++ {
+						pe.GMRead(addr)
+					}
+				}
+				pe.Barrier()
+				if pe.ID() == 0 {
+					b.StopTimer()
+				}
+				return nil
+			})
+			if got := res.Total.DirectGM + res.Total.RingGM; got != 0 {
+				b.Fatalf("message-path benchmark took a one-sided path %d times", got)
+			}
+			if got, want := res.PerPE[0].ServiceByOp[wire.OpRead].Count, uint64(each*requesters); got != want {
+				b.Fatalf("home serviced %d reads, want %d", got, want)
 			}
 		})
 	}

@@ -3,16 +3,21 @@ package core
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
+	"repro/internal/transport/tcpnet"
 	"repro/internal/wire"
 )
 
 // TestDeliverAppBypassesServeLoop pins the two routes an app-bound message
 // can take. On the real transports the node's sink hands replies and grants
-// to the blocked application on the receiving context, so no kernel's serve
-// loop services a single reply op; on simnet the same router runs from
+// from other nodes to the blocked application on the receiving context, so
+// the requester's serve loop services no read reply, and kernel 1 — which
+// hosts no central manager and so never answers its own PE — services no
+// reply op or barrier release at all; on simnet the same router runs from
 // handle and every reply is serviced. Either way the traffic is counted,
 // logged and free of strays.
 func TestDeliverAppBypassesServeLoop(t *testing.T) {
@@ -53,13 +58,11 @@ func TestDeliverAppBypassesServeLoop(t *testing.T) {
 				t.Fatalf("serve loops serviced %d read replies, want %d", got, wantServiced)
 			}
 			if tr != TransportSim {
-				for op := range tot.ServiceByOp {
-					if isReply(wire.Op(op)) && tot.ServiceByOp[op].Count != 0 {
-						t.Fatalf("a serve loop serviced %d %v replies", tot.ServiceByOp[op].Count, wire.Op(op))
+				k1 := &res.PerPE[1]
+				for op := range k1.ServiceByOp {
+					if n := k1.ServiceByOp[op].Count; n != 0 && (isReply(wire.Op(op)) || wire.Op(op) == wire.OpBarrierRelease) {
+						t.Fatalf("kernel 1's serve loop serviced %d %v messages", n, wire.Op(op))
 					}
-				}
-				if n := tot.ServiceByOp[wire.OpBarrierRelease].Count; n != 0 {
-					t.Fatalf("a serve loop serviced %d barrier releases", n)
 				}
 			}
 			if tot.StrayDrops != 0 || tot.StaleReplies != 0 {
@@ -124,5 +127,49 @@ func TestDeliverAppLateReply(t *testing.T) {
 	}
 	if consumed := ks[0].handle(m); !consumed || ks[0].extra.StrayDrops != 1 {
 		t.Fatalf("handle consumed=%v StrayDrops=%d, want true and 1", consumed, ks[0].extra.StrayDrops)
+	}
+}
+
+// TestDeliverShutdownRunOn is the RunOn shutdown race: kernel 0 releases the
+// final barrier to every node, itself included, from inside one handler. Were
+// its own release offered to the sink — a self-send is delivered on the
+// sending goroutine — PE 0 would be through the barrier while the handler was
+// still writing the other releases, and RunOn's CloseRecv, which on tcpnet
+// closes every socket, would strand the remaining nodes until their sync wait
+// timed out. PE 0 arrives first, so it is first in the waiter list.
+func TestDeliverShutdownRunOn(t *testing.T) {
+	const nodes = 24
+	for iter := 0; iter < 8; iter++ {
+		net, err := tcpnet.NewLocal(nodes)
+		if err != nil {
+			t.Fatalf("NewLocal: %v", err)
+		}
+		cfg := Config{RequestTimeout: 2 * sim.Second}
+		var wg sync.WaitGroup
+		errs := make([]error, nodes)
+		for i := 0; i < nodes; i++ {
+			i := i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := RunOn(cfg, net.Node(i), func(pe *PE) error {
+					if pe.ID() != 0 {
+						time.Sleep(time.Millisecond)
+					}
+					return nil
+				})
+				if err == nil {
+					err = res.FirstErr()
+				}
+				errs[i] = err
+			}()
+		}
+		wg.Wait()
+		net.Stop()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("iteration %d, node %d: %v", iter, i, err)
+			}
+		}
 	}
 }

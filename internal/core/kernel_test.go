@@ -97,16 +97,24 @@ func TestKernelHandleWriteAndFetchAdd(t *testing.T) {
 }
 
 func TestKernelCentralBarrierReleasesAll(t *testing.T) {
-	_, ks := testKernels(t, 3, nil)
+	net, ks := testKernels(t, 3, nil)
 	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 1, Tag: 4})
 	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 2, Tag: 4})
 	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 0, Tag: 4})
-	// Every release, kernel 0's own included, lands in its kernel's sync
-	// mailbox without a handle() at the receiver.
-	for _, k := range ks {
+	// The remote releases land in their kernels' sync mailboxes without a
+	// handle() at the receiver.
+	for _, k := range ks[1:] {
 		if m := syncFrom(t, k); m.Op != wire.OpBarrierRelease || m.Tag != 4 {
 			t.Fatalf("kernel %d got %v", k.id, m)
 		}
+	}
+	// Kernel 0's own release is a self-send, which no sink is offered: it is
+	// routed to the sync mailbox by the next handle(), i.e. only after the
+	// handler that sent the other releases has returned.
+	self := recvFrom(t, net, 0)
+	ks[0].handle(self)
+	if m := syncFrom(t, ks[0]); m.Op != wire.OpBarrierRelease || m.Tag != 4 {
+		t.Fatalf("kernel 0 got %v", m)
 	}
 }
 

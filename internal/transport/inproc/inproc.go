@@ -4,14 +4,14 @@
 // the simulator and real sockets.
 //
 // A message is encoded and decoded on the sending goroutine, which is
-// therefore the receive-side delivery context: it counts the arrival, offers
-// the message to the destination's sink (transport.SinkNode) and queues what
-// the sink declines for the destination's Recv.
+// therefore the receive-side delivery context: it hands the decoded message
+// to the destination's transport.Inbox, which counts it, offers it to the
+// destination's sink (transport.SinkNode) and queues what the sink declines
+// for the destination's Recv.
 package inproc
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -33,7 +33,7 @@ func New(n int) *Net {
 	}
 	net := &Net{start: time.Now()}
 	for i := 0; i < n; i++ {
-		net.nodes = append(net.nodes, &Node{net: net, id: i, rx: transport.NewChanMailbox(0)})
+		net.nodes = append(net.nodes, &Node{net: net, id: i, in: transport.NewInbox(net.now)})
 	}
 	return net
 }
@@ -61,13 +61,12 @@ func (n *Net) Stop() {
 
 // Node is one in-process endpoint. App and Svc share a single context.
 type Node struct {
-	net  *Net
-	id   int
-	rx   *transport.ChanMailbox
-	sink atomic.Pointer[transport.Sink]
+	net *Net
+	id  int
+	in  *transport.Inbox
 
 	mu    sync.Mutex
-	stats trace.PEStats
+	stats trace.PEStats // send side; the inbox counts arrivals
 
 	pd transport.PeerDownNotifier
 }
@@ -83,9 +82,14 @@ func (nd *Node) N() int { return len(nd.net.nodes) }
 // Hostname implements transport.Node; every inproc node is its own host.
 func (nd *Node) Hostname() string { return "localhost" }
 
-// Stats implements transport.Node. The returned snapshot pointer must not
-// be read concurrently with a running cluster.
-func (nd *Node) Stats() *trace.PEStats { return &nd.stats }
+// Stats implements transport.Node: live counters, the arrival counts as of
+// this call.
+func (nd *Node) Stats() *trace.PEStats {
+	nd.mu.Lock()
+	nd.stats.MsgsRecv, nd.stats.BytesRecv = nd.in.Received()
+	nd.mu.Unlock()
+	return &nd.stats
+}
 
 // App implements transport.Node.
 func (nd *Node) App() transport.Port { return (*port)(nd) }
@@ -94,46 +98,20 @@ func (nd *Node) App() transport.Port { return (*port)(nd) }
 func (nd *Node) Svc() transport.Port { return (*port)(nd) }
 
 // Recv implements transport.Node.
-func (nd *Node) Recv() (*wire.Message, bool) {
-	m, ok := nd.rx.Take()
-	if ok {
-		m.RecvAt = (*port)(nd).Now()
-	}
-	return m, ok
-}
+func (nd *Node) Recv() (*wire.Message, bool) { return nd.in.Recv() }
 
 // CloseRecv implements transport.Node.
-func (nd *Node) CloseRecv() { nd.rx.Close() }
+func (nd *Node) CloseRecv() { nd.in.Close() }
 
 // SetPeerDown implements transport.Node.
 func (nd *Node) SetPeerDown(fn func(peer int)) { nd.pd.Set(fn) }
 
 // SetSink implements transport.SinkNode.
-func (nd *Node) SetSink(fn transport.Sink) { nd.sink.Store(&fn) }
+func (nd *Node) SetSink(fn transport.Sink) { nd.in.SetSink(fn) }
 
 // NewMailbox implements transport.Node.
 func (nd *Node) NewMailbox(capacity int) transport.Mailbox {
 	return transport.NewChanMailbox(capacity)
-}
-
-// arrive takes delivery of m on the sender's goroutine: counted, offered to
-// the sink, queued for Recv if declined. It reports false, m still the
-// caller's, when the node has shut down.
-func (nd *Node) arrive(m *wire.Message) bool {
-	if nd.rx.Closed() {
-		return false
-	}
-	nd.mu.Lock()
-	nd.stats.MsgsRecv++
-	nd.stats.BytesRecv += uint64(m.WireSize())
-	nd.mu.Unlock()
-	if sink := nd.sink.Load(); sink != nil {
-		m.RecvAt = (*port)(nd).Now()
-		if (*sink)(m) {
-			return true
-		}
-	}
-	return nd.rx.Offer(m)
 }
 
 // port implements transport.Port for a node; computation is free here.
@@ -150,7 +128,13 @@ func (pt *port) Send(dst int, m *wire.Message) {
 	if err != nil {
 		panic("inproc: corrupt message: " + err.Error())
 	}
-	if !nd.net.nodes[dst].arrive(dec) {
+	var delivered bool
+	if dst == nd.id {
+		delivered = nd.in.DeliverLocal(dec)
+	} else {
+		delivered = nd.net.nodes[dst].in.Deliver(dec)
+	}
+	if !delivered {
 		// Peer shut down: drop, as a real network would, and declare it dead.
 		wire.PutMessage(dec)
 		nd.pd.Report(dst)
@@ -171,4 +155,7 @@ func (pt *port) LegacyIPC() {}
 
 func (pt *port) Sleep(d sim.Duration) { time.Sleep(time.Duration(d) / 1000) } // compressed real sleep
 
-func (pt *port) Now() sim.Time { return sim.Time(time.Since((*Node)(pt).net.start)) }
+func (pt *port) Now() sim.Time { return (*Node)(pt).net.now() }
+
+// now is the cluster's clock: wall time since New.
+func (n *Net) now() sim.Time { return sim.Time(time.Since(n.start)) }

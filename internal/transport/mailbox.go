@@ -10,7 +10,7 @@ import (
 )
 
 // ChanMailbox is the Mailbox of the real transports (inproc, tcpnet) and the
-// receive queue behind their Recv: a buffered channel with one taker and any
+// receive queue behind their Recv (Inbox): a buffered channel with one taker and any
 // number of putters. Both sides park on a plain channel operation — no
 // select against a done channel on the hot path. Close is an atomic flag
 // plus a nil sentinel that wakes a parked taker; the done channel is
@@ -41,12 +41,12 @@ func NewChanMailbox(capacity int) *ChanMailbox {
 	return &ChanMailbox{ch: make(chan *wire.Message, capacity), done: make(chan struct{})}
 }
 
-// Put implements Mailbox: Offer with a closed mailbox's refusal dropped.
-func (mb *ChanMailbox) Put(m *wire.Message) { mb.Offer(m) }
+// Put implements Mailbox: offer with a closed mailbox's refusal dropped.
+func (mb *ChanMailbox) Put(m *wire.Message) { mb.offer(m) }
 
-// Offer enqueues m, waiting for room if the queue is full. It reports false
+// offer enqueues m, waiting for room if the queue is full. It reports false
 // — m not enqueued, still the caller's — once the mailbox is closed.
-func (mb *ChanMailbox) Offer(m *wire.Message) bool {
+func (mb *ChanMailbox) offer(m *wire.Message) bool {
 	if mb.closed.Load() {
 		return false
 	}
@@ -108,6 +108,3 @@ func (mb *ChanMailbox) Close() {
 		}
 	})
 }
-
-// Closed reports whether Close has been called.
-func (mb *ChanMailbox) Closed() bool { return mb.closed.Load() }

@@ -44,8 +44,8 @@ func TestMailboxCloseFullQueue(t *testing.T) {
 		}
 	})
 	within(t, "put after close", func() {
-		if mb.Offer(&wire.Message{Seq: 3}) {
-			t.Error("Offer succeeded on a closed mailbox")
+		if mb.offer(&wire.Message{Seq: 3}) {
+			t.Error("offer succeeded on a closed mailbox")
 		}
 		mb.Put(&wire.Message{Seq: 4})
 	})
@@ -73,16 +73,16 @@ func TestMailboxCloseReleasesBlockedPut(t *testing.T) {
 	mb := NewChanMailbox(1)
 	mb.Put(&wire.Message{Seq: 1})
 	result := make(chan bool, 1)
-	go func() { result <- mb.Offer(&wire.Message{Seq: 2}) }() // full: parks
+	go func() { result <- mb.offer(&wire.Message{Seq: 2}) }() // full: parks
 	select {
 	case ok := <-result:
-		t.Fatalf("Offer into a full mailbox returned %v without waiting", ok)
+		t.Fatalf("offer into a full mailbox returned %v without waiting", ok)
 	case <-time.After(20 * time.Millisecond):
 	}
 	mb.Close()
 	within(t, "blocked put", func() {
 		if <-result {
-			t.Error("blocked Offer reported success after Close")
+			t.Error("blocked offer reported success after Close")
 		}
 	})
 }

@@ -6,8 +6,9 @@
 //
 // Each peer connection has one reader goroutine, which owns the
 // connection's buffered reader and is the receive-side delivery context: it
-// decodes a frame, counts the arrival, offers the message to the node's sink
-// (transport.SinkNode) and queues what the sink declines for Recv.
+// decodes a frame and hands the message to the node's transport.Inbox, which
+// counts it, offers it to the node's sink (transport.SinkNode) and queues
+// what the sink declines for Recv.
 package tcpnet
 
 import (
@@ -18,7 +19,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -130,16 +130,7 @@ func (c *Net) Attach(id int) (*Node, error) {
 		return nil, fmt.Errorf("tcpnet: slot %d already attached", id)
 	}
 	n := len(c.nodes)
-	nd := &Node{
-		id:    id,
-		n:     n,
-		ln:    c.lns[id],
-		conns: make([]net.Conn, n),
-		wmu:   make([]sync.Mutex, n),
-		rx:    transport.NewChanMailbox(0),
-		done:  make(chan struct{}),
-		start: time.Now(),
-	}
+	nd := newNode(id, n, c.lns[id])
 	go nd.acceptLoop(c.lns[id], make(chan error, 1))
 	for j, peer := range c.nodes {
 		if j == id || peer == nil {
@@ -177,16 +168,7 @@ func Open(id int, addrs []string) (*Node, error) {
 // persistent accept loop when they Attach.
 func open(id int, addrs []string, ln net.Listener, skip map[int]bool) (*Node, error) {
 	n := len(addrs)
-	nd := &Node{
-		id:    id,
-		n:     n,
-		ln:    ln,
-		conns: make([]net.Conn, n),
-		wmu:   make([]sync.Mutex, n),
-		rx:    transport.NewChanMailbox(0),
-		done:  make(chan struct{}),
-		start: time.Now(),
-	}
+	nd := newNode(id, n, ln)
 	expected := 0
 	for j := 0; j < n; j++ {
 		if j != id && !skip[j] {
@@ -316,20 +298,33 @@ type Node struct {
 	ln    net.Listener
 	conns []net.Conn
 	wmu   []sync.Mutex
-	rx    *transport.ChanMailbox
-	sink  atomic.Pointer[transport.Sink]
+	in    *transport.Inbox
 	done  chan struct{} // closed by Kill: stops mesh assembly and the accept loop
 	start time.Time
 
 	closeOnce sync.Once
 	mu        sync.Mutex
-	stats     trace.PEStats
+	stats     trace.PEStats // send side; the inbox counts arrivals
 	err       error
 
 	pd transport.PeerDownNotifier
 }
 
 var _ transport.SinkNode = (*Node)(nil)
+
+func newNode(id, n int, ln net.Listener) *Node {
+	nd := &Node{
+		id:    id,
+		n:     n,
+		ln:    ln,
+		conns: make([]net.Conn, n),
+		wmu:   make([]sync.Mutex, n),
+		done:  make(chan struct{}),
+		start: time.Now(),
+	}
+	nd.in = transport.NewInbox((*port)(nd).Now)
+	return nd
+}
 
 func (nd *Node) writeHello(conn net.Conn) error {
 	hello := &wire.Message{Op: wire.OpHello, Src: int32(nd.id), Arg1: 1}
@@ -366,7 +361,7 @@ func (nd *Node) register(peer int, conn net.Conn) {
 const readBufSize = 16 << 10
 
 // reader is peer's receive-side delivery context: it owns the connection's
-// read buffer, decodes each frame and takes delivery of it (arrive).
+// read buffer, decodes each frame and delivers it to the inbox.
 func (nd *Node) reader(peer int, conn net.Conn) {
 	br := bufio.NewReaderSize(conn, readBufSize)
 	for {
@@ -383,31 +378,11 @@ func (nd *Node) reader(peer int, conn net.Conn) {
 			}
 			return
 		}
-		if !nd.arrive(m) {
+		if !nd.in.Deliver(m) {
 			wire.PutMessage(m)
 			return
 		}
 	}
-}
-
-// arrive takes delivery of a decoded message on the context that read it:
-// counted, offered to the sink, queued for Recv if declined. It reports
-// false, m still the caller's, when the node has shut down.
-func (nd *Node) arrive(m *wire.Message) bool {
-	if nd.rx.Closed() {
-		return false
-	}
-	nd.mu.Lock()
-	nd.stats.MsgsRecv++
-	nd.stats.BytesRecv += uint64(m.WireSize())
-	nd.mu.Unlock()
-	if sink := nd.sink.Load(); sink != nil {
-		m.RecvAt = sim.Time(time.Since(nd.start))
-		if (*sink)(m) {
-			return true
-		}
-	}
-	return nd.rx.Offer(m)
 }
 
 // framePool recycles encode/read buffers across frames; steady-state
@@ -467,13 +442,13 @@ func (nd *Node) N() int { return nd.n }
 // Hostname implements transport.Node.
 func (nd *Node) Hostname() string { return nd.ln.Addr().String() }
 
-// Stats implements transport.Node. Reader goroutines count arrivals and
-// outlive Kill, so the counters are copied under the node's lock.
+// Stats implements transport.Node: live counters, the arrival counts as of
+// this call.
 func (nd *Node) Stats() *trace.PEStats {
 	nd.mu.Lock()
-	s := nd.stats
+	nd.stats.MsgsRecv, nd.stats.BytesRecv = nd.in.Received()
 	nd.mu.Unlock()
-	return &s
+	return &nd.stats
 }
 
 // App implements transport.Node.
@@ -483,13 +458,7 @@ func (nd *Node) App() transport.Port { return (*port)(nd) }
 func (nd *Node) Svc() transport.Port { return (*port)(nd) }
 
 // Recv implements transport.Node.
-func (nd *Node) Recv() (*wire.Message, bool) {
-	m, ok := nd.rx.Take()
-	if ok {
-		m.RecvAt = sim.Time(time.Since(nd.start))
-	}
-	return m, ok
-}
+func (nd *Node) Recv() (*wire.Message, bool) { return nd.in.Recv() }
 
 // CloseRecv implements transport.Node.
 func (nd *Node) CloseRecv() { nd.Kill() }
@@ -497,16 +466,16 @@ func (nd *Node) CloseRecv() { nd.Kill() }
 // SetPeerDown implements transport.Node.
 func (nd *Node) SetPeerDown(fn func(peer int)) { nd.pd.Set(fn) }
 
-// SetSink implements transport.SinkNode. Readers may already be running
-// (register starts them before any kernel exists), hence the atomic store.
-func (nd *Node) SetSink(fn transport.Sink) { nd.sink.Store(&fn) }
+// SetSink implements transport.SinkNode. Readers may already be delivering:
+// register starts them before any kernel exists.
+func (nd *Node) SetSink(fn transport.Sink) { nd.in.SetSink(fn) }
 
 // Kill tears the node down: listener, sockets and receivers. Used both for
 // orderly shutdown and for failure injection in tests.
 func (nd *Node) Kill() {
 	nd.closeOnce.Do(func() {
 		close(nd.done)
-		nd.rx.Close()
+		nd.in.Close()
 		if nd.ln != nil {
 			nd.ln.Close()
 		}
@@ -548,7 +517,7 @@ func (pt *port) Send(dst int, m *wire.Message) {
 		if err != nil {
 			panic("tcpnet: self-send encode round-trip failed: " + err.Error())
 		}
-		if !nd.arrive(dec) {
+		if !nd.in.DeliverLocal(dec) {
 			wire.PutMessage(dec)
 		}
 		return

@@ -29,7 +29,10 @@
 // overtake an earlier message of another kind from the same sender that is
 // still queued for Recv. Per-sender FIFO therefore holds among the messages
 // Recv returns and among the messages a sink accepts, not across the two;
-// simnet has no sink and keeps one order (DESIGN.md §17).
+// simnet has no sink and keeps one order (DESIGN.md §17). A node's messages
+// to itself are never offered to its sink: they queue for Recv, so what a
+// serve loop sends its own node from inside a handler is routed only after
+// that handler has returned (Inbox.DeliverLocal).
 package transport
 
 import (
@@ -106,7 +109,10 @@ type Node interface {
 	CloseRecv()
 	// NewMailbox creates a reply queue usable between this node's contexts.
 	NewMailbox(capacity int) Mailbox
-	// Stats exposes this node's accumulating counters.
+	// Stats exposes this node's accumulating counters. The pointer is to
+	// the node's live struct on every transport: read it while the node is
+	// quiescent, and call again rather than holding it — the real transports
+	// count arrivals on their delivering contexts and fold them in here.
 	Stats() *trace.PEStats
 	// SetPeerDown registers the peer-failure callback: the transport calls
 	// fn(peer) at most once per peer it declares dead (tcpnet: a broken
@@ -126,11 +132,11 @@ type Node interface {
 type Sink func(m *wire.Message) bool
 
 // SinkNode is implemented by nodes that can deliver on the receiving
-// context (inproc, tcpnet). Installation is opt-in and may race with
-// traffic: messages arriving before SetSink, like declined ones, go to Recv,
-// and a node without a sink behaves exactly as a plain Node. Accepted
-// messages are counted (MsgsRecv/BytesRecv) and stamped (RecvAt) like
-// received ones.
+// context (inproc, tcpnet; both through Inbox). Installation is opt-in and
+// may race with traffic: messages arriving before SetSink, like declined
+// ones and the node's own messages to itself, go to Recv, and a node without
+// a sink behaves exactly as a plain Node. Accepted messages are counted
+// (MsgsRecv/BytesRecv) and stamped (RecvAt) like received ones.
 type SinkNode interface {
 	Node
 	SetSink(fn Sink)
