@@ -42,7 +42,7 @@ type SaturationOptions struct {
 	// (window on iff Shards > 1).
 	DirectReads int
 	// WriteRings passes through core.Config.WriteRings; 0 = auto (rings on
-	// wherever the window is, given shard workers), <0 forces writes back
+	// wherever the window is), <0 forces writes back
 	// onto the message path — the PR 6-comparable configuration.
 	WriteRings int
 }

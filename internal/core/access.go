@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+
 	"repro/internal/check"
 	"repro/internal/gmem"
 	"repro/internal/sim"
@@ -265,8 +267,10 @@ const (
 )
 
 // ringWrite attempts the one-sided write path: publish (addr, v) into the
-// co-located home's per-shard submission ring and wait until the owning
-// shard has consumed it. The ring sequence comes from the same counter as
+// co-located home's per-shard submission ring, then enter that shard's
+// monitor and drain the ring — this write and whatever other producers have
+// published — so the write is applied when the call returns, with nobody to
+// wake. The ring sequence comes from the same counter as
 // message sequences, so the home's dedup window gives the two paths one
 // exactly-once space. The home's migration generation is sampled before the
 // push and rechecked after consumption — see ringAmbiguous for the race this
@@ -298,15 +302,13 @@ func (pe *PE) ringWrite(home int, addr uint64, v int64) (ringStatus, uint64) {
 		return ringUnavailable, 0
 	}
 	pe.extra.RingGM++
-	if hk.workers {
-		sh.nudge()
-		sh.ring.AwaitConsumed(pos)
-	} else {
-		// Simulated transport: drain inline at the submit point. The sim
-		// engine runs one cooperative context at a time, so this is both
-		// race-free and deterministic, and the write is applied before the
-		// submitting PE's virtual time advances again.
-		sh.drainRing()
+	// One pass through the monitor applies this write, or finds it applied:
+	// a producer whose drain took it released the slot before letting go of
+	// the lock. The exception is a producer that claimed an earlier slot and
+	// has yet to publish it — a drain stops there, so give it the processor
+	// and go again; GMWrite may not return before its store is visible.
+	for sh.fence(); !sh.ring.Consumed(pos); sh.fence() {
+		runtime.Gosched()
 	}
 	if hk.migGen.Load() != gen {
 		return ringAmbiguous, w.Seq

@@ -51,8 +51,8 @@ func TestRemoteWordOpsAllocationFree(t *testing.T) {
 // home, in input order, on every transport-visible path (local words,
 // remote words, repeated homes).
 func TestGatherScatter(t *testing.T) {
-	// One shard: with shard workers a gather splits per (home, shard), which
-	// changes the per-op message mix this test pins down.
+	// One shard: with more, a gather on a real transport splits per (home,
+	// shard), which changes the per-op message mix this test pins down.
 	res, err := Run(Config{NumPE: 4, Transport: TransportInproc, KernelShards: 1}, func(pe *PE) error {
 		bw := uint64(pe.Space().BlockWords)
 		base := pe.Alloc(int(bw) * 16)

@@ -10,7 +10,7 @@ import (
 )
 
 // messagePath pins a benchmark cluster to the request/reply message path:
-// one shard (no workers), no one-sided window, no rings. Left at zero the
+// one shard, no one-sided window, no rings. Left at zero the
 // three knobs resolve from GOMAXPROCS, and on any multi-core host remote
 // scalar ops silently take the ~50 ns window instead of the ~3 µs message
 // round trip the benchmarks below describe.

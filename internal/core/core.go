@@ -143,11 +143,13 @@ type Config struct {
 	// violations) and must never be set outside tests.
 	FaultDropInvalidations bool
 	// KernelShards shards each kernel's home-side global-memory service by
-	// address range: requests for different block ranges are serviced by
-	// independent shards, each with its own dedup window and invalidation
-	// state (see kernelShard). On the real transports shards > 1 run as
-	// parallel worker goroutines; the simulated transport always dispatches
-	// inline (per-shard state only), preserving determinism. 0 resolves to
+	// address range: requests for different block ranges are serviced under
+	// independent shard locks, each shard with its own dedup window and
+	// invalidation state (see kernelShard). A shard has no thread of its
+	// own: on inproc the requesting PE serves its request itself under the
+	// shard's lock, so shards > 1 let requesters of different ranges serve
+	// in parallel; over TCP and under simulation the serve loop serves, one
+	// request at a time, and shards only partition state. 0 resolves to
 	// GOMAXPROCS on real transports and to 1 under simulation; values are
 	// clamped to [1, gmem.SegStripes].
 	KernelShards int
@@ -160,16 +162,14 @@ type Config struct {
 	// (the old organisation has no shared address space), or over TCP.
 	DirectReads int
 	// WriteRings controls the one-sided write fast path: co-located PEs
-	// submit uncached writes into a remote home through a per-shard MPSC
-	// submission ring that the owning service shard drains in batches
-	// between message dispatches, so the write never wakes the serve loop
-	// or allocates a message. Tri-state like DirectReads: 0 enables rings
+	// submit uncached writes into a remote home through a per-shard
+	// submission ring and drain it themselves, under the shard's lock, at
+	// the submit point — so the write never wakes the serve loop or
+	// allocates a message, and under simulation virtual-time schedules stay
+	// deterministic. Tri-state like DirectReads: 0 enables rings
 	// automatically whenever the direct-read window is enabled; >0 forces
 	// them on (still subject to the window's co-location constraints); <0
-	// forces them off. Rings need a drainer, so on real transports they
-	// additionally require shard workers (resolved KernelShards > 1); under
-	// simulation submissions are drained inline at the submit point, which
-	// keeps virtual-time schedules deterministic.
+	// forces them off.
 	WriteRings int
 	// LatentPEs starts the highest LatentPEs ranks outside the active
 	// membership: their kernels home no global-memory blocks (the probe rule
@@ -247,9 +247,8 @@ func (cfg *Config) withDefaults() (Config, error) {
 	}
 	if c.KernelShards == 0 {
 		if c.Transport == TransportSim {
-			// Inline dispatch anyway (no workers under simulation), and one
-			// shard keeps the virtual-time message schedule bit-identical to
-			// the unsharded kernel.
+			// One shard keeps the virtual-time message schedule bit-identical
+			// to the unsharded kernel.
 			c.KernelShards = 1
 		} else {
 			c.KernelShards = runtime.GOMAXPROCS(0)
@@ -262,6 +261,14 @@ func (cfg *Config) withDefaults() (Config, error) {
 		// More shards than segment lock stripes would map two shards onto one
 		// stripe, reintroducing the contention sharding exists to remove.
 		c.KernelShards = gmem.SegStripes
+	}
+	if c.Transport == TransportInproc && c.NumPE*c.KernelShards > transport.DefaultDepth/2 {
+		// On inproc a PE serves its own requests, so it is the one that puts
+		// the replies into its reply mailbox — all of a range transfer's
+		// (one per home and shard) before it takes the first. A mailbox that
+		// filled up would block the only goroutine that could empty it.
+		return c, fmt.Errorf("core: NumPE %d x KernelShards %d requests in flight would overrun a PE's reply mailbox (depth %d)",
+			c.NumPE, c.KernelShards, transport.DefaultDepth)
 	}
 	if c.LatentPEs < 0 || c.LatentPEs >= c.NumPE {
 		return c, errors.New("core: LatentPEs must leave at least one active PE")
@@ -397,17 +404,10 @@ func windowsEnabled(c *Config) bool {
 
 // ringsEnabled decides whether the one-sided write fast path is on for this
 // (fully defaulted) config. Rings ride on the read window's co-location
-// bargain (they submit into the home's address space) and need a drainer:
-// shard workers on real transports, inline submit-point draining under
-// simulation.
+// bargain (they submit into the home's address space); the producers drain
+// them, so nothing else is required.
 func ringsEnabled(c *Config) bool {
-	if !windowsEnabled(c) || c.WriteRings < 0 {
-		return false
-	}
-	if c.Transport != TransportSim && c.KernelShards <= 1 {
-		return false // no shard workers: nothing would ever drain a ring
-	}
-	return true
+	return windowsEnabled(c) && c.WriteRings >= 0
 }
 
 // wireWindows gives every kernel a direct read-only view of every segment,
@@ -705,10 +705,12 @@ func collectStats(res *Result, kernels []*Kernel, pes []*PE) {
 		s.Add(&pes[i].extra)
 		s.Add(&kernels[i].extra)
 		for _, sh := range kernels[i].shards {
+			sh.lock()
 			s.Add(&sh.extra)
 			if sh.spans != nil {
 				res.Spans = append(res.Spans, sh.spans.Snapshot()...)
 			}
+			sh.unlock()
 		}
 		res.PerPE = append(res.PerPE, s)
 		res.Total.Add(&s)

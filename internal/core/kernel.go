@@ -37,9 +37,10 @@ import (
 // in the node's Svc context and fields every message addressed to this
 // kernel, while the application programs against the PE façade in the App
 // context. The home-side global-memory service is sharded by address range
-// (see kernelShard); everything else — synchronisation, process management,
-// user messages, checkpoint marks, peer-down handling — stays on the serial
-// serve loop.
+// into monitors (see kernelShard) that any context may enter — on inproc the
+// requesting PE's own goroutine does, past the serve loop; everything else —
+// synchronisation, process management, user messages, checkpoint marks,
+// peer-down handling — stays on the serial serve loop.
 type Kernel struct {
 	id    int
 	n     int
@@ -69,7 +70,8 @@ type Kernel struct {
 	// hitting an escrowed block re-offers the block to its destination
 	// (fire-and-forget install) before NACKing, so a migration whose
 	// initiator died mid-flight heals through normal request traffic.
-	// Guarded by escrowMu: written by the serial loop, read by shard workers.
+	// Guarded by escrowMu: written by the serial loop, read by GM handlers on
+	// whichever context holds a shard lock.
 	escrowMu sync.Mutex
 	escrow   map[uint64]escrowEntry
 
@@ -82,7 +84,7 @@ type Kernel struct {
 
 	// ns holds this kernel's namespace bindings (dsesched per-job GM
 	// isolation): requester PE → bound region. The serial loop installs
-	// bindings (OpNsBind); shard workers and the co-located PE's one-sided
+	// bindings (OpNsBind); GM handlers and the co-located PE's one-sided
 	// paths look them up lock-free on every GM access.
 	ns *gmem.NSRegistry
 
@@ -115,16 +117,15 @@ type Kernel struct {
 	// closing the race with a concurrent sweep.
 	deadFlags []atomic.Bool
 
-	// Sharded home-side global-memory service: nshards independent shards,
-	// each owning a disjoint set of homed blocks (gmem.Space.ShardOf). With
-	// workers set (real transports, nshards > 1) each shard runs its own
-	// goroutine fed through its queue; otherwise the serve goroutine calls
-	// into the routed shard inline, which keeps the simulated transport's
-	// cooperative single-context model (and its determinism) intact.
-	nshards int
-	workers bool
-	shards  []*kernelShard
-	shardWG sync.WaitGroup
+	// Sharded home-side global-memory service: nshards independent monitors,
+	// each owning a disjoint set of homed blocks (gmem.Space.ShardOf).
+	// simulated is cfg.Transport == TransportSim: the engine runs one
+	// cooperative context at a time, so shard locks are not taken and
+	// requesters do not split vectored requests per shard (which keeps the
+	// virtual-time message schedule that of the unsharded kernel).
+	nshards   int
+	simulated bool
+	shards    []*kernelShard
 	// invCtr issues invalidation-round ids, kernel-global so rounds are
 	// unique across shards and an OpInvAck can never alias a round of
 	// another shard.
@@ -141,11 +142,6 @@ type Kernel struct {
 	// (rebound, like windows, on every recovery restart).
 	ringPeers []*Kernel
 
-	// dispatched is serve-goroutine scratch: set by dispatchGM when the
-	// message was handed to a shard worker, which then owns service-time
-	// accounting and message recycling.
-	dispatched bool
-
 	// dedup holds the per-requester exactly-once window for the mutating
 	// process-management ops the serial loop services (OpProcRegister,
 	// OpProcExit); global-memory mutations dedup inside their shard. Serve
@@ -160,8 +156,8 @@ type Kernel struct {
 	extra trace.PEStats
 
 	// spans records one service span per handled message (nil unless
-	// Config.Tracing). Serve goroutine only; shard workers record into their
-	// own rings.
+	// Config.Tracing). Serve goroutine only; requests served on the sender
+	// record into their shard's ring.
 	spans *trace.SpanRing
 }
 
@@ -221,7 +217,8 @@ type dedupRing struct {
 }
 
 // dedupTable is an exactly-once window keyed by requester. The kernel's
-// serial loop and every shard own one each; a table is single-goroutine.
+// serial loop and every shard own one each; a table has no lock of its own
+// (the serve goroutine's is private, a shard's is guarded by the shard lock).
 type dedupTable struct {
 	rings map[int32]*dedupRing
 }
@@ -332,10 +329,7 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 	if k.nshards < 1 {
 		k.nshards = 1
 	}
-	// Shard workers need a Svc port that is safe for concurrent Send; the
-	// simulated transport's ports are bound to one cooperative process, so
-	// sharding dispatches inline there (still per-shard state, no threads).
-	k.workers = k.nshards > 1 && cfg.Transport != TransportSim
+	k.simulated = cfg.Transport == TransportSim
 	k.shards = make([]*kernelShard, k.nshards)
 	for i := range k.shards {
 		k.shards[i] = newKernelShard(k, i, ringsEnabled(cfg))
@@ -381,8 +375,16 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 	if sn, ok := node.(transport.SinkNode); ok {
 		// Real transports hand app-bound messages over on the context that
 		// received them, past the serve loop; simnet has no sink and routes
-		// the same messages through handle.
-		sn.SetSink(k.deliverApp)
+		// the same messages through handle. On inproc that context is the
+		// sending application itself, in this address space and about to do
+		// nothing but wait for the reply, so it also serves its own GM
+		// requests. tcpnet's delivering context is a per-peer reader that
+		// must get back to its socket: there the serve loop keeps serving.
+		sink := transport.Sink(k.deliverApp)
+		if cfg.Transport == TransportInproc {
+			sink = func(m *wire.Message) bool { return k.deliverApp(m) || k.serveOnSender(m) }
+		}
+		sn.SetSink(sink)
 	}
 	return k
 }
@@ -454,10 +456,10 @@ func (k *Kernel) dropPending(seq uint64) {
 // OpPeerDown reply for every request outstanding against it, so blocked
 // requesters wake immediately instead of waiting out the timeout.
 //
-// It deliberately does NOT fence the GM shards: a shard worker's own reply
-// Send can be what reports the peer down, and a fence would then wait on a
-// worker that is waiting on this callback. No fence is needed — shard state
-// is keyed by requester/seq and a dead requester's entries are inert.
+// It deliberately does NOT fence the GM shards: a handler's own reply Send
+// can be what reports the peer down, made under the shard lock a fence would
+// wait for. No fence is needed — shard state is keyed by requester/seq and a
+// dead requester's entries are inert.
 func (k *Kernel) peerDown(peer int) {
 	k.mu.Lock()
 	if k.deadPeers[peer] {
@@ -566,25 +568,10 @@ func (k *Kernel) releaseUserQueues() {
 // it receives every message addressed to this kernel and dispatches it,
 // until the node shuts down. Around every dispatch it observes the per-op
 // service time (receive timestamp → handling done) and, when tracing is
-// enabled, records a service span; messages handed to a shard worker are
-// accounted by the worker instead. Shard workers live exactly as long as
-// the loop: started on entry, drained and joined on exit.
+// enabled, records a service span. GM requests served on the sender
+// (serveOnSender) never come through here and are accounted in their shard.
 func (k *Kernel) serve() {
-	if k.workers {
-		for _, sh := range k.shards {
-			k.shardWG.Add(1)
-			go sh.run()
-		}
-	}
-	defer func() {
-		if k.workers {
-			for _, sh := range k.shards {
-				close(sh.q)
-			}
-			k.shardWG.Wait()
-		}
-		k.releaseUserQueues()
-	}()
+	defer k.releaseUserQueues()
 	for {
 		m, ok := k.node.Recv()
 		if !ok {
@@ -594,12 +581,6 @@ func (k *Kernel) serve() {
 		// moves to another context (a mailbox) the moment handle returns.
 		op, src, seq, rcv := m.Op, m.Src, m.Seq, m.RecvAt
 		consumed := k.handle(m)
-		if k.dispatched {
-			// A shard worker owns this message now, including its
-			// service-time accounting and recycling.
-			k.dispatched = false
-			continue
-		}
 		end := k.svc.Now()
 		if int(op) < wire.NumOps {
 			k.extra.ServiceByOp[op].Observe(end - rcv)
@@ -641,9 +622,11 @@ func isReply(op wire.Op) bool {
 // the tree from the serve loop), a reply whose request is no longer pending
 // — is declined and left to handle.
 //
-// It has two callers. Real transports call it as the node's sink, on the
-// context that received m (any goroutine, concurrently), so the blocked
-// application is woken without a visit to this kernel's serve loop; handle
+// It has two callers. Real transports call it as (the first half of) the
+// node's sink, on the context that received m (any goroutine, concurrently),
+// so the blocked application is woken without a visit to this kernel's serve
+// loop — possibly while that context holds a shard lock of the replying
+// kernel, which is why nothing here may take one; handle
 // calls it first for every message Recv returns, which is how simnet and
 // messages that arrived before the sink was installed are routed. It
 // therefore touches only state safe from any goroutine: the pending table
@@ -671,8 +654,7 @@ func (k *Kernel) deliverApp(m *wire.Message) bool {
 
 // handle dispatches one incoming message. It reports whether the message
 // was consumed here (true → serve recycles it); false means ownership moved
-// to another context: a reply mailbox, the sync mailbox, a user queue or a
-// shard worker.
+// to another context: a reply mailbox, the sync mailbox or a user queue.
 func (k *Kernel) handle(m *wire.Message) bool {
 	if k.deliverApp(m) {
 		return false
@@ -684,12 +666,13 @@ func (k *Kernel) handle(m *wire.Message) bool {
 	case wire.OpBarrierRelease:
 		k.releaseDown(m.Tag)
 
-	// Global memory service (this kernel is the home): route to the shard
-	// owning the address range. GM mutations dedup inside the shard.
+	// Global memory service (this kernel is the home): serve under the lock
+	// of the shard owning the address range. GM mutations dedup inside the
+	// shard.
 	case wire.OpRead, wire.OpReadV, wire.OpWrite, wire.OpWriteV,
 		wire.OpFetchAdd, wire.OpCAS, wire.OpInvalidate, wire.OpInvAck,
 		wire.OpFlushV, wire.OpReadLease:
-		return k.dispatchGM(m)
+		k.dispatchGM(m)
 
 	// Synchronisation service.
 	case wire.OpBarrierArrive:
@@ -752,8 +735,9 @@ func (k *Kernel) handle(m *wire.Message) bool {
 	// plus the coherence directory. The requesting PE is this kernel's own
 	// application context, quiesced at a barrier, so the slice is a
 	// consistent cut — no request of this PE is in flight while we
-	// serialise. The shard fence extends that cut across shard workers:
-	// requests already queued to a shard are drained before the export.
+	// serialise. The shard fence extends that cut across the shards: a
+	// service another context still has in flight completes before the
+	// export.
 	case wire.OpCkptMark:
 		k.fenceShards()
 		resp := wire.GetMessage()

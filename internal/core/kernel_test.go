@@ -14,8 +14,8 @@ import (
 // outgoing messages on the peers' receive queues.
 func testKernels(t *testing.T, n int, mutate func(cfg *Config)) (*inproc.Net, []*Kernel) {
 	t.Helper()
-	// One shard, inline: these tests drive handle() directly with no serve
-	// loop, so shard worker queues would never drain.
+	// One shard: these tests drive handle() directly and pin which shard's
+	// state a request lands in.
 	cfg := Config{NumPE: n, Transport: TransportInproc, KernelShards: 1}
 	if mutate != nil {
 		mutate(&cfg)

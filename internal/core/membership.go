@@ -64,8 +64,8 @@ func (k *Kernel) escrowPut(b gmem.BlockSnapshot, dst int) {
 	k.escrowMu.Unlock()
 }
 
-// escrowLookup returns the escrow entry for block b, if any. Safe from shard
-// workers.
+// escrowLookup returns the escrow entry for block b, if any. Safe from any
+// context (GM handlers call it under their shard lock).
 func (k *Kernel) escrowLookup(b uint64) (escrowEntry, bool) {
 	k.escrowMu.Lock()
 	e, ok := k.escrow[b]
@@ -137,13 +137,18 @@ func (k *Kernel) dropCorrupt(m *wire.Message) {
 	k.dedup.forget(m.Src, m.Seq)
 }
 
-// handleMigrateStart is the old-home half of a handoff. The order is the
+// handleMigrateStart is the old-home half of a handoff. It runs inside every
+// shard's monitor, so no GM handler is between its ownership check and its
+// segment access while ownership changes, and the order within is the
 // protocol's safety core: (1) the directory flips first, so ownership checks
-// start NACKing fresh requests toward the new home; (2) the shard fence
-// completes everything already accepted (ring drains filter what the flip
-// disowned); (3) only then are the blocks extracted. A write can therefore
-// never land in a block after its snapshot was taken.
+// NACK every later request toward the new home; (2) the rings are drained
+// (the drain filters what the flip disowned; a producer that published since
+// finds the generation moved and confirms through the message path); (3) only
+// then are the blocks extracted. A write can therefore never land in a block
+// after its snapshot was taken.
 func (k *Kernel) handleMigrateStart(m *wire.Message) {
+	k.lockShards()
+	defer k.unlockShards()
 	var flips func(b uint64) bool
 	switch m.Arg1 {
 	case migModeBlock:
@@ -197,7 +202,9 @@ func (k *Kernel) handleMigrateStart(m *wire.Message) {
 		return
 	}
 	k.migGen.Add(1)
-	k.fenceShards()
+	for _, sh := range k.shards {
+		sh.drainRing()
+	}
 	blocks := k.seg.Extract(flips)
 	for _, b := range blocks {
 		k.escrowPut(b, k.dir.HomeOfBlock(b.Index))

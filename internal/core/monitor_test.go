@@ -1,0 +1,387 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/sim"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// runWithin is Run with a watchdog: the monitor tests exist to catch
+// deadlocks, and a hung run should fail its own test, not the package's
+// timeout.
+func runWithin(t *testing.T, d time.Duration, cfg Config, prog Program) *Result {
+	t.Helper()
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := Run(cfg, prog)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatalf("Run: %v", o.err)
+		}
+		if err := o.res.FirstErr(); err != nil {
+			t.Fatal(err)
+		}
+		return o.res
+	case <-time.After(d):
+		t.Fatalf("run still going after %v: deadlock", d)
+		return nil
+	}
+}
+
+// homedAt returns the base addresses of the first n blocks of a fresh
+// allocation that kernel home homes. Consecutive blocks of one home fall into
+// consecutive shards.
+func homedAt(pe *PE, home, n int) []uint64 {
+	bw := uint64(pe.Space().BlockWords)
+	base := pe.AllocBlocks(n * pe.N() * int(bw))
+	var out []uint64
+	for a := base; len(out) < n; a += bw {
+		if pe.Space().HomeOf(a) == home {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// TestServeOnSender pins who serves a GM request. On inproc the requesting PE
+// does, on its own goroutine under the owning shard's lock: the home's serve
+// loop services none of the N requests and the shards account all of them. On
+// tcpnet and simnet the serve loop services every one. Either way each
+// operation is still two counted wire messages, logged once each.
+func TestServeOnSender(t *testing.T) {
+	const n = 60
+	ops := []struct{ req, resp wire.Op }{
+		{wire.OpRead, wire.OpReadResp},
+		{wire.OpWrite, wire.OpWriteAck},
+		{wire.OpFetchAdd, wire.OpFetchAddResp},
+	}
+	for _, tr := range []TransportKind{TransportInproc, TransportTCP, TransportSim} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards%d", tr, shards), func(t *testing.T) {
+				var log bytes.Buffer
+				cfg := simCfg(2)
+				cfg.Transport = tr
+				cfg.KernelShards, cfg.DirectReads, cfg.WriteRings = shards, -1, -1
+				cfg.MessageLog = &log
+				var onLoop, onShards [wire.NumOps]uint64
+				busyShards := 0
+				cfg.testInspect = func(ks []*Kernel, _ []*PE) {
+					home := ks[1]
+					for op := range onLoop {
+						onLoop[op] = home.extra.ServiceByOp[op].Count
+					}
+					for _, sh := range home.shards {
+						if sh.extra.ShardedMsgs > 0 {
+							busyShards++
+						}
+						for op := range onShards {
+							onShards[op] += sh.extra.ServiceByOp[op].Count
+						}
+					}
+				}
+				res := runWithin(t, time.Minute, cfg, func(pe *PE) error {
+					words := homedAt(pe, 1, 2) // one word in each of two shards
+					pe.Barrier()
+					if pe.ID() == 0 {
+						for i := 0; i < n; i++ {
+							a := words[i%2]
+							pe.GMWrite(a, int64(i))
+							if v := pe.GMRead(a); v != int64(i) {
+								return fmt.Errorf("read %d after writing %d", v, i)
+							}
+							pe.FetchAdd(a, 1)
+						}
+					}
+					pe.Barrier()
+					return nil
+				})
+				inline := tr == TransportInproc
+				for _, op := range ops {
+					wantLoop, wantShards := uint64(n), uint64(0)
+					if inline {
+						wantLoop, wantShards = 0, n
+					}
+					if onLoop[op.req] != wantLoop || onShards[op.req] != wantShards {
+						t.Errorf("%v: serve loop serviced %d, shards %d; want %d and %d",
+							op.req, onLoop[op.req], onShards[op.req], wantLoop, wantShards)
+					}
+					for _, o := range []wire.Op{op.req, op.resp} {
+						if got := res.Total.ByOp[o].Msgs; got != n {
+							t.Errorf("%v: %d messages sent, want %d", o, got, n)
+						}
+						src, dst := 0, 1
+						if o == op.resp {
+							src, dst = 1, 0
+						}
+						line := fmt.Sprintf("k=%d %v %d->%d ", dst, o, src, dst)
+						if got := strings.Count(log.String(), line); got != n {
+							t.Errorf("message log holds %d lines %q, want %d", got, line, n)
+						}
+					}
+				}
+				wantSharded, wantBusy := uint64(0), 0
+				if inline {
+					wantSharded, wantBusy = uint64(len(ops)*n), shards
+				}
+				if res.Total.ShardedMsgs != wantSharded || busyShards != wantBusy {
+					t.Errorf("ShardedMsgs = %d over %d shards, want %d over %d",
+						res.Total.ShardedMsgs, busyShards, wantSharded, wantBusy)
+				}
+				tot := &res.Total
+				if tot.DupRequests != 0 || tot.Retries != 0 || tot.StrayDrops != 0 || tot.StaleReplies != 0 {
+					t.Errorf("DupRequests=%d Retries=%d StrayDrops=%d StaleReplies=%d, want 0",
+						tot.DupRequests, tot.Retries, tot.StrayDrops, tot.StaleReplies)
+				}
+			})
+		}
+	}
+}
+
+// TestMonitorSimTakesNoLock pins the rule the simulated transport needs: the
+// engine serialises its processes, and a handler's reply Send yields the
+// engine's token, so a real mutex held across it would block the next process
+// while that one holds the token. Under simulation lock must leave the mutex
+// alone; on a real transport it must take it.
+func TestMonitorSimTakesNoLock(t *testing.T) {
+	held := func(k *Kernel) bool {
+		sh := k.shards[0]
+		sh.lock()
+		defer sh.unlock()
+		if sh.mu.TryLock() {
+			sh.mu.Unlock()
+			return false
+		}
+		return true
+	}
+	_, ks := testKernels(t, 2, nil)
+	if !held(ks[0]) {
+		t.Error("inproc: shard lock not taken")
+	}
+	cfg := simCfg(2)
+	cfg.KernelShards = 2
+	cfg.testInspect = func(ks []*Kernel, _ []*PE) {
+		if held(ks[0]) {
+			t.Error("simnet: shard mutex held — a handler's Send would hang the engine")
+		}
+	}
+	runWithin(t, time.Minute, cfg, func(pe *PE) error {
+		a := remoteWord(pe)
+		pe.GMWrite(a, 1)
+		pe.Barrier()
+		return nil
+	})
+}
+
+// TestMonitorDeclinesKernelTraffic pins the no-nested-locks rule at the sink:
+// GM traffic a handler sends while holding its shard lock (an invalidation,
+// its ack, an escrow re-offer) is never served on the sending context — the
+// ack would re-enter the lock its sender holds — but queued for the
+// destination's serve loop, as is a request whose shard hint is forged. An
+// application's request is served on the spot.
+func TestMonitorDeclinesKernelTraffic(t *testing.T) {
+	net, ks := testKernels(t, 2, func(cfg *Config) { cfg.KernelShards = 2 })
+	send := func(m *wire.Message) {
+		m.Src, m.Dst = 0, 1
+		ks[0].svc.Send(1, m)
+	}
+	forged := &wire.Message{Op: wire.OpWriteV, Seq: 1, Shard: 200}
+	forged.AppendWriteRun(uint64(ks[1].space.BlockWords), []int64{7})
+	for _, m := range []*wire.Message{
+		{Op: wire.OpInvalidate, Seq: 7},
+		{Op: wire.OpInvAck, Seq: 7},
+		{Op: wire.OpMigrateInstall, Seq: 8, Arg1: migModeBlock},
+		forged,
+	} {
+		send(m)
+		if got := recvFrom(t, net, 1); got.Op != m.Op {
+			t.Fatalf("queued %v, want the declined %v", got.Op, m.Op)
+		}
+	}
+	for _, sh := range ks[1].shards {
+		if sh.extra.ShardedMsgs != 0 {
+			t.Fatalf("shard %d served %d kernel-originated messages inline", sh.idx, sh.extra.ShardedMsgs)
+		}
+	}
+	pe := newPE(ks[0])
+	addr := remoteAddr(t, pe, 1)
+	ks[1].seg.Write(addr, []int64{77})
+	if v, err := pe.GMReadErr(addr); err != nil || v != 77 {
+		t.Fatalf("inline read = %d, %v", v, err)
+	}
+	if got := ks[1].shards[0].extra.ShardedMsgs + ks[1].shards[1].extra.ShardedMsgs; got != 1 {
+		t.Fatalf("ShardedMsgs = %d after one application read, want 1", got)
+	}
+}
+
+// TestMonitorInvalidateUnderLock runs write-invalidate coherence with every
+// PE holding cached copies of blocks homed at PE 0 and all three writing into
+// them at once: PEs 1 and 2 serve their writes themselves under PE 0's shard
+// lock and send OpInvalidate from inside the handler, PE 0's own writes come
+// through its serve loop under the same lock, and the acks must find their
+// round without any of it deadlocking.
+func TestMonitorInvalidateUnderLock(t *testing.T) {
+	const rounds = 150
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			res := runWithin(t, 2*time.Minute, Config{
+				NumPE: 3, Transport: TransportInproc, Caching: true, KernelShards: shards,
+			}, func(pe *PE) error {
+				blocks := homedAt(pe, 0, 2)
+				slot := func(b, who int) uint64 { return blocks[b] + uint64(who) }
+				pe.Barrier()
+				for r := 1; r <= rounds; r++ {
+					for b := range blocks { // cache every block here
+						for who := 0; who < pe.N(); who++ {
+							if v := pe.GMRead(slot(b, who)); v != int64(r-1) {
+								return fmt.Errorf("PE %d round %d: slot (%d,%d) = %d", pe.ID(), r, b, who, v)
+							}
+						}
+					}
+					pe.Barrier()
+					for b := range blocks {
+						pe.GMWrite(slot(b, pe.ID()), int64(r))
+					}
+					pe.Barrier()
+				}
+				return nil
+			})
+			if res.Total.ByOp[wire.OpInvAck].Msgs == 0 {
+				t.Fatal("no invalidation round ran")
+			}
+			if res.Total.ShardedMsgs == 0 {
+				t.Fatal("no request was served on its sender")
+			}
+		})
+	}
+}
+
+// TestMonitorContendedShard has seven requesters fetch-add one word, each
+// serving its own requests under the one shard lock they all contend for:
+// every addition must be applied exactly once, whatever the scheduler does.
+func TestMonitorContendedShard(t *testing.T) {
+	const requesters, each = 7, 300
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var mu sync.Mutex
+			var olds []int64
+			res := runWithin(t, 2*time.Minute, Config{
+				NumPE: requesters + 1, Transport: TransportInproc,
+				KernelShards: 1, DirectReads: -1, WriteRings: -1,
+			}, func(pe *PE) error {
+				ctr := homedAt(pe, 0, 1)[0]
+				pe.Barrier()
+				if pe.ID() != 0 {
+					mine := make([]int64, each)
+					for i := range mine {
+						mine[i] = pe.FetchAdd(ctr, 1)
+					}
+					mu.Lock()
+					olds = append(olds, mine...)
+					mu.Unlock()
+				}
+				pe.Barrier()
+				if v := pe.GMRead(ctr); v != requesters*each {
+					return fmt.Errorf("PE %d: counter = %d, want %d", pe.ID(), v, requesters*each)
+				}
+				pe.Barrier()
+				return nil
+			})
+			sort.Slice(olds, func(i, j int) bool { return olds[i] < olds[j] })
+			for i, v := range olds {
+				if v != int64(i) {
+					t.Fatalf("old values are not 0..%d: position %d holds %d (lost or double-applied)", len(olds)-1, i, v)
+				}
+			}
+			if got := res.Total.ServiceByOp[wire.OpFetchAdd].Count; got != requesters*each {
+				t.Fatalf("%d fetch-adds serviced, want %d", got, requesters*each)
+			}
+			if res.Total.DupRequests != 0 {
+				t.Fatalf("DupRequests = %d", res.Total.DupRequests)
+			}
+		})
+	}
+}
+
+// TestMonitorMigrationUnderInlineService moves a block back and forth between
+// two homes while two other PEs serve fetch-adds on it themselves. The old
+// home flips its directory, fences its shards and extracts; a request
+// entering the monitor after the fence must see the flipped directory and
+// bounce, one that entered before must finish first — so the count stays
+// exact. One shard: before shards were monitors nothing ran beside the serve
+// loop there. (The PEs of the two homes stay out of it: a PE's access to a
+// block its own kernel homes goes straight to the segment and does not pass
+// through the monitor at all.)
+func TestMonitorMigrationUnderInlineService(t *testing.T) {
+	const each, hops = 400, 12
+	res := runWithin(t, 2*time.Minute, Config{
+		NumPE: 4, Transport: TransportInproc,
+		KernelShards: 1, DirectReads: -1, WriteRings: -1,
+		// A bounce between the old home and the not-yet-installed new one is
+		// two inline services, far quicker than the handoff it waits for: give
+		// the chase a real pause (inproc compresses it to 100us) or it burns
+		// its bounce budget before the install lands.
+		RetryBackoff: 100 * sim.Millisecond,
+	}, func(pe *PE) error {
+		ctr := homedAt(pe, 0, 1)[0]
+		pe.Barrier()
+		// A failing PE still meets the others at the barrier, or they would
+		// wait for it forever.
+		var err error
+		switch pe.ID() {
+		case 0:
+			for h := 0; h < hops && err == nil; h++ {
+				err = pe.MigrateRange(ctr, 1, (h+1)%2)
+			}
+		case 2, 3:
+			for i := 0; i < each && err == nil; i++ {
+				_, err = pe.FetchAddErr(ctr, 1)
+			}
+		}
+		pe.Barrier()
+		if err != nil {
+			return err
+		}
+		if v := pe.GMRead(ctr); v != 2*each {
+			return fmt.Errorf("PE %d: counter = %d after %d migrations, want %d", pe.ID(), v, hops, 2*each)
+		}
+		pe.Barrier()
+		return nil
+	})
+	if res.Total.Migrations < hops {
+		t.Fatalf("Migrations = %d, want >= %d", res.Total.Migrations, hops)
+	}
+	if res.Total.MigrateNacks == 0 {
+		t.Log("no request bounced off a migrating home in this run")
+	}
+}
+
+// TestMonitorReplyMailboxDepth: on inproc a PE puts its own replies into its
+// reply mailbox before it takes any, so a cluster whose range transfer could
+// have more requests in flight than the mailbox holds is refused up front.
+func TestMonitorReplyMailboxDepth(t *testing.T) {
+	huge := Config{NumPE: transport.DefaultDepth / 16, Transport: TransportInproc, KernelShards: 64}
+	if _, err := huge.withDefaults(); err == nil || !strings.Contains(err.Error(), "reply mailbox") {
+		t.Fatalf("NumPE %d x 64 shards accepted: %v", huge.NumPE, err)
+	}
+	huge.Transport = TransportTCP // the serve loop puts, the PE takes: no bound needed
+	if _, err := huge.withDefaults(); err != nil {
+		t.Fatalf("tcp: %v", err)
+	}
+}

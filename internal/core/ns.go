@@ -14,7 +14,7 @@ import (
 // handleNsBind installs (Arg2 != 0) or removes (Arg2 == 0) the namespace
 // binding of requester PE Arg1: the word region [Addr, Arg2). Idempotent —
 // a rebind overwrites — so no dedup window is needed. Serial loop only; no
-// shard fence is required because shard workers read the registry through
+// shard fence is required because GM handlers read the registry through
 // an atomic snapshot, and the scheduler binds before the job's first GM
 // access and unbinds after its last.
 func (k *Kernel) handleNsBind(m *wire.Message) {

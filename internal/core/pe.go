@@ -39,7 +39,10 @@ type PE struct {
 
 	// replyMb is the persistent reply mailbox: every response to this PE's
 	// requests lands here (the PE is single-threaded, so scalar requests
-	// never overlap; pipelined block transfers match replies by Seq).
+	// never overlap; pipelined block transfers match replies by Seq). On
+	// inproc the PE itself puts the replies in (Kernel.serveOnSender), so the
+	// default depth must exceed what it can have in flight: withDefaults
+	// rejects a cluster where NumPE x KernelShards could come close.
 	replyMb transport.Mailbox
 
 	// Consistency-tier state (DESIGN.md §14). modes maps allocations to

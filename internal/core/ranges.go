@@ -19,11 +19,11 @@ type vrun struct {
 	off   int // word offset within the operation's buffer
 }
 
-// homeReq is one coalesced per-home request of a range operation. When the
-// home kernels run shard workers, requests coalesce per (home, shard)
-// instead of per home, so a gather spanning k shards becomes k sub-requests
-// serviced in parallel; shard is stamped into the request header for the
-// home's dispatcher.
+// homeReq is one coalesced per-home request of a range operation. On the
+// real transports requests coalesce per (home, shard) instead of per home, so
+// a gather spanning k shards becomes k sub-requests, each served under one
+// shard lock; shard is stamped into the request header for the home's
+// dispatcher.
 type homeReq struct {
 	seq    uint64
 	shard  int
@@ -212,18 +212,18 @@ func (pe *PE) addRun(kind check.Kind, buf []int64, start uint64, count, off int)
 	}
 }
 
-// groupRunsByHome regroups pe.vruns into pe.hruns ordered by home (and, when
-// the home kernels run shard workers, by shard within each home, so each
-// sub-request lands wholly in one shard and the shards service them in
-// parallel), with one pe.reqs entry per group. Runs keep their relative
-// (ascending-address) order within each group. Without workers a single
-// per-home request is still stamped with its first run's shard — the
-// handlers don't care, every table the request touches is inline-owned.
+// groupRunsByHome regroups pe.vruns into pe.hruns ordered by home (and, on
+// the real transports, by shard within each home, so each sub-request lands
+// wholly in one shard and touches only state its lock guards), with one
+// pe.reqs entry per group. Runs keep their relative (ascending-address) order
+// within each group. Under simulation a single per-home request is still
+// stamped with its first run's shard — the handlers don't care, the engine
+// serialises every table the request touches.
 func (pe *PE) groupRunsByHome() {
 	pe.hruns = pe.hruns[:0]
 	pe.reqs = pe.reqs[:0]
 	nsh := 1
-	if pe.k.workers {
+	if !pe.k.simulated {
 		nsh = pe.k.nshards
 	}
 	for home := 0; home < pe.k.n; home++ {

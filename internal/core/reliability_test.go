@@ -1,10 +1,14 @@
 package core
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/transport"
+	"repro/internal/transport/inproc"
 	"repro/internal/wire"
 )
 
@@ -50,33 +54,119 @@ func TestStaleReplyDiscarded(t *testing.T) {
 	_ = net
 }
 
+// holdNode is an inproc node whose Svc port holds back what its kernel sends
+// until released: the way to delay a reply on a transport where the request
+// is served the moment it is sent, whether or not the home's serve loop runs.
+type holdNode struct {
+	transport.SinkNode
+	mu       sync.Mutex
+	released bool
+	held     []*wire.Message
+}
+
+type holdPort struct {
+	transport.Port
+	nd *holdNode
+}
+
+func (nd *holdNode) Svc() transport.Port { return holdPort{nd.SinkNode.Svc(), nd} }
+
+func (p holdPort) Send(dst int, m *wire.Message) {
+	p.nd.mu.Lock()
+	if !p.nd.released {
+		c := wire.GetMessage() // the caller recycles m as soon as Send returns
+		if err := wire.DecodeInto(c, m.Append(nil)); err != nil {
+			panic(err)
+		}
+		p.nd.held = append(p.nd.held, c)
+		p.nd.mu.Unlock()
+		return
+	}
+	p.nd.mu.Unlock()
+	p.Port.Send(dst, m)
+}
+
+// release sends everything held so far, in order, and holds nothing more.
+func (nd *holdNode) release() {
+	nd.mu.Lock()
+	held := nd.held
+	nd.held, nd.released = nil, true
+	nd.mu.Unlock()
+	for _, m := range held {
+		nd.SinkNode.Svc().Send(int(m.Dst), m)
+		wire.PutMessage(m)
+	}
+}
+
 // TestDelayedReplyDoesNotCorruptNextRequest delays a kernel's reply past the
 // request timeout: the first request fails, its late reply must be dropped,
-// and the next request must receive its own (correct) answer.
+// and the next request must receive its own (correct) answer. The delay is in
+// the transport — on inproc a kernel whose serve loop is not even running
+// still serves GM requests, on the requester's goroutine.
 func TestDelayedReplyDoesNotCorruptNextRequest(t *testing.T) {
-	_, ks := testKernels(t, 2, func(cfg *Config) {
-		cfg.RequestTimeout = 100 * sim.Millisecond
-	})
-	pe := newPE(ks[0])
+	cfg, err := (&Config{NumPE: 2, Transport: TransportInproc, KernelShards: 1,
+		RequestTimeout: 100 * sim.Millisecond}).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := inproc.New(2)
+	t.Cleanup(net.Stop)
+	slow := &holdNode{SinkNode: net.Node(1).(transport.SinkNode)}
+	k0, k1 := newKernel(0, net.Node(0), &cfg), newKernel(1, slow, &cfg)
+	pe := newPE(k0)
 	addr := remoteAddr(t, pe, 1)
-	ks[1].seg.Write(addr, []int64{77})
-	go ks[0].serve()
-	// Kernel 1 is not serving yet: the first read times out with its request
-	// parked in kernel 1's receive queue.
+	k1.seg.Write(addr, []int64{77})
+	go k0.serve()
+	// Kernel 1 serves the read — no serve loop needed — but its reply is held
+	// in its node: the read times out.
 	if _, err := pe.GMReadErr(addr); err == nil {
-		t.Fatal("read answered by a non-serving kernel")
+		t.Fatal("read answered although the reply is still held")
 	} else if _, ok := err.(*TimeoutError); !ok {
 		t.Fatalf("unexpected error type: %v", err)
 	}
-	// Kernel 1 comes up and serves the stale request; its late reply must
-	// not be mistaken for the answer to the retry below.
-	go ks[1].serve()
+	if got := k1.shards[0].extra.ServiceByOp[wire.OpRead].Count; got != 1 {
+		t.Fatalf("kernel 1 serviced %d reads with its serve loop stopped, want 1", got)
+	}
+	// The word moves on, the stale reply (carrying 77) is let go, and the next
+	// read must get its own answer, not that one.
+	k1.seg.Write(addr, []int64{78})
+	slow.release()
 	v, err := pe.GMReadErr(addr)
 	if err != nil {
 		t.Fatalf("second read: %v", err)
 	}
-	if v != 77 {
-		t.Fatalf("second read = %d, want 77", v)
+	if v != 78 {
+		t.Fatalf("second read = %d, want 78", v)
+	}
+}
+
+// TestClosedNodeRefusesInlineService is the mirror image: a node that has
+// shut down (CloseRecv) must not be served on the sender either. The request
+// is refused before any service, the peer is reported down and the operation
+// fails with the typed error instead of mutating a dead kernel's memory.
+func TestClosedNodeRefusesInlineService(t *testing.T) {
+	net, ks := testKernels(t, 2, nil)
+	pe := newPE(ks[0])
+	addr := remoteAddr(t, pe, 1)
+	ks[1].seg.Write(addr, []int64{77})
+	net.Node(1).CloseRecv()
+	err := pe.GMWriteErr(addr, 5)
+	var down *PeerDownError
+	if !errors.As(err, &down) || down.Peer != 1 {
+		t.Fatalf("write to a closed node: %v, want PeerDownError for peer 1", err)
+	}
+	if v := ks[1].seg.Read(addr, 1)[0]; v != 77 {
+		t.Fatalf("closed node's memory changed: %d, want 77", v)
+	}
+	sh := ks[1].shards[0]
+	if sh.extra.ShardedMsgs != 0 || sh.extra.ServiceByOp[wire.OpWrite].Count != 0 {
+		t.Fatalf("closed node served inline: ShardedMsgs=%d", sh.extra.ShardedMsgs)
+	}
+	if !ks[0].deadFlags[1].Load() {
+		t.Fatal("peer 1 not marked dead")
+	}
+	if _, err := pe.GMReadErr(addr); !errors.As(err, &down) {
+		t.Fatalf("read after the peer was reported down: %v", err)
 	}
 }
 

@@ -55,21 +55,26 @@ func TestRingWriteFastPath(t *testing.T) {
 	}
 }
 
-// TestRingWritesDisabledWithoutWorkers pins the drainer requirement: on a
-// real transport with one shard there is no worker loop to drain a ring, so
-// rings must stay off even when forced, and writes fall back to messages.
-func TestRingWritesDisabledWithoutWorkers(t *testing.T) {
+// TestMonitorRingWritersSingleShard has several PEs publish into the one
+// shard of one home, on a real transport with nothing but the producers
+// themselves to drain the ring: each takes the shard lock after publishing
+// and applies whatever is there. Every write must land exactly once and be
+// visible when GMWrite returns. (A single-shard kernel on a real transport
+// used to refuse rings: it had no worker loop to drain them.)
+func TestMonitorRingWritersSingleShard(t *testing.T) {
+	const writes = 500
 	res, err := Run(Config{
-		NumPE: 2, Transport: TransportInproc,
+		NumPE: 4, Transport: TransportInproc,
 		KernelShards: 1, DirectReads: 1, WriteRings: 1,
 	}, func(pe *PE) error {
-		a := pe.Alloc(64)
+		mine := homedAt(pe, 0, 1)[0] + uint64(pe.ID())
 		pe.Barrier()
-		pe.GMWrite(a+uint64(pe.ID()), int64(pe.ID()+1))
-		pe.Barrier()
-		for i := 0; i < pe.N(); i++ {
-			if v := pe.GMRead(a + uint64(i)); v != int64(i+1) {
-				return fmt.Errorf("word %d = %d", i, v)
+		if pe.ID() != 0 {
+			for i := int64(1); i <= writes; i++ {
+				pe.GMWrite(mine, i)
+				if v := pe.GMRead(mine); v != i {
+					return fmt.Errorf("PE %d: read %d right after writing %d", pe.ID(), v, i)
+				}
 			}
 		}
 		pe.Barrier()
@@ -78,8 +83,12 @@ func TestRingWritesDisabledWithoutWorkers(t *testing.T) {
 	if err != nil || res.FirstErr() != nil {
 		t.Fatal(err, res.FirstErr())
 	}
-	if res.Total.RingGM != 0 {
-		t.Errorf("RingGM = %d on a single-shard real transport, want 0", res.Total.RingGM)
+	if want := uint64(3 * writes); res.Total.RingGM != want || res.Total.RingDrained != want {
+		t.Errorf("RingGM = %d, RingDrained = %d, want both %d (every write through the ring, applied once)",
+			res.Total.RingGM, res.Total.RingDrained, want)
+	}
+	if msgs := res.Total.ByOp[wire.OpWrite].Msgs; msgs != 0 {
+		t.Errorf("OpWrite messages = %d, want 0", msgs)
 	}
 }
 

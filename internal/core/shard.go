@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/ckpt"
 	"repro/internal/gmem"
 	"repro/internal/trace"
@@ -16,40 +18,36 @@ const ringSlots = 256
 // kernelShard is one address-range shard of a kernel's home-side
 // global-memory service. The homed blocks are partitioned over shards by
 // gmem.Space.ShardOf (block-round-robin, aligned with the segment's lock
-// stripes so shards mutate disjoint stripes), and each shard privately owns
-// everything a GM request touches beyond the segment itself: the dedup
-// window for mutating GM ops, the in-flight invalidation rounds, the
-// decode/encode scratch and the service-side counters.
+// stripes so shards mutate disjoint stripes), and each shard owns everything
+// a GM request touches beyond the segment itself: the dedup window for
+// mutating GM ops, the in-flight invalidation rounds, the decode/encode
+// scratch and the service-side counters.
 //
-// Execution comes in two modes. With Kernel.workers set (real transports,
-// nshards > 1) each shard runs a worker goroutine fed through q, so
-// requests for different address ranges are serviced in parallel; otherwise
-// the serve goroutine calls handleGM inline and the shard is purely a state
-// partition. Either way a given address is always serviced by the same
-// shard, preserving per-word request ordering and exactly-once dedup.
+// A shard is a monitor, not a thread: mu guards all of that state, and
+// whoever holds it serves — the requesting PE's own goroutine on inproc
+// (Kernel.serveOnSender), the serve loop for everything that reaches it
+// through Recv, a ring producer draining what it just published. A given
+// address is always serviced under the same shard's lock, which preserves
+// per-word request ordering and exactly-once dedup. Lock order: a shard lock
+// is outermost and never nested in another shard lock; under it a handler
+// may take the segment's stripe locks, escrowMu and — through its reply Send
+// — the requester's k.mu, mailboxes and logMu, none of which ever take a
+// shard lock (DESIGN.md §11).
 type kernelShard struct {
 	k   *Kernel
 	idx int
 
-	// q feeds the worker goroutine (nil in inline mode). Items are either a
-	// message to service or a fence token to acknowledge.
-	q chan shardItem
+	// mu is the monitor lock. Use lock/unlock: it is not taken at all under
+	// simulation.
+	mu sync.Mutex
 
 	// ring is the one-sided write submission ring owned by this shard (nil
 	// when the write fast path is off). Co-located PEs publish uncached
-	// single-word writes into it; the shard drains it in batches between
-	// message dispatches (worker mode) or the submitter drains it inline at
-	// the submit point (simulated transport), so the serve loop never wakes
-	// and no message is allocated.
+	// single-word writes into it and drain it themselves under mu right
+	// after publishing, so no message is built and nobody is woken.
 	ring *gmem.SubmitRing
-	// ringBuf is the drain batch scratch; owned by whoever services this
-	// shard (worker goroutine, or the cooperative sim context draining
-	// inline — the engine serialises those).
+	// ringBuf is the drain batch scratch.
 	ringBuf []gmem.RingWrite
-	// wake nudges an idle worker after a ring publish (worker mode only).
-	// Buffered size 1; producers send non-blocking, so a pending token
-	// coalesces any number of publishes.
-	wake chan struct{}
 
 	// dedup is the exactly-once window for mutating GM requests routed to
 	// this shard. A retry routes identically (same address → same shard; the
@@ -69,21 +67,12 @@ type kernelShard struct {
 	// per shard because a span ring is single-writer.
 	spans *trace.SpanRing
 
-	// Handler scratch, reused across requests. Only this shard's servicing
-	// goroutine touches it.
+	// Handler scratch, reused across requests.
 	wscratch []int64   // payload words
 	vscratch []int64   // per-run words of a vectored write
 	raddrs   []uint64  // decoded vectored-read range starts
 	rcounts  []int     // decoded vectored-read range lengths
 	invSends []invSend // pending invalidations of a vectored write
-}
-
-// shardItem is one unit of work on a shard queue: a message, or a fence
-// (m == nil) the worker acknowledges once everything queued before it has
-// been serviced.
-type shardItem struct {
-	m     *wire.Message
-	fence chan<- struct{}
 }
 
 func newKernelShard(k *Kernel, idx int, rings bool) *kernelShard {
@@ -94,15 +83,27 @@ func newKernelShard(k *Kernel, idx int, rings bool) *kernelShard {
 		inv:   make(map[uint64]*invRound),
 		spans: k.cfg.Tracing.NewRing(),
 	}
-	if k.workers {
-		sh.q = make(chan shardItem, 1024)
-		sh.wake = make(chan struct{}, 1)
-	}
 	if rings {
 		sh.ring = gmem.NewSubmitRing(ringSlots)
 		sh.ringBuf = make([]gmem.RingWrite, ringSlots)
 	}
 	return sh
+}
+
+// lock enters the shard's monitor. Under simulation it does nothing: the
+// engine already runs one cooperative process at a time, and a handler's
+// reply Send yields the engine's token, so a second process reaching for a
+// real mutex would block while holding the token and hang the run.
+func (sh *kernelShard) lock() {
+	if !sh.k.simulated {
+		sh.mu.Lock()
+	}
+}
+
+func (sh *kernelShard) unlock() {
+	if !sh.k.simulated {
+		sh.mu.Unlock()
+	}
 }
 
 // shardFor routes message m to a shard index. Scalar ops hash their address;
@@ -127,52 +128,110 @@ func (k *Kernel) shardFor(m *wire.Message) int {
 	return k.space.ShardOf(m.Addr, k.nshards)
 }
 
-// dispatchGM hands one GM request to its shard. It reports whether the
-// message was consumed (inline mode: serviced right here); in worker mode it
-// sets k.dispatched so serve leaves accounting and recycling to the worker.
-// A message whose shard hint does not survive validation is dropped as
-// corrupt — the requester's timeout/retry machinery owns recovery, and a
-// well-formed retry carries a valid hint.
-func (k *Kernel) dispatchGM(m *wire.Message) bool {
+// dispatchGM services one GM request the serve loop received, under the lock
+// of the shard it routes to. A message whose shard hint does not survive
+// validation is dropped as corrupt — the requester's timeout/retry machinery
+// owns recovery, and a well-formed retry carries a valid hint.
+func (k *Kernel) dispatchGM(m *wire.Message) {
 	s := k.shardFor(m)
 	if s < 0 {
 		k.extra.CorruptDrops++
-		return true
-	}
-	sh := k.shards[s]
-	if sh.q == nil {
-		sh.handleGM(m)
-		return true
-	}
-	sh.q <- shardItem{m: m}
-	k.dispatched = true
-	return false
-}
-
-// fenceShards blocks until every shard worker has serviced everything
-// enqueued before the fence — the cross-shard collective the checkpoint
-// marker uses so seg.Export sees no request in flight on any shard. Fencing
-// also drains every shard's submission ring, so a one-sided write published
-// before the checkpoint barrier is in the exported state (worker mode: the
-// worker drains on the fence token; inline mode: drained right here — under
-// simulation rings are drained at the submit point, so this is a backstop).
-// Must not be called from shard workers (the serial serve loop only), and
-// peer-down handling deliberately never fences: a worker's own Send may be
-// what reported the peer dead, and the fence would wait on that worker
-// forever.
-func (k *Kernel) fenceShards() {
-	if !k.workers {
-		for _, sh := range k.shards {
-			sh.drainRing()
-		}
 		return
 	}
-	done := make(chan struct{}, len(k.shards))
-	for _, sh := range k.shards {
-		sh.q <- shardItem{fence: done}
+	sh := k.shards[s]
+	sh.lock()
+	sh.handleGM(m)
+	sh.unlock()
+}
+
+// serveOnSender is the inproc half of the node's sink: a leaf GM request an
+// application context sent is serviced right here, on that context, under the
+// owning shard's lock. The handler's reply Send runs through the requester's
+// own sink (deliverApp) into its own reply mailbox, so the requester finds the
+// answer without parking — no goroutine hand-off in the round trip, still two
+// counted wire messages through the same codec, dedup, stats and spans.
+//
+// Only application-originated requests qualify. What a handler itself sends —
+// OpInvalidate, OpInvAck, an escrow re-offer — is declined and queued for the
+// destination's serve loop: served inline, an ack would re-enter the lock its
+// sender still holds. A forged shard hint is declined too, so the serve loop
+// counts the drop.
+func (k *Kernel) serveOnSender(m *wire.Message) bool {
+	switch m.Op {
+	case wire.OpRead, wire.OpReadV, wire.OpWrite, wire.OpWriteV, wire.OpFlushV,
+		wire.OpFetchAdd, wire.OpCAS, wire.OpReadLease:
+	default:
+		return false
 	}
-	for range k.shards {
-		<-done
+	s := k.shardFor(m)
+	if s < 0 {
+		return false
+	}
+	m.RecvAt = k.svc.Now()
+	k.logMessage(m)
+	k.shards[s].serve(m)
+	wire.PutMessage(m)
+	return true
+}
+
+// serve services m under the shard lock and accounts for it in the shard: the
+// service time from m.RecvAt, the span, and ShardedMsgs. The unlock is
+// deferred so that a handler's panic — which the requesting PE's runPE turns
+// into that PE's error — does not leave every later requester of this shard
+// waiting for a lock nobody holds.
+func (sh *kernelShard) serve(m *wire.Message) {
+	sh.lock()
+	defer sh.unlock()
+	sh.handleGM(m)
+	end := sh.k.svc.Now()
+	sh.extra.ServiceByOp[m.Op].Observe(end - m.RecvAt)
+	sh.extra.ShardedMsgs++
+	if sh.spans != nil && sh.spans.Sampled() {
+		sh.spans.Record(trace.Span{
+			Kind: trace.SpanService, Op: m.Op,
+			PE: int32(sh.k.id), Peer: m.Src, Seq: m.Seq,
+			Start: m.RecvAt, End: end,
+		})
+	}
+}
+
+// fenceShards passes through every shard's monitor once, draining its
+// submission ring on the way: when it returns, every service that was in
+// flight on any shard has completed and every one-sided write published
+// before the fence is applied. The checkpoint marker uses it so seg.Export
+// sees no request half-applied, a namespace free before dropping blocks, a
+// migration install before adopting them.
+// Serve loop only, never from inside a handler (no nested shard locks), and
+// peer-down handling deliberately never fences: the Send that reported the
+// peer dead may be a handler's, made under the very lock a fence would take.
+func (k *Kernel) fenceShards() {
+	for _, sh := range k.shards {
+		sh.fence()
+	}
+}
+
+// fence passes through the monitor once, applying whatever its ring holds.
+func (sh *kernelShard) fence() {
+	sh.lock()
+	sh.drainRing()
+	sh.unlock()
+}
+
+// lockShards enters every shard's monitor at once, for the one handler that
+// takes blocks away from this kernel (handleMigrateStart): a GM handler checks
+// ownership and then touches the segment under its shard lock, so the
+// directory may only disown a block while no handler is in between. Ascending
+// index order, and only the serve loop ever holds more than one shard lock —
+// every other context holds exactly one and waits for none while it does.
+func (k *Kernel) lockShards() {
+	for _, sh := range k.shards {
+		sh.lock()
+	}
+}
+
+func (k *Kernel) unlockShards() {
+	for _, sh := range k.shards {
+		sh.unlock()
 	}
 }
 
@@ -182,8 +241,11 @@ func (k *Kernel) fenceShards() {
 // the same per-kernel counter as message sequences, so a ring write that
 // raced a message-path retry is applied once), applied to the segment in
 // one per-block-capped seqlock batch, recorded as completed, and only then
-// released — a producer spinning in AwaitConsumed returns with its write
-// globally visible. Must only run on the context servicing this shard.
+// released. Every producer drains under the shard lock right after it
+// publishes and checks that its slot was consumed — by its own drain or by
+// that of whoever held the lock before it; a drain stops at a slot claimed
+// but not yet published, so the producer behind it goes again (ringWrite).
+// Caller holds the shard lock.
 func (sh *kernelShard) drainRing() int {
 	if sh.ring == nil {
 		return 0
@@ -232,66 +294,8 @@ func (sh *kernelShard) drainRing() int {
 	return n
 }
 
-// nudge wakes an idle worker after a ring publish (non-blocking: a pending
-// token coalesces any number of publishes).
-func (sh *kernelShard) nudge() {
-	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
-}
-
-// run is the shard worker loop: service queued GM requests until the queue
-// closes at kernel shutdown, draining the submission ring between message
-// dispatches (and on ring publishes while idle, via wake). The worker owns
-// each message end to end — service-time observation, span recording and
-// recycling — mirroring what serve does for inline-handled messages.
-func (sh *kernelShard) run() {
-	k := sh.k
-	for {
-		sh.drainRing()
-		var it shardItem
-		var ok bool
-		select {
-		case it, ok = <-sh.q:
-		default:
-			select {
-			case it, ok = <-sh.q:
-			case <-sh.wake:
-				continue
-			}
-		}
-		if !ok {
-			break
-		}
-		if it.m == nil {
-			sh.drainRing()
-			it.fence <- struct{}{}
-			continue
-		}
-		m := it.m
-		op, src, seq, rcv := m.Op, m.Src, m.Seq, m.RecvAt
-		sh.handleGM(m)
-		end := k.svc.Now()
-		if int(op) < wire.NumOps {
-			sh.extra.ServiceByOp[op].Observe(end - rcv)
-		}
-		sh.extra.ShardedMsgs++
-		if sh.spans != nil && sh.spans.Sampled() {
-			sh.spans.Record(trace.Span{
-				Kind: trace.SpanService, Op: op,
-				PE: int32(k.id), Peer: src, Seq: seq,
-				Start: rcv, End: end,
-			})
-		}
-		wire.PutMessage(m)
-	}
-	sh.drainRing()
-	k.shardWG.Done()
-}
-
 // handleGM services one GM request routed to this shard. Every GM handler
-// consumes its message; the caller recycles it.
+// consumes its message; the caller holds the shard lock and recycles m.
 func (sh *kernelShard) handleGM(m *wire.Message) {
 	if isMutating(m.Op) && sh.dedupCheck(m) {
 		// Duplicate: absorbed by the shard's dedup window. The dedup check
@@ -360,8 +364,8 @@ func (sh *kernelShard) nackIfForeign(m *wire.Message) bool {
 		// block boundary, and gmem's checkHome enforces it server-side), so
 		// the clamp is a no-op for valid traffic. Without it a corrupt
 		// count — this scan runs BEFORE the op handler's own bounds checks —
-		// would spin this shard worker through up to count/BlockWords
-		// directory lookups.
+		// would spin the server through up to count/BlockWords directory
+		// lookups.
 		if count > int(bw) {
 			count = int(bw)
 		}
@@ -673,7 +677,7 @@ func (sh *kernelShard) handleCAS(m *wire.Message) {
 // kernel-global counter, so they are unique across shards; every
 // OpInvalidate carries this shard's index, which the acking kernel echoes,
 // so the ack routes back to the shard holding the round even when the
-// written ranges spanned shards (possible in inline mode, where vectored
+// written ranges spanned shards (possible under simulation, where vectored
 // requests are not split per shard).
 func (sh *kernelShard) finishAfterInvalidations(m *wire.Message, sends []invSend, respOp wire.Op, arg1, arg2 int64) {
 	k := sh.k

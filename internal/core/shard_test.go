@@ -175,9 +175,9 @@ func shardWorkload(pe *PE) error {
 	return nil
 }
 
-// TestShardedKernelServesGM runs the workload with shard workers forced on
-// and the direct-read window forced off, so every remote access crosses the
-// sharded message path.
+// TestShardedKernelServesGM runs the workload over eight shards with the
+// direct-read window forced off, so every remote access crosses the message
+// path and is served by its sender under one of eight shard locks.
 func TestShardedKernelServesGM(t *testing.T) {
 	res, err := Run(Config{
 		NumPE: 4, Transport: TransportInproc,
@@ -187,7 +187,7 @@ func TestShardedKernelServesGM(t *testing.T) {
 		t.Fatal(err, res.FirstErr())
 	}
 	if res.Total.ShardedMsgs == 0 {
-		t.Error("no requests serviced by shard workers")
+		t.Error("no requests served on their senders")
 	}
 	if res.Total.DirectGM != 0 {
 		t.Errorf("DirectGM = %d with DirectReads forced off", res.Total.DirectGM)
@@ -255,10 +255,11 @@ func TestDirectReadsDisabledWithCaching(t *testing.T) {
 	}
 }
 
-// TestShardedCheckpointRestart checkpoints under shard workers: the fence
-// must quiesce every shard before the export, or it deadlocks/tears. (Kill
-// and recovery with sharded state runs under the simulated transport in the
-// stress tests; worker-mode fencing is only reachable here.)
+// TestShardedCheckpointRestart checkpoints while requesters serve under the
+// shard locks: the fence must pass through every shard before the export, or
+// it deadlocks/tears. (Kill and recovery with sharded state runs under the
+// simulated transport in the stress tests, where the locks are not taken;
+// fencing against real locks is only reachable here.)
 func TestShardedCheckpointRestart(t *testing.T) {
 	store, err := ckpt.OpenDir(t.TempDir())
 	if err != nil {

@@ -115,8 +115,8 @@ func (a *Allocator) Used() uint64 { return a.next }
 // SegStripes is the number of lock stripes per Segment. Stripe choice hashes
 // the kernel-local block sequence number, the same quantity Space.ShardOf
 // hashes, so for any power-of-two shard count up to SegStripes each service
-// shard owns a disjoint set of stripes and shard workers never contend on a
-// stripe mutex.
+// shard owns a disjoint set of stripes and services under different shard
+// locks never contend on a stripe mutex.
 const SegStripes = 16
 
 // stripe is one lock stripe of a Segment: a slice of the homed blocks with

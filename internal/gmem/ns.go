@@ -83,7 +83,7 @@ func (a *Allocator) checkBound(n int) {
 
 // NSRegistry is one kernel's view of the namespace bindings: requester PE →
 // Region. The serial serve loop installs and removes bindings (OpNsBind);
-// shard workers look them up on every GM request, so the map is published
+// GM handlers look them up on every GM request, on whichever context serves, so the map is published
 // copy-on-write behind an atomic pointer and lookups take no lock.
 type NSRegistry struct {
 	mu       sync.Mutex // serialises writers

@@ -2,7 +2,6 @@ package gmem
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 )
 
@@ -23,21 +22,24 @@ type RingWrite struct {
 // slots: the one-sided write fast path between co-located PEs and the home
 // kernel's service shard. Producers claim a slot with one CAS on tail,
 // fill the payload, and publish it with a single atomic store of the slot's
-// state word; the shard's servicing goroutine drains published slots in
-// batches between message dispatches.
+// state word. The ring has no consumer of its own: the consumer side (Drain,
+// Release, Pending) belongs to whoever holds the owning shard's lock, and
+// each producer takes that lock and drains right after it publishes, again
+// if need be until its own write is Consumed: Drain stops at a slot that is
+// claimed but not yet published, leaving later slots for the next pass.
 //
 // The state word of slot i follows the bounded-MPMC sequence discipline,
-// restricted here to one consumer: it holds pos when the slot is free for
-// the producer claiming position pos, pos+1 once that producer published,
-// and pos+size once the consumer has applied the write and recycled the
-// slot. All comparisons are modular (state - pos), so the ring keeps
-// working when positions wrap around uint64.
+// restricted here to one consumer at a time: it holds pos when the slot is
+// free for the producer claiming position pos, pos+1 once that producer
+// published, and pos+size once the consumer has applied the write and
+// recycled the slot. All comparisons are modular (state - pos), so the ring
+// keeps working when positions wrap around uint64.
 type SubmitRing struct {
 	slots []ringSlot
 	mask  uint64
 	size  uint64
 	tail  atomic.Uint64 // next position a producer will claim
-	head  uint64        // next position the consumer will inspect; consumer-only
+	head  uint64        // next position the consumer will inspect; consumer side only
 }
 
 type ringSlot struct {
@@ -76,9 +78,9 @@ func newSubmitRingAt(n int, start uint64) *SubmitRing {
 }
 
 // Push claims a slot, fills it with w, and publishes it. It returns the
-// claimed position (for AwaitConsumed) and ok=false without side effects
-// when the ring is full — the caller falls back to the message path with a
-// fresh sequence, so a rejected push can never be half-applied.
+// claimed position (for Consumed) and ok=false without side effects when the
+// ring is full — the caller falls back to the message path with a fresh
+// sequence, so a rejected push can never be half-applied.
 func (r *SubmitRing) Push(w RingWrite) (pos uint64, ok bool) {
 	for {
 		pos = r.tail.Load()
@@ -99,9 +101,9 @@ func (r *SubmitRing) Push(w RingWrite) (pos uint64, ok bool) {
 }
 
 // Drain copies up to len(buf) published slots into buf, in submission
-// order, WITHOUT recycling them: the slots stay claimed until Release, so a
-// producer spinning in AwaitConsumed only proceeds once the consumer has
-// actually applied its write. Consumer-side only.
+// order, WITHOUT recycling them: the slots stay claimed until Release, so
+// Consumed turns true only once the consumer has actually applied the write.
+// Consumer side only.
 func (r *SubmitRing) Drain(buf []RingWrite) int {
 	n := 0
 	for n < len(buf) {
@@ -116,10 +118,9 @@ func (r *SubmitRing) Drain(buf []RingWrite) int {
 	return n
 }
 
-// Release recycles the first n drained slots, advancing head and waking any
-// producer blocked in AwaitConsumed on them. Call only after the drained
-// writes have been applied (and their dedup entries completed): the state
-// store is the release edge a waiting producer's acquire load pairs with.
+// Release recycles the first n drained slots, advancing head. Call only after
+// the drained writes have been applied (and their dedup entries completed).
+// Consumer side only.
 func (r *SubmitRing) Release(n int) {
 	for i := 0; i < n; i++ {
 		s := &r.slots[r.head&r.mask]
@@ -128,29 +129,14 @@ func (r *SubmitRing) Release(n int) {
 	}
 }
 
-// AwaitConsumed spins until the write published at pos has been applied by
-// the consumer. The producer side of the one-sided write's completion: a
-// GMWrite may not return before its store is globally visible, or a
-// subsequent read by the same PE could miss its own write.
-func (r *SubmitRing) AwaitConsumed(pos uint64) {
-	s := &r.slots[pos&r.mask]
-	for i := 0; ; i++ {
-		if s.state.Load()-pos >= r.size {
-			return
-		}
-		if i&63 == 63 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// Consumed reports whether the write published at pos has been applied.
+// Consumed reports whether the write published at pos has been applied and
+// its slot recycled.
 func (r *SubmitRing) Consumed(pos uint64) bool {
 	return r.slots[pos&r.mask].state.Load()-pos >= r.size
 }
 
 // Pending reports how many published-but-unreleased slots the ring holds.
-// Consumer-side only (it reads head without synchronisation).
+// Consumer side only (it reads head without synchronisation).
 func (r *SubmitRing) Pending() int {
 	n := 0
 	for uint64(n) < r.size {

@@ -38,8 +38,8 @@ type PEStats struct {
 	// RingDrained counts ring writes applied on the service side (the
 	// home's view of RingGM; equal totals once all kernels quiesce).
 	RingDrained uint64
-	// ShardedMsgs counts incoming GM requests serviced by a kernel shard
-	// worker rather than the serial serve loop.
+	// ShardedMsgs counts incoming GM requests served off the serial serve
+	// loop: by their sender, under a kernel shard's lock (inproc).
 	ShardedMsgs uint64
 	Barriers    uint64
 	Locks       uint64

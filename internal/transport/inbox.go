@@ -29,19 +29,19 @@ func NewInbox(now func() sim.Time) *Inbox {
 // hence the atomic store.
 func (in *Inbox) SetSink(fn Sink) { in.sink.Store(&fn) }
 
-// Deliver takes delivery of a message from another node: counted, stamped and
-// offered to the sink, queued for Recv if there is none or it declines. It
-// reports false, m still the caller's, when the node has shut down.
+// Deliver takes delivery of a message from another node: counted and offered
+// to the sink, queued for Recv if there is none or it declines. It reports
+// false, m still the caller's, when the node has shut down. A message the
+// sink takes is not stamped: RecvAt exists to time a service, most of what a
+// sink takes (replies, grants) is never serviced, and a sink that does start
+// a service reads the clock itself.
 func (in *Inbox) Deliver(m *wire.Message) bool {
 	if in.rx.closed.Load() {
 		return false
 	}
 	in.count(m)
-	if sink := in.sink.Load(); sink != nil {
-		m.RecvAt = in.now()
-		if (*sink)(m) {
-			return true
-		}
+	if sink := in.sink.Load(); sink != nil && (*sink)(m) {
+		return true
 	}
 	return in.rx.offer(m)
 }

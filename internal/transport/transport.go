@@ -25,7 +25,8 @@
 // holds the decoded message — the sending goroutine on inproc, the per-peer
 // reader goroutine on tcpnet — and only what the sink declines goes on to
 // Recv. The kernel's sink takes replies and synchronisation grants straight
-// to the mailbox the application is parked on, so such a message may
+// to the mailbox the application is parked on, and on inproc serves an
+// application's global-memory request on the spot, so such a message may
 // overtake an earlier message of another kind from the same sender that is
 // still queued for Recv. Per-sender FIFO therefore holds among the messages
 // Recv returns and among the messages a sink accepts, not across the two;
@@ -51,11 +52,10 @@ type Port interface {
 	// caller and blocking until the message has left the node.
 	//
 	// Concurrency: on the real transports (inproc, tcpnet) Send on the Svc
-	// port is safe from multiple goroutines concurrently — the sharded
-	// kernel's shard workers reply in parallel with the serial serve loop.
-	// On simnet every port call must come from the port's own cooperative
-	// process, so a sharded kernel dispatches inline there instead of
-	// spawning workers.
+	// port is safe from multiple goroutines concurrently — on inproc every
+	// requester serves its own GM request and replies through the home's
+	// Svc port, in parallel with the home's serve loop. On simnet every port
+	// call must come from the port's own cooperative process.
 	Send(dst int, m *wire.Message)
 	// Compute charges the cost of ops application operations.
 	Compute(ops float64)
@@ -136,7 +136,9 @@ type Sink func(m *wire.Message) bool
 // may race with traffic: messages arriving before SetSink, like declined
 // ones and the node's own messages to itself, go to Recv, and a node without
 // a sink behaves exactly as a plain Node. Accepted messages are counted
-// (MsgsRecv/BytesRecv) and stamped (RecvAt) like received ones.
+// (MsgsRecv/BytesRecv) like received ones but not stamped: RecvAt is the
+// start of a service, which Recv stamps for the serve loop and a sink that
+// serves what it takes stamps for itself.
 type SinkNode interface {
 	Node
 	SetSink(fn Sink)

@@ -298,8 +298,8 @@ func testPeerDown(t *testing.T, factory Factory) {
 
 // testConcurrentSvcSend pins the contract the sharded kernel leans on: Send
 // on ONE node's Svc port must be safe and lossless when called from many
-// goroutines at once (shard workers replying in parallel with the serial
-// serve loop). Every message must arrive intact and per-goroutine order
+// goroutines at once (requesters serving their own GM requests at this
+// home, replying in parallel with its serial serve loop). Every message must arrive intact and per-goroutine order
 // need not be global order, but nothing may be lost or duplicated.
 func testConcurrentSvcSend(t *testing.T, factory Factory) {
 	const (
@@ -446,7 +446,7 @@ func sinkNode(t *testing.T, net Network, i int) transport.SinkNode {
 }
 
 // testSinkBefore: with a sink installed first, every message from another
-// node is handed to it on arrival, stamped and counted, and it owns what it
+// node is handed to it on arrival, counted, and it owns what it
 // accepts: the sender recycling its own message right after Send (as the
 // kernel does) must not reach the delivered copy. A node's messages to itself
 // are never offered: they queue for Recv, so a serve loop that sends itself
@@ -485,8 +485,11 @@ func testSinkBefore(t *testing.T, factory Factory) {
 		if ws := g.Words(); len(ws) != 2 || ws[0] != int64(g.Seq) || ws[1] != -int64(g.Seq) {
 			t.Fatalf("seq %d: delivered payload %v does not survive the sender's recycle", g.Seq, ws)
 		}
-		if g.RecvAt <= 0 {
-			t.Fatalf("seq %d: RecvAt not stamped", g.Seq)
+		// Recv stamps what it hands the serve loop, which times a service
+		// from it; what a sink takes is not stamped — most of it is only
+		// routed, and a sink that serves reads the clock itself.
+		if fromRecv := g.Src == 1; fromRecv != (g.RecvAt > 0) {
+			t.Fatalf("seq %d from node %d: RecvAt = %d", g.Seq, g.Src, g.RecvAt)
 		}
 	}
 	select {

@@ -293,11 +293,11 @@ type Message struct {
 	Arg2  int64
 	Data  []byte
 
-	// RecvAt is the transport's receive timestamp: every transport stamps
-	// it (with the node's clock) just before handing the decoded message to
-	// the kernel, so the observability layer can attribute queueing and
-	// service time per message. It never travels the wire and is cleared on
-	// recycle.
+	// RecvAt is the receive timestamp a service time is measured from:
+	// stamped (with the node's clock) by the transport's Recv as it hands
+	// the decoded message to the serve loop, or by a sink that serves the
+	// message itself; zero on a message a sink merely routes. It never
+	// travels the wire and is cleared on recycle.
 	RecvAt sim.Time
 
 	// buf is the message-owned scratch that Data points into when the
