@@ -695,13 +695,15 @@ func residueOf(kernels []*Kernel) Residue {
 // which is what makes the plain-counter PEStats.Add merges safe; the
 // histograms inside would tolerate live merging on their own.
 func collectStats(res *Result, kernels []*Kernel, pes []*PE) {
+	res.PerPE = make([]trace.PEStats, len(kernels))
 	for i := range kernels {
 		// The hot path feeds only the per-op round-trip histograms; the
 		// aggregate RTT is derived here, once the PE has quiesced.
 		for j := range pes[i].extra.RTTByOp {
 			pes[i].extra.RTT.Merge(&pes[i].extra.RTTByOp[j])
 		}
-		s := *kernels[i].Stats()
+		s := &res.PerPE[i] // 25 KB each: summed in place, never copied
+		s.Add(kernels[i].Stats())
 		s.Add(&pes[i].extra)
 		s.Add(&kernels[i].extra)
 		for _, sh := range kernels[i].shards {
@@ -712,8 +714,7 @@ func collectStats(res *Result, kernels []*Kernel, pes []*PE) {
 			}
 			sh.unlock()
 		}
-		res.PerPE = append(res.PerPE, s)
-		res.Total.Add(&s)
+		res.Total.Add(s)
 		res.RTT.Merge(&pes[i].extra.RTT)
 		if pes[i].spans != nil {
 			res.Spans = append(res.Spans, pes[i].spans.Snapshot()...)

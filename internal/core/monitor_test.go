@@ -154,10 +154,10 @@ func TestServeOnSender(t *testing.T) {
 }
 
 // TestMonitorSimTakesNoLock pins the rule the simulated transport needs: the
-// engine serialises its processes, and a handler's reply Send yields the
-// engine's token, so a real mutex held across it would block the next process
-// while that one holds the token. Under simulation lock must leave the mutex
-// alone; on a real transport it must take it.
+// engine serialises its processes on one goroutine, and a handler's reply Send
+// switches to other processes, so a real mutex held across it would block the
+// next process to reach for it, and the engine with it. Under simulation lock
+// must leave the mutex alone; on a real transport it must take it.
 func TestMonitorSimTakesNoLock(t *testing.T) {
 	held := func(k *Kernel) bool {
 		sh := k.shards[0]

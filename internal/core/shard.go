@@ -92,8 +92,8 @@ func newKernelShard(k *Kernel, idx int, rings bool) *kernelShard {
 
 // lock enters the shard's monitor. Under simulation it does nothing: the
 // engine already runs one cooperative process at a time, and a handler's
-// reply Send yields the engine's token, so a second process reaching for a
-// real mutex would block while holding the token and hang the run.
+// reply Send switches to other processes, so a second process reaching for a
+// real mutex would block the one goroutine they all run on and hang the run.
 func (sh *kernelShard) lock() {
 	if !sh.k.simulated {
 		sh.mu.Lock()

@@ -70,6 +70,16 @@ func ConfigForBandwidth(bps int64) Config {
 	}
 }
 
+// wireBytes is a frame's length on the wire: padded payload plus framing.
+func (c *Config) wireBytes(size int) int {
+	return max(size, c.MinPayload) + c.HeaderBytes + c.PreambleBytes
+}
+
+// frameTime is one frame's serialisation time at the signalling rate.
+func (c *Config) frameTime(size int) sim.Duration {
+	return sim.Duration(int64(c.wireBytes(size)) * 8 * int64(sim.Second) / c.BandwidthBps)
+}
+
 // Stats aggregates bus counters over a run.
 type Stats struct {
 	Frames        uint64       // frames successfully transmitted
@@ -88,30 +98,52 @@ type Bus struct {
 	eng      *sim.Engine
 	cfg      Config
 	rng      *sim.Rand
-	reqs     *sim.Chan[txReq]
 	stations []*Station
 	stats    Stats
 	started  bool
+	stopped  bool
 	lossProb float64 // failure injection: probability a frame is lost on the wire
+
+	// The arbiter: the frame in hand while busy, the frames waiting behind
+	// it, and its steps as method values made once (an event per wait, no
+	// closure per frame).
+	busy                                 bool
+	cur                                  txReq
+	reqs                                 sim.Queue[txReq]
+	contendFn, gapFn, transmitFn, sentFn func()
+	freeDone                             []*txDone
+
+	// onWire holds the frames propagating to a receive queue. The medium is
+	// serial and the propagation delay constant, so arrivals are scheduled
+	// in arrival order: each arriveFn event takes the head.
+	onWire   sim.Queue[arrival]
+	arriveFn func()
 }
 
 type txReq struct {
 	frame Frame
-	// done is signalled when the frame has left the sender; the value
-	// reports whether the frame will be delivered (false: lost on the wire
-	// or addressed to a closed station), which is what lets a transport
-	// implement consecutive-loss peer-failure detection.
-	done *sim.Chan[bool]
+	done  *txDone
+}
+
+// txDone is where a sender waits for its frame to leave the station. ok
+// reports whether the frame will be delivered (false: lost on the wire or
+// addressed to a closed station), which is what lets a transport implement
+// consecutive-loss peer-failure detection.
+type txDone struct {
+	p         *sim.Proc
+	ready, ok bool
+}
+
+type arrival struct {
+	to    *Station
+	frame Frame
 }
 
 // NewBus creates a bus on the engine with the given medium parameters.
 func NewBus(e *sim.Engine, cfg Config) *Bus {
-	return &Bus{
-		eng:  e,
-		cfg:  cfg,
-		rng:  e.Rand().Fork(),
-		reqs: sim.NewChan[txReq](e, 1<<16),
-	}
+	b := &Bus{eng: e, cfg: cfg, rng: e.Rand().Fork()}
+	b.contendFn, b.gapFn, b.transmitFn, b.sentFn, b.arriveFn = b.contend, b.gap, b.transmit, b.sent, b.arrive
+	return b
 }
 
 // SetLossProbability enables failure injection: each frame is independently
@@ -139,42 +171,59 @@ func (b *Bus) Attach() *Station {
 // AttachNIC implements Medium.
 func (b *Bus) AttachNIC() NIC { return b.Attach() }
 
-// Start spawns the bus arbiter process. Call once, before Engine.Run.
-func (b *Bus) Start() {
-	if b.started {
+// Start implements Medium. The arbiter is a chain of engine callbacks and
+// needs no process; Start only ends the attach phase.
+func (b *Bus) Start() { b.started = true }
+
+// Stop refuses further frames; those already queued are still transmitted.
+func (b *Bus) Stop() { b.stopped = true }
+
+// send hands f to the arbiter — one event later if the medium is idle,
+// behind the frames already waiting otherwise — and parks p until the frame
+// has left the station. It reports whether the frame will be delivered.
+func (b *Bus) send(p *sim.Proc, f Frame) bool {
+	var done *txDone
+	if n := len(b.freeDone); n > 0 {
+		done, b.freeDone = b.freeDone[n-1], b.freeDone[:n-1]
+	} else {
+		done = new(txDone)
+	}
+	*done = txDone{p: p}
+	if req := (txReq{f, done}); b.busy {
+		b.reqs.Push(req)
+	} else {
+		b.busy, b.cur = true, req
+		b.eng.After(0, b.contendFn)
+	}
+	for !done.ready {
+		p.Park()
+	}
+	ok := done.ok
+	b.freeDone = append(b.freeDone, done)
+	return ok
+}
+
+// The arbiter serialises access to the medium, charging contention, framing
+// and transmission time, then delivering frames to receiver queues. It runs
+// in engine context, one callback per wait: contend, (backoff,) gap, transmit.
+func (b *Bus) contend() {
+	// Contenders: the frame in hand plus everything already queued
+	// behind it. In CSMA/CD they would all have sensed the idle medium
+	// and collided; resolve the contention with binary exponential
+	// backoff before the winner transmits. The queue preserves FIFO so
+	// the "winner" is the head; the backoff time is what matters.
+	contenders := 1 + b.reqs.Len()
+	if contenders > 1 {
+		b.stats.Contended++
+		lag := b.contentionDelay(contenders)
+		b.stats.ContentionLag += lag
+		b.eng.After(lag, b.gapFn)
 		return
 	}
-	b.started = true
-	b.eng.Spawn("ethernet-bus", b.arbiter)
+	b.gap()
 }
 
-// Stop closes the request stream; the arbiter exits after draining it.
-func (b *Bus) Stop() { b.reqs.Close() }
-
-// arbiter serialises access to the medium, charging contention, framing and
-// transmission time, then delivering frames to receiver queues.
-func (b *Bus) arbiter(p *sim.Proc) {
-	for {
-		req, ok := b.reqs.Recv(p)
-		if !ok {
-			return
-		}
-		// Contenders: the frame in hand plus everything already queued
-		// behind it. In CSMA/CD they would all have sensed the idle medium
-		// and collided; resolve the contention with binary exponential
-		// backoff before the winner transmits. The queue preserves FIFO so
-		// the "winner" is the head; the backoff time is what matters.
-		contenders := 1 + b.reqs.Len()
-		if contenders > 1 {
-			b.stats.Contended++
-			lag := b.contentionDelay(contenders)
-			b.stats.ContentionLag += lag
-			p.Sleep(lag)
-		}
-		p.Sleep(b.cfg.InterframeGap)
-		b.transmit(p, req)
-	}
-}
+func (b *Bus) gap() { b.eng.After(b.cfg.InterframeGap, b.transmitFn) }
 
 // contentionDelay simulates BEB rounds among k stations until a unique
 // winner emerges, returning the total virtual time consumed.
@@ -209,16 +258,15 @@ func (b *Bus) contentionDelay(k int) sim.Duration {
 	return total
 }
 
-// transmit charges wire time for req's frame and schedules delivery.
-func (b *Bus) transmit(p *sim.Proc, req txReq) {
+// transmit charges wire time for the frame in hand.
+func (b *Bus) transmit() { b.eng.After(b.cfg.frameTime(b.cur.frame.Size), b.sentFn) }
+
+// sent accounts for the transmitted frame, schedules its delivery and moves
+// on to the next waiting frame.
+func (b *Bus) sent() {
+	req := b.cur
 	f := req.frame
-	payload := f.Size
-	if payload < b.cfg.MinPayload {
-		payload = b.cfg.MinPayload
-	}
-	wireBytes := payload + b.cfg.HeaderBytes + b.cfg.PreambleBytes
-	txTime := sim.Duration(int64(wireBytes) * 8 * int64(sim.Second) / b.cfg.BandwidthBps)
-	p.Sleep(txTime)
+	wireBytes, txTime := b.cfg.wireBytes(f.Size), b.cfg.frameTime(f.Size)
 	b.stats.Frames++
 	b.stats.PayloadBytes += uint64(f.Size)
 	b.stats.WireBytes += uint64(wireBytes)
@@ -242,30 +290,38 @@ func (b *Bus) transmit(p *sim.Proc, req txReq) {
 	}
 
 	// Sender unblocks once its frame has left the NIC.
-	req.done.TrySend(!lost)
+	req.done.ok, req.done.ready = !lost, true
+	req.done.p.Unpark()
 
-	if lost {
-		return
-	}
-	deliverAt := p.Now() + b.cfg.PropDelay
-	if f.Dst == Broadcast {
+	deliverAt := b.eng.Now() + b.cfg.PropDelay
+	switch {
+	case lost:
+	case f.Dst == Broadcast:
 		for _, s := range b.stations {
-			if s.id == f.Src {
-				continue
+			if s.id != f.Src {
+				b.deliver(s, f, deliverAt)
 			}
-			b.deliver(s, f, deliverAt)
 		}
-		return
+	default:
+		b.deliver(b.stations[f.Dst], f, deliverAt)
 	}
-	b.deliver(b.stations[f.Dst], f, deliverAt)
+	if b.reqs.Len() > 0 {
+		b.cur = b.reqs.Pop()
+		b.contend()
+	} else {
+		b.busy, b.cur = false, txReq{}
+	}
 }
 
 func (b *Bus) deliver(s *Station, f Frame, at sim.Time) {
-	b.eng.At(at, func() {
-		if !s.rx.TrySend(f) {
-			b.stats.Drops++
-		}
-	})
+	b.onWire.Push(arrival{s, f})
+	b.eng.At(at, b.arriveFn)
+}
+
+func (b *Bus) arrive() {
+	if a := b.onWire.Pop(); !a.to.rx.TrySend(a.frame) {
+		b.stats.Drops++
+	}
 }
 
 // Station is one attached NIC.
@@ -290,7 +346,7 @@ func (s *Station) Send(p *sim.Proc, dst, size int, payload interface{}) bool {
 	delivered := true
 	remaining := size
 	for {
-		if s.bus.reqs.Closed() {
+		if s.bus.stopped {
 			// The bus has been stopped (run teardown). A process still
 			// draining queued work — e.g. a kernel releasing a barrier
 			// while the last application process exits — loses the frame,
@@ -307,12 +363,7 @@ func (s *Station) Send(p *sim.Proc, dst, size int, payload interface{}) bool {
 		if last {
 			pl = payload
 		}
-		done := sim.NewChan[bool](s.bus.eng, 1)
-		s.bus.reqs.Send(p, txReq{
-			frame: Frame{Src: s.id, Dst: dst, Size: chunk, Payload: pl},
-			done:  done,
-		})
-		if v, _ := done.Recv(p); !v {
+		if !s.bus.send(p, Frame{Src: s.id, Dst: dst, Size: chunk, Payload: pl}) {
 			delivered = false
 		}
 		if last {

@@ -121,11 +121,11 @@ func (sw *Switch) Start() {
 				if !ok {
 					return
 				}
-				tx := sw.frameTime(req.frame.Size)
+				tx := sw.cfg.frameTime(req.frame.Size)
 				proc.Sleep(tx)
 				sw.stats.Frames++
 				sw.stats.PayloadBytes += uint64(req.frame.Size)
-				sw.stats.WireBytes += uint64(sw.wireBytes(req.frame.Size))
+				sw.stats.WireBytes += uint64(sw.cfg.wireBytes(req.frame.Size))
 				sw.stats.BusyTime += tx
 				if sw.lossProb > 0 && sw.rng.Float64() < sw.lossProb {
 					sw.stats.Drops++
@@ -148,19 +148,6 @@ func (sw *Switch) Stop() {
 	for _, p := range sw.ports {
 		p.egress.Close()
 	}
-}
-
-// wireBytes pads and frames a payload like the bus does.
-func (sw *Switch) wireBytes(size int) int {
-	if size < sw.cfg.MinPayload {
-		size = sw.cfg.MinPayload
-	}
-	return size + sw.cfg.HeaderBytes + sw.cfg.PreambleBytes
-}
-
-// frameTime is one frame's serialisation time on a link.
-func (sw *Switch) frameTime(size int) sim.Duration {
-	return sim.Duration(int64(sw.wireBytes(size)) * 8 * int64(sim.Second) / sw.cfg.BandwidthBps)
 }
 
 // ID implements NIC.
@@ -186,7 +173,7 @@ func (p *swPort) Send(proc *sim.Proc, dst, size int, payload interface{}) bool {
 		if last {
 			pl = payload
 		}
-		proc.Sleep(sw.frameTime(chunk)) // uplink serialisation, no contention
+		proc.Sleep(sw.cfg.frameTime(chunk)) // uplink serialisation, no contention
 		f := Frame{Src: p.id, Dst: dst, Size: chunk, Payload: pl}
 		if dst == Broadcast {
 			for _, q := range sw.ports {

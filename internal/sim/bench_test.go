@@ -14,14 +14,15 @@ func BenchmarkEventDispatch(b *testing.B) {
 		}
 	}
 	e.After(1, fire)
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
 }
 
-// BenchmarkProcSleepSwitch measures a full process context switch
-// (schedule, token handoff, wake).
+// BenchmarkProcSleepSwitch measures Sleep in a lone process: every wake-up
+// is the next event, so it fires in place and nothing is switched.
 func BenchmarkProcSleepSwitch(b *testing.B) {
 	e := NewEngine(1)
 	e.Spawn("p", func(p *Proc) {
@@ -29,6 +30,26 @@ func BenchmarkProcSleepSwitch(b *testing.B) {
 			p.Sleep(1)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcSwitchTwo measures a full process context switch (schedule,
+// switch out, pop, switch in): two processes sleep in lockstep, so each
+// one's wake-up always has the other's queued before it.
+func BenchmarkProcSwitchTwo(b *testing.B) {
+	e := NewEngine(1)
+	for i := 0; i < 2; i++ {
+		e.Spawn("p", func(p *Proc) {
+			for i := 0; i < b.N; i += 2 {
+				p.Sleep(1)
+			}
+		})
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
@@ -49,6 +70,7 @@ func BenchmarkChanHandoff(b *testing.B) {
 			c.Recv(p)
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)

@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Chan is a simulated channel carrying values of type T between processes.
 // Semantics mirror Go channels — FIFO delivery, optional buffering, blocking
 // send when full and blocking receive when empty — except that transfers are
@@ -10,10 +12,11 @@ package sim
 // Proc), with the exception of Len and Close-from-event usage noted below.
 type Chan[T any] struct {
 	eng    *Engine
-	buf    []T
+	buf    Queue[T]
 	cap    int
-	sendq  []*chanWaiter[T]
-	recvq  []*chanWaiter[T]
+	sendq  Queue[*chanWaiter[T]]
+	recvq  Queue[*chanWaiter[T]]
+	free   []*chanWaiter[T] // waiters of completed Send/Recv calls, for reuse
 	closed bool
 }
 
@@ -22,6 +25,65 @@ type chanWaiter[T any] struct {
 	val   T
 	ok    bool
 	ready bool
+}
+
+// Queue is a FIFO that keeps its backing array: draining it rewinds it, and
+// it slides down instead of growing once half the array is spent, so a queue
+// in steady state allocates nothing. The zero value is an empty queue.
+type Queue[E any] struct {
+	s    []E
+	head int
+}
+
+// Len reports the number of queued values.
+func (q *Queue[E]) Len() int { return len(q.s) - q.head }
+
+// Push appends v.
+func (q *Queue[E]) Push(v E) {
+	if len(q.s) == cap(q.s) && q.head > 0 && 2*q.head >= len(q.s) {
+		n := copy(q.s, q.s[q.head:])
+		clear(q.s[n:])
+		q.s, q.head = q.s[:n], 0
+	}
+	q.s = append(q.s, v)
+}
+
+// Pop removes and returns the oldest value; the queue must not be empty.
+func (q *Queue[E]) Pop() E {
+	v := q.s[q.head]
+	var zero E
+	q.s[q.head] = zero
+	if q.head++; q.head == len(q.s) {
+		q.s, q.head = q.s[:0], 0
+	}
+	return v
+}
+
+// wait parks p on q until a peer marks its waiter ready, and returns what the
+// peer left in it. The waiter goes back to the free list: once ready, no
+// queue refers to it any more.
+func (c *Chan[T]) wait(p *Proc, q *Queue[*chanWaiter[T]], v T) (T, bool) {
+	var w *chanWaiter[T]
+	if n := len(c.free); n > 0 {
+		w, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		w = new(chanWaiter[T])
+	}
+	*w = chanWaiter[T]{p: p, val: v}
+	q.Push(w)
+	for !w.ready {
+		p.Park()
+	}
+	v, ok := w.val, w.ok
+	*w = chanWaiter[T]{}
+	c.free = append(c.free, w)
+	return v, ok
+}
+
+// wake completes w with (v, ok) and schedules its process.
+func (w *chanWaiter[T]) wake(v T, ok bool) {
+	w.val, w.ok, w.ready = v, ok, true
+	w.p.Unpark()
 }
 
 // NewChan returns a channel with the given buffer capacity (0 = rendezvous).
@@ -33,7 +95,7 @@ func NewChan[T any](e *Engine, capacity int) *Chan[T] {
 }
 
 // Len reports the number of buffered values.
-func (c *Chan[T]) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return c.buf.Len() }
 
 // Closed reports whether Close has been called.
 func (c *Chan[T]) Closed() bool { return c.closed }
@@ -45,25 +107,11 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 	if c.closed {
 		panic("sim: send on closed Chan")
 	}
-	// Direct handoff to a waiting receiver.
-	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
-		w.val, w.ok, w.ready = v, true, true
-		w.p.Unpark()
-		return
-	}
-	if c.cap > 0 && len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
+	if c.TrySend(v) {
 		return
 	}
 	// Block until a receiver takes our value.
-	w := &chanWaiter[T]{p: p, val: v}
-	c.sendq = append(c.sendq, w)
-	for !w.ready {
-		p.Park()
-	}
-	if c.closed && !w.ok {
+	if _, ok := c.wait(p, &c.sendq, v); c.closed && !ok {
 		panic("sim: Chan closed while send in flight")
 	}
 }
@@ -76,15 +124,13 @@ func (c *Chan[T]) TrySend(v T) bool {
 	if c.closed {
 		return false
 	}
-	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
-		w.val, w.ok, w.ready = v, true, true
-		w.p.Unpark()
+	// Direct handoff to a waiting receiver.
+	if c.recvq.Len() > 0 {
+		c.recvq.Pop().wake(v, true)
 		return true
 	}
-	if c.cap > 0 && len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
+	if c.buf.Len() < c.cap {
+		c.buf.Push(v)
 		return true
 	}
 	return false
@@ -96,12 +142,8 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 	if v, ok, got := c.tryRecvLocked(); got {
 		return v, ok
 	}
-	w := &chanWaiter[T]{p: p}
-	c.recvq = append(c.recvq, w)
-	for !w.ready {
-		p.Park()
-	}
-	return w.val, w.ok
+	var zero T
+	return c.wait(p, &c.recvq, zero)
 }
 
 // RecvTimeout is Recv with a deadline: if no value arrives within d, it
@@ -111,18 +153,18 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d Duration) (v T, ok bool, timedOut bool)
 	if v, ok, got := c.tryRecvLocked(); got {
 		return v, ok, false
 	}
+	// Not from the free list: the timer below refers to w after we return.
 	w := &chanWaiter[T]{p: p}
-	c.recvq = append(c.recvq, w)
+	c.recvq.Push(w)
 	fired := false
 	c.eng.After(d, func() {
 		if w.ready {
 			return
 		}
 		fired = true
-		w.ready = true
-		w.ok = false
 		c.removeRecvWaiter(w)
-		w.p.Unpark()
+		var zero T
+		w.wake(zero, false)
 	})
 	for !w.ready {
 		p.Park()
@@ -143,38 +185,31 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 // tryRecvLocked pops a value if one is available now. got=false means the
 // caller must block; ok=false with got=true means closed-and-drained.
 func (c *Chan[T]) tryRecvLocked() (v T, ok bool, got bool) {
-	if len(c.buf) > 0 {
-		v = c.buf[0]
-		c.buf = c.buf[1:]
+	if c.buf.Len() > 0 {
+		v = c.buf.Pop()
 		// A blocked sender can now slot its value into the freed space.
-		if len(c.sendq) > 0 {
-			s := c.sendq[0]
-			c.sendq = c.sendq[1:]
-			c.buf = append(c.buf, s.val)
-			s.ok, s.ready = true, true
-			s.p.Unpark()
+		if c.sendq.Len() > 0 {
+			s := c.sendq.Pop()
+			c.buf.Push(s.val)
+			s.wake(s.val, true)
 		}
 		return v, true, true
 	}
-	if len(c.sendq) > 0 { // unbuffered rendezvous
-		s := c.sendq[0]
-		c.sendq = c.sendq[1:]
-		s.ok, s.ready = true, true
-		s.p.Unpark()
-		return s.val, true, true
+	if c.sendq.Len() > 0 { // unbuffered rendezvous
+		s := c.sendq.Pop()
+		v = s.val
+		s.wake(v, true)
+		return v, true, true
 	}
-	if c.closed {
-		var zero T
-		return zero, false, true
-	}
-	var zero T
-	return zero, false, false
+	// Closed and drained, or the caller must block.
+	return v, false, c.closed
 }
 
 func (c *Chan[T]) removeRecvWaiter(w *chanWaiter[T]) {
-	for i, x := range c.recvq {
-		if x == w {
-			c.recvq = append(c.recvq[:i], c.recvq[i+1:]...)
+	q := &c.recvq
+	for i := q.head; i < len(q.s); i++ {
+		if q.s[i] == w {
+			q.s = slices.Delete(q.s, i, i+1)
 			return
 		}
 	}
@@ -188,10 +223,8 @@ func (c *Chan[T]) Close() {
 		return
 	}
 	c.closed = true
-	for _, w := range c.recvq {
-		w.ready = true
-		w.ok = false
-		w.p.Unpark()
+	var zero T
+	for c.recvq.Len() > 0 {
+		c.recvq.Pop().wake(zero, false)
 	}
-	c.recvq = nil
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"testing/quick"
+)
 
 func TestTrySendToWaitingReceiver(t *testing.T) {
 	e := NewEngine(1)
@@ -146,5 +149,67 @@ func TestEngineForkedRandsIndependent(t *testing.T) {
 	}
 	if same > 2 {
 		t.Fatalf("forked generators correlated: %d/100", same)
+	}
+}
+
+// Property: a Queue pops what a plain slice would, through every rewind and
+// slide of its backing array.
+func TestQueueMatchesSliceModel(t *testing.T) {
+	f := func(ops []uint8) bool {
+		var q Queue[int]
+		var model []int
+		next := 0
+		for _, op := range ops {
+			if op%3 != 0 || len(model) == 0 { // two pushes for every pop
+				q.Push(next)
+				model = append(model, next)
+				next++
+			} else if got := q.Pop(); got != model[0] {
+				return false
+			} else {
+				model = model[1:]
+			}
+			if q.Len() != len(model) {
+				return false
+			}
+		}
+		for _, want := range model {
+			if q.Pop() != want {
+				return false
+			}
+		}
+		return q.Len() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestUnbufferedSenderWaitsForReceiver(t *testing.T) {
+	e := NewEngine(1)
+	c := NewChan[int](e, 0)
+	var sentAt, got []Time
+	e.Spawn("send", func(p *Proc) {
+		for i := 0; i < 3; i++ { // the third reuses a recycled waiter
+			c.Send(p, i)
+			sentAt = append(sentAt, p.Now())
+		}
+	})
+	e.Spawn("recv", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(Millisecond)
+			if v, ok := c.Recv(p); !ok || v != i {
+				t.Errorf("Recv = %d,%v, want %d", v, ok, i)
+			}
+			got = append(got, p.Now())
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for i, at := range sentAt {
+		if at != got[i] {
+			t.Fatalf("send %d returned at %v, receiver took it at %v", i, at, got[i])
+		}
 	}
 }

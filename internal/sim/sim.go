@@ -1,23 +1,27 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine models virtual time with nanosecond resolution. Simulated
-// activities run as cooperative processes: ordinary goroutines that hold an
-// execution token handed out by the engine, so that exactly one process (or
-// the engine itself) runs at any instant. Scheduling is fully deterministic:
-// events firing at the same virtual time are ordered by their creation
-// sequence number, and all randomness comes from a seedable PRNG.
+// activities run as cooperative processes: coroutines (iter.Pull) that the
+// engine switches to directly, one at a time, from the goroutine that called
+// Run, so exactly one process (or the engine itself) runs at any instant and
+// no switch goes through the Go scheduler. Scheduling is fully
+// deterministic: events fire in the total order (time, creation sequence
+// number), and all randomness comes from a seedable PRNG.
 //
 // The package is the foundation for the cluster substrate: machines, the
 // Ethernet bus and DSE kernels are all sim processes exchanging values over
 // simulated channels, while computation advances virtual time through
-// Proc.Sleep according to per-platform cost models.
+// Proc.Sleep according to per-platform cost models. DESIGN.md §6 has the
+// scheduling rules.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"iter"
+	"math"
 	"sort"
+	"strings"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the run.
@@ -44,31 +48,26 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 // are still parked waiting for one another.
 var ErrDeadlock = errors.New("sim: deadlock: all processes parked and no events pending")
 
-// event is a scheduled callback. Events at equal times fire in creation order.
+// event is one entry of the queue: a callback for engine context, or the
+// wake-up of a process. Events fire in (at, seq) order; seq is unique.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at   Time
+	seq  uint64
+	fn   func() // evCall
+	p    *Proc  // evResume, evUnpark
+	kind evKind
 }
 
-type eventHeap []*event
+type evKind uint8
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+const (
+	evCall   evKind = iota // run fn in engine context
+	evResume               // switch to p: its start, or the end of a Sleep
+	evUnpark               // switch to p if it is still parked
+)
+
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine owns the virtual clock and the event queue.
@@ -79,10 +78,10 @@ func (h *eventHeap) Pop() interface{} {
 type Engine struct {
 	now    Time
 	seq    uint64
-	events eventHeap
+	events []event // binary min-heap of values, ordered by event.before
+	limit  Time    // the current RunUntil's limit: no event beyond it fires
 	rng    *Rand
 
-	ack     chan struct{} // a running process signals here when it yields or exits
 	procs   map[*Proc]struct{}
 	nextPID int
 	stats   EngineStats
@@ -101,7 +100,6 @@ type EngineStats struct {
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
 		rng:   NewRand(seed),
-		ack:   make(chan struct{}),
 		procs: make(map[*Proc]struct{}),
 	}
 }
@@ -115,81 +113,102 @@ func (e *Engine) Rand() *Rand { return e.rng }
 // Stats returns a snapshot of the run counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
 
-// schedule enqueues fn to run at time at (>= now).
-func (e *Engine) schedule(at Time, fn func()) *event {
-	if at < e.now {
-		at = e.now
+// schedule stamps ev with the next sequence number and sifts it into the
+// heap. A time in the past clamps to the present.
+func (e *Engine) schedule(ev event) {
+	if ev.at < e.now {
+		ev.at = e.now
 	}
 	e.seq++
-	ev := &event{at: at, seq: e.seq, fn: fn}
-	heap.Push(&e.events, ev)
-	return ev
+	ev.seq = e.seq
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	e.events = h
+}
+
+// pop removes and returns the earliest event.
+func (e *Engine) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the references
+	h = h[:n]
+	for i := 0; n > 0; {
+		c := 2*i + 1
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if c >= n || !h[c].before(&last) {
+			h[i] = last
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	e.events = h
+	return top
 }
 
 // At schedules fn to run in engine context at absolute virtual time at.
 // Scheduling in the past clamps to the present.
-func (e *Engine) At(at Time, fn func()) { e.schedule(at, fn) }
+func (e *Engine) At(at Time, fn func()) { e.schedule(event{at: at, fn: fn}) }
 
 // After schedules fn to run in engine context after d has elapsed.
-func (e *Engine) After(d Duration, fn func()) { e.schedule(e.now+d, fn) }
+func (e *Engine) After(d Duration, fn func()) { e.At(e.now+d, fn) }
 
 // Spawn creates a process named name running fn and schedules it to start
 // at the current virtual time. It may be called before Run or from any
 // running process.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	e.nextPID++
-	p := &Proc{
-		eng:  e,
-		name: name,
-		pid:  e.nextPID,
-		wake: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name, pid: e.nextPID}
 	e.procs[p] = struct{}{}
 	e.stats.Spawned++
-	go func() {
-		<-p.wake // wait for the start event to hand us the token
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		fn(p)
 		p.done = true
 		e.stats.Completed++
 		delete(e.procs, p)
-		e.ack <- struct{}{} // return the token
-	}()
-	e.schedule(e.now, func() { e.resume(p) })
+	})
+	e.schedule(event{at: e.now, kind: evResume, p: p})
 	return p
 }
 
-// resume hands the execution token to p and blocks until p yields or exits.
-// It must only be called from engine context (inside an event callback).
-func (e *Engine) resume(p *Proc) {
-	if p.done {
-		return
+// fire dispatches one event. A process it switches to runs on this
+// goroutine's time until it yields or exits; a panic in it comes out here.
+func (e *Engine) fire(ev event) {
+	e.now = ev.at
+	e.stats.Events++
+	switch {
+	case ev.kind == evCall:
+		ev.fn()
+	case ev.p.done, ev.kind == evUnpark && !ev.p.parked:
+		// Nothing to wake: the process exited, or was already woken.
+	default:
+		ev.p.parked = false
+		ev.p.next()
 	}
-	p.parked = false
-	p.wake <- struct{}{}
-	<-e.ack
 }
 
 // Run dispatches events until none remain, then reports how the run ended.
 // It returns nil when every spawned process has completed, ErrDeadlock when
-// live processes remain parked with no pending events, and the result of
-// Stop if the run was stopped explicitly.
+// live processes remain parked with no pending events, and nil if the run
+// was stopped explicitly. A panic in a process or callback propagates to
+// the caller of Run.
 func (e *Engine) Run() error {
-	if e.running {
-		return errors.New("sim: Run called reentrantly")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	for len(e.events) > 0 && !e.stopped {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.fn == nil {
-			continue // cancelled
-		}
-		e.now = ev.at
-		e.stats.Events++
-		ev.fn()
-	}
-	if e.stopped {
-		return nil
+	if err := e.RunUntil(math.MaxInt64); err != nil || e.stopped {
+		return err
 	}
 	if len(e.procs) > 0 {
 		return fmt.Errorf("%w: %s", ErrDeadlock, e.parkedNames())
@@ -203,26 +222,19 @@ func (e *Engine) RunUntil(limit Time) error {
 	if e.running {
 		return errors.New("sim: Run called reentrantly")
 	}
-	e.running = true
+	e.running, e.limit = true, limit
 	defer func() { e.running = false }()
-	for len(e.events) > 0 && !e.stopped {
-		if e.events[0].at > limit {
-			return nil
-		}
-		ev := heap.Pop(&e.events).(*event)
-		if ev.fn == nil {
-			continue
-		}
-		e.now = ev.at
-		e.stats.Events++
-		ev.fn()
+	for len(e.events) > 0 && !e.stopped && e.events[0].at <= limit {
+		e.fire(e.pop())
 	}
 	return nil
 }
 
-// Stop ends the run after the current event completes. Processes that are
-// still parked are abandoned (their goroutines stay blocked until the test
-// binary exits); Stop is intended for harness timeouts, not normal shutdown.
+// Stop ends the run after the current event completes: the process that is
+// running goes on until it next blocks, and nothing else is dispatched.
+// Processes still parked or sleeping are abandoned — their coroutines are
+// never switched to again and are not reclaimed — so Stop is intended for
+// harness timeouts, not normal shutdown.
 func (e *Engine) Stop() { e.stopped = true }
 
 func (e *Engine) parkedNames() string {
@@ -231,12 +243,5 @@ func (e *Engine) parkedNames() string {
 		names = append(names, fmt.Sprintf("%s(#%d)", p.name, p.pid))
 	}
 	sort.Strings(names)
-	s := ""
-	for i, n := range names {
-		if i > 0 {
-			s += ", "
-		}
-		s += n
-	}
-	return s
+	return strings.Join(names, ", ")
 }

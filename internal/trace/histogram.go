@@ -67,9 +67,16 @@ func (h *Histogram) Observe(d sim.Duration) {
 
 // Merge accumulates o into h. Both sides may still be receiving Observe
 // calls; the merged result then reflects some prefix of the in-flight
-// samples (see the concurrency contract above).
+// samples (see the concurrency contract above). An empty source — the
+// common case when whole PEStats are merged — costs one load: Observe bumps
+// Count first, so a zero Count means no sample has begun to land and the
+// prefix merged is the empty one.
 func (h *Histogram) Merge(o *Histogram) {
-	atomic.AddUint64(&h.Count, atomic.LoadUint64(&o.Count))
+	n := atomic.LoadUint64(&o.Count)
+	if n == 0 {
+		return
+	}
+	atomic.AddUint64(&h.Count, n)
 	atomic.AddInt64((*int64)(&h.Sum), atomic.LoadInt64((*int64)(&o.Sum)))
 	om := atomic.LoadInt64((*int64)(&o.Max))
 	for {

@@ -49,6 +49,17 @@ func TestHistogramMerge(t *testing.T) {
 	if a.Count != 2 || a.Max != 50*sim.Millisecond {
 		t.Fatalf("merged: %+v", a)
 	}
+	// An empty source is skipped, in either direction.
+	var empty Histogram
+	before := a
+	a.Merge(&empty)
+	if a != before {
+		t.Fatalf("merging an empty histogram changed the target: %+v", a)
+	}
+	empty.Merge(&a)
+	if empty != a {
+		t.Fatalf("merging into an empty histogram: %+v, want %+v", empty, a)
+	}
 }
 
 // Property: counts are conserved and Sum equals the sum of samples.
