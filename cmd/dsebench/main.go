@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -36,31 +37,40 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes results to out and
+// diagnostics to errw, and returns the exit status. The golden test drives
+// it exactly as main does.
+func run(args []string, out, errw io.Writer) int {
+	fs := flag.NewFlagSet("dsebench", flag.ContinueOnError)
+	fs.SetOutput(errw)
 	var (
-		fig      = flag.Int("fig", 0, "regenerate one paper figure (4..21)")
-		table    = flag.Int("table", 0, "print a paper table (1 or 2)")
-		all      = flag.Bool("all", false, "regenerate every table and figure")
-		ablation = flag.Bool("ablation", false, "run the design-choice ablation suite")
-		msgstats = flag.Bool("msgstats", false, "print per-op message traffic for the reference workloads")
-		latency  = flag.Bool("latency", false, "print per-op latency distributions for the reference workloads")
-		plot     = flag.Bool("plot", false, "also render figures as ASCII charts")
-		quick    = flag.Bool("quick", false, "use reduced parameter ranges")
-		maxPE    = flag.Int("maxpe", 0, "override the processor sweep upper bound")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		csvDir   = flag.String("csv", "", "also save each regenerated figure as CSV into this directory")
-		jsonOut  = flag.String("json", "", "write a machine-readable metrics snapshot to this file")
-		baseline = flag.String("baseline", "", "compare the snapshot against this baseline; exit 1 on regression")
-		traceOut = flag.String("trace", "", "run gauss p=4 with span tracing and write Chrome trace_event JSON here")
-		stressF  = flag.Bool("stress", false, "run the seeded consistency stress matrix; -seed selects the schedule")
-		recoverF = flag.Bool("recover", false, "run seeded kill-and-recover schedules (checkpoint/restart); -seed selects the schedule")
-		memberF  = flag.Bool("membership", false, "run seeded live join/leave/re-home schedules (elastic membership); -seed selects the schedule")
-		saturate = flag.Bool("saturate", false, "measure remote-GM ops/sec into one home kernel across PE and shard counts (wall clock; with -json, adds the sweep to the snapshot)")
-		modesF   = flag.Bool("modes", false, "print the consistency-tier ablation: gauss message counts under strong, release and lease modes")
-		schedF   = flag.Bool("sched", false, "run the multi-job scheduler load test: thousands of queued jobs, then Poisson arrivals (wall clock; with -json, adds the legs to the snapshot)")
+		fig      = fs.Int("fig", 0, "regenerate one paper figure (4..21)")
+		table    = fs.Int("table", 0, "print a paper table (1 or 2)")
+		all      = fs.Bool("all", false, "regenerate every table and figure")
+		ablation = fs.Bool("ablation", false, "run the design-choice ablation suite")
+		msgstats = fs.Bool("msgstats", false, "print per-op message traffic for the reference workloads")
+		latency  = fs.Bool("latency", false, "print per-op latency distributions for the reference workloads")
+		plot     = fs.Bool("plot", false, "also render figures as ASCII charts")
+		quick    = fs.Bool("quick", false, "use reduced parameter ranges")
+		maxPE    = fs.Int("maxpe", 0, "override the processor sweep upper bound")
+		seed     = fs.Uint64("seed", 1, "simulation seed")
+		csvDir   = fs.String("csv", "", "also save each regenerated figure as CSV into this directory")
+		jsonOut  = fs.String("json", "", "write a machine-readable metrics snapshot to this file")
+		baseline = fs.String("baseline", "", "compare the snapshot against this baseline; exit 1 on regression")
+		traceOut = fs.String("trace", "", "run gauss p=4 with span tracing and write Chrome trace_event JSON here")
+		stressF  = fs.Bool("stress", false, "run the seeded consistency stress matrix; -seed selects the schedule")
+		recoverF = fs.Bool("recover", false, "run seeded kill-and-recover schedules (checkpoint/restart); -seed selects the schedule")
+		memberF  = fs.Bool("membership", false, "run seeded live join/leave/re-home schedules (elastic membership); -seed selects the schedule")
+		saturate = fs.Bool("saturate", false, "measure remote-GM ops/sec into one home kernel across PE and shard counts (wall clock; with -json, adds the sweep to the snapshot)")
+		modesF   = fs.Bool("modes", false, "print the consistency-tier ablation: gauss message counts under strong, release and lease modes")
+		schedF   = fs.Bool("sched", false, "run the multi-job scheduler load test: thousands of queued jobs, then Poisson arrivals (wall clock; with -json, adds the legs to the snapshot)")
 	)
-	flag.Parse()
-	plotFigures = *plot
-	csvOutDir = *csvDir
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	sc := bench.FullScale()
 	if *quick {
@@ -70,7 +80,9 @@ func main() {
 		sc.MaxPE = *maxPE
 	}
 	sc.Seed = *seed
+	p := printer{out: out, plot: *plot, csvDir: *csvDir}
 
+	var err error
 	switch {
 	case *stressF:
 		runStress(*seed, *quick)
@@ -86,120 +98,135 @@ func main() {
 		writeSnapshot(*jsonOut, *baseline, sc, scaleName, *saturate, *schedF)
 	case *schedF:
 		start := time.Now()
-		pts, err := bench.SchedSweep(*quick, sc.Seed)
-		if err != nil {
-			fatalf("scheduler load test: %v", err)
+		var pts []bench.SchedPoint
+		if pts, err = bench.SchedSweep(*quick, sc.Seed); err != nil {
+			err = fmt.Errorf("scheduler load test: %w", err)
+			break
 		}
-		bench.SchedTable(pts).Fprint(os.Stdout)
-		fmt.Printf("(wall clock; regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
+		bench.SchedTable(pts).Fprint(out)
+		fmt.Fprintf(out, "(wall clock; regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
 	case *saturate:
 		start := time.Now()
-		pts, err := bench.SaturationSweep(*quick)
-		if err != nil {
-			fatalf("saturation sweep: %v", err)
+		var pts []bench.SaturationPoint
+		if pts, err = bench.SaturationSweep(*quick); err != nil {
+			err = fmt.Errorf("saturation sweep: %w", err)
+			break
 		}
-		bench.SaturationTable(pts).Fprint(os.Stdout)
-		fmt.Printf("(wall clock; regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
+		bench.SaturationTable(pts).Fprint(out)
+		fmt.Fprintf(out, "(wall clock; regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
 	case *modesF:
 		start := time.Now()
-		rows, err := bench.ConsistencyTierProfile(platform.SparcSunOS, sc.Seed)
-		if err != nil {
-			fatalf("consistency tiers: %v", err)
+		var rows []bench.TierMetrics
+		if rows, err = bench.ConsistencyTierProfile(platform.SparcSunOS, sc.Seed); err != nil {
+			err = fmt.Errorf("consistency tiers: %w", err)
+			break
 		}
-		bench.TierTable(rows).Fprint(os.Stdout)
-		fmt.Printf("(regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
+		bench.TierTable(rows).Fprint(out)
+		fmt.Fprintf(out, "(regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
 	case *traceOut != "":
-		writeTrace(*traceOut, sc)
+		err = writeTrace(out, *traceOut, sc)
 	case *table == 1:
-		bench.Table1().Fprint(os.Stdout)
+		bench.Table1().Fprint(out)
 	case *table == 2:
-		bench.Table2(2 * platform.PhysicalMachines).Fprint(os.Stdout)
+		bench.Table2(2 * platform.PhysicalMachines).Fprint(out)
 	case *table != 0:
-		fatalf("no table %d in the paper (1 or 2)", *table)
+		err = fmt.Errorf("no table %d in the paper (1 or 2)", *table)
 	case *msgstats:
 		npe := 4
 		if *maxPE > 0 {
 			npe = *maxPE
 		}
-		tables, err := bench.MessageProfile(platform.SparcSunOS, npe, sc.Seed)
-		if err != nil {
-			fatalf("message profile: %v", err)
+		var tables []*trace.Table
+		if tables, err = bench.MessageProfile(platform.SparcSunOS, npe, sc.Seed); err != nil {
+			err = fmt.Errorf("message profile: %w", err)
 		}
-		for _, tb := range tables {
-			tb.Fprint(os.Stdout)
-			fmt.Println()
-		}
+		p.tables(tables)
 	case *latency:
-		tables, err := bench.LatencyTables(platform.SparcSunOS, sc)
-		if err != nil {
-			fatalf("latency tables: %v", err)
+		var tables []*trace.Table
+		if tables, err = bench.LatencyTables(platform.SparcSunOS, sc); err != nil {
+			err = fmt.Errorf("latency tables: %w", err)
 		}
-		for _, tb := range tables {
-			tb.Fprint(os.Stdout)
-			fmt.Println()
-		}
+		p.tables(tables)
 	case *ablation:
-		figs, err := bench.Ablations(sc.MaxPE, sc.Seed)
-		if err != nil {
-			fatalf("ablations: %v", err)
+		var figs []*bench.Figure
+		if figs, err = bench.Ablations(sc.MaxPE, sc.Seed); err != nil {
+			err = fmt.Errorf("ablations: %w", err)
+			break
 		}
 		for _, f := range figs {
-			f.Table().Fprint(os.Stdout)
-			maybePlot(f)
-			maybeCSV(f)
-			fmt.Println()
+			if err = p.figure(f); err != nil {
+				break
+			}
+			fmt.Fprintln(out)
 		}
 	case *fig != 0:
-		printFigure(*fig, sc)
+		err = p.paperFigure(*fig, sc)
 	case *all:
-		bench.Table1().Fprint(os.Stdout)
-		fmt.Println()
-		bench.Table2(2 * platform.PhysicalMachines).Fprint(os.Stdout)
-		fmt.Println()
+		bench.Table1().Fprint(out)
+		fmt.Fprintln(out)
+		bench.Table2(2 * platform.PhysicalMachines).Fprint(out)
+		fmt.Fprintln(out)
 		for _, n := range bench.AllFigureNumbers() {
-			printFigure(n, sc)
+			if err = p.paperFigure(n, sc); err != nil {
+				break
+			}
 		}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
+	}
+	if err != nil {
+		fmt.Fprintf(errw, "dsebench: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// printer renders results to out, mirroring the -plot and -csv flags.
+type printer struct {
+	out    io.Writer
+	plot   bool
+	csvDir string
+}
+
+func (p printer) tables(tables []*trace.Table) {
+	for _, tb := range tables {
+		tb.Fprint(p.out)
+		fmt.Fprintln(p.out)
 	}
 }
 
-// plotFigures and csvOutDir mirror the -plot and -csv flags.
-var (
-	plotFigures bool
-	csvOutDir   string
-)
+// figure prints f as a table, then as an ASCII chart and a CSV file when
+// asked to.
+func (p printer) figure(f *bench.Figure) error {
+	f.Table().Fprint(p.out)
+	if p.plot {
+		fmt.Fprintln(p.out)
+		trace.Plot(p.out, "", f.Series, 60, 16)
+	}
+	if p.csvDir != "" {
+		path, err := f.SaveCSV(p.csvDir)
+		if err != nil {
+			return fmt.Errorf("saving CSV: %w", err)
+		}
+		fmt.Fprintf(p.out, "(saved %s)\n", path)
+	}
+	return nil
+}
 
-func printFigure(n int, sc bench.Scale) {
+// paperFigure regenerates paper figure n and prints it with its axes and
+// the wall time the regeneration took.
+func (p printer) paperFigure(n int, sc bench.Scale) error {
 	start := time.Now()
 	f, err := bench.FigureByNumber(n, sc)
 	if err != nil {
-		fatalf("figure %d: %v", n, err)
+		return fmt.Errorf("figure %d: %w", n, err)
 	}
-	f.Table().Fprint(os.Stdout)
-	maybePlot(f)
-	maybeCSV(f)
-	fmt.Printf("(x: %s, y: %s; regenerated in %v)\n\n", f.XLabel, f.YLabel, time.Since(start).Round(time.Millisecond))
-}
-
-func maybePlot(f *bench.Figure) {
-	if !plotFigures {
-		return
+	if err := p.figure(f); err != nil {
+		return err
 	}
-	fmt.Println()
-	trace.Plot(os.Stdout, "", f.Series, 60, 16)
-}
-
-func maybeCSV(f *bench.Figure) {
-	if csvOutDir == "" {
-		return
-	}
-	path, err := f.SaveCSV(csvOutDir)
-	if err != nil {
-		fatalf("saving CSV: %v", err)
-	}
-	fmt.Printf("(saved %s)\n", path)
+	fmt.Fprintf(p.out, "(x: %s, y: %s; regenerated in %v)\n\n", f.XLabel, f.YLabel, time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 // writeSnapshot builds the metrics snapshot, saves it, and (when a baseline
@@ -248,24 +275,25 @@ func writeSnapshot(path, baselinePath string, sc bench.Scale, scaleName string, 
 }
 
 // writeTrace runs a traced gauss p=4 and exports the Chrome trace.
-func writeTrace(path string, sc bench.Scale) {
+func writeTrace(out io.Writer, path string, sc bench.Scale) error {
 	n := 120
 	if len(sc.GaussNs) > 1 {
 		n = sc.GaussNs[1]
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fatalf("creating trace file: %v", err)
+		return fmt.Errorf("creating trace file: %w", err)
 	}
 	res, err := bench.TraceGauss(platform.SparcSunOS, n, 4, sc.Seed, f)
 	if err != nil {
 		f.Close()
-		fatalf("traced run: %v", err)
+		return fmt.Errorf("traced run: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		fatalf("closing trace file: %v", err)
+		return fmt.Errorf("closing trace file: %w", err)
 	}
-	fmt.Printf("wrote %s (%d spans, gauss N=%d p=4, elapsed %v)\n", path, len(res.Spans), n, res.Elapsed)
+	fmt.Fprintf(out, "wrote %s (%d spans, gauss N=%d p=4, elapsed %v)\n", path, len(res.Spans), n, res.Elapsed)
+	return nil
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -417,8 +417,8 @@ func LatencyTables(pl *platform.Platform, sc Scale) ([]*trace.Table, error) {
 		if err := res.FirstErr(); err != nil {
 			return nil, fmt.Errorf("%s: %w", w.name, err)
 		}
-		title := fmt.Sprintf("latency distribution, %s p=%d on %s (elapsed %v)",
-			w.name, w.npe, pl.Numeric, res.Elapsed)
+		title := fmt.Sprintf("latency distribution, %s p=%d on %s (elapsed %v, %d msgs, %d bytes)",
+			w.name, w.npe, pl.Numeric, res.Elapsed, res.Total.MsgsSent, res.Total.BytesSent)
 		tables = append(tables, res.Total.LatencyTable(title))
 	}
 
@@ -428,8 +428,8 @@ func LatencyTables(pl *platform.Platform, sc Scale) ([]*trace.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gauss+ckpt: %w", err)
 	}
-	title := fmt.Sprintf("latency distribution, gauss+ckpt p=4 on %s (elapsed %v, one coordinated checkpoint)",
-		pl.Numeric, res.Elapsed)
+	title := fmt.Sprintf("latency distribution, gauss+ckpt p=4 on %s (elapsed %v, %d msgs, %d bytes, one coordinated checkpoint)",
+		pl.Numeric, res.Elapsed, res.Total.MsgsSent, res.Total.BytesSent)
 	tables = append(tables, res.Total.LatencyTable(title))
 	ck := &trace.Table{
 		Title:  "checkpoint counters, gauss+ckpt p=4",
@@ -455,8 +455,8 @@ func LatencyTables(pl *platform.Platform, sc Scale) ([]*trace.Table, error) {
 	if err := rel.FirstErr(); err != nil {
 		return nil, fmt.Errorf("gauss-fine release: %w", err)
 	}
-	title = fmt.Sprintf("latency distribution, gauss-fine N=%d release p=%d on %s (elapsed %v, %d WC flushes)",
-		tierGaussN, tierGaussPE, pl.Numeric, rel.Elapsed, rel.Total.WCFlushes)
+	title = fmt.Sprintf("latency distribution, gauss-fine N=%d release p=%d on %s (elapsed %v, %d msgs, %d bytes, %d WC flushes)",
+		tierGaussN, tierGaussPE, pl.Numeric, rel.Elapsed, rel.Total.MsgsSent, rel.Total.BytesSent, rel.Total.WCFlushes)
 	tables = append(tables, rel.Total.LatencyTable(title))
 	return tables, nil
 }

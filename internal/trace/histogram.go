@@ -124,8 +124,10 @@ func (h *Histogram) Mean() sim.Duration {
 	return sim.Duration(atomic.LoadInt64((*int64)(&h.Sum))) / sim.Duration(n)
 }
 
-// Quantile returns an upper bound of the q-quantile (0 < q <= 1) from the
-// bucket boundaries — within 2× of the true value by construction.
+// Quantile returns an upper bound of the q-quantile (0 < q <= 1): the top of
+// the bucket holding it — within 2× of the true value by construction —
+// clamped to the largest sample, which no quantile can exceed. The last
+// bucket is open-ended, so there the largest sample is the only bound.
 func (h *Histogram) Quantile(q float64) sim.Duration {
 	n := atomic.LoadUint64(&h.Count)
 	if n == 0 || q <= 0 {
@@ -135,15 +137,16 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 	if target == 0 {
 		target = 1
 	}
+	largest := h.MaxSample()
 	var seen uint64
-	for i := range h.Buckets {
+	for i := 0; i < histBuckets-1; i++ {
 		seen += atomic.LoadUint64(&h.Buckets[i])
 		if seen >= target {
 			// Upper bucket boundary: 2^(i+1) microseconds.
-			return sim.Duration(int64(1)<<uint(i+1)) * sim.Microsecond
+			return min(sim.Duration(int64(1)<<uint(i+1))*sim.Microsecond, largest)
 		}
 	}
-	return h.MaxSample()
+	return largest
 }
 
 // String summarises the distribution.

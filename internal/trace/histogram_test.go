@@ -39,6 +39,26 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	if p99 < 990*sim.Microsecond {
 		t.Fatalf("p99 bound %v below true value", p99)
 	}
+	// No quantile may exceed the largest sample: the bucket top for 1000us
+	// is 1024us, and a sample past the last bucket's nominal top (~2.1s) is
+	// bounded only by itself.
+	for _, q := range []float64{0.5, 0.95, 0.99, 1} {
+		if got := h.Quantile(q); got > h.MaxSample() {
+			t.Fatalf("q=%v: %v exceeds max sample %v", q, got, h.MaxSample())
+		}
+	}
+	if got := h.Quantile(1); got != 1000*sim.Microsecond {
+		t.Fatalf("p100 = %v, want the max sample 1ms", got)
+	}
+	var one Histogram
+	one.Observe(0)
+	if got := one.Quantile(0.99); got != 0 {
+		t.Fatalf("all-zero samples: p99 = %v, want 0", got)
+	}
+	h.Observe(5 * sim.Second)
+	if got := h.Quantile(1); got != 5*sim.Second {
+		t.Fatalf("open-ended last bucket: p100 = %v, want 5s", got)
+	}
 }
 
 func TestHistogramMerge(t *testing.T) {
