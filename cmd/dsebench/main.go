@@ -58,15 +58,12 @@ func run(args []string, out, errw io.Writer) int {
 		maxPE    = fs.Int("maxpe", 0, "override the processor sweep upper bound")
 		seed     = fs.Uint64("seed", 1, "simulation seed")
 		csvDir   = fs.String("csv", "", "also save each regenerated figure as CSV into this directory")
-		jsonOut  = fs.String("json", "", "write a machine-readable metrics snapshot to this file")
-		baseline = fs.String("baseline", "", "compare the snapshot against this baseline; exit 1 on regression")
 		traceOut = fs.String("trace", "", "run gauss p=4 with span tracing and write Chrome trace_event JSON here")
 		stressF  = fs.Bool("stress", false, "run the seeded consistency stress matrix; -seed selects the schedule")
 		recoverF = fs.Bool("recover", false, "run seeded kill-and-recover schedules (checkpoint/restart); -seed selects the schedule")
 		memberF  = fs.Bool("membership", false, "run seeded live join/leave/re-home schedules (elastic membership); -seed selects the schedule")
-		saturate = fs.Bool("saturate", false, "measure remote-GM ops/sec into one home kernel across PE and shard counts (wall clock; with -json, adds the sweep to the snapshot)")
 		modesF   = fs.Bool("modes", false, "print the consistency-tier ablation: gauss message counts under strong, release and lease modes")
-		schedF   = fs.Bool("sched", false, "run the multi-job scheduler load test: thousands of queued jobs, then Poisson arrivals (wall clock; with -json, adds the legs to the snapshot)")
+		schedF   = fs.Bool("sched", false, "run the multi-job scheduler load test: thousands of queued jobs, then Poisson arrivals (wall clock)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -90,12 +87,6 @@ func run(args []string, out, errw io.Writer) int {
 		runRecover(*seed, *quick)
 	case *memberF:
 		runMembership(*seed, *quick)
-	case *jsonOut != "":
-		scaleName := "full"
-		if *quick {
-			scaleName = "quick"
-		}
-		writeSnapshot(*jsonOut, *baseline, sc, scaleName, *saturate, *schedF)
 	case *schedF:
 		start := time.Now()
 		var pts []bench.SchedPoint
@@ -104,15 +95,6 @@ func run(args []string, out, errw io.Writer) int {
 			break
 		}
 		bench.SchedTable(pts).Fprint(out)
-		fmt.Fprintf(out, "(wall clock; regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
-	case *saturate:
-		start := time.Now()
-		var pts []bench.SaturationPoint
-		if pts, err = bench.SaturationSweep(*quick); err != nil {
-			err = fmt.Errorf("saturation sweep: %w", err)
-			break
-		}
-		bench.SaturationTable(pts).Fprint(out)
 		fmt.Fprintf(out, "(wall clock; regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
 	case *modesF:
 		start := time.Now()
@@ -160,17 +142,23 @@ func run(args []string, out, errw io.Writer) int {
 			fmt.Fprintln(out)
 		}
 	case *fig != 0:
-		err = p.paperFigure(*fig, sc)
+		start := time.Now()
+		var f *bench.Figure
+		if f, err = bench.FigureByNumber(*fig, sc); err != nil {
+			err = fmt.Errorf("figure %d: %w", *fig, err)
+			break
+		}
+		err = p.paperFigure(f, start)
 	case *all:
 		bench.Table1().Fprint(out)
 		fmt.Fprintln(out)
 		bench.Table2(2 * platform.PhysicalMachines).Fprint(out)
 		fmt.Fprintln(out)
-		for _, n := range bench.AllFigureNumbers() {
-			if err = p.paperFigure(n, sc); err != nil {
-				break
-			}
-		}
+		start := time.Now()
+		err = bench.AllFigures(sc, func(f *bench.Figure) error {
+			defer func() { start = time.Now() }()
+			return p.paperFigure(f, start)
+		})
 	default:
 		fs.Usage()
 		return 2
@@ -214,64 +202,14 @@ func (p printer) figure(f *bench.Figure) error {
 	return nil
 }
 
-// paperFigure regenerates paper figure n and prints it with its axes and
-// the wall time the regeneration took.
-func (p printer) paperFigure(n int, sc bench.Scale) error {
-	start := time.Now()
-	f, err := bench.FigureByNumber(n, sc)
-	if err != nil {
-		return fmt.Errorf("figure %d: %w", n, err)
-	}
+// paperFigure prints a regenerated paper figure with its axes and the wall
+// time since start.
+func (p printer) paperFigure(f *bench.Figure, start time.Time) error {
 	if err := p.figure(f); err != nil {
 		return err
 	}
 	fmt.Fprintf(p.out, "(x: %s, y: %s; regenerated in %v)\n\n", f.XLabel, f.YLabel, time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// writeSnapshot builds the metrics snapshot, saves it, and (when a baseline
-// is given) gates on regressions: the CI benchmark-regression pipeline.
-func writeSnapshot(path, baselinePath string, sc bench.Scale, scaleName string, saturate, sched bool) {
-	start := time.Now()
-	snap, err := bench.BuildSnapshot(platform.SparcSunOS, sc, scaleName)
-	if err != nil {
-		fatalf("building snapshot: %v", err)
-	}
-	if saturate {
-		pts, err := bench.SaturationSweep(scaleName == "quick")
-		if err != nil {
-			fatalf("saturation sweep: %v", err)
-		}
-		snap.Saturation = pts
-	}
-	if sched {
-		pts, err := bench.SchedSweep(scaleName == "quick", sc.Seed)
-		if err != nil {
-			fatalf("scheduler load test: %v", err)
-		}
-		snap.Sched = pts
-	}
-	if err := snap.SaveJSON(path); err != nil {
-		fatalf("saving snapshot: %v", err)
-	}
-	fmt.Printf("wrote %s (%d workloads, %v)\n", path, len(snap.Workloads), time.Since(start).Round(time.Millisecond))
-	if baselinePath == "" {
-		return
-	}
-	base, err := bench.LoadSnapshot(baselinePath)
-	if err != nil {
-		fatalf("loading baseline: %v", err)
-	}
-	regs := bench.Compare(base, snap)
-	if len(regs) == 0 {
-		fmt.Printf("no regressions vs %s\n", baselinePath)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "dsebench: %d regression(s) vs %s:\n", len(regs), baselinePath)
-	for _, r := range regs {
-		fmt.Fprintf(os.Stderr, "  %s\n", r)
-	}
-	os.Exit(1)
 }
 
 // writeTrace runs a traced gauss p=4 and exports the Chrome trace.

@@ -75,12 +75,25 @@ func (f *Figure) Table() *trace.Table {
 // transfer units, page-like granularity for vector exchange.
 const gaussBlockWords = 256
 
+// runClean executes body on the cluster cfg describes and fails on a cluster
+// error or on the first PE error.
+func runClean(cfg core.Config, body core.Program) (*core.Result, error) {
+	res, err := core.Run(cfg, body)
+	if err != nil {
+		return nil, err
+	}
+	if err := res.FirstErr(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // runParallel executes body on a simulated cluster and returns PE 0's
 // reported app-level elapsed time.
 func runParallel(pl *platform.Platform, npe int, seed uint64, blockWords int,
 	body func(pe *core.PE) (sim.Duration, error)) (sim.Duration, error) {
 	var elapsed sim.Duration
-	res, err := core.Run(core.Config{
+	_, err := runClean(core.Config{
 		NumPE:        npe,
 		Platform:     pl,
 		Seed:         seed,
@@ -95,13 +108,7 @@ func runParallel(pl *platform.Platform, npe int, seed uint64, blockWords int,
 		}
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	if err := res.FirstErr(); err != nil {
-		return 0, err
-	}
-	return elapsed, nil
+	return elapsed, err
 }
 
 // processors returns the swept processor counts 1..max.
@@ -343,32 +350,67 @@ func platformForFigure(n int) *platform.Platform {
 	}
 }
 
+// figureSweep runs the sweep that produces paper figure n and returns every
+// figure that sweep yields, numbered from first: a gauss or dct sweep gives
+// the execution-time figure and the speed-up figure after it, othello and
+// knight one figure each.
+func figureSweep(n int, sc Scale) (first int, figs []*Figure, err error) {
+	pl := platformForFigure(n)
+	first = n
+	switch {
+	case n >= 4 && n <= 9:
+		first = n &^ 1
+		figs = make([]*Figure, 2)
+		figs[0], figs[1], err = GaussFigures(pl, sc)
+	case n >= 10 && n <= 15:
+		first = n &^ 1
+		figs = make([]*Figure, 2)
+		figs[0], figs[1], err = DCTFigures(pl, sc)
+	case n >= 16 && n <= 18:
+		figs = make([]*Figure, 1)
+		figs[0], err = OthelloFigure(pl, sc)
+	case n >= 19 && n <= 21:
+		figs = make([]*Figure, 1)
+		figs[0], err = KnightFigure(pl, sc)
+	default:
+		err = fmt.Errorf("bench: no figure %d in the paper's evaluation (4..21)", n)
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	for i, f := range figs {
+		f.ID = fmt.Sprintf("Figure %d", first+i)
+	}
+	return first, figs, nil
+}
+
 // FigureByNumber regenerates paper figure n (4..21).
 func FigureByNumber(n int, sc Scale) (*Figure, error) {
-	pl := platformForFigure(n)
-	var fig *Figure
-	var err error
-	switch n {
-	case 4, 6, 8:
-		fig, _, err = GaussFigures(pl, sc)
-	case 5, 7, 9:
-		_, fig, err = GaussFigures(pl, sc)
-	case 10, 12, 14:
-		fig, _, err = DCTFigures(pl, sc)
-	case 11, 13, 15:
-		_, fig, err = DCTFigures(pl, sc)
-	case 16, 17, 18:
-		fig, err = OthelloFigure(pl, sc)
-	case 19, 20, 21:
-		fig, err = KnightFigure(pl, sc)
-	default:
-		return nil, fmt.Errorf("bench: no figure %d in the paper's evaluation (4..21)", n)
-	}
+	first, figs, err := figureSweep(n, sc)
 	if err != nil {
 		return nil, err
 	}
-	fig.ID = fmt.Sprintf("Figure %d", n)
-	return fig, nil
+	return figs[n-first], nil
+}
+
+// AllFigures regenerates every evaluation figure in paper order, running
+// each sweep once, and hands each figure to emit as soon as its sweep is
+// done.
+func AllFigures(sc Scale, emit func(*Figure) error) error {
+	nums := AllFigureNumbers()
+	for i := 0; i < len(nums); {
+		_, figs, err := figureSweep(nums[i], sc)
+		if err != nil {
+			return fmt.Errorf("figure %d: %w", nums[i], err)
+		}
+		for _, f := range figs {
+			if err := emit(f); err != nil {
+				return err
+			}
+		}
+		i += len(figs)
+	}
+	return nil
 }
 
 // AllFigureNumbers lists the paper's evaluation figures.

@@ -80,3 +80,22 @@ func TestKnightFigureQuick(t *testing.T) {
 		}
 	}
 }
+
+// TestReferenceWorkloadsCleanOnSimnet: the reference runs dsebench -latency
+// renders (and cmd/dsebench's golden test pins digit for digit) must see no
+// reliability event on the loss-free simulated network — a retry, a dropped
+// or stale reply or an absorbed duplicate there is a protocol bug, whatever
+// the tables say.
+func TestReferenceWorkloadsCleanOnSimnet(t *testing.T) {
+	sc := QuickScale()
+	for _, w := range referenceWorkloads(sc) {
+		res, err := w.run(platform.SparcSunOS, sc.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := &res.Total; s.Retries != 0 || s.CorruptDrops != 0 || s.StaleReplies != 0 || s.DupRequests != 0 {
+			t.Errorf("%s saw reliability events on simnet: retries=%d corrupt=%d stale=%d dup=%d",
+				w.name, s.Retries, s.CorruptDrops, s.StaleReplies, s.DupRequests)
+		}
+	}
+}

@@ -45,28 +45,20 @@ func gaussFine(pe *core.PE, mode gmem.Mode, seed uint64) error {
 // TierMetrics is one row of the consistency-tier ablation: one gauss
 // variant under one mode.
 type TierMetrics struct {
-	Workload string `json:"workload"`
-	Mode     string `json:"mode"` // "strong", "release" or "lease"
-	NumPE    int    `json:"num_pe"`
+	Workload string
+	Mode     string // "strong", "release" or "lease"
 
-	ElapsedUS int64  `json:"elapsed_us"`
-	MsgsSent  uint64 `json:"msgs_sent"`
-	BytesSent uint64 `json:"bytes_sent"`
-	LocalGM   uint64 `json:"local_gm"`
-	RemoteGM  uint64 `json:"remote_gm"`
+	Elapsed   sim.Duration
+	MsgsSent  uint64
+	BytesSent uint64
 
-	// MsgsPerOp normalises sent messages by global-memory operations — the
-	// per-tier cost figure the regression gate tracks.
-	MsgsPerOp float64 `json:"msgs_per_op"`
+	// MsgsPerOp normalises sent messages by global-memory operations.
+	MsgsPerOp float64
 
 	// Tier machinery counters (zero under strong).
-	WCFlushes     uint64 `json:"wc_flushes,omitempty"`
-	LeaseGrants   uint64 `json:"lease_grants,omitempty"`
-	LeaseExpiries uint64 `json:"lease_expiries,omitempty"`
-}
-
-func tierKey(t *TierMetrics) string {
-	return fmt.Sprintf("%s/%s/p%d", t.Workload, t.Mode, t.NumPE)
+	WCFlushes     uint64
+	LeaseGrants   uint64
+	LeaseExpiries uint64
 }
 
 var tierModes = []struct {
@@ -79,24 +71,17 @@ var tierModes = []struct {
 }
 
 // measureTier runs one gauss variant under one mode and fills a row.
-func measureTier(pl *platform.Platform, seed uint64, workload string, mode int,
-	cfg core.Config, body core.Program) (TierMetrics, error) {
-	res, err := core.Run(cfg, body)
+func measureTier(workload, mode string, cfg core.Config, body core.Program) (TierMetrics, error) {
+	res, err := runClean(cfg, body)
 	if err != nil {
-		return TierMetrics{}, fmt.Errorf("%s/%s: %w", workload, tierModes[mode].name, err)
-	}
-	if err := res.FirstErr(); err != nil {
-		return TierMetrics{}, fmt.Errorf("%s/%s: %w", workload, tierModes[mode].name, err)
+		return TierMetrics{}, fmt.Errorf("%s/%s: %w", workload, mode, err)
 	}
 	m := TierMetrics{
 		Workload:  workload,
-		Mode:      tierModes[mode].name,
-		NumPE:     cfg.NumPE,
-		ElapsedUS: int64(res.Elapsed / sim.Microsecond),
+		Mode:      mode,
+		Elapsed:   res.Elapsed,
 		MsgsSent:  res.Total.MsgsSent,
 		BytesSent: res.Total.BytesSent,
-		LocalGM:   res.Total.LocalGM,
-		RemoteGM:  res.Total.RemoteGM,
 
 		WCFlushes:     res.Total.WCFlushes,
 		LeaseGrants:   res.Total.LeaseGrants,
@@ -110,18 +95,18 @@ func measureTier(pl *platform.Platform, seed uint64, workload string, mode int,
 
 // ConsistencyTierProfile measures the gauss N=300 p=4 point under every
 // consistency mode, for both the hand-vectored solver and the fine-grained
-// variant: the data behind the EXPERIMENTS.md per-tier ablation table and
-// the snapshot's regression-gated tier rows.
+// variant: the data behind the EXPERIMENTS.md per-tier ablation table
+// (dsebench -modes).
 func ConsistencyTierProfile(pl *platform.Platform, seed uint64) ([]TierMetrics, error) {
 	var rows []TierMetrics
-	for mi, tm := range tierModes {
+	for _, tm := range tierModes {
 		// Vectored gauss.Parallel allocates with the default mode, so the
 		// tier is selected via Config.GMDefaultMode.
 		cfg := core.Config{
 			NumPE: tierGaussPE, Platform: pl, Seed: seed,
 			GMBlockWords: gaussBlockWords, GMDefaultMode: tm.mode,
 		}
-		row, err := measureTier(pl, seed, fmt.Sprintf("gauss N=%d", tierGaussN), mi, cfg,
+		row, err := measureTier(fmt.Sprintf("gauss N=%d", tierGaussN), tm.name, cfg,
 			func(pe *core.PE) error {
 				_, err := gauss.Parallel(pe, gauss.Params{N: tierGaussN, Seed: seed})
 				return err
@@ -137,7 +122,7 @@ func ConsistencyTierProfile(pl *platform.Platform, seed uint64) ([]TierMetrics, 
 			NumPE: tierGaussPE, Platform: pl, Seed: seed,
 			GMBlockWords: gaussBlockWords,
 		}
-		row, err = measureTier(pl, seed, fmt.Sprintf("gauss-fine N=%d", tierGaussN), mi, cfg,
+		row, err = measureTier(fmt.Sprintf("gauss-fine N=%d", tierGaussN), tm.name, cfg,
 			func(pe *core.PE) error { return gaussFine(pe, mode, seed) })
 		if err != nil {
 			return nil, err
@@ -160,7 +145,7 @@ func TierTable(rows []TierMetrics) *trace.Table {
 			fmt.Sprintf("%d", r.MsgsSent),
 			fmt.Sprintf("%d", r.BytesSent),
 			fmt.Sprintf("%.3f", r.MsgsPerOp),
-			(sim.Duration(r.ElapsedUS) * sim.Microsecond).String(),
+			(r.Elapsed / sim.Microsecond * sim.Microsecond).String(), // whole µs, truncated
 			fmt.Sprintf("%d", r.WCFlushes),
 			fmt.Sprintf("%d", r.LeaseGrants),
 			fmt.Sprintf("%d", r.LeaseExpiries))

@@ -41,16 +41,13 @@ func MessageProfile(pl *platform.Platform, npe int, seed uint64) ([]*trace.Table
 	}
 	var tables []*trace.Table
 	for _, w := range workloads {
-		res, err := core.Run(core.Config{
+		res, err := runClean(core.Config{
 			NumPE:        npe,
 			Platform:     pl,
 			Seed:         seed,
 			GMBlockWords: w.blockWords,
 		}, w.body)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", w.name, err)
-		}
-		if err := res.FirstErr(); err != nil {
 			return nil, fmt.Errorf("%s: %w", w.name, err)
 		}
 		title := fmt.Sprintf("message profile, %s on %s (total %d msgs, %d bytes)",

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -13,27 +12,27 @@ import (
 
 // SchedPoint is one leg of the multi-job scheduler load test (dsebench
 // -sched): a resident SSI cluster driven by a stream of job submissions,
-// reported as throughput, queue-wait distribution and utilization. Like the
-// saturation sweep it is wall-clock, so Compare gates it by collapse only.
+// reported as throughput, queue-wait distribution and utilization, all of it
+// wall-clock.
 type SchedPoint struct {
-	Leg     string `json:"leg"`     // "burst" (all jobs queued up front) or "poisson"
-	Workers int    `json:"workers"` // worker PE count
-	Jobs    int    `json:"jobs"`    // jobs submitted
+	Leg     string // "burst" (all jobs queued up front) or "poisson"
+	Workers int    // worker PE count
+	Jobs    int    // jobs submitted
 
 	// RatePerSec is the offered Poisson arrival rate (0 on the burst leg).
-	RatePerSec float64 `json:"rate_per_sec,omitempty"`
+	RatePerSec float64
 
-	JobsPerSec  float64 `json:"jobs_per_sec"`
-	WaitP50US   float64 `json:"wait_p50_us"`
-	WaitP95US   float64 `json:"wait_p95_us"`
-	WaitP99US   float64 `json:"wait_p99_us"`
-	Utilization float64 `json:"utilization"`
+	JobsPerSec  float64
+	WaitP50US   float64
+	WaitP95US   float64
+	WaitP99US   float64
+	Utilization float64
 
-	MaxQueued   int `json:"max_queued"`   // deepest the queue got
-	MaxResident int `json:"max_resident"` // most jobs running concurrently
+	MaxQueued   int // deepest the queue got
+	MaxResident int // most jobs running concurrently
 
-	Failed     uint64 `json:"failed,omitempty"`
-	Violations uint64 `json:"violations"` // cross-namespace rejections; must be 0
+	Failed     uint64
+	Violations uint64 // cross-namespace rejections; must be 0
 }
 
 // schedSpecMix deterministically generates the i-th job spec of a load leg:
@@ -208,13 +207,4 @@ func SchedTable(pts []SchedPoint) *trace.Table {
 			fmt.Sprintf("%d", p.MaxQueued), fmt.Sprintf("%d", p.MaxResident))
 	}
 	return t
-}
-
-// schedKey names a load-test leg for baseline matching.
-func schedKey(p *SchedPoint) string {
-	rate := ""
-	if p.RatePerSec > 0 {
-		rate = fmt.Sprintf("/r%.0f", math.Round(p.RatePerSec))
-	}
-	return fmt.Sprintf("%s/w%d%s", p.Leg, p.Workers, rate)
 }

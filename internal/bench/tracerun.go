@@ -14,7 +14,7 @@ import (
 // writes the run as Chrome trace_event JSON (chrome://tracing, Perfetto).
 // It returns the run result so callers can cross-check span coverage.
 func TraceGauss(pl *platform.Platform, n, npe int, seed uint64, w io.Writer) (*core.Result, error) {
-	res, err := core.Run(core.Config{
+	res, err := runClean(core.Config{
 		NumPE:        npe,
 		Platform:     pl,
 		Seed:         seed,
@@ -25,9 +25,6 @@ func TraceGauss(pl *platform.Platform, n, npe int, seed uint64, w io.Writer) (*c
 		return err
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := res.FirstErr(); err != nil {
 		return nil, err
 	}
 	if err := res.WriteChromeTrace(w); err != nil {

@@ -126,42 +126,84 @@ func BenchmarkGMWord(b *testing.B) {
 	}
 }
 
-// BenchmarkGMHomeFanIn measures one home's message-path read throughput with
-// several requesters sharing it: PE 0 homes the word and only serves, every
-// other PE issues its share of the b.N reads, so ns/op is the wall time per
-// read serviced. The home's serial loop is the contended resource here, and
-// on inproc it runs the reply's decode and routing (Kernel.deliverApp) inside
-// its own Send.
+// fanInBlocks is how many kernel-0-homed blocks the requesters of
+// BenchmarkGMHomeFanIn spread their accesses over: enough to cover every
+// shard and segment lock stripe at any shard count below.
+const fanInBlocks = 64
+
+// BenchmarkGMHomeFanIn measures one home's message-path throughput with
+// several requesters sharing it: PE 0 homes the blocks and only serves,
+// every other PE issues its share of the b.N operations, so ns/op is the
+// wall time per operation serviced. Axes: requesters, KernelShards (a shard
+// is a lock — whoever holds it serves — so this is how many requesters can
+// serve at once), and reads only vs 1-in-4 writes. Every cell pins the
+// one-sided paths off, so the shard axis cannot switch the window on, and
+// asserts from the counters that the home serviced every operation as a
+// message. It gates nothing: it is the instrument a fan-in workload in
+// benchmark/ replaces (ROADMAP 1a), and needs more cores than requesters
+// to say anything about the home's ceiling.
 func BenchmarkGMHomeFanIn(b *testing.B) {
 	for _, requesters := range []int{1, 3, 7} {
-		b.Run(fmt.Sprintf("requesters=%d", requesters), func(b *testing.B) {
-			each := b.N/requesters + 1
-			res := runBenchProgram(b, messagePath, requesters+1, func(pe *PE) error {
-				addr := pe.Alloc(64)
-				for pe.Space().HomeOf(addr) != 0 {
-					addr++
+		for _, shards := range []int{1, 2, 4, 8} {
+			for _, mixed := range []bool{false, true} {
+				mix := "read"
+				if mixed {
+					mix = "mixed"
 				}
-				pe.Barrier()
-				if pe.ID() == 0 {
-					b.ResetTimer()
+				b.Run(fmt.Sprintf("requesters=%d/shards=%d/%s", requesters, shards, mix), func(b *testing.B) {
+					cfg := messagePath
+					cfg.KernelShards = shards
+					benchFanIn(b, cfg, requesters, mixed)
+				})
+			}
+		}
+	}
+}
+
+func benchFanIn(b *testing.B, cfg Config, requesters int, mixed bool) {
+	each := b.N/requesters + 1
+	res := runBenchProgram(b, cfg, requesters+1, func(pe *PE) error {
+		// Block i is homed at kernel i % p: reserve p*fanInBlocks blocks
+		// and touch only blocks 0, p, 2p, ...
+		bw, p, id := pe.Space().BlockWords, pe.N(), pe.ID()
+		base := pe.AllocBlocks(p * fanInBlocks * bw)
+		if home := pe.Space().HomeOf(base); home != 0 {
+			return fmt.Errorf("fan-in: first block homed at %d, want 0", home)
+		}
+		pe.Barrier()
+		if id == 0 {
+			b.ResetTimer()
+		} else {
+			// Stride block by block so successive operations land on
+			// successive shards; the word within the block varies per PE.
+			for i := 0; i < each; i++ {
+				addr := base + uint64(i%fanInBlocks*p*bw+(i+id)%bw)
+				if mixed && i%4 == 3 {
+					pe.GMWrite(addr, int64(i))
 				} else {
-					for i := 0; i < each; i++ {
-						pe.GMRead(addr)
-					}
+					pe.GMRead(addr)
 				}
-				pe.Barrier()
-				if pe.ID() == 0 {
-					b.StopTimer()
-				}
-				return nil
-			})
-			if got := res.Total.DirectGM + res.Total.RingGM; got != 0 {
-				b.Fatalf("message-path benchmark took a one-sided path %d times", got)
 			}
-			if got, want := res.PerPE[0].ServiceByOp[wire.OpRead].Count, uint64(each*requesters); got != want {
-				b.Fatalf("home serviced %d reads, want %d", got, want)
-			}
-		})
+		}
+		pe.Barrier()
+		if id == 0 {
+			b.StopTimer()
+		}
+		return nil
+	})
+	if got := res.Total.DirectGM + res.Total.RingGM; got != 0 {
+		b.Fatalf("message-path benchmark took a one-sided path %d times", got)
+	}
+	writes := 0
+	if mixed {
+		writes = each / 4
+	}
+	home := &res.PerPE[0]
+	if got, want := home.ServiceByOp[wire.OpRead].Count, uint64((each-writes)*requesters); got != want {
+		b.Fatalf("home serviced %d reads, want %d", got, want)
+	}
+	if got, want := home.ServiceByOp[wire.OpWrite].Count, uint64(writes*requesters); got != want {
+		b.Fatalf("home serviced %d writes, want %d", got, want)
 	}
 }
 

@@ -95,37 +95,14 @@ func (ds *Server) Finish(res *core.Result) {
 // Close stops serving.
 func (ds *Server) Close() { ds.srv.Close() }
 
-// latencyJSON is a latency distribution in microseconds.
-type latencyJSON struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-func latencyFrom(h *trace.Histogram) latencyJSON {
-	hs := h.Snapshot()
-	us := func(d sim.Duration) float64 { return float64(d) / float64(sim.Microsecond) }
-	return latencyJSON{
-		Count: hs.Count,
-		Mean:  us(hs.Mean()),
-		P50:   us(hs.Quantile(0.50)),
-		P95:   us(hs.Quantile(0.95)),
-		P99:   us(hs.Quantile(0.99)),
-		Max:   us(hs.Max),
-	}
-}
-
 // metricsJSON is the /metrics document.
 type metricsJSON struct {
-	SchemaVersion int         `json:"schema_version"`
-	Node          int         `json:"node"`
-	NumPE         int         `json:"num_pe"`
-	State         string      `json:"state"`
-	UptimeSeconds float64     `json:"uptime_seconds"`
-	RTTUS         latencyJSON `json:"rtt_us"`
+	SchemaVersion int                  `json:"schema_version"`
+	Node          int                  `json:"node"`
+	NumPE         int                  `json:"num_pe"`
+	State         string               `json:"state"`
+	UptimeSeconds float64              `json:"uptime_seconds"`
+	RTTUS         trace.LatencySummary `json:"rtt_us"`
 
 	// Scheduler gauges and per-job rows, present when a scheduler is
 	// attached (dsesched).
@@ -159,7 +136,7 @@ func (ds *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		NumPE:         ds.cfg.N,
 		State:         state,
 		UptimeSeconds: time.Since(ds.start).Seconds(),
-		RTTUS:         latencyFrom(ds.liveRTT),
+		RTTUS:         ds.liveRTT.Summarize(),
 	}
 	if ds.cfg.Sched != nil {
 		doc.Sched = ds.cfg.Sched()

@@ -743,35 +743,12 @@ type Stats struct {
 	JobsPerSec float64 `json:"jobs_per_sec"`
 
 	// Queue-wait distribution, microseconds.
-	WaitUS LatencyStats `json:"wait_us"`
+	WaitUS trace.LatencySummary `json:"wait_us"`
 	// Runtime distribution, microseconds.
-	RunUS LatencyStats `json:"run_us"`
+	RunUS trace.LatencySummary `json:"run_us"`
 
 	CapacityBlocks uint64 `json:"capacity_blocks"`
 	UsedBlocks     uint64 `json:"used_blocks"` // blocks currently carved out
-}
-
-// LatencyStats summarises a distribution in microseconds.
-type LatencyStats struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-func latencyStats(h *trace.Histogram) LatencyStats {
-	hs := h.Snapshot()
-	us := func(d sim.Duration) float64 { return float64(d) / float64(sim.Microsecond) }
-	return LatencyStats{
-		Count: hs.Count,
-		Mean:  us(hs.Mean()),
-		P50:   us(hs.Quantile(0.50)),
-		P95:   us(hs.Quantile(0.95)),
-		P99:   us(hs.Quantile(0.99)),
-		Max:   us(hs.Max),
-	}
 }
 
 // Stats snapshots the scheduler gauges.
@@ -785,8 +762,8 @@ func (s *Scheduler) Stats() Stats {
 		Done: s.done, Failed: s.failed, Cancelled: s.cancelled, Rejected: s.rejected,
 		QueueDepth: len(s.queue), Running: s.resident, FreePEs: len(s.freePEs),
 		MaxQueued: s.maxQueued, MaxResident: s.maxResident,
-		WaitUS:         latencyStats(&s.waitHist),
-		RunUS:          latencyStats(&s.runHist),
+		WaitUS:         s.waitHist.Summarize(),
+		RunUS:          s.runHist.Summarize(),
 		CapacityBlocks: s.cfg.CapacityBlocks,
 	}
 	if s.ra != nil {

@@ -149,6 +149,32 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 	return largest
 }
 
+// LatencySummary is a latency distribution in microseconds: the JSON shape
+// every exporter serves (debugsrv's /metrics, the scheduler's stats).
+type LatencySummary struct {
+	Count uint64  `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   float64 `json:"p50"`
+	P95   float64 `json:"p95"`
+	P99   float64 `json:"p99"`
+	Max   float64 `json:"max"`
+}
+
+// Summarize reads the histogram once (see Snapshot) and reports it in
+// microseconds; the quantiles are Quantile's upper bounds.
+func (h *Histogram) Summarize() LatencySummary {
+	hs := h.Snapshot()
+	us := func(d sim.Duration) float64 { return float64(d) / float64(sim.Microsecond) }
+	return LatencySummary{
+		Count: hs.Count,
+		Mean:  us(hs.Mean()),
+		P50:   us(hs.Quantile(0.50)),
+		P95:   us(hs.Quantile(0.95)),
+		P99:   us(hs.Quantile(0.99)),
+		Max:   us(hs.Max),
+	}
+}
+
 // String summarises the distribution.
 func (h *Histogram) String() string {
 	s := h.Snapshot()

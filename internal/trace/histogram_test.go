@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -179,5 +180,21 @@ func TestHistogramStringSummary(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("summary %q missing %q", s, want)
 		}
+	}
+}
+
+// TestSummarizeJSONShape pins the microsecond summary's field names and
+// order: /metrics (rtt_us) and the scheduler's stats (wait_us, run_us) serve
+// this type verbatim.
+func TestSummarizeJSONShape(t *testing.T) {
+	var h Histogram
+	h.Observe(3 * sim.Microsecond)
+	h.Observe(5 * sim.Microsecond)
+	got, err := json.Marshal(h.Summarize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"count":2,"mean":4,"p50":4,"p95":4,"p99":4,"max":5}`; string(got) != want {
+		t.Fatalf("summary JSON = %s, want %s", got, want)
 	}
 }
