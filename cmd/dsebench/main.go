@@ -1,5 +1,5 @@
 // Command dsebench regenerates the paper's evaluation tables and figures
-// on the simulated cluster.
+// on the simulated cluster and runs the repo's seeded sweeps.
 //
 // Usage:
 //
@@ -8,20 +8,25 @@
 //	dsebench -fig 5              # regenerate one figure (4..21)
 //	dsebench -all                # regenerate every table and figure
 //	dsebench -all -quick         # smaller parameter ranges (fast)
-//	dsebench -quick -json out.json            # machine-readable metrics snapshot
-//	dsebench -quick -json out.json -baseline BENCH_baseline.json
-//	                             # ...and fail (exit 1) on >10% regressions
+//	dsebench -ablation           # design-choice ablations A1..A8
+//	dsebench -msgstats           # per-op message traffic, gauss and dct
+//	dsebench -latency -quick     # per-op latency tables, four reference workloads
+//	dsebench -modes              # consistency-tier ablation: gauss under strong/release/lease
 //	dsebench -trace out.trace.json            # traced gauss run, Chrome trace_event
 //	dsebench -stress -seed 7     # seeded consistency stress matrix (exit 1 on violation)
 //	dsebench -recover -seed 7    # seeded kill-and-recover schedules (exit 1 on failure)
-//	dsebench -saturate           # remote-GM ops/sec into one home kernel vs shard count
-//	dsebench -modes              # consistency-tier ablation: gauss msgs under strong/release/lease
+//	dsebench -membership -seed 7 # seeded live join/leave/re-home schedules
 //	dsebench -sched              # multi-job scheduler load test: burst + Poisson job streams
-//	dsebench -saturate -quick -json out.json  # ...included in the snapshot
-//	dsebench -sched -quick -json out.json     # ...scheduler legs included too
 //
 // Figures print as aligned tables: one row per x value, one column per
 // series, exactly the rows/series the paper plots.
+//
+// Everything but -sched runs on the simulated transport and is a pure
+// function of the flags and -seed. golden_test.go compares the output of
+// -all -quick, -ablation -quick, -msgstats, -modes and -latency -quick
+// exactly against testdata/ (DESIGN.md "What gates what"); -sched is the one
+// wall-clock mode. -quick shrinks the figure, ablation, latency and -sched
+// parameter ranges; the three seeded sweeps always run their full matrices.
 package main
 
 import (
@@ -32,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/check/stress"
 	"repro/internal/platform"
 	"repro/internal/trace"
 )
@@ -54,7 +60,7 @@ func run(args []string, out, errw io.Writer) int {
 		msgstats = fs.Bool("msgstats", false, "print per-op message traffic for the reference workloads")
 		latency  = fs.Bool("latency", false, "print per-op latency distributions for the reference workloads")
 		plot     = fs.Bool("plot", false, "also render figures as ASCII charts")
-		quick    = fs.Bool("quick", false, "use reduced parameter ranges")
+		quick    = fs.Bool("quick", false, "use reduced parameter ranges (figures, ablations, -latency, -sched; not the seeded sweeps)")
 		maxPE    = fs.Int("maxpe", 0, "override the processor sweep upper bound")
 		seed     = fs.Uint64("seed", 1, "simulation seed")
 		csvDir   = fs.String("csv", "", "also save each regenerated figure as CSV into this directory")
@@ -82,11 +88,11 @@ func run(args []string, out, errw io.Writer) int {
 	var err error
 	switch {
 	case *stressF:
-		runStress(*seed, *quick)
+		err = runSweep(out, "stress", *seed)
 	case *recoverF:
-		runRecover(*seed, *quick)
+		err = runSweep(out, "recover", *seed)
 	case *memberF:
-		runMembership(*seed, *quick)
+		err = runSweep(out, "membership", *seed)
 	case *schedF:
 		start := time.Now()
 		var pts []bench.SchedPoint
@@ -234,7 +240,40 @@ func writeTrace(out io.Writer, path string, sc bench.Scale) error {
 	return nil
 }
 
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "dsebench: "+format+"\n", args...)
-	os.Exit(1)
+// runSweep runs one of the seeded sweeps of internal/check/stress — the rows
+// TestStressSuites runs at seed 1 — and fails if any row fails its gates.
+func runSweep(out io.Writer, name string, seed uint64) error {
+	start := time.Now()
+	cases := stress.Suite(name, seed)
+	ops, failures := 0, 0
+	for _, c := range cases {
+		res, err := stress.Run(c.Options)
+		if err != nil {
+			return fmt.Errorf("%s (%v): %w", name, c.Options, err)
+		}
+		status := "ok"
+		if err := c.Verify(res); err != nil {
+			status = "FAILED: " + err.Error()
+			failures++
+		}
+		fmt.Fprintf(out, "%-72s %7d ops  %s\n", c.Options, res.History.Len(), status)
+		if rec := res.Recovery; rec != nil {
+			for _, ev := range rec.Recoveries {
+				fmt.Fprintf(out, "    dead=%v coordinator=%d gen=%d epoch=%d detected@%v rollback=%d ops; rerun finished in %v\n",
+					ev.DeadPEs, ev.Coordinator, ev.Gen, ev.Epoch, ev.DetectedAt, ev.RollbackOps, res.Elapsed)
+			}
+			fmt.Fprintf(out, "    snapshot bytes=%d attempts=%d\n", res.SnapshotBytes, rec.Attempts)
+		}
+		if c.MinEvents > 0 {
+			fmt.Fprintf(out, "    %d joins %d leaves %d migrations %d blocks re-homed\n",
+				res.Joins, res.Leaves, res.Migrations, res.MigratedBlocks)
+		}
+		ops += res.History.Len()
+	}
+	fmt.Fprintf(out, "checked %d operations across %d configurations in %v\n",
+		ops, len(cases), time.Since(start).Round(time.Millisecond))
+	if failures > 0 {
+		return fmt.Errorf("%s FAILED (%d bad configurations); replay with -%s -seed %d", name, failures, name, seed)
+	}
+	return nil
 }

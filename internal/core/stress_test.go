@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -10,43 +9,53 @@ import (
 	"repro/internal/sim"
 )
 
-// runStress executes one seeded configuration and fails the test with the
-// replay seed on any consistency violation.
+// runStress executes one seeded configuration and fails the test on a PE
+// error or a consistency violation: the gates every row of the sweeps must
+// pass (stress.Case.Verify), with no schedule gate added.
 func runStress(t *testing.T, o stress.Options) *stress.Result {
 	t.Helper()
-	res, err := stress.Run(o)
+	return runCase(t, stress.Case{Options: o}, "stress")
+}
+
+// runCase runs one sweep row and fails the test with the replay command if
+// the row fails its gates.
+func runCase(t *testing.T, c stress.Case, flag string) *stress.Result {
+	t.Helper()
+	res, err := stress.Run(c.Options)
 	if err != nil {
-		t.Fatalf("stress.Run(%v): %v", o, err)
+		t.Fatalf("stress.Run(%v): %v", c.Options, err)
 	}
-	if res.Err != nil {
-		t.Fatalf("stress (%v): unexpected PE error: %v", o, res.Err)
-	}
-	if !res.Report.OK() {
-		t.Fatalf("stress (%v): consistency violations — replay with `dsebench -stress -seed %d`:\n%s",
-			o, o.Seed, res.Report)
+	if err := c.Verify(res); err != nil {
+		t.Fatalf("stress (%v): %v\nreplay with `dsebench -%s -seed %d`", c.Options, err, flag, c.Seed)
 	}
 	return res
 }
 
-// TestStressMatrix sweeps PEs x loss x caching. The in-PR matrix is kept
-// small; STRESS_FULL=1 (the nightly job) runs the full grid from the
-// EXPERIMENTS.md table, including 8 PEs at 15% loss under caching.
-func TestStressMatrix(t *testing.T) {
-	pes := []int{2, 4}
-	losses := []float64{0, 0.05}
-	ops := 150
-	if os.Getenv("STRESS_FULL") != "" {
-		pes = []int{2, 4, 8}
-		losses = []float64{0, 0.05, 0.15}
-		ops = 500
+// TestStressSuites runs the three seeded sweeps row for row as
+// `dsebench -stress|-recover|-membership -seed 1` does: the full consistency
+// matrix (up to 8 PEs at 15% loss under caching, kills, sharded, one-sided
+// and mixed-tier legs), the kill-and-recover schedules and the elastic-
+// membership churn. The nightly job runs the same rows on a date seed.
+func TestStressSuites(t *testing.T) {
+	for _, name := range stress.SuiteNames {
+		for _, c := range stress.Suite(name, 1) {
+			t.Run(name+"/"+c.String(), func(t *testing.T) {
+				runCase(t, c, name)
+			})
+		}
 	}
-	for _, np := range pes {
-		for _, loss := range losses {
+}
+
+// TestStressMatrix sweeps PEs x loss x caching with a seed of its own per
+// cell.
+func TestStressMatrix(t *testing.T) {
+	for _, np := range []int{2, 4} {
+		for _, loss := range []float64{0, 0.05} {
 			for _, caching := range []bool{false, true} {
 				o := stress.Options{
 					Seed:     uint64(np)<<16 | uint64(loss*100),
 					NumPE:    np,
-					OpsPerPE: ops,
+					OpsPerPE: 150,
 					Caching:  caching,
 					Loss:     loss,
 					Jitter:   200 * sim.Microsecond,
@@ -163,14 +172,11 @@ func TestStressShardSweep(t *testing.T) {
 			// the kill lands mid-run even on the fast windows-on schedule
 			// (at 500ms a sharded windows-on run finished before the kill
 			// and no recovery ever fired).
-			res := runStress(t, stress.Options{
+			runCase(t, stress.Case{MustRecover: true, Options: stress.Options{
 				Seed: 23, NumPE: 4, OpsPerPE: 200, Recover: true, CkptEvery: 32,
 				KillPE: 2, KillAt: 200 * sim.Millisecond,
 				Shards: shards,
-			})
-			if res.Recovery == nil || !res.Recovery.Recovered() {
-				t.Fatalf("shards=%d: kill triggered no recovery", shards)
-			}
+			}}, "recover")
 		})
 	}
 }
@@ -244,14 +250,11 @@ func TestStressRingSweep(t *testing.T) {
 				KillPE: 2, KillAt: 100 * sim.Millisecond,
 				Shards: shards, DirectReads: 1, Rings: 1,
 			})
-			res := runStress(t, stress.Options{
+			runCase(t, stress.Case{MustRecover: true, Options: stress.Options{
 				Seed: 23, NumPE: 4, OpsPerPE: 200, Recover: true, CkptEvery: 32,
 				KillPE: 2, KillAt: 200 * sim.Millisecond,
 				Shards: shards, DirectReads: 1, Rings: 1,
-			})
-			if res.Recovery == nil || !res.Recovery.Recovered() {
-				t.Fatalf("shards=%d: kill triggered no recovery", shards)
-			}
+			}}, "recover")
 		})
 	}
 }
@@ -262,18 +265,12 @@ func TestStressRingSweep(t *testing.T) {
 // and every fault-free run must actually exercise the new machinery: WC
 // buffer flushes at sync edges and lease grants on the lease region.
 func TestStressModesMatrix(t *testing.T) {
-	ops := 200
-	losses := []float64{0, 0.05}
-	if os.Getenv("STRESS_FULL") != "" {
-		ops = 500
-		losses = []float64{0, 0.05, 0.15}
-	}
-	for _, loss := range losses {
+	for _, loss := range []float64{0, 0.05} {
 		for _, caching := range []bool{false, true} {
 			o := stress.Options{
 				Seed:     41 + uint64(loss*100),
 				NumPE:    4,
-				OpsPerPE: ops,
+				OpsPerPE: 200,
 				Caching:  caching,
 				Loss:     loss,
 				Modes:    true,
@@ -456,14 +453,10 @@ func TestStressCatchesBrokenInvalidation(t *testing.T) {
 // where the kill lands relative to the checkpoint cadence.
 func TestStressKillRecovers(t *testing.T) {
 	for _, seed := range []uint64{1, 11, 23} {
-		o := stress.Options{
+		res := runCase(t, stress.Case{MustRecover: true, Options: stress.Options{
 			Seed: seed, NumPE: 4, OpsPerPE: 300, Recover: true, CkptEvery: 32,
 			KillPE: 2, KillAt: 500 * sim.Millisecond,
-		}
-		res := runStress(t, o)
-		if res.Recovery == nil || !res.Recovery.Recovered() {
-			t.Fatalf("seed %d: kill at %v triggered no recovery: %+v", seed, o.KillAt, res.Recovery)
-		}
+		}}, "recover")
 		if res.SnapshotBytes == 0 {
 			t.Errorf("seed %d: no snapshot bytes recorded", seed)
 		}
@@ -521,12 +514,9 @@ func TestStressMembershipChurn(t *testing.T) {
 			LeavePE: 2, LeaveAtOp: 100,
 			MigrateEvery: 30,
 		}
-		res := runStress(t, o)
+		res := runCase(t, stress.Case{Options: o, MinEvents: 3}, "membership")
 		if res.Joins < 1 || res.Leaves != 1 {
 			t.Errorf("seed %d: joins=%d leaves=%d, want >=1 and 1", seed, res.Joins, res.Leaves)
-		}
-		if ev := res.Joins + res.Leaves + res.Migrations; ev < 3 {
-			t.Errorf("seed %d: only %d membership events, want >= 3", seed, ev)
 		}
 		if res.MigratedBlocks == 0 {
 			t.Errorf("seed %d: no blocks changed home", seed)
@@ -567,14 +557,11 @@ func TestStressMembershipReplayDeterministic(t *testing.T) {
 // consistent history — a handoff stranded by the kill may fail ops, but it
 // must never lose or duplicate an acknowledged write.
 func TestStressMembershipKillOverlapsMigration(t *testing.T) {
-	res := runStress(t, stress.Options{
+	runCase(t, stress.Case{MinEvents: 3, Options: stress.Options{
 		Seed: 23, NumPE: 5, OpsPerPE: 200, Loss: 0.02,
 		KillPE: 3, KillAt: 2 * sim.Second,
 		Latent: 1, JoinAtOp: 30, MigrateEvery: 20,
-	})
-	if ev := res.Joins + res.Leaves + res.Migrations; ev < 3 {
-		t.Errorf("only %d membership events overlapped the kill, want >= 3", ev)
-	}
+	}}, "membership")
 }
 
 // TestStressEscrowReofferChainedHandoff replays a schedule where a block is
@@ -588,13 +575,10 @@ func TestStressMembershipKillOverlapsMigration(t *testing.T) {
 // two live copies. The install handler must refuse payloads for blocks it
 // currently holds in escrow.
 func TestStressEscrowReofferChainedHandoff(t *testing.T) {
-	res := runStress(t, stress.Options{
+	runCase(t, stress.Case{MinEvents: 3, Options: stress.Options{
 		Seed: 9, NumPE: 4, OpsPerPE: 800, Shards: 2,
 		DirectReads: 1, Rings: 1,
 		Latent: 1, JoinAtOp: 200,
 		LeavePE: 2, LeaveAtOp: 400, MigrateEvery: 100,
-	})
-	if ev := res.Joins + res.Leaves + res.Migrations; ev < 3 {
-		t.Errorf("only %d membership events, want >= 3", ev)
-	}
+	}}, "membership")
 }
