@@ -220,10 +220,7 @@ func (p printer) paperFigure(f *bench.Figure, start time.Time) error {
 
 // writeTrace runs a traced gauss p=4 and exports the Chrome trace.
 func writeTrace(out io.Writer, path string, sc bench.Scale) error {
-	n := 120
-	if len(sc.GaussNs) > 1 {
-		n = sc.GaussNs[1]
-	}
+	n := bench.ReferenceGaussN(sc)
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("creating trace file: %w", err)

@@ -26,8 +26,9 @@ type referenceWorkload struct {
 
 const referencePE = 4
 
-// referenceGaussN is the reference gauss dimension at scale sc.
-func referenceGaussN(sc Scale) int {
+// ReferenceGaussN is the reference gauss dimension at scale sc: the point
+// -latency, -trace and the checkpoint run share.
+func ReferenceGaussN(sc Scale) int {
 	if len(sc.GaussNs) > 1 {
 		return sc.GaussNs[1]
 	}
@@ -35,7 +36,7 @@ func referenceGaussN(sc Scale) int {
 }
 
 func referenceWorkloads(sc Scale) []referenceWorkload {
-	gaussN := referenceGaussN(sc)
+	gaussN := ReferenceGaussN(sc)
 	return []referenceWorkload{
 		{
 			name: fmt.Sprintf("gauss N=%d", gaussN), blockWords: gaussBlockWords,
@@ -82,7 +83,7 @@ func (w referenceWorkload) run(pl *platform.Platform, seed uint64) (*core.Result
 // fully solved system: its elapsed time against the plain gauss run's is the
 // cost of a checkpoint, its SnapshotBytes the snapshot's encoded size.
 func RunGaussCkpt(pl *platform.Platform, sc Scale) (*core.Result, error) {
-	gaussN := referenceGaussN(sc)
+	gaussN := ReferenceGaussN(sc)
 	dir, err := os.MkdirTemp("", "dse-ckpt-")
 	if err != nil {
 		return nil, err

@@ -24,14 +24,16 @@ type Case struct {
 // Verify checks one result of c's configuration against c's gates and
 // describes the first one it fails.
 func (c Case) Verify(res *Result) error {
-	switch events := res.Joins + res.Leaves + res.Migrations; {
-	case res.Err != nil:
+	if res.Err != nil {
 		return fmt.Errorf("PE error: %w", res.Err)
-	case !res.Report.OK():
+	}
+	if !res.Report.OK() {
 		return fmt.Errorf("%d consistency violations:\n%s", len(res.Report.Violations), res.Report)
-	case c.MustRecover && (res.Recovery == nil || !res.Recovery.Recovered()):
+	}
+	if c.MustRecover && (res.Recovery == nil || !res.Recovery.Recovered()) {
 		return fmt.Errorf("no recovery (kill never fired?)")
-	case events < c.MinEvents:
+	}
+	if events := res.Joins + res.Leaves + res.Migrations; events < c.MinEvents {
 		return fmt.Errorf("only %d membership events, want >= %d", events, c.MinEvents)
 	}
 	return nil
