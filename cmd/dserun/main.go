@@ -25,6 +25,7 @@ import (
 	"repro/internal/apps/othello"
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/gmem"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/transport/simnet"
@@ -37,7 +38,7 @@ func main() {
 		transport = flag.String("transport", "simnet", "transport: simnet, inproc, tcp")
 		pes       = flag.Int("p", 4, "number of processors (DSE kernels)")
 		seed      = flag.Uint64("seed", 1, "simulation / workload seed")
-		caching   = flag.Bool("caching", false, "enable the DSM caching protocol")
+		caching   = flag.Bool("caching", false, "run every allocation in cached mode (the write-invalidate caching protocol)")
 		tree      = flag.Bool("tree-barrier", false, "use the tree barrier instead of the central one")
 		switched  = flag.Bool("switched", false, "switched Ethernet instead of the shared bus")
 		legacy    = flag.Bool("legacy", false, "model the old two-process DSE organisation")
@@ -67,10 +68,12 @@ func main() {
 		Platform:     pl,
 		Transport:    core.TransportKind(*transport),
 		Seed:         *seed,
-		Caching:      *caching,
 		Switched:     *switched,
 		Legacy:       *legacy,
 		GMBlockWords: *blockW,
+	}
+	if *caching {
+		cfg.GMDefaultMode = gmem.ModeCached
 	}
 	if *tree {
 		cfg.Barrier = core.BarrierTree

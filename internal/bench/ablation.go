@@ -6,6 +6,7 @@ import (
 	"repro/internal/apps/dct"
 	"repro/internal/apps/gauss"
 	"repro/internal/core"
+	"repro/internal/gmem"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -17,9 +18,10 @@ import (
 // they justify the reproduction's structure.
 
 // AblationCaching compares the plain home-based DSM against the
-// write-invalidate caching protocol on a read-mostly shared table: every
-// PE repeatedly reads a table of shared words that PE 0 occasionally
-// updates. Caching turns the re-reads into local hits.
+// write-invalidate caching protocol (the whole program in gmem.ModeCached) on
+// a read-mostly shared table: every PE repeatedly reads a table of shared
+// words that PE 0 occasionally updates. Caching turns the re-reads into local
+// hits.
 func AblationCaching(pl *platform.Platform, maxPE int, seed uint64) (*Figure, error) {
 	const (
 		tableWords = 96
@@ -30,16 +32,16 @@ func AblationCaching(pl *platform.Platform, maxPE int, seed uint64) (*Figure, er
 		Title:  fmt.Sprintf("home-based DSM vs caching protocol (read-mostly table), %s", pl),
 		XLabel: "number of processors", YLabel: "execution time [s]",
 	}
-	for _, caching := range []bool{false, true} {
+	for _, mode := range []gmem.Mode{gmem.ModeStrong, gmem.ModeCached} {
 		label := "home-based"
-		if caching {
+		if mode == gmem.ModeCached {
 			label = "caching"
 		}
 		s := trace.Series{Label: label}
 		for p := 1; p <= maxPE; p++ {
 			var elapsed sim.Duration
 			res, err := core.Run(core.Config{
-				NumPE: p, Platform: pl, Seed: seed, Caching: caching,
+				NumPE: p, Platform: pl, Seed: seed, GMDefaultMode: mode,
 			}, func(pe *core.PE) error {
 				table := pe.Alloc(tableWords)
 				if pe.ID() == 0 {

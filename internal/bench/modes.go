@@ -61,14 +61,7 @@ type TierMetrics struct {
 	LeaseExpiries uint64
 }
 
-var tierModes = []struct {
-	name string
-	mode gmem.Mode
-}{
-	{"strong", gmem.ModeStrong},
-	{"release", gmem.ModeRelease},
-	{"lease", gmem.ModeLease},
-}
+var tierModes = []gmem.Mode{gmem.ModeStrong, gmem.ModeRelease, gmem.ModeLease}
 
 // measureTier runs one gauss variant under one mode and fills a row.
 func measureTier(workload, mode string, cfg core.Config, body core.Program) (TierMetrics, error) {
@@ -99,14 +92,14 @@ func measureTier(workload, mode string, cfg core.Config, body core.Program) (Tie
 // (dsebench -modes).
 func ConsistencyTierProfile(pl *platform.Platform, seed uint64) ([]TierMetrics, error) {
 	var rows []TierMetrics
-	for _, tm := range tierModes {
+	for _, mode := range tierModes {
 		// Vectored gauss.Parallel allocates with the default mode, so the
 		// tier is selected via Config.GMDefaultMode.
 		cfg := core.Config{
 			NumPE: tierGaussPE, Platform: pl, Seed: seed,
-			GMBlockWords: gaussBlockWords, GMDefaultMode: tm.mode,
+			GMBlockWords: gaussBlockWords, GMDefaultMode: mode,
 		}
-		row, err := measureTier(fmt.Sprintf("gauss N=%d", tierGaussN), tm.name, cfg,
+		row, err := measureTier(fmt.Sprintf("gauss N=%d", tierGaussN), mode.String(), cfg,
 			func(pe *core.PE) error {
 				_, err := gauss.Parallel(pe, gauss.Params{N: tierGaussN, Seed: seed})
 				return err
@@ -117,12 +110,11 @@ func ConsistencyTierProfile(pl *platform.Platform, seed uint64) ([]TierMetrics, 
 		rows = append(rows, row)
 
 		// Fine-grained variant: the mode rides on the allocation itself.
-		mode := tm.mode
 		cfg = core.Config{
 			NumPE: tierGaussPE, Platform: pl, Seed: seed,
 			GMBlockWords: gaussBlockWords,
 		}
-		row, err = measureTier(fmt.Sprintf("gauss-fine N=%d", tierGaussN), tm.name, cfg,
+		row, err = measureTier(fmt.Sprintf("gauss-fine N=%d", tierGaussN), mode.String(), cfg,
 			func(pe *core.PE) error { return gaussFine(pe, mode, seed) })
 		if err != nil {
 			return nil, err

@@ -67,11 +67,14 @@ func TestCheckerStrongGoldenViolations(t *testing.T) {
 	}
 }
 
-// The checker mirrors gmem.Mode as untyped byte tags to stay free of runtime
-// imports; this pins the two enumerations together.
+// The checker mirrors the tags gmem.Mode puts on history events as untyped
+// bytes to stay free of runtime imports; this pins the two enumerations
+// together. Cached words carry the strong tag: they promise the strong
+// contract and no history may tell them apart.
 func TestModeTagsMirrorGmem(t *testing.T) {
-	if gmem.ModeStrong != 0 || gmem.ModeRelease != 1 || gmem.ModeLease != 2 || gmem.NumModes != 3 {
-		t.Fatalf("gmem.Mode values moved; update the check package's mode tags to match")
+	if gmem.ModeStrong.Tag() != 0 || gmem.ModeRelease.Tag() != 1 || gmem.ModeLease.Tag() != 2 ||
+		gmem.ModeCached.Tag() != 0 || gmem.NumModes != 4 {
+		t.Fatalf("gmem.Mode tags moved; update the check package's mode tags to match")
 	}
 }
 
@@ -81,6 +84,9 @@ func TestModeTagsMirrorGmem(t *testing.T) {
 // test, not a claim: the digest covers every recorded event's kind, address,
 // arguments, result, flags, mode tag and virtual-time interval, and virtual
 // time moves with every message, local-access charge and retry.
+// mixed-tiers-caching was captured again when caching became the fourth
+// per-allocation mode (its release and lease regions stopped being cached as
+// well), caching-onesided-mixed-tiers for the first time then.
 var ladderGoldens = []struct {
 	name string
 	o    stress.Options
@@ -88,8 +94,9 @@ var ladderGoldens = []struct {
 }{
 	{"strong-message", stress.Options{Seed: 21, NumPE: 4, OpsPerPE: 300}, "0fb833e71707cce9f8fe1e234b444972b1695852ccad531c9be17b072de3a397"},
 	{"mixed-tiers", stress.Options{Seed: 7, NumPE: 4, OpsPerPE: 400, Modes: true, LeaseDuration: 100 * sim.Microsecond}, "60ce4cacd9db4c82980362b80e4cba864f1222f9876eb2663e0e6433a62bb6c4"},
-	{"mixed-tiers-caching", stress.Options{Seed: 8, NumPE: 4, OpsPerPE: 300, Modes: true, Caching: true}, "3126de0382d9ddf885484bef3df853350b21995941bc904297fd5009a1873b44"},
+	{"mixed-tiers-caching", stress.Options{Seed: 8, NumPE: 4, OpsPerPE: 300, Modes: true, Caching: true}, "2b9e15e785ca6f9de8ef71312cb30c627518116d827ab6ba976480497330c1af"},
 	{"caching-fault-free", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Caching: true}, "e924f6d44305681474279d8546e35bd2087111dde0cd033a5667c7bc2300c0e7"},
+	{"caching-onesided-mixed-tiers", stress.Options{Seed: 12, NumPE: 4, OpsPerPE: 300, Caching: true, Modes: true, Shards: 2, DirectReads: 1, Rings: 1}, "4f37419b0ab53eea2fd4905e6205db0f92e6de17825d57e6ab9a9442f3d7e23e"},
 	{"onesided-shards1", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Shards: 1, DirectReads: 1, Rings: 1}, "37c8080531ff85bd5d150ae230de299291150d290a569c7c9565ec83b28b9155"},
 	{"onesided-shards2", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Shards: 2, DirectReads: 1, Rings: 1}, "37c8080531ff85bd5d150ae230de299291150d290a569c7c9565ec83b28b9155"},
 	{"onesided-mixed-tiers", stress.Options{Seed: 10, NumPE: 4, OpsPerPE: 300, Shards: 2, DirectReads: 1, Rings: 1, Modes: true}, "4dbd700986d125cfc575bd05ea2847c1a90d6493cf34ecc2cc937c9fd73ea2fa"},

@@ -48,9 +48,11 @@ type Options struct {
 	Seed     uint64
 	NumPE    int // 2..8
 	OpsPerPE int // operations issued per PE
-	Caching  bool
-	Loss     float64      // frame-loss probability on the simulated medium
-	Jitter   sim.Duration // per-frame receive-side delay jitter, 0 = off
+	// Caching makes gmem.ModeCached the default mode: data, counters, CAS
+	// chains and lock words are cached, the Modes regions keep their tiers.
+	Caching bool
+	Loss    float64      // frame-loss probability on the simulated medium
+	Jitter  sim.Duration // per-frame receive-side delay jitter, 0 = off
 	// KillPE > 0 schedules that PE's network station to die at KillAt
 	// (never PE 0 — kernel 0 hosts the sync managers and process table).
 	// The victim PE winds down shortly before the kill so its exit message
@@ -94,11 +96,11 @@ type Options struct {
 	// others.
 	Rings int
 
-	// Membership schedule (requires the uncached protocol; incompatible
-	// with Recover). Latent provisions that many PEs at the tail of the id
-	// range as latent members — clients that own no global memory — and
-	// each joins live at op index JoinAtOp + 32*k (k-th latent PE), taking
-	// over its probe-rule share while the workload keeps running.
+	// Membership schedule (incompatible with Caching and with Recover).
+	// Latent provisions that many PEs at the tail of the id range as latent
+	// members — clients that own no global memory — and each joins live at
+	// op index JoinAtOp + 32*k (k-th latent PE), taking over its probe-rule
+	// share while the workload keeps running.
 	Latent   int
 	JoinAtOp int // op index the first latent PE joins at (0 = OpsPerPE/4)
 	// LeaveAtOp > 0 schedules PE LeavePE (never 0 — kernel 0 hosts the
@@ -221,7 +223,7 @@ func Run(o Options) (*Result, error) {
 	}
 	if o.membership() {
 		if o.Caching {
-			return nil, fmt.Errorf("stress: membership schedules require the uncached protocol")
+			return nil, fmt.Errorf("stress: membership schedules cannot combine with cached-mode regions")
 		}
 		if o.Recover {
 			return nil, fmt.Errorf("stress: membership schedules cannot combine with Recover")
@@ -251,7 +253,6 @@ func Run(o Options) (*Result, error) {
 		NumPE:                  o.NumPE,
 		Platform:               platform.SparcSunOS,
 		Seed:                   o.Seed,
-		Caching:                o.Caching,
 		LossProbability:        o.Loss,
 		DelayJitter:            o.Jitter,
 		RecordHistory:          true,
@@ -263,6 +264,9 @@ func Run(o Options) (*Result, error) {
 		LeaseDuration:          o.LeaseDuration,
 		FaultSkipReleaseFlush:  o.FaultSkipReleaseFlush,
 		FaultIgnoreLeaseExpiry: o.FaultIgnoreLeaseExpiry,
+	}
+	if o.Caching {
+		cfg.GMDefaultMode = gmem.ModeCached
 	}
 	if o.faulty() {
 		cfg.RequestTimeout = 50 * sim.Millisecond

@@ -97,12 +97,16 @@ func stressSuite(seed uint64) []Case {
 	// Mixed consistency tiers — strong, release and lease allocations in one
 	// run, checked by the per-mode rules: fault-free, through the lossy
 	// caching corner, over the one-sided paths, and with a station kill
-	// discarding unflushed WC words and stranding held leases.
+	// discarding unflushed WC words and stranding held leases. The last row
+	// has all four modes with the window and rings on: cached words run the
+	// write-invalidate protocol beside words read and written one-sidedly.
 	modes := Options{Seed: seed, NumPE: 4, OpsPerPE: ops, Modes: true}
 	a, b, c := lossyCaching, modes, kill
 	a.Modes, c.Modes = true, true
 	b.Shards, b.DirectReads, b.Rings, b.Loss = 2, 1, 1, 0.05
-	rows = append(rows, modes, a, b, c)
+	d := b
+	d.Caching, d.Loss = true, 0
+	rows = append(rows, modes, a, b, c, d)
 
 	cases := make([]Case, len(rows))
 	for i, o := range rows {
@@ -125,6 +129,11 @@ func recoverSuite(seed uint64) []Case {
 		// before the kill lands.
 		{MustRecover: true, Options: Options{Seed: seed + 2, NumPE: 8, OpsPerPE: ops,
 			Recover: true, CkptEvery: 32, KillPE: 5, KillAt: 2 * killAt}},
+		// The restart must rebind the window and the rings to the fresh
+		// segments; the one-sided schedule is faster, so the kill comes sooner.
+		{MustRecover: true, Options: Options{Seed: seed + 3, NumPE: 4, OpsPerPE: ops,
+			Recover: true, CkptEvery: 32, KillPE: 2, KillAt: killAt / 5,
+			Shards: 2, DirectReads: 1, Rings: 1}},
 	}
 }
 

@@ -8,26 +8,30 @@ import (
 )
 
 // TestCaseVerifyHasTeeth proves the sweep rows' gates can fail: a row over
-// a deliberately broken protocol fails on its violations, and a membership
-// row whose schedule never fires fails on the event gate although its
-// history is clean.
+// a deliberately broken protocol fails on its violations — cluster-wide
+// cached, and with the cached words beside one-sided traffic — and a
+// membership row whose schedule never fires fails on the event gate although
+// its history is clean.
 func TestCaseVerifyHasTeeth(t *testing.T) {
-	broken := stress.Case{Options: stress.Options{
-		Seed: 3, NumPE: 4, OpsPerPE: 300, Caching: true, FaultDropInvalidations: true,
-	}}
-	res, err := stress.Run(broken.Options)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := broken.Verify(res); err == nil || !strings.Contains(err.Error(), "violations") {
-		t.Errorf("row with invalidations dropped: Verify = %v, want a violations failure", err)
+	for _, o := range []stress.Options{
+		{Seed: 3, NumPE: 4, OpsPerPE: 300, Caching: true},
+		{Seed: 12, NumPE: 4, OpsPerPE: 300, Caching: true, Modes: true, Shards: 2, DirectReads: 1, Rings: 1},
+	} {
+		o.FaultDropInvalidations = true
+		res, err := stress.Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := (stress.Case{Options: o}).Verify(res); err == nil || !strings.Contains(err.Error(), "violations") {
+			t.Errorf("row with invalidations dropped (%v): Verify = %v, want a violations failure", o, err)
+		}
 	}
 
 	// The latent PE would join at op 1000 of a 100-op run.
 	idle := stress.Case{MinEvents: 3, Options: stress.Options{
 		Seed: 1, NumPE: 4, OpsPerPE: 100, Latent: 1, JoinAtOp: 1000,
 	}}
-	res, err = stress.Run(idle.Options)
+	res, err := stress.Run(idle.Options)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,8 @@ import (
 // write-combining flush. This file holds the pieces both executors call, each
 // written once: route resolution, the consistency tiers (write-combining
 // buffer, leases, write-invalidate cache) and the one-sided paths (window,
-// ring). A rule that must hold for every access has one place to go.
+// ring). The word's mode, looked up at the mode step, is the only selector of
+// its tier. A rule that must hold for every access has one place to go.
 //
 // Record: with Config.RecordHistory every access is recorded the same way
 // through pe.hist (nil, and every call a no-op, with recording off): one
@@ -27,13 +28,15 @@ import (
 // until the word's result closes it, so an operation that dies mid-request
 // (timeout, panic, peer down) is retained open rather than lost.
 
-// resolve routes the word or single-home run at addr: its home under the
-// live directory, computed once per word/run, and whether this PE serves it
-// from its own segment — a read whenever its kernel homes the word, a
-// mutation only when no coherence directory has to see it (writeThrough).
-func (pe *PE) resolve(addr uint64, mutates bool) (home int, local bool) {
+// resolve routes the word or single-home run at addr, whose mode is mode: its
+// home under the live directory, computed once per word/run, and whether this
+// PE serves it from its own segment — a read whenever its kernel homes the
+// word, a mutation unless the word is cached: only the home's request service
+// may change a word other PEs hold copies of, so that one travels as a
+// message even to the PE's own kernel (via the own-node message path).
+func (pe *PE) resolve(addr uint64, mode gmem.Mode, mutates bool) (home int, local bool) {
 	home = pe.k.homeOf(addr)
-	return home, home == pe.k.id && !(mutates && pe.writeThrough())
+	return home, home == pe.k.id && !(mutates && mode == gmem.ModeCached)
 }
 
 // chargeLocal accounts one access served without leaving the PE.
@@ -42,21 +45,7 @@ func (pe *PE) chargeLocal() {
 	pe.extra.LocalGM++
 }
 
-// --- Tier: write-invalidate cache (Config.Caching) ---
-
-// writeThrough reports whether the caching protocol is on. Every mutation
-// then goes through the home's invalidation machinery as a message, including
-// one homed at this very kernel (via the own-node message path): only the
-// home may change a word other PEs hold cached.
-func (pe *PE) writeThrough() bool { return pe.k.cache != nil }
-
-// cacheLookup answers a scalar read from the block cache (writeThrough only).
-func (pe *PE) cacheLookup(addr uint64) (int64, bool) {
-	if pe.k.cache == nil {
-		return 0, false
-	}
-	return pe.k.cache.Lookup(addr)
-}
+// --- Tier: write-invalidate cache (ModeCached, DESIGN.md §14) ---
 
 // cacheFill installs the whole block a cached-mode read reply carries (the
 // fetch registered this PE in the home's copyset) and returns addr's word.
@@ -66,21 +55,15 @@ func (pe *PE) cacheFill(addr uint64, resp *wire.Message) int64 {
 	return pe.words[addr%uint64(pe.k.space.BlockWords)]
 }
 
-// cacheDrop discards the writer's own cached copy of addr's block: a
-// kept-warm copy would no longer be registered in the home's directory, so
-// later writes by other PEs could not invalidate it.
-func (pe *PE) cacheDrop(addr uint64) {
-	if pe.k.cache != nil {
-		pe.k.cache.Invalidate(addr)
-	}
-}
+// cacheDrop discards this PE's copy of addr's block when the home serves one
+// of its mutations as a message: the home takes the writer out of the copyset
+// without invalidating it, so a copy kept warm could never be invalidated
+// again — whatever the written word's mode, as a cached one may share its block.
+func (pe *PE) cacheDrop(addr uint64) { pe.k.cache.Invalidate(addr) }
 
-// CacheStats reports cache hits, misses and invalidations (zeros when the
-// caching protocol is disabled).
+// CacheStats reports cache hits, misses and invalidations (zeros for a
+// program with no cached-mode reads).
 func (pe *PE) CacheStats() (hits, misses, invalidations uint64) {
-	if pe.k.cache == nil {
-		return 0, 0, 0
-	}
 	return pe.k.cache.Stats()
 }
 
@@ -94,7 +77,7 @@ func (pe *PE) CacheStats() (hits, misses, invalidations uint64) {
 func (pe *PE) bufferWords(addr uint64, words []int64) {
 	pe.chargeLocal()
 	for i, v := range words {
-		pe.hist.Close(pe.hist.Open(check.KindWrite, addr+uint64(i), v, 0, uint8(gmem.ModeRelease)), 0, true)
+		pe.hist.Close(pe.hist.Open(check.KindWrite, addr+uint64(i), v, 0, gmem.ModeRelease.Tag()), 0, true)
 		pe.wc.Put(addr+uint64(i), v)
 	}
 }
@@ -139,7 +122,7 @@ func (pe *PE) leaseRead(out []int64, addr uint64, h int) error {
 		le := pe.leaseHit(base)
 		if le != nil {
 			pe.chargeLocal()
-		} else if home, local := pe.resolve(base, false); local {
+		} else if home, local := pe.resolve(base, gmem.ModeLease, false); local {
 			pe.chargeLocal()
 			pe.k.seg.ReadInto(part, lo)
 		} else {
@@ -222,7 +205,7 @@ func (pe *PE) clearLeases() {
 	clear(pe.leases)
 }
 
-// --- Path: one-sided window and ring (co-located homes, caching off) ---
+// --- Path: one-sided window and ring (co-located homes, word not cached) ---
 
 // windowRead is the one-sided read path: the home's segment is mapped in
 // this address space, so the read resolves directly through its seqlock

@@ -43,17 +43,19 @@ func tags(n int, t evTag) []evTag {
 
 // The three clusters the table runs on. All simulated (every path exists
 // there, rings drain inline, and the counters can be read mid-run because the
-// engine runs one context at a time).
+// engine runs one context at a time). A cluster's rows run in one program, so
+// the cached rows on onOne share it with rows that take the window and rings.
 const (
 	onMsg   = "message"  // every one-sided path off
 	onOne   = "onesided" // window and rings on
-	onCache = "caching"  // write-invalidate caching protocol
+	onCache = "caching"  // cached is the default mode: the whole program runs the write-invalidate protocol
 )
 
 // accessRow is one cell of the GM access ladder: an operation issued by PE 0
 // of a 2-PE cluster against l (a word PE 0's kernel homes) and r (a word PE 1
 // homes), the first words of two adjacent blocks of a fresh allocation under
-// mode. prep runs first, outside the measured bracket.
+// mode. prep runs first, outside the measured bracket. The mode in an ev tag
+// is the one the history records: a cached word's is strong.
 type accessRow struct {
 	name string
 	on   string
@@ -75,6 +77,7 @@ const (
 	strong  = gmem.ModeStrong
 	release = gmem.ModeRelease
 	lease   = gmem.ModeLease
+	cached  = gmem.ModeCached
 )
 
 // span returns the n consecutive values starting at v.
@@ -180,31 +183,47 @@ var accessRows = []accessRow{
 		d: pathDelta{remote: 2, msgs: 2}, ev: []evTag{fa(lease), rdC(lease)}},
 
 	// --- word executor, write-invalidate cache tier ---
-	{name: "cached/read-miss-fetches-block", on: onCache, mode: strong,
+	{name: "cached/read-miss-fetches-block", on: onCache, mode: cached,
 		op: func(pe *PE, l, r uint64) int64 { return pe.GMRead(r) }, want: 0,
 		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{rd(strong)}},
-	{name: "cached/read-hit", on: onCache, mode: strong,
+	{name: "cached/read-hit", on: onCache, mode: cached,
 		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
 		op:   func(pe *PE, l, r uint64) int64 { return pe.GMRead(r + 1) }, want: 0,
 		d: pathDelta{local: 1}, ev: []evTag{rdC(strong)}},
-	{name: "cached/local/read", on: onCache, mode: strong,
+	{name: "cached/local/read", on: onCache, mode: cached,
 		op: func(pe *PE, l, r uint64) int64 { return pe.GMRead(l) }, want: 0,
 		d: pathDelta{local: 1}, ev: []evTag{rd(strong)}},
-	{name: "cached/write-drops-own-copy", on: onCache, mode: strong,
+	{name: "cached/write-drops-own-copy", on: onCache, mode: cached,
 		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
 		op:   func(pe *PE, l, r uint64) int64 { pe.GMWrite(r, 3); return pe.GMRead(r) }, want: 3,
 		d: pathDelta{remote: 2, msgs: 2}, ev: []evTag{wr(strong), rd(strong)}},
 	// Own-home mutations go through the own kernel's invalidation machinery as
 	// a message: the request and the kernel's reply both leave this node.
-	{name: "cached/own-home/write-goes-through-kernel", on: onCache, mode: strong,
+	{name: "cached/own-home/write-goes-through-kernel", on: onCache, mode: cached,
 		op: func(pe *PE, l, r uint64) int64 { pe.GMWrite(l, 3); return pe.GMRead(l) }, want: 3,
 		d: pathDelta{local: 1, remote: 1, msgs: 2}, ev: []evTag{wr(strong), rd(strong)}},
-	{name: "cached/own-home/fetch-add-goes-through-kernel", on: onCache, mode: strong,
+	{name: "cached/own-home/fetch-add-goes-through-kernel", on: onCache, mode: cached,
 		op: func(pe *PE, l, r uint64) int64 { return pe.FetchAdd(l, 3) }, want: 0,
 		d: pathDelta{remote: 1, msgs: 2}, ev: []evTag{fa(strong)}},
-	{name: "cached/own-home/cas-goes-through-kernel", on: onCache, mode: strong,
+	{name: "cached/own-home/cas-goes-through-kernel", on: onCache, mode: cached,
 		op: func(pe *PE, l, r uint64) int64 { prev, _ := pe.CAS(l, 0, 3); return prev }, want: 0,
 		d: pathDelta{remote: 1, msgs: 2}, ev: []evTag{cas(strong)}},
+	// A cached allocation in a cluster with the window and rings on: its words
+	// reach the home's directory as messages, hits stay local.
+	{name: "cached/onesided/read-miss-takes-message", on: onOne, mode: cached,
+		op: func(pe *PE, l, r uint64) int64 { return pe.GMRead(r) }, want: 0,
+		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{rd(strong)}},
+	{name: "cached/onesided/read-hit", on: onOne, mode: cached,
+		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
+		op:   func(pe *PE, l, r uint64) int64 { return pe.GMRead(r + 1) }, want: 0,
+		d: pathDelta{local: 1}, ev: []evTag{rdC(strong)}},
+	{name: "cached/onesided/write-takes-message", on: onOne, mode: cached,
+		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
+		op:   func(pe *PE, l, r uint64) int64 { pe.GMWrite(r, 3); return pe.GMRead(r) }, want: 3,
+		d: pathDelta{remote: 2, msgs: 2}, ev: []evTag{wr(strong), rd(strong)}},
+	{name: "cached/onesided/own-home-write-goes-by-message", on: onOne, mode: cached,
+		op: func(pe *PE, l, r uint64) int64 { pe.GMWrite(l, 3); return pe.GMRead(l) }, want: 3,
+		d: pathDelta{local: 1, remote: 1, msgs: 2}, ev: []evTag{wr(strong), rd(strong)}},
 
 	// --- range executor: l is followed by r's block or the other way round,
 	// so a two-block range always has one local and one remote run ---
@@ -250,16 +269,24 @@ var accessRows = []accessRow{
 		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
 		op:   func(pe *PE, l, r uint64) int64 { pe.GMWriteBlock(r, span(4, 50)); return pe.GMRead(r + 1) }, want: 51,
 		d: pathDelta{remote: 2, msgs: 2}, ev: append(tags(4, wr(lease)), rdC(lease))},
-	{name: "cached/block-write-goes-through-kernels", on: onCache, mode: strong,
+	{name: "cached/block-write-goes-through-kernels", on: onCache, mode: cached,
 		op: func(pe *PE, l, r uint64) int64 {
 			pe.GMWriteBlock(min(l, r), span(64, 100))
 			return pe.GMRead(l) - int64(l-min(l, r))
 		}, want: 100,
 		d: pathDelta{local: 1, remote: 2, msgs: 3}, ev: append(tags(64, wr(strong)), rd(strong))},
-	{name: "cached/block-read-bypasses-cache", on: onCache, mode: strong,
+	{name: "cached/block-read-bypasses-cache", on: onCache, mode: cached,
 		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
 		op:   func(pe *PE, l, r uint64) int64 { return pe.GMReadBlock(r, 4)[0] }, want: 0,
 		d: pathDelta{remote: 1, msgs: 1}, ev: tags(4, rd(strong))},
+	{name: "cached/onesided/scatter-aggregates-through-kernels", on: onOne, mode: cached,
+		op: func(pe *PE, l, r uint64) int64 {
+			pe.GMScatter([]uint64{r, r + 1, l}, []int64{1, 2, 3})
+			return pe.GMRead(r + 1)
+		}, want: 2,
+		// One vectored request to r's home, one scalar to the PE's own kernel
+		// (whose reply also leaves this node), then the read's block fetch.
+		d: pathDelta{remote: 4, msgs: 4}, ev: append(tags(3, wr(strong)), rd(strong))},
 	{name: "mixed-mode-gather-falls-back-to-words", on: onMsg, mode: release,
 		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r, 6) },
 		op:   func(pe *PE, l, r uint64) int64 { return pe.GMGather([]uint64{r, l})[0] }, want: 6,
@@ -275,7 +302,7 @@ func TestAccessPipelineTable(t *testing.T) {
 	for on, cfg := range map[string]Config{
 		onMsg:   {KernelShards: 1, DirectReads: -1, WriteRings: -1},
 		onOne:   {KernelShards: 2, DirectReads: 1, WriteRings: 1},
-		onCache: {KernelShards: 1, Caching: true},
+		onCache: {KernelShards: 1, GMDefaultMode: cached},
 	} {
 		t.Run(on, func(t *testing.T) {
 			base := simCfg(2)

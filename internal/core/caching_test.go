@@ -1,13 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/gmem"
 )
 
 func cachingCfg(n int) Config {
 	cfg := simCfg(n)
-	cfg.Caching = true
+	cfg.GMDefaultMode = gmem.ModeCached
 	return cfg
 }
 
@@ -94,7 +97,9 @@ func TestCachingRepeatReadsHitCache(t *testing.T) {
 func TestCachingCutsRemoteTrafficOnReadHeavyWorkload(t *testing.T) {
 	traffic := func(caching bool) uint64 {
 		cfg := simCfg(4)
-		cfg.Caching = caching
+		if caching {
+			cfg.GMDefaultMode = gmem.ModeCached
+		}
 		res, err := Run(cfg, func(pe *PE) error {
 			base := pe.Alloc(64)
 			if pe.ID() == 0 {
@@ -215,5 +220,80 @@ func TestCachingRandomisedCoherence(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestCachedBlockSharedWithStrongWord: a cached word and a strong word share
+// a block. When the home serves the strong write as a message it empties the
+// block's copyset without invalidating the writer, so the writer must drop
+// its own copy whatever the written word's mode — or the next write to the
+// cached word finds nobody to invalidate and the writer reads its stale copy.
+func TestCachedBlockSharedWithStrongWord(t *testing.T) {
+	cfg := simCfg(3)
+	cfg.DirectReads, cfg.WriteRings = -1, -1 // the home serves every write
+	res, err := Run(cfg, func(pe *PE) error {
+		y := pe.AllocBlocks(1)
+		for pe.HomeOf(y) != 1 {
+			y = pe.AllocBlocks(1)
+		}
+		x := pe.AllocMode(1, gmem.ModeCached) // the word after y, in y's block
+		pe.Barrier()
+		if pe.ID() == 0 {
+			pe.GMRead(x)     // joins the block's copyset
+			pe.GMWrite(y, 1) // the home takes the copyset, sparing the writer
+		}
+		pe.Barrier()
+		if pe.ID() == 2 {
+			pe.GMWrite(x, 5)
+		}
+		pe.Barrier()
+		if v := pe.GMRead(x); v != 5 {
+			return fmt.Errorf("PE %d read %d from the cached word, want 5", pe.ID(), v)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := res.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCachedModeNeedsStaticHomes pins the refusals that keep cached copies
+// and moving homes apart: a cached default mode with latent PEs is rejected
+// at configuration, a cached allocation on a directory that is not static
+// panics with the typed error, and a PE holding a cached allocation may not
+// join, leave or migrate.
+func TestCachedModeNeedsStaticHomes(t *testing.T) {
+	_, err := (&Config{NumPE: 3, Transport: TransportInproc, LatentPEs: 1, GMDefaultMode: gmem.ModeCached}).withDefaults()
+	if !errors.Is(err, errCachedElastic) {
+		t.Errorf("LatentPEs with a cached default mode: got %v, want errCachedElastic", err)
+	}
+	res, err := Run(Config{NumPE: 3, Transport: TransportInproc, LatentPEs: 1}, func(pe *PE) error {
+		pe.AllocMode(8, gmem.ModeCached)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, perr := range res.Errs {
+		if !errors.Is(perr, errCachedElastic) {
+			t.Errorf("PE %d: cached allocation beside a latent PE: got %v, want errCachedElastic", i, perr)
+		}
+	}
+	res, err = Run(Config{NumPE: 3, Transport: TransportInproc}, func(pe *PE) error {
+		a := pe.AllocMode(8, gmem.ModeCached)
+		for what, err := range map[string]error{
+			"join": pe.Join(), "leave": pe.Leave(), "migrate": pe.MigrateRange(a, 1, 0),
+		} {
+			if !errors.Is(err, errCachedElastic) {
+				return fmt.Errorf("%s with a cached allocation: got %v, want errCachedElastic", what, err)
+			}
+		}
+		return nil
+	})
+	if err != nil || res.FirstErr() != nil {
+		t.Fatal(err, res.FirstErr())
 	}
 }

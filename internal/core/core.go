@@ -63,8 +63,6 @@ type Config struct {
 	Seed uint64
 	// GMBlockWords is the DSM block size in 64-bit words (0 = default 32).
 	GMBlockWords int
-	// Caching enables the write-invalidate caching protocol (extension).
-	Caching bool
 	// Switched replaces the shared-bus Ethernet with a switched network
 	// (ablation of the medium; simulated transport only).
 	Switched bool
@@ -158,8 +156,9 @@ type Config struct {
 	// home directly from the home's seqlock-protected segment, without a
 	// request/reply message pair. 0 enables it automatically when the
 	// resolved KernelShards > 1; >0 forces it on; <0 forces it off. It is
-	// never active with Caching (reads must reach the directory) or Legacy
-	// (the old organisation has no shared address space), or over TCP.
+	// never active with Legacy (the old organisation has no shared address
+	// space) or over TCP, and a cached-mode word never takes it (its reads
+	// must reach the home's directory).
 	DirectReads int
 	// WriteRings controls the one-sided write fast path: co-located PEs
 	// submit uncached writes into a remote home through a per-shard
@@ -177,13 +176,15 @@ type Config struct {
 	// pe.Join(), which hands them their directory slice live — the elastic
 	// membership extension. Latent PEs still run the program and participate
 	// in barriers. Must leave at least one active rank and is incompatible
-	// with Caching (the coherence directory assumes the static layout).
+	// with cached-mode allocations (the coherence directory assumes the
+	// static layout).
 	LatentPEs int
 	// GMDefaultMode is the consistency tier of allocations that do not pick
 	// one explicitly (pe.Alloc/AllocBlocks); pe.AllocMode selects a tier per
 	// allocation. The zero value is gmem.ModeStrong — the paper's home-based
-	// strong coherence — so existing programs are unaffected. See DESIGN.md
-	// §14 for the mode lattice.
+	// strong coherence — so existing programs are unaffected;
+	// gmem.ModeCached runs a whole program under the write-invalidate caching
+	// protocol (extension). See DESIGN.md §14 for the mode lattice.
 	GMDefaultMode gmem.Mode
 	// LeaseDuration is the validity window granted with every lease-mode
 	// block fetch (0 = 1ms). Longer leases skip more invalidation rounds and
@@ -273,8 +274,8 @@ func (cfg *Config) withDefaults() (Config, error) {
 	if c.LatentPEs < 0 || c.LatentPEs >= c.NumPE {
 		return c, errors.New("core: LatentPEs must leave at least one active PE")
 	}
-	if c.LatentPEs > 0 && c.Caching {
-		return c, errors.New("core: LatentPEs is incompatible with Caching (the coherence directory assumes the static home layout)")
+	if c.LatentPEs > 0 && c.GMDefaultMode == gmem.ModeCached {
+		return c, fmt.Errorf("core: LatentPEs with GMDefaultMode cached: %w", errCachedElastic)
 	}
 	if c.LeaseDuration == 0 {
 		c.LeaseDuration = sim.Millisecond
@@ -390,7 +391,7 @@ func Run(cfg Config, program Program) (*Result, error) {
 // side of the bargain: only runSim and runReal-over-inproc wire windows at
 // all, because only there does every kernel's segment live in this process.
 func windowsEnabled(c *Config) bool {
-	if c.Caching || c.Legacy {
+	if c.Legacy {
 		return false
 	}
 	if c.DirectReads > 0 {

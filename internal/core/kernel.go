@@ -5,16 +5,16 @@
 // the kernel running as a service context that interleaves with the
 // application — the paper's reorganised, dynamic-linking-free design.
 //
-// Memory consistency: without caching, every global-memory word has a
-// single home and all accesses are serialised there (coherent and
-// sequentially consistent per location). With the caching protocol, writes
-// are write-through to the home and block until every cached copy has
-// acknowledged invalidation, so a completed write is visible to all
-// subsequent reads; like classic invalidation-based DSMs, a reader may
-// still use its cached copy during the brief window before its kernel
-// processes the invalidation, which is why programs order cross-PE
-// visibility with barriers, locks or reductions (all of which imply write
-// completion).
+// Memory consistency: every global-memory word has a single home and, in
+// the default strong mode, all accesses are serialised there (coherent and
+// sequentially consistent per location). Words allocated in cached mode are
+// read through per-PE block copies: their writes are write-through to the
+// home and block until every cached copy has acknowledged invalidation, so a
+// completed write is visible to all subsequent reads; like classic
+// invalidation-based DSMs, a reader may still use its cached copy during the
+// brief window before its kernel processes the invalidation, which is why
+// programs order cross-PE visibility with barriers, locks or reductions (all
+// of which imply write completion).
 package core
 
 import (
@@ -49,7 +49,7 @@ type Kernel struct {
 	cfg   *Config
 	space gmem.Space
 	seg   *gmem.Segment
-	cache *gmem.Cache // non-nil only when cfg.Caching
+	cache *gmem.Cache // the PE's copies of blocks its cached-mode reads fetched
 
 	// dir is this kernel's view of the elastic membership directory, shared
 	// with its PE. Lookups are lock-free; a static directory (all members
@@ -132,7 +132,7 @@ type Kernel struct {
 	invCtr atomic.Uint64
 
 	// windows[i] is kernel i's segment when the one-sided direct-read fast
-	// path is enabled (co-located transports, caching off); nil otherwise.
+	// path is enabled (co-located transports); nil otherwise.
 	// Read-only after cluster construction.
 	windows []*gmem.Segment
 
@@ -159,13 +159,6 @@ type Kernel struct {
 	// Config.Tracing). Serve goroutine only; requests served on the sender
 	// record into their shard's ring.
 	spans *trace.SpanRing
-}
-
-// invSend is one invalidation a mutating request must issue: drop the
-// cached block containing addr at kernel dst.
-type invSend struct {
-	addr uint64
-	dst  int
 }
 
 // pendingReq is one outstanding request of this kernel's PE: the mailbox its
@@ -298,7 +291,7 @@ type invRound struct {
 	respOp      wire.Op
 	arg1        int64
 	arg2        int64
-	outstanding []invSend
+	outstanding []gmem.Copy
 }
 
 func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
@@ -311,6 +304,7 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 		cfg:       cfg,
 		space:     space,
 		seg:       gmem.NewSegment(space, id),
+		cache:     gmem.NewCache(space),
 		syncMb:    node.NewMailbox(16),
 		pending:   make(map[uint64]pendingReq),
 		userq:     make(map[int32]transport.Mailbox),
@@ -335,9 +329,6 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 		k.shards[i] = newKernelShard(k, i, ringsEnabled(cfg))
 	}
 	node.SetPeerDown(k.peerDown)
-	if cfg.Caching {
-		k.cache = gmem.NewCache(space)
-	}
 	if id == 0 {
 		k.barrier = psync.NewBarrierManager(cfg.NumPE)
 		k.locks = psync.NewLockManager()

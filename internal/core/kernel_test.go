@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gmem"
 	"repro/internal/sim"
 	"repro/internal/transport/inproc"
 	"repro/internal/wire"
@@ -133,7 +134,7 @@ func TestKernelLockGrantChain(t *testing.T) {
 }
 
 func TestKernelInvalidationRound(t *testing.T) {
-	net, ks := testKernels(t, 3, func(cfg *Config) { cfg.Caching = true })
+	net, ks := testKernels(t, 3, func(cfg *Config) { cfg.GMDefaultMode = gmem.ModeCached })
 	// Kernel 1 caches block 0 (homed at kernel 0).
 	ks[0].handle(&wire.Message{Op: wire.OpRead, Src: 1, Dst: 0, Seq: 1, Addr: 0, Arg2: 1})
 	if m := recvFrom(t, net, 1); m.Op != wire.OpReadResp {
@@ -159,7 +160,7 @@ func TestKernelInvalidationRound(t *testing.T) {
 }
 
 func TestKernelStrayInvAckDropped(t *testing.T) {
-	_, ks := testKernels(t, 2, func(cfg *Config) { cfg.Caching = true })
+	_, ks := testKernels(t, 2, func(cfg *Config) { cfg.GMDefaultMode = gmem.ModeCached })
 	ks[0].handle(&wire.Message{Op: wire.OpInvAck, Src: 1, Seq: 123})
 	if ks[0].shards[0].extra.StrayDrops != 1 {
 		t.Fatalf("StrayDrops = %d, want 1", ks[0].shards[0].extra.StrayDrops)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -29,6 +30,11 @@ import (
 //     arrives; any request hitting an escrowed block re-offers the block to
 //     its destination first, so a migration whose initiator died heals
 //     through normal traffic.
+
+// errCachedElastic refuses to combine cached-mode words with homes that move:
+// a PE's copy of a block, and the round that invalidates it, are bound to the
+// home that registered the copy, and no handoff tears them down.
+var errCachedElastic = errors.New("cached-mode allocations need the static home layout (no latent PEs, joins, leaves or migrations)")
 
 // OpMigrateStart modes (wire Arg1).
 const (
@@ -500,8 +506,8 @@ func (pe *PE) grant(op wire.Op) (uint64, error) {
 // redirects and apply exactly once.
 func (pe *PE) Join() error {
 	k := pe.k
-	if pe.writeThrough() {
-		return fmt.Errorf("core: PE %d: membership changes require the uncached protocol", k.id)
+	if pe.modes.Uses(gmem.ModeCached) {
+		return fmt.Errorf("core: PE %d: %w", k.id, errCachedElastic)
 	}
 	if k.dir.Member(k.id).State == gmem.MemberActive {
 		return nil
@@ -551,8 +557,8 @@ func (pe *PE) Join() error {
 // synchronisation managers and the grant service.
 func (pe *PE) Leave() error {
 	k := pe.k
-	if pe.writeThrough() {
-		return fmt.Errorf("core: PE %d: membership changes require the uncached protocol", k.id)
+	if pe.modes.Uses(gmem.ModeCached) {
+		return fmt.Errorf("core: PE %d: %w", k.id, errCachedElastic)
 	}
 	if k.id == 0 {
 		return fmt.Errorf("core: PE 0 hosts the central managers and cannot leave")
@@ -607,8 +613,8 @@ func (pe *PE) Leave() error {
 // per range.
 func (pe *PE) MigrateRange(addr uint64, nblocks, dst int) error {
 	k := pe.k
-	if pe.writeThrough() {
-		return fmt.Errorf("core: PE %d: migration requires the uncached protocol", k.id)
+	if pe.modes.Uses(gmem.ModeCached) {
+		return fmt.Errorf("core: PE %d: %w", k.id, errCachedElastic)
 	}
 	if dst < 0 || dst >= k.n {
 		return fmt.Errorf("core: PE %d: migrate to invalid kernel %d", k.id, dst)

@@ -172,9 +172,6 @@ func TestLatentConfigValidation(t *testing.T) {
 	if _, err := (&Config{NumPE: 2, Transport: TransportInproc, LatentPEs: 2}).withDefaults(); err == nil {
 		t.Error("LatentPEs == NumPE accepted")
 	}
-	if _, err := (&Config{NumPE: 3, Transport: TransportInproc, LatentPEs: 1, Caching: true}).withDefaults(); err == nil {
-		t.Error("LatentPEs with Caching accepted")
-	}
 }
 
 // TestMigrateHandoffRaceExactlyOnce pins the write-vs-migration races in both

@@ -7,9 +7,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/gmem"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -240,7 +242,7 @@ func TestMonitorInvalidateUnderLock(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			res := runWithin(t, 2*time.Minute, Config{
-				NumPE: 3, Transport: TransportInproc, Caching: true, KernelShards: shards,
+				NumPE: 3, Transport: TransportInproc, GMDefaultMode: gmem.ModeCached, KernelShards: shards,
 			}, func(pe *PE) error {
 				blocks := homedAt(pe, 0, 2)
 				slot := func(b, who int) uint64 { return blocks[b] + uint64(who) }
@@ -266,6 +268,67 @@ func TestMonitorInvalidateUnderLock(t *testing.T) {
 			}
 			if res.Total.ShardedMsgs == 0 {
 				t.Fatal("no request was served on its sender")
+			}
+		})
+	}
+}
+
+// TestCachedBesideOneSided runs a strong and a cached allocation side by side
+// on inproc with the window and rings on. In the same shard monitors strong
+// reads come through the seqlock window, strong writes through ring drains,
+// and cached words through served-on-sender requests whose invalidations and
+// acks cross the serve loops — every strong access one-sided, no cached one.
+func TestCachedBesideOneSided(t *testing.T) {
+	const rounds = 100
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			var hits atomic.Uint64
+			res := runWithin(t, 2*time.Minute, Config{
+				NumPE: 3, Transport: TransportInproc, KernelShards: shards, DirectReads: 1, WriteRings: 1,
+			}, func(pe *PE) error {
+				bw := pe.Space().BlockWords
+				regions := []uint64{ // one block per home each
+					pe.AllocBlocks(pe.N() * bw),
+					pe.AllocBlocksMode(pe.N()*bw, gmem.ModeCached),
+				}
+				slot := func(base uint64, b, who int) uint64 { return base + uint64(b*bw+who) }
+				pe.Barrier()
+				for r := 1; r <= rounds; r++ {
+					for _, base := range regions {
+						for b := 0; b < pe.N(); b++ {
+							for who := 0; who < pe.N(); who++ {
+								if v := pe.GMRead(slot(base, b, who)); v != int64(r-1) {
+									return fmt.Errorf("PE %d round %d: slot (%d,%d) of region %d = %d", pe.ID(), r, b, who, base, v)
+								}
+							}
+						}
+					}
+					pe.Barrier()
+					for _, base := range regions {
+						for b := 0; b < pe.N(); b++ {
+							pe.GMWrite(slot(base, b, pe.ID()), int64(r))
+						}
+					}
+					pe.Barrier()
+				}
+				h, _, _ := pe.CacheStats()
+				hits.Add(h)
+				return nil
+			})
+			// Per PE and round the strong region has two remote blocks: three
+			// reads and one write to each.
+			const remoteReads, remoteWrites = 3 * rounds * 2 * 3, 3 * rounds * 2
+			if got := res.Total.DirectGM; got != remoteReads {
+				t.Errorf("DirectGM = %d, want the %d remote strong reads and no cached one", got, remoteReads)
+			}
+			if got := res.Total.RingGM; got != remoteWrites || res.Total.RingDrained != got {
+				t.Errorf("RingGM = %d, RingDrained = %d, want the %d remote strong writes in both", got, res.Total.RingDrained, remoteWrites)
+			}
+			if res.Total.ByOp[wire.OpInvAck].Msgs == 0 {
+				t.Error("no invalidation round ran")
+			}
+			if hits.Load() == 0 {
+				t.Error("no cached read hit its copy")
 			}
 		})
 	}

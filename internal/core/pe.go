@@ -124,8 +124,10 @@ func (pe *PE) AllocBlocks(n int) uint64 { return pe.alloc.AllocBlocks(n) }
 
 // AllocMode reserves n words under the given consistency mode (DESIGN.md
 // §14). Deterministic like Alloc: every PE performs the same AllocMode
-// sequence, so the per-PE mode tables agree without communicating.
+// sequence, so the per-PE mode tables agree without communicating. Like a
+// quota overrun, a cached-mode allocation beside moving homes panics.
 func (pe *PE) AllocMode(n int, m gmem.Mode) uint64 {
+	pe.checkMode(m)
 	addr := pe.alloc.Alloc(n)
 	pe.modes.Set(addr, n, m)
 	return addr
@@ -133,9 +135,16 @@ func (pe *PE) AllocMode(n int, m gmem.Mode) uint64 {
 
 // AllocBlocksMode is AllocBlocks under the given consistency mode.
 func (pe *PE) AllocBlocksMode(n int, m gmem.Mode) uint64 {
+	pe.checkMode(m)
 	addr := pe.alloc.AllocBlocks(n)
 	pe.modes.Set(addr, n, m)
 	return addr
+}
+
+func (pe *PE) checkMode(m gmem.Mode) {
+	if m == gmem.ModeCached && !pe.k.dir.Static() {
+		panic(fmt.Errorf("core: PE %d: %w", pe.k.id, errCachedElastic))
+	}
 }
 
 // Space exposes the global address-space geometry.
@@ -212,12 +221,13 @@ func (pe *PE) requestSeqErr(dst int, m *wire.Message, seq uint64) (*wire.Message
 	var sent sim.Time
 	backoff := k.cfg.RetryBackoff
 	bounces := 0
+	want := k.replyWords(m)
 	for attempts := 1; ; attempts++ {
 		pe.app.Send(dst, m)
 		if pe.spans != nil && sent == 0 {
 			sent = pe.app.Now()
 		}
-		resp, err := pe.takeReply(seq, m.Op, dst, attempts)
+		resp, err := pe.takeReply(seq, m.Op, dst, attempts, want)
 		if err == nil && resp.Op == wire.OpMigrateNack {
 			hint := int(resp.Arg1)
 			wire.PutMessage(resp)
@@ -319,12 +329,46 @@ func takeWithin(mb transport.Mailbox, d sim.Duration) (m *wire.Message, ok, time
 	return m, ok, false
 }
 
+// replyWords returns how many payload words a well-formed reply to the read
+// request req carries; -1 for the requests whose replies carry none.
+func (k *Kernel) replyWords(req *wire.Message) int {
+	switch req.Op {
+	case wire.OpRead:
+		if req.Arg2 != 1 {
+			return int(req.Arg1)
+		}
+		return k.space.BlockWords // block fetch of a cached-mode read
+	case wire.OpReadLease:
+		return k.space.BlockWords
+	case wire.OpReadV:
+		n := 0
+		if req.EachRange(func(_ uint64, count int) { n += count }) == nil {
+			return n
+		}
+	}
+	return -1
+}
+
+// readReplyOK reports whether resp, answering a request that expects want
+// payload words, can be consumed: a reply is input from another node, and a
+// read reply's payload is indexed by the counts the request asked for. NACKs
+// and failure notices carry no words to check.
+func readReplyOK(resp *wire.Message, want int) bool {
+	switch resp.Op {
+	case wire.OpReadResp, wire.OpReadVResp, wire.OpReadLeaseResp:
+		return len(resp.Data) == 8*want
+	}
+	return true
+}
+
 // takeReply blocks on the reply mailbox until the response to seq arrives or
 // the per-attempt timeout expires. Sequence validation is what makes the
 // persistent mailbox safe: residue of an earlier timed-out request (a stale
 // reply that arrived after we gave up on it) is recycled and skipped instead
-// of being misdelivered as the answer to the current request.
-func (pe *PE) takeReply(seq uint64, op wire.Op, dst int, attempts int) (*wire.Message, error) {
+// of being misdelivered as the answer to the current request. A read reply
+// not carrying the want words asked for is counted and treated as lost, like
+// a corrupt request at the home: the timeout and the retry own recovery.
+func (pe *PE) takeReply(seq uint64, op wire.Op, dst int, attempts, want int) (*wire.Message, error) {
 	k := pe.k
 	d := k.requestTimeout()
 	var deadline sim.Time
@@ -359,6 +403,15 @@ func (pe *PE) takeReply(seq uint64, op wire.Op, dst int, attempts int) (*wire.Me
 			wire.PutMessage(resp)
 			continue
 		}
+		if !readReplyOK(resp, want) {
+			pe.extra.CorruptDrops++
+			wire.PutMessage(resp)
+			// Its delivery used up the pending entry the retry's reply needs.
+			if k.addPendingSeq(pe.replyMb, dst, seq) {
+				return nil, &PeerDownError{PE: k.id, Peer: dst, Op: op.String()}
+			}
+			continue
+		}
 		return resp, nil
 	}
 }
@@ -366,7 +419,7 @@ func (pe *PE) takeReply(seq uint64, op wire.Op, dst int, attempts int) (*wire.Me
 // --- Synchronisation ---
 
 // flushWC publishes the write-combining buffer: one coalesced OpFlushV per
-// (home, shard), own-home words applied directly when uncached. fenceInv is
+// (home, shard), own-home words applied directly. fenceInv is
 // the enclosing sync operation's invocation instant — the KindFlush event is
 // recorded FIRST with that same Inv, so it sorts ahead of the sync event,
 // and a flush that fails anywhere is left open (Failed ⇒ unbounded effect
@@ -405,7 +458,7 @@ func (pe *PE) flushWC(fenceInv sim.Time) {
 		for j < len(pe.fl) && pe.fl[j] == pe.fl[j-1]+1 && pe.fl[j] < blockEnd {
 			j++
 		}
-		pe.addRun(check.KindFlush, pe.flv, addr, j-i, i)
+		pe.addRun(check.KindFlush, gmem.ModeRelease, pe.flv, addr, j-i, i)
 		i = j
 	}
 	ok := true

@@ -53,7 +53,7 @@ func (pe *PE) rangeOp(name string, kind check.Kind, addr uint64, addrs []uint64,
 			}
 		}
 	}
-	if addrs != nil && pe.nonStrongMode(addrs) {
+	if addrs != nil && pe.wordTiered(addrs) {
 		// Rare mixed-mode vector: serve each word through its mode's scalar
 		// path (WC overlay, leases) at the cost of aggregation.
 		for i, a := range addrs {
@@ -76,9 +76,6 @@ func (pe *PE) rangeOp(name string, kind check.Kind, addr uint64, addrs []uint64,
 	}
 	// A block spanning allocations of different tiers is served piecewise,
 	// each piece through its own mode's protocol.
-	if m, uniform := pe.modes.Uniform(addr, len(buf)); uniform {
-		return pe.rangeRun(kind, m, addr, nil, buf)
-	}
 	var err error
 	pe.modes.ModeRuns(addr, len(buf), func(m gmem.Mode, start uint64, count int) {
 		if err == nil {
@@ -89,28 +86,30 @@ func (pe *PE) rangeOp(name string, kind check.Kind, addr uint64, addrs []uint64,
 	return err
 }
 
-// nonStrongMode reports whether any of addrs is in a non-strong mode — the
-// vectored gather/scatter requests aggregate strong accesses only.
-func (pe *PE) nonStrongMode(addrs []uint64) bool {
+// wordTiered reports whether any of addrs is a release or lease word, which
+// only the word executor's tiers can serve — the vectored gather/scatter
+// requests aggregate the home-served modes, strong and cached.
+func (pe *PE) wordTiered(addrs []uint64) bool {
 	if pe.modes.AllStrong() {
 		return false
 	}
 	for _, a := range addrs {
-		if pe.modes.Lookup(a) != gmem.ModeStrong {
+		if m := pe.modes.Lookup(a); m == gmem.ModeRelease || m == gmem.ModeLease {
 			return true
 		}
 	}
 	return false
 }
 
-// rangeRun executes one single-mode piece of a range operation: tier, then
-// one run per single-home span (runs homed here are served from the segment
-// on the spot, remote ones queued), then the transfer of the queued runs.
-// Strong and release share the home-served path (a release read overlays the
-// PE's own buffered writes afterwards); release writes stop at the
-// write-combining buffer; lease reads are served block by block from the
-// lease cache. Block reads and gathers bypass the read cache: they are always
-// served fresh by the homes.
+// rangeRun executes one single-mode piece of a range operation — or a whole
+// vector of strong and cached words, passed as strong: tier, then one run per
+// single-home span (runs homed here are served from the segment on the spot,
+// remote ones queued), then the transfer of the queued runs. Strong, cached
+// and release share the home-served path (a release read overlays the PE's
+// own buffered writes afterwards); release writes stop at the write-combining
+// buffer; lease reads are served block by block from the lease cache. Block
+// reads and gathers bypass the read cache: they are always served fresh by
+// the homes.
 func (pe *PE) rangeRun(kind check.Kind, mode gmem.Mode, addr uint64, addrs []uint64, buf []int64) error {
 	write := kind != check.KindRead
 	switch {
@@ -128,13 +127,13 @@ func (pe *PE) rangeRun(kind check.Kind, mode gmem.Mode, addr uint64, addrs []uin
 		pe.vruns = pe.vruns[:0]
 		if addrs != nil {
 			for i, a := range addrs {
-				pe.addRun(kind, buf, a, 1, i)
+				pe.addRun(kind, pe.modes.Lookup(a), buf, a, 1, i)
 			}
 		} else {
 			bw := uint64(pe.k.space.BlockWords)
 			for start, end := addr, addr+uint64(len(buf)); start < end; {
 				stop := min(start-start%bw+bw, end)
-				pe.addRun(kind, buf, start, int(stop-start), int(start-addr))
+				pe.addRun(kind, mode, buf, start, int(stop-start), int(start-addr))
 				start = stop
 			}
 		}
@@ -167,7 +166,7 @@ func (pe *PE) openRange(kind check.Kind, mode gmem.Mode, addr uint64, addrs []ui
 		if kind == check.KindRead {
 			v = 0
 		}
-		h = pe.hist.Open(kind, a, v, 0, uint8(mode))
+		h = pe.hist.Open(kind, a, v, 0, mode.Tag())
 	}
 	return h - len(buf) + 1 // the events are contiguous
 }
@@ -185,14 +184,14 @@ func (pe *PE) closeRange(h int, kind check.Kind, buf []int64) {
 	}
 }
 
-// addRun routes one single-home run of a range operation: served from this
-// kernel's own segment right away when resolve allows it, otherwise queued
-// in pe.vruns for its home's request (RemoteGM counts remote runs, not
-// words). off locates the run's words in buf.
-func (pe *PE) addRun(kind check.Kind, buf []int64, start uint64, count, off int) {
+// addRun routes one single-home run of a range operation on words in mode:
+// served from this kernel's own segment right away when resolve allows it,
+// otherwise queued in pe.vruns for its home's request (RemoteGM counts remote
+// runs, not words). off locates the run's words in buf.
+func (pe *PE) addRun(kind check.Kind, mode gmem.Mode, buf []int64, start uint64, count, off int) {
 	k := pe.k
 	write := kind != check.KindRead
-	home, local := pe.resolve(start, write)
+	home, local := pe.resolve(start, mode, write)
 	if local {
 		pe.chargeLocal()
 		if write {
@@ -275,14 +274,26 @@ func (pe *PE) buildReq(g *homeReq, kind check.Kind, buf []int64) *wire.Message {
 	return req
 }
 
-// landReply scatters a read reply's words into buf at the group's runs.
-func (pe *PE) landReply(g *homeReq, resp *wire.Message, buf []int64) {
+// landReply scatters a read reply's words into buf at the group's runs. A
+// reply that does not carry exactly the words the runs asked for is counted
+// in CorruptDrops and lands nowhere.
+func (pe *PE) landReply(g *homeReq, resp *wire.Message, buf []int64) bool {
+	runs := pe.hruns[g.lo:g.hi]
+	want := 0
+	for _, r := range runs {
+		want += r.count
+	}
+	if !readReplyOK(resp, want) {
+		pe.extra.CorruptDrops++
+		return false
+	}
 	pe.words = resp.WordsInto(pe.words)
 	woff := 0
-	for _, r := range pe.hruns[g.lo:g.hi] {
+	for _, r := range runs {
 		copy(buf[r.off:r.off+r.count], pe.words[woff:woff+r.count])
 		woff += r.count
 	}
+	return true
 }
 
 // roundTrip sends group g's request through the scalar request path — one at
@@ -353,8 +364,8 @@ func (pe *PE) transfer(kind check.Kind, buf []int64) error {
 		case resp.Op == wire.OpMigrateNack:
 			pe.extra.MigrateNacks++
 			nacked = append(nacked, g)
-		case kind == check.KindRead:
-			pe.landReply(g, resp, buf)
+		case kind == check.KindRead && !pe.landReply(g, resp, buf):
+			g = nil // malformed: treated as lost, and transfers do not retry
 		}
 		if g != nil {
 			g.done = true
@@ -474,8 +485,9 @@ func (pe *PE) GMGather(addrs []uint64) []int64 {
 }
 
 // GMScatter stores vals[i] at addrs[i] for every i. All addresses homed at
-// one kernel travel in a single vectored request. Under caching, touched
-// blocks are invalidated like GMWrite does. Panics on failure.
+// one kernel travel in a single vectored request; copies of touched blocks
+// that cached-mode readers hold are invalidated like GMWrite does. Panics on
+// failure.
 func (pe *PE) GMScatter(addrs []uint64, vals []int64) {
 	if len(addrs) != len(vals) {
 		panic("core: GMScatter length mismatch")

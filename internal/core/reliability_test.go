@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/check"
+	"repro/internal/gmem"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/transport/inproc"
@@ -57,11 +59,14 @@ func TestStaleReplyDiscarded(t *testing.T) {
 // holdNode is an inproc node whose Svc port holds back what its kernel sends
 // until released: the way to delay a reply on a transport where the request
 // is served the moment it is sent, whether or not the home's serve loop runs.
+// Once released, mangle (if set) rewrites the next message on its way out and
+// is spent: the way to put one malformed reply on the wire.
 type holdNode struct {
 	transport.SinkNode
 	mu       sync.Mutex
 	released bool
 	held     []*wire.Message
+	mangle   func(*wire.Message)
 }
 
 type holdPort struct {
@@ -81,6 +86,10 @@ func (p holdPort) Send(dst int, m *wire.Message) {
 		p.nd.held = append(p.nd.held, c)
 		p.nd.mu.Unlock()
 		return
+	}
+	if mangle := p.nd.mangle; mangle != nil {
+		p.nd.mangle = nil
+		mangle(m) // the sender is done with m when Send returns
 	}
 	p.nd.mu.Unlock()
 	p.Port.Send(dst, m)
@@ -137,6 +146,71 @@ func TestDelayedReplyDoesNotCorruptNextRequest(t *testing.T) {
 	}
 	if v != 78 {
 		t.Fatalf("second read = %d, want 78", v)
+	}
+}
+
+// TestMalformedReadReplyIsDropped puts one read reply with the wrong payload
+// size on the wire per reply op. Each used to panic the requester — Word(0)
+// on an empty payload, the cache's block-size panic, a slice past the lease
+// snapshot, landReply's bounds, WordsInto on a torn payload; each must now be
+// counted in CorruptDrops and treated as lost, so a request that retries gets
+// the well-formed answer to its retry and a transfer, which does not, times
+// out.
+func TestMalformedReadReplyIsDropped(t *testing.T) {
+	empty := func(m *wire.Message) { m.Data = m.Data[:0] }
+	oneWord := func(m *wire.Message) { m.Data = m.Data[:8] }
+	torn := func(m *wire.Message) { m.Data = m.Data[:len(m.Data)-3] }
+	for _, tc := range []struct {
+		name   string
+		reply  wire.Op
+		mode   gmem.Mode
+		mangle func(*wire.Message)
+		read   func(pe *PE, addr uint64) (int64, error)
+		lost   bool // the operation does not retry: the drop surfaces as a timeout
+	}{
+		{"scalar", wire.OpReadResp, gmem.ModeStrong, empty, (*PE).GMReadErr, false},
+		{"block-fetch", wire.OpReadResp, gmem.ModeCached, oneWord, (*PE).GMReadErr, false},
+		{"lease", wire.OpReadLeaseResp, gmem.ModeLease, torn, (*PE).GMReadErr, false},
+		{"vectored", wire.OpReadVResp, gmem.ModeStrong, oneWord, func(pe *PE, addr uint64) (int64, error) {
+			out := make([]int64, 2)
+			err := pe.rangeOp("gather", check.KindRead, 0, []uint64{addr + 1, addr}, out)
+			return out[1], err
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := (&Config{NumPE: 2, Transport: TransportInproc, KernelShards: 1,
+				DirectReads: -1, RequestTimeout: 100 * sim.Millisecond, RequestRetries: 1}).withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := inproc.New(2)
+			t.Cleanup(net.Stop)
+			var sent wire.Op
+			home := &holdNode{SinkNode: net.Node(1).(transport.SinkNode), released: true}
+			home.mangle = func(m *wire.Message) { sent = m.Op; tc.mangle(m) }
+			k0, k1 := newKernel(0, net.Node(0), &cfg), newKernel(1, home, &cfg)
+			pe := newPE(k0)
+			addr := pe.AllocBlocksMode(2*cfg.GMBlockWords, tc.mode)
+			if pe.HomeOf(addr) != 1 {
+				addr += uint64(cfg.GMBlockWords)
+			}
+			k1.seg.Write(addr, []int64{77})
+			go k0.serve()
+			v, err := tc.read(pe, addr)
+			if sent != tc.reply {
+				t.Fatalf("the mangled message was %v, want %v", sent, tc.reply)
+			}
+			if got := pe.extra.CorruptDrops; got != 1 {
+				t.Errorf("CorruptDrops = %d, want 1", got)
+			}
+			var timeout *TimeoutError
+			switch {
+			case tc.lost && !errors.As(err, &timeout):
+				t.Errorf("transfer with a malformed reply: %v, want a TimeoutError", err)
+			case !tc.lost && (err != nil || v != 77 || pe.extra.Retries != 1):
+				t.Errorf("read = %d, %v after %d retries, want 77 after 1", v, err, pe.extra.Retries)
+			}
+		})
 	}
 }
 

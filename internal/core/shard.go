@@ -42,9 +42,10 @@ type kernelShard struct {
 	mu sync.Mutex
 
 	// ring is the one-sided write submission ring owned by this shard (nil
-	// when the write fast path is off). Co-located PEs publish uncached
-	// single-word writes into it and drain it themselves under mu right
-	// after publishing, so no message is built and nobody is woken.
+	// when the write fast path is off). Co-located PEs publish single-word
+	// writes of words not in cached mode into it and drain it themselves
+	// under mu right after publishing, so no message is built and nobody is
+	// woken.
 	ring *gmem.SubmitRing
 	// ringBuf is the drain batch scratch.
 	ringBuf []gmem.RingWrite
@@ -68,11 +69,11 @@ type kernelShard struct {
 	spans *trace.SpanRing
 
 	// Handler scratch, reused across requests.
-	wscratch []int64   // payload words
-	vscratch []int64   // per-run words of a vectored write
-	raddrs   []uint64  // decoded vectored-read range starts
-	rcounts  []int     // decoded vectored-read range lengths
-	invSends []invSend // pending invalidations of a vectored write
+	wscratch []int64     // payload words
+	vscratch []int64     // per-run words of a vectored write
+	raddrs   []uint64    // decoded vectored-read range starts
+	rcounts  []int       // decoded vectored-read range lengths
+	stale    []gmem.Copy // cached copies the request being served made stale
 }
 
 func newKernelShard(k *Kernel, idx int, rings bool) *kernelShard {
@@ -318,10 +319,8 @@ func (sh *kernelShard) handleGM(m *wire.Message) {
 		sh.handleReadV(m)
 	case wire.OpWrite:
 		sh.handleWrite(m)
-	case wire.OpWriteV:
+	case wire.OpWriteV, wire.OpFlushV:
 		sh.handleWriteV(m)
-	case wire.OpFlushV:
-		sh.handleFlushV(m)
 	case wire.OpReadLease:
 		sh.handleReadLease(m)
 	case wire.OpFetchAdd:
@@ -383,7 +382,7 @@ func (sh *kernelShard) nackIfForeign(m *wire.Message) bool {
 	case wire.OpRead:
 		n := int(m.Arg1)
 		if m.Arg2 == 1 {
-			n = 1 // block fetch: caching protocol, one block
+			n = 1 // block fetch of a cached-mode read: one block
 		}
 		scan(m.Addr, n)
 	case wire.OpWrite:
@@ -487,17 +486,15 @@ func (sh *kernelShard) reply(m *wire.Message, resp *wire.Message) {
 }
 
 func (sh *kernelShard) handleRead(m *wire.Message) {
-	k := sh.k
+	if m.Arg2 == 1 {
+		// Block fetch of a cached-mode read: return the whole block and record
+		// the reader in the directory.
+		sh.wscratch = sh.k.seg.ReadBlockFor(sh.wscratch[:0], m.Addr, int(m.Src))
+	} else {
+		sh.wscratch = sh.k.seg.ReadAppend(sh.wscratch[:0], m.Addr, int(m.Arg1))
+	}
 	resp := wire.GetMessage()
 	resp.Op, resp.Addr = wire.OpReadResp, m.Addr
-	if m.Arg2 == 1 {
-		// Block fetch for the caching protocol: return the whole block and
-		// record the reader in the directory.
-		resp.PutWords(k.seg.ReadBlockFor(m.Addr, int(m.Src)))
-		sh.reply(m, resp)
-		return
-	}
-	sh.wscratch = k.seg.ReadAppend(sh.wscratch[:0], m.Addr, int(m.Arg1))
 	resp.PutWords(sh.wscratch)
 	sh.reply(m, resp)
 }
@@ -523,8 +520,14 @@ func (sh *kernelShard) handleReadV(m *wire.Message) {
 	sh.reply(m, resp)
 }
 
+// The mutating handlers share one path: apply the mutation through the
+// segment's Shared forms, which hand back — collected in the stripe critical
+// section of the store itself — the cached copies it made stale, then
+// finishAfterInvalidations. A block nobody caches hands back nothing and is
+// acknowledged at once, so the home needs no knowledge of modes: only a
+// cached-mode read ever joins a copyset.
+
 func (sh *kernelShard) handleWrite(m *wire.Message) {
-	k := sh.k
 	if len(m.Data)%8 != 0 {
 		// Torn payload (WordsInto would panic): drop and let the requester
 		// retry.
@@ -532,88 +535,28 @@ func (sh *kernelShard) handleWrite(m *wire.Message) {
 		return
 	}
 	sh.wscratch = m.WordsInto(sh.wscratch)
-	if k.cache == nil {
-		k.seg.Write(m.Addr, sh.wscratch)
-		ack := wire.GetMessage()
-		ack.Op = wire.OpWriteAck
-		sh.reply(m, ack)
-		return
-	}
-	targets := k.seg.WriteInvalidating(m.Addr, sh.wscratch, int(m.Src))
-	sh.invSends = sh.invSends[:0]
-	for _, t := range targets {
-		sh.invSends = append(sh.invSends, invSend{addr: m.Addr, dst: t})
-	}
-	sh.finishAfterInvalidations(m, sh.invSends, wire.OpWriteAck, 0, 0)
+	sh.stale = sh.stale[:0]
+	sh.k.seg.WriteShared(m.Addr, sh.wscratch, int(m.Src), &sh.stale)
+	sh.finishAfterInvalidations(m, wire.OpWriteAck, 0, 0)
 }
 
-// handleWriteV serves a vectored write: every run scattered to its range,
-// one ack. Under caching, the ack is withheld until every invalidation of
-// every touched block has been acknowledged.
+// handleWriteV serves a vectored write — every run scattered to its range,
+// one ack — and, its payload being encoded the same way, one PE's coalesced
+// write-combining-buffer drain (OpFlushV: the release-consistency publish at
+// a synchronisation edge).
 func (sh *kernelShard) handleWriteV(m *wire.Message) {
-	k := sh.k
+	sh.stale = sh.stale[:0]
 	var err error
-	if k.cache == nil {
-		sh.vscratch, err = m.EachWriteRun(sh.vscratch, func(addr uint64, words []int64) {
-			k.seg.Write(addr, words)
-		})
-		if err != nil {
-			// Runs decoded before the corruption were already applied; the
-			// request is not acked, so the requester treats it as lost.
-			sh.extra.CorruptDrops++
-			return
-		}
-		ack := wire.GetMessage()
-		ack.Op = wire.OpWriteAck
-		sh.reply(m, ack)
-		return
-	}
-	sh.invSends = sh.invSends[:0]
 	sh.vscratch, err = m.EachWriteRun(sh.vscratch, func(addr uint64, words []int64) {
-		for _, t := range k.seg.WriteInvalidating(addr, words, int(m.Src)) {
-			sh.invSends = append(sh.invSends, invSend{addr: addr, dst: t})
-		}
+		sh.k.seg.WriteShared(addr, words, int(m.Src), &sh.stale)
 	})
 	if err != nil {
+		// Runs decoded before the corruption were already applied; the
+		// request is not acked, so the requester treats it as lost.
 		sh.extra.CorruptDrops++
 		return
 	}
-	sh.finishAfterInvalidations(m, sh.invSends, wire.OpWriteAck, 0, 0)
-}
-
-// handleFlushV applies one PE's coalesced write-combining-buffer drain: the
-// release-consistency publish at a synchronisation edge. The payload is
-// encoded exactly like a vectored write, and the handler mirrors
-// handleWriteV in full — including the invalidating branch, so release-mode
-// words that share cache blocks with strong words keep the write-invalidate
-// protocol coherent.
-func (sh *kernelShard) handleFlushV(m *wire.Message) {
-	k := sh.k
-	var err error
-	if k.cache == nil {
-		sh.vscratch, err = m.EachWriteRun(sh.vscratch, func(addr uint64, words []int64) {
-			k.seg.Write(addr, words)
-		})
-		if err != nil {
-			sh.extra.CorruptDrops++
-			return
-		}
-		ack := wire.GetMessage()
-		ack.Op = wire.OpWriteAck
-		sh.reply(m, ack)
-		return
-	}
-	sh.invSends = sh.invSends[:0]
-	sh.vscratch, err = m.EachWriteRun(sh.vscratch, func(addr uint64, words []int64) {
-		for _, t := range k.seg.WriteInvalidating(addr, words, int(m.Src)) {
-			sh.invSends = append(sh.invSends, invSend{addr: addr, dst: t})
-		}
-	})
-	if err != nil {
-		sh.extra.CorruptDrops++
-		return
-	}
-	sh.finishAfterInvalidations(m, sh.invSends, wire.OpWriteAck, 0, 0)
+	sh.finishAfterInvalidations(m, wire.OpWriteAck, 0, 0)
 }
 
 // handleReadLease serves a lease-mode block fetch: the whole block containing
@@ -633,61 +576,40 @@ func (sh *kernelShard) handleReadLease(m *wire.Message) {
 }
 
 func (sh *kernelShard) handleFetchAdd(m *wire.Message) {
-	k := sh.k
-	old := k.seg.FetchAdd(m.Addr, m.Arg1)
-	if k.cache == nil {
-		resp := wire.GetMessage()
-		resp.Op, resp.Arg1 = wire.OpFetchAddResp, old
-		sh.reply(m, resp)
-		return
-	}
-	targets := k.seg.CollectInvalidations(m.Addr, int(m.Src))
-	sh.invSends = sh.invSends[:0]
-	for _, t := range targets {
-		sh.invSends = append(sh.invSends, invSend{addr: m.Addr, dst: t})
-	}
-	sh.finishAfterInvalidations(m, sh.invSends, wire.OpFetchAddResp, old, 0)
+	sh.stale = sh.stale[:0]
+	old := sh.k.seg.FetchAddShared(m.Addr, m.Arg1, int(m.Src), &sh.stale)
+	sh.finishAfterInvalidations(m, wire.OpFetchAddResp, old, 0)
 }
 
 func (sh *kernelShard) handleCAS(m *wire.Message) {
-	k := sh.k
-	prev, swapped := k.seg.CAS(m.Addr, m.Arg1, m.Arg2)
+	sh.stale = sh.stale[:0]
+	prev, swapped := sh.k.seg.CASShared(m.Addr, m.Arg1, m.Arg2, int(m.Src), &sh.stale)
 	var sw int64
 	if swapped {
 		sw = 1
 	}
-	if k.cache == nil || !swapped {
-		resp := wire.GetMessage()
-		resp.Op, resp.Arg1, resp.Arg2 = wire.OpCASResp, prev, sw
-		sh.reply(m, resp)
-		return
-	}
-	targets := k.seg.CollectInvalidations(m.Addr, int(m.Src))
-	sh.invSends = sh.invSends[:0]
-	for _, t := range targets {
-		sh.invSends = append(sh.invSends, invSend{addr: m.Addr, dst: t})
-	}
-	sh.finishAfterInvalidations(m, sh.invSends, wire.OpCASResp, prev, sw)
+	sh.finishAfterInvalidations(m, wire.OpCASResp, prev, sw)
 }
 
-// finishAfterInvalidations acknowledges a mutating request immediately when
-// no remote copies exist, or after every cached copy of every touched block
-// has acknowledged its invalidation (write-invalidate coherence: the writer
-// may not proceed while stale copies are readable). Round ids come from the
-// kernel-global counter, so they are unique across shards; every
+// finishAfterInvalidations acknowledges the mutating request m at once when
+// it made no cached copy stale (sh.stale is empty), or after every copy in
+// sh.stale has acknowledged its invalidation (write-invalidate coherence: the
+// writer may not proceed while stale copies are readable). Round ids come
+// from the kernel-global counter, so they are unique across shards; every
 // OpInvalidate carries this shard's index, which the acking kernel echoes,
 // so the ack routes back to the shard holding the round even when the
 // written ranges spanned shards (possible under simulation, where vectored
 // requests are not split per shard).
-func (sh *kernelShard) finishAfterInvalidations(m *wire.Message, sends []invSend, respOp wire.Op, arg1, arg2 int64) {
+func (sh *kernelShard) finishAfterInvalidations(m *wire.Message, respOp wire.Op, arg1, arg2 int64) {
 	k := sh.k
+	stale := sh.stale
 	if k.cfg.FaultDropInvalidations {
 		// TEST-ONLY fault: pretend no copies exist, acknowledging the write
 		// without invalidating remote caches. Readers keep serving stale
 		// values — the consistency checker must flag them.
-		sends = nil
+		stale = nil
 	}
-	if len(sends) == 0 {
+	if len(stale) == 0 {
 		resp := wire.GetMessage()
 		resp.Op, resp.Arg1, resp.Arg2 = respOp, arg1, arg2
 		sh.reply(m, resp)
@@ -698,18 +620,25 @@ func (sh *kernelShard) finishAfterInvalidations(m *wire.Message, sends []invSend
 		requester: m.Src, seq: m.Seq,
 		respOp: respOp, arg1: arg1, arg2: arg2,
 	}
-	// sends aliases the reused sh.invSends scratch; the round needs its own
-	// copy to survive until the last ack.
-	r.outstanding = append(r.outstanding, sends...)
+	// stale is the reused sh.stale scratch; the round needs its own copy to
+	// survive until the last ack.
+	r.outstanding = append(r.outstanding, stale...)
 	sh.inv[id] = r
-	for _, s := range sends {
-		inv := wire.GetMessage()
-		inv.Op, inv.Src, inv.Dst = wire.OpInvalidate, int32(k.id), int32(s.dst)
-		inv.Seq, inv.Addr = id, s.addr
-		inv.Shard = uint8(sh.idx)
-		k.svc.Send(s.dst, inv)
-		wire.PutMessage(inv)
+	for _, c := range stale {
+		sh.sendInvalidate(id, c, 0)
 	}
+}
+
+// sendInvalidate tells c's holder to drop its copy, for round id.
+func (sh *kernelShard) sendInvalidate(id uint64, c gmem.Copy, flags uint8) {
+	k := sh.k
+	inv := wire.GetMessage()
+	inv.Op, inv.Src, inv.Dst = wire.OpInvalidate, int32(k.id), int32(c.Holder)
+	inv.Seq, inv.Addr = id, c.Addr
+	inv.Shard = uint8(sh.idx)
+	inv.Flags |= flags
+	k.svc.Send(c.Holder, inv)
+	wire.PutMessage(inv)
 }
 
 // resendInvalidations retransmits the still-unacked invalidations of the
@@ -719,19 +648,12 @@ func (sh *kernelShard) finishAfterInvalidations(m *wire.Message, sends []invSend
 // cause is a lost OpInvalidate or OpInvAck that no other timer would ever
 // recover. The round lives in this shard — retries route like the original.
 func (sh *kernelShard) resendInvalidations(requester int32, seq uint64) {
-	k := sh.k
 	for id, r := range sh.inv {
 		if r.requester != requester || r.seq != seq {
 			continue
 		}
-		for _, s := range r.outstanding {
-			inv := wire.GetMessage()
-			inv.Op, inv.Src, inv.Dst = wire.OpInvalidate, int32(k.id), int32(s.dst)
-			inv.Seq, inv.Addr = id, s.addr
-			inv.Shard = uint8(sh.idx)
-			inv.Flags |= wire.FlagRetry
-			k.svc.Send(s.dst, inv)
-			wire.PutMessage(inv)
+		for _, c := range r.outstanding {
+			sh.sendInvalidate(id, c, wire.FlagRetry)
 		}
 		return
 	}
@@ -742,9 +664,7 @@ func (sh *kernelShard) resendInvalidations(requester int32, seq uint64) {
 // invalidated address is homed at the sender, so hashing it locally would
 // name the wrong kernel's partition).
 func (sh *kernelShard) handleInvalidate(m *wire.Message) {
-	if sh.k.cache != nil {
-		sh.k.cache.Invalidate(m.Addr)
-	}
+	sh.k.cache.Invalidate(m.Addr)
 	ack := wire.GetMessage()
 	ack.Op, ack.Addr = wire.OpInvAck, m.Addr
 	ack.Shard = m.Shard
@@ -764,8 +684,8 @@ func (sh *kernelShard) handleInvAck(m *wire.Message) {
 	// duplicated ack (original + the answer to a retransmission) cannot
 	// complete the round while other copies are still live.
 	found := -1
-	for i, s := range r.outstanding {
-		if s.dst == int(m.Src) && s.addr == m.Addr {
+	for i, c := range r.outstanding {
+		if c.Holder == int(m.Src) && c.Addr == m.Addr {
 			found = i
 			break
 		}

@@ -216,45 +216,6 @@ func TestDirectReadFastPath(t *testing.T) {
 	}
 }
 
-// TestDirectReadsDisabledWithCaching asserts the window never activates
-// alongside the caching protocol, whose reads must reach the home directory.
-func TestDirectReadsDisabledWithCaching(t *testing.T) {
-	cfg := Config{
-		NumPE: 2, Transport: TransportInproc,
-		KernelShards: 2, DirectReads: 1, Caching: true,
-	}
-	var sawWindows atomic.Bool
-	cfg.testInspect = func(ks []*Kernel, _ []*PE) {
-		for _, k := range ks {
-			if k.windows != nil {
-				sawWindows.Store(true)
-			}
-		}
-	}
-	res, err := Run(cfg, func(pe *PE) error {
-		a := pe.Alloc(4)
-		pe.Barrier()
-		if pe.ID() == 0 {
-			pe.GMWrite(a, 7)
-		}
-		pe.Barrier()
-		if v := pe.GMRead(a); v != 7 {
-			return fmt.Errorf("read %d", v)
-		}
-		pe.Barrier()
-		return nil
-	})
-	if err != nil || res.FirstErr() != nil {
-		t.Fatal(err, res.FirstErr())
-	}
-	if sawWindows.Load() {
-		t.Error("direct windows wired despite Caching")
-	}
-	if res.Total.DirectGM != 0 {
-		t.Errorf("DirectGM = %d under caching", res.Total.DirectGM)
-	}
-}
-
 // TestShardedCheckpointRestart checkpoints while requesters serve under the
 // shard locks: the fence must pass through every shard before the export, or
 // it deadlocks/tears. (Kill and recovery with sharded state runs under the

@@ -34,8 +34,9 @@ func runCase(t *testing.T, c stress.Case, flag string) *stress.Result {
 // TestStressSuites runs the three seeded sweeps row for row as
 // `dsebench -stress|-recover|-membership -seed 1` does: the full consistency
 // matrix (up to 8 PEs at 15% loss under caching, kills, sharded, one-sided
-// and mixed-tier legs), the kill-and-recover schedules and the elastic-
-// membership churn. The nightly job runs the same rows on a date seed.
+// and mixed-tier legs, cached words beside one-sided traffic), the
+// kill-and-recover schedules, one of them over the window and rings, and the
+// elastic-membership churn. The nightly job runs the same rows on a date seed.
 func TestStressSuites(t *testing.T) {
 	for _, name := range stress.SuiteNames {
 		for _, c := range stress.Suite(name, 1) {
@@ -85,15 +86,6 @@ func TestStressLossyCaching(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestStressPeerKill kills PE 2's station mid-run; survivors must detect
-// the dead home, route around it, and the surviving history must check out.
-func TestStressPeerKill(t *testing.T) {
-	runStress(t, stress.Options{
-		Seed: 11, NumPE: 4, OpsPerPE: 200, Loss: 0.02,
-		KillPE: 2, KillAt: 2 * sim.Second,
-	})
 }
 
 // TestStressReplayDeterministic runs the same seed twice and demands
@@ -229,33 +221,6 @@ func TestStressRingsInertWithoutWindows(t *testing.T) {
 	}
 	if da, db := a.History.Digest(), b.History.Digest(); da != db {
 		t.Fatalf("rings moved a windows-off schedule: %s vs %s", da, db)
-	}
-}
-
-// TestStressRingSweep forces the write rings on across shard counts and the
-// harsh corners — loss, a mid-run kill, and kill-with-recovery — and demands
-// checker-clean histories throughout.
-func TestStressRingSweep(t *testing.T) {
-	for _, shards := range []int{2, 8} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			runStress(t, stress.Options{
-				Seed: 9, NumPE: 4, OpsPerPE: 200, Loss: 0.05,
-				Shards: shards, DirectReads: 1, Rings: 1,
-			})
-			// KillAt sits inside the fast rings-on schedule (~0.25s of
-			// virtual time for this leg), so the kill provably fires.
-			runStress(t, stress.Options{
-				Seed: 13, NumPE: 4, OpsPerPE: 150, Loss: 0.02,
-				KillPE: 2, KillAt: 100 * sim.Millisecond,
-				Shards: shards, DirectReads: 1, Rings: 1,
-			})
-			runCase(t, stress.Case{MustRecover: true, Options: stress.Options{
-				Seed: 23, NumPE: 4, OpsPerPE: 200, Recover: true, CkptEvery: 32,
-				KillPE: 2, KillAt: 200 * sim.Millisecond,
-				Shards: shards, DirectReads: 1, Rings: 1,
-			}}, "recover")
-		})
 	}
 }
 
@@ -445,8 +410,8 @@ func TestStressCatchesBrokenInvalidation(t *testing.T) {
 	}
 }
 
-// TestStressKillRecovers is the recover-mode counterpart of
-// TestStressPeerKill: the victim dies abruptly mid-run, and the run must
+// TestStressKillRecovers is the recover-mode counterpart of the stress
+// suite's kill rows: the victim dies abruptly mid-run, and the run must
 // nonetheless COMPLETE — checkpoint/restart rolls the cluster back to the
 // last snapshot, reruns the remaining schedule, and the merged history
 // (snapshot baseline + rerun) must satisfy the checker. Several seeds vary

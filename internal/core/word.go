@@ -34,10 +34,11 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 
 	// Tiers. The word's mode picks the contract: release stores stop at the
 	// write-combining buffer and release reads see them there first; lease
-	// reads are served from time-bounded block snapshots. Atomics always run
-	// the strong protocol at the home — the mode only tags which per-word rule
-	// set judges them — and any mutation drops the PE's own lease on the word
-	// so its later lease reads re-observe it.
+	// reads are served from time-bounded block snapshots; cached reads from the
+	// PE's copies of whole blocks. Atomics always run the strong protocol at the
+	// home — the mode only tags which per-word rule set judges them — and any
+	// mutation drops the PE's own lease on the word so its later lease reads
+	// re-observe it.
 	mode := pe.modes.Lookup(addr)
 	switch {
 	case mode == gmem.ModeRelease && kind == check.KindWrite:
@@ -46,7 +47,7 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 	case mode == gmem.ModeLease && kind != check.KindRead:
 		pe.dropLeases(addr, 1)
 	}
-	h := pe.hist.Open(kind, addr, a1, a2, uint8(mode))
+	h := pe.hist.Open(kind, addr, a1, a2, mode.Tag())
 	if kind == check.KindRead {
 		switch mode {
 		case gmem.ModeLease:
@@ -61,17 +62,18 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 				pe.hist.CloseRead(h, v, false, 0, 0)
 				return v, false, nil
 			}
-		}
-		if v, hit := pe.cacheLookup(addr); hit {
-			pe.chargeLocal()
-			pe.hist.CloseRead(h, v, true, 0, 0)
-			return v, false, nil
+		case gmem.ModeCached:
+			if v, hit := k.cache.Lookup(addr); hit {
+				pe.chargeLocal()
+				pe.hist.CloseRead(h, v, true, 0, 0)
+				return v, false, nil
+			}
 		}
 	}
 
 	// Path: own segment, one-sided window or ring, else a message. Every
 	// mutation that completes succeeds, except a CAS that finds another value.
-	home, local := pe.resolve(addr, kind != check.KindRead)
+	home, local := pe.resolve(addr, mode, kind != check.KindRead)
 	ok = true
 	if local {
 		pe.chargeLocal()
@@ -92,13 +94,17 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 	}
 	pe.extra.RemoteGM++
 	var ringSeq uint64
-	switch kind {
-	case check.KindRead:
+	switch {
+	case mode == gmem.ModeCached:
+		// A cached word's remote accesses must reach the home's directory — a
+		// read to join the copyset, a write to have it invalidated — so they
+		// take neither one-sided path.
+	case kind == check.KindRead:
 		if v, hit := pe.windowRead(home, addr); hit {
 			pe.hist.CloseRead(h, v, false, 0, 0)
 			return v, false, nil
 		}
-	case check.KindWrite:
+	case kind == check.KindWrite:
 		st, seq := pe.ringWrite(home, addr, a1)
 		if st == ringApplied {
 			pe.hist.Close(h, 0, true)
@@ -114,7 +120,7 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 	req.Op, req.Addr = wordOps[kind].wire, addr
 	switch kind {
 	case check.KindRead:
-		if pe.writeThrough() {
+		if mode == gmem.ModeCached {
 			req.Arg2 = 1 // fetch the whole block and join its copyset
 		} else {
 			req.Arg1 = 1
@@ -132,7 +138,7 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 	}
 	switch kind {
 	case check.KindRead:
-		if pe.writeThrough() {
+		if mode == gmem.ModeCached {
 			out = pe.cacheFill(addr, resp)
 		} else {
 			out = resp.Word(0)

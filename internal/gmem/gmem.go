@@ -4,8 +4,8 @@
 // slice; the union forms the Distributed Shared Memory).
 //
 // Each kernel owns a Segment holding the blocks homed at it, serves
-// read/write/atomic requests against it, and (when the caching protocol is
-// enabled) keeps a per-block directory of remote readers to invalidate on
+// read/write/atomic requests against it, and keeps a per-block directory of
+// the remote readers whose cached-mode reads hold a copy, to invalidate on
 // writes. Address-space layout (Space) and allocation (Allocator) are pure
 // and deterministic so every PE in an SPMD program computes identical
 // addresses without coordination.
@@ -133,15 +133,16 @@ type stripe struct {
 	// shared between generations and mutated in place via atomic stores).
 	blocks atomic.Pointer[map[uint64][]int64]
 	// copyset maps a homed block to the kernels caching it (directory for
-	// the invalidation protocol; unused when caching is off). Guarded by mu.
+	// the invalidation protocol; empty while no cached-mode read has reached
+	// this stripe). Guarded by mu.
 	copyset map[uint64]map[int]struct{}
 }
 
 // Segment is the slice of global memory homed at one kernel, plus the
 // caching directory. It is striped SegStripes ways so independent service
 // shards of one kernel mutate disjoint stripes, and it supports a lock-free
-// single-word DirectRead for co-located readers (the one-sided read fast
-// path). Methods are safe for concurrent use.
+// single-word DirectReadOwned for co-located readers (the one-sided read
+// fast path). Methods are safe for concurrent use.
 type Segment struct {
 	space   Space
 	self    int
@@ -151,7 +152,7 @@ type Segment struct {
 	// against it, and Extract/Adopt move blocks between segments as homes
 	// migrate. Nil keeps the static Space.HomeOf rule.
 	dir *Directory
-	// fallbacks counts DirectReads that exhausted their seqlock spins and
+	// fallbacks counts direct reads that exhausted their seqlock spins and
 	// took the stripe mutex instead (writer livelock). Observable so tests
 	// can assert the fallback path is actually exercised.
 	fallbacks atomic.Uint64
@@ -255,52 +256,23 @@ func (g *Segment) ReadWord(addr uint64) int64 {
 	return v
 }
 
-// DirectRead returns the single word at addr without taking the stripe
-// mutex: the one-sided read fast path for co-located PEs. It is seqlock
-// validated — the read retries while a writer's mutation window is open or
-// the stripe generation moved between its two loads — so it never returns a
-// torn or mid-invalidation-round value that a served OpRead could not also
-// have returned. Falls back to the stripe mutex under writer livelock.
-func (g *Segment) DirectRead(addr uint64) int64 {
-	g.checkHome(addr, 1)
-	b := g.space.BlockOf(addr)
-	st := g.stripeOf(b)
-	off := int(addr % uint64(g.space.BlockWords))
-	for spin := 0; spin < 64; spin++ {
-		s1 := st.wseq.Load()
-		if s1&1 != 0 {
-			continue
-		}
-		var v int64
-		if blk := st.lookup(b); blk != nil {
-			v = atomic.LoadInt64(&blk[off])
-		}
-		if st.wseq.Load() == s1 {
-			return v
-		}
-	}
-	g.fallbacks.Add(1)
-	var v int64
-	st.mu.Lock()
-	if blk := st.lookup(b); blk != nil {
-		v = blk[off]
-	}
-	st.mu.Unlock()
-	return v
-}
-
-// DirectReadFallbacks reports how many DirectReads fell back to the stripe
+// DirectReadFallbacks reports how many direct reads fell back to the stripe
 // mutex after exhausting their seqlock spins.
 func (g *Segment) DirectReadFallbacks() uint64 { return g.fallbacks.Load() }
 
-// DirectReadOwned is DirectRead for elastic clusters: instead of panicking
-// on a non-owned address it reports ok=false, telling the caller to fall
-// back to the message path (which the current owner will serve, or NACK
-// with a fresh hint). Ownership is validated inside the seqlock window:
-// Extract bumps the stripe generation when it removes migrated blocks, so a
-// reader racing a migration either returns the pre-migration value while it
-// is still globally current, or fails validation, rechecks ownership and
-// falls back — it can never return a stale zero from a dropped block.
+// DirectReadOwned returns the single word at addr without taking the stripe
+// mutex: the one-sided read fast path for co-located PEs. It is seqlock
+// validated — the read retries while a writer's mutation window is open or
+// the stripe generation moved between its two loads — so it never returns a
+// torn value that a served OpRead could not also have returned, and falls
+// back to the stripe mutex under writer livelock. On an address this segment
+// does not own it reports ok=false, telling the caller to fall back to the
+// message path (which the current owner will serve, or NACK with a fresh
+// hint). Ownership is validated inside the seqlock window: Extract bumps the
+// stripe generation when it removes migrated blocks, so a reader racing a
+// migration either returns the pre-migration value while it is still
+// globally current, or fails validation, rechecks ownership and falls back —
+// it can never return a stale zero from a dropped block.
 func (g *Segment) DirectReadOwned(addr uint64) (int64, bool) {
 	b := g.space.BlockOf(addr)
 	st := g.stripeOf(b)
@@ -360,12 +332,8 @@ func (g *Segment) Extract(flips func(b uint64) bool) []BlockSnapshot {
 			}
 			for _, idx := range victims {
 				blk := next[idx]
-				bs := BlockSnapshot{Index: idx, Words: make([]int64, len(blk))}
+				bs := BlockSnapshot{Index: idx, Words: make([]int64, len(blk)), Copyset: holders(st.copyset[idx])}
 				copy(bs.Words, blk)
-				for k := range st.copyset[idx] {
-					bs.Copyset = append(bs.Copyset, k)
-				}
-				sort.Ints(bs.Copyset)
 				out = append(out, bs)
 				delete(next, idx)
 				delete(st.copyset, idx)
@@ -410,11 +378,7 @@ func (g *Segment) Adopt(blocks []BlockSnapshot) error {
 		}
 		next[b.Index] = words
 		if len(b.Copyset) > 0 {
-			cs := make(map[int]struct{}, len(b.Copyset))
-			for _, k := range b.Copyset {
-				cs[k] = struct{}{}
-			}
-			st.copyset[b.Index] = cs
+			st.copyset[b.Index] = copysetOf(b.Copyset)
 		} else {
 			delete(st.copyset, b.Index)
 		}
@@ -509,10 +473,39 @@ func (g *Segment) WriteV(addrs []uint64, counts []int, words []int64) {
 // a reader observing a half-applied run between chunks is no new behaviour.
 const writeWindowWords = 32
 
-// Write stores words starting at addr (all homed here, single block). The
-// stripe is locked and the seqlock window held for at most writeWindowWords
-// stores at a time.
-func (g *Segment) Write(addr uint64, words []int64) {
+// Copy names one cached copy a mutation made stale: kernel Holder's copy of
+// the block containing Addr.
+type Copy struct {
+	Addr   uint64
+	Holder int
+}
+
+// takeCopies empties block b's copyset into *stale, one Copy at addr per
+// holder in ascending order, leaving out writer (a PE drops its own copy
+// itself). A nil stale leaves the directory alone. Caller holds st.mu. Until
+// a cached-mode read reaches the stripe a block costs the len test.
+func (st *stripe) takeCopies(b, addr uint64, writer int, stale *[]Copy) {
+	if stale == nil || len(st.copyset) == 0 {
+		return
+	}
+	for _, k := range holders(st.copyset[b]) {
+		if k != writer {
+			*stale = append(*stale, Copy{Addr: addr, Holder: k})
+		}
+	}
+	delete(st.copyset, b)
+}
+
+// Write stores words starting at addr (all homed here, single block) and
+// leaves the copyset alone: the form for callers not serving a request.
+func (g *Segment) Write(addr uint64, words []int64) { g.WriteShared(addr, words, 0, nil) }
+
+// WriteShared is Write as the home serves it for kernel writer: the critical
+// section of the last store also takes the block's copyset into *stale
+// (takeCopies), so a copy registered earlier is invalidated and a later one
+// holds the new words. The stripe is locked and the seqlock window held for
+// at most writeWindowWords stores at a time.
+func (g *Segment) WriteShared(addr uint64, words []int64, writer int, stale *[]Copy) {
 	g.checkHome(addr, len(words))
 	b := g.space.BlockOf(addr)
 	st := g.stripeOf(b)
@@ -529,13 +522,21 @@ func (g *Segment) Write(addr uint64, words []int64) {
 			atomic.StoreInt64(&blk[off+start+i], v)
 		}
 		st.wseq.Add(1)
+		if start+writeWindowWords >= len(words) {
+			st.takeCopies(b, addr, writer, stale)
+		}
 		st.mu.Unlock()
 	}
 }
 
 // FetchAdd atomically adds delta to the word at addr, returning the
-// previous value.
+// previous value. Like Write it leaves the copyset alone.
 func (g *Segment) FetchAdd(addr uint64, delta int64) int64 {
+	return g.FetchAddShared(addr, delta, 0, nil)
+}
+
+// FetchAddShared is FetchAdd as the home serves it: see WriteShared.
+func (g *Segment) FetchAddShared(addr uint64, delta int64, writer int, stale *[]Copy) int64 {
 	g.checkHome(addr, 1)
 	b := g.space.BlockOf(addr)
 	st := g.stripeOf(b)
@@ -546,42 +547,47 @@ func (g *Segment) FetchAdd(addr uint64, delta int64) int64 {
 	st.wseq.Add(1)
 	atomic.StoreInt64(&blk[off], old+delta)
 	st.wseq.Add(1)
+	st.takeCopies(b, addr, writer, stale)
 	st.mu.Unlock()
 	return old
 }
 
-// CAS atomically compares-and-swaps the word at addr. It returns the
-// previous value and whether the swap happened.
+// CAS atomically compares-and-swaps the word at addr, returning the previous
+// value and whether the swap happened. Like Write it leaves the copyset alone.
 func (g *Segment) CAS(addr uint64, old, new int64) (prev int64, swapped bool) {
+	return g.CASShared(addr, old, new, 0, nil)
+}
+
+// CASShared is CAS as the home serves it: see WriteShared. A swap that did
+// not happen changed nothing and takes no copyset.
+func (g *Segment) CASShared(addr uint64, old, new int64, writer int, stale *[]Copy) (prev int64, swapped bool) {
 	g.checkHome(addr, 1)
 	b := g.space.BlockOf(addr)
 	st := g.stripeOf(b)
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	blk := st.materialise(b, g.space.BlockWords)
 	off := int(addr % uint64(g.space.BlockWords))
 	prev = blk[off]
-	if prev == old {
-		st.wseq.Add(1)
-		atomic.StoreInt64(&blk[off], new)
-		st.wseq.Add(1)
-		st.mu.Unlock()
-		return prev, true
+	if prev != old {
+		return prev, false
 	}
-	st.mu.Unlock()
-	return prev, false
+	st.wseq.Add(1)
+	atomic.StoreInt64(&blk[off], new)
+	st.wseq.Add(1)
+	st.takeCopies(b, addr, writer, stale)
+	return prev, true
 }
 
-// ReadBlockFor returns a copy of the whole block containing addr and
-// records reader in the block's copyset (the caching protocol's read miss).
-// The block is materialised so the directory entry survives Export.
-func (g *Segment) ReadBlockFor(addr uint64, reader int) []int64 {
+// ReadBlockFor appends the whole block containing addr to dst and records
+// reader in the block's copyset (the caching protocol's read miss). The block
+// is materialised so the directory entry survives Export.
+func (g *Segment) ReadBlockFor(dst []int64, addr uint64, reader int) []int64 {
 	g.checkHome(addr, 1)
 	b := g.space.BlockOf(addr)
 	st := g.stripeOf(b)
 	st.mu.Lock()
-	blk := st.materialise(b, g.space.BlockWords)
-	out := make([]int64, len(blk))
-	copy(out, blk)
+	dst = append(dst, st.materialise(b, g.space.BlockWords)...)
 	if reader != g.self {
 		cs := st.copyset[b]
 		if cs == nil {
@@ -591,43 +597,26 @@ func (g *Segment) ReadBlockFor(addr uint64, reader int) []int64 {
 		cs[reader] = struct{}{}
 	}
 	st.mu.Unlock()
+	return dst
+}
+
+// holders lists one copyset's kernels in ascending order.
+func holders(cs map[int]struct{}) []int {
+	var out []int
+	for k := range cs {
+		out = append(out, k)
+	}
+	sort.Ints(out)
 	return out
 }
 
-// WriteInvalidating performs a write and returns the kernels whose cached
-// copies of the touched block must be invalidated (the writer is excluded:
-// its copy is refreshed by the caller). The copyset is cleared.
-func (g *Segment) WriteInvalidating(addr uint64, words []int64, writer int) []int {
-	g.Write(addr, words)
-	return g.CollectInvalidations(addr, writer)
-}
-
-// CollectInvalidations clears the copyset of the block containing addr and
-// returns its members except writer, sorted for determinism. Used after any
-// mutation (write, fetch-add, CAS) under the caching protocol.
-func (g *Segment) CollectInvalidations(addr uint64, writer int) []int {
-	b := g.space.BlockOf(addr)
-	st := g.stripeOf(b)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	cs := st.copyset[b]
-	if len(cs) == 0 {
-		return nil
+// copysetOf is holders' inverse.
+func copysetOf(ks []int) map[int]struct{} {
+	cs := make(map[int]struct{}, len(ks))
+	for _, k := range ks {
+		cs[k] = struct{}{}
 	}
-	targets := make([]int, 0, len(cs))
-	for k := range cs {
-		if k != writer {
-			targets = append(targets, k)
-		}
-	}
-	delete(st.copyset, b)
-	// Insertion sort: copysets are tiny and map iteration order is random.
-	for i := 1; i < len(targets); i++ {
-		for j := i; j > 0 && targets[j] < targets[j-1]; j-- {
-			targets[j], targets[j-1] = targets[j-1], targets[j]
-		}
-	}
-	return targets
+	return cs
 }
 
 // Copyset reports the kernels currently caching block b (for tests).
@@ -635,16 +624,7 @@ func (g *Segment) Copyset(b uint64) []int {
 	st := g.stripeOf(b)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var out []int
-	for k := range st.copyset[b] {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return holders(st.copyset[b])
 }
 
 // BlockSnapshot is one homed block's state for checkpointing: the stored
@@ -666,16 +646,8 @@ func (g *Segment) Export() []BlockSnapshot {
 		st := &g.stripes[i]
 		st.mu.Lock()
 		for idx, blk := range *st.blocks.Load() {
-			bs := BlockSnapshot{Index: idx, Words: make([]int64, len(blk))}
+			bs := BlockSnapshot{Index: idx, Words: make([]int64, len(blk)), Copyset: holders(st.copyset[idx])}
 			copy(bs.Words, blk)
-			for k := range st.copyset[idx] {
-				bs.Copyset = append(bs.Copyset, k)
-			}
-			for i := 1; i < len(bs.Copyset); i++ {
-				for j := i; j > 0 && bs.Copyset[j] < bs.Copyset[j-1]; j-- {
-					bs.Copyset[j], bs.Copyset[j-1] = bs.Copyset[j-1], bs.Copyset[j]
-				}
-			}
 			out = append(out, bs)
 		}
 		st.mu.Unlock()
@@ -712,11 +684,7 @@ func (g *Segment) Import(blocks []BlockSnapshot) error {
 		copy(words, b.Words)
 		maps[si][b.Index] = words
 		if len(b.Copyset) > 0 {
-			cs := make(map[int]struct{}, len(b.Copyset))
-			for _, k := range b.Copyset {
-				cs[k] = struct{}{}
-			}
-			csets[si][b.Index] = cs
+			csets[si][b.Index] = copysetOf(b.Copyset)
 		}
 	}
 	for i := range g.stripes {
@@ -743,7 +711,8 @@ func F2W(f float64) int64 { return int64(math.Float64bits(f)) }
 // W2F is the inverse of F2W.
 func W2F(w int64) float64 { return math.Float64frombits(uint64(w)) }
 
-// Cache is a PE-local block cache for the invalidation protocol.
+// Cache is a PE-local block cache for the invalidation protocol: the blocks
+// the PE's cached-mode reads fetched, each registered in its home's copyset.
 type Cache struct {
 	space Space
 	mu    sync.Mutex
@@ -751,6 +720,9 @@ type Cache struct {
 	hits  uint64
 	miss  uint64
 	inval uint64
+	// held mirrors len(data): Invalidate, which every message-path mutation
+	// ends in, costs a PE that holds no copies one load and no lock.
+	held atomic.Int64
 }
 
 // NewCache creates an empty cache over the space.
@@ -781,33 +753,19 @@ func (c *Cache) Insert(addr uint64, block []int64) {
 	cp := make([]int64, len(block))
 	copy(cp, block)
 	c.data[c.space.BlockOf(addr)] = cp
-}
-
-// Update refreshes cached words if the block is present (a write-through by
-// the local PE keeps its own copy warm).
-func (c *Cache) Update(addr uint64, words []int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	blk, ok := c.data[c.space.BlockOf(addr)]
-	if !ok {
-		return
-	}
-	copy(blk[addr%uint64(c.space.BlockWords):], words)
+	c.held.Store(int64(len(c.data)))
 }
 
 // Invalidate drops the block containing addr.
 func (c *Cache) Invalidate(addr uint64) {
+	if c.held.Load() == 0 {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.data, c.space.BlockOf(addr))
 	c.inval++
-}
-
-// Clear empties the cache.
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.data = make(map[uint64][]int64)
+	c.held.Store(int64(len(c.data)))
 }
 
 // Stats reports hits, misses and invalidations so far.

@@ -7,9 +7,9 @@ import (
 
 // Mode selects the consistency tier of a global-memory allocation. The
 // default, ModeStrong, is the paper's home-based strong coherence: every
-// read and write is a (possibly cached-and-invalidated) round trip with the
-// home. The weaker tiers trade freshness for messages per the mode lattice
-// documented in DESIGN.md §14:
+// remote read and write is a round trip with the home. The other tiers trade
+// freshness, or memory, for messages per the mode lattice documented in
+// DESIGN.md §14:
 //
 //   - ModeRelease buffers writes in a per-PE write-combining buffer and
 //     publishes them, coalesced, at synchronisation edges (barrier entry,
@@ -19,6 +19,10 @@ import (
 //     fetches the whole block once and subsequent reads skip the
 //     invalidation round until the lease expires or a synchronisation
 //     acquire edge (barrier crossing, lock grant) drops it.
+//   - ModeCached keeps the strong contract and replicates reads: a scalar
+//     read miss fetches the whole block and joins the home's copyset, later
+//     reads of the block are local, and every mutation goes to the home as a
+//     message and is acknowledged only after each copy has been invalidated.
 //
 // Atomic operations (fetch-add, CAS) always execute with strong semantics
 // at the home regardless of the containing allocation's mode.
@@ -33,21 +37,44 @@ const (
 	// ModeLease is lease-based read caching: reads served from time-bounded
 	// block leases, staleness bounded by the grant-to-expiry window.
 	ModeLease
+	// ModeCached is write-invalidate read caching under the strong contract.
+	ModeCached
 
 	// NumModes sizes per-mode tables.
 	NumModes = iota
 )
 
+// modeNames is the one table of mode names, for String and ParseMode.
+var modeNames = [NumModes]string{"strong", "release", "lease", "cached"}
+
 func (m Mode) String() string {
-	switch m {
-	case ModeStrong:
-		return "strong"
-	case ModeRelease:
-		return "release"
-	case ModeLease:
-		return "lease"
+	if m < NumModes {
+		return modeNames[m]
 	}
 	return fmt.Sprintf("Mode(%d)", uint8(m))
+}
+
+// ParseMode is String's inverse. The empty string names the default mode.
+func ParseMode(s string) (Mode, error) {
+	if s == "" {
+		return ModeStrong, nil
+	}
+	for m, name := range modeNames {
+		if s == name {
+			return Mode(m), nil
+		}
+	}
+	return ModeStrong, fmt.Errorf("gmem: unknown consistency mode %q", s)
+}
+
+// Tag is what a history event of an access in mode m carries: the per-word
+// rule set the checker judges it by. A cached word promises what a strong
+// one does and is tagged as one.
+func (m Mode) Tag() uint8 {
+	if m == ModeCached {
+		m = ModeStrong
+	}
+	return uint8(m)
 }
 
 // ModeTable maps address ranges to consistency modes. Like the Allocator it
@@ -68,9 +95,6 @@ type modeRange struct {
 
 // NewModeTable returns a table whose unrecorded addresses map to def.
 func NewModeTable(def Mode) *ModeTable { return &ModeTable{def: def} }
-
-// Default reports the table's default mode.
-func (t *ModeTable) Default() Mode { return t.def }
 
 // Set records that [base, base+n) uses mode m. Recording the default mode
 // is a no-op (the table stays small when everything is strong). Overlapping
@@ -126,6 +150,19 @@ func (t *ModeTable) AllStrong() bool {
 	return t.def == ModeStrong && len(t.ranges) == 0
 }
 
+// Uses reports whether any address maps to mode m.
+func (t *ModeTable) Uses(m Mode) bool {
+	if t.def == m {
+		return true
+	}
+	for i := range t.ranges {
+		if t.ranges[i].mode == m {
+			return true
+		}
+	}
+	return false
+}
+
 // Lookup returns the mode of addr.
 func (t *ModeTable) Lookup(addr uint64) Mode {
 	// Tables hold a handful of ranges at most, so a linear scan is cheaper
@@ -140,23 +177,6 @@ func (t *ModeTable) Lookup(addr uint64) Mode {
 		}
 	}
 	return t.def
-}
-
-// Uniform reports whether every address in [addr, addr+n) shares one mode,
-// and that mode. Block/gather/scatter paths use it to take a single-mode
-// fast path before falling back to per-run splitting.
-func (t *ModeTable) Uniform(addr uint64, n int) (Mode, bool) {
-	m := t.Lookup(addr)
-	if len(t.ranges) == 0 {
-		return m, true
-	}
-	uniform := true
-	t.ModeRuns(addr, n, func(mode Mode, start uint64, count int) {
-		if mode != m {
-			uniform = false
-		}
-	})
-	return m, uniform
 }
 
 // ModeRuns splits [addr, addr+n) into maximal sub-ranges with a single mode

@@ -239,8 +239,8 @@ func TestRingApplyWritesVisibleToDirectRead(t *testing.T) {
 	readerDone := make(chan int64, 1)
 	go func() {
 		for !stop.Load() {
-			if v := seg.DirectRead(addr); !legal[v] {
-				readerDone <- v
+			if v, ok := seg.DirectReadOwned(addr); !ok || !legal[v] {
+				readerDone <- v | 1<<62
 				return
 			}
 		}
@@ -249,7 +249,7 @@ func TestRingApplyWritesVisibleToDirectRead(t *testing.T) {
 	wg.Wait()
 	stop.Store(true)
 	if v := <-readerDone; v != 0 {
-		t.Fatalf("DirectRead observed %d, a value nobody wrote", v)
+		t.Fatalf("DirectReadOwned disowned the word or observed a value nobody wrote: %d", v&^(1<<62))
 	}
 	if v := seg.ReadWord(addr); !legal[v] {
 		t.Fatalf("final value %d was never written", v)
@@ -293,11 +293,11 @@ func TestDirectReadFallbackUnderWriterStorm(t *testing.T) {
 	// read returns despite the storm) and consistency (no torn word).
 	deadline := time.Now().Add(20 * time.Second)
 	for seg.DirectReadFallbacks() == 0 {
-		v := seg.DirectRead(5)
-		if v != 0 && int(v&0xff) >= writers {
+		v, ok := seg.DirectReadOwned(5)
+		if !ok || (v != 0 && int(v&0xff) >= writers) {
 			stop.Store(true)
 			wg.Wait()
-			t.Fatalf("DirectRead returned %d: writer id %d out of range", v, v&0xff)
+			t.Fatalf("DirectReadOwned returned %d, %v: disowned, or writer id %d out of range", v, ok, v&0xff)
 		}
 		if time.Now().After(deadline) {
 			stop.Store(true)

@@ -43,6 +43,7 @@ var (
 	ErrQuotaTooLarge   = errors.New("sched: GM quota exceeds cluster capacity")
 	ErrDeadlinePassed  = errors.New("sched: deadline already passed at submit")
 	ErrUnknownWorkload = errors.New("sched: unknown workload")
+	ErrCachedMode      = errors.New("sched: cached mode is not available to jobs (a namespace's teardown does not invalidate PE caches)")
 	ErrClosed          = errors.New("sched: scheduler is shut down")
 	ErrNotFound        = errors.New("sched: no such job")
 )
@@ -60,7 +61,7 @@ type JobSpec struct {
 	// QuotaBlocks is the job's GM namespace quota in blocks (0 = 16).
 	QuotaBlocks uint64 `json:"quota_blocks,omitempty"`
 	// Mode is the consistency tier of the job's allocations: "", "strong",
-	// "release" or "lease".
+	// "release" or "lease" ("cached" is refused, see parseMode).
 	Mode string `json:"mode,omitempty"`
 	// Priority orders the queue (higher runs first; aging promotes waiters).
 	Priority int `json:"priority,omitempty"`
@@ -295,17 +296,19 @@ func (s *Scheduler) Job(id int) (JobStatus, error) {
 	}, nil
 }
 
-// parseMode maps a spec's consistency-mode string.
+// parseMode maps a spec's consistency-mode string. Cached mode is refused:
+// tearing a namespace down (Segment.DropRange) clears its blocks' copysets
+// without invalidating the copies PEs hold, so the next job carved from the
+// same region would read the previous job's data out of its workers' caches.
 func parseMode(m string) (gmem.Mode, error) {
-	switch m {
-	case "", "strong":
-		return gmem.ModeStrong, nil
-	case "release":
-		return gmem.ModeRelease, nil
-	case "lease":
-		return gmem.ModeLease, nil
+	mode, err := gmem.ParseMode(m)
+	if err != nil {
+		return mode, fmt.Errorf("sched: %w", err)
 	}
-	return gmem.ModeStrong, fmt.Errorf("sched: unknown consistency mode %q", m)
+	if mode == gmem.ModeCached {
+		return mode, ErrCachedMode
+	}
+	return mode, nil
 }
 
 func (s *Scheduler) dequeueLocked(j *Job) {

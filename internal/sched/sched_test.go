@@ -144,6 +144,7 @@ func TestAdmissionErrors(t *testing.T) {
 		{"quota too large", JobSpec{PEs: 1, Workload: "touch", QuotaBlocks: 33}, ErrQuotaTooLarge},
 		{"deadline passed", JobSpec{PEs: 1, Workload: "touch", DeadlineMS: -1}, ErrDeadlinePassed},
 		{"unknown workload", JobSpec{PEs: 1, Workload: "nope"}, ErrUnknownWorkload},
+		{"cached mode", JobSpec{PEs: 1, Workload: "touch", Mode: "cached"}, ErrCachedMode},
 	}
 	for _, tc := range cases {
 		if _, err := s.Submit(tc.spec); !errors.Is(err, tc.want) {
