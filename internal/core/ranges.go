@@ -74,6 +74,9 @@ func (pe *PE) rangeOp(name string, kind check.Kind, addr uint64, addrs []uint64,
 	if addrs != nil {
 		return pe.rangeRun(kind, gmem.ModeStrong, 0, addrs, buf)
 	}
+	if m, sole := pe.modes.Sole(); sole {
+		return pe.rangeRun(kind, m, addr, nil, buf)
+	}
 	// A block spanning allocations of different tiers is served piecewise,
 	// each piece through its own mode's protocol.
 	var err error
@@ -90,8 +93,8 @@ func (pe *PE) rangeOp(name string, kind check.Kind, addr uint64, addrs []uint64,
 // only the word executor's tiers can serve — the vectored gather/scatter
 // requests aggregate the home-served modes, strong and cached.
 func (pe *PE) wordTiered(addrs []uint64) bool {
-	if pe.modes.AllStrong() {
-		return false
+	if m, sole := pe.modes.Sole(); sole {
+		return m == gmem.ModeRelease || m == gmem.ModeLease
 	}
 	for _, a := range addrs {
 		if m := pe.modes.Lookup(a); m == gmem.ModeRelease || m == gmem.ModeLease {
@@ -127,7 +130,11 @@ func (pe *PE) rangeRun(kind check.Kind, mode gmem.Mode, addr uint64, addrs []uin
 		pe.vruns = pe.vruns[:0]
 		if addrs != nil {
 			for i, a := range addrs {
-				pe.addRun(kind, pe.modes.Lookup(a), buf, a, 1, i)
+				m := mode
+				if write { // only a mutation's route depends on the word's mode
+					m = pe.modes.Lookup(a)
+				}
+				pe.addRun(kind, m, buf, a, 1, i)
 			}
 		} else {
 			bw := uint64(pe.k.space.BlockWords)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 
 	"repro/internal/ckpt"
@@ -317,16 +318,10 @@ func (sh *kernelShard) handleGM(m *wire.Message) {
 		sh.handleRead(m)
 	case wire.OpReadV:
 		sh.handleReadV(m)
-	case wire.OpWrite:
-		sh.handleWrite(m)
-	case wire.OpWriteV, wire.OpFlushV:
-		sh.handleWriteV(m)
+	case wire.OpWrite, wire.OpWriteV, wire.OpFlushV, wire.OpFetchAdd, wire.OpCAS:
+		sh.handleMutation(m)
 	case wire.OpReadLease:
 		sh.handleReadLease(m)
-	case wire.OpFetchAdd:
-		sh.handleFetchAdd(m)
-	case wire.OpCAS:
-		sh.handleCAS(m)
 	case wire.OpInvalidate:
 		sh.handleInvalidate(m)
 	case wire.OpInvAck:
@@ -520,43 +515,52 @@ func (sh *kernelShard) handleReadV(m *wire.Message) {
 	sh.reply(m, resp)
 }
 
-// The mutating handlers share one path: apply the mutation through the
-// segment's Shared forms, which hand back — collected in the stripe critical
-// section of the store itself — the cached copies it made stale, then
-// finishAfterInvalidations. A block nobody caches hands back nothing and is
-// acknowledged at once, so the home needs no knowledge of modes: only a
+// handleMutation is the one home-side path of every mutating request: apply
+// it through the segment's Shared forms, which hand back in sh.stale —
+// collected in the stripe critical section of the store itself — the cached
+// copies it made stale, then acknowledge: at once when there are none (any
+// block nobody caches), else when every copy has acknowledged its
+// invalidation (write-invalidate coherence: the writer may not proceed while
+// stale copies are readable). The home needs no knowledge of modes: only a
 // cached-mode read ever joins a copyset.
-
-func (sh *kernelShard) handleWrite(m *wire.Message) {
-	if len(m.Data)%8 != 0 {
-		// Torn payload (WordsInto would panic): drop and let the requester
-		// retry.
-		sh.extra.CorruptDrops++
-		return
-	}
-	sh.wscratch = m.WordsInto(sh.wscratch)
+func (sh *kernelShard) handleMutation(m *wire.Message) {
+	seg, writer := sh.k.seg, int(m.Src)
 	sh.stale = sh.stale[:0]
-	sh.k.seg.WriteShared(m.Addr, sh.wscratch, int(m.Src), &sh.stale)
-	sh.finishAfterInvalidations(m, wire.OpWriteAck, 0, 0)
-}
-
-// handleWriteV serves a vectored write — every run scattered to its range,
-// one ack — and, its payload being encoded the same way, one PE's coalesced
-// write-combining-buffer drain (OpFlushV: the release-consistency publish at
-// a synchronisation edge).
-func (sh *kernelShard) handleWriteV(m *wire.Message) {
-	sh.stale = sh.stale[:0]
+	respOp, arg1, arg2 := wire.OpWriteAck, int64(0), int64(0)
 	var err error
-	sh.vscratch, err = m.EachWriteRun(sh.vscratch, func(addr uint64, words []int64) {
-		sh.k.seg.WriteShared(addr, words, int(m.Src), &sh.stale)
-	})
-	if err != nil {
-		// Runs decoded before the corruption were already applied; the
-		// request is not acked, so the requester treats it as lost.
-		sh.extra.CorruptDrops++
-		return
+	switch m.Op {
+	case wire.OpWrite:
+		if len(m.Data)%8 != 0 {
+			err = errTornPayload // WordsInto would panic
+			break
+		}
+		sh.wscratch = m.WordsInto(sh.wscratch)
+		seg.WriteShared(m.Addr, sh.wscratch, writer, &sh.stale)
+	case wire.OpWriteV, wire.OpFlushV:
+		err = sh.applyRuns(m)
+	case wire.OpFetchAdd:
+		respOp, arg1 = wire.OpFetchAddResp, seg.FetchAddShared(m.Addr, m.Arg1, writer, &sh.stale)
+	case wire.OpCAS:
+		var swapped bool
+		respOp = wire.OpCASResp
+		if arg1, swapped = seg.CASShared(m.Addr, m.Arg1, m.Arg2, writer, &sh.stale); swapped {
+			arg2 = 1
+		}
 	}
-	sh.finishAfterInvalidations(m, wire.OpWriteAck, 0, 0)
+	switch {
+	case err != nil:
+		// Corrupt payload: not acked, so the requester treats the request as
+		// lost and retries (runs decoded before the corruption were applied).
+		sh.extra.CorruptDrops++
+	case len(sh.stale) != 0 && !sh.k.cfg.FaultDropInvalidations:
+		// (The TEST-ONLY fault acknowledges without invalidating: readers keep
+		// serving stale values, which the consistency checker must flag.)
+		sh.openRound(m, respOp, arg1, arg2)
+	default:
+		resp := wire.GetMessage()
+		resp.Op, resp.Arg1, resp.Arg2 = respOp, arg1, arg2
+		sh.reply(m, resp)
+	}
 }
 
 // handleReadLease serves a lease-mode block fetch: the whole block containing
@@ -575,56 +579,33 @@ func (sh *kernelShard) handleReadLease(m *wire.Message) {
 	sh.reply(m, resp)
 }
 
-func (sh *kernelShard) handleFetchAdd(m *wire.Message) {
-	sh.stale = sh.stale[:0]
-	old := sh.k.seg.FetchAddShared(m.Addr, m.Arg1, int(m.Src), &sh.stale)
-	sh.finishAfterInvalidations(m, wire.OpFetchAddResp, old, 0)
+// applyRuns scatters every run of a vectored write to its range — or, encoded
+// the same way, of one PE's coalesced write-combining-buffer drain (OpFlushV:
+// the release-consistency publish at a synchronisation edge).
+func (sh *kernelShard) applyRuns(m *wire.Message) (err error) {
+	sh.vscratch, err = m.EachWriteRun(sh.vscratch, func(addr uint64, words []int64) {
+		sh.k.seg.WriteShared(addr, words, int(m.Src), &sh.stale)
+	})
+	return err
 }
 
-func (sh *kernelShard) handleCAS(m *wire.Message) {
-	sh.stale = sh.stale[:0]
-	prev, swapped := sh.k.seg.CASShared(m.Addr, m.Arg1, m.Arg2, int(m.Src), &sh.stale)
-	var sw int64
-	if swapped {
-		sw = 1
-	}
-	sh.finishAfterInvalidations(m, wire.OpCASResp, prev, sw)
-}
-
-// finishAfterInvalidations acknowledges the mutating request m at once when
-// it made no cached copy stale (sh.stale is empty), or after every copy in
-// sh.stale has acknowledged its invalidation (write-invalidate coherence: the
-// writer may not proceed while stale copies are readable). Round ids come
-// from the kernel-global counter, so they are unique across shards; every
-// OpInvalidate carries this shard's index, which the acking kernel echoes,
-// so the ack routes back to the shard holding the round even when the
-// written ranges spanned shards (possible under simulation, where vectored
-// requests are not split per shard).
-func (sh *kernelShard) finishAfterInvalidations(m *wire.Message, respOp wire.Op, arg1, arg2 int64) {
-	k := sh.k
-	stale := sh.stale
-	if k.cfg.FaultDropInvalidations {
-		// TEST-ONLY fault: pretend no copies exist, acknowledging the write
-		// without invalidating remote caches. Readers keep serving stale
-		// values — the consistency checker must flag them.
-		stale = nil
-	}
-	if len(stale) == 0 {
-		resp := wire.GetMessage()
-		resp.Op, resp.Arg1, resp.Arg2 = respOp, arg1, arg2
-		sh.reply(m, resp)
-		return
-	}
-	id := k.invCtr.Add(1)
+// openRound invalidates every copy in sh.stale; the last ack answers m. Round
+// ids come from the kernel-global counter, so they are unique across shards;
+// every OpInvalidate carries this shard's index, which the acking kernel
+// echoes, so the ack routes back to the shard holding the round even when
+// the written ranges spanned shards (possible under simulation, where
+// vectored requests are not split per shard).
+func (sh *kernelShard) openRound(m *wire.Message, respOp wire.Op, arg1, arg2 int64) {
+	id := sh.k.invCtr.Add(1)
 	r := &invRound{
 		requester: m.Src, seq: m.Seq,
 		respOp: respOp, arg1: arg1, arg2: arg2,
 	}
-	// stale is the reused sh.stale scratch; the round needs its own copy to
-	// survive until the last ack.
-	r.outstanding = append(r.outstanding, stale...)
+	// sh.stale is reused scratch; the round needs its own copy to survive
+	// until the last ack.
+	r.outstanding = append(r.outstanding, sh.stale...)
 	sh.inv[id] = r
-	for _, c := range stale {
+	for _, c := range r.outstanding {
 		sh.sendInvalidate(id, c, 0)
 	}
 }
@@ -640,6 +621,9 @@ func (sh *kernelShard) sendInvalidate(id uint64, c gmem.Copy, flags uint8) {
 	k.svc.Send(c.Holder, inv)
 	wire.PutMessage(inv)
 }
+
+// errTornPayload marks a write whose payload is not whole words.
+var errTornPayload = errors.New("core: payload is not whole words")
 
 // resendInvalidations retransmits the still-unacked invalidations of the
 // round started by requester's mutating request seq, if one is in flight.

@@ -169,7 +169,8 @@ func (pe *PE) GMRead(addr uint64) int64 {
 // The word's consistency mode picks the protocol: strong words take the
 // home-served path, release words consult the PE's own write-combining
 // buffer first (read-your-writes between sync edges), lease words are
-// served from time-bounded block leases.
+// served from time-bounded block leases, cached words from the PE's copies
+// of whole blocks, which their home invalidates before acknowledging a write.
 func (pe *PE) GMReadErr(addr uint64) (int64, error) {
 	v, _, err := pe.wordOp(check.KindRead, addr, 0, 0)
 	return v, err

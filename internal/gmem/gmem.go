@@ -483,11 +483,15 @@ type Copy struct {
 // takeCopies empties block b's copyset into *stale, one Copy at addr per
 // holder in ascending order, leaving out writer (a PE drops its own copy
 // itself). A nil stale leaves the directory alone. Caller holds st.mu. Until
-// a cached-mode read reaches the stripe a block costs the len test.
+// a cached-mode read reaches the stripe a block costs the len test, which
+// is kept apart so that it inlines into the mutators.
 func (st *stripe) takeCopies(b, addr uint64, writer int, stale *[]Copy) {
-	if stale == nil || len(st.copyset) == 0 {
-		return
+	if stale != nil && len(st.copyset) != 0 {
+		st.takeHolders(b, addr, writer, stale)
 	}
+}
+
+func (st *stripe) takeHolders(b, addr uint64, writer int, stale *[]Copy) {
 	for _, k := range holders(st.copyset[b]) {
 		if k != writer {
 			*stale = append(*stale, Copy{Addr: addr, Holder: k})
@@ -758,9 +762,12 @@ func (c *Cache) Insert(addr uint64, block []int64) {
 
 // Invalidate drops the block containing addr.
 func (c *Cache) Invalidate(addr uint64) {
-	if c.held.Load() == 0 {
-		return
+	if c.held.Load() != 0 {
+		c.drop(addr)
 	}
+}
+
+func (c *Cache) drop(addr uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.data, c.space.BlockOf(addr))

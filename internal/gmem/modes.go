@@ -143,12 +143,9 @@ func (t *ModeTable) Clear(base, limit uint64) {
 	t.ranges = out
 }
 
-// AllStrong reports whether every address maps to ModeStrong (a strong
-// default and no recorded ranges) — the gate the vectored gather/scatter
-// fast paths check before consulting per-address modes.
-func (t *ModeTable) AllStrong() bool {
-	return t.def == ModeStrong && len(t.ranges) == 0
-}
+// Sole reports the one mode every address maps to when no range is recorded
+// — the gate the range operations check before consulting per-address modes.
+func (t *ModeTable) Sole() (Mode, bool) { return t.def, len(t.ranges) == 0 }
 
 // Uses reports whether any address maps to mode m.
 func (t *ModeTable) Uses(m Mode) bool {
