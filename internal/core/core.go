@@ -734,11 +734,11 @@ func collectStats(res *Result, kernels []*Kernel, pes []*PE) {
 	// Result.DeadPeers for why a single kernel's word is not enough.
 	votes := make(map[int]int)
 	for _, k := range kernels {
-		k.mu.Lock()
-		for p := range k.deadPeers {
-			votes[p]++
+		for p := range k.deadFlags {
+			if k.deadFlags[p].Load() {
+				votes[p]++
+			}
 		}
-		k.mu.Unlock()
 	}
 	for p, v := range votes {
 		if v > len(kernels)/2 {

@@ -86,10 +86,10 @@ func TestDeliverAppBypassesServeLoop(t *testing.T) {
 
 // TestDeliverAppLateReply drives the sink with the requester's serve loop
 // not running at all, so only delivery on the sender's context can wake the
-// PE. With a request timeout set, a reply that lands while its (given-up)
-// request is still pending reaches the mailbox and is skipped as stale by
-// sequence validation; one that lands after the request was dropped is
-// declined by the sink and left to the serve loop, which counts the stray.
+// PE. Replies that outlived their requests (given up on after a timeout) are
+// taken by the sink like any other — it consults no table — and skipped by
+// the request engine's sequence validation; none is declined to the serve
+// loop and none is consumed as the answer.
 func TestDeliverAppLateReply(t *testing.T) {
 	net, ks := testKernels(t, 2, func(cfg *Config) {
 		cfg.RequestTimeout = 10 * sim.Second
@@ -97,18 +97,13 @@ func TestDeliverAppLateReply(t *testing.T) {
 	pe := newPE(ks[0])
 	addr := remoteAddr(t, pe, 1)
 	ks[1].seg.Write(addr, []int64{77})
-	lateReply := func(seq uint64) {
+	for i := 0; i < 2; i++ {
 		m := wire.GetMessage()
-		m.Op, m.Src, m.Dst, m.Seq = wire.OpReadResp, 1, 0, seq
+		m.Op, m.Src, m.Dst, m.Seq = wire.OpReadResp, 1, 0, ks[0].seqCtr.Add(1)
 		m.PutWord(-1)
 		ks[1].svc.Send(0, m)
 		wire.PutMessage(m)
 	}
-	stale, _ := ks[0].addPending(pe.replyMb, 1) // timed out, not yet dropped
-	lateReply(stale)
-	stray, _ := ks[0].addPending(pe.replyMb, 1) // timed out and dropped
-	ks[0].dropPending(stray)
-	lateReply(stray)
 
 	go ks[1].serve()
 	v, err := pe.GMReadErr(addr)
@@ -118,15 +113,12 @@ func TestDeliverAppLateReply(t *testing.T) {
 	if v != 77 {
 		t.Fatalf("read %d, want 77 (late reply consumed as the answer)", v)
 	}
-	if pe.extra.StaleReplies != 1 {
-		t.Fatalf("StaleReplies = %d, want 1", pe.extra.StaleReplies)
+	if pe.extra.StaleReplies != 2 {
+		t.Fatalf("StaleReplies = %d, want 2", pe.extra.StaleReplies)
 	}
-	m := recvFrom(t, net, 0)
-	if m.Seq != stray {
-		t.Fatalf("declined reply seq %d, want %d", m.Seq, stray)
-	}
-	if consumed := ks[0].handle(m); !consumed || ks[0].extra.StrayDrops != 1 {
-		t.Fatalf("handle consumed=%v StrayDrops=%d, want true and 1", consumed, ks[0].extra.StrayDrops)
+	ks[0].node.CloseRecv()
+	if m, ok := net.Node(0).Recv(); ok {
+		t.Fatalf("the sink declined %v to the serve loop", m)
 	}
 }
 

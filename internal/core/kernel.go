@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -105,16 +104,20 @@ type Kernel struct {
 	// hot path numbers a request without taking k.mu.
 	seqCtr atomic.Uint64
 
-	mu        sync.Mutex
-	pending   map[uint64]pendingReq
-	userq     map[int32]transport.Mailbox
-	deadPeers map[int]bool // peers the transport declared dead
+	// replyMb receives every reply addressed to this node, and the peer-down
+	// notices: the request engine of the kernel's PE (request.go) is its one
+	// taker and matches what it finds against its requests in flight. On
+	// inproc the PE itself puts the replies in (serveOnSender), so the default
+	// depth must exceed what it can have in flight: withDefaults rejects a
+	// cluster where NumPE x KernelShards could come close.
+	replyMb transport.Mailbox
 
-	// deadFlags mirrors deadPeers as lock-free per-peer flags, so the
-	// requester fast paths (request numbering, direct reads) check liveness
-	// without k.mu. A flag is set only after the pending sweep for that peer
-	// completed; addPending rechecks deadPeers under k.mu before inserting,
-	// closing the race with a concurrent sweep.
+	mu    sync.Mutex // guards userq
+	userq map[int32]transport.Mailbox
+
+	// deadFlags[p] is set once the transport has declared peer p dead: the
+	// requester paths (request issue, direct reads, ring writes) check it
+	// lock-free and fail fast. See peerDown for what it is ordered against.
 	deadFlags []atomic.Bool
 
 	// Sharded home-side global-memory service: nshards independent monitors,
@@ -159,14 +162,6 @@ type Kernel struct {
 	// Config.Tracing). Serve goroutine only; requests served on the sender
 	// record into their shard's ring.
 	spans *trace.SpanRing
-}
-
-// pendingReq is one outstanding request of this kernel's PE: the mailbox its
-// reply routes to and the kernel it was addressed to (so a peer-down event
-// can fail exactly the requests aimed at the dead kernel).
-type pendingReq struct {
-	mb  transport.Mailbox
-	dst int
 }
 
 // The dedup window: the home kernel remembers the last dedupWindow mutating
@@ -306,9 +301,8 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 		seg:       gmem.NewSegment(space, id),
 		cache:     gmem.NewCache(space),
 		syncMb:    node.NewMailbox(16),
-		pending:   make(map[uint64]pendingReq),
+		replyMb:   node.NewMailbox(0),
 		userq:     make(map[int32]transport.Mailbox),
-		deadPeers: make(map[int]bool),
 		deadFlags: make([]atomic.Bool, cfg.NumPE),
 		dedup:     newDedupTable(),
 		spans:     cfg.Tracing.NewRing(),
@@ -383,111 +377,37 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 // treeArity is the fan-in of the tree barrier.
 const treeArity = 2
 
-// addPending reserves a request id and registers its reply mailbox. If the
-// transport has already declared dst dead it reports dead=true and registers
-// nothing: the caller fails the request immediately instead of sending into
-// the void. The id comes from the atomic counter — the mutex guards only the
-// pending-map insert, and the dead-peer recheck under it closes the race
-// with a concurrent peer-down sweep (the sweep marks deadPeers before it
-// collects victims, so an insert that slipped past the flag either happens
-// before the sweep and is swept, or sees deadPeers set and backs out).
-func (k *Kernel) addPending(mb transport.Mailbox, dst int) (seq uint64, dead bool) {
-	seq = k.seqCtr.Add(1)
-	if k.deadFlags[dst].Load() {
-		return seq, true
-	}
-	k.mu.Lock()
-	if k.deadPeers[dst] {
-		k.mu.Unlock()
-		return seq, true
-	}
-	k.pending[seq] = pendingReq{mb: mb, dst: dst}
-	k.mu.Unlock()
-	return seq, false
-}
-
-// addPendingSeq re-registers an existing request id against a (possibly new)
-// destination: the migration-NACK redirect and the ambiguous one-sided write
-// fallback keep their original sequence number so the home's dedup window
-// recognises the operation, but need the reply routed again after the first
-// response consumed the pending entry.
-func (k *Kernel) addPendingSeq(mb transport.Mailbox, dst int, seq uint64) (dead bool) {
-	if k.deadFlags[dst].Load() {
-		return true
-	}
-	k.mu.Lock()
-	if k.deadPeers[dst] {
-		k.mu.Unlock()
-		return true
-	}
-	k.pending[seq] = pendingReq{mb: mb, dst: dst}
-	k.mu.Unlock()
-	return false
-}
-
-func (k *Kernel) takePending(seq uint64) (transport.Mailbox, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	pr, ok := k.pending[seq]
-	if ok {
-		delete(k.pending, seq)
-	}
-	return pr.mb, ok
-}
-
-// dropPending forgets a request that timed out.
-func (k *Kernel) dropPending(seq uint64) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	delete(k.pending, seq)
-}
-
 // peerDown is the transport's peer-failure callback (any goroutine). It
-// marks the peer dead, so new requests to it fail fast, and synthesises an
-// OpPeerDown reply for every request outstanding against it, so blocked
-// requesters wake immediately instead of waiting out the timeout.
+// stores the peer's dead flag FIRST, so new requests to it fail fast, and then
+// puts one OpPeerDown notice into the reply mailbox, which the request engine
+// turns into *PeerDownError iff a request in flight addresses that peer, so a
+// blocked requester wakes immediately instead of waiting out the timeout. The
+// order closes the race without a lock: a request issued after the store sees
+// the flag, one issued before it is still in flight when the notice — put
+// after the store — is taken.
 //
 // It deliberately does NOT fence the GM shards: a handler's own reply Send
 // can be what reports the peer down, made under the shard lock a fence would
 // wait for. No fence is needed — shard state is keyed by requester/seq and a
 // dead requester's entries are inert.
 func (k *Kernel) peerDown(peer int) {
-	k.mu.Lock()
-	if k.deadPeers[peer] {
-		k.mu.Unlock()
+	if k.deadFlags[peer].Swap(true) {
 		return
 	}
-	k.deadPeers[peer] = true
-	var victims []pendingVictim
-	for seq, pr := range k.pending {
-		if pr.dst == peer {
-			victims = append(victims, pendingVictim{seq: seq, mb: pr.mb})
-			delete(k.pending, seq)
-		}
-	}
-	k.mu.Unlock()
-	// Publish the lock-free flag only after the sweep: see addPending.
-	k.deadFlags[peer].Store(true)
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
-	for _, v := range victims {
-		m := wire.GetMessage()
-		m.Op, m.Src, m.Dst, m.Seq = wire.OpPeerDown, int32(peer), int32(k.id), v.seq
-		v.mb.Put(m)
-	}
+	k.putPeerDown(k.replyMb, peer)
 	if k.cfg.Ckpt != nil {
 		// Under recovery a PE blocked in a barrier/lock wait sends nothing,
 		// so it would only notice the death via the sync timeout. Wake it
 		// with a peer-down notice instead: any peer death aborts the run
 		// (the whole cluster rolls back), so failing the wait fast is right.
-		wake := wire.GetMessage()
-		wake.Op, wake.Src, wake.Dst = wire.OpPeerDown, int32(peer), int32(k.id)
-		k.syncMb.Put(wake)
+		k.putPeerDown(k.syncMb, peer)
 	}
 }
 
-type pendingVictim struct {
-	seq uint64
-	mb  transport.Mailbox
+func (k *Kernel) putPeerDown(mb transport.Mailbox, peer int) {
+	m := wire.GetMessage()
+	m.Op, m.Src, m.Dst = wire.OpPeerDown, int32(peer), int32(k.id)
+	mb.Put(m)
 }
 
 // isMutating reports whether op changes state at its destination, i.e.
@@ -589,8 +509,7 @@ func (k *Kernel) serve() {
 	}
 }
 
-// isReply reports whether op answers one of this kernel's own outstanding
-// requests.
+// isReply reports whether op answers a request of this kernel's PE.
 func isReply(op wire.Op) bool {
 	switch op {
 	case wire.OpReadResp, wire.OpWriteAck, wire.OpFetchAddResp, wire.OpCASResp,
@@ -607,11 +526,12 @@ func isReply(op wire.Op) bool {
 }
 
 // deliverApp is the one router for app-bound messages: a reply goes to the
-// mailbox its pending request registered, a central barrier release or a
-// lock/semaphore grant to the sync mailbox. It reports whether it took m;
-// everything else — a request, a tree-barrier release (which forwards down
-// the tree from the serve loop), a reply whose request is no longer pending
-// — is declined and left to handle.
+// reply mailbox, a central barrier release or a lock/semaphore grant to the
+// sync mailbox — by op alone, with no table to consult. It reports whether it
+// took m; everything else — a request, a tree-barrier release (which forwards
+// down the tree from the serve loop) — is declined and left to handle. Whether
+// anybody still awaits a reply is the request engine's business: it drops what
+// matches none of its requests in flight (PE.await, StaleReplies).
 //
 // It has two callers. Real transports call it as (the first half of) the
 // node's sink, on the context that received m (any goroutine, concurrently),
@@ -620,16 +540,13 @@ func isReply(op wire.Op) bool {
 // kernel, which is why nothing here may take one; handle
 // calls it first for every message Recv returns, which is how simnet and
 // messages that arrived before the sink was installed are routed. It
-// therefore touches only state safe from any goroutine: the pending table
-// under k.mu, the mailboxes, and the message log under logMu.
+// therefore touches only state safe from any goroutine: the mailboxes, and
+// the message log under logMu.
 func (k *Kernel) deliverApp(m *wire.Message) bool {
 	var mb transport.Mailbox
 	switch {
 	case isReply(m.Op):
-		var ok bool
-		if mb, ok = k.takePending(m.Seq); !ok {
-			return false
-		}
+		mb = k.replyMb
 	case m.Op == wire.OpLockGrant, m.Op == wire.OpSemGrant,
 		// Sized releases (job-group barriers) are central by construction
 		// and never forwarded down a tree.
@@ -774,15 +691,9 @@ func (k *Kernel) handle(m *wire.Message) bool {
 		k.reply(m, resp)
 
 	default:
-		if isReply(m.Op) {
-			// Stray: a reply that outlived its request (timeout, retry already
-			// answered, peer-down already surfaced). Count and drop.
-			k.extra.StrayDrops++
-		} else {
-			// Unknown op: malformed or hostile traffic must not take the
-			// kernel down. Count and drop.
-			k.extra.CorruptDrops++
-		}
+		// Unknown op: malformed or hostile traffic must not take the kernel
+		// down. Count and drop.
+		k.extra.CorruptDrops++
 	}
 	return true
 }

@@ -53,6 +53,18 @@ func recvFrom(t *testing.T, net *inproc.Net, i int) *wire.Message {
 	}
 }
 
+// replyFrom pops the next reply from kernel k's reply mailbox with a deadline.
+// Like grants, replies never reach the peer's receive queue on inproc: the
+// sink routes every reply op to the mailbox its PE's request engine takes from.
+func replyFrom(t *testing.T, k *Kernel) *wire.Message {
+	t.Helper()
+	m, ok, timedOut := k.replyMb.TakeTimeout(10 * sim.Second)
+	if timedOut || !ok {
+		t.Fatalf("no reply arrived at kernel %d's reply mailbox", k.id)
+	}
+	return m
+}
+
 // syncFrom pops the next grant from kernel k's sync mailbox with a deadline.
 // Grants never reach the peer's receive queue on inproc: the sending
 // kernel's Send hands them to the peer's sink (Kernel.deliverApp).
@@ -66,11 +78,11 @@ func syncFrom(t *testing.T, k *Kernel) *wire.Message {
 }
 
 func TestKernelHandleReadRepliesWithWords(t *testing.T) {
-	net, ks := testKernels(t, 2, nil)
+	_, ks := testKernels(t, 2, nil)
 	// Address homed at kernel 0 (block 0).
 	ks[0].seg.Write(3, []int64{42, 43})
 	ks[0].handle(&wire.Message{Op: wire.OpRead, Src: 1, Dst: 0, Seq: 9, Addr: 3, Arg1: 2})
-	resp := recvFrom(t, net, 1)
+	resp := replyFrom(t, ks[1])
 	if resp.Op != wire.OpReadResp || resp.Seq != 9 {
 		t.Fatalf("reply = %v", resp)
 	}
@@ -81,15 +93,15 @@ func TestKernelHandleReadRepliesWithWords(t *testing.T) {
 }
 
 func TestKernelHandleWriteAndFetchAdd(t *testing.T) {
-	net, ks := testKernels(t, 2, nil)
+	_, ks := testKernels(t, 2, nil)
 	w := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 0, Seq: 1, Addr: 5}
 	w.PutWords([]int64{7})
 	ks[0].handle(w)
-	if ack := recvFrom(t, net, 1); ack.Op != wire.OpWriteAck || ack.Seq != 1 {
+	if ack := replyFrom(t, ks[1]); ack.Op != wire.OpWriteAck || ack.Seq != 1 {
 		t.Fatalf("ack = %v", ack)
 	}
 	ks[0].handle(&wire.Message{Op: wire.OpFetchAdd, Src: 1, Dst: 0, Seq: 2, Addr: 5, Arg1: 3})
-	if resp := recvFrom(t, net, 1); resp.Op != wire.OpFetchAddResp || resp.Arg1 != 7 {
+	if resp := replyFrom(t, ks[1]); resp.Op != wire.OpFetchAddResp || resp.Arg1 != 7 {
 		t.Fatalf("fetch-add resp = %v", resp)
 	}
 	if v := ks[0].seg.Read(5, 1)[0]; v != 10 {
@@ -137,7 +149,7 @@ func TestKernelInvalidationRound(t *testing.T) {
 	net, ks := testKernels(t, 3, func(cfg *Config) { cfg.GMDefaultMode = gmem.ModeCached })
 	// Kernel 1 caches block 0 (homed at kernel 0).
 	ks[0].handle(&wire.Message{Op: wire.OpRead, Src: 1, Dst: 0, Seq: 1, Addr: 0, Arg2: 1})
-	if m := recvFrom(t, net, 1); m.Op != wire.OpReadResp {
+	if m := replyFrom(t, ks[1]); m.Op != wire.OpReadResp {
 		t.Fatalf("block fetch: %v", m)
 	}
 	// Kernel 2 writes the block: kernel 1 must be invalidated before the ack.
@@ -154,7 +166,7 @@ func TestKernelInvalidationRound(t *testing.T) {
 	}
 	// Ack the invalidation (as kernel 1's handler would).
 	ks[0].handle(&wire.Message{Op: wire.OpInvAck, Src: 1, Dst: 0, Seq: inv.Seq, Addr: inv.Addr})
-	if ack := recvFrom(t, net, 2); ack.Op != wire.OpWriteAck || ack.Seq != 2 {
+	if ack := replyFrom(t, ks[2]); ack.Op != wire.OpWriteAck || ack.Seq != 2 {
 		t.Fatalf("writer ack = %v", ack)
 	}
 }
@@ -195,15 +207,15 @@ func TestKernelCorruptPayloadsDropped(t *testing.T) {
 // Seq (as the PE's retry path would) and checks it is applied exactly once,
 // with the cached response resent.
 func TestKernelDedupAbsorbsRetriedFetchAdd(t *testing.T) {
-	net, ks := testKernels(t, 2, nil)
+	_, ks := testKernels(t, 2, nil)
 	req := &wire.Message{Op: wire.OpFetchAdd, Src: 1, Dst: 0, Seq: 7, Addr: 5, Arg1: 3}
 	ks[0].handle(req)
-	if resp := recvFrom(t, net, 1); resp.Op != wire.OpFetchAddResp || resp.Arg1 != 0 {
+	if resp := replyFrom(t, ks[1]); resp.Op != wire.OpFetchAddResp || resp.Arg1 != 0 {
 		t.Fatalf("first resp = %v", resp)
 	}
 	retry := &wire.Message{Op: wire.OpFetchAdd, Src: 1, Dst: 0, Seq: 7, Addr: 5, Arg1: 3, Flags: wire.FlagRetry}
 	ks[0].handle(retry)
-	resp := recvFrom(t, net, 1)
+	resp := replyFrom(t, ks[1])
 	if resp.Op != wire.OpFetchAddResp || resp.Arg1 != 0 {
 		t.Fatalf("resent resp = %v (want cached old value 0)", resp)
 	}
@@ -216,9 +228,9 @@ func TestKernelDedupAbsorbsRetriedFetchAdd(t *testing.T) {
 }
 
 func TestKernelPingPong(t *testing.T) {
-	net, ks := testKernels(t, 2, nil)
+	_, ks := testKernels(t, 2, nil)
 	ks[0].handle(&wire.Message{Op: wire.OpPing, Src: 1, Seq: 5})
-	if m := recvFrom(t, net, 1); m.Op != wire.OpPong || m.Seq != 5 {
+	if m := replyFrom(t, ks[1]); m.Op != wire.OpPong || m.Seq != 5 {
 		t.Fatalf("pong = %v", m)
 	}
 }
@@ -238,41 +250,39 @@ func TestKernelUserMessageRouting(t *testing.T) {
 	}
 }
 
+// TestKernelPendingResponseRouting: a reply op is routed by op alone — the
+// kernel keeps no table of pending requests, so the first answer and a
+// duplicate of it both reach the reply mailbox, where the request engine's Seq
+// filter sorts them out; the serve loop drops neither.
 func TestKernelPendingResponseRouting(t *testing.T) {
 	_, ks := testKernels(t, 2, nil)
-	mb := ks[0].node.NewMailbox(1)
-	seq, dead := ks[0].addPending(mb, 1)
-	if dead {
-		t.Fatal("peer 1 unexpectedly dead")
+	for i := 0; i < 2; i++ {
+		if consumed := ks[0].handle(&wire.Message{Op: wire.OpReadResp, Src: 1, Seq: 9}); consumed {
+			t.Fatalf("reply %d was consumed by the serve loop", i)
+		}
+		if m, ok := ks[0].replyMb.Take(); !ok || m.Seq != 9 {
+			t.Fatalf("reply %d not in the reply mailbox: %v", i, m)
+		}
 	}
-	ks[0].handle(&wire.Message{Op: wire.OpReadResp, Src: 1, Seq: seq})
-	if m, ok := mb.Take(); !ok || m.Seq != seq {
-		t.Fatalf("pending routing failed: %v", m)
-	}
-	// A second response with the same (now consumed) seq is dropped.
-	ks[0].handle(&wire.Message{Op: wire.OpReadResp, Src: 1, Seq: seq})
-	if _, _, timedOut := mb.TakeTimeout(10_000_000); !timedOut {
-		t.Fatal("late response was not dropped")
-	}
-	if ks[0].extra.StrayDrops != 1 {
-		t.Fatalf("StrayDrops = %d, want 1", ks[0].extra.StrayDrops)
+	if ks[0].extra.StrayDrops != 0 {
+		t.Fatalf("StrayDrops = %d, want 0", ks[0].extra.StrayDrops)
 	}
 }
 
 func TestKernelProcManagement(t *testing.T) {
-	net, ks := testKernels(t, 2, nil)
+	_, ks := testKernels(t, 2, nil)
 	ks[0].handle(&wire.Message{Op: wire.OpProcRegister, Src: 1, Seq: 1, Data: []byte("hostX")})
-	reg := recvFrom(t, net, 1)
+	reg := replyFrom(t, ks[1])
 	if reg.Op != wire.OpProcRegResp || reg.Arg1 != 1 {
 		t.Fatalf("register resp = %v", reg)
 	}
 	ks[0].handle(&wire.Message{Op: wire.OpProcList, Src: 1, Seq: 2})
-	list := recvFrom(t, net, 1)
+	list := replyFrom(t, ks[1])
 	if list.Op != wire.OpProcListResp || len(list.Data) == 0 {
 		t.Fatalf("list resp = %v", list)
 	}
 	ks[0].handle(&wire.Message{Op: wire.OpProcExit, Src: 1, Seq: 3, Arg1: reg.Arg1, Arg2: 0})
-	if ack := recvFrom(t, net, 1); ack.Op != wire.OpProcExitAck {
+	if ack := replyFrom(t, ks[1]); ack.Op != wire.OpProcExitAck {
 		t.Fatalf("exit ack = %v", ack)
 	}
 }

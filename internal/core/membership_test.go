@@ -191,12 +191,12 @@ func TestMigrateHandoffRaceExactlyOnce(t *testing.T) {
 	w := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 0, Seq: 101, Addr: addr}
 	w.PutWord(7)
 	ks[0].handle(w)
-	if ack := recvFrom(t, net, 1); ack.Op != wire.OpWriteAck {
+	if ack := replyFrom(t, ks[1]); ack.Op != wire.OpWriteAck {
 		t.Fatalf("initial write ack = %v", ack)
 	}
 
 	ks[0].handle(&wire.Message{Op: wire.OpMigrateStart, Src: 1, Dst: 0, Seq: 102, Arg1: migModeBlock, Arg2: 1, Addr: addr})
-	start := recvFrom(t, net, 1)
+	start := replyFrom(t, ks[1])
 	if start.Op != wire.OpMigrateStartResp || start.Arg1 != 1 {
 		t.Fatalf("migrate start resp = %v", start)
 	}
@@ -217,7 +217,13 @@ func TestMigrateHandoffRaceExactlyOnce(t *testing.T) {
 	// otherwise interleave with the replies asserted below).
 	for i := range ks {
 		ks[i].handle(&wire.Message{Op: wire.OpMigrateCommit, Src: 1, Dst: int32(i), Seq: uint64(104 + i), Addr: addr, Arg1: 1, Arg2: 1})
-		if r := recvFrom(t, net, 1); r.Op != wire.OpMigrateCommitResp {
+		var r *wire.Message
+		if i == 1 {
+			r = recvFrom(t, net, 1) // a node's message to itself queues for its serve loop
+		} else {
+			r = replyFrom(t, ks[1])
+		}
+		if r.Op != wire.OpMigrateCommitResp {
 			t.Fatalf("commit resp = %v", r)
 		}
 	}
@@ -226,7 +232,7 @@ func TestMigrateHandoffRaceExactlyOnce(t *testing.T) {
 	retry := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 0, Seq: 101, Addr: addr, Flags: wire.FlagRetry}
 	retry.PutWord(7)
 	ks[0].handle(retry)
-	if ack := recvFrom(t, net, 1); ack.Op != wire.OpWriteAck {
+	if ack := replyFrom(t, ks[1]); ack.Op != wire.OpWriteAck {
 		t.Fatalf("retried write after handoff: got %v, want the cached OpWriteAck", ack)
 	}
 	if v := ks[1].seg.Read(addr, 1)[0]; v != 1000 {
@@ -238,7 +244,7 @@ func TestMigrateHandoffRaceExactlyOnce(t *testing.T) {
 	w2 := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 0, Seq: 110, Addr: addr}
 	w2.PutWord(8)
 	ks[0].handle(w2)
-	nack := recvFrom(t, net, 1)
+	nack := replyFrom(t, ks[1])
 	if nack.Op != wire.OpMigrateNack || nack.Arg1 != 1 {
 		t.Fatalf("stale-home write: got %v, want OpMigrateNack hinting kernel 1", nack)
 	}
@@ -267,7 +273,7 @@ func TestMigrateHandoffRaceExactlyOnce(t *testing.T) {
 	w3 := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 0, Seq: 110, Addr: addr, Flags: wire.FlagRetry}
 	w3.PutWord(8)
 	ks[0].handle(w3)
-	if n2 := recvFrom(t, net, 1); n2.Op != wire.OpMigrateNack {
+	if n2 := replyFrom(t, ks[1]); n2.Op != wire.OpMigrateNack {
 		t.Fatalf("retry after lost NACK: got %v, want a recomputed OpMigrateNack", n2)
 	}
 }
@@ -283,11 +289,11 @@ func TestEscrowReofferHealsDeadInitiator(t *testing.T) {
 	w := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 0, Seq: 201, Addr: addr}
 	w.PutWord(7)
 	ks[0].handle(w)
-	recvFrom(t, net, 1) // ack
+	replyFrom(t, ks[1]) // ack
 
 	// Extract toward kernel 1 — and then the initiator "dies": no install.
 	ks[0].handle(&wire.Message{Op: wire.OpMigrateStart, Src: 1, Dst: 0, Seq: 202, Arg1: migModeBlock, Arg2: 1, Addr: addr})
-	recvFrom(t, net, 1) // start resp, dropped on the floor
+	replyFrom(t, ks[1]) // start resp, dropped on the floor
 	if _, ok := ks[0].escrowLookup(0); !ok {
 		t.Fatal("extracted block not escrowed")
 	}
@@ -301,7 +307,7 @@ func TestEscrowReofferHealsDeadInitiator(t *testing.T) {
 	if offer.Op != wire.OpMigrateInstall || offer.Arg1 != migModeBlock {
 		t.Fatalf("expected the escrow re-offer install, got %v", offer)
 	}
-	if nack := recvFrom(t, net, 1); nack.Op != wire.OpMigrateNack || nack.Arg1 != 1 {
+	if nack := replyFrom(t, ks[1]); nack.Op != wire.OpMigrateNack || nack.Arg1 != 1 {
 		t.Fatalf("expected OpMigrateNack hinting kernel 1, got %v", nack)
 	}
 
@@ -317,7 +323,7 @@ func TestEscrowReofferHealsDeadInitiator(t *testing.T) {
 	}
 	// The install lands; the bounced write's retry now applies.
 	ks[1].handle(offer)
-	if r := recvFrom(t, net, 0); r.Op != wire.OpMigrateInstallResp {
+	if r := replyFrom(t, ks[0]); r.Op != wire.OpMigrateInstallResp {
 		t.Fatalf("re-offer install resp = %v", r)
 	}
 	red2 := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 1, Seq: 203, Addr: addr, Flags: wire.FlagRetry}
@@ -335,7 +341,7 @@ func TestEscrowReofferHealsDeadInitiator(t *testing.T) {
 	offer2 := &wire.Message{Op: wire.OpMigrateInstall, Src: 0, Dst: 1, Seq: 999, Arg1: migModeBlock, Addr: offer.Addr}
 	offer2.Data = append([]byte(nil), offer.Data...)
 	ks[1].handle(offer2)
-	if r := recvFrom(t, net, 0); r.Op != wire.OpMigrateInstallResp || r.Arg1 != 0 {
+	if r := replyFrom(t, ks[0]); r.Op != wire.OpMigrateInstallResp || r.Arg1 != 0 {
 		t.Fatalf("duplicate re-offer resp = %v, want 0 blocks adopted", r)
 	}
 	if v := ks[1].seg.Read(addr, 1)[0]; v != 9 {
@@ -345,7 +351,7 @@ func TestEscrowReofferHealsDeadInitiator(t *testing.T) {
 	// An epoch update that shows the destination owning the block clears the
 	// old home's escrow.
 	ks[0].handle(&wire.Message{Op: wire.OpMigrateCommit, Src: 1, Dst: 0, Seq: 204, Addr: addr, Arg1: 1, Arg2: 1})
-	recvFrom(t, net, 1)
+	replyFrom(t, ks[1])
 	if _, ok := ks[0].escrowLookup(0); ok {
 		t.Fatal("escrow not cleared by the commit")
 	}
@@ -356,29 +362,29 @@ func TestEscrowReofferHealsDeadInitiator(t *testing.T) {
 // member re-requesting gets its generation back, and the grantee's epoch
 // update releases the slot.
 func TestGrantServiceSerialisesTransitions(t *testing.T) {
-	net, ks := testKernels(t, 3, func(cfg *Config) { cfg.LatentPEs = 2 })
+	_, ks := testKernels(t, 3, func(cfg *Config) { cfg.LatentPEs = 2 })
 	ks[0].handle(&wire.Message{Op: wire.OpJoin, Src: 1, Dst: 0, Seq: 301})
-	g1 := recvFrom(t, net, 1)
+	g1 := replyFrom(t, ks[1])
 	if g1.Op != wire.OpJoinResp || g1.Arg1 == 0 {
 		t.Fatalf("first grant = %v", g1)
 	}
 	// A competing transition is refused while the grant is open...
 	ks[0].handle(&wire.Message{Op: wire.OpJoin, Src: 2, Dst: 0, Seq: 302})
-	if busy := recvFrom(t, net, 2); busy.Op != wire.OpJoinResp || busy.Arg1 != 0 {
+	if busy := replyFrom(t, ks[2]); busy.Op != wire.OpJoinResp || busy.Arg1 != 0 {
 		t.Fatalf("competing grant = %v, want busy (Arg1 = 0)", busy)
 	}
 	// ...the holder re-requesting (lost response) gets the same generation...
 	ks[0].handle(&wire.Message{Op: wire.OpJoin, Src: 1, Dst: 0, Seq: 303})
-	if again := recvFrom(t, net, 1); again.Op != wire.OpJoinResp || again.Arg1 != g1.Arg1 {
+	if again := replyFrom(t, ks[1]); again.Op != wire.OpJoinResp || again.Arg1 != g1.Arg1 {
 		t.Fatalf("re-request = %v, want the open generation %d", again, g1.Arg1)
 	}
 	// ...and the holder's epoch update releases the slot for the next member.
 	ks[0].handle(&wire.Message{Op: wire.OpEpochUpdate, Src: 1, Dst: 0, Seq: 304, Arg1: 1, Arg2: int64(gmem.MemberActive), Addr: uint64(g1.Arg1)})
-	if r := recvFrom(t, net, 1); r.Op != wire.OpEpochUpdateResp {
+	if r := replyFrom(t, ks[1]); r.Op != wire.OpEpochUpdateResp {
 		t.Fatalf("epoch update resp = %v", r)
 	}
 	ks[0].handle(&wire.Message{Op: wire.OpJoin, Src: 2, Dst: 0, Seq: 305})
-	g2 := recvFrom(t, net, 2)
+	g2 := replyFrom(t, ks[2])
 	if g2.Op != wire.OpJoinResp || g2.Arg1 == 0 || g2.Arg1 == g1.Arg1 {
 		t.Fatalf("next grant = %v, want a fresh non-busy generation", g2)
 	}
@@ -390,33 +396,33 @@ func TestGrantServiceSerialisesTransitions(t *testing.T) {
 // a fresh grant must NOT free the slot — that would let two membership
 // transitions run concurrently.
 func TestStaleEpochUpdateKeepsGrantOpen(t *testing.T) {
-	net, ks := testKernels(t, 3, func(cfg *Config) { cfg.LatentPEs = 2 })
+	_, ks := testKernels(t, 3, func(cfg *Config) { cfg.LatentPEs = 2 })
 	// Member 1 completes a join under generation g1.
 	ks[0].handle(&wire.Message{Op: wire.OpJoin, Src: 1, Dst: 0, Seq: 401})
-	g1 := recvFrom(t, net, 1)
+	g1 := replyFrom(t, ks[1])
 	if g1.Op != wire.OpJoinResp || g1.Arg1 == 0 {
 		t.Fatalf("first grant = %v", g1)
 	}
 	ks[0].handle(&wire.Message{Op: wire.OpEpochUpdate, Src: 1, Dst: 0, Seq: 402, Arg1: 1, Arg2: int64(gmem.MemberActive), Addr: uint64(g1.Arg1)})
-	recvFrom(t, net, 1)
+	replyFrom(t, ks[1])
 	// The same member opens a fresh grant (a leave this time).
 	ks[0].handle(&wire.Message{Op: wire.OpLeave, Src: 1, Dst: 0, Seq: 403})
-	g2 := recvFrom(t, net, 1)
+	g2 := replyFrom(t, ks[1])
 	if g2.Op != wire.OpLeaveResp || g2.Arg1 == 0 || g2.Arg1 <= g1.Arg1 {
 		t.Fatalf("second grant = %v, want a fresh generation above %d", g2, g1.Arg1)
 	}
 	// A delayed duplicate of the join's epoch update must not close it...
 	ks[0].handle(&wire.Message{Op: wire.OpEpochUpdate, Src: 1, Dst: 0, Seq: 404, Arg1: 1, Arg2: int64(gmem.MemberActive), Addr: uint64(g1.Arg1)})
-	recvFrom(t, net, 1)
+	replyFrom(t, ks[1])
 	ks[0].handle(&wire.Message{Op: wire.OpJoin, Src: 2, Dst: 0, Seq: 405})
-	if busy := recvFrom(t, net, 2); busy.Op != wire.OpJoinResp || busy.Arg1 != 0 {
+	if busy := replyFrom(t, ks[2]); busy.Op != wire.OpJoinResp || busy.Arg1 != 0 {
 		t.Fatalf("grant after stale epoch update = %v, want busy (Arg1 = 0)", busy)
 	}
 	// ...while the leave's own epoch update (generation g2) does.
 	ks[0].handle(&wire.Message{Op: wire.OpEpochUpdate, Src: 1, Dst: 0, Seq: 406, Arg1: 1, Arg2: int64(gmem.MemberLeft), Addr: uint64(g2.Arg1)})
-	recvFrom(t, net, 1)
+	replyFrom(t, ks[1])
 	ks[0].handle(&wire.Message{Op: wire.OpJoin, Src: 2, Dst: 0, Seq: 407})
-	g3 := recvFrom(t, net, 2)
+	g3 := replyFrom(t, ks[2])
 	if g3.Op != wire.OpJoinResp || g3.Arg1 == 0 {
 		t.Fatalf("grant after fresh epoch update = %v, want a real generation", g3)
 	}
@@ -433,9 +439,9 @@ func TestCorruptInstallRetryNotAbsorbed(t *testing.T) {
 	w := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 0, Seq: 501, Addr: addr}
 	w.PutWord(7)
 	ks[0].handle(w)
-	recvFrom(t, net, 1) // ack
+	replyFrom(t, ks[1]) // ack
 	ks[0].handle(&wire.Message{Op: wire.OpMigrateStart, Src: 1, Dst: 0, Seq: 502, Arg1: migModeBlock, Arg2: 1, Addr: addr})
-	start := recvFrom(t, net, 1)
+	start := replyFrom(t, ks[1])
 	if start.Op != wire.OpMigrateStartResp {
 		t.Fatalf("migrate start resp = %v", start)
 	}

@@ -37,13 +37,12 @@ type PE struct {
 	ckptEpoch   uint64        // last completed checkpoint epoch
 	viewGen     uint64        // view generation: recoveries this cluster survived
 
-	// replyMb is the persistent reply mailbox: every response to this PE's
-	// requests lands here (the PE is single-threaded, so scalar requests
-	// never overlap; pipelined block transfers match replies by Seq). On
-	// inproc the PE itself puts the replies in (Kernel.serveOnSender), so the
-	// default depth must exceed what it can have in flight: withDefaults
-	// rejects a cluster where NumPE x KernelShards could come close.
+	// replyMb is the kernel's reply mailbox (Kernel.replyMb): every reply
+	// addressed to this node lands here and the request engine (request.go)
+	// matches it by Seq against one, the single request in flight of everything
+	// but a range transfer, or against the transfer's groups in reqs.
 	replyMb transport.Mailbox
+	one     [1]flight
 
 	// Consistency-tier state (DESIGN.md §14). modes maps allocations to
 	// their tier; wc buffers release-mode writes between sync edges; leases
@@ -61,12 +60,12 @@ type PE struct {
 	ns gmem.Region
 
 	// Scratch reused across calls by the hot-path operations.
-	words []int64   // decoded response payloads
-	vruns []vrun    // remote runs of the range operation being assembled
-	hruns []vrun    // the same runs, grouped by home
-	reqs  []homeReq // one in-flight request per remote home
-	fl    []uint64  // drained WC addresses (ascending) of the current flush
-	flv   []int64   // drained WC values, parallel to fl
+	words []int64  // decoded response payloads
+	vruns []vrun   // remote runs of the range operation being assembled
+	hruns []vrun   // the same runs, grouped by home
+	reqs  []flight // one in-flight request per remote (home, shard) group
+	fl    []uint64 // drained WC addresses (ascending) of the current flush
+	flv   []int64  // drained WC values, parallel to fl
 }
 
 func newPE(k *Kernel) *PE {
@@ -74,7 +73,7 @@ func newPE(k *Kernel) *PE {
 		k:       k,
 		app:     k.node.App(),
 		alloc:   gmem.NewAllocator(k.space),
-		replyMb: k.node.NewMailbox(0),
+		replyMb: k.replyMb,
 		spans:   k.cfg.Tracing.NewRing(),
 		live:    k.cfg.LiveRTT,
 		hist:    k.cfg.recorder.PE(k.id),
@@ -158,264 +157,6 @@ func (pe *PE) legacyCrossing() {
 	}
 }
 
-// request sends m to kernel dst and blocks until the response arrives in
-// the persistent reply mailbox. Request time beyond the send-side overhead
-// is accounted as wait time. The caller owns both m and the returned
-// response; recycle them with wire.PutMessage when done. Failures panic with
-// the typed error of requestErr, the error-returning tier underneath.
-func (pe *PE) request(dst int, m *wire.Message) *wire.Message {
-	resp, err := pe.requestErr(dst, m)
-	must(err)
-	return resp
-}
-
-// must is the whole of every panicking Parallel-API form: the error of the
-// error-returning tier underneath, raised as a panic with its type intact —
-// runPE turns it into the PE's Result.Errs entry, so callers still classify
-// the failure with errors.As.
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
-// requestErr is request with failures surfaced as errors: *TimeoutError
-// after the configured retries are exhausted, *PeerDownError when the
-// transport declared dst dead, *ShutdownError when the cluster went down.
-//
-// Retries resend the request with the same Seq and the retry flag set; the
-// home kernel's dedup window guarantees a retried mutating operation is
-// applied exactly once. The pending registration survives across attempts so
-// a late first reply still routes to us (and is then matched by Seq).
-func (pe *PE) requestErr(dst int, m *wire.Message) (*wire.Message, error) {
-	return pe.requestSeqErr(dst, m, 0)
-}
-
-// requestSeqErr is requestErr with an optional caller-provided sequence
-// number (0 allocates a fresh one). The ambiguous one-sided write fallback
-// passes the ring sequence it already published, so the home's dedup window
-// recognises the operation whichever path applied it first.
-//
-// A wire.OpMigrateNack response means the addressed kernel no longer homes
-// (one of) the request's blocks: the requester learns the hinted new home,
-// re-registers the SAME sequence number and retries there — exactly-once
-// carries across the redirect because the old home never applied the
-// operation (NACKs are issued before any mutation) and the new home's window
-// absorbs duplicates like any other.
-func (pe *PE) requestSeqErr(dst int, m *wire.Message, seq uint64) (*wire.Message, error) {
-	k := pe.k
-	m.Src = int32(k.id)
-	m.Dst = int32(dst)
-	var dead bool
-	if seq == 0 {
-		seq, dead = k.addPending(pe.replyMb, dst)
-	} else {
-		dead = k.addPendingSeq(pe.replyMb, dst, seq)
-		m.Flags |= wire.FlagRetry
-	}
-	if dead {
-		return nil, &PeerDownError{PE: k.id, Peer: dst, Op: m.Op.String()}
-	}
-	m.Seq = seq
-	start := pe.app.Now()
-	var sent sim.Time
-	backoff := k.cfg.RetryBackoff
-	bounces := 0
-	want := k.replyWords(m)
-	for attempts := 1; ; attempts++ {
-		pe.app.Send(dst, m)
-		if pe.spans != nil && sent == 0 {
-			sent = pe.app.Now()
-		}
-		resp, err := pe.takeReply(seq, m.Op, dst, attempts, want)
-		if err == nil && resp.Op == wire.OpMigrateNack {
-			hint := int(resp.Arg1)
-			wire.PutMessage(resp)
-			if bounces++; bounces > maxMigrateBounces || hint < 0 || hint >= k.n {
-				pe.extra.WaitTime += pe.app.Now() - start
-				return nil, fmt.Errorf("core: PE %d: %v to kernel %d bounced %d times chasing a migrating home", k.id, m.Op, dst, bounces)
-			}
-			pe.extra.MigrateNacks++
-			if bounces > 2 {
-				// A redirect can outrun the handoff itself: the hinted new
-				// home NACKs back toward the probe rule until its install
-				// lands. Give the migration a beat instead of burning the
-				// bounce budget on a tight ping-pong.
-				boff := backoff
-				if boff == 0 {
-					boff = 1 << 16
-				}
-				pe.app.Sleep(boff)
-			}
-			switch m.Op {
-			case wire.OpRead, wire.OpWrite, wire.OpFetchAdd, wire.OpCAS, wire.OpReadLease:
-				// Cache the new home so later requests skip the bounce. Gated
-				// to the ops whose Addr is a data address.
-				// Never cache a hint naming our OWN kernel: the requester's
-				// hint cache is the kernel's shared directory, which is
-				// authoritative about what this kernel homes. A stale peer's
-				// probe-rule hint would overwrite the override the kernel
-				// installed when it handed the block away, resurrecting
-				// phantom self-ownership — the kernel would lazily recreate
-				// the extracted block and swallow writes into it.
-				if hint != k.id {
-					k.dir.SetOverride(k.space.BlockOf(m.Addr), hint)
-				}
-			}
-			if k.addPendingSeq(pe.replyMb, hint, seq) {
-				pe.extra.WaitTime += pe.app.Now() - start
-				return nil, &PeerDownError{PE: k.id, Peer: hint, Op: m.Op.String()}
-			}
-			dst = hint
-			m.Dst = int32(dst)
-			m.Flags |= wire.FlagRetry
-			continue
-		}
-		if err == nil && resp.Op == wire.OpNsNack {
-			// The home rejected the request whole: it strayed outside the
-			// requester's bound namespace (the kernel counted the violation).
-			// Surface the typed error so the job aborts instead of ever
-			// touching foreign memory.
-			nsErr := &NamespaceError{
-				PE: k.id, Op: m.Op.String(), Addr: m.Addr,
-				Base: uint64(resp.Arg1), Limit: uint64(resp.Arg2),
-			}
-			wire.PutMessage(resp)
-			pe.extra.WaitTime += pe.app.Now() - start
-			return nil, nsErr
-		}
-		if err == nil {
-			now := pe.app.Now()
-			rtt := now - start
-			pe.extra.WaitTime += rtt
-			// Only the per-op histogram is fed on the hot path; the
-			// aggregate PEStats.RTT is derived from it at collect time.
-			pe.extra.RTTByOp[m.Op].Observe(rtt)
-			if pe.live != nil {
-				pe.live.Observe(rtt)
-			}
-			if pe.spans != nil && pe.spans.Sampled() {
-				pe.spans.Record(trace.Span{
-					Kind: trace.SpanRequest, Op: m.Op,
-					PE: int32(k.id), Peer: int32(dst), Seq: seq,
-					Start: start, Sent: sent, End: now,
-				})
-			}
-			return resp, nil
-		}
-		if _, timedOut := err.(*TimeoutError); !timedOut || attempts > k.cfg.RequestRetries {
-			k.dropPending(seq)
-			pe.extra.WaitTime += pe.app.Now() - start
-			return nil, err
-		}
-		if backoff > 0 {
-			pe.app.Sleep(backoff)
-			if backoff < 8*k.cfg.RetryBackoff {
-				backoff *= 2
-			}
-		}
-		m.Flags |= wire.FlagRetry
-		pe.extra.Retries++
-	}
-}
-
-// takeWithin takes the next message from mb, waiting at most d (0 = forever).
-// ok is false when the mailbox closed (cluster shutdown).
-func takeWithin(mb transport.Mailbox, d sim.Duration) (m *wire.Message, ok, timedOut bool) {
-	if d > 0 {
-		return mb.TakeTimeout(d)
-	}
-	m, ok = mb.Take()
-	return m, ok, false
-}
-
-// replyWords returns how many payload words a well-formed reply to the read
-// request req carries; -1 for the requests whose replies carry none.
-func (k *Kernel) replyWords(req *wire.Message) int {
-	switch req.Op {
-	case wire.OpRead:
-		if req.Arg2 != 1 {
-			return int(req.Arg1)
-		}
-		return k.space.BlockWords // block fetch of a cached-mode read
-	case wire.OpReadLease:
-		return k.space.BlockWords
-	case wire.OpReadV:
-		n := 0
-		if req.EachRange(func(_ uint64, count int) { n += count }) == nil {
-			return n
-		}
-	}
-	return -1
-}
-
-// readReplyOK reports whether resp, answering a request that expects want
-// payload words, can be consumed: a reply is input from another node, and a
-// read reply's payload is indexed by the counts the request asked for. NACKs
-// and failure notices carry no words to check.
-func readReplyOK(resp *wire.Message, want int) bool {
-	switch resp.Op {
-	case wire.OpReadResp, wire.OpReadVResp, wire.OpReadLeaseResp:
-		return len(resp.Data) == 8*want
-	}
-	return true
-}
-
-// takeReply blocks on the reply mailbox until the response to seq arrives or
-// the per-attempt timeout expires. Sequence validation is what makes the
-// persistent mailbox safe: residue of an earlier timed-out request (a stale
-// reply that arrived after we gave up on it) is recycled and skipped instead
-// of being misdelivered as the answer to the current request. A read reply
-// not carrying the want words asked for is counted and treated as lost, like
-// a corrupt request at the home: the timeout and the retry own recovery.
-func (pe *PE) takeReply(seq uint64, op wire.Op, dst int, attempts, want int) (*wire.Message, error) {
-	k := pe.k
-	d := k.requestTimeout()
-	var deadline sim.Time
-	if d > 0 {
-		deadline = pe.app.Now() + d // no clock read on the wait-forever path
-	}
-	for {
-		remaining := d
-		if d > 0 {
-			if remaining = deadline - pe.app.Now(); remaining <= 0 {
-				return nil, &TimeoutError{PE: k.id, Dst: dst, Op: op.String(), Attempts: attempts}
-			}
-		}
-		resp, ok, timedOut := takeWithin(pe.replyMb, remaining)
-		if timedOut {
-			return nil, &TimeoutError{PE: k.id, Dst: dst, Op: op.String(), Attempts: attempts}
-		}
-		if !ok {
-			return nil, &ShutdownError{PE: k.id, Op: op.String()}
-		}
-		if resp.Op == wire.OpPeerDown {
-			peer, rseq := int(resp.Src), resp.Seq
-			wire.PutMessage(resp)
-			if rseq != seq {
-				pe.extra.StaleReplies++ // failure notice for an older request
-				continue
-			}
-			return nil, &PeerDownError{PE: k.id, Peer: peer, Op: op.String()}
-		}
-		if resp.Seq != seq {
-			pe.extra.StaleReplies++
-			wire.PutMessage(resp)
-			continue
-		}
-		if !readReplyOK(resp, want) {
-			pe.extra.CorruptDrops++
-			wire.PutMessage(resp)
-			// Its delivery used up the pending entry the retry's reply needs.
-			if k.addPendingSeq(pe.replyMb, dst, seq) {
-				return nil, &PeerDownError{PE: k.id, Peer: dst, Op: op.String()}
-			}
-			continue
-		}
-		return resp, nil
-	}
-}
-
 // --- Synchronisation ---
 
 // flushWC publishes the write-combining buffer: one coalesced OpFlushV per
@@ -465,7 +206,7 @@ func (pe *PE) flushWC(fenceInv sim.Time) {
 	pe.groupRunsByHome()
 	for gi := range pe.reqs {
 		g := &pe.reqs[gi]
-		err := pe.roundTrip(g, check.KindFlush, pe.flv)
+		err := pe.exchangeRuns(pe.reqs[gi:gi+1], check.KindFlush, pe.flv, 0)
 		if err == nil {
 			continue
 		}

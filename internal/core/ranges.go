@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/gmem"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -19,26 +18,13 @@ type vrun struct {
 	off   int // word offset within the operation's buffer
 }
 
-// homeReq is one coalesced per-home request of a range operation. On the
-// real transports requests coalesce per (home, shard) instead of per home, so
-// a gather spanning k shards becomes k sub-requests, each served under one
-// shard lock; shard is stamped into the request header for the home's
-// dispatcher.
-type homeReq struct {
-	seq    uint64
-	shard  int
-	lo, hi int // pe.hruns[lo:hi] travel in this request
-	done   bool
-}
-
 // rangeOp is the range executor: one block (addrs == nil: the len(buf) words
 // at addr) or vectored (addrs[i] pairs with buf[i]) operation run through the
 // access pipeline (see access.go). Like the word executor's, a range
 // operation's kind is its history kind: check.KindRead (buf is the
 // destination) or check.KindWrite (buf is the source) here, and for the pieces
 // flushWC drives itself check.KindFlush — a write whose requests are always
-// the vectored OpFlushV and travel one at a time through the scalar request
-// path, so they retry like scalar operations do.
+// the vectored OpFlushV and travel one group at a time.
 func (pe *PE) rangeOp(name string, kind check.Kind, addr uint64, addrs []uint64, buf []int64) error {
 	if pe.ns.Limit != 0 && len(buf) > 0 {
 		// Guard, all-or-nothing up front like the kernel-side scan: a block is
@@ -222,7 +208,9 @@ func (pe *PE) addRun(kind check.Kind, mode gmem.Mode, buf []int64, start uint64,
 // the real transports, by shard within each home, so each sub-request lands
 // wholly in one shard and touches only state its lock guards), with one
 // pe.reqs entry per group. Runs keep their relative (ascending-address) order
-// within each group. Under simulation a single per-home request is still
+// within each group. A group is one flight of the request engine: on the real
+// transports a gather spanning k shards of a home becomes k requests, each
+// served under one shard lock. Under simulation a single per-home request is still
 // stamped with its first run's shard — the handlers don't care, the engine
 // serialises every table the request touches.
 func (pe *PE) groupRunsByHome() {
@@ -242,7 +230,7 @@ func (pe *PE) groupRunsByHome() {
 				pe.hruns = append(pe.hruns, r)
 			}
 			if hi := len(pe.hruns); hi > lo {
-				pe.reqs = append(pe.reqs, homeReq{lo: lo, hi: hi, shard: pe.hruns[lo].shard})
+				pe.reqs = append(pe.reqs, flight{dst: home, lo: lo, hi: hi, shard: pe.hruns[lo].shard})
 			}
 		}
 	}
@@ -252,7 +240,7 @@ func (pe *PE) groupRunsByHome() {
 // run travels as the scalar OpRead/OpWrite, several as one vectored request,
 // and a flush always as OpFlushV (the home counts it as a publication even
 // for a single run). The caller recycles the message.
-func (pe *PE) buildReq(g *homeReq, kind check.Kind, buf []int64) *wire.Message {
+func (pe *PE) buildReq(g *flight, kind check.Kind, buf []int64) *wire.Message {
 	runs := pe.hruns[g.lo:g.hi]
 	req := wire.GetMessage()
 	req.Shard = uint8(g.shard)
@@ -281,226 +269,138 @@ func (pe *PE) buildReq(g *homeReq, kind check.Kind, buf []int64) *wire.Message {
 	return req
 }
 
-// landReply scatters a read reply's words into buf at the group's runs. A
-// reply that does not carry exactly the words the runs asked for is counted
-// in CorruptDrops and lands nowhere.
-func (pe *PE) landReply(g *homeReq, resp *wire.Message, buf []int64) bool {
-	runs := pe.hruns[g.lo:g.hi]
-	want := 0
-	for _, r := range runs {
-		want += r.count
-	}
-	if !readReplyOK(resp, want) {
-		pe.extra.CorruptDrops++
-		return false
-	}
-	pe.words = resp.WordsInto(pe.words)
+// landReply scatters a read reply's words into buf at the group's runs (the
+// request engine has checked that it carries exactly the words they asked for).
+func (pe *PE) landReply(g *flight, buf []int64) {
+	pe.words = g.resp.WordsInto(pe.words)
 	woff := 0
-	for _, r := range runs {
+	for _, r := range pe.hruns[g.lo:g.hi] {
 		copy(buf[r.off:r.off+r.count], pe.words[woff:woff+r.count])
 		woff += r.count
 	}
-	return true
-}
-
-// roundTrip sends group g's request through the scalar request path — one at
-// a time, with its retries and NACK-redirect chasing — and lands the reply.
-func (pe *PE) roundTrip(g *homeReq, kind check.Kind, buf []int64) error {
-	req := pe.buildReq(g, kind, buf)
-	resp, err := pe.requestErr(pe.hruns[g.lo].home, req)
-	wire.PutMessage(req)
-	if err != nil {
-		return err
-	}
-	if kind == check.KindRead {
-		pe.landReply(g, resp, buf)
-	}
-	wire.PutMessage(resp)
-	return nil
 }
 
 // transfer moves the queued remote runs of a read or write: one request per
 // (home, shard) group, all sent before the first reply is awaited — the DSE
 // kernel's asynchronous-I/O design lets a process keep several requests in
-// flight, so the per-home round trips overlap — then one reply each, matched
-// by Seq (out-of-order arrival is fine, stale mailbox residue is discarded).
-//
-// A home that no longer owns one of a sub-request's blocks NACKs it whole
-// before touching anything (all-or-nothing, so a replay with fresh sequences
-// cannot double-apply). The NACKed group is parked until every other reply
-// has drained — the replay shares the reply mailbox, and its stale-reply
-// filter would destroy a sibling reply it raced — and then replayed run by
-// run through roundTrip, routed by the live directory. Rare (at most once
-// per sub-request per overlapping migration), so the lost pipelining does
-// not matter.
+// flight, so the per-home round trips overlap, and the transfer, not each
+// request, is the observable unit of wait time, latency and tracing.
 func (pe *PE) transfer(kind check.Kind, buf []int64) error {
 	if len(pe.vruns) == 0 {
 		return nil
 	}
-	k := pe.k
 	op := wire.OpReadV
 	if kind != check.KindRead {
 		op = wire.OpWriteV
 	}
 	pe.groupRunsByHome()
-	for i := range pe.reqs {
-		g := &pe.reqs[i]
-		dst := pe.hruns[g.lo].home
-		seq, dead := k.addPending(pe.replyMb, dst)
-		if dead {
-			pe.dropTransferPending()
-			return &PeerDownError{PE: k.id, Peer: dst, Op: op.String()}
-		}
-		req := pe.buildReq(g, kind, buf)
-		req.Src, req.Dst, req.Seq, g.seq = int32(k.id), int32(dst), seq, seq
-		pe.app.Send(dst, req)
-		wire.PutMessage(req)
+	return pe.exchangeRuns(pe.reqs, kind, buf, op)
+}
+
+// exchangeRuns builds the requests of groups, sends them through the request
+// engine as one exchange (accounted under xfer, see there) and lands the read
+// replies. A group its home refused whole because one of its blocks migrated
+// away (all-or-nothing, so nothing of it was applied) comes back marked moved
+// and is re-issued run by run, each routed by the live directory and following
+// its own redirects — rare (at most once per group per overlapping migration),
+// so the lost pipelining does not matter.
+func (pe *PE) exchangeRuns(groups []flight, kind check.Kind, buf []int64, xfer wire.Op) error {
+	for i := range groups {
+		groups[i].req = pe.buildReq(&groups[i], kind, buf)
 	}
-	start := pe.app.Now()
-	var nacked []*homeReq
-	for remaining := len(pe.reqs); remaining > 0; {
-		resp, err := pe.takeTransfer(op)
-		if err != nil {
-			pe.dropTransferPending()
-			return err
+	err := pe.exchange(groups, xfer)
+	for i := range groups {
+		g := &groups[i]
+		if g.resp != nil {
+			if kind == check.KindRead {
+				pe.landReply(g, buf)
+			}
+			wire.PutMessage(g.resp)
 		}
-		g := pe.outstanding(resp.Seq)
-		switch {
-		case g == nil:
-			pe.extra.StaleReplies++
-		case resp.Op == wire.OpMigrateNack:
-			pe.extra.MigrateNacks++
-			nacked = append(nacked, g)
-		case kind == check.KindRead && !pe.landReply(g, resp, buf):
-			g = nil // malformed: treated as lost, and transfers do not retry
-		}
-		if g != nil {
-			g.done = true
-			remaining--
-		}
-		wire.PutMessage(resp)
+		wire.PutMessage(g.req)
 	}
-	for _, g := range nacked {
-		for i := g.lo; i < g.hi; i++ {
+	for gi := 0; gi < len(groups) && err == nil; gi++ {
+		if !groups[gi].moved {
+			continue
+		}
+		for i := groups[gi].lo; i < groups[gi].hi && err == nil; i++ {
 			r := &pe.hruns[i]
-			r.home = k.homeOf(r.start)
-			if err := pe.roundTrip(&homeReq{lo: i, hi: i + 1, shard: r.shard}, kind, buf); err != nil {
-				return fmt.Errorf("core: PE %d: replaying run at %d after a home migration: %w", k.id, r.start, err)
+			r.home = pe.k.homeOf(r.start)
+			pe.one[0] = flight{dst: r.home, lo: i, hi: i + 1, shard: r.shard}
+			if err = pe.exchangeRuns(pe.one[:], kind, buf, 0); err != nil {
+				err = fmt.Errorf("core: PE %d: replaying run at %d after a home migration: %w", pe.k.id, r.start, err)
 			}
 		}
 	}
-	// The per-home round trips overlap, so the transfer — not each request —
-	// is the observable unit of wait time, latency and tracing.
-	end := pe.app.Now()
-	pe.extra.WaitTime += end - start
-	pe.extra.RTTByOp[op].Observe(end - start)
-	if pe.live != nil {
-		pe.live.Observe(end - start)
-	}
-	if pe.spans != nil && pe.spans.Sampled() {
-		pe.spans.Record(trace.Span{
-			Kind: trace.SpanTransfer, Op: op, PE: int32(k.id),
-			Peer: int32(k.id), Start: start, End: end,
-		})
-	}
-	return nil
+	return err
 }
 
-// takeTransfer blocks on the reply mailbox for the next reply of the transfer
-// in flight. Each reply gets the full request timeout; transfers do not
-// retry. A peer-down notice fails the transfer only if it is for one of its
-// outstanding requests.
-func (pe *PE) takeTransfer(op wire.Op) (*wire.Message, error) {
-	k := pe.k
-	for {
-		resp, ok, timedOut := takeWithin(pe.replyMb, k.requestTimeout())
-		if timedOut {
-			dst := -1
-			for i := range pe.reqs {
-				if g := &pe.reqs[i]; !g.done {
-					dst = pe.hruns[g.lo].home
-					break
-				}
-			}
-			return nil, &TimeoutError{PE: k.id, Dst: dst, Op: op.String(), Attempts: 1}
-		}
-		if !ok {
-			return nil, &ShutdownError{PE: k.id, Op: op.String()}
-		}
-		if resp.Op != wire.OpPeerDown {
-			return resp, nil
-		}
-		peer, seq := int(resp.Src), resp.Seq
-		wire.PutMessage(resp)
-		if pe.outstanding(seq) != nil {
-			return nil, &PeerDownError{PE: k.id, Peer: peer, Op: op.String()}
-		}
-		pe.extra.StaleReplies++ // notice for an older, non-transfer request
-	}
-}
-
-// outstanding returns the transfer's not-yet-answered request with sequence
-// number seq; nil means seq matches none of them — stale residue the caller
-// discards.
-func (pe *PE) outstanding(seq uint64) *homeReq {
-	for i := range pe.reqs {
-		if g := &pe.reqs[i]; g.seq == seq && !g.done {
-			return g
-		}
-	}
-	return nil
-}
-
-// dropTransferPending forgets the still-outstanding requests of an aborted
-// transfer so their late replies are dropped as stray instead of lingering
-// in the reply mailbox.
-func (pe *PE) dropTransferPending() {
-	for i := range pe.reqs {
-		if g := &pe.reqs[i]; g.seq != 0 && !g.done {
-			pe.k.dropPending(g.seq)
-		}
-	}
-}
-
-// GMReadBlock reads n words starting at addr, splitting the range across
+// GMReadBlockErr reads n words starting at addr, splitting the range across
 // homes as needed. All runs homed at one kernel travel in a single
 // (vectored, if more than one run) request, and the per-home requests are
 // pipelined. Block reads bypass the read cache (they are always served
-// fresh by the homes). Panics on failure.
-func (pe *PE) GMReadBlock(addr uint64, n int) []int64 {
+// fresh by the homes). Request failures (timeout after the configured
+// retries, peer down, shutdown, a namespace refusal) come back as the typed
+// errors of the scalar forms.
+func (pe *PE) GMReadBlockErr(addr uint64, n int) ([]int64, error) {
 	out := make([]int64, n)
-	must(pe.rangeOp("read-block", check.KindRead, addr, nil, out))
-	return out
+	if err := pe.rangeOp("read-block", check.KindRead, addr, nil, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// GMWriteBlock stores words starting at addr, splitting across homes; all
+// GMWriteBlockErr stores words starting at addr, splitting across homes; all
 // runs homed at one kernel travel in a single (vectored, if more than one
-// run) request, and the per-home requests are pipelined. Panics on failure.
-func (pe *PE) GMWriteBlock(addr uint64, words []int64) {
-	must(pe.rangeOp("write-block", check.KindWrite, addr, nil, words))
+// run) request, and the per-home requests are pipelined. A request that is
+// retried is applied exactly once (the home's dedup window); after a failure
+// some homes' runs may have been applied and others not.
+func (pe *PE) GMWriteBlockErr(addr uint64, words []int64) error {
+	return pe.rangeOp("write-block", check.KindWrite, addr, nil, words)
 }
 
-// GMGather reads the words at the given (arbitrary, possibly scattered)
+// GMGatherErr reads the words at the given (arbitrary, possibly scattered)
 // addresses, returning them in input order. All addresses homed at one
 // kernel travel in a single vectored request; gathers bypass the read
 // cache. The fine-grained-access aggregation standard in user-level DSMs:
-// one message per home instead of one per word. Panics on failure.
-func (pe *PE) GMGather(addrs []uint64) []int64 {
+// one message per home instead of one per word.
+func (pe *PE) GMGatherErr(addrs []uint64) ([]int64, error) {
 	out := make([]int64, len(addrs))
-	must(pe.rangeOp("gather", check.KindRead, 0, addrs, out))
-	return out
+	if err := pe.rangeOp("gather", check.KindRead, 0, addrs, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// GMScatter stores vals[i] at addrs[i] for every i. All addresses homed at
+// GMScatterErr stores vals[i] at addrs[i] for every i. All addresses homed at
 // one kernel travel in a single vectored request; copies of touched blocks
-// that cached-mode readers hold are invalidated like GMWrite does. Panics on
-// failure.
-func (pe *PE) GMScatter(addrs []uint64, vals []int64) {
+// that cached-mode readers hold are invalidated like GMWrite does.
+func (pe *PE) GMScatterErr(addrs []uint64, vals []int64) error {
 	if len(addrs) != len(vals) {
 		panic("core: GMScatter length mismatch")
 	}
-	must(pe.rangeOp("scatter", check.KindWrite, 0, addrs, vals))
+	return pe.rangeOp("scatter", check.KindWrite, 0, addrs, vals)
 }
+
+// GMReadBlock is GMReadBlockErr, panicking on failure.
+func (pe *PE) GMReadBlock(addr uint64, n int) []int64 {
+	out, err := pe.GMReadBlockErr(addr, n)
+	must(err)
+	return out
+}
+
+// GMWriteBlock is GMWriteBlockErr, panicking on failure.
+func (pe *PE) GMWriteBlock(addr uint64, words []int64) { must(pe.GMWriteBlockErr(addr, words)) }
+
+// GMGather is GMGatherErr, panicking on failure.
+func (pe *PE) GMGather(addrs []uint64) []int64 {
+	out, err := pe.GMGatherErr(addrs)
+	must(err)
+	return out
+}
+
+// GMScatter is GMScatterErr, panicking on failure.
+func (pe *PE) GMScatter(addrs []uint64, vals []int64) { must(pe.GMScatterErr(addrs, vals)) }
 
 // GMReadBlockF reads n float64 values starting at addr.
 func (pe *PE) GMReadBlockF(addr uint64, n int) []float64 {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/check"
 	"repro/internal/gmem"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -153,9 +152,9 @@ func TestDelayedReplyDoesNotCorruptNextRequest(t *testing.T) {
 // size on the wire per reply op. Each used to panic the requester — Word(0)
 // on an empty payload, the cache's block-size panic, a slice past the lease
 // snapshot, landReply's bounds, WordsInto on a torn payload; each must now be
-// counted in CorruptDrops and treated as lost, so a request that retries gets
-// the well-formed answer to its retry and a transfer, which does not, times
-// out.
+// counted in CorruptDrops and treated as lost, so the request — a range
+// transfer's like a scalar's: one engine retries both — gets the well-formed
+// answer to its retry.
 func TestMalformedReadReplyIsDropped(t *testing.T) {
 	empty := func(m *wire.Message) { m.Data = m.Data[:0] }
 	oneWord := func(m *wire.Message) { m.Data = m.Data[:8] }
@@ -166,16 +165,17 @@ func TestMalformedReadReplyIsDropped(t *testing.T) {
 		mode   gmem.Mode
 		mangle func(*wire.Message)
 		read   func(pe *PE, addr uint64) (int64, error)
-		lost   bool // the operation does not retry: the drop surfaces as a timeout
 	}{
-		{"scalar", wire.OpReadResp, gmem.ModeStrong, empty, (*PE).GMReadErr, false},
-		{"block-fetch", wire.OpReadResp, gmem.ModeCached, oneWord, (*PE).GMReadErr, false},
-		{"lease", wire.OpReadLeaseResp, gmem.ModeLease, torn, (*PE).GMReadErr, false},
+		{"scalar", wire.OpReadResp, gmem.ModeStrong, empty, (*PE).GMReadErr},
+		{"block-fetch", wire.OpReadResp, gmem.ModeCached, oneWord, (*PE).GMReadErr},
+		{"lease", wire.OpReadLeaseResp, gmem.ModeLease, torn, (*PE).GMReadErr},
 		{"vectored", wire.OpReadVResp, gmem.ModeStrong, oneWord, func(pe *PE, addr uint64) (int64, error) {
-			out := make([]int64, 2)
-			err := pe.rangeOp("gather", check.KindRead, 0, []uint64{addr + 1, addr}, out)
-			return out[1], err
-		}, true},
+			out, err := pe.GMGatherErr([]uint64{addr + 1, addr})
+			if err != nil {
+				return 0, err
+			}
+			return out[1], nil
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := (&Config{NumPE: 2, Transport: TransportInproc, KernelShards: 1,
@@ -203,11 +203,7 @@ func TestMalformedReadReplyIsDropped(t *testing.T) {
 			if got := pe.extra.CorruptDrops; got != 1 {
 				t.Errorf("CorruptDrops = %d, want 1", got)
 			}
-			var timeout *TimeoutError
-			switch {
-			case tc.lost && !errors.As(err, &timeout):
-				t.Errorf("transfer with a malformed reply: %v, want a TimeoutError", err)
-			case !tc.lost && (err != nil || v != 77 || pe.extra.Retries != 1):
+			if err != nil || v != 77 || pe.extra.Retries != 1 {
 				t.Errorf("read = %d, %v after %d retries, want 77 after 1", v, err, pe.extra.Retries)
 			}
 		})

@@ -1,0 +1,364 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// The request engine (DESIGN.md §7): the requester side of the message
+// exchange mechanism. Every request a PE makes of a kernel — a scalar GM
+// operation, the per-home groups of a range transfer, a flush, a ping, a
+// process-management, checkpoint, membership or namespace call — is a flight,
+// and exchange is the one loop that sends flights and awaits their answers.
+// The list of flights is also the only record of what is outstanding: replies
+// reach the PE's reply mailbox unrouted (Kernel.deliverApp) and are matched
+// here by Seq.
+
+// flight is one request in flight.
+type flight struct {
+	req  *wire.Message // the request, resent as it is on a retry; the issuer recycles it
+	resp *wire.Message // its answer, the issuer's to recycle; nil while in flight
+	dst  int           // the kernel addressed; moves when a redirect is followed
+	want int           // payload words a well-formed read reply carries (replyWords)
+
+	bounces int  // redirects followed chasing a migrating home
+	moved   bool // a several-run request NACKed whole: its issuer re-issues it run by run
+
+	// A range operation's group: pe.hruns[lo:hi] travel in this request, to
+	// the home-side shard stamped into its header.
+	shard, lo, hi int
+}
+
+// request sends m to kernel dst and blocks until the response arrives in the
+// reply mailbox. The caller owns both m and the returned response; recycle
+// them with wire.PutMessage when done. Failures panic with the typed error of
+// requestErr, the error-returning tier underneath.
+func (pe *PE) request(dst int, m *wire.Message) *wire.Message {
+	resp, err := pe.requestErr(dst, m)
+	must(err)
+	return resp
+}
+
+// must is the whole of every panicking Parallel-API form: the error of the
+// error-returning tier underneath, raised as a panic with its type intact —
+// runPE turns it into the PE's Result.Errs entry, so callers still classify
+// the failure with errors.As.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// requestErr is request with failures surfaced as errors: *TimeoutError after
+// the configured retries are exhausted, *PeerDownError when the transport
+// declared dst dead, *ShutdownError when the cluster went down,
+// *NamespaceError when the home refused the request (see exchange).
+func (pe *PE) requestErr(dst int, m *wire.Message) (*wire.Message, error) {
+	return pe.requestSeqErr(dst, m, 0)
+}
+
+// requestSeqErr is requestErr with an optional caller-provided sequence
+// number (0 allocates a fresh one). The ambiguous one-sided write fallback
+// passes the ring sequence it already published, so the home's dedup window
+// recognises the operation whichever path applied it first.
+func (pe *PE) requestSeqErr(dst int, m *wire.Message, seq uint64) (*wire.Message, error) {
+	m.Seq = seq
+	pe.one[0] = flight{req: m, dst: dst}
+	err := pe.exchange(pe.one[:], 0)
+	return pe.one[0].resp, err
+}
+
+// exchange sends every flight of fl and returns once each has its answer in
+// resp, or with the first failure (and then no answer is kept). A request that
+// arrives with a Seq keeps it and travels flagged as a retry; the others are
+// numbered here.
+//
+// Replies are matched by Seq among the flights still in flight, in whatever
+// order they arrive; anything else in the mailbox — the late answer to a
+// request given up on, a duplicate, the response to a kernel's escrow
+// re-offer — is counted in StaleReplies and dropped. Each round of waiting has
+// one deadline (Config.RequestTimeout); what is still unanswered when it
+// passes is sent again with the same Seq and the retry flag, after the
+// configured backoff, up to Config.RequestRetries times: the home's dedup
+// window applies a retried mutation exactly once.
+//
+// Three answers are not the request's result. wire.OpMigrateNack means the
+// addressed kernel no longer homes (one of) the request's blocks. A
+// single-run request follows the hinted new home with the SAME Seq —
+// exactly-once carries across the redirect because the old home never applied
+// the operation (NACKs are issued before any mutation) and the new home's
+// window absorbs duplicates like any other. A request of several runs was
+// refused whole and is marked moved: its runs may now have different homes, so
+// its issuer re-issues them one by one under the live directory once this
+// exchange has drained. wire.OpNsNack is the home's namespace guard and fails
+// the exchange with *NamespaceError. A read reply that does not carry the
+// words asked for is input from another node gone wrong: counted in
+// CorruptDrops and treated as lost.
+//
+// A wire.OpPeerDown notice (Kernel.peerDown) fails the exchange with
+// *PeerDownError iff a flight addresses the dead peer, and is dropped
+// otherwise.
+//
+// Accounting is per exchange: with xfer zero (fl is one request) the
+// request's own op gets the round-trip sample, from before the send, and a
+// request span; otherwise xfer (wire.OpReadV or wire.OpWriteV) names the range
+// transfer whose overlapping round trips are observable only as a whole, from
+// the moment the last request left.
+func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
+	k := pe.k
+	var start, sent sim.Time
+	if xfer == 0 {
+		start = pe.app.Now()
+	}
+	for i := range fl {
+		f := &fl[i]
+		m := f.req
+		if k.deadFlags[f.dst].Load() {
+			return &PeerDownError{PE: k.id, Peer: f.dst, Op: m.Op.String()}
+		}
+		m.Src, m.Dst = int32(k.id), int32(f.dst)
+		if m.Seq == 0 {
+			m.Seq = k.seqCtr.Add(1)
+		} else {
+			m.Flags |= wire.FlagRetry
+		}
+		f.want = k.replyWords(m)
+		pe.app.Send(f.dst, m)
+	}
+	if xfer != 0 {
+		start = pe.app.Now()
+	} else if pe.spans != nil {
+		sent = pe.app.Now()
+	}
+	left, backoff := len(fl), k.cfg.RetryBackoff
+	var err error
+	for round := 1; ; round++ {
+		if left, err = pe.await(fl, xfer != 0, left, round); err == nil {
+			break
+		}
+		if _, timedOut := err.(*TimeoutError); !timedOut || round > k.cfg.RequestRetries {
+			break
+		}
+		if backoff > 0 {
+			pe.app.Sleep(backoff)
+			if backoff < 8*k.cfg.RetryBackoff {
+				backoff *= 2
+			}
+		}
+		for i := range fl {
+			if f := &fl[i]; f.inFlight() {
+				f.req.Flags |= wire.FlagRetry
+				pe.extra.Retries++
+				pe.app.Send(f.dst, f.req)
+			}
+		}
+	}
+	end := pe.app.Now()
+	pe.extra.WaitTime += end - start
+	if err != nil {
+		for i := range fl {
+			wire.PutMessage(fl[i].resp)
+			fl[i].resp = nil
+		}
+		return err
+	}
+	// Only the per-op histogram is fed on the hot path; the aggregate
+	// PEStats.RTT is derived from it at collect time.
+	op := xfer
+	if xfer == 0 {
+		op = fl[0].req.Op
+	}
+	pe.extra.RTTByOp[op].Observe(end - start)
+	if pe.live != nil {
+		pe.live.Observe(end - start)
+	}
+	if pe.spans != nil && pe.spans.Sampled() {
+		s := trace.Span{Kind: trace.SpanTransfer, Op: op, PE: int32(k.id), Peer: int32(k.id), Start: start, End: end}
+		if xfer == 0 {
+			s.Kind, s.Peer, s.Seq, s.Sent = trace.SpanRequest, int32(fl[0].dst), fl[0].req.Seq, sent
+		}
+		pe.spans.Record(s)
+	}
+	return nil
+}
+
+// inFlight reports whether f still awaits its answer.
+func (f *flight) inFlight() bool { return f.resp == nil && !f.moved }
+
+// await takes replies for one round of exchange: until none of the left
+// flights is in flight any more, or the round's deadline passes. It returns
+// how many are still unanswered.
+func (pe *PE) await(fl []flight, transfer bool, left, round int) (int, error) {
+	k := pe.k
+	d := k.requestTimeout()
+	var deadline sim.Time
+	if d > 0 {
+		deadline = pe.app.Now() + d // no clock read on the wait-forever path
+	}
+	for left > 0 {
+		var resp *wire.Message
+		ok, timedOut := true, false
+		if d <= 0 {
+			resp, ok = pe.replyMb.Take()
+		} else if remaining := deadline - pe.app.Now(); remaining > 0 {
+			resp, ok, timedOut = pe.replyMb.TakeTimeout(remaining)
+		} else {
+			timedOut = true
+		}
+		if timedOut {
+			f := firstInFlight(fl, -1)
+			return left, &TimeoutError{PE: k.id, Dst: f.dst, Op: f.req.Op.String(), Attempts: round}
+		}
+		if !ok {
+			return left, &ShutdownError{PE: k.id, Op: firstInFlight(fl, -1).req.Op.String()}
+		}
+		if resp.Op == wire.OpPeerDown {
+			peer := int(resp.Src)
+			wire.PutMessage(resp)
+			if f := firstInFlight(fl, peer); f != nil {
+				return left, &PeerDownError{PE: k.id, Peer: peer, Op: f.req.Op.String()}
+			}
+			continue // nothing of ours was addressed to it
+		}
+		var f *flight
+		for i := range fl {
+			if g := &fl[i]; g.req.Seq == resp.Seq && g.inFlight() {
+				f = g
+				break
+			}
+		}
+		switch {
+		case f == nil:
+			pe.extra.StaleReplies++
+		case resp.Op == wire.OpMigrateNack:
+			pe.extra.MigrateNacks++
+			if transfer {
+				f.moved = true
+				left--
+			} else if err := pe.follow(f, int(resp.Arg1)); err != nil {
+				wire.PutMessage(resp)
+				return left, err
+			} else if d > 0 {
+				deadline = pe.app.Now() + d
+			}
+		case resp.Op == wire.OpNsNack:
+			// The home rejected the request whole: it strayed outside the
+			// requester's bound namespace (the kernel counted the violation).
+			// Surface the typed error so the job aborts instead of ever
+			// touching foreign memory.
+			err := &NamespaceError{
+				PE: k.id, Op: f.req.Op.String(), Addr: f.req.Addr,
+				Base: uint64(resp.Arg1), Limit: uint64(resp.Arg2),
+			}
+			wire.PutMessage(resp)
+			return left, err
+		case !readReplyOK(resp, f.want):
+			pe.extra.CorruptDrops++ // the deadline and the retry own recovery
+		default:
+			f.resp = resp
+			left--
+			continue
+		}
+		wire.PutMessage(resp)
+	}
+	return 0, nil
+}
+
+// firstInFlight returns the first flight of fl still in flight and addressed
+// to kernel dst (any kernel when dst < 0); nil if there is none.
+func firstInFlight(fl []flight, dst int) *flight {
+	for i := range fl {
+		if f := &fl[i]; f.inFlight() && (dst < 0 || f.dst == dst) {
+			return f
+		}
+	}
+	return nil
+}
+
+// follow re-addresses the single-run request f to hint, the new home its old
+// one named in a migrate NACK, and sends it there under the same Seq.
+func (pe *PE) follow(f *flight, hint int) error {
+	k := pe.k
+	m := f.req
+	if f.bounces++; f.bounces > maxMigrateBounces || hint < 0 || hint >= k.n {
+		return fmt.Errorf("core: PE %d: %v to kernel %d bounced %d times chasing a migrating home", k.id, m.Op, f.dst, f.bounces)
+	}
+	if f.bounces > 2 {
+		// A redirect can outrun the handoff itself: the hinted new home NACKs
+		// back toward the probe rule until its install lands. Give the
+		// migration a beat instead of burning the bounce budget on a tight
+		// ping-pong.
+		boff := k.cfg.RetryBackoff
+		if boff == 0 {
+			boff = 1 << 16
+		}
+		pe.app.Sleep(boff)
+	}
+	switch m.Op {
+	case wire.OpRead, wire.OpWrite, wire.OpFetchAdd, wire.OpCAS, wire.OpReadLease:
+		// Cache the new home so later requests skip the bounce. Gated to the
+		// ops whose Addr is a data address. Never cache a hint naming our OWN
+		// kernel: the requester's hint cache is the kernel's shared directory,
+		// which is authoritative about what this kernel homes. A stale peer's
+		// probe-rule hint would overwrite the override the kernel installed
+		// when it handed the block away, resurrecting phantom self-ownership —
+		// the kernel would lazily recreate the extracted block and swallow
+		// writes into it.
+		if hint != k.id {
+			k.dir.SetOverride(k.space.BlockOf(m.Addr), hint)
+		}
+	}
+	if k.deadFlags[hint].Load() {
+		return &PeerDownError{PE: k.id, Peer: hint, Op: m.Op.String()}
+	}
+	f.dst = hint
+	m.Dst = int32(hint)
+	m.Flags |= wire.FlagRetry
+	pe.app.Send(hint, m)
+	return nil
+}
+
+// takeWithin takes the next message from mb, waiting at most d (0 = forever).
+// ok is false when the mailbox closed (cluster shutdown).
+func takeWithin(mb transport.Mailbox, d sim.Duration) (m *wire.Message, ok, timedOut bool) {
+	if d > 0 {
+		return mb.TakeTimeout(d)
+	}
+	m, ok = mb.Take()
+	return m, ok, false
+}
+
+// replyWords returns how many payload words a well-formed reply to the read
+// request req carries; -1 for the requests whose replies carry none.
+func (k *Kernel) replyWords(req *wire.Message) int {
+	switch req.Op {
+	case wire.OpRead:
+		if req.Arg2 != 1 {
+			return int(req.Arg1)
+		}
+		return k.space.BlockWords // block fetch of a cached-mode read
+	case wire.OpReadLease:
+		return k.space.BlockWords
+	case wire.OpReadV:
+		n := 0
+		if req.EachRange(func(_ uint64, count int) { n += count }) == nil {
+			return n
+		}
+	}
+	return -1
+}
+
+// readReplyOK reports whether resp, answering a request that expects want
+// payload words, can be consumed: a reply is input from another node, and a
+// read reply's payload is indexed by the counts the request asked for.
+func readReplyOK(resp *wire.Message, want int) bool {
+	switch resp.Op {
+	case wire.OpReadResp, wire.OpReadVResp, wire.OpReadLeaseResp:
+		return len(resp.Data) == 8*want
+	}
+	return true
+}
