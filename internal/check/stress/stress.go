@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/check"
@@ -185,9 +186,17 @@ func (o Options) membership() bool {
 }
 
 // faulty reports whether the configuration can lose messages, which rules
-// out the unreliable fire-and-forget operations (locks, barriers) and the
-// no-retry block transfers.
+// out the unreliable fire-and-forget operations (locks, barriers).
 func (o Options) faulty() bool { return o.Loss > 0 || o.KillAt > 0 }
+
+// lossyCached reports whether cached-mode words meet frame loss. Those rows
+// keep scalar stand-ins for the block, gather and scatter legs: a write that
+// overlaps an invalidation round whose OpInvalidate was lost is acknowledged
+// while the round's holder still reads its copy (DESIGN.md §14 "Known holes"),
+// which the checker convicts on most seeds whatever the workload — the rows
+// pass at the suite's seed as pinned schedules, and moving them is the job of
+// the change that closes the hole.
+func (o Options) lossyCached() bool { return o.Loss > 0 && o.Caching }
 
 // Result is one stress run's outcome.
 type Result struct {
@@ -420,7 +429,7 @@ func program(o Options) core.Program {
 }
 
 // recoverProgram is the checkpointing variant of the workload body: the
-// same faulty-mode op mix (retryable scalar ops and atomics only), with a
+// same faulty-mode op mix (everything but the fire-and-forget locks), with a
 // collective checkpoint every CkptEvery ops. The victim runs at full tilt
 // into the scheduled kill — no wind-down — so everything past the last
 // checkpoint is genuinely lost and must be recovered from the snapshot.
@@ -597,6 +606,27 @@ func (w *worker) skip(addr uint64) bool {
 	return w.dead != nil && w.dead[w.pe.HomeOf(addr)]
 }
 
+// skipBlock is skip for the n words at addr: a range operation that touches a
+// home already declared down is skipped whole, like a scalar.
+func (w *worker) skipBlock(addr uint64, n int) bool {
+	for i := 0; w.dead != nil && i < n; i++ {
+		if w.skip(addr + uint64(i)) {
+			return true
+		}
+	}
+	return false
+}
+
+// rangeErr is what a block, gather or scatter does with its error: under a
+// fault schedule it is noted like a scalar's (the engine retried as configured;
+// what is left is a dead home), in a fault-free run it fails the PE.
+func (w *worker) rangeErr(err error) {
+	if err != nil && !w.o.faulty() {
+		panic(err)
+	}
+	w.note(err)
+}
+
 // note tracks peer-down errors so later operations stop hammering the dead
 // home (each would burn the full retry schedule).
 func (w *worker) note(err error) {
@@ -611,8 +641,12 @@ func (w *worker) note(err error) {
 
 func (w *worker) step(i int) {
 	pe, rng := w.pe, w.rng
+	// Two legs have a scalar stand-in, drawn from the same slot of the mix: the
+	// lock leg under any fault schedule (sync messages are fire-and-forget),
+	// and the range legs where cached words meet frame loss (lossyCached).
+	faulty, lossyCached := w.o.faulty(), w.o.lossyCached()
 	switch p := rng.Intn(100); {
-	case p < 25: // scalar read
+	case p < 25, lossyCached && p >= 75 && p < 85: // scalar read
 		base, nw := w.region()
 		a := base + uint64(rng.Intn(nw))
 		if w.skip(a) {
@@ -621,7 +655,7 @@ func (w *worker) step(i int) {
 		if _, err := pe.GMReadErr(a); err != nil {
 			w.note(err)
 		}
-	case p < 50: // scalar write
+	case p < 50, lossyCached && p >= 85 && p < 95: // scalar write
 		base, nw := w.region()
 		a := base + uint64(rng.Intn(nw))
 		if w.skip(a) {
@@ -630,7 +664,7 @@ func (w *worker) step(i int) {
 		if err := pe.GMWriteErr(a, w.next()); err != nil {
 			w.note(err)
 		}
-	case p < 65: // counter fetch-add
+	case p < 65, faulty && p >= 95: // counter fetch-add
 		a := w.ctrs + uint64(rng.Intn(ctrWords))
 		if w.skip(a) {
 			return
@@ -655,23 +689,16 @@ func (w *worker) step(i int) {
 		} else {
 			w.casGuess[wi] = out
 		}
-	case p < 85: // block/gather read (no-retry transfers: fault-free only)
-		if w.o.faulty() {
-			base, nw := w.region()
-			a := base + uint64(rng.Intn(nw))
-			if w.skip(a) {
-				return
-			}
-			if _, err := pe.GMReadErr(a); err != nil {
-				w.note(err)
-			}
-			return
-		}
+	case p < 85: // block/gather read
 		if rng.Intn(2) == 0 {
 			base, nw := w.region()
 			n := 2 + rng.Intn(15)
-			off := rng.Intn(nw - n)
-			pe.GMReadBlock(base+uint64(off), n)
+			addr := base + uint64(rng.Intn(nw-n))
+			if w.skipBlock(addr, n) {
+				return
+			}
+			_, err := pe.GMReadBlockErr(addr, n)
+			w.rangeErr(err)
 		} else {
 			// Modes runs mix tiers per element, exercising the vectored
 			// paths' mixed-mode scalar fallback.
@@ -680,29 +707,25 @@ func (w *worker) step(i int) {
 				base, nw := w.region()
 				addrs[j] = base + uint64(rng.Intn(nw))
 			}
-			pe.GMGather(addrs)
-		}
-	case p < 95: // block/scatter write (fault-free only)
-		if w.o.faulty() {
-			base, nw := w.region()
-			a := base + uint64(rng.Intn(nw))
-			if w.skip(a) {
+			if slices.ContainsFunc(addrs, w.skip) {
 				return
 			}
-			if err := pe.GMWriteErr(a, w.next()); err != nil {
-				w.note(err)
-			}
-			return
+			_, err := pe.GMGatherErr(addrs)
+			w.rangeErr(err)
 		}
+	case p < 95: // block/scatter write
 		if rng.Intn(2) == 0 {
 			base, nw := w.region()
 			n := 2 + rng.Intn(15)
-			off := rng.Intn(nw - n)
+			addr := base + uint64(rng.Intn(nw-n))
 			words := make([]int64, n)
 			for j := range words {
 				words[j] = w.next()
 			}
-			pe.GMWriteBlock(base+uint64(off), words)
+			if w.skipBlock(addr, n) {
+				return
+			}
+			w.rangeErr(pe.GMWriteBlockErr(addr, words))
 		} else {
 			n := 2 + rng.Intn(7)
 			addrs := make([]uint64, n)
@@ -712,19 +735,12 @@ func (w *worker) step(i int) {
 				addrs[j] = base + uint64(rng.Intn(nw))
 				vals[j] = w.next()
 			}
-			pe.GMScatter(addrs, vals)
-		}
-	default: // lock-protected read-modify-write (fire-and-forget: fault-free only)
-		if w.o.faulty() {
-			a := w.ctrs + uint64(rng.Intn(ctrWords))
-			if w.skip(a) {
+			if slices.ContainsFunc(addrs, w.skip) {
 				return
 			}
-			if _, err := pe.FetchAddErr(a, 1); err != nil {
-				w.note(err)
-			}
-			return
+			w.rangeErr(pe.GMScatterErr(addrs, vals))
 		}
+	default: // lock-protected read-modify-write
 		id := int32(rng.Intn(lockWords))
 		pe.Lock(id)
 		a := w.lckw + uint64(id)

@@ -427,6 +427,38 @@ func TestPanickingFormsKeepErrorType(t *testing.T) {
 			t.Errorf("PE %d: Errs = %v, want a *PeerDownError naming peer 3", i, res.Errs[i])
 		}
 	}
+
+	// The synchronisation waits raise the same typed errors: a barrier PE 0
+	// never reaches, a lock it never releases and a semaphore nobody posts
+	// each time out as a *TimeoutError, not as a formatted string.
+	syncForms := []struct {
+		name string
+		wait func(pe *PE)
+	}{
+		{"Barrier", func(pe *PE) { pe.Barrier() }},
+		{"Lock", func(pe *PE) { pe.Lock(3) }},
+		{"SemWait", func(pe *PE) { pe.SemWait(5) }},
+	}
+	for _, f := range syncForms {
+		cfg := simCfg(2)
+		cfg.RequestTimeout = 20 * sim.Millisecond
+		res, err := Run(cfg, func(pe *PE) error {
+			if pe.ID() == 0 {
+				pe.Lock(3)
+				return nil
+			}
+			pe.Compute(1e6) // PE 0 holds the lock by now
+			f.wait(pe)
+			return fmt.Errorf("%s returned", f.name)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var timeout *TimeoutError
+		if !errors.As(res.Errs[1], &timeout) || timeout.Op != "sync-wait" {
+			t.Errorf("%s: Errs[1] = %v, want a *TimeoutError of the sync-wait", f.name, res.Errs[1])
+		}
+	}
 }
 
 // TestPanickingFormsKeepNamespaceError: a bound PE straying outside its

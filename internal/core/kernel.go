@@ -749,18 +749,25 @@ func (k *Kernel) handleBarrierArrive(m *wire.Message) {
 		}
 		return
 	}
-	// Central barrier: kernel 0 counts and releases everyone.
-	if k.id != 0 {
-		panic(fmt.Sprintf("core: kernel %d received central barrier arrive", k.id))
+	// Central barrier: kernel 0 counts and releases everyone. An arrival is
+	// input from another node: one that reached the wrong kernel, names no PE,
+	// repeats a source already waiting or overruns the barrier's size is
+	// counted and dropped — it must neither take the kernel down nor release
+	// a barrier somebody has not reached.
+	if k.id != 0 || m.Src < 0 || int(m.Src) >= k.n {
+		k.extra.CorruptDrops++
+		return
 	}
-	if waiters := k.barrier.ArriveSized(int(m.Src), m.Tag, int(m.Arg2)); waiters != nil {
-		for _, w := range waiters {
-			rel := wire.GetMessage()
-			rel.Op, rel.Src, rel.Dst = wire.OpBarrierRelease, int32(k.id), int32(w)
-			rel.Tag, rel.Arg2 = m.Tag, m.Arg2
-			k.svc.Send(w, rel)
-			wire.PutMessage(rel)
-		}
+	waiters, ok := k.barrier.ArriveSized(int(m.Src), m.Tag, int(m.Arg2))
+	if !ok {
+		k.extra.CorruptDrops++
+	}
+	for _, w := range waiters {
+		rel := wire.GetMessage()
+		rel.Op, rel.Src, rel.Dst = wire.OpBarrierRelease, int32(k.id), int32(w)
+		rel.Tag, rel.Arg2 = m.Tag, m.Arg2
+		k.svc.Send(w, rel)
+		wire.PutMessage(rel)
 	}
 }
 

@@ -179,6 +179,40 @@ func TestKernelStrayInvAckDropped(t *testing.T) {
 	}
 }
 
+// TestKernelCorruptBarrierArriveDropped injects the three barrier arrivals a
+// kernel must not trust: one that reached a kernel other than 0 (used to
+// panic it), a second one from a source already waiting (used to be counted:
+// two arrivals from PE 1 released a 2-PE barrier PE 0 never reached) and one
+// past the barrier's size (used to panic kernel 0). Each is counted in
+// CorruptDrops and dropped, and the barrier still completes when PE 0 arrives.
+func TestKernelCorruptBarrierArriveDropped(t *testing.T) {
+	_, ks := testKernels(t, 2, nil)
+	arrive := func(k *Kernel, src int32, size int64) {
+		k.handle(&wire.Message{Op: wire.OpBarrierArrive, Src: src, Tag: 4, Arg2: size})
+	}
+	arrive(ks[1], 0, 0)
+	if ks[1].extra.CorruptDrops != 1 {
+		t.Fatalf("arrival at kernel 1: CorruptDrops = %d, want 1", ks[1].extra.CorruptDrops)
+	}
+	arrive(ks[0], 1, 0)
+	arrive(ks[0], 1, 0) // duplicate
+	arrive(ks[0], 7, 0) // names no PE
+	if ks[0].extra.CorruptDrops != 2 {
+		t.Fatalf("duplicate and out-of-range arrivals: CorruptDrops = %d, want 2", ks[0].extra.CorruptDrops)
+	}
+	if _, _, timedOut := ks[1].syncMb.TakeTimeout(10 * sim.Millisecond); !timedOut {
+		t.Fatal("PE 1 released from a barrier PE 0 never reached")
+	}
+	arrive(ks[0], 0, 1) // claims a 1-PE barrier while PE 1 waits on the same id
+	if ks[0].extra.CorruptDrops != 3 {
+		t.Fatalf("over-arrival: CorruptDrops = %d, want 3", ks[0].extra.CorruptDrops)
+	}
+	arrive(ks[0], 0, 0)
+	if m := syncFrom(t, ks[1]); m.Op != wire.OpBarrierRelease || m.Tag != 4 {
+		t.Fatalf("release = %v", m)
+	}
+}
+
 func TestKernelUnknownOpDropped(t *testing.T) {
 	_, ks := testKernels(t, 1, nil)
 	ks[0].handle(&wire.Message{Op: wire.Op(200)})

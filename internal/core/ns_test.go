@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/gmem"
 )
 
@@ -206,5 +207,75 @@ func TestNamespaceRingDrainFilter(t *testing.T) {
 	}
 	if res.Total.NsViolations < 1 {
 		t.Errorf("kernel NsViolations = %d, want >= 1 (ring drain or message NACK)", res.Total.NsViolations)
+	}
+}
+
+// TestNamespaceHomeRefusesRanges is the kernel-side check for the range
+// operations: PE 0's region is bound at the home kernel only, so nothing
+// PE-side stands between a stray block or vector and the home's OpNsNack. A
+// range transfer used to take that answer for success — a write group marked
+// done, a read group landing stale scratch in the caller's buffer. Through the
+// one request engine it is the scalar operations' *NamespaceError: nothing
+// written, nothing recorded as completed. Lone runs travel as OpRead/OpWrite,
+// the two-block vectors as OpReadV/OpWriteV.
+func TestNamespaceHomeRefusesRanges(t *testing.T) {
+	const bw = 32
+	region := gmem.Region{Base: 8 * bw, Limit: 12 * bw}
+	outside := uint64(1 * bw) // blocks 1 and 3 are homed at kernel 1, outside the region
+	vec := []uint64{outside, outside + 2*bw}
+	for _, tr := range []TransportKind{TransportInproc, TransportSim} {
+		t.Run(string(tr), func(t *testing.T) {
+			cfg := simCfg(2)
+			cfg.Transport, cfg.GMBlockWords, cfg.RecordHistory = tr, bw, true
+			cfg.KernelShards, cfg.DirectReads, cfg.WriteRings = 1, -1, -1
+			res, err := Run(cfg, func(pe *PE) error {
+				if pe.ID() == 1 {
+					pe.k.seg.Write(outside, []int64{11, 12, 13, 14})
+					pe.k.seg.Write(vec[1], []int64{15})
+					pe.k.ns.Bind(0, region)
+					pe.Barrier()
+					pe.Barrier()
+					for i, want := range []int64{11, 12, 13, 14} {
+						if v := pe.k.seg.ReadWord(outside + uint64(i)); v != want {
+							t.Errorf("word %d outside the namespace = %d, want %d", i, v, want)
+						}
+					}
+					if v := pe.k.seg.ReadWord(vec[1]); v != 15 {
+						t.Errorf("scattered word outside the namespace = %d, want 15", v)
+					}
+					return nil
+				}
+				pe.Barrier()
+				if h := pe.HomeOf(outside); h != 1 {
+					t.Fatalf("word %d is homed at %d", outside, h)
+				}
+				check := func(op string, err error) {
+					var nsErr *NamespaceError
+					if !errors.As(err, &nsErr) || nsErr.Base != region.Base || nsErr.Limit != region.Limit {
+						t.Errorf("%s outside the namespace: %v, want *NamespaceError for [%d,%d)", op, err, region.Base, region.Limit)
+					}
+				}
+				_, err := pe.GMReadBlockErr(outside, 4)
+				check("read-block", err)
+				check("write-block", pe.GMWriteBlockErr(outside, []int64{1, 2, 3, 4}))
+				_, err = pe.GMGatherErr(vec)
+				check("gather", err)
+				check("scatter", pe.GMScatterErr(vec, []int64{5, 6}))
+				pe.Barrier()
+				return nil
+			})
+			if err != nil || res.FirstErr() != nil {
+				t.Fatal(err, res.FirstErr())
+			}
+			if res.Total.NsViolations != 4 || res.Total.NsDenials != 0 {
+				t.Errorf("NsViolations = %d, NsDenials = %d, want 4 refusals at the home and none PE-side",
+					res.Total.NsViolations, res.Total.NsDenials)
+			}
+			for _, e := range res.History.Events {
+				if e.PE == 0 && !e.Failed && (e.Kind == check.KindRead || e.Kind == check.KindWrite) {
+					t.Errorf("completed event of a refused range operation: %v", e)
+				}
+			}
+		})
 	}
 }

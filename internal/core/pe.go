@@ -369,11 +369,14 @@ func (pe *PE) takeSync() *wire.Message {
 		d = 0
 	}
 	m, ok, timedOut := takeWithin(pe.k.syncMb, d)
+	// Failures are raised as the typed errors of the request tier, so runPE
+	// reports them with their type and callers classify a Barrier, Lock or
+	// SemWait that failed with errors.As like any GM call.
 	if timedOut {
-		panic(fmt.Sprintf("core: PE %d: synchronisation wait timed out after %v", pe.k.id, d))
+		panic(&TimeoutError{PE: pe.k.id, Dst: 0, Op: "sync-wait", Attempts: 1})
 	}
 	if !ok {
-		panic(fmt.Sprintf("core: PE %d: cluster shut down during synchronisation", pe.k.id))
+		panic(&ShutdownError{PE: pe.k.id, Op: "sync-wait"})
 	}
 	if m.Op == wire.OpPeerDown {
 		// A peer died while we were blocked (kernels feed this only under

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/check"
 	"repro/internal/gmem"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -318,4 +320,133 @@ func TestSimnetLossBudgetDetectsPeer(t *testing.T) {
 	}
 	t.Logf("peer declared down after %v (budget 3 frames, timeout %v, %d retries allowed)",
 		res.Elapsed, cfg.RequestTimeout, cfg.RequestRetries)
+}
+
+// TestRetryWriteVExactlyOnce is TestRetryFetchAddExactlyOnce for a range
+// operation: scatters whose per-home requests are vectored writes cross a
+// lossy simulated medium. Before the one request engine a transfer did not
+// retry at all; now a lost OpWriteV or a lost ack is retransmitted under the
+// same Seq and the home's dedup window absorbs the duplicate, so every word
+// ends at its last round's value and the history is clean — a duplicate
+// applied late would put an older round's value back.
+func TestRetryWriteVExactlyOnce(t *testing.T) {
+	const rounds = 20
+	cfg := simCfg(3)
+	cfg.LossProbability = 0.15
+	cfg.RequestTimeout = 200 * sim.Millisecond
+	cfg.RequestRetries = 25
+	cfg.RecordHistory = true
+	res, err := Run(cfg, func(pe *PE) error {
+		bw := pe.Space().BlockWords
+		base := pe.AllocBlocks(6 * bw)
+		if pe.ID() != 2 {
+			return nil
+		}
+		// Two words in each of two blocks per remote home: one OpWriteV of two
+		// runs to kernel 0 and one to kernel 1 per scatter.
+		var addrs []uint64
+		for b := 0; b < 6; b++ {
+			if a := base + uint64(b*bw); pe.HomeOf(a) != 2 {
+				addrs = append(addrs, a, a+1)
+			}
+		}
+		vals := make([]int64, len(addrs))
+		for r := 1; r <= rounds; r++ {
+			for i := range vals {
+				vals[i] = int64(r)<<16 | int64(i)
+			}
+			if err := pe.GMScatterErr(addrs, vals); err != nil {
+				return err
+			}
+		}
+		got, err := pe.GMGatherErr(addrs)
+		if err != nil {
+			return err
+		}
+		for i := range got {
+			if got[i] != vals[i] {
+				t.Errorf("word %d = %#x, want the last round's %#x", addrs[i], got[i], vals[i])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := res.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Total.ByOp[wire.OpWriteV].Msgs < 2*rounds {
+		t.Fatalf("%d OpWriteV messages: the scatters did not travel vectored", res.Total.ByOp[wire.OpWriteV].Msgs)
+	}
+	if res.Total.Retries == 0 || res.Total.DupRequests == 0 {
+		t.Fatalf("Retries = %d, DupRequests = %d under 15%% loss: the retry path of a transfer is untested",
+			res.Total.Retries, res.Total.DupRequests)
+	}
+	if rep := check.Check(res.History); !rep.OK() {
+		t.Fatalf("history of the retried scatters:\n%s", rep)
+	}
+}
+
+// TestPeerDownNoticeMatchesInFlight pins what the request engine does with
+// the kernel's one peer-down notice per dead peer. A range transfer with
+// groups in flight to kernels 1 and 2 survives the death of kernel 3, which
+// none of its groups addresses, and fails with *PeerDownError naming kernel 1
+// the moment that one is declared dead. A notice that finds nothing in
+// flight is dropped, and the next request to that peer fails fast on the dead
+// flag, before anything is sent.
+func TestPeerDownNoticeMatchesInFlight(t *testing.T) {
+	cfg, err := (&Config{NumPE: 4, Transport: TransportInproc, KernelShards: 1, DirectReads: -1}).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := inproc.New(4)
+	t.Cleanup(net.Stop)
+	slow := &holdNode{SinkNode: net.Node(1).(transport.SinkNode)}
+	ks := []*Kernel{newKernel(0, net.Node(0), &cfg), newKernel(1, slow, &cfg),
+		newKernel(2, net.Node(2), &cfg), newKernel(3, net.Node(3), &cfg)}
+	pe := newPE(ks[0])
+	a1, a2 := remoteAddr(t, pe, 1), remoteAddr(t, pe, 2)
+	ks[2].seg.Write(a2, []int64{22})
+
+	// Kernel 1 serves its group at once, but its reply is held in its node:
+	// the transfer stays in flight with kernel 2's answer already in.
+	done := make(chan error, 1)
+	go func() {
+		_, err := pe.GMGatherErr([]uint64{a1, a2})
+		done <- err
+	}()
+	for held := 0; held == 0; time.Sleep(time.Millisecond) {
+		slow.mu.Lock()
+		held = len(slow.held)
+		slow.mu.Unlock()
+	}
+	ks[0].peerDown(3)
+	select {
+	case err := <-done:
+		t.Fatalf("transfer to kernels 1 and 2 ended by the death of kernel 3: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	ks[0].peerDown(1)
+	var down *PeerDownError
+	if err := <-done; !errors.As(err, &down) || down.Peer != 1 {
+		t.Fatalf("transfer after kernel 1 died: %v, want a *PeerDownError naming peer 1", err)
+	}
+
+	// Nothing is in flight now: kernel 2's notice is dropped by whichever
+	// request takes it, and a request to kernel 2 is refused unsent.
+	served := ks[2].shards[0].extra.ServiceByOp[wire.OpRead].Count
+	ks[0].peerDown(2)
+	if _, err := pe.GMReadErr(a2); !errors.As(err, &down) || down.Peer != 2 {
+		t.Fatalf("read from a peer declared dead: %v, want a *PeerDownError naming peer 2", err)
+	}
+	if got := ks[2].shards[0].extra.ServiceByOp[wire.OpRead].Count; got != served {
+		t.Fatalf("kernel 2 served %d reads after it was declared dead", got-served)
+	}
+	if v, err := pe.GMReadErr(pe.Alloc(1)); err != nil || v != 0 {
+		t.Fatalf("own-home read with notices queued: %d, %v", v, err)
+	}
+	if pe.extra.StaleReplies != 0 {
+		t.Fatalf("StaleReplies = %d: a peer-down notice is not a reply", pe.extra.StaleReplies)
+	}
 }

@@ -14,7 +14,10 @@
 // sync primitive added here must get the same treatment in internal/core.
 package psync
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // BarrierManager implements the central barrier: kernels send arrive
 // messages to the manager, which releases everyone when the count is full.
@@ -37,7 +40,8 @@ func NewBarrierManager(n int) *BarrierManager {
 // returns the kernels to release (in arrival order) and resets the epoch;
 // otherwise it returns nil.
 func (bm *BarrierManager) Arrive(src int, id int32) []int {
-	return bm.ArriveSized(src, id, bm.n)
+	release, _ := bm.ArriveSized(src, id, bm.n)
+	return release
 }
 
 // ArriveSized is Arrive with an explicit epoch size: the barrier releases
@@ -45,20 +49,27 @@ func (bm *BarrierManager) Arrive(src int, id int32) []int {
 // barriers use this — a job's gang spans a PE subset, so its barriers
 // complete at the group size. size <= 0 (or > n) falls back to the cluster
 // count, so a zeroed wire field means the classic full barrier.
-func (bm *BarrierManager) ArriveSized(src int, id int32, size int) []int {
+//
+// An arrival is a message from another node, so two kinds are refused — ok
+// false, nothing recorded — instead of trusted: one from a source already
+// waiting on id (a duplicate would be counted toward the barrier and release
+// it before everyone has reached it) and one that finds the epoch already at
+// or past its size (arrivals that disagree about the size).
+func (bm *BarrierManager) ArriveSized(src int, id int32, size int) (release []int, ok bool) {
 	if size <= 0 || size > bm.n {
 		size = bm.n
 	}
-	waiters := append(bm.arrived[id], src)
-	if len(waiters) > size {
-		panic(fmt.Sprintf("psync: barrier %d over-arrived (%d > %d); duplicate arrival from %d?", id, len(waiters), size, src))
+	waiters := bm.arrived[id]
+	if len(waiters) >= size || slices.Contains(waiters, src) {
+		return nil, false
 	}
+	waiters = append(waiters, src)
 	if len(waiters) == size {
 		delete(bm.arrived, id)
-		return waiters
+		return waiters, true
 	}
 	bm.arrived[id] = waiters
-	return nil
+	return nil, true
 }
 
 // Pending reports how many kernels are waiting at barrier id.

@@ -47,21 +47,40 @@ func TestBarrierReusableAcrossEpochs(t *testing.T) {
 	}
 }
 
-func TestBarrierOverArrivalPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate arrival")
-		}
-	}()
-	bm := NewBarrierManager(1)
-	bm.Arrive(0, 1) // completes immediately
-	bm.Arrive(0, 1) // fine: next epoch, completes again
-	bm2 := NewBarrierManager(3)
-	bm2.Arrive(0, 1)
-	bm2.Arrive(1, 1)
-	bm2.Arrive(2, 1)
-	bm2.arrived[1] = []int{0, 1, 2} // corrupt state to force over-arrival
-	bm2.Arrive(0, 1)
+// An arrival is a message from another node: a second one from a source
+// already waiting must not be counted toward the barrier (two arrivals from
+// PE 1 used to release a 2-PE barrier PE 0 never reached), and one past the
+// epoch's size is refused, not a panic in the process that hosts kernel 0.
+func TestBarrierRefusesDuplicateAndOverArrival(t *testing.T) {
+	bm := NewBarrierManager(2)
+	if r, ok := bm.ArriveSized(1, 1, 0); r != nil || !ok {
+		t.Fatalf("first arrival = %v, %v", r, ok)
+	}
+	if r, ok := bm.ArriveSized(1, 1, 0); r != nil || ok {
+		t.Fatalf("duplicate arrival from PE 1 = %v, %v, want refused", r, ok)
+	}
+	if bm.Pending(1) != 1 {
+		t.Fatalf("duplicate was recorded: %d waiting", bm.Pending(1))
+	}
+	if r, ok := bm.ArriveSized(0, 1, 0); !ok || len(r) != 2 || r[0] != 1 || r[1] != 0 {
+		t.Fatalf("completing arrival = %v, %v", r, ok)
+	}
+	// The source may arrive again once the epoch has been released.
+	if _, ok := bm.ArriveSized(1, 1, 0); !ok {
+		t.Fatal("arrival at the next epoch refused")
+	}
+
+	// Arrivals that disagree about the size: two wait for a third, then one
+	// claims the barrier is two wide.
+	bm3 := NewBarrierManager(4)
+	bm3.ArriveSized(0, 9, 3)
+	bm3.ArriveSized(1, 9, 3)
+	if r, ok := bm3.ArriveSized(2, 9, 2); r != nil || ok {
+		t.Fatalf("over-arrival = %v, %v, want refused", r, ok)
+	}
+	if r, ok := bm3.ArriveSized(2, 9, 3); !ok || len(r) != 3 {
+		t.Fatalf("well-formed third arrival = %v, %v", r, ok)
+	}
 }
 
 // Property: for any arrival permutation, exactly one release of size n fires
