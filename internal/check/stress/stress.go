@@ -609,7 +609,7 @@ func (w *worker) skip(addr uint64) bool {
 // skipBlock is skip for the n words at addr: a range operation that touches a
 // home already declared down is skipped whole, like a scalar.
 func (w *worker) skipBlock(addr uint64, n int) bool {
-	for i := 0; w.dead != nil && i < n; i++ {
+	for i := 0; i < n; i++ {
 		if w.skip(addr + uint64(i)) {
 			return true
 		}

@@ -77,9 +77,11 @@ type Config struct {
 	// Recommended for TransportTCP so node failures surface as errors.
 	RequestTimeout sim.Duration
 	// RequestRetries is how many times a timed-out request is retransmitted
-	// before the timeout is surfaced (0 = no retries). Retried mutating
-	// operations are applied exactly once: the home kernel's dedup window
-	// absorbs duplicates. Requires RequestTimeout > 0 to have any effect.
+	// before the timeout is surfaced (0 = no retries) — any request: a
+	// scalar operation's, each per-home request of a block, gather or
+	// scatter, a flush's, a control-plane call's. Retried mutating operations
+	// are applied exactly once: the home kernel's dedup window absorbs
+	// duplicates. Requires RequestTimeout > 0 to have any effect.
 	RequestRetries int
 	// RetryBackoff is the pause before the first retransmission, doubling
 	// per attempt (capped at 8x). 0 defaults to RequestTimeout/4.

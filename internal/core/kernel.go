@@ -100,8 +100,9 @@ type Kernel struct {
 	// (single-threaded) application context.
 	syncMb transport.Mailbox
 
-	// seqCtr allocates this kernel's request ids. Atomic so the requester
-	// hot path numbers a request without taking k.mu.
+	// seqCtr allocates this kernel's request ids: the PE's request engine,
+	// its ring writes and the shards' escrow re-offers draw from it
+	// concurrently.
 	seqCtr atomic.Uint64
 
 	// replyMb receives every reply addressed to this node, and the peer-down
@@ -166,10 +167,12 @@ type Kernel struct {
 
 // The dedup window: the home kernel remembers the last dedupWindow mutating
 // requests per requester, so a retried request (same Seq) is absorbed instead
-// of re-applied. A PE issues requests one at a time, so a window this size is
-// far deeper than any retry can reach back — which also means splitting the
-// window per shard (requests route to the shard that owns their address, and
-// a retry routes identically) cannot change what gets absorbed.
+// of re-applied. A PE has at most one request in flight per (home, shard) — a
+// scalar operation's only request, or one group of a range transfer — so a
+// window this size is far deeper than any retry can reach back — which also
+// means splitting the window per shard (requests route to the shard that owns
+// their address, and a retry routes identically) cannot change what gets
+// absorbed.
 const dedupWindow = 32
 
 const (

@@ -37,12 +37,10 @@ type PE struct {
 	ckptEpoch   uint64        // last completed checkpoint epoch
 	viewGen     uint64        // view generation: recoveries this cluster survived
 
-	// replyMb is the kernel's reply mailbox (Kernel.replyMb): every reply
-	// addressed to this node lands here and the request engine (request.go)
-	// matches it by Seq against one, the single request in flight of everything
-	// but a range transfer, or against the transfer's groups in reqs.
-	replyMb transport.Mailbox
-	one     [1]flight
+	// one is the single request in flight of everything but a range transfer
+	// (whose groups are in reqs): the request engine (request.go) matches what
+	// the kernel's reply mailbox holds against it by Seq.
+	one [1]flight
 
 	// Consistency-tier state (DESIGN.md §14). modes maps allocations to
 	// their tier; wc buffers release-mode writes between sync edges; leases
@@ -70,16 +68,15 @@ type PE struct {
 
 func newPE(k *Kernel) *PE {
 	pe := &PE{
-		k:       k,
-		app:     k.node.App(),
-		alloc:   gmem.NewAllocator(k.space),
-		replyMb: k.replyMb,
-		spans:   k.cfg.Tracing.NewRing(),
-		live:    k.cfg.LiveRTT,
-		hist:    k.cfg.recorder.PE(k.id),
-		modes:   gmem.NewModeTable(k.cfg.GMDefaultMode),
-		wc:      gmem.NewWCBuf(),
-		leases:  make(map[uint64]*leaseEntry),
+		k:      k,
+		app:    k.node.App(),
+		alloc:  gmem.NewAllocator(k.space),
+		spans:  k.cfg.Tracing.NewRing(),
+		live:   k.cfg.LiveRTT,
+		hist:   k.cfg.recorder.PE(k.id),
+		modes:  gmem.NewModeTable(k.cfg.GMDefaultMode),
+		wc:     gmem.NewWCBuf(),
+		leases: make(map[uint64]*leaseEntry),
 	}
 	pe.hist.SetClock(pe.app)
 	if rs := k.cfg.restore; rs != nil {
@@ -355,6 +352,16 @@ func (pe *PE) sendSync(op wire.Op, id int32) {
 	m.Op, m.Src, m.Tag = op, int32(pe.k.id), id
 	pe.app.Send(0, m)
 	wire.PutMessage(m)
+}
+
+// takeWithin takes the next message from mb, waiting at most d (0 = forever).
+// ok is false when the mailbox closed (cluster shutdown).
+func takeWithin(mb transport.Mailbox, d sim.Duration) (m *wire.Message, ok, timedOut bool) {
+	if d > 0 {
+		return mb.TakeTimeout(d)
+	}
+	m, ok = mb.Take()
+	return m, ok, false
 }
 
 func (pe *PE) takeSync() *wire.Message {

@@ -319,20 +319,23 @@ func (pe *PE) exchangeRuns(groups []flight, kind check.Kind, buf []int64, xfer w
 		}
 		wire.PutMessage(g.req)
 	}
-	for gi := 0; gi < len(groups) && err == nil; gi++ {
+	if err != nil {
+		return err
+	}
+	for gi := range groups {
 		if !groups[gi].moved {
 			continue
 		}
-		for i := groups[gi].lo; i < groups[gi].hi && err == nil; i++ {
+		for i := groups[gi].lo; i < groups[gi].hi; i++ {
 			r := &pe.hruns[i]
 			r.home = pe.k.homeOf(r.start)
 			pe.one[0] = flight{dst: r.home, lo: i, hi: i + 1, shard: r.shard}
-			if err = pe.exchangeRuns(pe.one[:], kind, buf, 0); err != nil {
-				err = fmt.Errorf("core: PE %d: replaying run at %d after a home migration: %w", pe.k.id, r.start, err)
+			if err := pe.exchangeRuns(pe.one[:], kind, buf, 0); err != nil {
+				return fmt.Errorf("core: PE %d: replaying run at %d after a home migration: %w", pe.k.id, r.start, err)
 			}
 		}
 	}
-	return err
+	return nil
 }
 
 // GMReadBlockErr reads n words starting at addr, splitting the range across

@@ -42,7 +42,7 @@ func TestStaleReplyDiscarded(t *testing.T) {
 	stale := wire.GetMessage()
 	stale.Op, stale.Src, stale.Seq = wire.OpReadResp, 1, 999
 	stale.PutWord(-1)
-	pe.replyMb.Put(stale)
+	ks[0].replyMb.Put(stale)
 
 	v, err := pe.GMReadErr(addr)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -203,9 +202,9 @@ func (pe *PE) await(fl []flight, transfer bool, left, round int) (int, error) {
 		var resp *wire.Message
 		ok, timedOut := true, false
 		if d <= 0 {
-			resp, ok = pe.replyMb.Take()
+			resp, ok = k.replyMb.Take()
 		} else if remaining := deadline - pe.app.Now(); remaining > 0 {
-			resp, ok, timedOut = pe.replyMb.TakeTimeout(remaining)
+			resp, ok, timedOut = k.replyMb.TakeTimeout(remaining)
 		} else {
 			timedOut = true
 		}
@@ -320,16 +319,6 @@ func (pe *PE) follow(f *flight, hint int) error {
 	m.Flags |= wire.FlagRetry
 	pe.app.Send(hint, m)
 	return nil
-}
-
-// takeWithin takes the next message from mb, waiting at most d (0 = forever).
-// ok is false when the mailbox closed (cluster shutdown).
-func takeWithin(mb transport.Mailbox, d sim.Duration) (m *wire.Message, ok, timedOut bool) {
-	if d > 0 {
-		return mb.TakeTimeout(d)
-	}
-	m, ok = mb.Take()
-	return m, ok, false
 }
 
 // replyWords returns how many payload words a well-formed reply to the read

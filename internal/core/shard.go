@@ -32,7 +32,7 @@ const ringSlots = 256
 // per-word request ordering and exactly-once dedup. Lock order: a shard lock
 // is outermost and never nested in another shard lock; under it a handler
 // may take the segment's stripe locks, escrowMu and — through its reply Send
-// — the requester's k.mu, mailboxes and logMu, none of which ever take a
+// — the requester's mailboxes and logMu, none of which ever take a
 // shard lock (DESIGN.md §11).
 type kernelShard struct {
 	k   *Kernel

@@ -97,10 +97,10 @@ const (
 	OpWriteV    // Data = runs (AppendWriteRun); Arg1 = run count; acked by OpWriteAck
 
 	// OpPeerDown is a kernel-internal notification: the transport declared
-	// kernel Src dead, failing the outstanding request Seq. It never travels
-	// the wire; the local kernel synthesises one per pending request when a
-	// peer-down event arrives.
-	OpPeerDown // Src = dead kernel, Seq = failed request
+	// kernel Src dead. It never travels the wire; the local kernel puts one
+	// where its PE waits when a peer-down event arrives, and the PE's request
+	// engine fails what it has in flight to that kernel.
+	OpPeerDown // Src = dead kernel
 
 	// Coordinated checkpoint (Chandy-Lamport-style marker round, taken at a
 	// quiesce barrier): a PE asks its own kernel to export its slice of
