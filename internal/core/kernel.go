@@ -588,26 +588,17 @@ func (k *Kernel) handle(m *wire.Message) bool {
 	// Synchronisation service.
 	case wire.OpBarrierArrive:
 		k.handleBarrierArrive(m)
-	case wire.OpLockAcquire:
-		if k.locks.Acquire(int(m.Src), m.Tag) {
-			grant := wire.GetMessage()
-			grant.Op, grant.Tag = wire.OpLockGrant, m.Tag
-			k.reply(m, grant)
+	// Like a barrier arrival, a lock or semaphore message is input from another
+	// node: one that reached a kernel other than 0 (no managers there), names
+	// no PE, re-acquires a lock its source holds or awaits, or releases one it
+	// does not hold is counted and dropped, not allowed to take kernel 0 down
+	// or to hand out a grant nobody is waiting for.
+	case wire.OpLockAcquire, wire.OpLockRelease, wire.OpSemWait, wire.OpSemPost:
+		if k.id != 0 || m.Src < 0 || int(m.Src) >= k.n {
+			k.extra.CorruptDrops++
+			break
 		}
-	case wire.OpLockRelease:
-		if next, ok := k.locks.Release(int(m.Src), m.Tag); ok {
-			k.sendTo(next, wire.OpLockGrant, m.Tag)
-		}
-	case wire.OpSemWait:
-		if k.sems.Wait(int(m.Src), m.Tag) {
-			grant := wire.GetMessage()
-			grant.Op, grant.Tag = wire.OpSemGrant, m.Tag
-			k.reply(m, grant)
-		}
-	case wire.OpSemPost:
-		if next, ok := k.sems.Post(m.Tag); ok {
-			k.sendTo(next, wire.OpSemGrant, m.Tag)
-		}
+		k.handleSync(m)
 
 	// Parallel process management (kernel 0 hosts the global table).
 	case wire.OpProcRegister:
@@ -699,6 +690,35 @@ func (k *Kernel) handle(m *wire.Message) bool {
 		k.extra.CorruptDrops++
 	}
 	return true
+}
+
+// handleSync serves kernel 0's central lock and semaphore managers.
+func (k *Kernel) handleSync(m *wire.Message) {
+	src := int(m.Src)
+	switch m.Op {
+	case wire.OpLockAcquire:
+		granted, ok := k.locks.Acquire(src, m.Tag)
+		if !ok {
+			k.extra.CorruptDrops++
+		} else if granted {
+			k.sendTo(src, wire.OpLockGrant, m.Tag)
+		}
+	case wire.OpLockRelease:
+		next, granted, ok := k.locks.Release(src, m.Tag)
+		if !ok {
+			k.extra.CorruptDrops++
+		} else if granted {
+			k.sendTo(next, wire.OpLockGrant, m.Tag)
+		}
+	case wire.OpSemWait:
+		if k.sems.Wait(src, m.Tag) {
+			k.sendTo(src, wire.OpSemGrant, m.Tag)
+		}
+	case wire.OpSemPost:
+		if next, ok := k.sems.Post(m.Tag); ok {
+			k.sendTo(next, wire.OpSemGrant, m.Tag)
+		}
+	}
 }
 
 // sendTo sends a freshly pooled grant-style message to kernel dst.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -318,5 +319,294 @@ func TestKernelProcManagement(t *testing.T) {
 	ks[0].handle(&wire.Message{Op: wire.OpProcExit, Src: 1, Seq: 3, Arg1: reg.Arg1, Arg2: 0})
 	if ack := replyFrom(t, ks[1]); ack.Op != wire.OpProcExitAck {
 		t.Fatalf("exit ack = %v", ack)
+	}
+}
+
+// noReplyFrom asserts that nothing has reached kernel k's reply mailbox.
+func noReplyFrom(t *testing.T, k *Kernel, what string) {
+	t.Helper()
+	if m, _, timedOut := k.replyMb.TakeTimeout(20 * sim.Millisecond); !timedOut {
+		t.Fatalf("%s was answered: %v", what, m)
+	}
+}
+
+// TestKernelCorruptLockMessagesDropped injects the lock messages kernel 0's
+// manager used to answer with a panic — a re-acquire by the holder, a release
+// by a PE that does not hold the lock — and the ones that fail before they
+// reach it: a second acquire by a waiter (used to be queued twice, i.e. granted
+// twice), a source that names no PE, a lock message at a kernel other than 0.
+// Each is counted in CorruptDrops and dropped, and the lock still passes
+// down its queue in order.
+func TestKernelCorruptLockMessagesDropped(t *testing.T) {
+	_, ks := testKernels(t, 3, nil)
+	send := func(k *Kernel, op wire.Op, src int32) {
+		k.handle(&wire.Message{Op: op, Src: src, Tag: 2})
+	}
+	send(ks[0], wire.OpLockAcquire, 1)
+	if m := syncFrom(t, ks[1]); m.Op != wire.OpLockGrant {
+		t.Fatalf("first acquire: %v", m)
+	}
+	send(ks[0], wire.OpLockAcquire, 2) // queues
+	for i, bad := range []struct {
+		k   *Kernel
+		op  wire.Op
+		src int32
+	}{
+		{ks[0], wire.OpLockAcquire, 1}, // holder again
+		{ks[0], wire.OpLockAcquire, 2}, // waiter again
+		{ks[0], wire.OpLockRelease, 2}, // not the holder
+		{ks[0], wire.OpLockRelease, 0}, // not the holder either
+		{ks[0], wire.OpLockAcquire, 7}, // names no PE
+		{ks[0], wire.OpSemWait, -1},    // names no PE
+	} {
+		send(bad.k, bad.op, bad.src)
+		if got := ks[0].extra.CorruptDrops; got != uint64(i+1) {
+			t.Fatalf("forged message %d (%v from %d): CorruptDrops = %d, want %d", i, bad.op, bad.src, got, i+1)
+		}
+	}
+	send(ks[1], wire.OpLockAcquire, 0)
+	send(ks[1], wire.OpSemPost, 0)
+	if ks[1].extra.CorruptDrops != 2 {
+		t.Fatalf("sync messages at kernel 1: CorruptDrops = %d, want 2", ks[1].extra.CorruptDrops)
+	}
+	send(ks[0], wire.OpLockRelease, 1)
+	if m := syncFrom(t, ks[2]); m.Op != wire.OpLockGrant || m.Tag != 2 {
+		t.Fatalf("queued acquire: %v", m)
+	}
+	send(ks[0], wire.OpLockRelease, 2)
+	for _, k := range ks[1:] {
+		if m, _, timedOut := k.syncMb.TakeTimeout(10 * sim.Millisecond); !timedOut {
+			t.Fatalf("kernel %d got a grant nobody asked for: %v", k.id, m)
+		}
+	}
+	if r := ks[0].locks.Residue(); r != 0 {
+		t.Fatalf("lock manager residue = %d, want 0", r)
+	}
+}
+
+// servedRuns is the request TestServedRangeSinglePass sends in each vectored
+// form: three runs in three blocks kernel 0 of 2 homes (default block size 32).
+var servedRuns = []struct {
+	addr  uint64
+	words []int64
+}{{3, []int64{11, 12}}, {64 + 5, []int64{21}}, {128, []int64{31, 32, 33, 34}}}
+
+func servedReq(op wire.Op, seq uint64) *wire.Message {
+	m := &wire.Message{Op: op, Src: 1, Dst: 0, Seq: seq}
+	for _, r := range servedRuns {
+		if op == wire.OpReadV {
+			m.AppendRange(r.addr, len(r.words))
+		} else {
+			m.AppendWriteRun(r.addr, r.words)
+		}
+	}
+	return m
+}
+
+// TestServedRangeSinglePass pins what a home does with a vectored request now
+// that it is decoded, located and checked once (DESIGN.md §16): each of
+// OpReadV, OpWriteV and OpFlushV, well-formed, torn, straying outside the
+// requester's namespace, touching one block that migrated away, and sent
+// twice. A corrupt request is counted exactly once and never answered; a
+// refusal is all-or-nothing — the segment untouched, one OpNsNack or
+// OpMigrateNack, the dedup entry forgotten, so the same request is served once
+// the obstacle is gone; a duplicate write is applied once and its ack resent.
+func TestServedRangeSinglePass(t *testing.T) {
+	const untouched = -7
+	for _, op := range []wire.Op{wire.OpReadV, wire.OpWriteV, wire.OpFlushV} {
+		write := op != wire.OpReadV
+		// setup returns fresh kernels whose target words hold untouched (a
+		// write) or the words a read must return.
+		setup := func(t *testing.T) (*Kernel, *Kernel, *kernelShard) {
+			_, ks := testKernels(t, 2, nil)
+			for _, r := range servedRuns {
+				ws := r.words
+				if write {
+					ws = make([]int64, len(r.words))
+					for i := range ws {
+						ws[i] = untouched
+					}
+				}
+				ks[0].seg.Write(r.addr, ws)
+			}
+			return ks[0], ks[1], ks[0].shards[0]
+		}
+		// applied reports whether the segment holds the request's words.
+		applied := func(k *Kernel) bool {
+			for _, r := range servedRuns {
+				for i, w := range k.seg.Read(r.addr, len(r.words)) {
+					if w != r.words[i] {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		// served asserts that the request was answered as a well-formed one is.
+		served := func(t *testing.T, k0, k1 *Kernel, seq uint64) {
+			t.Helper()
+			resp := replyFrom(t, k1)
+			if resp.Seq != seq {
+				t.Fatalf("reply = %v, want seq %d", resp, seq)
+			}
+			if !write {
+				want := []int64{11, 12, 21, 31, 32, 33, 34}
+				if got := resp.Words(); resp.Op != wire.OpReadVResp || !slices.Equal(got, want) {
+					t.Fatalf("reply = %v with %v, want the seven words in run order", resp, got)
+				}
+			} else if resp.Op != wire.OpWriteAck {
+				t.Fatalf("reply = %v, want an ack", resp)
+			}
+			if !applied(k0) {
+				t.Fatal("segment does not hold the request's words")
+			}
+		}
+
+		t.Run(op.String()+"/well-formed", func(t *testing.T) {
+			k0, k1, _ := setup(t)
+			k0.handle(servedReq(op, 9))
+			served(t, k0, k1, 9)
+		})
+		t.Run(op.String()+"/torn", func(t *testing.T) {
+			k0, k1, sh := setup(t)
+			torn := servedReq(op, 9)
+			torn.Data = torn.Data[:len(torn.Data)-3]
+			k0.handle(torn)
+			if sh.extra.CorruptDrops != 1 {
+				t.Fatalf("CorruptDrops = %d, want exactly 1", sh.extra.CorruptDrops)
+			}
+			noReplyFrom(t, k1, "a torn request")
+			if write && applied(k0) {
+				t.Fatal("runs decoded before the tear were applied")
+			}
+			// The retry carries the whole payload under the same Seq.
+			k0.handle(servedReq(op, 9))
+			served(t, k0, k1, 9)
+			if sh.extra.DupRequests != 0 {
+				t.Fatal("the retry of a dropped request was absorbed as a duplicate")
+			}
+		})
+		t.Run(op.String()+"/outside-namespace", func(t *testing.T) {
+			k0, k1, sh := setup(t)
+			k0.ns.Bind(1, gmem.Region{Base: 0, Limit: 100}) // the third run strays
+			k0.handle(servedReq(op, 9))
+			if nack := replyFrom(t, k1); nack.Op != wire.OpNsNack || nack.Seq != 9 || nack.Arg2 != 100 {
+				t.Fatalf("reply = %v, want OpNsNack carrying the bound region", nack)
+			}
+			noReplyFrom(t, k1, "a refused request, a second time")
+			if sh.extra.NsViolations != 1 || (write && applied(k0)) {
+				t.Fatalf("NsViolations = %d, applied = %v: want one violation and nothing applied", sh.extra.NsViolations, applied(k0))
+			}
+			k0.ns.Unbind(1)
+			k0.handle(servedReq(op, 9))
+			served(t, k0, k1, 9)
+		})
+		t.Run(op.String()+"/one-foreign-block", func(t *testing.T) {
+			k0, k1, sh := setup(t)
+			k0.dir.SetOverride(2, 1) // the second run's block lives at kernel 1 now
+			k0.handle(servedReq(op, 9))
+			if nack := replyFrom(t, k1); nack.Op != wire.OpMigrateNack || nack.Seq != 9 || nack.Arg1 != 1 {
+				t.Fatalf("reply = %v, want OpMigrateNack hinting kernel 1", nack)
+			}
+			noReplyFrom(t, k1, "a NACKed request, a second time")
+			if write && applied(k0) {
+				t.Fatal("runs ahead of the foreign block were applied")
+			}
+			k0.dir.SetOverride(2, 0)
+			k0.handle(servedReq(op, 9))
+			served(t, k0, k1, 9)
+			if sh.extra.DupRequests != 0 {
+				t.Fatal("the retry of a NACKed request was absorbed as a duplicate")
+			}
+		})
+		t.Run(op.String()+"/duplicate", func(t *testing.T) {
+			k0, k1, sh := setup(t)
+			k0.handle(servedReq(op, 9))
+			served(t, k0, k1, 9)
+			k0.seg.Write(3, []int64{untouched}) // somebody else's later store
+			dup := servedReq(op, 9)
+			dup.Flags = wire.FlagRetry
+			k0.handle(dup)
+			if resp := replyFrom(t, k1); resp.Seq != 9 {
+				t.Fatalf("reply to the duplicate = %v", resp)
+			}
+			wantDups, wantWord := uint64(1), int64(untouched)
+			if !write {
+				wantDups = 0 // a read is simply served again
+			}
+			if got := k0.seg.ReadWord(3); sh.extra.DupRequests != wantDups || got != wantWord {
+				t.Fatalf("DupRequests = %d, word 3 = %d: want %d and %d (applied once)", sh.extra.DupRequests, got, wantDups, wantWord)
+			}
+		})
+	}
+}
+
+// TestKernelCorruptRunShapesDropped serves the run shapes no PE sends: a run
+// that crosses a block boundary and a run of no words, in every request that
+// carries runs. The segment answers either with a panic (a range "spans
+// blocks") on whichever context serves — the home's serve loop on tcpnet — so
+// the located-run pass refuses them first: counted once in CorruptDrops, not
+// answered, and the dedup entry forgotten, so that the well-formed request a
+// retry carries under the same Seq is served.
+func TestKernelCorruptRunShapesDropped(t *testing.T) {
+	four := []int64{1, 2, 3, 4}
+	vec := func(op wire.Op, addr uint64, words []int64) *wire.Message {
+		m := &wire.Message{Op: op}
+		if op == wire.OpReadV {
+			m.AppendRange(2, 1) // a well-formed run ahead of the bad one
+			m.AppendRange(addr, len(words))
+		} else {
+			m.AppendWriteRun(2, four[:1])
+			m.AppendWriteRun(addr, words)
+		}
+		return m
+	}
+	scalarWrite := func(addr uint64, words []int64) *wire.Message {
+		m := &wire.Message{Op: wire.OpWrite, Addr: addr}
+		m.PutWords(words)
+		return m
+	}
+	for _, tc := range []struct {
+		name string
+		req  *wire.Message
+	}{
+		{"read/crossing", &wire.Message{Op: wire.OpRead, Addr: 30, Arg1: 4}},
+		{"read/empty", &wire.Message{Op: wire.OpRead, Addr: 32}},
+		{"read/negative", &wire.Message{Op: wire.OpRead, Addr: 3, Arg1: -1}},
+		{"write/crossing", scalarWrite(30, four)},
+		{"write/empty", scalarWrite(32, nil)},
+		{"read-v/crossing", vec(wire.OpReadV, 30, four)},
+		{"read-v/empty", vec(wire.OpReadV, 3, nil)},
+		{"write-v/crossing", vec(wire.OpWriteV, 30, four)},
+		{"write-v/empty", vec(wire.OpWriteV, 3, nil)},
+		{"flush-v/crossing", vec(wire.OpFlushV, 30, four)},
+		{"flush-v/empty", vec(wire.OpFlushV, 3, nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ks := testKernels(t, 1, nil) // every block is homed here: nothing to NACK instead
+			sh := ks[0].shards[0]
+			tc.req.Seq = 5
+			ks[0].handle(tc.req)
+			if sh.extra.CorruptDrops != 1 {
+				t.Fatalf("CorruptDrops = %d, want 1", sh.extra.CorruptDrops)
+			}
+			if v := ks[0].seg.ReadWord(2); v != 0 {
+				t.Fatalf("word 2 = %d: the run ahead of the bad one was applied", v)
+			}
+			// Not answered (a lone kernel's reply is a self-send, queued for
+			// its own serve loop), and — a mutation's — not remembered.
+			if n := ks[0].Stats().MsgsSent; n != 0 {
+				t.Fatalf("the request was answered: %d messages sent", n)
+			}
+			if isMutating(tc.req.Op) {
+				ok := scalarWrite(2, four[:1])
+				ok.Seq = 5
+				ks[0].handle(ok)
+				if sh.extra.DupRequests != 0 || ks[0].seg.ReadWord(2) != 1 {
+					t.Fatalf("DupRequests = %d, word 2 = %d: the retry was absorbed by the dropped request's dedup entry",
+						sh.extra.DupRequests, ks[0].seg.ReadWord(2))
+				}
+			}
+		})
 	}
 }

@@ -54,14 +54,9 @@ const grantRetries = 64
 
 // --- Kernel-side service (serial loop) ---
 
-// homeOf is the directory-aware home lookup: the pure block-cyclic layout
-// while the directory is static, the probe rule plus overrides otherwise.
-func (k *Kernel) homeOf(addr uint64) int {
-	if k.dir.Static() {
-		return k.space.HomeOf(addr)
-	}
-	return k.dir.HomeOf(k.space, addr)
-}
+// homeOf is the directory-aware home lookup (the pure block-cyclic layout
+// while the directory is static: gmem.Directory.HomeOfBlock).
+func (k *Kernel) homeOf(addr uint64) int { return k.dir.HomeOf(k.space, addr) }
 
 // escrowPut parks an extracted block until its commit (or epoch update).
 func (k *Kernel) escrowPut(b gmem.BlockSnapshot, dst int) {
@@ -499,6 +494,21 @@ func (pe *PE) grant(op wire.Op) (uint64, error) {
 	return 0, fmt.Errorf("core: PE %d: membership grant still busy after %d attempts", k.id, grantRetries)
 }
 
+// install is the second exchange of a handoff: inst, carrying the blocks the
+// migrate-start response start brought back, goes to their new home dst. The
+// payload is not copied — inst.Data aliases start's buffer — so start is
+// recycled only once the exchange is over: the engine retransmits inst as it
+// is after a loss, and a buffer back in the pool by then belongs to whatever
+// message took it since.
+func (pe *PE) install(dst int, inst, start *wire.Message) error {
+	inst.Data = start.Data
+	resp, err := pe.requestErr(dst, inst)
+	wire.PutMessage(inst)
+	wire.PutMessage(start)
+	wire.PutMessage(resp)
+	return err
+}
+
 // Join brings a latent PE into the active membership: its kernel takes over
 // the global-memory blocks the probe rule assigns it, handed off live by the
 // prior holder. No-op when already active. The cluster keeps serving
@@ -536,14 +546,9 @@ func (pe *PE) Join() error {
 	}
 	inst := wire.GetMessage()
 	inst.Op, inst.Arg1, inst.Arg2, inst.Addr = wire.OpMigrateInstall, migModeJoin, int64(k.id), gen
-	inst.Data = resp.Data
-	wire.PutMessage(resp)
-	iresp, err := pe.requestErr(k.id, inst)
-	wire.PutMessage(inst)
-	if err != nil {
+	if err := pe.install(k.id, inst, resp); err != nil {
 		return err
 	}
-	wire.PutMessage(iresp)
 	pe.broadcastEpoch(k.id, gmem.MemberActive, gen)
 	pe.extra.Joins++
 	return nil
@@ -588,18 +593,13 @@ func (pe *PE) Leave() error {
 	}
 	inst := wire.GetMessage()
 	inst.Op, inst.Arg1, inst.Arg2, inst.Addr = wire.OpMigrateInstall, migModeLeave, int64(k.id), gen
-	inst.Data = resp.Data
-	wire.PutMessage(resp)
-	iresp, err := pe.requestErr(succ, inst)
-	wire.PutMessage(inst)
-	if err != nil {
+	if err := pe.install(succ, inst, resp); err != nil {
 		// The handoff is stuck at our escrow; broadcast the transition anyway
 		// so the cluster converges and the escrow re-offer keeps the data
 		// reachable.
 		pe.broadcastEpoch(k.id, gmem.MemberLeft, gen)
 		return err
 	}
-	wire.PutMessage(iresp)
 	pe.broadcastEpoch(k.id, gmem.MemberLeft, gen)
 	pe.extra.Leaves++
 	return nil
@@ -641,14 +641,9 @@ func (pe *PE) MigrateRange(addr uint64, nblocks, dst int) error {
 		}
 		inst := wire.GetMessage()
 		inst.Op, inst.Arg1, inst.Addr = wire.OpMigrateInstall, migModeBlock, b*bw
-		inst.Data = resp.Data
-		wire.PutMessage(resp)
-		iresp, err := pe.requestErr(dst, inst)
-		wire.PutMessage(inst)
-		if err != nil {
+		if err := pe.install(dst, inst, resp); err != nil {
 			return err
 		}
-		wire.PutMessage(iresp)
 	}
 	for p := 0; p < k.n; p++ {
 		req := wire.GetMessage()

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/gmem"
+	"repro/internal/sim"
+	"repro/internal/transport"
+	"repro/internal/transport/inproc"
 	"repro/internal/wire"
 )
 
@@ -461,5 +464,114 @@ func TestCorruptInstallRetryNotAbsorbed(t *testing.T) {
 	}
 	if v := ks[1].seg.Read(addr, 1)[0]; v != 7 {
 		t.Fatalf("migrated value = %d, want 7", v)
+	}
+}
+
+// poisonNet is an inproc network on which PE who overwrites the payload scratch
+// of every message the pool will hand out next before it sends a
+// migrate-install: the state of the world in which, after a loss, the install
+// is sent again.
+type poisonNet struct {
+	*inproc.Net
+	who int
+}
+
+type poisonNode struct{ transport.SinkNode }
+
+type poisonPort struct{ transport.Port }
+
+func (n poisonNet) Node(i int) transport.Node {
+	if i != n.who {
+		return n.Net.Node(i)
+	}
+	return poisonNode{n.Net.Node(i).(transport.SinkNode)}
+}
+
+func (nd poisonNode) App() transport.Port { return poisonPort{nd.SinkNode.App()} }
+
+func (p poisonPort) Send(dst int, m *wire.Message) {
+	if m.Op == wire.OpMigrateInstall {
+		junk := make([]int64, 16)
+		for i := range junk {
+			junk[i] = -1
+		}
+		taken := make([]*wire.Message, 64)
+		for i := range taken {
+			taken[i] = wire.GetMessage()
+			taken[i].PutWords(junk)
+		}
+		for _, g := range taken {
+			wire.PutMessage(g)
+		}
+	}
+	p.Port.Send(dst, m)
+}
+
+// TestInstallPayloadOutlivesStartResponse is the regression test of a
+// use-after-recycle in the three membership handoffs: the install request
+// carries the migrate-start response's payload by alias, and Join, Leave and
+// MigrateRange used to put that response back into the pool BEFORE sending the
+// install (and, under loss, sending it again), so that whichever message took
+// the buffer from the pool in between wrote over the blocks in transit. The PE
+// driving the handoff poisons the pool between the two exchanges; the
+// installed blocks must hold what was written before the handoff. (The race detector randomises
+// sync.Pool, so under -race the old code is only sometimes convicted; without
+// it, always.)
+func TestInstallPayloadOutlivesStartResponse(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		latent  int
+		handoff func(pe *PE, base uint64) error
+	}{
+		{"migrate", 0, func(pe *PE, base uint64) error { return pe.MigrateRange(base, 2, 1) }},
+		{"leave", 0, func(pe *PE, _ uint64) error { return pe.Leave() }},
+		{"join", 1, func(pe *PE, _ uint64) error { return pe.Join() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The timeout turns an install that arrives corrupt, and is dropped
+			// however often it is retried, into a failure instead of a hang.
+			cfg, err := (&Config{NumPE: 2, Transport: TransportInproc, LatentPEs: tc.latent,
+				RequestTimeout: 200 * sim.Millisecond, RequestRetries: 1}).withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Any member may initiate a migration; a leaver or joiner drives
+			// its own handoff, and kernel 0 can be neither.
+			driver := 0
+			if tc.name != "migrate" {
+				driver = 1
+			}
+			res, err := runReal(&cfg, poisonNet{inproc.New(2), driver}, func(pe *PE) error {
+				bw := pe.Space().BlockWords
+				words := 4 * bw
+				base := pe.AllocBlocks(words)
+				pe.Barrier()
+				if pe.ID() == 0 {
+					for i := 0; i < words; i++ {
+						pe.GMWrite(base+uint64(i), int64(100+i))
+					}
+				}
+				pe.Barrier()
+				if pe.ID() == driver {
+					if err := tc.handoff(pe, base); err != nil {
+						return err
+					}
+				}
+				pe.Barrier()
+				for i := 0; i < words; i++ {
+					if v := pe.GMRead(base + uint64(i)); v != int64(100+i) {
+						return fmt.Errorf("PE %d: word %d = %d after the handoff, want %d", pe.ID(), i, v, 100+i)
+					}
+				}
+				pe.Barrier()
+				return nil
+			})
+			if err != nil || res.FirstErr() != nil {
+				t.Fatal(err, res.FirstErr())
+			}
+			if res.Total.MigratedBlocks == 0 {
+				t.Error("the handoff moved no blocks")
+			}
+		})
 	}
 }

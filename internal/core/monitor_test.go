@@ -448,3 +448,67 @@ func TestMonitorReplyMailboxDepth(t *testing.T) {
 		t.Fatalf("tcp: %v", err)
 	}
 }
+
+// TestMonitorGatherUnderWriterStorm reads through the stripes' seqlocks while
+// writers keep them busy. A served read takes no stripe mutex: it validates
+// against the stripe's write generation and retries, falling back to the mutex
+// only when writers keep winning (gmem.Segment.ReadRun). PE 0 gathers a word of
+// every block and reads whole blocks — a block-long window — while the home's
+// own PE stores whole blocks straight into the segment, past the shard lock the
+// reader's requests are served under, and a third PE scatters into the same
+// blocks through it. Every word read must be one some writer stored. Whether a
+// read exhausts its retries is up to the scheduler (the count is logged); that
+// the fallback returns a whole word when it does is gmem's
+// TestDirectReadFallbackUnderWriterStorm.
+func TestMonitorGatherUnderWriterStorm(t *testing.T) {
+	const blocks, rounds = gmem.SegStripes, 300
+	var fallbacks uint64
+	var stop atomic.Bool
+	cfg := Config{NumPE: 3, Transport: TransportInproc, KernelShards: 1, DirectReads: -1, WriteRings: -1}
+	cfg.testInspect = func(ks []*Kernel, _ []*PE) { fallbacks = ks[1].seg.DirectReadFallbacks() }
+	runWithin(t, 2*time.Minute, cfg, func(pe *PE) error {
+		bases := homedAt(pe, 1, blocks) // one block in every stripe
+		bw := pe.Space().BlockWords
+		addrs := make([]uint64, blocks)
+		stored := func(v int64) bool { return v == 0 || v&0xff == 1 || v&0xff == 2 }
+		pe.Barrier()
+		switch pe.ID() {
+		case 0:
+			var bad error
+			for r := 0; r < rounds && bad == nil; r++ {
+				for i, b := range bases {
+					addrs[i] = b + uint64((r+i)%bw)
+				}
+				got := append(pe.GMGather(addrs), pe.GMReadBlock(bases[r%blocks], bw)...)
+				for _, v := range got {
+					if !stored(v) {
+						bad = fmt.Errorf("round %d read %#x, a word no writer stored", r, v)
+					}
+				}
+			}
+			stop.Store(true)
+			if bad != nil {
+				return bad
+			}
+		case 1:
+			words := make([]int64, bw)
+			for i := 1; !stop.Load(); i++ {
+				for j := range words {
+					words[j] = int64(i)<<8 | 1
+				}
+				pe.GMWriteBlock(bases[i%blocks], words)
+			}
+		case 2:
+			vals := make([]int64, blocks)
+			for i := 1; !stop.Load(); i++ {
+				for j, b := range bases {
+					addrs[j], vals[j] = b+uint64((i+j)%bw), int64(i)<<8|2
+				}
+				pe.GMScatter(addrs, vals)
+			}
+		}
+		pe.Barrier()
+		return nil
+	})
+	t.Logf("served reads fell back to a stripe mutex %d times", fallbacks)
+}

@@ -74,14 +74,10 @@ func (k *Kernel) handleJobPurge(m *wire.Message) {
 }
 
 // nsDeny enforces per-job namespace isolation at the home: if the requester
-// is bound to a region, every address the request touches is scanned (the
-// same per-op walk as nackIfForeign, with the same corrupt-count clamp) and
-// a request straying outside the region is rejected whole with the typed
-// OpNsNack — before any read or write, so a forged address can never reach
-// another job's blocks, and all-or-nothing so no partial mutation lands.
-// Runs after the dedup check (a retry of an applied mutation must still be
-// absorbed) and before the migration scan (a violation is terminal; there
-// is nothing to redirect).
+// is bound to a region, every located run of the request is held against it
+// and a request straying outside is rejected whole with the typed OpNsNack —
+// before any read or write, so a forged address can never reach another job's
+// blocks, and all-or-nothing so no partial mutation lands.
 func (sh *kernelShard) nsDeny(m *wire.Message) bool {
 	k := sh.k
 	region, bound := k.ns.Lookup(int(m.Src))
@@ -89,49 +85,17 @@ func (sh *kernelShard) nsDeny(m *wire.Message) bool {
 		return false
 	}
 	violation := false
-	bw := k.space.BlockWords
-	scan := func(addr uint64, count int) {
-		if count < 1 {
-			count = 1
-		}
-		if count > bw {
-			count = bw // corrupt-count clamp, as in nackIfForeign
-		}
-		if !region.Contains(addr, count) {
+	bw := uint64(k.space.BlockWords)
+	for i := range sh.runs {
+		if r := &sh.runs[i]; !region.Contains(r.block*bw+uint64(r.off), r.count) {
 			violation = true
+			break
 		}
-	}
-	switch m.Op {
-	case wire.OpRead:
-		n := int(m.Arg1)
-		if m.Arg2 == 1 {
-			n = 1 // block fetch: one block
-		}
-		scan(m.Addr, n)
-	case wire.OpWrite:
-		scan(m.Addr, len(m.Data)/8)
-	case wire.OpFetchAdd, wire.OpCAS, wire.OpReadLease:
-		scan(m.Addr, 1)
-	case wire.OpReadV:
-		if m.EachRange(scan) != nil {
-			return false // corrupt payload: the op handler counts and drops it
-		}
-	case wire.OpWriteV, wire.OpFlushV:
-		if m.EachRunHeader(scan) != nil {
-			return false
-		}
-	default:
-		return false // invalidation traffic is not requester-addressed
 	}
 	if !violation {
 		return false
 	}
-	// Forget the in-progress dedup entry the lookup registered: the NACK is
-	// side-effect-free and simply recomputed on a retry, while a cached one
-	// would outlive a rebind that later legitimises the address range.
-	if isMutating(m.Op) {
-		sh.dedup.forget(m.Src, m.Seq)
-	}
+	sh.forget(m)
 	sh.extra.NsViolations++
 	resp := wire.GetMessage()
 	resp.Op = wire.OpNsNack

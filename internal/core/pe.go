@@ -58,12 +58,12 @@ type PE struct {
 	ns gmem.Region
 
 	// Scratch reused across calls by the hot-path operations.
-	words []int64  // decoded response payloads
-	vruns []vrun   // remote runs of the range operation being assembled
-	hruns []vrun   // the same runs, grouped by home
-	reqs  []flight // one in-flight request per remote (home, shard) group
-	fl    []uint64 // drained WC addresses (ascending) of the current flush
-	flv   []int64  // drained WC values, parallel to fl
+	words  []int64    // decoded block of a cached-mode fill
+	vruns  []vrun     // remote runs of the range operation being assembled
+	groups []runGroup // their tally per (home, shard) pair
+	reqs   []flight   // one in-flight request per non-empty group
+	fl     []uint64   // drained WC addresses (ascending) of the current flush
+	flv    []int64    // drained WC values, parallel to fl
 }
 
 func newPE(k *Kernel) *PE {
@@ -77,6 +77,7 @@ func newPE(k *Kernel) *PE {
 		modes:  gmem.NewModeTable(k.cfg.GMDefaultMode),
 		wc:     gmem.NewWCBuf(),
 		leases: make(map[uint64]*leaseEntry),
+		groups: make([]runGroup, k.n*k.groupsPerHome()),
 	}
 	pe.hist.SetClock(pe.app)
 	if rs := k.cfg.restore; rs != nil {
@@ -187,7 +188,7 @@ func (pe *PE) flushWC(fenceInv sim.Time) {
 	})
 	pe.extra.WCFlushes++
 	// One run per stretch of consecutive addresses inside one block.
-	pe.vruns = pe.vruns[:0]
+	pe.resetRuns()
 	bw := uint64(k.space.BlockWords)
 	for i := 0; i < len(pe.fl); {
 		addr := pe.fl[i]
@@ -200,25 +201,29 @@ func (pe *PE) flushWC(fenceInv sim.Time) {
 		i = j
 	}
 	ok := true
-	pe.groupRunsByHome()
-	for gi := range pe.reqs {
-		g := &pe.reqs[gi]
-		err := pe.exchangeRuns(pe.reqs[gi:gi+1], check.KindFlush, pe.flv, 0)
+	pe.buildReqs(check.KindFlush, pe.flv)
+	for fi := range pe.reqs {
+		err := pe.exchange(pe.reqs[fi:fi+1], 0)
 		if err == nil {
 			continue
 		}
 		ok = false
 		var down *PeerDownError
-		if !errors.As(err, &down) {
-			// The home may still be alive: keep its words buffered and
-			// retry this part of the flush at the next sync edge.
-			for _, r := range pe.hruns[g.lo:g.hi] {
-				for w := 0; w < r.count; w++ {
-					pe.wc.Put(r.start+uint64(w), pe.flv[r.off+w])
-				}
+		if errors.As(err, &down) {
+			continue
+		}
+		// The home may still be alive: keep its words buffered and retry this
+		// part of the flush at the next sync edge.
+		for _, r := range pe.vruns {
+			if pe.groups[r.group].flight != fi {
+				continue
+			}
+			for w := 0; w < r.count; w++ {
+				pe.wc.Put(r.start+uint64(w), pe.flv[r.off+w])
 			}
 		}
 	}
+	pe.recycleReqs()
 	if ok {
 		pe.hist.Close(h, 0, true)
 	}

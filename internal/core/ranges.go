@@ -11,11 +11,23 @@ import (
 // vrun is one single-home run of a range operation. A run never crosses a
 // block boundary, so it also has a single home-side shard.
 type vrun struct {
-	home  int
-	shard int // home-side kernel shard owning this run's block
+	group int // its request's (home, shard) pair: index into pe.groups
 	start uint64
 	count int
 	off   int // word offset within the operation's buffer
+}
+
+// runGroup tallies, as addRun collects them, the remote runs of a range
+// operation that one request will carry. pe.groups holds one per (home, shard)
+// pair in the order the requests leave — on the real transports, where a
+// request lands wholly in one shard and touches only state its lock guards, so
+// that a gather spanning k shards of a home becomes k requests. Under
+// simulation there is one group per home, stamped with its first run's shard:
+// the handlers don't care, the engine serialises every table a request touches.
+type runGroup struct {
+	runs, words int
+	shard       int // home-side shard of the group's first run
+	flight      int // the group's request: index into pe.reqs (buildReqs)
 }
 
 // rangeOp is the range executor: one block (addrs == nil: the len(buf) words
@@ -113,7 +125,7 @@ func (pe *PE) rangeRun(kind check.Kind, mode gmem.Mode, addr uint64, addrs []uin
 	if !write && mode == gmem.ModeLease {
 		err = pe.leaseRead(buf, addr, h)
 	} else {
-		pe.vruns = pe.vruns[:0]
+		pe.resetRuns()
 		if addrs != nil {
 			for i, a := range addrs {
 				m := mode
@@ -177,10 +189,27 @@ func (pe *PE) closeRange(h int, kind check.Kind, buf []int64) {
 	}
 }
 
+// groupsPerHome is how many requests a range operation may make of one home:
+// one per home-side shard on the real transports, one under simulation (see
+// runGroup).
+func (k *Kernel) groupsPerHome() int {
+	if k.simulated {
+		return 1
+	}
+	return k.nshards
+}
+
+// resetRuns empties the run list and the tallies for the next range operation.
+func (pe *PE) resetRuns() {
+	pe.vruns = pe.vruns[:0]
+	clear(pe.groups)
+}
+
 // addRun routes one single-home run of a range operation on words in mode:
 // served from this kernel's own segment right away when resolve allows it,
-// otherwise queued in pe.vruns for its home's request (RemoteGM counts remote
-// runs, not words). off locates the run's words in buf.
+// otherwise queued in pe.vruns and tallied in its group for that group's
+// request (RemoteGM counts remote runs, not words). A run is resolved here and
+// nowhere else. off locates the run's words in buf.
 func (pe *PE) addRun(kind check.Kind, mode gmem.Mode, buf []int64, start uint64, count, off int) {
 	k := pe.k
 	write := kind != check.KindRead
@@ -195,88 +224,103 @@ func (pe *PE) addRun(kind check.Kind, mode gmem.Mode, buf []int64, start uint64,
 		return
 	}
 	pe.extra.RemoteGM++
-	pe.vruns = append(pe.vruns, vrun{
-		home: home, shard: k.space.ShardOf(start, k.nshards),
-		start: start, count: count, off: off,
-	})
+	shard, per := k.space.ShardOf(start, k.nshards), k.groupsPerHome()
+	gi := home*per + shard%per
+	g := &pe.groups[gi]
+	if g.runs == 0 {
+		g.shard = shard
+	}
+	g.runs++
+	g.words += count
+	pe.vruns = append(pe.vruns, vrun{group: gi, start: start, count: count, off: off})
 	if write {
 		pe.cacheDrop(start)
 	}
 }
 
-// groupRunsByHome regroups pe.vruns into pe.hruns ordered by home (and, on
-// the real transports, by shard within each home, so each sub-request lands
-// wholly in one shard and touches only state its lock guards), with one
-// pe.reqs entry per group. Runs keep their relative (ascending-address) order
-// within each group. A group is one flight of the request engine: on the real
-// transports a gather spanning k shards of a home becomes k requests, each
-// served under one shard lock. Under simulation a single per-home request is still
-// stamped with its first run's shard — the handlers don't care, the engine
-// serialises every table the request touches.
-func (pe *PE) groupRunsByHome() {
-	pe.hruns = pe.hruns[:0]
+// buildReqs is the one place the queued runs become wire requests: one flight
+// of the request engine per non-empty group, in (home, shard) order, and then
+// every run written into its group's request, so runs keep their relative
+// (ascending-address) order there. The caller recycles the messages
+// (recycleReqs).
+func (pe *PE) buildReqs(kind check.Kind, buf []int64) {
 	pe.reqs = pe.reqs[:0]
-	nsh := 1
-	if !pe.k.simulated {
-		nsh = pe.k.nshards
-	}
-	for home := 0; home < pe.k.n; home++ {
-		for s := 0; s < nsh; s++ {
-			lo := len(pe.hruns)
-			for _, r := range pe.vruns {
-				if r.home != home || (nsh > 1 && r.shard != s) {
-					continue
-				}
-				pe.hruns = append(pe.hruns, r)
-			}
-			if hi := len(pe.hruns); hi > lo {
-				pe.reqs = append(pe.reqs, flight{dst: home, lo: lo, hi: hi, shard: pe.hruns[lo].shard})
-			}
+	per := pe.k.groupsPerHome()
+	for gi := range pe.groups {
+		if g := &pe.groups[gi]; g.runs > 0 {
+			g.flight = len(pe.reqs)
+			pe.reqs = append(pe.reqs, flight{req: runReq(kind, g.runs, g.words, g.shard), dst: gi / per})
 		}
+	}
+	var f *flight
+	for i := range pe.vruns {
+		r := &pe.vruns[i]
+		if i == 0 || r.group != pe.vruns[i-1].group {
+			f = pe.flightOf(r)
+		}
+		putRun(f.req, r, buf)
 	}
 }
 
-// buildReq is the one place a group of runs becomes a wire request: a lone
-// run travels as the scalar OpRead/OpWrite, several as one vectored request,
-// and a flush always as OpFlushV (the home counts it as a publication even
-// for a single run). The caller recycles the message.
-func (pe *PE) buildReq(g *flight, kind check.Kind, buf []int64) *wire.Message {
-	runs := pe.hruns[g.lo:g.hi]
+// flightOf returns the request run r travels in, once buildReqs has made it.
+func (pe *PE) flightOf(r *vrun) *flight { return &pe.reqs[pe.groups[r.group].flight] }
+
+// runReq returns the empty request for runs runs of words words in all, bound
+// for the given home-side shard: a lone run travels as the scalar
+// OpRead/OpWrite, several as one vectored request whose payload is reserved
+// here, once, and a flush always as OpFlushV (the home counts it as a
+// publication even for a single run).
+func runReq(kind check.Kind, runs, words, shard int) *wire.Message {
 	req := wire.GetMessage()
-	req.Shard = uint8(g.shard)
-	switch r := runs[0]; {
+	req.Shard = uint8(shard)
+	switch {
 	case kind == check.KindFlush:
 		req.Op = wire.OpFlushV
-	case len(runs) > 1 && kind == check.KindRead:
-		req.Op = wire.OpReadV
-	case len(runs) > 1:
-		req.Op = wire.OpWriteV
+	case runs == 1 && kind == check.KindRead:
+		req.Op = wire.OpRead
+		return req
+	case runs == 1:
+		req.Op = wire.OpWrite
+		return req
 	case kind == check.KindRead:
-		req.Op, req.Addr, req.Arg1 = wire.OpRead, r.start, int64(r.count)
-		return req
+		req.Op, words = wire.OpReadV, 0
 	default:
-		req.Op, req.Addr = wire.OpWrite, r.start
-		req.PutWords(buf[r.off : r.off+r.count])
-		return req
+		req.Op = wire.OpWriteV
 	}
-	for _, r := range runs {
-		if kind == check.KindRead {
-			req.AppendRange(r.start, r.count)
-		} else {
-			req.AppendWriteRun(r.start, buf[r.off:r.off+r.count])
-		}
-	}
+	req.ReserveRuns(runs, words)
 	return req
 }
 
-// landReply scatters a read reply's words into buf at the group's runs (the
-// request engine has checked that it carries exactly the words they asked for).
-func (pe *PE) landReply(g *flight, buf []int64) {
-	pe.words = g.resp.WordsInto(pe.words)
-	woff := 0
-	for _, r := range pe.hruns[g.lo:g.hi] {
-		copy(buf[r.off:r.off+r.count], pe.words[woff:woff+r.count])
-		woff += r.count
+// putRun writes run r into req, its group's request.
+func putRun(req *wire.Message, r *vrun, buf []int64) {
+	switch req.Op {
+	case wire.OpRead:
+		req.Addr, req.Arg1 = r.start, int64(r.count)
+	case wire.OpWrite:
+		req.Addr = r.start
+		req.PutWords(buf[r.off : r.off+r.count])
+	case wire.OpReadV:
+		req.AppendRange(r.start, r.count)
+	default:
+		req.AppendWriteRun(r.start, buf[r.off:r.off+r.count])
+	}
+}
+
+// landRun decodes run r's words from f's read reply straight into buf (the
+// request engine has checked that the reply carries exactly the words its runs
+// asked for, and they arrive in the order the runs were written).
+func landRun(r *vrun, f *flight, buf []int64) {
+	wire.DecodeWords(buf[r.off:r.off+r.count], f.resp.Data[8*f.landed:])
+	f.landed += r.count
+}
+
+// recycleReqs returns the requests of pe.reqs and their replies to the pool.
+func (pe *PE) recycleReqs() {
+	for i := range pe.reqs {
+		f := &pe.reqs[i]
+		wire.PutMessage(f.req)
+		wire.PutMessage(f.resp)
+		f.req, f.resp = nil, nil
 	}
 }
 
@@ -284,7 +328,12 @@ func (pe *PE) landReply(g *flight, buf []int64) {
 // (home, shard) group, all sent before the first reply is awaited — the DSE
 // kernel's asynchronous-I/O design lets a process keep several requests in
 // flight, so the per-home round trips overlap, and the transfer, not each
-// request, is the observable unit of wait time, latency and tracing.
+// request, is the observable unit of wait time, latency and tracing (see
+// exchange). A group its home refused whole because one of its blocks migrated
+// away (all-or-nothing, so nothing of it was applied) comes back marked moved
+// and is re-issued run by run, each routed by the live directory and following
+// its own redirects — rare (at most once per group per overlapping migration),
+// so the lost pipelining does not matter.
 func (pe *PE) transfer(kind check.Kind, buf []int64) error {
 	if len(pe.vruns) == 0 {
 		return nil
@@ -293,49 +342,54 @@ func (pe *PE) transfer(kind check.Kind, buf []int64) error {
 	if kind != check.KindRead {
 		op = wire.OpWriteV
 	}
-	pe.groupRunsByHome()
-	return pe.exchangeRuns(pe.reqs, kind, buf, op)
-}
-
-// exchangeRuns builds the requests of groups, sends them through the request
-// engine as one exchange (accounted under xfer, see there) and lands the read
-// replies. A group its home refused whole because one of its blocks migrated
-// away (all-or-nothing, so nothing of it was applied) comes back marked moved
-// and is re-issued run by run, each routed by the live directory and following
-// its own redirects — rare (at most once per group per overlapping migration),
-// so the lost pipelining does not matter.
-func (pe *PE) exchangeRuns(groups []flight, kind check.Kind, buf []int64, xfer wire.Op) error {
-	for i := range groups {
-		groups[i].req = pe.buildReq(&groups[i], kind, buf)
-	}
-	err := pe.exchange(groups, xfer)
-	for i := range groups {
-		g := &groups[i]
-		if g.resp != nil {
-			if kind == check.KindRead {
-				pe.landReply(g, buf)
+	pe.buildReqs(kind, buf)
+	err := pe.exchange(pe.reqs, op)
+	if err == nil && kind == check.KindRead {
+		var f *flight
+		for i := range pe.vruns {
+			r := &pe.vruns[i]
+			if i == 0 || r.group != pe.vruns[i-1].group {
+				f = pe.flightOf(r)
 			}
-			wire.PutMessage(g.resp)
+			if !f.moved {
+				landRun(r, f, buf)
+			}
 		}
-		wire.PutMessage(g.req)
 	}
-	if err != nil {
+	moved := false
+	for i := range pe.reqs {
+		moved = moved || pe.reqs[i].moved
+	}
+	pe.recycleReqs()
+	if err != nil || !moved {
 		return err
 	}
-	for gi := range groups {
-		if !groups[gi].moved {
+	for i := range pe.vruns {
+		r := &pe.vruns[i]
+		if !pe.flightOf(r).moved {
 			continue
 		}
-		for i := groups[gi].lo; i < groups[gi].hi; i++ {
-			r := &pe.hruns[i]
-			r.home = pe.k.homeOf(r.start)
-			pe.one[0] = flight{dst: r.home, lo: i, hi: i + 1, shard: r.shard}
-			if err := pe.exchangeRuns(pe.one[:], kind, buf, 0); err != nil {
-				return fmt.Errorf("core: PE %d: replaying run at %d after a home migration: %w", pe.k.id, r.start, err)
-			}
+		if err := pe.replayRun(r, kind, buf); err != nil {
+			return fmt.Errorf("core: PE %d: replaying run at %d after a home migration: %w", pe.k.id, r.start, err)
 		}
 	}
 	return nil
+}
+
+// replayRun re-issues run r, whose group was refused whole, as a request of
+// its own to the home the live directory now names.
+func (pe *PE) replayRun(r *vrun, kind check.Kind, buf []int64) error {
+	k := pe.k
+	f := &pe.one[0]
+	*f = flight{req: runReq(kind, 1, r.count, k.space.ShardOf(r.start, k.nshards)), dst: k.homeOf(r.start)}
+	putRun(f.req, r, buf)
+	err := pe.exchange(pe.one[:], 0)
+	if err == nil && kind == check.KindRead {
+		landRun(r, f, buf)
+	}
+	wire.PutMessage(f.req)
+	wire.PutMessage(f.resp)
+	return err
 }
 
 // GMReadBlockErr reads n words starting at addr, splitting the range across

@@ -26,10 +26,7 @@ type flight struct {
 
 	bounces int  // redirects followed chasing a migrating home
 	moved   bool // a several-run request NACKed whole: its issuer re-issues it run by run
-
-	// A range operation's group: pe.hruns[lo:hi] travel in this request, to
-	// the home-side shard stamped into its header.
-	shard, lo, hi int
+	landed  int  // words of a range read's reply already in the caller's buffer
 }
 
 // request sends m to kernel dst and blocks until the response arrives in the
@@ -333,10 +330,7 @@ func (k *Kernel) replyWords(req *wire.Message) int {
 	case wire.OpReadLease:
 		return k.space.BlockWords
 	case wire.OpReadV:
-		n := 0
-		if req.EachRange(func(_ uint64, count int) { n += count }) == nil {
-			return n
-		}
+		return int(req.Arg1) // what AppendRange summed as the request was built
 	}
 	return -1
 }

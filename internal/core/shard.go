@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"slices"
 	"sync"
 
 	"repro/internal/ckpt"
@@ -70,11 +70,21 @@ type kernelShard struct {
 	spans *trace.SpanRing
 
 	// Handler scratch, reused across requests.
+	runs     []locRun    // the request being served, located (locate)
+	nwords   int         // words in runs
 	wscratch []int64     // payload words
-	vscratch []int64     // per-run words of a vectored write
-	raddrs   []uint64    // decoded vectored-read range starts
-	rcounts  []int       // decoded vectored-read range lengths
 	stale    []gmem.Copy // cached copies the request being served made stale
+}
+
+// locRun is one run of the request a shard is serving, decoded, located and
+// checked once by locate: count words from word off of block, a block the run
+// does not leave. (No pointers and no more than four fields: filling the list
+// costs no write barriers and no detour through the stack.)
+type locRun struct {
+	block uint64
+	off   int
+	count int
+	at    int // a write's words, still encoded, start at this byte of the payload
 }
 
 func newKernelShard(k *Kernel, idx int, rings bool) *kernelShard {
@@ -298,13 +308,34 @@ func (sh *kernelShard) drainRing() int {
 
 // handleGM services one GM request routed to this shard. Every GM handler
 // consumes its message; the caller holds the shard lock and recycles m.
+//
+// A request for memory is decoded, located and checked once (DESIGN.md §16):
+// locate parses it into sh.runs, and the namespace guard, the ownership scan
+// and the handler all walk that list. The order of the checks is part of the
+// protocol: the dedup window first, so that the retry of a mutation this
+// kernel applied just before handing the block away is answered from the
+// cached response instead of being NACKed toward the new home and applied a
+// second time there; then the shape, the namespace (a violation is terminal,
+// there is nothing to redirect) and the ownership — each of which refuses the
+// request whole, before anything of it is applied, and forgets its dedup entry
+// so that a retry is judged afresh.
 func (sh *kernelShard) handleGM(m *wire.Message) {
+	switch m.Op {
+	case wire.OpInvalidate: // invalidation traffic is not home-routed
+		sh.handleInvalidate(m)
+		return
+	case wire.OpInvAck:
+		sh.handleInvAck(m)
+		return
+	}
 	if isMutating(m.Op) && sh.dedupCheck(m) {
-		// Duplicate: absorbed by the shard's dedup window. The dedup check
-		// deliberately runs BEFORE the ownership check, so the retry of a
-		// mutation this kernel applied just before handing the block away is
-		// answered from the cached response instead of being NACKed toward
-		// the new home and applied a second time there.
+		return // duplicate: absorbed by the shard's dedup window
+	}
+	if !sh.locate(m) {
+		// Corrupt request: dropped unanswered (the requester's timeout and retry
+		// own recovery) with nothing of it applied.
+		sh.extra.CorruptDrops++
+		sh.forget(m)
 		return
 	}
 	if sh.nsDeny(m) {
@@ -314,101 +345,112 @@ func (sh *kernelShard) handleGM(m *wire.Message) {
 		return // block migrated away: requester redirects to the hinted home
 	}
 	switch m.Op {
-	case wire.OpRead:
+	case wire.OpRead, wire.OpReadV:
 		sh.handleRead(m)
-	case wire.OpReadV:
-		sh.handleReadV(m)
 	case wire.OpWrite, wire.OpWriteV, wire.OpFlushV, wire.OpFetchAdd, wire.OpCAS:
 		sh.handleMutation(m)
 	case wire.OpReadLease:
 		sh.handleReadLease(m)
-	case wire.OpInvalidate:
-		sh.handleInvalidate(m)
-	case wire.OpInvAck:
-		sh.handleInvAck(m)
 	}
 }
 
-// nackIfForeign pre-scans every block a GM request touches against the live
-// membership directory and, if any is not homed here, NACKs the whole
-// message with the first foreign block's new home as the redirect hint —
-// before any mutation, so a multi-block request is all-or-nothing (a partial
-// apply followed by a whole-message retry at the new home would double-apply
-// the runs that had already landed here). Escrowed foreign blocks are
-// re-offered to their destination on the way, which is how a migration whose
-// initiator died heals through normal traffic.
+// forget lets go of the in-progress dedup entry the lookup registered for a
+// mutating request that is refused or dropped with nothing applied: a refusal
+// is side-effect-free and recomputed on a retry, while a kept entry would
+// absorb every retry — of a NACKed request once the block has landed here, of
+// a namespace refusal after a rebind, of a payload torn in flight.
+func (sh *kernelShard) forget(m *wire.Message) {
+	if isMutating(m.Op) {
+		sh.dedup.forget(m.Src, m.Seq)
+	}
+}
+
+// locate decodes the runs of request m into sh.runs, the one time its payload
+// is parsed. A request is input from another node: locate reports false for a
+// payload that does not parse and for a run that has no words or leaves its
+// block — the segment would answer the latter with a panic on whichever
+// context serves, on tcpnet the home's serve loop.
+func (sh *kernelShard) locate(m *wire.Message) bool {
+	sh.runs, sh.nwords = sh.runs[:0], 0
+	switch m.Op {
+	case wire.OpRead:
+		if m.Arg2 == 1 {
+			return sh.addRun(m.Addr, 1, 0) // block fetch of a cached-mode read: any word of the block
+		}
+		return sh.addRun(m.Addr, uint64(m.Arg1), 0)
+	case wire.OpWrite:
+		return len(m.Data)%8 == 0 && sh.addRun(m.Addr, uint64(len(m.Data)/8), 0)
+	case wire.OpFetchAdd, wire.OpCAS, wire.OpReadLease:
+		return sh.addRun(m.Addr, 1, 0)
+	case wire.OpReadV:
+		for p := m.Data; len(p) > 0; {
+			addr, count, rest, ok := wire.TakeRange(p)
+			if !ok || !sh.addRun(addr, count, 0) {
+				return false
+			}
+			p = rest
+		}
+	case wire.OpWriteV, wire.OpFlushV:
+		for p := m.Data; len(p) > 0; {
+			addr, words, rest, ok := wire.TakeWriteRun(p)
+			if !ok || !sh.addRun(addr, uint64(len(words)/8), len(m.Data)-len(rest)-len(words)) {
+				return false
+			}
+			p = rest
+		}
+	}
+	return true
+}
+
+// addRun locates one run and adds it to sh.runs, unless it has no words or
+// leaves its block. count is untrusted and compared before any arithmetic that
+// could overflow.
+func (sh *kernelShard) addRun(addr, count uint64, at int) bool {
+	bw := uint64(sh.k.space.BlockWords)
+	off := addr % bw
+	if count == 0 || count > bw-off {
+		return false
+	}
+	sh.runs = append(sh.runs, locRun{block: addr / bw, off: int(off), count: int(count), at: at})
+	sh.nwords += int(count)
+	return true
+}
+
+// nackIfForeign checks every run's block against the live membership
+// directory — one lookup per run, none for a block that repeats — and, if any
+// is not homed here, NACKs the whole message with the first foreign block's new
+// home as the redirect hint, before any mutation, so a multi-block request is
+// all-or-nothing (a partial apply followed by a whole-message retry at the new
+// home would double-apply the runs that had already landed here). Escrowed
+// foreign blocks are re-offered to their destination on the way, which is how
+// a migration whose initiator died heals through normal traffic.
 //
 // The scan runs even while this kernel's own directory is still static: a
 // requester that learned a new-home hint can redirect a request here BEFORE
 // our install arrives, and applying it into a lazily-created block would
 // lose the write when the install's payload adopts over it. Bouncing it
 // (hint: the probe-rule home) until the data lands keeps it exactly-once.
-// The cost on the static hot path is one directory lookup per touched block
-// for scalar ops and an O(runs) header walk for vectored ones.
 func (sh *kernelShard) nackIfForeign(m *wire.Message) bool {
 	k := sh.k
-	foreign := -1
-	bw := uint64(k.space.BlockWords)
-	scan := func(addr uint64, count int) {
-		if count < 1 {
-			count = 1
+	foreign, owned := -1, false
+	for i := range sh.runs {
+		b := sh.runs[i].block
+		if i == 0 || b != sh.runs[i-1].block {
+			owned = k.dir.Owns(k.id, b)
 		}
-		// Clamp to one block's worth of words: every legitimate range fits
-		// inside a single block (the PE-side run splitters never cross a
-		// block boundary, and gmem's checkHome enforces it server-side), so
-		// the clamp is a no-op for valid traffic. Without it a corrupt
-		// count — this scan runs BEFORE the op handler's own bounds checks —
-		// would spin the server through up to count/BlockWords directory
-		// lookups.
-		if count > int(bw) {
-			count = int(bw)
-		}
-		last := (addr + uint64(count) - 1) / bw
-		for b := addr / bw; b <= last; b++ {
-			if !k.dir.Owns(k.id, b) {
-				if foreign < 0 {
-					foreign = k.dir.HomeOfBlock(b)
-				}
-				sh.reOffer(b)
+		if !owned {
+			if foreign < 0 {
+				foreign = k.dir.HomeOfBlock(b)
 			}
+			sh.reOffer(b)
 		}
-	}
-	switch m.Op {
-	case wire.OpRead:
-		n := int(m.Arg1)
-		if m.Arg2 == 1 {
-			n = 1 // block fetch of a cached-mode read: one block
-		}
-		scan(m.Addr, n)
-	case wire.OpWrite:
-		scan(m.Addr, len(m.Data)/8)
-	case wire.OpFetchAdd, wire.OpCAS:
-		scan(m.Addr, 1)
-	case wire.OpReadV:
-		if m.EachRange(func(addr uint64, count int) { scan(addr, count) }) != nil {
-			return false // corrupt payload: the op handler counts and drops it
-		}
-	case wire.OpWriteV, wire.OpFlushV:
-		if m.EachRunHeader(func(addr uint64, count int) { scan(addr, count) }) != nil {
-			return false
-		}
-	case wire.OpReadLease:
-		scan(m.Addr, 1)
-	default:
-		return false // invalidation traffic is not home-routed
 	}
 	if foreign < 0 {
 		return false
 	}
-	// The NACK is deliberately NOT cached in the dedup window: forgetting
-	// the in-progress entry the lookup just registered means a retry is
-	// re-evaluated — and applied — once the block lands here, instead of
-	// being answered from a stale cached NACK forever. A retry after a LOST
-	// NACK simply recomputes it (side-effect-free; re-offers are
-	// idempotent).
-	if isMutating(m.Op) {
-		sh.dedup.forget(m.Src, m.Seq)
-	}
+	// The NACK is deliberately NOT cached in the dedup window (see forget). A
+	// retry after a LOST NACK simply recomputes it (re-offers are idempotent).
+	sh.forget(m)
 	resp := wire.GetMessage()
 	resp.Op, resp.Arg1 = wire.OpMigrateNack, int64(foreign)
 	resp.Src, resp.Dst, resp.Seq = int32(k.id), m.Src, m.Seq
@@ -480,37 +522,32 @@ func (sh *kernelShard) reply(m *wire.Message, resp *wire.Message) {
 	wire.PutMessage(resp)
 }
 
+// scratch returns the payload-word scratch, sized to n words.
+func (sh *kernelShard) scratch(n int) []int64 {
+	sh.wscratch = slices.Grow(sh.wscratch[:0], n)[:n]
+	return sh.wscratch
+}
+
+// handleRead serves a read, scalar or vectored: the words of every run,
+// gathered into one response payload.
 func (sh *kernelShard) handleRead(m *wire.Message) {
-	if m.Arg2 == 1 {
+	resp := wire.GetMessage()
+	resp.Op, resp.Addr = wire.OpReadResp, m.Addr
+	if m.Op == wire.OpReadV {
+		resp.Op = wire.OpReadVResp
+	}
+	if m.Op == wire.OpRead && m.Arg2 == 1 {
 		// Block fetch of a cached-mode read: return the whole block and record
 		// the reader in the directory.
 		sh.wscratch = sh.k.seg.ReadBlockFor(sh.wscratch[:0], m.Addr, int(m.Src))
 	} else {
-		sh.wscratch = sh.k.seg.ReadAppend(sh.wscratch[:0], m.Addr, int(m.Arg1))
+		ws, at := sh.scratch(sh.nwords), 0
+		for i := range sh.runs {
+			r := &sh.runs[i]
+			sh.k.seg.ReadRun(ws[at:at+r.count], r.block, r.off)
+			at += r.count
+		}
 	}
-	resp := wire.GetMessage()
-	resp.Op, resp.Addr = wire.OpReadResp, m.Addr
-	resp.PutWords(sh.wscratch)
-	sh.reply(m, resp)
-}
-
-// handleReadV serves a vectored read: every requested range, gathered into
-// one response payload.
-func (sh *kernelShard) handleReadV(m *wire.Message) {
-	sh.raddrs = sh.raddrs[:0]
-	sh.rcounts = sh.rcounts[:0]
-	if err := m.EachRange(func(addr uint64, count int) {
-		sh.raddrs = append(sh.raddrs, addr)
-		sh.rcounts = append(sh.rcounts, count)
-	}); err != nil {
-		// Corrupt vectored-read payload: drop without replying (the
-		// requester's timeout/retry machinery owns recovery).
-		sh.extra.CorruptDrops++
-		return
-	}
-	sh.wscratch = sh.k.seg.ReadV(sh.wscratch[:0], sh.raddrs, sh.rcounts)
-	resp := wire.GetMessage()
-	resp.Op, resp.Addr = wire.OpReadVResp, m.Addr
 	resp.PutWords(sh.wscratch)
 	sh.reply(m, resp)
 }
@@ -527,17 +564,9 @@ func (sh *kernelShard) handleMutation(m *wire.Message) {
 	seg, writer := sh.k.seg, int(m.Src)
 	sh.stale = sh.stale[:0]
 	respOp, arg1, arg2 := wire.OpWriteAck, int64(0), int64(0)
-	var err error
 	switch m.Op {
-	case wire.OpWrite:
-		if len(m.Data)%8 != 0 {
-			err = errTornPayload // WordsInto would panic
-			break
-		}
-		sh.wscratch = m.WordsInto(sh.wscratch)
-		seg.WriteShared(m.Addr, sh.wscratch, writer, &sh.stale)
-	case wire.OpWriteV, wire.OpFlushV:
-		err = sh.applyRuns(m)
+	case wire.OpWrite, wire.OpWriteV, wire.OpFlushV:
+		sh.applyRuns(m)
 	case wire.OpFetchAdd:
 		respOp, arg1 = wire.OpFetchAddResp, seg.FetchAddShared(m.Addr, m.Arg1, writer, &sh.stale)
 	case wire.OpCAS:
@@ -547,20 +576,15 @@ func (sh *kernelShard) handleMutation(m *wire.Message) {
 			arg2 = 1
 		}
 	}
-	switch {
-	case err != nil:
-		// Corrupt payload: not acked, so the requester treats the request as
-		// lost and retries (runs decoded before the corruption were applied).
-		sh.extra.CorruptDrops++
-	case len(sh.stale) != 0 && !sh.k.cfg.FaultDropInvalidations:
+	if len(sh.stale) != 0 && !sh.k.cfg.FaultDropInvalidations {
 		// (The TEST-ONLY fault acknowledges without invalidating: readers keep
 		// serving stale values, which the consistency checker must flag.)
 		sh.openRound(m, respOp, arg1, arg2)
-	default:
-		resp := wire.GetMessage()
-		resp.Op, resp.Arg1, resp.Arg2 = respOp, arg1, arg2
-		sh.reply(m, resp)
+		return
 	}
+	resp := wire.GetMessage()
+	resp.Op, resp.Arg1, resp.Arg2 = respOp, arg1, arg2
+	sh.reply(m, resp)
 }
 
 // handleReadLease serves a lease-mode block fetch: the whole block containing
@@ -569,24 +593,27 @@ func (sh *kernelShard) handleMutation(m *wire.Message) {
 // is bounded by the expiry it got here.
 func (sh *kernelShard) handleReadLease(m *wire.Message) {
 	k := sh.k
-	bw := uint64(k.space.BlockWords)
-	base := m.Addr / bw * bw
-	sh.wscratch = k.seg.ReadAppend(sh.wscratch[:0], base, k.space.BlockWords)
+	bw, b := k.space.BlockWords, sh.runs[0].block
+	k.seg.ReadRun(sh.scratch(bw), b, 0)
 	resp := wire.GetMessage()
-	resp.Op, resp.Addr = wire.OpReadLeaseResp, base
+	resp.Op, resp.Addr = wire.OpReadLeaseResp, b*uint64(bw)
 	resp.Arg2 = int64(k.cfg.LeaseDuration)
 	resp.PutWords(sh.wscratch)
 	sh.reply(m, resp)
 }
 
-// applyRuns scatters every run of a vectored write to its range — or, encoded
-// the same way, of one PE's coalesced write-combining-buffer drain (OpFlushV:
-// the release-consistency publish at a synchronisation edge).
-func (sh *kernelShard) applyRuns(m *wire.Message) (err error) {
-	sh.vscratch, err = m.EachWriteRun(sh.vscratch, func(addr uint64, words []int64) {
-		sh.k.seg.WriteShared(addr, words, int(m.Src), &sh.stale)
-	})
-	return err
+// applyRuns stores the words of every run of a write — one run of a scalar
+// write, several of a vectored one or, encoded the same way, of one PE's
+// coalesced write-combining-buffer drain (OpFlushV: the release-consistency
+// publish at a synchronisation edge).
+func (sh *kernelShard) applyRuns(m *wire.Message) {
+	ws := sh.scratch(sh.k.space.BlockWords) // no run is longer
+	writer := int(m.Src)
+	for i := range sh.runs {
+		r := &sh.runs[i]
+		wire.DecodeWords(ws[:r.count], m.Data[r.at:])
+		sh.k.seg.WriteRun(r.block, r.off, ws[:r.count], writer, &sh.stale)
+	}
 }
 
 // openRound invalidates every copy in sh.stale; the last ack answers m. Round
@@ -621,9 +648,6 @@ func (sh *kernelShard) sendInvalidate(id uint64, c gmem.Copy, flags uint8) {
 	k.svc.Send(c.Holder, inv)
 	wire.PutMessage(inv)
 }
-
-// errTornPayload marks a write whose payload is not whole words.
-var errTornPayload = errors.New("core: payload is not whole words")
 
 // resendInvalidations retransmits the still-unacked invalidations of the
 // round started by requester's mutating request seq, if one is in flight.

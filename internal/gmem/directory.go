@@ -62,10 +62,11 @@ type dirState struct {
 // from a NACK hint) take precedence over the probe rule.
 //
 // Every kernel (and its PEs) holds its own Directory; views converge through
-// the OpEpochUpdate broadcast and lazily through NACK hints. Lookups are one
-// atomic pointer load; a fully static directory (all members active, no
-// overrides) additionally publishes a fast-path flag so the hot path pays a
-// single predictable branch.
+// the OpEpochUpdate broadcast and lazily through NACK hints. A fully static
+// directory (all members active, no overrides) publishes a flag, and
+// HomeOfBlock — which every other lookup goes through — answers b % N on that
+// one predictable branch; otherwise a lookup is one atomic pointer load, the
+// override map and the probe rule.
 type Directory struct {
 	n      int
 	state  atomic.Pointer[dirState]
@@ -115,8 +116,14 @@ func (d *Directory) Members() []Member {
 // Member returns one member's record.
 func (d *Directory) Member(id int) Member { return d.state.Load().members[id] }
 
-// HomeOfBlock returns block b's current home.
+// HomeOfBlock returns block b's current home. The flag and the state are two
+// atomics, the flag stored last: a lookup racing the first transition may still
+// answer from the static layout, which is the answer it would have had an
+// instant earlier.
 func (d *Directory) HomeOfBlock(b uint64) int {
+	if d.static.Load() {
+		return int(b % uint64(d.n))
+	}
 	st := d.state.Load()
 	if h, ok := st.overrides[b]; ok {
 		return h

@@ -14,6 +14,7 @@ package gmem
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -229,35 +230,62 @@ func (g *Segment) checkHome(addr uint64, n int) {
 
 // Read copies n words starting at addr (all homed here, single block).
 func (g *Segment) Read(addr uint64, n int) []int64 {
-	g.checkHome(addr, n)
-	b := g.space.BlockOf(addr)
-	st := g.stripeOf(b)
 	out := make([]int64, n)
-	st.mu.Lock()
-	if blk := st.lookup(b); blk != nil {
-		off := int(addr % uint64(g.space.BlockWords))
-		copy(out, blk[off:off+n])
-	}
-	st.mu.Unlock()
+	g.ReadInto(out, addr)
 	return out
 }
 
 // ReadWord returns the single word at addr without allocating.
 func (g *Segment) ReadWord(addr uint64) int64 {
-	g.checkHome(addr, 1)
-	b := g.space.BlockOf(addr)
-	st := g.stripeOf(b)
-	var v int64
-	st.mu.Lock()
-	if blk := st.lookup(b); blk != nil {
-		v = blk[addr%uint64(g.space.BlockWords)]
-	}
-	st.mu.Unlock()
-	return v
+	var w [1]int64
+	g.ReadInto(w[:], addr)
+	return w[0]
 }
 
-// DirectReadFallbacks reports how many direct reads fell back to the stripe
-// mutex after exhausting their seqlock spins.
+// seqlockSpins is how often a lock-free read retries against writers before
+// it takes the stripe mutex instead.
+const seqlockSpins = 64
+
+// ReadRun copies the len(dst) words at offset off of block b into dst — a run
+// the caller has located inside one block and checked this segment homes (the
+// checked forms below, and the shard serving a located request). It is the one
+// way a word is read at its home: under the stripe's seqlock, retrying while a
+// writer's window is open or the generation moved between the two loads, so it
+// takes no lock and still returns the run as some writer left it; under writer
+// livelock it falls back to the stripe mutex (counted in DirectReadFallbacks).
+// A block never written reads as zeros.
+func (g *Segment) ReadRun(dst []int64, b uint64, off int) {
+	st := g.stripeOf(b)
+	for spin := 0; spin < seqlockSpins; spin++ {
+		s1 := st.wseq.Load()
+		if s1&1 != 0 {
+			continue
+		}
+		if blk := st.lookup(b); blk != nil {
+			src := blk[off : off+len(dst)]
+			for i := range dst {
+				dst[i] = atomic.LoadInt64(&src[i])
+			}
+		} else {
+			clear(dst)
+		}
+		if st.wseq.Load() == s1 {
+			return
+		}
+	}
+	g.fallbacks.Add(1)
+	st.mu.Lock()
+	if blk := st.lookup(b); blk != nil {
+		copy(dst, blk[off:off+len(dst)])
+	} else {
+		clear(dst)
+	}
+	st.mu.Unlock()
+}
+
+// DirectReadFallbacks reports how many lock-free reads (ReadRun,
+// DirectReadOwned) fell back to the stripe mutex after exhausting their
+// seqlock spins.
 func (g *Segment) DirectReadFallbacks() uint64 { return g.fallbacks.Load() }
 
 // DirectReadOwned returns the single word at addr without taking the stripe
@@ -277,7 +305,7 @@ func (g *Segment) DirectReadOwned(addr uint64) (int64, bool) {
 	b := g.space.BlockOf(addr)
 	st := g.stripeOf(b)
 	off := int(addr % uint64(g.space.BlockWords))
-	for spin := 0; spin < 64; spin++ {
+	for spin := 0; spin < seqlockSpins; spin++ {
 		s1 := st.wseq.Load()
 		if s1&1 != 0 {
 			continue
@@ -408,60 +436,17 @@ func (g *Segment) WriteWord(addr uint64, v int64) {
 // single block), avoiding the allocation in Read.
 func (g *Segment) ReadInto(dst []int64, addr uint64) {
 	g.checkHome(addr, len(dst))
-	b := g.space.BlockOf(addr)
-	st := g.stripeOf(b)
-	st.mu.Lock()
-	if blk := st.lookup(b); blk != nil {
-		off := int(addr % uint64(g.space.BlockWords))
-		copy(dst, blk[off:off+len(dst)])
-	} else {
-		for i := range dst {
-			dst[i] = 0
-		}
-	}
-	st.mu.Unlock()
+	bw := uint64(g.space.BlockWords)
+	g.ReadRun(dst, addr/bw, int(addr%bw))
 }
 
 // ReadAppend appends n words starting at addr to dst and returns the
 // extended slice (all homed here, single block).
 func (g *Segment) ReadAppend(dst []int64, addr uint64, n int) []int64 {
-	g.checkHome(addr, n)
-	b := g.space.BlockOf(addr)
-	st := g.stripeOf(b)
-	st.mu.Lock()
-	if blk := st.lookup(b); blk != nil {
-		off := int(addr % uint64(g.space.BlockWords))
-		dst = append(dst, blk[off:off+n]...)
-	} else {
-		for i := 0; i < n; i++ {
-			dst = append(dst, 0)
-		}
-	}
-	st.mu.Unlock()
+	at := len(dst)
+	dst = slices.Grow(dst, n)[:at+n]
+	g.ReadInto(dst[at:], addr)
 	return dst
-}
-
-// ReadV appends the words of every (addrs[i], counts[i]) range to dst in
-// order and returns the extended slice. Each range must be homed here and
-// stay within one block (the vectored read request's server side).
-func (g *Segment) ReadV(dst []int64, addrs []uint64, counts []int) []int64 {
-	for i, addr := range addrs {
-		dst = g.ReadAppend(dst, addr, counts[i])
-	}
-	return dst
-}
-
-// WriteV scatters words over the (addrs[i], counts[i]) ranges in order;
-// words is the concatenation of all ranges' data (the vectored write
-// request's server side). Each run is applied per-block through Write's
-// capped seqlock windows — never one odd window for the whole vector — so
-// direct readers queued on a stripe mutex get through between runs.
-func (g *Segment) WriteV(addrs []uint64, counts []int, words []int64) {
-	off := 0
-	for i, addr := range addrs {
-		g.Write(addr, words[off:off+counts[i]])
-		off += counts[i]
-	}
 }
 
 // writeWindowWords caps the words stored under one stripe mutex hold and
@@ -507,13 +492,18 @@ func (g *Segment) Write(addr uint64, words []int64) { g.WriteShared(addr, words,
 // WriteShared is Write as the home serves it for kernel writer: the critical
 // section of the last store also takes the block's copyset into *stale
 // (takeCopies), so a copy registered earlier is invalidated and a later one
-// holds the new words. The stripe is locked and the seqlock window held for
-// at most writeWindowWords stores at a time.
+// holds the new words.
 func (g *Segment) WriteShared(addr uint64, words []int64, writer int, stale *[]Copy) {
 	g.checkHome(addr, len(words))
-	b := g.space.BlockOf(addr)
+	bw := uint64(g.space.BlockWords)
+	g.WriteRun(addr/bw, int(addr%bw), words, writer, stale)
+}
+
+// WriteRun is WriteShared for a run the caller has located and checked, like
+// ReadRun's: words go to offset off of block b. The stripe is locked and the
+// seqlock window held for at most writeWindowWords stores at a time.
+func (g *Segment) WriteRun(b uint64, off int, words []int64, writer int, stale *[]Copy) {
 	st := g.stripeOf(b)
-	off := int(addr % uint64(g.space.BlockWords))
 	for start := 0; start == 0 || start < len(words); start += writeWindowWords {
 		chunk := words[start:]
 		if len(chunk) > writeWindowWords {
@@ -527,7 +517,7 @@ func (g *Segment) WriteShared(addr uint64, words []int64, writer int, stale *[]C
 		}
 		st.wseq.Add(1)
 		if start+writeWindowWords >= len(words) {
-			st.takeCopies(b, addr, writer, stale)
+			st.takeCopies(b, b*uint64(g.space.BlockWords)+uint64(off), writer, stale)
 		}
 		st.mu.Unlock()
 	}

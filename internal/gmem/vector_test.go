@@ -40,33 +40,39 @@ func TestReadIntoAndAppend(t *testing.T) {
 	}
 }
 
-// ReadV/WriteV are inverses over multiple same-home ranges and preserve the
-// given range order.
+// WriteRun and ReadRun, the located forms a served vectored request is applied
+// and read through, are inverses over several same-home runs and agree with
+// the checked accessors about where a run's words live.
 func TestReadVWriteVRoundTrip(t *testing.T) {
 	s := NewSpace(2, 8) // kernel 0 homes blocks 0, 2, 4, ... (words 0-7, 16-23, ...)
 	g := NewSegment(s, 0)
-	addrs := []uint64{17, 2, 32} // out of order, three distinct blocks
-	counts := []int{3, 2, 4}
-	words := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	g.WriteV(addrs, counts, words)
-
-	got := g.ReadV(nil, addrs, counts)
-	if len(got) != len(words) {
-		t.Fatalf("ReadV returned %d words, want %d", len(got), len(words))
+	type run struct {
+		block uint64
+		off   int
+		words []int64
 	}
-	for i, w := range words {
-		if got[i] != w {
-			t.Errorf("word %d: %d, want %d", i, got[i], w)
+	runs := []run{{2, 1, []int64{1, 2, 3}}, {0, 2, []int64{4, 5}}, {4, 0, []int64{6, 7, 8, 9}}} // three distinct blocks, out of order
+	for _, r := range runs {
+		g.WriteRun(r.block, r.off, r.words, 0, nil)
+	}
+	for _, r := range runs {
+		got := make([]int64, len(r.words))
+		g.ReadRun(got, r.block, r.off)
+		for i, w := range r.words {
+			if got[i] != w {
+				t.Errorf("block %d word %d: %d, want %d", r.block, r.off+i, got[i], w)
+			}
 		}
 	}
 	// Spot-check placement through the scalar path.
 	if g.ReadWord(17) != 1 || g.ReadWord(19) != 3 || g.ReadWord(2) != 4 || g.ReadWord(35) != 9 {
-		t.Error("WriteV scattered words to wrong addresses")
+		t.Error("WriteRun scattered words to wrong addresses")
 	}
-	// ReadV appends to the destination it is given.
-	pre := g.ReadV([]int64{-5}, addrs[:1], counts[:1])
-	if len(pre) != 4 || pre[0] != -5 || pre[1] != 1 {
-		t.Errorf("ReadV did not append: %v", pre)
+	// A run of a block nobody wrote reads as zeros, over whatever dst held.
+	fresh := []int64{-5, -5}
+	g.ReadRun(fresh, 6, 3)
+	if fresh[0] != 0 || fresh[1] != 0 {
+		t.Errorf("unwritten block read as %v", fresh)
 	}
 }
 
@@ -77,8 +83,8 @@ func TestVectorAccessorsRejectForeignAddress(t *testing.T) {
 		func() { g.ReadWord(8) }, // block 1 is homed at kernel 1
 		func() { g.WriteWord(8, 1) },
 		func() { g.ReadInto(make([]int64, 1), 8) },
-		func() { g.ReadV(nil, []uint64{0, 8}, []int{1, 1}) },
-		func() { g.WriteV([]uint64{8}, []int{1}, []int64{1}) },
+		func() { g.ReadAppend(nil, 8, 1) },
+		func() { g.WriteShared(8, []int64{1}, 0, nil) },
 	} {
 		func() {
 			defer func() {

@@ -1,6 +1,6 @@
 package gmem
 
-import "sort"
+import "slices"
 
 // WCBuf is the per-PE write-combining buffer behind release consistency
 // (ModeRelease): writes to release-mode allocations land here instead of
@@ -49,7 +49,7 @@ func (b *WCBuf) Drain(fn func(addr uint64, val int64)) {
 	for a := range b.words {
 		b.order = append(b.order, a)
 	}
-	sort.Slice(b.order, func(i, j int) bool { return b.order[i] < b.order[j] })
+	slices.Sort(b.order)
 	for _, a := range b.order {
 		fn(a, b.words[a])
 	}

@@ -14,10 +14,7 @@
 // sync primitive added here must get the same treatment in internal/core.
 package psync
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // BarrierManager implements the central barrier: kernels send arrive
 // messages to the manager, which releases everyone when the count is full.
@@ -109,30 +106,34 @@ func NewLockManager() *LockManager {
 }
 
 // Acquire asks for lock id on behalf of src. It reports whether the lock
-// was granted immediately; otherwise src is queued.
-func (lm *LockManager) Acquire(src int, id int32) bool {
-	if h, held := lm.holder[id]; held {
-		if h == src {
-			panic(fmt.Sprintf("psync: kernel %d re-acquired lock %d it already holds", src, id))
-		}
-		lm.waitq[id] = append(lm.waitq[id], src)
-		return false
+// was granted immediately; otherwise src is queued. A request is a message
+// from another node: one from a source that already holds the lock or already
+// waits for it is refused — ok false, nothing recorded — instead of trusted (a
+// second place in the queue is a second grant somebody else is waiting for).
+func (lm *LockManager) Acquire(src int, id int32) (granted, ok bool) {
+	h, held := lm.holder[id]
+	if !held {
+		lm.holder[id] = src
+		return true, true
 	}
-	lm.holder[id] = src
-	return true
+	if h == src || slices.Contains(lm.waitq[id], src) {
+		return false, false
+	}
+	lm.waitq[id] = append(lm.waitq[id], src)
+	return false, true
 }
 
 // Release releases lock id held by src and returns the next kernel to grant
-// it to (ok=false when the queue is empty).
-func (lm *LockManager) Release(src int, id int32) (next int, ok bool) {
-	h, held := lm.holder[id]
-	if !held || h != src {
-		panic(fmt.Sprintf("psync: kernel %d released lock %d it does not hold", src, id))
+// it to (granted false when the queue is empty). A release by anyone but the
+// holder is refused: ok false, the lock stays where it is.
+func (lm *LockManager) Release(src int, id int32) (next int, granted, ok bool) {
+	if h, held := lm.holder[id]; !held || h != src {
+		return 0, false, false
 	}
 	q := lm.waitq[id]
 	if len(q) == 0 {
 		delete(lm.holder, id)
-		return 0, false
+		return 0, false, true
 	}
 	next = q[0]
 	if len(q) == 1 {
@@ -141,7 +142,7 @@ func (lm *LockManager) Release(src int, id int32) (next int, ok bool) {
 		lm.waitq[id] = q[1:]
 	}
 	lm.holder[id] = next
-	return next, true
+	return next, true, true
 }
 
 // Holder reports the current holder of lock id.

@@ -128,21 +128,23 @@ func TestBarrierReleaseProperty(t *testing.T) {
 
 func TestLockFIFOGranting(t *testing.T) {
 	lm := NewLockManager()
-	if !lm.Acquire(0, 1) {
+	if granted, ok := lm.Acquire(0, 1); !granted || !ok {
 		t.Fatal("first acquire should grant")
 	}
-	if lm.Acquire(1, 1) || lm.Acquire(2, 1) {
-		t.Fatal("held lock granted again")
+	for src := 1; src <= 2; src++ {
+		if granted, ok := lm.Acquire(src, 1); granted || !ok {
+			t.Fatalf("acquire of a held lock by %d: granted %v, ok %v, want queued", src, granted, ok)
+		}
 	}
-	next, ok := lm.Release(0, 1)
-	if !ok || next != 1 {
-		t.Fatalf("release granted %d,%v want 1", next, ok)
+	next, granted, ok := lm.Release(0, 1)
+	if !ok || !granted || next != 1 {
+		t.Fatalf("release granted %d,%v want 1", next, granted)
 	}
-	next, ok = lm.Release(1, 1)
-	if !ok || next != 2 {
-		t.Fatalf("release granted %d,%v want 2", next, ok)
+	next, granted, ok = lm.Release(1, 1)
+	if !ok || !granted || next != 2 {
+		t.Fatalf("release granted %d,%v want 2", next, granted)
 	}
-	if _, ok = lm.Release(2, 1); ok {
+	if _, granted, ok = lm.Release(2, 1); granted || !ok {
 		t.Fatal("empty queue should not grant")
 	}
 	if _, held := lm.Holder(1); held {
@@ -152,29 +154,51 @@ func TestLockFIFOGranting(t *testing.T) {
 
 func TestLockIndependentIDs(t *testing.T) {
 	lm := NewLockManager()
-	if !lm.Acquire(0, 1) || !lm.Acquire(1, 2) {
+	a, _ := lm.Acquire(0, 1)
+	b, _ := lm.Acquire(1, 2)
+	if !a || !b {
 		t.Fatal("different ids should not conflict")
 	}
 }
 
-func TestLockReleaseWithoutHoldPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewLockManager().Release(0, 1)
+// A release by anyone but the holder is a forged or duplicated message: it is
+// refused and changes nothing.
+func TestLockRefusesReleaseWithoutHold(t *testing.T) {
+	lm := NewLockManager()
+	if _, _, ok := lm.Release(0, 1); ok {
+		t.Fatal("release of a free lock accepted")
+	}
+	lm.Acquire(0, 1)
+	lm.Acquire(1, 1)
+	if _, _, ok := lm.Release(1, 1); ok {
+		t.Fatal("release by a waiter accepted")
+	}
+	if h, _ := lm.Holder(1); h != 0 || lm.Residue() != 2 {
+		t.Fatalf("refused release moved the lock: holder %d, residue %d", h, lm.Residue())
+	}
 }
 
-func TestLockReacquirePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
+// So is a second acquire by the holder or by a source already queued: a second
+// place in the queue would become a grant nobody asked for.
+func TestLockRefusesReacquire(t *testing.T) {
 	lm := NewLockManager()
 	lm.Acquire(0, 1)
-	lm.Acquire(0, 1)
+	if granted, ok := lm.Acquire(0, 1); granted || ok {
+		t.Fatal("re-acquire by the holder accepted")
+	}
+	lm.Acquire(1, 1)
+	if granted, ok := lm.Acquire(1, 1); granted || ok {
+		t.Fatal("second acquire by a waiter accepted")
+	}
+	if lm.Residue() != 2 {
+		t.Fatalf("residue %d after two refused acquires, want holder + one waiter", lm.Residue())
+	}
+	if next, granted, _ := lm.Release(0, 1); !granted || next != 1 {
+		t.Fatalf("release granted %d,%v want 1", next, granted)
+	}
+	if _, granted, _ := lm.Release(1, 1); granted {
+		t.Fatal("the refused duplicate was queued after all")
+	}
 }
 
 // Property: under any sequence of acquire/release pairs, at most one holder
@@ -189,7 +213,7 @@ func TestLockMutualExclusionProperty(t *testing.T) {
 		for _, op := range ops {
 			src := int(op % 5)
 			if holder == -1 {
-				if !lm.Acquire(src, id) {
+				if granted, _ := lm.Acquire(src, id); !granted {
 					return false
 				}
 				holder = src
@@ -197,7 +221,7 @@ func TestLockMutualExclusionProperty(t *testing.T) {
 				continue
 			}
 			if src == holder {
-				next, ok := lm.Release(src, id)
+				next, ok, _ := lm.Release(src, id)
 				if len(queue) == 0 {
 					if ok {
 						return false
@@ -225,7 +249,7 @@ func TestLockMutualExclusionProperty(t *testing.T) {
 			if inQueue {
 				continue
 			}
-			if lm.Acquire(src, id) {
+			if granted, _ := lm.Acquire(src, id); granted {
 				return false // must queue while held
 			}
 			queue = append(queue, src)

@@ -50,8 +50,12 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			// A frame that decodes must survive the kernel-side accessors.
 			_ = m.PayloadWords()
-			_ = m.EachRange(func(addr uint64, count int) {})
-			_, _ = m.EachWriteRun(nil, func(addr uint64, words []int64) {})
+			for p, ok := m.Data, true; ok && len(p) > 0; {
+				_, _, p, ok = wire.TakeRange(p)
+			}
+			for p, ok := m.Data, true; ok && len(p) > 0; {
+				_, _, p, ok = wire.TakeWriteRun(p)
+			}
 			wire.PutMessage(m)
 		}
 	})

@@ -88,10 +88,13 @@ func TestReadVRangesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out []rng
-	if err := d.EachRange(func(addr uint64, count int) {
-		out = append(out, rng{addr, count})
-	}); err != nil {
-		t.Fatal(err)
+	for p := d.Data; len(p) > 0; {
+		addr, count, rest, ok := TakeRange(p)
+		if !ok {
+			t.Fatalf("range %d did not decode", len(out))
+		}
+		out = append(out, rng{addr, int(count)})
+		p = rest
 	}
 	if len(out) != len(in) {
 		t.Fatalf("%d ranges, want %d", len(out), len(in))
@@ -101,23 +104,19 @@ func TestReadVRangesRoundTrip(t *testing.T) {
 			t.Errorf("range %d: %+v, want %+v", i, out[i], in[i])
 		}
 	}
-	if err := d.EachRange(func(uint64, int) {}); err != nil {
-		t.Fatal(err) // re-iteration must not consume
-	}
 }
 
-func TestEachRangeRejectsRagged(t *testing.T) {
+func TestTakeRangeRejectsRagged(t *testing.T) {
 	m := GetMessage()
 	defer PutMessage(m)
 	m.AppendRange(1, 2)
-	m.Data = m.Data[:len(m.Data)-1]
-	if err := m.EachRange(func(uint64, int) {}); err == nil {
+	if _, _, _, ok := TakeRange(m.Data[:len(m.Data)-1]); ok {
 		t.Error("ragged range payload accepted")
 	}
 }
 
 // Vectored write payloads round-trip: runs out in order with their words,
-// Arg1 counts the runs, and the scratch passed to EachWriteRun is reused.
+// and Arg1 counts the runs.
 func TestWriteVRunsRoundTrip(t *testing.T) {
 	m := GetMessage()
 	defer PutMessage(m)
@@ -138,16 +137,15 @@ func TestWriteVRunsRoundTrip(t *testing.T) {
 		words []int64
 	}
 	var out []run
-	scratch, err := d.EachWriteRun(nil, func(addr uint64, words []int64) {
-		cp := make([]int64, len(words))
-		copy(cp, words)
-		out = append(out, run{addr, cp})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap(scratch) < 4 {
-		t.Errorf("scratch cap %d, want >= longest run", cap(scratch))
+	for p := d.Data; len(p) > 0; {
+		addr, enc, rest, ok := TakeWriteRun(p)
+		if !ok {
+			t.Fatalf("run %d did not decode", len(out))
+		}
+		words := make([]int64, len(enc)/8)
+		DecodeWords(words, enc)
+		out = append(out, run{addr, words})
+		p = rest
 	}
 	want := []run{{50, []int64{1, 2, 3}}, {9000, []int64{-7}}, {128, []int64{10, 20, 30, 40}}}
 	if len(out) != len(want) {
@@ -165,15 +163,32 @@ func TestWriteVRunsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEachWriteRunRejectsTruncation(t *testing.T) {
+func TestTakeWriteRunRejectsTruncation(t *testing.T) {
 	m := GetMessage()
 	defer PutMessage(m)
 	m.AppendWriteRun(4, []int64{1, 2})
 	for cut := 1; cut < len(m.Data); cut++ {
-		m2 := &Message{Data: m.Data[:len(m.Data)-cut]}
-		if _, err := m2.EachWriteRun(nil, func(uint64, []int64) {}); err == nil {
+		if _, _, _, ok := TakeWriteRun(m.Data[:len(m.Data)-cut]); ok {
 			t.Errorf("truncation by %d bytes accepted", cut)
 		}
+	}
+}
+
+// ReserveRuns makes the room once: the helpers that build the payload
+// afterwards write into it without moving the scratch.
+func TestReserveRunsBuildsInPlace(t *testing.T) {
+	m := GetMessage()
+	defer PutMessage(m)
+	m.PutWord(1) // a payload from the message's earlier life
+	m.ReserveRuns(2, 3)
+	if m.Data != nil {
+		t.Fatalf("ReserveRuns left a payload: %v", m)
+	}
+	base := &m.buf[:1][0]
+	m.AppendWriteRun(8, []int64{1, 2})
+	m.AppendWriteRun(64, []int64{3})
+	if &m.Data[0] != base || len(m.Data) != 2*rangeBytes+8*3 {
+		t.Fatalf("payload of %d bytes moved out of the reserved scratch", len(m.Data))
 	}
 }
 

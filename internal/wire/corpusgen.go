@@ -42,7 +42,7 @@ func main() {
 	wv := &wire.Message{Op: wire.OpWriteV, Src: 3, Dst: 1, Seq: 11}
 	wv.AppendWriteRun(8, []int64{-1, -2})
 	wv.AppendWriteRun(1024, []int64{1 << 40})
-	// The EachWriteRun count-overflow shape: one run header claiming 2^61
+	// The TakeWriteRun count-overflow shape: one run header claiming 2^61
 	// words (count*8 wraps negative as an int64).
 	evil := &wire.Message{Op: wire.OpWriteV}
 	var hdr [16]byte

@@ -16,11 +16,14 @@ func exercise(t *testing.T, m *Message) {
 		// WordsInto's whole-words precondition holds; it must not panic.
 		m.WordsInto(nil)
 	}
-	_ = m.EachRange(func(addr uint64, count int) {})
-	if _, err := m.EachWriteRun(nil, func(addr uint64, words []int64) {}); err == nil {
-		// A second pass with reused scratch must agree.
-		if _, err := m.EachWriteRun(make([]int64, 1), func(addr uint64, words []int64) {}); err != nil {
-			t.Fatalf("EachWriteRun accepted payload once, rejected it with scratch: %v", err)
+	for p, ok := m.Data, true; ok && len(p) > 0; {
+		_, _, p, ok = TakeRange(p)
+	}
+	for p, ok := m.Data, true; ok && len(p) > 0; {
+		var words []byte
+		if _, words, p, ok = TakeWriteRun(p); ok {
+			// A run that decodes holds whole words inside the payload.
+			DecodeWords(make([]int64, len(words)/8), words)
 		}
 	}
 }

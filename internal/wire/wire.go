@@ -13,8 +13,8 @@
 //
 // The hot path is allocation-free: messages come from a sync.Pool
 // (GetMessage/PutMessage) and own a private scratch buffer that the payload
-// helpers (PutWords, PutWord, AppendRange, AppendWriteRun, DecodeInto)
-// reuse across recycles. The rules:
+// helpers (PutWords, PutWord, ReserveRuns, AppendRange, AppendWriteRun,
+// DecodeInto) reuse across recycles. The rules:
 //
 //  1. A message obtained from GetMessage is owned by the caller until it is
 //     passed to PutMessage; after that neither the message nor any slice
@@ -36,6 +36,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/sim"
@@ -430,13 +431,21 @@ func (m *Message) WordsInto(dst []int64) []int64 {
 	n := len(m.Data) / 8
 	if cap(dst) < n {
 		dst = make([]int64, n)
-	} else {
-		dst = dst[:n]
 	}
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(m.Data[i*8:]))
-	}
+	dst = dst[:n]
+	DecodeWords(dst, m.Data)
 	return dst
+}
+
+// DecodeWords decodes len(dst) words in wire order from the front of p, which
+// must hold at least that many: how a reply's words land straight in the
+// buffer they were asked for.
+func DecodeWords(dst []int64, p []byte) {
+	p = p[:8*len(dst)]
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(p))
+		p = p[8:]
+	}
 }
 
 // Word returns payload word i without decoding the rest of the payload.
@@ -468,12 +477,11 @@ func (m *Message) PutWord(w int64) {
 	m.Data = m.buf
 }
 
-// AppendWords appends ws to buf in wire order.
+// AppendWords appends ws to buf in wire order, growing it at most once.
 func AppendWords(buf []byte, ws []int64) []byte {
+	buf = slices.Grow(buf, 8*len(ws))
 	for _, w := range ws {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(w))
-		buf = append(buf, b[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
 	}
 	return buf
 }
@@ -483,94 +491,62 @@ func AppendWords(buf []byte, ws []int64) []byte {
 // rangeBytes is the encoded size of one (addr, count) range descriptor.
 const rangeBytes = 16
 
+// ReserveRuns empties the payload and makes room for one of runs run headers
+// and words words, so that AppendRange or AppendWriteRun build it in place
+// without growing the scratch again.
+func (m *Message) ReserveRuns(runs, words int) {
+	m.buf = slices.Grow(m.buf[:0], runs*rangeBytes+8*words)
+	m.Data = nil
+}
+
+// appendRangeHeader appends one (addr, count) descriptor to the scratch.
+func (m *Message) appendRangeHeader(addr uint64, count int) {
+	m.buf = binary.LittleEndian.AppendUint64(m.buf, addr)
+	m.buf = binary.LittleEndian.AppendUint64(m.buf, uint64(count))
+}
+
 // AppendRange appends one (addr, count) range descriptor to an OpReadV
 // payload, reusing scratch, and accumulates the total word count in Arg1.
 func (m *Message) AppendRange(addr uint64, count int) {
-	var b [rangeBytes]byte
-	binary.LittleEndian.PutUint64(b[:], addr)
-	binary.LittleEndian.PutUint64(b[8:], uint64(count))
-	m.buf = append(m.buf, b[:]...)
+	m.appendRangeHeader(addr, count)
 	m.Data = m.buf
 	m.Arg1 += int64(count)
 }
 
-// EachRange decodes an OpReadV payload, calling fn once per range in order.
-func (m *Message) EachRange(fn func(addr uint64, count int)) error {
-	if len(m.Data)%rangeBytes != 0 {
-		return fmt.Errorf("wire: %d-byte payload is not whole ranges", len(m.Data))
+// TakeRange splits the first range descriptor off p, the rest of an OpReadV
+// payload: a served request is decoded in one loop, `for p := m.Data;
+// len(p) > 0; p = rest`. ok is false when p is shorter than a descriptor. The
+// count is as untrusted as the rest of the payload and returned unconverted.
+func TakeRange(p []byte) (addr, count uint64, rest []byte, ok bool) {
+	if len(p) < rangeBytes {
+		return 0, 0, nil, false
 	}
-	for off := 0; off < len(m.Data); off += rangeBytes {
-		addr := binary.LittleEndian.Uint64(m.Data[off:])
-		count := binary.LittleEndian.Uint64(m.Data[off+8:])
-		if count > uint64(MaxDataLen/8) {
-			return fmt.Errorf("wire: range count %d exceeds limit", count)
-		}
-		fn(addr, int(count))
-	}
-	return nil
+	return binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:]), p[rangeBytes:], true
 }
 
 // AppendWriteRun appends one (addr, words) run to an OpWriteV payload,
 // reusing scratch, and counts the run in Arg1.
 func (m *Message) AppendWriteRun(addr uint64, words []int64) {
-	var b [rangeBytes]byte
-	binary.LittleEndian.PutUint64(b[:], addr)
-	binary.LittleEndian.PutUint64(b[8:], uint64(len(words)))
-	m.buf = append(m.buf, b[:]...)
+	m.appendRangeHeader(addr, len(words))
 	m.buf = AppendWords(m.buf, words)
 	m.Data = m.buf
 	m.Arg1++
 }
 
-// EachRunHeader walks an OpWriteV payload's run headers without decoding
-// any words — O(runs), not O(words) — for pre-scans that only need each
-// run's placement (the home-side foreign-block check).
-func (m *Message) EachRunHeader(fn func(addr uint64, count int)) error {
-	off := 0
-	for off < len(m.Data) {
-		if off+rangeBytes > len(m.Data) {
-			return fmt.Errorf("wire: truncated write run header at byte %d", off)
-		}
-		addr := binary.LittleEndian.Uint64(m.Data[off:])
-		count := int(binary.LittleEndian.Uint64(m.Data[off+8:]))
-		off += rangeBytes
-		if count < 0 || count > (len(m.Data)-off)/8 {
-			return fmt.Errorf("wire: write run at byte %d overruns payload", off-rangeBytes)
-		}
-		off += count * 8
-		fn(addr, count)
+// TakeWriteRun splits the first run off p, the rest of an OpWriteV or OpFlushV
+// payload, like TakeRange: words are the run's still encoded words (DecodeWords
+// reads them). ok is false when the header is truncated or claims more words
+// than p holds — compared without computing count*8, which overflows for huge
+// counts.
+func TakeWriteRun(p []byte) (addr uint64, words, rest []byte, ok bool) {
+	if len(p) < rangeBytes {
+		return 0, nil, nil, false
 	}
-	return nil
-}
-
-// EachWriteRun decodes an OpWriteV payload, calling fn once per run in
-// order. The words slice is only valid during the call (it aliases scratch,
-// which is reused between runs); the possibly-grown scratch is returned for
-// the caller to keep.
-func (m *Message) EachWriteRun(scratch []int64, fn func(addr uint64, words []int64)) ([]int64, error) {
-	off := 0
-	for off < len(m.Data) {
-		if off+rangeBytes > len(m.Data) {
-			return scratch, fmt.Errorf("wire: truncated write run header at byte %d", off)
-		}
-		addr := binary.LittleEndian.Uint64(m.Data[off:])
-		count := int(binary.LittleEndian.Uint64(m.Data[off+8:]))
-		off += rangeBytes
-		// count is untrusted: compare against the remaining payload without
-		// computing count*8, which overflows for huge counts and would slip
-		// past the check into a make() panic.
-		if count < 0 || count > (len(m.Data)-off)/8 {
-			return scratch, fmt.Errorf("wire: write run at byte %d overruns payload", off-rangeBytes)
-		}
-		if cap(scratch) < count {
-			scratch = make([]int64, count)
-		}
-		ws := scratch[:count]
-		for i := range ws {
-			ws[i] = int64(binary.LittleEndian.Uint64(m.Data[off+i*8:]))
-		}
-		off += count * 8
-		fn(addr, ws)
+	addr, count := binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:])
+	p = p[rangeBytes:]
+	if count > uint64(len(p))/8 {
+		return 0, nil, nil, false
 	}
-	return scratch, nil
+	n := 8 * int(count)
+	return addr, p[:n], p[n:], true
 }

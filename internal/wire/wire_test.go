@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -194,5 +195,40 @@ func BenchmarkDecode(b *testing.B) {
 		if _, err := Decode(enc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// blockWords is the payload of the block class of benchmark/: 64 words.
+var blockWords = func() []int64 {
+	ws := make([]int64, 64)
+	for i := range ws {
+		ws[i] = int64(i) << 40
+	}
+	return ws
+}()
+
+// BenchmarkAppendWords64 and BenchmarkWordsInto64 time the two word codecs
+// every block, gather and scatter passes through, at the block class's size.
+func BenchmarkAppendWords64(b *testing.B) {
+	buf := make([]byte, 0, 8*len(blockWords))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = AppendWords(buf[:0], blockWords)
+	}
+	if len(buf) != 8*len(blockWords) {
+		b.Fatalf("encoded %d bytes", len(buf))
+	}
+}
+
+func BenchmarkWordsInto64(b *testing.B) {
+	m := &Message{}
+	m.PutWords(blockWords)
+	dst := make([]int64, 0, len(blockWords))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dst = m.WordsInto(dst)
+	}
+	if !slices.Equal(dst, blockWords) {
+		b.Fatal("decoded words differ")
 	}
 }
