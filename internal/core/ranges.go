@@ -224,8 +224,10 @@ func (pe *PE) addRun(kind check.Kind, mode gmem.Mode, buf []int64, start uint64,
 		return
 	}
 	pe.extra.RemoteGM++
-	shard, per := k.space.ShardOf(start, k.nshards), k.groupsPerHome()
-	gi := home*per + shard%per
+	shard, gi := k.space.ShardOf(start, k.nshards), home
+	if per := k.groupsPerHome(); per > 1 {
+		gi = home*per + shard
+	}
 	g := &pe.groups[gi]
 	if g.runs == 0 {
 		g.shard = shard
