@@ -429,15 +429,18 @@ func TestPanickingFormsKeepErrorType(t *testing.T) {
 	}
 
 	// The synchronisation waits raise the same typed errors: a barrier PE 0
-	// never reaches, a lock it never releases and a semaphore nobody posts
-	// each time out as a *TimeoutError, not as a formatted string.
+	// never reaches, a lock it never releases, a semaphore nobody posts and an
+	// all-reduce whose root never joins each time out as a *TimeoutError, not
+	// as a formatted string.
 	syncForms := []struct {
 		name string
 		wait func(pe *PE)
+		op   string
 	}{
-		{"Barrier", func(pe *PE) { pe.Barrier() }},
-		{"Lock", func(pe *PE) { pe.Lock(3) }},
-		{"SemWait", func(pe *PE) { pe.SemWait(5) }},
+		{"Barrier", func(pe *PE) { pe.Barrier() }, "sync-wait"},
+		{"Lock", func(pe *PE) { pe.Lock(3) }, "sync-wait"},
+		{"SemWait", func(pe *PE) { pe.SemWait(5) }, "sync-wait"},
+		{"AllReduce", func(pe *PE) { pe.AllReduceSum(1) }, "recv-msg"},
 	}
 	for _, f := range syncForms {
 		cfg := simCfg(2)
@@ -455,8 +458,8 @@ func TestPanickingFormsKeepErrorType(t *testing.T) {
 			t.Fatal(err)
 		}
 		var timeout *TimeoutError
-		if !errors.As(res.Errs[1], &timeout) || timeout.Op != "sync-wait" {
-			t.Errorf("%s: Errs[1] = %v, want a *TimeoutError of the sync-wait", f.name, res.Errs[1])
+		if !errors.As(res.Errs[1], &timeout) || timeout.Op != f.op {
+			t.Errorf("%s: Errs[1] = %v, want a *TimeoutError of the %s", f.name, res.Errs[1], f.op)
 		}
 	}
 }

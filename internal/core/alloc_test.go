@@ -47,6 +47,44 @@ func TestRemoteWordOpsAllocationFree(t *testing.T) {
 	}
 }
 
+// A barrier and a lock/unlock round trip over inproc, like the remote word
+// operations above them: the synchronisation pipeline (one verb table, one
+// psync.Set whose grants reuse one buffer) must not allocate more per call
+// than the hand-written waits it replaced did: 2 allocs per barrier (the
+// epoch's waiter list, grown once) and none per lock/unlock, measured on both
+// sides of that change. AllocsPerRun truncates its average, which absorbs the
+// incidental noise.
+func TestSyncVerbsAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector defeats sync.Pool reuse")
+	}
+	const runs = 2000
+	res, err := Run(Config{NumPE: 2, Transport: TransportInproc}, func(pe *PE) error {
+		pe.Barrier()
+		if pe.ID() != 0 {
+			for i := 0; i < runs+1; i++ { // AllocsPerRun's warm-up call, then the runs
+				pe.Barrier()
+			}
+			pe.Barrier()
+			return nil
+		}
+		barrier := testing.AllocsPerRun(runs, pe.Barrier)
+		lock := testing.AllocsPerRun(runs, func() { pe.Lock(3); pe.Unlock(3) })
+		pe.Barrier()
+		t.Logf("allocs/op: Barrier=%v Lock+Unlock=%v", barrier, lock)
+		if barrier > 2 {
+			t.Errorf("Barrier allocates %v/op, want <= 2", barrier)
+		}
+		if lock > 0 {
+			t.Errorf("Lock+Unlock allocates %v/op, want 0", lock)
+		}
+		return nil
+	})
+	if err != nil || res.FirstErr() != nil {
+		t.Fatal(err, res.FirstErr())
+	}
+}
+
 // GMGather and GMScatter move scattered single words in one message per
 // home, in input order, on every transport-visible path (local words,
 // remote words, repeated homes).

@@ -679,10 +679,7 @@ func residueOf(kernels []*Kernel) Residue {
 		k.mu.Unlock()
 		r.NsBindings += k.ns.Len()
 	}
-	k0 := kernels[0]
-	r.BarrierPend = k0.barrier.PendingTotal()
-	r.LockResidue = k0.locks.Residue()
-	r.SemWaiters = k0.sems.WaitersTotal()
+	r.BarrierPend, r.LockResidue, r.SemWaiters = kernels[0].sync.Residue()
 	r.BlocksIn = func(base uint64, nBlocks int) int {
 		total := 0
 		for _, k := range kernels {

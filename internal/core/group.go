@@ -124,17 +124,14 @@ func (jp *JobPE) gate() {
 	}
 }
 
-// syncID maps a job-local synchronisation id (barrier, lock or semaphore)
-// into the job's private window.
-func (jp *JobPE) syncID(id int32) int32 {
+// windowID maps a job-local message tag or synchronisation id (barrier, lock
+// or semaphore) into the job's private window.
+func (jp *JobPE) windowID(id int32) int32 {
 	if id < 0 || id >= JobTagSpan-reservedJobTags {
-		panic(fmt.Sprintf("core: job %q: sync id %d outside [0,%d)", jp.g.Name, id, JobTagSpan-reservedJobTags))
+		panic(fmt.Sprintf("core: job %q: tag or sync id %d outside [0,%d)", jp.g.Name, id, JobTagSpan-reservedJobTags))
 	}
 	return jp.g.TagBase + id
 }
-
-func (jp *JobPE) tagReduceUp() int32   { return jp.g.TagBase + JobTagSpan - 1 }
-func (jp *JobPE) tagReduceDown() int32 { return jp.g.TagBase + JobTagSpan - 2 }
 
 // --- Identity / environment ---
 
@@ -253,65 +250,39 @@ func (jp *JobPE) CAS(addr uint64, old, new int64) (int64, bool) {
 func (jp *JobPE) Barrier() { jp.BarrierID(0) }
 
 // BarrierID blocks on the job-local barrier id; distinct ids are
-// independent barriers, private to this job.
+// independent barriers, private to this job. The barrier is sized to the gang.
 func (jp *JobPE) BarrierID(id int32) {
 	jp.gate()
-	jp.pe.barrierSized(jp.syncID(id), len(jp.g.Members))
+	jp.pe.syncWait(verbBarrier, jp.windowID(id), len(jp.g.Members))
 }
 
 // Lock acquires the job-local lock id (FIFO, central manager).
-func (jp *JobPE) Lock(id int32) { jp.gate(); jp.pe.Lock(jp.syncID(id)) }
+func (jp *JobPE) Lock(id int32) { jp.gate(); jp.pe.Lock(jp.windowID(id)) }
 
 // Unlock releases the job-local lock id.
-func (jp *JobPE) Unlock(id int32) { jp.pe.Unlock(jp.syncID(id)) }
+func (jp *JobPE) Unlock(id int32) { jp.pe.Unlock(jp.windowID(id)) }
 
 // SemWait downs the job-local semaphore id.
-func (jp *JobPE) SemWait(id int32) { jp.gate(); jp.pe.SemWait(jp.syncID(id)) }
+func (jp *JobPE) SemWait(id int32) { jp.gate(); jp.pe.SemWait(jp.windowID(id)) }
 
 // SemPost ups the job-local semaphore id.
-func (jp *JobPE) SemPost(id int32) { jp.pe.SemPost(jp.syncID(id)) }
+func (jp *JobPE) SemPost(id int32) { jp.pe.SemPost(jp.windowID(id)) }
 
 // AllReduceF reduces one float64 contribution per gang member with op and
 // returns the result on every member. Job rank 0 is the root.
 func (jp *JobPE) AllReduceF(x float64, op func(a, b float64) float64) float64 {
 	jp.gate()
-	jp.pe.syncFence()
-	n := len(jp.g.Members)
-	if n == 1 {
-		return x
-	}
-	up, down := jp.tagReduceUp(), jp.tagReduceDown()
-	if jp.rank != 0 {
-		jp.pe.SendMsg(jp.g.Members[0], up, f64Bytes(x))
-		_, data := jp.pe.RecvMsg(down)
-		return f64FromBytes(data)
-	}
-	acc := x
-	for i := 1; i < n; i++ {
-		_, data := jp.pe.RecvMsg(up)
-		acc = op(acc, f64FromBytes(data))
-	}
-	out := f64Bytes(acc)
-	for i := 1; i < n; i++ {
-		jp.pe.SendMsg(jp.g.Members[i], down, out)
-	}
-	return acc
+	return jp.pe.allReduce(reduceView{
+		members: jp.g.Members, rank: jp.rank,
+		up: jp.g.TagBase + JobTagSpan - 1, down: jp.g.TagBase + JobTagSpan - 2,
+	}, x, op)
 }
 
 // AllReduceSum sums one float64 contribution per gang member.
-func (jp *JobPE) AllReduceSum(x float64) float64 {
-	return jp.AllReduceF(x, func(a, b float64) float64 { return a + b })
-}
+func (jp *JobPE) AllReduceSum(x float64) float64 { return jp.AllReduceF(x, sumF) }
 
 // AllReduceMax takes the maximum over one float64 contribution per member.
-func (jp *JobPE) AllReduceMax(x float64) float64 {
-	return jp.AllReduceF(x, func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
+func (jp *JobPE) AllReduceMax(x float64) float64 { return jp.AllReduceF(x, maxF) }
 
 // --- Messages (rank-addressed, job-private tags) ---
 
@@ -321,20 +292,14 @@ func (jp *JobPE) SendMsg(dst int, tag int32, payload []byte) {
 	if dst < 0 || dst >= len(jp.g.Members) {
 		panic(fmt.Sprintf("core: job %q: SendMsg to rank %d of %d", jp.g.Name, dst, len(jp.g.Members)))
 	}
-	if tag < 0 || tag >= JobTagSpan-reservedJobTags {
-		panic(fmt.Sprintf("core: job %q: tag %d outside [0,%d)", jp.g.Name, tag, JobTagSpan-reservedJobTags))
-	}
-	jp.pe.SendMsg(jp.g.Members[dst], jp.g.TagBase+tag, payload)
+	jp.pe.SendMsg(jp.g.Members[dst], jp.windowID(tag), payload)
 }
 
 // RecvMsg blocks until a message with tag arrives, returning the sender's
 // job rank and the payload.
 func (jp *JobPE) RecvMsg(tag int32) (src int, payload []byte) {
 	jp.gate()
-	if tag < 0 || tag >= JobTagSpan-reservedJobTags {
-		panic(fmt.Sprintf("core: job %q: tag %d outside [0,%d)", jp.g.Name, tag, JobTagSpan-reservedJobTags))
-	}
-	gsrc, payload := jp.pe.RecvMsg(jp.g.TagBase + tag)
+	gsrc, payload := jp.pe.RecvMsg(jp.windowID(tag))
 	rank, ok := jp.rankOf[gsrc]
 	if !ok {
 		rank = -1 // not a gang member: tags are job-private, so only misuse lands here

@@ -4,14 +4,10 @@ package core
 // job's namespace, the local guard that refuses out-of-namespace accesses
 // before they leave the PE (covering the one-sided window and ring fast
 // paths), the control-plane requests the scheduler uses to install kernel-
-// side bindings and tear a finished job down, and the sized group barrier
-// scheduled jobs synchronise on.
+// side bindings and tear a finished job down.
 
 import (
-	"fmt"
-
 	"repro/internal/gmem"
-	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -121,49 +117,5 @@ func (pe *PE) EndJob(base, limit uint64) {
 			pe.wc.Put(a, pe.flv[i])
 		}
 	}
-	pe.clearLeases()
-}
-
-// RecvMsgTimeout is RecvMsg with a bounded wait: ok is false when d expires
-// or the cluster shuts down before a message with tag arrives. The
-// scheduler's control loops poll with it, so an idle worker can interleave
-// waiting for work with checking for shutdown.
-func (pe *PE) RecvMsgTimeout(tag int32, d sim.Duration) (src int, payload []byte, ok bool) {
-	pe.legacyCrossing()
-	mb := pe.k.userMb(tag)
-	start := pe.app.Now()
-	m, took, _ := mb.TakeTimeout(d)
-	pe.extra.WaitTime += pe.app.Now() - start
-	if !took {
-		return 0, nil, false
-	}
-	return int(m.Src), m.Data, true
-}
-
-// barrierSized arrives at barrier id on behalf of a size-member group
-// (dsesched gang synchronisation). Sized arrivals always run through kernel
-// 0's central manager — a subset of PEs cannot complete the combining tree —
-// and their releases carry the size, which is what routes them to the
-// arriving PE's sync mailbox even when the cluster runs tree barriers. The
-// release/acquire edges match BarrierID's.
-func (pe *PE) barrierSized(id int32, size int) {
-	pe.legacyCrossing()
-	k := pe.k
-	pe.extra.Barriers++
-	start := pe.app.Now()
-	pe.flushWC(start)
-	arrive := wire.GetMessage()
-	arrive.Op, arrive.Src, arrive.Dst, arrive.Tag = wire.OpBarrierArrive, int32(k.id), 0, id
-	arrive.Arg2 = int64(size)
-	pe.app.Send(0, arrive)
-	wire.PutMessage(arrive)
-	m := pe.takeSync()
-	if m.Op != wire.OpBarrierRelease || m.Tag != id {
-		panic(fmt.Sprintf("core: PE %d: expected barrier %d release, got %v", k.id, id, m))
-	}
-	wire.PutMessage(m)
-	end := pe.app.Now()
-	pe.extra.WaitTime += end - start
-	pe.extra.BarrierWait.Observe(end - start)
 	pe.clearLeases()
 }

@@ -87,14 +87,13 @@ type Kernel struct {
 	// paths look them up lock-free on every GM access.
 	ns *gmem.NSRegistry
 
-	// Central managers, present at kernel 0 only.
-	barrier *psync.BarrierManager
-	locks   *psync.LockManager
-	sems    *psync.SemManager
-	procs   *procmgmt.Table
-
-	// Distributed tree barrier state (when cfg.Barrier == BarrierTree).
-	tree *psync.TreeBarrier
+	// sync is this kernel's synchronisation state: the central barrier, lock
+	// and semaphore managers at kernel 0, a node of the combining tree when
+	// cfg.Barrier == BarrierTree. Only serveSync touches it while the kernel
+	// runs.
+	sync *psync.Set
+	// procs is the global process table, present at kernel 0 only.
+	procs *procmgmt.Table
 
 	// syncMb receives barrier releases and lock/semaphore grants for the
 	// (single-threaded) application context.
@@ -327,14 +326,9 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 	}
 	node.SetPeerDown(k.peerDown)
 	if id == 0 {
-		k.barrier = psync.NewBarrierManager(cfg.NumPE)
-		k.locks = psync.NewLockManager()
-		k.sems = psync.NewSemManager()
 		k.procs = procmgmt.NewTable()
 	}
-	if cfg.Barrier == BarrierTree {
-		k.tree = psync.NewTreeBarrier(id, cfg.NumPE, treeArity)
-	}
+	k.sync = psync.NewSet(id, cfg.NumPE, cfg.Barrier == BarrierTree)
 	if cfg.restore != nil {
 		// Recovery: rebuild this kernel's slice of global memory (and the
 		// coherence directory) from the snapshot before serving. Imported
@@ -376,9 +370,6 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 	}
 	return k
 }
-
-// treeArity is the fan-in of the tree barrier.
-const treeArity = 2
 
 // peerDown is the transport's peer-failure callback (any goroutine). It
 // stores the peer's dead flag FIRST, so new requests to it fail fast, and then
@@ -572,11 +563,6 @@ func (k *Kernel) handle(m *wire.Message) bool {
 	}
 	k.logMessage(m)
 	switch m.Op {
-	// A tree-barrier release: wake the local application and forward the
-	// release to this kernel's subtree.
-	case wire.OpBarrierRelease:
-		k.releaseDown(m.Tag)
-
 	// Global memory service (this kernel is the home): serve under the lock
 	// of the shard owning the address range. GM mutations dedup inside the
 	// shard.
@@ -585,20 +571,11 @@ func (k *Kernel) handle(m *wire.Message) bool {
 		wire.OpFlushV, wire.OpReadLease:
 		k.dispatchGM(m)
 
-	// Synchronisation service.
-	case wire.OpBarrierArrive:
-		k.handleBarrierArrive(m)
-	// Like a barrier arrival, a lock or semaphore message is input from another
-	// node: one that reached a kernel other than 0 (no managers there), names
-	// no PE, re-acquires a lock its source holds or awaits, or releases one it
-	// does not hold is counted and dropped, not allowed to take kernel 0 down
-	// or to hand out a grant nobody is waiting for.
-	case wire.OpLockAcquire, wire.OpLockRelease, wire.OpSemWait, wire.OpSemPost:
-		if k.id != 0 || m.Src < 0 || int(m.Src) >= k.n {
-			k.extra.CorruptDrops++
-			break
-		}
-		k.handleSync(m)
+	// Synchronisation service. The one release that gets here is a tree
+	// barrier's (deliverApp took the others).
+	case wire.OpBarrierArrive, wire.OpBarrierRelease,
+		wire.OpLockAcquire, wire.OpLockRelease, wire.OpSemWait, wire.OpSemPost:
+		k.serveSync(m)
 
 	// Parallel process management (kernel 0 hosts the global table).
 	case wire.OpProcRegister:
@@ -692,41 +669,34 @@ func (k *Kernel) handle(m *wire.Message) bool {
 	return true
 }
 
-// handleSync serves kernel 0's central lock and semaphore managers.
-func (k *Kernel) handleSync(m *wire.Message) {
-	src := int(m.Src)
-	switch m.Op {
-	case wire.OpLockAcquire:
-		granted, ok := k.locks.Acquire(src, m.Tag)
-		if !ok {
-			k.extra.CorruptDrops++
-		} else if granted {
-			k.sendTo(src, wire.OpLockGrant, m.Tag)
-		}
-	case wire.OpLockRelease:
-		next, granted, ok := k.locks.Release(src, m.Tag)
-		if !ok {
-			k.extra.CorruptDrops++
-		} else if granted {
-			k.sendTo(next, wire.OpLockGrant, m.Tag)
-		}
-	case wire.OpSemWait:
-		if k.sems.Wait(src, m.Tag) {
-			k.sendTo(src, wire.OpSemGrant, m.Tag)
-		}
-	case wire.OpSemPost:
-		if next, ok := k.sems.Post(m.Tag); ok {
-			k.sendTo(next, wire.OpSemGrant, m.Tag)
-		}
+// serveSync is the synchronisation service's one entry point: every barrier,
+// lock and semaphore message goes through this kernel's psync.Set, and what
+// the set answers is sent. A sync message is input from another node: one
+// whose source names no PE, or that the set refuses — it reached a kernel that
+// does not host what it addresses, repeats an arrival or a wait, re-acquires a
+// lock its source holds or awaits, releases one it does not hold — is counted
+// and dropped, not allowed to take the kernel down, to release a barrier
+// somebody has not reached or to hand out a grant nobody is waiting for.
+func (k *Kernel) serveSync(m *wire.Message) {
+	var wake []psync.Grant
+	ok := m.Src >= 0 && int(m.Src) < k.n
+	if ok {
+		wake, ok = k.sync.Serve(int(m.Src), m.Op, m.Tag, m.Arg2)
 	}
-}
-
-// sendTo sends a freshly pooled grant-style message to kernel dst.
-func (k *Kernel) sendTo(dst int, op wire.Op, tag int32) {
-	g := wire.GetMessage()
-	g.Op, g.Src, g.Dst, g.Tag = op, int32(k.id), int32(dst), tag
-	k.svc.Send(dst, g)
-	wire.PutMessage(g)
+	if !ok {
+		k.extra.CorruptDrops++
+	}
+	for _, g := range wake {
+		out := wire.GetMessage()
+		out.Op, out.Src, out.Dst = g.Op, int32(k.id), int32(g.Dst)
+		out.Tag, out.Arg2 = g.ID, g.Size
+		if g.Wake {
+			k.syncMb.Put(out)
+			continue
+		}
+		k.svc.Send(g.Dst, out)
+		wire.PutMessage(out)
+	}
 }
 
 // logMessage appends m to the cluster-wide protocol trace, if enabled.
@@ -753,54 +723,6 @@ func (k *Kernel) reply(m *wire.Message, resp *wire.Message) {
 	}
 	k.svc.Send(int(m.Src), resp)
 	wire.PutMessage(resp)
-}
-
-// handleBarrierArrive implements both barrier flavours. Sized arrivals
-// (Arg2 != 0: job-group barriers over a PE subset) are always central —
-// the tree combines whole-cluster counts and cannot complete a subset — so
-// they take the kernel-0 path even under BarrierTree, and their releases
-// carry the size so the receiving kernel routes them straight to its
-// application instead of down a tree.
-func (k *Kernel) handleBarrierArrive(m *wire.Message) {
-	if k.cfg.Barrier == BarrierTree && m.Arg2 == 0 {
-		if k.tree.Arrive(m.Tag) {
-			if parent, ok := k.tree.Parent(); ok {
-				k.sendTo(parent, wire.OpBarrierArrive, m.Tag)
-			} else {
-				k.releaseDown(m.Tag)
-			}
-		}
-		return
-	}
-	// Central barrier: kernel 0 counts and releases everyone. An arrival is
-	// input from another node: one that reached the wrong kernel, names no PE,
-	// repeats a source already waiting or overruns the barrier's size is
-	// counted and dropped — it must neither take the kernel down nor release
-	// a barrier somebody has not reached.
-	if k.id != 0 || m.Src < 0 || int(m.Src) >= k.n {
-		k.extra.CorruptDrops++
-		return
-	}
-	waiters, ok := k.barrier.ArriveSized(int(m.Src), m.Tag, int(m.Arg2))
-	if !ok {
-		k.extra.CorruptDrops++
-	}
-	for _, w := range waiters {
-		rel := wire.GetMessage()
-		rel.Op, rel.Src, rel.Dst = wire.OpBarrierRelease, int32(k.id), int32(w)
-		rel.Tag, rel.Arg2 = m.Tag, m.Arg2
-		k.svc.Send(w, rel)
-		wire.PutMessage(rel)
-	}
-}
-
-func (k *Kernel) releaseDown(tag int32) {
-	for _, c := range k.tree.Children() {
-		k.sendTo(c, wire.OpBarrierRelease, tag)
-	}
-	wake := wire.GetMessage()
-	wake.Op, wake.Src, wake.Dst, wake.Tag = wire.OpBarrierRelease, int32(k.id), int32(k.id), tag
-	k.syncMb.Put(wake)
 }
 
 // Stats returns the node's transport-level counters.

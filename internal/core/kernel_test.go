@@ -334,9 +334,11 @@ func noReplyFrom(t *testing.T, k *Kernel, what string) {
 // manager used to answer with a panic — a re-acquire by the holder, a release
 // by a PE that does not hold the lock — and the ones that fail before they
 // reach it: a second acquire by a waiter (used to be queued twice, i.e. granted
-// twice), a source that names no PE, a lock message at a kernel other than 0.
-// Each is counted in CorruptDrops and dropped, and the lock still passes
-// down its queue in order.
+// twice), a source that names no PE, a lock message at a kernel other than 0 —
+// and a second semaphore wait by a source already queued, which used to take a
+// second place in the queue and with it the post meant for the next waiter.
+// Each is counted in CorruptDrops and dropped, the lock still passes down its
+// queue in order and the semaphore grants once per well-formed wait.
 func TestKernelCorruptLockMessagesDropped(t *testing.T) {
 	_, ks := testKernels(t, 3, nil)
 	send := func(k *Kernel, op wire.Op, src int32) {
@@ -347,6 +349,7 @@ func TestKernelCorruptLockMessagesDropped(t *testing.T) {
 		t.Fatalf("first acquire: %v", m)
 	}
 	send(ks[0], wire.OpLockAcquire, 2) // queues
+	send(ks[0], wire.OpSemWait, 2)     // queues
 	for i, bad := range []struct {
 		k   *Kernel
 		op  wire.Op
@@ -358,6 +361,7 @@ func TestKernelCorruptLockMessagesDropped(t *testing.T) {
 		{ks[0], wire.OpLockRelease, 0}, // not the holder either
 		{ks[0], wire.OpLockAcquire, 7}, // names no PE
 		{ks[0], wire.OpSemWait, -1},    // names no PE
+		{ks[0], wire.OpSemWait, 2},     // queued already
 	} {
 		send(bad.k, bad.op, bad.src)
 		if got := ks[0].extra.CorruptDrops; got != uint64(i+1) {
@@ -374,13 +378,70 @@ func TestKernelCorruptLockMessagesDropped(t *testing.T) {
 		t.Fatalf("queued acquire: %v", m)
 	}
 	send(ks[0], wire.OpLockRelease, 2)
+	send(ks[0], wire.OpSemPost, 1)
+	if m := syncFrom(t, ks[2]); m.Op != wire.OpSemGrant || m.Tag != 2 {
+		t.Fatalf("queued wait: %v", m)
+	}
+	send(ks[0], wire.OpSemPost, 1) // nobody waits: the refused duplicate must not be granted
 	for _, k := range ks[1:] {
 		if m, _, timedOut := k.syncMb.TakeTimeout(10 * sim.Millisecond); !timedOut {
 			t.Fatalf("kernel %d got a grant nobody asked for: %v", k.id, m)
 		}
 	}
-	if r := ks[0].locks.Residue(); r != 0 {
+	if _, r, _ := ks[0].sync.Residue(); r != 0 {
 		t.Fatalf("lock manager residue = %d, want 0", r)
+	}
+}
+
+// TestKernelCorruptTreeArrivalsDropped injects what a node of the combining
+// tree used to count on trust — an arrival from a kernel that is not its
+// child, a second arrival from one that is, either of which completed the
+// subtree before everybody in it had arrived — and what it used to pass on: a
+// release from anybody but its parent, and sync messages whose source names no
+// PE, which only kernel 0's central path checked. Each is counted in
+// CorruptDrops, nothing is sent and the application is not woken; the subtree
+// then completes and is released as if they had never arrived.
+func TestKernelCorruptTreeArrivalsDropped(t *testing.T) {
+	net, ks := testKernels(t, 6, func(cfg *Config) { cfg.Barrier = BarrierTree })
+	k := ks[1] // parent 0, children 3 and 4
+	send := func(op wire.Op, src int32) { k.handle(&wire.Message{Op: op, Src: src, Tag: 4}) }
+	send(wire.OpBarrierArrive, 3)
+	for i, bad := range []struct {
+		op  wire.Op
+		src int32
+	}{
+		{wire.OpBarrierArrive, 5},  // no child of kernel 1
+		{wire.OpBarrierArrive, 0},  // its parent is not its child either
+		{wire.OpBarrierArrive, 3},  // a child, twice in one epoch
+		{wire.OpBarrierArrive, 99}, // names no PE
+		{wire.OpBarrierRelease, -1},
+		{wire.OpBarrierRelease, 3}, // not from the parent
+		{wire.OpLockAcquire, 99},
+	} {
+		send(bad.op, bad.src)
+		if got := k.extra.CorruptDrops; got != uint64(i+1) {
+			t.Fatalf("forged message %d (%v from %d): CorruptDrops = %d, want %d", i, bad.op, bad.src, got, i+1)
+		}
+	}
+	if n := k.Stats().MsgsSent; n != 0 {
+		t.Fatalf("%d messages sent on forged input", n)
+	}
+	if m, _, timedOut := k.syncMb.TakeTimeout(10 * sim.Millisecond); !timedOut {
+		t.Fatalf("the application was woken by forged input: %v", m)
+	}
+	send(wire.OpBarrierArrive, 1)
+	send(wire.OpBarrierArrive, 4)
+	if m := recvFrom(t, net, 0); m.Op != wire.OpBarrierArrive || m.Src != 1 || m.Tag != 4 {
+		t.Fatalf("the complete subtree's arrival at the parent: %v", m)
+	}
+	send(wire.OpBarrierRelease, 0)
+	for _, c := range []int{3, 4} {
+		if m := recvFrom(t, net, c); m.Op != wire.OpBarrierRelease || m.Tag != 4 {
+			t.Fatalf("child %d got %v", c, m)
+		}
+	}
+	if m := syncFrom(t, k); m.Op != wire.OpBarrierRelease || m.Tag != 4 {
+		t.Fatalf("the application got %v", m)
 	}
 }
 

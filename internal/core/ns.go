@@ -47,10 +47,8 @@ func (k *Kernel) handleNsFree(m *wire.Message) {
 
 // handleJobPurge releases a finished job's residue at this kernel: every
 // user-message mailbox whose tag lies in [Tag, Tag+Arg1) is closed and
-// forgotten (waking any straggling RecvMsg), and kernel 0 additionally
-// drops the same id range from the central barrier/lock/semaphore managers
-// — a cancelled job's members may have died mid-barrier or holding a lock,
-// and a later job reusing the id range must find it clean.
+// forgotten (waking any straggling RecvMsg), and the same id range is
+// purged from the synchronisation state (which only kernel 0 holds any of).
 func (k *Kernel) handleJobPurge(m *wire.Message) {
 	if n := int32(m.Arg1); n > 0 {
 		lo, hi := m.Tag, m.Tag+n
@@ -62,11 +60,7 @@ func (k *Kernel) handleJobPurge(m *wire.Message) {
 			}
 		}
 		k.mu.Unlock()
-		if k.id == 0 {
-			k.barrier.DropRange(lo, hi)
-			k.locks.DropRange(lo, hi)
-			k.sems.DropRange(lo, hi)
-		}
+		k.sync.Purge(lo, hi)
 	}
 	resp := wire.GetMessage()
 	resp.Op = wire.OpJobPurgeAck

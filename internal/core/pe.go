@@ -37,6 +37,9 @@ type PE struct {
 	ckptEpoch   uint64        // last completed checkpoint epoch
 	viewGen     uint64        // view generation: recoveries this cluster survived
 
+	// everyone is the whole cluster as an all-reduce's members: rank r is kernel r.
+	everyone []int
+
 	// one is the single request in flight of everything but a range transfer
 	// (whose groups are in reqs): the request engine (request.go) matches what
 	// the kernel's reply mailbox holds against it by Seq.
@@ -78,8 +81,13 @@ func newPE(k *Kernel) *PE {
 		wc:     gmem.NewWCBuf(),
 		leases: make(map[uint64]*leaseEntry),
 		groups: make([]runGroup, k.n*k.groupsPerHome()),
+
+		everyone: make([]int, k.n),
 	}
 	pe.hist.SetClock(pe.app)
+	for i := range pe.everyone {
+		pe.everyone[i] = i
+	}
 	if rs := k.cfg.restore; rs != nil {
 		pe.ckptEpoch = rs.epoch
 		pe.viewGen = rs.viewGen
@@ -239,125 +247,127 @@ func (pe *PE) syncFence() {
 	pe.clearLeases()
 }
 
+// A syncVerb indexes syncVerbs, the table every synchronisation call is driven
+// from (DESIGN.md "The synchronisation pipeline"): what the verb sends, what
+// answers it, and the edges and records that go with it. A verb with a reply
+// is a wait (syncWait) and an acquire edge, one without is a post (syncPost).
+// Nothing is written down per call site, so no verb loses its span or its
+// history event by omission.
+type syncVerb uint8
+
+const (
+	verbBarrier syncVerb = iota
+	verbLock
+	verbSemWait
+	verbUnlock
+	verbSemPost
+)
+
+var syncVerbs = [...]struct {
+	req, reply wire.Op
+	tree       bool           // unsized, the request starts at the local kernel under tree barriers
+	release    bool           // release edge: publish the WC buffer before sending
+	span       trace.SpanKind // of a wait
+	hist       check.Kind     // zero (KindRead, no verb's kind): the checker has no kind for it
+}{
+	verbBarrier: {req: wire.OpBarrierArrive, reply: wire.OpBarrierRelease, tree: true, release: true, span: trace.SpanBarrier, hist: check.KindBarrier},
+	verbLock:    {req: wire.OpLockAcquire, reply: wire.OpLockGrant, span: trace.SpanLock, hist: check.KindLock},
+	verbSemWait: {req: wire.OpSemWait, reply: wire.OpSemGrant, span: trace.SpanSem},
+	// Unlock is release consistency's namesake release edge: buffered writes
+	// are published while the lock is still held, so the next holder observes
+	// them. A semaphore post has no event of its own: the flush's KindFlush is
+	// the fence the checker orders the published writes by.
+	verbUnlock:  {req: wire.OpLockRelease, release: true, hist: check.KindUnlock},
+	verbSemPost: {req: wire.OpSemPost, release: true},
+}
+
+// waitStats returns the counter and the wait histogram of a waiting verb:
+// fields of trace.PEStats that reports read by name, so not an array the table
+// could index.
+func (pe *PE) waitStats(v syncVerb) (*uint64, *trace.Histogram) {
+	switch v {
+	case verbBarrier:
+		return &pe.extra.Barriers, &pe.extra.BarrierWait
+	case verbLock:
+		return &pe.extra.Locks, &pe.extra.LockWait
+	}
+	return &pe.extra.Sems, &pe.extra.SemWait
+}
+
+// syncPost sends verb v's request for id — all there is to a post, the front
+// half of a wait — and returns the instant the call began. size != 0 makes a
+// barrier a sized one (a job's gang): always served by kernel 0's central
+// manager, because a subset of PEs cannot complete the combining tree.
+func (pe *PE) syncPost(v syncVerb, id int32, size int) sim.Time {
+	vb, k := &syncVerbs[v], pe.k
+	pe.legacyCrossing()
+	t0 := pe.app.Now()
+	if vb.release {
+		// Before the request, so that whoever it lets go observes the writes.
+		pe.flushWC(t0)
+	}
+	if vb.reply == wire.OpInvalid {
+		pe.recordSync(v, id, t0)
+	}
+	dst := 0 // the central managers live at kernel 0
+	if vb.tree && size == 0 && k.cfg.Barrier == BarrierTree {
+		dst = k.id
+	}
+	m := wire.GetMessage()
+	m.Op, m.Src, m.Dst, m.Tag, m.Arg2 = vb.req, int32(k.id), int32(dst), id, int64(size)
+	pe.app.Send(dst, m)
+	wire.PutMessage(m)
+	return t0
+}
+
+// recordSync adds verb v's history event: begun at inv, complete now.
+func (pe *PE) recordSync(v syncVerb, id int32, inv sim.Time) {
+	if kind := syncVerbs[v].hist; pe.hist != nil && kind != 0 {
+		pe.hist.Add(check.Event{Kind: kind, Addr: uint64(uint32(id)), Inv: inv, Resp: pe.app.Now()})
+	}
+}
+
+// syncWait is the one wait of the synchronisation pipeline: post verb v's
+// request for id and block until its reply.
+func (pe *PE) syncWait(v syncVerb, id int32, size int) {
+	vb := &syncVerbs[v]
+	count, wait := pe.waitStats(v)
+	*count++
+	start := pe.syncPost(v, id, size)
+	m := pe.takeSync()
+	if m.Op != vb.reply || m.Tag != id {
+		panic(fmt.Sprintf("core: PE %d: expected %v %d, got %v", pe.k.id, vb.reply, id, m))
+	}
+	wire.PutMessage(m)
+	end := pe.app.Now()
+	pe.extra.WaitTime += end - start
+	wait.Observe(end - start)
+	if pe.spans != nil {
+		pe.spans.Record(trace.Span{Kind: vb.span, PE: int32(pe.k.id), Seq: uint64(uint32(id)), Start: start, End: end})
+	}
+	pe.recordSync(v, id, start)
+	// Acquire edge: lease snapshots taken before the grant must not outlive it.
+	pe.clearLeases()
+}
+
 // Barrier blocks until every PE has reached it (barrier id 0).
 func (pe *PE) Barrier() { pe.BarrierID(0) }
 
 // BarrierID blocks on the barrier with the given id; distinct ids are
 // independent barriers.
-func (pe *PE) BarrierID(id int32) {
-	pe.legacyCrossing()
-	k := pe.k
-	pe.extra.Barriers++
-	dst := 0
-	if k.cfg.Barrier == BarrierTree {
-		dst = k.id // tree arrivals start at the local kernel
-	}
-	start := pe.app.Now()
-	// Release edge: publish buffered release-mode writes before arriving, so
-	// every PE released by this barrier observes them.
-	pe.flushWC(start)
-	arrive := wire.GetMessage()
-	arrive.Op, arrive.Src, arrive.Dst, arrive.Tag = wire.OpBarrierArrive, int32(k.id), int32(dst), id
-	pe.app.Send(dst, arrive)
-	wire.PutMessage(arrive)
-	m := pe.takeSync()
-	if m.Op != wire.OpBarrierRelease || m.Tag != id {
-		panic(fmt.Sprintf("core: PE %d: expected barrier %d release, got %v", k.id, id, m))
-	}
-	wire.PutMessage(m)
-	end := pe.app.Now()
-	pe.extra.WaitTime += end - start
-	pe.extra.BarrierWait.Observe(end - start)
-	if pe.spans != nil {
-		pe.spans.Record(trace.Span{
-			Kind: trace.SpanBarrier, PE: int32(k.id), Seq: uint64(uint32(id)),
-			Start: start, End: end,
-		})
-	}
-	if pe.hist != nil {
-		pe.hist.Add(check.Event{
-			Kind: check.KindBarrier, Addr: uint64(uint32(id)), Inv: start, Resp: end,
-		})
-	}
-	// Acquire edge: pre-barrier lease snapshots must not outlive the crossing.
-	pe.clearLeases()
-}
+func (pe *PE) BarrierID(id int32) { pe.syncWait(verbBarrier, id, 0) }
 
 // Lock acquires the cluster-wide lock id (FIFO, managed by kernel 0).
-func (pe *PE) Lock(id int32) {
-	pe.legacyCrossing()
-	pe.extra.Locks++
-	start := pe.app.Now()
-	pe.sendSync(wire.OpLockAcquire, id)
-	m := pe.takeSync()
-	if m.Op != wire.OpLockGrant || m.Tag != id {
-		panic(fmt.Sprintf("core: PE %d: expected lock %d grant, got %v", pe.k.id, id, m))
-	}
-	wire.PutMessage(m)
-	end := pe.app.Now()
-	pe.extra.WaitTime += end - start
-	pe.extra.LockWait.Observe(end - start)
-	if pe.spans != nil {
-		pe.spans.Record(trace.Span{
-			Kind: trace.SpanLock, PE: int32(pe.k.id), Seq: uint64(uint32(id)),
-			Start: start, End: end,
-		})
-	}
-	if pe.hist != nil {
-		pe.hist.Add(check.Event{
-			Kind: check.KindLock, Addr: uint64(uint32(id)), Inv: start, Resp: end,
-		})
-	}
-	// Acquire edge: drop lease snapshots taken before the grant.
-	pe.clearLeases()
-}
+func (pe *PE) Lock(id int32) { pe.syncWait(verbLock, id, 0) }
 
-// Unlock releases lock id. This is release consistency's namesake release
-// edge: buffered release-mode writes are published while the lock is still
-// held, so the next holder observes them.
-func (pe *PE) Unlock(id int32) {
-	pe.legacyCrossing()
-	t0 := pe.app.Now()
-	pe.flushWC(t0)
-	if pe.hist != nil {
-		pe.hist.Add(check.Event{
-			Kind: check.KindUnlock, Addr: uint64(uint32(id)), Inv: t0, Resp: pe.app.Now(),
-		})
-	}
-	pe.sendSync(wire.OpLockRelease, id)
-}
+// Unlock releases lock id.
+func (pe *PE) Unlock(id int32) { pe.syncPost(verbUnlock, id, 0) }
 
 // SemWait downs semaphore id, blocking while its value is zero.
-func (pe *PE) SemWait(id int32) {
-	pe.legacyCrossing()
-	start := pe.app.Now()
-	pe.sendSync(wire.OpSemWait, id)
-	m := pe.takeSync()
-	if m.Op != wire.OpSemGrant || m.Tag != id {
-		panic(fmt.Sprintf("core: PE %d: expected sem %d grant, got %v", pe.k.id, id, m))
-	}
-	wire.PutMessage(m)
-	pe.extra.WaitTime += pe.app.Now() - start
-	// Acquire edge, like a lock grant.
-	pe.clearLeases()
-}
+func (pe *PE) SemWait(id int32) { pe.syncWait(verbSemWait, id, 0) }
 
-// SemPost ups semaphore id. A release edge: the flush's own KindFlush event
-// is the fence the checker orders the published writes by.
-func (pe *PE) SemPost(id int32) {
-	pe.legacyCrossing()
-	pe.flushWC(pe.app.Now())
-	pe.sendSync(wire.OpSemPost, id)
-}
-
-// sendSync sends a synchronisation request to the central manager at
-// kernel 0 using a pooled message.
-func (pe *PE) sendSync(op wire.Op, id int32) {
-	m := wire.GetMessage()
-	m.Op, m.Src, m.Tag = op, int32(pe.k.id), id
-	pe.app.Send(0, m)
-	wire.PutMessage(m)
-}
+// SemPost ups semaphore id.
+func (pe *PE) SemPost(id int32) { pe.syncPost(verbSemPost, id, 0) }
 
 // takeWithin takes the next message from mb, waiting at most d (0 = forever).
 // ok is false when the mailbox closed (cluster shutdown).
@@ -367,6 +377,17 @@ func takeWithin(mb transport.Mailbox, d sim.Duration) (m *wire.Message, ok, time
 	}
 	m, ok = mb.Take()
 	return m, ok, false
+}
+
+// waitFailed raises what ended a wait without a message as the typed errors of
+// the request tier, so runPE reports it with its type and callers classify a
+// Barrier, Lock, SemWait or RecvMsg that failed with errors.As like any GM
+// call. src is the kernel the message was expected from.
+func (pe *PE) waitFailed(op string, src int, timedOut bool) {
+	if timedOut {
+		panic(&TimeoutError{PE: pe.k.id, Dst: src, Op: op, Attempts: 1})
+	}
+	panic(&ShutdownError{PE: pe.k.id, Op: op})
 }
 
 func (pe *PE) takeSync() *wire.Message {
@@ -381,14 +402,8 @@ func (pe *PE) takeSync() *wire.Message {
 		d = 0
 	}
 	m, ok, timedOut := takeWithin(pe.k.syncMb, d)
-	// Failures are raised as the typed errors of the request tier, so runPE
-	// reports them with their type and callers classify a Barrier, Lock or
-	// SemWait that failed with errors.As like any GM call.
-	if timedOut {
-		panic(&TimeoutError{PE: pe.k.id, Dst: 0, Op: "sync-wait", Attempts: 1})
-	}
 	if !ok {
-		panic(&ShutdownError{PE: pe.k.id, Op: "sync-wait"})
+		pe.waitFailed("sync-wait", 0, timedOut)
 	}
 	if m.Op == wire.OpPeerDown {
 		// A peer died while we were blocked (kernels feed this only under
@@ -516,35 +531,49 @@ const (
 	tagReduceDown int32 = -3
 )
 
-// AllReduceF combines one float64 contribution from every PE with op
+// reduceView says who takes part in an all-reduce and under which tags: the
+// whole cluster or a job's gang.
+type reduceView struct {
+	members  []int // members[rank] = kernel id
+	rank     int   // the caller's
+	up, down int32
+}
+
+// allReduce combines one float64 contribution from every member of v with op
 // (which must be commutative and associative) and returns the combined
-// value on all of them: a gather to PE 0 and a broadcast back, 2(N-1)
-// messages. It also acts as a synchronisation point: every PE's preceding
-// global-memory writes are completed (acknowledged) before any PE receives
+// value on all of them: a gather to rank 0 and a broadcast back, 2(n-1)
+// messages. It also acts as a synchronisation point: every member's preceding
+// global-memory writes are completed (acknowledged) before any member receives
 // the result — under release consistency that contract is kept by flushing
 // the write-combining buffer before the contribution is sent, and lease-mode
 // read caches are dropped so post-reduce reads observe post-reduce state.
-func (pe *PE) AllReduceF(x float64, op func(a, b float64) float64) float64 {
+func (pe *PE) allReduce(v reduceView, x float64, op func(a, b float64) float64) float64 {
 	pe.syncFence()
-	n := pe.N()
+	n := len(v.members)
 	if n == 1 {
 		return x
 	}
-	if pe.ID() != 0 {
-		pe.SendMsg(0, tagReduceUp, f64Bytes(x))
-		_, data := pe.RecvMsg(tagReduceDown)
+	if v.rank != 0 {
+		pe.SendMsg(v.members[0], v.up, f64Bytes(x))
+		_, data := pe.RecvMsg(v.down)
 		return f64FromBytes(data)
 	}
 	acc := x
 	for i := 1; i < n; i++ {
-		_, data := pe.RecvMsg(tagReduceUp)
+		_, data := pe.RecvMsg(v.up)
 		acc = op(acc, f64FromBytes(data))
 	}
 	out := f64Bytes(acc)
 	for i := 1; i < n; i++ {
-		pe.SendMsg(i, tagReduceDown, out)
+		pe.SendMsg(v.members[i], v.down, out)
 	}
 	return acc
+}
+
+// AllReduceF combines one float64 contribution from every PE with op (see
+// allReduce); PE 0 is the root.
+func (pe *PE) AllReduceF(x float64, op func(a, b float64) float64) float64 {
+	return pe.allReduce(reduceView{members: pe.everyone, rank: pe.ID(), up: tagReduceUp, down: tagReduceDown}, x, op)
 }
 
 func f64Bytes(x float64) []byte {
@@ -557,20 +586,19 @@ func f64FromBytes(b []byte) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// AllReduceSum sums one float64 contribution per PE.
-func (pe *PE) AllReduceSum(x float64) float64 {
-	return pe.AllReduceF(x, func(a, b float64) float64 { return a + b })
+func sumF(a, b float64) float64 { return a + b }
+func maxF(a, b float64) float64 {
+	if a > b {
+		return a
+	}
+	return b
 }
 
+// AllReduceSum sums one float64 contribution per PE.
+func (pe *PE) AllReduceSum(x float64) float64 { return pe.AllReduceF(x, sumF) }
+
 // AllReduceMax takes the maximum over one float64 contribution per PE.
-func (pe *PE) AllReduceMax(x float64) float64 {
-	return pe.AllReduceF(x, func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
+func (pe *PE) AllReduceMax(x float64) float64 { return pe.AllReduceF(x, maxF) }
 
 // --- PE-to-PE messages ---
 
@@ -586,22 +614,40 @@ func (pe *PE) SendMsg(dst int, tag int32, payload []byte) {
 	wire.PutMessage(m)
 }
 
-// RecvMsg blocks until a message with tag arrives, returning its sender
-// and payload.
-func (pe *PE) RecvMsg(tag int32) (src int, payload []byte) {
+// recvUser is the one wait on a user-message queue: the next message under
+// tag, waiting at most d (0 = forever). ok is false when the queue closed
+// (cluster shutdown, or the tag's job was purged).
+func (pe *PE) recvUser(tag int32, d sim.Duration) (m *wire.Message, ok, timedOut bool) {
 	pe.legacyCrossing()
 	mb := pe.k.userMb(tag)
 	start := pe.app.Now()
-	d := pe.k.requestTimeout()
-	m, ok, timedOut := takeWithin(mb, d)
-	if timedOut {
-		panic(fmt.Sprintf("core: PE %d: RecvMsg(tag=%d) timed out after %v", pe.k.id, tag, d))
-	}
-	if !ok {
-		panic(fmt.Sprintf("core: PE %d: cluster shut down in RecvMsg", pe.k.id))
-	}
+	m, ok, timedOut = takeWithin(mb, d)
 	pe.extra.WaitTime += pe.app.Now() - start
+	return m, ok, timedOut
+}
+
+// RecvMsg blocks until a message with tag arrives, returning its sender
+// and payload. It fails like a synchronisation wait (waitFailed), so that a
+// collective which loses a message or outlives the cluster is classifiable.
+func (pe *PE) RecvMsg(tag int32) (src int, payload []byte) {
+	m, ok, timedOut := pe.recvUser(tag, pe.k.requestTimeout())
+	if !ok {
+		pe.waitFailed("recv-msg", pe.k.id, timedOut) // from anybody: the queue is this kernel's
+	}
 	return int(m.Src), m.Data
+}
+
+// RecvMsgTimeout is RecvMsg with a bounded wait: ok is false when d expires
+// or the cluster shuts down before a message with tag arrives. The
+// scheduler's control loops poll with it, so an idle worker can interleave
+// waiting for work with checking for shutdown.
+func (pe *PE) RecvMsgTimeout(tag int32, d sim.Duration) (src int, payload []byte, ok bool) {
+	// recvUser reads 0 as forever; here it is the shortest wait.
+	m, ok, _ := pe.recvUser(tag, max(d, 1))
+	if !ok {
+		return 0, nil, false
+	}
+	return int(m.Src), m.Data, true
 }
 
 // --- Process management / SSI ---

@@ -21,10 +21,9 @@ func BenchmarkLockAcquireRelease(b *testing.B) {
 
 func BenchmarkTreeBarrierArrive(b *testing.B) {
 	tb := NewTreeBarrier(0, 16, 2)
-	need := len(tb.Children()) + 1
 	for i := 0; i < b.N; i++ {
-		for k := 0; k < need; k++ {
-			tb.Arrive(1)
+		for src := 0; src <= 2; src++ { // own PE, then children 1 and 2
+			tb.Arrive(src, 1)
 		}
 	}
 }

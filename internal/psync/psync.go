@@ -1,20 +1,26 @@
 // Package psync holds the synchronisation state machines of the DSE
 // parallel processing library: the centralised barrier, lock and semaphore
 // managers (hosted by kernel 0) and the distributed tree barrier used as an
-// ablation. The state machines are pure — they consume "PE x arrived/asked"
-// events and emit lists of PEs to notify — so the same code drives every
-// transport and is unit-testable without a cluster.
+// ablation, gathered per kernel into a Set whose Serve is the one entry point
+// a kernel's synchronisation service calls. The state machines are pure — they
+// consume "PE x arrived/asked" events and emit lists of PEs to notify — so the
+// same code drives every transport and is unit-testable without a cluster.
+// Every event is a message from another node: what a well-behaved PE cannot
+// have sent is refused (ok false, nothing recorded), never trusted.
 //
 // These sync operations are also release consistency's ordering edges
-// (DESIGN.md §14): a PE publishes its write-combining buffer before a
-// barrier arrival, a lock release or a semaphore post, and drops its lease
-// cache after a barrier crossing, a lock grant or a semaphore grant. The
-// managers themselves need no changes for that — the PE-side core plumbs
-// the flush/drop around the messages they already exchange — but any new
-// sync primitive added here must get the same treatment in internal/core.
+// (DESIGN.md §14). The edges are not plumbed here: the PE side drives every
+// verb through one table (syncVerbs in internal/core/pe.go, DESIGN.md "The
+// synchronisation pipeline") whose row says what is sent, what answers it and
+// which edge goes with it. A new primitive is a new row there and a new case
+// in Set.Serve.
 package psync
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/wire"
+)
 
 // BarrierManager implements the central barrier: kernels send arrive
 // messages to the manager, which releases everyone when the count is full.
@@ -69,30 +75,6 @@ func (bm *BarrierManager) ArriveSized(src int, id int32, size int) (release []in
 	return nil, true
 }
 
-// Pending reports how many kernels are waiting at barrier id.
-func (bm *BarrierManager) Pending(id int32) int { return len(bm.arrived[id]) }
-
-// PendingTotal reports how many arrivals are parked across ALL open barrier
-// epochs — a leak gauge: after a quiesced teardown it must be zero.
-func (bm *BarrierManager) PendingTotal() int {
-	total := 0
-	for _, w := range bm.arrived {
-		total += len(w)
-	}
-	return total
-}
-
-// DropRange discards every partial epoch whose barrier id lies in [lo, hi):
-// namespace teardown for a cancelled job whose members died mid-barrier, so
-// the job's id range is clean when a later job reuses it.
-func (bm *BarrierManager) DropRange(lo, hi int32) {
-	for id := range bm.arrived {
-		if id >= lo && id < hi {
-			delete(bm.arrived, id)
-		}
-	}
-}
-
 // LockManager implements the central distributed lock manager. Locks are
 // granted FIFO.
 type LockManager struct {
@@ -130,50 +112,27 @@ func (lm *LockManager) Release(src int, id int32) (next int, granted, ok bool) {
 	if h, held := lm.holder[id]; !held || h != src {
 		return 0, false, false
 	}
-	q := lm.waitq[id]
-	if len(q) == 0 {
-		delete(lm.holder, id)
-		return 0, false, true
-	}
-	next = q[0]
-	if len(q) == 1 {
-		delete(lm.waitq, id)
+	next, granted = popWaiter(lm.waitq, id)
+	if granted {
+		lm.holder[id] = next
 	} else {
-		lm.waitq[id] = q[1:]
+		delete(lm.holder, id)
 	}
-	lm.holder[id] = next
-	return next, true, true
+	return next, granted, true
 }
 
-// Holder reports the current holder of lock id.
-func (lm *LockManager) Holder(id int32) (int, bool) {
-	h, ok := lm.holder[id]
-	return h, ok
-}
-
-// Residue reports how many locks are held plus how many waiters are queued
-// across all ids — a leak gauge for job teardown.
-func (lm *LockManager) Residue() int {
-	total := len(lm.holder)
-	for _, q := range lm.waitq {
-		total += len(q)
+// popWaiter takes the head of id's wait queue (ok false: nobody waits).
+func popWaiter(waitq map[int32][]int, id int32) (next int, ok bool) {
+	q := waitq[id]
+	if len(q) == 0 {
+		return 0, false
 	}
-	return total
-}
-
-// DropRange forgets holders and wait queues of every lock id in [lo, hi):
-// teardown for a job that aborted while holding or awaiting its locks.
-func (lm *LockManager) DropRange(lo, hi int32) {
-	for id := range lm.holder {
-		if id >= lo && id < hi {
-			delete(lm.holder, id)
-		}
+	if len(q) == 1 {
+		delete(waitq, id)
+	} else {
+		waitq[id] = q[1:]
 	}
-	for id := range lm.waitq {
-		if id >= lo && id < hi {
-			delete(lm.waitq, id)
-		}
-	}
+	return q[0], true
 }
 
 // SemManager implements central counting semaphores.
@@ -187,63 +146,30 @@ func NewSemManager() *SemManager {
 	return &SemManager{val: make(map[int32]int64), waitq: make(map[int32][]int)}
 }
 
-// Init sets semaphore id to v (only meaningful before any waiter queues).
-func (sm *SemManager) Init(id int32, v int64) { sm.val[id] = v }
-
 // Wait decrements semaphore id for src. It reports whether the down
-// succeeded immediately; otherwise src is queued.
-func (sm *SemManager) Wait(src int, id int32) bool {
+// succeeded immediately; otherwise src is queued. A PE blocks in its wait, so
+// a second one from a source already queued on id is a forged or duplicated
+// message: refused — ok false, nothing recorded — because a second place in
+// the queue would swallow a post meant for somebody else.
+func (sm *SemManager) Wait(src int, id int32) (granted, ok bool) {
 	if sm.val[id] > 0 {
 		sm.val[id]--
-		return true
+		return true, true
+	}
+	if slices.Contains(sm.waitq[id], src) {
+		return false, false
 	}
 	sm.waitq[id] = append(sm.waitq[id], src)
-	return false
+	return false, true
 }
 
 // Post increments semaphore id and returns the kernel to grant a pending
 // wait to, if any.
 func (sm *SemManager) Post(id int32) (next int, ok bool) {
-	q := sm.waitq[id]
-	if len(q) > 0 {
-		next = q[0]
-		if len(q) == 1 {
-			delete(sm.waitq, id)
-		} else {
-			sm.waitq[id] = q[1:]
-		}
-		return next, true
+	if next, ok = popWaiter(sm.waitq, id); !ok {
+		sm.val[id]++
 	}
-	sm.val[id]++
-	return 0, false
-}
-
-// Value reports the semaphore's current value.
-func (sm *SemManager) Value(id int32) int64 { return sm.val[id] }
-
-// WaitersTotal reports how many waiters are queued across all semaphores —
-// a leak gauge for job teardown.
-func (sm *SemManager) WaitersTotal() int {
-	total := 0
-	for _, q := range sm.waitq {
-		total += len(q)
-	}
-	return total
-}
-
-// DropRange forgets values and wait queues of every semaphore id in
-// [lo, hi): teardown for a job's private semaphore range.
-func (sm *SemManager) DropRange(lo, hi int32) {
-	for id := range sm.val {
-		if id >= lo && id < hi {
-			delete(sm.val, id)
-		}
-	}
-	for id := range sm.waitq {
-		if id >= lo && id < hi {
-			delete(sm.waitq, id)
-		}
-	}
+	return next, ok
 }
 
 // TreeBarrier is the distributed alternative to the central barrier: each
@@ -251,19 +177,20 @@ func (sm *SemManager) DropRange(lo, hi int32) {
 // its parent, and the root broadcasts release back down. One TreeBarrier
 // lives at each kernel.
 type TreeBarrier struct {
-	self  int
-	n     int
-	arity int
-	count map[int32]int
+	self    int
+	arity   int
+	kids    int              // children: kernels self*arity+1 .. self*arity+kids
+	arrived map[int32]uint64 // per id: bit 0 = own PE, bit i = i-th child
 }
 
 // NewTreeBarrier builds the node-local state for kernel self of n with the
-// given fan-in (arity >= 2).
+// given fan-in (arity in [2, 63]: one bit per child in the arrival mask).
 func NewTreeBarrier(self, n, arity int) *TreeBarrier {
 	if arity < 2 {
 		arity = 2
 	}
-	return &TreeBarrier{self: self, n: n, arity: arity, count: make(map[int32]int)}
+	kids := min(arity, max(0, n-1-self*arity)) // those that exist among n kernels
+	return &TreeBarrier{self: self, arity: arity, kids: kids, arrived: make(map[int32]uint64)}
 }
 
 // Parent returns this kernel's tree parent (ok=false at the root).
@@ -277,26 +204,190 @@ func (tb *TreeBarrier) Parent() (int, bool) {
 // Children returns this kernel's tree children.
 func (tb *TreeBarrier) Children() []int {
 	var cs []int
-	for i := 1; i <= tb.arity; i++ {
-		c := tb.self*tb.arity + i
-		if c < tb.n {
-			cs = append(cs, c)
-		}
+	for i := 1; i <= tb.kids; i++ {
+		cs = append(cs, tb.self*tb.arity+i)
 	}
 	return cs
 }
 
-// Arrive records one arrival (the kernel's own, or a combined arrival from
-// a child subtree) for barrier id. When the whole subtree has arrived it
-// resets the epoch and reports complete=true: a non-root kernel must then
-// notify its parent, the root must broadcast release.
-func (tb *TreeBarrier) Arrive(id int32) (complete bool) {
-	need := len(tb.Children()) + 1
-	c := tb.count[id] + 1
-	if c >= need {
-		delete(tb.count, id)
-		return true
+// Arrive records the arrival of src — the kernel's own PE, or the combined
+// arrival of a child's subtree — at barrier id. When the whole subtree has
+// arrived it resets the epoch and reports complete=true: a non-root kernel
+// must then notify its parent, the root must broadcast release. An arrival is
+// a message from another node: one from anybody but this kernel's own PE or
+// one of its children, or a second one from the same source within an epoch,
+// is refused — ok false, nothing recorded — where counting it would complete
+// the subtree before everybody in it has arrived.
+func (tb *TreeBarrier) Arrive(src int, id int32) (complete, ok bool) {
+	slot := 0
+	if src != tb.self {
+		slot = src - tb.self*tb.arity
+		if slot < 1 || slot > tb.kids {
+			return false, false
+		}
 	}
-	tb.count[id] = c
-	return false
+	have := tb.arrived[id]
+	if have&(1<<slot) != 0 {
+		return false, false
+	}
+	have |= 1 << slot
+	if have == 1<<(tb.kids+1)-1 {
+		delete(tb.arrived, id)
+		return true, true
+	}
+	tb.arrived[id] = have
+	return false, true
+}
+
+// Grant is one message a Set asks its kernel to emit: Op to kernel Dst about
+// id, Size in the wire's size field. Wake marks the tree barrier's release of
+// this kernel's own application, which the kernel hands over directly — sent
+// to itself, the release would come back to Serve and go down the tree again.
+type Grant struct {
+	Dst  int
+	Op   wire.Op
+	ID   int32
+	Size int64
+	Wake bool
+}
+
+// Set is the synchronisation state of one kernel: the central barrier, lock
+// and semaphore managers (kernel 0 only) and this kernel's node of the
+// combining tree (tree barriers only). Like the managers it has no lock of
+// its own: whoever calls it serialises the calls.
+type Set struct {
+	barrier *BarrierManager
+	locks   *LockManager
+	sems    *SemManager
+	tree    *TreeBarrier
+	wake    []Grant // Serve's result, overwritten by the next call
+}
+
+// NewSet builds kernel self's set for an n-kernel cluster; tree says whether
+// unsized barriers run over the combining tree (of fan-in 2).
+func NewSet(self, n int, tree bool) *Set {
+	s := &Set{}
+	if self == 0 {
+		s.barrier, s.locks, s.sems = NewBarrierManager(n), NewLockManager(), NewSemManager()
+	}
+	if tree {
+		s.tree = NewTreeBarrier(self, n, 2)
+	}
+	return s
+}
+
+// Serve applies one synchronisation message — op from src about id, size the
+// wire's size field (a sized barrier's gang size, else 0) — and returns the
+// messages to emit in order, valid until the next call. ok is false for a
+// message that is refused: by a manager (see their methods), because it
+// reached a kernel that does not host the state it addresses, or because it is
+// no synchronisation request at all. The caller has checked that src names a
+// kernel.
+//
+// Sized arrivals (job-group barriers over a PE subset) are always central —
+// the tree combines whole-cluster counts and cannot complete a subset — and
+// their releases carry the size, which is what routes them to the arriving
+// PE's application instead of down a tree.
+func (s *Set) Serve(src int, op wire.Op, id int32, size int64) (wake []Grant, ok bool) {
+	s.wake = s.wake[:0]
+	switch {
+	case op == wire.OpBarrierArrive && size == 0 && s.tree != nil:
+		var complete bool
+		if complete, ok = s.tree.Arrive(src, id); complete {
+			if parent, has := s.tree.Parent(); has {
+				s.emit(parent, wire.OpBarrierArrive, id, 0)
+			} else {
+				s.releaseDown(id)
+			}
+		}
+		return s.wake, ok
+	case op == wire.OpBarrierRelease && s.tree != nil:
+		// Only a tree release is served (a central one goes straight to the
+		// application), and only the parent sends one.
+		if parent, has := s.tree.Parent(); has && src == parent {
+			s.releaseDown(id)
+			ok = true
+		}
+		return s.wake, ok
+	case s.barrier == nil:
+		return nil, false
+	case op == wire.OpBarrierArrive:
+		var waiters []int
+		waiters, ok = s.barrier.ArriveSized(src, id, int(size))
+		for _, w := range waiters {
+			s.emit(w, wire.OpBarrierRelease, id, size)
+		}
+		return s.wake, ok
+	}
+	dst, grant, granted := src, wire.OpLockGrant, false
+	switch op {
+	case wire.OpLockAcquire:
+		granted, ok = s.locks.Acquire(src, id)
+	case wire.OpLockRelease:
+		dst, granted, ok = s.locks.Release(src, id)
+	case wire.OpSemWait:
+		grant = wire.OpSemGrant
+		granted, ok = s.sems.Wait(src, id)
+	case wire.OpSemPost:
+		grant, ok = wire.OpSemGrant, true
+		dst, granted = s.sems.Post(id)
+	}
+	if granted {
+		s.emit(dst, grant, id, 0)
+	}
+	return s.wake, ok
+}
+
+func (s *Set) emit(dst int, op wire.Op, id int32, size int64) {
+	s.wake = append(s.wake, Grant{Dst: dst, Op: op, ID: id, Size: size})
+}
+
+// releaseDown forwards a tree release to the children and wakes the local
+// application.
+func (s *Set) releaseDown(id int32) {
+	for _, c := range s.tree.Children() {
+		s.emit(c, wire.OpBarrierRelease, id, 0)
+	}
+	s.wake = append(s.wake, Grant{Dst: s.tree.self, Op: wire.OpBarrierRelease, ID: id, Wake: true})
+}
+
+// Purge forgets every barrier epoch, lock and semaphore whose id lies in
+// [lo, hi): teardown for a job whose members may have died mid-barrier,
+// holding a lock or queued on a semaphore, so that a later job reusing the id
+// range finds it clean. (Job barriers are sized, hence central: the tree
+// holds nothing of a job's.)
+func (s *Set) Purge(lo, hi int32) {
+	if s.barrier == nil {
+		return
+	}
+	dropRange(s.barrier.arrived, lo, hi)
+	dropRange(s.locks.holder, lo, hi)
+	dropRange(s.locks.waitq, lo, hi)
+	dropRange(s.sems.val, lo, hi)
+	dropRange(s.sems.waitq, lo, hi)
+}
+
+func dropRange[V any](m map[int32]V, lo, hi int32) {
+	for id := range m {
+		if id >= lo && id < hi {
+			delete(m, id)
+		}
+	}
+}
+
+// Residue reports the leak gauges of job teardown, all zero after a quiesced
+// one: arrivals parked in open barrier epochs, locks held plus lock waiters
+// queued, and semaphore waiters queued.
+func (s *Set) Residue() (barrierPend, lockResidue, semWaiters int) {
+	if s.barrier == nil {
+		return 0, 0, 0
+	}
+	return queued(s.barrier.arrived), len(s.locks.holder) + queued(s.locks.waitq), queued(s.sems.waitq)
+}
+
+func queued(m map[int32][]int) (n int) {
+	for _, q := range m {
+		n += len(q)
+	}
+	return n
 }

@@ -3,6 +3,8 @@ package psync
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/wire"
 )
 
 func TestBarrierReleasesOnlyWhenFull(t *testing.T) {
@@ -17,7 +19,7 @@ func TestBarrierReleasesOnlyWhenFull(t *testing.T) {
 	if len(r) != 3 {
 		t.Fatalf("release list = %v, want all three", r)
 	}
-	if bm.Pending(1) != 0 {
+	if len(bm.arrived[1]) != 0 {
 		t.Fatal("epoch did not reset")
 	}
 }
@@ -26,13 +28,13 @@ func TestBarrierEpochsIndependentPerID(t *testing.T) {
 	bm := NewBarrierManager(2)
 	bm.Arrive(0, 1)
 	bm.Arrive(0, 2)
-	if bm.Pending(1) != 1 || bm.Pending(2) != 1 {
+	if len(bm.arrived[1]) != 1 || len(bm.arrived[2]) != 1 {
 		t.Fatal("ids interfered")
 	}
 	if r := bm.Arrive(1, 2); len(r) != 2 {
 		t.Fatalf("barrier 2 did not complete: %v", r)
 	}
-	if bm.Pending(1) != 1 {
+	if len(bm.arrived[1]) != 1 {
 		t.Fatal("barrier 1 state lost")
 	}
 }
@@ -59,8 +61,8 @@ func TestBarrierRefusesDuplicateAndOverArrival(t *testing.T) {
 	if r, ok := bm.ArriveSized(1, 1, 0); r != nil || ok {
 		t.Fatalf("duplicate arrival from PE 1 = %v, %v, want refused", r, ok)
 	}
-	if bm.Pending(1) != 1 {
-		t.Fatalf("duplicate was recorded: %d waiting", bm.Pending(1))
+	if len(bm.arrived[1]) != 1 {
+		t.Fatalf("duplicate was recorded: %d waiting", len(bm.arrived[1]))
 	}
 	if r, ok := bm.ArriveSized(0, 1, 0); !ok || len(r) != 2 || r[0] != 1 || r[1] != 0 {
 		t.Fatalf("completing arrival = %v, %v", r, ok)
@@ -147,7 +149,7 @@ func TestLockFIFOGranting(t *testing.T) {
 	if _, granted, ok = lm.Release(2, 1); granted || !ok {
 		t.Fatal("empty queue should not grant")
 	}
-	if _, held := lm.Holder(1); held {
+	if _, held := lm.holder[1]; held {
 		t.Fatal("lock should be free")
 	}
 }
@@ -173,8 +175,8 @@ func TestLockRefusesReleaseWithoutHold(t *testing.T) {
 	if _, _, ok := lm.Release(1, 1); ok {
 		t.Fatal("release by a waiter accepted")
 	}
-	if h, _ := lm.Holder(1); h != 0 || lm.Residue() != 2 {
-		t.Fatalf("refused release moved the lock: holder %d, residue %d", h, lm.Residue())
+	if h := lm.holder[1]; h != 0 || len(lm.waitq[1]) != 1 {
+		t.Fatalf("refused release moved the lock: holder %d, waiters %v", h, lm.waitq[1])
 	}
 }
 
@@ -190,8 +192,8 @@ func TestLockRefusesReacquire(t *testing.T) {
 	if granted, ok := lm.Acquire(1, 1); granted || ok {
 		t.Fatal("second acquire by a waiter accepted")
 	}
-	if lm.Residue() != 2 {
-		t.Fatalf("residue %d after two refused acquires, want holder + one waiter", lm.Residue())
+	if len(lm.holder) != 1 || len(lm.waitq[1]) != 1 {
+		t.Fatalf("after two refused acquires: waiters %v, want holder + one waiter", lm.waitq[1])
 	}
 	if next, granted, _ := lm.Release(0, 1); !granted || next != 1 {
 		t.Fatalf("release granted %d,%v want 1", next, granted)
@@ -263,11 +265,13 @@ func TestLockMutualExclusionProperty(t *testing.T) {
 
 func TestSemaphoreCounting(t *testing.T) {
 	sm := NewSemManager()
-	sm.Init(1, 2)
-	if !sm.Wait(0, 1) || !sm.Wait(1, 1) {
-		t.Fatal("two downs of a 2-valued semaphore should pass")
+	sm.val[1] = 2
+	for src := 0; src < 2; src++ {
+		if granted, ok := sm.Wait(src, 1); !granted || !ok {
+			t.Fatal("two downs of a 2-valued semaphore should pass")
+		}
 	}
-	if sm.Wait(2, 1) {
+	if granted, ok := sm.Wait(2, 1); granted || !ok {
 		t.Fatal("third down should block")
 	}
 	next, ok := sm.Post(1)
@@ -277,18 +281,40 @@ func TestSemaphoreCounting(t *testing.T) {
 	if _, ok := sm.Post(1); ok {
 		t.Fatal("post with empty queue should just increment")
 	}
-	if sm.Value(1) != 1 {
-		t.Fatalf("value = %d, want 1", sm.Value(1))
+	if sm.val[1] != 1 {
+		t.Fatalf("value = %d, want 1", sm.val[1])
 	}
 }
 
 func TestSemaphoreZeroStart(t *testing.T) {
 	sm := NewSemManager()
-	if sm.Wait(0, 9) {
+	if granted, ok := sm.Wait(0, 9); granted || !ok {
 		t.Fatal("wait on fresh semaphore should block")
 	}
 	if next, ok := sm.Post(9); !ok || next != 0 {
 		t.Fatal("post should grant the waiter")
+	}
+}
+
+// A PE blocks in its wait, so a second wait from a source already queued is a
+// forged or duplicated message: queued twice, it would swallow the post meant
+// for the next waiter.
+func TestSemaphoreRefusesDuplicateWait(t *testing.T) {
+	sm := NewSemManager()
+	sm.Wait(1, 4)
+	if granted, ok := sm.Wait(1, 4); granted || ok {
+		t.Fatalf("second wait by a queued source = %v, %v, want refused", granted, ok)
+	}
+	sm.Wait(2, 4)
+	if next, _ := sm.Post(4); next != 1 {
+		t.Fatalf("first post granted %d, want 1", next)
+	}
+	if next, granted := sm.Post(4); !granted || next != 2 {
+		t.Fatalf("second post granted %d, %v: the refused duplicate was queued after all", next, granted)
+	}
+	// Granted, the source may wait again.
+	if _, ok := sm.Wait(1, 4); !ok {
+		t.Fatal("wait after the grant refused")
 	}
 }
 
@@ -320,18 +346,45 @@ func TestTreeBarrierTopology(t *testing.T) {
 func TestTreeBarrierCompletesOnceSubtreeArrives(t *testing.T) {
 	// Kernel 0 of 5 with arity 2 has children {1,2}: needs self + 2.
 	tb := NewTreeBarrier(0, 5, 2)
-	if tb.Arrive(1) {
+	if complete, ok := tb.Arrive(2, 1); complete || !ok {
 		t.Fatal("complete after 1/3")
 	}
-	if tb.Arrive(1) {
+	if complete, ok := tb.Arrive(0, 1); complete || !ok {
 		t.Fatal("complete after 2/3")
 	}
-	if !tb.Arrive(1) {
+	if complete, ok := tb.Arrive(1, 1); !complete || !ok {
 		t.Fatal("not complete after 3/3")
 	}
 	// Epoch reset: the next round needs 3 again.
-	if tb.Arrive(1) {
+	if complete, ok := tb.Arrive(0, 1); complete || !ok {
 		t.Fatal("stale epoch state")
+	}
+}
+
+// A tree arrival is a message from another node: counted from anybody but
+// this kernel's own PE or one of its children, or twice from the same source,
+// it would complete the subtree before everybody in it has arrived.
+func TestTreeBarrierRefusesStrangersAndDuplicates(t *testing.T) {
+	tb := NewTreeBarrier(1, 6, 2) // kernel 1 of 6: children 3 and 4
+	for _, src := range []int{0, 2, 5, 6, -1} {
+		if complete, ok := tb.Arrive(src, 7); complete || ok {
+			t.Fatalf("arrival from %d = %v, %v, want refused", src, complete, ok)
+		}
+	}
+	tb.Arrive(3, 7)
+	if complete, ok := tb.Arrive(3, 7); complete || ok {
+		t.Fatalf("second arrival of child 3 = %v, %v, want refused", complete, ok)
+	}
+	tb.Arrive(1, 7)
+	if complete, ok := tb.Arrive(1, 7); complete || ok {
+		t.Fatalf("second arrival of the own PE = %v, %v, want refused", complete, ok)
+	}
+	if complete, ok := tb.Arrive(4, 7); !complete || !ok {
+		t.Fatalf("last arrival = %v, %v, want the subtree complete", complete, ok)
+	}
+	// Kernel 2 of 6 has one child, 5: kernel 6 does not exist.
+	if _, ok := NewTreeBarrier(2, 6, 2).Arrive(6, 7); ok {
+		t.Fatal("arrival from a kernel past the cluster accepted")
 	}
 }
 
@@ -340,7 +393,7 @@ func TestTreeBarrierLeaf(t *testing.T) {
 	if len(tb.Children()) != 0 {
 		t.Fatalf("leaf has children %v", tb.Children())
 	}
-	if !tb.Arrive(1) {
+	if complete, ok := tb.Arrive(4, 1); !complete || !ok {
 		t.Fatal("leaf should complete on its own arrival")
 	}
 }
@@ -356,19 +409,19 @@ func TestTreeBarrierGlobalProperty(t *testing.T) {
 			tbs[i] = NewTreeBarrier(i, n, arity)
 		}
 		// Every kernel arrives; propagate completions upward.
-		var upward func(k int)
+		var upward func(k, src int)
 		rootComplete := false
-		upward = func(k int) {
-			if tbs[k].Arrive(1) {
+		upward = func(k, src int) {
+			if complete, _ := tbs[k].Arrive(src, 1); complete {
 				if parent, ok := tbs[k].Parent(); ok {
-					upward(parent)
+					upward(parent, k)
 				} else {
 					rootComplete = true
 				}
 			}
 		}
 		for k := 0; k < n; k++ {
-			upward(k)
+			upward(k, k)
 		}
 		if !rootComplete {
 			return false
@@ -392,5 +445,158 @@ func TestTreeBarrierGlobalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// grants copies what Serve returned, which the next call overwrites.
+func grants(t *testing.T, s *Set, src int, op wire.Op, id int32, size int64) ([]Grant, bool) {
+	t.Helper()
+	wake, ok := s.Serve(src, op, id, size)
+	return append([]Grant(nil), wake...), ok
+}
+
+// TestSetServe drives every verb through the one entry point: what kernel 0's
+// set grants, what a set without central managers refuses, and how a sized
+// arrival stays central beside a tree.
+func TestSetServe(t *testing.T) {
+	s := NewSet(0, 3, false)
+	expect := func(what string, got []Grant, ok bool, wantOK bool, want ...Grant) {
+		t.Helper()
+		if ok != wantOK || len(got) != len(want) {
+			t.Fatalf("%s: %v, %v, want %v, %v", what, got, ok, want, wantOK)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: grant %d = %+v, want %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+	g, ok := grants(t, s, 1, wire.OpLockAcquire, 5, 0)
+	expect("acquire of a free lock", g, ok, true, Grant{Dst: 1, Op: wire.OpLockGrant, ID: 5})
+	g, ok = grants(t, s, 2, wire.OpLockAcquire, 5, 0)
+	expect("acquire of a held lock", g, ok, true)
+	g, ok = grants(t, s, 2, wire.OpLockAcquire, 5, 0)
+	expect("second acquire by a waiter", g, ok, false)
+	g, ok = grants(t, s, 1, wire.OpLockRelease, 5, 0)
+	expect("release", g, ok, true, Grant{Dst: 2, Op: wire.OpLockGrant, ID: 5})
+
+	g, ok = grants(t, s, 1, wire.OpSemWait, 6, 0)
+	expect("wait on a zero semaphore", g, ok, true)
+	g, ok = grants(t, s, 1, wire.OpSemWait, 6, 0)
+	expect("second wait by a queued source", g, ok, false)
+	g, ok = grants(t, s, 0, wire.OpSemPost, 6, 0)
+	expect("post", g, ok, true, Grant{Dst: 1, Op: wire.OpSemGrant, ID: 6})
+
+	// A sized barrier releases at its size and the releases carry it.
+	g, ok = grants(t, s, 2, wire.OpBarrierArrive, 7, 2)
+	expect("first sized arrival", g, ok, true)
+	g, ok = grants(t, s, 2, wire.OpBarrierArrive, 7, 2)
+	expect("duplicate arrival", g, ok, false)
+	g, ok = grants(t, s, 0, wire.OpBarrierArrive, 7, 2)
+	expect("completing sized arrival", g, ok, true,
+		Grant{Dst: 2, Op: wire.OpBarrierRelease, ID: 7, Size: 2},
+		Grant{Dst: 0, Op: wire.OpBarrierRelease, ID: 7, Size: 2})
+
+	g, ok = grants(t, s, 1, wire.OpBarrierRelease, 7, 0)
+	expect("a release served without a tree", g, ok, false)
+	g, ok = grants(t, s, 1, wire.OpLockGrant, 5, 0)
+	expect("an op that is no sync request", g, ok, false)
+
+	// Kernel 1 hosts no central manager.
+	s1 := NewSet(1, 3, false)
+	for _, op := range []wire.Op{wire.OpBarrierArrive, wire.OpLockAcquire, wire.OpLockRelease, wire.OpSemWait, wire.OpSemPost} {
+		g, ok = grants(t, s1, 0, op, 1, 0)
+		expect(op.String()+" at kernel 1", g, ok, false)
+	}
+}
+
+// TestSetServeTree: kernel 1 of 6 (parent 0, children 3 and 4) combines its
+// subtree's arrivals into one to its parent, passes its parent's release down
+// and wakes its own application last; the root, complete, releases at once.
+func TestSetServeTree(t *testing.T) {
+	s := NewSet(1, 6, true)
+	for _, src := range []int{3, 1} {
+		if g, ok := grants(t, s, src, wire.OpBarrierArrive, 9, 0); !ok || len(g) != 0 {
+			t.Fatalf("arrival of %d: %v, %v", src, g, ok)
+		}
+	}
+	if g, ok := grants(t, s, 5, wire.OpBarrierArrive, 9, 0); ok || len(g) != 0 {
+		t.Fatalf("arrival of a non-child: %v, %v, want refused", g, ok)
+	}
+	if g, ok := grants(t, s, 3, wire.OpBarrierArrive, 9, 0); ok || len(g) != 0 {
+		t.Fatalf("second arrival of child 3: %v, %v, want refused", g, ok)
+	}
+	g, ok := grants(t, s, 4, wire.OpBarrierArrive, 9, 0)
+	if !ok || len(g) != 1 || g[0] != (Grant{Dst: 0, Op: wire.OpBarrierArrive, ID: 9}) {
+		t.Fatalf("completing arrival: %v, %v, want one arrival to the parent", g, ok)
+	}
+	if g, ok := grants(t, s, 3, wire.OpBarrierRelease, 9, 0); ok || len(g) != 0 {
+		t.Fatalf("release from a child: %v, %v, want refused", g, ok)
+	}
+	g, ok = grants(t, s, 0, wire.OpBarrierRelease, 9, 0)
+	want := []Grant{
+		{Dst: 3, Op: wire.OpBarrierRelease, ID: 9},
+		{Dst: 4, Op: wire.OpBarrierRelease, ID: 9},
+		{Dst: 1, Op: wire.OpBarrierRelease, ID: 9, Wake: true},
+	}
+	if !ok || len(g) != len(want) {
+		t.Fatalf("release from the parent: %v, %v, want %v", g, ok, want)
+	}
+	for i := range want {
+		if g[i] != want[i] {
+			t.Fatalf("release grant %d = %+v, want %+v", i, g[i], want[i])
+		}
+	}
+	// A sized arrival is central even beside a tree: refused here, where no
+	// central manager lives, not counted into the tree.
+	if g, ok := grants(t, s, 1, wire.OpBarrierArrive, 9, 2); ok || len(g) != 0 {
+		t.Fatalf("sized arrival at kernel 1: %v, %v, want refused", g, ok)
+	}
+
+	root := NewSet(0, 1, true) // a lone kernel: its own arrival completes the tree
+	g, ok = grants(t, root, 0, wire.OpBarrierArrive, 9, 0)
+	if !ok || len(g) != 1 || g[0] != (Grant{Dst: 0, Op: wire.OpBarrierRelease, ID: 9, Wake: true}) {
+		t.Fatalf("root completing: %v, %v, want the local wake", g, ok)
+	}
+	if g, ok := grants(t, root, 0, wire.OpBarrierRelease, 9, 0); ok || len(g) != 0 {
+		t.Fatalf("release at the root: %v, %v, want refused", g, ok)
+	}
+}
+
+// TestSetPurgeAndResidue: the set owns job teardown. Residue counts what a
+// job left behind, Purge drops exactly the job's id range, and a set without
+// central managers has nothing of either.
+func TestSetPurgeAndResidue(t *testing.T) {
+	s := NewSet(0, 4, false)
+	for _, id := range []int32{10, 20} { // 10 is the job's, 20 somebody else's
+		s.Serve(1, wire.OpBarrierArrive, id, 3)
+		s.Serve(2, wire.OpBarrierArrive, id, 3)
+		s.Serve(1, wire.OpLockAcquire, id, 0)
+		s.Serve(2, wire.OpLockAcquire, id, 0)
+		s.Serve(3, wire.OpSemWait, id, 0)
+	}
+	s.Serve(0, wire.OpSemPost, 11, 0) // a value nobody consumed
+	if b, l, w := s.Residue(); b != 4 || l != 4 || w != 2 {
+		t.Fatalf("residue = %d, %d, %d, want 4, 4, 2", b, l, w)
+	}
+	s.Purge(10, 20)
+	if b, l, w := s.Residue(); b != 2 || l != 2 || w != 1 {
+		t.Fatalf("residue after the purge = %d, %d, %d, want 2, 2, 1", b, l, w)
+	}
+	// The next job finds the range clean: a fresh lock, a zero semaphore, a
+	// barrier epoch that needs all three arrivals again.
+	if g, ok := s.Serve(3, wire.OpLockAcquire, 10, 0); !ok || len(g) != 1 {
+		t.Fatalf("lock 10 after the purge: %v, %v, want granted", g, ok)
+	}
+	if g, ok := s.Serve(3, wire.OpSemWait, 11, 0); !ok || len(g) != 0 {
+		t.Fatalf("semaphore 11 after the purge: %v, %v, want queued", g, ok)
+	}
+	if g, ok := s.Serve(3, wire.OpBarrierArrive, 10, 3); !ok || len(g) != 0 {
+		t.Fatalf("barrier 10 after the purge: %v, %v, want parked", g, ok)
+	}
+	s1 := NewSet(1, 4, true)
+	s1.Purge(0, 100)
+	if b, l, w := s1.Residue(); b != 0 || l != 0 || w != 0 {
+		t.Fatalf("residue at kernel 1 = %d, %d, %d", b, l, w)
 	}
 }

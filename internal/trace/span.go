@@ -15,7 +15,7 @@ import (
 // SpanKind classifies a span.
 type SpanKind uint8
 
-// Span kinds. App-context spans (run, request, transfer, barrier, lock)
+// Span kinds. App-context spans (run, request, transfer, barrier, lock, sem)
 // render on a PE's application thread in the Chrome trace; service spans on
 // its kernel thread.
 const (
@@ -26,6 +26,7 @@ const (
 	SpanLock                     // blocked acquiring a cluster lock
 	SpanService                  // kernel handling one incoming message
 	SpanCkpt                     // one coordinated checkpoint, quiesce → commit
+	SpanSem                      // blocked in a semaphore wait
 )
 
 func (k SpanKind) String() string {
@@ -44,6 +45,8 @@ func (k SpanKind) String() string {
 		return "service"
 	case SpanCkpt:
 		return "ckpt"
+	case SpanSem:
+		return "sem"
 	}
 	return "span?"
 }
