@@ -324,6 +324,24 @@ func BenchmarkSimClusterConstruction(b *testing.B) {
 	}
 }
 
+// emptyInprocCluster is the empty program the benchmark times as
+// core.cluster_start_ms: four PEs over inproc, shards, window and rings on.
+var emptyInprocCluster = Config{NumPE: 4, Transport: TransportInproc,
+	KernelShards: 2, DirectReads: 1, WriteRings: 1, GMBlockWords: 64}
+
+// BenchmarkInprocClusterConstruction measures what every repetition of an
+// application pays before and after its own work on the in-process
+// transport: building, starting, stopping and collecting a 4-PE cluster.
+func BenchmarkInprocClusterConstruction(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(emptyInprocCluster, func(pe *PE) error { return nil })
+		if err != nil || res.FirstErr() != nil {
+			b.Fatal(err, res.FirstErr())
+		}
+	}
+}
+
 // BenchmarkRoundTripTracingDisabled is the default path: histograms are
 // always on, span tracing costs one nil check.
 func BenchmarkRoundTripTracingDisabled(b *testing.B) {

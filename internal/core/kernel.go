@@ -112,7 +112,10 @@ type Kernel struct {
 	// cluster where NumPE x KernelShards could come close.
 	replyMb transport.Mailbox
 
-	mu    sync.Mutex // guards userq
+	mu sync.Mutex // guards userq
+	// userq holds the user-message queue of every tag in use; nil once the
+	// serve loop has exited (releaseUserQueues), when nothing can arrive any
+	// more and userMb hands out closed mailboxes.
 	userq map[int32]transport.Mailbox
 
 	// deadFlags[p] is set once the transport has declared peer p dead: the
@@ -445,13 +448,20 @@ func (k *Kernel) dedupCheck(m *wire.Message) bool {
 }
 
 // userMb returns (creating on demand) the queue for user messages with tag.
+// After the serve loop has exited the queue it creates is born closed: a
+// RecvMsg on a tag first used then fails like one that was already waiting,
+// instead of parking on a queue nothing will ever fill or close.
 func (k *Kernel) userMb(tag int32) transport.Mailbox {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	mb, ok := k.userq[tag]
 	if !ok {
 		mb = k.node.NewMailbox(0)
-		k.userq[tag] = mb
+		if k.userq == nil {
+			mb.Close()
+		} else {
+			k.userq[tag] = mb
+		}
 	}
 	return mb
 }
@@ -459,14 +469,15 @@ func (k *Kernel) userMb(tag int32) transport.Mailbox {
 // releaseUserQueues closes and forgets every user-message mailbox. Called
 // once when the serve loop exits (PE shutdown): tags registered by userMb
 // used to accumulate for the kernel's lifetime — a leak for programs cycling
-// through many tags — and a closed mailbox wakes any straggling RecvMsg.
+// through many tags — and a closed mailbox wakes any straggling RecvMsg,
+// which still drains what its queue held.
 func (k *Kernel) releaseUserQueues() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	for tag, mb := range k.userq {
+	for _, mb := range k.userq {
 		mb.Close()
-		delete(k.userq, tag)
 	}
+	k.userq = nil
 }
 
 // serve is the DSE kernel main loop (the "parallel processing mechanism"):

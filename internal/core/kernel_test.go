@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"testing"
 	"time"
@@ -282,6 +283,48 @@ func TestKernelUserMessageRouting(t *testing.T) {
 	ks[0].handle(&wire.Message{Op: wire.OpUserMsg, Src: 0, Tag: 12})
 	if _, _, timedOut := ks[0].userMb(11).TakeTimeout(10_000_000); !timedOut {
 		t.Fatal("tag 11 queue should be empty")
+	}
+}
+
+// TestKernelUserQueuesAfterRelease: once the serve loop has exited nothing can
+// fill or close a user queue any more, so a RecvMsg on a tag first used then
+// must fail like a wait the shutdown interrupted — with no RequestTimeout
+// (the default here) it would otherwise park for good, which is what a node
+// killed under its running application did. A queue created before the
+// release keeps what it held.
+func TestKernelUserQueuesAfterRelease(t *testing.T) {
+	_, ks := testKernels(t, 1, nil)
+	k := ks[0]
+	pe := newPE(k)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		k.serve()
+	}()
+	held := k.userMb(7)
+	held.Put(&wire.Message{Op: wire.OpUserMsg, Tag: 7, Data: []byte("held")})
+	k.node.CloseRecv()
+
+	raised := make(chan any, 1)
+	go func() {
+		<-served
+		defer func() { raised <- recover() }()
+		pe.RecvMsg(9)
+	}()
+	select {
+	case r := <-raised:
+		var down *ShutdownError
+		if err, _ := r.(error); !errors.As(err, &down) || down.Op != "recv-msg" {
+			t.Fatalf("RecvMsg on a new tag after the serve loop exited: %v, want a *ShutdownError of recv-msg", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RecvMsg on a new tag parked after the serve loop exited")
+	}
+	if m, ok := held.Take(); !ok || string(m.Data) != "held" {
+		t.Fatalf("queue created before the release lost its message: %v %v", m, ok)
+	}
+	if m, ok := held.Take(); ok {
+		t.Fatalf("drained queue still open: %v", m)
 	}
 }
 

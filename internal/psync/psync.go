@@ -41,7 +41,8 @@ func NewBarrierManager(n int) *BarrierManager {
 
 // Arrive records that src reached barrier id. When the epoch completes it
 // returns the kernels to release (in arrival order) and resets the epoch;
-// otherwise it returns nil.
+// otherwise it returns nil. The list is the epoch's own storage, which the
+// id's next epoch fills again: it is valid until the next arrival at id.
 func (bm *BarrierManager) Arrive(src int, id int32) []int {
 	release, _ := bm.ArriveSized(src, id, bm.n)
 	return release
@@ -68,7 +69,7 @@ func (bm *BarrierManager) ArriveSized(src int, id int32, size int) (release []in
 	}
 	waiters = append(waiters, src)
 	if len(waiters) == size {
-		delete(bm.arrived, id)
+		bm.arrived[id] = waiters[:0]
 		return waiters, true
 	}
 	bm.arrived[id] = waiters

@@ -594,6 +594,22 @@ func TestSetPurgeAndResidue(t *testing.T) {
 	if g, ok := s.Serve(3, wire.OpBarrierArrive, 10, 3); !ok || len(g) != 0 {
 		t.Fatalf("barrier 10 after the purge: %v, %v, want parked", g, ok)
 	}
+	// A completed epoch keeps its waiter list, emptied, for the id's next
+	// one: that is no residue, and a purge still drops the entry.
+	s.Serve(1, wire.OpBarrierArrive, 10, 3)
+	if g, ok := s.Serve(2, wire.OpBarrierArrive, 10, 3); !ok || len(g) != 3 {
+		t.Fatalf("barrier 10 completing: %v, %v, want three releases", g, ok)
+	}
+	if b, _, _ := s.Residue(); b != 2 {
+		t.Fatalf("barrier residue after barrier 10 completed = %d, want barrier 20's 2", b)
+	}
+	if _, kept := s.barrier.arrived[10]; !kept {
+		t.Fatal("completed epoch dropped its waiter list")
+	}
+	s.Purge(10, 20)
+	if _, kept := s.barrier.arrived[10]; kept {
+		t.Fatal("purge left barrier 10's entry")
+	}
 	s1 := NewSet(1, 4, true)
 	s1.Purge(0, 100)
 	if b, l, w := s1.Residue(); b != 0 || l != 0 || w != 0 {

@@ -1,7 +1,7 @@
 // Package inproc is a loopback transport: kernels exchange encoded wire
-// messages over in-process Go channels with no cost model. It exists for
-// fast unit/integration testing of the runtime logic, independent of both
-// the simulator and real sockets.
+// messages over in-process queues (transport.Inbox) with no cost model. It
+// exists for fast unit/integration testing of the runtime logic, independent
+// of both the simulator and real sockets.
 //
 // A message is encoded and decoded on the sending goroutine, which is
 // therefore the receive-side delivery context: it hands the decoded message

@@ -6,7 +6,7 @@
 //
 //   - simnet:  over the simulated CSMA/CD Ethernet with per-platform OS
 //     cost models (used for all paper experiments),
-//   - inproc:  direct in-process channels (fast unit testing),
+//   - inproc:  direct in-process queues (fast unit testing),
 //   - tcpnet:  real TCP sockets via the standard library (the portability
 //     demonstration: the same application binary runs over a real
 //     protocol stack).
@@ -34,6 +34,15 @@
 // to itself are never offered to its sink: they queue for Recv, so what a
 // serve loop sends its own node from inside a handler is routed only after
 // that handler has returned (Inbox.DeliverLocal).
+//
+// Queues and memory. Every queue of the real transports — the receive queue
+// behind Recv and each mailbox NewMailbox makes — is one type, ChanMailbox: a
+// bounded FIFO whose capacity (DefaultDepth unless the caller names one) is
+// the point at which a putter blocks, not an allocation. Its storage follows
+// its occupancy, so a kernel's handful of queues cost a few hundred bytes
+// each until something actually piles up in one; a putter blocks only at
+// capacity and never after Close, the one taker only on an empty open queue.
+// simnet's mailbox is a sim.Chan, which behaves the same way.
 package transport
 
 import (
@@ -80,8 +89,10 @@ type Port interface {
 // Mailbox is a queue the kernel service uses to hand messages to code
 // blocked in the App context.
 type Mailbox interface {
-	// Put enqueues m. It must not block (mailboxes are amply buffered);
-	// callable from the Svc context.
+	// Put enqueues m; callable from the Svc context. It blocks only when the
+	// mailbox holds its full capacity — mailboxes are bounded amply, so that
+	// a putter never waits on a taker that is making progress — and never
+	// once the mailbox is closed.
 	Put(m *wire.Message)
 	// Take blocks the App context until a message arrives. ok is false if
 	// the mailbox was closed.
