@@ -187,17 +187,11 @@ func TestClusterConstructionBudget(t *testing.T) {
 		t.Skip("the race detector's allocations are not the program's")
 	}
 	const runs, budget = 50, 1 << 20
-	empty := func() {
-		res, err := Run(emptyInprocCluster, func(pe *PE) error { return nil })
-		if err != nil || res.FirstErr() != nil {
-			t.Fatal(err, res.FirstErr())
-		}
-	}
-	empty() // pools and lazily built tables are not the cluster's
+	runEmptyInprocCluster(t) // pools and lazily built tables are not the cluster's
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		empty()
+		runEmptyInprocCluster(t)
 	}
 	runtime.ReadMemStats(&after)
 	perRun := (after.TotalAlloc - before.TotalAlloc) / runs

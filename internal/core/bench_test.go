@@ -324,10 +324,16 @@ func BenchmarkSimClusterConstruction(b *testing.B) {
 	}
 }
 
-// emptyInprocCluster is the empty program the benchmark times as
+// runEmptyInprocCluster is the empty program the benchmark times as
 // core.cluster_start_ms: four PEs over inproc, shards, window and rings on.
-var emptyInprocCluster = Config{NumPE: 4, Transport: TransportInproc,
-	KernelShards: 2, DirectReads: 1, WriteRings: 1, GMBlockWords: 64}
+func runEmptyInprocCluster(tb testing.TB) {
+	res, err := Run(Config{NumPE: 4, Transport: TransportInproc,
+		KernelShards: 2, DirectReads: 1, WriteRings: 1, GMBlockWords: 64},
+		func(pe *PE) error { return nil })
+	if err != nil || res.FirstErr() != nil {
+		tb.Fatal(err, res.FirstErr())
+	}
+}
 
 // BenchmarkInprocClusterConstruction measures what every repetition of an
 // application pays before and after its own work on the in-process
@@ -335,10 +341,7 @@ var emptyInprocCluster = Config{NumPE: 4, Transport: TransportInproc,
 func BenchmarkInprocClusterConstruction(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(emptyInprocCluster, func(pe *PE) error { return nil })
-		if err != nil || res.FirstErr() != nil {
-			b.Fatal(err, res.FirstErr())
-		}
+		runEmptyInprocCluster(b)
 	}
 }
 

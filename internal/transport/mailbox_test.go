@@ -73,9 +73,11 @@ func TestMailboxCloseWakesParkedTake(t *testing.T) {
 			mb := NewChanMailbox(4)
 			within(t, "parked take", func() {
 				go func() {
+					// Unless it waits for the taker, Close lands before or
+					// after the taker parks: both must end.
 					if parkedFirst {
 						awaitMailbox(mb, mb.parked.Load)
-					} // else Close lands before or after the taker parks: both must end
+					}
 					mb.Close()
 				}()
 				var ok, timedOut bool
