@@ -182,11 +182,16 @@ func decodeKernelBlocks(data []byte) (blockWords int, blocks []gmem.BlockSnapsho
 		return 0, nil, 0, fmt.Errorf("ckpt: implausible kernel state (blockWords=%d, blocks=%d)", bw, nb)
 	}
 	blocks = make([]gmem.BlockSnapshot, 0, nb)
+	seen := make(map[uint64]bool)
 	for i := uint64(0); i < nb; i++ {
 		var b gmem.BlockSnapshot
 		if b.Index, err = get(); err != nil {
 			return 0, nil, 0, err
 		}
+		if seen[b.Index] {
+			return 0, nil, 0, fmt.Errorf("ckpt: kernel state lists block %d twice", b.Index)
+		}
+		seen[b.Index] = true
 		b.Words = make([]int64, bw)
 		for w := range b.Words {
 			var v uint64

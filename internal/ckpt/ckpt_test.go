@@ -66,6 +66,24 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsRepeatedBlock: a kernel state that lists one block twice
+// is refused with an error naming the block, in both payload versions,
+// instead of handing the segment two contents for one block.
+func TestDecodeRejectsRepeatedBlock(t *testing.T) {
+	blocks := []gmem.BlockSnapshot{
+		{Index: 7, Words: []int64{1, 2}},
+		{Index: 9, Words: []int64{3, 4}},
+		{Index: 7, Words: []int64{5, 6}},
+	}
+	if _, _, err := DecodeKernelState(EncodeKernelState(2, blocks)); err == nil || !strings.Contains(err.Error(), "block 7 twice") {
+		t.Errorf("DecodeKernelState: err = %v, want one naming block 7", err)
+	}
+	dir := &DirectorySnapshot{Epoch: 1, Members: []MemberSnapshot{{}, {}}}
+	if _, _, _, err := DecodeKernelStateDir(EncodeKernelStateDir(2, blocks, dir)); err == nil || !strings.Contains(err.Error(), "block 7 twice") {
+		t.Errorf("DecodeKernelStateDir: err = %v, want one naming block 7", err)
+	}
+}
+
 func openTestStore(t *testing.T) *DirStore {
 	t.Helper()
 	st, err := OpenDir(t.TempDir())

@@ -28,14 +28,15 @@ import (
 // until the word's result closes it, so an operation that dies mid-request
 // (timeout, panic, peer down) is retained open rather than lost.
 
-// resolve routes the word or single-home run at addr, whose mode is mode: its
-// home under the live directory, computed once per word/run, and whether this
-// PE serves it from its own segment — a read whenever its kernel homes the
-// word, a mutation unless the word is cached: only the home's request service
-// may change a word other PEs hold copies of, so that one travels as a
-// message even to the PE's own kernel (via the own-node message path).
-func (pe *PE) resolve(addr uint64, mode gmem.Mode, mutates bool) (home int, local bool) {
-	home = pe.k.homeOf(addr)
+// resolve routes the word or single-home run located at l, whose mode is
+// mode: its home under the live directory, computed once per word/run, and
+// whether this PE serves it from its own segment — a read whenever its kernel
+// homes the word, a mutation unless the word is cached: only the home's
+// request service may change a word other PEs hold copies of, so that one
+// travels as a message even to the PE's own kernel (via the own-node message
+// path).
+func (pe *PE) resolve(l gmem.Loc, mode gmem.Mode, mutates bool) (home int, local bool) {
+	home = pe.k.dir.HomeAt(l)
 	return home, home == pe.k.id && !(mutates && mode == gmem.ModeCached)
 }
 
@@ -122,7 +123,7 @@ func (pe *PE) leaseRead(out []int64, addr uint64, h int) error {
 		le := pe.leaseHit(base)
 		if le != nil {
 			pe.chargeLocal()
-		} else if home, local := pe.resolve(base, gmem.ModeLease, false); local {
+		} else if home, local := pe.resolve(pe.k.space.Locate(base), gmem.ModeLease, false); local {
 			pe.chargeLocal()
 			pe.k.seg.ReadInto(part, lo)
 		} else {
@@ -214,14 +215,14 @@ func (pe *PE) clearLeases() {
 // path it replaces. The ownership check inside the home's seqlock critical
 // section makes the window migration-safe: a block mid-handoff fails the
 // check (the extract bumped the write sequence) and the caller falls through
-// to the message path, which follows the NACK redirect.
-func (pe *PE) windowRead(home int, addr uint64) (int64, bool) {
+// to the message path, which follows the NACK redirect. l is the word's place.
+func (pe *PE) windowRead(home int, l gmem.Loc) (int64, bool) {
 	k := pe.k
 	if k.windows == nil || k.deadFlags[home].Load() {
 		return 0, false
 	}
 	pe.app.LocalAccess()
-	v, ok := k.windows[home].DirectReadOwned(addr)
+	v, ok := k.windows[home].DirectReadAt(l)
 	if ok {
 		pe.extra.DirectGM++
 	}
@@ -257,14 +258,14 @@ const (
 // message sequences, so the home's dedup window gives the two paths one
 // exactly-once space. The home's migration generation is sampled before the
 // push and rechecked after consumption — see ringAmbiguous for the race this
-// closes.
-func (pe *PE) ringWrite(home int, addr uint64, v int64) (ringStatus, uint64) {
+// closes. l is addr's place.
+func (pe *PE) ringWrite(home int, addr uint64, l gmem.Loc, v int64) (ringStatus, uint64) {
 	k := pe.k
 	if k.ringPeers == nil || k.deadFlags[home].Load() {
 		return ringUnavailable, 0
 	}
 	hk := k.ringPeers[home]
-	sh := hk.shards[k.space.ShardOf(addr, hk.nshards)]
+	sh := hk.shards[l.Shard(hk.nshards)]
 	if sh.ring == nil {
 		return ringUnavailable, 0
 	}
@@ -275,7 +276,7 @@ func (pe *PE) ringWrite(home int, addr uint64, v int64) (ringStatus, uint64) {
 	// and report ringApplied for a write the drain filtered as disowned. A
 	// static directory never bumps migGen, so the cost is one atomic load.
 	gen := hk.migGen.Load()
-	if !hk.dir.Static() && !hk.dir.Owns(home, k.space.BlockOf(addr)) {
+	if !hk.dir.Static() && !hk.dir.Owns(home, l.Block) {
 		return ringUnavailable, 0 // block already migrated away
 	}
 	pe.app.LocalAccess()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/gmem"
@@ -71,10 +72,35 @@ func BenchmarkGMRemoteWordRoundTrip(b *testing.B) {
 	benchRemoteRead(b, messagePath)
 }
 
+// spreadWords returns seeded addresses over 64 blocks of 64 words homed at
+// kernel home of a 2-PE cluster whose blocks are 64 words — the addresses
+// benchmark/'s gm_onesided workload reads — and has PE 1 write a word of each
+// of those blocks, so that they are materialised at their home.
+func spreadWords(pe *PE, home int) []uint64 {
+	const blocks, words = 64, 64
+	sp := pe.Space()
+	first := sp.BlockOf(pe.AllocBlocks(2 * blocks * words))
+	if sp.HomeOf(first*words) != home {
+		first++
+	}
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]uint64, 4096)
+	for i := range addrs {
+		addrs[i] = (first+2*uint64(rng.Intn(blocks)))*words + uint64(rng.Intn(words))
+	}
+	if pe.ID() == 1 {
+		for k := uint64(0); k < blocks; k++ {
+			pe.GMWrite((first+2*k)*words, 1)
+		}
+	}
+	return addrs
+}
+
 // BenchmarkGMWord is the per-layer check that the access pipeline keeps the
 // scalar ladder flat: a read and a write on each path a word can take, every
 // cell asserting its path from PE 0's counters (PE 0 issues nothing but the
-// timed operations) and reporting allocations.
+// timed operations) and reporting allocations. Reads walk spreadWords, so a
+// home's block lookup is not one hot entry; writes store to one word.
 func BenchmarkGMWord(b *testing.B) {
 	type counts struct{ local, remote, direct, ring, msgs uint64 }
 	onesided := Config{Transport: TransportInproc, KernelShards: 2, DirectReads: 1, WriteRings: 1}
@@ -94,22 +120,22 @@ func BenchmarkGMWord(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			res := runBenchProgram(b, c.cfg, 2, func(pe *PE) error {
-				addr := remoteWord(pe)
-				if !c.remote {
-					addr = pe.Alloc(64)
-					for pe.Space().HomeOf(addr) != 0 {
-						addr++
-					}
-				}
+			cfg := c.cfg
+			cfg.GMBlockWords = 64
+			home := 0
+			if c.remote {
+				home = 1
+			}
+			res := runBenchProgram(b, cfg, 2, func(pe *PE) error {
+				addrs := spreadWords(pe, home)
 				pe.Barrier()
 				if pe.ID() == 0 {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						if c.write {
-							pe.GMWrite(addr, int64(i))
+							pe.GMWrite(addrs[0], int64(i))
 						} else {
-							pe.GMRead(addr)
+							pe.GMRead(addrs[i%len(addrs)])
 						}
 					}
 					b.StopTimer()

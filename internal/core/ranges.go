@@ -213,7 +213,8 @@ func (pe *PE) resetRuns() {
 func (pe *PE) addRun(kind check.Kind, mode gmem.Mode, buf []int64, start uint64, count, off int) {
 	k := pe.k
 	write := kind != check.KindRead
-	home, local := pe.resolve(start, mode, write)
+	l := k.space.Locate(start)
+	home, local := pe.resolve(l, mode, write)
 	if local {
 		pe.chargeLocal()
 		if write {
@@ -224,7 +225,7 @@ func (pe *PE) addRun(kind check.Kind, mode gmem.Mode, buf []int64, start uint64,
 		return
 	}
 	pe.extra.RemoteGM++
-	shard, gi := k.space.ShardOf(start, k.nshards), home
+	shard, gi := l.Shard(k.nshards), home
 	if per := k.groupsPerHome(); per > 1 {
 		gi = home*per + shard
 	}

@@ -71,23 +71,27 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 		}
 	}
 
+	// Home: the word is located once — block, offset, stripe, shard and
+	// static home — and every later step takes the located word.
+	l := k.space.Locate(addr)
+	home, local := pe.resolve(l, mode, kind != check.KindRead)
+
 	// Path: own segment, one-sided window or ring, else a message. Every
 	// mutation that completes succeeds, except a CAS that finds another value.
-	home, local := pe.resolve(addr, mode, kind != check.KindRead)
 	ok = true
 	if local {
 		pe.chargeLocal()
 		switch kind {
 		case check.KindRead:
-			out = k.seg.ReadWord(addr)
+			out = k.seg.ReadWordAt(l)
 			pe.hist.CloseRead(h, out, false, 0, 0)
 			return out, false, nil
 		case check.KindWrite:
-			k.seg.WriteWord(addr, a1)
+			k.seg.WriteWordAt(l, a1)
 		case check.KindFetchAdd:
-			out = k.seg.FetchAdd(addr, a1)
+			out = k.seg.FetchAddAt(l, a1)
 		case check.KindCAS:
-			out, ok = k.seg.CAS(addr, a1, a2)
+			out, ok = k.seg.CASAt(l, a1, a2)
 		}
 		pe.hist.Close(h, out, ok)
 		return out, ok, nil
@@ -100,12 +104,12 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 		// read to join the copyset, a write to have it invalidated — so they
 		// take neither one-sided path.
 	case kind == check.KindRead:
-		if v, hit := pe.windowRead(home, addr); hit {
+		if v, hit := pe.windowRead(home, l); hit {
 			pe.hist.CloseRead(h, v, false, 0, 0)
 			return v, false, nil
 		}
 	case kind == check.KindWrite:
-		st, seq := pe.ringWrite(home, addr, a1)
+		st, seq := pe.ringWrite(home, addr, l, a1)
 		if st == ringApplied {
 			pe.hist.Close(h, 0, true)
 			return 0, false, nil

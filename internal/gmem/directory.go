@@ -124,6 +124,21 @@ func (d *Directory) HomeOfBlock(b uint64) int {
 	if d.static.Load() {
 		return int(b % uint64(d.n))
 	}
+	return d.liveHome(b)
+}
+
+// HomeAt is HomeOfBlock for a located block: the static layout's answer is
+// the remainder Locate already took.
+func (d *Directory) HomeAt(l Loc) int {
+	if d.static.Load() {
+		return l.Home
+	}
+	return d.liveHome(l.Block)
+}
+
+// liveHome is HomeOfBlock past the static flag: the overrides, then the
+// probe rule.
+func (d *Directory) liveHome(b uint64) int {
 	st := d.state.Load()
 	if h, ok := st.overrides[b]; ok {
 		return h

@@ -95,3 +95,20 @@ func FuzzSubmitRing(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSegmentBlocks plays an arbitrary script of writes, extracts, range
+// drops, adoptions and imports on 64 blocks against the segment's map model
+// (segModel, which checks every block the segment hands back), then checks
+// the whole segment against the model. Single-threaded: the concurrent
+// readers are TestSegmentBlockTableModel's.
+func FuzzSegmentBlocks(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 0, 1, 20, 0, 7, 0, 1, 0, 2, 0, 0, 27, 0, 1, 0, 0, 31, 0, 0, 0, 5, 0, 0, 28, 0, 4, 0, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			return
+		}
+		m := newSegModel(t, 64)
+		m.run(data)
+		m.verify()
+	})
+}

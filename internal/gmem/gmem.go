@@ -47,15 +47,54 @@ func (s Space) BlockOf(addr uint64) uint64 { return addr / uint64(s.BlockWords) 
 func (s Space) HomeOf(addr uint64) int { return int(s.BlockOf(addr) % uint64(s.N)) }
 
 // ShardOf returns the home-side service shard responsible for addr when the
-// home kernel runs nshards shards. The mapping hashes the kernel-local block
-// sequence number (BlockOf/N), so blocks homed at one kernel spread evenly
-// over its shards and every address of one block lands on one shard.
-// nshards <= 1 collapses to shard 0.
+// home kernel runs nshards shards (Loc.Shard).
 func (s Space) ShardOf(addr uint64, nshards int) int {
 	if nshards <= 1 {
 		return 0
 	}
-	return int((s.BlockOf(addr) / uint64(s.N)) % uint64(nshards))
+	return s.Locate(addr).Shard(nshards)
+}
+
+// Loc is a word's place in the space as Locate computes it: its block and
+// its offset in the block, and the quotient and remainder of the block by the
+// kernel count — the block's sequence number among the blocks of its static
+// home, which picks the segment stripe and the service shard, and that home.
+// An access locates its word once and hands the Loc down, so a one-sided read
+// costs two divisions in all.
+type Loc struct {
+	Block uint64 // addr / BlockWords
+	Off   int    // addr % BlockWords
+	Seq   uint64 // Block / N
+	Home  int    // Block % N: the block-cyclic home
+}
+
+// Locate returns addr's place. Each of its two divisions yields both its
+// quotient and its remainder.
+func (s Space) Locate(addr uint64) Loc {
+	bw := uint64(s.BlockWords)
+	b := addr / bw
+	l := s.LocateBlock(b)
+	l.Off = int(addr - b*bw)
+	return l
+}
+
+// LocateBlock is Locate for the first word of block b.
+func (s Space) LocateBlock(b uint64) Loc {
+	n := uint64(s.N)
+	q := b / n
+	return Loc{Block: b, Seq: q, Home: int(b - q*n)}
+}
+
+// Shard returns the home-side service shard of the located word when its
+// home runs nshards shards. The mapping hashes the block's sequence number at
+// its home (Seq), so blocks homed at one kernel spread evenly over its shards
+// and every address of one block lands on one shard. nshards <= 1 collapses
+// to shard 0.
+func (l Loc) Shard(nshards int) int {
+	if nshards <= 1 {
+		return 0
+	}
+	return int(l.Seq % uint64(nshards))
 }
 
 // HomeRuns splits the word range [addr, addr+n) into maximal sub-ranges
@@ -121,18 +160,19 @@ func (a *Allocator) Used() uint64 { return a.next }
 const SegStripes = 16
 
 // stripe is one lock stripe of a Segment: a slice of the homed blocks with
-// its own mutex, a seqlock write generation, and a copy-on-write block map
-// so lock-free direct readers can traverse it while writers publish.
+// its own mutex, a seqlock write generation, and a block table that lock-free
+// direct readers probe while writers publish.
 type stripe struct {
 	mu sync.Mutex
 	// wseq is the stripe's seqlock generation: incremented to odd before a
-	// writer mutates any stored word and back to even after. Direct readers
-	// retry while it is odd or has moved between their two loads.
+	// writer mutates any stored word, or swaps the table, and back to even
+	// after. Direct readers retry while it is odd or has moved between their
+	// two loads.
 	wseq atomic.Uint64
-	// blocks is the published block map. The map pointed to is immutable:
-	// adding a block clones the map and swaps the pointer (word slices are
-	// shared between generations and mutated in place via atomic stores).
-	blocks atomic.Pointer[map[uint64][]int64]
+	// table is the published block table (blockTable): blocks are added to it
+	// in place, and it is replaced whole by publish. Word slices are shared
+	// between generations and mutated in place via atomic stores.
+	table atomic.Pointer[blockTable]
 	// copyset maps a homed block to the kernels caching it (directory for
 	// the invalidation protocol; empty while no cached-mode read has reached
 	// this stripe). Guarded by mu.
@@ -163,12 +203,13 @@ type Segment struct {
 // Call before the segment serves traffic.
 func (g *Segment) SetDirectory(d *Directory) { g.dir = d }
 
-// owns reports whether this segment currently homes block b.
-func (g *Segment) owns(b uint64) bool {
+// owns reports whether this segment currently homes the located block: the
+// static remainder compare, or the live directory's answer.
+func (g *Segment) owns(l Loc) bool {
 	if g.dir != nil {
-		return g.dir.Owns(g.self, b)
+		return g.dir.HomeAt(l) == g.self
 	}
-	return g.space.HomeOf(b*uint64(g.space.BlockWords)) == g.self
+	return l.Home == g.self
 }
 
 // NewSegment creates kernel self's (initially zero-filled) segment.
@@ -178,55 +219,78 @@ func NewSegment(space Space, self int) *Segment {
 	}
 	g := &Segment{space: space, self: self}
 	for i := range g.stripes {
-		m := make(map[uint64][]int64)
-		g.stripes[i].blocks.Store(&m)
+		g.stripes[i].table.Store(newBlockTable(0, g.freeKey(i)))
 		g.stripes[i].copyset = make(map[uint64]map[int]struct{})
 	}
 	return g
 }
 
-// stripeOf returns the stripe owning block b. The divide by N converts the
-// global block index into this kernel's local block sequence number so that
-// consecutive homed blocks round-robin over stripes (and over shards, which
-// use the same mapping).
-func (g *Segment) stripeOf(b uint64) *stripe {
-	return &g.stripes[(b/uint64(g.space.N))%SegStripes]
+// freeKey is the free-slot key of stripe i's block tables: the first block
+// of stripe i+1, which stripe i never holds.
+func (g *Segment) freeKey(i int) uint64 {
+	return uint64((i+1)%SegStripes) * uint64(g.space.N)
 }
 
-// lookup returns block b's storage or nil without materialising it. Safe
-// with or without the stripe mutex: the published map is immutable.
-func (st *stripe) lookup(b uint64) []int64 { return (*st.blocks.Load())[b] }
+// stripeAt returns the stripe owning the located block. Striping by the
+// block's sequence number at its home, not by its index, makes consecutive
+// homed blocks round-robin over stripes (and over shards, which use the same
+// mapping).
+func (g *Segment) stripeAt(l Loc) *stripe { return &g.stripes[l.Seq%SegStripes] }
 
-// materialise returns block b's storage, publishing a fresh zero block via
-// map copy-on-write if absent. Caller holds st.mu. Publishing needs no
-// seqlock window: a direct reader sees either the old map (word reads as 0)
-// or the new one (zero block, reads as 0).
+// stripeOf returns the stripe owning block b.
+func (g *Segment) stripeOf(b uint64) *stripe { return &g.stripes[g.stripeIndex(b)] }
+
+// stripeIndex is stripeOf's index into g.stripes.
+func (g *Segment) stripeIndex(b uint64) int { return int(g.space.LocateBlock(b).Seq % SegStripes) }
+
+// lookup returns block b's storage or nil without materialising it. Safe
+// with or without the stripe mutex (blockTable).
+func (st *stripe) lookup(b uint64) []int64 { return st.table.Load().find(b) }
+
+// materialise returns block b's storage, adding a fresh zero block if absent.
+// Caller holds st.mu. The block is published in place; only a table that had
+// to grow is swapped in.
 func (st *stripe) materialise(b uint64, blockWords int) []int64 {
-	old := *st.blocks.Load()
-	if blk := old[b]; blk != nil {
+	t := st.table.Load()
+	if blk := t.find(b); blk != nil {
 		return blk
 	}
 	blk := make([]int64, blockWords)
-	next := make(map[uint64][]int64, len(old)+1)
-	for k, v := range old {
-		next[k] = v
+	if next := t.add(b, blk); next != t {
+		st.publish(next)
 	}
-	next[b] = blk
-	st.blocks.Store(&next)
 	return blk
 }
 
-// checkHome panics if [addr, addr+n) is not entirely homed here.
-func (g *Segment) checkHome(addr uint64, n int) {
-	b0 := g.space.BlockOf(addr)
-	b1 := g.space.BlockOf(addr + uint64(n) - 1)
-	if b0 != b1 {
+// publish swaps in next as the stripe's block table inside a seqlock window,
+// so that a reader that probed the old table retries against the new one.
+// Caller holds st.mu.
+func (st *stripe) publish(next *blockTable) {
+	st.wseq.Add(1)
+	st.table.Store(next)
+	st.wseq.Add(1)
+}
+
+// checkHome returns the place of the n-word run at addr, panicking unless the
+// run lies inside one block homed here.
+func (g *Segment) checkHome(addr uint64, n int) Loc {
+	l := g.space.Locate(addr)
+	if n > g.space.BlockWords-l.Off {
 		panic(fmt.Sprintf("gmem: range [%d,+%d) spans blocks; split by HomeRuns first", addr, n))
 	}
-	if !g.owns(b0) {
-		panic(fmt.Sprintf("gmem: address %d not homed at %d", addr, g.self))
+	g.checkOwned(l)
+	return l
+}
+
+// checkOwned panics unless this segment homes the located word.
+func (g *Segment) checkOwned(l Loc) {
+	if !g.owns(l) {
+		panic(fmt.Sprintf("gmem: address %d not homed at %d", g.addrOf(l), g.self))
 	}
 }
+
+// addrOf is Locate's inverse.
+func (g *Segment) addrOf(l Loc) uint64 { return l.Block*uint64(g.space.BlockWords) + uint64(l.Off) }
 
 // Read copies n words starting at addr (all homed here, single block).
 func (g *Segment) Read(addr uint64, n int) []int64 {
@@ -236,9 +300,13 @@ func (g *Segment) Read(addr uint64, n int) []int64 {
 }
 
 // ReadWord returns the single word at addr without allocating.
-func (g *Segment) ReadWord(addr uint64) int64 {
+func (g *Segment) ReadWord(addr uint64) int64 { return g.ReadWordAt(g.space.Locate(addr)) }
+
+// ReadWordAt is ReadWord for a located word.
+func (g *Segment) ReadWordAt(l Loc) int64 {
+	g.checkOwned(l)
 	var w [1]int64
-	g.ReadInto(w[:], addr)
+	g.readRun(g.stripeAt(l), w[:], l.Block, l.Off)
 	return w[0]
 }
 
@@ -263,8 +331,10 @@ const seqlockWords = 16
 // writer left it; under writer livelock (counted in DirectReadFallbacks), and
 // for a long run, the stripe mutex orders it against the writers instead. A
 // block never written reads as zeros.
-func (g *Segment) ReadRun(dst []int64, b uint64, off int) {
-	st := g.stripeOf(b)
+func (g *Segment) ReadRun(dst []int64, b uint64, off int) { g.readRun(g.stripeOf(b), dst, b, off) }
+
+// readRun is ReadRun on block b's stripe st.
+func (g *Segment) readRun(st *stripe, dst []int64, b uint64, off int) {
 	if len(dst) <= seqlockWords {
 		for spin := 0; spin < seqlockSpins; spin++ {
 			s1 := st.wseq.Load()
@@ -313,20 +383,24 @@ func (g *Segment) DirectReadFallbacks() uint64 { return g.fallbacks.Load() }
 // globally current, or fails validation, rechecks ownership and falls back —
 // it can never return a stale zero from a dropped block.
 func (g *Segment) DirectReadOwned(addr uint64) (int64, bool) {
-	b := g.space.BlockOf(addr)
-	st := g.stripeOf(b)
-	off := int(addr % uint64(g.space.BlockWords))
+	return g.DirectReadAt(g.space.Locate(addr))
+}
+
+// DirectReadAt is DirectReadOwned for a located word: one probe of the
+// stripe's block table, and no division.
+func (g *Segment) DirectReadAt(l Loc) (int64, bool) {
+	st := g.stripeAt(l)
 	for spin := 0; spin < seqlockSpins; spin++ {
 		s1 := st.wseq.Load()
 		if s1&1 != 0 {
 			continue
 		}
-		if !g.owns(b) {
+		if !g.owns(l) {
 			return 0, false
 		}
 		var v int64
-		if blk := st.lookup(b); blk != nil {
-			v = atomic.LoadInt64(&blk[off])
+		if blk := st.lookup(l.Block); blk != nil {
+			v = atomic.LoadInt64(&blk[l.Off])
 		}
 		if st.wseq.Load() == s1 {
 			return v, true
@@ -335,12 +409,12 @@ func (g *Segment) DirectReadOwned(addr uint64) (int64, bool) {
 	g.fallbacks.Add(1)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if !g.owns(b) {
+	if !g.owns(l) {
 		return 0, false
 	}
 	var v int64
-	if blk := st.lookup(b); blk != nil {
-		v = blk[off]
+	if blk := st.lookup(l.Block); blk != nil {
+		v = blk[l.Off]
 	}
 	return v, true
 }
@@ -357,29 +431,17 @@ func (g *Segment) Extract(flips func(b uint64) bool) []BlockSnapshot {
 	for i := range g.stripes {
 		st := &g.stripes[i]
 		st.mu.Lock()
-		old := *st.blocks.Load()
-		var victims []uint64
-		for idx := range old {
-			if flips(idx) {
-				victims = append(victims, idx)
+		t := st.table.Load()
+		var gone []uint64
+		t.each(func(b uint64, words []int64) {
+			if flips(b) {
+				out = append(out, BlockSnapshot{Index: b, Words: slices.Clone(words), Copyset: holders(st.copyset[b])})
+				delete(st.copyset, b)
+				gone = append(gone, b)
 			}
-		}
-		if len(victims) > 0 {
-			next := make(map[uint64][]int64, len(old))
-			for k, v := range old {
-				next[k] = v
-			}
-			for _, idx := range victims {
-				blk := next[idx]
-				bs := BlockSnapshot{Index: idx, Words: make([]int64, len(blk)), Copyset: holders(st.copyset[idx])}
-				copy(bs.Words, blk)
-				out = append(out, bs)
-				delete(next, idx)
-				delete(st.copyset, idx)
-			}
-			st.wseq.Add(1)
-			st.blocks.Store(&next)
-			st.wseq.Add(1)
+		})
+		if len(gone) > 0 {
+			st.publish(t.without(gone, 0))
 		}
 		st.mu.Unlock()
 	}
@@ -392,38 +454,61 @@ func (g *Segment) Extract(flips func(b uint64) bool) []BlockSnapshot {
 // must not clobber writes applied since the first install).
 func (g *Segment) Has(b uint64) bool { return g.stripeOf(b).lookup(b) != nil }
 
-// Adopt installs migrated blocks into this segment, overwriting any prior
-// storage for them — the new home's side of a migration. It deliberately
-// does not validate ownership: the adopter installs the data BEFORE
-// flipping its directory (so no redirected write can land on a zero block
-// and then be clobbered by the adopted payload), at which point its
-// directory still names the old home.
-func (g *Segment) Adopt(blocks []BlockSnapshot) error {
+// stage copies snapshot blocks into new block tables, one per stripe they
+// fall in and nil for the others, refusing a block of the wrong size or one
+// listed twice; op names the caller in the error. Nothing is published.
+func (g *Segment) stage(op string, blocks []BlockSnapshot) (tabs [SegStripes]*blockTable, err error) {
 	for _, b := range blocks {
 		if len(b.Words) != g.space.BlockWords {
-			return fmt.Errorf("gmem: adopt: block %d has %d words, segment block size is %d",
-				b.Index, len(b.Words), g.space.BlockWords)
+			return tabs, fmt.Errorf("gmem: %s: block %d has %d words, segment block size is %d",
+				op, b.Index, len(b.Words), g.space.BlockWords)
 		}
+		i := g.stripeIndex(b.Index)
+		if tabs[i] == nil {
+			tabs[i] = newBlockTable(0, g.freeKey(i))
+		}
+		if tabs[i].find(b.Index) != nil {
+			return tabs, fmt.Errorf("gmem: %s: block %d appears twice", op, b.Index)
+		}
+		tabs[i] = tabs[i].add(b.Index, slices.Clone(b.Words))
 	}
-	for _, b := range blocks {
-		st := g.stripeOf(b.Index)
-		words := make([]int64, len(b.Words))
-		copy(words, b.Words)
+	return tabs, nil
+}
+
+// Adopt installs migrated blocks into this segment, overwriting any prior
+// storage for them — the new home's side of a migration. A list that names a
+// block twice, or holds a block of the wrong size, is refused whole. It
+// deliberately does not validate ownership: the adopter installs the data
+// BEFORE flipping its directory (so no redirected write can land on a zero
+// block and then be clobbered by the adopted payload), at which point its
+// directory still names the old home.
+func (g *Segment) Adopt(blocks []BlockSnapshot) error {
+	tabs, err := g.stage("adopt", blocks)
+	if err != nil {
+		return err
+	}
+	for i, next := range tabs {
+		if next == nil {
+			continue
+		}
+		st := &g.stripes[i]
 		st.mu.Lock()
-		old := *st.blocks.Load()
-		next := make(map[uint64][]int64, len(old)+1)
-		for k, v := range old {
-			next[k] = v
+		st.table.Load().each(func(b uint64, words []int64) {
+			if next.find(b) == nil {
+				next = next.add(b, words)
+			}
+		})
+		for _, b := range blocks {
+			if g.stripeIndex(b.Index) != i {
+				continue
+			}
+			if len(b.Copyset) > 0 {
+				st.copyset[b.Index] = copysetOf(b.Copyset)
+			} else {
+				delete(st.copyset, b.Index)
+			}
 		}
-		next[b.Index] = words
-		if len(b.Copyset) > 0 {
-			st.copyset[b.Index] = copysetOf(b.Copyset)
-		} else {
-			delete(st.copyset, b.Index)
-		}
-		st.wseq.Add(1)
-		st.blocks.Store(&next)
-		st.wseq.Add(1)
+		st.publish(next)
 		st.mu.Unlock()
 	}
 	return nil
@@ -431,14 +516,16 @@ func (g *Segment) Adopt(blocks []BlockSnapshot) error {
 
 // WriteWord stores a single word at addr without allocating (after the
 // block's first write).
-func (g *Segment) WriteWord(addr uint64, v int64) {
-	g.checkHome(addr, 1)
-	b := g.space.BlockOf(addr)
-	st := g.stripeOf(b)
+func (g *Segment) WriteWord(addr uint64, v int64) { g.WriteWordAt(g.space.Locate(addr), v) }
+
+// WriteWordAt is WriteWord for a located word.
+func (g *Segment) WriteWordAt(l Loc, v int64) {
+	g.checkOwned(l)
+	st := g.stripeAt(l)
 	st.mu.Lock()
-	blk := st.materialise(b, g.space.BlockWords)
+	blk := st.materialise(l.Block, g.space.BlockWords)
 	st.wseq.Add(1)
-	atomic.StoreInt64(&blk[addr%uint64(g.space.BlockWords)], v)
+	atomic.StoreInt64(&blk[l.Off], v)
 	st.wseq.Add(1)
 	st.mu.Unlock()
 }
@@ -446,9 +533,8 @@ func (g *Segment) WriteWord(addr uint64, v int64) {
 // ReadInto copies len(dst) words starting at addr into dst (all homed here,
 // single block), avoiding the allocation in Read.
 func (g *Segment) ReadInto(dst []int64, addr uint64) {
-	g.checkHome(addr, len(dst))
-	bw := uint64(g.space.BlockWords)
-	g.ReadRun(dst, addr/bw, int(addr%bw))
+	l := g.checkHome(addr, len(dst))
+	g.readRun(g.stripeAt(l), dst, l.Block, l.Off)
 }
 
 // ReadAppend appends n words starting at addr to dst and returns the
@@ -505,16 +591,19 @@ func (g *Segment) Write(addr uint64, words []int64) { g.WriteShared(addr, words,
 // (takeCopies), so a copy registered earlier is invalidated and a later one
 // holds the new words.
 func (g *Segment) WriteShared(addr uint64, words []int64, writer int, stale *[]Copy) {
-	g.checkHome(addr, len(words))
-	bw := uint64(g.space.BlockWords)
-	g.WriteRun(addr/bw, int(addr%bw), words, writer, stale)
+	l := g.checkHome(addr, len(words))
+	g.writeRun(g.stripeAt(l), l.Block, l.Off, words, writer, stale)
 }
 
 // WriteRun is WriteShared for a run the caller has located and checked, like
 // ReadRun's: words go to offset off of block b. The stripe is locked and the
 // seqlock window held for at most writeWindowWords stores at a time.
 func (g *Segment) WriteRun(b uint64, off int, words []int64, writer int, stale *[]Copy) {
-	st := g.stripeOf(b)
+	g.writeRun(g.stripeOf(b), b, off, words, writer, stale)
+}
+
+// writeRun is WriteRun on block b's stripe st.
+func (g *Segment) writeRun(st *stripe, b uint64, off int, words []int64, writer int, stale *[]Copy) {
 	for start := 0; start == 0 || start < len(words); start += writeWindowWords {
 		chunk := words[start:]
 		if len(chunk) > writeWindowWords {
@@ -537,22 +626,27 @@ func (g *Segment) WriteRun(b uint64, off int, words []int64, writer int, stale *
 // FetchAdd atomically adds delta to the word at addr, returning the
 // previous value. Like Write it leaves the copyset alone.
 func (g *Segment) FetchAdd(addr uint64, delta int64) int64 {
-	return g.FetchAddShared(addr, delta, 0, nil)
+	return g.FetchAddAt(g.space.Locate(addr), delta)
 }
+
+// FetchAddAt is FetchAdd for a located word.
+func (g *Segment) FetchAddAt(l Loc, delta int64) int64 { return g.fetchAdd(l, delta, 0, nil) }
 
 // FetchAddShared is FetchAdd as the home serves it: see WriteShared.
 func (g *Segment) FetchAddShared(addr uint64, delta int64, writer int, stale *[]Copy) int64 {
-	g.checkHome(addr, 1)
-	b := g.space.BlockOf(addr)
-	st := g.stripeOf(b)
+	return g.fetchAdd(g.space.Locate(addr), delta, writer, stale)
+}
+
+func (g *Segment) fetchAdd(l Loc, delta int64, writer int, stale *[]Copy) int64 {
+	g.checkOwned(l)
+	st := g.stripeAt(l)
 	st.mu.Lock()
-	blk := st.materialise(b, g.space.BlockWords)
-	off := int(addr % uint64(g.space.BlockWords))
-	old := blk[off]
+	blk := st.materialise(l.Block, g.space.BlockWords)
+	old := blk[l.Off]
 	st.wseq.Add(1)
-	atomic.StoreInt64(&blk[off], old+delta)
+	atomic.StoreInt64(&blk[l.Off], old+delta)
 	st.wseq.Add(1)
-	st.takeCopies(b, addr, writer, stale)
+	st.takeCopies(l.Block, g.addrOf(l), writer, stale)
 	st.mu.Unlock()
 	return old
 }
@@ -560,27 +654,34 @@ func (g *Segment) FetchAddShared(addr uint64, delta int64, writer int, stale *[]
 // CAS atomically compares-and-swaps the word at addr, returning the previous
 // value and whether the swap happened. Like Write it leaves the copyset alone.
 func (g *Segment) CAS(addr uint64, old, new int64) (prev int64, swapped bool) {
-	return g.CASShared(addr, old, new, 0, nil)
+	return g.CASAt(g.space.Locate(addr), old, new)
+}
+
+// CASAt is CAS for a located word.
+func (g *Segment) CASAt(l Loc, old, new int64) (prev int64, swapped bool) {
+	return g.cas(l, old, new, 0, nil)
 }
 
 // CASShared is CAS as the home serves it: see WriteShared. A swap that did
 // not happen changed nothing and takes no copyset.
 func (g *Segment) CASShared(addr uint64, old, new int64, writer int, stale *[]Copy) (prev int64, swapped bool) {
-	g.checkHome(addr, 1)
-	b := g.space.BlockOf(addr)
-	st := g.stripeOf(b)
+	return g.cas(g.space.Locate(addr), old, new, writer, stale)
+}
+
+func (g *Segment) cas(l Loc, old, new int64, writer int, stale *[]Copy) (prev int64, swapped bool) {
+	g.checkOwned(l)
+	st := g.stripeAt(l)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	blk := st.materialise(b, g.space.BlockWords)
-	off := int(addr % uint64(g.space.BlockWords))
-	prev = blk[off]
+	blk := st.materialise(l.Block, g.space.BlockWords)
+	prev = blk[l.Off]
 	if prev != old {
 		return prev, false
 	}
 	st.wseq.Add(1)
-	atomic.StoreInt64(&blk[off], new)
+	atomic.StoreInt64(&blk[l.Off], new)
 	st.wseq.Add(1)
-	st.takeCopies(b, addr, writer, stale)
+	st.takeCopies(l.Block, g.addrOf(l), writer, stale)
 	return prev, true
 }
 
@@ -588,16 +689,15 @@ func (g *Segment) CASShared(addr uint64, old, new int64, writer int, stale *[]Co
 // reader in the block's copyset (the caching protocol's read miss). The block
 // is materialised so the directory entry survives Export.
 func (g *Segment) ReadBlockFor(dst []int64, addr uint64, reader int) []int64 {
-	g.checkHome(addr, 1)
-	b := g.space.BlockOf(addr)
-	st := g.stripeOf(b)
+	l := g.checkHome(addr, 1)
+	st := g.stripeAt(l)
 	st.mu.Lock()
-	dst = append(dst, st.materialise(b, g.space.BlockWords)...)
+	dst = append(dst, st.materialise(l.Block, g.space.BlockWords)...)
 	if reader != g.self {
-		cs := st.copyset[b]
+		cs := st.copyset[l.Block]
 		if cs == nil {
 			cs = make(map[int]struct{})
-			st.copyset[b] = cs
+			st.copyset[l.Block] = cs
 		}
 		cs[reader] = struct{}{}
 	}
@@ -650,11 +750,9 @@ func (g *Segment) Export() []BlockSnapshot {
 	for i := range g.stripes {
 		st := &g.stripes[i]
 		st.mu.Lock()
-		for idx, blk := range *st.blocks.Load() {
-			bs := BlockSnapshot{Index: idx, Words: make([]int64, len(blk)), Copyset: holders(st.copyset[idx])}
-			copy(bs.Words, blk)
-			out = append(out, bs)
-		}
+		st.table.Load().each(func(b uint64, words []int64) {
+			out = append(out, BlockSnapshot{Index: b, Words: slices.Clone(words), Copyset: holders(st.copyset[b])})
+		})
 		st.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
@@ -662,48 +760,43 @@ func (g *Segment) Export() []BlockSnapshot {
 }
 
 // Import replaces this segment's contents with a snapshot taken by Export —
-// restart-time restore. Blocks not homed here, or whose word count does not
-// match the block size, are rejected so a snapshot from a different cluster
-// geometry cannot be silently misapplied.
+// restart-time restore. Blocks not homed here, blocks whose word count does
+// not match the block size, and a block listed twice are refused, the whole
+// snapshot with them, so a snapshot from a different cluster geometry or a
+// damaged one cannot be silently misapplied.
 func (g *Segment) Import(blocks []BlockSnapshot) error {
 	for _, b := range blocks {
-		if len(b.Words) != g.space.BlockWords {
-			return fmt.Errorf("gmem: import: block %d has %d words, segment block size is %d",
-				b.Index, len(b.Words), g.space.BlockWords)
-		}
-		if !g.owns(b.Index) {
+		if !g.owns(g.space.LocateBlock(b.Index)) {
 			return fmt.Errorf("gmem: import: block %d not homed at %d", b.Index, g.self)
 		}
 	}
-	// Build each stripe's replacement maps fully before publishing, so a
-	// concurrent direct reader only ever sees a complete generation.
-	maps := make([]map[uint64][]int64, SegStripes)
-	csets := make([]map[uint64]map[int]struct{}, SegStripes)
-	for i := range maps {
-		maps[i] = make(map[uint64][]int64)
+	// Every stripe's replacement is built before any is published, so a
+	// refused snapshot changes nothing.
+	tabs, err := g.stage("import", blocks)
+	if err != nil {
+		return err
+	}
+	var csets [SegStripes]map[uint64]map[int]struct{}
+	for i := range csets {
 		csets[i] = make(map[uint64]map[int]struct{})
+		if tabs[i] == nil {
+			tabs[i] = newBlockTable(0, g.freeKey(i))
+		}
 	}
 	for _, b := range blocks {
-		si := (b.Index / uint64(g.space.N)) % SegStripes
-		words := make([]int64, len(b.Words))
-		copy(words, b.Words)
-		maps[si][b.Index] = words
 		if len(b.Copyset) > 0 {
-			csets[si][b.Index] = copysetOf(b.Copyset)
+			csets[g.stripeIndex(b.Index)][b.Index] = copysetOf(b.Copyset)
 		}
 	}
 	for i := range g.stripes {
 		st := &g.stripes[i]
 		st.mu.Lock()
-		// The odd/even bump gives every stripe a fresh generation: a
-		// one-sided window reader (rebound to this segment after a recovery
-		// restart) that raced the swap fails its seqlock validation and
-		// retries against the imported state instead of returning a word
-		// from the discarded generation.
-		st.wseq.Add(1)
-		st.blocks.Store(&maps[i])
+		// The swap gives every stripe a fresh generation: a one-sided window
+		// reader (rebound to this segment after a recovery restart) that raced
+		// it fails its seqlock validation and retries against the imported
+		// state instead of returning a word from the discarded generation.
+		st.publish(tabs[i])
 		st.copyset = csets[i]
-		st.wseq.Add(1)
 		st.mu.Unlock()
 	}
 	return nil

@@ -250,26 +250,17 @@ func (g *Segment) DropRange(firstBlock, nBlocks uint64) int {
 	for i := range g.stripes {
 		st := &g.stripes[i]
 		st.mu.Lock()
-		old := *st.blocks.Load()
-		var victims []uint64
-		for idx := range old {
-			if idx >= firstBlock && idx < end {
-				victims = append(victims, idx)
+		t := st.table.Load()
+		var gone []uint64
+		t.each(func(b uint64, _ []int64) {
+			if b >= firstBlock && b < end {
+				delete(st.copyset, b)
+				gone = append(gone, b)
 			}
-		}
-		if len(victims) > 0 {
-			next := make(map[uint64][]int64, len(old))
-			for k, v := range old {
-				next[k] = v
-			}
-			for _, idx := range victims {
-				delete(next, idx)
-				delete(st.copyset, idx)
-			}
-			st.wseq.Add(1)
-			st.blocks.Store(&next)
-			st.wseq.Add(1)
-			dropped += len(victims)
+		})
+		if len(gone) > 0 {
+			st.publish(t.without(gone, 0))
+			dropped += len(gone)
 		}
 		st.mu.Unlock()
 	}
@@ -283,12 +274,11 @@ func (g *Segment) CountRange(firstBlock, nBlocks uint64) int {
 	count := 0
 	end := firstBlock + nBlocks
 	for i := range g.stripes {
-		st := &g.stripes[i]
-		for idx := range *st.blocks.Load() {
-			if idx >= firstBlock && idx < end {
+		g.stripes[i].table.Load().each(func(b uint64, _ []int64) {
+			if b >= firstBlock && b < end {
 				count++
 			}
-		}
+		})
 	}
 	return count
 }

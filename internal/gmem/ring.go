@@ -158,18 +158,18 @@ func (r *SubmitRing) Pending() int {
 func (g *Segment) ApplyWrites(ops []RingWrite) {
 	bw := uint64(g.space.BlockWords)
 	for i := 0; i < len(ops); {
-		g.checkHome(ops[i].Addr, 1)
-		b := g.space.BlockOf(ops[i].Addr)
+		l := g.checkHome(ops[i].Addr, 1)
+		base := l.Block * bw
 		j := i + 1
-		for j < len(ops) && g.space.BlockOf(ops[j].Addr) == b {
+		for j < len(ops) && ops[j].Addr-base < bw {
 			j++
 		}
-		st := g.stripeOf(b)
+		st := g.stripeAt(l)
 		st.mu.Lock()
-		blk := st.materialise(b, g.space.BlockWords)
+		blk := st.materialise(l.Block, g.space.BlockWords)
 		st.wseq.Add(1)
 		for _, op := range ops[i:j] {
-			atomic.StoreInt64(&blk[op.Addr%bw], op.Val)
+			atomic.StoreInt64(&blk[op.Addr-base], op.Val)
 		}
 		st.wseq.Add(1)
 		st.mu.Unlock()
