@@ -90,11 +90,11 @@ type Options struct {
 	// DirectReads passes through core.Config.DirectReads (the one-sided read
 	// fast path; <0 forces it off, >0 forces it on where co-located).
 	DirectReads int
-	// Rings passes through core.Config.WriteRings (the one-sided write
-	// submission rings; <0 forces them off, >0 forces them on where the read
-	// window is wired). Under the simulated transport rings drain inline at
-	// the submit point, so ring runs replay deterministically like all
-	// others.
+	// Rings passes through core.Config.WriteRings (the one-sided writes,
+	// stored in place into a co-located home; <0 forces them off, >0 forces
+	// them on where the read window is wired). A store completes at the
+	// submit point, so under the simulated transport these runs replay
+	// deterministically like all others.
 	Rings int
 
 	// Membership schedule (incompatible with Caching and with Recover).

@@ -85,8 +85,8 @@ func stressSuite(seed uint64) []Case {
 		a.Shards, b.Shards = shards, shards
 		rows = append(rows, a, b)
 	}
-	// One-sided legs: read window and write rings forced on, lossy and with
-	// a kill early enough to land inside the fast rings-on schedule.
+	// One-sided legs: read window and one-sided writes forced on, lossy and
+	// with a kill early enough to land inside the fast one-sided schedule.
 	for _, shards := range []int{2, 8} {
 		oneSided := Options{Seed: seed, NumPE: 4, OpsPerPE: ops, Shards: shards, DirectReads: 1, Rings: 1}
 		a, b := oneSided, oneSided
@@ -98,7 +98,7 @@ func stressSuite(seed uint64) []Case {
 	// run, checked by the per-mode rules: fault-free, through the lossy
 	// caching corner, over the one-sided paths, and with a station kill
 	// discarding unflushed WC words and stranding held leases. The last row
-	// has all four modes with the window and rings on: cached words run the
+	// has all four modes with the one-sided paths on: cached words run the
 	// write-invalidate protocol beside words read and written one-sidedly.
 	modes := Options{Seed: seed, NumPE: 4, OpsPerPE: ops, Modes: true}
 	a, b, c := lossyCaching, modes, kill
@@ -129,8 +129,8 @@ func recoverSuite(seed uint64) []Case {
 		// before the kill lands.
 		{MustRecover: true, Options: Options{Seed: seed + 2, NumPE: 8, OpsPerPE: ops,
 			Recover: true, CkptEvery: 32, KillPE: 5, KillAt: 2 * killAt}},
-		// The restart must rebind the window and the rings to the fresh
-		// segments; the one-sided schedule is faster, so the kill comes sooner.
+		// The restart must rebind the one-sided paths to the fresh segments;
+		// the one-sided schedule is faster, so the kill comes sooner.
 		{MustRecover: true, Options: Options{Seed: seed + 3, NumPE: 4, OpsPerPE: ops,
 			Recover: true, CkptEvery: 32, KillPE: 2, KillAt: killAt / 5,
 			Shards: 2, DirectReads: 1, Rings: 1}},
@@ -159,8 +159,8 @@ func membershipSuite(seed uint64) []Case {
 	// a lossy medium.
 	lossy := join
 	lossy.NumPE, lossy.Loss = 4, 0.05
-	// One-sided legs: the read window and write rings must rebind when their
-	// blocks change home.
+	// One-sided legs: window reads and one-sided writes must follow their
+	// blocks when they change home.
 	oneSided := churn
 	oneSided.NumPE, oneSided.Shards, oneSided.DirectReads, oneSided.Rings = 4, 2, 1, 1
 	// A station kill overlapping the migration stream: handoffs stranded by

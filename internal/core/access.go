@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-
 	"repro/internal/check"
 	"repro/internal/gmem"
 	"repro/internal/sim"
@@ -19,7 +17,7 @@ import (
 // write-combining flush. This file holds the pieces both executors call, each
 // written once: route resolution, the consistency tiers (write-combining
 // buffer, leases, write-invalidate cache) and the one-sided paths (window,
-// ring). The word's mode, looked up at the mode step, is the only selector of
+// store). The word's mode, looked up at the mode step, is the only selector of
 // its tier. A rule that must hold for every access has one place to go.
 //
 // Record: with Config.RecordHistory every access is recorded the same way
@@ -206,96 +204,58 @@ func (pe *PE) clearLeases() {
 	clear(pe.leases)
 }
 
-// --- Path: one-sided window and ring (co-located homes, word not cached) ---
+// --- Path: one-sided window and store (co-located homes, word not cached) ---
 
-// windowRead is the one-sided read path: the home's segment is mapped in
-// this address space, so the read resolves directly through its seqlock
-// instead of a request/reply pair. Every word has a single home and the
-// seqlock yields a torn-free value, so this is as consistent as the message
-// path it replaces. The ownership check inside the home's seqlock critical
-// section makes the window migration-safe: a block mid-handoff fails the
-// check (the extract bumped the write sequence) and the caller falls through
-// to the message path, which follows the NACK redirect. l is the word's place.
-func (pe *PE) windowRead(home int, l gmem.Loc) (int64, bool) {
+// windowRead is the one-sided read path: the home's segment lives in this
+// address space (Kernel.colocated), so the read resolves directly through its
+// seqlock instead of a request/reply pair. Every word has a single home and
+// the seqlock yields a torn-free value, so this is as consistent as the
+// message path it replaces. The ownership check inside the home's seqlock
+// critical section makes the window migration-safe: a block mid-handoff fails
+// the check (the extract bumped the write sequence) and the caller falls
+// through to the message path, which follows the NACK redirect. A dead home is
+// left to the message path too, so that it produces peer-down, and so is a
+// cached word, whose reads must reach the home's directory to join the
+// copyset. l is the word's place.
+func (pe *PE) windowRead(home int, mode gmem.Mode, l gmem.Loc) (int64, bool) {
 	k := pe.k
-	if k.windows == nil || k.deadFlags[home].Load() {
+	if k.colocated == nil || mode == gmem.ModeCached || k.deadFlags[home].Load() {
 		return 0, false
 	}
 	pe.app.LocalAccess()
-	v, ok := k.windows[home].DirectReadAt(l)
+	v, ok := k.colocated[home].seg.DirectReadAt(l)
 	if ok {
 		pe.extra.DirectGM++
 	}
 	return v, ok
 }
 
-// ringStatus is the outcome of a one-sided write submission attempt.
-type ringStatus int
-
-const (
-	// ringUnavailable: nothing was published (path off, home dead, home no
-	// longer owns the block, or ring full) — fall back to the message path
-	// with a fresh sequence.
-	ringUnavailable ringStatus = iota
-	// ringApplied: the write was consumed with no migration in flight — it
-	// is applied and globally visible.
-	ringApplied
-	// ringAmbiguous: the write was consumed, but the home's migration
-	// generation moved while it was in flight, so the drain may have
-	// discarded it as disowned. The caller must confirm through the message
-	// path REUSING the ring sequence: if the drain did apply it, the home's
-	// dedup window absorbs the message as a duplicate; if it was discarded,
-	// the message applies it (or chases the NACK redirect to the new home).
-	// Either way the write lands exactly once.
-	ringAmbiguous
-)
-
-// ringWrite attempts the one-sided write path: publish (addr, v) into the
-// co-located home's per-shard submission ring, then enter that shard's
-// monitor and drain the ring — this write and whatever other producers have
-// published — so the write is applied when the call returns, with nobody to
-// wake. The ring sequence comes from the same counter as
-// message sequences, so the home's dedup window gives the two paths one
-// exactly-once space. The home's migration generation is sampled before the
-// push and rechecked after consumption — see ringAmbiguous for the race this
-// closes. l is addr's place.
-func (pe *PE) ringWrite(home int, addr uint64, l gmem.Loc, v int64) (ringStatus, uint64) {
+// store is the one-sided write path (DESIGN.md §12): v is stored straight
+// into the co-located home's segment, and store reports whether it was. The
+// word's ownership is checked inside the stripe's critical section
+// (gmem.Segment.WriteWordAt), which a migration's Extract enters only after
+// the old home's directory has flipped, so the store lands before the block's
+// snapshot is taken, and moves with it, or is refused with nothing stored.
+// Every refusal — the path off (Config.WriteRings < 0), the home dead or no
+// longer the owner, a cached word (whose copies the home must invalidate), an
+// address outside the namespace the home binds this PE to — leaves the write
+// to the message path, which answers the last with OpNsNack as the home's
+// nsDeny would. The store is complete when store returns and nothing retries
+// it, so it needs no Seq and leaves no dedup record: a refused write travels
+// under a fresh Seq like any new request. l is addr's place.
+func (pe *PE) store(home int, mode gmem.Mode, addr uint64, l gmem.Loc, v int64) bool {
 	k := pe.k
-	if k.ringPeers == nil || k.deadFlags[home].Load() {
-		return ringUnavailable, 0
+	if k.colocated == nil || k.cfg.WriteRings < 0 || mode == gmem.ModeCached || k.deadFlags[home].Load() {
+		return false
 	}
-	hk := k.ringPeers[home]
-	sh := hk.shards[l.Shard(hk.nshards)]
-	if sh.ring == nil {
-		return ringUnavailable, 0
-	}
-	// The generation is sampled UNCONDITIONALLY, not gated on the directory
-	// being live: the FIRST migration can flip the directory between this
-	// point and the shard drain, and a producer that skipped the sample
-	// because the directory looked static would also skip the recheck below
-	// and report ringApplied for a write the drain filtered as disowned. A
-	// static directory never bumps migGen, so the cost is one atomic load.
-	gen := hk.migGen.Load()
-	if !hk.dir.Static() && !hk.dir.Owns(home, l.Block) {
-		return ringUnavailable, 0 // block already migrated away
+	hk := &k.colocated[home]
+	if region, bound := hk.ns.Lookup(k.id); bound && !region.Contains(addr, 1) {
+		return false
 	}
 	pe.app.LocalAccess()
-	w := gmem.RingWrite{Addr: addr, Val: v, Seq: k.seqCtr.Add(1), Src: int32(k.id)}
-	pos, ok := sh.ring.Push(w)
-	if !ok {
-		return ringUnavailable, 0
+	if !hk.seg.WriteWordAt(l, v) {
+		return false
 	}
 	pe.extra.RingGM++
-	// One pass through the monitor applies this write, or finds it applied:
-	// a producer whose drain took it released the slot before letting go of
-	// the lock. The exception is a producer that claimed an earlier slot and
-	// has yet to publish it — a drain stops there, so give it the processor
-	// and go again; GMWrite may not return before its store is visible.
-	for sh.fence(); !sh.ring.Consumed(pos); sh.fence() {
-		runtime.Gosched()
-	}
-	if hk.migGen.Load() != gen {
-		return ringAmbiguous, w.Seq
-	}
-	return ringApplied, w.Seq
+	return true
 }

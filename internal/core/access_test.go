@@ -13,7 +13,7 @@ import (
 
 // pathDelta is what one operation added to the issuing PE's path counters:
 // accesses served locally, remote words/runs, the share of those that took
-// the one-sided window or a ring, and messages its node put on the wire
+// the one-sided window or a store in place, and messages its node put on the wire
 // (requests by the PE plus whatever its own kernel sent meanwhile).
 type pathDelta struct{ local, remote, direct, ring, msgs uint64 }
 
@@ -42,12 +42,12 @@ func tags(n int, t evTag) []evTag {
 }
 
 // The three clusters the table runs on. All simulated (every path exists
-// there, rings drain inline, and the counters can be read mid-run because the
-// engine runs one context at a time). A cluster's rows run in one program, so
-// the cached rows on onOne share it with rows that take the window and rings.
+// there, and the counters can be read mid-run because the engine runs one
+// context at a time). A cluster's rows run in one program, so the cached rows
+// on onOne share it with rows that take the window and the stores in place.
 const (
 	onMsg   = "message"  // every one-sided path off
-	onOne   = "onesided" // window and rings on
+	onOne   = "onesided" // window reads and stores in place on
 	onCache = "caching"  // cached is the default mode: the whole program runs the write-invalidate protocol
 )
 
@@ -208,7 +208,7 @@ var accessRows = []accessRow{
 	{name: "cached/own-home/cas-goes-through-kernel", on: onCache, mode: cached,
 		op: func(pe *PE, l, r uint64) int64 { prev, _ := pe.CAS(l, 0, 3); return prev }, want: 0,
 		d: pathDelta{remote: 1, msgs: 2}, ev: []evTag{cas(strong)}},
-	// A cached allocation in a cluster with the window and rings on: its words
+	// A cached allocation in a cluster with the one-sided paths on: its words
 	// reach the home's directory as messages, hits stay local.
 	{name: "cached/onesided/read-miss-takes-message", on: onOne, mode: cached,
 		op: func(pe *PE, l, r uint64) int64 { return pe.GMRead(r) }, want: 0,

@@ -12,7 +12,7 @@ import (
 )
 
 // messagePath pins a benchmark cluster to the request/reply message path:
-// one shard, no one-sided window, no rings. Left at zero the
+// one shard, no one-sided window reads or stores. Left at zero the
 // three knobs resolve from GOMAXPROCS, and on any multi-core host remote
 // scalar ops silently take the ~50 ns window instead of the ~3 µs message
 // round trip the benchmarks below describe.
@@ -101,6 +101,8 @@ func spreadWords(pe *PE, home int) []uint64 {
 // cell asserting its path from PE 0's counters (PE 0 issues nothing but the
 // timed operations) and reporting allocations. Reads walk spreadWords, so a
 // home's block lookup is not one hot entry; writes store to one word.
+// ring/write is the store in place into a co-located home (it keeps the name
+// of the submission ring that store replaced, as RingGM does).
 func BenchmarkGMWord(b *testing.B) {
 	type counts struct{ local, remote, direct, ring, msgs uint64 }
 	onesided := Config{Transport: TransportInproc, KernelShards: 2, DirectReads: 1, WriteRings: 1}
@@ -351,7 +353,7 @@ func BenchmarkSimClusterConstruction(b *testing.B) {
 }
 
 // runEmptyInprocCluster is the empty program the benchmark times as
-// core.cluster_start_ms: four PEs over inproc, shards, window and rings on.
+// core.cluster_start_ms: four PEs over inproc, shards and one-sided paths on.
 func runEmptyInprocCluster(tb testing.TB) {
 	res, err := Run(Config{NumPE: 4, Transport: TransportInproc,
 		KernelShards: 2, DirectReads: 1, WriteRings: 1, GMBlockWords: 64},

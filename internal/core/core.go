@@ -162,15 +162,16 @@ type Config struct {
 	// space) or over TCP, and a cached-mode word never takes it (its reads
 	// must reach the home's directory).
 	DirectReads int
-	// WriteRings controls the one-sided write fast path: co-located PEs
-	// submit uncached writes into a remote home through a per-shard
-	// submission ring and drain it themselves, under the shard's lock, at
-	// the submit point — so the write never wakes the serve loop or
-	// allocates a message, and under simulation virtual-time schedules stay
-	// deterministic. Tri-state like DirectReads: 0 enables rings
-	// automatically whenever the direct-read window is enabled; >0 forces
-	// them on (still subject to the window's co-location constraints); <0
-	// forces them off.
+	// WriteRings controls the one-sided write fast path: a co-located PE
+	// stores a scalar write of a word not in cached mode straight into the
+	// remote home's segment, under the stripe lock that also orders the
+	// home's migrations (DESIGN.md §12) — so the write never wakes the serve
+	// loop or allocates a message, and under simulation virtual-time
+	// schedules stay deterministic. Tri-state like DirectReads: 0 enables the
+	// stores whenever the direct-read window is enabled; >0 likewise (they
+	// are still subject to the window's co-location constraints); <0 forces
+	// them off. (The name is the per-shard submission ring's, which these
+	// stores replaced.)
 	WriteRings int
 	// LatentPEs starts the highest LatentPEs ranks outside the active
 	// membership: their kernels home no global-memory blocks (the probe rule
@@ -405,32 +406,17 @@ func windowsEnabled(c *Config) bool {
 	return c.KernelShards > 1
 }
 
-// ringsEnabled decides whether the one-sided write fast path is on for this
-// (fully defaulted) config. Rings ride on the read window's co-location
-// bargain (they submit into the home's address space); the producers drain
-// them, so nothing else is required.
-func ringsEnabled(c *Config) bool {
-	return windowsEnabled(c) && c.WriteRings >= 0
-}
-
-// wireWindows gives every kernel a direct read-only view of every segment,
-// and — when the write fast path is on — a reference to every peer kernel
-// so PEs can reach a co-located home's submission rings. Called on every
-// (re)start, so a recovered cluster's fresh segments and rings are rebound
-// before any PE runs.
-func wireWindows(kernels []*Kernel, cfg *Config) {
-	wins := make([]*gmem.Segment, len(kernels))
+// wireWindows hands every kernel the co-located kernels whose segments its
+// PE may access in place: reads through the window, and writes unless
+// WriteRings < 0 (PE.windowRead, PE.store). Called on every (re)start, so a
+// recovered cluster's fresh segments are rebound before any PE runs.
+func wireWindows(kernels []*Kernel) {
+	homes := make([]colocatedHome, len(kernels))
 	for i, k := range kernels {
-		wins[i] = k.seg
+		homes[i] = colocatedHome{seg: k.seg, ns: k.ns}
 	}
 	for _, k := range kernels {
-		k.windows = wins
-	}
-	if !ringsEnabled(cfg) {
-		return
-	}
-	for _, k := range kernels {
-		k.ringPeers = kernels
+		k.colocated = homes
 	}
 }
 
@@ -553,7 +539,7 @@ func runSim(cfg *Config, program Program) (*Result, error) {
 		})
 	}
 	if windowsEnabled(cfg) {
-		wireWindows(kernels, cfg)
+		wireWindows(kernels)
 	}
 	for i := 0; i < n; i++ {
 		i := i
@@ -609,7 +595,7 @@ func runReal(cfg *Config, net realNetwork, program Program) (*Result, error) {
 	// qualifies, TCP nodes only happen to be co-located in tests and must
 	// behave like the distributed deployment they model.
 	if cfg.Transport == TransportInproc && windowsEnabled(cfg) {
-		wireWindows(kernels, cfg)
+		wireWindows(kernels)
 	}
 	var mu sync.Mutex
 	var finish sim.Time

@@ -56,14 +56,6 @@ type Kernel struct {
 	// layout.
 	dir *gmem.Directory
 
-	// migGen counts home-migration transitions this kernel has applied.
-	// Ring producers read it before publishing and recheck after their write
-	// is consumed: an unchanged value proves the drain ran under the same
-	// ownership view, a changed one makes the write ambiguous (it may have
-	// been filtered) and the producer falls back to the message path with the
-	// same sequence, where the dedup window keeps it exactly-once.
-	migGen atomic.Uint64
-
 	// escrow holds blocks this kernel extracted for a migration whose commit
 	// has not yet arrived: the snapshot plus its destination. Any GM request
 	// hitting an escrowed block re-offers the block to its destination
@@ -83,8 +75,8 @@ type Kernel struct {
 
 	// ns holds this kernel's namespace bindings (dsesched per-job GM
 	// isolation): requester PE → bound region. The serial loop installs
-	// bindings (OpNsBind); GM handlers and the co-located PE's one-sided
-	// paths look them up lock-free on every GM access.
+	// bindings (OpNsBind); GM handlers and the stores of co-located PEs
+	// (PE.store) look them up lock-free on every GM access.
 	ns *gmem.NSRegistry
 
 	// sync is this kernel's synchronisation state: the central barrier, lock
@@ -99,9 +91,8 @@ type Kernel struct {
 	// (single-threaded) application context.
 	syncMb transport.Mailbox
 
-	// seqCtr allocates this kernel's request ids: the PE's request engine,
-	// its ring writes and the shards' escrow re-offers draw from it
-	// concurrently.
+	// seqCtr allocates this kernel's request ids: the PE's request engine
+	// and the shards' escrow re-offers draw from it concurrently.
 	seqCtr atomic.Uint64
 
 	// replyMb receives every reply addressed to this node, and the peer-down
@@ -119,7 +110,7 @@ type Kernel struct {
 	userq map[int32]transport.Mailbox
 
 	// deadFlags[p] is set once the transport has declared peer p dead: the
-	// requester paths (request issue, direct reads, ring writes) check it
+	// requester paths (request issue, accesses in place) check it
 	// lock-free and fail fast. See peerDown for what it is ordered against.
 	deadFlags []atomic.Bool
 
@@ -137,16 +128,12 @@ type Kernel struct {
 	// another shard.
 	invCtr atomic.Uint64
 
-	// windows[i] is kernel i's segment when the one-sided direct-read fast
-	// path is enabled (co-located transports); nil otherwise.
-	// Read-only after cluster construction.
-	windows []*gmem.Segment
-
-	// ringPeers[i] is kernel i itself when the one-sided write fast path is
-	// enabled, so this kernel's PE can reach a co-located home's per-shard
-	// submission rings; nil otherwise. Read-only after cluster construction
-	// (rebound, like windows, on every recovery restart).
-	ringPeers []*Kernel
+	// colocated[i] is kernel i as this kernel's PE reaches it when the
+	// one-sided window is on (co-located transports, windowsEnabled): the PE
+	// reads and stores in these kernels' segments in place (PE.windowRead,
+	// PE.store). nil otherwise. Read-only after cluster construction
+	// (rebound on every recovery restart).
+	colocated []colocatedHome
 
 	// dedup holds the per-requester exactly-once window for the mutating
 	// process-management ops the serial loop services (OpProcRegister,
@@ -165,6 +152,14 @@ type Kernel struct {
 	// Config.Tracing). Serve goroutine only; requests served on the sender
 	// record into their shard's ring.
 	spans *trace.SpanRing
+}
+
+// colocatedHome is what a PE touches of a co-located kernel: its segment and
+// its namespace bindings. Held by value, so the window read finds the segment
+// with one load less than through the *Kernel.
+type colocatedHome struct {
+	seg *gmem.Segment
+	ns  *gmem.NSRegistry
 }
 
 // The dedup window: the home kernel remembers the last dedupWindow mutating
@@ -325,7 +320,7 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 	k.simulated = cfg.Transport == TransportSim
 	k.shards = make([]*kernelShard, k.nshards)
 	for i := range k.shards {
-		k.shards[i] = newKernelShard(k, i, ringsEnabled(cfg))
+		k.shards[i] = newKernelShard(k, i)
 	}
 	node.SetPeerDown(k.peerDown)
 	if id == 0 {

@@ -142,10 +142,10 @@ func (k *Kernel) dropCorrupt(m *wire.Message) {
 // shard's monitor, so no GM handler is between its ownership check and its
 // segment access while ownership changes, and the order within is the
 // protocol's safety core: (1) the directory flips first, so ownership checks
-// NACK every later request toward the new home; (2) the rings are drained
-// (the drain filters what the flip disowned; a producer that published since
-// finds the generation moved and confirms through the message path); (3) only
-// then are the blocks extracted. A write can therefore never land in a block
+// NACK every later request toward the new home; (2) only then are the blocks
+// extracted, each stripe under its mutex, inside which a store in place
+// checks ownership (PE.store, gmem.Segment.WriteWordAt): it landed before
+// the snapshot or is refused. A write can therefore never land in a block
 // after its snapshot was taken.
 func (k *Kernel) handleMigrateStart(m *wire.Message) {
 	k.lockShards()
@@ -201,10 +201,6 @@ func (k *Kernel) handleMigrateStart(m *wire.Message) {
 	default:
 		k.dropCorrupt(m)
 		return
-	}
-	k.migGen.Add(1)
-	for _, sh := range k.shards {
-		sh.drainRing()
 	}
 	blocks := k.seg.Extract(flips)
 	for _, b := range blocks {
@@ -314,7 +310,6 @@ func (k *Kernel) handleMigrateInstall(m *wire.Message) {
 		k.dropCorrupt(m)
 		return
 	}
-	k.migGen.Add(1)
 	resp := wire.GetMessage()
 	resp.Op, resp.Arg1 = wire.OpMigrateInstallResp, int64(len(fresh))
 	k.reply(m, resp)
@@ -388,7 +383,6 @@ func (k *Kernel) handleMigrateCommit(m *wire.Message) {
 		}
 		k.dir.SetOverride(b, dst)
 	}
-	k.migGen.Add(1)
 	k.escrowSweep()
 	resp := wire.GetMessage()
 	resp.Op = wire.OpMigrateCommitResp
@@ -439,9 +433,7 @@ func (k *Kernel) handleEpochUpdate(m *wire.Message) {
 		k.extra.CorruptDrops++
 		return
 	}
-	if k.dir.SetMember(member, gmem.MemberState(m.Arg2), m.Addr) {
-		k.migGen.Add(1)
-	}
+	k.dir.SetMember(member, gmem.MemberState(m.Arg2), m.Addr)
 	k.escrowSweep()
 	// Close the membership grant only when the update's generation covers
 	// it: epoch updates are idempotent and retransmitted, so a delayed

@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/check"
 	"repro/internal/gmem"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -170,6 +173,134 @@ func TestMigrateRangeMovesBlocks(t *testing.T) {
 	}
 }
 
+// TestOwnHomeAccessDuringMigration has PE 1 loop on a word its own kernel
+// homes while PE 0 migrates the word's block to kernel 2. Under simulation
+// the access's LocalAccess charge sleeps between resolve, which finds the word
+// at home, and the segment access, and the migration flips the directory
+// during one of those sleeps. The access must then be refused inside the
+// stripe's critical section and re-issued as a message to the new home — not
+// panic with "not homed at 1" — so the run ends with no PE error, a clean
+// history, and every one of the ops applied exactly once.
+func TestOwnHomeAccessDuringMigration(t *testing.T) {
+	const ops = 4000
+	for _, c := range []struct {
+		name string
+		op   func(pe *PE, addr uint64, i int64) error
+		want int64 // the word once the loop is over
+	}{
+		{"read", func(pe *PE, addr uint64, _ int64) error {
+			_, err := pe.GMReadErr(addr)
+			return err
+		}, 0},
+		{"write", func(pe *PE, addr uint64, i int64) error { return pe.GMWriteErr(addr, i+1) }, ops},
+		{"fetch-add", func(pe *PE, addr uint64, _ int64) error {
+			_, err := pe.FetchAddErr(addr, 1)
+			return err
+		}, ops},
+		{"cas", func(pe *PE, addr uint64, i int64) error {
+			if prev, ok, err := pe.CASErr(addr, i, i+1); err != nil || !ok {
+				return fmt.Errorf("CAS %d→%d: previous %d, swapped %v, %v", i, i+1, prev, ok, err)
+			}
+			return nil
+		}, ops},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := simCfg(3)
+			cfg.RecordHistory = true
+			res, err := Run(cfg, func(pe *PE) error {
+				addr := homedAt(pe, 1, 1)[0]
+				pe.Barrier()
+				var err error
+				switch pe.ID() {
+				case 0:
+					err = pe.MigrateRange(addr, 1, 2)
+				case 1:
+					for i := int64(0); i < ops && err == nil; i++ {
+						err = c.op(pe, addr, i)
+					}
+				}
+				pe.Barrier() // a failing PE still meets the others here
+				if err != nil {
+					return err
+				}
+				if h := pe.HomeOf(addr); h != 2 {
+					return fmt.Errorf("PE %d: block homed at %d after the migration, want 2", pe.ID(), h)
+				}
+				if v := pe.GMRead(addr); v != c.want {
+					return fmt.Errorf("PE %d: word = %d after %d ops, want %d", pe.ID(), v, ops, c.want)
+				}
+				pe.Barrier()
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.FirstErr(); err != nil {
+				t.Fatal(err)
+			}
+			if res.PerPE[1].LocalGM == 0 || res.PerPE[1].RemoteGM == 0 {
+				t.Errorf("PE 1: LocalGM = %d, RemoteGM = %d: the migration did not land inside the loop",
+					res.PerPE[1].LocalGM, res.PerPE[1].RemoteGM)
+			}
+			if rep := check.Check(res.History); !rep.OK() {
+				t.Fatalf("checker violations:\n%s", rep)
+			}
+		})
+	}
+}
+
+// TestOwnHomeWriteDuringMigrationInproc is TestOwnHomeAccessDuringMigration
+// with real concurrency, for the race detector: the block moves back and
+// forth between kernels 1 and 2 while PE 1 keeps writing it — in its own
+// segment while kernel 1 homes it, in kernel 2's in place or by message
+// otherwise. Every write must land once, in order, wherever the block is.
+func TestOwnHomeWriteDuringMigrationInproc(t *testing.T) {
+	const hops = 12
+	var moving atomic.Bool
+	moving.Store(true)
+	res := runWithin(t, 2*time.Minute, Config{
+		NumPE: 3, Transport: TransportInproc,
+		KernelShards: 2, DirectReads: 1, WriteRings: 1, RecordHistory: true,
+		// As in TestMonitorMigrationUnderInlineService: a chase between the old
+		// home and the not-yet-installed new one needs a real pause.
+		RetryBackoff: 100 * sim.Millisecond,
+	}, func(pe *PE) error {
+		addr := homedAt(pe, 1, 1)[0]
+		pe.Barrier()
+		var err error
+		var last int64
+		switch pe.ID() {
+		case 0:
+			for h := 0; h < hops && err == nil; h++ {
+				err = pe.MigrateRange(addr, 1, 2-h%2)
+			}
+			moving.Store(false)
+		case 1:
+			for err == nil && (moving.Load() || last < 100) {
+				last++
+				err = pe.GMWriteErr(addr, last)
+			}
+		}
+		pe.Barrier()
+		if err != nil {
+			return err
+		}
+		if pe.ID() == 1 {
+			if v := pe.GMRead(addr); v != last {
+				return fmt.Errorf("word = %d after %d writes", v, last)
+			}
+		}
+		pe.Barrier()
+		return nil
+	})
+	if res.Total.Migrations < hops {
+		t.Errorf("Migrations = %d, want >= %d", res.Total.Migrations, hops)
+	}
+	if rep := check.Check(res.History); !rep.OK() {
+		t.Fatalf("checker violations:\n%s", rep)
+	}
+}
+
 // TestLatentConfigValidation pins the LatentPEs gating rules.
 func TestLatentConfigValidation(t *testing.T) {
 	if _, err := (&Config{NumPE: 2, Transport: TransportInproc, LatentPEs: 2}).withDefaults(); err == nil {
@@ -178,7 +309,7 @@ func TestLatentConfigValidation(t *testing.T) {
 }
 
 // TestMigrateHandoffRaceExactlyOnce pins the write-vs-migration races in both
-// orders, sentinel-overwrite style (see TestRingWriteDedupExactlyOnce):
+// orders, sentinel-overwrite style (see TestOneSidedStoreExactlyOnce):
 //
 //   - A write applied at the old home BEFORE the handoff, retried AFTER it,
 //     must be absorbed by the old home's dedup window (cached ack resent) —

@@ -274,10 +274,11 @@ func TestMonitorInvalidateUnderLock(t *testing.T) {
 }
 
 // TestCachedBesideOneSided runs a strong and a cached allocation side by side
-// on inproc with the window and rings on. In the same shard monitors strong
-// reads come through the seqlock window, strong writes through ring drains,
-// and cached words through served-on-sender requests whose invalidations and
-// acks cross the serve loops — every strong access one-sided, no cached one.
+// on inproc with the window and one-sided stores on. Strong reads come through
+// the seqlock window, strong writes are stores in place under the stripe
+// locks, and cached words go through served-on-sender requests whose
+// invalidations and acks cross the serve loops — every strong access
+// one-sided, no cached one.
 func TestCachedBesideOneSided(t *testing.T) {
 	const rounds = 100
 	for _, shards := range []int{1, 2} {
@@ -321,8 +322,12 @@ func TestCachedBesideOneSided(t *testing.T) {
 			if got := res.Total.DirectGM; got != remoteReads {
 				t.Errorf("DirectGM = %d, want the %d remote strong reads and no cached one", got, remoteReads)
 			}
-			if got := res.Total.RingGM; got != remoteWrites || res.Total.RingDrained != got {
-				t.Errorf("RingGM = %d, RingDrained = %d, want the %d remote strong writes in both", got, res.Total.RingDrained, remoteWrites)
+			if got := res.Total.RingGM; got != remoteWrites {
+				t.Errorf("RingGM = %d, want the %d remote strong writes", got, remoteWrites)
+			}
+			// Every cached write is a message, even to its own home; no strong one.
+			if got, want := res.Total.ByOp[wire.OpWrite].Msgs, uint64(3*rounds*3); got != want {
+				t.Errorf("OpWrite messages = %d, want the %d cached writes and no strong one", got, want)
 			}
 			if res.Total.ByOp[wire.OpInvAck].Msgs == 0 {
 				t.Error("no invalidation round ran")
@@ -389,8 +394,8 @@ func TestMonitorContendedShard(t *testing.T) {
 // bounce, one that entered before must finish first — so the count stays
 // exact. One shard: before shards were monitors nothing ran beside the serve
 // loop there. (The PEs of the two homes stay out of it: a PE's access to a
-// block its own kernel homes goes straight to the segment and does not pass
-// through the monitor at all.)
+// block its own kernel homes goes straight to the segment, past the monitor;
+// TestOwnHomeWriteDuringMigrationInproc races that one.)
 func TestMonitorMigrationUnderInlineService(t *testing.T) {
 	const each, hops = 400, 12
 	res := runWithin(t, 2*time.Minute, Config{

@@ -32,8 +32,9 @@ func (k *Kernel) handleNsBind(m *wire.Message) {
 // handleNsFree drops every materialised block this kernel homes inside
 // [Addr, Addr + Arg1*BlockWords): namespace teardown, so a finished job's
 // data is released before the region is re-carved for the next job. The
-// shard fence drains in-flight service (and the submission rings) first, so
-// no write queued before the free can re-materialise a dropped block.
+// shard fence lets in-flight service finish first, so no write served before
+// the free can re-materialise a dropped block (a store in place has completed
+// when its PE moves on, fenceShards).
 func (k *Kernel) handleNsFree(m *wire.Message) {
 	dropped := 0
 	if m.Arg1 > 0 {

@@ -11,8 +11,9 @@ import (
 // Namespace-isolation enforcement tests (DESIGN.md §15): a PE bound to a
 // job namespace must not be able to touch memory outside it on any path —
 // the two-sided message path (kernel-side typed NACK), and the one-sided
-// window-read and ring-write fast paths (PE-side guard, plus the home's
-// ring-drain filter as defense in depth against a forged producer).
+// window reads and stores in place (PE-side guard, plus the home's binding,
+// which a store in place consults as defense in depth against a forged
+// requester).
 
 // TestNamespaceKernelEnforcement exercises the kernel-side check alone: the
 // scheduler installs PE 1's binding at every kernel, but PE 1 itself stays
@@ -80,14 +81,14 @@ func TestNamespaceKernelEnforcement(t *testing.T) {
 }
 
 // TestNamespacePEGuardOneSidedPaths exercises the PE-side guard with the
-// one-sided fast paths on: a window read or ring write of memory outside
-// the bound region must be refused with the typed error before anything is
-// read from the window or published into a ring, and counted as a denial.
+// one-sided fast paths on: a window read or a store in place of memory
+// outside the bound region must be refused with the typed error before
+// anything is read from the window or stored, and counted as a denial.
 // In-region traffic keeps flowing through the fast paths.
 func TestNamespacePEGuardOneSidedPaths(t *testing.T) {
 	const bw = 32
 	region := gmem.Region{Base: 8 * bw, Limit: 16 * bw}
-	outside := uint64(2 * bw) // homed at kernel 0: remote, window/ring territory
+	outside := uint64(2 * bw) // homed at kernel 0: remote, one-sided territory
 	prog := func(pe *PE) error {
 		if pe.ID() != 1 {
 			pe.Barrier()
@@ -101,7 +102,7 @@ func TestNamespacePEGuardOneSidedPaths(t *testing.T) {
 			t.Errorf("window read outside namespace: got %v, want *NamespaceError", err)
 		}
 		if err := pe.GMWriteErr(outside, 7); !errors.As(err, &nsErr) {
-			t.Errorf("ring write outside namespace: got %v, want *NamespaceError", err)
+			t.Errorf("one-sided write outside namespace: got %v, want *NamespaceError", err)
 		}
 		// Block/gather tiers panic with the same typed value.
 		func() {
@@ -151,16 +152,19 @@ func TestNamespacePEGuardOneSidedPaths(t *testing.T) {
 		t.Errorf("kernel NsViolations = %d, want 0 (nothing escaped the PE guard)", res.Total.NsViolations)
 	}
 	if res.Total.RingGM == 0 {
-		t.Error("no ring writes: the one-sided write path never engaged")
+		t.Error("no stores in place: the one-sided write path never engaged")
 	}
 }
 
-// TestNamespaceRingDrainFilter exercises the home's ring-drain filter: a
-// forged producer (kernel-side binding installed, PE-side guard absent)
-// publishes an out-of-region write straight into the home's submission
-// ring. The drain must drop it unapplied and count a kernel violation — the
-// target word stays untouched.
-func TestNamespaceRingDrainFilter(t *testing.T) {
+// TestNamespaceHomeRefusesOneSidedWrite is the home's check on a write in
+// place: PE 1's binding is installed at every kernel, but PE 1 itself stays
+// unbound PE-side — the forged requester a bypassed PE guard would produce —
+// and writes a word of kernel 0's outside its region. The store in place must
+// consult the home's binding, refuse, and leave the word to the message path,
+// whose OpNsNack surfaces as the typed error: the word stays 0 and the home
+// counts the violation. (Refusing the store silently, and reporting success
+// for a write that never landed, is the failure this pins.)
+func TestNamespaceHomeRefusesOneSidedWrite(t *testing.T) {
 	const bw = 32
 	region := gmem.Region{Base: 8 * bw, Limit: 12 * bw}
 	outside := uint64(2 * bw) // block 2, homed at kernel 0
@@ -173,26 +177,17 @@ func TestNamespaceRingDrainFilter(t *testing.T) {
 			pe.Barrier() // binding installed
 			pe.Barrier() // forged write attempted
 			if v := pe.GMRead(outside); v != 0 {
-				t.Errorf("forged ring write landed: word = %d, want 0", v)
+				t.Errorf("forged write landed: word = %d, want 0", v)
 			}
 			pe.Barrier()
 			return pe.NamespaceBind(1, 0, 0)
-		case 1:
-			pe.Barrier()
-			// PE-side unbound: the write reaches the home's ring and must
-			// be dropped by the drain filter (no error surfaces on this
-			// defense-in-depth path — the PE guard is the error surface).
-			if err := pe.GMWriteErr(outside, 99); err != nil {
-				var nsErr *NamespaceError
-				if !errors.As(err, &nsErr) {
-					return err
-				}
-			}
-			pe.Barrier()
-			pe.Barrier()
-			return nil
 		default:
 			pe.Barrier()
+			err := pe.GMWriteErr(outside, 99)
+			var nsErr *NamespaceError
+			if !errors.As(err, &nsErr) || nsErr.Base != region.Base || nsErr.Limit != region.Limit {
+				t.Errorf("write outside the namespace: %v, want *NamespaceError for [%d,%d)", err, region.Base, region.Limit)
+			}
 			pe.Barrier()
 			pe.Barrier()
 			return nil
@@ -206,7 +201,10 @@ func TestNamespaceRingDrainFilter(t *testing.T) {
 		t.Fatal(err, res.FirstErr())
 	}
 	if res.Total.NsViolations < 1 {
-		t.Errorf("kernel NsViolations = %d, want >= 1 (ring drain or message NACK)", res.Total.NsViolations)
+		t.Errorf("kernel NsViolations = %d, want >= 1", res.Total.NsViolations)
+	}
+	if res.Total.RingGM != 0 {
+		t.Errorf("RingGM = %d, want 0: the refused write is no store in place", res.Total.RingGM)
 	}
 }
 

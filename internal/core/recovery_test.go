@@ -151,9 +151,9 @@ func TestRunWithRecoveryRestoresSnapshot(t *testing.T) {
 // TestRecoveryRebindsDirectReadAndRings kills a PE with the one-sided paths
 // on and checks the restarted cluster rebinds both to the FRESH segments:
 // post-restore remote reads must resolve through the direct window and
-// post-restore remote writes through the submission rings, against the
-// re-imported memory (stale window/ring bindings would read the corpse
-// segments of the failed attempt or hang on an undrained ring).
+// post-restore remote writes must be stores in place, against the
+// re-imported memory (stale co-located bindings would read and write the
+// corpse segments of the failed attempt).
 func TestRecoveryRebindsDirectReadAndRings(t *testing.T) {
 	store, err := ckpt.OpenDir(t.TempDir())
 	if err != nil {
@@ -161,7 +161,7 @@ func TestRecoveryRebindsDirectReadAndRings(t *testing.T) {
 	}
 	const killAt = sim.Time(1 * sim.Second)
 	cfg := recoverConfig(t, store, []simnet.Kill{{Node: 2, At: sim.Duration(killAt)}})
-	cfg.KernelShards = 2 // windows + rings default on under the simulated transport
+	cfg.KernelShards = 2 // window reads and stores default on under the simulated transport
 
 	res, rep, err := core.RunWithRecovery(cfg, 3, func(pe *core.PE) error {
 		restored := pe.RegisterCheckpoint(func() []byte { return nil }, func([]byte) {})
@@ -173,12 +173,12 @@ func TestRecoveryRebindsDirectReadAndRings(t *testing.T) {
 			if v := pe.GMRead(base + 5); v != 1234 {
 				return fmt.Errorf("PE %d: restored word = %d, want 1234", pe.ID(), v)
 			}
-			// ...and the rebound rings must deliver fresh writes into the
-			// re-imported segments, read back one-sidedly.
+			// ...and fresh writes must be stored into the re-imported
+			// segments, read back one-sidedly.
 			addr := remote + uint64(pe.ID())
 			pe.GMWrite(addr, int64(100+pe.ID()))
 			if v := pe.GMRead(addr); v != int64(100+pe.ID()) {
-				return fmt.Errorf("PE %d: ring write read back %d, want %d", pe.ID(), v, 100+pe.ID())
+				return fmt.Errorf("PE %d: one-sided write read back %d, want %d", pe.ID(), v, 100+pe.ID())
 			}
 			pe.Barrier()
 			return nil
@@ -211,7 +211,7 @@ func TestRecoveryRebindsDirectReadAndRings(t *testing.T) {
 		t.Error("DirectGM = 0: restored run never used the rebound window")
 	}
 	if res.Total.RingGM == 0 {
-		t.Error("RingGM = 0: restored run never used the rebound rings")
+		t.Error("RingGM = 0: restored run never stored in place")
 	}
 	if rpt := check.Check(res.History); !rpt.OK() {
 		t.Fatalf("post-recovery history has violations:\n%s", rpt)

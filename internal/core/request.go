@@ -53,16 +53,9 @@ func must(err error) {
 // the configured retries are exhausted, *PeerDownError when the transport
 // declared dst dead, *ShutdownError when the cluster went down,
 // *NamespaceError when the home refused the request (see exchange).
+// m goes out under a fresh Seq.
 func (pe *PE) requestErr(dst int, m *wire.Message) (*wire.Message, error) {
-	return pe.requestSeqErr(dst, m, 0)
-}
-
-// requestSeqErr is requestErr with an optional caller-provided sequence
-// number (0 allocates a fresh one). The ambiguous one-sided write fallback
-// passes the ring sequence it already published, so the home's dedup window
-// recognises the operation whichever path applied it first.
-func (pe *PE) requestSeqErr(dst int, m *wire.Message, seq uint64) (*wire.Message, error) {
-	m.Seq = seq
+	m.Seq = 0
 	pe.one[0] = flight{req: m, dst: dst}
 	err := pe.exchange(pe.one[:], 0)
 	return pe.one[0].resp, err

@@ -2,17 +2,19 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
-	"repro/internal/gmem"
 	"repro/internal/wire"
 )
 
 // TestRingWriteFastPath runs a scalar-write-heavy workload with the
 // one-sided paths forced on: every uncached remote scalar write into a
-// co-located home must resolve through a submission ring — zero OpWrite
-// messages on the wire — and every value must read back correctly.
+// co-located home must be a store in place (RingGM) — zero OpWrite messages
+// on the wire — and every value must read back correctly.
 func TestRingWriteFastPath(t *testing.T) {
+	var remote atomic.Uint64
 	prog := func(pe *PE) error {
 		n := pe.N()
 		bw := pe.Space().BlockWords
@@ -22,6 +24,9 @@ func TestRingWriteFastPath(t *testing.T) {
 		// Each PE writes a disjoint scalar stride spanning every home.
 		for i := pe.ID(); i < words; i += n {
 			pe.GMWrite(base+uint64(i), int64(i+1))
+			if pe.HomeOf(base+uint64(i)) != pe.ID() {
+				remote.Add(1)
+			}
 		}
 		pe.Barrier()
 		for i := 0; i < words; i++ {
@@ -39,28 +44,20 @@ func TestRingWriteFastPath(t *testing.T) {
 	if err != nil || res.FirstErr() != nil {
 		t.Fatal(err, res.FirstErr())
 	}
-	if res.Total.RingGM == 0 {
-		t.Error("no ring writes with rings available")
-	}
-	if res.Total.RingGM > res.Total.RemoteGM {
-		t.Errorf("RingGM = %d > RemoteGM = %d", res.Total.RingGM, res.Total.RemoteGM)
-	}
-	if res.Total.RingDrained != res.Total.RingGM {
-		t.Errorf("RingDrained = %d, want %d (every submitted write applied exactly once)",
-			res.Total.RingDrained, res.Total.RingGM)
+	if got, want := res.Total.RingGM, remote.Load(); got != want || want == 0 {
+		t.Errorf("RingGM = %d, want the %d remote writes", got, want)
 	}
 	// The scalar write traffic must have vanished from the wire.
 	if msgs := res.Total.ByOp[wire.OpWrite].Msgs; msgs != 0 {
-		t.Errorf("OpWrite messages = %d, want 0 (all scalar writes through rings)", msgs)
+		t.Errorf("OpWrite messages = %d, want 0 (every scalar write a store in place)", msgs)
 	}
 }
 
-// TestMonitorRingWritersSingleShard has several PEs publish into the one
-// shard of one home, on a real transport with nothing but the producers
-// themselves to drain the ring: each takes the shard lock after publishing
-// and applies whatever is there. Every write must land exactly once and be
-// visible when GMWrite returns. (A single-shard kernel on a real transport
-// used to refuse rings: it had no worker loop to drain them.)
+// TestMonitorRingWritersSingleShard has several PEs store into the one shard
+// of one home, on a real transport, each under the stripe lock of its word.
+// Every write must be a store in place and be visible when GMWrite returns.
+// (A single-shard kernel on a real transport used to refuse one-sided
+// writes: it had no worker loop to apply them.)
 func TestMonitorRingWritersSingleShard(t *testing.T) {
 	const writes = 500
 	res, err := Run(Config{
@@ -83,72 +80,61 @@ func TestMonitorRingWritersSingleShard(t *testing.T) {
 	if err != nil || res.FirstErr() != nil {
 		t.Fatal(err, res.FirstErr())
 	}
-	if want := uint64(3 * writes); res.Total.RingGM != want || res.Total.RingDrained != want {
-		t.Errorf("RingGM = %d, RingDrained = %d, want both %d (every write through the ring, applied once)",
-			res.Total.RingGM, res.Total.RingDrained, want)
+	if want := uint64(3 * writes); res.Total.RingGM != want {
+		t.Errorf("RingGM = %d, want %d (every write a store in place)", res.Total.RingGM, want)
 	}
 	if msgs := res.Total.ByOp[wire.OpWrite].Msgs; msgs != 0 {
 		t.Errorf("OpWrite messages = %d, want 0", msgs)
 	}
 }
 
-// TestRingWriteDedupExactlyOnce proves ring sequences and message sequences
-// share one exactly-once space: a write applied through the ring must absorb
-// a message-path retry carrying the same (Src, Seq), and vice versa. The
-// sentinel overwrite between the two deliveries makes a double-apply visible
-// as a value regression.
-func TestRingWriteDedupExactlyOnce(t *testing.T) {
-	_, ks := testKernels(t, 2, func(cfg *Config) { cfg.KernelShards = 2 })
-	k := ks[0]
-	addr := uint64(0) // block 0: homed at kernel 0, shard 0
-	sh := k.shards[k.space.ShardOf(addr, k.nshards)]
-	if sh.ring == nil {
-		t.Fatal("no ring on a sharded inproc kernel")
+// TestOneSidedStoreExactlyOnce proves a store in place needs no Seq: it
+// leaves no dedup record, so it cannot absorb a message-path retry, and a
+// retry cannot re-apply a write the home has already answered. PE 1 writes a
+// word homed at kernel 0 by message under (Src, Seq=s), overwrites it with a
+// sentinel by a store in place, then retransmits s with FlagRetry. The home's
+// dedup window must answer the retry from its cached ack and the sentinel
+// must survive.
+func TestOneSidedStoreExactlyOnce(t *testing.T) {
+	const sentinel = 1000
+	res := runWithin(t, time.Minute, Config{
+		NumPE: 2, Transport: TransportInproc,
+		KernelShards: 1, DirectReads: 1, WriteRings: 1,
+	}, func(pe *PE) error {
+		addr := homedAt(pe, 0, 1)[0]
+		pe.Barrier()
+		if pe.ID() == 1 {
+			req := wire.GetMessage()
+			req.Op, req.Addr = wire.OpWrite, addr
+			req.PutWord(7)
+			resp, err := pe.requestErr(0, req) // numbers req: s is req.Seq from here on
+			if err != nil {
+				return err
+			}
+			wire.PutMessage(resp)
+			pe.GMWrite(addr, sentinel) // in place: no message, no Seq
+			req.Flags |= wire.FlagRetry
+			pe.one[0] = flight{req: req, dst: 0} // the retransmission of s, as exchange makes it
+			if err := pe.exchange(pe.one[:], 0); err != nil {
+				return err
+			}
+			if ack := pe.one[0].resp; ack.Op != wire.OpWriteAck {
+				return fmt.Errorf("retry of seq %d answered with %v, want the cached OpWriteAck", req.Seq, ack.Op)
+			}
+			wire.PutMessage(pe.one[0].resp)
+			wire.PutMessage(req)
+			if v := pe.GMRead(addr); v != sentinel {
+				return fmt.Errorf("retry of seq %d re-applied: word = %d, want sentinel %d", req.Seq, v, sentinel)
+			}
+		}
+		pe.Barrier()
+		return nil
+	})
+	if res.Total.DupRequests != 1 {
+		t.Errorf("DupRequests = %d, want 1 (the retry, absorbed)", res.Total.DupRequests)
 	}
-
-	// Ring first, then a message-path retry of the same logical write.
-	pos, ok := sh.ring.Push(gmem.RingWrite{Addr: addr, Val: 7, Seq: 5, Src: 1})
-	if !ok {
-		t.Fatal("push rejected")
-	}
-	sh.drainRing()
-	if !sh.ring.Consumed(pos) {
-		t.Fatal("drainRing did not consume the slot")
-	}
-	if v := k.seg.Read(addr, 1)[0]; v != 7 {
-		t.Fatalf("ring write not applied: %d", v)
-	}
-	k.seg.WriteWord(addr, 1000) // sentinel: a re-apply would clobber this
-	retry := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 0, Seq: 5, Addr: addr, Flags: wire.FlagRetry}
-	retry.PutWord(7)
-	sh.handleGM(retry)
-	if v := k.seg.Read(addr, 1)[0]; v != 1000 {
-		t.Fatalf("message retry of a ring write re-applied: %d, want sentinel 1000", v)
-	}
-	if sh.extra.DupRequests != 1 {
-		t.Fatalf("DupRequests = %d, want 1", sh.extra.DupRequests)
-	}
-
-	// Message first, then a raced ring submission with the same (Src, Seq).
-	first := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 0, Seq: 6, Addr: addr}
-	first.PutWord(8)
-	sh.handleGM(first)
-	if v := k.seg.Read(addr, 1)[0]; v != 8 {
-		t.Fatalf("message write not applied: %d", v)
-	}
-	k.seg.WriteWord(addr, 2000)
-	if _, ok := sh.ring.Push(gmem.RingWrite{Addr: addr, Val: 8, Seq: 6, Src: 1}); !ok {
-		t.Fatal("push rejected")
-	}
-	sh.drainRing()
-	if v := k.seg.Read(addr, 1)[0]; v != 2000 {
-		t.Fatalf("ring duplicate of a message write re-applied: %d, want sentinel 2000", v)
-	}
-	if sh.extra.DupRequests != 2 {
-		t.Fatalf("DupRequests = %d, want 2", sh.extra.DupRequests)
-	}
-	// Duplicates consume ring slots but never count as drained work.
-	if sh.extra.RingDrained != 1 {
-		t.Fatalf("RingDrained = %d, want 1 (the one fresh ring write)", sh.extra.RingDrained)
+	if res.Total.RingGM != 1 || res.Total.ByOp[wire.OpWrite].Msgs != 2 {
+		t.Errorf("RingGM = %d, OpWrite messages = %d, want the sentinel in place and the write and its retry as messages",
+			res.Total.RingGM, res.Total.ByOp[wire.OpWrite].Msgs)
 	}
 }

@@ -10,12 +10,6 @@ import (
 	"repro/internal/wire"
 )
 
-// ringSlots is the capacity of each shard's write submission ring. Each
-// producer blocks until its slot is applied, so occupancy is bounded by the
-// co-located PE count; 256 slots keep Push from ever failing in practice
-// while the full-ring fallback to the message path stays covered by tests.
-const ringSlots = 256
-
 // kernelShard is one address-range shard of a kernel's home-side
 // global-memory service. The homed blocks are partitioned over shards by
 // gmem.Space.ShardOf (block-round-robin, aligned with the segment's lock
@@ -27,7 +21,7 @@ const ringSlots = 256
 // A shard is a monitor, not a thread: mu guards all of that state, and
 // whoever holds it serves — the requesting PE's own goroutine on inproc
 // (Kernel.serveOnSender), the serve loop for everything that reaches it
-// through Recv, a ring producer draining what it just published. A given
+// through Recv. A given
 // address is always serviced under the same shard's lock, which preserves
 // per-word request ordering and exactly-once dedup. Lock order: a shard lock
 // is outermost and never nested in another shard lock; under it a handler
@@ -41,15 +35,6 @@ type kernelShard struct {
 	// mu is the monitor lock. Use lock/unlock: it is not taken at all under
 	// simulation.
 	mu sync.Mutex
-
-	// ring is the one-sided write submission ring owned by this shard (nil
-	// when the write fast path is off). Co-located PEs publish single-word
-	// writes of words not in cached mode into it and drain it themselves
-	// under mu right after publishing, so no message is built and nobody is
-	// woken.
-	ring *gmem.SubmitRing
-	// ringBuf is the drain batch scratch.
-	ringBuf []gmem.RingWrite
 
 	// dedup is the exactly-once window for mutating GM requests routed to
 	// this shard. A retry routes identically (same address → same shard; the
@@ -87,19 +72,14 @@ type locRun struct {
 	at    int // a write's words, still encoded, start at this byte of the payload
 }
 
-func newKernelShard(k *Kernel, idx int, rings bool) *kernelShard {
-	sh := &kernelShard{
+func newKernelShard(k *Kernel, idx int) *kernelShard {
+	return &kernelShard{
 		k:     k,
 		idx:   idx,
 		dedup: newDedupTable(),
 		inv:   make(map[uint64]*invRound),
 		spans: k.cfg.Tracing.NewRing(),
 	}
-	if rings {
-		sh.ring = gmem.NewSubmitRing(ringSlots)
-		sh.ringBuf = make([]gmem.RingWrite, ringSlots)
-	}
-	return sh
 }
 
 // lock enters the shard's monitor. Under simulation it does nothing: the
@@ -207,26 +187,20 @@ func (sh *kernelShard) serve(m *wire.Message) {
 	}
 }
 
-// fenceShards passes through every shard's monitor once, draining its
-// submission ring on the way: when it returns, every service that was in
-// flight on any shard has completed and every one-sided write published
-// before the fence is applied. The checkpoint marker uses it so seg.Export
-// sees no request half-applied, a namespace free before dropping blocks, a
-// migration install before adopting them.
+// fenceShards passes through every shard's monitor once: when it returns,
+// every service that was in flight on any shard has completed. The checkpoint
+// marker uses it so seg.Export sees no request half-applied, a namespace free
+// before dropping blocks, a migration install before adopting them. A store
+// in place (PE.store, and a PE's own-home access) needs no fence: it is complete when it returns, and one
+// word under one stripe mutex is never seen half-applied.
 // Serve loop only, never from inside a handler (no nested shard locks), and
 // peer-down handling deliberately never fences: the Send that reported the
 // peer dead may be a handler's, made under the very lock a fence would take.
 func (k *Kernel) fenceShards() {
 	for _, sh := range k.shards {
-		sh.fence()
+		sh.lock()
+		sh.unlock()
 	}
-}
-
-// fence passes through the monitor once, applying whatever its ring holds.
-func (sh *kernelShard) fence() {
-	sh.lock()
-	sh.drainRing()
-	sh.unlock()
 }
 
 // lockShards enters every shard's monitor at once, for the one handler that
@@ -245,65 +219,6 @@ func (k *Kernel) unlockShards() {
 	for _, sh := range k.shards {
 		sh.unlock()
 	}
-}
-
-// drainRing applies every write currently published in this shard's
-// submission ring: the home side of the one-sided write path. Writes are
-// deduped against the shard's exactly-once window (ring sequences come from
-// the same per-kernel counter as message sequences, so a ring write that
-// raced a message-path retry is applied once), applied to the segment in
-// one per-block-capped seqlock batch, recorded as completed, and only then
-// released. Every producer drains under the shard lock right after it
-// publishes and checks that its slot was consumed — by its own drain or by
-// that of whoever held the lock before it; a drain stops at a slot claimed
-// but not yet published, so the producer behind it goes again (ringWrite).
-// Caller holds the shard lock.
-func (sh *kernelShard) drainRing() int {
-	if sh.ring == nil {
-		return 0
-	}
-	n := sh.ring.Drain(sh.ringBuf)
-	if n == 0 {
-		return 0
-	}
-	batch := sh.ringBuf[:n]
-	k := sh.k
-	liveDir := !k.dir.Static()
-	fresh := batch[:0] // dedup-filter in place: fresh writes only
-	for _, w := range batch {
-		// The ownership filter must run BEFORE the dedup lookup: a write
-		// whose block migrated away after the producer's precheck is simply
-		// not applied, and crucially leaves no dedup record — the producer
-		// detects the migration-generation change and falls back to the
-		// message path with the same sequence number, which must not be
-		// absorbed here as an in-progress duplicate.
-		if liveDir && !k.dir.Owns(k.id, k.space.BlockOf(w.Addr)) {
-			continue
-		}
-		if e := sh.dedup.lookup(w.Src, w.Seq); e != nil {
-			// The message path already applied (or is applying) this seq.
-			sh.extra.DupRequests++
-			continue
-		}
-		// Namespace filter (defense in depth: the producer's PE-side guard
-		// refuses out-of-region ring writes before publishing, so only a
-		// forged publish reaches here). The write is dropped unapplied and
-		// leaves no dedup record — a message-path retry of the same seq gets
-		// the typed OpNsNack from nsDeny instead of a silent absorb.
-		if region, bound := k.ns.Lookup(int(w.Src)); bound && !region.Contains(w.Addr, 1) {
-			sh.dedup.forget(w.Src, w.Seq)
-			sh.extra.NsViolations++
-			continue
-		}
-		fresh = append(fresh, w)
-	}
-	sh.k.seg.ApplyWrites(fresh)
-	for _, w := range fresh {
-		sh.dedup.complete(w.Src, w.Seq, wire.OpWriteAck, 0, 0, nil)
-	}
-	sh.extra.RingDrained += uint64(len(fresh))
-	sh.ring.Release(n)
-	return n
 }
 
 // handleGM services one GM request routed to this shard. Every GM handler

@@ -173,8 +173,8 @@ func TestStressShardSweep(t *testing.T) {
 	}
 }
 
-// TestStressRingReplayDeterministic: the one-sided write rings drain inline
-// at the submit point under the simulated transport, so a rings-on run must
+// TestStressRingReplayDeterministic: a one-sided write is complete at the
+// submit point under the simulated transport, so a run with them on must
 // stay a pure function of Options — same seed, bit-identical history.
 func TestStressRingReplayDeterministic(t *testing.T) {
 	o := stress.Options{
@@ -199,10 +199,10 @@ func TestStressRingReplayDeterministic(t *testing.T) {
 }
 
 // TestStressRingsInertWithoutWindows pins the gating contract behind the
-// shard-digest proof: with the read window pinned off, forcing rings on or
-// off must not move a single event — rings ride on the window's co-location
-// bargain and are inert without it, which is what keeps the sharded digest
-// tests comparable across this PR.
+// shard-digest proof: with the read window pinned off, forcing one-sided
+// writes on or off must not move a single event — they ride on the window's
+// co-location bargain and are inert without it, which is what keeps the
+// sharded digest tests comparable.
 func TestStressRingsInertWithoutWindows(t *testing.T) {
 	base := stress.Options{
 		Seed: 42, NumPE: 4, OpsPerPE: 150, Caching: true, Loss: 0.1,

@@ -76,48 +76,52 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 	l := k.space.Locate(addr)
 	home, local := pe.resolve(l, mode, kind != check.KindRead)
 
-	// Path: own segment, one-sided window or ring, else a message. Every
-	// mutation that completes succeeds, except a CAS that finds another value.
+	// Every mutation that completes succeeds, except a CAS that finds another
+	// value.
 	ok = true
+
+	// Path: a home whose segment lives in this address space is accessed in
+	// place — the own kernel's for every operation, a co-located peer's for
+	// the reads windowRead and the writes store admit — else by a message.
+	// An access in place checks ownership under the home's stripe seqlock or
+	// mutex, which a migration's Extract passes only after the directory has
+	// flipped: the access completes before the block's snapshot is taken, and
+	// moves with it, or is refused with nothing applied and takes the message
+	// path, which follows the block to its new home under a fresh Seq.
 	if local {
 		pe.chargeLocal()
+		done := false
 		switch kind {
 		case check.KindRead:
-			out = k.seg.ReadWordAt(l)
-			pe.hist.CloseRead(h, out, false, 0, 0)
-			return out, false, nil
+			if out, done = k.seg.DirectReadAt(l); done {
+				pe.hist.CloseRead(h, out, false, 0, 0)
+				return out, false, nil
+			}
 		case check.KindWrite:
-			k.seg.WriteWordAt(l, a1)
+			done = k.seg.WriteWordAt(l, a1)
 		case check.KindFetchAdd:
-			out = k.seg.FetchAddAt(l, a1)
+			out, done = k.seg.FetchAddAt(l, a1)
 		case check.KindCAS:
-			out, ok = k.seg.CASAt(l, a1, a2)
+			out, ok, done = k.seg.CASAt(l, a1, a2)
 		}
-		pe.hist.Close(h, out, ok)
-		return out, ok, nil
-	}
-	pe.extra.RemoteGM++
-	var ringSeq uint64
-	switch {
-	case mode == gmem.ModeCached:
-		// A cached word's remote accesses must reach the home's directory — a
-		// read to join the copyset, a write to have it invalidated — so they
-		// take neither one-sided path.
-	case kind == check.KindRead:
-		if v, hit := pe.windowRead(home, l); hit {
-			pe.hist.CloseRead(h, v, false, 0, 0)
-			return v, false, nil
+		if done {
+			pe.hist.Close(h, out, ok)
+			return out, ok, nil
 		}
-	case kind == check.KindWrite:
-		st, seq := pe.ringWrite(home, addr, l, a1)
-		if st == ringApplied {
-			pe.hist.Close(h, 0, true)
-			return 0, false, nil
-		}
-		if st == ringAmbiguous {
-			// A migration raced the ring submission: confirm through the
-			// message path with the SAME sequence number (see ringAmbiguous).
-			ringSeq = seq
+		home = k.dir.HomeAt(l) // the block moved away during the charge
+	} else {
+		pe.extra.RemoteGM++
+		switch kind {
+		case check.KindRead:
+			if v, hit := pe.windowRead(home, mode, l); hit {
+				pe.hist.CloseRead(h, v, false, 0, 0)
+				return v, false, nil
+			}
+		case check.KindWrite:
+			if pe.store(home, mode, addr, l, a1) {
+				pe.hist.Close(h, 0, true)
+				return 0, true, nil
+			}
 		}
 	}
 	req := wire.GetMessage()
@@ -134,7 +138,7 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 	default:
 		req.Arg1, req.Arg2 = a1, a2
 	}
-	resp, err := pe.requestSeqErr(home, req, ringSeq)
+	resp, err := pe.requestErr(home, req)
 	wire.PutMessage(req)
 	if err != nil {
 		pe.hist.FailReads(h, 1) // a failed mutation stays open: it may have applied

@@ -278,13 +278,14 @@ func (g *Segment) checkHome(addr uint64, n int) Loc {
 	if n > g.space.BlockWords-l.Off {
 		panic(fmt.Sprintf("gmem: range [%d,+%d) spans blocks; split by HomeRuns first", addr, n))
 	}
-	g.checkOwned(l)
+	g.mustOwn(l, g.owns(l))
 	return l
 }
 
-// checkOwned panics unless this segment homes the located word.
-func (g *Segment) checkOwned(l Loc) {
-	if !g.owns(l) {
+// mustOwn panics unless owned, the answer to whether this segment homes the
+// located word.
+func (g *Segment) mustOwn(l Loc, owned bool) {
+	if !owned {
 		panic(fmt.Sprintf("gmem: address %d not homed at %d", g.addrOf(l), g.self))
 	}
 }
@@ -300,11 +301,9 @@ func (g *Segment) Read(addr uint64, n int) []int64 {
 }
 
 // ReadWord returns the single word at addr without allocating.
-func (g *Segment) ReadWord(addr uint64) int64 { return g.ReadWordAt(g.space.Locate(addr)) }
-
-// ReadWordAt is ReadWord for a located word.
-func (g *Segment) ReadWordAt(l Loc) int64 {
-	g.checkOwned(l)
+func (g *Segment) ReadWord(addr uint64) int64 {
+	l := g.space.Locate(addr)
+	g.mustOwn(l, g.owns(l))
 	var w [1]int64
 	g.readRun(g.stripeAt(l), w[:], l.Block, l.Off)
 	return w[0]
@@ -516,18 +515,29 @@ func (g *Segment) Adopt(blocks []BlockSnapshot) error {
 
 // WriteWord stores a single word at addr without allocating (after the
 // block's first write).
-func (g *Segment) WriteWord(addr uint64, v int64) { g.WriteWordAt(g.space.Locate(addr), v) }
+func (g *Segment) WriteWord(addr uint64, v int64) {
+	l := g.space.Locate(addr)
+	g.mustOwn(l, g.WriteWordAt(l, v))
+}
 
-// WriteWordAt is WriteWord for a located word.
-func (g *Segment) WriteWordAt(l Loc, v int64) {
-	g.checkOwned(l)
+// WriteWordAt is WriteWord for a located word, reporting whether this segment
+// homes it instead of panicking. Like the other …At mutators it checks
+// ownership inside the stripe's critical section, which Extract also enters
+// once the directory has flipped: a store either lands before the block's
+// snapshot is taken, and moves with it, or sees the flip and is refused with
+// nothing stored. A caller outside the home's monitors needs exactly that.
+func (g *Segment) WriteWordAt(l Loc, v int64) bool {
 	st := g.stripeAt(l)
 	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !g.owns(l) {
+		return false
+	}
 	blk := st.materialise(l.Block, g.space.BlockWords)
 	st.wseq.Add(1)
 	atomic.StoreInt64(&blk[l.Off], v)
 	st.wseq.Add(1)
-	st.mu.Unlock()
+	return true
 }
 
 // ReadInto copies len(dst) words starting at addr into dst (all homed here,
@@ -626,63 +636,77 @@ func (g *Segment) writeRun(st *stripe, b uint64, off int, words []int64, writer 
 // FetchAdd atomically adds delta to the word at addr, returning the
 // previous value. Like Write it leaves the copyset alone.
 func (g *Segment) FetchAdd(addr uint64, delta int64) int64 {
-	return g.FetchAddAt(g.space.Locate(addr), delta)
+	return g.FetchAddShared(addr, delta, 0, nil)
 }
 
-// FetchAddAt is FetchAdd for a located word.
-func (g *Segment) FetchAddAt(l Loc, delta int64) int64 { return g.fetchAdd(l, delta, 0, nil) }
+// FetchAddAt is FetchAdd for a located word, reporting whether this segment
+// homes it instead of panicking (see WriteWordAt).
+func (g *Segment) FetchAddAt(l Loc, delta int64) (old int64, owned bool) {
+	return g.fetchAdd(l, delta, 0, nil)
+}
 
 // FetchAddShared is FetchAdd as the home serves it: see WriteShared.
 func (g *Segment) FetchAddShared(addr uint64, delta int64, writer int, stale *[]Copy) int64 {
-	return g.fetchAdd(g.space.Locate(addr), delta, writer, stale)
+	l := g.space.Locate(addr)
+	old, owned := g.fetchAdd(l, delta, writer, stale)
+	g.mustOwn(l, owned)
+	return old
 }
 
-func (g *Segment) fetchAdd(l Loc, delta int64, writer int, stale *[]Copy) int64 {
-	g.checkOwned(l)
+func (g *Segment) fetchAdd(l Loc, delta int64, writer int, stale *[]Copy) (old int64, owned bool) {
 	st := g.stripeAt(l)
 	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !g.owns(l) {
+		return 0, false
+	}
 	blk := st.materialise(l.Block, g.space.BlockWords)
-	old := blk[l.Off]
+	old = blk[l.Off]
 	st.wseq.Add(1)
 	atomic.StoreInt64(&blk[l.Off], old+delta)
 	st.wseq.Add(1)
 	st.takeCopies(l.Block, g.addrOf(l), writer, stale)
-	st.mu.Unlock()
-	return old
+	return old, true
 }
 
 // CAS atomically compares-and-swaps the word at addr, returning the previous
 // value and whether the swap happened. Like Write it leaves the copyset alone.
 func (g *Segment) CAS(addr uint64, old, new int64) (prev int64, swapped bool) {
-	return g.CASAt(g.space.Locate(addr), old, new)
+	return g.CASShared(addr, old, new, 0, nil)
 }
 
-// CASAt is CAS for a located word.
-func (g *Segment) CASAt(l Loc, old, new int64) (prev int64, swapped bool) {
+// CASAt is CAS for a located word, reporting whether this segment homes it
+// instead of panicking (see WriteWordAt).
+func (g *Segment) CASAt(l Loc, old, new int64) (prev int64, swapped, owned bool) {
 	return g.cas(l, old, new, 0, nil)
 }
 
 // CASShared is CAS as the home serves it: see WriteShared. A swap that did
 // not happen changed nothing and takes no copyset.
 func (g *Segment) CASShared(addr uint64, old, new int64, writer int, stale *[]Copy) (prev int64, swapped bool) {
-	return g.cas(g.space.Locate(addr), old, new, writer, stale)
+	l := g.space.Locate(addr)
+	prev, swapped, owned := g.cas(l, old, new, writer, stale)
+	g.mustOwn(l, owned)
+	return prev, swapped
 }
 
-func (g *Segment) cas(l Loc, old, new int64, writer int, stale *[]Copy) (prev int64, swapped bool) {
-	g.checkOwned(l)
+func (g *Segment) cas(l Loc, old, new int64, writer int, stale *[]Copy) (prev int64, swapped, owned bool) {
 	st := g.stripeAt(l)
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if !g.owns(l) {
+		return 0, false, false
+	}
 	blk := st.materialise(l.Block, g.space.BlockWords)
 	prev = blk[l.Off]
 	if prev != old {
-		return prev, false
+		return prev, false, true
 	}
 	st.wseq.Add(1)
 	atomic.StoreInt64(&blk[l.Off], new)
 	st.wseq.Add(1)
 	st.takeCopies(l.Block, g.addrOf(l), writer, stale)
-	return prev, true
+	return prev, true, true
 }
 
 // ReadBlockFor appends the whole block containing addr to dst and records

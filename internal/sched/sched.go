@@ -114,8 +114,8 @@ type Config struct {
 	// GMBlockWords passes through to core.Config (0 = default 32).
 	GMBlockWords int
 	// KernelShards passes through to core.Config (0 = GOMAXPROCS on the
-	// in-process transport, which also turns on the one-sided window and
-	// ring fast paths).
+	// in-process transport, which also turns on the one-sided window reads
+	// and stores).
 	KernelShards int
 	// Tick is the control-loop poll interval (0 = 2ms).
 	Tick time.Duration

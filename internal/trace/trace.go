@@ -31,13 +31,11 @@ type PEStats struct {
 	// one-sided direct window into a co-located home's segment instead of
 	// a request/reply message pair. Always <= RemoteGM.
 	DirectGM uint64
-	// RingGM counts the RemoteGM writes that resolved through a per-shard
-	// submission ring into a co-located home instead of a request/reply
-	// message pair. Always <= RemoteGM.
+	// RingGM counts the RemoteGM writes that a co-located home applied in
+	// place — a store under its stripe lock — instead of a request/reply
+	// message pair. Always <= RemoteGM. (The name is the submission ring's
+	// that these stores replaced.)
 	RingGM uint64
-	// RingDrained counts ring writes applied on the service side (the
-	// home's view of RingGM; equal totals once all kernels quiesce).
-	RingDrained uint64
 	// ShardedMsgs counts incoming GM requests served off the serial serve
 	// loop: by their sender, under a kernel shard's lock (inproc).
 	ShardedMsgs uint64
@@ -72,7 +70,7 @@ type PEStats struct {
 
 	// Scheduler namespace counters (dsesched per-job GM isolation).
 	NsViolations uint64 // kernel-side: requests NACKed for touching memory outside the requester's namespace
-	NsDenials    uint64 // PE-side: accesses refused before leaving the PE (one-sided window/ring paths included)
+	NsDenials    uint64 // PE-side: accesses refused before leaving the PE (one-sided reads and stores included)
 
 	// ByOp breaks sent traffic down per message op, so experiments can
 	// watch e.g. scalar reads being displaced by vectored reads.
@@ -122,7 +120,6 @@ func (s *PEStats) Add(o *PEStats) {
 	s.RemoteGM += o.RemoteGM
 	s.DirectGM += o.DirectGM
 	s.RingGM += o.RingGM
-	s.RingDrained += o.RingDrained
 	s.ShardedMsgs += o.ShardedMsgs
 	s.Barriers += o.Barriers
 	s.Locks += o.Locks
