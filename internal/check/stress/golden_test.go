@@ -92,6 +92,10 @@ func TestModeTagsMirrorGmem(t *testing.T) {
 // with a scalar under a fault schedule; the engine change itself had left all
 // of them bit-identical. (TestCheckerStrongGoldenClean is lossy and cached,
 // the one combination that keeps the scalar stand-ins: stress.lossyCached.)
+// The one-sided rows here and in TestLadderGoldenPrograms, but for
+// caching-onesided-mixed-tiers (whose atomics are cached-mode words), were
+// captured again when fetch-add and CAS to a co-located home began to apply
+// in place instead of as simulated messages.
 var ladderGoldens = []struct {
 	name string
 	o    stress.Options
@@ -102,17 +106,17 @@ var ladderGoldens = []struct {
 	{"mixed-tiers-caching", stress.Options{Seed: 8, NumPE: 4, OpsPerPE: 300, Modes: true, Caching: true}, "2b9e15e785ca6f9de8ef71312cb30c627518116d827ab6ba976480497330c1af"},
 	{"caching-fault-free", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Caching: true}, "e924f6d44305681474279d8546e35bd2087111dde0cd033a5667c7bc2300c0e7"},
 	{"caching-onesided-mixed-tiers", stress.Options{Seed: 12, NumPE: 4, OpsPerPE: 300, Caching: true, Modes: true, Shards: 2, DirectReads: 1, Rings: 1}, "4f37419b0ab53eea2fd4905e6205db0f92e6de17825d57e6ab9a9442f3d7e23e"},
-	{"onesided-shards1", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Shards: 1, DirectReads: 1, Rings: 1}, "37c8080531ff85bd5d150ae230de299291150d290a569c7c9565ec83b28b9155"},
-	{"onesided-shards2", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Shards: 2, DirectReads: 1, Rings: 1}, "37c8080531ff85bd5d150ae230de299291150d290a569c7c9565ec83b28b9155"},
-	{"onesided-mixed-tiers", stress.Options{Seed: 10, NumPE: 4, OpsPerPE: 300, Shards: 2, DirectReads: 1, Rings: 1, Modes: true}, "4dbd700986d125cfc575bd05ea2847c1a90d6493cf34ecc2cc937c9fd73ea2fa"},
+	{"onesided-shards1", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Shards: 1, DirectReads: 1, Rings: 1}, "124dd1d1da2227606f227d9d4e5daddf507711554266589e85c9c74d64c08aca"},
+	{"onesided-shards2", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Shards: 2, DirectReads: 1, Rings: 1}, "124dd1d1da2227606f227d9d4e5daddf507711554266589e85c9c74d64c08aca"},
+	{"onesided-mixed-tiers", stress.Options{Seed: 10, NumPE: 4, OpsPerPE: 300, Shards: 2, DirectReads: 1, Rings: 1, Modes: true}, "88b8f3baf4f8e7ee3a9c76726d126359aed1a75b56bfa7989cbbc2d1f0aff565"},
 	{"loss-retry", stress.Options{Seed: 42, NumPE: 4, OpsPerPE: 200, Loss: 0.1, Jitter: 300 * sim.Microsecond}, "fcb4d0f68eaf778ffb669a795cb2f06573625538ff343750f446e557f5f6351a"},
-	{"loss-retry-onesided", stress.Options{Seed: 42, NumPE: 4, OpsPerPE: 150, Loss: 0.05, Jitter: 300 * sim.Microsecond, Shards: 2, DirectReads: 1, Rings: 1}, "84ad7f98aeaca03d3f0d4cc753643a29cc150bf1964c3d408c5b22f4c1edeb9f"},
+	{"loss-retry-onesided", stress.Options{Seed: 42, NumPE: 4, OpsPerPE: 150, Loss: 0.05, Jitter: 300 * sim.Microsecond, Shards: 2, DirectReads: 1, Rings: 1}, "0ee8d6dcf0e60e17c31889536c75b5b57664a594cab946b35317310eb1171a73"},
 	{"loss-retry-mixed-tiers", stress.Options{Seed: 43, NumPE: 4, OpsPerPE: 200, Loss: 0.1, Modes: true}, "db7b32b85956c762ab26f273ddb8cb5b1ef7d171b820c7ef390b86ce38888135"},
 	{"kill", stress.Options{Seed: 11, NumPE: 4, OpsPerPE: 200, Loss: 0.02, Modes: true, KillPE: 2, KillAt: 2 * sim.Second}, "143c9fb420252af853a776872505f3612dd8e5f3f2aa3aef02d526e3fc9050d0"},
-	{"kill-onesided", stress.Options{Seed: 13, NumPE: 4, OpsPerPE: 150, Loss: 0.02, KillPE: 2, KillAt: 100 * sim.Millisecond, Shards: 2, DirectReads: 1, Rings: 1}, "fff704d5ad90960c9ad1e1c762f4d3a08630bab7cd2bed2116c0c49a32db0f3e"},
+	{"kill-onesided", stress.Options{Seed: 13, NumPE: 4, OpsPerPE: 150, Loss: 0.02, KillPE: 2, KillAt: 100 * sim.Millisecond, Shards: 2, DirectReads: 1, Rings: 1}, "7c580be9d201ba35f8b39594d4a12f9b774300a546eac7b8b1f4fc2435a85390"},
 	{"churn-migrate", stress.Options{Seed: 3, NumPE: 5, OpsPerPE: 200, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 30}, "860746dcb4113b8919e36749d09cc82fa70b755edb4c5006114009f539432bed"},
 	{"churn-migrate-mixed-tiers", stress.Options{Seed: 4, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 30}, "2283588e47275bd93a16e1d1efa608bbb7426b9e58bb461da54f709a832706dd"},
-	{"churn-migrate-onesided", stress.Options{Seed: 5, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 20, Shards: 2, DirectReads: 1, Rings: 1}, "04901a0f4ff807f464caa19da933261a83c135b98fd28a5c3608b52d46bb0e8a"},
+	{"churn-migrate-onesided", stress.Options{Seed: 5, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 20, Shards: 2, DirectReads: 1, Rings: 1}, "c1f0db0e1b84458e2876ceb7c2765411872dcc2107534d1f99d3327a319e07b7"},
 }
 
 func TestLadderGoldenDigests(t *testing.T) {
@@ -276,10 +280,10 @@ func TestLadderGoldenPrograms(t *testing.T) {
 		want          string
 	}{
 		{"ns-message", namespaceProgram, -1, -1, false, 4 * 8, "5968ed679ff96c1a240c17665ab8e932bdb38b097672aed66cec4e4bbe9e5d64"},
-		{"ns-onesided", namespaceProgram, 1, 1, false, 4 * 8, "135cbf92b3c3b367fd26bfd25bbddacf97a1b016c611e0815edea0fe47ab234c"},
+		{"ns-onesided", namespaceProgram, 1, 1, false, 4 * 8, "6e8e43cb9ff639544df2fd71af05876d08604036e966e067b4d2b1be5facf83b"},
 		{"ns-legacy", namespaceProgram, -1, -1, true, 4 * 8, "8729cecea53a0a6c4816972717353f457835ca677c1ea903074191153d782131"},
 		{"tier-span-message", tierSpanProgram, -1, -1, false, 0, "bc9618b87563ff355173e6c86c2bd2337ca7d55b00587c2e70192c5acfaabdeb"},
-		{"tier-span-onesided", tierSpanProgram, 1, 1, false, 0, "50b5f79815d74c5288be791402c6f040268c37f1c30fa050bd885c8ef01601ea"},
+		{"tier-span-onesided", tierSpanProgram, 1, 1, false, 0, "f16e803ed96966816195c499bcafe746e7708de3417d994198b6449150dd673a"},
 	} {
 		res, err := core.Run(core.Config{
 			NumPE: 4, Platform: platform.SparcSunOS, Seed: 77, RecordHistory: true,

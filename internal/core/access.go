@@ -15,10 +15,10 @@ import (
 // through one of two executors: wordOp (word.go) for scalar read, write,
 // fetch-add and CAS, rangeOp (ranges.go) for block, gather, scatter and the
 // write-combining flush. This file holds the pieces both executors call, each
-// written once: route resolution, the consistency tiers (write-combining
-// buffer, leases, write-invalidate cache) and the one-sided paths (window,
-// store). The word's mode, looked up at the mode step, is the only selector of
-// its tier. A rule that must hold for every access has one place to go.
+// written once: the consistency tiers (write-combining buffer, leases,
+// write-invalidate cache) and the admission rule of the path in place. The
+// word's mode, looked up at the mode step, is the only selector of its tier.
+// A rule that must hold for every access has one place to go.
 //
 // Record: with Config.RecordHistory every access is recorded the same way
 // through pe.hist (nil, and every call a no-op, with recording off): one
@@ -26,16 +26,55 @@ import (
 // until the word's result closes it, so an operation that dies mid-request
 // (timeout, panic, peer down) is retained open rather than lost.
 
-// resolve routes the word or single-home run located at l, whose mode is
-// mode: its home under the live directory, computed once per word/run, and
-// whether this PE serves it from its own segment — a read whenever its kernel
-// homes the word, a mutation unless the word is cached: only the home's
-// request service may change a word other PEs hold copies of, so that one
-// travels as a message even to the PE's own kernel (via the own-node message
-// path).
-func (pe *PE) resolve(l gmem.Loc, mode gmem.Mode, mutates bool) (home int, local bool) {
-	home = pe.k.dir.HomeAt(l)
-	return home, home == pe.k.id && !(mutates && mode == gmem.ModeCached)
+// --- Path: in place (a home whose segment lives in this address space) ---
+
+// inPlace is the path step's admission rule: it returns the segment of home,
+// the live directory's answer for the n words at addr in mode, if this PE may
+// access them there in place, else nil. One rule for the own kernel and a
+// co-located peer (Kernel.peers):
+//   - the home is alive: a dead one is left to the message path, which
+//     produces peer-down;
+//   - the word is not cached, except for a read at the own home: only the
+//     home's request service may change a word other PEs hold copies of (even
+//     at the own kernel, via the own-node message path), and a peer's cached
+//     word is read by a block fetch that joins its copyset;
+//   - at a peer, the path is on: the window, and for a mutation
+//     Config.WriteRings ≥ 0;
+//   - the home's namespace binding for this PE admits the words: the message
+//     path's nsDeny answers one it does not with OpNsNack, so a forged
+//     requester gets *NamespaceError whichever path it would have taken.
+//
+// Ownership is the segment's to check, inside the access. Nothing in place
+// retries, so nothing needs a Seq or a dedup record (DESIGN.md §12).
+func (pe *PE) inPlace(home int, mode gmem.Mode, mutates bool, addr uint64, n int) *gmem.Segment {
+	k := pe.k
+	p := &k.peers[home]
+	if p.seg == nil || mutates && !p.mutable || mode == gmem.ModeCached && (mutates || home != k.id) ||
+		p.dead.Load() || !p.ns.Admits(k.id, addr, n) {
+		return nil
+	}
+	return p.seg
+}
+
+// ownRun serves what it may of a range operation's run at addr, located at l
+// and homed here by the live directory, from this kernel's own segment if
+// inPlace admits it: all of a read or none, or a write's prefix stored before
+// a migration took the block (gmem.Segment.WriteRunAt). It returns the words
+// served; the rest takes the message path to the home the directory names
+// now. (A run homed at a co-located peer is not served in place.)
+func (pe *PE) ownRun(l gmem.Loc, mode gmem.Mode, write bool, addr uint64, run []int64) (n int) {
+	seg := pe.inPlace(pe.k.id, mode, write, addr, len(run))
+	if seg == nil {
+		return 0
+	}
+	pe.chargeLocal()
+	if write {
+		return seg.WriteRunAt(l, run)
+	}
+	if seg.ReadRunAt(run, l) {
+		return len(run)
+	}
+	return 0
 }
 
 // chargeLocal accounts one access served without leaving the PE.
@@ -109,11 +148,13 @@ type leaseEntry struct {
 
 // leaseRead serves a lease-mode read of [addr, addr+len(out)) block by block:
 // a live lease answers locally with no messages, an own-home block reads the
-// segment directly (always fresh, so it carries a strong staleness bound), a
-// miss fetches the block under a fresh time-bounded lease. h is the first of
-// the range's open history events; each block's words close as it is served.
+// segment directly (ownRun: always fresh, so it carries a strong staleness
+// bound), a miss fetches the block under a fresh time-bounded lease from the
+// home the live directory names. h is the first of the range's open history
+// events; each block's words close as it is served.
 func (pe *PE) leaseRead(out []int64, addr uint64, h int) error {
-	bw := uint64(pe.k.space.BlockWords)
+	k := pe.k
+	bw := uint64(k.space.BlockWords)
 	end := addr + uint64(len(out))
 	for base := addr - addr%bw; base < end; base += bw {
 		lo, hi := max(base, addr), min(base+bw, end)
@@ -121,12 +162,9 @@ func (pe *PE) leaseRead(out []int64, addr uint64, h int) error {
 		le := pe.leaseHit(base)
 		if le != nil {
 			pe.chargeLocal()
-		} else if home, local := pe.resolve(pe.k.space.Locate(base), gmem.ModeLease, false); local {
-			pe.chargeLocal()
-			pe.k.seg.ReadInto(part, lo)
-		} else {
+		} else if l := k.space.Locate(lo); k.dir.HomeAt(l) != k.id || pe.ownRun(l, gmem.ModeLease, false, lo, part) == 0 {
 			var err error
-			if le, err = pe.fetchLease(base, home); err != nil {
+			if le, err = pe.fetchLease(base, k.dir.HomeAt(l)); err != nil {
 				return err
 			}
 		}
@@ -202,60 +240,4 @@ func (pe *PE) dropLeases(addr uint64, n int) {
 // cluster instead of extending pre-edge snapshots past it.
 func (pe *PE) clearLeases() {
 	clear(pe.leases)
-}
-
-// --- Path: one-sided window and store (co-located homes, word not cached) ---
-
-// windowRead is the one-sided read path: the home's segment lives in this
-// address space (Kernel.colocated), so the read resolves directly through its
-// seqlock instead of a request/reply pair. Every word has a single home and
-// the seqlock yields a torn-free value, so this is as consistent as the
-// message path it replaces. The ownership check inside the home's seqlock
-// critical section makes the window migration-safe: a block mid-handoff fails
-// the check (the extract bumped the write sequence) and the caller falls
-// through to the message path, which follows the NACK redirect. A dead home is
-// left to the message path too, so that it produces peer-down, and so is a
-// cached word, whose reads must reach the home's directory to join the
-// copyset. l is the word's place.
-func (pe *PE) windowRead(home int, mode gmem.Mode, l gmem.Loc) (int64, bool) {
-	k := pe.k
-	if k.colocated == nil || mode == gmem.ModeCached || k.deadFlags[home].Load() {
-		return 0, false
-	}
-	pe.app.LocalAccess()
-	v, ok := k.colocated[home].seg.DirectReadAt(l)
-	if ok {
-		pe.extra.DirectGM++
-	}
-	return v, ok
-}
-
-// store is the one-sided write path (DESIGN.md §12): v is stored straight
-// into the co-located home's segment, and store reports whether it was. The
-// word's ownership is checked inside the stripe's critical section
-// (gmem.Segment.WriteWordAt), which a migration's Extract enters only after
-// the old home's directory has flipped, so the store lands before the block's
-// snapshot is taken, and moves with it, or is refused with nothing stored.
-// Every refusal — the path off (Config.WriteRings < 0), the home dead or no
-// longer the owner, a cached word (whose copies the home must invalidate), an
-// address outside the namespace the home binds this PE to — leaves the write
-// to the message path, which answers the last with OpNsNack as the home's
-// nsDeny would. The store is complete when store returns and nothing retries
-// it, so it needs no Seq and leaves no dedup record: a refused write travels
-// under a fresh Seq like any new request. l is addr's place.
-func (pe *PE) store(home int, mode gmem.Mode, addr uint64, l gmem.Loc, v int64) bool {
-	k := pe.k
-	if k.colocated == nil || k.cfg.WriteRings < 0 || mode == gmem.ModeCached || k.deadFlags[home].Load() {
-		return false
-	}
-	hk := &k.colocated[home]
-	if region, bound := hk.ns.Lookup(k.id); bound && !region.Contains(addr, 1) {
-		return false
-	}
-	pe.app.LocalAccess()
-	if !hk.seg.WriteWordAt(l, v) {
-		return false
-	}
-	pe.extra.RingGM++
-	return true
 }

@@ -13,7 +13,7 @@ import (
 
 // pathDelta is what one operation added to the issuing PE's path counters:
 // accesses served locally, remote words/runs, the share of those that took
-// the one-sided window or a store in place, and messages its node put on the wire
+// the one-sided window or a mutation in place, and messages its node put on the wire
 // (requests by the PE plus whatever its own kernel sent meanwhile).
 type pathDelta struct{ local, remote, direct, ring, msgs uint64 }
 
@@ -44,10 +44,10 @@ func tags(n int, t evTag) []evTag {
 // The three clusters the table runs on. All simulated (every path exists
 // there, and the counters can be read mid-run because the engine runs one
 // context at a time). A cluster's rows run in one program, so the cached rows
-// on onOne share it with rows that take the window and the stores in place.
+// on onOne share it with rows that take the window and the mutations in place.
 const (
 	onMsg   = "message"  // every one-sided path off
-	onOne   = "onesided" // window reads and stores in place on
+	onOne   = "onesided" // window reads and mutations in place on
 	onCache = "caching"  // cached is the default mode: the whole program runs the write-invalidate protocol
 )
 
@@ -127,12 +127,12 @@ var accessRows = []accessRow{
 	{name: "strong/ring/write", on: onOne, mode: strong,
 		op: func(pe *PE, l, r uint64) int64 { pe.GMWrite(r, 8); return pe.GMRead(r) }, want: 8,
 		d: pathDelta{remote: 2, direct: 1, ring: 1}, ev: []evTag{wr(strong), rd(strong)}},
-	{name: "strong/onesided/fetch-add-takes-message", on: onOne, mode: strong,
+	{name: "strong/onesided/fetch-add-in-place", on: onOne, mode: strong,
 		op: func(pe *PE, l, r uint64) int64 { return pe.FetchAdd(r, 2) }, want: 0,
-		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{fa(strong)}},
-	{name: "strong/onesided/cas-takes-message", on: onOne, mode: strong,
+		d: pathDelta{remote: 1, ring: 1}, ev: []evTag{fa(strong)}},
+	{name: "strong/onesided/cas-in-place", on: onOne, mode: strong,
 		op: func(pe *PE, l, r uint64) int64 { prev, _ := pe.CAS(r, 1, 2); return prev }, want: 0,
-		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{cas(strong)}},
+		d: pathDelta{remote: 1, ring: 1}, ev: []evTag{cas(strong)}},
 
 	// --- word executor, release tier ---
 	{name: "release/write-buffers", on: onMsg, mode: release,
@@ -158,6 +158,9 @@ var accessRows = []accessRow{
 	{name: "release/message/fetch-add-is-strong", on: onMsg, mode: release,
 		op: func(pe *PE, l, r uint64) int64 { pe.FetchAdd(r, 5); return pe.FetchAdd(r, 5) }, want: 5,
 		d: pathDelta{remote: 2, msgs: 2}, ev: []evTag{fa(release), fa(release)}},
+	{name: "release/onesided/fetch-add-in-place", on: onOne, mode: release,
+		op: func(pe *PE, l, r uint64) int64 { pe.FetchAdd(r, 5); return pe.FetchAdd(r, 5) }, want: 5,
+		d: pathDelta{remote: 2, ring: 2}, ev: []evTag{fa(release), fa(release)}},
 
 	// --- word executor, lease tier ---
 	{name: "lease/read-miss-fetches", on: onOne, mode: lease,
@@ -181,6 +184,12 @@ var accessRows = []accessRow{
 		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
 		op:   func(pe *PE, l, r uint64) int64 { pe.FetchAdd(r, 2); return pe.GMRead(r) }, want: 2,
 		d: pathDelta{remote: 2, msgs: 2}, ev: []evTag{fa(lease), rdC(lease)}},
+	// In place, the fetch-add drops the own lease too: the read after it fetches
+	// a fresh one.
+	{name: "lease/onesided/fetch-add-in-place-drops-own-lease", on: onOne, mode: lease,
+		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
+		op:   func(pe *PE, l, r uint64) int64 { pe.FetchAdd(r, 2); return pe.GMRead(r) }, want: 2,
+		d: pathDelta{remote: 2, ring: 1, msgs: 1}, ev: []evTag{fa(lease), rdC(lease)}},
 
 	// --- word executor, write-invalidate cache tier ---
 	{name: "cached/read-miss-fetches-block", on: onCache, mode: cached,

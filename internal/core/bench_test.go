@@ -97,12 +97,13 @@ func spreadWords(pe *PE, home int) []uint64 {
 }
 
 // BenchmarkGMWord is the per-layer check that the access pipeline keeps the
-// scalar ladder flat: a read and a write on each path a word can take, every
-// cell asserting its path from PE 0's counters (PE 0 issues nothing but the
-// timed operations) and reporting allocations. Reads walk spreadWords, so a
-// home's block lookup is not one hot entry; writes store to one word.
-// ring/write is the store in place into a co-located home (it keeps the name
-// of the submission ring that store replaced, as RingGM does).
+// scalar ladder flat: a read, a write and a fetch-add on each path a word can
+// take, every cell asserting its path from PE 0's counters (PE 0 issues
+// nothing but the timed operations) and reporting allocations. Reads walk
+// spreadWords, so a home's block lookup is not one hot entry; mutations go to
+// one word. ring/write and ring/fetch-add are mutations in place at a
+// co-located home (they keep the name of the submission ring the stores
+// replaced, as RingGM does).
 func BenchmarkGMWord(b *testing.B) {
 	type counts struct{ local, remote, direct, ring, msgs uint64 }
 	onesided := Config{Transport: TransportInproc, KernelShards: 2, DirectReads: 1, WriteRings: 1}
@@ -110,15 +111,18 @@ func BenchmarkGMWord(b *testing.B) {
 		name   string
 		cfg    Config
 		remote bool
-		write  bool
+		op     wire.Op
 		per    counts // what one operation adds to the counters
 	}{
-		{"local/read", messagePath, false, false, counts{local: 1}},
-		{"local/write", messagePath, false, true, counts{local: 1}},
-		{"window/read", onesided, true, false, counts{remote: 1, direct: 1}},
-		{"ring/write", onesided, true, true, counts{remote: 1, ring: 1}},
-		{"message/read", messagePath, true, false, counts{remote: 1, msgs: 1}},
-		{"message/write", messagePath, true, true, counts{remote: 1, msgs: 1}},
+		{"local/read", messagePath, false, wire.OpRead, counts{local: 1}},
+		{"local/write", messagePath, false, wire.OpWrite, counts{local: 1}},
+		{"local/fetch-add", messagePath, false, wire.OpFetchAdd, counts{local: 1}},
+		{"window/read", onesided, true, wire.OpRead, counts{remote: 1, direct: 1}},
+		{"ring/write", onesided, true, wire.OpWrite, counts{remote: 1, ring: 1}},
+		{"ring/fetch-add", onesided, true, wire.OpFetchAdd, counts{remote: 1, ring: 1}},
+		{"message/read", messagePath, true, wire.OpRead, counts{remote: 1, msgs: 1}},
+		{"message/write", messagePath, true, wire.OpWrite, counts{remote: 1, msgs: 1}},
+		{"message/fetch-add", messagePath, true, wire.OpFetchAdd, counts{remote: 1, msgs: 1}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -134,10 +138,13 @@ func BenchmarkGMWord(b *testing.B) {
 				if pe.ID() == 0 {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if c.write {
-							pe.GMWrite(addrs[0], int64(i))
-						} else {
+						switch c.op {
+						case wire.OpRead:
 							pe.GMRead(addrs[i%len(addrs)])
+						case wire.OpWrite:
+							pe.GMWrite(addrs[0], int64(i))
+						default:
+							pe.FetchAdd(addrs[0], 1)
 						}
 					}
 					b.StopTimer()
@@ -146,7 +153,8 @@ func BenchmarkGMWord(b *testing.B) {
 				return nil
 			})
 			s := &res.PerPE[0]
-			got := counts{s.LocalGM, s.RemoteGM, s.DirectGM, s.RingGM, s.ByOp[wire.OpRead].Msgs + s.ByOp[wire.OpWrite].Msgs}
+			msgs := s.ByOp[wire.OpRead].Msgs + s.ByOp[wire.OpWrite].Msgs + s.ByOp[wire.OpFetchAdd].Msgs
+			got := counts{s.LocalGM, s.RemoteGM, s.DirectGM, s.RingGM, msgs}
 			n, p := uint64(b.N), c.per
 			if want := (counts{p.local * n, p.remote * n, p.direct * n, p.ring * n, p.msgs * n}); got != want {
 				b.Fatalf("PE 0 path counters over %d ops: got %+v, want %+v", b.N, got, want)

@@ -162,16 +162,16 @@ type Config struct {
 	// space) or over TCP, and a cached-mode word never takes it (its reads
 	// must reach the home's directory).
 	DirectReads int
-	// WriteRings controls the one-sided write fast path: a co-located PE
-	// stores a scalar write of a word not in cached mode straight into the
-	// remote home's segment, under the stripe lock that also orders the
-	// home's migrations (DESIGN.md §12) — so the write never wakes the serve
-	// loop or allocates a message, and under simulation virtual-time
-	// schedules stay deterministic. Tri-state like DirectReads: 0 enables the
-	// stores whenever the direct-read window is enabled; >0 likewise (they
-	// are still subject to the window's co-location constraints); <0 forces
-	// them off. (The name is the per-shard submission ring's, which these
-	// stores replaced.)
+	// WriteRings controls the one-sided mutations: a co-located PE applies a
+	// scalar write, fetch-add or CAS of a word not in cached mode straight to
+	// the remote home's segment, under the stripe lock that also orders the
+	// home's migrations (DESIGN.md §12) — so the mutation never wakes the
+	// serve loop or allocates a message, and under simulation virtual-time
+	// schedules stay deterministic. Tri-state like DirectReads: 0 enables them
+	// whenever the direct-read window is enabled; >0 likewise (they are still
+	// subject to the window's co-location constraints); <0 forces them off.
+	// (The name is the per-shard submission ring's, which the stores in place
+	// replaced.)
 	WriteRings int
 	// LatentPEs starts the highest LatentPEs ranks outside the active
 	// membership: their kernels home no global-memory blocks (the probe rule
@@ -407,16 +407,17 @@ func windowsEnabled(c *Config) bool {
 }
 
 // wireWindows hands every kernel the co-located kernels whose segments its
-// PE may access in place: reads through the window, and writes unless
-// WriteRings < 0 (PE.windowRead, PE.store). Called on every (re)start, so a
+// PE may access in place: for reads through the window, and for mutations
+// unless WriteRings < 0 (PE.inPlace). Called on every (re)start, so a
 // recovered cluster's fresh segments are rebound before any PE runs.
 func wireWindows(kernels []*Kernel) {
-	homes := make([]colocatedHome, len(kernels))
-	for i, k := range kernels {
-		homes[i] = colocatedHome{seg: k.seg, ns: k.ns}
-	}
 	for _, k := range kernels {
-		k.colocated = homes
+		for i, h := range kernels {
+			if i != k.id {
+				p := &k.peers[i]
+				p.seg, p.ns, p.mutable = h.seg, h.ns, k.cfg.WriteRings >= 0
+			}
+		}
 	}
 }
 
@@ -719,8 +720,8 @@ func collectStats(res *Result, kernels []*Kernel, pes []*PE) {
 	// Result.DeadPeers for why a single kernel's word is not enough.
 	votes := make(map[int]int)
 	for _, k := range kernels {
-		for p := range k.deadFlags {
-			if k.deadFlags[p].Load() {
+		for p := range k.peers {
+			if k.peers[p].dead.Load() {
 				votes[p]++
 			}
 		}

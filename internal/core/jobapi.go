@@ -2,8 +2,8 @@ package core
 
 // PE-side scheduler API (dsesched, DESIGN.md §15): binding a PE to its
 // job's namespace, the local guard that refuses out-of-namespace accesses
-// before they leave the PE (covering the one-sided window reads and
-// stores), the control-plane requests the scheduler uses to install kernel-
+// before they leave the PE (covering the accesses in place), the
+// control-plane requests the scheduler uses to install kernel-
 // side bindings and tear a finished job down.
 
 import (
@@ -27,8 +27,8 @@ func (pe *PE) ClearNamespace() { pe.ns = gmem.Region{} }
 
 // nsCheck is the PE-side namespace guard: when this PE is bound, an access
 // of n words at addr outside the bound region is refused with the typed
-// *NamespaceError before any request (or one-sided window read or store) is
-// issued, and counted as a denial.
+// *NamespaceError before any request (or access in place) is issued, and
+// counted as a denial.
 func (pe *PE) nsCheck(op string, addr uint64, n int) error {
 	if pe.ns.Limit == 0 || pe.ns.Contains(addr, n) {
 		return nil

@@ -75,8 +75,8 @@ type Kernel struct {
 
 	// ns holds this kernel's namespace bindings (dsesched per-job GM
 	// isolation): requester PE → bound region. The serial loop installs
-	// bindings (OpNsBind); GM handlers and the stores of co-located PEs
-	// (PE.store) look them up lock-free on every GM access.
+	// bindings (OpNsBind); GM handlers and every access in place, by this
+	// kernel's PE or a co-located one (PE.inPlace), look them up lock-free.
 	ns *gmem.NSRegistry
 
 	// sync is this kernel's synchronisation state: the central barrier, lock
@@ -109,11 +109,6 @@ type Kernel struct {
 	// more and userMb hands out closed mailboxes.
 	userq map[int32]transport.Mailbox
 
-	// deadFlags[p] is set once the transport has declared peer p dead: the
-	// requester paths (request issue, accesses in place) check it
-	// lock-free and fail fast. See peerDown for what it is ordered against.
-	deadFlags []atomic.Bool
-
 	// Sharded home-side global-memory service: nshards independent monitors,
 	// each owning a disjoint set of homed blocks (gmem.Space.ShardOf).
 	// simulated is cfg.Transport == TransportSim: the engine runs one
@@ -128,12 +123,16 @@ type Kernel struct {
 	// another shard.
 	invCtr atomic.Uint64
 
-	// colocated[i] is kernel i as this kernel's PE reaches it when the
-	// one-sided window is on (co-located transports, windowsEnabled): the PE
-	// reads and stores in these kernels' segments in place (PE.windowRead,
-	// PE.store). nil otherwise. Read-only after cluster construction
-	// (rebound on every recovery restart).
-	colocated []colocatedHome
+	// peers[i] is kernel i as this kernel sees it (this kernel included). Its
+	// dead flag is set once the transport has declared the peer dead: the
+	// requester paths (request issue, accesses in place) check it lock-free
+	// and fail fast; see peerDown for what it is ordered against. Its segment
+	// is set where this kernel's PE may reach it in place (PE.inPlace): its
+	// own kernel always, every other one when the one-sided window is on
+	// (co-located transports, windowsEnabled, wireWindows). Fixed after
+	// cluster construction but for the dead flags (rebound on every recovery
+	// restart).
+	peers []peer
 
 	// dedup holds the per-requester exactly-once window for the mutating
 	// process-management ops the serial loop services (OpProcRegister,
@@ -154,12 +153,17 @@ type Kernel struct {
 	spans *trace.SpanRing
 }
 
-// colocatedHome is what a PE touches of a co-located kernel: its segment and
-// its namespace bindings. Held by value, so the window read finds the segment
-// with one load less than through the *Kernel.
-type colocatedHome struct {
-	seg *gmem.Segment
-	ns  *gmem.NSRegistry
+// peer is one kernel as another sees it: whether it is dead, and what a PE
+// touches of it in place — its segment (nil where there is no path in place),
+// its namespace bindings, and whether mutations may be applied there too: at
+// the own kernel always, at a co-located one unless Config.WriteRings < 0.
+// Held by value in one table, so an access in place finds all of it with one
+// load less than through the *Kernel.
+type peer struct {
+	seg     *gmem.Segment
+	ns      *gmem.NSRegistry
+	mutable bool
+	dead    atomic.Bool
 }
 
 // The dedup window: the home kernel remembers the last dedupWindow mutating
@@ -292,27 +296,28 @@ type invRound struct {
 func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 	space := gmem.NewSpace(cfg.NumPE, cfg.GMBlockWords)
 	k := &Kernel{
-		id:        id,
-		n:         cfg.NumPE,
-		node:      node,
-		svc:       node.Svc(),
-		cfg:       cfg,
-		space:     space,
-		seg:       gmem.NewSegment(space, id),
-		cache:     gmem.NewCache(space),
-		syncMb:    node.NewMailbox(16),
-		replyMb:   node.NewMailbox(0),
-		userq:     make(map[int32]transport.Mailbox),
-		deadFlags: make([]atomic.Bool, cfg.NumPE),
-		dedup:     newDedupTable(),
-		spans:     cfg.Tracing.NewRing(),
-		ns:        gmem.NewNSRegistry(),
+		id:      id,
+		n:       cfg.NumPE,
+		node:    node,
+		svc:     node.Svc(),
+		cfg:     cfg,
+		space:   space,
+		seg:     gmem.NewSegment(space, id),
+		cache:   gmem.NewCache(space),
+		syncMb:  node.NewMailbox(16),
+		replyMb: node.NewMailbox(0),
+		userq:   make(map[int32]transport.Mailbox),
+		dedup:   newDedupTable(),
+		spans:   cfg.Tracing.NewRing(),
+		ns:      gmem.NewNSRegistry(cfg.NumPE),
 
 		dir:             gmem.NewDirectory(cfg.NumPE, cfg.LatentPEs),
 		escrow:          make(map[uint64]escrowEntry),
 		grantBusyMember: -1,
 	}
 	k.seg.SetDirectory(k.dir)
+	k.peers = make([]peer, cfg.NumPE)
+	k.peers[id].seg, k.peers[id].ns, k.peers[id].mutable = k.seg, k.ns, true
 	k.nshards = cfg.KernelShards
 	if k.nshards < 1 {
 		k.nshards = 1
@@ -383,7 +388,7 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 // wait for. No fence is needed — shard state is keyed by requester/seq and a
 // dead requester's entries are inert.
 func (k *Kernel) peerDown(peer int) {
-	if k.deadFlags[peer].Swap(true) {
+	if k.peers[peer].dead.Swap(true) {
 		return
 	}
 	k.putPeerDown(k.replyMb, peer)

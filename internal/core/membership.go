@@ -143,10 +143,10 @@ func (k *Kernel) dropCorrupt(m *wire.Message) {
 // segment access while ownership changes, and the order within is the
 // protocol's safety core: (1) the directory flips first, so ownership checks
 // NACK every later request toward the new home; (2) only then are the blocks
-// extracted, each stripe under its mutex, inside which a store in place
-// checks ownership (PE.store, gmem.Segment.WriteWordAt): it landed before
-// the snapshot or is refused. A write can therefore never land in a block
-// after its snapshot was taken.
+// extracted, each stripe under its mutex, inside which a mutation in place
+// checks ownership (PE.inPlace, gmem.Segment.WriteWordAt and the other …At
+// forms): it landed before the snapshot or is refused. A write can therefore
+// never land in a block after its snapshot was taken.
 func (k *Kernel) handleMigrateStart(m *wire.Message) {
 	k.lockShards()
 	defer k.unlockShards()
@@ -400,7 +400,7 @@ func (k *Kernel) handleGrant(m *wire.Message) {
 		k.dropCorrupt(m) // misrouted grant: same hang risk as a corrupt start
 		return
 	}
-	if k.grantBusyMember >= 0 && k.deadFlags[k.grantBusyMember].Load() {
+	if k.grantBusyMember >= 0 && k.peers[k.grantBusyMember].dead.Load() {
 		k.grantBusyMember = -1 // grantee died holding the slot
 	}
 	respOp := wire.OpJoinResp

@@ -175,40 +175,65 @@ func TestMigrateRangeMovesBlocks(t *testing.T) {
 
 // TestOwnHomeAccessDuringMigration has PE 1 loop on a word its own kernel
 // homes while PE 0 migrates the word's block to kernel 2. Under simulation
-// the access's LocalAccess charge sleeps between resolve, which finds the word
-// at home, and the segment access, and the migration flips the directory
-// during one of those sleeps. The access must then be refused inside the
-// stripe's critical section and re-issued as a message to the new home — not
-// panic with "not homed at 1" — so the run ends with no PE error, a clean
-// history, and every one of the ops applied exactly once.
+// the access's LocalAccess charge sleeps between the home step, which finds
+// the word at home, and the segment access, and the migration flips the
+// directory during one of those sleeps. The access must then be refused
+// inside the stripe's seqlock window or critical section and re-issued as a
+// message to the new home — not panic with "not homed at 1" — so the run ends
+// with no PE error, a clean history, and every one of the ops applied exactly
+// once. The scalar operations, a range operation's own-home run and a
+// lease-mode read's own-home block all take that path.
 func TestOwnHomeAccessDuringMigration(t *testing.T) {
 	const ops = 4000
 	for _, c := range []struct {
 		name string
+		mode gmem.Mode
 		op   func(pe *PE, addr uint64, i int64) error
 		want int64 // the word once the loop is over
 	}{
-		{"read", func(pe *PE, addr uint64, _ int64) error {
+		{"read", gmem.ModeStrong, func(pe *PE, addr uint64, _ int64) error {
 			_, err := pe.GMReadErr(addr)
 			return err
 		}, 0},
-		{"write", func(pe *PE, addr uint64, i int64) error { return pe.GMWriteErr(addr, i+1) }, ops},
-		{"fetch-add", func(pe *PE, addr uint64, _ int64) error {
+		{"write", gmem.ModeStrong, func(pe *PE, addr uint64, i int64) error { return pe.GMWriteErr(addr, i+1) }, ops},
+		{"fetch-add", gmem.ModeStrong, func(pe *PE, addr uint64, _ int64) error {
 			_, err := pe.FetchAddErr(addr, 1)
 			return err
 		}, ops},
-		{"cas", func(pe *PE, addr uint64, i int64) error {
+		{"cas", gmem.ModeStrong, func(pe *PE, addr uint64, i int64) error {
 			if prev, ok, err := pe.CASErr(addr, i, i+1); err != nil || !ok {
 				return fmt.Errorf("CAS %d→%d: previous %d, swapped %v, %v", i, i+1, prev, ok, err)
 			}
 			return nil
 		}, ops},
+		{"block-read", gmem.ModeStrong, func(pe *PE, addr uint64, _ int64) error {
+			_, err := pe.GMReadBlockErr(addr, 4)
+			return err
+		}, 0},
+		{"block-write", gmem.ModeStrong, func(pe *PE, addr uint64, i int64) error {
+			return pe.GMWriteBlockErr(addr, []int64{i + 1, i + 2, i + 3, i + 4})
+		}, ops},
+		{"gather", gmem.ModeStrong, func(pe *PE, addr uint64, _ int64) error {
+			_, err := pe.GMGatherErr([]uint64{addr + 1, addr})
+			return err
+		}, 0},
+		{"scatter", gmem.ModeStrong, func(pe *PE, addr uint64, i int64) error {
+			return pe.GMScatterErr([]uint64{addr + 1, addr}, []int64{-i, i + 1})
+		}, ops},
+		{"lease-read", gmem.ModeLease, func(pe *PE, addr uint64, _ int64) error {
+			_, err := pe.GMReadErr(addr)
+			return err
+		}, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := simCfg(3)
 			cfg.RecordHistory = true
 			res, err := Run(cfg, func(pe *PE) error {
-				addr := homedAt(pe, 1, 1)[0]
+				bw := uint64(pe.Space().BlockWords)
+				addr := pe.AllocBlocksMode(3*int(bw), c.mode)
+				for pe.HomeOf(addr) != 1 {
+					addr += bw
+				}
 				pe.Barrier()
 				var err error
 				switch pe.ID() {
@@ -295,6 +320,63 @@ func TestOwnHomeWriteDuringMigrationInproc(t *testing.T) {
 	})
 	if res.Total.Migrations < hops {
 		t.Errorf("Migrations = %d, want >= %d", res.Total.Migrations, hops)
+	}
+	if rep := check.Check(res.History); !rep.OK() {
+		t.Fatalf("checker violations:\n%s", rep)
+	}
+}
+
+// TestInPlaceFetchAddDuringMigrationInproc is the same race for a co-located
+// peer's home, with real goroutines for the race detector: PE 0 keeps
+// fetch-adding a word kernel 1 homes while PE 2 moves its block back and forth
+// between kernels 1 and 2 — in place under the stripe lock of whichever
+// kernel homes it, or by message when the lock refused it. Every addition must
+// land exactly once, wherever the block is.
+func TestInPlaceFetchAddDuringMigrationInproc(t *testing.T) {
+	const hops = 12
+	var moving atomic.Bool
+	moving.Store(true)
+	var adds int64
+	res := runWithin(t, 2*time.Minute, Config{
+		NumPE: 3, Transport: TransportInproc,
+		KernelShards: 2, DirectReads: 1, WriteRings: 1, RecordHistory: true,
+		RetryBackoff: 100 * sim.Millisecond, // as in TestOwnHomeWriteDuringMigrationInproc
+	}, func(pe *PE) error {
+		addr := homedAt(pe, 1, 1)[0]
+		pe.Barrier()
+		var err error
+		switch pe.ID() {
+		case 2:
+			for h := 0; h < hops && err == nil; h++ {
+				err = pe.MigrateRange(addr, 1, 2-h%2)
+			}
+			moving.Store(false)
+		case 0:
+			for err == nil && (moving.Load() || adds < 100) {
+				var old int64
+				if old, err = pe.FetchAddErr(addr, 1); err == nil && old != adds {
+					err = fmt.Errorf("fetch-add %d found %d", adds+1, old)
+				}
+				adds++
+			}
+		}
+		pe.Barrier()
+		if err != nil {
+			return err
+		}
+		if pe.ID() == 0 {
+			if v := pe.GMRead(addr); v != adds {
+				return fmt.Errorf("word = %d after %d fetch-adds", v, adds)
+			}
+		}
+		pe.Barrier()
+		return nil
+	})
+	if res.Total.Migrations < hops {
+		t.Errorf("Migrations = %d, want >= %d", res.Total.Migrations, hops)
+	}
+	if res.PerPE[0].RingGM == 0 {
+		t.Error("PE 0 applied no fetch-add in place")
 	}
 	if rep := check.Check(res.History); !rep.OK() {
 		t.Fatalf("checker violations:\n%s", rep)

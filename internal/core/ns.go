@@ -33,8 +33,8 @@ func (k *Kernel) handleNsBind(m *wire.Message) {
 // [Addr, Addr + Arg1*BlockWords): namespace teardown, so a finished job's
 // data is released before the region is re-carved for the next job. The
 // shard fence lets in-flight service finish first, so no write served before
-// the free can re-materialise a dropped block (a store in place has completed
-// when its PE moves on, fenceShards).
+// the free can re-materialise a dropped block (a mutation in place has
+// completed when its PE moves on, fenceShards).
 func (k *Kernel) handleNsFree(m *wire.Message) {
 	dropped := 0
 	if m.Arg1 > 0 {

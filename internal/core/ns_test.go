@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/check"
@@ -10,10 +11,9 @@ import (
 
 // Namespace-isolation enforcement tests (DESIGN.md §15): a PE bound to a
 // job namespace must not be able to touch memory outside it on any path —
-// the two-sided message path (kernel-side typed NACK), and the one-sided
-// window reads and stores in place (PE-side guard, plus the home's binding,
-// which a store in place consults as defense in depth against a forged
-// requester).
+// the two-sided message path (kernel-side typed NACK), and every access in
+// place (PE-side guard, plus the home's binding, which the admission rule of
+// the path in place consults as defense in depth against a forged requester).
 
 // TestNamespaceKernelEnforcement exercises the kernel-side check alone: the
 // scheduler installs PE 1's binding at every kernel, but PE 1 itself stays
@@ -156,55 +156,84 @@ func TestNamespacePEGuardOneSidedPaths(t *testing.T) {
 	}
 }
 
-// TestNamespaceHomeRefusesOneSidedWrite is the home's check on a write in
-// place: PE 1's binding is installed at every kernel, but PE 1 itself stays
+// TestNamespaceHomeRefusesInPlace is the home's check on an access in place:
+// PE 1's binding is installed at the word's home, but PE 1 itself stays
 // unbound PE-side — the forged requester a bypassed PE guard would produce —
-// and writes a word of kernel 0's outside its region. The store in place must
-// consult the home's binding, refuse, and leave the word to the message path,
-// whose OpNsNack surfaces as the typed error: the word stays 0 and the home
-// counts the violation. (Refusing the store silently, and reporting success
-// for a write that never landed, is the failure this pins.)
-func TestNamespaceHomeRefusesOneSidedWrite(t *testing.T) {
-	const bw = 32
+// and reads or mutates a word of that home outside its region, at a co-located
+// peer (kernel 0) or at its own kernel. The admission rule must consult the
+// home's binding and leave the access to the message path, whose OpNsNack
+// surfaces as the typed error: the word keeps its value, the home counts the
+// violation, and nothing is applied in place. (A window read used to skip the
+// binding and return the other job's word, and an own-home access consulted
+// none; refusing silently, and reporting success for an access that never
+// happened, is the other failure this pins.)
+func TestNamespaceHomeRefusesInPlace(t *testing.T) {
+	const bw, before = 32, 42
 	region := gmem.Region{Base: 8 * bw, Limit: 12 * bw}
-	outside := uint64(2 * bw) // block 2, homed at kernel 0
-	prog := func(pe *PE) error {
-		switch pe.ID() {
-		case 0:
-			if err := pe.NamespaceBind(1, region.Base, region.Limit); err != nil {
-				return err
+	ops := []struct {
+		name string
+		op   func(pe *PE, addr uint64) error
+	}{
+		{"read", func(pe *PE, addr uint64) error {
+			v, err := pe.GMReadErr(addr)
+			if err == nil {
+				return fmt.Errorf("read %d", v)
 			}
-			pe.Barrier() // binding installed
-			pe.Barrier() // forged write attempted
-			if v := pe.GMRead(outside); v != 0 {
-				t.Errorf("forged write landed: word = %d, want 0", v)
+			return err
+		}},
+		{"write", func(pe *PE, addr uint64) error { return pe.GMWriteErr(addr, 99) }},
+		{"fetch-add", func(pe *PE, addr uint64) error {
+			_, err := pe.FetchAddErr(addr, 1)
+			return err
+		}},
+		{"cas", func(pe *PE, addr uint64) error {
+			_, _, err := pe.CASErr(addr, before, 99)
+			return err
+		}},
+	}
+	for _, home := range []int{0, 1} {
+		for _, o := range ops {
+			name := o.name + "/peer"
+			if home == 1 {
+				name = o.name + "/own-home"
 			}
-			pe.Barrier()
-			return pe.NamespaceBind(1, 0, 0)
-		default:
-			pe.Barrier()
-			err := pe.GMWriteErr(outside, 99)
-			var nsErr *NamespaceError
-			if !errors.As(err, &nsErr) || nsErr.Base != region.Base || nsErr.Limit != region.Limit {
-				t.Errorf("write outside the namespace: %v, want *NamespaceError for [%d,%d)", err, region.Base, region.Limit)
-			}
-			pe.Barrier()
-			pe.Barrier()
-			return nil
+			t.Run(name, func(t *testing.T) {
+				res, err := Run(Config{
+					NumPE: 2, Transport: TransportInproc, GMBlockWords: bw,
+					KernelShards: 2, DirectReads: 1, WriteRings: 1,
+				}, func(pe *PE) error {
+					outside := homedAt(pe, home, 1)[0]
+					if pe.ID() == home {
+						pe.k.seg.WriteWord(outside, before)
+						pe.k.ns.Bind(1, region)
+					}
+					pe.Barrier() // binding installed
+					if pe.ID() == 1 {
+						var nsErr *NamespaceError
+						if err := o.op(pe, outside); !errors.As(err, &nsErr) || nsErr.Base != region.Base || nsErr.Limit != region.Limit {
+							t.Errorf("%s outside the namespace: %v, want *NamespaceError for [%d,%d)", o.name, err, region.Base, region.Limit)
+						}
+					}
+					pe.Barrier()
+					if pe.ID() == home {
+						if v := pe.k.seg.ReadWord(outside); v != before {
+							t.Errorf("forged %s landed: word = %d, want %d", o.name, v, before)
+						}
+						pe.k.ns.Unbind(1)
+					}
+					return nil
+				})
+				if err != nil || res.FirstErr() != nil {
+					t.Fatal(err, res.FirstErr())
+				}
+				if res.Total.NsViolations < 1 {
+					t.Errorf("kernel NsViolations = %d, want >= 1", res.Total.NsViolations)
+				}
+				if got := res.Total.DirectGM + res.Total.RingGM; got != 0 {
+					t.Errorf("DirectGM + RingGM = %d, want 0: the refused access is no access in place", got)
+				}
+			})
 		}
-	}
-	res, err := Run(Config{
-		NumPE: 2, Transport: TransportInproc,
-		KernelShards: 2, DirectReads: 1,
-	}, prog)
-	if err != nil || res.FirstErr() != nil {
-		t.Fatal(err, res.FirstErr())
-	}
-	if res.Total.NsViolations < 1 {
-		t.Errorf("kernel NsViolations = %d, want >= 1", res.Total.NsViolations)
-	}
-	if res.Total.RingGM != 0 {
-		t.Errorf("RingGM = %d, want 0: the refused write is no store in place", res.Total.RingGM)
 	}
 }
 

@@ -55,9 +55,10 @@ type PE struct {
 	// ns, when Limit != 0, confines every global-memory operation to the job
 	// namespace the scheduler bound this PE to (dsesched, DESIGN.md §15).
 	// Checked before a request leaves the PE, which is what covers the
-	// one-sided window reads and stores with the same guard as the
-	// message path; the home kernel independently re-checks arriving
-	// messages against its own registry (kernelShard.nsDeny).
+	// accesses in place with the same guard as the message path; the home
+	// kernel independently re-checks arriving messages against its own
+	// registry (kernelShard.nsDeny), and the admission rule of the path in
+	// place the same registry (PE.inPlace).
 	ns gmem.Region
 
 	// Scratch reused across calls by the hot-path operations.

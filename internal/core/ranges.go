@@ -206,23 +206,22 @@ func (pe *PE) resetRuns() {
 }
 
 // addRun routes one single-home run of a range operation on words in mode:
-// served from this kernel's own segment right away when resolve allows it,
-// otherwise queued in pe.vruns and tallied in its group for that group's
+// served from this kernel's own segment right away as far as ownRun allows,
+// the rest queued in pe.vruns and tallied in its group for that group's
 // request (RemoteGM counts remote runs, not words). A run is resolved here and
 // nowhere else. off locates the run's words in buf.
 func (pe *PE) addRun(kind check.Kind, mode gmem.Mode, buf []int64, start uint64, count, off int) {
 	k := pe.k
 	write := kind != check.KindRead
 	l := k.space.Locate(start)
-	home, local := pe.resolve(l, mode, write)
-	if local {
-		pe.chargeLocal()
-		if write {
-			k.seg.Write(start, buf[off:off+count])
-		} else {
-			k.seg.ReadInto(buf[off:off+count], start)
+	home := k.dir.HomeAt(l)
+	if home == k.id {
+		n := pe.ownRun(l, mode, write, start, buf[off:off+count])
+		if n == count {
+			return
 		}
-		return
+		start, count, off, l.Off = start+uint64(n), count-n, off+n, l.Off+n
+		home = k.dir.HomeAt(l) // the block moved away during the charge
 	}
 	pe.extra.RemoteGM++
 	shard, gi := l.Shard(k.nshards), home

@@ -234,7 +234,7 @@ func TestClosedNodeRefusesInlineService(t *testing.T) {
 	if sh.extra.ShardedMsgs != 0 || sh.extra.ServiceByOp[wire.OpWrite].Count != 0 {
 		t.Fatalf("closed node served inline: ShardedMsgs=%d", sh.extra.ShardedMsgs)
 	}
-	if !ks[0].deadFlags[1].Load() {
+	if !ks[0].peers[1].dead.Load() {
 		t.Fatal("peer 1 not marked dead")
 	}
 	if _, err := pe.GMReadErr(addr); !errors.As(err, &down) {

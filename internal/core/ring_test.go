@@ -88,53 +88,70 @@ func TestMonitorRingWritersSingleShard(t *testing.T) {
 	}
 }
 
-// TestOneSidedStoreExactlyOnce proves a store in place needs no Seq: it
+// TestOneSidedStoreExactlyOnce proves a mutation in place needs no Seq: it
 // leaves no dedup record, so it cannot absorb a message-path retry, and a
-// retry cannot re-apply a write the home has already answered. PE 1 writes a
-// word homed at kernel 0 by message under (Src, Seq=s), overwrites it with a
-// sentinel by a store in place, then retransmits s with FlagRetry. The home's
-// dedup window must answer the retry from its cached ack and the sentinel
-// must survive.
+// retry cannot re-apply a mutation the home has already answered. PE 1
+// mutates a word homed at kernel 0 by message under (Src, Seq=s) — a write of
+// 7, or a fetch-add of 7 — then mutates it in place — a sentinel stored over
+// it, or the sentinel added to it — and then retransmits s with FlagRetry.
+// The home's dedup window must answer the retry from its cached reply (for the
+// fetch-add, the word as the first request found it) and leave the word as
+// the two mutations made it.
 func TestOneSidedStoreExactlyOnce(t *testing.T) {
 	const sentinel = 1000
-	res := runWithin(t, time.Minute, Config{
-		NumPE: 2, Transport: TransportInproc,
-		KernelShards: 1, DirectReads: 1, WriteRings: 1,
-	}, func(pe *PE) error {
-		addr := homedAt(pe, 0, 1)[0]
-		pe.Barrier()
-		if pe.ID() == 1 {
-			req := wire.GetMessage()
-			req.Op, req.Addr = wire.OpWrite, addr
-			req.PutWord(7)
-			resp, err := pe.requestErr(0, req) // numbers req: s is req.Seq from here on
-			if err != nil {
-				return err
+	for _, c := range []struct {
+		op, reply wire.Op
+		inPlace   func(pe *PE, addr uint64)
+		want      int64
+	}{
+		{wire.OpWrite, wire.OpWriteAck, func(pe *PE, addr uint64) { pe.GMWrite(addr, sentinel) }, sentinel},
+		{wire.OpFetchAdd, wire.OpFetchAddResp, func(pe *PE, addr uint64) { pe.FetchAdd(addr, sentinel) }, 7 + sentinel},
+	} {
+		t.Run(c.op.String(), func(t *testing.T) {
+			res := runWithin(t, time.Minute, Config{
+				NumPE: 2, Transport: TransportInproc,
+				KernelShards: 1, DirectReads: 1, WriteRings: 1,
+			}, func(pe *PE) error {
+				addr := homedAt(pe, 0, 1)[0]
+				pe.Barrier()
+				if pe.ID() == 1 {
+					req := wire.GetMessage()
+					req.Op, req.Addr = c.op, addr
+					if c.op == wire.OpWrite {
+						req.PutWord(7)
+					} else {
+						req.Arg1 = 7
+					}
+					resp, err := pe.requestErr(0, req) // numbers req: s is req.Seq from here on
+					if err != nil {
+						return err
+					}
+					wire.PutMessage(resp)
+					c.inPlace(pe, addr) // no message, no Seq
+					req.Flags |= wire.FlagRetry
+					pe.one[0] = flight{req: req, dst: 0} // the retransmission of s, as exchange makes it
+					if err := pe.exchange(pe.one[:], 0); err != nil {
+						return err
+					}
+					if r := pe.one[0].resp; r.Op != c.reply || r.Arg1 != 0 {
+						return fmt.Errorf("retry of seq %d answered with %v %d, want the cached %v 0", req.Seq, r.Op, r.Arg1, c.reply)
+					}
+					wire.PutMessage(pe.one[0].resp)
+					wire.PutMessage(req)
+					if v := pe.GMRead(addr); v != c.want {
+						return fmt.Errorf("retry of seq %d re-applied: word = %d, want %d", req.Seq, v, c.want)
+					}
+				}
+				pe.Barrier()
+				return nil
+			})
+			if res.Total.DupRequests != 1 {
+				t.Errorf("DupRequests = %d, want 1 (the retry, absorbed)", res.Total.DupRequests)
 			}
-			wire.PutMessage(resp)
-			pe.GMWrite(addr, sentinel) // in place: no message, no Seq
-			req.Flags |= wire.FlagRetry
-			pe.one[0] = flight{req: req, dst: 0} // the retransmission of s, as exchange makes it
-			if err := pe.exchange(pe.one[:], 0); err != nil {
-				return err
+			if res.Total.RingGM != 1 || res.Total.ByOp[c.op].Msgs != 2 {
+				t.Errorf("RingGM = %d, %v messages = %d, want the sentinel in place and the request and its retry as messages",
+					res.Total.RingGM, c.op, res.Total.ByOp[c.op].Msgs)
 			}
-			if ack := pe.one[0].resp; ack.Op != wire.OpWriteAck {
-				return fmt.Errorf("retry of seq %d answered with %v, want the cached OpWriteAck", req.Seq, ack.Op)
-			}
-			wire.PutMessage(pe.one[0].resp)
-			wire.PutMessage(req)
-			if v := pe.GMRead(addr); v != sentinel {
-				return fmt.Errorf("retry of seq %d re-applied: word = %d, want sentinel %d", req.Seq, v, sentinel)
-			}
-		}
-		pe.Barrier()
-		return nil
-	})
-	if res.Total.DupRequests != 1 {
-		t.Errorf("DupRequests = %d, want 1 (the retry, absorbed)", res.Total.DupRequests)
-	}
-	if res.Total.RingGM != 1 || res.Total.ByOp[wire.OpWrite].Msgs != 2 {
-		t.Errorf("RingGM = %d, OpWrite messages = %d, want the sentinel in place and the write and its retry as messages",
-			res.Total.RingGM, res.Total.ByOp[wire.OpWrite].Msgs)
+		})
 	}
 }

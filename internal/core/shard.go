@@ -190,9 +190,9 @@ func (sh *kernelShard) serve(m *wire.Message) {
 // fenceShards passes through every shard's monitor once: when it returns,
 // every service that was in flight on any shard has completed. The checkpoint
 // marker uses it so seg.Export sees no request half-applied, a namespace free
-// before dropping blocks, a migration install before adopting them. A store
-// in place (PE.store, and a PE's own-home access) needs no fence: it is complete when it returns, and one
-// word under one stripe mutex is never seen half-applied.
+// before dropping blocks, a migration install before adopting them. A scalar
+// mutation in place (PE.inPlace) needs no fence: it is complete when it
+// returns, and one word under one stripe mutex is never seen half-applied.
 // Serve loop only, never from inside a handler (no nested shard locks), and
 // peer-down handling deliberately never fences: the Send that reported the
 // peer dead may be a handler's, made under the very lock a fence would take.

@@ -74,55 +74,51 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 	// Home: the word is located once — block, offset, stripe, shard and
 	// static home — and every later step takes the located word.
 	l := k.space.Locate(addr)
-	home, local := pe.resolve(l, mode, kind != check.KindRead)
+	home := k.dir.HomeAt(l)
 
 	// Every mutation that completes succeeds, except a CAS that finds another
 	// value.
 	ok = true
 
-	// Path: a home whose segment lives in this address space is accessed in
-	// place — the own kernel's for every operation, a co-located peer's for
-	// the reads windowRead and the writes store admit — else by a message.
-	// An access in place checks ownership under the home's stripe seqlock or
-	// mutex, which a migration's Extract passes only after the directory has
-	// flipped: the access completes before the block's snapshot is taken, and
-	// moves with it, or is refused with nothing applied and takes the message
-	// path, which follows the block to its new home under a fresh Seq.
-	if local {
-		pe.chargeLocal()
+	// Path: in place if inPlace admits it — the own kernel's segment or a
+	// co-located peer's, by the same four calls — else by a message. Each call
+	// checks ownership under the stripe's seqlock or mutex, which a migration's
+	// Extract passes only after the directory has flipped: the access lands
+	// before the block's snapshot is taken, and moves with it, or is refused
+	// with nothing applied and follows the block by message under a fresh Seq.
+	seg := pe.inPlace(home, mode, kind != check.KindRead, addr, 1)
+	if seg == nil || home != k.id {
+		pe.extra.RemoteGM++
+	} else {
+		pe.extra.LocalGM++
+	}
+	if seg != nil {
+		pe.app.LocalAccess()
 		done := false
 		switch kind {
 		case check.KindRead:
-			if out, done = k.seg.DirectReadAt(l); done {
+			if out, done = seg.DirectReadAt(l); done {
+				if home != k.id {
+					pe.extra.DirectGM++
+				}
 				pe.hist.CloseRead(h, out, false, 0, 0)
 				return out, false, nil
 			}
 		case check.KindWrite:
-			done = k.seg.WriteWordAt(l, a1)
+			done = seg.WriteWordAt(l, a1)
 		case check.KindFetchAdd:
-			out, done = k.seg.FetchAddAt(l, a1)
+			out, done = seg.FetchAddAt(l, a1)
 		case check.KindCAS:
-			out, ok, done = k.seg.CASAt(l, a1, a2)
+			out, ok, done = seg.CASAt(l, a1, a2)
 		}
 		if done {
+			if home != k.id {
+				pe.extra.RingGM++
+			}
 			pe.hist.Close(h, out, ok)
 			return out, ok, nil
 		}
 		home = k.dir.HomeAt(l) // the block moved away during the charge
-	} else {
-		pe.extra.RemoteGM++
-		switch kind {
-		case check.KindRead:
-			if v, hit := pe.windowRead(home, mode, l); hit {
-				pe.hist.CloseRead(h, v, false, 0, 0)
-				return v, false, nil
-			}
-		case check.KindWrite:
-			if pe.store(home, mode, addr, l, a1) {
-				pe.hist.Close(h, 0, true)
-				return 0, true, nil
-			}
-		}
 	}
 	req := wire.GetMessage()
 	req.Op, req.Addr = wordOps[kind].wire, addr

@@ -305,7 +305,7 @@ func (g *Segment) ReadWord(addr uint64) int64 {
 	l := g.space.Locate(addr)
 	g.mustOwn(l, g.owns(l))
 	var w [1]int64
-	g.readRun(g.stripeAt(l), w[:], l.Block, l.Off)
+	g.readRun(g.stripeAt(l), w[:], l, false)
 	return w[0]
 }
 
@@ -330,18 +330,30 @@ const seqlockWords = 16
 // writer left it; under writer livelock (counted in DirectReadFallbacks), and
 // for a long run, the stripe mutex orders it against the writers instead. A
 // block never written reads as zeros.
-func (g *Segment) ReadRun(dst []int64, b uint64, off int) { g.readRun(g.stripeOf(b), dst, b, off) }
+func (g *Segment) ReadRun(dst []int64, b uint64, off int) {
+	g.readRun(g.stripeOf(b), dst, Loc{Block: b, Off: off}, false)
+}
 
-// readRun is ReadRun on block b's stripe st.
-func (g *Segment) readRun(st *stripe, dst []int64, b uint64, off int) {
+// ReadRunAt is ReadRun for a run located at l that nobody has checked this
+// segment homes: like DirectReadAt it checks ownership inside the seqlock
+// window, or under the stripe mutex, and reports it, reading nothing of a
+// block it does not own.
+func (g *Segment) ReadRunAt(dst []int64, l Loc) bool { return g.readRun(g.stripeAt(l), dst, l, true) }
+
+// readRun is ReadRun on the stripe st of the run at l, checking ownership
+// first if check is set.
+func (g *Segment) readRun(st *stripe, dst []int64, l Loc, check bool) bool {
 	if len(dst) <= seqlockWords {
 		for spin := 0; spin < seqlockSpins; spin++ {
 			s1 := st.wseq.Load()
 			if s1&1 != 0 {
 				continue
 			}
-			if blk := st.lookup(b); blk != nil {
-				src := blk[off : off+len(dst)]
+			if check && !g.owns(l) {
+				return false
+			}
+			if blk := st.lookup(l.Block); blk != nil {
+				src := blk[l.Off : l.Off+len(dst)]
 				for i := range dst {
 					dst[i] = atomic.LoadInt64(&src[i])
 				}
@@ -349,18 +361,22 @@ func (g *Segment) readRun(st *stripe, dst []int64, b uint64, off int) {
 				clear(dst)
 			}
 			if st.wseq.Load() == s1 {
-				return
+				return true
 			}
 		}
 		g.fallbacks.Add(1)
 	}
 	st.mu.Lock()
-	if blk := st.lookup(b); blk != nil {
-		copy(dst, blk[off:off+len(dst)])
+	defer st.mu.Unlock()
+	if check && !g.owns(l) {
+		return false
+	}
+	if blk := st.lookup(l.Block); blk != nil {
+		copy(dst, blk[l.Off:l.Off+len(dst)])
 	} else {
 		clear(dst)
 	}
-	st.mu.Unlock()
+	return true
 }
 
 // DirectReadFallbacks reports how many lock-free reads (ReadRun,
@@ -544,7 +560,7 @@ func (g *Segment) WriteWordAt(l Loc, v int64) bool {
 // single block), avoiding the allocation in Read.
 func (g *Segment) ReadInto(dst []int64, addr uint64) {
 	l := g.checkHome(addr, len(dst))
-	g.readRun(g.stripeAt(l), dst, l.Block, l.Off)
+	g.readRun(g.stripeAt(l), dst, l, false)
 }
 
 // ReadAppend appends n words starting at addr to dst and returns the
@@ -602,35 +618,50 @@ func (g *Segment) Write(addr uint64, words []int64) { g.WriteShared(addr, words,
 // holds the new words.
 func (g *Segment) WriteShared(addr uint64, words []int64, writer int, stale *[]Copy) {
 	l := g.checkHome(addr, len(words))
-	g.writeRun(g.stripeAt(l), l.Block, l.Off, words, writer, stale)
+	g.writeRun(g.stripeAt(l), l, words, writer, stale, false)
 }
 
 // WriteRun is WriteShared for a run the caller has located and checked, like
 // ReadRun's: words go to offset off of block b. The stripe is locked and the
 // seqlock window held for at most writeWindowWords stores at a time.
 func (g *Segment) WriteRun(b uint64, off int, words []int64, writer int, stale *[]Copy) {
-	g.writeRun(g.stripeOf(b), b, off, words, writer, stale)
+	g.writeRun(g.stripeOf(b), Loc{Block: b, Off: off}, words, writer, stale, false)
 }
 
-// writeRun is WriteRun on block b's stripe st.
-func (g *Segment) writeRun(st *stripe, b uint64, off int, words []int64, writer int, stale *[]Copy) {
+// WriteRunAt is Write for a run located at l that nobody has checked this
+// segment homes: each window checks ownership inside the stripe's critical
+// section, as WriteWordAt does, and the run stops at the first window refused.
+// It returns how many words it stored, a prefix of words — the rest is the
+// caller's to send to the block's new home.
+func (g *Segment) WriteRunAt(l Loc, words []int64) int {
+	return g.writeRun(g.stripeAt(l), l, words, 0, nil, true)
+}
+
+// writeRun is WriteRun on the stripe st of the run at l, checking ownership
+// in every window if check is set; it returns the words stored.
+func (g *Segment) writeRun(st *stripe, l Loc, words []int64, writer int, stale *[]Copy, check bool) int {
 	for start := 0; start == 0 || start < len(words); start += writeWindowWords {
 		chunk := words[start:]
 		if len(chunk) > writeWindowWords {
 			chunk = chunk[:writeWindowWords]
 		}
 		st.mu.Lock()
-		blk := st.materialise(b, g.space.BlockWords)
+		if check && !g.owns(l) {
+			st.mu.Unlock()
+			return start
+		}
+		blk := st.materialise(l.Block, g.space.BlockWords)
 		st.wseq.Add(1)
 		for i, v := range chunk {
-			atomic.StoreInt64(&blk[off+start+i], v)
+			atomic.StoreInt64(&blk[l.Off+start+i], v)
 		}
 		st.wseq.Add(1)
 		if start+writeWindowWords >= len(words) {
-			st.takeCopies(b, b*uint64(g.space.BlockWords)+uint64(off), writer, stale)
+			st.takeCopies(l.Block, g.addrOf(l), writer, stale)
 		}
 		st.mu.Unlock()
 	}
+	return len(words)
 }
 
 // FetchAdd atomically adds delta to the word at addr, returning the

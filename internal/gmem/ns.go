@@ -81,63 +81,72 @@ func (a *Allocator) checkBound(n int) {
 	}
 }
 
-// NSRegistry is one kernel's view of the namespace bindings: requester PE →
-// Region. The serial serve loop installs and removes bindings (OpNsBind);
-// GM handlers look them up on every GM request, on whichever context serves, so the map is published
-// copy-on-write behind an atomic pointer and lookups take no lock.
+// NSRegistry is one kernel's view of the namespace bindings: the Region of
+// each requester PE, zero for one that is not bound. The serial serve loop
+// installs and removes bindings (OpNsBind); GM handlers look them up on every
+// GM request, on whichever context serves, and PEs on every access in place,
+// so the table is published copy-on-write behind an atomic pointer (nil until
+// the first binding) and a lookup takes no lock and makes no call.
 type NSRegistry struct {
 	mu       sync.Mutex // serialises writers
-	bindings atomic.Pointer[map[int]Region]
+	n        int        // PEs of the cluster: the table's length
+	bindings atomic.Pointer[[]Region]
 }
 
-// NewNSRegistry returns an empty registry (no PE is bound; unbound PEs see
-// the whole space, preserving single-job behaviour).
-func NewNSRegistry() *NSRegistry {
-	r := &NSRegistry{}
-	empty := make(map[int]Region)
-	r.bindings.Store(&empty)
-	return r
-}
+// NewNSRegistry returns an empty registry for a cluster of n PEs (no PE is
+// bound; unbound PEs see the whole space, preserving single-job behaviour).
+func NewNSRegistry(n int) *NSRegistry { return &NSRegistry{n: n} }
 
-// Bind installs (or replaces) pe's namespace.
+// Bind installs (or replaces) pe's namespace. A PE outside the cluster makes
+// no request, so binding one changes nothing.
 func (nr *NSRegistry) Bind(pe int, region Region) {
+	if uint(pe) >= uint(nr.n) {
+		return
+	}
 	nr.mu.Lock()
 	defer nr.mu.Unlock()
-	old := *nr.bindings.Load()
-	next := make(map[int]Region, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
+	next := make([]Region, nr.n)
+	copy(next, nr.table())
 	next[pe] = region
 	nr.bindings.Store(&next)
 }
 
 // Unbind removes pe's namespace, returning it to whole-space access.
-func (nr *NSRegistry) Unbind(pe int) {
-	nr.mu.Lock()
-	defer nr.mu.Unlock()
-	old := *nr.bindings.Load()
-	if _, ok := old[pe]; !ok {
-		return
+func (nr *NSRegistry) Unbind(pe int) { nr.Bind(pe, Region{}) }
+
+// table returns the published bindings, nil before the first.
+func (nr *NSRegistry) table() []Region {
+	if t := nr.bindings.Load(); t != nil {
+		return *t
 	}
-	next := make(map[int]Region, len(old))
-	for k, v := range old {
-		if k != pe {
-			next[k] = v
-		}
-	}
-	nr.bindings.Store(&next)
+	return nil
 }
 
 // Lookup returns pe's binding. ok=false means unbound: the PE may touch
 // the whole space (kernels, and clusters not running the scheduler).
 func (nr *NSRegistry) Lookup(pe int) (Region, bool) {
-	r, ok := (*nr.bindings.Load())[pe]
-	return r, ok
+	if t := nr.table(); uint(pe) < uint(len(t)) && t[pe].Limit != 0 {
+		return t[pe], true
+	}
+	return Region{}, false
+}
+
+// Admits reports whether pe may touch the n words at addr: it is unbound, or
+// its region contains them.
+func (nr *NSRegistry) Admits(pe int, addr uint64, n int) bool {
+	t := nr.bindings.Load()
+	return t == nil || uint(pe) >= uint(len(*t)) || (*t)[pe].Limit == 0 || (*t)[pe].Contains(addr, n)
 }
 
 // Len reports how many PEs are currently bound — a teardown leak gauge.
-func (nr *NSRegistry) Len() int { return len(*nr.bindings.Load()) }
+func (nr *NSRegistry) Len() (bound int) {
+	for _, r := range nr.table() {
+		if r.Limit != 0 {
+			bound++
+		}
+	}
+	return bound
+}
 
 // RegionAllocator carves job namespaces out of the global space at block
 // granularity: a first-fit free list over [0, CapacityBlocks). It is the

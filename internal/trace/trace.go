@@ -31,10 +31,10 @@ type PEStats struct {
 	// one-sided direct window into a co-located home's segment instead of
 	// a request/reply message pair. Always <= RemoteGM.
 	DirectGM uint64
-	// RingGM counts the RemoteGM writes that a co-located home applied in
-	// place — a store under its stripe lock — instead of a request/reply
-	// message pair. Always <= RemoteGM. (The name is the submission ring's
-	// that these stores replaced.)
+	// RingGM counts the RemoteGM mutations — writes, fetch-adds and CASes —
+	// that a co-located home applied in place, under its stripe lock, instead
+	// of a request/reply message pair. Always <= RemoteGM. (The name is the
+	// submission ring's that these stores replaced.)
 	RingGM uint64
 	// ShardedMsgs counts incoming GM requests served off the serial serve
 	// loop: by their sender, under a kernel shard's lock (inproc).
