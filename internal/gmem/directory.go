@@ -136,14 +136,15 @@ func (d *Directory) HomeAt(l Loc) int {
 	return d.liveHome(l.Block)
 }
 
-// liveHome is HomeOfBlock past the static flag: the overrides, then the
-// probe rule.
-func (d *Directory) liveHome(b uint64) int {
-	st := d.state.Load()
+// liveHome is HomeOfBlock past the static flag.
+func (d *Directory) liveHome(b uint64) int { return d.state.Load().home(d.n, b) }
+
+// home is block b's home in st: its override, else the probe rule.
+func (st *dirState) home(n int, b uint64) int {
 	if h, ok := st.overrides[b]; ok {
 		return h
 	}
-	return probeHome(st.members, d.n, b)
+	return probeHome(st.members, n, b)
 }
 
 // probeHome applies the probe rule: first Active member scanning forward
@@ -174,14 +175,12 @@ func (d *Directory) mutate(fn func(st *dirState)) {
 	defer d.mu.Unlock()
 	old := d.state.Load()
 	st := &dirState{
-		members: append([]Member(nil), old.members...),
-		epoch:   old.epoch,
+		members:   append([]Member(nil), old.members...),
+		epoch:     old.epoch,
+		overrides: make(map[uint64]int, len(old.overrides)),
 	}
-	if len(old.overrides) > 0 {
-		st.overrides = make(map[uint64]int, len(old.overrides))
-		for b, h := range old.overrides {
-			st.overrides[b] = h
-		}
+	for b, h := range old.overrides {
+		st.overrides[b] = h
 	}
 	fn(st)
 	static := len(st.overrides) == 0
@@ -197,21 +196,25 @@ func (d *Directory) mutate(fn func(st *dirState)) {
 
 // SetOverride pins block b's home to home, superseding the probe rule.
 // Requesters also use it to cache a NACK's new-home hint.
-func (d *Directory) SetOverride(b uint64, home int) {
+func (d *Directory) SetOverride(b uint64, home int) { d.SetOverrideRange(b, 1, home) }
+
+// CacheHint is SetOverride for a requester caching a NACK's new-home hint in
+// the directory of its own kernel self, which is also that kernel's word on
+// what it homes: a hint naming self, or one for a block self homes by now, is
+// left out. The check is made under the lock the kernel's own flips take, so
+// a hint that was stale when it arrived cannot disown a block the kernel has
+// adopted since — which would leave it and the old home each naming the other.
+func (d *Directory) CacheHint(b uint64, home, self int) {
 	d.mutate(func(st *dirState) {
-		if st.overrides == nil {
-			st.overrides = make(map[uint64]int)
+		if home != self && st.home(d.n, b) != self {
+			st.overrides[b] = home
 		}
-		st.overrides[b] = home
 	})
 }
 
 // SetOverrideRange pins n consecutive blocks starting at block b to home.
 func (d *Directory) SetOverrideRange(b uint64, n int, home int) {
 	d.mutate(func(st *dirState) {
-		if st.overrides == nil {
-			st.overrides = make(map[uint64]int)
-		}
 		for i := 0; i < n; i++ {
 			st.overrides[b+uint64(i)] = home
 		}
