@@ -95,7 +95,9 @@ func TestModeTagsMirrorGmem(t *testing.T) {
 // The one-sided rows here and in TestLadderGoldenPrograms, but for
 // caching-onesided-mixed-tiers (whose atomics are cached-mode words), were
 // captured again when fetch-add and CAS to a co-located home began to apply
-// in place instead of as simulated messages.
+// in place instead of as simulated messages; all of them, and
+// caching-onesided-mixed-tiers with them, once more when block reads, block
+// writes, gathers and scatters to a co-located home did the same.
 var ladderGoldens = []struct {
 	name string
 	o    stress.Options
@@ -105,18 +107,18 @@ var ladderGoldens = []struct {
 	{"mixed-tiers", stress.Options{Seed: 7, NumPE: 4, OpsPerPE: 400, Modes: true, LeaseDuration: 100 * sim.Microsecond}, "60ce4cacd9db4c82980362b80e4cba864f1222f9876eb2663e0e6433a62bb6c4"},
 	{"mixed-tiers-caching", stress.Options{Seed: 8, NumPE: 4, OpsPerPE: 300, Modes: true, Caching: true}, "2b9e15e785ca6f9de8ef71312cb30c627518116d827ab6ba976480497330c1af"},
 	{"caching-fault-free", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Caching: true}, "e924f6d44305681474279d8546e35bd2087111dde0cd033a5667c7bc2300c0e7"},
-	{"caching-onesided-mixed-tiers", stress.Options{Seed: 12, NumPE: 4, OpsPerPE: 300, Caching: true, Modes: true, Shards: 2, DirectReads: 1, Rings: 1}, "4f37419b0ab53eea2fd4905e6205db0f92e6de17825d57e6ab9a9442f3d7e23e"},
-	{"onesided-shards1", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Shards: 1, DirectReads: 1, Rings: 1}, "124dd1d1da2227606f227d9d4e5daddf507711554266589e85c9c74d64c08aca"},
-	{"onesided-shards2", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Shards: 2, DirectReads: 1, Rings: 1}, "124dd1d1da2227606f227d9d4e5daddf507711554266589e85c9c74d64c08aca"},
-	{"onesided-mixed-tiers", stress.Options{Seed: 10, NumPE: 4, OpsPerPE: 300, Shards: 2, DirectReads: 1, Rings: 1, Modes: true}, "88b8f3baf4f8e7ee3a9c76726d126359aed1a75b56bfa7989cbbc2d1f0aff565"},
+	{"caching-onesided-mixed-tiers", stress.Options{Seed: 12, NumPE: 4, OpsPerPE: 300, Caching: true, Modes: true, Shards: 2, DirectReads: 1, Rings: 1}, "bfd89e9d4f60760ec41cb508966cdfbd6b9e5eca6a5f9a4f3845bc50a61815ba"},
+	{"onesided-shards1", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Shards: 1, DirectReads: 1, Rings: 1}, "8f194534598ccefa5eb520731d4147d768c2293d91a3720e3998f4afa6403f8b"},
+	{"onesided-shards2", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Shards: 2, DirectReads: 1, Rings: 1}, "8f194534598ccefa5eb520731d4147d768c2293d91a3720e3998f4afa6403f8b"},
+	{"onesided-mixed-tiers", stress.Options{Seed: 10, NumPE: 4, OpsPerPE: 300, Shards: 2, DirectReads: 1, Rings: 1, Modes: true}, "f571e7041165dee930b13e80c0dbf58cf4521ba03579eaea94e154da000d1203"},
 	{"loss-retry", stress.Options{Seed: 42, NumPE: 4, OpsPerPE: 200, Loss: 0.1, Jitter: 300 * sim.Microsecond}, "fcb4d0f68eaf778ffb669a795cb2f06573625538ff343750f446e557f5f6351a"},
-	{"loss-retry-onesided", stress.Options{Seed: 42, NumPE: 4, OpsPerPE: 150, Loss: 0.05, Jitter: 300 * sim.Microsecond, Shards: 2, DirectReads: 1, Rings: 1}, "0ee8d6dcf0e60e17c31889536c75b5b57664a594cab946b35317310eb1171a73"},
+	{"loss-retry-onesided", stress.Options{Seed: 42, NumPE: 4, OpsPerPE: 150, Loss: 0.05, Jitter: 300 * sim.Microsecond, Shards: 2, DirectReads: 1, Rings: 1}, "78b8719a1e6199a3dd549bbef2080daf0dac6dc214b583d6e0a4df0147b931fc"},
 	{"loss-retry-mixed-tiers", stress.Options{Seed: 43, NumPE: 4, OpsPerPE: 200, Loss: 0.1, Modes: true}, "db7b32b85956c762ab26f273ddb8cb5b1ef7d171b820c7ef390b86ce38888135"},
 	{"kill", stress.Options{Seed: 11, NumPE: 4, OpsPerPE: 200, Loss: 0.02, Modes: true, KillPE: 2, KillAt: 2 * sim.Second}, "143c9fb420252af853a776872505f3612dd8e5f3f2aa3aef02d526e3fc9050d0"},
-	{"kill-onesided", stress.Options{Seed: 13, NumPE: 4, OpsPerPE: 150, Loss: 0.02, KillPE: 2, KillAt: 100 * sim.Millisecond, Shards: 2, DirectReads: 1, Rings: 1}, "7c580be9d201ba35f8b39594d4a12f9b774300a546eac7b8b1f4fc2435a85390"},
+	{"kill-onesided", stress.Options{Seed: 13, NumPE: 4, OpsPerPE: 150, Loss: 0.02, KillPE: 2, KillAt: 100 * sim.Millisecond, Shards: 2, DirectReads: 1, Rings: 1}, "d6eb66fad2dc87cd7b81725a40509290373ad3ffcb2324902507f677452437f3"},
 	{"churn-migrate", stress.Options{Seed: 3, NumPE: 5, OpsPerPE: 200, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 30}, "860746dcb4113b8919e36749d09cc82fa70b755edb4c5006114009f539432bed"},
 	{"churn-migrate-mixed-tiers", stress.Options{Seed: 4, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 30}, "2283588e47275bd93a16e1d1efa608bbb7426b9e58bb461da54f709a832706dd"},
-	{"churn-migrate-onesided", stress.Options{Seed: 5, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 20, Shards: 2, DirectReads: 1, Rings: 1}, "c1f0db0e1b84458e2876ceb7c2765411872dcc2107534d1f99d3327a319e07b7"},
+	{"churn-migrate-onesided", stress.Options{Seed: 5, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 20, Shards: 2, DirectReads: 1, Rings: 1}, "7b27fc2e1faa73103b789968503594d6aa18633d04645d27ae458d987860e734"},
 }
 
 func TestLadderGoldenDigests(t *testing.T) {
@@ -280,10 +282,10 @@ func TestLadderGoldenPrograms(t *testing.T) {
 		want          string
 	}{
 		{"ns-message", namespaceProgram, -1, -1, false, 4 * 8, "5968ed679ff96c1a240c17665ab8e932bdb38b097672aed66cec4e4bbe9e5d64"},
-		{"ns-onesided", namespaceProgram, 1, 1, false, 4 * 8, "6e8e43cb9ff639544df2fd71af05876d08604036e966e067b4d2b1be5facf83b"},
+		{"ns-onesided", namespaceProgram, 1, 1, false, 4 * 8, "d5b17b894ce8bb0d4b852dffb65d5bf2e2c8fbe97fc93c4c36ac519b63032c82"},
 		{"ns-legacy", namespaceProgram, -1, -1, true, 4 * 8, "8729cecea53a0a6c4816972717353f457835ca677c1ea903074191153d782131"},
 		{"tier-span-message", tierSpanProgram, -1, -1, false, 0, "bc9618b87563ff355173e6c86c2bd2337ca7d55b00587c2e70192c5acfaabdeb"},
-		{"tier-span-onesided", tierSpanProgram, 1, 1, false, 0, "f16e803ed96966816195c499bcafe746e7708de3417d994198b6449150dd673a"},
+		{"tier-span-onesided", tierSpanProgram, 1, 1, false, 0, "ff3f8db12abef1c5e5546a0a3857cf8c38a5afa09af942e42e0a63742aca355d"},
 	} {
 		res, err := core.Run(core.Config{
 			NumPE: 4, Platform: platform.SparcSunOS, Seed: 77, RecordHistory: true,

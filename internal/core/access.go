@@ -56,25 +56,35 @@ func (pe *PE) inPlace(home int, mode gmem.Mode, mutates bool, addr uint64, n int
 	return p.seg
 }
 
-// ownRun serves what it may of a range operation's run at addr, located at l
-// and homed here by the live directory, from this kernel's own segment if
-// inPlace admits it: all of a read or none, or a write's prefix stored before
-// a migration took the block (gmem.Segment.WriteRunAt). It returns the words
+// runInPlace serves what it may of a range operation's run at addr, located
+// at l and homed at home by the live directory, from home's segment if inPlace
+// admits it: all of a read or none, or a write's prefix stored before a
+// migration took the block (gmem.Segment.WriteRunAt). It returns the words
 // served; the rest takes the message path to the home the directory names
-// now. (A run homed at a co-located peer is not served in place.)
-func (pe *PE) ownRun(l gmem.Loc, mode gmem.Mode, write bool, addr uint64, run []int64) (n int) {
-	seg := pe.inPlace(pe.k.id, mode, write, addr, len(run))
+// now. A run served at a peer counts as remote, and as a direct read or a
+// store in place.
+func (pe *PE) runInPlace(home int, l gmem.Loc, mode gmem.Mode, write bool, addr uint64, run []int64) (n int) {
+	seg := pe.inPlace(home, mode, write, addr, len(run))
 	if seg == nil {
 		return 0
 	}
-	pe.chargeLocal()
+	pe.app.LocalAccess()
 	if write {
-		return seg.WriteRunAt(l, run)
+		n = seg.WriteRunAt(l, run)
+	} else if seg.ReadRunAt(run, l) {
+		n = len(run)
 	}
-	if seg.ReadRunAt(run, l) {
-		return len(run)
+	switch e := &pe.extra; {
+	case home == pe.k.id:
+		e.LocalGM++
+	case n > 0 && write:
+		e.RemoteGM++
+		e.RingGM++
+	case n > 0:
+		e.RemoteGM++
+		e.DirectGM++
 	}
-	return 0
+	return n
 }
 
 // chargeLocal accounts one access served without leaving the PE.
@@ -148,7 +158,7 @@ type leaseEntry struct {
 
 // leaseRead serves a lease-mode read of [addr, addr+len(out)) block by block:
 // a live lease answers locally with no messages, an own-home block reads the
-// segment directly (ownRun: always fresh, so it carries a strong staleness
+// segment directly (runInPlace: always fresh, so it carries a strong staleness
 // bound), a miss fetches the block under a fresh time-bounded lease from the
 // home the live directory names. h is the first of the range's open history
 // events; each block's words close as it is served.
@@ -162,7 +172,7 @@ func (pe *PE) leaseRead(out []int64, addr uint64, h int) error {
 		le := pe.leaseHit(base)
 		if le != nil {
 			pe.chargeLocal()
-		} else if l := k.space.Locate(lo); k.dir.HomeAt(l) != k.id || pe.ownRun(l, gmem.ModeLease, false, lo, part) == 0 {
+		} else if l := k.space.Locate(lo); k.dir.HomeAt(l) != k.id || pe.runInPlace(k.id, l, gmem.ModeLease, false, lo, part) == 0 {
 			var err error
 			if le, err = pe.fetchLease(base, k.dir.HomeAt(l)); err != nil {
 				return err

@@ -163,25 +163,28 @@ func BenchmarkGMWord(b *testing.B) {
 	}
 }
 
-// BenchmarkGMRange is BenchmarkGMWord for the range executor on the message
-// path: a 64-word block (alternately read and written), a 64-address gather, a
-// 64-address scatter and the flush of 64 buffered release-mode words, the
-// vectored ones with one word in each of 64 blocks homed at PE 1 — the shape
-// that makes a request of 64 runs. Every cell asserts from the counters that
-// an operation was exactly one request of PE 0's and one reply of PE 1's
-// (PE 0 issues nothing but the timed operations), and reports allocations:
-// the result slice of a read is the only one an operation may make.
+// BenchmarkGMRange is BenchmarkGMWord for the range executor: a 64-word block
+// (alternately read and written), a 64-address gather, a 64-address scatter and
+// the flush of 64 buffered release-mode words, the vectored ones with one word
+// in each of 64 blocks homed at PE 1 — the shape that makes a request of 64
+// runs. On the message axis every cell asserts from the counters that an
+// operation was exactly one request of PE 0's and one reply of PE 1's (PE 0
+// issues nothing but the timed operations). On the in-place axis, with the
+// one-sided paths on, a block, gather or scatter sends no GM request and serves
+// every run in place at PE 1's co-located home; the flush stays a message
+// there, so it has no in-place cell. Every cell reports allocations: the
+// result slice of a read is the only one an operation may make.
 func BenchmarkGMRange(b *testing.B) {
 	const words = 64
-	cfg := messagePath
-	cfg.GMBlockWords = words
+	onesided := Config{Transport: TransportInproc, KernelShards: 2, DirectReads: 1, WriteRings: 1}
 	for _, c := range []struct {
 		name       string
 		mode       gmem.Mode
+		runs       uint64     // runs of one operation
 		req, reply [2]wire.Op // an operation is counted under either pair member
 		op         func(pe *PE, i int, block uint64, addrs []uint64, vals []int64)
 	}{
-		{"block64", gmem.ModeStrong, [2]wire.Op{wire.OpRead, wire.OpWrite}, [2]wire.Op{wire.OpReadResp, wire.OpWriteAck},
+		{"block64", gmem.ModeStrong, 1, [2]wire.Op{wire.OpRead, wire.OpWrite}, [2]wire.Op{wire.OpReadResp, wire.OpWriteAck},
 			func(pe *PE, i int, block uint64, _ []uint64, vals []int64) {
 				if i%2 == 0 {
 					pe.GMReadBlock(block, words)
@@ -189,45 +192,61 @@ func BenchmarkGMRange(b *testing.B) {
 					pe.GMWriteBlock(block, vals)
 				}
 			}},
-		{"gather64", gmem.ModeStrong, [2]wire.Op{wire.OpReadV}, [2]wire.Op{wire.OpReadVResp},
+		{"gather64", gmem.ModeStrong, words, [2]wire.Op{wire.OpReadV}, [2]wire.Op{wire.OpReadVResp},
 			func(pe *PE, _ int, _ uint64, addrs []uint64, _ []int64) { pe.GMGather(addrs) }},
-		{"scatter64", gmem.ModeStrong, [2]wire.Op{wire.OpWriteV}, [2]wire.Op{wire.OpWriteAck},
+		{"scatter64", gmem.ModeStrong, words, [2]wire.Op{wire.OpWriteV}, [2]wire.Op{wire.OpWriteAck},
 			func(pe *PE, _ int, _ uint64, addrs []uint64, vals []int64) { pe.GMScatter(addrs, vals) }},
-		{"flush64", gmem.ModeRelease, [2]wire.Op{wire.OpFlushV}, [2]wire.Op{wire.OpWriteAck},
+		{"flush64", gmem.ModeRelease, words, [2]wire.Op{wire.OpFlushV}, [2]wire.Op{wire.OpWriteAck},
 			func(pe *PE, _ int, _ uint64, addrs []uint64, vals []int64) {
 				pe.GMScatter(addrs, vals) // release-mode words: buffered, no message
 				pe.syncFence()
 			}},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			res := runBenchProgram(b, cfg, 2, func(pe *PE) error {
-				base := pe.AllocBlocksMode(2*words*words, c.mode)
-				addrs, vals := make([]uint64, words), make([]int64, words)
-				for i := range addrs {
-					addrs[i] = base + uint64((2*i+1)*words+i) // odd blocks are PE 1's
-					vals[i] = int64(i)
-				}
-				pe.Barrier()
-				if pe.ID() == 0 {
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						c.op(pe, i, base+words, addrs, vals)
+		for _, axis := range []struct {
+			name string
+			cfg  Config
+		}{{"message", messagePath}, {"inplace", onesided}} {
+			inPlace := axis.cfg.WriteRings >= 0
+			if inPlace && c.mode == gmem.ModeRelease {
+				continue // the release publication is a message on either axis
+			}
+			cfg := axis.cfg
+			cfg.GMBlockWords = words
+			b.Run(axis.name+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				res := runBenchProgram(b, cfg, 2, func(pe *PE) error {
+					base := pe.AllocBlocksMode(2*words*words, c.mode)
+					addrs, vals := make([]uint64, words), make([]int64, words)
+					for i := range addrs {
+						addrs[i] = base + uint64((2*i+1)*words+i) // odd blocks are PE 1's
+						vals[i] = int64(i)
 					}
-					b.StopTimer()
+					pe.Barrier()
+					if pe.ID() == 0 {
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							c.op(pe, i, base+words, addrs, vals)
+						}
+						b.StopTimer()
+					}
+					pe.Barrier()
+					return nil
+				})
+				n, s := uint64(b.N), &res.PerPE[0]
+				reqs := s.ByOp[c.req[0]].Msgs + s.ByOp[c.req[1]].Msgs
+				replies := res.PerPE[1].ByOp[c.reply[0]].Msgs + res.PerPE[1].ByOp[c.reply[1]].Msgs
+				oneSided := res.Total.DirectGM + res.Total.RingGM
+				switch {
+				case !inPlace && oneSided != 0:
+					b.Fatalf("message-path benchmark took a one-sided path %d times", oneSided)
+				case !inPlace && (reqs != n || replies != n):
+					b.Fatalf("%d operations travelled as %d requests and %d replies, want one of each per operation", n, reqs, replies)
+				case inPlace && (reqs != 0 || oneSided != c.runs*n || s.RemoteGM != c.runs*n):
+					b.Fatalf("%d operations of %d runs: %d requests, %d runs in place, RemoteGM %d; want none, every run, every run",
+						n, c.runs, reqs, oneSided, s.RemoteGM)
 				}
-				pe.Barrier()
-				return nil
 			})
-			if got := res.Total.DirectGM + res.Total.RingGM; got != 0 {
-				b.Fatalf("message-path benchmark took a one-sided path %d times", got)
-			}
-			reqs := res.PerPE[0].ByOp[c.req[0]].Msgs + res.PerPE[0].ByOp[c.req[1]].Msgs
-			replies := res.PerPE[1].ByOp[c.reply[0]].Msgs + res.PerPE[1].ByOp[c.reply[1]].Msgs
-			if n := uint64(b.N); reqs != n || replies != n {
-				b.Fatalf("%d operations travelled as %d requests and %d replies, want one of each per operation", n, reqs, replies)
-			}
-		})
+		}
 	}
 }
 

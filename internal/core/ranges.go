@@ -104,13 +104,13 @@ func (pe *PE) wordTiered(addrs []uint64) bool {
 
 // rangeRun executes one single-mode piece of a range operation — or a whole
 // vector of strong and cached words, passed as strong: tier, then one run per
-// single-home span (runs homed here are served from the segment on the spot,
-// remote ones queued), then the transfer of the queued runs. Strong, cached
-// and release share the home-served path (a release read overlays the PE's
-// own buffered writes afterwards); release writes stop at the write-combining
-// buffer; lease reads are served block by block from the lease cache. Block
-// reads and gathers bypass the read cache: they are always served fresh by
-// the homes.
+// single-home span (runs inPlace admits are served from their home's segment
+// on the spot, the others queued), then the transfer of the queued runs.
+// Strong, cached and release share the home-served path (a release read
+// overlays the PE's own buffered writes afterwards); release writes stop at
+// the write-combining buffer; lease reads are served block by block from the
+// lease cache. Block reads and gathers bypass the read cache: they are always
+// served fresh by the homes.
 func (pe *PE) rangeRun(kind check.Kind, mode gmem.Mode, addr uint64, addrs []uint64, buf []int64) error {
 	write := kind != check.KindRead
 	switch {
@@ -206,17 +206,20 @@ func (pe *PE) resetRuns() {
 }
 
 // addRun routes one single-home run of a range operation on words in mode:
-// served from this kernel's own segment right away as far as ownRun allows,
-// the rest queued in pe.vruns and tallied in its group for that group's
-// request (RemoteGM counts remote runs, not words). A run is resolved here and
-// nowhere else. off locates the run's words in buf.
+// served from its home's segment right away as far as runInPlace allows, the
+// rest queued in pe.vruns and tallied in its group for that group's request
+// (RemoteGM counts remote runs, not words). A flush at a peer always travels:
+// the home counts the OpFlushV as a publication. A peer with no path in place
+// costs one load, not the calls: a 64-run gather on the message path would
+// pay them 64 times. A run is resolved here and nowhere else. off locates the
+// run's words in buf.
 func (pe *PE) addRun(kind check.Kind, mode gmem.Mode, buf []int64, start uint64, count, off int) {
 	k := pe.k
 	write := kind != check.KindRead
 	l := k.space.Locate(start)
 	home := k.dir.HomeAt(l)
-	if home == k.id {
-		n := pe.ownRun(l, mode, write, start, buf[off:off+count])
+	if home == k.id || kind != check.KindFlush && k.peers[home].seg != nil {
+		n := pe.runInPlace(home, l, mode, write, start, buf[off:off+count])
 		if n == count {
 			return
 		}
@@ -395,7 +398,8 @@ func (pe *PE) replayRun(r *vrun, kind check.Kind, buf []int64) error {
 }
 
 // GMReadBlockErr reads n words starting at addr, splitting the range across
-// homes as needed. All runs homed at one kernel travel in a single
+// homes as needed. A run whose home's segment is in this address space is
+// read there in place; all other runs homed at one kernel travel in a single
 // (vectored, if more than one run) request, and the per-home requests are
 // pipelined. Block reads bypass the read cache (they are always served
 // fresh by the homes). Request failures (timeout after the configured
@@ -409,11 +413,12 @@ func (pe *PE) GMReadBlockErr(addr uint64, n int) ([]int64, error) {
 	return out, nil
 }
 
-// GMWriteBlockErr stores words starting at addr, splitting across homes; all
-// runs homed at one kernel travel in a single (vectored, if more than one
-// run) request, and the per-home requests are pipelined. A request that is
-// retried is applied exactly once (the home's dedup window); after a failure
-// some homes' runs may have been applied and others not.
+// GMWriteBlockErr stores words starting at addr, splitting across homes; a
+// run is stored in place where its home's segment is in this address space,
+// all other runs homed at one kernel travel in a single (vectored, if more
+// than one run) request, and the per-home requests are pipelined. A request
+// that is retried is applied exactly once (the home's dedup window); after a
+// failure some homes' runs may have been applied and others not.
 func (pe *PE) GMWriteBlockErr(addr uint64, words []int64) error {
 	return pe.rangeOp("write-block", check.KindWrite, addr, nil, words)
 }

@@ -161,12 +161,14 @@ func TestStressShardSweep(t *testing.T) {
 			// Recovery leg with the one-sided paths at their defaults
 			// (windows and rings on for shards>1): the restart must rebind
 			// windows and rings to the fresh segments. KillAt is tuned so
-			// the kill lands mid-run even on the fast windows-on schedule
-			// (at 500ms a sharded windows-on run finished before the kill
-			// and no recovery ever fired).
+			// the kill lands mid-run even on the fast windows-on schedule,
+			// where range operations to a co-located home run in place: at
+			// 150ms or later a sharded windows-on run finishes before the
+			// kill and no recovery ever fires, at 50ms the kill comes before
+			// the first checkpoint.
 			runCase(t, stress.Case{MustRecover: true, Options: stress.Options{
 				Seed: 23, NumPE: 4, OpsPerPE: 200, Recover: true, CkptEvery: 32,
-				KillPE: 2, KillAt: 200 * sim.Millisecond,
+				KillPE: 2, KillAt: 100 * sim.Millisecond,
 				Shards: shards,
 			}}, "recover")
 		})
