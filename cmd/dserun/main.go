@@ -232,8 +232,8 @@ func main() {
 		fmt.Printf("  PE%-2d compute=%v comm=%v msgs=%d gm=%d local/%d remote\n",
 			i, s.ComputeTime, s.CommTime(), s.MsgsSent+s.MsgsRecv, s.LocalGM, s.RemoteGM)
 	}
-	if res.RTT.Count > 0 {
-		fmt.Printf("request round trips: %s\n%s", res.RTT.String(), res.RTT.Render(40))
+	if res.Total.RTT.Count > 0 {
+		fmt.Printf("request round trips: %s\n%s", res.Total.RTT.String(), res.Total.RTT.Render(40))
 	}
 }
 

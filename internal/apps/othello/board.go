@@ -102,11 +102,6 @@ func (b Board) Discs() (own, opp int) {
 	return bits.OnesCount64(b.Own), bits.OnesCount64(b.Opp)
 }
 
-// Terminal reports whether neither side has a legal move.
-func (b Board) Terminal() bool {
-	return b.Moves() == 0 && b.Pass().Moves() == 0
-}
-
 // MoveList expands a move bitboard into ascending square indices.
 func MoveList(moves uint64) []int {
 	out := make([]int, 0, bits.OnesCount64(moves))

@@ -75,40 +75,71 @@ func (f *Figure) Table() *trace.Table {
 // transfer units, page-like granularity for vector exchange.
 const gaussBlockWords = 256
 
-// runClean executes body on the cluster cfg describes and fails on a cluster
-// error or on the first PE error.
-func runClean(cfg core.Config, body core.Program) (*core.Result, error) {
-	res, err := core.Run(cfg, body)
+// app is one application program as the harness runs it: every PE runs it,
+// and what it returns on PE 0 is the time the experiment plots.
+type app func(pe *core.PE) (sim.Duration, error)
+
+// run executes a on the cluster cfg describes and returns what a returned on
+// PE 0, with the run's result. It fails on a cluster error or on the first
+// PE error. Every simulated experiment of the harness runs through it.
+func run(cfg core.Config, a app) (d sim.Duration, res *core.Result, err error) {
+	res, err = core.Run(cfg, func(pe *core.PE) error {
+		v, err := a(pe)
+		if pe.ID() == 0 {
+			d = v
+		}
+		return err
+	})
+	if err == nil {
+		err = res.FirstErr()
+	}
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	if err := res.FirstErr(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return d, res, nil
 }
 
-// runParallel executes body on a simulated cluster and returns PE 0's
-// reported app-level elapsed time.
-func runParallel(pl *platform.Platform, npe int, seed uint64, blockWords int,
-	body func(pe *core.PE) (sim.Duration, error)) (sim.Duration, error) {
-	var elapsed sim.Duration
-	_, err := runClean(core.Config{
-		NumPE:        npe,
-		Platform:     pl,
-		Seed:         seed,
-		GMBlockWords: blockWords,
-	}, func(pe *core.PE) error {
-		d, err := body(pe)
+// The four applications, each written once: the program every PE runs and
+// the elapsed time it reports.
+
+func gaussApp(p gauss.Params) app {
+	return func(pe *core.PE) (sim.Duration, error) {
+		r, err := gauss.Parallel(pe, p)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if pe.ID() == 0 {
-			elapsed = d
+		return r.Elapsed, nil
+	}
+}
+
+func dctApp(p dct.Params) app {
+	return func(pe *core.PE) (sim.Duration, error) {
+		r, err := dct.Parallel(pe, p)
+		if err != nil {
+			return 0, err
 		}
-		return nil
-	})
-	return elapsed, err
+		return r.Elapsed, nil
+	}
+}
+
+func othelloApp(p othello.Params) app {
+	return func(pe *core.PE) (sim.Duration, error) {
+		r, err := othello.Parallel(pe, p)
+		if err != nil {
+			return 0, err
+		}
+		return r.Elapsed, nil
+	}
+}
+
+func knightApp(p knight.Params) app {
+	return func(pe *core.PE) (sim.Duration, error) {
+		r, err := knight.Parallel(pe, p)
+		if err != nil {
+			return 0, err
+		}
+		return r.Elapsed, nil
+	}
 }
 
 // processors returns the swept processor counts 1..max.
@@ -120,63 +151,88 @@ func processors(max int) []int {
 	return ps
 }
 
-// --- Gauss-Seidel: Figures 4-9 ---
-
-// gaussElapsed times one (platform, N, p) cell.
-func gaussElapsed(pl *platform.Platform, n, npe int, seed uint64) (sim.Duration, error) {
-	return runParallel(pl, npe, seed, gaussBlockWords, func(pe *core.PE) (sim.Duration, error) {
-		r, err := gauss.Parallel(pe, gauss.Params{N: n, Seed: seed})
+// curve builds the series label: one point (x, y(x)) per x in xs.
+func curve[X int | float64](label string, xs []X, y func(x X) (float64, error)) (trace.Series, error) {
+	s := trace.Series{Label: label}
+	for _, x := range xs {
+		v, err := y(x)
 		if err != nil {
-			return 0, err
+			return s, fmt.Errorf("%s at %v: %w", label, x, err)
 		}
-		return r.Elapsed, nil
-	})
+		s.Append(float64(x), v)
+	}
+	return s, nil
 }
+
+// variant is one curve of a sweep over processor counts: its label, the
+// cluster it runs on (NumPE is set per point) and its program.
+type variant struct {
+	label string
+	cfg   core.Config
+	app   app
+}
+
+// The y transforms of a sweep: d is a point's time, base the variant's time
+// at p = 1.
+func seconds(d, _ sim.Duration) float64    { return d.Seconds() }
+func speedup(d, base sim.Duration) float64 { return float64(base) / float64(d) }
+
+// sweep runs every variant at p = 1..maxPE and adds its curve of y to fig.
+func sweep(fig *Figure, maxPE int, y func(d, base sim.Duration) float64, vs ...variant) (*Figure, error) {
+	for _, v := range vs {
+		var base sim.Duration
+		s, err := curve(v.label, processors(maxPE), func(p int) (float64, error) {
+			v.cfg.NumPE = p
+			d, _, err := run(v.cfg, v.app)
+			if p == 1 {
+				base = d
+			}
+			return y(d, base), err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", fig.Title, err)
+		}
+		fig.Series = append(fig.Series, s)
+	}
+	return fig, nil
+}
+
+// --- Gauss-Seidel: Figures 4-9 ---
 
 // GaussFigures reproduces the platform's execution-time figure (x = system
 // dimension, one series per processor count) and speed-up figure (x =
 // processors, one series per dimension): Figures 4/5 (SunOS), 6/7 (AIX),
 // 8/9 (Linux).
 func GaussFigures(pl *platform.Platform, sc Scale) (timeFig, speedupFig *Figure, err error) {
-	ps := processors(sc.MaxPE)
-	// elapsed[pi][ni]
-	elapsed := make([][]sim.Duration, len(ps))
-	for pi, p := range ps {
-		elapsed[pi] = make([]sim.Duration, len(sc.GaussNs))
-		for ni, n := range sc.GaussNs {
-			if n < p {
-				continue
-			}
-			d, err := gaussElapsed(pl, n, p, sc.Seed)
-			if err != nil {
-				return nil, nil, fmt.Errorf("gauss %s N=%d p=%d: %w", pl.Numeric, n, p, err)
-			}
-			elapsed[pi][ni] = d
-		}
-	}
 	timeFig = &Figure{
 		Title:  fmt.Sprintf("Gauss-Seidel execution time, %s", pl),
 		XLabel: "N-dimension", YLabel: "execution time [s]",
-	}
-	for pi, p := range ps {
-		s := trace.Series{Label: fmt.Sprintf("%dproc", p)}
-		for ni, n := range sc.GaussNs {
-			s.Append(float64(n), elapsed[pi][ni].Seconds())
-		}
-		timeFig.Series = append(timeFig.Series, s)
 	}
 	speedupFig = &Figure{
 		Title:  fmt.Sprintf("Gauss-Seidel speed-up, %s", pl),
 		XLabel: "number of processors", YLabel: "speed improvement ratio",
 	}
-	for ni, n := range sc.GaussNs {
-		s := trace.Series{Label: fmt.Sprintf("N=%d", n)}
-		for pi, p := range ps {
-			if elapsed[pi][ni] == 0 {
-				continue
+	ps := processors(sc.MaxPE)
+	elapsed := map[[2]int]sim.Duration{} // by {p, N}; N < p is not run and plots as 0 s
+	for _, p := range ps {
+		s, err := curve(fmt.Sprintf("%dproc", p), sc.GaussNs, func(n int) (float64, error) {
+			if n < p {
+				return 0, nil
 			}
-			s.Append(float64(p), float64(elapsed[0][ni])/float64(elapsed[pi][ni]))
+			d, _, err := run(core.Config{NumPE: p, Platform: pl, Seed: sc.Seed, GMBlockWords: gaussBlockWords},
+				gaussApp(gauss.Params{N: n, Seed: sc.Seed}))
+			elapsed[[2]int{p, n}] = d
+			return d.Seconds(), err
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("gauss %s: %w", pl.Numeric, err)
 		}
+		timeFig.Series = append(timeFig.Series, s)
+	}
+	for _, n := range sc.GaussNs {
+		s, _ := curve(fmt.Sprintf("N=%d", n), ps[:min(n, len(ps))], func(p int) (float64, error) {
+			return speedup(elapsed[[2]int{p, n}], elapsed[[2]int{1, n}]), nil
+		})
 		speedupFig.Series = append(speedupFig.Series, s)
 	}
 	return timeFig, speedupFig, nil
@@ -184,21 +240,10 @@ func GaussFigures(pl *platform.Platform, sc Scale) (timeFig, speedupFig *Figure,
 
 // --- DCT-II: Figures 10-15 ---
 
-func dctElapsed(pl *platform.Platform, image, block, npe int, seed uint64) (sim.Duration, error) {
-	return runParallel(pl, npe, seed, 0, func(pe *core.PE) (sim.Duration, error) {
-		r, err := dct.Parallel(pe, dct.Params{ImageN: image, Block: block, Rate: 0.5, Seed: seed})
-		if err != nil {
-			return 0, err
-		}
-		return r.Elapsed, nil
-	})
-}
-
 // DCTFigures reproduces the platform's DCT-II execution-time and speed-up
 // figures (x = processors, one series per block size, 50% compression):
 // Figures 10/11 (SunOS), 12/13 (AIX), 14/15 (Linux).
 func DCTFigures(pl *platform.Platform, sc Scale) (timeFig, speedupFig *Figure, err error) {
-	ps := processors(sc.MaxPE)
 	timeFig = &Figure{
 		Title:  fmt.Sprintf("DCT-II execution time (%dx%d image, 50%% rate), %s", sc.DCTImage, sc.DCTImage, pl),
 		XLabel: "number of processors", YLabel: "execution time [s]",
@@ -207,21 +252,20 @@ func DCTFigures(pl *platform.Platform, sc Scale) (timeFig, speedupFig *Figure, e
 		Title:  fmt.Sprintf("DCT-II speed-up (%dx%d image, 50%% rate), %s", sc.DCTImage, sc.DCTImage, pl),
 		XLabel: "number of processors", YLabel: "speed improvement ratio",
 	}
+	ps := processors(sc.MaxPE)
 	for _, b := range sc.DCTBlocks {
-		ts := trace.Series{Label: fmt.Sprintf("%dx%d", b, b)}
-		ss := trace.Series{Label: fmt.Sprintf("%dx%d", b, b)}
-		var base sim.Duration
-		for _, p := range ps {
-			d, err := dctElapsed(pl, sc.DCTImage, b, p, sc.Seed)
-			if err != nil {
-				return nil, nil, fmt.Errorf("dct %s B=%d p=%d: %w", pl.Numeric, b, p, err)
-			}
-			if p == 1 {
-				base = d
-			}
-			ts.Append(float64(p), d.Seconds())
-			ss.Append(float64(p), float64(base)/float64(d))
+		label := fmt.Sprintf("%dx%d", b, b)
+		var elapsed []sim.Duration // by p-1
+		ts, err := curve(label, ps, func(p int) (float64, error) {
+			d, _, err := run(core.Config{NumPE: p, Platform: pl, Seed: sc.Seed},
+				dctApp(dct.Params{ImageN: sc.DCTImage, Block: b, Rate: 0.5, Seed: sc.Seed}))
+			elapsed = append(elapsed, d)
+			return d.Seconds(), err
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("dct %s: %w", pl.Numeric, err)
 		}
+		ss, _ := curve(label, ps, func(p int) (float64, error) { return speedup(elapsed[p-1], elapsed[0]), nil })
 		timeFig.Series = append(timeFig.Series, ts)
 		speedupFig.Series = append(speedupFig.Series, ss)
 	}
@@ -230,76 +274,36 @@ func DCTFigures(pl *platform.Platform, sc Scale) (timeFig, speedupFig *Figure, e
 
 // --- Othello: Figures 16-18 ---
 
-func othelloElapsed(pl *platform.Platform, depth, npe int, seed uint64) (sim.Duration, error) {
-	return runParallel(pl, npe, seed, 0, func(pe *core.PE) (sim.Duration, error) {
-		r, err := othello.Parallel(pe, othello.Params{Depth: depth})
-		if err != nil {
-			return 0, err
-		}
-		return r.Elapsed, nil
-	})
-}
-
 // OthelloFigure reproduces the platform's Othello figure (x = processors,
 // one speed-up series per search depth): Figures 16 (SunOS), 17 (AIX),
 // 18 (Linux).
 func OthelloFigure(pl *platform.Platform, sc Scale) (*Figure, error) {
-	ps := processors(sc.MaxPE)
-	fig := &Figure{
+	var vs []variant
+	for _, depth := range sc.OthelloDepths {
+		vs = append(vs, variant{fmt.Sprintf("Depth%d", depth), core.Config{Platform: pl, Seed: sc.Seed},
+			othelloApp(othello.Params{Depth: depth})})
+	}
+	return sweep(&Figure{
 		Title:  fmt.Sprintf("Othello game speed-up by search depth, %s", pl),
 		XLabel: "number of processors", YLabel: "execution improvement ratio",
-	}
-	for _, depth := range sc.OthelloDepths {
-		s := trace.Series{Label: fmt.Sprintf("Depth%d", depth)}
-		var base sim.Duration
-		for _, p := range ps {
-			d, err := othelloElapsed(pl, depth, p, sc.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("othello %s depth=%d p=%d: %w", pl.Numeric, depth, p, err)
-			}
-			if p == 1 {
-				base = d
-			}
-			s.Append(float64(p), float64(base)/float64(d))
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+	}, sc.MaxPE, speedup, vs...)
 }
 
 // --- Knight's Tour: Figures 19-21 ---
-
-func knightElapsed(pl *platform.Platform, jobs, npe int, seed uint64) (sim.Duration, error) {
-	return runParallel(pl, npe, seed, 0, func(pe *core.PE) (sim.Duration, error) {
-		r, err := knight.Parallel(pe, knight.Params{BoardN: 5, Jobs: jobs})
-		if err != nil {
-			return 0, err
-		}
-		return r.Elapsed, nil
-	})
-}
 
 // KnightFigure reproduces the platform's Knight's-Tour figure (x =
 // processors, one execution-time series per job count, 5x5 board):
 // Figures 19 (SunOS), 20 (AIX), 21 (Linux).
 func KnightFigure(pl *platform.Platform, sc Scale) (*Figure, error) {
-	ps := processors(sc.MaxPE)
-	fig := &Figure{
+	var vs []variant
+	for _, jobs := range sc.KnightJobs {
+		vs = append(vs, variant{fmt.Sprintf("%d_Jobs", jobs), core.Config{Platform: pl, Seed: sc.Seed},
+			knightApp(knight.Params{BoardN: 5, Jobs: jobs})})
+	}
+	return sweep(&Figure{
 		Title:  fmt.Sprintf("Knight's Tour execution time by job count (5x5), %s", pl),
 		XLabel: "number of processors", YLabel: "execution time [s]",
-	}
-	for _, jobs := range sc.KnightJobs {
-		s := trace.Series{Label: fmt.Sprintf("%d_Jobs", jobs)}
-		for _, p := range ps {
-			d, err := knightElapsed(pl, jobs, p, sc.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("knight %s jobs=%d p=%d: %w", pl.Numeric, jobs, p, err)
-			}
-			s.Append(float64(p), d.Seconds())
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+	}, sc.MaxPE, seconds, vs...)
 }
 
 // --- Tables ---

@@ -88,8 +88,8 @@ func TestKnightFigureQuick(t *testing.T) {
 // the tables say.
 func TestReferenceWorkloadsCleanOnSimnet(t *testing.T) {
 	sc := QuickScale()
-	for _, w := range referenceWorkloads(sc) {
-		res, err := w.run(platform.SparcSunOS, sc.Seed)
+	for _, w := range referenceWorkloads(platform.SparcSunOS, sc) {
+		res, err := w.result()
 		if err != nil {
 			t.Fatal(err)
 		}

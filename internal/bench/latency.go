@@ -12,18 +12,30 @@ import (
 	"repro/internal/core"
 	"repro/internal/gmem"
 	"repro/internal/platform"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// referenceWorkload is one of the paper's four applications at a fixed,
-// fast parameter point on referencePE processors: the runs whose latency
-// tables and message totals the golden test pins.
-type referenceWorkload struct {
-	name       string
-	blockWords int
-	body       core.Program
+// workload is one application run the harness reports the counters of: a
+// name for the table title, the cluster and the program.
+type workload struct {
+	name string
+	cfg  core.Config
+	app  app
 }
 
+// result runs the workload and fails with its name on an error.
+func (w workload) result() (*core.Result, error) {
+	_, res, err := run(w.cfg, w.app)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", w.name, err)
+	}
+	return res, nil
+}
+
+// referencePE is the processor count of the reference workloads: the paper's
+// four applications at a fixed, fast parameter point, the runs whose latency
+// tables and message totals the golden test pins.
 const referencePE = 4
 
 // ReferenceGaussN is the reference gauss dimension at scale sc: the point
@@ -35,47 +47,17 @@ func ReferenceGaussN(sc Scale) int {
 	return 120
 }
 
-func referenceWorkloads(sc Scale) []referenceWorkload {
+func referenceWorkloads(pl *platform.Platform, sc Scale) []workload {
+	cfg := core.Config{NumPE: referencePE, Platform: pl, Seed: sc.Seed}
+	gaussCfg := cfg
+	gaussCfg.GMBlockWords = gaussBlockWords
 	gaussN := ReferenceGaussN(sc)
-	return []referenceWorkload{
-		{
-			name: fmt.Sprintf("gauss N=%d", gaussN), blockWords: gaussBlockWords,
-			body: func(pe *core.PE) error {
-				_, err := gauss.Parallel(pe, gauss.Params{N: gaussN, Seed: sc.Seed})
-				return err
-			},
-		},
-		{
-			name: "dct 64/8",
-			body: func(pe *core.PE) error {
-				_, err := dct.Parallel(pe, dct.Params{ImageN: 64, Block: 8, Rate: 0.5, Seed: sc.Seed})
-				return err
-			},
-		},
-		{
-			name: "knight jobs=16",
-			body: func(pe *core.PE) error {
-				_, err := knight.Parallel(pe, knight.Params{BoardN: 5, Jobs: 16})
-				return err
-			},
-		},
-		{
-			name: "othello depth=3",
-			body: func(pe *core.PE) error {
-				_, err := othello.Parallel(pe, othello.Params{Depth: 3})
-				return err
-			},
-		},
+	return []workload{
+		{fmt.Sprintf("gauss N=%d", gaussN), gaussCfg, gaussApp(gauss.Params{N: gaussN, Seed: sc.Seed})},
+		{"dct 64/8", cfg, dctApp(dct.Params{ImageN: 64, Block: 8, Rate: 0.5, Seed: sc.Seed})},
+		{"knight jobs=16", cfg, knightApp(knight.Params{BoardN: 5, Jobs: 16})},
+		{"othello depth=3", cfg, othelloApp(othello.Params{Depth: 3})},
 	}
-}
-
-// run executes the workload on the simulated cluster.
-func (w referenceWorkload) run(pl *platform.Platform, seed uint64) (*core.Result, error) {
-	res, err := runClean(core.Config{NumPE: referencePE, Platform: pl, Seed: seed, GMBlockWords: w.blockWords}, w.body)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.name, err)
-	}
-	return res, nil
 }
 
 // RunGaussCkpt runs the reference gauss point with checkpointing enabled
@@ -83,7 +65,6 @@ func (w referenceWorkload) run(pl *platform.Platform, seed uint64) (*core.Result
 // fully solved system: its elapsed time against the plain gauss run's is the
 // cost of a checkpoint, its SnapshotBytes the snapshot's encoded size.
 func RunGaussCkpt(pl *platform.Platform, sc Scale) (*core.Result, error) {
-	gaussN := ReferenceGaussN(sc)
 	dir, err := os.MkdirTemp("", "dse-ckpt-")
 	if err != nil {
 		return nil, err
@@ -97,13 +78,16 @@ func RunGaussCkpt(pl *platform.Platform, sc Scale) (*core.Result, error) {
 		NumPE: referencePE, Platform: pl, Seed: sc.Seed, GMBlockWords: gaussBlockWords,
 		Ckpt: &core.CheckpointConfig{Store: store},
 	}
-	return runClean(cfg, func(pe *core.PE) error {
+	solve := gaussApp(gauss.Params{N: ReferenceGaussN(sc), Seed: sc.Seed})
+	_, res, err := run(cfg, func(pe *core.PE) (sim.Duration, error) {
 		pe.RegisterCheckpoint(nil, nil)
-		if _, err := gauss.Parallel(pe, gauss.Params{N: gaussN, Seed: sc.Seed}); err != nil {
-			return err
+		d, err := solve(pe)
+		if err != nil {
+			return 0, err
 		}
-		return pe.Checkpoint()
+		return d, pe.Checkpoint()
 	})
+	return res, err
 }
 
 // LatencyTables runs the four reference applications and renders each one's
@@ -112,8 +96,8 @@ func RunGaussCkpt(pl *platform.Platform, sc Scale) (*core.Result, error) {
 // data.
 func LatencyTables(pl *platform.Platform, sc Scale) ([]*trace.Table, error) {
 	var tables []*trace.Table
-	for _, w := range referenceWorkloads(sc) {
-		res, err := w.run(pl, sc.Seed)
+	for _, w := range referenceWorkloads(pl, sc) {
+		res, err := w.result()
 		if err != nil {
 			return nil, err
 		}
@@ -144,13 +128,11 @@ func LatencyTables(pl *platform.Platform, sc Scale) ([]*trace.Table, error) {
 	// One release-mode fine-grained gauss run rides along: its table's
 	// flush-stall row is the WC-buffer drain latency at sync edges, which
 	// every strong workload above leaves empty.
-	rel, err := runClean(core.Config{
-		NumPE: tierGaussPE, Platform: pl, Seed: sc.Seed, GMBlockWords: gaussBlockWords,
-	}, func(pe *core.PE) error {
-		return gaussFine(pe, gmem.ModeRelease, sc.Seed)
-	})
+	rel, err := workload{"gauss-fine release",
+		core.Config{NumPE: tierGaussPE, Platform: pl, Seed: sc.Seed, GMBlockWords: gaussBlockWords},
+		gaussFineApp(gauss.Params{N: tierGaussN, Seed: sc.Seed}, gmem.ModeRelease)}.result()
 	if err != nil {
-		return nil, fmt.Errorf("gauss-fine release: %w", err)
+		return nil, err
 	}
 	title = fmt.Sprintf("latency distribution, gauss-fine N=%d release p=%d on %s (elapsed %v, %d msgs, %d bytes, %d WC flushes)",
 		tierGaussN, tierGaussPE, pl.Numeric, rel.Elapsed, rel.Total.MsgsSent, rel.Total.BytesSent, rel.Total.WCFlushes)

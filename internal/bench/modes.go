@@ -35,11 +35,16 @@ const (
 // counts are a closed-form function of the mode, not of convergence noise.
 const tierGaussSweeps = 6
 
-// gaussFine runs the fine-grained gauss sweep (gauss.ParallelFine) with the
-// shared vector allocated under mode.
-func gaussFine(pe *core.PE, mode gmem.Mode, seed uint64) error {
-	_, err := gauss.ParallelFine(pe, gauss.Params{N: tierGaussN, Seed: seed}, mode, tierGaussSweeps)
-	return err
+// gaussFineApp runs the fine-grained gauss sweep (gauss.ParallelFine) for
+// tierGaussSweeps sweeps with the shared vector allocated under mode.
+func gaussFineApp(p gauss.Params, mode gmem.Mode) app {
+	return func(pe *core.PE) (sim.Duration, error) {
+		r, err := gauss.ParallelFine(pe, p, mode, tierGaussSweeps)
+		if err != nil {
+			return 0, err
+		}
+		return r.Elapsed, nil
+	}
 }
 
 // TierMetrics is one row of the consistency-tier ablation: one gauss
@@ -64,13 +69,13 @@ type TierMetrics struct {
 var tierModes = []gmem.Mode{gmem.ModeStrong, gmem.ModeRelease, gmem.ModeLease}
 
 // measureTier runs one gauss variant under one mode and fills a row.
-func measureTier(workload, mode string, cfg core.Config, body core.Program) (TierMetrics, error) {
-	res, err := runClean(cfg, body)
+func measureTier(w workload, mode string) (TierMetrics, error) {
+	res, err := w.result()
 	if err != nil {
-		return TierMetrics{}, fmt.Errorf("%s/%s: %w", workload, mode, err)
+		return TierMetrics{}, fmt.Errorf("%s: %w", mode, err)
 	}
 	m := TierMetrics{
-		Workload:  workload,
+		Workload:  w.name,
 		Mode:      mode,
 		Elapsed:   res.Elapsed,
 		MsgsSent:  res.Total.MsgsSent,
@@ -92,30 +97,21 @@ func measureTier(workload, mode string, cfg core.Config, body core.Program) (Tie
 // (dsebench -modes).
 func ConsistencyTierProfile(pl *platform.Platform, seed uint64) ([]TierMetrics, error) {
 	var rows []TierMetrics
+	params := gauss.Params{N: tierGaussN, Seed: seed}
+	cfg := core.Config{NumPE: tierGaussPE, Platform: pl, Seed: seed, GMBlockWords: gaussBlockWords}
 	for _, mode := range tierModes {
 		// Vectored gauss.Parallel allocates with the default mode, so the
 		// tier is selected via Config.GMDefaultMode.
-		cfg := core.Config{
-			NumPE: tierGaussPE, Platform: pl, Seed: seed,
-			GMBlockWords: gaussBlockWords, GMDefaultMode: mode,
-		}
-		row, err := measureTier(fmt.Sprintf("gauss N=%d", tierGaussN), mode.String(), cfg,
-			func(pe *core.PE) error {
-				_, err := gauss.Parallel(pe, gauss.Params{N: tierGaussN, Seed: seed})
-				return err
-			})
+		vectored := cfg
+		vectored.GMDefaultMode = mode
+		row, err := measureTier(workload{fmt.Sprintf("gauss N=%d", tierGaussN), vectored, gaussApp(params)}, mode.String())
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
 
 		// Fine-grained variant: the mode rides on the allocation itself.
-		cfg = core.Config{
-			NumPE: tierGaussPE, Platform: pl, Seed: seed,
-			GMBlockWords: gaussBlockWords,
-		}
-		row, err = measureTier(fmt.Sprintf("gauss-fine N=%d", tierGaussN), mode.String(), cfg,
-			func(pe *core.PE) error { return gaussFine(pe, mode, seed) })
+		row, err = measureTier(workload{fmt.Sprintf("gauss-fine N=%d", tierGaussN), cfg, gaussFineApp(params, mode)}, mode.String())
 		if err != nil {
 			return nil, err
 		}

@@ -15,40 +15,20 @@ import (
 // which protocol operations carry the communication, and how scalar
 // read/write requests trade against the vectored (scatter/gather) ones.
 func MessageProfile(pl *platform.Platform, npe int, seed uint64) ([]*trace.Table, error) {
-	type workload struct {
-		name       string
-		blockWords int
-		body       func(pe *core.PE) error
-	}
 	workloads := []workload{
-		{
-			// Default (32-word) DSM blocks: the shared vector then spans
-			// several blocks per home and the row fetch rides the vectored
-			// read path, visible below as read-v displacing scalar reads.
-			name: fmt.Sprintf("gauss N=300 p=%d", npe),
-			body: func(pe *core.PE) error {
-				_, err := gauss.Parallel(pe, gauss.Params{N: 300, Seed: seed})
-				return err
-			},
-		},
-		{
-			name: fmt.Sprintf("dct 256/8 p=%d", npe),
-			body: func(pe *core.PE) error {
-				_, err := dct.Parallel(pe, dct.Params{ImageN: 256, Block: 8, Rate: 0.5, Seed: seed})
-				return err
-			},
-		},
+		// Default (32-word) DSM blocks: the shared vector then spans
+		// several blocks per home and the row fetch rides the vectored
+		// read path, visible below as read-v displacing scalar reads.
+		{fmt.Sprintf("gauss N=300 p=%d", npe), core.Config{NumPE: npe, Platform: pl, Seed: seed},
+			gaussApp(gauss.Params{N: 300, Seed: seed})},
+		{fmt.Sprintf("dct 256/8 p=%d", npe), core.Config{NumPE: npe, Platform: pl, Seed: seed},
+			dctApp(dct.Params{ImageN: 256, Block: 8, Rate: 0.5, Seed: seed})},
 	}
 	var tables []*trace.Table
 	for _, w := range workloads {
-		res, err := runClean(core.Config{
-			NumPE:        npe,
-			Platform:     pl,
-			Seed:         seed,
-			GMBlockWords: w.blockWords,
-		}, w.body)
+		res, err := w.result()
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", w.name, err)
+			return nil, err
 		}
 		title := fmt.Sprintf("message profile, %s on %s (total %d msgs, %d bytes)",
 			w.name, pl.Numeric, res.Total.MsgsSent, res.Total.BytesSent)

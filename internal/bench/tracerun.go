@@ -14,16 +14,13 @@ import (
 // writes the run as Chrome trace_event JSON (chrome://tracing, Perfetto).
 // It returns the run result so callers can cross-check span coverage.
 func TraceGauss(pl *platform.Platform, n, npe int, seed uint64, w io.Writer) (*core.Result, error) {
-	res, err := runClean(core.Config{
+	_, res, err := run(core.Config{
 		NumPE:        npe,
 		Platform:     pl,
 		Seed:         seed,
 		GMBlockWords: gaussBlockWords,
 		Tracing:      trace.TracingConfig{Enabled: true, RingSize: 1 << 16},
-	}, func(pe *core.PE) error {
-		_, err := gauss.Parallel(pe, gauss.Params{N: n, Seed: seed})
-		return err
-	})
+	}, gaussApp(gauss.Params{N: n, Seed: seed}))
 	if err != nil {
 		return nil, err
 	}

@@ -55,8 +55,6 @@ type Config struct {
 	Platform *platform.Platform
 	// Transport defaults to TransportSim.
 	Transport TransportKind
-	// Machines is the physical machine count (0 = paper's six).
-	Machines int
 	// Load selects the virtual-cluster co-location model.
 	Load platform.LoadModel
 	// Seed drives all simulator randomness.
@@ -93,8 +91,6 @@ type Config struct {
 	// transport detects failures from broken connections and needs no
 	// budget.)
 	PeerLossBudget int
-	// Ethernet overrides the simulated medium (nil = the platform's LAN).
-	Ethernet *ethernet.Config
 	// LossProbability injects frame loss on the simulated medium (failure
 	// injection; combine with RequestTimeout so lost requests surface as
 	// errors instead of hanging the virtual cluster).
@@ -319,11 +315,6 @@ type Result struct {
 	Total trace.PEStats
 	// Bus carries medium statistics (simulated transport only).
 	Bus ethernet.Stats
-	// RTT is the distribution of request round-trip latencies across all
-	// PEs (global-memory operations, process management, pings). Per-op
-	// distributions, kernel service times and synchronisation waits are in
-	// Total (and PerPE) — see trace.PEStats.LatencyTable.
-	RTT trace.Histogram
 	// Spans holds every recorded request/service span across all PEs,
 	// sorted by start time (empty unless Config.Tracing.Enabled). Export
 	// with trace.WriteChromeTrace.
@@ -510,10 +501,8 @@ func runSim(cfg *Config, program Program) (*Result, error) {
 	net := simnet.New(simnet.Config{
 		NumPE:       cfg.NumPE,
 		Platform:    cfg.Platform,
-		Machines:    cfg.Machines,
 		Load:        cfg.Load,
 		Seed:        cfg.Seed,
-		Ethernet:    cfg.Ethernet,
 		Switched:    cfg.Switched,
 		LossBudget:  cfg.PeerLossBudget,
 		DelayJitter: cfg.DelayJitter,
@@ -702,7 +691,6 @@ func collectStats(res *Result, kernels []*Kernel, pes []*PE) {
 			sh.unlock()
 		}
 		res.Total.Add(s)
-		res.RTT.Merge(&pes[i].extra.RTT)
 		if pes[i].spans != nil {
 			res.Spans = append(res.Spans, pes[i].spans.Snapshot()...)
 		}

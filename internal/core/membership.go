@@ -453,9 +453,6 @@ func (k *Kernel) handleEpochUpdate(m *wire.Message) {
 // Members returns the cluster membership table as this PE's kernel sees it.
 func (pe *PE) Members() []gmem.Member { return pe.k.dir.Members() }
 
-// MembershipEpoch returns the highest membership generation observed.
-func (pe *PE) MembershipEpoch() uint64 { return pe.k.dir.Epoch() }
-
 // HomeOf returns the kernel currently homing addr (directory-aware; equal to
 // Space().HomeOf under a static membership).
 func (pe *PE) HomeOf(addr uint64) int { return pe.k.homeOf(addr) }

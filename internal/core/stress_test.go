@@ -47,28 +47,6 @@ func TestStressSuites(t *testing.T) {
 	}
 }
 
-// TestStressMatrix sweeps PEs x loss x caching with a seed of its own per
-// cell.
-func TestStressMatrix(t *testing.T) {
-	for _, np := range []int{2, 4} {
-		for _, loss := range []float64{0, 0.05} {
-			for _, caching := range []bool{false, true} {
-				o := stress.Options{
-					Seed:     uint64(np)<<16 | uint64(loss*100),
-					NumPE:    np,
-					OpsPerPE: 150,
-					Caching:  caching,
-					Loss:     loss,
-					Jitter:   200 * sim.Microsecond,
-				}
-				t.Run(fmt.Sprintf("pe%d_loss%02.0f_cache%v", np, loss*100, caching), func(t *testing.T) {
-					runStress(t, o)
-				})
-			}
-		}
-	}
-}
-
 // TestStressLossyCaching pins the harshest protocol corner in tier-1: heavy
 // frame loss with caching on, where lost invalidations meet the retry dedup
 // window. Beyond consistency, it demands that every operation eventually

@@ -185,9 +185,6 @@ func TestLatencyHistogramsPopulated(t *testing.T) {
 	if res.Total.RTT.Count == 0 {
 		t.Fatal("no round trips observed")
 	}
-	if res.RTT.Count != res.Total.RTT.Count {
-		t.Fatalf("Result.RTT (%d) disagrees with Total.RTT (%d)", res.RTT.Count, res.Total.RTT.Count)
-	}
 	if res.Total.RTTByOp[wire.OpRead].Count == 0 {
 		t.Fatal("no per-op RTT for OpRead")
 	}

@@ -19,11 +19,9 @@ import (
 type Config struct {
 	NumPE    int
 	Platform *platform.Platform
-	Machines int                // physical machines; 0 means platform.PhysicalMachines
 	Load     platform.LoadModel // virtual-cluster co-location model
 	Seed     uint64
-	Ethernet *ethernet.Config // nil means the platform's LAN parameters
-	Switched bool             // switched Ethernet instead of the shared bus
+	Switched bool // switched Ethernet instead of the shared bus
 	// LossBudget enables peer-failure detection on the shared bus: after
 	// this many consecutive frames to one destination fail to reach a live
 	// station (injected loss or a closed/killed station), that peer is
@@ -38,22 +36,10 @@ type Config struct {
 	// the given virtual time, silently dropping all frames to and from it
 	// from then on (peers discover the death via LossBudget).
 	Kills []Kill
-	// Joins schedules late station arrivals: the node is deaf and mute —
-	// frames to it vanish, frames from it are never sent — until the given
-	// virtual time, modelling a machine powered on mid-run. Pair with
-	// core.Config.LatentPEs so the parked node owns no global memory while
-	// unreachable.
-	Joins []Join
 }
 
 // Kill is one scheduled node failure in a fault schedule.
 type Kill struct {
-	Node int
-	At   sim.Duration
-}
-
-// Join is one scheduled late arrival in a membership schedule.
-type Join struct {
 	Node int
 	At   sim.Duration
 }
@@ -76,15 +62,8 @@ func New(cfg Config) *Net {
 	if cfg.Platform == nil {
 		panic("simnet: Platform required")
 	}
-	machines := cfg.Machines
-	if machines == 0 {
-		machines = platform.PhysicalMachines
-	}
 	eng := sim.NewEngine(cfg.Seed)
 	ecfg := ethernet.ConfigForBandwidth(cfg.Platform.NetBandwidthBps)
-	if cfg.Ethernet != nil {
-		ecfg = *cfg.Ethernet
-	}
 	var medium ethernet.Medium
 	if cfg.Switched {
 		medium = ethernet.NewSwitch(eng, ecfg)
@@ -95,7 +74,7 @@ func New(cfg Config) *Net {
 		eng:    eng,
 		medium: medium,
 		pl:     cfg.Platform,
-		layout: platform.NewLayout(machines, cfg.NumPE, cfg.Load),
+		layout: platform.NewLayout(platform.PhysicalMachines, cfg.NumPE, cfg.Load),
 	}
 	for i := 0; i < cfg.NumPE; i++ {
 		nd := &Node{
@@ -111,11 +90,6 @@ func New(cfg Config) *Net {
 			// Forked in node order at construction, so jitter draws are a
 			// pure function of (seed, node, frame sequence) — replayable.
 			nd.rng = eng.Rand().Fork()
-		}
-		for _, j := range cfg.Joins {
-			if j.Node == i {
-				nd.joinAt = sim.Time(j.At)
-			}
 		}
 		n.nodes = append(n.nodes, nd)
 	}
@@ -196,11 +170,6 @@ type Node struct {
 	jitter sim.Duration
 	rng    *sim.Rand
 
-	// joinAt parks the station until this virtual instant (Config.Joins):
-	// frames arriving earlier are discarded on receipt and frames sent
-	// earlier are dropped at the source. Zero means attached from the start.
-	joinAt sim.Time
-
 	appProc *sim.Proc
 	svcProc *sim.Proc
 }
@@ -245,9 +214,6 @@ func (nd *Node) Recv() (*wire.Message, bool) {
 		}
 		if f.Payload == nil {
 			continue // MTU continuation fragment; timing already charged on the bus
-		}
-		if p.Now() < nd.joinAt {
-			continue // parked pre-join (Config.Joins): the station is deaf
 		}
 		enc := f.Payload.([]byte)
 		oh := nd.scale(nd.net.pl.RecvOverhead(len(enc)))
@@ -308,9 +274,6 @@ func (pt *port) proc() *sim.Proc {
 func (pt *port) Send(dst int, m *wire.Message) {
 	nd := pt.nd
 	p := pt.proc()
-	if p.Now() < nd.joinAt {
-		return // parked pre-join (Config.Joins): the station is mute
-	}
 	// The encoded frame payload is held by the Ethernet simulation until
 	// delivery, so it must be a fresh allocation here (never pooled).
 	enc := m.Encode()

@@ -423,44 +423,3 @@ func TestKillScheduleBroadcastsToAllNodes(t *testing.T) {
 		t.Fatalf("late-registered node: want replayed report [2], got %v", late)
 	}
 }
-
-func TestJoinScheduleParksStationUntilAt(t *testing.T) {
-	joinAt := 50 * sim.Millisecond
-	net := New(Config{NumPE: 2, Platform: platform.SparcSunOS, Seed: 1,
-		Joins: []Join{{Node: 1, At: joinAt}}})
-	startEcho(net, 1)
-	nd0 := net.SimNode(0)
-	var pongs int
-	net.Engine().Spawn("svc0", func(p *sim.Proc) {
-		nd0.BindSvc(p)
-		for {
-			m, ok := nd0.Recv()
-			if !ok {
-				return
-			}
-			if m.Op == wire.OpPong {
-				pongs++
-			}
-		}
-	})
-	net.Engine().Spawn("app0", func(p *sim.Proc) {
-		nd0.BindApp(p)
-		// Pre-join: the parked station is deaf, the ping vanishes.
-		nd0.App().Send(1, &wire.Message{Op: wire.OpPing, Src: 0, Dst: 1, Seq: 1})
-		p.Sleep(10 * sim.Millisecond)
-		if pongs != 0 {
-			t.Error("parked station answered before its join instant")
-		}
-		// Post-join: the station answers normally.
-		p.Sleep(sim.Duration(joinAt))
-		nd0.App().Send(1, &wire.Message{Op: wire.OpPing, Src: 0, Dst: 1, Seq: 2})
-		p.Sleep(20 * sim.Millisecond)
-		net.Stop()
-	})
-	if err := net.Engine().Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if pongs != 1 {
-		t.Fatalf("got %d pongs after the join instant, want 1", pongs)
-	}
-}

@@ -242,23 +242,6 @@ func (op Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(op))
 }
 
-// IsResponse reports whether op answers an earlier request (and should be
-// routed to the requester's reply mailbox rather than the kernel handler).
-func (op Op) IsResponse() bool {
-	switch op {
-	case OpReadResp, OpWriteAck, OpFetchAddResp, OpCASResp, OpInvAck,
-		OpLockGrant, OpSemGrant, OpBarrierRelease,
-		OpProcRegResp, OpProcExitAck, OpProcListResp, OpWelcome, OpPong,
-		OpReadVResp, OpCkptMarkResp,
-		OpMigrateStartResp, OpMigrateInstallResp, OpMigrateCommitResp,
-		OpMigrateNack, OpJoinResp, OpLeaveResp, OpEpochUpdateResp,
-		OpReadLeaseResp,
-		OpNsBindAck, OpNsFreeAck, OpNsNack, OpJobPurgeAck:
-		return true
-	}
-	return false
-}
-
 // HeaderSize is the fixed encoded header length in bytes.
 const HeaderSize = 48
 

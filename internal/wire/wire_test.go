@@ -131,33 +131,6 @@ func TestWordsPanicsOnRaggedPayload(t *testing.T) {
 	m.Words()
 }
 
-func TestIsResponseClassification(t *testing.T) {
-	reqResp := map[Op]Op{
-		OpRead:         OpReadResp,
-		OpWrite:        OpWriteAck,
-		OpFetchAdd:     OpFetchAddResp,
-		OpCAS:          OpCASResp,
-		OpInvalidate:   OpInvAck,
-		OpLockAcquire:  OpLockGrant,
-		OpProcRegister: OpProcRegResp,
-		OpProcExit:     OpProcExitAck,
-		OpProcList:     OpProcListResp,
-		OpHello:        OpWelcome,
-		OpPing:         OpPong,
-	}
-	for req, resp := range reqResp {
-		if req.IsResponse() {
-			t.Fatalf("%v misclassified as response", req)
-		}
-		if !resp.IsResponse() {
-			t.Fatalf("%v not classified as response", resp)
-		}
-	}
-	if OpUserMsg.IsResponse() {
-		t.Fatal("user messages are not responses")
-	}
-}
-
 func TestOpStringsAreNamed(t *testing.T) {
 	for op := OpRead; op < numOps; op++ {
 		if s := op.String(); s == "" || s[0] == 'O' && s[1] == 'p' && s[2] == '(' {
