@@ -48,7 +48,7 @@ func TestCheckerStrongGoldenClean(t *testing.T) {
 func TestCheckerStrongGoldenViolations(t *testing.T) {
 	res, err := stress.Run(stress.Options{
 		Seed: 3, NumPE: 4, OpsPerPE: 300,
-		Caching: true, FaultDropInvalidations: true,
+		Caching: true, Fault: core.FaultDropInvalidations,
 	})
 	if err != nil {
 		t.Fatalf("stress run: %v", err)

@@ -61,11 +61,12 @@ type Options struct {
 	// and skip addresses homed there.
 	KillPE int
 	KillAt sim.Duration
-	// FaultDropInvalidations enables the kernel's test-only coherence fault
-	// (writes acknowledged without invalidating remote caches). A run with
-	// this set must produce checker violations; the harness tests use it to
-	// prove the checker actually catches broken invalidation.
-	FaultDropInvalidations bool
+	// Fault passes through the kernel's TEST-ONLY protocol fault
+	// (core.Config.Fault): invalidations dropped, release flushes skipped or
+	// lease expiry ignored. A run with one set must produce checker
+	// violations; the harness tests use it to prove the checker catches the
+	// broken protocol.
+	Fault core.Fault
 	// Recover enables coordinated checkpoint/restart: the workload
 	// checkpoints every CkptEvery ops, the scheduled kill takes the victim
 	// down abruptly (no wind-down — the snapshot, not a graceful exit, is
@@ -126,14 +127,6 @@ type Options struct {
 	// LeaseDuration passes through core.Config.LeaseDuration. 0 in a Modes
 	// run picks a short 300µs lease so expiries actually occur mid-run.
 	LeaseDuration sim.Duration
-	// FaultSkipReleaseFlush passes through the kernel's TEST-ONLY release
-	// fault (sync edges discard the WC buffer instead of publishing it). A
-	// Modes run with this set must produce checker violations.
-	FaultSkipReleaseFlush bool
-	// FaultIgnoreLeaseExpiry passes through the kernel's TEST-ONLY lease
-	// fault (expired leases keep serving reads). A Modes run with this set
-	// must produce checker violations.
-	FaultIgnoreLeaseExpiry bool
 }
 
 // migratorPE issues the scheduled MigrateRange calls. Never 0 (kernel 0
@@ -171,11 +164,8 @@ func (o Options) String() string {
 			s += fmt.Sprintf("(lease=%v)", o.LeaseDuration)
 		}
 	}
-	if o.FaultSkipReleaseFlush {
-		s += " fault=skip-release-flush"
-	}
-	if o.FaultIgnoreLeaseExpiry {
-		s += " fault=ignore-lease-expiry"
+	if o.Fault != core.NoFault {
+		s += " fault=" + o.Fault.String()
 	}
 	return s
 }
@@ -259,20 +249,18 @@ func Run(o Options) (*Result, error) {
 		o.LeaseDuration = 300 * sim.Microsecond
 	}
 	cfg := core.Config{
-		NumPE:                  o.NumPE,
-		Platform:               platform.SparcSunOS,
-		Seed:                   o.Seed,
-		LossProbability:        o.Loss,
-		DelayJitter:            o.Jitter,
-		RecordHistory:          true,
-		FaultDropInvalidations: o.FaultDropInvalidations,
-		KernelShards:           o.Shards,
-		DirectReads:            o.DirectReads,
-		WriteRings:             o.Rings,
-		LatentPEs:              o.Latent,
-		LeaseDuration:          o.LeaseDuration,
-		FaultSkipReleaseFlush:  o.FaultSkipReleaseFlush,
-		FaultIgnoreLeaseExpiry: o.FaultIgnoreLeaseExpiry,
+		NumPE:           o.NumPE,
+		Platform:        platform.SparcSunOS,
+		Seed:            o.Seed,
+		LossProbability: o.Loss,
+		DelayJitter:     o.Jitter,
+		RecordHistory:   true,
+		Fault:           o.Fault,
+		KernelShards:    o.Shards,
+		DirectReads:     o.DirectReads,
+		WriteRings:      o.Rings,
+		LatentPEs:       o.Latent,
+		LeaseDuration:   o.LeaseDuration,
 	}
 	if o.Caching {
 		cfg.GMDefaultMode = gmem.ModeCached

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/check/stress"
+	"repro/internal/core"
 )
 
 // TestCaseVerifyHasTeeth proves the sweep rows' gates can fail: a row over
@@ -17,7 +18,10 @@ func TestCaseVerifyHasTeeth(t *testing.T) {
 		{Seed: 3, NumPE: 4, OpsPerPE: 300, Caching: true},
 		{Seed: 12, NumPE: 4, OpsPerPE: 300, Caching: true, Modes: true, Shards: 2, DirectReads: 1, Rings: 1},
 	} {
-		o.FaultDropInvalidations = true
+		o.Fault = core.FaultDropInvalidations
+		if !strings.Contains(o.String(), "fault=drop-invalidations") {
+			t.Errorf("faulted row prints as %q, like a clean one", o)
+		}
 		res, err := stress.Run(o)
 		if err != nil {
 			t.Fatal(err)

@@ -202,7 +202,7 @@ func (pe *PE) leaseHit(base uint64) *leaseEntry {
 	if !ok {
 		return nil
 	}
-	if pe.app.Now() > le.until && !pe.k.cfg.FaultIgnoreLeaseExpiry {
+	if pe.app.Now() > le.until && pe.k.cfg.Fault != FaultIgnoreLeaseExpiry {
 		delete(pe.leases, base)
 		pe.extra.LeaseExpiries++
 		return nil

@@ -137,8 +137,8 @@ func errAt(id, i int, v int64) error {
 // block-sized run.
 func TestBlockReadCoalescesPerHome(t *testing.T) {
 	const blocksPerHome = 8
-	// One shard: per-(home, shard) coalescing would legitimately issue more
-	// requests than the per-home bound asserted here.
+	// One shard leaves the one-sided window at its default, off, so every
+	// remote run travels as a message.
 	res, err := Run(Config{NumPE: 4, Transport: TransportInproc, KernelShards: 1}, func(pe *PE) error {
 		bw := pe.Space().BlockWords
 		n := 4 * blocksPerHome * bw

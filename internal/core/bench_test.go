@@ -252,15 +252,16 @@ func BenchmarkGMRange(b *testing.B) {
 
 // fanInBlocks is how many kernel-0-homed blocks the requesters of
 // BenchmarkGMHomeFanIn spread their accesses over: enough to cover every
-// shard and segment lock stripe at any shard count below.
+// segment lock stripe.
 const fanInBlocks = 64
 
 // BenchmarkGMHomeFanIn measures one home's message-path throughput with
 // several requesters sharing it: PE 0 homes the blocks and only serves,
 // every other PE issues its share of the b.N operations, so ns/op is the
 // wall time per operation serviced. Axes: requesters, KernelShards (a shard
-// is a lock — whoever holds it serves — so this is how many requesters can
-// serve at once), and reads only vs 1-in-4 writes. Every cell pins the
+// is a lock — whoever holds it serves — and requester i is served under
+// shard i mod KernelShards, so this is how many requesters can serve at
+// once), and reads only vs 1-in-4 writes. Every cell pins the
 // one-sided paths off, so the shard axis cannot switch the window on, and
 // asserts from the counters that the home serviced every operation as a
 // message. It gates nothing: it is the instrument a fan-in workload in
@@ -298,8 +299,8 @@ func benchFanIn(b *testing.B, cfg Config, requesters int, mixed bool) {
 		if id == 0 {
 			b.ResetTimer()
 		} else {
-			// Stride block by block so successive operations land on
-			// successive shards; the word within the block varies per PE.
+			// Stride block by block so successive operations land in
+			// successive stripes; the word within the block varies per PE.
 			for i := 0; i < each; i++ {
 				addr := base + uint64(i%fanInBlocks*p*bw+(i+id)%bw)
 				if mixed && i%4 == 3 {

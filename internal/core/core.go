@@ -132,22 +132,22 @@ type Config struct {
 	// checkpointing entirely (pe.Checkpoint becomes a no-op and the hot path
 	// is untouched).
 	Ckpt *CheckpointConfig
-	// FaultDropInvalidations is a TEST-ONLY fault: home kernels acknowledge
-	// mutating requests without invalidating remote cached copies, leaving
-	// stale data readable. It exists to prove the history checker can fail
-	// (a deliberately broken invalidation path must surface as stale-read
-	// violations) and must never be set outside tests.
-	FaultDropInvalidations bool
-	// KernelShards shards each kernel's home-side global-memory service by
-	// address range: requests for different block ranges are serviced under
-	// independent shard locks, each shard with its own dedup window and
-	// invalidation state (see kernelShard). A shard has no thread of its
-	// own: on inproc the requesting PE serves its request itself under the
-	// shard's lock, so shards > 1 let requesters of different ranges serve
-	// in parallel; over TCP and under simulation the serve loop serves, one
-	// request at a time, and shards only partition state. 0 resolves to
-	// GOMAXPROCS on real transports and to 1 under simulation; values are
-	// clamped to [1, gmem.SegStripes].
+	// Fault is a TEST-ONLY protocol fault (NoFault, the zero value, outside
+	// tests): it exists to prove the history checker can fail, so a run with
+	// one set must produce violations.
+	Fault Fault
+	// KernelShards is how many requesters of one home may be served in
+	// parallel on inproc: each kernel's home-side global-memory service is
+	// split into that many monitors, and requester i is served under shard
+	// i mod KernelShards, with that shard's dedup window and invalidation
+	// rounds (see kernelShard); two requesters whose ids are equal mod
+	// KernelShards share a shard. A shard has no thread of its own: on
+	// inproc the requesting PE serves its request itself under the shard's
+	// lock; over TCP and under simulation the serve loop serves, one request
+	// at a time, and shards only partition state. The count is the home's
+	// alone — no message names a shard, so nodes with different counts
+	// interoperate. 0 resolves to GOMAXPROCS on real transports and to 1
+	// under simulation; values are clamped to [1, gmem.SegStripes].
 	KernelShards int
 	// DirectReads controls the one-sided read fast path: co-located PEs
 	// (inproc and simulated transports) resolve uncached reads of a remote
@@ -190,18 +190,6 @@ type Config struct {
 	// admit proportionally more staleness; the checker bounds each read by
 	// its lease's grant-to-expiry window.
 	LeaseDuration sim.Duration
-	// FaultSkipReleaseFlush is a TEST-ONLY fault: synchronisation edges
-	// discard the write-combining buffer instead of flushing it, so
-	// release-mode writes never reach their homes. A run with release-mode
-	// traffic and this set must produce release violations; the harness
-	// tests use it to prove the checker's release rules catch a broken
-	// flush. Must never be set outside tests.
-	FaultSkipReleaseFlush bool
-	// FaultIgnoreLeaseExpiry is a TEST-ONLY fault: PEs keep serving reads
-	// from leases past their expiry. A run with lease-mode traffic and this
-	// set must produce lease-overstay violations. Must never be set outside
-	// tests.
-	FaultIgnoreLeaseExpiry bool
 
 	// Inspect, when non-nil, receives a post-shutdown residue report before
 	// Run returns — the leak oracle scheduler tests assert on: a clean run
@@ -221,6 +209,36 @@ type Config struct {
 	// restore carries the decoded snapshot a recovering cluster starts from;
 	// set by RunWithRecovery between attempts.
 	restore *restoreState
+}
+
+// Fault names a TEST-ONLY protocol fault (Config.Fault).
+type Fault uint8
+
+const (
+	NoFault Fault = iota // every run outside tests
+	// FaultDropInvalidations: home kernels acknowledge mutating requests
+	// without invalidating remote cached copies, leaving stale data readable
+	// — a deliberately broken invalidation path must surface as stale-read
+	// violations.
+	FaultDropInvalidations
+	// FaultSkipReleaseFlush: synchronisation edges discard the
+	// write-combining buffer instead of flushing it, so release-mode writes
+	// never reach their homes — a run with release-mode traffic must produce
+	// release violations.
+	FaultSkipReleaseFlush
+	// FaultIgnoreLeaseExpiry: PEs keep serving reads from leases past their
+	// expiry — a run with lease-mode traffic must produce lease-overstay
+	// violations.
+	FaultIgnoreLeaseExpiry
+)
+
+var faultNames = [...]string{"none", "drop-invalidations", "skip-release-flush", "ignore-lease-expiry"}
+
+func (f Fault) String() string {
+	if int(f) < len(faultNames) {
+		return faultNames[f]
+	}
+	return fmt.Sprintf("Fault(%d)", uint8(f))
 }
 
 // CheckpointConfig configures the checkpoint/restart subsystem.
@@ -247,8 +265,8 @@ func (cfg *Config) withDefaults() (Config, error) {
 	}
 	if c.KernelShards == 0 {
 		if c.Transport == TransportSim {
-			// One shard keeps the virtual-time message schedule bit-identical
-			// to the unsharded kernel.
+			// The engine runs one context at a time: more monitors would only
+			// partition state.
 			c.KernelShards = 1
 		} else {
 			c.KernelShards = runtime.GOMAXPROCS(0)
@@ -258,17 +276,17 @@ func (cfg *Config) withDefaults() (Config, error) {
 		c.KernelShards = 1
 	}
 	if c.KernelShards > gmem.SegStripes {
-		// More shards than segment lock stripes would map two shards onto one
-		// stripe, reintroducing the contention sharding exists to remove.
+		// No more monitors than the segment has stripes: a bound on what each
+		// kernel builds, not a condition of correctness.
 		c.KernelShards = gmem.SegStripes
 	}
-	if c.Transport == TransportInproc && c.NumPE*c.KernelShards > transport.DefaultDepth/2 {
+	if c.Transport == TransportInproc && c.NumPE > transport.DefaultDepth/2 {
 		// On inproc a PE serves its own requests, so it is the one that puts
 		// the replies into its reply mailbox — all of a range transfer's
-		// (one per home and shard) before it takes the first. A mailbox that
-		// filled up would block the only goroutine that could empty it.
-		return c, fmt.Errorf("core: NumPE %d x KernelShards %d requests in flight would overrun a PE's reply mailbox (depth %d)",
-			c.NumPE, c.KernelShards, transport.DefaultDepth)
+		// (one per home) before it takes the first. A mailbox that filled up
+		// would block the only goroutine that could empty it.
+		return c, fmt.Errorf("core: NumPE %d requests in flight would overrun a PE's reply mailbox (depth %d)",
+			c.NumPE, transport.DefaultDepth)
 	}
 	if c.LatentPEs < 0 || c.LatentPEs >= c.NumPE {
 		return c, errors.New("core: LatentPEs must leave at least one active PE")

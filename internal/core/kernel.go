@@ -35,9 +35,10 @@ import (
 // Kernel is one DSE kernel: the runtime side of a PE. Its serve loop runs
 // in the node's Svc context and fields every message addressed to this
 // kernel, while the application programs against the PE façade in the App
-// context. The home-side global-memory service is sharded by address range
-// into monitors (see kernelShard) that any context may enter — on inproc the
-// requesting PE's own goroutine does, past the serve loop; everything else —
+// context. The home-side global-memory service is split into monitors, each
+// serving a share of the requesters (see kernelShard), that any context may
+// enter — on inproc the requesting PE's own goroutine does, past the serve
+// loop; everything else —
 // synchronisation, process management, user messages, checkpoint marks,
 // peer-down handling — stays on the serial serve loop.
 type Kernel struct {
@@ -99,8 +100,8 @@ type Kernel struct {
 	// notices: the request engine of the kernel's PE (request.go) is its one
 	// taker and matches what it finds against its requests in flight. On
 	// inproc the PE itself puts the replies in (serveOnSender), so the default
-	// depth must exceed what it can have in flight: withDefaults rejects a
-	// cluster where NumPE x KernelShards could come close.
+	// depth must exceed what it can have in flight, one request per home:
+	// withDefaults rejects a cluster whose NumPE could come close.
 	replyMb transport.Mailbox
 
 	mu sync.Mutex // guards userq
@@ -109,19 +110,13 @@ type Kernel struct {
 	// more and userMb hands out closed mailboxes.
 	userq map[int32]transport.Mailbox
 
-	// Sharded home-side global-memory service: nshards independent monitors,
-	// each owning a disjoint set of homed blocks (gmem.Space.ShardOf).
-	// simulated is cfg.Transport == TransportSim: the engine runs one
-	// cooperative context at a time, so shard locks are not taken and
-	// requesters do not split vectored requests per shard (which keeps the
-	// virtual-time message schedule that of the unsharded kernel).
+	// Home-side global-memory service: nshards independent monitors, each
+	// serving the requesters shardFor maps to it. simulated is cfg.Transport
+	// == TransportSim: the engine runs one cooperative context at a time, so
+	// shard locks are not taken.
 	nshards   int
 	simulated bool
 	shards    []*kernelShard
-	// invCtr issues invalidation-round ids, kernel-global so rounds are
-	// unique across shards and an OpInvAck can never alias a round of
-	// another shard.
-	invCtr atomic.Uint64
 
 	// peers[i] is kernel i as this kernel sees it (this kernel included). Its
 	// dead flag is set once the transport has declared the peer dead: the
@@ -168,12 +163,10 @@ type peer struct {
 
 // The dedup window: the home kernel remembers the last dedupWindow mutating
 // requests per requester, so a retried request (same Seq) is absorbed instead
-// of re-applied. A PE has at most one request in flight per (home, shard) — a
-// scalar operation's only request, or one group of a range transfer — so a
-// window this size is far deeper than any retry can reach back — which also
-// means splitting the window per shard (requests route to the shard that owns
-// their address, and a retry routes identically) cannot change what gets
-// absorbed.
+// of re-applied. A PE has at most one request in flight per home — a scalar
+// operation's only request, or its share of a range transfer — so a window
+// this size is far deeper than any retry can reach back. A requester's
+// window lives in the one shard that serves it (shardFor).
 const dedupWindow = 32
 
 const (
@@ -424,27 +417,29 @@ func isMutating(op wire.Op) bool {
 	return false
 }
 
-// dedupCheck consults the serial loop's dedup window before a mutating
-// process-management request is dispatched. It reports whether the message
-// was absorbed here: a duplicate whose response is cached is answered by
-// resend, a duplicate still in progress is dropped. (Unlike GM writes, proc
-// ops never open an invalidation round, so there is nothing to re-kick for
-// an in-progress duplicate.) Serve goroutine only.
-func (k *Kernel) dedupCheck(m *wire.Message) bool {
-	e := k.dedup.lookup(m.Src, m.Seq)
+// absorb consults the dedup window d before the mutating request m is
+// dispatched, counting a duplicate in st, and returns the duplicate's entry,
+// nil for a request seen first. A duplicate whose response is cached is
+// answered by resend; one still in progress is dropped, as the eventual
+// response will serve it. The serial loop's window and every shard's go
+// through here, each under its owner's guard; only a shard has more to do
+// for an in-progress duplicate (a GM mutation's invalidation round to
+// re-kick — process-management and membership ops never open one).
+func (k *Kernel) absorb(d *dedupTable, st *trace.PEStats, m *wire.Message) *dedupEntry {
+	e := d.lookup(m.Src, m.Seq)
 	if e == nil {
-		return false
+		return nil
 	}
-	k.extra.DupRequests++
+	st.DupRequests++
 	if e.state == dedupDone {
 		resp := wire.GetMessage()
 		resp.Op, resp.Arg1, resp.Arg2 = e.respOp, e.arg1, e.arg2
 		if len(e.data) > 0 {
-			resp.Data = append([]byte(nil), e.data...)
+			resp.Data = append(resp.Data[:0], e.data...)
 		}
-		k.reply(m, resp)
+		k.reply(d, m, resp)
 	}
-	return true
+	return e
 }
 
 // userMb returns (creating on demand) the queue for user messages with tag.
@@ -575,8 +570,7 @@ func (k *Kernel) handle(m *wire.Message) bool {
 	k.logMessage(m)
 	switch m.Op {
 	// Global memory service (this kernel is the home): serve under the lock
-	// of the shard owning the address range. GM mutations dedup inside the
-	// shard.
+	// of the requester's shard. GM mutations dedup inside the shard.
 	case wire.OpRead, wire.OpReadV, wire.OpWrite, wire.OpWriteV,
 		wire.OpFetchAdd, wire.OpCAS, wire.OpInvalidate, wire.OpInvAck,
 		wire.OpFlushV, wire.OpReadLease:
@@ -590,15 +584,15 @@ func (k *Kernel) handle(m *wire.Message) bool {
 
 	// Parallel process management (kernel 0 hosts the global table).
 	case wire.OpProcRegister:
-		if k.dedupCheck(m) {
+		if k.absorb(&k.dedup, &k.extra, m) != nil {
 			return true
 		}
 		gpid := k.procs.Register(m.Src, string(m.Data), k.svc.Now())
 		resp := wire.GetMessage()
 		resp.Op, resp.Arg1 = wire.OpProcRegResp, gpid
-		k.reply(m, resp)
+		k.reply(&k.dedup, m, resp)
 	case wire.OpProcExit:
-		if k.dedupCheck(m) {
+		if k.absorb(&k.dedup, &k.extra, m) != nil {
 			return true
 		}
 		if err := k.procs.Exit(m.Arg1, m.Arg2, k.svc.Now()); err != nil {
@@ -608,12 +602,12 @@ func (k *Kernel) handle(m *wire.Message) bool {
 		}
 		resp := wire.GetMessage()
 		resp.Op = wire.OpProcExitAck
-		k.reply(m, resp)
+		k.reply(&k.dedup, m, resp)
 	case wire.OpProcList:
 		resp := wire.GetMessage()
 		resp.Op = wire.OpProcListResp
 		resp.Data = procmgmt.EncodeSnapshot(k.procs.Snapshot())
-		k.reply(m, resp)
+		k.reply(&k.dedup, m, resp)
 
 	// Application-level messages: the payload escapes to the application
 	// via RecvMsg, so the message is never recycled.
@@ -634,12 +628,12 @@ func (k *Kernel) handle(m *wire.Message) bool {
 		resp.Op = wire.OpCkptMarkResp
 		resp.Data = ckpt.EncodeKernelStateDir(k.cfg.GMBlockWords, k.seg.Export(), k.dirSnapshot())
 		resp.Arg1 = int64(k.svc.Now())
-		k.reply(m, resp)
+		k.reply(&k.dedup, m, resp)
 
 	// Elastic membership: home migration, join/leave grants, epoch updates.
 	// All serviced on the serial loop (they fence the shards themselves).
 	case wire.OpMigrateStart, wire.OpMigrateInstall, wire.OpJoin, wire.OpLeave:
-		if k.dedupCheck(m) {
+		if k.absorb(&k.dedup, &k.extra, m) != nil {
 			return true
 		}
 		switch m.Op {
@@ -670,7 +664,7 @@ func (k *Kernel) handle(m *wire.Message) bool {
 	case wire.OpPing:
 		resp := wire.GetMessage()
 		resp.Op = wire.OpPong
-		k.reply(m, resp)
+		k.reply(&k.dedup, m, resp)
 
 	default:
 		// Unknown op: malformed or hostile traffic must not take the kernel
@@ -721,18 +715,41 @@ func (k *Kernel) logMessage(m *wire.Message) {
 	cfg.logMu.Unlock()
 }
 
-// reply answers request m, echoing its Seq. reply takes ownership of resp:
-// the transport has fully serialised it by the time Send returns, so it is
-// recycled here. (Serial-loop requests only; shards use kernelShard.reply,
-// which completes the shard's own dedup window.)
-func (k *Kernel) reply(m *wire.Message, resp *wire.Message) {
-	resp.Src = int32(k.id)
-	resp.Dst = m.Src
-	resp.Seq = m.Seq
+// reply answers request m, echoing its Seq, and caches the answer of a
+// mutating request in d, the dedup window m went through: the serial loop's
+// or its shard's. reply takes ownership of resp: the transport has fully
+// serialised it by the time Send returns, so it is recycled here.
+func (k *Kernel) reply(d *dedupTable, m *wire.Message, resp *wire.Message) {
 	if isMutating(m.Op) {
-		k.dedup.complete(m.Src, m.Seq, resp.Op, resp.Arg1, resp.Arg2, resp.Data)
+		d.complete(m.Src, m.Seq, resp.Op, resp.Arg1, resp.Arg2, resp.Data)
 	}
-	k.svc.Send(int(m.Src), resp)
+	k.send(m.Src, m.Seq, resp)
+}
+
+// refuse answers request m with the refusal op(arg1, arg2) — a migrate NACK,
+// a namespace NACK — and lets go of the in-progress entry d's lookup
+// registered for a mutating m. A refusal is deliberately NOT cached: it
+// applies nothing and is recomputed on a retry, while a cached one would keep
+// masking the sequence number after ownership or a binding changes again.
+func (k *Kernel) refuse(d *dedupTable, m *wire.Message, op wire.Op, arg1, arg2 int64) {
+	if isMutating(m.Op) {
+		d.forget(m.Src, m.Seq)
+	}
+	k.answer(m.Src, m.Seq, op, arg1, arg2)
+}
+
+// answer sends the payload-free answer op(arg1, arg2) to request seq of
+// kernel dst: a refusal, or an invalidation round's deferred answer.
+func (k *Kernel) answer(dst int32, seq uint64, op wire.Op, arg1, arg2 int64) {
+	resp := wire.GetMessage()
+	resp.Op, resp.Arg1, resp.Arg2 = op, arg1, arg2
+	k.send(dst, seq, resp)
+}
+
+// send addresses resp to request seq of kernel dst, sends it and recycles it.
+func (k *Kernel) send(dst int32, seq uint64, resp *wire.Message) {
+	resp.Src, resp.Dst, resp.Seq = int32(k.id), dst, seq
+	k.svc.Send(int(dst), resp)
 	wire.PutMessage(resp)
 }
 

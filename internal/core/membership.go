@@ -113,25 +113,11 @@ func (k *Kernel) dirSnapshot() *ckpt.DirectorySnapshot {
 	return ds
 }
 
-// sendNack answers a serial-loop request with a migrate NACK hinting home.
-// Like the shard-side NACK, it is deliberately NOT cached in the dedup
-// window (the in-progress entry the lookup registered is forgotten): a NACK
-// is side-effect-free and recomputed on a retry, while a cached one would
-// keep masking the sequence number after ownership changes again.
-func (k *Kernel) sendNack(m *wire.Message, home int) {
-	k.dedup.forget(m.Src, m.Seq)
-	resp := wire.GetMessage()
-	resp.Op, resp.Arg1 = wire.OpMigrateNack, int64(home)
-	resp.Src, resp.Dst, resp.Seq = int32(k.id), m.Src, m.Seq
-	k.svc.Send(int(m.Src), resp)
-	wire.PutMessage(resp)
-}
-
 // dropCorrupt counts a malformed membership request and releases the
 // in-progress dedup entry its lookup registered. Dropping without the forget
 // would make the silence permanent: the initiator's retry — which resends the
 // payload precisely so a truncated one can be re-evaluated — would be
-// absorbed by dedupCheck as an in-progress duplicate, and the Join/Leave/
+// absorbed as an in-progress duplicate (Kernel.absorb), and the Join/Leave/
 // MigrateRange driving it would hang forever.
 func (k *Kernel) dropCorrupt(m *wire.Message) {
 	k.extra.CorruptDrops++
@@ -160,7 +146,7 @@ func (k *Kernel) handleMigrateStart(m *wire.Message) {
 			return
 		}
 		if !k.dir.Owns(k.id, b) {
-			k.sendNack(m, k.dir.HomeOfBlock(b))
+			k.refuse(&k.dedup, m, wire.OpMigrateNack, int64(k.dir.HomeOfBlock(b)), 0)
 			return
 		}
 		if dst == k.id {
@@ -172,7 +158,7 @@ func (k *Kernel) handleMigrateStart(m *wire.Message) {
 			resp := wire.GetMessage()
 			resp.Op = wire.OpMigrateStartResp
 			resp.Data = ckpt.EncodeKernelState(k.cfg.GMBlockWords, nil)
-			k.reply(m, resp)
+			k.reply(&k.dedup, m, resp)
 			return
 		}
 		k.dir.SetOverride(b, dst)
@@ -190,7 +176,7 @@ func (k *Kernel) handleMigrateStart(m *wire.Message) {
 	case migModeLeave:
 		succ, ok := k.dir.Successor(k.id)
 		if !ok {
-			k.sendNack(m, k.id)
+			k.refuse(&k.dedup, m, wire.OpMigrateNack, int64(k.id), 0)
 			return
 		}
 		// Redirect our explicitly-migrated blocks to the successor, then
@@ -222,7 +208,7 @@ func (k *Kernel) handleMigrateStart(m *wire.Message) {
 		// accept writes that the delayed commit later strands elsewhere.
 		resp.Data = ckpt.EncodeKernelStateDir(k.cfg.GMBlockWords, blocks, k.dirTrailer())
 	}
-	k.reply(m, resp)
+	k.reply(&k.dedup, m, resp)
 }
 
 // dirTrailer snapshots the membership table and overrides for a join/leave
@@ -312,7 +298,7 @@ func (k *Kernel) handleMigrateInstall(m *wire.Message) {
 	}
 	resp := wire.GetMessage()
 	resp.Op, resp.Arg1 = wire.OpMigrateInstallResp, int64(len(fresh))
-	k.reply(m, resp)
+	k.reply(&k.dedup, m, resp)
 }
 
 // inheritDir folds the old authority's directory view into ours before we
@@ -386,7 +372,7 @@ func (k *Kernel) handleMigrateCommit(m *wire.Message) {
 	k.escrowSweep()
 	resp := wire.GetMessage()
 	resp.Op = wire.OpMigrateCommitResp
-	k.reply(m, resp)
+	k.reply(&k.dedup, m, resp)
 }
 
 // handleGrant is kernel 0's membership transition service: it serialises
@@ -422,7 +408,7 @@ func (k *Kernel) handleGrant(m *wire.Message) {
 		k.grantBusyMember, k.grantBusyGen = src, gen
 		resp.Arg1 = int64(gen)
 	}
-	k.reply(m, resp)
+	k.reply(&k.dedup, m, resp)
 }
 
 // handleEpochUpdate applies one broadcast membership transition. Last-writer
@@ -445,7 +431,7 @@ func (k *Kernel) handleEpochUpdate(m *wire.Message) {
 	}
 	resp := wire.GetMessage()
 	resp.Op = wire.OpEpochUpdateResp
-	k.reply(m, resp)
+	k.reply(&k.dedup, m, resp)
 }
 
 // --- PE-side membership API ---

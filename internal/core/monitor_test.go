@@ -47,8 +47,7 @@ func runWithin(t *testing.T, d time.Duration, cfg Config, prog Program) *Result 
 }
 
 // homedAt returns the base addresses of the first n blocks of a fresh
-// allocation that kernel home homes. Consecutive blocks of one home fall into
-// consecutive shards.
+// allocation that kernel home homes.
 func homedAt(pe *PE, home, n int) []uint64 {
 	bw := uint64(pe.Space().BlockWords)
 	base := pe.AllocBlocks(n * pe.N() * int(bw))
@@ -62,12 +61,14 @@ func homedAt(pe *PE, home, n int) []uint64 {
 }
 
 // TestServeOnSender pins who serves a GM request. On inproc the requesting PE
-// does, on its own goroutine under the owning shard's lock: the home's serve
-// loop services none of the N requests and the shards account all of them. On
-// tcpnet and simnet the serve loop services every one. Either way each
-// operation is still two counted wire messages, logged once each.
+// does, on its own goroutine under its shard's lock: the home's serve loop
+// services none of the requests and the shards account all of them, each
+// requester's in its own shard when there are two. On tcpnet and simnet the
+// serve loop services every one. Either way each operation is still two
+// counted wire messages, logged once each.
 func TestServeOnSender(t *testing.T) {
-	const n = 60
+	const n, home = 60, 2
+	requesters := []int{0, 1}
 	ops := []struct{ req, resp wire.Op }{
 		{wire.OpRead, wire.OpReadResp},
 		{wire.OpWrite, wire.OpWriteAck},
@@ -77,14 +78,14 @@ func TestServeOnSender(t *testing.T) {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/shards%d", tr, shards), func(t *testing.T) {
 				var log bytes.Buffer
-				cfg := simCfg(2)
+				cfg := simCfg(3)
 				cfg.Transport = tr
 				cfg.KernelShards, cfg.DirectReads, cfg.WriteRings = shards, -1, -1
 				cfg.MessageLog = &log
 				var onLoop, onShards [wire.NumOps]uint64
 				busyShards := 0
 				cfg.testInspect = func(ks []*Kernel, _ []*PE) {
-					home := ks[1]
+					home := ks[home]
 					for op := range onLoop {
 						onLoop[op] = home.extra.ServiceByOp[op].Count
 					}
@@ -98,14 +99,14 @@ func TestServeOnSender(t *testing.T) {
 					}
 				}
 				res := runWithin(t, time.Minute, cfg, func(pe *PE) error {
-					words := homedAt(pe, 1, 2) // one word in each of two shards
+					words := homedAt(pe, home, len(requesters)) // a word for each requester
 					pe.Barrier()
-					if pe.ID() == 0 {
+					if pe.ID() != home {
+						a := words[pe.ID()]
 						for i := 0; i < n; i++ {
-							a := words[i%2]
 							pe.GMWrite(a, int64(i))
 							if v := pe.GMRead(a); v != int64(i) {
-								return fmt.Errorf("read %d after writing %d", v, i)
+								return fmt.Errorf("PE %d: read %d after writing %d", pe.ID(), v, i)
 							}
 							pe.FetchAdd(a, 1)
 						}
@@ -114,32 +115,35 @@ func TestServeOnSender(t *testing.T) {
 					return nil
 				})
 				inline := tr == TransportInproc
+				all := uint64(n * len(requesters))
 				for _, op := range ops {
-					wantLoop, wantShards := uint64(n), uint64(0)
+					wantLoop, wantShards := all, uint64(0)
 					if inline {
-						wantLoop, wantShards = 0, n
+						wantLoop, wantShards = 0, all
 					}
 					if onLoop[op.req] != wantLoop || onShards[op.req] != wantShards {
 						t.Errorf("%v: serve loop serviced %d, shards %d; want %d and %d",
 							op.req, onLoop[op.req], onShards[op.req], wantLoop, wantShards)
 					}
 					for _, o := range []wire.Op{op.req, op.resp} {
-						if got := res.Total.ByOp[o].Msgs; got != n {
-							t.Errorf("%v: %d messages sent, want %d", o, got, n)
+						if got := res.Total.ByOp[o].Msgs; got != all {
+							t.Errorf("%v: %d messages sent, want %d", o, got, all)
 						}
-						src, dst := 0, 1
-						if o == op.resp {
-							src, dst = 1, 0
-						}
-						line := fmt.Sprintf("k=%d %v %d->%d ", dst, o, src, dst)
-						if got := strings.Count(log.String(), line); got != n {
-							t.Errorf("message log holds %d lines %q, want %d", got, line, n)
+						for _, r := range requesters {
+							src, dst := r, home
+							if o == op.resp {
+								src, dst = home, r
+							}
+							line := fmt.Sprintf("k=%d %v %d->%d ", dst, o, src, dst)
+							if got := strings.Count(log.String(), line); got != n {
+								t.Errorf("message log holds %d lines %q, want %d", got, line, n)
+							}
 						}
 					}
 				}
 				wantSharded, wantBusy := uint64(0), 0
 				if inline {
-					wantSharded, wantBusy = uint64(len(ops)*n), shards
+					wantSharded, wantBusy = uint64(len(ops))*all, shards
 				}
 				if res.Total.ShardedMsgs != wantSharded || busyShards != wantBusy {
 					t.Errorf("ShardedMsgs = %d over %d shards, want %d over %d",
@@ -194,15 +198,15 @@ func TestMonitorSimTakesNoLock(t *testing.T) {
 // GM traffic a handler sends while holding its shard lock (an invalidation,
 // its ack, an escrow re-offer) is never served on the sending context — the
 // ack would re-enter the lock its sender holds — but queued for the
-// destination's serve loop, as is a request whose shard hint is forged. An
+// destination's serve loop, as is a request whose Src names no PE. An
 // application's request is served on the spot.
 func TestMonitorDeclinesKernelTraffic(t *testing.T) {
 	net, ks := testKernels(t, 2, func(cfg *Config) { cfg.KernelShards = 2 })
 	send := func(m *wire.Message) {
-		m.Src, m.Dst = 0, 1
+		m.Dst = 1
 		ks[0].svc.Send(1, m)
 	}
-	forged := &wire.Message{Op: wire.OpWriteV, Seq: 1, Shard: 200}
+	forged := &wire.Message{Op: wire.OpWriteV, Src: 9, Seq: 1}
 	forged.AppendWriteRun(uint64(ks[1].space.BlockWords), []int64{7})
 	for _, m := range []*wire.Message{
 		{Op: wire.OpInvalidate, Seq: 7},
@@ -340,48 +344,52 @@ func TestCachedBesideOneSided(t *testing.T) {
 }
 
 // TestMonitorContendedShard has seven requesters fetch-add one word, each
-// serving its own requests under the one shard lock they all contend for:
-// every addition must be applied exactly once, whatever the scheduler does.
+// serving its own requests: with one shard under the lock they all contend
+// for, with four under the locks of four shards, so that requesters of
+// different shards serve at once and meet only at the word's stripe lock.
+// Every addition must be applied exactly once, whatever the scheduler does.
 func TestMonitorContendedShard(t *testing.T) {
 	const requesters, each = 7, 300
 	for _, procs := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			var mu sync.Mutex
-			var olds []int64
-			res := runWithin(t, 2*time.Minute, Config{
-				NumPE: requesters + 1, Transport: TransportInproc,
-				KernelShards: 1, DirectReads: -1, WriteRings: -1,
-			}, func(pe *PE) error {
-				ctr := homedAt(pe, 0, 1)[0]
-				pe.Barrier()
-				if pe.ID() != 0 {
-					mine := make([]int64, each)
-					for i := range mine {
-						mine[i] = pe.FetchAdd(ctr, 1)
+			for _, shards := range []int{1, 4} {
+				var mu sync.Mutex
+				var olds []int64
+				res := runWithin(t, 2*time.Minute, Config{
+					NumPE: requesters + 1, Transport: TransportInproc,
+					KernelShards: shards, DirectReads: -1, WriteRings: -1,
+				}, func(pe *PE) error {
+					ctr := homedAt(pe, 0, 1)[0]
+					pe.Barrier()
+					if pe.ID() != 0 {
+						mine := make([]int64, each)
+						for i := range mine {
+							mine[i] = pe.FetchAdd(ctr, 1)
+						}
+						mu.Lock()
+						olds = append(olds, mine...)
+						mu.Unlock()
 					}
-					mu.Lock()
-					olds = append(olds, mine...)
-					mu.Unlock()
+					pe.Barrier()
+					if v := pe.GMRead(ctr); v != requesters*each {
+						return fmt.Errorf("PE %d: counter = %d, want %d", pe.ID(), v, requesters*each)
+					}
+					pe.Barrier()
+					return nil
+				})
+				sort.Slice(olds, func(i, j int) bool { return olds[i] < olds[j] })
+				for i, v := range olds {
+					if v != int64(i) {
+						t.Fatalf("%d shards: old values are not 0..%d: position %d holds %d (lost or double-applied)", shards, len(olds)-1, i, v)
+					}
 				}
-				pe.Barrier()
-				if v := pe.GMRead(ctr); v != requesters*each {
-					return fmt.Errorf("PE %d: counter = %d, want %d", pe.ID(), v, requesters*each)
+				if got := res.Total.ServiceByOp[wire.OpFetchAdd].Count; got != requesters*each {
+					t.Fatalf("%d shards: %d fetch-adds serviced, want %d", shards, got, requesters*each)
 				}
-				pe.Barrier()
-				return nil
-			})
-			sort.Slice(olds, func(i, j int) bool { return olds[i] < olds[j] })
-			for i, v := range olds {
-				if v != int64(i) {
-					t.Fatalf("old values are not 0..%d: position %d holds %d (lost or double-applied)", len(olds)-1, i, v)
+				if res.Total.DupRequests != 0 {
+					t.Fatalf("%d shards: DupRequests = %d", shards, res.Total.DupRequests)
 				}
-			}
-			if got := res.Total.ServiceByOp[wire.OpFetchAdd].Count; got != requesters*each {
-				t.Fatalf("%d fetch-adds serviced, want %d", got, requesters*each)
-			}
-			if res.Total.DupRequests != 0 {
-				t.Fatalf("DupRequests = %d", res.Total.DupRequests)
 			}
 		})
 	}
@@ -442,11 +450,16 @@ func TestMonitorMigrationUnderInlineService(t *testing.T) {
 
 // TestMonitorReplyMailboxDepth: on inproc a PE puts its own replies into its
 // reply mailbox before it takes any, so a cluster whose range transfer could
-// have more requests in flight than the mailbox holds is refused up front.
+// have more requests in flight, one per home, than the mailbox holds is
+// refused up front. The homes' shard counts do not enter into it.
 func TestMonitorReplyMailboxDepth(t *testing.T) {
-	huge := Config{NumPE: transport.DefaultDepth / 16, Transport: TransportInproc, KernelShards: 64}
+	fits := Config{NumPE: transport.DefaultDepth / 2, Transport: TransportInproc, KernelShards: gmem.SegStripes}
+	if _, err := fits.withDefaults(); err != nil {
+		t.Fatalf("NumPE %d x %d shards refused: %v", fits.NumPE, fits.KernelShards, err)
+	}
+	huge := Config{NumPE: transport.DefaultDepth/2 + 1, Transport: TransportInproc, KernelShards: 1}
 	if _, err := huge.withDefaults(); err == nil || !strings.Contains(err.Error(), "reply mailbox") {
-		t.Fatalf("NumPE %d x 64 shards accepted: %v", huge.NumPE, err)
+		t.Fatalf("NumPE %d accepted: %v", huge.NumPE, err)
 	}
 	huge.Transport = TransportTCP // the serve loop puts, the PE takes: no bound needed
 	if _, err := huge.withDefaults(); err != nil {

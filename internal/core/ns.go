@@ -26,7 +26,7 @@ func (k *Kernel) handleNsBind(m *wire.Message) {
 	}
 	resp := wire.GetMessage()
 	resp.Op = wire.OpNsBindAck
-	k.reply(m, resp)
+	k.reply(&k.dedup, m, resp)
 }
 
 // handleNsFree drops every materialised block this kernel homes inside
@@ -43,7 +43,7 @@ func (k *Kernel) handleNsFree(m *wire.Message) {
 	}
 	resp := wire.GetMessage()
 	resp.Op, resp.Arg1 = wire.OpNsFreeAck, int64(dropped)
-	k.reply(m, resp)
+	k.reply(&k.dedup, m, resp)
 }
 
 // handleJobPurge releases a finished job's residue at this kernel: every
@@ -65,7 +65,7 @@ func (k *Kernel) handleJobPurge(m *wire.Message) {
 	}
 	resp := wire.GetMessage()
 	resp.Op = wire.OpJobPurgeAck
-	k.reply(m, resp)
+	k.reply(&k.dedup, m, resp)
 }
 
 // nsDeny enforces per-job namespace isolation at the home: if the requester
@@ -90,13 +90,7 @@ func (sh *kernelShard) nsDeny(m *wire.Message) bool {
 	if !violation {
 		return false
 	}
-	sh.forget(m)
 	sh.extra.NsViolations++
-	resp := wire.GetMessage()
-	resp.Op = wire.OpNsNack
-	resp.Arg1, resp.Arg2 = int64(region.Base), int64(region.Limit)
-	resp.Src, resp.Dst, resp.Seq = int32(k.id), m.Src, m.Seq
-	k.svc.Send(int(m.Src), resp)
-	wire.PutMessage(resp)
+	k.refuse(&sh.dedup, m, wire.OpNsNack, int64(region.Base), int64(region.Limit))
 	return true
 }

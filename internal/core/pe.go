@@ -64,7 +64,7 @@ type PE struct {
 	// Scratch reused across calls by the hot-path operations.
 	words  []int64    // decoded block of a cached-mode fill
 	vruns  []vrun     // remote runs of the range operation being assembled
-	groups []runGroup // their tally per (home, shard) pair
+	groups []runGroup // their tally per home
 	reqs   []flight   // one in-flight request per non-empty group
 	fl     []uint64   // drained WC addresses (ascending) of the current flush
 	flv    []int64    // drained WC values, parallel to fl
@@ -81,7 +81,7 @@ func newPE(k *Kernel) *PE {
 		modes:  gmem.NewModeTable(k.cfg.GMDefaultMode),
 		wc:     gmem.NewWCBuf(),
 		leases: make(map[uint64]*leaseEntry),
-		groups: make([]runGroup, k.n*k.groupsPerHome()),
+		groups: make([]runGroup, k.n),
 
 		everyone: make([]int, k.n),
 	}
@@ -167,7 +167,7 @@ func (pe *PE) legacyCrossing() {
 // --- Synchronisation ---
 
 // flushWC publishes the write-combining buffer: one coalesced OpFlushV per
-// (home, shard), own-home words applied directly. fenceInv is
+// home, own-home words applied directly. fenceInv is
 // the enclosing sync operation's invocation instant — the KindFlush event is
 // recorded FIRST with that same Inv, so it sorts ahead of the sync event,
 // and a flush that fails anywhere is left open (Failed ⇒ unbounded effect
@@ -181,7 +181,7 @@ func (pe *PE) flushWC(fenceInv sim.Time) {
 		return
 	}
 	k := pe.k
-	if k.cfg.FaultSkipReleaseFlush {
+	if k.cfg.Fault == FaultSkipReleaseFlush {
 		// TEST-ONLY fault (see Config): drop the buffered writes on the floor
 		// and record nothing, so the enclosing sync edge claims a publication
 		// that never happened — the checker's release rules must catch it.
@@ -224,7 +224,7 @@ func (pe *PE) flushWC(fenceInv sim.Time) {
 		// The home may still be alive: keep its words buffered and retry this
 		// part of the flush at the next sync edge.
 		for _, r := range pe.vruns {
-			if pe.groups[r.group].flight != fi {
+			if pe.groups[r.home].flight != fi {
 				continue
 			}
 			for w := 0; w < r.count; w++ {

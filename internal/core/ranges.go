@@ -8,25 +8,21 @@ import (
 	"repro/internal/wire"
 )
 
-// vrun is one single-home run of a range operation. A run never crosses a
-// block boundary, so it also has a single home-side shard.
+// vrun is one single-home run of a range operation: a run never crosses a
+// block boundary.
 type vrun struct {
-	group int // its request's (home, shard) pair: index into pe.groups
+	home  int // its request's home: index into pe.groups
 	start uint64
 	count int
 	off   int // word offset within the operation's buffer
 }
 
 // runGroup tallies, as addRun collects them, the remote runs of a range
-// operation that one request will carry. pe.groups holds one per (home, shard)
-// pair in the order the requests leave — on the real transports, where a
-// request lands wholly in one shard and touches only state its lock guards, so
-// that a gather spanning k shards of a home becomes k requests. Under
-// simulation there is one group per home, stamped with its first run's shard:
-// the handlers don't care, the engine serialises every table a request touches.
+// operation that one request will carry. pe.groups holds one per home, in the
+// order the requests leave: a range operation makes at most one request of a
+// home, on every transport, however the home shards its service.
 type runGroup struct {
 	runs, words int
-	shard       int // home-side shard of the group's first run
 	flight      int // the group's request: index into pe.reqs (buildReqs)
 }
 
@@ -189,16 +185,6 @@ func (pe *PE) closeRange(h int, kind check.Kind, buf []int64) {
 	}
 }
 
-// groupsPerHome is how many requests a range operation may make of one home:
-// one per home-side shard on the real transports, one under simulation (see
-// runGroup).
-func (k *Kernel) groupsPerHome() int {
-	if k.simulated {
-		return 1
-	}
-	return k.nshards
-}
-
 // resetRuns empties the run list and the tallies for the next range operation.
 func (pe *PE) resetRuns() {
 	pe.vruns = pe.vruns[:0]
@@ -227,40 +213,32 @@ func (pe *PE) addRun(kind check.Kind, mode gmem.Mode, buf []int64, start uint64,
 		home = k.dir.HomeAt(l) // the block moved away during the charge
 	}
 	pe.extra.RemoteGM++
-	shard, gi := l.Shard(k.nshards), home
-	if per := k.groupsPerHome(); per > 1 {
-		gi = home*per + shard
-	}
-	g := &pe.groups[gi]
-	if g.runs == 0 {
-		g.shard = shard
-	}
+	g := &pe.groups[home]
 	g.runs++
 	g.words += count
-	pe.vruns = append(pe.vruns, vrun{group: gi, start: start, count: count, off: off})
+	pe.vruns = append(pe.vruns, vrun{home: home, start: start, count: count, off: off})
 	if write {
 		pe.cacheDrop(start)
 	}
 }
 
 // buildReqs is the one place the queued runs become wire requests: one flight
-// of the request engine per non-empty group, in (home, shard) order, and then
-// every run written into its group's request, so runs keep their relative
+// of the request engine per non-empty group, in home order, and then every
+// run written into its group's request, so runs keep their relative
 // (ascending-address) order there. The caller recycles the messages
 // (recycleReqs).
 func (pe *PE) buildReqs(kind check.Kind, buf []int64) {
 	pe.reqs = pe.reqs[:0]
-	per := pe.k.groupsPerHome()
-	for gi := range pe.groups {
-		if g := &pe.groups[gi]; g.runs > 0 {
+	for home := range pe.groups {
+		if g := &pe.groups[home]; g.runs > 0 {
 			g.flight = len(pe.reqs)
-			pe.reqs = append(pe.reqs, flight{req: runReq(kind, g.runs, g.words, g.shard), dst: gi / per})
+			pe.reqs = append(pe.reqs, flight{req: runReq(kind, g.runs, g.words), dst: home})
 		}
 	}
 	var f *flight
 	for i := range pe.vruns {
 		r := &pe.vruns[i]
-		if i == 0 || r.group != pe.vruns[i-1].group {
+		if i == 0 || r.home != pe.vruns[i-1].home {
 			f = pe.flightOf(r)
 		}
 		putRun(f.req, r, buf)
@@ -268,16 +246,14 @@ func (pe *PE) buildReqs(kind check.Kind, buf []int64) {
 }
 
 // flightOf returns the request run r travels in, once buildReqs has made it.
-func (pe *PE) flightOf(r *vrun) *flight { return &pe.reqs[pe.groups[r.group].flight] }
+func (pe *PE) flightOf(r *vrun) *flight { return &pe.reqs[pe.groups[r.home].flight] }
 
-// runReq returns the empty request for runs runs of words words in all, bound
-// for the given home-side shard: a lone run travels as the scalar
-// OpRead/OpWrite, several as one vectored request whose payload is reserved
-// here, once, and a flush always as OpFlushV (the home counts it as a
-// publication even for a single run).
-func runReq(kind check.Kind, runs, words, shard int) *wire.Message {
+// runReq returns the empty request for runs runs of words words in all: a
+// lone run travels as the scalar OpRead/OpWrite, several as one vectored
+// request whose payload is reserved here, once, and a flush always as
+// OpFlushV (the home counts it as a publication even for a single run).
+func runReq(kind check.Kind, runs, words int) *wire.Message {
 	req := wire.GetMessage()
-	req.Shard = uint8(shard)
 	switch {
 	case kind == check.KindFlush:
 		req.Op = wire.OpFlushV
@@ -330,7 +306,7 @@ func (pe *PE) recycleReqs() {
 }
 
 // transfer moves the queued remote runs of a read or write: one request per
-// (home, shard) group, all sent before the first reply is awaited — the DSE
+// home, all sent before the first reply is awaited — the DSE
 // kernel's asynchronous-I/O design lets a process keep several requests in
 // flight, so the per-home round trips overlap, and the transfer, not each
 // request, is the observable unit of wait time, latency and tracing (see
@@ -353,7 +329,7 @@ func (pe *PE) transfer(kind check.Kind, buf []int64) error {
 		var f *flight
 		for i := range pe.vruns {
 			r := &pe.vruns[i]
-			if i == 0 || r.group != pe.vruns[i-1].group {
+			if i == 0 || r.home != pe.vruns[i-1].home {
 				f = pe.flightOf(r)
 			}
 			if !f.moved {
@@ -384,9 +360,8 @@ func (pe *PE) transfer(kind check.Kind, buf []int64) error {
 // replayRun re-issues run r, whose group was refused whole, as a request of
 // its own to the home the live directory now names.
 func (pe *PE) replayRun(r *vrun, kind check.Kind, buf []int64) error {
-	k := pe.k
 	f := &pe.one[0]
-	*f = flight{req: runReq(kind, 1, r.count, k.space.ShardOf(r.start, k.nshards)), dst: k.homeOf(r.start)}
+	*f = flight{req: runReq(kind, 1, r.count), dst: pe.k.homeOf(r.start)}
 	putRun(f.req, r, buf)
 	err := pe.exchange(pe.one[:], 0)
 	if err == nil && kind == check.KindRead {

@@ -10,24 +10,25 @@ import (
 	"repro/internal/wire"
 )
 
-// kernelShard is one address-range shard of a kernel's home-side
-// global-memory service. The homed blocks are partitioned over shards by
-// gmem.Space.ShardOf (block-round-robin, aligned with the segment's lock
-// stripes so shards mutate disjoint stripes), and each shard owns everything
-// a GM request touches beyond the segment itself: the dedup window for
-// mutating GM ops, the in-flight invalidation rounds, the decode/encode
-// scratch and the service-side counters.
+// kernelShard is one monitor of a kernel's home-side global-memory service.
+// The home serves each requester under one shard, the one Kernel.shardFor
+// picks by the requester's id, and the shard owns everything a GM request
+// touches beyond the segment itself: the dedup window of its requesters'
+// mutations, the invalidation rounds they opened, the decode/encode scratch
+// and the service-side counters. How a home is sharded is its own business:
+// no message names a shard.
 //
 // A shard is a monitor, not a thread: mu guards all of that state, and
 // whoever holds it serves — the requesting PE's own goroutine on inproc
 // (Kernel.serveOnSender), the serve loop for everything that reaches it
-// through Recv. A given
-// address is always serviced under the same shard's lock, which preserves
-// per-word request ordering and exactly-once dedup. Lock order: a shard lock
-// is outermost and never nested in another shard lock; under it a handler
-// may take the segment's stripe locks, escrowMu and — through its reply Send
-// — the requester's mailboxes and logMu, none of which ever take a
-// shard lock (DESIGN.md §11).
+// through Recv. A requester is always serviced under the same shard's lock,
+// so a retry reaches the window that holds its dedup entry. A request may
+// touch any block: every store is made under its stripe lock (DESIGN.md §12),
+// and handleMigrateStart takes every shard lock before ownership changes.
+// Lock order: a shard lock is outermost and never nested in another shard
+// lock; under it a handler may take the segment's stripe locks, escrowMu and
+// — through its reply Send — the requester's mailboxes and logMu, none of
+// which ever take a shard lock (DESIGN.md §11).
 type kernelShard struct {
 	k   *Kernel
 	idx int
@@ -36,15 +37,14 @@ type kernelShard struct {
 	// simulation.
 	mu sync.Mutex
 
-	// dedup is the exactly-once window for mutating GM requests routed to
-	// this shard. A retry routes identically (same address → same shard; the
-	// requester stamps vectored retries with the same shard hint), so the
-	// split window absorbs exactly what the kernel-wide window used to.
+	// dedup is the exactly-once window for the mutating GM requests of this
+	// shard's requesters. A retry keeps its Src, so it routes to this window.
 	dedup dedupTable
 
-	// inv holds this shard's in-flight invalidation rounds, keyed by the
-	// kernel-global round id.
-	inv map[uint64]*invRound
+	// inv holds this shard's in-flight invalidation rounds, keyed by round id;
+	// rounds counts the rounds it has opened (openRound).
+	inv    map[uint64]*invRound
+	rounds uint64
 
 	// extra accumulates this shard's service counters and histograms,
 	// merged into the kernel's totals after shutdown.
@@ -98,32 +98,27 @@ func (sh *kernelShard) unlock() {
 	}
 }
 
-// shardFor routes message m to a shard index. Scalar ops hash their address;
-// vectored ops carry the requester's shard hint (the requester groups runs
-// per shard, so the hint names every range's shard); invalidation acks carry
-// the shard that opened the round. An out-of-range hint (a stale or hostile
-// byte) returns -1 and the message is dropped: clamping it to shard 0, as
-// earlier versions did, routed a retried OpWriteV (or an OpInvAck) past the
-// shard holding its dedup window or invalidation round, so a retry could be
-// applied twice instead of being absorbed.
+// shardFor routes message m to the shard that serves it: a request to its
+// requester's, Src mod the shard count, and an invalidation ack to the shard
+// that opened the round it answers, which the round id names (openRound). It
+// is the only code that maps a message to a shard. A message whose Src names
+// no PE returns -1: it is input from another node gone wrong.
 func (k *Kernel) shardFor(m *wire.Message) int {
-	if k.nshards == 1 {
-		return 0
-	}
-	switch m.Op {
-	case wire.OpReadV, wire.OpWriteV, wire.OpFlushV, wire.OpInvAck:
-		if s := int(m.Shard); s < k.nshards {
-			return s
-		}
+	if m.Src < 0 || int(m.Src) >= k.n {
 		return -1
 	}
-	return k.space.ShardOf(m.Addr, k.nshards)
+	if k.nshards == 1 {
+		return 0 // no division on the path of every single-shard request
+	}
+	if m.Op == wire.OpInvAck {
+		return int(m.Seq % uint64(k.nshards))
+	}
+	return int(m.Src) % k.nshards
 }
 
 // dispatchGM services one GM request the serve loop received, under the lock
-// of the shard it routes to. A message whose shard hint does not survive
-// validation is dropped as corrupt — the requester's timeout/retry machinery
-// owns recovery, and a well-formed retry carries a valid hint.
+// of the shard it routes to. A message shardFor cannot route is dropped as
+// corrupt — the requester's timeout/retry machinery owns recovery.
 func (k *Kernel) dispatchGM(m *wire.Message) {
 	s := k.shardFor(m)
 	if s < 0 {
@@ -137,8 +132,8 @@ func (k *Kernel) dispatchGM(m *wire.Message) {
 }
 
 // serveOnSender is the inproc half of the node's sink: a leaf GM request an
-// application context sent is serviced right here, on that context, under the
-// owning shard's lock. The handler's reply Send runs through the requester's
+// application context sent is serviced right here, on that context, under its
+// shard's lock. The handler's reply Send runs through the requester's
 // own sink (deliverApp) into its own reply mailbox, so the requester finds the
 // answer without parking — no goroutine hand-off in the round trip, still two
 // counted wire messages through the same codec, dedup, stats and spans.
@@ -146,8 +141,8 @@ func (k *Kernel) dispatchGM(m *wire.Message) {
 // Only application-originated requests qualify. What a handler itself sends —
 // OpInvalidate, OpInvAck, an escrow re-offer — is declined and queued for the
 // destination's serve loop: served inline, an ack would re-enter the lock its
-// sender still holds. A forged shard hint is declined too, so the serve loop
-// counts the drop.
+// sender still holds. A request shardFor cannot route is declined too, so the
+// serve loop counts the drop.
 func (k *Kernel) serveOnSender(m *wire.Message) bool {
 	switch m.Op {
 	case wire.OpRead, wire.OpReadV, wire.OpWrite, wire.OpWriteV, wire.OpFlushV,
@@ -243,8 +238,16 @@ func (sh *kernelShard) handleGM(m *wire.Message) {
 		sh.handleInvAck(m)
 		return
 	}
-	if isMutating(m.Op) && sh.dedupCheck(m) {
-		return // duplicate: absorbed by the shard's dedup window
+	if isMutating(m.Op) {
+		if e := sh.k.absorb(&sh.dedup, &sh.extra, m); e != nil {
+			if e.state != dedupDone && m.Flags&wire.FlagRetry != 0 {
+				// The writer is retrying while its invalidation round is still
+				// open: a lost OpInvalidate/OpInvAck would wedge the round (and
+				// absorb every further retry right here), so nudge it along.
+				sh.resendInvalidations(m.Src, m.Seq)
+			}
+			return // duplicate: absorbed by the shard's dedup window
+		}
 	}
 	if !sh.locate(m) {
 		// Corrupt request: dropped unanswered (the requester's timeout and retry
@@ -363,14 +366,9 @@ func (sh *kernelShard) nackIfForeign(m *wire.Message) bool {
 	if foreign < 0 {
 		return false
 	}
-	// The NACK is deliberately NOT cached in the dedup window (see forget). A
-	// retry after a LOST NACK simply recomputes it (re-offers are idempotent).
-	sh.forget(m)
-	resp := wire.GetMessage()
-	resp.Op, resp.Arg1 = wire.OpMigrateNack, int64(foreign)
-	resp.Src, resp.Dst, resp.Seq = int32(k.id), m.Src, m.Seq
-	k.svc.Send(int(m.Src), resp)
-	wire.PutMessage(resp)
+	// A retry after a LOST NACK simply recomputes it (re-offers are
+	// idempotent).
+	k.refuse(&sh.dedup, m, wire.OpMigrateNack, int64(foreign), 0)
 	return true
 }
 
@@ -394,47 +392,6 @@ func (sh *kernelShard) reOffer(b uint64) {
 	inst.Data = ckpt.EncodeKernelState(k.cfg.GMBlockWords, []gmem.BlockSnapshot{e.block})
 	k.svc.Send(e.dst, inst)
 	wire.PutMessage(inst)
-}
-
-// dedupCheck consults the shard's dedup window before a mutating request is
-// dispatched. It reports whether the message was absorbed here: a duplicate
-// whose response is cached is answered by resend, a duplicate still in
-// progress is dropped (the eventual response will serve it) — unless the
-// retry flag is set, which re-kicks the request's invalidation round.
-func (sh *kernelShard) dedupCheck(m *wire.Message) bool {
-	e := sh.dedup.lookup(m.Src, m.Seq)
-	if e == nil {
-		return false
-	}
-	sh.extra.DupRequests++
-	if e.state == dedupDone {
-		resp := wire.GetMessage()
-		resp.Op, resp.Arg1, resp.Arg2 = e.respOp, e.arg1, e.arg2
-		if len(e.data) > 0 {
-			resp.Data = append(resp.Data[:0], e.data...)
-		}
-		sh.reply(m, resp)
-	} else if m.Flags&wire.FlagRetry != 0 {
-		// The writer is retrying while its invalidation round is still
-		// open: a lost OpInvalidate/OpInvAck would wedge the round (and
-		// absorb every further retry right here), so nudge it along.
-		sh.resendInvalidations(m.Src, m.Seq)
-	}
-	return true
-}
-
-// reply answers request m, echoing its Seq, and completes the shard's dedup
-// entry for mutating requests. reply takes ownership of resp.
-func (sh *kernelShard) reply(m *wire.Message, resp *wire.Message) {
-	k := sh.k
-	resp.Src = int32(k.id)
-	resp.Dst = m.Src
-	resp.Seq = m.Seq
-	if isMutating(m.Op) {
-		sh.dedup.complete(m.Src, m.Seq, resp.Op, resp.Arg1, resp.Arg2, resp.Data)
-	}
-	k.svc.Send(int(m.Src), resp)
-	wire.PutMessage(resp)
 }
 
 // scratch returns the payload-word scratch, sized to n words.
@@ -464,7 +421,7 @@ func (sh *kernelShard) handleRead(m *wire.Message) {
 		}
 	}
 	resp.PutWords(sh.wscratch)
-	sh.reply(m, resp)
+	sh.k.reply(&sh.dedup, m, resp)
 }
 
 // handleMutation is the one home-side path of every mutating request: apply
@@ -491,7 +448,7 @@ func (sh *kernelShard) handleMutation(m *wire.Message) {
 			arg2 = 1
 		}
 	}
-	if len(sh.stale) != 0 && !sh.k.cfg.FaultDropInvalidations {
+	if len(sh.stale) != 0 && sh.k.cfg.Fault != FaultDropInvalidations {
 		// (The TEST-ONLY fault acknowledges without invalidating: readers keep
 		// serving stale values, which the consistency checker must flag.)
 		sh.openRound(m, respOp, arg1, arg2)
@@ -499,7 +456,7 @@ func (sh *kernelShard) handleMutation(m *wire.Message) {
 	}
 	resp := wire.GetMessage()
 	resp.Op, resp.Arg1, resp.Arg2 = respOp, arg1, arg2
-	sh.reply(m, resp)
+	sh.k.reply(&sh.dedup, m, resp)
 }
 
 // handleReadLease serves a lease-mode block fetch: the whole block containing
@@ -514,7 +471,7 @@ func (sh *kernelShard) handleReadLease(m *wire.Message) {
 	resp.Op, resp.Addr = wire.OpReadLeaseResp, b*uint64(bw)
 	resp.Arg2 = int64(k.cfg.LeaseDuration)
 	resp.PutWords(sh.wscratch)
-	sh.reply(m, resp)
+	sh.k.reply(&sh.dedup, m, resp)
 }
 
 // applyRuns stores the words of every run of a write — one run of a scalar
@@ -531,14 +488,13 @@ func (sh *kernelShard) applyRuns(m *wire.Message) {
 	}
 }
 
-// openRound invalidates every copy in sh.stale; the last ack answers m. Round
-// ids come from the kernel-global counter, so they are unique across shards;
-// every OpInvalidate carries this shard's index, which the acking kernel
-// echoes, so the ack routes back to the shard holding the round even when
-// the written ranges spanned shards (possible under simulation, where
-// vectored requests are not split per shard).
+// openRound invalidates every copy in sh.stale; the last ack answers m. The
+// round id names its shard: this shard's n-th round is n × the shard count +
+// the shard's index, unique across the kernel's shards, and the ack echoes
+// it as its Seq, so shardFor routes the ack back to the round by id alone.
 func (sh *kernelShard) openRound(m *wire.Message, respOp wire.Op, arg1, arg2 int64) {
-	id := sh.k.invCtr.Add(1)
+	sh.rounds++
+	id := sh.rounds*uint64(sh.k.nshards) + uint64(sh.idx)
 	r := &invRound{
 		requester: m.Src, seq: m.Seq,
 		respOp: respOp, arg1: arg1, arg2: arg2,
@@ -558,7 +514,6 @@ func (sh *kernelShard) sendInvalidate(id uint64, c gmem.Copy, flags uint8) {
 	inv := wire.GetMessage()
 	inv.Op, inv.Src, inv.Dst = wire.OpInvalidate, int32(k.id), int32(c.Holder)
 	inv.Seq, inv.Addr = id, c.Addr
-	inv.Shard = uint8(sh.idx)
 	inv.Flags |= flags
 	k.svc.Send(c.Holder, inv)
 	wire.PutMessage(inv)
@@ -569,7 +524,8 @@ func (sh *kernelShard) sendInvalidate(id uint64, c gmem.Copy, flags uint8) {
 // Called when a retried duplicate of that request arrives: the retry means
 // the writer never got its response, and under a lossy transport the likely
 // cause is a lost OpInvalidate or OpInvAck that no other timer would ever
-// recover. The round lives in this shard — retries route like the original.
+// recover. The round lives in this shard — a retry keeps its Src, so it
+// routes like the original.
 func (sh *kernelShard) resendInvalidations(requester int32, seq uint64) {
 	for id, r := range sh.inv {
 		if r.requester != requester || r.seq != seq {
@@ -582,23 +538,20 @@ func (sh *kernelShard) resendInvalidations(requester int32, seq uint64) {
 	}
 }
 
-// handleInvalidate drops the local cached copy and acks. The ack echoes the
-// sender's shard hint so it routes back to the shard holding the round (the
-// invalidated address is homed at the sender, so hashing it locally would
-// name the wrong kernel's partition).
+// handleInvalidate drops the local cached copy and acks under the round's
+// id, the invalidation's Seq, which routes the ack back to the round.
 func (sh *kernelShard) handleInvalidate(m *wire.Message) {
 	sh.k.cache.Invalidate(m.Addr)
 	ack := wire.GetMessage()
 	ack.Op, ack.Addr = wire.OpInvAck, m.Addr
-	ack.Shard = m.Shard
-	sh.reply(m, ack)
+	sh.k.reply(&sh.dedup, m, ack)
 }
 
 func (sh *kernelShard) handleInvAck(m *wire.Message) {
 	r, ok := sh.inv[m.Seq]
 	if !ok {
 		// A duplicate or late ack for a round already completed (or an ack
-		// with a corrupted shard hint): count and drop instead of taking the
+		// with a corrupted round id): count and drop instead of taking the
 		// kernel down.
 		sh.extra.StrayDrops++
 		return
@@ -623,9 +576,5 @@ func (sh *kernelShard) handleInvAck(m *wire.Message) {
 	}
 	delete(sh.inv, m.Seq)
 	sh.dedup.complete(r.requester, r.seq, r.respOp, r.arg1, r.arg2, nil)
-	resp := wire.GetMessage()
-	resp.Op, resp.Src, resp.Dst, resp.Seq = r.respOp, int32(sh.k.id), r.requester, r.seq
-	resp.Arg1, resp.Arg2 = r.arg1, r.arg2
-	sh.k.svc.Send(int(r.requester), resp)
-	wire.PutMessage(resp)
+	sh.k.answer(r.requester, r.seq, r.respOp, r.arg1, r.arg2)
 }

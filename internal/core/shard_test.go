@@ -2,11 +2,16 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/gmem"
+	"repro/internal/sim"
+	"repro/internal/transport/tcpnet"
 	"repro/internal/wire"
 )
 
@@ -47,66 +52,197 @@ func TestUserQueuesReleasedAfterRun(t *testing.T) {
 	}
 }
 
-// TestShardForRouting pins the dispatcher's routing rules: scalar ops hash
-// their address, vectored ops and invalidation acks follow the shard hint,
-// and an out-of-range hint is rejected (-1), never clamped to shard 0.
+// TestShardForRouting pins the dispatcher's routing rule: a request goes to
+// its requester's shard, Src mod the shard count, whatever it addresses; an
+// invalidation ack goes to the shard its round id names, which is the shard
+// that opened the round; and a message whose Src names no PE is dropped as
+// corrupt, with one shard as with several.
 func TestShardForRouting(t *testing.T) {
-	_, ks := testKernels(t, 2, func(cfg *Config) { cfg.KernelShards = 4 })
+	net, ks := testKernels(t, 3, func(cfg *Config) { cfg.KernelShards = 2 })
 	k := ks[0]
-	if k.nshards != 4 {
-		t.Fatalf("nshards = %d, want 4", k.nshards)
-	}
 	bw := uint64(k.space.BlockWords)
-	n := uint64(k.n)
-	for blk := uint64(0); blk < 8; blk++ {
-		addr := blk * n * bw // consecutive blocks homed at kernel 0
-		want := int(blk % 4)
-		if got := k.shardFor(&wire.Message{Op: wire.OpRead, Addr: addr}); got != want {
-			t.Errorf("OpRead block %d -> shard %d, want %d", blk, got, want)
+	for src := int32(0); src < 3; src++ {
+		for _, op := range []wire.Op{wire.OpRead, wire.OpWrite, wire.OpReadV, wire.OpWriteV, wire.OpFlushV, wire.OpInvalidate} {
+			for blk := uint64(0); blk < 4; blk++ {
+				if got := k.shardFor(&wire.Message{Op: op, Src: src, Addr: blk * 3 * bw}); got != int(src)%2 {
+					t.Errorf("%v from %d at block %d -> shard %d, want %d", op, src, blk*3, got, src%2)
+				}
+			}
 		}
-		if got := k.shardFor(&wire.Message{Op: wire.OpWrite, Addr: addr}); got != want {
-			t.Errorf("OpWrite block %d -> shard %d, want %d", blk, got, want)
-		}
-	}
-	for _, op := range []wire.Op{wire.OpReadV, wire.OpWriteV, wire.OpInvAck} {
-		if got := k.shardFor(&wire.Message{Op: op, Shard: 3}); got != 3 {
-			t.Errorf("%v hint 3 -> shard %d, want 3", op, got)
-		}
-		for _, hint := range []uint8{4, 200, 255} {
-			if got := k.shardFor(&wire.Message{Op: op, Shard: hint}); got != -1 {
-				t.Errorf("%v hint %d -> shard %d, want -1 (reject)", op, hint, got)
+		for id := uint64(2); id < 8; id++ {
+			if got := k.shardFor(&wire.Message{Op: wire.OpInvAck, Src: src, Seq: id}); got != int(id%2) {
+				t.Errorf("ack of round %d from %d -> shard %d, want %d", id, src, got, id%2)
 			}
 		}
 	}
-	// With a single shard every hint routes to shard 0: there is no dedup
-	// window to bypass, so legacy senders with garbage hint bytes still work.
-	_, ks1 := testKernels(t, 2, nil)
-	if got := ks1[0].shardFor(&wire.Message{Op: wire.OpWriteV, Shard: 200}); got != 0 {
-		t.Errorf("single shard hint 200 -> %d, want 0", got)
+
+	// A round opened by requester 1's write is shard 1's, and its ack finds it
+	// there: kernel 2 caches block 0 (a cached-mode block fetch), kernel 1
+	// writes into it.
+	fetch := &wire.Message{Op: wire.OpRead, Src: 2, Dst: 0, Seq: 1, Arg1: 1, Arg2: 1}
+	if !k.handle(fetch) {
+		t.Fatal("block fetch not consumed")
+	}
+	wire.PutMessage(replyFrom(t, ks[2]))
+	write := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 0, Seq: 1}
+	write.PutWord(5)
+	k.handle(write)
+	inv := recvFrom(t, net, 2)
+	if inv.Op != wire.OpInvalidate || k.shardFor(&wire.Message{Op: wire.OpInvAck, Src: 2, Seq: inv.Seq}) != 1 || len(k.shards[1].inv) != 1 {
+		t.Fatalf("write from 1 sent %v round %d, shard 1 holds %d rounds; want an invalidation of a shard-1 round", inv.Op, inv.Seq, len(k.shards[1].inv))
+	}
+	ks[2].handle(inv)
+	k.handle(recvFrom(t, net, 0))
+	if ack := replyFrom(t, ks[1]); ack.Op != wire.OpWriteAck || ack.Seq != 1 {
+		t.Fatalf("writer got %v seq %d, want its write-ack", ack.Op, ack.Seq)
+	}
+	if k.shards[1].extra.StrayDrops != 0 || len(k.shards[1].inv) != 0 {
+		t.Fatalf("ack did not close the round: StrayDrops %d, %d rounds open", k.shards[1].extra.StrayDrops, len(k.shards[1].inv))
+	}
+
+	// A Src outside the cluster routes nowhere: the request is dropped as
+	// corrupt with nothing applied, whatever the shard count.
+	_, ks1 := testKernels(t, 3, nil)
+	for _, kk := range []*Kernel{k, ks1[0]} {
+		for _, src := range []int32{-1, 3, 200} {
+			if got := kk.shardFor(&wire.Message{Op: wire.OpRead, Src: src}); got != -1 {
+				t.Errorf("%d shards: Src %d -> shard %d, want -1 (drop)", kk.nshards, src, got)
+			}
+		}
+		wv := &wire.Message{Op: wire.OpWriteV, Src: 7, Dst: 0, Seq: 1, Arg1: 1}
+		wv.AppendWriteRun(3*bw, []int64{77})
+		if !kk.handle(wv) {
+			t.Fatal("OpWriteV from a forged Src not consumed")
+		}
+		if got := kk.seg.Read(3*bw, 1)[0]; got != 0 || kk.extra.CorruptDrops != 1 {
+			t.Errorf("%d shards: forged write left word %d and CorruptDrops %d, want 0 and 1", kk.nshards, got, kk.extra.CorruptDrops)
+		}
 	}
 }
 
-// TestShardForgedHintDropped drives forged/stale shard hints through the
-// dispatcher itself. Before the fix an out-of-range hint clamped to shard 0,
-// routing a retried OpWriteV past the dedup window of the shard that served
-// the original — so the retry was applied twice. Now the message must be
-// dropped (consumed, counted as corrupt) with no reply and no memory write.
-func TestShardForgedHintDropped(t *testing.T) {
-	_, ks := testKernels(t, 2, func(cfg *Config) { cfg.KernelShards = 4 })
-	k := ks[0]
-	wv := &wire.Message{Op: wire.OpWriteV, Src: 1, Dst: 0, Seq: 1, Arg1: 1, Shard: 200}
-	wv.AppendWriteRun(0, []int64{77})
-	if !k.handle(wv) {
-		t.Fatal("forged OpWriteV not consumed")
+// TestShardCountsDifferAcrossNodes runs two dsenode-style nodes over tcpnet
+// whose kernels shard their service differently, 4 and 2 ways, as two hosts
+// with different GOMAXPROCS do by default. Node 0 scatters into, gathers
+// from, block-reads and release-flushes to words homed at node 1. A shard
+// count is its home's business alone: nothing node 0 sends may depend on
+// node 1's. (When requesters stamped the home's shard into each request,
+// node 1 dropped every request stamped for its shards 2 and 3 as corrupt,
+// and node 0's range requests timed out.)
+func TestShardCountsDifferAcrossNodes(t *testing.T) {
+	net, err := tcpnet.NewLocal(2)
+	if err != nil {
+		t.Fatalf("NewLocal: %v", err)
 	}
-	if got := k.seg.Read(0, 1)[0]; got != 0 {
-		t.Fatalf("forged write applied: word 0 = %d", got)
+	defer net.Stop()
+	prog := func(pe *PE) error {
+		bw := pe.Space().BlockWords
+		blocks := homedAt(pe, 1, 8)
+		var rel []uint64 // a word in each of four release-mode blocks homed at node 1
+		for a := pe.AllocBlocksMode(4*pe.N()*bw, gmem.ModeRelease); len(rel) < 4; a += uint64(bw) {
+			if pe.Space().HomeOf(a) == 1 {
+				rel = append(rel, a)
+			}
+		}
+		pe.Barrier()
+		var bad error
+		fail := func(err error) {
+			if bad == nil && err != nil {
+				bad = fmt.Errorf("PE %d: %w", pe.ID(), err)
+			}
+		}
+		if pe.ID() == 0 {
+			addrs, vals := make([]uint64, 64), make([]int64, 64)
+			for i := range addrs {
+				addrs[i], vals[i] = blocks[i%len(blocks)]+uint64(i/len(blocks)), int64(100+i)
+			}
+			fail(pe.GMScatterErr(addrs, vals))
+			got, err := pe.GMGatherErr(addrs)
+			fail(err)
+			for i := range got {
+				if got[i] != vals[i] {
+					fail(fmt.Errorf("gather word %d = %d, want %d", i, got[i], vals[i]))
+				}
+			}
+			span, err := pe.GMReadBlockErr(blocks[0], int(blocks[len(blocks)-1]-blocks[0])+bw)
+			fail(err)
+			for i, a := range addrs {
+				if err == nil && span[a-blocks[0]] != vals[i] {
+					fail(fmt.Errorf("block read word %d = %d, want %d", a, span[a-blocks[0]], vals[i]))
+				}
+			}
+			for i, b := range rel {
+				fail(pe.GMWriteErr(b, int64(7+i)))
+			}
+		}
+		pe.Barrier() // the release flush of node 0's buffered writes
+		if pe.ID() == 1 {
+			for i, b := range rel {
+				if v := pe.GMRead(b); v != int64(7+i) {
+					fail(fmt.Errorf("released word %d = %d after the flush, want %d", b, v, 7+i))
+				}
+			}
+		}
+		return bad
 	}
-	if !k.handle(&wire.Message{Op: wire.OpInvAck, Src: 1, Dst: 0, Seq: 9, Shard: 250}) {
-		t.Fatal("forged OpInvAck not consumed")
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i, shards := range []int{4, 2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg := Config{KernelShards: shards, GMBlockWords: 8, RequestTimeout: 2 * sim.Second}
+			res, err := RunOn(cfg, net.Node(i), prog)
+			if err == nil {
+				err = res.FirstErr()
+			}
+			errs[i] = err
+		}()
 	}
-	if k.extra.CorruptDrops != 2 {
-		t.Fatalf("CorruptDrops = %d, want 2", k.extra.CorruptDrops)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("nodes still running after a minute")
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("node %d (%d shards): %v", i, []int{4, 2}[i], err)
+		}
+	}
+}
+
+// TestShardRangeOneRequestPerHome: however many shards a home runs, a range
+// operation makes one request of it — a 64-address gather, a scatter and a
+// block read spanning several of its blocks, on the message path, are one
+// OpReadV, one OpWriteV and one OpReadV.
+func TestShardRangeOneRequestPerHome(t *testing.T) {
+	res := runWithin(t, time.Minute, Config{
+		NumPE: 2, Transport: TransportInproc,
+		KernelShards: 4, DirectReads: -1, WriteRings: -1,
+	}, func(pe *PE) error {
+		bw := pe.Space().BlockWords
+		blocks := homedAt(pe, 1, 8)
+		pe.Barrier()
+		if pe.ID() == 0 {
+			addrs, vals := make([]uint64, 64), make([]int64, 64)
+			for i := range addrs {
+				addrs[i], vals[i] = blocks[i%len(blocks)]+uint64(i/len(blocks)), int64(i+1)
+			}
+			pe.GMScatter(addrs, vals)
+			if got := pe.GMGather(addrs); !slices.Equal(got, vals) {
+				return fmt.Errorf("gather = %v, want %v", got, vals)
+			}
+			pe.GMReadBlock(blocks[0], int(blocks[len(blocks)-1]-blocks[0])+bw)
+		}
+		pe.Barrier()
+		return nil
+	})
+	if got := res.Total.ByOp[wire.OpReadV].Msgs; got != 2 {
+		t.Errorf("OpReadV messages = %d, want 2 (the gather and the block read)", got)
+	}
+	if got := res.Total.ByOp[wire.OpWriteV].Msgs; got != 1 {
+		t.Errorf("OpWriteV messages = %d, want 1 (the scatter)", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/check/stress"
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -66,31 +67,6 @@ func TestStressLossyCaching(t *testing.T) {
 	}
 }
 
-// TestStressReplayDeterministic runs the same seed twice and demands
-// bit-identical histories — the property that makes a printed seed a
-// complete, replayable bug report.
-func TestStressReplayDeterministic(t *testing.T) {
-	o := stress.Options{
-		Seed: 42, NumPE: 4, OpsPerPE: 150, Caching: true, Loss: 0.1,
-		Jitter: 300 * sim.Microsecond,
-	}
-	a, err := stress.Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := stress.Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	da, db := a.History.Digest(), b.History.Digest()
-	if da != db {
-		t.Fatalf("same seed, different histories: %s vs %s", da, db)
-	}
-	if a.History.Len() == 0 {
-		t.Fatal("empty history")
-	}
-}
-
 // TestStressShardDigestMatchesUnsharded is the sharding no-op proof: under
 // the simulated transport shards dispatch inline, so any KernelShards value
 // must produce a history bit-identical to the single-shard (pre-sharding)
@@ -116,65 +92,6 @@ func TestStressShardDigestMatchesUnsharded(t *testing.T) {
 		if dr, ds := ref.History.Digest(), res.History.Digest(); dr != ds {
 			t.Errorf("shards=%d history diverged from shards=1: %s vs %s", shards, ds, dr)
 		}
-	}
-}
-
-// TestStressShardSweep runs the stress matrix corners across shard counts,
-// with the direct-read window enabled where it defaults on — every
-// configuration must stay checker-clean, including a mid-run kill and a
-// kill-with-recovery.
-func TestStressShardSweep(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			runStress(t, stress.Options{
-				Seed: 5, NumPE: 4, OpsPerPE: 150, Caching: true, Loss: 0.05,
-				Shards: shards,
-			})
-			runStress(t, stress.Options{
-				Seed: 11, NumPE: 4, OpsPerPE: 150, Loss: 0.02,
-				KillPE: 2, KillAt: 2 * sim.Second,
-				Shards: shards,
-			})
-			// Recovery leg with the one-sided paths at their defaults
-			// (windows and rings on for shards>1): the restart must rebind
-			// windows and rings to the fresh segments. KillAt is tuned so
-			// the kill lands mid-run even on the fast windows-on schedule,
-			// where range operations to a co-located home run in place: at
-			// 150ms or later a sharded windows-on run finishes before the
-			// kill and no recovery ever fires, at 50ms the kill comes before
-			// the first checkpoint.
-			runCase(t, stress.Case{MustRecover: true, Options: stress.Options{
-				Seed: 23, NumPE: 4, OpsPerPE: 200, Recover: true, CkptEvery: 32,
-				KillPE: 2, KillAt: 100 * sim.Millisecond,
-				Shards: shards,
-			}}, "recover")
-		})
-	}
-}
-
-// TestStressRingReplayDeterministic: a one-sided write is complete at the
-// submit point under the simulated transport, so a run with them on must
-// stay a pure function of Options — same seed, bit-identical history.
-func TestStressRingReplayDeterministic(t *testing.T) {
-	o := stress.Options{
-		Seed: 42, NumPE: 4, OpsPerPE: 150, Loss: 0.05,
-		Jitter: 300 * sim.Microsecond,
-		Shards: 2, DirectReads: 1, Rings: 1,
-	}
-	a, err := stress.Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := stress.Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if da, db := a.History.Digest(), b.History.Digest(); da != db {
-		t.Fatalf("same rings-on seed, different histories: %s vs %s", da, db)
-	}
-	if a.History.Len() == 0 {
-		t.Fatal("empty history")
 	}
 }
 
@@ -277,17 +194,6 @@ func TestStressModesReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestStressModesPeerKill overlaps the tiers with a mid-run station death:
-// unflushed WC writes homed at the victim are discarded at the next fence
-// (peer-down words may never be re-sent) and held leases on its blocks go
-// stale — the surviving history must still satisfy every per-mode rule.
-func TestStressModesPeerKill(t *testing.T) {
-	runStress(t, stress.Options{
-		Seed: 11, NumPE: 4, OpsPerPE: 200, Loss: 0.02, Modes: true,
-		KillPE: 2, KillAt: 2 * sim.Second,
-	})
-}
-
 // TestStressModesMembershipChurn runs the mixed-tier workload through live
 // membership churn: a latent PE joins, an active PE leaves, and PE 1 keeps
 // re-homing ranges — half the time the release region itself, so handoffs
@@ -322,7 +228,7 @@ func TestStressModesMembershipChurn(t *testing.T) {
 func TestStressCatchesSkippedReleaseFlush(t *testing.T) {
 	res, err := stress.Run(stress.Options{
 		Seed: 5, NumPE: 4, OpsPerPE: 400, Modes: true,
-		FaultSkipReleaseFlush: true,
+		Fault: core.FaultSkipReleaseFlush,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -351,8 +257,8 @@ func TestStressCatchesSkippedReleaseFlush(t *testing.T) {
 func TestStressCatchesIgnoredLeaseExpiry(t *testing.T) {
 	res, err := stress.Run(stress.Options{
 		Seed: 19, NumPE: 4, OpsPerPE: 400, Modes: true,
-		LeaseDuration:          100 * sim.Microsecond,
-		FaultIgnoreLeaseExpiry: true,
+		LeaseDuration: 100 * sim.Microsecond,
+		Fault:         core.FaultIgnoreLeaseExpiry,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +286,7 @@ func TestStressCatchesIgnoredLeaseExpiry(t *testing.T) {
 func TestStressCatchesBrokenInvalidation(t *testing.T) {
 	res, err := stress.Run(stress.Options{
 		Seed: 3, NumPE: 4, OpsPerPE: 300, Caching: true,
-		FaultDropInvalidations: true,
+		Fault: core.FaultDropInvalidations,
 	})
 	if err != nil {
 		t.Fatal(err)

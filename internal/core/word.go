@@ -71,8 +71,8 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 		}
 	}
 
-	// Home: the word is located once — block, offset, stripe, shard and
-	// static home — and every later step takes the located word.
+	// Home: the word is located once — block, offset, stripe and static
+	// home — and every later step takes the located word.
 	l := k.space.Locate(addr)
 	home := k.dir.HomeAt(l)
 

@@ -46,19 +46,10 @@ func (s Space) BlockOf(addr uint64) uint64 { return addr / uint64(s.BlockWords) 
 // HomeOf returns the kernel that homes word address addr.
 func (s Space) HomeOf(addr uint64) int { return int(s.BlockOf(addr) % uint64(s.N)) }
 
-// ShardOf returns the home-side service shard responsible for addr when the
-// home kernel runs nshards shards (Loc.Shard).
-func (s Space) ShardOf(addr uint64, nshards int) int {
-	if nshards <= 1 {
-		return 0
-	}
-	return s.Locate(addr).Shard(nshards)
-}
-
 // Loc is a word's place in the space as Locate computes it: its block and
 // its offset in the block, and the quotient and remainder of the block by the
 // kernel count — the block's sequence number among the blocks of its static
-// home, which picks the segment stripe and the service shard, and that home.
+// home, which picks the segment stripe, and that home.
 // An access locates its word once and hands the Loc down, so a one-sided read
 // costs two divisions in all.
 type Loc struct {
@@ -83,18 +74,6 @@ func (s Space) LocateBlock(b uint64) Loc {
 	n := uint64(s.N)
 	q := b / n
 	return Loc{Block: b, Seq: q, Home: int(b - q*n)}
-}
-
-// Shard returns the home-side service shard of the located word when its
-// home runs nshards shards. The mapping hashes the block's sequence number at
-// its home (Seq), so blocks homed at one kernel spread evenly over its shards
-// and every address of one block lands on one shard. nshards <= 1 collapses
-// to shard 0.
-func (l Loc) Shard(nshards int) int {
-	if nshards <= 1 {
-		return 0
-	}
-	return int(l.Seq % uint64(nshards))
 }
 
 // HomeRuns splits the word range [addr, addr+n) into maximal sub-ranges
@@ -153,10 +132,8 @@ func (a *Allocator) AllocBlocks(n int) uint64 {
 func (a *Allocator) Used() uint64 { return a.next }
 
 // SegStripes is the number of lock stripes per Segment. Stripe choice hashes
-// the kernel-local block sequence number, the same quantity Space.ShardOf
-// hashes, so for any power-of-two shard count up to SegStripes each service
-// shard owns a disjoint set of stripes and services under different shard
-// locks never contend on a stripe mutex.
+// the kernel-local block sequence number (Loc.Seq), so consecutive blocks of
+// one home fall into different stripes.
 const SegStripes = 16
 
 // stripe is one lock stripe of a Segment: a slice of the homed blocks with
@@ -180,8 +157,8 @@ type stripe struct {
 }
 
 // Segment is the slice of global memory homed at one kernel, plus the
-// caching directory. It is striped SegStripes ways so independent service
-// shards of one kernel mutate disjoint stripes, and it supports a lock-free
+// caching directory. It is striped SegStripes ways so accesses to different
+// blocks rarely contend on one mutex, and it supports a lock-free
 // single-word DirectReadOwned for co-located readers (the one-sided read
 // fast path). Methods are safe for concurrent use.
 type Segment struct {
@@ -233,8 +210,7 @@ func (g *Segment) freeKey(i int) uint64 {
 
 // stripeAt returns the stripe owning the located block. Striping by the
 // block's sequence number at its home, not by its index, makes consecutive
-// homed blocks round-robin over stripes (and over shards, which use the same
-// mapping).
+// homed blocks round-robin over stripes.
 func (g *Segment) stripeAt(l Loc) *stripe { return &g.stripes[l.Seq%SegStripes] }
 
 // stripeOf returns the stripe owning block b.

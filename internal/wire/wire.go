@@ -252,22 +252,7 @@ const MaxDataLen = 1 << 24
 // Message is one DSE protocol message.
 type Message struct {
 	Op    Op
-	Flags uint8 // Flag* bits (retry marking)
-	// Shard is the home-side service-shard hint (header byte 2): the
-	// requester stamps the shard that owns every address the message
-	// touches, so a sharded kernel's dispatch stage can route the message
-	// without decoding the payload. For vectored requests — whose ranges
-	// are grouped per shard by the requester — it names the shard of every
-	// range; for OpInvalidate/OpInvAck it carries the originating shard so
-	// the ack finds the invalidation round. Zero (the default) is always
-	// valid: the dispatcher falls back to hashing Addr.
-	Shard uint8
-	// Epoch is the sender's membership epoch, truncated to 8 bits (header
-	// byte 3, previously reserved). It is advisory — the receiver's own
-	// directory stays authoritative for routing — but it lets traces and
-	// operators correlate a message with the membership view it was sent
-	// under, and a wildly stale epoch on a NACKed request explains the NACK.
-	Epoch uint8
+	Flags uint8  // Flag* bits (retry marking)
 	Src   int32  // sending kernel id
 	Dst   int32  // destination kernel id
 	Tag   int32  // barrier/lock/semaphore id, or user message tag
@@ -326,8 +311,9 @@ func (m *Message) Append(buf []byte) []byte {
 	var hdr [HeaderSize]byte
 	hdr[0] = byte(m.Op)
 	hdr[1] = m.Flags
-	hdr[2] = m.Shard
-	hdr[3] = m.Epoch
+	// Bytes 2 and 3 are reserved: encoded as zero, ignored on decode. No
+	// node-local state (how a home shards its service, a membership view)
+	// travels in a header.
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.Src))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(m.Dst))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(m.Tag))
@@ -353,8 +339,6 @@ var ErrShortMessage = errors.New("wire: message shorter than header")
 func decodeHeader(m *Message, buf []byte) {
 	m.Op = Op(buf[0])
 	m.Flags = buf[1]
-	m.Shard = buf[2]
-	m.Epoch = buf[3]
 	m.Src = int32(binary.LittleEndian.Uint32(buf[4:]))
 	m.Dst = int32(binary.LittleEndian.Uint32(buf[8:]))
 	m.Tag = int32(binary.LittleEndian.Uint32(buf[12:]))
