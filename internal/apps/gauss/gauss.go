@@ -66,37 +66,75 @@ type Result struct {
 // BuildSystem deterministically generates a strictly diagonally dominant
 // dense system Ax = b.
 func BuildSystem(p Params) (a [][]float64, b []float64) {
-	p = p.withDefaults()
+	s := newSystem(p.withDefaults())
+	return s.rows(0, s.n), s.b
+}
+
+// system generates one instance of Ax = b: all of b, and any row of A on
+// demand. A is read-only and a pure function of (N, Seed), so a PE builds
+// only the rows it updates — its partition, as in a PE's own local memory —
+// and regenerates any other row it needs one at a time.
+type system struct {
+	n    int
+	inv  []float64 // inv[k] = 1/(1+k): the entry k places off the diagonal
+	draw []float64 // draw[i]: row i's random share of its diagonal
+	b    []float64
+}
+
+func newSystem(p Params) *system {
 	n := p.N
-	a = make([][]float64, n)
-	b = make([]float64, n)
+	s := &system{n: n, inv: make([]float64, n), draw: make([]float64, n), b: make([]float64, n)}
+	for k := range s.inv {
+		s.inv[k] = 1.0 / float64(1+k)
+	}
 	rng := p.Seed
 	next := func() float64 {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return float64(rng>>11) / float64(1<<53)
 	}
 	for i := 0; i < n; i++ {
-		a[i] = make([]float64, n)
-		sum := 0.0
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			v := 1.0 / float64(1+abs(i-j))
-			a[i][j] = v
-			sum += v
-		}
-		a[i][i] = 2*sum + 1 + next() // strong strict dominance
-		b[i] = next() * float64(n)
+		s.draw[i] = next()
+		s.b[i] = next() * float64(n)
 	}
-	return a, b
+	return s
 }
 
-func abs(x int) int {
-	if x < 0 {
-		return -x
+// row writes row i of A into dst (length n) and returns it. The diagonal is
+// summed in column order, so every bit matches a dense build.
+func (s *system) row(i int, dst []float64) []float64 {
+	sum := 0.0
+	for j := 0; j < i; j++ {
+		v := s.inv[i-j]
+		dst[j] = v
+		sum += v
 	}
-	return x
+	for j := i + 1; j < s.n; j++ {
+		v := s.inv[j-i]
+		dst[j] = v
+		sum += v
+	}
+	dst[i] = 2*sum + 1 + s.draw[i] // strong strict dominance
+	return dst
+}
+
+// rows builds rows [lo, hi) of A in one allocation and returns all n row
+// slots; the slots outside [lo, hi) stay nil.
+func (s *system) rows(lo, hi int) [][]float64 {
+	a := make([][]float64, s.n)
+	backing := make([]float64, (hi-lo)*s.n)
+	for i := lo; i < hi; i++ {
+		a[i] = s.row(i, backing[:s.n:s.n])
+		backing = backing[s.n:]
+	}
+	return a
+}
+
+// partition is a parallel solver's set-up on PE id of npe: the generator
+// and the PE's own row block [lo, hi) of A, every other row slot nil.
+func partition(p Params, npe, id int) (s *system, a [][]float64, lo, hi int) {
+	s = newSystem(p)
+	lo, hi = rowRange(p.N, npe, id)
+	return s, s.rows(lo, hi), lo, hi
 }
 
 // rowUpdate computes the (over-relaxed) Gauss-Seidel update for row i
@@ -119,19 +157,27 @@ func rowUpdate(a [][]float64, b []float64, x []float64, i int, omega float64) fl
 // opsPerRow counts the floating-point work of one row update.
 func opsPerRow(n int) float64 { return float64(2*n + 2) }
 
-// residual computes max_i |(Ax)_i - b_i|.
-func residual(a [][]float64, b, x []float64) float64 {
+// residual computes max_i |(Ax)_i - b_i| over every row of the system. A
+// row a does not hold (nil) is generated into one scratch row.
+func (s *system) residual(a [][]float64, x []float64) float64 {
+	var scratch []float64
 	worst := 0.0
-	for i := range a {
-		s := -b[i]
-		for j, v := range a[i] {
-			s += v * x[j]
+	for i, row := range a {
+		if row == nil {
+			if scratch == nil {
+				scratch = make([]float64, s.n)
+			}
+			row = s.row(i, scratch)
 		}
-		if s < 0 {
-			s = -s
+		r := -s.b[i]
+		for j, v := range row {
+			r += v * x[j]
 		}
-		if s > worst {
-			worst = s
+		if r < 0 {
+			r = -r
+		}
+		if r > worst {
+			worst = r
 		}
 	}
 	return worst
@@ -140,14 +186,15 @@ func residual(a [][]float64, b, x []float64) float64 {
 // Sequential solves the system on one processor.
 func Sequential(p Params) *Result {
 	p = p.withDefaults()
-	a, b := BuildSystem(p)
+	sys := newSystem(p)
+	a := sys.rows(0, p.N)
 	x := make([]float64, p.N)
 	res := &Result{}
 	for sweep := 0; sweep < p.MaxSweeps; sweep++ {
 		delta := 0.0
 		for i := 0; i < p.N; i++ {
 			old := x[i]
-			x[i] = rowUpdate(a, b, x, i, p.Omega)
+			x[i] = rowUpdate(a, sys.b, x, i, p.Omega)
 			if d := math.Abs(x[i] - old); d > delta {
 				delta = d
 			}
@@ -160,7 +207,7 @@ func Sequential(p Params) *Result {
 		}
 	}
 	res.X = x
-	res.Residual = residual(a, b, x)
+	res.Residual = sys.residual(a, x)
 	return res
 }
 
@@ -191,9 +238,8 @@ func Parallel(pe core.Proc, p Params) (*Result, error) {
 	if p.N < pe.N() {
 		return nil, fmt.Errorf("gauss: N=%d smaller than %d PEs", p.N, pe.N())
 	}
-	a, b := BuildSystem(p) // replicated read-only data
+	sys, a, lo, hi := partition(p, pe.N(), pe.ID())
 	xAddr := pe.AllocBlocks(p.N)
-	lo, hi := rowRange(p.N, pe.N(), pe.ID())
 
 	// Setup: PE 0 zeroes the shared vector.
 	if pe.ID() == 0 {
@@ -213,7 +259,7 @@ func Parallel(pe core.Proc, p Params) (*Result, error) {
 		delta := 0.0
 		for i := lo; i < hi; i++ {
 			old := x[i]
-			x[i] = rowUpdate(a, b, x, i, p.Omega)
+			x[i] = rowUpdate(a, sys.b, x, i, p.Omega)
 			if d := math.Abs(x[i] - old); d > delta {
 				delta = d
 			}
@@ -234,7 +280,7 @@ func Parallel(pe core.Proc, p Params) (*Result, error) {
 	}
 	res.Elapsed = pe.Now() - start
 	res.X = pe.GMReadBlockF(xAddr, p.N)
-	res.Residual = residual(a, b, res.X)
+	res.Residual = sys.residual(a, res.X)
 	return res, nil
 }
 
@@ -257,9 +303,8 @@ func ParallelFine(pe core.Proc, p Params, mode gmem.Mode, sweeps int) (*Result, 
 	if p.N < pe.N() {
 		return nil, fmt.Errorf("gauss: N=%d smaller than %d PEs", p.N, pe.N())
 	}
-	a, b := BuildSystem(p)
+	sys, a, lo, hi := partition(p, pe.N(), pe.ID())
 	xAddr := pe.AllocBlocksMode(p.N, mode)
-	lo, hi := rowRange(p.N, pe.N(), pe.ID())
 	if pe.ID() == 0 {
 		for i := 0; i < p.N; i++ {
 			pe.GMWriteF(xAddr+uint64(i), 0)
@@ -277,7 +322,7 @@ func ParallelFine(pe core.Proc, p Params, mode gmem.Mode, sweeps int) (*Result, 
 		delta := 0.0
 		for i := lo; i < hi; i++ {
 			old := x[i]
-			x[i] = rowUpdate(a, b, x, i, p.Omega)
+			x[i] = rowUpdate(a, sys.b, x, i, p.Omega)
 			if d := math.Abs(x[i] - old); d > delta {
 				delta = d
 			}
@@ -297,6 +342,6 @@ func ParallelFine(pe core.Proc, p Params, mode gmem.Mode, sweeps int) (*Result, 
 	for i := 0; i < p.N; i++ {
 		res.X[i] = pe.GMReadF(xAddr + uint64(i))
 	}
-	res.Residual = residual(a, b, res.X)
+	res.Residual = sys.residual(a, res.X)
 	return res, nil
 }

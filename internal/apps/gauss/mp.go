@@ -21,8 +21,7 @@ func ParallelMP(pe core.Proc, p Params) (*Result, error) {
 		return nil, fmt.Errorf("gauss: N=%d smaller than %d PEs", p.N, pe.N())
 	}
 	c := mp.New(pe)
-	a, b := BuildSystem(p)
-	lo, hi := rowRange(p.N, pe.N(), pe.ID())
+	sys, a, lo, hi := partition(p, pe.N(), pe.ID())
 
 	const blockTag = 100
 	x := make([]float64, p.N)
@@ -32,7 +31,7 @@ func ParallelMP(pe core.Proc, p Params) (*Result, error) {
 		delta := 0.0
 		for i := lo; i < hi; i++ {
 			old := x[i]
-			x[i] = rowUpdate(a, b, x, i, p.Omega)
+			x[i] = rowUpdate(a, sys.b, x, i, p.Omega)
 			if d := math.Abs(x[i] - old); d > delta {
 				delta = d
 			}
@@ -67,7 +66,7 @@ func ParallelMP(pe core.Proc, p Params) (*Result, error) {
 	}
 	res.Elapsed = pe.Now() - start
 	res.X = append([]float64(nil), x...)
-	res.Residual = residual(a, b, res.X)
+	res.Residual = sys.residual(a, res.X)
 	return res, nil
 }
 

@@ -265,7 +265,7 @@ const fanInBlocks = 64
 // one-sided paths off, so the shard axis cannot switch the window on, and
 // asserts from the counters that the home serviced every operation as a
 // message. It gates nothing: it is the instrument a fan-in workload in
-// benchmark/ replaces (ROADMAP 1a), and needs more cores than requesters
+// benchmark/ replaces (ROADMAP item 1(b)), and needs more cores than requesters
 // to say anything about the home's ceiling.
 func BenchmarkGMHomeFanIn(b *testing.B) {
 	for _, requesters := range []int{1, 3, 7} {

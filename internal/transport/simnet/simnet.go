@@ -6,6 +6,7 @@ package simnet
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ethernet"
 	"repro/internal/platform"
@@ -215,7 +216,8 @@ func (nd *Node) Recv() (*wire.Message, bool) {
 		if f.Payload == nil {
 			continue // MTU continuation fragment; timing already charged on the bus
 		}
-		enc := f.Payload.([]byte)
+		fr := f.Payload.(*frame)
+		enc := fr.b
 		oh := nd.scale(nd.net.pl.RecvOverhead(len(enc)))
 		p.Sleep(oh)
 		nd.stats.RecvOverhead += oh
@@ -226,6 +228,7 @@ func (nd *Node) Recv() (*wire.Message, bool) {
 		if err := wire.DecodeInto(m, enc); err != nil {
 			panic(fmt.Sprintf("simnet: corrupt message from station %d: %v", f.Src, err))
 		}
+		framePool.Put(fr) // DecodeInto copied the payload out
 		nd.stats.MsgsRecv++
 		nd.stats.BytesRecv += uint64(len(enc))
 		m.RecvAt = p.Now()
@@ -270,13 +273,25 @@ func (pt *port) proc() *sim.Proc {
 	return p
 }
 
+// frame is one encoded message in flight on the simulated LAN. The Ethernet
+// model carries it by pointer, so it rides an interface without boxing;
+// the receiving node's Recv returns it to framePool once decoded. Every
+// simnet message is unicast, so exactly one Recv holds it. A frame the
+// medium drops (injected loss, a killed station) is never returned and is
+// left to the garbage collector.
+type frame struct{ b []byte }
+
+// framePool is shared by every simulated cluster in the process, as
+// wire's message pool is.
+var framePool = sync.Pool{New: func() any { return new(frame) }}
+
 // Send implements transport.Port.
 func (pt *port) Send(dst int, m *wire.Message) {
 	nd := pt.nd
 	p := pt.proc()
-	// The encoded frame payload is held by the Ethernet simulation until
-	// delivery, so it must be a fresh allocation here (never pooled).
-	enc := m.Encode()
+	fr := framePool.Get().(*frame)
+	fr.b = m.Append(fr.b[:0])
+	enc := fr.b
 	oh := nd.scale(nd.net.pl.SendOverhead(len(enc)))
 	p.Sleep(oh)
 	nd.stats.SendOverhead += oh
@@ -285,7 +300,7 @@ func (pt *port) Send(dst int, m *wire.Message) {
 		// messages destined to the local kernel past the wire (Fig. 3,
 		// "response to message to own node"). Protocol cost was charged
 		// above; delivery is immediate.
-		if !nd.station.Inject(ethernet.Frame{Src: nd.id, Dst: nd.id, Size: len(enc), Payload: enc}) {
+		if !nd.station.Inject(ethernet.Frame{Src: nd.id, Dst: nd.id, Size: len(enc), Payload: fr}) {
 			if nd.station.Closed() {
 				// Own station killed mid-op (scheduled fault): the message
 				// dies with the node rather than overflowing a queue.
@@ -298,7 +313,7 @@ func (pt *port) Send(dst int, m *wire.Message) {
 		nd.stats.CountSent(m.Op, len(enc))
 		return
 	}
-	delivered := nd.station.Send(p, dst, len(enc), enc)
+	delivered := nd.station.Send(p, dst, len(enc), fr)
 	nd.stats.MsgsSent++
 	nd.stats.BytesSent += uint64(len(enc))
 	nd.stats.CountSent(m.Op, len(enc))
