@@ -34,7 +34,6 @@ func main() {
 	var (
 		workers  = flag.Int("workers", 4, "worker PE count (the cluster runs workers+1 PEs)")
 		capacity = flag.Uint64("capacity", 4096, "schedulable global memory, in blocks")
-		shards   = flag.Int("shards", 0, "kernel service shards (0 = GOMAXPROCS; >1 enables the one-sided fast paths)")
 		addr     = flag.String("addr", ":8080", "job API listen address")
 		debug    = flag.String("debug-addr", "", "serve /metrics JSON and /debug/pprof/ on this host:port")
 	)
@@ -43,7 +42,6 @@ func main() {
 	c, err := sched.Start(sched.Config{
 		Workers:        *workers,
 		CapacityBlocks: *capacity,
-		KernelShards:   *shards,
 	})
 	if err != nil {
 		fatalf("%v", err)

@@ -159,7 +159,7 @@ func BenchmarkPointSet(b *testing.B) {
 		for _, npe := range []int{1, 2, 4, 6, 8, 12} {
 			res, err := core.Run(core.Config{
 				NumPE: npe, Transport: core.TransportSim, Platform: platform.SparcSunOS, Seed: 1,
-				KernelShards: 1, DirectReads: -1, WriteRings: -1, GMBlockWords: 256,
+				KernelShards: 1, DirectReads: -1, GMBlockWords: 256,
 			}, func(pe *core.PE) error {
 				_, err := Parallel(pe, Params{N: 360, Seed: 1})
 				return err

@@ -107,18 +107,17 @@ var ladderGoldens = []struct {
 	{"mixed-tiers", stress.Options{Seed: 7, NumPE: 4, OpsPerPE: 400, Modes: true, LeaseDuration: 100 * sim.Microsecond}, "60ce4cacd9db4c82980362b80e4cba864f1222f9876eb2663e0e6433a62bb6c4"},
 	{"mixed-tiers-caching", stress.Options{Seed: 8, NumPE: 4, OpsPerPE: 300, Modes: true, Caching: true}, "2b9e15e785ca6f9de8ef71312cb30c627518116d827ab6ba976480497330c1af"},
 	{"caching-fault-free", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Caching: true}, "e924f6d44305681474279d8546e35bd2087111dde0cd033a5667c7bc2300c0e7"},
-	{"caching-onesided-mixed-tiers", stress.Options{Seed: 12, NumPE: 4, OpsPerPE: 300, Caching: true, Modes: true, Shards: 2, DirectReads: 1, Rings: 1}, "bfd89e9d4f60760ec41cb508966cdfbd6b9e5eca6a5f9a4f3845bc50a61815ba"},
-	{"onesided-shards1", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Shards: 1, DirectReads: 1, Rings: 1}, "8f194534598ccefa5eb520731d4147d768c2293d91a3720e3998f4afa6403f8b"},
-	{"onesided-shards2", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Shards: 2, DirectReads: 1, Rings: 1}, "8f194534598ccefa5eb520731d4147d768c2293d91a3720e3998f4afa6403f8b"},
-	{"onesided-mixed-tiers", stress.Options{Seed: 10, NumPE: 4, OpsPerPE: 300, Shards: 2, DirectReads: 1, Rings: 1, Modes: true}, "f571e7041165dee930b13e80c0dbf58cf4521ba03579eaea94e154da000d1203"},
+	{"caching-onesided-mixed-tiers", stress.Options{Seed: 12, NumPE: 4, OpsPerPE: 300, Caching: true, Modes: true, DirectReads: 1}, "bfd89e9d4f60760ec41cb508966cdfbd6b9e5eca6a5f9a4f3845bc50a61815ba"},
+	{"onesided", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, DirectReads: 1}, "8f194534598ccefa5eb520731d4147d768c2293d91a3720e3998f4afa6403f8b"},
+	{"onesided-mixed-tiers", stress.Options{Seed: 10, NumPE: 4, OpsPerPE: 300, DirectReads: 1, Modes: true}, "f571e7041165dee930b13e80c0dbf58cf4521ba03579eaea94e154da000d1203"},
 	{"loss-retry", stress.Options{Seed: 42, NumPE: 4, OpsPerPE: 200, Loss: 0.1, Jitter: 300 * sim.Microsecond}, "fcb4d0f68eaf778ffb669a795cb2f06573625538ff343750f446e557f5f6351a"},
-	{"loss-retry-onesided", stress.Options{Seed: 42, NumPE: 4, OpsPerPE: 150, Loss: 0.05, Jitter: 300 * sim.Microsecond, Shards: 2, DirectReads: 1, Rings: 1}, "78b8719a1e6199a3dd549bbef2080daf0dac6dc214b583d6e0a4df0147b931fc"},
+	{"loss-retry-onesided", stress.Options{Seed: 42, NumPE: 4, OpsPerPE: 150, Loss: 0.05, Jitter: 300 * sim.Microsecond, DirectReads: 1}, "78b8719a1e6199a3dd549bbef2080daf0dac6dc214b583d6e0a4df0147b931fc"},
 	{"loss-retry-mixed-tiers", stress.Options{Seed: 43, NumPE: 4, OpsPerPE: 200, Loss: 0.1, Modes: true}, "db7b32b85956c762ab26f273ddb8cb5b1ef7d171b820c7ef390b86ce38888135"},
 	{"kill", stress.Options{Seed: 11, NumPE: 4, OpsPerPE: 200, Loss: 0.02, Modes: true, KillPE: 2, KillAt: 2 * sim.Second}, "143c9fb420252af853a776872505f3612dd8e5f3f2aa3aef02d526e3fc9050d0"},
-	{"kill-onesided", stress.Options{Seed: 13, NumPE: 4, OpsPerPE: 150, Loss: 0.02, KillPE: 2, KillAt: 100 * sim.Millisecond, Shards: 2, DirectReads: 1, Rings: 1}, "d6eb66fad2dc87cd7b81725a40509290373ad3ffcb2324902507f677452437f3"},
+	{"kill-onesided", stress.Options{Seed: 13, NumPE: 4, OpsPerPE: 150, Loss: 0.02, KillPE: 2, KillAt: 100 * sim.Millisecond, DirectReads: 1}, "d6eb66fad2dc87cd7b81725a40509290373ad3ffcb2324902507f677452437f3"},
 	{"churn-migrate", stress.Options{Seed: 3, NumPE: 5, OpsPerPE: 200, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 30}, "860746dcb4113b8919e36749d09cc82fa70b755edb4c5006114009f539432bed"},
 	{"churn-migrate-mixed-tiers", stress.Options{Seed: 4, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 30}, "2283588e47275bd93a16e1d1efa608bbb7426b9e58bb461da54f709a832706dd"},
-	{"churn-migrate-onesided", stress.Options{Seed: 5, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 20, Shards: 2, DirectReads: 1, Rings: 1}, "7b27fc2e1faa73103b789968503594d6aa18633d04645d27ae458d987860e734"},
+	{"churn-migrate-onesided", stress.Options{Seed: 5, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 20, DirectReads: 1}, "7b27fc2e1faa73103b789968503594d6aa18633d04645d27ae458d987860e734"},
 }
 
 func TestLadderGoldenDigests(t *testing.T) {
@@ -274,22 +273,22 @@ func tierSpanProgram(pe *core.PE) error {
 // block operations.
 func TestLadderGoldenPrograms(t *testing.T) {
 	for _, g := range []struct {
-		name          string
-		program       core.Program
-		direct, rings int
-		legacy        bool // the old two-process organisation's per-call IPC charge
-		denials       uint64
-		want          string
+		name    string
+		program core.Program
+		direct  int
+		legacy  bool // the old two-process organisation's per-call IPC charge
+		denials uint64
+		want    string
 	}{
-		{"ns-message", namespaceProgram, -1, -1, false, 4 * 8, "5968ed679ff96c1a240c17665ab8e932bdb38b097672aed66cec4e4bbe9e5d64"},
-		{"ns-onesided", namespaceProgram, 1, 1, false, 4 * 8, "d5b17b894ce8bb0d4b852dffb65d5bf2e2c8fbe97fc93c4c36ac519b63032c82"},
-		{"ns-legacy", namespaceProgram, -1, -1, true, 4 * 8, "8729cecea53a0a6c4816972717353f457835ca677c1ea903074191153d782131"},
-		{"tier-span-message", tierSpanProgram, -1, -1, false, 0, "bc9618b87563ff355173e6c86c2bd2337ca7d55b00587c2e70192c5acfaabdeb"},
-		{"tier-span-onesided", tierSpanProgram, 1, 1, false, 0, "ff3f8db12abef1c5e5546a0a3857cf8c38a5afa09af942e42e0a63742aca355d"},
+		{"ns-message", namespaceProgram, -1, false, 4 * 8, "5968ed679ff96c1a240c17665ab8e932bdb38b097672aed66cec4e4bbe9e5d64"},
+		{"ns-onesided", namespaceProgram, 1, false, 4 * 8, "d5b17b894ce8bb0d4b852dffb65d5bf2e2c8fbe97fc93c4c36ac519b63032c82"},
+		{"ns-legacy", namespaceProgram, -1, true, 4 * 8, "8729cecea53a0a6c4816972717353f457835ca677c1ea903074191153d782131"},
+		{"tier-span-message", tierSpanProgram, -1, false, 0, "bc9618b87563ff355173e6c86c2bd2337ca7d55b00587c2e70192c5acfaabdeb"},
+		{"tier-span-onesided", tierSpanProgram, 1, false, 0, "ff3f8db12abef1c5e5546a0a3857cf8c38a5afa09af942e42e0a63742aca355d"},
 	} {
 		res, err := core.Run(core.Config{
 			NumPE: 4, Platform: platform.SparcSunOS, Seed: 77, RecordHistory: true,
-			KernelShards: 2, DirectReads: g.direct, WriteRings: g.rings, Legacy: g.legacy,
+			DirectReads: g.direct, Legacy: g.legacy,
 			LeaseDuration: 200 * sim.Microsecond,
 		}, g.program)
 		if err != nil {

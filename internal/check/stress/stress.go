@@ -83,20 +83,12 @@ type Options struct {
 	// verification must refuse the snapshot: Run returns an error
 	// mentioning the corruption instead of restoring garbage.
 	FaultCorruptSnapshot bool
-	// Shards sets core.Config.KernelShards (0 keeps the default — one shard
-	// under the simulated transport). The simulated transport dispatches
-	// shards inline, so any shard count must replay bit-identically to the
-	// same Options with Shards unset: the history digest is the proof.
-	Shards int
-	// DirectReads passes through core.Config.DirectReads (the one-sided read
-	// fast path; <0 forces it off, >0 forces it on where co-located).
+	// DirectReads passes through core.Config.DirectReads, the one switch for
+	// the paths in place: 0 keeps the simulated transport's default, the
+	// message path; >0 turns reads, stores and atomics in place on at every
+	// co-located home. A store completes at its submit point, so these runs
+	// replay deterministically like all others.
 	DirectReads int
-	// Rings passes through core.Config.WriteRings (the one-sided writes,
-	// stored in place into a co-located home; <0 forces them off, >0 forces
-	// them on where the read window is wired). A store completes at the
-	// submit point, so under the simulated transport these runs replay
-	// deterministically like all others.
-	Rings int
 
 	// Membership schedule (incompatible with Caching and with Recover).
 	// Latent provisions that many PEs at the tail of the id range as latent
@@ -140,14 +132,8 @@ func (o Options) String() string {
 	if o.Recover {
 		s += fmt.Sprintf(" recover(every=%d)", o.CkptEvery)
 	}
-	if o.Shards != 0 {
-		s += fmt.Sprintf(" shards=%d", o.Shards)
-	}
 	if o.DirectReads != 0 {
 		s += fmt.Sprintf(" direct=%d", o.DirectReads)
-	}
-	if o.Rings != 0 {
-		s += fmt.Sprintf(" rings=%d", o.Rings)
 	}
 	if o.Latent > 0 {
 		s += fmt.Sprintf(" latent=%d join@%d", o.Latent, o.JoinAtOp)
@@ -256,9 +242,7 @@ func Run(o Options) (*Result, error) {
 		DelayJitter:     o.Jitter,
 		RecordHistory:   true,
 		Fault:           o.Fault,
-		KernelShards:    o.Shards,
 		DirectReads:     o.DirectReads,
-		WriteRings:      o.Rings,
 		LatentPEs:       o.Latent,
 		LeaseDuration:   o.LeaseDuration,
 	}

@@ -59,7 +59,7 @@ func Suite(name string, seed uint64) []Case {
 }
 
 // stressSuite is the consistency matrix: PEs x loss x caching under delay
-// jitter, then the kill, sharded, one-sided and mixed-tier legs.
+// jitter, then the kill, in-place, one-sided and mixed-tier legs.
 func stressSuite(seed uint64) []Case {
 	const ops = 1000
 	kill := Options{Seed: seed, NumPE: 4, OpsPerPE: ops, Loss: 0.02, KillPE: 2, KillAt: 2 * sim.Second}
@@ -77,23 +77,19 @@ func stressSuite(seed uint64) []Case {
 		}
 	}
 	rows = append(rows, kill)
-	// Sharded kernels: the harshest lossy-caching corner and the kill again
-	// at 2 and 8 shards. Under the simulated transport a shard is dispatched
-	// inline, so these must match the unsharded histories op for op.
-	for _, shards := range []int{2, 8} {
-		a, b := lossyCaching, kill
-		a.Shards, b.Shards = shards, shards
-		rows = append(rows, a, b)
+	// The harshest lossy-caching corner and the kill again with the paths in
+	// place on: the cached words still travel, the others do not.
+	for _, o := range []Options{lossyCaching, kill} {
+		o.DirectReads = 1
+		rows = append(rows, o)
 	}
-	// One-sided legs: read window and one-sided writes forced on, lossy and
-	// with a kill early enough to land inside the fast one-sided schedule.
-	for _, shards := range []int{2, 8} {
-		oneSided := Options{Seed: seed, NumPE: 4, OpsPerPE: ops, Shards: shards, DirectReads: 1, Rings: 1}
-		a, b := oneSided, oneSided
-		a.Loss = 0.05
-		b.Loss, b.KillPE, b.KillAt = 0.02, 2, 100*sim.Millisecond
-		rows = append(rows, a, b)
-	}
+	// One-sided legs: the paths in place on, lossy and with a kill early
+	// enough to land inside the fast one-sided schedule.
+	oneSided := Options{Seed: seed, NumPE: 4, OpsPerPE: ops, DirectReads: 1}
+	a, b := oneSided, oneSided
+	a.Loss = 0.05
+	b.Loss, b.KillPE, b.KillAt = 0.02, 2, 100*sim.Millisecond
+	rows = append(rows, a, b)
 	// Mixed consistency tiers — strong, release and lease allocations in one
 	// run, checked by the per-mode rules: fault-free, through the lossy
 	// caching corner, over the one-sided paths, and with a station kill
@@ -103,7 +99,7 @@ func stressSuite(seed uint64) []Case {
 	modes := Options{Seed: seed, NumPE: 4, OpsPerPE: ops, Modes: true}
 	a, b, c := lossyCaching, modes, kill
 	a.Modes, c.Modes = true, true
-	b.Shards, b.DirectReads, b.Rings, b.Loss = 2, 1, 1, 0.05
+	b.DirectReads, b.Loss = 1, 0.05
 	d := b
 	d.Caching, d.Loss = true, 0
 	rows = append(rows, modes, a, b, c, d)
@@ -133,7 +129,7 @@ func recoverSuite(seed uint64) []Case {
 		// the one-sided schedule is faster, so the kill comes sooner.
 		{MustRecover: true, Options: Options{Seed: seed + 3, NumPE: 4, OpsPerPE: ops,
 			Recover: true, CkptEvery: 32, KillPE: 2, KillAt: killAt / 5,
-			Shards: 2, DirectReads: 1, Rings: 1}},
+			DirectReads: 1}},
 	}
 }
 
@@ -147,22 +143,19 @@ func membershipSuite(seed uint64) []Case {
 	churn := join
 	churn.NumPE, churn.LeavePE, churn.LeaveAtOp = 5, 2, ops/2
 
-	rows := []Options{churn}
-	// The same churn through sharded kernels: re-homing must fence every
-	// shard, not just the serial serve loop.
-	for _, shards := range []int{2, 8} {
-		o := churn
-		o.Shards = shards
-		rows = append(rows, o)
-	}
+	// The same churn with the paths in place on: re-homing must fence the
+	// stores made in place, not just the serve loop.
+	inPlace := churn
+	inPlace.DirectReads = 1
+	rows := []Options{churn, inPlace}
 	// Churn under frame loss: handoff NACKs, redirects and retries all cross
 	// a lossy medium.
 	lossy := join
 	lossy.NumPE, lossy.Loss = 4, 0.05
 	// One-sided legs: window reads and one-sided writes must follow their
 	// blocks when they change home.
-	oneSided := churn
-	oneSided.NumPE, oneSided.Shards, oneSided.DirectReads, oneSided.Rings = 4, 2, 1, 1
+	oneSided := inPlace
+	oneSided.NumPE = 4
 	// A station kill overlapping the migration stream: handoffs stranded by
 	// the dead peer may fail, but no acknowledged write may be lost or
 	// duplicated in the surviving history.
@@ -175,7 +168,7 @@ func membershipSuite(seed uint64) []Case {
 	modes := churn
 	modes.Modes = true
 	modesOneSided := modes
-	modesOneSided.Shards, modesOneSided.DirectReads, modesOneSided.Rings = 2, 1, 1
+	modesOneSided.DirectReads = 1
 	rows = append(rows, lossy, oneSided, kill, modes, modesOneSided)
 
 	cases := make([]Case, len(rows))

@@ -16,7 +16,7 @@ import (
 func TestCaseVerifyHasTeeth(t *testing.T) {
 	for _, o := range []stress.Options{
 		{Seed: 3, NumPE: 4, OpsPerPE: 300, Caching: true},
-		{Seed: 12, NumPE: 4, OpsPerPE: 300, Caching: true, Modes: true, Shards: 2, DirectReads: 1, Rings: 1},
+		{Seed: 12, NumPE: 4, OpsPerPE: 300, Caching: true, Modes: true, DirectReads: 1},
 	} {
 		o.Fault = core.FaultDropInvalidations
 		if !strings.Contains(o.String(), "fault=drop-invalidations") {

@@ -38,8 +38,7 @@ import (
 //     home's request service may change a word other PEs hold copies of (even
 //     at the own kernel, via the own-node message path), and a peer's cached
 //     word is read by a block fetch that joins its copyset;
-//   - at a peer, the path is on: the window, and for a mutation
-//     Config.WriteRings ≥ 0;
+//   - at a peer, the paths in place are on (Config.DirectReads);
 //   - the home's namespace binding for this PE admits the words: the message
 //     path's nsDeny answers one it does not with OpNsNack, so a forged
 //     requester gets *NamespaceError whichever path it would have taken.
@@ -49,7 +48,7 @@ import (
 func (pe *PE) inPlace(home int, mode gmem.Mode, mutates bool, addr uint64, n int) *gmem.Segment {
 	k := pe.k
 	p := &k.peers[home]
-	if p.seg == nil || mutates && !p.mutable || mode == gmem.ModeCached && (mutates || home != k.id) ||
+	if p.seg == nil || mode == gmem.ModeCached && (mutates || home != k.id) ||
 		p.dead.Load() || !p.ns.Admits(k.id, addr, n) {
 		return nil
 	}

@@ -333,9 +333,9 @@ var accessRows = []accessRow{
 // tested: a row here.
 func TestAccessPipelineTable(t *testing.T) {
 	for on, cfg := range map[string]Config{
-		onMsg:   {KernelShards: 1, DirectReads: -1, WriteRings: -1},
-		onOne:   {KernelShards: 2, DirectReads: 1, WriteRings: 1},
-		onCache: {KernelShards: 1, GMDefaultMode: cached},
+		onMsg:   {DirectReads: -1},
+		onOne:   {DirectReads: 1},
+		onCache: {GMDefaultMode: cached},
 	} {
 		t.Run(on, func(t *testing.T) {
 			base := simCfg(2)

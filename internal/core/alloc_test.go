@@ -89,9 +89,8 @@ func TestSyncVerbsAllocations(t *testing.T) {
 // home, in input order, on every transport-visible path (local words,
 // remote words, repeated homes).
 func TestGatherScatter(t *testing.T) {
-	// One shard: with more, a gather on a real transport splits per (home,
-	// shard), which changes the per-op message mix this test pins down.
-	res, err := Run(Config{NumPE: 4, Transport: TransportInproc, KernelShards: 1}, func(pe *PE) error {
+	// The message path: in place, a remote word sends no message at all.
+	res, err := Run(Config{NumPE: 4, Transport: TransportInproc, DirectReads: -1}, func(pe *PE) error {
 		bw := uint64(pe.Space().BlockWords)
 		base := pe.Alloc(int(bw) * 16)
 		pe.Barrier()
@@ -137,9 +136,8 @@ func errAt(id, i int, v int64) error {
 // block-sized run.
 func TestBlockReadCoalescesPerHome(t *testing.T) {
 	const blocksPerHome = 8
-	// One shard leaves the one-sided window at its default, off, so every
-	// remote run travels as a message.
-	res, err := Run(Config{NumPE: 4, Transport: TransportInproc, KernelShards: 1}, func(pe *PE) error {
+	// The message path, so every remote run travels as a message.
+	res, err := Run(Config{NumPE: 4, Transport: TransportInproc, DirectReads: -1}, func(pe *PE) error {
 		bw := pe.Space().BlockWords
 		n := 4 * blocksPerHome * bw
 		base := pe.AllocBlocks(n)

@@ -12,11 +12,11 @@ import (
 )
 
 // messagePath pins a benchmark cluster to the request/reply message path:
-// one shard, no one-sided window reads or stores. Left at zero the
-// three knobs resolve from GOMAXPROCS, and on any multi-core host remote
-// scalar ops silently take the ~50 ns window instead of the ~3 µs message
-// round trip the benchmarks below describe.
-var messagePath = Config{Transport: TransportInproc, KernelShards: 1, DirectReads: -1, WriteRings: -1}
+// one shard, no reads or stores in place. Left at zero, DirectReads puts
+// inproc's paths in place on, and remote scalar ops silently take the
+// ~50 ns window instead of the ~3 µs message round trip the benchmarks
+// below describe.
+var messagePath = Config{Transport: TransportInproc, KernelShards: 1, DirectReads: -1}
 
 // runBenchProgram runs body once over the cluster cfg describes with n PEs,
 // b.N iterations inside the program (cluster construction excluded from the
@@ -106,7 +106,7 @@ func spreadWords(pe *PE, home int) []uint64 {
 // replaced, as RingGM does).
 func BenchmarkGMWord(b *testing.B) {
 	type counts struct{ local, remote, direct, ring, msgs uint64 }
-	onesided := Config{Transport: TransportInproc, KernelShards: 2, DirectReads: 1, WriteRings: 1}
+	onesided := Config{Transport: TransportInproc, KernelShards: 2, DirectReads: 1}
 	for _, c := range []struct {
 		name   string
 		cfg    Config
@@ -176,7 +176,7 @@ func BenchmarkGMWord(b *testing.B) {
 // result slice of a read is the only one an operation may make.
 func BenchmarkGMRange(b *testing.B) {
 	const words = 64
-	onesided := Config{Transport: TransportInproc, KernelShards: 2, DirectReads: 1, WriteRings: 1}
+	onesided := Config{Transport: TransportInproc, KernelShards: 2, DirectReads: 1}
 	for _, c := range []struct {
 		name       string
 		mode       gmem.Mode
@@ -206,7 +206,7 @@ func BenchmarkGMRange(b *testing.B) {
 			name string
 			cfg  Config
 		}{{"message", messagePath}, {"inplace", onesided}} {
-			inPlace := axis.cfg.WriteRings >= 0
+			inPlace := axis.cfg.DirectReads > 0
 			if inPlace && c.mode == gmem.ModeRelease {
 				continue // the release publication is a message on either axis
 			}
@@ -261,12 +261,13 @@ const fanInBlocks = 64
 // wall time per operation serviced. Axes: requesters, KernelShards (a shard
 // is a lock — whoever holds it serves — and requester i is served under
 // shard i mod KernelShards, so this is how many requesters can serve at
-// once), and reads only vs 1-in-4 writes. Every cell pins the
-// one-sided paths off, so the shard axis cannot switch the window on, and
+// once), and reads only vs 1-in-4 writes. Every cell runs on inproc, the one
+// transport that builds more than one monitor per kernel, with the message
+// path pinned (DirectReads < 0): that is the traffic a shard serves. Each
 // asserts from the counters that the home serviced every operation as a
-// message. It gates nothing: it is the instrument a fan-in workload in
-// benchmark/ replaces (ROADMAP item 1(b)), and needs more cores than requesters
-// to say anything about the home's ceiling.
+// message. It gates nothing; its 7-requester cells are the row that keeps
+// the shards (EXPERIMENTS.md "Why inproc kernels have shards"), and it needs
+// more cores than requesters to say anything about the home's ceiling.
 func BenchmarkGMHomeFanIn(b *testing.B) {
 	for _, requesters := range []int{1, 3, 7} {
 		for _, shards := range []int{1, 2, 4, 8} {
@@ -384,7 +385,7 @@ func BenchmarkSimClusterConstruction(b *testing.B) {
 // core.cluster_start_ms: four PEs over inproc, shards and one-sided paths on.
 func runEmptyInprocCluster(tb testing.TB) {
 	res, err := Run(Config{NumPE: 4, Transport: TransportInproc,
-		KernelShards: 2, DirectReads: 1, WriteRings: 1, GMBlockWords: 64},
+		KernelShards: 2, DirectReads: 1, GMBlockWords: 64},
 		func(pe *PE) error { return nil })
 	if err != nil || res.FirstErr() != nil {
 		tb.Fatal(err, res.FirstErr())

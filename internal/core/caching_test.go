@@ -230,7 +230,7 @@ func TestCachingRandomisedCoherence(t *testing.T) {
 // cached word finds nobody to invalidate and the writer reads its stale copy.
 func TestCachedBlockSharedWithStrongWord(t *testing.T) {
 	cfg := simCfg(3)
-	cfg.DirectReads, cfg.WriteRings = -1, -1 // the home serves every write
+	cfg.DirectReads = -1 // the home serves every write
 	res, err := Run(cfg, func(pe *PE) error {
 		y := pe.AllocBlocks(1)
 		for pe.HomeOf(y) != 1 {

@@ -137,37 +137,31 @@ type Config struct {
 	// one set must produce violations.
 	Fault Fault
 	// KernelShards is how many requesters of one home may be served in
-	// parallel on inproc: each kernel's home-side global-memory service is
-	// split into that many monitors, and requester i is served under shard
-	// i mod KernelShards, with that shard's dedup window and invalidation
-	// rounds (see kernelShard); two requesters whose ids are equal mod
-	// KernelShards share a shard. A shard has no thread of its own: on
-	// inproc the requesting PE serves its request itself under the shard's
-	// lock; over TCP and under simulation the serve loop serves, one request
-	// at a time, and shards only partition state. The count is the home's
-	// alone — no message names a shard, so nodes with different counts
-	// interoperate. 0 resolves to GOMAXPROCS on real transports and to 1
-	// under simulation; values are clamped to [1, gmem.SegStripes].
+	// parallel on inproc, the one transport where a requester serves its own
+	// request (the sender, Kernel.serveOnSender): each kernel's home-side
+	// global-memory service is split into that many monitors, and requester i
+	// is served under shard i mod KernelShards, with that shard's dedup window
+	// and invalidation rounds (see kernelShard). 0 resolves to GOMAXPROCS;
+	// values are clamped to [1, gmem.SegStripes]. On simnet and tcpnet the
+	// serve loop serves one request at a time, so every kernel there builds
+	// exactly one monitor whatever KernelShards says (servingModel). No
+	// message names a shard, so homes with different counts interoperate.
 	KernelShards int
-	// DirectReads controls the one-sided read fast path: co-located PEs
-	// (inproc and simulated transports) resolve uncached reads of a remote
-	// home directly from the home's seqlock-protected segment, without a
-	// request/reply message pair. 0 enables it automatically when the
-	// resolved KernelShards > 1; >0 forces it on; <0 forces it off. It is
-	// never active with Legacy (the old organisation has no shared address
-	// space) or over TCP, and a cached-mode word never takes it (its reads
-	// must reach the home's directory).
+	// DirectReads is the one switch for the paths in place: a PE reads,
+	// writes, fetch-adds, CASes and moves ranges of a co-located home's words
+	// not in cached mode straight in that home's segment, without a
+	// request/reply message pair — reads under the segment's seqlock, stores
+	// under the stripe lock that also orders the home's migrations (DESIGN.md
+	// §12). 0 takes the transport's default (servingModel): on for inproc, off
+	// for simnet, whose figures and digests model message costs; >0 turns the
+	// paths on where the segments are co-located (inproc, simnet); <0 pins the
+	// message path. Never on over TCP or with Legacy (the old organisation has
+	// no shared address space). A cached-mode word never takes them: its
+	// accesses must reach the home's directory.
 	DirectReads int
-	// WriteRings controls the one-sided mutations: a co-located PE applies a
-	// scalar write, fetch-add or CAS of a word not in cached mode straight to
-	// the remote home's segment, under the stripe lock that also orders the
-	// home's migrations (DESIGN.md §12) — so the mutation never wakes the
-	// serve loop or allocates a message, and under simulation virtual-time
-	// schedules stay deterministic. Tri-state like DirectReads: 0 enables them
-	// whenever the direct-read window is enabled; >0 likewise (they are still
-	// subject to the window's co-location constraints); <0 forces them off.
-	// (The name is the per-shard submission ring's, which the stores in place
-	// replaced.)
+	// Deprecated: this field has no effect; DirectReads alone switches the
+	// paths in place, mutations included. It is kept only so configurations
+	// that still set it compile.
 	WriteRings int
 	// LatentPEs starts the highest LatentPEs ranks outside the active
 	// membership: their kernels home no global-memory blocks (the probe rule
@@ -263,23 +257,7 @@ func (cfg *Config) withDefaults() (Config, error) {
 	if c.GMBlockWords == 0 {
 		c.GMBlockWords = 32
 	}
-	if c.KernelShards == 0 {
-		if c.Transport == TransportSim {
-			// The engine runs one context at a time: more monitors would only
-			// partition state.
-			c.KernelShards = 1
-		} else {
-			c.KernelShards = runtime.GOMAXPROCS(0)
-		}
-	}
-	if c.KernelShards < 1 {
-		c.KernelShards = 1
-	}
-	if c.KernelShards > gmem.SegStripes {
-		// No more monitors than the segment has stripes: a bound on what each
-		// kernel builds, not a condition of correctness.
-		c.KernelShards = gmem.SegStripes
-	}
+	servingModel(&c)
 	if c.Transport == TransportInproc && c.NumPE > transport.DefaultDepth/2 {
 		// On inproc a PE serves its own requests, so it is the one that puts
 		// the replies into its reply mailbox — all of a range transfer's
@@ -398,36 +376,62 @@ func Run(cfg Config, program Program) (*Result, error) {
 	}
 }
 
-// windowsEnabled decides whether the one-sided direct-read fast path is on
-// for this (fully defaulted) config. Transport co-location is the caller's
-// side of the bargain: only runSim and runReal-over-inproc wire windows at
-// all, because only there does every kernel's segment live in this process.
-func windowsEnabled(c *Config) bool {
-	if c.Legacy {
-		return false
+// servingModel resolves, from the transport, how each kernel serves the
+// requesters of its home — the one place that decides it (DESIGN.md §12):
+//
+//	transport  monitors per kernel           who serves    in place by default
+//	inproc     KernelShards (0 = GOMAXPROCS) the sender    on
+//	simnet     1                             serve loop    off (on if DirectReads > 0)
+//	tcpnet     1                             serve loop    never
+//
+// Only where the sender serves can one home serve two requesters at once,
+// so only inproc has more than one monitor. simnet keeps its figures and
+// digests on modelled message costs unless asked; tcpnet's nodes stand for
+// separate hosts even when a test runs them in one process. It leaves
+// KernelShards at the monitor count every kernel builds and DirectReads at
+// 1 where the paths in place are on, else -1.
+func servingModel(c *Config) {
+	monitors, inPlace := 1, c.DirectReads > 0
+	switch c.Transport {
+	case TransportInproc:
+		monitors = c.KernelShards
+		if monitors == 0 {
+			monitors = runtime.GOMAXPROCS(0)
+		}
+		// No more monitors than the segment has stripes: a bound on what
+		// each kernel builds, not a condition of correctness.
+		monitors = min(max(monitors, 1), gmem.SegStripes)
+		inPlace = c.DirectReads >= 0
+	case TransportTCP:
+		inPlace = false
 	}
-	if c.DirectReads > 0 {
-		return true
+	c.KernelShards, c.DirectReads = monitors, -1
+	if inPlace && !c.Legacy {
+		c.DirectReads = 1
 	}
-	if c.DirectReads < 0 {
-		return false
-	}
-	return c.KernelShards > 1
 }
 
-// wireWindows hands every kernel the co-located kernels whose segments its
-// PE may access in place: for reads through the window, and for mutations
-// unless WriteRings < 0 (PE.inPlace). Called on every (re)start, so a
-// recovered cluster's fresh segments are rebound before any PE runs.
-func wireWindows(kernels []*Kernel) {
-	for _, k := range kernels {
-		for i, h := range kernels {
-			if i != k.id {
-				p := &k.peers[i]
-				p.seg, p.ns, p.mutable = h.seg, h.ns, k.cfg.WriteRings >= 0
+// newCluster builds one kernel and its PE on each node of a network. Where
+// the serving model turned the paths in place on, it hands every kernel the
+// co-located segments its PE may access in place (PE.inPlace). Run builds a
+// cluster on every (re)start, so a recovered cluster's fresh segments are
+// bound before any PE runs.
+func newCluster(cfg *Config, node func(i int) transport.Node) ([]*Kernel, []*PE) {
+	kernels, pes := make([]*Kernel, cfg.NumPE), make([]*PE, cfg.NumPE)
+	for i := range kernels {
+		kernels[i] = newKernel(i, node(i), cfg)
+		pes[i] = newPE(kernels[i])
+	}
+	if cfg.DirectReads > 0 {
+		for _, k := range kernels {
+			for i, h := range kernels {
+				if i != k.id {
+					k.peers[i].seg, k.peers[i].ns = h.seg, h.ns
+				}
 			}
 		}
 	}
+	return kernels, pes
 }
 
 // shutdownBarrierID is the reserved barrier RunOn nodes meet at before
@@ -531,23 +535,17 @@ func runSim(cfg *Config, program Program) (*Result, error) {
 	}
 	eng := net.Engine()
 	n := cfg.NumPE
-	kernels := make([]*Kernel, n)
-	pes := make([]*PE, n)
+	kernels, pes := newCluster(cfg, net.Node)
 	errs := make([]error, n)
 	var finish sim.Time
 	remaining := n
 	for i := 0; i < n; i++ {
 		i := i
 		nd := net.SimNode(i)
-		kernels[i] = newKernel(i, nd, cfg)
-		pes[i] = newPE(kernels[i])
 		eng.Spawn(fmt.Sprintf("dse-kernel-%d", i), func(p *sim.Proc) {
 			nd.BindSvc(p)
 			kernels[i].serve()
 		})
-	}
-	if windowsEnabled(cfg) {
-		wireWindows(kernels)
 	}
 	for i := 0; i < n; i++ {
 		i := i
@@ -591,20 +589,9 @@ type realNetwork interface {
 // runReal drives the cluster on goroutines over a real transport.
 func runReal(cfg *Config, net realNetwork, program Program) (*Result, error) {
 	n := cfg.NumPE
-	kernels := make([]*Kernel, n)
-	pes := make([]*PE, n)
+	kernels, pes := newCluster(cfg, net.Node)
 	errs := make([]error, n)
 	var svcWG, appWG sync.WaitGroup
-	for i := 0; i < n; i++ {
-		kernels[i] = newKernel(i, net.Node(i), cfg)
-		pes[i] = newPE(kernels[i])
-	}
-	// Direct read windows need every segment in this address space: inproc
-	// qualifies, TCP nodes only happen to be co-located in tests and must
-	// behave like the distributed deployment they model.
-	if cfg.Transport == TransportInproc && windowsEnabled(cfg) {
-		wireWindows(kernels)
-	}
 	var mu sync.Mutex
 	var finish sim.Time
 	for i := 0; i < n; i++ {

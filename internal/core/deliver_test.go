@@ -27,7 +27,7 @@ func TestDeliverAppBypassesServeLoop(t *testing.T) {
 			var log bytes.Buffer
 			cfg := simCfg(2)
 			cfg.Transport = tr
-			cfg.KernelShards, cfg.DirectReads, cfg.WriteRings = 1, -1, -1
+			cfg.KernelShards, cfg.DirectReads = 1, -1
 			cfg.MessageLog = &log
 			res, err := Run(cfg, func(pe *PE) error {
 				addr := remoteWord(pe)

@@ -111,9 +111,10 @@ type Kernel struct {
 	userq map[int32]transport.Mailbox
 
 	// Home-side global-memory service: nshards independent monitors, each
-	// serving the requesters shardFor maps to it. simulated is cfg.Transport
-	// == TransportSim: the engine runs one cooperative context at a time, so
-	// shard locks are not taken.
+	// serving the requesters shardFor maps to it — Config.KernelShards on
+	// inproc, one on every other transport (servingModel). simulated is
+	// cfg.Transport == TransportSim: the engine runs one cooperative context
+	// at a time, so the shard lock is not taken.
 	nshards   int
 	simulated bool
 	shards    []*kernelShard
@@ -123,8 +124,8 @@ type Kernel struct {
 	// requester paths (request issue, accesses in place) check it lock-free
 	// and fail fast; see peerDown for what it is ordered against. Its segment
 	// is set where this kernel's PE may reach it in place (PE.inPlace): its
-	// own kernel always, every other one when the one-sided window is on
-	// (co-located transports, windowsEnabled, wireWindows). Fixed after
+	// own kernel always, every other one where the serving model turned the
+	// paths in place on (Config.DirectReads, newCluster). Fixed after
 	// cluster construction but for the dead flags (rebound on every recovery
 	// restart).
 	peers []peer
@@ -149,16 +150,13 @@ type Kernel struct {
 }
 
 // peer is one kernel as another sees it: whether it is dead, and what a PE
-// touches of it in place — its segment (nil where there is no path in place),
-// its namespace bindings, and whether mutations may be applied there too: at
-// the own kernel always, at a co-located one unless Config.WriteRings < 0.
-// Held by value in one table, so an access in place finds all of it with one
-// load less than through the *Kernel.
+// touches of it in place — its segment (nil where there is no path in place)
+// and its namespace bindings. Held by value in one table, so an access in
+// place finds all of it with one load less than through the *Kernel.
 type peer struct {
-	seg     *gmem.Segment
-	ns      *gmem.NSRegistry
-	mutable bool
-	dead    atomic.Bool
+	seg  *gmem.Segment
+	ns   *gmem.NSRegistry
+	dead atomic.Bool
 }
 
 // The dedup window: the home kernel remembers the last dedupWindow mutating
@@ -310,11 +308,8 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 	}
 	k.seg.SetDirectory(k.dir)
 	k.peers = make([]peer, cfg.NumPE)
-	k.peers[id].seg, k.peers[id].ns, k.peers[id].mutable = k.seg, k.ns, true
+	k.peers[id].seg, k.peers[id].ns = k.seg, k.ns
 	k.nshards = cfg.KernelShards
-	if k.nshards < 1 {
-		k.nshards = 1
-	}
 	k.simulated = cfg.Transport == TransportSim
 	k.shards = make([]*kernelShard, k.nshards)
 	for i := range k.shards {

@@ -285,7 +285,7 @@ func TestOwnHomeWriteDuringMigrationInproc(t *testing.T) {
 	moving.Store(true)
 	res := runWithin(t, 2*time.Minute, Config{
 		NumPE: 3, Transport: TransportInproc,
-		KernelShards: 2, DirectReads: 1, WriteRings: 1, RecordHistory: true,
+		KernelShards: 2, DirectReads: 1, RecordHistory: true,
 		// As in TestMonitorMigrationUnderInlineService: a chase between the old
 		// home and the not-yet-installed new one needs a real pause.
 		RetryBackoff: 100 * sim.Millisecond,
@@ -339,7 +339,7 @@ func TestInPlaceFetchAddDuringMigrationInproc(t *testing.T) {
 	var adds int64
 	res := runWithin(t, 2*time.Minute, Config{
 		NumPE: 3, Transport: TransportInproc,
-		KernelShards: 2, DirectReads: 1, WriteRings: 1, RecordHistory: true,
+		KernelShards: 2, DirectReads: 1, RecordHistory: true,
 		RetryBackoff: 100 * sim.Millisecond, // as in TestOwnHomeWriteDuringMigrationInproc
 	}, func(pe *PE) error {
 		addr := homedAt(pe, 1, 1)[0]
@@ -400,7 +400,7 @@ func TestInPlaceRangeDuringMigrationInproc(t *testing.T) {
 	var rounds, runs uint64
 	res := runWithin(t, 2*time.Minute, Config{
 		NumPE: 3, Transport: TransportInproc, GMBlockWords: bw,
-		KernelShards: 2, DirectReads: 1, WriteRings: 1, RecordHistory: true,
+		KernelShards: 2, DirectReads: 1, RecordHistory: true,
 		RetryBackoff: 100 * sim.Millisecond, // as in TestOwnHomeWriteDuringMigrationInproc
 	}, func(pe *PE) error {
 		base := homedAt(pe, 1, 1)[0]

@@ -80,7 +80,7 @@ func TestServeOnSender(t *testing.T) {
 				var log bytes.Buffer
 				cfg := simCfg(3)
 				cfg.Transport = tr
-				cfg.KernelShards, cfg.DirectReads, cfg.WriteRings = shards, -1, -1
+				cfg.KernelShards, cfg.DirectReads = shards, -1
 				cfg.MessageLog = &log
 				var onLoop, onShards [wire.NumOps]uint64
 				busyShards := 0
@@ -180,7 +180,6 @@ func TestMonitorSimTakesNoLock(t *testing.T) {
 		t.Error("inproc: shard lock not taken")
 	}
 	cfg := simCfg(2)
-	cfg.KernelShards = 2
 	cfg.testInspect = func(ks []*Kernel, _ []*PE) {
 		if held(ks[0]) {
 			t.Error("simnet: shard mutex held — a handler's Send would hang the engine")
@@ -289,7 +288,7 @@ func TestCachedBesideOneSided(t *testing.T) {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			var hits atomic.Uint64
 			res := runWithin(t, 2*time.Minute, Config{
-				NumPE: 3, Transport: TransportInproc, KernelShards: shards, DirectReads: 1, WriteRings: 1,
+				NumPE: 3, Transport: TransportInproc, KernelShards: shards, DirectReads: 1,
 			}, func(pe *PE) error {
 				bw := pe.Space().BlockWords
 				regions := []uint64{ // one block per home each
@@ -358,7 +357,7 @@ func TestMonitorContendedShard(t *testing.T) {
 				var olds []int64
 				res := runWithin(t, 2*time.Minute, Config{
 					NumPE: requesters + 1, Transport: TransportInproc,
-					KernelShards: shards, DirectReads: -1, WriteRings: -1,
+					KernelShards: shards, DirectReads: -1,
 				}, func(pe *PE) error {
 					ctr := homedAt(pe, 0, 1)[0]
 					pe.Barrier()
@@ -408,7 +407,7 @@ func TestMonitorMigrationUnderInlineService(t *testing.T) {
 	const each, hops = 400, 12
 	res := runWithin(t, 2*time.Minute, Config{
 		NumPE: 4, Transport: TransportInproc,
-		KernelShards: 1, DirectReads: -1, WriteRings: -1,
+		KernelShards: 1, DirectReads: -1,
 		// A bounce between the old home and the not-yet-installed new one is
 		// two inline services, far quicker than the handoff it waits for: give
 		// the chase a real pause (inproc compresses it to 100us) or it burns
@@ -482,7 +481,7 @@ func TestMonitorGatherUnderWriterStorm(t *testing.T) {
 	const blocks, rounds = gmem.SegStripes, 300
 	var fallbacks uint64
 	var stop atomic.Bool
-	cfg := Config{NumPE: 3, Transport: TransportInproc, KernelShards: 1, DirectReads: -1, WriteRings: -1}
+	cfg := Config{NumPE: 3, Transport: TransportInproc, KernelShards: 1, DirectReads: -1}
 	cfg.testInspect = func(ks []*Kernel, _ []*PE) { fallbacks = ks[1].seg.DirectReadFallbacks() }
 	runWithin(t, 2*time.Minute, cfg, func(pe *PE) error {
 		bases := homedAt(pe, 1, blocks) // one block in every stripe

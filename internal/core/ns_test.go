@@ -67,7 +67,7 @@ func TestNamespaceKernelEnforcement(t *testing.T) {
 	}
 	res, err := Run(Config{
 		NumPE: 2, Transport: TransportInproc,
-		KernelShards: 1, DirectReads: -1, WriteRings: -1,
+		KernelShards: 1, DirectReads: -1,
 	}, prog)
 	if err != nil || res.FirstErr() != nil {
 		t.Fatal(err, res.FirstErr())
@@ -217,7 +217,7 @@ func TestNamespaceHomeRefusesInPlace(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				res, err := Run(Config{
 					NumPE: 2, Transport: TransportInproc, GMBlockWords: bw,
-					KernelShards: 2, DirectReads: 1, WriteRings: 1,
+					KernelShards: 2, DirectReads: 1,
 				}, func(pe *PE) error {
 					outside := homedAt(pe, home, 1)[0]
 					if pe.ID() == home {
@@ -271,7 +271,7 @@ func TestNamespaceHomeRefusesRanges(t *testing.T) {
 		t.Run(string(tr), func(t *testing.T) {
 			cfg := simCfg(2)
 			cfg.Transport, cfg.GMBlockWords, cfg.RecordHistory = tr, bw, true
-			cfg.KernelShards, cfg.DirectReads, cfg.WriteRings = 1, -1, -1
+			cfg.KernelShards, cfg.DirectReads = 1, -1
 			res, err := Run(cfg, func(pe *PE) error {
 				if pe.ID() == 1 {
 					pe.k.seg.Write(outside, []int64{11, 12, 13, 14})

@@ -161,7 +161,7 @@ func TestRecoveryRebindsDirectReadAndRings(t *testing.T) {
 	}
 	const killAt = sim.Time(1 * sim.Second)
 	cfg := recoverConfig(t, store, []simnet.Kill{{Node: 2, At: sim.Duration(killAt)}})
-	cfg.KernelShards = 2 // window reads and stores default on under the simulated transport
+	cfg.DirectReads = 1 // the paths in place are off by default under the simulated transport
 
 	res, rep, err := core.RunWithRecovery(cfg, 3, func(pe *core.PE) error {
 		restored := pe.RegisterCheckpoint(func() []byte { return nil }, func([]byte) {})

@@ -62,7 +62,7 @@ func TestMonitorRingWritersSingleShard(t *testing.T) {
 	const writes = 500
 	res, err := Run(Config{
 		NumPE: 4, Transport: TransportInproc,
-		KernelShards: 1, DirectReads: 1, WriteRings: 1,
+		KernelShards: 1, DirectReads: 1,
 	}, func(pe *PE) error {
 		mine := homedAt(pe, 0, 1)[0] + uint64(pe.ID())
 		pe.Barrier()
@@ -110,7 +110,7 @@ func TestOneSidedStoreExactlyOnce(t *testing.T) {
 		t.Run(c.op.String(), func(t *testing.T) {
 			res := runWithin(t, time.Minute, Config{
 				NumPE: 2, Transport: TransportInproc,
-				KernelShards: 1, DirectReads: 1, WriteRings: 1,
+				KernelShards: 1, DirectReads: 1,
 			}, func(pe *PE) error {
 				addr := homedAt(pe, 0, 1)[0]
 				pe.Barrier()

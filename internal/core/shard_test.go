@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -120,15 +121,14 @@ func TestShardForRouting(t *testing.T) {
 	}
 }
 
-// TestShardCountsDifferAcrossNodes runs two dsenode-style nodes over tcpnet
-// whose kernels shard their service differently, 4 and 2 ways, as two hosts
-// with different GOMAXPROCS do by default. Node 0 scatters into, gathers
-// from, block-reads and release-flushes to words homed at node 1. A shard
-// count is its home's business alone: nothing node 0 sends may depend on
-// node 1's. (When requesters stamped the home's shard into each request,
-// node 1 dropped every request stamped for its shards 2 and 3 as corrupt,
-// and node 0's range requests timed out.)
-func TestShardCountsDifferAcrossNodes(t *testing.T) {
+// TestTCPNodesServeRanges runs two dsenode-style nodes over tcpnet, each
+// through RunOn with its own kernel. Node 0 scatters into, gathers from,
+// block-reads and release-flushes to words homed at node 1: every range
+// operation a remote home serves, each as one request per home, across real
+// sockets and two independently configured kernels. (When requesters stamped
+// the home's shard into each request, a home that counted its shards
+// differently dropped them as corrupt, and the range requests timed out.)
+func TestTCPNodesServeRanges(t *testing.T) {
 	net, err := tcpnet.NewLocal(2)
 	if err != nil {
 		t.Fatalf("NewLocal: %v", err)
@@ -186,11 +186,11 @@ func TestShardCountsDifferAcrossNodes(t *testing.T) {
 	}
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
-	for i, shards := range []int{4, 2} {
+	for i := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cfg := Config{KernelShards: shards, GMBlockWords: 8, RequestTimeout: 2 * sim.Second}
+			cfg := Config{GMBlockWords: 8, RequestTimeout: 2 * sim.Second}
 			res, err := RunOn(cfg, net.Node(i), prog)
 			if err == nil {
 				err = res.FirstErr()
@@ -207,7 +207,7 @@ func TestShardCountsDifferAcrossNodes(t *testing.T) {
 	}
 	for i, err := range errs {
 		if err != nil {
-			t.Errorf("node %d (%d shards): %v", i, []int{4, 2}[i], err)
+			t.Errorf("node %d: %v", i, err)
 		}
 	}
 }
@@ -219,7 +219,7 @@ func TestShardCountsDifferAcrossNodes(t *testing.T) {
 func TestShardRangeOneRequestPerHome(t *testing.T) {
 	res := runWithin(t, time.Minute, Config{
 		NumPE: 2, Transport: TransportInproc,
-		KernelShards: 4, DirectReads: -1, WriteRings: -1,
+		KernelShards: 4, DirectReads: -1,
 	}, func(pe *PE) error {
 		bw := pe.Space().BlockWords
 		blocks := homedAt(pe, 1, 8)
@@ -246,24 +246,92 @@ func TestShardRangeOneRequestPerHome(t *testing.T) {
 	}
 }
 
-// TestKernelShardsResolution checks the config defaulting: simulation stays
-// at one shard (determinism), explicit values are clamped to the segment's
-// stripe count, and negatives collapse to one.
-func TestKernelShardsResolution(t *testing.T) {
+// TestServingModelByTransport pins servingModel's table: how many monitors
+// every kernel builds and whether a PE reaches a co-located home's words in
+// place, per transport × DirectReads × KernelShards. inproc honours
+// KernelShards (0 = GOMAXPROCS) and has the paths in place on unless
+// DirectReads < 0, on one core as on two; simnet and tcpnet build one monitor
+// whatever KernelShards says, simnet goes in place only when DirectReads > 0
+// and tcpnet never. The second half pins the clamping and Legacy.
+func TestServingModelByTransport(t *testing.T) {
 	for _, tc := range []struct {
-		cfg  Config
-		want int
+		name  string
+		tr    TransportKind
+		procs int // GOMAXPROCS during the run; 0 leaves it alone
 	}{
-		{Config{NumPE: 2, Transport: TransportInproc, KernelShards: 99}, gmem.SegStripes},
-		{Config{NumPE: 2, Transport: TransportInproc, KernelShards: -3}, 1},
-		{Config{NumPE: 2, Transport: TransportInproc, KernelShards: 5}, 5},
+		{"inproc/procs1", TransportInproc, 1},
+		{"inproc/procs2", TransportInproc, 2},
+		{"simnet", TransportSim, 0},
+		{"tcp", TransportTCP, 0},
+	} {
+		for _, direct := range []int{0, 1, -1} {
+			for _, shards := range []int{0, 4} {
+				t.Run(fmt.Sprintf("%s/direct%d/shards%d", tc.name, direct, shards), func(t *testing.T) {
+					if tc.procs > 0 {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+					}
+					wantMonitors, wantInPlace := 1, direct > 0
+					switch tc.tr {
+					case TransportInproc:
+						wantMonitors, wantInPlace = shards, direct >= 0
+						if shards == 0 {
+							wantMonitors = tc.procs
+						}
+					case TransportTCP:
+						wantInPlace = false
+					}
+					cfg := simCfg(2)
+					cfg.Transport, cfg.DirectReads, cfg.KernelShards = tc.tr, direct, shards
+					var monitors []int
+					cfg.testInspect = func(ks []*Kernel, _ []*PE) {
+						for _, k := range ks {
+							monitors = append(monitors, len(k.shards))
+						}
+					}
+					res := runWithin(t, time.Minute, cfg, func(pe *PE) error {
+						a := remoteWord(pe)
+						pe.Barrier()
+						pe.GMWrite(a, int64(pe.ID()))
+						pe.GMRead(a)
+						pe.Barrier()
+						return nil
+					})
+					if len(monitors) != 2 {
+						t.Fatalf("inspected %d kernels, want 2", len(monitors))
+					}
+					for id, m := range monitors {
+						if m != wantMonitors {
+							t.Errorf("kernel %d built %d monitors, want %d", id, m, wantMonitors)
+						}
+					}
+					reads, stores := res.Total.DirectGM, res.Total.RingGM
+					if inPlace := reads > 0 && stores > 0; inPlace != wantInPlace || !inPlace && reads+stores > 0 {
+						t.Errorf("DirectGM %d, RingGM %d; want in place %v", reads, stores, wantInPlace)
+					}
+				})
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		cfg              Config
+		monitors, direct int
+	}{
+		{Config{NumPE: 2, Transport: TransportInproc, KernelShards: 99}, gmem.SegStripes, 1},
+		{Config{NumPE: 2, Transport: TransportInproc, KernelShards: -3}, 1, 1},
+		{Config{NumPE: 2, Transport: TransportInproc, KernelShards: 5, DirectReads: -7}, 5, -1},
+		{Config{NumPE: 2, Transport: TransportTCP, KernelShards: 99, DirectReads: 1}, 1, -1},
+		{Config{NumPE: 2, Platform: simCfg(2).Platform, KernelShards: 8, DirectReads: 1}, 1, 1},
+		{Config{NumPE: 2, Platform: simCfg(2).Platform, DirectReads: 1, Legacy: true}, 1, -1},
 	} {
 		c, err := tc.cfg.withDefaults()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.KernelShards != tc.want {
-			t.Errorf("KernelShards %d -> %d, want %d", tc.cfg.KernelShards, c.KernelShards, tc.want)
+		if c.KernelShards != tc.monitors || c.DirectReads != tc.direct {
+			t.Errorf("%s KernelShards %d DirectReads %d Legacy %v -> %d monitors, DirectReads %d; want %d, %d",
+				c.Transport, tc.cfg.KernelShards, tc.cfg.DirectReads, tc.cfg.Legacy,
+				c.KernelShards, c.DirectReads, tc.monitors, tc.direct)
 		}
 	}
 }

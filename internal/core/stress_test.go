@@ -67,60 +67,6 @@ func TestStressLossyCaching(t *testing.T) {
 	}
 }
 
-// TestStressShardDigestMatchesUnsharded is the sharding no-op proof: under
-// the simulated transport shards dispatch inline, so any KernelShards value
-// must produce a history bit-identical to the single-shard (pre-sharding)
-// kernel — same ops, same interleaving, same digest. The direct-read window
-// is pinned off on both sides so only the shard count varies.
-func TestStressShardDigestMatchesUnsharded(t *testing.T) {
-	base := stress.Options{
-		Seed: 42, NumPE: 4, OpsPerPE: 150, Caching: true, Loss: 0.1,
-		Jitter: 300 * sim.Microsecond,
-		Shards: 1, DirectReads: -1,
-	}
-	ref, err := stress.Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 8} {
-		o := base
-		o.Shards = shards
-		res, err := stress.Run(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dr, ds := ref.History.Digest(), res.History.Digest(); dr != ds {
-			t.Errorf("shards=%d history diverged from shards=1: %s vs %s", shards, ds, dr)
-		}
-	}
-}
-
-// TestStressRingsInertWithoutWindows pins the gating contract behind the
-// shard-digest proof: with the read window pinned off, forcing one-sided
-// writes on or off must not move a single event — they ride on the window's
-// co-location bargain and are inert without it, which is what keeps the
-// sharded digest tests comparable.
-func TestStressRingsInertWithoutWindows(t *testing.T) {
-	base := stress.Options{
-		Seed: 42, NumPE: 4, OpsPerPE: 150, Caching: true, Loss: 0.1,
-		Jitter: 300 * sim.Microsecond,
-		Shards: 2, DirectReads: -1,
-	}
-	on, off := base, base
-	on.Rings, off.Rings = 1, -1
-	a, err := stress.Run(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := stress.Run(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if da, db := a.History.Digest(), b.History.Digest(); da != db {
-		t.Fatalf("rings moved a windows-off schedule: %s vs %s", da, db)
-	}
-}
-
 // TestStressModesMatrix mixes all three consistency tiers (strong, release,
 // lease) in one run and sweeps the fault axes — clean, caching, loss — over
 // them. Every configuration must stay checker-clean under the per-mode rules,
@@ -427,8 +373,7 @@ func TestStressMembershipKillOverlapsMigration(t *testing.T) {
 // currently holds in escrow.
 func TestStressEscrowReofferChainedHandoff(t *testing.T) {
 	runCase(t, stress.Case{MinEvents: 3, Options: stress.Options{
-		Seed: 9, NumPE: 4, OpsPerPE: 800, Shards: 2,
-		DirectReads: 1, Rings: 1,
+		Seed: 9, NumPE: 4, OpsPerPE: 800, DirectReads: 1,
 		Latent: 1, JoinAtOp: 200,
 		LeavePE: 2, LeaveAtOp: 400, MigrateEvery: 100,
 	}}, "membership")

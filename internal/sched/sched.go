@@ -113,10 +113,6 @@ type Config struct {
 	CapacityBlocks uint64
 	// GMBlockWords passes through to core.Config (0 = default 32).
 	GMBlockWords int
-	// KernelShards passes through to core.Config (0 = GOMAXPROCS on the
-	// in-process transport, which also turns on the one-sided window reads
-	// and stores).
-	KernelShards int
 	// Tick is the control-loop poll interval (0 = 2ms).
 	Tick time.Duration
 	// RequestTimeout bounds every remote request; it is also what unblocks
@@ -397,7 +393,6 @@ func (s *Scheduler) CoreConfig() core.Config {
 		NumPE:          s.cfg.Workers + 1,
 		Transport:      core.TransportInproc,
 		GMBlockWords:   s.cfg.GMBlockWords,
-		KernelShards:   s.cfg.KernelShards,
 		RequestTimeout: sim.Duration(s.cfg.RequestTimeout.Nanoseconds()),
 		Seed:           s.cfg.Seed,
 		Inspect:        s.cfg.Inspect,
