@@ -710,11 +710,18 @@ func (k *Kernel) logMessage(m *wire.Message) {
 	cfg.logMu.Unlock()
 }
 
-// reply answers request m, echoing its Seq, and caches the answer of a
-// mutating request in d, the dedup window m went through: the serial loop's
-// or its shard's. reply takes ownership of resp: the transport has fully
-// serialised it by the time Send returns, so it is recycled here.
+// reply answers request m with the pooled message resp (respond) and
+// recycles resp: the transport keeps nothing of it once Send has returned.
 func (k *Kernel) reply(d *dedupTable, m *wire.Message, resp *wire.Message) {
+	k.respond(d, m, resp)
+	wire.PutMessage(resp)
+}
+
+// respond answers request m, echoing its Seq, and caches the answer of a
+// mutating request in d, the dedup window m went through: the serial loop's
+// or its shard's. The window copies what it keeps, so resp stays the
+// caller's, to recycle or to reuse (kernelShard.reply).
+func (k *Kernel) respond(d *dedupTable, m *wire.Message, resp *wire.Message) {
 	if isMutating(m.Op) {
 		d.complete(m.Src, m.Seq, resp.Op, resp.Arg1, resp.Arg2, resp.Data)
 	}
@@ -739,13 +746,14 @@ func (k *Kernel) answer(dst int32, seq uint64, op wire.Op, arg1, arg2 int64) {
 	resp := wire.GetMessage()
 	resp.Op, resp.Arg1, resp.Arg2 = op, arg1, arg2
 	k.send(dst, seq, resp)
+	wire.PutMessage(resp)
 }
 
-// send addresses resp to request seq of kernel dst, sends it and recycles it.
+// send addresses resp to request seq of kernel dst and sends it; resp stays
+// the caller's.
 func (k *Kernel) send(dst int32, seq uint64, resp *wire.Message) {
 	resp.Src, resp.Dst, resp.Seq = int32(k.id), dst, seq
 	k.svc.Send(int(dst), resp)
-	wire.PutMessage(resp)
 }
 
 // Stats returns the node's transport-level counters.

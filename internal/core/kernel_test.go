@@ -263,6 +263,49 @@ func TestKernelDedupAbsorbsRetriedFetchAdd(t *testing.T) {
 	}
 }
 
+// TestKernelReusedReplyDedup: a shard builds its read and mutation replies in
+// one message it keeps. A duplicate of a mutating request that arrives after
+// that message has answered other requests is answered from the dedup
+// window's copy, with the original result, and the copies the requester
+// already took are not touched by the reuse.
+func TestKernelReusedReplyDedup(t *testing.T) {
+	_, ks := testKernels(t, 2, nil)
+	cas := &wire.Message{Op: wire.OpCAS, Src: 1, Dst: 0, Seq: 7, Addr: 5, Arg1: 0, Arg2: 4}
+	ks[0].handle(cas)
+	first := replyFrom(t, ks[1])
+	if first.Op != wire.OpCASResp || first.Seq != 7 || first.Arg1 != 0 || first.Arg2 != 1 {
+		t.Fatalf("first CAS reply = %v", first)
+	}
+	// The shard's reply message now serves a read (with a payload) and a
+	// fetch-add.
+	ks[0].handle(&wire.Message{Op: wire.OpRead, Src: 1, Dst: 0, Seq: 8, Addr: 5, Arg1: 1})
+	if r := replyFrom(t, ks[1]); r.Op != wire.OpReadResp || r.Seq != 8 || r.PayloadWords() != 1 || r.Word(0) != 4 {
+		t.Fatalf("read reply = %v", r)
+	}
+	ks[0].handle(&wire.Message{Op: wire.OpFetchAdd, Src: 1, Dst: 0, Seq: 9, Addr: 5, Arg1: 10})
+	if r := replyFrom(t, ks[1]); r.Op != wire.OpFetchAddResp || r.Seq != 9 || r.Arg1 != 4 {
+		t.Fatalf("fetch-add reply = %v", r)
+	}
+	// Re-executed, the CAS would now fail (the word is 14): only the window's
+	// copy says it swapped.
+	retry := *cas
+	retry.Flags = wire.FlagRetry
+	ks[0].handle(&retry)
+	dup := replyFrom(t, ks[1])
+	if dup.Op != wire.OpCASResp || dup.Seq != 7 || dup.Arg1 != 0 || dup.Arg2 != 1 || len(dup.Data) != 0 {
+		t.Fatalf("duplicate CAS reply = %v, want the original's", dup)
+	}
+	if first.Op != wire.OpCASResp || first.Seq != 7 || first.Arg1 != 0 || first.Arg2 != 1 {
+		t.Fatalf("first CAS reply changed to %v after the shard reused its message", first)
+	}
+	if v := ks[0].seg.Read(5, 1)[0]; v != 14 {
+		t.Fatalf("value = %d, want 14", v)
+	}
+	if sh := ks[0].shards[0]; sh.extra.DupRequests != 1 || sh.resp.Op != wire.OpInvalid || len(sh.resp.Data) != 0 {
+		t.Fatalf("DupRequests = %d, reply message left as %v; want 1 and empty", sh.extra.DupRequests, &sh.resp)
+	}
+}
+
 func TestKernelPingPong(t *testing.T) {
 	_, ks := testKernels(t, 2, nil)
 	ks[0].handle(&wire.Message{Op: wire.OpPing, Src: 1, Seq: 5})

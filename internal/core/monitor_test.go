@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/gmem"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -156,6 +158,94 @@ func TestServeOnSender(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestServiceSamplesPerRoundTrip pins the accounting of a message-path round
+// trip: each scalar read, write and fetch-add is exactly one RTTByOp sample at
+// its requester and one ServiceByOp sample at its home, and a service lies
+// inside its round trip, so the service sum never exceeds the round-trip sum.
+// On inproc the home serves on the sender and times the service from the
+// request engine's stamp (SentAt), so a request's service span starts at the
+// very instant its request span does; and its reply is the shard's own
+// message: two requesters on one shard take turns with it, which the race
+// detector watches.
+func TestServiceSamplesPerRoundTrip(t *testing.T) {
+	const n, home = 50, 2
+	ops := []wire.Op{wire.OpRead, wire.OpWrite, wire.OpFetchAdd}
+	for _, tr := range []TransportKind{TransportInproc, TransportTCP, TransportSim} {
+		t.Run(string(tr), func(t *testing.T) {
+			cfg := simCfg(3)
+			cfg.Transport = tr
+			cfg.KernelShards, cfg.DirectReads = 1, -1
+			cfg.Tracing = trace.TracingConfig{Enabled: true}
+			res := runWithin(t, time.Minute, cfg, func(pe *PE) error {
+				words := homedAt(pe, home, 2) // a word for each requester
+				pe.Barrier()
+				if pe.ID() != home {
+					a := words[pe.ID()]
+					for i := 0; i < n; i++ {
+						pe.GMWrite(a, int64(i))
+						if v := pe.GMRead(a); v != int64(i) {
+							return fmt.Errorf("PE %d: read %d after writing %d", pe.ID(), v, i)
+						}
+						if old := pe.FetchAdd(a, 1); old != int64(i) {
+							return fmt.Errorf("PE %d: fetch-add found %d, want %d", pe.ID(), old, i)
+						}
+					}
+				}
+				pe.Barrier()
+				return nil
+			})
+			for _, op := range ops {
+				var rtt, service sim.Duration
+				for r := range res.PerPE {
+					s := &res.PerPE[r]
+					wantRTT, wantService := uint64(n), uint64(0)
+					if r == home {
+						wantRTT, wantService = 0, 2*n
+					}
+					if got := s.RTTByOp[op].Count; got != wantRTT {
+						t.Errorf("PE %d %v: %d round-trip samples, want %d", r, op, got, wantRTT)
+					}
+					if got := s.ServiceByOp[op].Count; got != wantService {
+						t.Errorf("PE %d %v: %d service samples, want %d", r, op, got, wantService)
+					}
+					rtt += s.RTTByOp[op].Sum
+					service += s.ServiceByOp[op].Sum
+				}
+				if service > rtt {
+					t.Errorf("%v: services sum to %v, more than their round trips' %v", op, service, rtt)
+				}
+			}
+			if tr != TransportInproc {
+				return // the home's clock is not the requester's
+			}
+			type key struct {
+				requester int32
+				seq       uint64
+			}
+			served := map[key]sim.Time{}
+			for _, s := range res.Spans {
+				if s.Kind == trace.SpanService {
+					served[key{s.Peer, s.Seq}] = s.Start
+				}
+			}
+			requests := 0
+			for _, s := range res.Spans {
+				if s.Kind != trace.SpanRequest || !slices.Contains(ops, s.Op) {
+					continue
+				}
+				requests++
+				if start, ok := served[key{s.PE, s.Seq}]; !ok || start != s.Start {
+					t.Fatalf("%v %d of PE %d: request span starts at %d ns, its service span at %d ns (found %v)",
+						s.Op, s.Seq, s.PE, int64(s.Start), int64(start), ok)
+				}
+			}
+			if requests != 2*n*len(ops) {
+				t.Fatalf("%d request spans, want %d", requests, 2*n*len(ops))
+			}
+		})
 	}
 }
 

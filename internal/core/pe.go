@@ -45,6 +45,13 @@ type PE struct {
 	// the kernel's reply mailbox holds against it by Seq.
 	one [1]flight
 
+	// The requests of the hot paths are the PE's own, not pooled: wreq is the
+	// word executor's, reqMsgs[i] the request of a range operation's i-th
+	// flight (made on first use). Send keeps nothing of a message, so each is
+	// emptied with Reset once its exchange has returned.
+	wreq    wire.Message
+	reqMsgs []*wire.Message
+
 	// Consistency-tier state (DESIGN.md §14). modes maps allocations to
 	// their tier; wc buffers release-mode writes between sync edges; leases
 	// caches lease-mode blocks until their grants expire.

@@ -225,14 +225,18 @@ func (pe *PE) addRun(kind check.Kind, mode gmem.Mode, buf []int64, start uint64,
 // buildReqs is the one place the queued runs become wire requests: one flight
 // of the request engine per non-empty group, in home order, and then every
 // run written into its group's request, so runs keep their relative
-// (ascending-address) order there. The caller recycles the messages
+// (ascending-address) order there. Flight i's request is the PE's own
+// reqMsgs[i]; the caller empties the requests and recycles the replies
 // (recycleReqs).
 func (pe *PE) buildReqs(kind check.Kind, buf []int64) {
 	pe.reqs = pe.reqs[:0]
 	for home := range pe.groups {
 		if g := &pe.groups[home]; g.runs > 0 {
 			g.flight = len(pe.reqs)
-			pe.reqs = append(pe.reqs, flight{req: runReq(kind, g.runs, g.words), dst: home})
+			if g.flight == len(pe.reqMsgs) {
+				pe.reqMsgs = append(pe.reqMsgs, new(wire.Message))
+			}
+			pe.reqs = append(pe.reqs, flight{req: runReq(pe.reqMsgs[g.flight], kind, g.runs, g.words), dst: home})
 		}
 	}
 	var f *flight
@@ -248,12 +252,12 @@ func (pe *PE) buildReqs(kind check.Kind, buf []int64) {
 // flightOf returns the request run r travels in, once buildReqs has made it.
 func (pe *PE) flightOf(r *vrun) *flight { return &pe.reqs[pe.groups[r.home].flight] }
 
-// runReq returns the empty request for runs runs of words words in all: a
-// lone run travels as the scalar OpRead/OpWrite, several as one vectored
-// request whose payload is reserved here, once, and a flush always as
-// OpFlushV (the home counts it as a publication even for a single run).
-func runReq(kind check.Kind, runs, words int) *wire.Message {
-	req := wire.GetMessage()
+// runReq makes req, an empty message, the request for runs runs of words
+// words in all, and returns it: a lone run travels as the scalar
+// OpRead/OpWrite, several as one vectored request whose payload is reserved
+// here, once, and a flush always as OpFlushV (the home counts it as a
+// publication even for a single run).
+func runReq(req *wire.Message, kind check.Kind, runs, words int) *wire.Message {
 	switch {
 	case kind == check.KindFlush:
 		req.Op = wire.OpFlushV
@@ -295,11 +299,12 @@ func landRun(r *vrun, f *flight, buf []int64) {
 	f.landed += r.count
 }
 
-// recycleReqs returns the requests of pe.reqs and their replies to the pool.
+// recycleReqs empties the requests of pe.reqs, the PE's own, for the next
+// range operation and returns their replies to the pool.
 func (pe *PE) recycleReqs() {
 	for i := range pe.reqs {
 		f := &pe.reqs[i]
-		wire.PutMessage(f.req)
+		f.req.Reset()
 		wire.PutMessage(f.resp)
 		f.req, f.resp = nil, nil
 	}
@@ -361,7 +366,7 @@ func (pe *PE) transfer(kind check.Kind, buf []int64) error {
 // its own to the home the live directory now names.
 func (pe *PE) replayRun(r *vrun, kind check.Kind, buf []int64) error {
 	f := &pe.one[0]
-	*f = flight{req: runReq(kind, 1, r.count), dst: pe.k.homeOf(r.start)}
+	*f = flight{req: runReq(wire.GetMessage(), kind, 1, r.count), dst: pe.k.homeOf(r.start)}
 	putRun(f.req, r, buf)
 	err := pe.exchange(pe.one[:], 0)
 	if err == nil && kind == check.KindRead {

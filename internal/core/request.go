@@ -96,7 +96,16 @@ func (pe *PE) requestErr(dst int, m *wire.Message) (*wire.Message, error) {
 // request's own op gets the round-trip sample, from before the send, and a
 // request span; otherwise xfer (wire.OpReadV or wire.OpWriteV) names the range
 // transfer whose overlapping round trips are observable only as a whole, from
-// the moment the last request left.
+// the moment the last request left. The request leaves with that first stamp
+// as its wire.Message.SentAt: where the home serves on the sender's context
+// (inproc, Kernel.serveOnSender) the service is timed from it, so an inline
+// round trip reads the clock three times: at its start, at the service's end
+// and at its end.
+//
+// Send keeps nothing of a request, so the issuer owns it throughout and
+// resends it as it is; a request its issuer keeps (the word executor's, a
+// range transfer's) is emptied with Reset once exchange returns, a pooled one
+// recycled.
 func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
 	k := pe.k
 	var start, sent sim.Time
@@ -116,7 +125,13 @@ func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
 			m.Flags |= wire.FlagRetry
 		}
 		f.want = k.replyWords(m)
+		// A single request carries the round trip's start as its SentAt, for
+		// inproc to hand the home as the start of the service; a transfer's
+		// requests carry none (start is read after them), and neither does a
+		// resend.
+		m.SentAt = start
 		pe.app.Send(f.dst, m)
+		m.SentAt = 0
 	}
 	if xfer != 0 {
 		start = pe.app.Now()
@@ -188,14 +203,19 @@ func (pe *PE) await(fl []flight, transfer bool, left, round int) (int, error) {
 	if d > 0 {
 		deadline = pe.app.Now() + d // no clock read on the wait-forever path
 	}
-	for left > 0 {
+	for first := true; left > 0; first = false {
 		var resp *wire.Message
 		ok, timedOut := true, false
-		if d <= 0 {
+		wait := d // the round's first take waits all of it: the deadline was just set
+		if d > 0 && !first {
+			wait = deadline - pe.app.Now()
+		}
+		switch {
+		case d <= 0:
 			resp, ok = k.replyMb.Take()
-		} else if remaining := deadline - pe.app.Now(); remaining > 0 {
-			resp, ok, timedOut = k.replyMb.TakeTimeout(remaining)
-		} else {
+		case wait > 0:
+			resp, ok, timedOut = k.replyMb.TakeTimeout(wait)
+		default:
 			timedOut = true
 		}
 		if timedOut {

@@ -55,10 +55,11 @@ type kernelShard struct {
 	spans *trace.SpanRing
 
 	// Handler scratch, reused across requests.
-	runs     []locRun    // the request being served, located (locate)
-	nwords   int         // words in runs
-	wscratch []int64     // payload words
-	stale    []gmem.Copy // cached copies the request being served made stale
+	runs     []locRun     // the request being served, located (locate)
+	nwords   int          // words in runs
+	wscratch []int64      // payload words
+	stale    []gmem.Copy  // cached copies the request being served made stale
+	resp     wire.Message // the reply the handler is building (reply)
 }
 
 // locRun is one run of the request a shard is serving, decoded, located and
@@ -154,7 +155,13 @@ func (k *Kernel) serveOnSender(m *wire.Message) bool {
 	if s < 0 {
 		return false
 	}
-	m.RecvAt = k.svc.Now()
+	if m.RecvAt == 0 {
+		// The request engine stamps a single request as it leaves (SentAt,
+		// handed on by inproc as RecvAt), so the service starts there and
+		// includes the request's encode and decode; the requests of a range
+		// transfer leave unstamped.
+		m.RecvAt = k.svc.Now()
+	}
 	k.logMessage(m)
 	k.shards[s].serve(m)
 	wire.PutMessage(m)
@@ -403,7 +410,7 @@ func (sh *kernelShard) scratch(n int) []int64 {
 // handleRead serves a read, scalar or vectored: the words of every run,
 // gathered into one response payload.
 func (sh *kernelShard) handleRead(m *wire.Message) {
-	resp := wire.GetMessage()
+	resp := &sh.resp
 	resp.Op, resp.Addr = wire.OpReadResp, m.Addr
 	if m.Op == wire.OpReadV {
 		resp.Op = wire.OpReadVResp
@@ -421,7 +428,17 @@ func (sh *kernelShard) handleRead(m *wire.Message) {
 		}
 	}
 	resp.PutWords(sh.wscratch)
-	sh.k.reply(&sh.dedup, m, resp)
+	sh.reply(m)
+}
+
+// reply sends sh.resp, the answer a handler built, to the requester of m and
+// empties it for the next request. The shard's monitor guards it like the rest
+// of the handler scratch: the transport keeps nothing of it once Send has
+// returned, and the dedup window keeps its own copy of a mutation's answer,
+// which is what a duplicate is answered from (absorb).
+func (sh *kernelShard) reply(m *wire.Message) {
+	sh.k.respond(&sh.dedup, m, &sh.resp)
+	sh.resp.Reset()
 }
 
 // handleMutation is the one home-side path of every mutating request: apply
@@ -454,9 +471,9 @@ func (sh *kernelShard) handleMutation(m *wire.Message) {
 		sh.openRound(m, respOp, arg1, arg2)
 		return
 	}
-	resp := wire.GetMessage()
+	resp := &sh.resp
 	resp.Op, resp.Arg1, resp.Arg2 = respOp, arg1, arg2
-	sh.k.reply(&sh.dedup, m, resp)
+	sh.reply(m)
 }
 
 // handleReadLease serves a lease-mode block fetch: the whole block containing
@@ -467,11 +484,11 @@ func (sh *kernelShard) handleReadLease(m *wire.Message) {
 	k := sh.k
 	bw, b := k.space.BlockWords, sh.runs[0].block
 	k.seg.ReadRun(sh.scratch(bw), b, 0)
-	resp := wire.GetMessage()
+	resp := &sh.resp
 	resp.Op, resp.Addr = wire.OpReadLeaseResp, b*uint64(bw)
 	resp.Arg2 = int64(k.cfg.LeaseDuration)
 	resp.PutWords(sh.wscratch)
-	sh.k.reply(&sh.dedup, m, resp)
+	sh.reply(m)
 }
 
 // applyRuns stores the words of every run of a write — one run of a scalar
@@ -542,9 +559,8 @@ func (sh *kernelShard) resendInvalidations(requester int32, seq uint64) {
 // id, the invalidation's Seq, which routes the ack back to the round.
 func (sh *kernelShard) handleInvalidate(m *wire.Message) {
 	sh.k.cache.Invalidate(m.Addr)
-	ack := wire.GetMessage()
-	ack.Op, ack.Addr = wire.OpInvAck, m.Addr
-	sh.k.reply(&sh.dedup, m, ack)
+	sh.resp.Op, sh.resp.Addr = wire.OpInvAck, m.Addr
+	sh.reply(m)
 }
 
 func (sh *kernelShard) handleInvAck(m *wire.Message) {

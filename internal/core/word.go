@@ -23,8 +23,9 @@ var wordOps = [...]struct {
 // through the access pipeline (see access.go). a1 and a2 are the operation's
 // arguments — the value written, the delta added, or the expected and new
 // values — and out its result: the value read or the previous value. ok is
-// meaningful for CAS only (the swap happened). Everything stays in registers
-// and pooled messages: the remote paths do not allocate.
+// meaningful for CAS only (the swap happened). Everything stays in registers,
+// the PE's own request message and the pooled reply: the remote paths do not
+// allocate.
 func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok bool, err error) {
 	if err = pe.nsCheck(wordOps[kind].name, addr, 1); err != nil {
 		return 0, false, err
@@ -120,7 +121,7 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 		}
 		home = k.dir.HomeAt(l) // the block moved away during the charge
 	}
-	req := wire.GetMessage()
+	req := &pe.wreq
 	req.Op, req.Addr = wordOps[kind].wire, addr
 	switch kind {
 	case check.KindRead:
@@ -135,7 +136,7 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 		req.Arg1, req.Arg2 = a1, a2
 	}
 	resp, err := pe.requestErr(home, req)
-	wire.PutMessage(req)
+	req.Reset()
 	if err != nil {
 		pe.hist.FailReads(h, 1) // a failed mutation stays open: it may have applied
 		return 0, false, err

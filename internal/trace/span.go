@@ -64,7 +64,8 @@ type Span struct {
 	// Start..End bound the span. For SpanRequest, Sent is when the encoded
 	// request had left the node (send-side overhead boundary); for
 	// SpanService, Start is the transport's receive timestamp (wire.Message
-	// RecvAt) and Sent is unused.
+	// RecvAt: on inproc's inline service, the requester's own Start) and Sent
+	// is unused.
 	Start sim.Time
 	Sent  sim.Time
 	End   sim.Time

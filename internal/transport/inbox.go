@@ -31,10 +31,12 @@ func (in *Inbox) SetSink(fn Sink) { in.sink.Store(&fn) }
 
 // Deliver takes delivery of a message from another node: counted and offered
 // to the sink, queued for Recv if there is none or it declines. It reports
-// false, m still the caller's, when the node has shut down. A message the
-// sink takes is not stamped: RecvAt exists to time a service, most of what a
-// sink takes (replies, grants) is never serviced, and a sink that does start
-// a service reads the clock itself.
+// false, m still the caller's, when the node has shut down. Deliver stamps
+// nothing: RecvAt exists to time a service, and most of what a sink takes
+// (replies, grants) is never serviced. A message reaches the sink with the
+// RecvAt its transport gave it — inproc hands on the sender's SentAt, the
+// request engine's stamp taken just before the send — and a sink that starts
+// a service on a message without one reads the clock itself.
 func (in *Inbox) Deliver(m *wire.Message) bool {
 	if in.rx.closed.Load() {
 		return false

@@ -38,10 +38,16 @@ func New(n int) *Net {
 	return net
 }
 
-// encBuf is a pooled encoded-frame buffer: Send serialises into one and
-// decodes straight back out of it (copying the payload into a pooled
-// message), so the receiver sees the same ownership rules as over a real
-// wire and steady-state traffic allocates nothing.
+// stackFrame is the largest frame Send encodes in an array on its own
+// stack: every scalar request and reply fits (a header and a few words), so
+// only range transfers and other long payloads take a pooled buffer.
+const stackFrame = 128
+
+// encBuf is a pooled encoded-frame buffer for a frame longer than
+// stackFrame: Send serialises into one and decodes straight back out of it
+// (copying the payload into a pooled message), so the receiver sees the same
+// ownership rules as over a real wire and steady-state traffic allocates
+// nothing.
 type encBuf struct{ b []byte }
 
 var bufPool = sync.Pool{New: func() interface{} { return new(encBuf) }}
@@ -117,17 +123,27 @@ func (nd *Node) NewMailbox(capacity int) transport.Mailbox {
 // port implements transport.Port for a node; computation is free here.
 type port Node
 
+// Send encodes m and decodes the frame into a pooled copy, which is what
+// the destination receives: nothing of m is retained. Both nodes read the one
+// Net clock, so m's SentAt is handed on as the copy's RecvAt.
 func (pt *port) Send(dst int, m *wire.Message) {
 	nd := (*Node)(pt)
-	eb := bufPool.Get().(*encBuf)
-	eb.b = m.Append(eb.b[:0])
 	dec := wire.GetMessage()
-	err := wire.DecodeInto(dec, eb.b)
-	size := len(eb.b)
-	bufPool.Put(eb)
+	size := m.WireSize()
+	var err error
+	if size <= stackFrame {
+		var frame [stackFrame]byte
+		err = wire.DecodeInto(dec, m.Append(frame[:0]))
+	} else {
+		eb := bufPool.Get().(*encBuf)
+		eb.b = m.Append(eb.b[:0])
+		err = wire.DecodeInto(dec, eb.b)
+		bufPool.Put(eb)
+	}
 	if err != nil {
 		panic("inproc: corrupt message: " + err.Error())
 	}
+	dec.RecvAt = m.SentAt
 	var delivered bool
 	if dst == nd.id {
 		delivered = nd.in.DeliverLocal(dec)

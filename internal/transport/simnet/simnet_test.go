@@ -1,10 +1,12 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/transport/transporttest"
 	"repro/internal/wire"
 )
 
@@ -421,5 +423,47 @@ func TestKillScheduleBroadcastsToAllNodes(t *testing.T) {
 	}
 	if len(late) != 1 || late[0] != 2 {
 		t.Fatalf("late-registered node: want replayed report [2], got %v", late)
+	}
+}
+
+// TestSendRetainsNothing is transporttest.RunRetain's Recv case on the
+// simulated transport, which has no sink: the sender overwrites the one message
+// it reuses right after each Send, and every copy node 1's Recv returns must
+// still be what was sent.
+func TestSendRetainsNothing(t *testing.T) {
+	net := newNet(t, 2)
+	nd0, nd1 := net.SimNode(0), net.SimNode(1)
+	var errs []error
+	net.Engine().Spawn("svc1", func(p *sim.Proc) {
+		nd1.BindSvc(p)
+		for i := range transporttest.RetainPayloads {
+			m, ok := nd1.Recv()
+			if !ok {
+				errs = append(errs, fmt.Errorf("receiver closed after %d messages", i))
+				return
+			}
+			if err := transporttest.CheckRetained(m, i, 0, 1); err != nil {
+				errs = append(errs, err)
+			}
+		}
+		net.Stop()
+	})
+	net.Engine().Spawn("app0", func(p *sim.Proc) {
+		nd0.BindApp(p)
+		var m wire.Message
+		for i := range transporttest.RetainPayloads {
+			transporttest.FillRetained(&m, i, 0, 1)
+			nd0.App().Send(1, &m)
+			transporttest.Scribble(&m)
+		}
+	})
+	if err := net.Engine().Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, err := range errs {
+		t.Error(err)
+	}
+	if len(errs) == 0 && nd1.Stats().MsgsRecv != uint64(len(transporttest.RetainPayloads)) {
+		t.Fatalf("%d of %d messages delivered", nd1.Stats().MsgsRecv, len(transporttest.RetainPayloads))
 	}
 }

@@ -25,3 +25,13 @@ func TestSinkConformance(t *testing.T) {
 		return net
 	})
 }
+
+func TestSendRetainsNothing(t *testing.T) {
+	transporttest.RunRetain(t, func(t *testing.T, n int) transporttest.Network {
+		net, err := NewLocal(n)
+		if err != nil {
+			t.Fatalf("NewLocal: %v", err)
+		}
+		return net
+	})
+}

@@ -60,6 +60,10 @@ type Port interface {
 	// Send transmits m to kernel dst, charging send-side overhead to the
 	// caller and blocking until the message has left the node.
 	//
+	// Send retains nothing of m: what is delivered is a copy made before Send
+	// returns, so the caller may recycle m, or overwrite its header and
+	// payload for the next message, the moment Send is back.
+	//
 	// Concurrency: on the real transports (inproc, tcpnet) Send on the Svc
 	// port is safe from multiple goroutines concurrently — on inproc every
 	// requester serves its own GM request and replies through the home's
@@ -148,8 +152,10 @@ type Sink func(m *wire.Message) bool
 // ones and the node's own messages to itself, go to Recv, and a node without
 // a sink behaves exactly as a plain Node. Accepted messages are counted
 // (MsgsRecv/BytesRecv) like received ones but not stamped: RecvAt is the
-// start of a service, which Recv stamps for the serve loop and a sink that
-// serves what it takes stamps for itself.
+// start of a service, which Recv stamps for the serve loop. What a sink takes
+// carries only what the sending transport handed on (inproc: the sender's
+// SentAt), and a sink that serves a message with no stamp reads the clock
+// itself.
 type SinkNode interface {
 	Node
 	SetSink(fn Sink)

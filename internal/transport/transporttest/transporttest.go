@@ -652,3 +652,116 @@ func testCloseRecvFull(t *testing.T, factory Factory) {
 		t.Fatal("Recv parked on a closed node")
 	}
 }
+
+// RetainPayloads are the payload lengths of the send-retains-nothing case:
+// frames from a bare header to 4 KiB, straddling 128 bytes of frame (inproc
+// encodes a frame up to that long on its own stack and a longer one in a
+// pooled buffer).
+var RetainPayloads = []int{0, 8, 72, 79, 80, 81, 88, 1500, 4096}
+
+// FillRetained makes m message i of the send-retains-nothing case: every
+// header field and payload byte derived from i, the payload in a buffer the
+// sender keeps (not m's scratch), so that overwriting it after Send is what
+// a sender that reuses its buffers does.
+func FillRetained(m *wire.Message, i int, src, dst int32) {
+	m.Op, m.Flags, m.Src, m.Dst = wire.OpUserMsg, wire.FlagRetry, src, dst
+	m.Tag, m.Seq, m.Addr = int32(i+1), uint64(i)<<40|7, uint64(i)*1000+3
+	m.Arg1, m.Arg2 = -int64(i)-1, int64(i)<<33
+	data := make([]byte, RetainPayloads[i])
+	for j := range data {
+		data[j] = byte(i + 3*j)
+	}
+	m.Data = data
+}
+
+// Scribble overwrites m's header and, in place, its payload, as a sender
+// reusing m for its next message does the moment Send returns.
+func Scribble(m *wire.Message) {
+	m.Op, m.Flags, m.Src, m.Dst = wire.OpInvalid, 0, -1, -1
+	m.Tag, m.Seq, m.Addr, m.Arg1, m.Arg2 = 0, 0, 0, 0, 0
+	for j := range m.Data {
+		m.Data[j] = 0xEE
+	}
+	m.Data = m.Data[:0]
+}
+
+// CheckRetained reports how got, the delivered copy of message i, differs
+// from what FillRetained made before the send.
+func CheckRetained(got *wire.Message, i int, src, dst int32) error {
+	var want wire.Message
+	FillRetained(&want, i, src, dst)
+	if got.Op != want.Op || got.Flags != want.Flags || got.Src != want.Src || got.Dst != want.Dst ||
+		got.Tag != want.Tag || got.Seq != want.Seq || got.Addr != want.Addr ||
+		got.Arg1 != want.Arg1 || got.Arg2 != want.Arg2 {
+		return fmt.Errorf("message %d: header delivered as %v, sent as %v", i, got, &want)
+	}
+	if !bytes.Equal(got.Data, want.Data) {
+		return fmt.Errorf("message %d: %d-byte payload changed after the sender overwrote its own", i, len(want.Data))
+	}
+	return nil
+}
+
+// RunRetain checks the contract of transport.Port.Send that lets a sender
+// keep its messages: Send retains nothing of m. Right after each Send the
+// sender overwrites the header and payload of the one message it reuses for
+// all of them, and every delivered copy must still be what was sent — on the
+// Recv path and, for a SinkNode, on the sink path, for every length of
+// RetainPayloads.
+func RunRetain(t *testing.T, factory Factory) {
+	t.Helper()
+	t.Run("Recv", func(t *testing.T) {
+		net := factory(t, 2)
+		defer net.Stop()
+		got := make(chan *wire.Message, len(RetainPayloads))
+		go func() {
+			for range RetainPayloads {
+				m, ok := net.Node(1).Recv()
+				if !ok {
+					close(got)
+					return
+				}
+				got <- m
+			}
+		}()
+		sendRetained(net.Node(0).App())
+		checkRetained(t, got)
+	})
+	t.Run("Sink", func(t *testing.T) {
+		net := factory(t, 2)
+		defer net.Stop()
+		c := collector{got: make(chan *wire.Message, len(RetainPayloads))}
+		sinkNode(t, net, 1).SetSink(c.sink)
+		sendRetained(net.Node(0).Svc())
+		checkRetained(t, c.got)
+	})
+}
+
+// sendRetained sends every message of the case from node 0 to node 1 through
+// pt, reusing one message and scribbling over it after each Send.
+func sendRetained(pt transport.Port) {
+	var m wire.Message
+	for i := range RetainPayloads {
+		FillRetained(&m, i, 0, 1)
+		pt.Send(1, &m)
+		Scribble(&m)
+	}
+}
+
+// checkRetained takes the delivered copies from got, in send order.
+func checkRetained(t *testing.T, got <-chan *wire.Message) {
+	t.Helper()
+	timeout := time.After(10 * time.Second)
+	for i := range RetainPayloads {
+		select {
+		case m, ok := <-got:
+			if !ok {
+				t.Fatalf("receiver closed after %d of %d messages", i, len(RetainPayloads))
+			}
+			if err := CheckRetained(m, i, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d messages delivered", i, len(RetainPayloads))
+		}
+	}
+}

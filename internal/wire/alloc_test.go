@@ -227,3 +227,30 @@ func TestPutMessageResets(t *testing.T) {
 		PutMessage(g)
 	}
 }
+
+// Reset empties a message its owner keeps — header, payload and both stamps —
+// but keeps the scratch, so refilling it allocates nothing.
+func TestResetKeepsScratch(t *testing.T) {
+	var m Message
+	m.Op, m.Flags, m.Src, m.Dst, m.Tag = OpReadResp, FlagRetry, 1, 2, 3
+	m.Seq, m.Addr, m.Arg1, m.Arg2 = 4, 5, 6, 7
+	m.RecvAt, m.SentAt = 8, 9
+	m.PutWords(make([]int64, 64))
+	scratch := cap(m.buf)
+	m.Reset()
+	if m.Op != OpInvalid || m.Flags != 0 || m.Src != 0 || m.Dst != 0 || m.Tag != 0 ||
+		m.Seq != 0 || m.Addr != 0 || m.Arg1 != 0 || m.Arg2 != 0 || m.Data != nil ||
+		m.RecvAt != 0 || m.SentAt != 0 {
+		t.Fatalf("Reset left %v, RecvAt %d, SentAt %d", &m, m.RecvAt, m.SentAt)
+	}
+	if cap(m.buf) != scratch || len(m.buf) != 0 {
+		t.Fatalf("Reset left scratch len %d cap %d, want 0 and %d", len(m.buf), cap(m.buf), scratch)
+	}
+	words := make([]int64, 64)
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.PutWords(words)
+		m.Reset()
+	}); allocs != 0 {
+		t.Errorf("refilling a reset message allocates %v/op, want 0", allocs)
+	}
+}

@@ -19,8 +19,10 @@
 //  1. A message obtained from GetMessage is owned by the caller until it is
 //     passed to PutMessage; after that neither the message nor any slice
 //     derived from its Data may be touched.
-//  2. Transports serialise a message completely before Send returns, so a
-//     request may be recycled (or reused) immediately after Send.
+//  2. Transports serialise a message completely before Send returns and
+//     keep nothing of it, so a message may be recycled immediately after
+//     Send, or kept by its sender and emptied with Reset for the next one
+//     (the request engine's own requests, a kernel shard's replies).
 //  3. DecodeInto copies the payload into the message's own scratch, so the
 //     source frame buffer may be recycled immediately and the decoded
 //     message stays valid until its own PutMessage.
@@ -264,10 +266,19 @@ type Message struct {
 
 	// RecvAt is the receive timestamp a service time is measured from:
 	// stamped (with the node's clock) by the transport's Recv as it hands
-	// the decoded message to the serve loop, or by a sink that serves the
-	// message itself; zero on a message a sink merely routes. It never
-	// travels the wire and is cleared on recycle.
+	// the decoded message to the serve loop. On the sink path it is the
+	// sender's SentAt where the transport can hand that on (inproc, whose
+	// nodes read one clock) and zero otherwise; a sink that serves a message
+	// with no stamp reads the clock itself. It never travels the wire and is
+	// cleared by Reset.
 	RecvAt sim.Time
+
+	// SentAt is the sender's clock reading as the message goes out, when the
+	// sender has one anyway (the request engine's start of a single request's
+	// round trip); zero otherwise. A transport whose nodes share one clock
+	// hands it on as the delivered copy's RecvAt, which spares the receiving
+	// side a clock read. It never travels the wire and is cleared by Reset.
+	SentAt sim.Time
 
 	// buf is the message-owned scratch that Data points into when the
 	// payload was produced by a payload helper. Its capacity survives
@@ -293,9 +304,17 @@ func PutMessage(m *Message) {
 	if m == nil {
 		return
 	}
+	m.Reset()
+	msgPool.Put(m)
+}
+
+// Reset empties m for reuse by its owner — every field, stamps included,
+// but the scratch capacity. It is what an owner that keeps a message calls
+// instead of PutMessage once Send has returned: the transport keeps nothing
+// of m, and the payload helpers refill the scratch in place.
+func (m *Message) Reset() {
 	buf := m.buf
 	*m = Message{buf: buf[:0]}
-	msgPool.Put(m)
 }
 
 func (m *Message) String() string {
