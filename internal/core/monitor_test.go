@@ -558,15 +558,15 @@ func TestMonitorReplyMailboxDepth(t *testing.T) {
 
 // TestMonitorGatherUnderWriterStorm reads through the stripes' seqlocks while
 // writers keep them busy. A served read takes no stripe mutex: it validates
-// against the stripe's write generation and retries, falling back to the mutex
-// only when writers keep winning (gmem.Segment.ReadRun). PE 0 gathers a word of
-// every block and reads whole blocks — a block-long window — while the home's
-// own PE stores whole blocks straight into the segment, past the shard lock the
-// reader's requests are served under, and a third PE scatters into the same
-// blocks through it. Every word read must be one some writer stored. Whether a
-// read exhausts its retries is up to the scheduler (the count is logged); that
-// the fallback returns a whole word when it does is gmem's
-// TestDirectReadFallbackUnderWriterStorm.
+// against the stripe's seqlock generation, which only a block table swap moves
+// (a store is one atomic word store and moves none), and a block-long run takes
+// the mutex (gmem.Segment.ReadRun). PE 0 gathers a word of every block and
+// reads whole blocks while the home's own PE stores whole blocks straight into
+// the segment, past the shard lock the reader's requests are served under, and
+// a third PE scatters into the same blocks through it. Every word read must be
+// one some writer stored. The stores here never make a read retry, so the
+// logged fallback count is that of the table swaps; that the fallback returns a
+// whole word is gmem's TestDirectReadFallbackUnderWriterStorm.
 func TestMonitorGatherUnderWriterStorm(t *testing.T) {
 	const blocks, rounds = gmem.SegStripes, 300
 	var fallbacks uint64

@@ -137,14 +137,16 @@ func (a *Allocator) Used() uint64 { return a.next }
 const SegStripes = 16
 
 // stripe is one lock stripe of a Segment: a slice of the homed blocks with
-// its own mutex, a seqlock write generation, and a block table that lock-free
-// direct readers probe while writers publish.
+// its own mutex, a seqlock generation over its block table, and the table
+// that lock-free direct readers probe while writers publish.
 type stripe struct {
 	mu sync.Mutex
-	// wseq is the stripe's seqlock generation: incremented to odd before a
-	// writer mutates any stored word, or swaps the table, and back to even
-	// after. Direct readers retry while it is odd or has moved between their
-	// two loads.
+	// wseq is the stripe's seqlock generation over its block storage: publish,
+	// and nothing else, takes it to odd before it swaps the table and back to
+	// even after, so it moves when a block's storage or owner changes (growth,
+	// Extract, Adopt, Import, DropRange), never because a word was stored. A
+	// store is one atomic word store under mu. Lock-free readers retry while
+	// the generation is odd or has moved between their two loads.
 	wseq atomic.Uint64
 	// table is the published block table (blockTable): blocks are added to it
 	// in place, and it is replaced whole by publish. Word slices are shared
@@ -170,9 +172,9 @@ type Segment struct {
 	// against it, and Extract/Adopt move blocks between segments as homes
 	// migrate. Nil keeps the static Space.HomeOf rule.
 	dir *Directory
-	// fallbacks counts direct reads that exhausted their seqlock spins and
-	// took the stripe mutex instead (writer livelock). Observable so tests
-	// can assert the fallback path is actually exercised.
+	// fallbacks counts direct reads that exhausted their seqlock spins against
+	// table swaps and took the stripe mutex instead. Observable so tests can
+	// assert the fallback path is actually exercised.
 	fallbacks atomic.Uint64
 }
 
@@ -239,8 +241,8 @@ func (st *stripe) materialise(b uint64, blockWords int) []int64 {
 }
 
 // publish swaps in next as the stripe's block table inside a seqlock window,
-// so that a reader that probed the old table retries against the new one.
-// Caller holds st.mu.
+// so that a reader that probed the old table retries against the new one. It
+// is the only writer of wseq. Caller holds st.mu.
 func (st *stripe) publish(next *blockTable) {
 	st.wseq.Add(1)
 	st.table.Store(next)
@@ -301,11 +303,12 @@ const seqlockWords = 16
 // the caller has located inside one block and checked this segment homes (the
 // checked forms below, and the shard serving a located request). It is the one
 // way a word is read at its home. A short run is read under the stripe's
-// seqlock, retrying while a writer's window is open or the generation moved
-// between the two loads, so it takes no lock and still returns the run as some
-// writer left it; under writer livelock (counted in DirectReadFallbacks), and
-// for a long run, the stripe mutex orders it against the writers instead. A
-// block never written reads as zeros.
+// seqlock, one atomic load a word, retrying only while a block table is being
+// swapped (publish) or was swapped between the two loads, so it takes no lock
+// and returns every word as some store left it; it is not a snapshot of the
+// run, which stores change word by word. When publishes keep winning (counted
+// in DirectReadFallbacks), and for a long run, the stripe mutex orders it
+// against the writers instead. A block never written reads as zeros.
 func (g *Segment) ReadRun(dst []int64, b uint64, off int) {
 	g.readRun(g.stripeOf(b), dst, Loc{Block: b, Off: off}, false)
 }
@@ -361,11 +364,13 @@ func (g *Segment) readRun(st *stripe, dst []int64, l Loc, check bool) bool {
 func (g *Segment) DirectReadFallbacks() uint64 { return g.fallbacks.Load() }
 
 // DirectReadOwned returns the single word at addr without taking the stripe
-// mutex: the one-sided read fast path for co-located PEs. It is seqlock
-// validated — the read retries while a writer's mutation window is open or
-// the stripe generation moved between its two loads — so it never returns a
-// torn value that a served OpRead could not also have returned, and falls
-// back to the stripe mutex under writer livelock. On an address this segment
+// mutex: the one-sided read fast path for co-located PEs. The word is one
+// atomic load, so it is never torn, and it is seqlock validated against the
+// block table — the read retries while a publish is open or the stripe
+// generation moved between its two loads — so it never returns a value that a
+// served OpRead could not also have returned, and falls back to the stripe
+// mutex when publishes keep winning. A store does not move the generation
+// and never makes it retry. On an address this segment
 // does not own it reports ok=false, telling the caller to fall back to the
 // message path (which the current owner will serve, or NACK with a fresh
 // hint). Ownership is validated inside the seqlock window: Extract bumps the
@@ -526,9 +531,7 @@ func (g *Segment) WriteWordAt(l Loc, v int64) bool {
 		return false
 	}
 	blk := st.materialise(l.Block, g.space.BlockWords)
-	st.wseq.Add(1)
 	atomic.StoreInt64(&blk[l.Off], v)
-	st.wseq.Add(1)
 	return true
 }
 
@@ -548,13 +551,12 @@ func (g *Segment) ReadAppend(dst []int64, addr uint64, n int) []int64 {
 	return dst
 }
 
-// writeWindowWords caps the words stored under one stripe mutex hold and
-// one seqlock window. A vectored write used to apply each run under a
-// single odd window; with large block sizes that held the stripe long
-// enough to starve a DirectRead that had already burned its seqlock spins
-// and was queued on the mutex. Chunking bounds every critical section —
-// per-word visibility is the consistency unit (runs span homes anyway), so
-// a reader observing a half-applied run between chunks is no new behaviour.
+// writeWindowWords caps the words stored under one stripe mutex hold. A long
+// run held under one hold would keep every reader queued on the mutex (a
+// long ReadRun, or a short one whose seqlock spins ran out) waiting for the
+// whole run; chunking bounds every critical section. Per-word visibility is
+// the consistency unit (runs span homes anyway, and a store opens no seqlock
+// window), so a reader observing a half-applied run is no new behaviour.
 const writeWindowWords = 32
 
 // Copy names one cached copy a mutation made stale: kernel Holder's copy of
@@ -598,15 +600,15 @@ func (g *Segment) WriteShared(addr uint64, words []int64, writer int, stale *[]C
 }
 
 // WriteRun is WriteShared for a run the caller has located and checked, like
-// ReadRun's: words go to offset off of block b. The stripe is locked and the
-// seqlock window held for at most writeWindowWords stores at a time.
+// ReadRun's: words go to offset off of block b. The stripe is locked for at
+// most writeWindowWords stores at a time, each one atomic word store.
 func (g *Segment) WriteRun(b uint64, off int, words []int64, writer int, stale *[]Copy) {
 	g.writeRun(g.stripeOf(b), Loc{Block: b, Off: off}, words, writer, stale, false)
 }
 
 // WriteRunAt is Write for a run located at l that nobody has checked this
-// segment homes: each window checks ownership inside the stripe's critical
-// section, as WriteWordAt does, and the run stops at the first window refused.
+// segment homes: each chunk checks ownership inside the stripe's critical
+// section, as WriteWordAt does, and the run stops at the first chunk refused.
 // It returns how many words it stored, a prefix of words — the rest is the
 // caller's to send to the block's new home.
 func (g *Segment) WriteRunAt(l Loc, words []int64) int {
@@ -614,7 +616,7 @@ func (g *Segment) WriteRunAt(l Loc, words []int64) int {
 }
 
 // writeRun is WriteRun on the stripe st of the run at l, checking ownership
-// in every window if check is set; it returns the words stored.
+// in every chunk if check is set; it returns the words stored.
 func (g *Segment) writeRun(st *stripe, l Loc, words []int64, writer int, stale *[]Copy, check bool) int {
 	for start := 0; start == 0 || start < len(words); start += writeWindowWords {
 		chunk := words[start:]
@@ -627,11 +629,9 @@ func (g *Segment) writeRun(st *stripe, l Loc, words []int64, writer int, stale *
 			return start
 		}
 		blk := st.materialise(l.Block, g.space.BlockWords)
-		st.wseq.Add(1)
 		for i, v := range chunk {
 			atomic.StoreInt64(&blk[l.Off+start+i], v)
 		}
-		st.wseq.Add(1)
 		if start+writeWindowWords >= len(words) {
 			st.takeCopies(l.Block, g.addrOf(l), writer, stale)
 		}
@@ -669,9 +669,7 @@ func (g *Segment) fetchAdd(l Loc, delta int64, writer int, stale *[]Copy) (old i
 	}
 	blk := st.materialise(l.Block, g.space.BlockWords)
 	old = blk[l.Off]
-	st.wseq.Add(1)
 	atomic.StoreInt64(&blk[l.Off], old+delta)
-	st.wseq.Add(1)
 	st.takeCopies(l.Block, g.addrOf(l), writer, stale)
 	return old, true
 }
@@ -709,9 +707,7 @@ func (g *Segment) cas(l Loc, old, new int64, writer int, stale *[]Copy) (prev in
 	if prev != old {
 		return prev, false, true
 	}
-	st.wseq.Add(1)
 	atomic.StoreInt64(&blk[l.Off], new)
-	st.wseq.Add(1)
 	st.takeCopies(l.Block, g.addrOf(l), writer, stale)
 	return prev, true, true
 }

@@ -149,12 +149,12 @@ func (r *SubmitRing) Pending() int {
 	return n
 }
 
-// ApplyWrites applies a drained batch to the segment under the stripe
-// seqlock protocol: consecutive writes to the same block share one mutex
-// hold and one wseq window, and the window is capped at a single block so a
-// DirectRead's mutex fallback can never starve behind a long batch (the
-// same per-block cap Write applies to vectored runs). Word stores are
-// atomic, so concurrent DirectReads stay torn-free.
+// ApplyWrites applies a drained batch to the segment: consecutive writes to
+// the same block share one stripe mutex hold, and the hold is capped at a
+// single block so a reader queued on the mutex never waits behind a long
+// batch (the per-block bound writeRun applies to vectored runs). Each word
+// is one atomic store and moves no seqlock generation, so concurrent
+// DirectReads stay torn-free and never retry because of it.
 func (g *Segment) ApplyWrites(ops []RingWrite) {
 	bw := uint64(g.space.BlockWords)
 	for i := 0; i < len(ops); {
@@ -167,11 +167,9 @@ func (g *Segment) ApplyWrites(ops []RingWrite) {
 		st := g.stripeAt(l)
 		st.mu.Lock()
 		blk := st.materialise(l.Block, g.space.BlockWords)
-		st.wseq.Add(1)
 		for _, op := range ops[i:j] {
 			atomic.StoreInt64(&blk[op.Addr-base], op.Val)
 		}
-		st.wseq.Add(1)
 		st.mu.Unlock()
 		i = j
 	}

@@ -257,27 +257,25 @@ func TestRingApplyWritesVisibleToDirectRead(t *testing.T) {
 }
 
 // TestDirectReadFallbackUnderWriterStorm pins the anti-starvation bound on
-// the seqlock: a storm of vectored writers holds the stripe almost
-// continuously, so the optimistic spin keeps losing — the reader must take
-// the mutex fallback (observable via DirectReadFallbacks) and still return a
-// consistent word, because every writer's critical section is capped at one
-// block-sized window. Before the cap, a single long vectored write could
-// starve the fallback itself.
+// the seqlock: the reader's optimistic spin loses while a stripe's publish
+// window is open, so with one held open almost continuously the reader must
+// take the mutex fallback (observable via DirectReadFallbacks) and still
+// return a word some writer stored, never reporting it disowned. Stores move
+// no generation, so what drives the fallback is publish's own window, held
+// open across a reschedule under the stripe mutex (holdPublish); a storm of
+// block writes keeps storing into the polled block meanwhile, each critical
+// section capped at writeWindowWords so the fallback cannot starve behind it.
 func TestDirectReadFallbackUnderWriterStorm(t *testing.T) {
 	space := NewSpace(1, 32)
 	seg := NewSegment(space, 0)
 	const writers = 4
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	vec := make([]int64, 32) // a full block per write: maximal window
-	for i := range vec {
-		vec[i] = 1
-	}
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			buf := make([]int64, len(vec))
+			buf := make([]int64, 32) // a full block per write: maximal critical section
 			for i := int64(1); !stop.Load(); i++ {
 				v := i<<8 | int64(w)
 				for j := range buf {
@@ -287,11 +285,19 @@ func TestDirectReadFallbackUnderWriterStorm(t *testing.T) {
 			}
 		}(w)
 	}
-	// Read until the fallback path has demonstrably fired. All writers store
-	// the same value across the block, so any consistent read yields a word
-	// of the form i<<8|w with w < writers; the assertions are liveness (the
-	// read returns despite the storm) and consistency (no torn word).
-	deadline := time.Now().Add(20 * time.Second)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		st := seg.stripeOf(0)
+		for !stop.Load() {
+			holdPublish(st)
+		}
+	}()
+	// Read until the fallback path has demonstrably fired. Every writer
+	// stores one value across the block, of the form i<<8|w with w < writers;
+	// the assertions are liveness (the read returns despite the held windows)
+	// and consistency (a stored word, never disowned).
+	deadline := time.Now().Add(time.Minute)
 	for seg.DirectReadFallbacks() == 0 {
 		v, ok := seg.DirectReadOwned(5)
 		if !ok || (v != 0 && int(v&0xff) >= writers) {
@@ -302,12 +308,23 @@ func TestDirectReadFallbackUnderWriterStorm(t *testing.T) {
 		if time.Now().After(deadline) {
 			stop.Store(true)
 			wg.Wait()
-			t.Skip("writer storm never forced the fallback on this machine")
+			t.Fatal("a held publish window never forced the fallback")
 		}
 	}
 	stop.Store(true)
 	wg.Wait()
-	if seg.DirectReadFallbacks() == 0 {
-		t.Fatal("fallback path never reached")
+}
+
+// holdPublish does what stripe.publish does — under the stripe mutex, the
+// generation to odd and back to even — with the table left as it is and the
+// window held open across a reschedule, so that a reader spinning on the
+// generation runs while it is odd even on one processor.
+func holdPublish(st *stripe) {
+	st.mu.Lock()
+	st.wseq.Add(1)
+	for until := time.Now().Add(20 * time.Microsecond); time.Now().Before(until); {
+		runtime.Gosched()
 	}
+	st.wseq.Add(1)
+	st.mu.Unlock()
 }
