@@ -2,7 +2,9 @@ package check
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -24,7 +26,7 @@ import (
 // older value stale.
 //
 // Weaker tiers (DESIGN.md §14) relax the per-word rules, selected by the
-// events' Mode tags (modeRules):
+// events' Mode tags (checkObservers):
 //
 //   - Release: a write is published not by its own response but by its PE's
 //     next flush fence (barrier, unlock, or standalone flush event). The
@@ -180,28 +182,19 @@ func Check(h *History) *Report {
 		sx = buildSyncIndex(h)
 	}
 	rep.Words = len(perWord)
-	for _, addr := range sortedKeys(perWord) {
+	for _, addr := range slices.Sorted(maps.Keys(perWord)) {
 		checkWord(rep, h, sx, addr, perWord[addr])
 		if len(rep.Violations) >= maxViolations {
 			return rep
 		}
 	}
-	for _, id := range sortedKeys(locks) {
+	for _, id := range slices.Sorted(maps.Keys(locks)) {
 		checkLock(rep, h, id, locks[id])
 	}
-	for _, id := range sortedKeys(barriers) {
+	for _, id := range slices.Sorted(maps.Keys(barriers)) {
 		checkBarrier(rep, h, id, barriers[id])
 	}
 	return rep
-}
-
-func sortedKeys(m map[uint64][]int) []uint64 {
-	ks := make([]uint64, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }
 
 func (rep *Report) add(v Violation) {
@@ -256,24 +249,6 @@ func observedValue(e *Event) (int64, bool) {
 	return 0, false
 }
 
-// wordRules is one consistency tier's per-word observer discipline. The
-// fetch-add/CAS chain checks are mode-independent (atomics always execute
-// strongly at the home) and run before the dispatch; only the read rules
-// differ per tier.
-type wordRules struct {
-	name      string
-	observers func(rep *Report, h *History, sx syncIndex, addr uint64, idxs []int, writers map[int64]int, observers []int)
-}
-
-// modeRules dispatches a word to its tier's observer rules, selected by the
-// strongest (weakest-consistency) Mode tag among the word's events.
-// Allocations are mode-uniform, so in practice every event at a word agrees.
-var modeRules = [numModes]wordRules{
-	modeStrong:  {name: "strong", observers: checkObserversStrong},
-	modeRelease: {name: "release", observers: checkObserversRelease},
-	modeLease:   {name: "lease", observers: checkObserversLease},
-}
-
 // checkWord validates the per-word conditions of the word's consistency tier.
 func checkWord(rep *Report, h *History, sx syncIndex, addr uint64, idxs []int) {
 	// Partition into writers (by installed value) and observers.
@@ -307,6 +282,8 @@ func checkWord(rep *Report, h *History, sx syncIndex, addr uint64, idxs []int) {
 		}
 	}
 
+	// The fetch-add and CAS chain checks hold in every tier: atomics always
+	// execute strongly at the home.
 	checkFetchAddWord(rep, h, addr, fetchAdds)
 	checkCASWord(rep, h, addr, casOps)
 	if blindFetchAdd {
@@ -316,40 +293,107 @@ func checkWord(rep *Report, h *History, sx syncIndex, addr uint64, idxs []int) {
 		return
 	}
 
+	// The word's tier is the strongest (weakest-consistency) Mode tag among
+	// its events. Allocations are mode-uniform, so in practice every event at
+	// a word agrees.
 	mode := modeStrong
 	for _, i := range idxs {
 		if m := h.Events[i].Mode; m > mode && m < numModes {
 			mode = m
 		}
 	}
-	modeRules[mode].observers(rep, h, sx, addr, idxs, writers, observers)
+	checkObservers(rep, h, sx, mode, addr, idxs, writers, observers)
 }
 
-// checkObserversStrong is the original strong-coherence read discipline:
-// linearizable per-word reads bounded by completed writes, plus the
-// read-inversion (per-word total write order) condition.
-func checkObserversStrong(rep *Report, h *History, _ syncIndex, addr uint64, idxs []int, writers map[int64]int, observers []int) {
-	// Map every observed value to its writer and check the read conditions.
-	type obs struct {
-		idx  int // observer event index
-		wIdx int // writer event index, -1 for the initial zero
+// checkObservers is the read discipline of every tier. Each observed value
+// maps to the writer that installed it, or to the word's initial value; it
+// must come from a real writer invoked before the read completed; and it is
+// stale when a write that published after the value's own had completed
+// before the read's staleness bound. The tiers differ in three places:
+//
+//   - The publish window. Under release rules a buffered write publishes
+//     inside its flush fence (publishWindow), so staleness is judged fence
+//     to fence; otherwise a write publishes inside its own [Inv, effResp].
+//   - The staleness bound. A lease-served read (Cached, Mode lease) may
+//     observe any value current at its grant (Arg1) and must start before
+//     its expiry (Arg2, lease-overstay); every other read is bounded by its
+//     own Inv. Home-served observations on lease words keep that bound.
+//   - Per-tier rules. Release adds read-your-writes — a PE reads its own
+//     buffered writes until a fence flushes them (release-lost-write) — and
+//     keeps a never-flushed write invisible to other PEs
+//     (release-unflushed-read); its staleness reports are release-stale-read
+//     against flushed writes. Strong alone keeps the per-word total order
+//     between reads (read-inversion): release gives it up between sync
+//     edges, and two PEs' leases legitimately expose writes in opposite
+//     orders inside their windows.
+func checkObservers(rep *Report, h *History, sx syncIndex, mode uint8, addr uint64, idxs []int, writers map[int64]int, observers []int) {
+	release := mode == modeRelease
+	published := func(w *Event) (inv, resp int64, ok bool) {
+		if release {
+			return publishWindow(sx, w)
+		}
+		return int64(w.Inv), effResp(w), true
 	}
-	// The word's pre-history value: zero, or whatever a checkpoint restore
-	// installed. Reads of it have no writer event and map to wIdx -1.
-	initVal := h.Baseline[addr]
+	prefix, flushed := "", ""
+	if release {
+		prefix, flushed = "release-", "flushed "
+	}
+	// mapped pairs each observer with its writer's event index (-1 for the
+	// initial value), for the read-inversion condition.
+	type obs struct{ idx, wIdx int }
 	var mapped []obs
+	// The word's pre-history value: zero, or whatever a checkpoint restore
+	// installed. Reads of it have no writer event.
+	initVal := h.Baseline[addr]
 	for _, i := range observers {
 		e := &h.Events[i]
 		v, _ := observedValue(e)
-		if v == initVal {
-			// Initial value: legal only while no successful write has
-			// completed strictly before the read began.
+		// A write whose publish completed before bound makes e's value stale.
+		bound, staleKind := int64(e.Inv), prefix+"stale-read"
+		if e.Kind == KindRead && e.Cached && e.Mode == modeLease {
+			bound, staleKind = e.Arg1, "lease-stale-read"
+			if int64(e.Inv) > e.Arg2 {
+				rep.add(Violation{
+					Kind: "lease-overstay", Addr: addr,
+					Msg:    fmt.Sprintf("read served from a lease %d ticks after its expiry", int64(e.Inv)-e.Arg2),
+					Events: []Event{*e},
+				})
+			}
+		}
+		// Release: the observer's latest own successful write before it, in
+		// program order — the value its write-combining overlay must serve
+		// while unflushed.
+		own := -1
+		if release {
 			for _, j := range idxs {
 				w := &h.Events[j]
-				if _, isW := writtenValue(w); isW && !w.Failed && int64(w.Resp) < int64(e.Inv) {
+				if w.PE != e.PE || w.Seq >= e.Seq || w.Failed {
+					continue
+				}
+				if _, isW := writtenValue(w); isW && (own < 0 || w.Seq > h.Events[own].Seq) {
+					own = j
+				}
+			}
+		}
+
+		if v == initVal {
+			if own >= 0 {
+				rep.add(Violation{
+					Kind: "release-lost-write", Addr: addr,
+					Msg:    "read the initial value after writing the word itself",
+					Events: []Event{h.Events[own], *e},
+				})
+				continue
+			}
+			for _, j := range idxs {
+				w := &h.Events[j]
+				if _, isW := writtenValue(w); !isW || w.Failed {
+					continue
+				}
+				if _, wResp, ok := published(w); ok && wResp < bound {
 					rep.add(Violation{
-						Kind: "stale-read", Addr: addr,
-						Msg:    "read the initial value after a write had completed",
+						Kind: staleKind, Addr: addr,
+						Msg:    "read the initial value after a " + flushed + "write had completed",
 						Events: []Event{*w, *e},
 					})
 					break
@@ -376,8 +420,44 @@ func checkObserversStrong(rep *Report, h *History, _ syncIndex, addr uint64, idx
 			})
 			continue
 		}
-		// Coherence: the read's writer must not be overwritten by a write
-		// that completed strictly before the read began.
+		if own >= 0 && j != own {
+			o := &h.Events[own]
+			if w.PE == e.PE {
+				// Observed an own older write: the buffer coalesces per word
+				// last-writer-wins, so a superseded own value can never
+				// resurface for its writer.
+				rep.add(Violation{
+					Kind: "release-lost-write", Addr: addr,
+					Msg:    fmt.Sprintf("read own superseded value %d instead of the latest own write", v),
+					Events: []Event{*w, *o, *e},
+				})
+				continue
+			}
+			if finv, _, ok := published(o); !ok || finv >= int64(e.Resp) {
+				// The own latest write was still buffered for the whole read
+				// (its flush, if any, began only after the read completed):
+				// the overlay must have served it, not another PE's value.
+				rep.add(Violation{
+					Kind: "release-lost-write", Addr: addr,
+					Msg:    fmt.Sprintf("read another PE's value %d while an own write was still buffered", v),
+					Events: []Event{*o, *e},
+				})
+				continue
+			}
+		}
+		_, wResp, wPub := published(w)
+		if !wPub {
+			if w.PE != e.PE {
+				rep.add(Violation{
+					Kind: "release-unflushed-read", Addr: addr,
+					Msg:    fmt.Sprintf("observed value %d from another PE's never-flushed buffered write", v),
+					Events: []Event{*w, *e},
+				})
+			}
+			// An own unflushed write is the observer's to read, and it
+			// cannot be provably overwritten.
+			continue
+		}
 		for _, j2 := range idxs {
 			w2 := &h.Events[j2]
 			if j2 == j || w2.Failed {
@@ -386,16 +466,19 @@ func checkObserversStrong(rep *Report, h *History, _ syncIndex, addr uint64, idx
 			if _, isW := writtenValue(w2); !isW {
 				continue
 			}
-			if effResp(w) < int64(w2.Inv) && int64(w2.Resp) < int64(e.Inv) {
+			if w2inv, w2resp, ok := published(w2); ok && wResp < w2inv && w2resp < bound {
 				rep.add(Violation{
-					Kind: "stale-read", Addr: addr,
-					Msg:    fmt.Sprintf("read value %d after a later write had completed", v),
+					Kind: staleKind, Addr: addr,
+					Msg:    fmt.Sprintf("read value %d after a later %swrite had completed", v, flushed),
 					Events: []Event{*w, *w2, *e},
 				})
 				break
 			}
 		}
 		mapped = append(mapped, obs{idx: i, wIdx: j})
+	}
+	if mode != modeStrong {
+		return
 	}
 
 	// Read inversion: two reads ordered in real time must not observe
@@ -412,13 +495,9 @@ func checkObserversStrong(rep *Report, h *History, _ syncIndex, addr uint64, idx
 			}
 			// ra < rb in real time. rb's writer must not be strictly before
 			// ra's writer: wb entirely before wa's invocation means rb went
-			// back in time.
-			if mapped[a].wIdx == -1 {
-				continue // ra saw the initial value; anything later is fine
-			}
-			if mapped[b].wIdx == -1 {
-				// rb saw the initial value after ra saw a real write; the
-				// zero-value staleness check above already covers this.
+			// back in time. A read of the initial value on either side is
+			// covered by the staleness check above.
+			if mapped[a].wIdx == -1 || mapped[b].wIdx == -1 {
 				continue
 			}
 			waInv := int64(h.Events[mapped[a].wIdx].Inv)
@@ -430,231 +509,6 @@ func checkObserversStrong(rep *Report, h *History, _ syncIndex, addr uint64, idx
 					Events: []Event{h.Events[mapped[b].wIdx], h.Events[mapped[a].wIdx], *ra, *rb},
 				})
 				return
-			}
-		}
-	}
-}
-
-// checkObserversRelease is the release-consistency read discipline: writes
-// are ordered only by flush fences. A read may observe any value whose
-// publish window is not provably ordered against a newer one — staleness is
-// judged fence-to-fence via publishWindow — but three things stay absolute:
-// a PE reads its own buffered writes until a fence flushes them, a
-// never-flushed write is invisible to every other PE, and values still come
-// only from real writers.
-func checkObserversRelease(rep *Report, h *History, sx syncIndex, addr uint64, idxs []int, writers map[int64]int, observers []int) {
-	initVal := h.Baseline[addr]
-	for _, i := range observers {
-		e := &h.Events[i]
-		v, _ := observedValue(e)
-
-		// The observer's latest own successful write before it, in program
-		// order: the value its write-combining overlay must serve while
-		// unflushed.
-		ownLatest := -1
-		for _, j := range idxs {
-			w := &h.Events[j]
-			if w.PE != e.PE || w.Seq >= e.Seq || w.Failed {
-				continue
-			}
-			if _, isW := writtenValue(w); !isW {
-				continue
-			}
-			if ownLatest < 0 || w.Seq > h.Events[ownLatest].Seq {
-				ownLatest = j
-			}
-		}
-
-		if v == initVal {
-			if ownLatest >= 0 {
-				rep.add(Violation{
-					Kind: "release-lost-write", Addr: addr,
-					Msg:    "read the initial value after writing the word itself",
-					Events: []Event{h.Events[ownLatest], *e},
-				})
-				continue
-			}
-			// The initial value is stale once any writer's flush completed
-			// before the read began.
-			for _, j := range idxs {
-				w := &h.Events[j]
-				if _, isW := writtenValue(w); !isW || w.Failed {
-					continue
-				}
-				if _, fresp, ok := publishWindow(sx, w); ok && fresp < int64(e.Inv) {
-					rep.add(Violation{
-						Kind: "release-stale-read", Addr: addr,
-						Msg:    "read the initial value after a flushed write had completed",
-						Events: []Event{h.Events[j], *e},
-					})
-					break
-				}
-			}
-			continue
-		}
-		j, ok := writers[v]
-		if !ok {
-			rep.add(Violation{
-				Kind: "thin-air-read", Addr: addr,
-				Msg:    fmt.Sprintf("observed value %d that no operation wrote", v),
-				Events: []Event{*e},
-			})
-			continue
-		}
-		w := &h.Events[j]
-		if int64(w.Inv) > int64(e.Resp) {
-			rep.add(Violation{
-				Kind: "future-read", Addr: addr,
-				Msg:    "read completed before its writer was invoked",
-				Events: []Event{*w, *e},
-			})
-			continue
-		}
-		if ownLatest >= 0 && j != ownLatest {
-			own := &h.Events[ownLatest]
-			if w.PE == e.PE {
-				// Observed an own older write: the buffer coalesces per word
-				// last-writer-wins, so a superseded own value can never
-				// resurface for its writer.
-				rep.add(Violation{
-					Kind: "release-lost-write", Addr: addr,
-					Msg:    fmt.Sprintf("read own superseded value %d instead of the latest own write", v),
-					Events: []Event{*w, *own, *e},
-				})
-				continue
-			}
-			finv, _, flushed := publishWindow(sx, own)
-			if !flushed || finv >= int64(e.Resp) {
-				// The own latest write was still buffered for the whole read
-				// (its flush, if any, began only after the read completed):
-				// the overlay must have served it, not another PE's value.
-				rep.add(Violation{
-					Kind: "release-lost-write", Addr: addr,
-					Msg:    fmt.Sprintf("read another PE's value %d while an own write was still buffered", v),
-					Events: []Event{*own, *e},
-				})
-				continue
-			}
-		}
-		if w.PE != e.PE {
-			if _, _, ok := publishWindow(sx, w); !ok {
-				rep.add(Violation{
-					Kind: "release-unflushed-read", Addr: addr,
-					Msg:    fmt.Sprintf("observed value %d from another PE's never-flushed buffered write", v),
-					Events: []Event{*w, *e},
-				})
-				continue
-			}
-		}
-		// Fence-to-fence staleness: w is provably overwritten before e began
-		// when some other write's publish completed before e, and w's own
-		// publish completed before that publish began.
-		_, wResp, wPub := publishWindow(sx, w)
-		if !wPub {
-			continue
-		}
-		for _, j2 := range idxs {
-			w2 := &h.Events[j2]
-			if j2 == j || w2.Failed {
-				continue
-			}
-			if _, isW := writtenValue(w2); !isW {
-				continue
-			}
-			w2inv, w2resp, ok := publishWindow(sx, w2)
-			if !ok {
-				continue
-			}
-			if wResp < w2inv && w2resp < int64(e.Inv) {
-				rep.add(Violation{
-					Kind: "release-stale-read", Addr: addr,
-					Msg:    fmt.Sprintf("read value %d after a later flushed write had completed", v),
-					Events: []Event{*w, *w2, *e},
-				})
-				break
-			}
-		}
-	}
-	// No read-inversion condition: release gives up the per-word total order
-	// between sync edges, so opposite-order observations inside one fence
-	// interval are legal.
-}
-
-// checkObserversLease is the lease read discipline. A lease-served read
-// (Cached, Mode=lease) carries its grant window in Arg1/Arg2: it must start
-// before the lease expires, and it may observe any value that was current at
-// the grant — the staleness bound moves from the read's start back to
-// Arg1. Home-served observations on lease words (misses recorded the same
-// way, plus atomics) keep the strong bound. No read-inversion condition:
-// two PEs' leases legitimately expose writes in opposite orders inside
-// their windows.
-func checkObserversLease(rep *Report, h *History, _ syncIndex, addr uint64, idxs []int, writers map[int64]int, observers []int) {
-	initVal := h.Baseline[addr]
-	for _, i := range observers {
-		e := &h.Events[i]
-		v, _ := observedValue(e)
-		leased := e.Kind == KindRead && e.Cached && e.Mode == modeLease
-		// bound: a write completing before this instant makes e's value stale.
-		bound := int64(e.Inv)
-		staleKind := "stale-read"
-		if leased {
-			bound = e.Arg1 // the lease's grant time
-			staleKind = "lease-stale-read"
-			if int64(e.Inv) > e.Arg2 {
-				rep.add(Violation{
-					Kind: "lease-overstay", Addr: addr,
-					Msg:    fmt.Sprintf("read served from a lease %d ticks after its expiry", int64(e.Inv)-e.Arg2),
-					Events: []Event{*e},
-				})
-			}
-		}
-		if v == initVal {
-			for _, j := range idxs {
-				w := &h.Events[j]
-				if _, isW := writtenValue(w); isW && !w.Failed && int64(w.Resp) < bound {
-					rep.add(Violation{
-						Kind: staleKind, Addr: addr,
-						Msg:    "read the initial value after a write had completed",
-						Events: []Event{h.Events[j], *e},
-					})
-					break
-				}
-			}
-			continue
-		}
-		j, ok := writers[v]
-		if !ok {
-			rep.add(Violation{
-				Kind: "thin-air-read", Addr: addr,
-				Msg:    fmt.Sprintf("observed value %d that no operation wrote", v),
-				Events: []Event{*e},
-			})
-			continue
-		}
-		w := &h.Events[j]
-		if int64(w.Inv) > int64(e.Resp) {
-			rep.add(Violation{
-				Kind: "future-read", Addr: addr,
-				Msg:    "read completed before its writer was invoked",
-				Events: []Event{*w, *e},
-			})
-			continue
-		}
-		for _, j2 := range idxs {
-			w2 := &h.Events[j2]
-			if j2 == j || w2.Failed {
-				continue
-			}
-			if _, isW := writtenValue(w2); !isW {
-				continue
-			}
-			if effResp(w) < int64(w2.Inv) && int64(w2.Resp) < bound {
-				rep.add(Violation{
-					Kind: staleKind, Addr: addr,
-					Msg:    fmt.Sprintf("read value %d after a later write had completed", v),
-					Events: []Event{*w, *w2, *e},
-				})
-				break
 			}
 		}
 	}
@@ -836,17 +690,20 @@ func checkBarrier(rep *Report, h *History, id uint64, idxs []int) {
 	if len(rounds) < 2 {
 		return
 	}
+	// Visit the PEs in order, so that ties between arrivals or releases
+	// name the same PEs in every report.
+	pes := slices.Sorted(maps.Keys(rounds))
 	minRounds := -1
-	for _, r := range rounds {
-		if minRounds < 0 || len(r) < minRounds {
+	for _, pe := range pes {
+		if r := rounds[pe]; minRounds < 0 || len(r) < minRounds {
 			minRounds = len(r)
 		}
 	}
 	for k := 0; k < minRounds; k++ {
 		var maxInv, minResp int64 = 0, infTime
 		var late, early *Event
-		for _, r := range rounds {
-			e := &h.Events[r[k]]
+		for _, pe := range pes {
+			e := &h.Events[rounds[pe][k]]
 			if int64(e.Inv) > maxInv {
 				maxInv, late = int64(e.Inv), e
 			}

@@ -12,9 +12,13 @@ func ev(pe int32, kind Kind, addr uint64, inv, resp sim.Time) Event {
 	return Event{PE: pe, Kind: kind, Addr: addr, Inv: inv, Resp: resp}
 }
 
-func hist(events ...Event) *History {
+func hist(events ...Event) *History { return histIn(modeStrong, events...) }
+
+// histIn builds a history whose events all carry the consistency tier mode.
+func histIn(mode uint8, events ...Event) *History {
 	for i := range events {
 		events[i].Seq = int32(i)
+		events[i].Mode = mode
 	}
 	return &History{Events: events}
 }
@@ -47,6 +51,131 @@ func read(pe int32, addr uint64, v int64, inv, resp sim.Time) Event {
 	e := ev(pe, KindRead, addr, inv, resp)
 	e.Out = v
 	return e
+}
+
+// leased is a read served from a lease granted at grant and expiring at until.
+func leased(pe int32, addr uint64, v int64, inv, resp, grant, until sim.Time) Event {
+	e := read(pe, addr, v, inv, resp)
+	e.Cached, e.Arg1, e.Arg2 = true, int64(grant), int64(until)
+	return e
+}
+
+func flush(pe int32, inv, resp sim.Time) Event { return ev(pe, KindFlush, 0, inv, resp) }
+
+// tierCases exercises every rule of the release and lease tiers, each beside
+// a legal history that differs from it only where the rule draws its line.
+// want lists the report's violation kinds in order; empty means consistent.
+var tierCases = []struct {
+	name   string
+	mode   uint8
+	events []Event
+	want   []string
+}{
+	{"release-own-write-then-initial", modeRelease, []Event{
+		write(0, 8, 100, 1, 2),
+		read(0, 8, 0, 3, 4), // its own buffered write must shadow the word
+	}, []string{"release-lost-write"}},
+	{"release-own-superseded-value", modeRelease, []Event{
+		write(0, 8, 100, 1, 2),
+		write(0, 8, 200, 3, 4),
+		read(0, 8, 100, 5, 6), // the buffer keeps the last own write per word
+	}, []string{"release-lost-write"}},
+	{"release-other-value-while-own-buffered", modeRelease, []Event{
+		write(1, 8, 300, 1, 2),
+		flush(1, 3, 4),
+		write(0, 8, 100, 5, 6),
+		read(0, 8, 300, 7, 8), // 100 is still buffered: the overlay serves it
+	}, []string{"release-lost-write"}},
+	{"release-own-unflushed-write-visible", modeRelease, []Event{
+		write(1, 8, 300, 1, 2),
+		flush(1, 3, 4),
+		write(0, 8, 100, 5, 6),
+		read(0, 8, 100, 7, 8),
+	}, nil},
+	{"release-initial-after-flush", modeRelease, []Event{
+		write(0, 8, 100, 1, 2),
+		flush(0, 3, 4),
+		read(1, 8, 0, 5, 6),
+	}, []string{"release-stale-read"}},
+	{"release-initial-while-flushing", modeRelease, []Event{
+		write(0, 8, 100, 1, 2),
+		flush(0, 3, 6),
+		read(1, 8, 0, 5, 7), // the flush had not completed when the read began
+	}, nil},
+	{"release-value-after-later-flush", modeRelease, []Event{
+		write(0, 8, 100, 1, 2),
+		flush(0, 3, 4),
+		write(0, 8, 200, 5, 6),
+		flush(0, 7, 8),
+		read(1, 8, 100, 9, 10),
+	}, []string{"release-stale-read"}},
+	{"release-value-inside-later-flush", modeRelease, []Event{
+		write(0, 8, 100, 1, 2),
+		flush(0, 3, 4),
+		write(0, 8, 200, 5, 6),
+		flush(0, 7, 10),
+		read(1, 8, 100, 9, 11),
+	}, nil},
+	{"release-never-flushed-value", modeRelease, []Event{
+		write(0, 8, 100, 1, 2),
+		read(1, 8, 100, 3, 4),
+	}, []string{"release-unflushed-read"}},
+	{"release-opposite-order", modeRelease, []Event{
+		write(0, 8, 100, 1, 2),
+		flush(0, 3, 4),
+		write(1, 8, 200, 5, 6),
+		flush(1, 7, 30),
+		read(2, 8, 200, 8, 9),
+		read(2, 8, 100, 10, 11), // a read inversion under the strong rules
+	}, nil},
+	{"lease-overstay", modeLease, []Event{
+		write(0, 8, 100, 1, 2),
+		leased(1, 8, 100, 10, 11, 3, 8),
+	}, []string{"lease-overstay"}},
+	{"lease-initial-after-write-before-grant", modeLease, []Event{
+		write(0, 8, 100, 1, 2),
+		leased(1, 8, 0, 5, 6, 3, 10),
+	}, []string{"lease-stale-read"}},
+	{"lease-initial-granted-before-write", modeLease, []Event{
+		leased(1, 8, 0, 5, 6, 1, 10),
+		write(0, 8, 100, 2, 3),
+	}, nil},
+	{"lease-value-overwritten-before-grant", modeLease, []Event{
+		write(0, 8, 100, 1, 2),
+		write(0, 8, 200, 3, 4),
+		leased(1, 8, 100, 7, 8, 5, 10),
+	}, []string{"lease-stale-read"}},
+	{"lease-value-overwritten-after-grant", modeLease, []Event{
+		write(0, 8, 100, 1, 2),
+		write(0, 8, 200, 4, 5),
+		leased(1, 8, 100, 7, 8, 3, 10),
+	}, nil},
+	{"lease-home-read-keeps-strong-bound", modeLease, []Event{
+		write(0, 8, 100, 1, 2),
+		write(0, 8, 200, 4, 5),
+		read(1, 8, 100, 7, 8), // served by the home: bounded by its own start
+	}, []string{"stale-read"}},
+	{"lease-opposite-order", modeLease, []Event{
+		write(0, 8, 100, 1, 2),
+		write(1, 8, 200, 3, 20),
+		read(2, 8, 200, 4, 5),
+		leased(3, 8, 100, 6, 7, 2, 50), // a read inversion under the strong rules
+	}, nil},
+}
+
+func TestCheckTierRules(t *testing.T) {
+	for _, c := range tierCases {
+		t.Run(c.name, func(t *testing.T) {
+			rep := Check(histIn(c.mode, append([]Event(nil), c.events...)...))
+			var got []string
+			for _, v := range rep.Violations {
+				got = append(got, v.Kind)
+			}
+			if strings.Join(got, " ") != strings.Join(c.want, " ") {
+				t.Fatalf("violations %q, want %q:\n%v", got, c.want, rep)
+			}
+		})
+	}
 }
 
 func TestCheckSequentialHistory(t *testing.T) {
@@ -236,6 +365,23 @@ func TestCheckBarrierRounds(t *testing.T) {
 		ev(0, KindBarrier, 0, 1, 2), // released before PE 1 arrived
 		ev(1, KindBarrier, 0, 4, 5),
 	), "barrier-order")
+}
+
+// Tied arrivals or releases must name the same PEs in every report: the
+// first of the tied PEs in PE order.
+func TestCheckBarrierTiesDeterministic(t *testing.T) {
+	h := hist(
+		ev(0, KindBarrier, 0, 1, 2),
+		ev(1, KindBarrier, 0, 1, 2),
+		ev(2, KindBarrier, 0, 5, 6),
+		ev(3, KindBarrier, 0, 5, 6),
+	)
+	for i := 0; i < 50; i++ {
+		rep := Check(h)
+		if len(rep.Violations) != 1 || rep.Violations[0].Msg != "round 0: PE 0 was released before PE 2 arrived" {
+			t.Fatalf("run %d: %v", i, rep)
+		}
+	}
 }
 
 func TestReportString(t *testing.T) {

@@ -56,8 +56,10 @@ func (k Kind) String() string {
 
 // Event is one recorded operation: an invocation/response interval plus the
 // operation's arguments and observed result. Failed operations (timeout,
-// peer down) keep Failed=true and a zero Resp — the op MAY have applied at
-// its home, so the checker treats its effect window as [Inv, ∞).
+// peer down) keep Failed=true. A failed mutation keeps a zero Resp — it MAY
+// have applied at its home, so the checker treats its effect window as
+// [Inv, ∞); a failed read gets the failure instant from FailReads and
+// observes nothing.
 type Event struct {
 	PE     int32
 	Seq    int32 // per-PE record index; stable tiebreak and replay identity

@@ -46,24 +46,54 @@ func TestCheckerStrongGoldenClean(t *testing.T) {
 }
 
 func TestCheckerStrongGoldenViolations(t *testing.T) {
-	res, err := stress.Run(stress.Options{
+	wantGoldenViolations(t, stress.Options{
 		Seed: 3, NumPE: 4, OpsPerPE: 300,
 		Caching: true, Fault: core.FaultDropInvalidations,
-	})
+	}, "ab1270739a92b5bc24afb0c7f053555888fb08937c5460d479d1224523cc01f3",
+		5, "104c9f111291969d10d6d9819d3b519d54dade3440e580a95ad2eff80082e254")
+}
+
+// The release and lease goldens pin the tier rules' verdicts on the rows
+// core's TestStressCatchesSkippedReleaseFlush and
+// TestStressCatchesIgnoredLeaseExpiry run. They were captured while each tier
+// still had its own observer function, before one observer discipline took
+// over all three; both rows fill the report (maxViolations).
+func TestCheckerReleaseGoldenViolations(t *testing.T) {
+	wantGoldenViolations(t, stress.Options{
+		Seed: 5, NumPE: 4, OpsPerPE: 400, Modes: true,
+		Fault: core.FaultSkipReleaseFlush,
+	}, "9596ab613c22cf5611a3885c6783f768760e7a673016f3f5242b75369548d250",
+		16, "d40be6f79bc920340cfe45af96933e33f19c2422f90c60186c940bdf1f5aad0e")
+}
+
+func TestCheckerLeaseGoldenViolations(t *testing.T) {
+	wantGoldenViolations(t, stress.Options{
+		Seed: 19, NumPE: 4, OpsPerPE: 400, Modes: true,
+		LeaseDuration: 100 * sim.Microsecond,
+		Fault:         core.FaultIgnoreLeaseExpiry,
+	}, "19046198ffed4375c9b54bb929b3e9120403b05dca9d476a3bd9ee26fbbe9630",
+		16, "430c209220ce081a8c02291729c3cf7ea7287cf951f91bbfd1514ee9b8479130")
+}
+
+// wantGoldenViolations runs o and compares its history digest, violation
+// count and report digest with the captured ones.
+func wantGoldenViolations(t *testing.T, o stress.Options, history string, violations int, report string) {
+	t.Helper()
+	res, err := stress.Run(o)
 	if err != nil {
 		t.Fatalf("stress run: %v", err)
 	}
-	if got, want := res.History.Digest(), "ab1270739a92b5bc24afb0c7f053555888fb08937c5460d479d1224523cc01f3"; got != want {
-		t.Errorf("history digest drifted from seed recorder:\n got %s\nwant %s", got, want)
+	if got := res.History.Digest(); got != history {
+		t.Errorf("history digest drifted from seed recorder:\n got %s\nwant %s", got, history)
 	}
 	if res.Report.OK() {
-		t.Fatal("expected violations from dropped invalidations")
+		t.Fatalf("expected violations from %v", o.Fault)
 	}
-	if got, want := len(res.Report.Violations), 5; got != want {
-		t.Errorf("violation count drifted: got %d want %d", got, want)
+	if got := len(res.Report.Violations); got != violations {
+		t.Errorf("violation count drifted: got %d want %d", got, violations)
 	}
-	if got, want := reportDigest(res.Report), "104c9f111291969d10d6d9819d3b519d54dade3440e580a95ad2eff80082e254"; got != want {
-		t.Errorf("report digest drifted from seed checker:\n got %s\nwant %s\nreport:\n%s", got, want, res.Report)
+	if got := reportDigest(res.Report); got != report {
+		t.Errorf("report digest drifted from seed checker:\n got %s\nwant %s\nreport:\n%s", got, report, res.Report)
 	}
 }
 
