@@ -228,11 +228,12 @@ func main() {
 		fmt.Printf("network: %d frames, %d payload bytes, %d collisions, %.1f%% utilisation\n",
 			res.Bus.Frames, res.Bus.PayloadBytes, res.Bus.Collisions, util)
 	}
-	for i, s := range res.PerPE {
+	for i := range res.PerPE {
+		s := &res.PerPE[i]
 		fmt.Printf("  PE%-2d compute=%v comm=%v msgs=%d gm=%d local/%d remote\n",
 			i, s.ComputeTime, s.CommTime(), s.MsgsSent+s.MsgsRecv, s.LocalGM, s.RemoteGM)
 	}
-	if res.Total.RTT.Count > 0 {
+	if res.Total.RTT.Count.Load() > 0 {
 		fmt.Printf("request round trips: %s\n%s", res.Total.RTT.String(), res.Total.RTT.Render(40))
 	}
 }

@@ -260,14 +260,6 @@ func min(a, b int) int {
 	return b
 }
 
-// Quantise zeroes all but the first keep coefficients in zig-zag order,
-// in place.
-func Quantise(coeffs []float64, order []int, keep int) {
-	for i := keep; i < len(order); i++ {
-		coeffs[order[i]] = 0
-	}
-}
-
 // blockOps counts the floating-point work of one block under the direct
 // O(B⁴) formulation: two multiply-adds per basis product.
 func blockOps(b int) float64 {

@@ -127,28 +127,6 @@ func TestZigZag4x4KnownPrefix(t *testing.T) {
 	}
 }
 
-func TestQuantiseKeepsLowFrequencies(t *testing.T) {
-	const b = 4
-	coeffs := make([]float64, b*b)
-	for i := range coeffs {
-		coeffs[i] = 1
-	}
-	order := ZigZag(b)
-	Quantise(coeffs, order, 3)
-	kept := 0
-	for _, c := range coeffs {
-		if c != 0 {
-			kept++
-		}
-	}
-	if kept != 3 {
-		t.Fatalf("kept %d coefficients, want 3", kept)
-	}
-	if coeffs[0] == 0 || coeffs[1] == 0 || coeffs[4] == 0 {
-		t.Fatal("low frequencies were zeroed")
-	}
-}
-
 func TestSequentialReconstructionQuality(t *testing.T) {
 	p := Params{ImageN: 64, Block: 8, Rate: 0.5, Seed: 1}
 	img := BuildImage(p)
@@ -284,6 +262,6 @@ func TestParallelOnSimulatedCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Elapsed <= 0 || res.Total.RemoteGM == 0 {
-		t.Fatalf("simulation did not exercise the DSM: %+v", res.Total)
+		t.Fatalf("simulation did not exercise the DSM: %+v", &res.Total)
 	}
 }

@@ -163,7 +163,7 @@ func TestParallelOnSimulatedClusterChargesTime(t *testing.T) {
 		t.Fatal("no virtual time elapsed")
 	}
 	if res.Total.ComputeTime <= 0 || res.Total.MsgsSent == 0 {
-		t.Fatalf("stats incomplete: %+v", res.Total)
+		t.Fatalf("stats incomplete: %+v", &res.Total)
 	}
 }
 

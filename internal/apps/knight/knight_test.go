@@ -155,49 +155,3 @@ func TestParallelOnSimulatedCluster(t *testing.T) {
 		t.Fatal("no virtual time elapsed")
 	}
 }
-
-func TestFindTourWarnsdorff(t *testing.T) {
-	for _, n := range []int{5, 6, 7, 8} {
-		path, ok, err := FindTour(Params{BoardN: n, Jobs: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("%dx%d: no tour found from the corner", n, n)
-		}
-		if err := ValidateTour(path, n); err != nil {
-			t.Fatalf("%dx%d: %v", n, n, err)
-		}
-	}
-}
-
-func TestFindTourImpossibleStart(t *testing.T) {
-	// 5x5 minority-colour start has no tour.
-	_, ok, err := FindTour(Params{BoardN: 5, Jobs: 1, StartX: 0, StartY: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("found a tour that cannot exist")
-	}
-}
-
-func TestValidateTourRejectsBadPaths(t *testing.T) {
-	if err := ValidateTour([]int{0, 1}, 5); err == nil {
-		t.Fatal("short path accepted")
-	}
-	good, ok, _ := FindTour(Params{BoardN: 5, Jobs: 1})
-	if !ok {
-		t.Fatal("no baseline tour")
-	}
-	bad := append([]int(nil), good...)
-	bad[3], bad[4] = bad[4], bad[3] // breaks the knight-move chain
-	if err := ValidateTour(bad, 5); err == nil {
-		t.Fatal("corrupted path accepted")
-	}
-	dup := append([]int(nil), good...)
-	dup[10] = dup[0]
-	if err := ValidateTour(dup, 5); err == nil {
-		t.Fatal("duplicate square accepted")
-	}
-}

@@ -129,7 +129,8 @@ func DecodeSlice(data []byte) (Slice, error) {
 }
 
 // EncodeKernelState serialises a kernel's GM slice (gmem.Segment.Export) for
-// a Slice's Kernel field.
+// a Slice's Kernel field: block size, block count, then one appendBlock
+// entry per block.
 func EncodeKernelState(blockWords int, blocks []gmem.BlockSnapshot) []byte {
 	n := 16
 	for _, b := range blocks {
@@ -139,84 +140,106 @@ func EncodeKernelState(blockWords int, blocks []gmem.BlockSnapshot) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(blockWords))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(blocks)))
 	for _, b := range blocks {
-		buf = binary.LittleEndian.AppendUint64(buf, b.Index)
-		for _, w := range b.Words {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(b.Copyset)))
-		for _, k := range b.Copyset {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
-		}
+		buf = appendBlock(buf, b)
 	}
 	return buf
 }
 
-// DecodeKernelState parses an EncodeKernelState payload, ignoring any V2
-// membership trailer (see DecodeKernelStateDir).
-func DecodeKernelState(data []byte) (blockWords int, blocks []gmem.BlockSnapshot, err error) {
-	blockWords, blocks, _, err = decodeKernelBlocks(data)
-	return blockWords, blocks, err
+// appendBlock encodes one block: index, words, copyset size, copyset. The
+// block list and every escrow entry of the V2 trailer use it.
+func appendBlock(buf []byte, b gmem.BlockSnapshot) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, b.Index)
+	for _, w := range b.Words {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(b.Copyset)))
+	for _, k := range b.Copyset {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
+	}
+	return buf
 }
 
-// decodeKernelBlocks parses the V1 block list and returns the offset one
-// past it, where a V2 trailer (if any) begins.
-func decodeKernelBlocks(data []byte) (blockWords int, blocks []gmem.BlockSnapshot, end int, err error) {
-	off := 0
-	get := func() (uint64, error) {
-		if off+8 > len(data) {
-			return 0, fmt.Errorf("ckpt: truncated kernel state at byte %d", off)
+// decoder reads a kernel state's little-endian uint64 stream. section names
+// the part being read in truncation errors.
+type decoder struct {
+	data    []byte
+	off     int
+	section string
+}
+
+func (d *decoder) u64() (uint64, error) {
+	if d.off+8 > len(d.data) {
+		return 0, fmt.Errorf("ckpt: truncated %s at byte %d", d.section, d.off)
+	}
+	v := binary.LittleEndian.Uint64(d.data[d.off:])
+	d.off += 8
+	return v, nil
+}
+
+// count reads a list length, refusing one the payload cannot hold.
+func (d *decoder) count(what string) (uint64, error) {
+	n, err := d.u64()
+	if err == nil && n > uint64(len(d.data)) {
+		err = fmt.Errorf("ckpt: implausible %s %d", what, n)
+	}
+	return n, err
+}
+
+// block decodes one appendBlock entry of bw words.
+func (d *decoder) block(bw int) (b gmem.BlockSnapshot, err error) {
+	if b.Index, err = d.u64(); err != nil {
+		return b, err
+	}
+	b.Words = make([]int64, bw)
+	for w := range b.Words {
+		v, err := d.u64()
+		if err != nil {
+			return b, err
 		}
-		v := binary.LittleEndian.Uint64(data[off:])
-		off += 8
-		return v, nil
+		b.Words[w] = int64(v)
 	}
-	bw, err := get()
+	nc, err := d.count("copyset size")
 	if err != nil {
-		return 0, nil, 0, err
+		return b, err
 	}
-	nb, err := get()
+	for c := uint64(0); c < nc; c++ {
+		v, err := d.u64()
+		if err != nil {
+			return b, err
+		}
+		b.Copyset = append(b.Copyset, int(v))
+	}
+	return b, nil
+}
+
+// blocks parses the V1 block list, leaving d one past it, where a V2
+// trailer (if any) begins.
+func (d *decoder) blocks() (blockWords int, blocks []gmem.BlockSnapshot, err error) {
+	bw, err := d.u64()
 	if err != nil {
-		return 0, nil, 0, err
+		return 0, nil, err
 	}
-	if bw == 0 || bw > 1<<20 || nb > uint64(len(data)) {
-		return 0, nil, 0, fmt.Errorf("ckpt: implausible kernel state (blockWords=%d, blocks=%d)", bw, nb)
+	nb, err := d.u64()
+	if err != nil {
+		return 0, nil, err
+	}
+	if bw == 0 || bw > 1<<20 || nb > uint64(len(d.data)) {
+		return 0, nil, fmt.Errorf("ckpt: implausible kernel state (blockWords=%d, blocks=%d)", bw, nb)
 	}
 	blocks = make([]gmem.BlockSnapshot, 0, nb)
 	seen := make(map[uint64]bool)
 	for i := uint64(0); i < nb; i++ {
-		var b gmem.BlockSnapshot
-		if b.Index, err = get(); err != nil {
-			return 0, nil, 0, err
+		b, err := d.block(int(bw))
+		if err != nil {
+			return 0, nil, err
 		}
 		if seen[b.Index] {
-			return 0, nil, 0, fmt.Errorf("ckpt: kernel state lists block %d twice", b.Index)
+			return 0, nil, fmt.Errorf("ckpt: kernel state lists block %d twice", b.Index)
 		}
 		seen[b.Index] = true
-		b.Words = make([]int64, bw)
-		for w := range b.Words {
-			var v uint64
-			if v, err = get(); err != nil {
-				return 0, nil, 0, err
-			}
-			b.Words[w] = int64(v)
-		}
-		var nc uint64
-		if nc, err = get(); err != nil {
-			return 0, nil, 0, err
-		}
-		if nc > uint64(len(data)) {
-			return 0, nil, 0, fmt.Errorf("ckpt: implausible copyset size %d", nc)
-		}
-		for c := uint64(0); c < nc; c++ {
-			var v uint64
-			if v, err = get(); err != nil {
-				return 0, nil, 0, err
-			}
-			b.Copyset = append(b.Copyset, int(v))
-		}
 		blocks = append(blocks, b)
 	}
-	return int(bw), blocks, off, nil
+	return int(bw), blocks, nil
 }
 
 // --- Directory (elastic membership) snapshot: kernel-state V2 trailer ---
@@ -272,14 +295,7 @@ func EncodeKernelStateDir(blockWords int, blocks []gmem.BlockSnapshot, dir *Dire
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(dir.Escrow)))
 	for _, e := range dir.Escrow {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Dst))
-		buf = binary.LittleEndian.AppendUint64(buf, e.Block.Index)
-		for _, w := range e.Block.Words {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(e.Block.Copyset)))
-		for _, k := range e.Block.Copyset {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
-		}
+		buf = appendBlock(buf, e.Block)
 	}
 	return buf
 }
@@ -287,103 +303,68 @@ func EncodeKernelStateDir(blockWords int, blocks []gmem.BlockSnapshot, dir *Dire
 // DecodeKernelStateDir parses an EncodeKernelStateDir payload. dir is nil
 // for a V1 payload (no trailer).
 func DecodeKernelStateDir(data []byte) (blockWords int, blocks []gmem.BlockSnapshot, dir *DirectorySnapshot, err error) {
-	blockWords, blocks, off, err := decodeKernelBlocks(data)
+	d := &decoder{data: data, section: "kernel state"}
+	blockWords, blocks, err = d.blocks()
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	if off == len(data) {
+	if d.off == len(data) {
 		return blockWords, blocks, nil, nil // V1
 	}
-	if off+8 > len(data) || string(data[off:off+8]) != string(dirMagic[:]) {
+	if d.off+8 > len(data) || string(data[d.off:d.off+8]) != string(dirMagic[:]) {
 		return 0, nil, nil, errors.New("ckpt: kernel state has trailing bytes that are not a directory trailer")
 	}
-	off += 8
-	get := func() (uint64, error) {
-		if off+8 > len(data) {
-			return 0, fmt.Errorf("ckpt: truncated directory trailer at byte %d", off)
-		}
-		v := binary.LittleEndian.Uint64(data[off:])
-		off += 8
-		return v, nil
-	}
-	d := &DirectorySnapshot{}
-	if d.Epoch, err = get(); err != nil {
+	d.off += 8
+	d.section = "directory trailer"
+	dir = &DirectorySnapshot{}
+	if dir.Epoch, err = d.u64(); err != nil {
 		return 0, nil, nil, err
 	}
-	nm, err := get()
+	nm, err := d.count("member count")
 	if err != nil {
 		return 0, nil, nil, err
-	}
-	if nm > uint64(len(data)) {
-		return 0, nil, nil, fmt.Errorf("ckpt: implausible member count %d", nm)
 	}
 	for i := uint64(0); i < nm; i++ {
 		var m MemberSnapshot
-		if m.State, err = get(); err != nil {
+		if m.State, err = d.u64(); err != nil {
 			return 0, nil, nil, err
 		}
-		if m.Gen, err = get(); err != nil {
+		if m.Gen, err = d.u64(); err != nil {
 			return 0, nil, nil, err
 		}
-		d.Members = append(d.Members, m)
+		dir.Members = append(dir.Members, m)
 	}
-	nov, err := get()
+	nov, err := d.count("override count")
 	if err != nil {
 		return 0, nil, nil, err
-	}
-	if nov > uint64(len(data)) {
-		return 0, nil, nil, fmt.Errorf("ckpt: implausible override count %d", nov)
 	}
 	for i := uint64(0); i < nov; i++ {
-		var b, h uint64
-		if b, err = get(); err != nil {
+		var ov [2]uint64
+		if ov[0], err = d.u64(); err != nil {
 			return 0, nil, nil, err
 		}
-		if h, err = get(); err != nil {
+		if ov[1], err = d.u64(); err != nil {
 			return 0, nil, nil, err
 		}
-		d.Overrides = append(d.Overrides, [2]uint64{b, h})
+		dir.Overrides = append(dir.Overrides, ov)
 	}
-	ne, err := get()
+	ne, err := d.count("escrow count")
 	if err != nil {
 		return 0, nil, nil, err
-	}
-	if ne > uint64(len(data)) {
-		return 0, nil, nil, fmt.Errorf("ckpt: implausible escrow count %d", ne)
 	}
 	for i := uint64(0); i < ne; i++ {
 		var e EscrowSnapshot
-		var v uint64
-		if v, err = get(); err != nil {
+		dst, err := d.u64()
+		if err != nil {
 			return 0, nil, nil, err
 		}
-		e.Dst = int(v)
-		if e.Block.Index, err = get(); err != nil {
+		e.Dst = int(dst)
+		if e.Block, err = d.block(blockWords); err != nil {
 			return 0, nil, nil, err
 		}
-		e.Block.Words = make([]int64, blockWords)
-		for w := range e.Block.Words {
-			if v, err = get(); err != nil {
-				return 0, nil, nil, err
-			}
-			e.Block.Words[w] = int64(v)
-		}
-		var nc uint64
-		if nc, err = get(); err != nil {
-			return 0, nil, nil, err
-		}
-		if nc > uint64(len(data)) {
-			return 0, nil, nil, fmt.Errorf("ckpt: implausible escrow copyset size %d", nc)
-		}
-		for c := uint64(0); c < nc; c++ {
-			if v, err = get(); err != nil {
-				return 0, nil, nil, err
-			}
-			e.Block.Copyset = append(e.Block.Copyset, int(v))
-		}
-		d.Escrow = append(d.Escrow, e)
+		dir.Escrow = append(dir.Escrow, e)
 	}
-	return blockWords, blocks, d, nil
+	return blockWords, blocks, dir, nil
 }
 
 // --- DirStore ---

@@ -2,9 +2,11 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -36,12 +38,12 @@ func TestSliceRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.App, want.App) || !bytes.Equal(got.Kernel, want.Kernel) {
 		t.Fatalf("payload mismatch")
 	}
-	bw, blocks, err := DecodeKernelState(got.Kernel)
+	bw, blocks, dir, err := DecodeKernelStateDir(got.Kernel)
 	if err != nil {
-		t.Fatalf("DecodeKernelState: %v", err)
+		t.Fatalf("DecodeKernelStateDir: %v", err)
 	}
-	if bw != 8 || len(blocks) != 2 {
-		t.Fatalf("got blockWords=%d blocks=%d, want 8/2", bw, len(blocks))
+	if bw != 8 || len(blocks) != 2 || dir != nil {
+		t.Fatalf("got blockWords=%d blocks=%d dir=%v, want 8/2/nil", bw, len(blocks), dir)
 	}
 	if blocks[0].Index != 4 || blocks[0].Words[1] != -2 || len(blocks[0].Copyset) != 2 {
 		t.Fatalf("block 0 mismatch: %+v", blocks[0])
@@ -60,8 +62,8 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 	}
 	ks := EncodeKernelState(8, []gmem.BlockSnapshot{{Index: 1, Words: make([]int64, 8)}})
 	for _, n := range []int{0, 8, 17, len(ks) - 1} {
-		if _, _, err := DecodeKernelState(ks[:n]); err == nil {
-			t.Errorf("DecodeKernelState accepted %d-byte truncation", n)
+		if _, _, _, err := DecodeKernelStateDir(ks[:n]); err == nil {
+			t.Errorf("DecodeKernelStateDir accepted %d-byte truncation", n)
 		}
 	}
 }
@@ -75,12 +77,57 @@ func TestDecodeRejectsRepeatedBlock(t *testing.T) {
 		{Index: 9, Words: []int64{3, 4}},
 		{Index: 7, Words: []int64{5, 6}},
 	}
-	if _, _, err := DecodeKernelState(EncodeKernelState(2, blocks)); err == nil || !strings.Contains(err.Error(), "block 7 twice") {
-		t.Errorf("DecodeKernelState: err = %v, want one naming block 7", err)
+	if _, _, _, err := DecodeKernelStateDir(EncodeKernelState(2, blocks)); err == nil || !strings.Contains(err.Error(), "block 7 twice") {
+		t.Errorf("DecodeKernelStateDir(V1): err = %v, want one naming block 7", err)
 	}
 	dir := &DirectorySnapshot{Epoch: 1, Members: []MemberSnapshot{{}, {}}}
 	if _, _, _, err := DecodeKernelStateDir(EncodeKernelStateDir(2, blocks, dir)); err == nil || !strings.Contains(err.Error(), "block 7 twice") {
 		t.Errorf("DecodeKernelStateDir: err = %v, want one naming block 7", err)
+	}
+}
+
+// TestKernelStateDirBytes pins the V2 layout: a fixed snapshot with escrow
+// encodes to the bytes below, in which each escrow entry after its Dst is laid
+// out exactly like a block of the main list, and those bytes decode back to
+// the snapshot.
+func TestKernelStateDirBytes(t *testing.T) {
+	blocks := []gmem.BlockSnapshot{
+		{Index: 3, Words: []int64{1, -2}, Copyset: []int{0, 2}},
+		{Index: 5, Words: []int64{7, 1 << 40}},
+	}
+	dir := &DirectorySnapshot{
+		Epoch:     4,
+		Members:   []MemberSnapshot{{State: 1, Gen: 2}, {State: 2, Gen: 3}, {State: 1, Gen: 0}},
+		Overrides: [][2]uint64{{5, 1}},
+		Escrow: []EscrowSnapshot{
+			{Dst: 2, Block: gmem.BlockSnapshot{Index: 8, Words: []int64{-1, 9}, Copyset: []int{1}}},
+			{Dst: 0, Block: gmem.BlockSnapshot{Index: 11, Words: []int64{0, 3}}},
+		},
+	}
+	const want = "0200000000000000020000000000000003000000000000000100000000000000" +
+		"feffffffffffffff0200000000000000000000000000000002000000000000000500000000000000" +
+		"0700000000000000000000000001000000000000000000004453454449523200" +
+		"0400000000000000030000000000000001000000000000000200000000000000" +
+		"0200000000000000030000000000000001000000000000000000000000000000" +
+		"0100000000000000050000000000000001000000000000000200000000000000" +
+		"02000000000000000800000000000000ffffffffffffffff0900000000000000" +
+		"0100000000000000010000000000000000000000000000000b00000000000000" +
+		"000000000000000003000000000000000000000000000000"
+	got := EncodeKernelStateDir(2, blocks, dir)
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("encoding changed:\n got %x\nwant %s", got, want)
+	}
+	bw, gotBlocks, gotDir, err := DecodeKernelStateDir(got)
+	if err != nil {
+		t.Fatalf("DecodeKernelStateDir: %v", err)
+	}
+	if bw != 2 || !reflect.DeepEqual(gotBlocks, blocks) || !reflect.DeepEqual(gotDir, dir) {
+		t.Fatalf("round trip: bw=%d blocks=%+v dir=%+v", bw, gotBlocks, gotDir)
+	}
+	for _, n := range []int{len(got) - 1, len(got) - 8, len(got) - 40} {
+		if _, _, _, err := DecodeKernelStateDir(got[:n]); err == nil {
+			t.Errorf("accepted %d-byte truncation", n)
+		}
 	}
 }
 

@@ -325,10 +325,10 @@ func benchFanIn(b *testing.B, cfg Config, requesters int, mixed bool) {
 		writes = each / 4
 	}
 	home := &res.PerPE[0]
-	if got, want := home.ServiceByOp[wire.OpRead].Count, uint64((each-writes)*requesters); got != want {
+	if got, want := home.ServiceByOp[wire.OpRead].Count.Load(), uint64((each-writes)*requesters); got != want {
 		b.Fatalf("home serviced %d reads, want %d", got, want)
 	}
-	if got, want := home.ServiceByOp[wire.OpWrite].Count, uint64(writes*requesters); got != want {
+	if got, want := home.ServiceByOp[wire.OpWrite].Count.Load(), uint64(writes*requesters); got != want {
 		b.Fatalf("home serviced %d writes, want %d", got, want)
 	}
 }

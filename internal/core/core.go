@@ -239,9 +239,11 @@ func (f Fault) String() string {
 type CheckpointConfig struct {
 	// Store receives snapshot generations (e.g. a ckpt.DirStore).
 	Store ckpt.Store
-	// Keep is how many committed generations GC retains (0 = 2).
-	Keep int
 }
+
+// keepGenerations is how many committed generations a checkpoint's GC
+// retains.
+const keepGenerations = 2
 
 func (cfg *Config) withDefaults() (Config, error) {
 	c := *cfg
@@ -284,13 +286,8 @@ func (cfg *Config) withDefaults() (Config, error) {
 	if c.RecordHistory {
 		c.recorder = check.NewRecorder(c.NumPE)
 	}
-	if c.Ckpt != nil {
-		if c.Ckpt.Store == nil {
-			return c, errors.New("core: CheckpointConfig requires a Store")
-		}
-		if c.Ckpt.Keep == 0 {
-			c.Ckpt.Keep = 2
-		}
+	if c.Ckpt != nil && c.Ckpt.Store == nil {
+		return c, errors.New("core: CheckpointConfig requires a Store")
 	}
 	if c.recorder != nil && c.restore != nil {
 		// Restored words have no writer event in this run's history; feed

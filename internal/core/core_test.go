@@ -276,8 +276,8 @@ func TestPingLatencyPositiveUnderSim(t *testing.T) {
 		if pe.ID() != 0 {
 			return nil
 		}
-		if d := pe.Ping(1); d <= 0 {
-			return fmt.Errorf("ping latency %v", d)
+		if d, err := pe.PingErr(1); err != nil || d <= 0 {
+			return fmt.Errorf("ping latency %v, err %v", d, err)
 		}
 		return nil
 	})
@@ -362,7 +362,7 @@ func TestStatsAreCollected(t *testing.T) {
 		t.Fatalf("PerPE has %d entries", len(res.PerPE))
 	}
 	if res.Total.MsgsSent == 0 || res.Total.ComputeTime == 0 || res.Total.Barriers != 3 {
-		t.Fatalf("stats incomplete: %+v", res.Total)
+		t.Fatalf("stats incomplete: %+v", &res.Total)
 	}
 	if res.Bus.Frames == 0 {
 		t.Fatal("no bus frames recorded")

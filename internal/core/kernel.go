@@ -302,7 +302,7 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 		spans:   cfg.Tracing.NewRing(),
 		ns:      gmem.NewNSRegistry(cfg.NumPE),
 
-		dir:             gmem.NewDirectory(cfg.NumPE, cfg.LatentPEs),
+		dir:             newDirectory(cfg, id),
 		escrow:          make(map[uint64]escrowEntry),
 		grantBusyMember: -1,
 	}
@@ -325,18 +325,12 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 		// coherence directory) from the snapshot before serving. Imported
 		// copyset entries may name kernels whose fresh caches hold nothing;
 		// the resulting spurious invalidations are acknowledged harmlessly.
-		// The membership directory is restored first so ownership checks on
-		// Import (and every later request) see the snapshotted view; escrowed
-		// blocks resume their pending handoff via the re-offer path.
+		// newDirectory restored the membership directory, so ownership checks
+		// on Import (and every later request) see the snapshotted view;
+		// escrowed blocks resume their pending handoff via the re-offer path.
+		// loadSnapshot checked the slice against that view, so Import cannot
+		// refuse it.
 		if ds := cfg.restore.dirs[id]; ds != nil {
-			for i, ms := range ds.Members {
-				if i < cfg.NumPE {
-					k.dir.SetMember(i, gmem.MemberState(ms.State), ms.Gen)
-				}
-			}
-			for _, ov := range ds.Overrides {
-				k.dir.SetOverride(ov[0], int(ov[1]))
-			}
 			for _, es := range ds.Escrow {
 				k.escrow[es.Block.Index] = escrowEntry{dst: es.Dst, block: es.Block}
 			}

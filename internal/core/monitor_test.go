@@ -89,14 +89,14 @@ func TestServeOnSender(t *testing.T) {
 				cfg.testInspect = func(ks []*Kernel, _ []*PE) {
 					home := ks[home]
 					for op := range onLoop {
-						onLoop[op] = home.extra.ServiceByOp[op].Count
+						onLoop[op] = home.extra.ServiceByOp[op].Count.Load()
 					}
 					for _, sh := range home.shards {
 						if sh.extra.ShardedMsgs > 0 {
 							busyShards++
 						}
 						for op := range onShards {
-							onShards[op] += sh.extra.ServiceByOp[op].Count
+							onShards[op] += sh.extra.ServiceByOp[op].Count.Load()
 						}
 					}
 				}
@@ -205,14 +205,14 @@ func TestServiceSamplesPerRoundTrip(t *testing.T) {
 					if r == home {
 						wantRTT, wantService = 0, 2*n
 					}
-					if got := s.RTTByOp[op].Count; got != wantRTT {
+					if got := s.RTTByOp[op].Count.Load(); got != wantRTT {
 						t.Errorf("PE %d %v: %d round-trip samples, want %d", r, op, got, wantRTT)
 					}
-					if got := s.ServiceByOp[op].Count; got != wantService {
+					if got := s.ServiceByOp[op].Count.Load(); got != wantService {
 						t.Errorf("PE %d %v: %d service samples, want %d", r, op, got, wantService)
 					}
-					rtt += s.RTTByOp[op].Sum
-					service += s.ServiceByOp[op].Sum
+					rtt += s.RTTByOp[op].Snapshot().Sum
+					service += s.ServiceByOp[op].Snapshot().Sum
 				}
 				if service > rtt {
 					t.Errorf("%v: services sum to %v, more than their round trips' %v", op, service, rtt)
@@ -473,7 +473,7 @@ func TestMonitorContendedShard(t *testing.T) {
 						t.Fatalf("%d shards: old values are not 0..%d: position %d holds %d (lost or double-applied)", shards, len(olds)-1, i, v)
 					}
 				}
-				if got := res.Total.ServiceByOp[wire.OpFetchAdd].Count; got != requesters*each {
+				if got := res.Total.ServiceByOp[wire.OpFetchAdd].Count.Load(); got != requesters*each {
 					t.Fatalf("%d shards: %d fetch-adds serviced, want %d", shards, got, requesters*each)
 				}
 				if res.Total.DupRequests != 0 {

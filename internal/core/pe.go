@@ -508,7 +508,7 @@ func (pe *PE) Checkpoint() error {
 		// write failure cannot half-commit; its error surfaces on that PE.
 		if cerr := cc.Store.Commit(epoch, k.n); cerr != nil {
 			err = cerr
-		} else if gerr := cc.Store.GC(cc.Keep); gerr != nil {
+		} else if gerr := cc.Store.GC(keepGenerations); gerr != nil {
 			err = gerr
 		}
 	}
@@ -694,17 +694,10 @@ func (pe *PE) Processes() []procmgmt.Entry {
 	return entries
 }
 
-// Ping round-trips a liveness probe to kernel dst and reports the latency.
-// Panics on failure.
-func (pe *PE) Ping(dst int) sim.Duration {
-	d, err := pe.PingErr(dst)
-	must(err)
-	return d
-}
-
-// PingErr is Ping with failures surfaced as errors: a dead peer reports
-// *PeerDownError (fast, via the transport's failure detector) or
-// *TimeoutError, an unreachable but undetected one only the latter.
+// PingErr round-trips a liveness probe to kernel dst and reports the
+// latency. A dead peer reports *PeerDownError (fast, via the transport's
+// failure detector) or *TimeoutError, an unreachable but undetected one only
+// the latter.
 func (pe *PE) PingErr(dst int) (sim.Duration, error) {
 	start := pe.app.Now()
 	req := wire.GetMessage()

@@ -97,7 +97,7 @@ func RunWithRecovery(cfg Config, maxRecoveries int, program Program) (*Result, *
 		if blockWords == 0 {
 			blockWords = 32 // withDefaults' value; cfg here is pre-default
 		}
-		rs, markTimes, rerr := loadSnapshot(cfg.Ckpt.Store, cfg.NumPE, blockWords)
+		rs, markTimes, rerr := loadSnapshot(cfg.Ckpt.Store, cfg.NumPE, cfg.LatentPEs, blockWords)
 		if rerr != nil {
 			return res, rep, fmt.Errorf("core: recovery after PE(s) %v died: %w", res.DeadPeers, rerr)
 		}
@@ -158,9 +158,9 @@ func electCoordinator(numPE int, dead []int) int {
 
 // loadSnapshot reads and fully validates the newest committed generation:
 // every slice's CRC and content hash (ckpt.Store), its encoding, and its
-// geometry against the cluster being rebuilt. markTimes returns each PE's
-// mark instant for rollback accounting.
-func loadSnapshot(st ckpt.Store, numPE, blockWords int) (*restoreState, []sim.Time, error) {
+// geometry and homes against the cluster being rebuilt (checkHomes).
+// markTimes returns each PE's mark instant for rollback accounting.
+func loadSnapshot(st ckpt.Store, numPE, latentPEs, blockWords int) (*restoreState, []sim.Time, error) {
 	gen, n, ok, err := st.Latest()
 	if err != nil {
 		return nil, nil, err
@@ -201,5 +201,63 @@ func loadSnapshot(st ckpt.Store, numPE, blockWords int) (*restoreState, []sim.Ti
 		rs.app[pe] = s.App
 		rs.blocks[pe] = blocks
 	}
+	if err := rs.checkHomes(latentPEs, blockWords); err != nil {
+		return nil, nil, err
+	}
 	return rs, markTimes, nil
+}
+
+// checkHomes refuses a snapshot the rebuilt cluster could not restore: a
+// slice listing a block that its PE's restored directory homes elsewhere (a
+// kernel would refuse to import it), or an override or escrow entry naming
+// no PE.
+func (rs *restoreState) checkHomes(latentPEs, blockWords int) error {
+	numPE := len(rs.blocks)
+	space := gmem.NewSpace(numPE, blockWords)
+	for pe, blocks := range rs.blocks {
+		if ds := rs.dirs[pe]; ds != nil {
+			for _, ov := range ds.Overrides {
+				if ov[1] >= uint64(numPE) {
+					return fmt.Errorf("snapshot generation %d, PE %d: block %d overridden to PE %d of %d", rs.gen, pe, ov[0], ov[1], numPE)
+				}
+			}
+			for _, es := range ds.Escrow {
+				if es.Dst < 0 || es.Dst >= numPE {
+					return fmt.Errorf("snapshot generation %d, PE %d: block %d escrowed for PE %d of %d", rs.gen, pe, es.Block.Index, es.Dst, numPE)
+				}
+			}
+		}
+		dir := rs.directory(pe, latentPEs)
+		for _, b := range blocks {
+			if h := dir.HomeAt(space.LocateBlock(b.Index)); h != pe {
+				return fmt.Errorf("snapshot generation %d, PE %d: block %d is homed at PE %d", rs.gen, pe, b.Index, h)
+			}
+		}
+	}
+	return nil
+}
+
+// directory is kernel id's membership directory as the snapshot left it:
+// the configured latent members, overwritten by the snapshot's member states
+// and overrides where it has them.
+func (rs *restoreState) directory(id, latentPEs int) *gmem.Directory {
+	dir := gmem.NewDirectory(len(rs.blocks), latentPEs)
+	if ds := rs.dirs[id]; ds != nil {
+		for i, ms := range ds.Members {
+			dir.SetMember(i, gmem.MemberState(ms.State), ms.Gen)
+		}
+		for _, ov := range ds.Overrides {
+			dir.SetOverride(ov[0], int(ov[1]))
+		}
+	}
+	return dir
+}
+
+// newDirectory builds kernel id's membership directory: a fresh one, or on a
+// restart the one the snapshot recorded.
+func newDirectory(cfg *Config, id int) *gmem.Directory {
+	if cfg.restore != nil {
+		return cfg.restore.directory(id, cfg.LatentPEs)
+	}
+	return gmem.NewDirectory(cfg.NumPE, cfg.LatentPEs)
 }

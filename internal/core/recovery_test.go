@@ -11,6 +11,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/gmem"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/transport/simnet"
@@ -315,5 +316,82 @@ func TestRecoveryRejectsCorruptSnapshot(t *testing.T) {
 	}
 	if rep.Recovered() {
 		t.Fatalf("recovery claimed success from a corrupt snapshot: %+v", rep)
+	}
+}
+
+// TestRecoveryRejectsMisplacedBlock commits snapshots that pass every
+// integrity check but that the rebuilt cluster cannot restore: PE 1's slice
+// lists a block PE 0 homes, or its directory overrides a block's home, or
+// escrows a block, to a PE the cluster does not have. Restarting from one
+// must fail with an error naming the PE and the block, before any kernel of
+// the rebuilt cluster is built.
+func TestRecoveryRejectsMisplacedBlock(t *testing.T) {
+	cases := []struct {
+		name   string
+		blocks []gmem.BlockSnapshot
+		dir    *ckpt.DirectorySnapshot
+		want   string
+	}{
+		{
+			name:   "foreign-block",
+			blocks: []gmem.BlockSnapshot{{Index: 3, Words: make([]int64, 32)}}, // 3 % 3 = PE 0
+			want:   "PE 1: block 3 is homed at PE 0",
+		},
+		{
+			name: "override-to-no-PE",
+			dir:  &ckpt.DirectorySnapshot{Overrides: [][2]uint64{{1, 5}}},
+			want: "PE 1: block 1 overridden to PE 5 of 3",
+		},
+		{
+			name: "escrow-to-no-PE",
+			dir: &ckpt.DirectorySnapshot{
+				Overrides: [][2]uint64{{1, 0}},
+				Escrow: []ckpt.EscrowSnapshot{
+					{Dst: 4, Block: gmem.BlockSnapshot{Index: 1, Words: make([]int64, 32)}},
+				},
+			},
+			want: "PE 1: block 1 escrowed for PE 4 of 3",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := ckpt.OpenDir(t.TempDir())
+			if err != nil {
+				t.Fatalf("OpenDir: %v", err)
+			}
+			for pe := 0; pe < 3; pe++ {
+				var slice ckpt.Slice
+				slice.Epoch = 1
+				if pe == 1 {
+					slice.Kernel = ckpt.EncodeKernelStateDir(32, tc.blocks, tc.dir)
+				} else {
+					slice.Kernel = ckpt.EncodeKernelState(32, nil)
+				}
+				if err := store.WriteSlice(1, pe, ckpt.EncodeSlice(slice)); err != nil {
+					t.Fatalf("WriteSlice: %v", err)
+				}
+			}
+			if err := store.Commit(1, 3); err != nil {
+				t.Fatalf("Commit: %v", err)
+			}
+
+			const killAt = sim.Time(1 * sim.Second)
+			cfg := recoverConfig(t, store, []simnet.Kill{{Node: 2, At: sim.Duration(killAt)}})
+			_, rep, err := core.RunWithRecovery(cfg, 3, func(pe *core.PE) error {
+				base := pe.AllocBlocks(96)
+				remote := base + uint64(((pe.ID()+1)%3)*32)
+				for pe.Now() < 4*killAt {
+					_ = pe.GMRead(remote)
+				}
+				pe.Barrier()
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunWithRecovery: err = %v, want one containing %q", err, tc.want)
+			}
+			if rep.Attempts != 1 {
+				t.Fatalf("%d cluster runs, want 1: the rebuilt cluster must not start", rep.Attempts)
+			}
+		})
 	}
 }

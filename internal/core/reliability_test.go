@@ -134,7 +134,7 @@ func TestDelayedReplyDoesNotCorruptNextRequest(t *testing.T) {
 	} else if _, ok := err.(*TimeoutError); !ok {
 		t.Fatalf("unexpected error type: %v", err)
 	}
-	if got := k1.shards[0].extra.ServiceByOp[wire.OpRead].Count; got != 1 {
+	if got := k1.shards[0].extra.ServiceByOp[wire.OpRead].Count.Load(); got != 1 {
 		t.Fatalf("kernel 1 serviced %d reads with its serve loop stopped, want 1", got)
 	}
 	// The word moves on, the stale reply (carrying 77) is let go, and the next
@@ -231,7 +231,7 @@ func TestClosedNodeRefusesInlineService(t *testing.T) {
 		t.Fatalf("closed node's memory changed: %d, want 77", v)
 	}
 	sh := ks[1].shards[0]
-	if sh.extra.ShardedMsgs != 0 || sh.extra.ServiceByOp[wire.OpWrite].Count != 0 {
+	if sh.extra.ShardedMsgs != 0 || sh.extra.ServiceByOp[wire.OpWrite].Count.Load() != 0 {
 		t.Fatalf("closed node served inline: ShardedMsgs=%d", sh.extra.ShardedMsgs)
 	}
 	if !ks[0].peers[1].dead.Load() {
@@ -435,12 +435,12 @@ func TestPeerDownNoticeMatchesInFlight(t *testing.T) {
 
 	// Nothing is in flight now: kernel 2's notice is dropped by whichever
 	// request takes it, and a request to kernel 2 is refused unsent.
-	served := ks[2].shards[0].extra.ServiceByOp[wire.OpRead].Count
+	served := ks[2].shards[0].extra.ServiceByOp[wire.OpRead].Count.Load()
 	ks[0].peerDown(2)
 	if _, err := pe.GMReadErr(a2); !errors.As(err, &down) || down.Peer != 2 {
 		t.Fatalf("read from a peer declared dead: %v, want a *PeerDownError naming peer 2", err)
 	}
-	if got := ks[2].shards[0].extra.ServiceByOp[wire.OpRead].Count; got != served {
+	if got := ks[2].shards[0].extra.ServiceByOp[wire.OpRead].Count.Load(); got != served {
 		t.Fatalf("kernel 2 served %d reads after it was declared dead", got-served)
 	}
 	if v, err := pe.GMReadErr(pe.Alloc(1)); err != nil || v != 0 {

@@ -182,24 +182,24 @@ func TestLatencyHistogramsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Total.RTT.Count == 0 {
+	if res.Total.RTT.Count.Load() == 0 {
 		t.Fatal("no round trips observed")
 	}
-	if res.Total.RTTByOp[wire.OpRead].Count == 0 {
+	if res.Total.RTTByOp[wire.OpRead].Count.Load() == 0 {
 		t.Fatal("no per-op RTT for OpRead")
 	}
-	if res.Total.ServiceByOp[wire.OpRead].Count == 0 {
+	if res.Total.ServiceByOp[wire.OpRead].Count.Load() == 0 {
 		t.Fatal("no kernel service-time samples for OpRead")
 	}
-	if res.Total.BarrierWait.Count == 0 || res.Total.LockWait.Count == 0 {
+	if res.Total.BarrierWait.Count.Load() == 0 || res.Total.LockWait.Count.Load() == 0 {
 		t.Fatal("no synchronisation wait samples")
 	}
 	var sum sim.Duration
 	for i := range res.Total.RTTByOp {
-		sum += res.Total.RTTByOp[i].Sum
+		sum += res.Total.RTTByOp[i].Snapshot().Sum
 	}
-	if sum != res.Total.RTT.Sum {
-		t.Fatalf("per-op RTT sum %v != total %v", sum, res.Total.RTT.Sum)
+	if sum != res.Total.RTT.Snapshot().Sum {
+		t.Fatalf("per-op RTT sum %v != total %v", sum, res.Total.RTT.Snapshot().Sum)
 	}
 	tab := res.Total.LatencyTable("latency")
 	if len(tab.Rows) == 0 {
@@ -245,7 +245,7 @@ func TestLiveRTTConcurrentReads(t *testing.T) {
 	if ls.Count == 0 {
 		t.Fatal("live histogram saw no round trips")
 	}
-	if ls.Count != res.Total.RTT.Count {
-		t.Fatalf("live count %d != merged RTT count %d", ls.Count, res.Total.RTT.Count)
+	if ls.Count != res.Total.RTT.Count.Load() {
+		t.Fatalf("live count %d != merged RTT count %d", ls.Count, res.Total.RTT.Count.Load())
 	}
 }

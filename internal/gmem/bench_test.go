@@ -113,10 +113,3 @@ func BenchmarkCacheLookup(b *testing.B) {
 		c.Lookup(uint64(i % 32))
 	}
 }
-
-func BenchmarkHomeRuns(b *testing.B) {
-	s := NewSpace(6, 32)
-	for i := 0; i < b.N; i++ {
-		s.HomeRuns(7, 900, func(home int, start uint64, count int) {})
-	}
-}

@@ -76,23 +76,6 @@ func (s Space) LocateBlock(b uint64) Loc {
 	return Loc{Block: b, Seq: q, Home: int(b - q*n)}
 }
 
-// HomeRuns splits the word range [addr, addr+n) into maximal sub-ranges
-// with a single home each, calling fn(home, start, count) for every run in
-// ascending address order.
-func (s Space) HomeRuns(addr uint64, n int, fn func(home int, start uint64, count int)) {
-	for n > 0 {
-		home := s.HomeOf(addr)
-		blockEnd := (s.BlockOf(addr) + 1) * uint64(s.BlockWords)
-		count := int(blockEnd - addr)
-		if count > n {
-			count = n
-		}
-		fn(home, addr, count)
-		addr += uint64(count)
-		n -= count
-	}
-}
-
 // Allocator hands out global addresses deterministically. Every PE of an
 // SPMD program runs the same allocation sequence and therefore computes the
 // same addresses with no messages exchanged.
@@ -254,7 +237,7 @@ func (st *stripe) publish(next *blockTable) {
 func (g *Segment) checkHome(addr uint64, n int) Loc {
 	l := g.space.Locate(addr)
 	if n > g.space.BlockWords-l.Off {
-		panic(fmt.Sprintf("gmem: range [%d,+%d) spans blocks; split by HomeRuns first", addr, n))
+		panic(fmt.Sprintf("gmem: range [%d,+%d) spans blocks; split it at block boundaries first", addr, n))
 	}
 	g.mustOwn(l, g.owns(l))
 	return l

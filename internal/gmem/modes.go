@@ -177,8 +177,7 @@ func (t *ModeTable) Lookup(addr uint64) Mode {
 }
 
 // ModeRuns splits [addr, addr+n) into maximal sub-ranges with a single mode
-// each, calling fn(mode, start, count) in ascending address order — the
-// mode-table analogue of Space.HomeRuns.
+// each, calling fn(mode, start, count) in ascending address order.
 func (t *ModeTable) ModeRuns(addr uint64, n int, fn func(m Mode, start uint64, count int)) {
 	if n <= 0 {
 		return

@@ -86,26 +86,6 @@ func (c *Comm) nextTag() int32 {
 	return tagBase + c.gen*64
 }
 
-// Barrier synchronises all ranks with a dissemination barrier: ceil(log2 n)
-// rounds of pairwise messages, no global memory and no central manager.
-// Each round uses its own tag — a fast peer's round-k message must not
-// satisfy a slow peer's round-j wait.
-func (c *Comm) Barrier() {
-	tag := c.nextTag()
-	n := c.Size()
-	if n == 1 {
-		return
-	}
-	me := c.Rank()
-	round := int32(0)
-	for dist := 1; dist < n; dist *= 2 {
-		peer := (me + dist) % n
-		c.pe.SendMsg(peer, tag+round, nil)
-		c.pe.RecvMsg(tag + round)
-		round++
-	}
-}
-
 // Bcast distributes root's data to every rank and returns it (binomial
 // tree, log2 n rounds).
 func (c *Comm) Bcast(root int, data []byte) []byte {
@@ -142,12 +122,12 @@ func (c *Comm) Reduce(root int, x float64, op func(a, b float64) float64) float6
 	acc := x
 	for mask := 1; mask < n; mask *= 2 {
 		if vrank&mask != 0 {
-			c.SendFInternal((vrank-mask+root)%n, tag, []float64{acc})
+			c.sendInternal((vrank-mask+root)%n, tag, []float64{acc})
 			return 0
 		}
 		peer := vrank + mask
 		if peer < n {
-			_, vals := c.RecvFInternal(tag)
+			_, vals := c.recvInternal(tag)
 			acc = op(acc, vals[0])
 		}
 	}
@@ -161,58 +141,13 @@ func (c *Comm) AllReduce(x float64, op func(a, b float64) float64) float64 {
 	return decodeF(out)[0]
 }
 
-// Scatter splits root's vals into equal per-rank chunks; every rank
-// receives its chunk. len(vals) must be divisible by Size on the root.
-func (c *Comm) Scatter(root int, vals []float64) []float64 {
-	tag := c.nextTag()
-	n := c.Size()
-	if c.Rank() == root {
-		if len(vals)%n != 0 {
-			panic("mp: Scatter length not divisible by communicator size")
-		}
-		per := len(vals) / n
-		for r := 0; r < n; r++ {
-			if r == root {
-				continue
-			}
-			c.SendFInternal(r, tag, vals[r*per:(r+1)*per])
-		}
-		return append([]float64(nil), vals[root*per:(root+1)*per]...)
-	}
-	_, chunk := c.RecvFInternal(tag)
-	return chunk
-}
-
-// Gather collects equal-sized chunks from every rank onto root, ordered by
-// rank (other ranks receive nil).
-func (c *Comm) Gather(root int, chunk []float64) []float64 {
-	tag := c.nextTag()
-	n := c.Size()
-	if c.Rank() != root {
-		c.SendFInternal(root, tag, chunk)
-		return nil
-	}
-	per := len(chunk)
-	out := make([]float64, per*n)
-	copy(out[root*per:], chunk)
-	for i := 0; i < n-1; i++ {
-		src, vals := c.RecvFInternal(tag)
-		if len(vals) != per {
-			panic(fmt.Sprintf("mp: Gather chunk from %d has %d values, want %d", src, len(vals), per))
-		}
-		copy(out[src*per:], vals)
-	}
-	return out
-}
-
-// SendFInternal and RecvFInternal bypass the user-tag check for
-// collective-internal traffic.
-func (c *Comm) SendFInternal(dst int, tag int32, vals []float64) {
+// sendInternal and recvInternal bypass the user-tag check for
+// collective-internal float traffic.
+func (c *Comm) sendInternal(dst int, tag int32, vals []float64) {
 	c.pe.SendMsg(dst, tag, encodeF(vals))
 }
 
-// RecvFInternal receives collective-internal float traffic.
-func (c *Comm) RecvFInternal(tag int32) (int, []float64) {
+func (c *Comm) recvInternal(tag int32) (int, []float64) {
 	src, data := c.pe.RecvMsg(tag)
 	return src, decodeF(data)
 }

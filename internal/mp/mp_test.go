@@ -39,29 +39,6 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	})
 }
 
-func TestBarrierSeparatesPhases(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8} {
-		n := n
-		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
-			run(t, n, func(pe *core.PE) error {
-				c := New(pe)
-				x := pe.Alloc(n)
-				for phase := 0; phase < 3; phase++ {
-					pe.GMWrite(x+uint64(c.Rank()), int64(phase))
-					c.Barrier()
-					for r := 0; r < n; r++ {
-						if v := pe.GMRead(x + uint64(r)); v != int64(phase) {
-							return fmt.Errorf("rank %d phase %d: saw %d from %d", c.Rank(), phase, v, r)
-						}
-					}
-					c.Barrier()
-				}
-				return nil
-			})
-		})
-	}
-}
-
 func TestBcastFromEveryRoot(t *testing.T) {
 	const n = 6
 	for root := 0; root < n; root++ {
@@ -116,43 +93,18 @@ func TestAllReduceEveryoneAgrees(t *testing.T) {
 	})
 }
 
-func TestScatterGatherInverse(t *testing.T) {
-	const n = 4
-	run(t, n, func(pe *core.PE) error {
-		c := New(pe)
-		var vals []float64
-		if c.Rank() == 2 {
-			vals = make([]float64, n*3)
-			for i := range vals {
-				vals[i] = float64(i * i)
-			}
-		}
-		chunk := c.Scatter(2, vals)
-		if len(chunk) != 3 {
-			return fmt.Errorf("chunk length %d", len(chunk))
-		}
-		for j, v := range chunk {
-			if want := float64((c.Rank()*3 + j) * (c.Rank()*3 + j)); v != want {
-				return fmt.Errorf("rank %d chunk[%d] = %v, want %v", c.Rank(), j, v, want)
-			}
-		}
-		out := c.Gather(2, chunk)
-		if c.Rank() == 2 {
-			for i, v := range out {
-				if v != float64(i*i) {
-					return fmt.Errorf("gathered[%d] = %v", i, v)
-				}
-			}
-		}
-		return nil
-	})
-}
-
 func TestCollectiveSequenceTagsDoNotCollide(t *testing.T) {
 	run(t, 3, func(pe *core.PE) error {
 		c := New(pe)
 		for i := 0; i < 10; i++ {
-			c.Barrier()
+			root := i % c.Size()
+			var data []byte
+			if c.Rank() == root {
+				data = []byte{byte(i)}
+			}
+			if got := c.Bcast(root, data); len(got) != 1 || got[0] != byte(i) {
+				return fmt.Errorf("iteration %d: bcast %v", i, got)
+			}
 			s := c.AllReduce(1, func(a, b float64) float64 { return a + b })
 			if s != 3 {
 				return fmt.Errorf("iteration %d: sum %v", i, s)
@@ -182,7 +134,6 @@ func TestMPWorksOnSimulatedTransport(t *testing.T) {
 			if sum != 10 {
 				return fmt.Errorf("sum = %v", sum)
 			}
-			c.Barrier()
 			return nil
 		})
 	if err != nil {

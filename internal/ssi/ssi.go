@@ -230,11 +230,11 @@ func (r *HealthReport) AllAlive() bool {
 // Health probes every peer rounds times (at least once) and aggregates the
 // results. Like ProbePeers it needs core.Config.RequestTimeout configured to
 // bound probes of silently-dead peers.
-func (v *View) Health(rounds int) HealthReport {
+func (v *View) Health(rounds int) *HealthReport {
 	if rounds < 1 {
 		rounds = 1
 	}
-	rep := HealthReport{Rounds: rounds, Generation: v.pe.ViewGeneration()}
+	rep := &HealthReport{Rounds: rounds, Generation: v.pe.ViewGeneration()}
 	for r := 0; r < rounds; r++ {
 		peers := v.ProbePeers()
 		for i := range peers {

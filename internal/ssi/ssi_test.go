@@ -268,8 +268,8 @@ func TestHealthAggregatesProbeRounds(t *testing.T) {
 		if len(rep.Peers) != 3 {
 			return fmt.Errorf("%d peers, want 3", len(rep.Peers))
 		}
-		if want := uint64(3 * 3); rep.ProbeRTT.Count != want {
-			return fmt.Errorf("probe histogram has %d samples, want %d", rep.ProbeRTT.Count, want)
+		if want := uint64(3 * 3); rep.ProbeRTT.Count.Load() != want {
+			return fmt.Errorf("probe histogram has %d samples, want %d", rep.ProbeRTT.Count.Load(), want)
 		}
 		if rep.Failures != 0 {
 			return fmt.Errorf("failures = %d", rep.Failures)
@@ -282,8 +282,8 @@ func TestHealthAggregatesProbeRounds(t *testing.T) {
 func TestHealthClampsRounds(t *testing.T) {
 	run(t, 2, func(pe *core.PE) error {
 		rep := NewView(pe).Health(0)
-		if rep.Rounds != 1 || rep.ProbeRTT.Count != 1 {
-			return fmt.Errorf("rounds=%d samples=%d", rep.Rounds, rep.ProbeRTT.Count)
+		if rep.Rounds != 1 || rep.ProbeRTT.Count.Load() != 1 {
+			return fmt.Errorf("rounds=%d samples=%d", rep.Rounds, rep.ProbeRTT.Count.Load())
 		}
 		pe.Barrier()
 		return nil

@@ -18,21 +18,29 @@ const histBuckets = 21
 //
 // # Concurrency contract
 //
-// Observe, Merge and the read accessors (Mean, Quantile, Samples, Total,
-// MaxSample, Snapshot, String, Render) use atomic operations on every field,
-// so a Histogram may be observed from any number of goroutines in parallel
-// and merged or read while observers are still running — this is what makes
-// the cross-PE aggregation path (live /metrics exporters, Result merging)
-// safe while kernels are still serving. Two caveats:
+// Every counter is a sync/atomic type, so a Histogram may be observed from
+// any number of goroutines in parallel and merged or read while observers are
+// still running — this is what makes the cross-PE aggregation path (live
+// /metrics exporters, Result merging) safe while kernels are still serving.
+// The typed atomics are 8-byte aligned on every target, 32-bit ones
+// included, wherever the Histogram sits inside an enclosing struct or array.
+// A concurrent read is per-field atomic but not a cross-field snapshot:
+// Count, Sum and Buckets may be mutually out of date by the samples in
+// flight. Quantiles read live are therefore approximate; they become exact
+// once observers quiesce.
 //
-//  1. A concurrent read is per-field atomic but not a cross-field snapshot:
-//     Count, Sum and Buckets may be mutually out of date by the samples in
-//     flight. Quantiles read live are therefore approximate; they become
-//     exact once observers quiesce.
-//  2. Direct field access is only safe once all observers have quiesced
-//     (e.g. in tests, or after core.Run returned). Concurrent readers must
-//     go through the accessors or Snapshot.
+// A Histogram is not copied; Snapshot returns a plain copy of its counts,
+// and Merge accumulates one Histogram into another.
 type Histogram struct {
+	Count   atomic.Uint64
+	Sum     atomic.Int64 // sim.Duration
+	Max     atomic.Int64 // sim.Duration
+	Buckets [histBuckets]atomic.Uint64
+}
+
+// HistogramCounts is a plain copy of a Histogram's counters, taken by
+// Snapshot, that may be copied and inspected field by field.
+type HistogramCounts struct {
 	Count   uint64
 	Sum     sim.Duration
 	Max     sim.Duration
@@ -41,28 +49,25 @@ type Histogram struct {
 
 // bucketOf maps a duration to its bucket index.
 func bucketOf(d sim.Duration) int {
-	us := int64(d) / int64(sim.Microsecond)
-	if us < 1 {
-		return 0
-	}
-	b := bits.Len64(uint64(us)) - 1
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
+	return min(bits.Len64(uint64(max(d/sim.Microsecond, 1))), histBuckets) - 1
 }
 
 // Observe records one sample. Safe for concurrent use.
 func (h *Histogram) Observe(d sim.Duration) {
-	atomic.AddUint64(&h.Count, 1)
-	atomic.AddInt64((*int64)(&h.Sum), int64(d))
+	h.Count.Add(1)
+	h.Sum.Add(int64(d))
+	raiseMax(&h.Max, int64(d))
+	h.Buckets[bucketOf(d)].Add(1)
+}
+
+// raiseMax lifts m to at least v.
+func raiseMax(m *atomic.Int64, v int64) {
 	for {
-		old := atomic.LoadInt64((*int64)(&h.Max))
-		if int64(d) <= old || atomic.CompareAndSwapInt64((*int64)(&h.Max), old, int64(d)) {
-			break
+		old := m.Load()
+		if v <= old || m.CompareAndSwap(old, v) {
+			return
 		}
 	}
-	atomic.AddUint64(&h.Buckets[bucketOf(d)], 1)
 }
 
 // Merge accumulates o into h. Both sides may still be receiving Observe
@@ -72,81 +77,63 @@ func (h *Histogram) Observe(d sim.Duration) {
 // Count first, so a zero Count means no sample has begun to land and the
 // prefix merged is the empty one.
 func (h *Histogram) Merge(o *Histogram) {
-	n := atomic.LoadUint64(&o.Count)
+	n := o.Count.Load()
 	if n == 0 {
 		return
 	}
-	atomic.AddUint64(&h.Count, n)
-	atomic.AddInt64((*int64)(&h.Sum), atomic.LoadInt64((*int64)(&o.Sum)))
-	om := atomic.LoadInt64((*int64)(&o.Max))
-	for {
-		old := atomic.LoadInt64((*int64)(&h.Max))
-		if om <= old || atomic.CompareAndSwapInt64((*int64)(&h.Max), old, om) {
-			break
-		}
-	}
+	h.Count.Add(n)
+	h.Sum.Add(o.Sum.Load())
+	raiseMax(&h.Max, o.Max.Load())
 	for i := range h.Buckets {
-		atomic.AddUint64(&h.Buckets[i], atomic.LoadUint64(&o.Buckets[i]))
+		h.Buckets[i].Add(o.Buckets[i].Load())
 	}
 }
 
-// Snapshot returns an atomically-read copy safe to inspect field by field.
-func (h *Histogram) Snapshot() Histogram {
-	var s Histogram
-	s.Count = atomic.LoadUint64(&h.Count)
-	s.Sum = sim.Duration(atomic.LoadInt64((*int64)(&h.Sum)))
-	s.Max = sim.Duration(atomic.LoadInt64((*int64)(&h.Max)))
+// Snapshot returns a copy of the counters read atomically field by field.
+func (h *Histogram) Snapshot() HistogramCounts {
+	s := HistogramCounts{
+		Count: h.Count.Load(),
+		Sum:   sim.Duration(h.Sum.Load()),
+		Max:   sim.Duration(h.Max.Load()),
+	}
 	for i := range s.Buckets {
-		s.Buckets[i] = atomic.LoadUint64(&h.Buckets[i])
+		s.Buckets[i] = h.Buckets[i].Load()
 	}
 	return s
 }
 
-// Samples returns the sample count (atomically).
-func (h *Histogram) Samples() uint64 { return atomic.LoadUint64(&h.Count) }
-
-// Total returns the sample sum (atomically).
-func (h *Histogram) Total() sim.Duration {
-	return sim.Duration(atomic.LoadInt64((*int64)(&h.Sum)))
-}
-
-// MaxSample returns the largest sample (atomically).
-func (h *Histogram) MaxSample() sim.Duration {
-	return sim.Duration(atomic.LoadInt64((*int64)(&h.Max)))
-}
+// Mean returns the average sample (0 when empty).
+func (h *Histogram) Mean() sim.Duration { return h.Snapshot().Mean() }
 
 // Mean returns the average sample (0 when empty).
-func (h *Histogram) Mean() sim.Duration {
-	n := atomic.LoadUint64(&h.Count)
-	if n == 0 {
+func (s HistogramCounts) Mean() sim.Duration {
+	if s.Count == 0 {
 		return 0
 	}
-	return sim.Duration(atomic.LoadInt64((*int64)(&h.Sum))) / sim.Duration(n)
+	return s.Sum / sim.Duration(s.Count)
 }
 
 // Quantile returns an upper bound of the q-quantile (0 < q <= 1): the top of
 // the bucket holding it — within 2× of the true value by construction —
 // clamped to the largest sample, which no quantile can exceed. The last
 // bucket is open-ended, so there the largest sample is the only bound.
-func (h *Histogram) Quantile(q float64) sim.Duration {
-	n := atomic.LoadUint64(&h.Count)
-	if n == 0 || q <= 0 {
+func (s HistogramCounts) Quantile(q float64) sim.Duration {
+	if s.Count == 0 || q <= 0 {
 		return 0
 	}
-	target := uint64(q * float64(n))
+	target := uint64(q * float64(s.Count))
 	if target == 0 {
 		target = 1
 	}
-	largest := h.MaxSample()
 	var seen uint64
 	for i := 0; i < histBuckets-1; i++ {
-		seen += atomic.LoadUint64(&h.Buckets[i])
+		seen += s.Buckets[i]
 		if seen >= target {
 			// Upper bucket boundary: 2^(i+1) microseconds.
-			return min(sim.Duration(int64(1)<<uint(i+1))*sim.Microsecond, largest)
+			return min(sim.Duration(int64(1)<<uint(i+1))*sim.Microsecond, s.Max)
 		}
 	}
-	return largest
+	return s.Max
 }
 
 // LatencySummary is a latency distribution in microseconds: the JSON shape

@@ -12,17 +12,17 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if h.Mean() != 0 || h.Snapshot().Quantile(0.5) != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	h.Observe(10 * sim.Microsecond)
 	h.Observe(20 * sim.Microsecond)
 	h.Observe(30 * sim.Microsecond)
-	if h.Count != 3 || h.Mean() != 20*sim.Microsecond {
-		t.Fatalf("count=%d mean=%v", h.Count, h.Mean())
+	if h.Count.Load() != 3 || h.Mean() != 20*sim.Microsecond {
+		t.Fatalf("count=%d mean=%v", h.Count.Load(), h.Mean())
 	}
-	if h.Max != 30*sim.Microsecond {
-		t.Fatalf("max=%v", h.Max)
+	if h.Snapshot().Max != 30*sim.Microsecond {
+		t.Fatalf("max=%v", h.Snapshot().Max)
 	}
 }
 
@@ -31,12 +31,12 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Observe(sim.Duration(i) * sim.Microsecond)
 	}
-	p50 := h.Quantile(0.5)
+	p50 := h.Snapshot().Quantile(0.5)
 	// True median is 500us; the bucketed bound must cover it within 2x.
 	if p50 < 500*sim.Microsecond || p50 > 1024*sim.Microsecond {
 		t.Fatalf("p50 bound %v", p50)
 	}
-	p99 := h.Quantile(0.99)
+	p99 := h.Snapshot().Quantile(0.99)
 	if p99 < 990*sim.Microsecond {
 		t.Fatalf("p99 bound %v below true value", p99)
 	}
@@ -44,20 +44,20 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	// is 1024us, and a sample past the last bucket's nominal top (~2.1s) is
 	// bounded only by itself.
 	for _, q := range []float64{0.5, 0.95, 0.99, 1} {
-		if got := h.Quantile(q); got > h.MaxSample() {
-			t.Fatalf("q=%v: %v exceeds max sample %v", q, got, h.MaxSample())
+		if got := h.Snapshot().Quantile(q); got > h.Snapshot().Max {
+			t.Fatalf("q=%v: %v exceeds max sample %v", q, got, h.Snapshot().Max)
 		}
 	}
-	if got := h.Quantile(1); got != 1000*sim.Microsecond {
+	if got := h.Snapshot().Quantile(1); got != 1000*sim.Microsecond {
 		t.Fatalf("p100 = %v, want the max sample 1ms", got)
 	}
 	var one Histogram
 	one.Observe(0)
-	if got := one.Quantile(0.99); got != 0 {
+	if got := one.Snapshot().Quantile(0.99); got != 0 {
 		t.Fatalf("all-zero samples: p99 = %v, want 0", got)
 	}
 	h.Observe(5 * sim.Second)
-	if got := h.Quantile(1); got != 5*sim.Second {
+	if got := h.Snapshot().Quantile(1); got != 5*sim.Second {
 		t.Fatalf("open-ended last bucket: p100 = %v, want 5s", got)
 	}
 }
@@ -67,19 +67,19 @@ func TestHistogramMerge(t *testing.T) {
 	a.Observe(5 * sim.Microsecond)
 	b.Observe(50 * sim.Millisecond)
 	a.Merge(&b)
-	if a.Count != 2 || a.Max != 50*sim.Millisecond {
-		t.Fatalf("merged: %+v", a)
+	if s := a.Snapshot(); s.Count != 2 || s.Max != 50*sim.Millisecond {
+		t.Fatalf("merged: %+v", s)
 	}
 	// An empty source is skipped, in either direction.
 	var empty Histogram
-	before := a
+	before := a.Snapshot()
 	a.Merge(&empty)
-	if a != before {
-		t.Fatalf("merging an empty histogram changed the target: %+v", a)
+	if a.Snapshot() != before {
+		t.Fatalf("merging an empty histogram changed the target: %+v", a.Snapshot())
 	}
 	empty.Merge(&a)
-	if empty != a {
-		t.Fatalf("merging into an empty histogram: %+v, want %+v", empty, a)
+	if empty.Snapshot() != before {
+		t.Fatalf("merging into an empty histogram: %+v, want %+v", empty.Snapshot(), before)
 	}
 }
 
@@ -93,7 +93,7 @@ func TestHistogramConservationProperty(t *testing.T) {
 			h.Observe(d)
 			sum += d
 		}
-		return h.Count == uint64(len(samples)) && h.Sum == sum
+		return h.Count.Load() == uint64(len(samples)) && h.Snapshot().Sum == sum
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -153,6 +153,31 @@ func TestHistogramParallelObserve(t *testing.T) {
 	}
 	if total != hs.Count {
 		t.Fatalf("bucket total %d != count %d", total, hs.Count)
+	}
+}
+
+// TestHistogramAlignedAtOddOffset places a Histogram 4 bytes into a struct,
+// where a 32-bit target puts a raw uint64 on a 4-byte boundary, and observes
+// into it and merges it. On such targets a 64-bit atomic at an unaligned
+// address panics; the typed atomics are aligned wherever they sit.
+func TestHistogramAlignedAtOddOffset(t *testing.T) {
+	type holder struct {
+		pad int32
+		h   Histogram
+	}
+	var hs [3]holder
+	for i := range hs {
+		hs[i].pad = int32(i)
+		hs[i].h.Observe(sim.Duration(i+1) * sim.Millisecond)
+	}
+	var total holder
+	for i := range hs {
+		total.h.Merge(&hs[i].h)
+		hs[i].h.Merge(&total.h)
+	}
+	s := total.h.Snapshot()
+	if s.Count != 3 || s.Sum != 6*sim.Millisecond || s.Max != 3*sim.Millisecond {
+		t.Fatalf("merged: %+v", s)
 	}
 }
 

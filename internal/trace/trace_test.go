@@ -8,13 +8,17 @@ import (
 )
 
 func TestPEStatsAddAccumulates(t *testing.T) {
-	a := PEStats{ComputeTime: 10, SendOverhead: 1, RecvOverhead: 2, WaitTime: 3,
-		MsgsSent: 4, MsgsRecv: 5, BytesSent: 6, BytesRecv: 7,
-		LocalGM: 8, RemoteGM: 9, Barriers: 10, Locks: 11}
-	b := a
+	fill := func(s *PEStats) {
+		*s = PEStats{ComputeTime: 10, SendOverhead: 1, RecvOverhead: 2, WaitTime: 3,
+			MsgsSent: 4, MsgsRecv: 5, BytesSent: 6, BytesRecv: 7,
+			LocalGM: 8, RemoteGM: 9, Barriers: 10, Locks: 11}
+	}
+	var a, b PEStats
+	fill(&a)
+	fill(&b)
 	a.Add(&b)
 	if a.ComputeTime != 20 || a.MsgsSent != 8 || a.Locks != 22 || a.RemoteGM != 18 {
-		t.Fatalf("Add broken: %+v", a)
+		t.Fatalf("Add broken: %+v", &a)
 	}
 }
 

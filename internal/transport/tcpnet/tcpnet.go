@@ -37,37 +37,13 @@ var listen = net.Listen
 // Net is a TCP cluster whose nodes all live in this process (each with its
 // own listener and sockets). For multi-process clusters use Open directly.
 type Net struct {
-	nodes         []*Node
-	addrs         []string
-	lns           []net.Listener
-	deferredSlots map[int]bool // slots reserved for a later Attach
-	mu            sync.Mutex
+	nodes []*Node
 }
 
 // NewLocal builds an n-node cluster on loopback TCP.
 func NewLocal(n int) (*Net, error) {
-	return NewLocalDeferred(n)
-}
-
-// NewLocalDeferred builds a loopback cluster like NewLocal, but the listed
-// slots start detached: no Node is opened for them and the mesh forms
-// without them. Each deferred slot keeps its listener reserved (so its
-// address is known to the whole cluster from the start); Attach brings the
-// node up later against the running mesh — the transport half of a live PE
-// join.
-func NewLocalDeferred(n int, deferred ...int) (*Net, error) {
 	if n <= 0 {
 		return nil, errors.New("tcpnet: need at least one node")
-	}
-	skip := make(map[int]bool, len(deferred))
-	for _, d := range deferred {
-		if d < 0 || d >= n {
-			return nil, fmt.Errorf("tcpnet: deferred slot %d out of range", d)
-		}
-		skip[d] = true
-	}
-	if len(skip) == n {
-		return nil, errors.New("tcpnet: all slots deferred")
 	}
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -86,14 +62,11 @@ func NewLocalDeferred(n int, deferred ...int) (*Net, error) {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		if skip[i] {
-			continue
-		}
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			nodes[i], errs[i] = open(i, addrs, lns[i], skip)
+			nodes[i], errs[i] = open(i, addrs, lns[i])
 		}()
 	}
 	wg.Wait()
@@ -114,41 +87,7 @@ func NewLocalDeferred(n int, deferred ...int) (*Net, error) {
 		}
 		return nil, err
 	}
-	return &Net{nodes: nodes, addrs: addrs, lns: lns, deferredSlots: skip}, nil
-}
-
-// Attach brings a deferred slot up against the running cluster: the node
-// starts serving on its reserved listener and dials every live member. New
-// members attaching later reach it through its own persistent accept loop.
-func (c *Net) Attach(id int) (*Node, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id < 0 || id >= len(c.nodes) || !c.deferredSlots[id] {
-		return nil, fmt.Errorf("tcpnet: slot %d is not deferred", id)
-	}
-	if c.nodes[id] != nil {
-		return nil, fmt.Errorf("tcpnet: slot %d already attached", id)
-	}
-	n := len(c.nodes)
-	nd := newNode(id, n, c.lns[id])
-	go nd.acceptLoop(c.lns[id], make(chan error, 1))
-	for j, peer := range c.nodes {
-		if j == id || peer == nil {
-			continue
-		}
-		conn, err := net.Dial("tcp", c.addrs[j])
-		if err != nil {
-			nd.Kill()
-			return nil, fmt.Errorf("tcpnet: attach %d: dial %d: %w", id, j, err)
-		}
-		if err := nd.writeHello(conn); err != nil {
-			nd.Kill()
-			return nil, err
-		}
-		nd.register(j, conn)
-	}
-	c.nodes[id] = nd
-	return nd, nil
+	return &Net{nodes: nodes}, nil
 }
 
 // Open joins a (possibly multi-process) cluster as node id. addrs lists the
@@ -160,33 +99,23 @@ func Open(id int, addrs []string) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", addrs[id], err)
 	}
-	return open(id, addrs, ln, nil)
+	return open(id, addrs, ln)
 }
 
-// open assembles node id's half of the mesh. Peers in skip are deferred:
-// they are neither dialled nor awaited — they reach us later through the
-// persistent accept loop when they Attach.
-func open(id int, addrs []string, ln net.Listener, skip map[int]bool) (*Node, error) {
+// open assembles node id's half of the mesh.
+func open(id int, addrs []string, ln net.Listener) (*Node, error) {
 	n := len(addrs)
 	nd := newNode(id, n, ln)
-	expected := 0
-	for j := 0; j < n; j++ {
-		if j != id && !skip[j] {
-			expected++
-		}
-	}
+	expected := n - 1
 	ready := make(chan error, n)
 	// Snapshot the deadline here: goroutines below may outlive open (a test
 	// restoring the meshTimeout hook must not race with them).
 	timeout := meshTimeout
-	// Accept higher ranks — and, after the mesh is up, late joiners: the
-	// loop runs until the node dies, registering whoever says hello.
+	// Accept higher ranks: the loop runs until the node dies, registering
+	// whoever says hello.
 	go nd.acceptLoop(ln, ready)
 	// Dial lower ranks, retrying while they come up.
 	for j := 0; j < id; j++ {
-		if skip[j] {
-			continue
-		}
 		j := j
 		go func() {
 			deadline := time.Now().Add(timeout)
@@ -233,8 +162,8 @@ func open(id int, addrs []string, ln net.Listener, skip map[int]bool) (*Node, er
 
 // acceptLoop serves the node's listener for its whole life: mesh-forming
 // peers land here first (signalled on ready, which open consumes), and
-// hellos arriving after the mesh is up — late joiners attaching to a
-// running cluster — register silently (the buffered ready send is dropped).
+// hellos arriving after the mesh is up register silently (the buffered
+// ready send is dropped).
 func (nd *Node) acceptLoop(ln net.Listener, ready chan<- error) {
 	for {
 		conn, err := ln.Accept()
@@ -277,17 +206,10 @@ func (net *Net) Node(i int) transport.Node { return net.nodes[i] }
 // TCPNode returns the concrete node (for Kill in failure tests).
 func (net *Net) TCPNode(i int) *Node { return net.nodes[i] }
 
-// Stop shuts down every node, including the reserved listeners of slots
-// never attached.
+// Stop shuts down every node.
 func (net *Net) Stop() {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	for i, nd := range net.nodes {
-		if nd != nil {
-			nd.Kill()
-		} else if net.lns != nil {
-			net.lns[i].Close()
-		}
+	for _, nd := range net.nodes {
+		nd.Kill()
 	}
 }
 

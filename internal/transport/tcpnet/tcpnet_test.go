@@ -162,74 +162,3 @@ func TestOpenRejectsBadFrameSizes(t *testing.T) {
 		t.Fatal("expected error for absurd frame size")
 	}
 }
-
-func TestDeferredSlotAttachesToRunningMesh(t *testing.T) {
-	net, err := NewLocalDeferred(3, 2)
-	if err != nil {
-		t.Fatalf("NewLocalDeferred: %v", err)
-	}
-	defer net.Stop()
-
-	// The mesh is live without the deferred slot.
-	got := make(chan *wire.Message, 4)
-	go func() {
-		for {
-			m, ok := net.Node(1).Recv()
-			if !ok {
-				return
-			}
-			got <- m
-		}
-	}()
-	net.Node(0).App().Send(1, &wire.Message{Op: wire.OpUserMsg, Src: 0, Dst: 1, Seq: 1})
-	select {
-	case m := <-got:
-		if m.Seq != 1 {
-			t.Fatalf("pre-attach message seq = %d", m.Seq)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("pre-attach mesh not exchanging")
-	}
-
-	// The late joiner comes up against the running cluster and exchanges in
-	// both directions with both members.
-	joiner, err := net.Attach(2)
-	if err != nil {
-		t.Fatalf("Attach: %v", err)
-	}
-	joined := make(chan *wire.Message, 4)
-	go func() {
-		for {
-			m, ok := joiner.Recv()
-			if !ok {
-				return
-			}
-			joined <- m
-		}
-	}()
-	joiner.App().Send(1, &wire.Message{Op: wire.OpUserMsg, Src: 2, Dst: 1, Seq: 2})
-	select {
-	case m := <-got:
-		if m.Src != 2 || m.Seq != 2 {
-			t.Fatalf("joiner's message arrived as %+v", m)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("joiner -> member message lost")
-	}
-	net.Node(0).App().Send(2, &wire.Message{Op: wire.OpUserMsg, Src: 0, Dst: 2, Seq: 3})
-	select {
-	case m := <-joined:
-		if m.Src != 0 || m.Seq != 3 {
-			t.Fatalf("member's message arrived as %+v", m)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("member -> joiner message lost")
-	}
-
-	if _, err := net.Attach(2); err == nil {
-		t.Fatal("double attach accepted")
-	}
-	if _, err := net.Attach(1); err == nil {
-		t.Fatal("attach of a non-deferred slot accepted")
-	}
-}

@@ -206,10 +206,6 @@ func TestWordHelpers(t *testing.T) {
 	if len(dst) != 3 || dst[0] != 5 || dst[2] != 7 {
 		t.Fatalf("WordsInto = %v", dst)
 	}
-	m.ResetData()
-	if m.Data != nil || m.PayloadWords() != 0 {
-		t.Fatal("ResetData left payload")
-	}
 }
 
 // Recycled messages must come back empty regardless of prior state.

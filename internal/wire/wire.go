@@ -442,13 +442,6 @@ func (m *Message) Word(i int) int64 {
 // PayloadWords reports how many whole words the payload holds.
 func (m *Message) PayloadWords() int { return len(m.Data) / 8 }
 
-// ResetData clears the payload, retaining scratch capacity, so the Append*
-// helpers can build a fresh one.
-func (m *Message) ResetData() {
-	m.buf = m.buf[:0]
-	m.Data = nil
-}
-
 // PutWords encodes ws as the payload, reusing the message's scratch buffer.
 func (m *Message) PutWords(ws []int64) {
 	m.buf = AppendWords(m.buf[:0], ws)
