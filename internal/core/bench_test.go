@@ -103,7 +103,9 @@ func spreadWords(pe *PE, home int) []uint64 {
 // spreadWords, so a home's block lookup is not one hot entry; mutations go to
 // one word. ring/write and ring/fetch-add are mutations in place at a
 // co-located home (they keep the name of the submission ring the stores
-// replaced, as RingGM does).
+// replaced, as RingGM does). A message cell also pins the timed share: b.N
+// round trips, one in inprocTimeEvery timed, so a change that quietly times
+// every one again fails its one-iteration run.
 func BenchmarkGMWord(b *testing.B) {
 	type counts struct{ local, remote, direct, ring, msgs uint64 }
 	onesided := Config{Transport: TransportInproc, KernelShards: 2, DirectReads: 1}
@@ -158,6 +160,12 @@ func BenchmarkGMWord(b *testing.B) {
 			n, p := uint64(b.N), c.per
 			if want := (counts{p.local * n, p.remote * n, p.direct * n, p.ring * n, p.msgs * n}); got != want {
 				b.Fatalf("PE 0 path counters over %d ops: got %+v, want %+v", b.N, got, want)
+			}
+			// Every round trip is counted and one in inprocTimeEvery timed,
+			// the first included (DESIGN.md §8).
+			rs := s.RTTByOp[c.op].Snapshot()
+			if timed := (n*p.msgs + inprocTimeEvery - 1) / inprocTimeEvery; rs.Count != n*p.msgs || rs.Timed != timed {
+				b.Fatalf("PE 0 over %d ops: %d round trips, %d timed; want %d, %d", b.N, rs.Count, rs.Timed, n*p.msgs, timed)
 			}
 		})
 	}

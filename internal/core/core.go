@@ -98,11 +98,13 @@ type Config struct {
 	// Tracing enables request span tracing: every request round trip,
 	// synchronisation wait and kernel service event is recorded into a
 	// fixed-size per-context ring buffer (sampling-capable) and surfaced as
-	// Result.Spans, exportable with trace.WriteChromeTrace. The zero value
-	// is disabled and costs one nil pointer check per request.
+	// Result.Spans, exportable with trace.WriteChromeTrace. Enabled, it
+	// also makes every PE time every round trip (DESIGN.md §8). The zero
+	// value is disabled and costs one nil pointer check per request.
 	Tracing trace.TracingConfig
 	// LiveRTT, when non-nil, additionally receives every request
-	// round-trip latency any PE observes. trace.Histogram is safe for
+	// round-trip latency any PE observes; with it attached a PE times every
+	// round trip, inproc's included (DESIGN.md §8). trace.Histogram is safe for
 	// parallel Observe and concurrent reads, so a live exporter (e.g.
 	// dsenode's /metrics endpoint) may aggregate it while kernels still
 	// run — the one PEStats surface with that guarantee.
@@ -376,17 +378,18 @@ func Run(cfg Config, program Program) (*Result, error) {
 // servingModel resolves, from the transport, how each kernel serves the
 // requesters of its home — the one place that decides it (DESIGN.md §12):
 //
-//	transport  monitors per kernel           who serves    in place by default
-//	inproc     KernelShards (0 = GOMAXPROCS) the sender    on
-//	simnet     1                             serve loop    off (on if DirectReads > 0)
-//	tcpnet     1                             serve loop    never
+//	transport  monitors per kernel           who serves    in place by default          round trips timed
+//	inproc     KernelShards (0 = GOMAXPROCS) the sender    on                           1 in inprocTimeEvery
+//	simnet     1                             serve loop    off (on if DirectReads > 0)  every one
+//	tcpnet     1                             serve loop    never                        every one
 //
 // Only where the sender serves can one home serve two requesters at once,
 // so only inproc has more than one monitor. simnet keeps its figures and
 // digests on modelled message costs unless asked; tcpnet's nodes stand for
 // separate hosts even when a test runs them in one process. It leaves
 // KernelShards at the monitor count every kernel builds and DirectReads at
-// 1 where the paths in place are on, else -1.
+// 1 where the paths in place are on, else -1. The last column is
+// timingMask's, which each PE reads as it is built.
 func servingModel(c *Config) {
 	monitors, inPlace := 1, c.DirectReads > 0
 	switch c.Transport {
@@ -406,6 +409,24 @@ func servingModel(c *Config) {
 	if inPlace && !c.Legacy {
 		c.DirectReads = 1
 	}
+}
+
+// inprocTimeEvery is how many round trips of one op kind an inproc PE makes
+// per timed one (DESIGN.md §8). There three clock reads and two histogram
+// updates were about a third of an inline-served round trip; 16 is the
+// period measured (EXPERIMENTS.md, "What an inline round trip pays for its
+// own measurement"). A power of two: the choice is a mask, not a division.
+const inprocTimeEvery = 16
+
+// timingMask is servingModel's last column as the mask PE.timing applies to
+// an op kind's event count: inproc times one round trip in inprocTimeEvery,
+// simnet (whose clock is virtual and printed by the latency golden) and
+// tcpnet (where the clock is under 1 % of a round trip) time every one.
+func timingMask(t TransportKind) uint64 {
+	if t == TransportInproc {
+		return inprocTimeEvery - 1
+	}
+	return 0
 }
 
 // newCluster builds one kernel and its PE on each node of a network. Where

@@ -249,6 +249,85 @@ func TestServiceSamplesPerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTimedRoundTrips pins which round trips are timed (DESIGN.md §8). Two
+// requesters each make k scalar reads, writes and fetch-adds at one home and
+// one gather over two homes, with tracing off and on. Count is the exact
+// number of events on every transport. simnet and tcpnet time every round
+// trip, and so does inproc while spans are recorded; otherwise inproc times
+// the first of each op kind's round trips in inprocTimeEvery, per requester.
+// A home times a service exactly when its round trip is timed, and the timed
+// services sum to no more than the timed round trips they lie in.
+func TestTimedRoundTrips(t *testing.T) {
+	const k, home = 40, 2
+	ops := []wire.Op{wire.OpRead, wire.OpWrite, wire.OpFetchAdd}
+	for _, tr := range []TransportKind{TransportInproc, TransportSim, TransportTCP} {
+		for _, traced := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/tracing=%v", tr, traced), func(t *testing.T) {
+				cfg := simCfg(3)
+				cfg.Transport = tr
+				cfg.KernelShards, cfg.DirectReads = 1, -1
+				cfg.Tracing = trace.TracingConfig{Enabled: traced}
+				res := runWithin(t, time.Minute, cfg, func(pe *PE) error {
+					words := homedAt(pe, home, 2)
+					var gather []uint64
+					for h := 0; h < pe.N(); h++ {
+						if h != pe.ID() {
+							gather = append(gather, homedAt(pe, h, 2)...) // two runs a home: one OpReadV
+						}
+					}
+					pe.Barrier()
+					if pe.ID() != home {
+						a := words[pe.ID()]
+						for i := 0; i < k; i++ {
+							pe.GMWrite(a, int64(i))
+							pe.GMRead(a)
+							pe.FetchAdd(a, 1)
+						}
+						pe.GMGather(gather)
+					}
+					pe.Barrier()
+					return nil
+				})
+				timedRTT := uint64(k)
+				if tr == TransportInproc && !traced {
+					timedRTT = (k + inprocTimeEvery - 1) / inprocTimeEvery
+				}
+				for _, op := range ops {
+					var rtt, service sim.Duration
+					for r := range res.PerPE {
+						rs, ss := res.PerPE[r].RTTByOp[op].Snapshot(), res.PerPE[r].ServiceByOp[op].Snapshot()
+						wantCount, wantTimed := uint64(k), timedRTT
+						if r == home {
+							wantCount, wantTimed = 0, 0
+						}
+						if rs.Count != wantCount || rs.Timed != wantTimed {
+							t.Errorf("PE %d %v: %d round trips, %d timed; want %d, %d", r, op, rs.Count, rs.Timed, wantCount, wantTimed)
+						}
+						wantCount, wantTimed = 0, 0
+						if r == home {
+							wantCount, wantTimed = 2*k, 2*timedRTT
+						}
+						if ss.Count != wantCount || ss.Timed != wantTimed {
+							t.Errorf("PE %d %v: %d services, %d timed; want %d, %d", r, op, ss.Count, ss.Timed, wantCount, wantTimed)
+						}
+						rtt += rs.Sum
+						service += ss.Sum
+					}
+					if service > rtt {
+						t.Errorf("%v: timed services sum to %v, more than their round trips' %v", op, service, rtt)
+					}
+				}
+				// A gather is one round trip, its requesters' first: timed.
+				gr, gs := res.Total.RTTByOp[wire.OpReadV].Snapshot(), res.Total.ServiceByOp[wire.OpReadV].Snapshot()
+				if gr.Count != 2 || gr.Timed != 2 || gs.Count != 4 || gs.Timed != 4 {
+					t.Errorf("gathers: %d round trips (%d timed), %d services (%d timed); want 2 (2), 4 (4)",
+						gr.Count, gr.Timed, gs.Count, gs.Timed)
+				}
+			})
+		}
+	}
+}
+
 // TestMonitorSimTakesNoLock pins the rule the simulated transport needs: the
 // engine serialises its processes on one goroutine, and a handler's reply Send
 // switches to other processes, so a real mutex held across it would block the

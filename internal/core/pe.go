@@ -75,6 +75,11 @@ type PE struct {
 	reqs   []flight   // one in-flight request per non-empty group
 	fl     []uint64   // drained WC addresses (ascending) of the current flush
 	flv    []int64    // drained WC values, parallel to fl
+
+	// timeMask samples the round trips the sender serves: one of an op kind
+	// is timed when its event count & timeMask is 0 (PE.timing). 0 times
+	// every one, which a PE does whenever spans or LiveRTT read them.
+	timeMask uint64
 }
 
 func newPE(k *Kernel) *PE {
@@ -91,6 +96,9 @@ func newPE(k *Kernel) *PE {
 		groups: make([]runGroup, k.n),
 
 		everyone: make([]int, k.n),
+	}
+	if pe.spans == nil && pe.live == nil {
+		pe.timeMask = timingMask(k.cfg.Transport)
 	}
 	pe.hist.SetClock(pe.app)
 	for i := range pe.everyone {
@@ -336,15 +344,19 @@ func (pe *PE) recordSync(v syncVerb, id int32, inv sim.Time) {
 }
 
 // syncWait is the one wait of the synchronisation pipeline: post verb v's
-// request for id and block until its reply.
+// request for id and block until its reply. A PE awaits one sync at a time
+// and a grant only ever answers a wait, so a grant of another verb or id
+// was forged or duplicated: it is counted in StrayDrops and the wait goes on.
 func (pe *PE) syncWait(v syncVerb, id int32, size int) {
 	vb := &syncVerbs[v]
 	count, wait := pe.waitStats(v)
 	*count++
 	start := pe.syncPost(v, id, size)
 	m := pe.takeSync()
-	if m.Op != vb.reply || m.Tag != id {
-		panic(fmt.Sprintf("core: PE %d: expected %v %d, got %v", pe.k.id, vb.reply, id, m))
+	for m.Op != vb.reply || m.Tag != id {
+		pe.extra.StrayDrops++
+		wire.PutMessage(m)
+		m = pe.takeSync()
 	}
 	wire.PutMessage(m)
 	end := pe.app.Now()

@@ -26,6 +26,7 @@ type flight struct {
 
 	bounces int  // redirects followed chasing a migrating home
 	moved   bool // a several-run request NACKed whole: its issuer re-issues it run by run
+	timed   bool // its exchange is timed: every send of req is stamped (PE.send)
 	landed  int  // words of a range read's reply already in the caller's buffer
 }
 
@@ -93,14 +94,18 @@ func (pe *PE) requestErr(dst int, m *wire.Message) (*wire.Message, error) {
 // otherwise.
 //
 // Accounting is per exchange: with xfer zero (fl is one request) the
-// request's own op gets the round-trip sample, from before the send, and a
-// request span; otherwise xfer (wire.OpReadV or wire.OpWriteV) names the range
-// transfer whose overlapping round trips are observable only as a whole, from
-// the moment the last request left. The request leaves with that first stamp
-// as its wire.Message.SentAt: where the home serves on the sender's context
-// (inproc, Kernel.serveOnSender) the service is timed from it, so an inline
-// round trip reads the clock three times: at its start, at the service's end
-// and at its end.
+// request's own op gets the round-trip event, timed from before the send, and
+// a request span; otherwise xfer (wire.OpReadV or wire.OpWriteV) names the
+// range transfer whose overlapping round trips are observable only as a whole,
+// timed from the moment the last request left. Whether an exchange is timed at
+// all is timing's decision; an untimed one is counted (Histogram.Tally) and
+// reads no clock. Each request of a timed exchange leaves stamped
+// (wire.Message.SentAt: a single request with the round trip's start, a
+// transfer's each as it goes): where the home serves on the sender's context
+// (inproc, Kernel.serveOnSender) the service is timed from that stamp, and an
+// unstamped request is served untimed. So a timed inline round trip reads the
+// clock three times — at its start, at the service's end and at its end — and
+// an untimed one not at all.
 //
 // Send keeps nothing of a request, so the issuer owns it throughout and
 // resends it as it is; a request its issuer keeps (the word executor's, a
@@ -108,8 +113,14 @@ func (pe *PE) requestErr(dst int, m *wire.Message) (*wire.Message, error) {
 // recycled.
 func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
 	k := pe.k
-	var start, sent sim.Time
+	op := xfer
 	if xfer == 0 {
+		op = fl[0].req.Op
+	}
+	weight := pe.timing(fl, op)
+	timed := weight != 0
+	var start, sent sim.Time
+	if timed && xfer == 0 {
 		start = pe.app.Now()
 	}
 	for i := range fl {
@@ -124,18 +135,13 @@ func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
 		} else {
 			m.Flags |= wire.FlagRetry
 		}
-		f.want = k.replyWords(m)
-		// A single request carries the round trip's start as its SentAt, for
-		// inproc to hand the home as the start of the service; a transfer's
-		// requests carry none (start is read after them), and neither does a
-		// resend.
-		m.SentAt = start
-		pe.app.Send(f.dst, m)
-		m.SentAt = 0
+		f.want, f.timed = k.replyWords(m), timed
+		pe.send(f, start) // a transfer's start is 0: its requests are stamped one by one
 	}
-	if xfer != 0 {
+	switch {
+	case timed && xfer != 0:
 		start = pe.app.Now()
-	} else if pe.spans != nil {
+	case pe.spans != nil: // spans imply a timed exchange (PE.timeMask)
 		sent = pe.app.Now()
 	}
 	left, backoff := len(fl), k.cfg.RetryBackoff
@@ -157,12 +163,15 @@ func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
 			if f := &fl[i]; f.inFlight() {
 				f.req.Flags |= wire.FlagRetry
 				pe.extra.Retries++
-				pe.app.Send(f.dst, f.req)
+				pe.send(f, 0)
 			}
 		}
 	}
-	end := pe.app.Now()
-	pe.extra.WaitTime += end - start
+	var end sim.Time
+	if timed {
+		end = pe.app.Now()
+		pe.extra.WaitTime += (end - start) * weight
+	}
 	if err != nil {
 		for i := range fl {
 			wire.PutMessage(fl[i].resp)
@@ -172,11 +181,12 @@ func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
 	}
 	// Only the per-op histogram is fed on the hot path; the aggregate
 	// PEStats.RTT is derived from it at collect time.
-	op := xfer
-	if xfer == 0 {
-		op = fl[0].req.Op
+	h := &pe.extra.RTTByOp[op]
+	if !timed {
+		h.Tally()
+		return nil
 	}
-	pe.extra.RTTByOp[op].Observe(end - start)
+	h.Observe(end - start)
 	if pe.live != nil {
 		pe.live.Observe(end - start)
 	}
@@ -188,6 +198,47 @@ func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
 		pe.spans.Record(s)
 	}
 	return nil
+}
+
+// send sends f's request to f.dst. The request of a timed exchange leaves
+// stamped with its SentAt — at, or the clock read now if at is 0 — which inproc
+// hands the home as the start of the service; the stamp is not kept, so a
+// resend or a redirect is stamped afresh.
+func (pe *PE) send(f *flight, at sim.Time) {
+	m := f.req
+	if f.timed {
+		if at == 0 {
+			at = pe.app.Now()
+		}
+		m.SentAt = at
+	}
+	pe.app.Send(f.dst, m)
+	m.SentAt = 0
+}
+
+// timing decides whether the exchange of fl for op is timed (DESIGN.md §8)
+// and returns the weight its round trip carries in WaitTime: 0 when it is not
+// timed, else how many round trips its duration stands for. A PE whose
+// timeMask is 0 times every one. Otherwise (inproc) it times one of an op
+// kind's round trips in timeMask+1, on that kind's own event count, so that no
+// kind's period can alias another's, and weighs it timeMask+1. That holds
+// only for what the sender serves: a serve loop times every service it takes
+// up, so a request it serves — one the sender declines, or one addressed to
+// the PE's own kernel — makes a round trip that is always timed, at weight 1,
+// and every timed service lies inside a timed round trip.
+func (pe *PE) timing(fl []flight, op wire.Op) sim.Duration {
+	if pe.timeMask == 0 || !servedOnSender(op) {
+		return 1
+	}
+	for i := range fl {
+		if fl[i].dst == pe.k.id {
+			return 1
+		}
+	}
+	if pe.extra.RTTByOp[op].Count.Load()&pe.timeMask != 0 {
+		return 0
+	}
+	return sim.Duration(pe.timeMask + 1)
 }
 
 // inFlight reports whether f still awaits its answer.
@@ -326,7 +377,7 @@ func (pe *PE) follow(f *flight, hint int) error {
 	f.dst = hint
 	m.Dst = int32(hint)
 	m.Flags |= wire.FlagRetry
-	pe.app.Send(hint, m)
+	pe.send(f, 0)
 	return nil
 }
 

@@ -145,22 +145,12 @@ func (k *Kernel) dispatchGM(m *wire.Message) {
 // sender still holds. A request shardFor cannot route is declined too, so the
 // serve loop counts the drop.
 func (k *Kernel) serveOnSender(m *wire.Message) bool {
-	switch m.Op {
-	case wire.OpRead, wire.OpReadV, wire.OpWrite, wire.OpWriteV, wire.OpFlushV,
-		wire.OpFetchAdd, wire.OpCAS, wire.OpReadLease:
-	default:
+	if !servedOnSender(m.Op) {
 		return false
 	}
 	s := k.shardFor(m)
 	if s < 0 {
 		return false
-	}
-	if m.RecvAt == 0 {
-		// The request engine stamps a single request as it leaves (SentAt,
-		// handed on by inproc as RecvAt), so the service starts there and
-		// includes the request's encode and decode; the requests of a range
-		// transfer leave unstamped.
-		m.RecvAt = k.svc.Now()
 	}
 	k.logMessage(m)
 	k.shards[s].serve(m)
@@ -168,8 +158,23 @@ func (k *Kernel) serveOnSender(m *wire.Message) bool {
 	return true
 }
 
+// servedOnSender reports whether an inproc home serves a request of op on its
+// sender's context (serveOnSender): the application-originated GM requests.
+func servedOnSender(op wire.Op) bool {
+	switch op {
+	case wire.OpRead, wire.OpReadV, wire.OpWrite, wire.OpWriteV, wire.OpFlushV,
+		wire.OpFetchAdd, wire.OpCAS, wire.OpReadLease:
+		return true
+	}
+	return false
+}
+
 // serve services m under the shard lock and accounts for it in the shard: the
-// service time from m.RecvAt, the span, and ShardedMsgs. The unlock is
+// service event, the span, and ShardedMsgs. The request engine stamps every
+// request of a timed round trip as it leaves (SentAt, handed on by inproc as
+// RecvAt), so the service is timed from there, the request's encode and
+// decode included; a request without a stamp belongs to an untimed round
+// trip, and its service is counted, not timed (DESIGN.md §8). The unlock is
 // deferred so that a handler's panic — which the requesting PE's runPE turns
 // into that PE's error — does not leave every later requester of this shard
 // waiting for a lock nobody holds.
@@ -177,9 +182,14 @@ func (sh *kernelShard) serve(m *wire.Message) {
 	sh.lock()
 	defer sh.unlock()
 	sh.handleGM(m)
-	end := sh.k.svc.Now()
-	sh.extra.ServiceByOp[m.Op].Observe(end - m.RecvAt)
 	sh.extra.ShardedMsgs++
+	h := &sh.extra.ServiceByOp[m.Op]
+	if m.RecvAt == 0 {
+		h.Tally()
+		return
+	}
+	end := sh.k.svc.Now()
+	h.Observe(end - m.RecvAt)
 	if sh.spans != nil && sh.spans.Sampled() {
 		sh.spans.Record(trace.Span{
 			Kind: trace.SpanService, Op: m.Op,

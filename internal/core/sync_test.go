@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/check"
 	"repro/internal/trace"
@@ -162,5 +163,32 @@ func TestSyncPipelineRecords(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestStrayGrantDropped forges a lock grant to a PE that waits at a barrier.
+// A PE awaits one sync at a time and a grant only answers a wait, so the
+// forged one is counted in StrayDrops and dropped, and the barrier completes
+// on its own release: a grant nobody awaits must not take the PE down.
+func TestStrayGrantDropped(t *testing.T) {
+	for _, tr := range []TransportKind{TransportSim, TransportInproc} {
+		t.Run(string(tr), func(t *testing.T) {
+			cfg := simCfg(2)
+			cfg.Transport = tr
+			res := runWithin(t, 10*time.Second, cfg, func(pe *PE) error {
+				if pe.ID() == 0 {
+					pe.app.Send(1, &wire.Message{Op: wire.OpLockGrant, Src: 0, Dst: 1, Tag: 3})
+					pe.Compute(1e4) // the release follows the grant: PE 1 takes the grant first
+				}
+				pe.Barrier()
+				pe.Barrier()
+				return nil
+			})
+			for i, want := range []uint64{0, 1} {
+				if s := &res.PerPE[i]; s.StrayDrops != want || s.Barriers != 2 {
+					t.Errorf("PE %d: StrayDrops %d, barriers %d; want %d and 2", i, s.StrayDrops, s.Barriers, want)
+				}
+			}
+		})
 	}
 }

@@ -16,6 +16,15 @@ const histBuckets = 21
 // Bucket i counts samples in [2^i, 2^(i+1)) microseconds; the last bucket
 // absorbs everything larger.
 //
+// # Events and timed samples
+//
+// Count is the exact number of events: Observe records a timed one, Tally
+// one that was counted without reading the clock. Sum, Max, Buckets, Mean
+// and the quantiles describe the timed samples only, whose number is the
+// bucket total (HistogramCounts.Timed) — so a recorder that times one event
+// in N pays for the clock and the four updates only there, and a histogram
+// whose every event is timed reads exactly as if Tally did not exist.
+//
 // # Concurrency contract
 //
 // Every counter is a sync/atomic type, so a Histogram may be observed from
@@ -32,9 +41,9 @@ const histBuckets = 21
 // A Histogram is not copied; Snapshot returns a plain copy of its counts,
 // and Merge accumulates one Histogram into another.
 type Histogram struct {
-	Count   atomic.Uint64
-	Sum     atomic.Int64 // sim.Duration
-	Max     atomic.Int64 // sim.Duration
+	Count   atomic.Uint64 // events, timed or not
+	Sum     atomic.Int64  // sim.Duration
+	Max     atomic.Int64  // sim.Duration
 	Buckets [histBuckets]atomic.Uint64
 }
 
@@ -42,6 +51,7 @@ type Histogram struct {
 // Snapshot, that may be copied and inspected field by field.
 type HistogramCounts struct {
 	Count   uint64
+	Timed   uint64 // timed samples: the bucket total
 	Sum     sim.Duration
 	Max     sim.Duration
 	Buckets [histBuckets]uint64
@@ -52,13 +62,17 @@ func bucketOf(d sim.Duration) int {
 	return min(bits.Len64(uint64(max(d/sim.Microsecond, 1))), histBuckets) - 1
 }
 
-// Observe records one sample. Safe for concurrent use.
+// Observe records one timed event. Safe for concurrent use.
 func (h *Histogram) Observe(d sim.Duration) {
 	h.Count.Add(1)
 	h.Sum.Add(int64(d))
 	raiseMax(&h.Max, int64(d))
 	h.Buckets[bucketOf(d)].Add(1)
 }
+
+// Tally records one event that was not timed: it counts in Count and in
+// nothing else. Safe for concurrent use.
+func (h *Histogram) Tally() { h.Count.Add(1) }
 
 // raiseMax lifts m to at least v.
 func raiseMax(m *atomic.Int64, v int64) {
@@ -73,9 +87,9 @@ func raiseMax(m *atomic.Int64, v int64) {
 // Merge accumulates o into h. Both sides may still be receiving Observe
 // calls; the merged result then reflects some prefix of the in-flight
 // samples (see the concurrency contract above). An empty source — the
-// common case when whole PEStats are merged — costs one load: Observe bumps
-// Count first, so a zero Count means no sample has begun to land and the
-// prefix merged is the empty one.
+// common case when whole PEStats are merged — costs one load: Observe and
+// Tally bump Count first, so a zero Count means no event has begun to land
+// and the prefix merged is the empty one.
 func (h *Histogram) Merge(o *Histogram) {
 	n := o.Count.Load()
 	if n == 0 {
@@ -98,30 +112,32 @@ func (h *Histogram) Snapshot() HistogramCounts {
 	}
 	for i := range s.Buckets {
 		s.Buckets[i] = h.Buckets[i].Load()
+		s.Timed += s.Buckets[i]
 	}
 	return s
 }
 
-// Mean returns the average sample (0 when empty).
+// Mean returns the average timed sample (0 when there is none).
 func (h *Histogram) Mean() sim.Duration { return h.Snapshot().Mean() }
 
-// Mean returns the average sample (0 when empty).
+// Mean returns the average timed sample (0 when there is none).
 func (s HistogramCounts) Mean() sim.Duration {
-	if s.Count == 0 {
+	if s.Timed == 0 {
 		return 0
 	}
-	return s.Sum / sim.Duration(s.Count)
+	return s.Sum / sim.Duration(s.Timed)
 }
 
-// Quantile returns an upper bound of the q-quantile (0 < q <= 1): the top of
-// the bucket holding it — within 2× of the true value by construction —
-// clamped to the largest sample, which no quantile can exceed. The last
-// bucket is open-ended, so there the largest sample is the only bound.
+// Quantile returns an upper bound of the timed samples' q-quantile
+// (0 < q <= 1): the top of the bucket holding it — within 2× of the true
+// value by construction — clamped to the largest sample, which no quantile
+// can exceed. The last bucket is open-ended, so there the largest sample is
+// the only bound.
 func (s HistogramCounts) Quantile(q float64) sim.Duration {
-	if s.Count == 0 || q <= 0 {
+	if s.Timed == 0 || q <= 0 {
 		return 0
 	}
-	target := uint64(q * float64(s.Count))
+	target := uint64(q * float64(s.Timed))
 	if target == 0 {
 		target = 1
 	}
@@ -148,7 +164,8 @@ type LatencySummary struct {
 }
 
 // Summarize reads the histogram once (see Snapshot) and reports it in
-// microseconds; the quantiles are Quantile's upper bounds.
+// microseconds: Count is the events, the rest the timed samples; the
+// quantiles are Quantile's upper bounds.
 func (h *Histogram) Summarize() LatencySummary {
 	hs := h.Snapshot()
 	us := func(d sim.Duration) float64 { return float64(d) / float64(sim.Microsecond) }
@@ -162,20 +179,25 @@ func (h *Histogram) Summarize() LatencySummary {
 	}
 }
 
-// String summarises the distribution.
+// String summarises the distribution; it names the timed samples only where
+// some events were not timed.
 func (h *Histogram) String() string {
 	s := h.Snapshot()
 	if s.Count == 0 {
 		return "no samples"
 	}
-	return fmt.Sprintf("n=%d mean=%v p50<=%v p99<=%v max=%v",
-		s.Count, s.Mean(), s.Quantile(0.5), s.Quantile(0.99), s.Max)
+	timed := ""
+	if s.Timed != s.Count {
+		timed = fmt.Sprintf(" timed=%d", s.Timed)
+	}
+	return fmt.Sprintf("n=%d%s mean=%v p50<=%v p99<=%v max=%v",
+		s.Count, timed, s.Mean(), s.Quantile(0.5), s.Quantile(0.99), s.Max)
 }
 
 // Render draws an ASCII bar chart of the non-empty bucket range.
 func (h *Histogram) Render(width int) string {
 	s := h.Snapshot()
-	if s.Count == 0 {
+	if s.Timed == 0 {
 		return "(no samples)\n"
 	}
 	if width < 8 {

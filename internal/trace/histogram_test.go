@@ -26,6 +26,49 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
+// TestHistogramTally pins the split between events and timed samples: Tally
+// counts an event in Count and nowhere else, and every reader but Count —
+// Mean, the quantiles, Max, String's timed share, Merge — covers the timed
+// samples only.
+func TestHistogramTally(t *testing.T) {
+	var h Histogram
+	h.Observe(10 * sim.Microsecond)
+	for i := 0; i < 15; i++ {
+		h.Tally()
+	}
+	h.Observe(30 * sim.Microsecond)
+	s := h.Snapshot()
+	if s.Count != 17 || s.Timed != 2 || s.Sum != 40*sim.Microsecond || s.Max != 30*sim.Microsecond {
+		t.Fatalf("after 2 timed and 15 tallied events: %+v", s)
+	}
+	if s.Mean() != 20*sim.Microsecond || s.Quantile(1) != 30*sim.Microsecond {
+		t.Fatalf("mean %v, p100 %v: want the timed samples' 20us and 30us", s.Mean(), s.Quantile(1))
+	}
+	if got := h.String(); !strings.HasPrefix(got, "n=17 timed=2 mean=0.000020s ") {
+		t.Fatalf("String = %q", got)
+	}
+	if ls := h.Summarize(); ls.Count != 17 || ls.Mean != 20 {
+		t.Fatalf("Summarize = %+v", ls)
+	}
+	var only Histogram
+	only.Tally()
+	if s := only.Snapshot(); s.Count != 1 || s.Timed != 0 || s.Mean() != 0 || s.Quantile(0.5) != 0 {
+		t.Fatalf("tallied only: %+v", s)
+	}
+	if !strings.Contains(only.Render(20), "no samples") {
+		t.Fatal("a histogram with no timed sample renders bars")
+	}
+	h.Merge(&only)
+	if s := h.Snapshot(); s.Count != 18 || s.Timed != 2 {
+		t.Fatalf("merged a tallied-only histogram: %+v", s)
+	}
+	var all Histogram
+	all.Observe(5 * sim.Microsecond)
+	if got := all.String(); strings.Contains(got, "timed") {
+		t.Fatalf("every event timed, yet String = %q", got)
+	}
+}
+
 func TestHistogramQuantileBounds(t *testing.T) {
 	var h Histogram
 	for i := 1; i <= 1000; i++ {

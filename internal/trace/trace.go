@@ -18,7 +18,7 @@ type PEStats struct {
 	ComputeTime  sim.Duration // application computation
 	SendOverhead sim.Duration // protocol processing + syscalls on the send path
 	RecvOverhead sim.Duration // interrupts + protocol processing on the receive path
-	WaitTime     sim.Duration // blocked waiting for replies, barriers, locks
+	WaitTime     sim.Duration // blocked waiting for replies (estimated on inproc, DESIGN.md §8), barriers, locks
 
 	MsgsSent  uint64
 	MsgsRecv  uint64
@@ -79,9 +79,12 @@ type PEStats struct {
 	// Latency distributions (the paper's execution-time breakdown, per
 	// operation instead of as scalar totals). Histograms follow Histogram's
 	// concurrency contract — they may be observed, merged and read while
-	// kernels still run, which is what live exporters rely on. The scalar
-	// counters above are single-writer and must only be merged (Add) after
-	// their writers quiesce; core.Run's collectStats runs post-shutdown.
+	// kernels still run, which is what core.Config.LiveRTT, the one live
+	// reader, relies on. Their Count is every event; on inproc the
+	// RTTByOp and ServiceByOp samples behind Sum and the buckets are one
+	// round trip in 16 (DESIGN.md §8). The scalar counters above are
+	// single-writer and must only be merged (Add) after their writers
+	// quiesce; core.Run's collectStats runs post-shutdown.
 	RTT         Histogram              // request round trips, all ops (app side)
 	RTTByOp     [wire.NumOps]Histogram // request round trips per request op
 	ServiceByOp [wire.NumOps]Histogram // kernel time handling each incoming op
