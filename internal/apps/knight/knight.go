@@ -13,6 +13,7 @@ package knight
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -71,10 +72,29 @@ func startPrefix(p Params) Prefix {
 	return Prefix{Visited: 1 << uint(sq), Cur: sq, Depth: 1}
 }
 
-// successors returns the squares reachable from pre on an n×n board.
-func successors(pre Prefix, n int) []int {
+// moveTables[n][sq] is the set of squares a knight on square sq of an n×n
+// board reaches, one bit per square index y*n+x. validate bounds n to 8, so
+// every board fits one word.
+var moveTables = func() (t [9][64]uint64) {
+	for n := 3; n <= 8; n++ {
+		for sq := 0; sq < n*n; sq++ {
+			x, y := sq%n, sq/n
+			for _, o := range offsets {
+				nx, ny := x+o[0], y+o[1]
+				if nx >= 0 && nx < n && ny >= 0 && ny < n {
+					t[n][sq] |= 1 << uint(ny*n+nx)
+				}
+			}
+		}
+	}
+	return t
+}()
+
+// successors writes the unvisited squares reachable from pre on an n×n
+// board into out, in offsets order, and returns how many there are.
+func successors(pre Prefix, n int, out *[8]int) int {
 	x, y := pre.Cur%n, pre.Cur/n
-	out := make([]int, 0, 8)
+	k := 0
 	for _, o := range offsets {
 		nx, ny := x+o[0], y+o[1]
 		if nx < 0 || nx >= n || ny < 0 || ny >= n {
@@ -84,9 +104,10 @@ func successors(pre Prefix, n int) []int {
 		if pre.Visited&(1<<uint(sq)) != 0 {
 			continue
 		}
-		out = append(out, sq)
+		out[k] = sq
+		k++
 	}
-	return out
+	return k
 }
 
 // EnumPrefixes splits the search into at least minJobs prefix jobs by
@@ -94,18 +115,27 @@ func successors(pre Prefix, n int) []int {
 // every PE computes the identical job list locally. Expansion stops early
 // if the frontier cannot grow (tiny boards).
 func EnumPrefixes(p Params, minJobs int) []Prefix {
+	moves := &moveTables[p.BoardN]
 	frontier := []Prefix{startPrefix(p)}
+	var succ [8]int
 	for len(frontier) < minJobs {
-		next := make([]Prefix, 0, len(frontier)*2)
-		grew := false
+		size, grew := 0, false
 		for _, pre := range frontier {
-			succ := successors(pre, p.BoardN)
-			if len(succ) == 0 {
+			k := bits.OnesCount64(moves[pre.Cur] &^ pre.Visited)
+			size += max(k, 1)
+			grew = grew || k > 0
+		}
+		if !grew {
+			break
+		}
+		next := make([]Prefix, 0, size)
+		for _, pre := range frontier {
+			k := successors(pre, p.BoardN, &succ)
+			if k == 0 {
 				next = append(next, pre) // dead end or complete: keep as its own job
 				continue
 			}
-			grew = true
-			for _, sq := range succ {
+			for _, sq := range succ[:k] {
 				next = append(next, Prefix{
 					Visited: pre.Visited | 1<<uint(sq),
 					Cur:     sq,
@@ -114,39 +144,47 @@ func EnumPrefixes(p Params, minJobs int) []Prefix {
 			}
 		}
 		frontier = next
-		if !grew {
-			break
-		}
 	}
 	return frontier
 }
 
-// extend runs exhaustive backtracking from a prefix, counting complete
-// tours and visited nodes.
-func extend(pre Prefix, n, target int) (tours, nodes int64) {
-	var rec func(visited uint64, cur, depth int)
-	rec = func(visited uint64, cur, depth int) {
-		nodes++
-		if depth == target {
-			tours++
-			return
-		}
-		x, y := cur%n, cur/n
-		for _, o := range offsets {
-			nx, ny := x+o[0], y+o[1]
-			if nx < 0 || nx >= n || ny < 0 || ny >= n {
-				continue
+// search is one exhaustive backtracking walk over a board's move table.
+type search struct {
+	moves  *[64]uint64
+	target int // squares on the board: the depth of a complete tour
+	tours  int64
+	nodes  int64
+}
+
+// walk counts every descendant of the node at square cur and depth whose
+// path has taken the visited squares. A child with no onward move is a
+// leaf: it is counted here, as a tour if it completes the board, and costs
+// no call.
+func (s *search) walk(visited uint64, cur, depth int) {
+	depth++
+	for m := s.moves[cur] &^ visited; m != 0; m &= m - 1 {
+		sq := bits.TrailingZeros64(m)
+		v := visited | 1<<uint(sq)
+		s.nodes++
+		if s.moves[sq]&^v == 0 {
+			if depth == s.target {
+				s.tours++
 			}
-			sq := ny*n + nx
-			bit := uint64(1) << uint(sq)
-			if visited&bit != 0 {
-				continue
-			}
-			rec(visited|bit, sq, depth+1)
+			continue
 		}
+		s.walk(v, sq, depth)
 	}
-	rec(pre.Visited, pre.Cur, pre.Depth)
-	return tours, nodes
+}
+
+// extend runs exhaustive backtracking from a prefix, counting complete
+// tours and visited nodes (the prefix's own square included).
+func extend(pre Prefix, n, target int) (tours, nodes int64) {
+	if pre.Depth == target {
+		return 1, 1
+	}
+	s := search{moves: &moveTables[n], target: target, nodes: 1}
+	s.walk(pre.Visited, pre.Cur, pre.Depth)
+	return s.tours, s.nodes
 }
 
 // Sequential counts tours on one processor, splitting into the same jobs

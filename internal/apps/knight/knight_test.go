@@ -2,6 +2,8 @@ package knight
 
 import (
 	"fmt"
+	"math/bits"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -32,8 +34,10 @@ func TestKnown5x5CornerTourCount(t *testing.T) {
 	if res.Tours != 304 {
 		t.Fatalf("5x5 corner tours = %d, want 304", res.Tours)
 	}
-	if res.Nodes <= res.Tours {
-		t.Fatal("node count implausible")
+	// The search is exhaustive, so the node count is fixed too; every
+	// simulated knight figure charges compute time by it.
+	if res.Nodes != corner5x5Nodes {
+		t.Fatalf("5x5 corner nodes = %d, want %d", res.Nodes, corner5x5Nodes)
 	}
 }
 
@@ -153,5 +157,159 @@ func TestParallelOnSimulatedCluster(t *testing.T) {
 	}
 	if res.Elapsed <= 0 {
 		t.Fatal("no virtual time elapsed")
+	}
+}
+
+// corner5x5Nodes is the size of the 5×5 search tree from a corner.
+const corner5x5Nodes = 1735079
+
+// refExtend is the search as it was first written: a closure per node, the
+// square's coordinates recovered by division and each of the eight offsets
+// bounds-checked. extend must count exactly what it counts.
+func refExtend(pre Prefix, n, target int) (tours, nodes int64) {
+	var rec func(visited uint64, cur, depth int)
+	rec = func(visited uint64, cur, depth int) {
+		nodes++
+		if depth == target {
+			tours++
+			return
+		}
+		x, y := cur%n, cur/n
+		for _, o := range offsets {
+			nx, ny := x+o[0], y+o[1]
+			if nx < 0 || nx >= n || ny < 0 || ny >= n {
+				continue
+			}
+			sq := ny*n + nx
+			bit := uint64(1) << uint(sq)
+			if visited&bit != 0 {
+				continue
+			}
+			rec(visited|bit, sq, depth+1)
+		}
+	}
+	rec(pre.Visited, pre.Cur, pre.Depth)
+	return tours, nodes
+}
+
+// refEnumPrefixes is the job split as it was first written, one allocated
+// successor list per prefix. EnumPrefixes must return exactly its list: the
+// order decides which PE runs which job, and so every simulated figure.
+func refEnumPrefixes(p Params, minJobs int) []Prefix {
+	frontier := []Prefix{startPrefix(p)}
+	for len(frontier) < minJobs {
+		var next []Prefix
+		grew := false
+		for _, pre := range frontier {
+			x, y := pre.Cur%p.BoardN, pre.Cur/p.BoardN
+			var succ []int
+			for _, o := range offsets {
+				nx, ny := x+o[0], y+o[1]
+				if nx < 0 || nx >= p.BoardN || ny < 0 || ny >= p.BoardN {
+					continue
+				}
+				if sq := ny*p.BoardN + nx; pre.Visited&(1<<uint(sq)) == 0 {
+					succ = append(succ, sq)
+				}
+			}
+			if len(succ) == 0 {
+				next = append(next, pre)
+				continue
+			}
+			grew = true
+			for _, sq := range succ {
+				next = append(next, Prefix{Visited: pre.Visited | 1<<uint(sq), Cur: sq, Depth: pre.Depth + 1})
+			}
+		}
+		frontier = next
+		if !grew {
+			break
+		}
+	}
+	return frontier
+}
+
+func checkExtend(t *testing.T, what string, pre Prefix, n int) {
+	t.Helper()
+	tours, nodes := extend(pre, n, n*n)
+	wantTours, wantNodes := refExtend(pre, n, n*n)
+	if tours != wantTours || nodes != wantNodes {
+		t.Fatalf("%s: %d tours / %d nodes, reference %d / %d", what, tours, nodes, wantTours, wantNodes)
+	}
+}
+
+func TestExtendMatchesReferenceOnJobPrefixes(t *testing.T) {
+	for i, pre := range EnumPrefixes(Params{BoardN: 5, Jobs: 1024}, 1024) {
+		checkExtend(t, fmt.Sprintf("5x5 job %d", i), pre, 5)
+	}
+}
+
+func TestExtendMatchesReferenceFromEveryStart(t *testing.T) {
+	for n := 3; n <= 5; n++ {
+		for sq := 0; sq < n*n; sq++ {
+			pre := startPrefix(Params{BoardN: n, StartX: sq % n, StartY: sq / n})
+			checkExtend(t, fmt.Sprintf("%dx%d from %d", n, n, sq), pre, n)
+		}
+	}
+}
+
+// deepPrefix walks a knight from a random square, Warnsdorff's rule with
+// random ties, until left squares are unvisited. It reports false if the
+// walk gets stuck first.
+func deepPrefix(rng *rand.Rand, n, left int) (Prefix, bool) {
+	moves := &moveTables[n]
+	sq := rng.Intn(n * n)
+	pre := Prefix{Visited: 1 << uint(sq), Cur: sq, Depth: 1}
+	for pre.Depth < n*n-left {
+		best, bestDeg, ties := -1, 9, 0
+		for m := moves[pre.Cur] &^ pre.Visited; m != 0; m &= m - 1 {
+			next := bits.TrailingZeros64(m)
+			deg := bits.OnesCount64(moves[next] &^ (pre.Visited | 1<<uint(next)))
+			switch {
+			case deg < bestDeg:
+				best, bestDeg, ties = next, deg, 1
+			case deg == bestDeg:
+				if ties++; rng.Intn(ties) == 0 {
+					best = next
+				}
+			}
+		}
+		if best < 0 {
+			return pre, false
+		}
+		pre = Prefix{Visited: pre.Visited | 1<<uint(best), Cur: best, Depth: pre.Depth + 1}
+	}
+	return pre, true
+}
+
+func TestExtendMatchesReferenceOnDeepPrefixes(t *testing.T) {
+	const left, walks = 12, 40
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{6, 8} {
+		for i := 0; i < walks; {
+			pre, ok := deepPrefix(rng, n, left)
+			if !ok {
+				continue
+			}
+			checkExtend(t, fmt.Sprintf("%dx%d walk %d (%+v)", n, n, i, pre), pre, n)
+			i++
+		}
+	}
+}
+
+func TestEnumPrefixesMatchesReference(t *testing.T) {
+	for _, n := range []int{5, 6} {
+		for _, jobs := range []int{1, 16, 64, 1024} {
+			p := Params{BoardN: n, Jobs: jobs}
+			got, want := EnumPrefixes(p, jobs), refEnumPrefixes(p, jobs)
+			if len(got) != len(want) {
+				t.Fatalf("%dx%d jobs=%d: %d prefixes, reference %d", n, n, jobs, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%dx%d jobs=%d: prefix %d is %+v, reference %+v", n, n, jobs, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
