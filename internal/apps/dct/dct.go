@@ -344,7 +344,7 @@ func Sequential(p Params) (*Result, error) {
 // coefficients — so communication frequency scales with the number of
 // blocks, the paper's granularity effect. PE 0 returns the full coefficient
 // plane; other PEs return counters only.
-func Parallel(pe core.Proc, p Params) (*Result, error) {
+func Parallel(pe *core.PE, p Params) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}

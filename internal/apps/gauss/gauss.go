@@ -233,7 +233,7 @@ func min(a, b int) int {
 // Parallel solves the system as an SPMD program over the DSE API; every PE
 // returns the same Result. The timed region excludes system generation and
 // the initial zeroing of the shared vector.
-func Parallel(pe core.Proc, p Params) (*Result, error) {
+func Parallel(pe *core.PE, p Params) (*Result, error) {
 	p = p.withDefaults()
 	if p.N < pe.N() {
 		return nil, fmt.Errorf("gauss: N=%d smaller than %d PEs", p.N, pe.N())
@@ -298,7 +298,7 @@ func Parallel(pe core.Proc, p Params) (*Result, error) {
 // iterates, because release writes flush at the second barrier's entry —
 // before any PE starts the next read epoch — and lease caches drop at each
 // barrier crossing.
-func ParallelFine(pe core.Proc, p Params, mode gmem.Mode, sweeps int) (*Result, error) {
+func ParallelFine(pe *core.PE, p Params, mode gmem.Mode, sweeps int) (*Result, error) {
 	p = p.withDefaults()
 	if p.N < pe.N() {
 		return nil, fmt.Errorf("gauss: N=%d smaller than %d PEs", p.N, pe.N())

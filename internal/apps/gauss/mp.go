@@ -15,7 +15,7 @@ import (
 // PVM/MPI programming style the paper cites as the portable alternative to
 // DSE's shared memory. Numerical results are bit-identical to Parallel
 // (the per-sweep arithmetic is the same); only the communication differs.
-func ParallelMP(pe core.Proc, p Params) (*Result, error) {
+func ParallelMP(pe *core.PE, p Params) (*Result, error) {
 	p = p.withDefaults()
 	if p.N < pe.N() {
 		return nil, fmt.Errorf("gauss: N=%d smaller than %d PEs", p.N, pe.N())

@@ -208,7 +208,7 @@ func Sequential(p Params) (*Result, error) {
 // Parallel counts tours as an SPMD program: PEs claim prefix jobs from a
 // global counter and accumulate tours/nodes into global cells. Every PE
 // returns the same Tours/Nodes (Jobs is per-PE).
-func Parallel(pe core.Proc, p Params) (*Result, error) {
+func Parallel(pe *core.PE, p Params) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}

@@ -106,7 +106,7 @@ func Sequential(p Params) (*Result, error) {
 // move indices with FetchAdd, searches its subtrees, and publishes values
 // into a global result array; PE 0 reduces to the best move. Every PE
 // returns the same BestMove/Value/Nodes (Jobs is per-PE).
-func Parallel(pe core.Proc, p Params) (*Result, error) {
+func Parallel(pe *core.PE, p Params) (*Result, error) {
 	p = p.withDefaults()
 	if p.Depth < 1 {
 		return nil, fmt.Errorf("othello: depth %d < 1", p.Depth)

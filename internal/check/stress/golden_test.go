@@ -219,7 +219,7 @@ func namespaceProgram(pe *core.PE) error {
 		case 6:
 			pe.GMGather([]uint64{a, data + uint64(rng.Intn(words-16)), a + 9})
 		case 7:
-			pe.GMScatter([]uint64{a, data + uint64(rng.Intn(words-16))}, []int64{next(), next()})
+			err = pe.GMScatterErr([]uint64{a, data + uint64(rng.Intn(words-16))}, []int64{next(), next()})
 		}
 		if err != nil {
 			return err
@@ -242,7 +242,7 @@ func namespaceProgram(pe *core.PE) error {
 		{"read-block", panicErr(func() { pe.GMReadBlock(data+words-2, 4) })},
 		{"write-block", panicErr(func() { pe.GMWriteBlock(data+words-2, make([]int64, 4)) })},
 		{"gather", panicErr(func() { pe.GMGather([]uint64{data, outside}) })},
-		{"scatter", panicErr(func() { pe.GMScatter([]uint64{data, outside}, []int64{1, 2}) })},
+		{"scatter", pe.GMScatterErr([]uint64{data, outside}, []int64{1, 2})},
 	}
 	for _, s := range strays {
 		var nsErr *core.NamespaceError

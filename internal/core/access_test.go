@@ -103,7 +103,7 @@ var accessRows = []accessRow{
 		op:   func(pe *PE, l, r uint64) int64 { return pe.FetchAdd(l, 3) }, want: 3,
 		d: pathDelta{local: 1}, ev: []evTag{fa(strong)}},
 	{name: "strong/local/cas", on: onOne, mode: strong,
-		op: func(pe *PE, l, r uint64) int64 { prev, _ := pe.CAS(l, 0, 9); return prev }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { prev, _, err := pe.CASErr(l, 0, 9); must(err); return prev }, want: 0,
 		d: pathDelta{local: 1}, ev: []evTag{cas(strong)}},
 	{name: "strong/message/read", on: onMsg, mode: strong,
 		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r, 7) },
@@ -118,7 +118,7 @@ var accessRows = []accessRow{
 		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{fa(strong)}},
 	{name: "strong/message/cas", on: onMsg, mode: strong,
 		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r, 30) },
-		op:   func(pe *PE, l, r uint64) int64 { prev, _ := pe.CAS(r, 30, 31); return prev }, want: 30,
+		op:   func(pe *PE, l, r uint64) int64 { prev, _, err := pe.CASErr(r, 30, 31); must(err); return prev }, want: 30,
 		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{cas(strong)}},
 	{name: "strong/window/read", on: onOne, mode: strong,
 		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r, 7) },
@@ -131,7 +131,7 @@ var accessRows = []accessRow{
 		op: func(pe *PE, l, r uint64) int64 { return pe.FetchAdd(r, 2) }, want: 0,
 		d: pathDelta{remote: 1, ring: 1}, ev: []evTag{fa(strong)}},
 	{name: "strong/onesided/cas-in-place", on: onOne, mode: strong,
-		op: func(pe *PE, l, r uint64) int64 { prev, _ := pe.CAS(r, 1, 2); return prev }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { prev, _, err := pe.CASErr(r, 1, 2); must(err); return prev }, want: 0,
 		d: pathDelta{remote: 1, ring: 1}, ev: []evTag{cas(strong)}},
 
 	// --- word executor, release tier ---
@@ -215,7 +215,7 @@ var accessRows = []accessRow{
 		op: func(pe *PE, l, r uint64) int64 { return pe.FetchAdd(l, 3) }, want: 0,
 		d: pathDelta{remote: 1, msgs: 2}, ev: []evTag{fa(strong)}},
 	{name: "cached/own-home/cas-goes-through-kernel", on: onCache, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 { prev, _ := pe.CAS(l, 0, 3); return prev }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { prev, _, err := pe.CASErr(l, 0, 3); must(err); return prev }, want: 0,
 		d: pathDelta{remote: 1, msgs: 2}, ev: []evTag{cas(strong)}},
 	// A cached allocation in a cluster with the one-sided paths on: its words
 	// reach the home's directory as messages, hits stay local.
@@ -253,14 +253,20 @@ var accessRows = []accessRow{
 		op:   func(pe *PE, l, r uint64) int64 { return pe.GMGather([]uint64{r + 1, l, r})[0] }, want: 9,
 		d: pathDelta{local: 1, remote: 2, direct: 2}, ev: tags(3, rd(strong))},
 	{name: "strong/scatter-in-place", on: onOne, mode: strong,
-		op: func(pe *PE, l, r uint64) int64 { pe.GMScatter([]uint64{r, l}, []int64{1, 2}); return pe.GMRead(r) }, want: 1,
+		op: func(pe *PE, l, r uint64) int64 {
+			must(pe.GMScatterErr([]uint64{r, l}, []int64{1, 2}))
+			return pe.GMRead(r)
+		}, want: 1,
 		d: pathDelta{local: 1, remote: 2, direct: 1, ring: 1}, ev: []evTag{wr(strong), wr(strong), rd(strong)}},
 	{name: "strong/message/block-read", on: onMsg, mode: strong,
 		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r, 9) },
 		op:   func(pe *PE, l, r uint64) int64 { return pe.GMReadBlock(min(l, r), 64)[r-min(l, r)] }, want: 9,
 		d: pathDelta{local: 1, remote: 1, msgs: 1}, ev: tags(64, rd(strong))},
 	{name: "strong/message/scatter", on: onMsg, mode: strong,
-		op: func(pe *PE, l, r uint64) int64 { pe.GMScatter([]uint64{r, l}, []int64{1, 2}); return pe.GMRead(r) }, want: 1,
+		op: func(pe *PE, l, r uint64) int64 {
+			must(pe.GMScatterErr([]uint64{r, l}, []int64{1, 2}))
+			return pe.GMRead(r)
+		}, want: 1,
 		d: pathDelta{local: 1, remote: 2, msgs: 2}, ev: []evTag{wr(strong), wr(strong), rd(strong)}},
 	{name: "release/onesided/block-read-overlays-own-writes", on: onOne, mode: release,
 		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r+2, 77) },
@@ -314,7 +320,7 @@ var accessRows = []accessRow{
 		d: pathDelta{remote: 1, msgs: 1}, ev: tags(4, rd(strong))},
 	{name: "cached/onesided/scatter-aggregates-through-kernels", on: onOne, mode: cached,
 		op: func(pe *PE, l, r uint64) int64 {
-			pe.GMScatter([]uint64{r, r + 1, l}, []int64{1, 2, 3})
+			must(pe.GMScatterErr([]uint64{r, r + 1, l}, []int64{1, 2, 3}))
 			return pe.GMRead(r + 1)
 		}, want: 2,
 		// One vectored request to r's home, one scalar to the PE's own kernel
@@ -499,7 +505,8 @@ func TestPanickingFormsKeepErrorType(t *testing.T) {
 
 // TestPanickingFormsKeepNamespaceError: a bound PE straying outside its
 // namespace gets the typed *NamespaceError from all eight GM entry points,
-// through the panic, into Result.Errs.
+// through the panic, into Result.Errs: CASErr and GMScatterErr, which have no
+// panicking form, raise theirs through must like the six that have one.
 func TestPanickingFormsKeepNamespaceError(t *testing.T) {
 	forms := []struct {
 		op   string
@@ -508,11 +515,11 @@ func TestPanickingFormsKeepNamespaceError(t *testing.T) {
 		{"read", func(pe *PE, in, out uint64) { pe.GMRead(out) }},
 		{"write", func(pe *PE, in, out uint64) { pe.GMWrite(out, 1) }},
 		{"fetch-add", func(pe *PE, in, out uint64) { pe.FetchAdd(out, 1) }},
-		{"cas", func(pe *PE, in, out uint64) { pe.CAS(out, 0, 1) }},
+		{"cas", func(pe *PE, in, out uint64) { _, _, err := pe.CASErr(out, 0, 1); must(err) }},
 		{"read-block", func(pe *PE, in, out uint64) { pe.GMReadBlock(out-2, 4) }},
 		{"write-block", func(pe *PE, in, out uint64) { pe.GMWriteBlock(out-2, make([]int64, 4)) }},
 		{"gather", func(pe *PE, in, out uint64) { pe.GMGather([]uint64{in, out}) }},
-		{"scatter", func(pe *PE, in, out uint64) { pe.GMScatter([]uint64{in, out}, []int64{1, 2}) }},
+		{"scatter", func(pe *PE, in, out uint64) { must(pe.GMScatterErr([]uint64{in, out}, []int64{1, 2})) }},
 	}
 	cfg := simCfg(len(forms))
 	res, err := Run(cfg, func(pe *PE) error {

@@ -104,7 +104,7 @@ func TestGatherScatter(t *testing.T) {
 			for i := range vals {
 				vals[i] = int64(1000 + i)
 			}
-			pe.GMScatter(addrs, vals)
+			must(pe.GMScatterErr(addrs, vals))
 		}
 		pe.Barrier()
 		got := pe.GMGather(addrs)

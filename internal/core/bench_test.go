@@ -203,10 +203,10 @@ func BenchmarkGMRange(b *testing.B) {
 		{"gather64", gmem.ModeStrong, words, [2]wire.Op{wire.OpReadV}, [2]wire.Op{wire.OpReadVResp},
 			func(pe *PE, _ int, _ uint64, addrs []uint64, _ []int64) { pe.GMGather(addrs) }},
 		{"scatter64", gmem.ModeStrong, words, [2]wire.Op{wire.OpWriteV}, [2]wire.Op{wire.OpWriteAck},
-			func(pe *PE, _ int, _ uint64, addrs []uint64, vals []int64) { pe.GMScatter(addrs, vals) }},
+			func(pe *PE, _ int, _ uint64, addrs []uint64, vals []int64) { must(pe.GMScatterErr(addrs, vals)) }},
 		{"flush64", gmem.ModeRelease, words, [2]wire.Op{wire.OpFlushV}, [2]wire.Op{wire.OpWriteAck},
 			func(pe *PE, _ int, _ uint64, addrs []uint64, vals []int64) {
-				pe.GMScatter(addrs, vals) // release-mode words: buffered, no message
+				must(pe.GMScatterErr(addrs, vals)) // release-mode words: buffered, no message
 				pe.syncFence()
 			}},
 	} {

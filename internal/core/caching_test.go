@@ -160,7 +160,7 @@ func TestCachingCASInvalidates(t *testing.T) {
 		pe.GMRead(x)
 		pe.Barrier()
 		if pe.ID() == 1 {
-			if _, ok := pe.CAS(x, 0, 9); !ok {
+			if _, ok, err := pe.CASErr(x, 0, 9); err != nil || !ok {
 				return fmt.Errorf("CAS failed")
 			}
 		}

@@ -486,7 +486,7 @@ func RunOn(cfg Config, node transport.Node, program Program) (*Result, error) {
 				err = fmt.Errorf("core: node %d: shutdown barrier: %v", node.ID(), r)
 			}
 		}()
-		pe.BarrierID(shutdownBarrierID)
+		pe.syncWait(verbBarrier, shutdownBarrierID, 0)
 		return nil
 	}(); berr != nil && perr == nil {
 		perr = berr
@@ -512,14 +512,14 @@ func runPE(pe *PE, program Program) (err error) {
 			if perr, ok := r.(error); ok {
 				// Keep the error type (e.g. *PeerDownError) visible through
 				// errors.As for callers that classify failures.
-				err = fmt.Errorf("PE %d panicked: %w", pe.ID(), perr)
+				err = fmt.Errorf("PE %d panicked: %w", pe.k.id, perr)
 			} else {
-				err = fmt.Errorf("PE %d panicked: %v", pe.ID(), r)
+				err = fmt.Errorf("PE %d panicked: %v", pe.k.id, r)
 			}
 		}
 		if pe.spans != nil {
 			pe.spans.Record(trace.Span{
-				Kind: trace.SpanRun, PE: int32(pe.ID()),
+				Kind: trace.SpanRun, PE: int32(pe.k.id),
 				Start: start, End: pe.app.Now(),
 			})
 		}

@@ -12,9 +12,8 @@ import (
 )
 
 // BindNamespace confines this PE's global-memory operations to the word
-// region [base, limit). The scheduler calls it (on the worker, in app
-// context) before handing the PE to a job; limit 0 would mean unbound, so
-// it is rejected — use ClearNamespace.
+// region [base, limit). BeginJob binds a job's region this way; limit 0
+// would mean unbound, so it is rejected — use ClearNamespace.
 func (pe *PE) BindNamespace(base, limit uint64) {
 	if limit == 0 {
 		panic("core: BindNamespace with zero limit (use ClearNamespace)")
@@ -30,7 +29,13 @@ func (pe *PE) ClearNamespace() { pe.ns = gmem.Region{} }
 // *NamespaceError before any request (or access in place) is issued, and
 // counted as a denial.
 func (pe *PE) nsCheck(op string, addr uint64, n int) error {
-	if pe.ns.Limit == 0 || pe.ns.Contains(addr, n) {
+	if pe.ns.Limit == 0 {
+		return nil
+	}
+	if err := pe.job.aborted(); err != nil {
+		return err
+	}
+	if pe.ns.Contains(addr, n) {
 		return nil
 	}
 	pe.extra.NsDenials++
@@ -95,27 +100,4 @@ func (pe *PE) JobPurge(tagLo, n int32) error {
 		wire.PutMessage(resp)
 	}
 	return nil
-}
-
-// EndJob drops this PE's local residue of a finished (or aborted) job over
-// the word region [base, limit): recorded consistency modes, buffered
-// release-mode writes that would otherwise flush into a freed region, and
-// cached leases. The worker calls it after the job's program returns,
-// before the scheduler unbinds and frees the namespace.
-func (pe *PE) EndJob(base, limit uint64) {
-	pe.modes.Clear(base, limit)
-	if pe.wc.Len() > 0 {
-		pe.fl = pe.fl[:0]
-		pe.flv = pe.flv[:0]
-		pe.wc.Drain(func(a uint64, v int64) {
-			if a < base || a >= limit {
-				pe.fl = append(pe.fl, a)
-				pe.flv = append(pe.flv, v)
-			}
-		})
-		for i, a := range pe.fl {
-			pe.wc.Put(a, pe.flv[i])
-		}
-	}
-	pe.clearLeases()
 }

@@ -690,7 +690,7 @@ func TestMonitorGatherUnderWriterStorm(t *testing.T) {
 				for j, b := range bases {
 					addrs[j], vals[j] = b+uint64((i+j)%bw), int64(i)<<8|2
 				}
-				pe.GMScatter(addrs, vals)
+				must(pe.GMScatterErr(addrs, vals))
 			}
 		}
 		pe.Barrier()

@@ -37,8 +37,12 @@ type PE struct {
 	ckptEpoch   uint64        // last completed checkpoint epoch
 	viewGen     uint64        // view generation: recoveries this cluster survived
 
-	// everyone is the whole cluster as an all-reduce's members: rank r is kernel r.
-	everyone []int
+	// everyone is the whole cluster as an all-reduce sees it: rank r is kernel r.
+	everyone reduceView
+
+	// job, when not nil, is the scheduled job this PE runs (BeginJob, group.go):
+	// the Parallel API answers for the job's gang, namespace and tag window.
+	job *jobScope
 
 	// one is the single request in flight of everything but a range transfer
 	// (whose groups are in reqs): the request engine (request.go) matches what
@@ -95,14 +99,14 @@ func newPE(k *Kernel) *PE {
 		leases: make(map[uint64]*leaseEntry),
 		groups: make([]runGroup, k.n),
 
-		everyone: make([]int, k.n),
+		everyone: reduceView{members: make([]int, k.n), rank: k.id, up: tagReduceUp, down: tagReduceDown},
 	}
 	if pe.spans == nil && pe.live == nil {
 		pe.timeMask = timingMask(k.cfg.Transport)
 	}
 	pe.hist.SetClock(pe.app)
-	for i := range pe.everyone {
-		pe.everyone[i] = i
+	for i := range pe.everyone.members {
+		pe.everyone.members[i] = i
 	}
 	if rs := k.cfg.restore; rs != nil {
 		pe.ckptEpoch = rs.epoch
@@ -115,11 +119,21 @@ func newPE(k *Kernel) *PE {
 	return pe
 }
 
-// ID returns this PE's kernel id in [0, N).
-func (pe *PE) ID() int { return pe.k.id }
+// ID returns this PE's kernel id in [0, N), or its job rank inside a job.
+func (pe *PE) ID() int {
+	if pe.job != nil {
+		return pe.job.gang.rank
+	}
+	return pe.k.id
+}
 
-// N returns the number of PEs in the cluster.
-func (pe *PE) N() int { return pe.k.n }
+// N returns the number of PEs in the cluster, or the gang size inside a job.
+func (pe *PE) N() int {
+	if pe.job != nil {
+		return len(pe.job.Members)
+	}
+	return pe.k.n
+}
 
 // Hostname names the physical machine hosting this PE. Under a virtual
 // cluster several PEs share one.
@@ -137,7 +151,9 @@ func (pe *PE) Compute(ops float64) { pe.app.Compute(ops) }
 
 // Alloc reserves n global-memory words. Allocation is deterministic: every
 // PE of the SPMD program performs the same Alloc sequence and obtains the
-// same addresses without communicating.
+// same addresses without communicating. Inside a job it draws on the job's
+// namespace, under the job's mode, and exceeding the quota panics with
+// *gmem.QuotaError.
 func (pe *PE) Alloc(n int) uint64 { return pe.alloc.Alloc(n) }
 
 // AllocBlocks reserves n words starting on a block boundary.
@@ -348,6 +364,7 @@ func (pe *PE) recordSync(v syncVerb, id int32, inv sim.Time) {
 // and a grant only ever answers a wait, so a grant of another verb or id
 // was forged or duplicated: it is counted in StrayDrops and the wait goes on.
 func (pe *PE) syncWait(v syncVerb, id int32, size int) {
+	must(pe.job.aborted())
 	vb := &syncVerbs[v]
 	count, wait := pe.waitStats(v)
 	*count++
@@ -374,20 +391,27 @@ func (pe *PE) syncWait(v syncVerb, id int32, size int) {
 func (pe *PE) Barrier() { pe.BarrierID(0) }
 
 // BarrierID blocks on the barrier with the given id; distinct ids are
-// independent barriers.
-func (pe *PE) BarrierID(id int32) { pe.syncWait(verbBarrier, id, 0) }
+// independent barriers. Inside a job the barrier is the gang's, private to
+// the job, like its locks and semaphores.
+func (pe *PE) BarrierID(id int32) {
+	size := 0
+	if pe.job != nil {
+		size = len(pe.job.Members)
+	}
+	pe.syncWait(verbBarrier, pe.scoped(id), size)
+}
 
 // Lock acquires the cluster-wide lock id (FIFO, managed by kernel 0).
-func (pe *PE) Lock(id int32) { pe.syncWait(verbLock, id, 0) }
+func (pe *PE) Lock(id int32) { pe.syncWait(verbLock, pe.scoped(id), 0) }
 
 // Unlock releases lock id.
-func (pe *PE) Unlock(id int32) { pe.syncPost(verbUnlock, id, 0) }
+func (pe *PE) Unlock(id int32) { pe.syncPost(verbUnlock, pe.scoped(id), 0) }
 
 // SemWait downs semaphore id, blocking while its value is zero.
-func (pe *PE) SemWait(id int32) { pe.syncWait(verbSemWait, id, 0) }
+func (pe *PE) SemWait(id int32) { pe.syncWait(verbSemWait, pe.scoped(id), 0) }
 
 // SemPost ups semaphore id.
-func (pe *PE) SemPost(id int32) { pe.syncPost(verbSemPost, id, 0) }
+func (pe *PE) SemPost(id int32) { pe.syncPost(verbSemPost, pe.scoped(id), 0) }
 
 // takeWithin takes the next message from mb, waiting at most d (0 = forever).
 // ok is false when the mailbox closed (cluster shutdown).
@@ -574,26 +598,30 @@ func (pe *PE) allReduce(v reduceView, x float64, op func(a, b float64) float64) 
 		return x
 	}
 	if v.rank != 0 {
-		pe.SendMsg(v.members[0], v.up, f64Bytes(x))
-		_, data := pe.RecvMsg(v.down)
+		pe.sendMsg(v.members[0], v.up, f64Bytes(x))
+		_, data := pe.recvMsg(v.down)
 		return f64FromBytes(data)
 	}
 	acc := x
 	for i := 1; i < n; i++ {
-		_, data := pe.RecvMsg(v.up)
+		_, data := pe.recvMsg(v.up)
 		acc = op(acc, f64FromBytes(data))
 	}
 	out := f64Bytes(acc)
 	for i := 1; i < n; i++ {
-		pe.SendMsg(v.members[i], v.down, out)
+		pe.sendMsg(v.members[i], v.down, out)
 	}
 	return acc
 }
 
 // AllReduceF combines one float64 contribution from every PE with op (see
-// allReduce); PE 0 is the root.
+// allReduce); PE 0 is the root. Inside a job the gang takes part, under the
+// top two ids of the job's window, and job rank 0 is the root.
 func (pe *PE) AllReduceF(x float64, op func(a, b float64) float64) float64 {
-	return pe.allReduce(reduceView{members: pe.everyone, rank: pe.ID(), up: tagReduceUp, down: tagReduceDown}, x, op)
+	if pe.job != nil {
+		return pe.allReduce(pe.job.gang, x, op)
+	}
+	return pe.allReduce(pe.everyone, x, op)
 }
 
 func f64Bytes(x float64) []byte {
@@ -624,8 +652,20 @@ func (pe *PE) AllReduceMax(x float64) float64 { return pe.AllReduceF(x, maxF) }
 
 // SendMsg delivers payload to PE dst under tag. It does not wait for the
 // receiver. Application tags must be non-negative; negative tags are
-// reserved for the runtime's own collectives.
+// reserved for the runtime's own collectives. Inside a job dst is a job rank
+// and the tag is private to the job.
 func (pe *PE) SendMsg(dst int, tag int32, payload []byte) {
+	if j := pe.job; j != nil {
+		if dst < 0 || dst >= len(j.Members) {
+			panic(fmt.Sprintf("core: job %q: SendMsg to rank %d of %d", j.Name, dst, len(j.Members)))
+		}
+		dst = j.Members[dst]
+	}
+	pe.sendMsg(dst, pe.scoped(tag), payload)
+}
+
+// sendMsg is SendMsg by kernel id and raw tag, whatever the scope.
+func (pe *PE) sendMsg(dst int, tag int32, payload []byte) {
 	pe.legacyCrossing()
 	m := wire.GetMessage()
 	m.Op, m.Src, m.Dst, m.Tag = wire.OpUserMsg, int32(pe.k.id), int32(dst), tag
@@ -638,6 +678,7 @@ func (pe *PE) SendMsg(dst int, tag int32, payload []byte) {
 // tag, waiting at most d (0 = forever). ok is false when the queue closed
 // (cluster shutdown, or the tag's job was purged).
 func (pe *PE) recvUser(tag int32, d sim.Duration) (m *wire.Message, ok, timedOut bool) {
+	must(pe.job.aborted())
 	pe.legacyCrossing()
 	mb := pe.k.userMb(tag)
 	start := pe.app.Now()
@@ -649,7 +690,15 @@ func (pe *PE) recvUser(tag int32, d sim.Duration) (m *wire.Message, ok, timedOut
 // RecvMsg blocks until a message with tag arrives, returning its sender
 // and payload. It fails like a synchronisation wait (waitFailed), so that a
 // collective which loses a message or outlives the cluster is classifiable.
+// Inside a job the tag is private to the job and the sender a job rank (-1
+// for a sender outside the gang, which only misuse of the tags can produce).
 func (pe *PE) RecvMsg(tag int32) (src int, payload []byte) {
+	src, payload = pe.recvMsg(pe.scoped(tag))
+	return pe.rankOf(src), payload
+}
+
+// recvMsg is RecvMsg by raw tag and kernel id, whatever the scope.
+func (pe *PE) recvMsg(tag int32) (src int, payload []byte) {
 	m, ok, timedOut := pe.recvUser(tag, pe.k.requestTimeout())
 	if !ok {
 		pe.waitFailed("recv-msg", pe.k.id, timedOut) // from anybody: the queue is this kernel's
@@ -663,11 +712,11 @@ func (pe *PE) RecvMsg(tag int32) (src int, payload []byte) {
 // waiting for work with checking for shutdown.
 func (pe *PE) RecvMsgTimeout(tag int32, d sim.Duration) (src int, payload []byte, ok bool) {
 	// recvUser reads 0 as forever; here it is the shortest wait.
-	m, ok, _ := pe.recvUser(tag, max(d, 1))
+	m, ok, _ := pe.recvUser(pe.scoped(tag), max(d, 1))
 	if !ok {
 		return 0, nil, false
 	}
-	return int(m.Src), m.Data, true
+	return pe.rankOf(int(m.Src)), m.Data, true
 }
 
 // --- Process management / SSI ---

@@ -421,7 +421,7 @@ func (pe *PE) GMGatherErr(addrs []uint64) ([]int64, error) {
 // that cached-mode readers hold are invalidated like GMWrite does.
 func (pe *PE) GMScatterErr(addrs []uint64, vals []int64) error {
 	if len(addrs) != len(vals) {
-		panic("core: GMScatter length mismatch")
+		panic("core: GMScatterErr length mismatch")
 	}
 	return pe.rangeOp("scatter", check.KindWrite, 0, addrs, vals)
 }
@@ -442,9 +442,6 @@ func (pe *PE) GMGather(addrs []uint64) []int64 {
 	must(err)
 	return out
 }
-
-// GMScatter is GMScatterErr, panicking on failure.
-func (pe *PE) GMScatter(addrs []uint64, vals []int64) { must(pe.GMScatterErr(addrs, vals)) }
 
 // GMReadBlockF reads n float64 values starting at addr.
 func (pe *PE) GMReadBlockF(addr uint64, n int) []float64 {

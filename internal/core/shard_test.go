@@ -229,7 +229,7 @@ func TestShardRangeOneRequestPerHome(t *testing.T) {
 			for i := range addrs {
 				addrs[i], vals[i] = blocks[i%len(blocks)]+uint64(i/len(blocks)), int64(i+1)
 			}
-			pe.GMScatter(addrs, vals)
+			must(pe.GMScatterErr(addrs, vals))
 			if got := pe.GMGather(addrs); !slices.Equal(got, vals) {
 				return fmt.Errorf("gather = %v, want %v", got, vals)
 			}

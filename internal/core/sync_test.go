@@ -6,16 +6,22 @@ import (
 	"time"
 
 	"repro/internal/check"
+	"repro/internal/gmem"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// gangOf wraps pe as a member of the 2-of-4 gang {1, 3}; nil for the others.
-func gangOf(pe *PE) *JobPE {
-	if pe.ID()%2 == 0 {
-		return nil
+// beginGang begins the job scope of the 2-of-4 gang {1, 3} on its members
+// and reports whether pe is one.
+func beginGang(pe *PE) bool {
+	if pe.k.id%2 == 0 {
+		return false
 	}
-	return NewJobPE(pe, JobGroup{Name: "gang", Members: []int{1, 3}, TagBase: JobSlotBase(0)})
+	must(pe.BeginJob(JobGroup{
+		Name: "gang", Members: []int{1, 3}, TagBase: JobSlotBase(0),
+		Region: gmem.Region{Limit: uint64(pe.k.space.BlockWords)},
+	}))
+	return true
 }
 
 // TestSyncPipelineRecords runs every verb of the synchronisation pipeline on
@@ -24,8 +30,8 @@ func gangOf(pe *PE) *JobPE {
 // histogram, a span and — where the checker has a kind — a history event per
 // call, none of them lost because a call site forgot it. The sized barrier of
 // a job's gang used to leave neither span nor event and a semaphore wait
-// nothing at all; the all-reduce, one body behind PE and JobPE, is held to
-// its result and its 2(n-1) messages.
+// nothing at all; the all-reduce, one body for the cluster and a job's
+// gang, is held to its result and its 2(n-1) messages.
 func TestSyncPipelineRecords(t *testing.T) {
 	const gangID = 7
 	for _, tc := range []struct {
@@ -50,8 +56,9 @@ func TestSyncPipelineRecords(t *testing.T) {
 		{
 			name: "sized barrier", calls: 2, span: trace.SpanBarrier, id: JobSlotBase(0) + gangID,
 			run: func(pe *PE) error {
-				if jp := gangOf(pe); jp != nil {
-					jp.BarrierID(gangID)
+				if beginGang(pe) {
+					pe.BarrierID(gangID)
+					pe.EndJob()
 				}
 				return nil
 			},
@@ -100,15 +107,15 @@ func TestSyncPipelineRecords(t *testing.T) {
 		{
 			name: "gang all-reduce",
 			run: func(pe *PE) error {
-				jp := gangOf(pe)
-				if jp == nil {
+				if !beginGang(pe) {
 					return nil
 				}
-				if got := jp.AllReduceSum(float64(pe.ID())); got != 4 {
-					return fmt.Errorf("rank %d: sum = %v, want 4", jp.ID(), got)
+				defer pe.EndJob()
+				if got := pe.AllReduceSum(float64(pe.k.id)); got != 4 {
+					return fmt.Errorf("rank %d: sum = %v, want 4", pe.ID(), got)
 				}
-				if got := jp.AllReduceMax(float64(jp.ID())); got != 1 {
-					return fmt.Errorf("rank %d: max = %v, want 1", jp.ID(), got)
+				if got := pe.AllReduceMax(float64(pe.ID())); got != 1 {
+					return fmt.Errorf("rank %d: max = %v, want 1", pe.ID(), got)
 				}
 				return nil
 			},

@@ -209,16 +209,10 @@ func (pe *PE) FetchAddErr(addr uint64, delta int64) (int64, error) {
 	return old, err
 }
 
-// CAS atomically compares-and-swaps the word at addr; it returns the
-// previous value and whether the swap happened. Panics on failure.
-func (pe *PE) CAS(addr uint64, old, new int64) (int64, bool) {
-	prev, sw, err := pe.CASErr(addr, old, new)
-	must(err)
-	return prev, sw
-}
-
-// CASErr is CAS with request failures surfaced as errors; like FetchAddErr
-// it stays exactly-once under retransmission.
+// CASErr atomically compares-and-swaps the word at addr; it returns the
+// previous value and whether the swap happened, and surfaces request
+// failures as errors. Like FetchAddErr it stays exactly-once under
+// retransmission.
 func (pe *PE) CASErr(addr uint64, old, new int64) (int64, bool, error) {
 	return pe.wordOp(check.KindCAS, addr, old, new)
 }

@@ -122,27 +122,6 @@ func (t *ModeTable) Set(base uint64, n int, m Mode) {
 	t.ranges[i] = r
 }
 
-// Clear removes every recorded range inside [base, limit) — job-namespace
-// teardown, so the next job re-carving the region starts from the default
-// mode and its own Set calls cannot collide with a dead job's ranges.
-// Ranges straddling a boundary are trimmed, not dropped whole.
-func (t *ModeTable) Clear(base, limit uint64) {
-	out := t.ranges[:0]
-	for _, r := range t.ranges {
-		if r.end <= base || r.base >= limit {
-			out = append(out, r)
-			continue
-		}
-		if r.base < base {
-			out = append(out, modeRange{base: r.base, end: base, mode: r.mode})
-		}
-		if r.end > limit {
-			out = append(out, modeRange{base: limit, end: r.end, mode: r.mode})
-		}
-	}
-	t.ranges = out
-}
-
 // Sole reports the one mode every address maps to when no range is recorded
 // — the gate the range operations check before consulting per-address modes.
 func (t *ModeTable) Sole() (Mode, bool) { return t.def, len(t.ranges) == 0 }

@@ -19,12 +19,12 @@ const tagBase int32 = 1 << 24
 
 // Comm is a communicator over all PEs of the cluster.
 type Comm struct {
-	pe  core.Proc
+	pe  *core.PE
 	gen int32 // distinguishes collective epochs within a tag
 }
 
 // New wraps a PE in a communicator.
-func New(pe core.Proc) *Comm { return &Comm{pe: pe} }
+func New(pe *core.PE) *Comm { return &Comm{pe: pe} }
 
 // Rank returns this process's rank (the PE id).
 func (c *Comm) Rank() int { return c.pe.ID() }

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -661,10 +662,10 @@ func (s *Scheduler) worker(pe *core.PE) error {
 	}
 }
 
-// runJob executes one assignment on this worker: bind the PE-side guard,
-// build the job view, run the workload (recovering panics — quota
-// exhaustion, namespace violations, aborts — as job failure), drop local
-// residue and report to the scheduler.
+// runJob executes one assignment on this worker: begin the job's scope on
+// the PE, run the workload (recovering panics — quota exhaustion, namespace
+// violations, aborts — as job failure, like an assignment BeginJob refuses),
+// drop the scope and its local residue and report to the scheduler.
 func (s *Scheduler) runJob(pe *core.PE, a assignment) {
 	s.mu.Lock()
 	j := s.jobs[a.JobID]
@@ -673,8 +674,6 @@ func (s *Scheduler) runJob(pe *core.PE, a assignment) {
 	if j != nil {
 		cancel = &j.cancel
 	}
-	pe.BindNamespace(a.Base, a.Limit)
-	var jp *core.JobPE
 	var errStr string
 	var used uint64
 	func() {
@@ -686,32 +685,25 @@ func (s *Scheduler) runJob(pe *core.PE, a assignment) {
 					errStr = fmt.Sprint(r)
 				}
 			}
-			if jp != nil {
-				used = jp.QuotaUsed()
-			}
 		}()
-		jp = core.NewJobPE(pe, core.JobGroup{
+		if err := pe.BeginJob(core.JobGroup{
 			Name:    a.Name,
 			Members: a.Members,
 			TagBase: a.TagBase,
 			Region:  gmem.Region{Base: a.Base, Limit: a.Limit},
 			Mode:    gmem.Mode(a.Mode),
 			Cancel:  cancel,
-		})
-		if err := runWorkload(jp, a.Workload, a.Size); err != nil {
+		}); err != nil {
+			errStr = err.Error()
+			return
+		}
+		defer func() { used = pe.EndJob() }()
+		if err := runWorkload(pe, a.Workload, a.Size); err != nil {
 			errStr = err.Error()
 		}
 	}()
-	pe.EndJob(a.Base, a.Limit)
-	pe.ClearNamespace()
-	rank := 0
-	for r, m := range a.Members {
-		if m == pe.ID() {
-			rank = r
-		}
-	}
 	pe.SendMsg(0, doneTag, mustJSON(completion{
-		JobID: a.JobID, Rank: rank, Err: errStr, Used: used,
+		JobID: a.JobID, Rank: max(slices.Index(a.Members, pe.ID()), 0), Err: errStr, Used: used,
 	}))
 }
 

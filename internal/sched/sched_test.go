@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -247,10 +248,10 @@ func TestHeadOfLineBlocking(t *testing.T) {
 // TestCancelRunningJob registers a workload that spins until cancelled and
 // checks that Cancel aborts it via the gang's cancel gate.
 func TestCancelRunningJob(t *testing.T) {
-	workloads["spin-test"] = func(p core.Proc, size int) error {
+	workloads["spin-test"] = func(p *core.PE, size int) error {
 		base := p.Alloc(1)
 		for {
-			p.GMRead(base) // each op passes the job gate; cancel aborts here
+			p.GMRead(base) // each read checks the job's cancel flag; cancel aborts here
 		}
 	}
 	defer delete(workloads, "spin-test")
@@ -399,6 +400,50 @@ func TestQuotaExceededFailsJob(t *testing.T) {
 	}
 	if _, err := c.Stop(); err != nil {
 		t.Fatalf("stop: %v", err)
+	}
+}
+
+// TestBadAssignmentFailsJob: an assignment BeginJob refuses is reported as
+// that job's failure, and the worker PE goes on to run the next one.
+func TestBadAssignmentFailsJob(t *testing.T) {
+	s := NewScheduler(Config{Workers: 1, CapacityBlocks: 8})
+	res, err := core.Run(s.CoreConfig(), func(pe *core.PE) error {
+		bw := uint64(pe.Space().BlockWords)
+		good := assignment{Name: "good", Members: []int{1}, TagBase: core.JobSlotBase(0), Limit: 4 * bw, Workload: "touch"}
+		bad := []func(a *assignment){
+			func(a *assignment) { a.Limit = 0 },
+			func(a *assignment) { a.Base = 1 },
+			func(a *assignment) { a.Members = []int{0} },
+			func(a *assignment) { a.TagBase = 7 },
+		}
+		if pe.ID() == 1 {
+			for i, edit := range bad {
+				a := good
+				a.JobID, a.Name = i, fmt.Sprintf("bad%d", i)
+				edit(&a)
+				s.runJob(pe, a)
+			}
+			good.JobID = len(bad)
+			s.runJob(pe, good)
+			return nil
+		}
+		for range len(bad) + 1 {
+			_, data := pe.RecvMsg(doneTag)
+			var c completion
+			if err := json.Unmarshal(data, &c); err != nil {
+				return err
+			}
+			if failed := c.Err != ""; failed != (c.JobID < len(bad)) {
+				return fmt.Errorf("job %d: completion error %q", c.JobID, c.Err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.FirstErr(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -10,12 +10,13 @@ import (
 	"repro/internal/core"
 )
 
-// A workloadFn runs one job member. It receives the job's Proc view (ranks,
-// namespace-bounded memory, private sync ids) and the spec's Size knob.
-type workloadFn func(p core.Proc, size int) error
+// A workloadFn runs one job member. It receives the worker PE inside the
+// job's scope (ranks, namespace-bounded memory, private sync ids) and the
+// spec's Size knob.
+type workloadFn func(p *core.PE, size int) error
 
 // workloads is the registry of programs a job spec can name. Every entry is
-// written against core.Proc, so the same kernels also run as whole-cluster
+// an ordinary PE program, so the same kernels also run as whole-cluster
 // programs; sizes are kept small — a scheduler job is a tenant, not a
 // dedicated benchmark run.
 var workloads = map[string]workloadFn{
@@ -23,7 +24,7 @@ var workloads = map[string]workloadFn{
 	// stripe of size*8 words (default size 4) from the job quota, write it
 	// and read it back through global memory, with a gang barrier on both
 	// sides.
-	"touch": func(p core.Proc, size int) error {
+	"touch": func(p *core.PE, size int) error {
 		if size <= 0 {
 			size = 4
 		}
@@ -45,7 +46,7 @@ var workloads = map[string]workloadFn{
 
 	// gauss solves a size×size linear system by parallel Gauss-Seidel
 	// (default 24).
-	"gauss": func(p core.Proc, size int) error {
+	"gauss": func(p *core.PE, size int) error {
 		if size <= 0 {
 			size = 24
 		}
@@ -60,7 +61,7 @@ var workloads = map[string]workloadFn{
 	},
 
 	// knight runs the knight's-tour search on a size×size board (default 5).
-	"knight": func(p core.Proc, size int) error {
+	"knight": func(p *core.PE, size int) error {
 		if size <= 0 {
 			size = 5
 		}
@@ -69,7 +70,7 @@ var workloads = map[string]workloadFn{
 	},
 
 	// dct compresses a size×size image by blocked DCT (default 32).
-	"dct": func(p core.Proc, size int) error {
+	"dct": func(p *core.PE, size int) error {
 		if size <= 0 {
 			size = 32
 		}
@@ -84,8 +85,8 @@ func lookupWorkload(name string) (workloadFn, bool) {
 	return fn, ok
 }
 
-// runWorkload executes the named workload under the job view.
-func runWorkload(p core.Proc, name string, size int) error {
+// runWorkload executes the named workload in the job's scope.
+func runWorkload(p *core.PE, name string, size int) error {
 	fn, ok := lookupWorkload(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownWorkload, name)
