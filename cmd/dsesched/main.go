@@ -54,7 +54,7 @@ func main() {
 		ds, err := debugsrv.Start(*debug, debugsrv.Config{
 			Node: 0, N: *workers + 1,
 			Sched: func() interface{} { return s.Stats() },
-			Jobs:  s,
+			Jobs:  s.JobRows,
 		})
 		if err != nil {
 			fatalf("debug server: %v", err)

@@ -79,11 +79,10 @@ type Config struct {
 	// scalar operation's, each per-home request of a block, gather or
 	// scatter, a flush's, a control-plane call's. Retried mutating operations
 	// are applied exactly once: the home kernel's dedup window absorbs
-	// duplicates. Requires RequestTimeout > 0 to have any effect.
+	// duplicates. Requires RequestTimeout > 0 to have any effect. The pause
+	// before the first retransmission is RequestTimeout/4, doubling per
+	// attempt up to 8x.
 	RequestRetries int
-	// RetryBackoff is the pause before the first retransmission, doubling
-	// per attempt (capped at 8x). 0 defaults to RequestTimeout/4.
-	RetryBackoff sim.Duration
 	// PeerLossBudget enables peer-failure detection on the simulated
 	// transport: after this many consecutive undelivered frames to one
 	// kernel, that kernel is declared dead and requests against it fail
@@ -197,6 +196,9 @@ type Config struct {
 	// PEs after shutdown but before Run returns — a white-box hook for
 	// package-internal tests (e.g. asserting the user-queue map drained).
 	testInspect func([]*Kernel, []*PE)
+	// pause is how long a PE waits before it chases a migrating home again
+	// or asks again for a busy membership slot; resolved by servingModel.
+	pause sim.Duration
 	// logMu serialises MessageLog writes; created by withDefaults.
 	logMu *sync.Mutex
 	// recorder fans out per-PE history recorders; created by withDefaults
@@ -278,9 +280,6 @@ func (cfg *Config) withDefaults() (Config, error) {
 	}
 	if c.LeaseDuration == 0 {
 		c.LeaseDuration = sim.Millisecond
-	}
-	if c.RetryBackoff == 0 && c.RequestTimeout > 0 {
-		c.RetryBackoff = c.RequestTimeout / 4
 	}
 	if c.MessageLog != nil {
 		c.logMu = &sync.Mutex{}
@@ -378,22 +377,29 @@ func Run(cfg Config, program Program) (*Result, error) {
 // servingModel resolves, from the transport, how each kernel serves the
 // requesters of its home — the one place that decides it (DESIGN.md §12):
 //
-//	transport  monitors per kernel           who serves    in place by default          round trips timed
-//	inproc     KernelShards (0 = GOMAXPROCS) the sender    on                           1 in inprocTimeEvery
-//	simnet     1                             serve loop    off (on if DirectReads > 0)  every one
-//	tcpnet     1                             serve loop    never                        every one
+//	transport  monitors per kernel           who serves    in place by default          pause            round trips timed
+//	inproc     KernelShards (0 = GOMAXPROCS) the sender    on                           100 ms (100 µs)  1 in inprocTimeEvery
+//	simnet     1                             serve loop    off (on if DirectReads > 0)  1<<16 ns         every one
+//	tcpnet     1                             serve loop    never                        1<<16 ns         every one
 //
 // Only where the sender serves can one home serve two requesters at once,
 // so only inproc has more than one monitor. simnet keeps its figures and
 // digests on modelled message costs unless asked; tcpnet's nodes stand for
 // separate hosts even when a test runs them in one process. It leaves
 // KernelShards at the monitor count every kernel builds and DirectReads at
-// 1 where the paths in place are on, else -1. The last column is
-// timingMask's, which each PE reads as it is built.
+// 1 where the paths in place are on, else -1. The pause is what a PE sleeps
+// before it chases a migrating home again or asks again for a busy
+// membership slot, RequestTimeout/4 whenever a timeout is set. inproc sleeps
+// a thousandth of what it is asked (in brackets), and a chase there is two
+// inline services, so a shorter pause is over before the handoff it waits
+// for lands. The last column is timingMask's, which each PE reads as it is
+// built.
 func servingModel(c *Config) {
 	monitors, inPlace := 1, c.DirectReads > 0
+	c.pause = 1 << 16
 	switch c.Transport {
 	case TransportInproc:
+		c.pause = 100 * sim.Millisecond
 		monitors = c.KernelShards
 		if monitors == 0 {
 			monitors = runtime.GOMAXPROCS(0)
@@ -408,6 +414,9 @@ func servingModel(c *Config) {
 	c.KernelShards, c.DirectReads = monitors, -1
 	if inPlace && !c.Legacy {
 		c.DirectReads = 1
+	}
+	if c.RequestTimeout > 0 {
+		c.pause = c.RequestTimeout / 4
 	}
 }
 

@@ -447,10 +447,6 @@ func (pe *PE) HomeOf(addr uint64) int { return pe.k.homeOf(addr) }
 // backing off while another transition is in flight.
 func (pe *PE) grant(op wire.Op) (uint64, error) {
 	k := pe.k
-	backoff := k.cfg.RetryBackoff
-	if backoff == 0 {
-		backoff = 1 << 16 // sim-time tick; real transports resolve a backoff
-	}
 	for attempt := 0; attempt < grantRetries; attempt++ {
 		req := wire.GetMessage()
 		req.Op = op
@@ -464,7 +460,7 @@ func (pe *PE) grant(op wire.Op) (uint64, error) {
 		if gen != 0 {
 			return gen, nil
 		}
-		pe.app.Sleep(backoff)
+		pe.app.Sleep(k.cfg.pause)
 	}
 	return 0, fmt.Errorf("core: PE %d: membership grant still busy after %d attempts", k.id, grantRetries)
 }

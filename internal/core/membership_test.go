@@ -274,6 +274,42 @@ func TestOwnHomeAccessDuringMigration(t *testing.T) {
 	}
 }
 
+// TestMigrationChaseInproc: PE 0 moves one block back and forth between
+// kernels 1 and 2 while PE 1 writes it, on inproc with the default serving
+// model, 200 times over. A write that reaches the old home after the handoff
+// began chases the block to the new one; between bounces it pauses, and on
+// inproc a pause shorter than the handoff spends the bounce budget before the
+// install lands. Every PE meets both barriers whatever failed, so a failed
+// write ends the run with its error instead of a hang.
+func TestMigrationChaseInproc(t *testing.T) {
+	const runs, hops = 200, 12
+	for r := 0; r < runs; r++ {
+		var moving atomic.Bool
+		moving.Store(true)
+		runWithin(t, time.Minute, Config{NumPE: 3, Transport: TransportInproc}, func(pe *PE) error {
+			addr := homedAt(pe, 1, 1)[0]
+			pe.Barrier()
+			var err error
+			switch pe.ID() {
+			case 0:
+				for h := 0; h < hops && err == nil; h++ {
+					err = pe.MigrateRange(addr, 1, 2-h%2)
+				}
+				moving.Store(false)
+			case 1:
+				for v := int64(1); err == nil && moving.Load(); v++ {
+					err = pe.GMWriteErr(addr, v)
+				}
+			}
+			pe.Barrier()
+			if err != nil {
+				return fmt.Errorf("run %d: %w", r, err)
+			}
+			return nil
+		})
+	}
+}
+
 // TestOwnHomeWriteDuringMigrationInproc is TestOwnHomeAccessDuringMigration
 // with real concurrency, for the race detector: the block moves back and
 // forth between kernels 1 and 2 while PE 1 keeps writing it — in its own
@@ -286,9 +322,6 @@ func TestOwnHomeWriteDuringMigrationInproc(t *testing.T) {
 	res := runWithin(t, 2*time.Minute, Config{
 		NumPE: 3, Transport: TransportInproc,
 		KernelShards: 2, DirectReads: 1, RecordHistory: true,
-		// As in TestMonitorMigrationUnderInlineService: a chase between the old
-		// home and the not-yet-installed new one needs a real pause.
-		RetryBackoff: 100 * sim.Millisecond,
 	}, func(pe *PE) error {
 		addr := homedAt(pe, 1, 1)[0]
 		pe.Barrier()
@@ -340,7 +373,6 @@ func TestInPlaceFetchAddDuringMigrationInproc(t *testing.T) {
 	res := runWithin(t, 2*time.Minute, Config{
 		NumPE: 3, Transport: TransportInproc,
 		KernelShards: 2, DirectReads: 1, RecordHistory: true,
-		RetryBackoff: 100 * sim.Millisecond, // as in TestOwnHomeWriteDuringMigrationInproc
 	}, func(pe *PE) error {
 		addr := homedAt(pe, 1, 1)[0]
 		pe.Barrier()
@@ -401,7 +433,6 @@ func TestInPlaceRangeDuringMigrationInproc(t *testing.T) {
 	res := runWithin(t, 2*time.Minute, Config{
 		NumPE: 3, Transport: TransportInproc, GMBlockWords: bw,
 		KernelShards: 2, DirectReads: 1, RecordHistory: true,
-		RetryBackoff: 100 * sim.Millisecond, // as in TestOwnHomeWriteDuringMigrationInproc
 	}, func(pe *PE) error {
 		base := homedAt(pe, 1, 1)[0]
 		addrs, odd := make([]uint64, vec), make([]uint64, vec/2)

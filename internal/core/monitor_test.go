@@ -577,11 +577,6 @@ func TestMonitorMigrationUnderInlineService(t *testing.T) {
 	res := runWithin(t, 2*time.Minute, Config{
 		NumPE: 4, Transport: TransportInproc,
 		KernelShards: 1, DirectReads: -1,
-		// A bounce between the old home and the not-yet-installed new one is
-		// two inline services, far quicker than the handoff it waits for: give
-		// the chase a real pause (inproc compresses it to 100us) or it burns
-		// its bounce budget before the install lands.
-		RetryBackoff: 100 * sim.Millisecond,
 	}, func(pe *PE) error {
 		ctr := homedAt(pe, 0, 1)[0]
 		pe.Barrier()

@@ -144,7 +144,7 @@ func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
 	case pe.spans != nil: // spans imply a timed exchange (PE.timeMask)
 		sent = pe.app.Now()
 	}
-	left, backoff := len(fl), k.cfg.RetryBackoff
+	left, backoff := len(fl), k.cfg.RequestTimeout/4
 	var err error
 	for round := 1; ; round++ {
 		if left, err = pe.await(fl, xfer != 0, left, round); err == nil {
@@ -155,7 +155,7 @@ func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
 		}
 		if backoff > 0 {
 			pe.app.Sleep(backoff)
-			if backoff < 8*k.cfg.RetryBackoff {
+			if backoff < 8*(k.cfg.RequestTimeout/4) {
 				backoff *= 2
 			}
 		}
@@ -352,11 +352,7 @@ func (pe *PE) follow(f *flight, hint int) error {
 		// back toward the probe rule until its install lands. Give the
 		// migration a beat instead of burning the bounce budget on a tight
 		// ping-pong.
-		boff := k.cfg.RetryBackoff
-		if boff == 0 {
-			boff = 1 << 16
-		}
-		pe.app.Sleep(boff)
+		pe.app.Sleep(k.cfg.pause)
 	}
 	switch m.Op {
 	case wire.OpRead, wire.OpWrite, wire.OpFetchAdd, wire.OpCAS, wire.OpReadLease:

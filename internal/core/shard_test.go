@@ -252,7 +252,7 @@ func TestShardRangeOneRequestPerHome(t *testing.T) {
 // KernelShards (0 = GOMAXPROCS) and has the paths in place on unless
 // DirectReads < 0, on one core as on two; simnet and tcpnet build one monitor
 // whatever KernelShards says, simnet goes in place only when DirectReads > 0
-// and tcpnet never. The second half pins the clamping and Legacy.
+// and tcpnet never. The second half pins the clamping, Legacy and the pause.
 func TestServingModelByTransport(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -316,22 +316,24 @@ func TestServingModelByTransport(t *testing.T) {
 	for _, tc := range []struct {
 		cfg              Config
 		monitors, direct int
+		pause            sim.Duration
 	}{
-		{Config{NumPE: 2, Transport: TransportInproc, KernelShards: 99}, gmem.SegStripes, 1},
-		{Config{NumPE: 2, Transport: TransportInproc, KernelShards: -3}, 1, 1},
-		{Config{NumPE: 2, Transport: TransportInproc, KernelShards: 5, DirectReads: -7}, 5, -1},
-		{Config{NumPE: 2, Transport: TransportTCP, KernelShards: 99, DirectReads: 1}, 1, -1},
-		{Config{NumPE: 2, Platform: simCfg(2).Platform, KernelShards: 8, DirectReads: 1}, 1, 1},
-		{Config{NumPE: 2, Platform: simCfg(2).Platform, DirectReads: 1, Legacy: true}, 1, -1},
+		{Config{NumPE: 2, Transport: TransportInproc, KernelShards: 99}, gmem.SegStripes, 1, 100 * sim.Millisecond},
+		{Config{NumPE: 2, Transport: TransportInproc, KernelShards: -3}, 1, 1, 100 * sim.Millisecond},
+		{Config{NumPE: 2, Transport: TransportInproc, KernelShards: 5, DirectReads: -7}, 5, -1, 100 * sim.Millisecond},
+		{Config{NumPE: 2, Transport: TransportInproc, KernelShards: 2, RequestTimeout: 40 * sim.Millisecond}, 2, 1, 10 * sim.Millisecond},
+		{Config{NumPE: 2, Transport: TransportTCP, KernelShards: 99, DirectReads: 1}, 1, -1, 1 << 16},
+		{Config{NumPE: 2, Platform: simCfg(2).Platform, KernelShards: 8, DirectReads: 1}, 1, 1, 1 << 16},
+		{Config{NumPE: 2, Platform: simCfg(2).Platform, DirectReads: 1, Legacy: true}, 1, -1, 1 << 16},
 	} {
 		c, err := tc.cfg.withDefaults()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.KernelShards != tc.monitors || c.DirectReads != tc.direct {
-			t.Errorf("%s KernelShards %d DirectReads %d Legacy %v -> %d monitors, DirectReads %d; want %d, %d",
-				c.Transport, tc.cfg.KernelShards, tc.cfg.DirectReads, tc.cfg.Legacy,
-				c.KernelShards, c.DirectReads, tc.monitors, tc.direct)
+		if c.KernelShards != tc.monitors || c.DirectReads != tc.direct || c.pause != tc.pause {
+			t.Errorf("%s KernelShards %d DirectReads %d Legacy %v RequestTimeout %v -> %d monitors, DirectReads %d, pause %v; want %d, %d, %v",
+				c.Transport, tc.cfg.KernelShards, tc.cfg.DirectReads, tc.cfg.Legacy, tc.cfg.RequestTimeout,
+				c.KernelShards, c.DirectReads, c.pause, tc.monitors, tc.direct, tc.pause)
 		}
 	}
 }

@@ -33,9 +33,10 @@ type Config struct {
 	// snapshot (queue depth, utilization, throughput — any JSON-encodable
 	// value); it appears under "sched" in the document.
 	Sched func() interface{}
-	// Jobs, when non-nil, supplies the scheduler's per-job rows (the SSI
-	// process-table view of multi-job operation) under "jobs".
-	Jobs ssi.JobSource
+	// Jobs, when non-nil, is called per request for the scheduler's per-job
+	// rows (the SSI process-table view of multi-job operation); they appear
+	// under "jobs".
+	Jobs func() []ssi.JobRow
 }
 
 // Server serves live node observability over HTTP.
@@ -142,7 +143,7 @@ func (ds *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		doc.Sched = ds.cfg.Sched()
 	}
 	if ds.cfg.Jobs != nil {
-		doc.Jobs = ds.cfg.Jobs.JobRows()
+		doc.Jobs = ds.cfg.Jobs()
 	}
 	if final != nil {
 		doc.ElapsedUS = int64(final.Elapsed / sim.Microsecond)

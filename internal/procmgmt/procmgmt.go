@@ -118,20 +118,6 @@ func (t *Table) Running() int {
 	return n
 }
 
-// LoadByHost returns running-process counts per machine: the load view the
-// SSI layer uses for placement decisions.
-func (t *Table) LoadByHost() map[string]int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	load := make(map[string]int)
-	for _, e := range t.entries {
-		if e.State == StateRunning {
-			load[e.Host]++
-		}
-	}
-	return load
-}
-
 // EncodeSnapshot serialises entries for an OpProcListResp payload.
 func EncodeSnapshot(entries []Entry) []byte {
 	var buf []byte

@@ -54,21 +54,6 @@ func TestSnapshotOrderedByGPID(t *testing.T) {
 	}
 }
 
-func TestLoadByHost(t *testing.T) {
-	tb := NewTable()
-	tb.Register(0, "node00", 0)
-	tb.Register(1, "node00", 0)
-	g := tb.Register(2, "node01", 0)
-	tb.Exit(g, 0, 10)
-	load := tb.LoadByHost()
-	if load["node00"] != 2 {
-		t.Fatalf("node00 load = %d, want 2", load["node00"])
-	}
-	if load["node01"] != 0 {
-		t.Fatalf("node01 load = %d, want 0 (process exited)", load["node01"])
-	}
-}
-
 func TestSnapshotEncodingRoundTrip(t *testing.T) {
 	tb := NewTable()
 	tb.Register(3, "node03", 123)

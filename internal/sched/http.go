@@ -11,7 +11,7 @@ import (
 // Server is the scheduler's HTTP control surface:
 //
 //	POST   /jobs       submit a JobSpec (JSON body) -> {"id": N}
-//	GET    /jobs/{id}  job status
+//	GET    /jobs/{id}  the job's row, as /queue lists it
 //	DELETE /jobs/{id}  cancel
 //	GET    /queue      scheduler stats + queued/running job rows
 //	GET    /metrics    scheduler stats (gauge snapshot)
@@ -79,32 +79,6 @@ func (srv *Server) jobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]int{"id": id})
 }
 
-// jobView is the wire shape of one job status response.
-type jobView struct {
-	ID        int     `json:"id"`
-	Spec      JobSpec `json:"spec"`
-	State     string  `json:"state"`
-	Members   []int   `json:"members,omitempty"`
-	Error     string  `json:"error,omitempty"`
-	WaitMS    float64 `json:"wait_ms"`
-	RunMS     float64 `json:"run_ms"`
-	UsedWords uint64  `json:"used_words"`
-}
-
-func viewOf(j JobStatus) jobView {
-	v := jobView{
-		ID: j.ID, Spec: j.Spec, State: j.State,
-		Members: j.Members, Error: j.Err, UsedWords: j.Used,
-	}
-	if !j.Start.IsZero() {
-		v.WaitMS = float64(j.Start.Sub(j.Submit).Nanoseconds()) / 1e6
-		if !j.Finish.IsZero() {
-			v.RunMS = float64(j.Finish.Sub(j.Start).Nanoseconds()) / 1e6
-		}
-	}
-	return v
-}
-
 // job handles GET and DELETE /jobs/{id}.
 func (srv *Server) job(w http.ResponseWriter, r *http.Request) {
 	idStr := strings.TrimPrefix(r.URL.Path, "/jobs/")
@@ -115,12 +89,12 @@ func (srv *Server) job(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		j, err := srv.s.Job(id)
+		row, err := srv.s.Job(id)
 		if err != nil {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, viewOf(j))
+		writeJSON(w, http.StatusOK, row)
 	case http.MethodDelete:
 		if err := srv.s.Cancel(id); err != nil {
 			writeErr(w, http.StatusNotFound, err)

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ssi"
 )
 
@@ -48,7 +50,7 @@ func TestHTTPServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var jv jobView
+		var jv ssi.JobRow
 		json.NewDecoder(resp.Body).Decode(&jv)
 		resp.Body.Close()
 		if jv.State == StateDone {
@@ -116,14 +118,6 @@ func TestHTTPServer(t *testing.T) {
 	if st.Workers != 2 {
 		t.Errorf("metrics workers = %d, want 2", st.Workers)
 	}
-
-	// The scheduler is an ssi.JobSource: a view bound to it reports the
-	// same rows.
-	v := ssi.NewView(nil)
-	v.BindJobs(c.Scheduler())
-	if rows := v.Jobs(); len(rows) != len(q.Jobs) {
-		t.Errorf("ssi view rows = %d, want %d", len(rows), len(q.Jobs))
-	}
 }
 
 func itoa(n int) string {
@@ -138,4 +132,106 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
+}
+
+// TestJobViewsAgree holds one job queued behind a gang that fills the
+// cluster, then lets it run, then finish. In every state GET /jobs/{id}
+// must answer with exactly that job's row in /queue; the one field that may
+// move between the two reads is the live one (a queued job's wait, a
+// running job's runtime), which must be under way.
+func TestJobViewsAgree(t *testing.T) {
+	gate := make(chan struct{})
+	workloads["hold-test"] = func(p *core.PE, size int) error {
+		<-gate
+		return workloads["touch"](p, size)
+	}
+	defer delete(workloads, "hold-test")
+	c, err := Start(Config{Workers: 2, CapacityBlocks: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	s := c.Scheduler()
+	srv := httptest.NewServer(NewServer(s))
+	defer srv.Close()
+	defer close(gate) // a failed check must not leave Stop waiting on held jobs
+
+	getJSON := func(path string, v interface{}) {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+	}
+	waitFor := func(id int, state string) {
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			j, err := s.Job(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.State == state {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d stuck in %q, want %q", id, j.State, state)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	agree := func(id int, state, live string) {
+		t.Helper()
+		var job map[string]interface{}
+		getJSON("/jobs/"+itoa(id), &job)
+		var q struct {
+			Jobs []map[string]interface{} `json:"jobs"`
+		}
+		getJSON("/queue", &q)
+		var row map[string]interface{}
+		for _, r := range q.Jobs {
+			if r["id"] == float64(id) {
+				row = r
+			}
+		}
+		if job["state"] != state || row["state"] != state {
+			t.Fatalf("job %d: GET says %v, /queue says %v, want %q", id, job["state"], row["state"], state)
+		}
+		if live != "" {
+			first, _ := job[live].(float64)
+			second, _ := row[live].(float64)
+			if first <= 0 || second < first {
+				t.Errorf("%s job: %s = %v, then %v in /queue; want > 0 and not going back", state, live, first, second)
+			}
+			delete(job, live)
+			delete(row, live)
+		}
+		if !reflect.DeepEqual(job, row) {
+			t.Errorf("%s job:\nGET /jobs/%d: %v\n/queue row:   %v", state, id, job, row)
+		}
+	}
+
+	full, err := s.Submit(JobSpec{Name: "full", PEs: 2, Workload: "hold-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(full, StateRunning)
+	id, err := s.Submit(JobSpec{
+		Name: "held", PEs: 2, Workload: "hold-test", Size: 2, QuotaBlocks: 4,
+		Mode: "strong", Priority: 3, DeadlineMS: 60000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agree(id, StateQueued, "wait_ms")
+	gate <- struct{}{} // the full gang's two members go on
+	gate <- struct{}{}
+	waitFor(id, StateRunning)
+	agree(id, StateRunning, "run_ms")
+	gate <- struct{}{}
+	gate <- struct{}{}
+	waitFor(id, StateDone)
+	agree(id, StateDone, "")
 }

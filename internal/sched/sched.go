@@ -13,9 +13,10 @@
 package sched
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -30,10 +31,19 @@ import (
 )
 
 // Control-plane tags (whole-cluster tag space, far below the job windows
-// at core.JobSlotBase).
+// at core.JobSlotBase, so no job can send on them). Each carries a job id,
+// 8 bytes: the job itself is the record in Scheduler.jobs.
 const (
-	ctlTag  int32 = 101 // scheduler -> worker: job assignment / poison
-	doneTag int32 = 102 // worker -> scheduler: member completion
+	ctlTag  int32 = 101 // scheduler -> worker: run this job; id 0 stops the worker
+	doneTag int32 = 102 // last member -> scheduler: tear this job down
+)
+
+// The cluster settings every scheduler runs with: the default block size,
+// and a request timeout, which is also what unblocks a cancelled member
+// parked at a job barrier.
+const (
+	blockWords     = 32
+	requestTimeout = 5 * sim.Second
 )
 
 // Admission and lookup errors. Submit wraps the admission reasons so HTTP
@@ -97,7 +107,7 @@ type Job struct {
 	Start    time.Time // zero until running
 	Finish   time.Time // zero until terminal
 	Deadline time.Time // zero when none
-	Used     uint64    // namespace words allocated (reported at completion)
+	Used     uint64    // namespace words allocated (folded in as members finish)
 
 	cancel  atomic.Bool
 	pending int // members still running
@@ -112,18 +122,12 @@ type Config struct {
 	// CapacityBlocks is the GM heap carveable into job namespaces, in
 	// blocks (0 = 4096).
 	CapacityBlocks uint64
-	// GMBlockWords passes through to core.Config (0 = default 32).
-	GMBlockWords int
-	// Tick is the control-loop poll interval (0 = 2ms).
+	// Tick is how long PE 0 waits for a finished job before it looks at
+	// the queue again (0 = 2ms).
 	Tick time.Duration
-	// RequestTimeout bounds every remote request; it is also what unblocks
-	// a cancelled member parked at a job barrier (0 = 5s).
-	RequestTimeout time.Duration
 	// AgingInterval is the fair-share aging rate: a queued job gains one
 	// effective priority point per interval waited (0 = 100ms).
 	AgingInterval time.Duration
-	// Seed passes through to core.Config.
-	Seed uint64
 	// Inspect passes through to core.Config: it receives the cluster's
 	// shutdown residue gauges, which must all be zero after every job tore
 	// down cleanly. Tests use it as the leak oracle.
@@ -136,9 +140,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Tick == 0 {
 		c.Tick = 2 * time.Millisecond
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 5 * time.Second
 	}
 	if c.AgingInterval == 0 {
 		c.AgingInterval = 100 * time.Millisecond
@@ -264,33 +265,16 @@ func (s *Scheduler) Cancel(id int) error {
 	return nil
 }
 
-// JobStatus is a copyable snapshot of one job's state.
-type JobStatus struct {
-	ID      int
-	Spec    JobSpec
-	State   string
-	Members []int
-	Err     string
-	Submit  time.Time
-	Start   time.Time
-	Finish  time.Time
-	Used    uint64
-}
-
-// Job returns a snapshot of the job's current state.
-func (s *Scheduler) Job(id int) (JobStatus, error) {
+// Job returns the job's row: the same one JobRows lists.
+func (s *Scheduler) Job(id int) (ssi.JobRow, error) {
+	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		return JobStatus{}, ErrNotFound
+		return ssi.JobRow{}, ErrNotFound
 	}
-	return JobStatus{
-		ID: j.ID, Spec: j.Spec, State: j.State,
-		Members: append([]int(nil), j.Members...),
-		Err:     j.Err, Submit: j.Submit, Start: j.Start, Finish: j.Finish,
-		Used: j.Used,
-	}, nil
+	return rowLocked(j, now), nil
 }
 
 // parseMode maps a spec's consistency-mode string. Cached mode is refused:
@@ -343,37 +327,10 @@ func (s *Scheduler) Close() {
 	s.queue = nil
 }
 
-// --- Control-plane wire formats (JSON over user messages) ---
+// idMsg and jobID encode and decode a control message: one job id.
+func idMsg(id int) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(id)) }
 
-// assignment is the scheduler -> worker dispatch record. JobID -1 is the
-// shutdown poison.
-type assignment struct {
-	JobID    int    `json:"job_id"`
-	Name     string `json:"name"`
-	Members  []int  `json:"members"`
-	TagBase  int32  `json:"tag_base"`
-	Base     uint64 `json:"base"`
-	Limit    uint64 `json:"limit"`
-	Mode     uint8  `json:"mode"`
-	Workload string `json:"workload"`
-	Size     int    `json:"size"`
-}
-
-// completion is the worker -> scheduler member report.
-type completion struct {
-	JobID int    `json:"job_id"`
-	Rank  int    `json:"rank"`
-	Err   string `json:"err,omitempty"`
-	Used  uint64 `json:"used"` // namespace words allocated
-}
-
-func mustJSON(v interface{}) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("sched: encoding control message: %v", err))
-	}
-	return b
-}
+func jobID(data []byte) int { return int(binary.LittleEndian.Uint64(data)) }
 
 // Program is the SPMD body the resident cluster runs: PE 0 drives the
 // scheduler control loop, every other PE is a worker. It returns when the
@@ -393,9 +350,8 @@ func (s *Scheduler) CoreConfig() core.Config {
 	return core.Config{
 		NumPE:          s.cfg.Workers + 1,
 		Transport:      core.TransportInproc,
-		GMBlockWords:   s.cfg.GMBlockWords,
-		RequestTimeout: sim.Duration(s.cfg.RequestTimeout.Nanoseconds()),
-		Seed:           s.cfg.Seed,
+		GMBlockWords:   blockWords,
+		RequestTimeout: requestTimeout,
 		Inspect:        s.cfg.Inspect,
 	}
 }
@@ -403,9 +359,9 @@ func (s *Scheduler) CoreConfig() core.Config {
 // tick converts the configured poll interval for RecvMsgTimeout.
 func (s *Scheduler) tick() sim.Duration { return sim.Duration(s.cfg.Tick.Nanoseconds()) }
 
-// run is the PE 0 control loop: collect member completions, expire
-// deadlines, admit and dispatch queued jobs, and — once closing and idle —
-// poison the workers and return.
+// run is the PE 0 control loop: tear finished jobs down, expire deadlines,
+// admit and dispatch queued jobs, and — once closing and idle — stop the
+// workers and return.
 func (s *Scheduler) run(pe *core.PE) error {
 	s.mu.Lock()
 	if s.ra == nil {
@@ -413,16 +369,16 @@ func (s *Scheduler) run(pe *core.PE) error {
 	}
 	s.mu.Unlock()
 	for {
-		if src, data, ok := pe.RecvMsgTimeout(doneTag, s.tick()); ok {
-			s.handleCompletion(pe, src, data)
-			// Keep draining with a near-zero wait: completions often
-			// arrive in bursts when a gang finishes.
+		if _, data, ok := pe.RecvMsgTimeout(doneTag, s.tick()); ok {
+			s.teardown(pe, jobID(data))
+			// Keep draining with a near-zero wait: jobs often finish in
+			// bursts.
 			for {
-				src, data, ok = pe.RecvMsgTimeout(doneTag, 50*sim.Microsecond)
+				_, data, ok = pe.RecvMsgTimeout(doneTag, 50*sim.Microsecond)
 				if !ok {
 					break
 				}
-				s.handleCompletion(pe, src, data)
+				s.teardown(pe, jobID(data))
 			}
 		}
 		s.expireDeadlines()
@@ -437,9 +393,9 @@ func (s *Scheduler) run(pe *core.PE) error {
 		idle := s.closing && s.resident == 0 && len(s.queue) == 0
 		s.mu.Unlock()
 		if idle {
-			poison := mustJSON(assignment{JobID: -1})
+			stop := idMsg(0)
 			for w := 1; w <= s.cfg.Workers; w++ {
-				pe.SendMsg(w, ctlTag, poison)
+				pe.SendMsg(w, ctlTag, stop)
 			}
 			return nil
 		}
@@ -536,70 +492,32 @@ func (s *Scheduler) accrueBusyLocked(now time.Time) {
 	s.lastBusyAt = now
 }
 
-// dispatch installs the job's kernel-side namespace bindings and hands the
-// assignment to every member. Bindings go in before any member can issue a
+// dispatch installs the job's kernel-side namespace bindings and sends
+// every member the job's id. Bindings go in before any member can issue a
 // job GM operation.
 func (s *Scheduler) dispatch(pe *core.PE, j *Job) {
 	s.mu.Lock()
-	a := assignment{
-		JobID: j.ID, Name: j.Spec.Name,
-		Members: append([]int(nil), j.Members...),
-		TagBase: core.JobSlotBase(j.Slot),
-		Base:    j.Region.Base, Limit: j.Region.Limit,
-		Mode: uint8(j.Mode), Workload: j.Spec.Workload, Size: j.Spec.Size,
-	}
+	members, region := j.Members, j.Region
 	s.mu.Unlock()
-	for _, m := range a.Members {
-		if err := pe.NamespaceBind(m, a.Base, a.Limit); err != nil {
+	for _, m := range members {
+		if err := pe.NamespaceBind(m, region.Base, region.Limit); err != nil {
 			panic(fmt.Sprintf("sched: binding namespace of PE %d: %v", m, err))
 		}
 	}
-	data := mustJSON(a)
-	for _, m := range a.Members {
-		pe.SendMsg(m, ctlTag, data)
+	id := idMsg(j.ID)
+	for _, m := range members {
+		pe.SendMsg(m, ctlTag, id)
 	}
 }
 
-// handleCompletion folds one member report in; the last member triggers
-// teardown.
-func (s *Scheduler) handleCompletion(pe *core.PE, src int, data []byte) {
-	var c completion
-	if err := json.Unmarshal(data, &c); err != nil {
-		panic(fmt.Sprintf("sched: corrupt completion from PE %d: %v", src, err))
-	}
+// teardown releases everything job id held once its last member finished:
+// kernel-side bindings, the namespace's materialised blocks, the tag
+// window's message/sync residue, and finally the PEs, region and slot. Runs
+// on PE 0 with no lock held across the PE calls.
+func (s *Scheduler) teardown(pe *core.PE, id int) {
 	s.mu.Lock()
-	j, ok := s.jobs[c.JobID]
-	if !ok || j.State != StateRunning {
-		s.mu.Unlock()
-		return
-	}
-	if c.Err != "" && j.Err == "" {
-		j.Err = fmt.Sprintf("rank %d: %s", c.Rank, c.Err)
-	}
-	if c.Err != "" {
-		j.failed = true
-		// Abort the surviving members: a gang with a dead rank can only
-		// block at its next collective.
-		j.cancel.Store(true)
-	}
-	if c.Used > j.Used {
-		j.Used = c.Used
-	}
-	j.pending--
-	last := j.pending == 0
-	s.mu.Unlock()
-	if last {
-		s.teardown(pe, j)
-	}
-}
-
-// teardown releases everything the job held: kernel-side bindings, the
-// namespace's materialised blocks, the tag window's message/sync residue,
-// and finally the PEs, region and slot. Runs on PE 0 with no lock held
-// across the PE calls.
-func (s *Scheduler) teardown(pe *core.PE, j *Job) {
-	s.mu.Lock()
-	members := append([]int(nil), j.Members...)
+	j := s.jobs[id]
+	members := j.Members
 	region := j.Region
 	slot := j.Slot
 	quota := j.Spec.QuotaBlocks
@@ -643,37 +561,37 @@ func (s *Scheduler) teardown(pe *core.PE, j *Job) {
 	s.mu.Unlock()
 }
 
-// worker is the loop every PE other than 0 runs: wait for an assignment,
-// run the job inside its namespace, report, repeat — until the poison pill.
+// worker is the loop every PE other than 0 runs: wait for a job id, run
+// that job, repeat — until id 0. The wait has no bound: RecvMsg's would end
+// at the cluster's request timeout, and a worker may idle far longer.
 func (s *Scheduler) worker(pe *core.PE) error {
 	for {
-		_, data, ok := pe.RecvMsgTimeout(ctlTag, s.tick())
+		_, data, ok := pe.RecvMsgTimeout(ctlTag, math.MaxInt64)
 		if !ok {
-			continue
+			return fmt.Errorf("sched: worker %d: cluster shut down before it was stopped", pe.ID())
 		}
-		var a assignment
-		if err := json.Unmarshal(data, &a); err != nil {
-			return fmt.Errorf("sched: worker %d: corrupt assignment: %w", pe.ID(), err)
-		}
-		if a.JobID < 0 {
+		id := jobID(data)
+		if id == 0 {
 			return nil
 		}
-		s.runJob(pe, a)
+		s.runJob(pe, id)
 	}
 }
 
-// runJob executes one assignment on this worker: begin the job's scope on
-// the PE, run the workload (recovering panics — quota exhaustion, namespace
-// violations, aborts — as job failure, like an assignment BeginJob refuses),
-// drop the scope and its local residue and report to the scheduler.
-func (s *Scheduler) runJob(pe *core.PE, a assignment) {
+// runJob runs job id on this worker: begin the job's scope on the PE, run
+// the workload (recovering panics — quota exhaustion, namespace violations,
+// aborts — as job failure, like a group BeginJob refuses), drop the scope
+// and its local residue and fold the outcome into the job's record. The
+// last member to finish asks PE 0 for the teardown.
+func (s *Scheduler) runJob(pe *core.PE, id int) {
 	s.mu.Lock()
-	j := s.jobs[a.JobID]
-	s.mu.Unlock()
-	var cancel *atomic.Bool
-	if j != nil {
-		cancel = &j.cancel
+	j := s.jobs[id]
+	g := core.JobGroup{
+		Name: j.Spec.Name, Members: j.Members, TagBase: core.JobSlotBase(j.Slot),
+		Region: j.Region, Mode: j.Mode, Cancel: &j.cancel,
 	}
+	workload, size := j.Spec.Workload, j.Spec.Size
+	s.mu.Unlock()
 	var errStr string
 	var used uint64
 	func() {
@@ -686,25 +604,32 @@ func (s *Scheduler) runJob(pe *core.PE, a assignment) {
 				}
 			}
 		}()
-		if err := pe.BeginJob(core.JobGroup{
-			Name:    a.Name,
-			Members: a.Members,
-			TagBase: a.TagBase,
-			Region:  gmem.Region{Base: a.Base, Limit: a.Limit},
-			Mode:    gmem.Mode(a.Mode),
-			Cancel:  cancel,
-		}); err != nil {
+		if err := pe.BeginJob(g); err != nil {
 			errStr = err.Error()
 			return
 		}
 		defer func() { used = pe.EndJob() }()
-		if err := runWorkload(pe, a.Workload, a.Size); err != nil {
+		if err := runWorkload(pe, workload, size); err != nil {
 			errStr = err.Error()
 		}
 	}()
-	pe.SendMsg(0, doneTag, mustJSON(completion{
-		JobID: a.JobID, Rank: max(slices.Index(a.Members, pe.ID()), 0), Err: errStr, Used: used,
-	}))
+	s.mu.Lock()
+	if errStr != "" {
+		if j.Err == "" {
+			j.Err = fmt.Sprintf("rank %d: %s", max(slices.Index(g.Members, pe.ID()), 0), errStr)
+		}
+		j.failed = true
+		// Abort the surviving members: a gang with a dead rank can only
+		// block at its next collective.
+		j.cancel.Store(true)
+	}
+	j.Used = max(j.Used, used)
+	j.pending--
+	last := j.pending == 0
+	s.mu.Unlock()
+	if last {
+		pe.SendMsg(0, doneTag, idMsg(id))
+	}
 }
 
 // --- Observability ---
@@ -769,46 +694,45 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
-// JobRows implements ssi.JobSource: the per-job status rows of the
+// JobRows lists every job's row, by id: the scheduler's part of the
 // single-system image.
 func (s *Scheduler) JobRows() []ssi.JobRow {
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := make([]int, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
+	rows := make([]ssi.JobRow, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		rows = append(rows, rowLocked(j, now))
 	}
-	sort.Ints(ids)
-	rows := make([]ssi.JobRow, 0, len(ids))
-	bw := uint64(s.cfg.GMBlockWords)
-	if bw == 0 {
-		bw = 32
-	}
-	for _, id := range ids {
-		j := s.jobs[id]
-		row := ssi.JobRow{
-			ID: j.ID, Name: j.Spec.Name, State: j.State,
-			PEs: j.Spec.PEs, QuotaBlocks: j.Spec.QuotaBlocks,
-			UsedBlocks: (j.Used + bw - 1) / bw,
-			Priority:   j.Spec.Priority,
-			Error:      j.Err,
-		}
-		switch {
-		case j.State == StateQueued:
-			row.WaitMS = float64(now.Sub(j.Submit).Nanoseconds()) / 1e6
-		case !j.Start.IsZero():
-			row.WaitMS = float64(j.Start.Sub(j.Submit).Nanoseconds()) / 1e6
-		}
-		switch {
-		case j.State == StateRunning:
-			row.RunMS = float64(now.Sub(j.Start).Nanoseconds()) / 1e6
-		case !j.Finish.IsZero() && !j.Start.IsZero():
-			row.RunMS = float64(j.Finish.Sub(j.Start).Nanoseconds()) / 1e6
-		}
-		rows = append(rows, row)
-	}
+	slices.SortFunc(rows, func(a, b ssi.JobRow) int { return a.ID - b.ID })
 	return rows
+}
+
+// rowLocked renders one job as its row, with wait and run times live at now
+// while the job is queued or running. Call with s.mu held.
+func rowLocked(j *Job, now time.Time) ssi.JobRow {
+	row := ssi.JobRow{
+		ID: j.ID, Name: j.Spec.Name, State: j.State,
+		PEs: j.Spec.PEs, Members: slices.Clone(j.Members),
+		Workload: j.Spec.Workload, Size: j.Spec.Size, Mode: j.Spec.Mode,
+		QuotaBlocks: j.Spec.QuotaBlocks,
+		UsedBlocks:  (j.Used + blockWords - 1) / blockWords, UsedWords: j.Used,
+		Priority: j.Spec.Priority, DeadlineMS: j.Spec.DeadlineMS,
+		Error: j.Err,
+	}
+	switch {
+	case j.State == StateQueued:
+		row.WaitMS = float64(now.Sub(j.Submit).Nanoseconds()) / 1e6
+	case !j.Start.IsZero():
+		row.WaitMS = float64(j.Start.Sub(j.Submit).Nanoseconds()) / 1e6
+	}
+	switch {
+	case j.State == StateRunning:
+		row.RunMS = float64(now.Sub(j.Start).Nanoseconds()) / 1e6
+	case !j.Finish.IsZero() && !j.Start.IsZero():
+		row.RunMS = float64(j.Finish.Sub(j.Start).Nanoseconds()) / 1e6
+	}
+	return row
 }
 
 // Cluster is the resident SSI cluster with the scheduler riding on PE 0.

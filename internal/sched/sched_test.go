@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,10 +10,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gmem"
+	"repro/internal/ssi"
 )
 
 // waitState polls until the job reaches a terminal state (or the deadline).
-func waitState(t *testing.T, s *Scheduler, id int, timeout time.Duration) JobStatus {
+func waitState(t *testing.T, s *Scheduler, id int, timeout time.Duration) ssi.JobRow {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -72,9 +72,9 @@ func TestSchedEndToEnd(t *testing.T) {
 	for i, id := range ids {
 		j := waitState(t, s, id, 30*time.Second)
 		if j.State != StateDone {
-			t.Errorf("job %q: state %q err %q", specs[i].Name, j.State, j.Err)
+			t.Errorf("job %q: state %q err %q", specs[i].Name, j.State, j.Error)
 		}
-		if j.Used == 0 {
+		if j.UsedWords == 0 {
 			t.Errorf("job %q: no namespace words recorded", specs[i].Name)
 		}
 	}
@@ -181,7 +181,7 @@ func TestDeadlineExpiresQueuedJob(t *testing.T) {
 	if j.State != StateFailed {
 		t.Fatalf("state = %q, want failed", j.State)
 	}
-	if j.Err == "" {
+	if j.Error == "" {
 		t.Error("expired job has no error")
 	}
 	if s.Stats().QueueDepth != 0 {
@@ -358,7 +358,7 @@ func TestConcurrentSubmitCancel(t *testing.T) {
 	for id := range ids {
 		j := waitState(t, s, id, 60*time.Second)
 		if j.State == StateFailed {
-			t.Errorf("job %d failed: %s", id, j.Err)
+			t.Errorf("job %d failed: %s", id, j.Error)
 		}
 	}
 	st := s.Stats()
@@ -387,8 +387,8 @@ func TestQuotaExceededFailsJob(t *testing.T) {
 	if j.State != StateFailed {
 		t.Fatalf("state = %q, want failed", j.State)
 	}
-	if j.Err == "" || !contains(j.Err, "quota") {
-		t.Errorf("error %q does not mention the quota", j.Err)
+	if j.Error == "" || !contains(j.Error, "quota") {
+		t.Errorf("error %q does not mention the quota", j.Error)
 	}
 	// The cluster still schedules after the failure.
 	id2, err := s.Submit(JobSpec{Name: "after", PEs: 2, Workload: "touch"})
@@ -396,45 +396,49 @@ func TestQuotaExceededFailsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if j2 := waitState(t, s, id2, 30*time.Second); j2.State != StateDone {
-		t.Fatalf("follow-up job: state %q err %q", j2.State, j2.Err)
+		t.Fatalf("follow-up job: state %q err %q", j2.State, j2.Error)
 	}
 	if _, err := c.Stop(); err != nil {
 		t.Fatalf("stop: %v", err)
 	}
 }
 
-// TestBadAssignmentFailsJob: an assignment BeginJob refuses is reported as
-// that job's failure, and the worker PE goes on to run the next one.
+// TestBadAssignmentFailsJob: a job record BeginJob refuses is reported as
+// that job's failure, and the worker PE goes on to run the next one. (The
+// tag base comes from the scheduler's own slot pool, so no record can carry
+// one off a slot; core's TestBeginJobRejects covers that refusal.)
 func TestBadAssignmentFailsJob(t *testing.T) {
 	s := NewScheduler(Config{Workers: 1, CapacityBlocks: 8})
-	res, err := core.Run(s.CoreConfig(), func(pe *core.PE) error {
-		bw := uint64(pe.Space().BlockWords)
-		good := assignment{Name: "good", Members: []int{1}, TagBase: core.JobSlotBase(0), Limit: 4 * bw, Workload: "touch"}
-		bad := []func(a *assignment){
-			func(a *assignment) { a.Limit = 0 },
-			func(a *assignment) { a.Base = 1 },
-			func(a *assignment) { a.Members = []int{0} },
-			func(a *assignment) { a.TagBase = 7 },
+	edits := []func(j *Job){
+		func(j *Job) { j.Region.Limit = 0 },
+		func(j *Job) { j.Region.Base = 1 },
+		func(j *Job) { j.Members = []int{0} },
+		func(j *Job) {}, // the last one runs
+	}
+	for i, edit := range edits {
+		j := &Job{
+			ID: i + 1, Spec: JobSpec{Name: fmt.Sprintf("job%d", i+1), Workload: "touch"},
+			State: StateRunning, Members: []int{1}, Region: gmem.Region{Limit: 4 * blockWords},
+			pending: 1,
 		}
+		edit(j)
+		s.jobs[j.ID] = j
+	}
+	res, err := core.Run(s.CoreConfig(), func(pe *core.PE) error {
 		if pe.ID() == 1 {
-			for i, edit := range bad {
-				a := good
-				a.JobID, a.Name = i, fmt.Sprintf("bad%d", i)
-				edit(&a)
-				s.runJob(pe, a)
+			for id := 1; id <= len(edits); id++ {
+				s.runJob(pe, id)
 			}
-			good.JobID = len(bad)
-			s.runJob(pe, good)
 			return nil
 		}
-		for range len(bad) + 1 {
+		for range edits {
 			_, data := pe.RecvMsg(doneTag)
-			var c completion
-			if err := json.Unmarshal(data, &c); err != nil {
-				return err
-			}
-			if failed := c.Err != ""; failed != (c.JobID < len(bad)) {
-				return fmt.Errorf("job %d: completion error %q", c.JobID, c.Err)
+			id := jobID(data)
+			s.mu.Lock()
+			msg := s.jobs[id].Err
+			s.mu.Unlock()
+			if failed := msg != ""; failed != (id < len(edits)) {
+				return fmt.Errorf("job %d: error %q", id, msg)
 			}
 		}
 		return nil

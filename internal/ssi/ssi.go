@@ -18,47 +18,32 @@ import (
 )
 
 // View is a PE's single-machine view of the whole cluster.
-type View struct {
-	pe   *core.PE
-	jobs JobSource
-}
+type View struct{ pe *core.PE }
 
 // NewView wraps a PE.
 func NewView(pe *core.PE) *View { return &View{pe: pe} }
 
 // JobRow is one scheduler job in the single-system image: the cluster's
-// "process table" entry for multi-job operation (dsesched). States are
-// "queued", "running", "done", "failed" and "cancelled".
+// "process table" entry for multi-job operation (dsesched), and the one
+// shape every view of a job takes. States are "queued", "running", "done",
+// "failed" and "cancelled".
 type JobRow struct {
 	ID          int     `json:"id"`
 	Name        string  `json:"name"`
 	State       string  `json:"state"`
-	PEs         int     `json:"pes"`          // gang size (PEs held while running)
+	PEs         int     `json:"pes"`               // gang size (PEs held while running)
+	Members     []int   `json:"members,omitempty"` // worker kernels, while running
+	Workload    string  `json:"workload"`
+	Size        int     `json:"size,omitempty"`
+	Mode        string  `json:"mode,omitempty"`
 	QuotaBlocks uint64  `json:"quota_blocks"` // namespace quota, in GM blocks
 	UsedBlocks  uint64  `json:"used_blocks"`  // blocks actually allocated
+	UsedWords   uint64  `json:"used_words"`   // words actually allocated
 	Priority    int     `json:"priority"`
-	WaitMS      float64 `json:"wait_ms"`         // queue wait (so far, or final)
-	RunMS       float64 `json:"run_ms"`          // runtime (so far, or final)
-	Error       string  `json:"error,omitempty"` // failure reason, failed jobs
-}
-
-// JobSource provides live scheduler job rows to the view (implemented by
-// sched.Scheduler); nil until BindJobs.
-type JobSource interface {
-	JobRows() []JobRow
-}
-
-// BindJobs attaches a scheduler's job table to this view, so Jobs reports
-// the cluster's multi-job state alongside the process table.
-func (v *View) BindJobs(src JobSource) { v.jobs = src }
-
-// Jobs returns the scheduler's per-job rows, or nil when no scheduler is
-// bound to this view.
-func (v *View) Jobs() []JobRow {
-	if v.jobs == nil {
-		return nil
-	}
-	return v.jobs.JobRows()
+	DeadlineMS  int64   `json:"deadline_ms,omitempty"` // budget from submission
+	WaitMS      float64 `json:"wait_ms"`               // queue wait (so far, or final)
+	RunMS       float64 `json:"run_ms"`                // runtime (so far, or final)
+	Error       string  `json:"error,omitempty"`       // failure reason, failed jobs
 }
 
 // NumCPU reports the cluster-wide processor count — the "machine size" a
@@ -75,9 +60,13 @@ func (v *View) Uname() string {
 func (v *View) Processes() []procmgmt.Entry { return v.pe.Processes() }
 
 // LoadByHost reports running DSE processes per physical machine.
-func (v *View) LoadByHost() map[string]int {
+func (v *View) LoadByHost() map[string]int { return loadByHost(v.Processes()) }
+
+// loadByHost counts the running entries of one process-table snapshot per
+// host.
+func loadByHost(entries []procmgmt.Entry) map[string]int {
 	load := make(map[string]int)
-	for _, e := range v.Processes() {
+	for _, e := range entries {
 		if e.State == procmgmt.StateRunning {
 			load[e.Host]++
 		}
@@ -87,16 +76,14 @@ func (v *View) LoadByHost() map[string]int {
 
 // LeastLoadedKernel picks the kernel on the least-loaded machine: the
 // placement decision a load-aware SSI scheduler would make for new work.
-// Ties break toward the lowest kernel id, deterministically.
+// Ties break toward the lowest kernel id, deterministically. Kernels and
+// load come from one snapshot of the process table.
 func (v *View) LeastLoadedKernel() int {
 	entries := v.Processes()
-	load := make(map[string]int)
+	load := loadByHost(entries)
 	hostOf := make(map[int32]string)
 	for _, e := range entries {
 		hostOf[e.Kernel] = e.Host
-		if e.State == procmgmt.StateRunning {
-			load[e.Host]++
-		}
 	}
 	kernels := make([]int, 0, len(hostOf))
 	for k := range hostOf {
