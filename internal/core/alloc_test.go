@@ -175,26 +175,41 @@ func TestBlockReadCoalescesPerHome(t *testing.T) {
 
 // TestClusterConstructionBudget pins what a cluster costs to exist: the empty
 // 4-PE inproc run the benchmark times as core.cluster_start_ms allocates at
-// most 768 KiB (0.71 MB when this was written, nearly all of it the
-// statistics blocks of kernels, shards, PEs and nodes; 0.86 MB while every
+// most 192 KiB (0.13 MB when this was written, since a per-op histogram is
+// allocated on its op's first event; 0.71 MB while every statistics block of
+// kernels, shards, PEs and nodes carried all 130 of them, 0.86 MB while every
 // shard carried a 256-slot write submission ring, 1.9 MB while every receive
 // queue and reply mailbox was a 128 KB channel buffer). Every repetition of an
-// application pays it, so the next 70 KB or so that creeps into the kernels
+// application pays it, so the next 65 KB or so that creeps into the kernels
 // fails here and not in a benchmark round.
 func TestClusterConstructionBudget(t *testing.T) {
+	checkConstructionBudget(t, "an empty 4-PE inproc run", 192<<10, runEmptyInprocCluster)
+}
+
+// TestSimClusterConstructionBudget is the same budget for the simulated
+// 6-PE cluster BenchmarkSimClusterConstruction builds, which every point of
+// a paper figure pays: at most 256 KiB (0.18 MB when this was written, 0.89
+// MB with every per-op histogram allocated up front).
+func TestSimClusterConstructionBudget(t *testing.T) {
+	checkConstructionBudget(t, "an empty 6-PE simulated run", 256<<10, runEmptySimCluster)
+}
+
+// checkConstructionBudget fails t if run, once warmed up, allocates more
+// than budget bytes a time.
+func checkConstructionBudget(t *testing.T, what string, budget uint64, run func(testing.TB)) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations are not the program's")
 	}
-	const runs, budget = 50, 768 << 10
-	runEmptyInprocCluster(t) // pools and lazily built tables are not the cluster's
+	const runs = 50
+	run(t) // pools and lazily built tables are not the cluster's
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		runEmptyInprocCluster(t)
+		run(t)
 	}
 	runtime.ReadMemStats(&after)
 	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("an empty 4-PE inproc run allocates %d bytes", perRun)
+	t.Logf("%s allocates %d bytes", what, perRun)
 	if perRun > budget {
 		t.Errorf("that is over the budget of %d bytes", budget)
 	}

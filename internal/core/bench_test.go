@@ -333,10 +333,10 @@ func benchFanIn(b *testing.B, cfg Config, requesters int, mixed bool) {
 		writes = each / 4
 	}
 	home := &res.PerPE[0]
-	if got, want := home.ServiceByOp[wire.OpRead].Count.Load(), uint64((each-writes)*requesters); got != want {
+	if got, want := home.ServiceByOp[wire.OpRead].Snapshot().Count, uint64((each-writes)*requesters); got != want {
 		b.Fatalf("home serviced %d reads, want %d", got, want)
 	}
-	if got, want := home.ServiceByOp[wire.OpWrite].Count.Load(), uint64(writes*requesters); got != want {
+	if got, want := home.ServiceByOp[wire.OpWrite].Snapshot().Count, uint64(writes*requesters); got != want {
 		b.Fatalf("home serviced %d writes, want %d", got, want)
 	}
 }
@@ -381,11 +381,16 @@ func BenchmarkFetchAddPool(b *testing.B) {
 // cluster takes to build and tear down with a trivial program.
 func BenchmarkSimClusterConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{NumPE: 6, Platform: platform.SparcSunOS, Seed: 1},
-			func(pe *PE) error { return nil })
-		if err != nil || res.FirstErr() != nil {
-			b.Fatal(err, res.FirstErr())
-		}
+		runEmptySimCluster(b)
+	}
+}
+
+// runEmptySimCluster runs an empty program on six simulated PEs.
+func runEmptySimCluster(tb testing.TB) {
+	res, err := Run(Config{NumPE: 6, Platform: platform.SparcSunOS, Seed: 1},
+		func(pe *PE) error { return nil })
+	if err != nil || res.FirstErr() != nil {
+		tb.Fatal(err, res.FirstErr())
 	}
 }
 

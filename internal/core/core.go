@@ -700,17 +700,19 @@ func residueOf(kernels []*Kernel) Residue {
 
 // collectStats merges per-kernel and per-PE counters into the result. It
 // runs only after every kernel and PE has quiesced (transports stopped),
-// which is what makes the plain-counter PEStats.Add merges safe; the
-// histograms inside would tolerate live merging on their own.
+// which is what makes the PEStats.Add merges safe: the scalar counters are
+// plain, and a per-op histogram's pointer is stored by its writer alone.
 func collectStats(res *Result, kernels []*Kernel, pes []*PE) {
 	res.PerPE = make([]trace.PEStats, len(kernels))
 	for i := range kernels {
 		// The hot path feeds only the per-op round-trip histograms; the
 		// aggregate RTT is derived here, once the PE has quiesced.
-		for j := range pes[i].extra.RTTByOp {
-			pes[i].extra.RTT.Merge(&pes[i].extra.RTTByOp[j])
+		for _, h := range pes[i].extra.RTTByOp {
+			if h != nil {
+				pes[i].extra.RTT.Merge(h)
+			}
 		}
-		s := &res.PerPE[i] // 25 KB each: summed in place, never copied
+		s := &res.PerPE[i] // holds atomics and histogram pointers: summed in place, never copied
 		s.Add(kernels[i].Stats())
 		s.Add(&pes[i].extra)
 		s.Add(&kernels[i].extra)

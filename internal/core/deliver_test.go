@@ -47,20 +47,20 @@ func TestDeliverAppBypassesServeLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			tot := &res.Total
-			if got := tot.ServiceByOp[wire.OpRead].Count.Load(); got != reads {
+			if got := tot.ServiceByOp[wire.OpRead].Snapshot().Count; got != reads {
 				t.Fatalf("home serviced %d reads, want %d", got, reads)
 			}
 			wantServiced := uint64(0)
 			if tr == TransportSim {
 				wantServiced = reads
 			}
-			if got := tot.ServiceByOp[wire.OpReadResp].Count.Load(); got != wantServiced {
+			if got := tot.ServiceByOp[wire.OpReadResp].Snapshot().Count; got != wantServiced {
 				t.Fatalf("serve loops serviced %d read replies, want %d", got, wantServiced)
 			}
 			if tr != TransportSim {
 				k1 := &res.PerPE[1]
 				for op := range k1.ServiceByOp {
-					if n := k1.ServiceByOp[op].Count.Load(); n != 0 && (isReply(wire.Op(op)) || wire.Op(op) == wire.OpBarrierRelease) {
+					if n := k1.ServiceByOp[op].Snapshot().Count; n != 0 && (isReply(wire.Op(op)) || wire.Op(op) == wire.OpBarrierRelease) {
 						t.Fatalf("kernel 1's serve loop serviced %d %v messages", n, wire.Op(op))
 					}
 				}

@@ -483,7 +483,7 @@ func (k *Kernel) serve() {
 		consumed := k.handle(m)
 		end := k.svc.Now()
 		if int(op) < wire.NumOps {
-			k.extra.ServiceByOp[op].Observe(end - rcv)
+			k.extra.ServiceByOp.Of(op).Observe(end - rcv)
 		}
 		if k.spans != nil && k.spans.Sampled() {
 			k.spans.Record(trace.Span{

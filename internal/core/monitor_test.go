@@ -89,14 +89,14 @@ func TestServeOnSender(t *testing.T) {
 				cfg.testInspect = func(ks []*Kernel, _ []*PE) {
 					home := ks[home]
 					for op := range onLoop {
-						onLoop[op] = home.extra.ServiceByOp[op].Count.Load()
+						onLoop[op] = home.extra.ServiceByOp[op].Snapshot().Count
 					}
 					for _, sh := range home.shards {
 						if sh.extra.ShardedMsgs > 0 {
 							busyShards++
 						}
 						for op := range onShards {
-							onShards[op] += sh.extra.ServiceByOp[op].Count.Load()
+							onShards[op] += sh.extra.ServiceByOp[op].Snapshot().Count
 						}
 					}
 				}
@@ -205,10 +205,10 @@ func TestServiceSamplesPerRoundTrip(t *testing.T) {
 					if r == home {
 						wantRTT, wantService = 0, 2*n
 					}
-					if got := s.RTTByOp[op].Count.Load(); got != wantRTT {
+					if got := s.RTTByOp[op].Snapshot().Count; got != wantRTT {
 						t.Errorf("PE %d %v: %d round-trip samples, want %d", r, op, got, wantRTT)
 					}
-					if got := s.ServiceByOp[op].Count.Load(); got != wantService {
+					if got := s.ServiceByOp[op].Snapshot().Count; got != wantService {
 						t.Errorf("PE %d %v: %d service samples, want %d", r, op, got, wantService)
 					}
 					rtt += s.RTTByOp[op].Snapshot().Sum
@@ -246,6 +246,48 @@ func TestServiceSamplesPerRoundTrip(t *testing.T) {
 				t.Fatalf("%d request spans, want %d", requests, 2*n*len(ops))
 			}
 		})
+	}
+}
+
+// TestFirstSampleHistograms pins that a per-op histogram exists only once its
+// op has had an event. Two requesters share the home's one shard on inproc
+// and make scalar reads only, so among the GM request ops only OpRead has a
+// round-trip histogram at the requesters and a service histogram at the home.
+// That shard histogram is allocated by whichever requester serves first
+// under the shard lock, which the race detector watches.
+func TestFirstSampleHistograms(t *testing.T) {
+	const n, home = 50, 2
+	cfg := messagePath
+	cfg.NumPE = 3
+	res := runWithin(t, time.Minute, cfg, func(pe *PE) error {
+		words := homedAt(pe, home, 2) // a word for each requester
+		pe.Barrier()
+		if pe.ID() != home {
+			for i := 0; i < n; i++ {
+				pe.GMRead(words[pe.ID()])
+			}
+		}
+		pe.Barrier()
+		return nil
+	})
+	for r := range res.PerPE {
+		// A requester's reads are round trips, the home's services.
+		s := &res.PerPE[r]
+		own, other, want := &s.RTTByOp, &s.ServiceByOp, uint64(n)
+		if r == home {
+			own, other, want = other, own, 2*n
+		}
+		for i := range own {
+			switch op := wire.Op(i); {
+			case !servedOnSender(op):
+			case other[op] != nil:
+				t.Errorf("PE %d has a histogram for the other side of %v", r, op)
+			case op != wire.OpRead && own[op] != nil:
+				t.Errorf("PE %d has a %v histogram but no %v event", r, op, op)
+			case op == wire.OpRead && own[op].Snapshot().Count != want:
+				t.Errorf("PE %d: %d %v events, want %d", r, own[op].Snapshot().Count, op, want)
+			}
+		}
 	}
 }
 
@@ -552,7 +594,7 @@ func TestMonitorContendedShard(t *testing.T) {
 						t.Fatalf("%d shards: old values are not 0..%d: position %d holds %d (lost or double-applied)", shards, len(olds)-1, i, v)
 					}
 				}
-				if got := res.Total.ServiceByOp[wire.OpFetchAdd].Count.Load(); got != requesters*each {
+				if got := res.Total.ServiceByOp[wire.OpFetchAdd].Snapshot().Count; got != requesters*each {
 					t.Fatalf("%d shards: %d fetch-adds serviced, want %d", shards, got, requesters*each)
 				}
 				if res.Total.DupRequests != 0 {

@@ -181,7 +181,7 @@ func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
 	}
 	// Only the per-op histogram is fed on the hot path; the aggregate
 	// PEStats.RTT is derived from it at collect time.
-	h := &pe.extra.RTTByOp[op]
+	h := pe.extra.RTTByOp.Of(op)
 	if !timed {
 		h.Tally()
 		return nil
@@ -235,7 +235,7 @@ func (pe *PE) timing(fl []flight, op wire.Op) sim.Duration {
 			return 1
 		}
 	}
-	if pe.extra.RTTByOp[op].Count.Load()&pe.timeMask != 0 {
+	if pe.extra.RTTByOp.Of(op).Count.Load()&pe.timeMask != 0 {
 		return 0
 	}
 	return sim.Duration(pe.timeMask + 1)

@@ -183,7 +183,7 @@ func (sh *kernelShard) serve(m *wire.Message) {
 	defer sh.unlock()
 	sh.handleGM(m)
 	sh.extra.ShardedMsgs++
-	h := &sh.extra.ServiceByOp[m.Op]
+	h := sh.extra.ServiceByOp.Of(m.Op)
 	if m.RecvAt == 0 {
 		h.Tally()
 		return

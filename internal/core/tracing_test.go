@@ -185,10 +185,10 @@ func TestLatencyHistogramsPopulated(t *testing.T) {
 	if res.Total.RTT.Count.Load() == 0 {
 		t.Fatal("no round trips observed")
 	}
-	if res.Total.RTTByOp[wire.OpRead].Count.Load() == 0 {
+	if res.Total.RTTByOp[wire.OpRead].Snapshot().Count == 0 {
 		t.Fatal("no per-op RTT for OpRead")
 	}
-	if res.Total.ServiceByOp[wire.OpRead].Count.Load() == 0 {
+	if res.Total.ServiceByOp[wire.OpRead].Snapshot().Count == 0 {
 		t.Fatal("no kernel service-time samples for OpRead")
 	}
 	if res.Total.BarrierWait.Count.Load() == 0 || res.Total.LockWait.Count.Load() == 0 {

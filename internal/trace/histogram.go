@@ -87,9 +87,10 @@ func raiseMax(m *atomic.Int64, v int64) {
 // Merge accumulates o into h. Both sides may still be receiving Observe
 // calls; the merged result then reflects some prefix of the in-flight
 // samples (see the concurrency contract above). An empty source — the
-// common case when whole PEStats are merged — costs one load: Observe and
-// Tally bump Count first, so a zero Count means no event has begun to land
-// and the prefix merged is the empty one.
+// common case for the wait histograms when whole PEStats are merged, since
+// only a PE's block feeds them — costs one load: Observe and Tally bump
+// Count first, so a zero Count means no event has begun to land and the
+// prefix merged is the empty one.
 func (h *Histogram) Merge(o *Histogram) {
 	n := o.Count.Load()
 	if n == 0 {
@@ -104,7 +105,13 @@ func (h *Histogram) Merge(o *Histogram) {
 }
 
 // Snapshot returns a copy of the counters read atomically field by field.
+// A nil histogram — a per-op entry no event has reached (OpHistograms) —
+// reads as an empty one, and so do Mean, Summarize, String and Render, which
+// read through Snapshot.
 func (h *Histogram) Snapshot() HistogramCounts {
+	if h == nil {
+		return HistogramCounts{}
+	}
 	s := HistogramCounts{
 		Count: h.Count.Load(),
 		Sum:   sim.Duration(h.Sum.Load()),

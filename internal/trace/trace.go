@@ -77,21 +77,49 @@ type PEStats struct {
 	ByOp [wire.NumOps]OpCount
 
 	// Latency distributions (the paper's execution-time breakdown, per
-	// operation instead of as scalar totals). Histograms follow Histogram's
-	// concurrency contract — they may be observed, merged and read while
-	// kernels still run, which is what core.Config.LiveRTT, the one live
-	// reader, relies on. Their Count is every event; on inproc the
-	// RTTByOp and ServiceByOp samples behind Sum and the buckets are one
-	// round trip in 16 (DESIGN.md §8). The scalar counters above are
-	// single-writer and must only be merged (Add) after their writers
-	// quiesce; core.Run's collectStats runs post-shutdown.
-	RTT         Histogram              // request round trips, all ops (app side)
-	RTTByOp     [wire.NumOps]Histogram // request round trips per request op
-	ServiceByOp [wire.NumOps]Histogram // kernel time handling each incoming op
-	BarrierWait Histogram              // time blocked per barrier crossing
-	LockWait    Histogram              // time blocked per lock acquisition
-	SemWait     Histogram              // time blocked per semaphore wait
-	FlushStall  Histogram              // time a sync edge stalled draining the WC buffer
+	// operation instead of as scalar totals). Their Count is every event; on
+	// inproc the RTTByOp and ServiceByOp samples behind Sum and the buckets
+	// are one round trip in 16 (DESIGN.md §8). A per-op histogram is
+	// allocated on its op's first event (OpHistograms.Of), so a block costs
+	// what its ops record; a nil one reads as empty. Each has one writer
+	// context — a PE's RTTByOp its own goroutine, a kernel's ServiceByOp its
+	// serve loop, a shard's ServiceByOp whoever holds the shard lock — which
+	// is why a plain pointer store publishes it, and why it, like every
+	// scalar counter above, is read and merged (Add) only after its writer
+	// quiesces: core.Run's collectStats runs post-shutdown. The live reader,
+	// core.Config.LiveRTT, is a histogram of its own.
+	RTT         Histogram    // request round trips, all ops (app side)
+	RTTByOp     OpHistograms // request round trips per request op
+	ServiceByOp OpHistograms // kernel time handling each incoming op
+	BarrierWait Histogram    // time blocked per barrier crossing
+	LockWait    Histogram    // time blocked per lock acquisition
+	SemWait     Histogram    // time blocked per semaphore wait
+	FlushStall  Histogram    // time a sync edge stalled draining the WC buffer
+}
+
+// OpHistograms holds one histogram per message op, each nil until its op's
+// first event.
+type OpHistograms [wire.NumOps]*Histogram
+
+// Of returns op's histogram, allocating it on first use. Only the one
+// context that writes the entry may call it (see PEStats).
+func (t *OpHistograms) Of(op wire.Op) *Histogram {
+	h := t[op]
+	if h == nil {
+		h = new(Histogram)
+		t[op] = h
+	}
+	return h
+}
+
+// add merges o into t entry by entry, allocating an entry only where o has
+// one; t never shares o's histograms.
+func (t *OpHistograms) add(o *OpHistograms) {
+	for i, h := range o {
+		if h != nil {
+			t.Of(wire.Op(i)).Merge(h)
+		}
+	}
 }
 
 // OpCount tallies sent traffic for one message op.
@@ -151,10 +179,8 @@ func (s *PEStats) Add(o *PEStats) {
 		s.ByOp[i].Bytes += o.ByOp[i].Bytes
 	}
 	s.RTT.Merge(&o.RTT)
-	for i := range s.RTTByOp {
-		s.RTTByOp[i].Merge(&o.RTTByOp[i])
-		s.ServiceByOp[i].Merge(&o.ServiceByOp[i])
-	}
+	s.RTTByOp.add(&o.RTTByOp)
+	s.ServiceByOp.add(&o.ServiceByOp)
 	s.BarrierWait.Merge(&o.BarrierWait)
 	s.LockWait.Merge(&o.LockWait)
 	s.SemWait.Merge(&o.SemWait)
@@ -193,11 +219,11 @@ func (s *PEStats) LatencyTable(title string) *Table {
 			hs.Quantile(0.99).String(),
 			hs.Max.String())
 	}
-	for i := range s.RTTByOp {
-		row("rtt:"+wire.Op(i).String(), &s.RTTByOp[i])
+	for i, h := range s.RTTByOp {
+		row("rtt:"+wire.Op(i).String(), h)
 	}
-	for i := range s.ServiceByOp {
-		row("svc:"+wire.Op(i).String(), &s.ServiceByOp[i])
+	for i, h := range s.ServiceByOp {
+		row("svc:"+wire.Op(i).String(), h)
 	}
 	row("barrier-wait", &s.BarrierWait)
 	row("lock-wait", &s.LockWait)

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 func TestPEStatsAddAccumulates(t *testing.T) {
@@ -19,6 +21,64 @@ func TestPEStatsAddAccumulates(t *testing.T) {
 	a.Add(&b)
 	if a.ComputeTime != 20 || a.MsgsSent != 8 || a.Locks != 22 || a.RemoteGM != 18 {
 		t.Fatalf("Add broken: %+v", &a)
+	}
+}
+
+// TestOpHistogramsOnFirstSample pins the per-op histograms' layout: none
+// exists before its op's first event, a missing one reads as empty, and Add
+// gives the destination a copy of exactly the ones its source has.
+func TestOpHistogramsOnFirstSample(t *testing.T) {
+	allocated := func(s *PEStats) []string {
+		var names []string
+		for i := range s.RTTByOp {
+			if s.RTTByOp[i] != nil {
+				names = append(names, "rtt:"+wire.Op(i).String())
+			}
+			if s.ServiceByOp[i] != nil {
+				names = append(names, "svc:"+wire.Op(i).String())
+			}
+		}
+		return names
+	}
+	var src PEStats
+	if got := allocated(&src); len(got) != 0 {
+		t.Fatalf("a zero PEStats has histograms %v", got)
+	}
+	empty := src.RTTByOp[wire.OpRead]
+	if empty.Snapshot() != (HistogramCounts{}) || empty.Mean() != 0 || empty.Summarize() != (LatencySummary{}) ||
+		empty.String() != "no samples" || empty.Render(20) != "(no samples)\n" {
+		t.Fatal("a missing histogram does not read as an empty one")
+	}
+	if rows := src.LatencyTable("").Rows; len(rows) != 0 {
+		t.Fatalf("a zero PEStats renders latency rows %v", rows)
+	}
+
+	h := src.ServiceByOp.Of(wire.OpWrite)
+	h.Observe(3 * sim.Microsecond)
+	h.Observe(40 * sim.Microsecond)
+	h.Tally()
+	if src.ServiceByOp.Of(wire.OpWrite) != h {
+		t.Fatal("a second Of allocated the histogram afresh")
+	}
+	if got := allocated(&src); !slices.Equal(got, []string{"svc:write"}) {
+		t.Fatalf("observing one op allocated %v", got)
+	}
+
+	var dst PEStats
+	dst.Add(&src)
+	if got := allocated(&dst); !slices.Equal(got, []string{"svc:write"}) {
+		t.Fatalf("Add allocated %v, want what its source has", got)
+	}
+	want := h.Snapshot()
+	if got := dst.ServiceByOp[wire.OpWrite].Snapshot(); got != want {
+		t.Fatalf("Add copied %+v, want %+v", got, want)
+	}
+	h.Observe(sim.Millisecond)
+	if got := dst.ServiceByOp[wire.OpWrite].Snapshot(); got != want {
+		t.Fatalf("a later sample at the source changed the destination to %+v", got)
+	}
+	if rows := dst.LatencyTable("").Rows; len(rows) != 1 || rows[0][0] != "svc:write" {
+		t.Fatalf("latency rows %v, want one for svc:write", rows)
 	}
 }
 
