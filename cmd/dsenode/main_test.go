@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -88,7 +89,9 @@ func TestMultiProcessCluster(t *testing.T) {
 
 // TestMetricsEndpoint spawns a two-process cluster with the debug server
 // enabled on node 0 and scrapes /metrics while the node lingers after the
-// run: the live-observability smoke test.
+// run: the live-observability smoke test. Node 0 is stopped once the scrape
+// and pprof checks have passed, so its success is read from its done state
+// and its output rather than from an exit status the linger would delay.
 func TestMetricsEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and spawns processes")
@@ -103,23 +106,23 @@ func TestMetricsEndpoint(t *testing.T) {
 	addrs := freeAddrs(t, 3)
 	joined := strings.Join(addrs[:2], ",")
 	debugAddr := addrs[2]
-	outputs := make([]string, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			args := []string{"-id", fmt.Sprint(i), "-addrs", joined, "-app", "knight", "-jobs", "4"}
-			if i == 0 {
-				args = append(args, "-debug-addr", debugAddr, "-debug-linger", "15s")
-			}
-			out, err := exec.Command(bin, args...).CombinedOutput()
-			outputs[i] = string(out)
-			errs[i] = err
-		}()
+	args := func(i int) []string {
+		return []string{"-id", fmt.Sprint(i), "-addrs", joined, "-app", "knight", "-jobs", "4"}
 	}
+	var out0 syncBuffer
+	node0 := exec.Command(bin, append(args(0), "-debug-addr", debugAddr, "-debug-linger", "15s")...)
+	node0.Stdout, node0.Stderr = &out0, &out0
+	if err := node0.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer node0.Process.Kill()
+	var out1 []byte
+	var err1 error
+	node1Done := make(chan struct{})
+	go func() {
+		defer close(node1Done)
+		out1, err1 = exec.Command(bin, args(1)...).CombinedOutput()
+	}()
 
 	// Poll /metrics until the node reports the run done (the linger window
 	// keeps the server up for us), then check the document.
@@ -137,7 +140,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		if time.Now().After(deadline) {
-			t.Fatalf("metrics endpoint never reported done\nnode0:\n%s", outputs[0])
+			t.Fatalf("metrics endpoint never reported done\nnode0:\n%s", out0.String())
 		}
 		resp, err := http.Get("http://" + debugAddr + "/metrics")
 		if err == nil {
@@ -169,19 +172,43 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// The lingering node 0 is still sleeping; node 1 should have exited
-	// cleanly. Don't wait out the linger — kill via the process group is
-	// overkill; just verify node 1 and let the test binary's exit reap it.
-	wgDone := make(chan struct{})
-	go func() { wg.Wait(); close(wgDone) }()
-	select {
-	case <-wgDone:
-	case <-time.After(90 * time.Second):
-		t.Fatal("nodes did not exit")
-	}
-	for i := 0; i < 2; i++ {
-		if errs[i] != nil {
-			t.Fatalf("node %d failed: %v\n%s", i, errs[i], outputs[i])
+	// Node 0 reports done to the debug server just before it prints its own
+	// done line and starts to linger: wait for the line, then stop it.
+	for !strings.Contains(out0.String(), "node 0: done") {
+		if time.Now().After(deadline) {
+			t.Fatalf("node 0 never printed its done line:\n%s", out0.String())
 		}
+		time.Sleep(10 * time.Millisecond)
 	}
+	node0.Process.Kill()
+	node0.Wait()
+	if !strings.Contains(out0.String(), "total 304 tours") {
+		t.Fatalf("node 0 output missing tour count:\n%s", out0.String())
+	}
+	select {
+	case <-node1Done:
+	case <-time.After(90 * time.Second):
+		t.Fatal("node 1 did not exit")
+	}
+	if err1 != nil {
+		t.Fatalf("node 1 failed: %v\n%s", err1, out1)
+	}
+}
+
+// syncBuffer is a bytes.Buffer a child process writes while the test reads.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

@@ -29,7 +29,7 @@ func main() {
 	var pi float64
 	res, err := core.Run(cfg, func(pe *core.PE) error {
 		// A shared counter in global memory: every PE bumps it per chunk.
-		progress := pe.Alloc(1)
+		progress := core.AllocCounter(pe, 1)
 
 		h := 1.0 / steps
 		sum := 0.0
@@ -38,12 +38,17 @@ func main() {
 			sum += 4 / (1 + x*x)
 		}
 		pe.Compute(float64(steps/pe.N()) * 6) // ~6 flops per step
-		pe.FetchAdd(progress, 1)
+		if _, err := progress.FetchAdd(0, 1); err != nil {
+			return err
+		}
 
 		total := pe.AllReduceSum(sum * h)
 		if pe.ID() == 0 {
 			pi = total
-			done := pe.GMRead(progress)
+			done, err := progress.Load(0)
+			if err != nil {
+				return err
+			}
 			fmt.Printf("all %d PEs reported in (%d chunks)\n", pe.N(), done)
 		}
 		pe.Barrier()

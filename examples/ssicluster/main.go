@@ -64,7 +64,10 @@ func program(pe *core.PE) error {
 		fmt.Println("\nname service:")
 		for i := 0; i < pe.N(); i++ {
 			name := fmt.Sprintf("service/%d", i)
-			v, ok := reg.Lookup(name)
+			v, ok, err := reg.Lookup(name)
+			if err != nil {
+				return err
+			}
 			fmt.Printf("  %-10s -> %d (found=%v)\n", name, v, ok)
 		}
 

@@ -34,28 +34,38 @@ func main() {
 }
 
 func program(pe *core.PE) error {
-	// A shared table in distributed global memory, found by name.
+	// A shared table in distributed global memory, found by name: every PE
+	// allocates the same table, and the name resolves to it on every PE.
 	reg := ssi.NewRegistry(pe, 16)
-	table := pe.Alloc(64)
+	table := core.AllocArray[int64](pe, 64)
 	if pe.ID() == 0 {
-		if err := reg.Publish("squares", int64(table)); err != nil {
+		if err := reg.Publish("squares", int64(table.Addr())); err != nil {
 			return err
 		}
 	}
 	pe.Barrier()
 
-	base, ok := reg.Lookup("squares")
-	if !ok {
-		return fmt.Errorf("PE %d: name 'squares' not published", pe.ID())
+	base, ok, err := reg.Lookup("squares")
+	if err != nil {
+		return err
 	}
-	for i := pe.ID(); i < 64; i += pe.N() {
-		pe.GMWrite(uint64(base)+uint64(i), int64(i*i))
+	if !ok || uint64(base) != table.Addr() {
+		return fmt.Errorf("PE %d: name 'squares' resolves to %d", pe.ID(), base)
+	}
+	for i := pe.ID(); i < table.Len(); i += pe.N() {
+		if err := table.Store(i, int64(i*i)); err != nil {
+			return err
+		}
 	}
 	pe.Barrier()
 
 	// Verify the whole table, wherever its words live.
-	for i := 0; i < 64; i++ {
-		if v := pe.GMRead(uint64(base) + uint64(i)); v != int64(i*i) {
+	for i := 0; i < table.Len(); i++ {
+		v, err := table.Load(i)
+		if err != nil {
+			return err
+		}
+		if v != int64(i*i) {
 			return fmt.Errorf("PE %d: squares[%d] = %d", pe.ID(), i, v)
 		}
 	}

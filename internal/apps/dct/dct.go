@@ -253,13 +253,6 @@ func ZigZag(b int) []int {
 	return order
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // blockOps counts the floating-point work of one block under the direct
 // O(B⁴) formulation: two multiply-adds per basis product.
 func blockOps(b int) float64 {
@@ -353,13 +346,15 @@ func Parallel(pe *core.PE, p Params) (*Result, error) {
 	pixWords := b * b / 8
 	keptWords := (keep + 3) / 4
 	totalBlocks := (n / b) * (n / b)
-	imgAddr := pe.AllocBlocks(totalBlocks * pixWords)
-	outAddr := pe.AllocBlocks(totalBlocks * keptWords)
-	counter := pe.AllocBlocks(1)
+	img := core.AllocArray[int64](pe, totalBlocks*pixWords)
+	out := core.AllocArray[int64](pe, totalBlocks*keptWords)
+	counter := core.AllocCounter(pe, 1)
 
 	// Setup (untimed in the harness): PE 0 loads the packed image into GM.
 	if pe.ID() == 0 {
-		pe.GMWriteBlock(imgAddr, PackPixels(BlockMajor(BuildImage(p), n, b)))
+		if err := img.StoreRange(0, PackPixels(BlockMajor(BuildImage(p), n, b))); err != nil {
+			return nil, err
+		}
 	}
 	pe.Barrier()
 	start := pe.Now()
@@ -368,8 +363,12 @@ func Parallel(pe *core.PE, p Params) (*Result, error) {
 	order := ZigZag(b)
 	res := &Result{}
 	chunk := p.chunk()
+	words := make([]int64, min(chunk, totalBlocks)*pixWords)
 	for {
-		first := pe.FetchAdd(counter, int64(chunk))
+		first, err := counter.FetchAdd(0, int64(chunk))
+		if err != nil {
+			return nil, err
+		}
 		if first >= int64(totalBlocks) {
 			break
 		}
@@ -380,7 +379,10 @@ func Parallel(pe *core.PE, p Params) (*Result, error) {
 		// One contiguous pixel fetch and coefficient write-back per chunk.
 		// Chunks spanning several GM blocks ride the vectored path: all runs
 		// homed at one kernel travel in a single OpReadV/OpWriteV message.
-		words := pe.GMReadBlock(imgAddr+uint64(first)*uint64(pixWords), int(last-first)*pixWords)
+		words = words[:int(last-first)*pixWords]
+		if err := img.LoadRange(int(first)*pixWords, words); err != nil {
+			return nil, err
+		}
 		pixels := UnpackPixels(words)
 		outWords := make([]int64, 0, int(last-first)*keptWords)
 		for j := first; j < last; j++ {
@@ -391,14 +393,20 @@ func Parallel(pe *core.PE, p Params) (*Result, error) {
 			res.Ops += blockOps(b)
 		}
 		pe.Compute(float64(last-first) * blockOps(b))
-		pe.GMWriteBlock(outAddr+uint64(first)*uint64(keptWords), outWords)
+		if err := out.StoreRange(int(first)*keptWords, outWords); err != nil {
+			return nil, err
+		}
 		res.Jobs++
 	}
 	pe.Barrier()
 	res.Elapsed = pe.Now() - start
 	if pe.ID() == 0 {
+		packed := make([]int64, totalBlocks*keptWords)
+		if err := out.LoadRange(0, packed); err != nil {
+			return nil, err
+		}
 		res.Coeffs = make([]int16, n*n)
-		stream := UnpackCoeffs(pe.GMReadBlock(outAddr, totalBlocks*keptWords))
+		stream := UnpackCoeffs(packed)
 		for j := 0; j < totalBlocks; j++ {
 			expandKept(res.Coeffs, stream[j*keptWords*4:], order, keep, n, b, j)
 		}

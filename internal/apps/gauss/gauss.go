@@ -223,13 +223,6 @@ func rowRange(n, npe, id int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Parallel solves the system as an SPMD program over the DSE API; every PE
 // returns the same Result. The timed region excludes system generation and
 // the initial zeroing of the shared vector.
@@ -239,11 +232,14 @@ func Parallel(pe *core.PE, p Params) (*Result, error) {
 		return nil, fmt.Errorf("gauss: N=%d smaller than %d PEs", p.N, pe.N())
 	}
 	sys, a, lo, hi := partition(p, pe.N(), pe.ID())
-	xAddr := pe.AllocBlocks(p.N)
+	xs := core.AllocArray[float64](pe, p.N)
+	x := make([]float64, p.N)
 
 	// Setup: PE 0 zeroes the shared vector.
 	if pe.ID() == 0 {
-		pe.GMWriteBlockF(xAddr, make([]float64, p.N))
+		if err := xs.StoreRange(0, x); err != nil {
+			return nil, err
+		}
 	}
 	pe.Barrier()
 	start := pe.Now()
@@ -254,7 +250,9 @@ func Parallel(pe *core.PE, p Params) (*Result, error) {
 		// vector is block-cyclic over all homes, so this row fetch rides the
 		// vectored read path: one OpReadV per remote home instead of one
 		// OpRead per block-sized run.
-		x := pe.GMReadBlockF(xAddr, p.N)
+		if err := xs.LoadRange(0, x); err != nil {
+			return nil, err
+		}
 		// Update own rows in order, Gauss-Seidel within the block.
 		delta := 0.0
 		for i := lo; i < hi; i++ {
@@ -271,7 +269,9 @@ func Parallel(pe *core.PE, p Params) (*Result, error) {
 		// therefore deterministic on every transport), then publish the
 		// block and agree on convergence.
 		pe.Barrier()
-		pe.GMWriteBlockF(xAddr+uint64(lo), x[lo:hi])
+		if err := xs.StoreRange(lo, x[lo:hi]); err != nil {
+			return nil, err
+		}
 		res.Sweeps++
 		res.Delta = pe.AllReduceMax(delta)
 		if res.Delta < p.Tol {
@@ -279,7 +279,10 @@ func Parallel(pe *core.PE, p Params) (*Result, error) {
 		}
 	}
 	res.Elapsed = pe.Now() - start
-	res.X = pe.GMReadBlockF(xAddr, p.N)
+	if err := xs.LoadRange(0, x); err != nil {
+		return nil, err
+	}
+	res.X = x
 	res.Residual = sys.residual(a, res.X)
 	return res, nil
 }
@@ -304,10 +307,12 @@ func ParallelFine(pe *core.PE, p Params, mode gmem.Mode, sweeps int) (*Result, e
 		return nil, fmt.Errorf("gauss: N=%d smaller than %d PEs", p.N, pe.N())
 	}
 	sys, a, lo, hi := partition(p, pe.N(), pe.ID())
-	xAddr := pe.AllocBlocksMode(p.N, mode)
+	xs := core.AllocArrayMode[float64](pe, p.N, mode)
 	if pe.ID() == 0 {
 		for i := 0; i < p.N; i++ {
-			pe.GMWriteF(xAddr+uint64(i), 0)
+			if err := xs.Store(i, 0); err != nil {
+				return nil, err
+			}
 		}
 	}
 	pe.Barrier()
@@ -315,9 +320,12 @@ func ParallelFine(pe *core.PE, p Params, mode gmem.Mode, sweeps int) (*Result, e
 
 	res := &Result{}
 	x := make([]float64, p.N)
+	var err error
 	for sweep := 0; sweep < sweeps; sweep++ {
-		for i := 0; i < p.N; i++ {
-			x[i] = pe.GMReadF(xAddr + uint64(i))
+		for i := range x {
+			if x[i], err = xs.Load(i); err != nil {
+				return nil, err
+			}
 		}
 		delta := 0.0
 		for i := lo; i < hi; i++ {
@@ -331,7 +339,9 @@ func ParallelFine(pe *core.PE, p Params, mode gmem.Mode, sweeps int) (*Result, e
 		res.Ops += float64(hi-lo) * opsPerRow(p.N)
 		pe.Barrier() // end of read epoch
 		for i := lo; i < hi; i++ {
-			pe.GMWriteF(xAddr+uint64(i), x[i])
+			if err := xs.Store(i, x[i]); err != nil {
+				return nil, err
+			}
 		}
 		pe.Barrier() // publication fence: release flushes, leases drop
 		res.Sweeps++
@@ -339,8 +349,10 @@ func ParallelFine(pe *core.PE, p Params, mode gmem.Mode, sweeps int) (*Result, e
 	}
 	res.Elapsed = pe.Now() - start
 	res.X = make([]float64, p.N)
-	for i := 0; i < p.N; i++ {
-		res.X[i] = pe.GMReadF(xAddr + uint64(i))
+	for i := range res.X {
+		if res.X[i], err = xs.Load(i); err != nil {
+			return nil, err
+		}
 	}
 	res.Residual = sys.residual(a, res.X)
 	return res, nil

@@ -214,28 +214,40 @@ func Parallel(pe *core.PE, p Params) (*Result, error) {
 	}
 	prefixes := EnumPrefixes(p, p.Jobs) // deterministic, replicated
 	target := p.BoardN * p.BoardN
-	counter := pe.AllocBlocks(1)
-	toursAddr := pe.AllocBlocks(1)
-	nodesAddr := pe.AllocBlocks(1)
+	counter := core.AllocCounter(pe, 1)
+	tours := core.AllocCounter(pe, 1)
+	nodes := core.AllocCounter(pe, 1)
 	pe.Barrier()
 	start := pe.Now()
 
 	res := &Result{}
 	for {
-		j := pe.FetchAdd(counter, 1)
+		j, err := counter.FetchAdd(0, 1)
+		if err != nil {
+			return nil, err
+		}
 		if j >= int64(len(prefixes)) {
 			break
 		}
-		tours, nodes := extend(prefixes[j], p.BoardN, target)
-		pe.Compute(float64(nodes) * opsPerNode)
-		pe.FetchAdd(toursAddr, tours)
-		pe.FetchAdd(nodesAddr, nodes)
+		t, n := extend(prefixes[j], p.BoardN, target)
+		pe.Compute(float64(n) * opsPerNode)
+		if _, err := tours.FetchAdd(0, t); err != nil {
+			return nil, err
+		}
+		if _, err := nodes.FetchAdd(0, n); err != nil {
+			return nil, err
+		}
 		res.Jobs++
 	}
 	pe.Barrier()
 	res.Elapsed = pe.Now() - start
-	res.Tours = pe.GMRead(toursAddr)
-	res.Nodes = pe.GMRead(nodesAddr)
+	var err error
+	if res.Tours, err = tours.Load(0); err != nil {
+		return nil, err
+	}
+	if res.Nodes, err = nodes.Load(0); err != nil {
+		return nil, err
+	}
 	res.Ops = float64(res.Nodes) * opsPerNode
 	pe.Barrier()
 	return res, nil

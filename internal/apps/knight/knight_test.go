@@ -1,6 +1,7 @@
 package knight
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -8,6 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/sim"
+	"repro/internal/transport/simnet"
 )
 
 func TestValidation(t *testing.T) {
@@ -310,6 +313,39 @@ func TestEnumPrefixesMatchesReference(t *testing.T) {
 					t.Fatalf("%dx%d jobs=%d: prefix %d is %+v, reference %+v", n, n, jobs, i, got[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// TestParallelReturnsGMFailure: a GM operation that fails inside the
+// application comes back as Parallel's error, not as a panic. Node 2 — home
+// of the nodes tally — dies mid-search on simnet with RequestTimeout set;
+// each survivor's next FetchAdd there fails, and its Parallel returns the
+// *PeerDownError, which is also what the run records for that PE.
+func TestParallelReturnsGMFailure(t *testing.T) {
+	const victim = 2
+	cfg := core.Config{NumPE: 4, Platform: platform.SparcSunOS, Seed: 1,
+		RequestTimeout: 20 * sim.Millisecond, RequestRetries: 3, PeerLossBudget: 4,
+		Kills: []simnet.Kill{{Node: victim, At: sim.Second}}} // the search takes ~4.8 s
+	errs := make([]error, cfg.NumPE)
+	res, err := core.Run(cfg, func(pe *core.PE) error {
+		_, errs[pe.ID()] = Parallel(pe, Params{BoardN: 5, Jobs: 16})
+		return errs[pe.ID()]
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for i, e := range errs {
+		if i == victim {
+			if e == nil {
+				t.Errorf("PE %d (the victim): Parallel returned no error", i)
+			}
+			continue
+		}
+		var down *core.PeerDownError
+		if !errors.As(e, &down) || down.Peer != victim || res.Errs[i] != e {
+			t.Errorf("PE %d: Parallel returned %v, run recorded %v; want the same *PeerDownError naming peer %d",
+				i, e, res.Errs[i], victim)
 		}
 	}
 }

@@ -116,38 +116,51 @@ func Parallel(pe *core.PE, p Params) (*Result, error) {
 	if len(moves) == 0 {
 		return nil, fmt.Errorf("othello: no legal moves at the root")
 	}
-	counter := pe.AllocBlocks(1)
-	nodesAddr := pe.AllocBlocks(1)
-	values := pe.AllocBlocks(len(moves))
+	counter := core.AllocCounter(pe, 1)
+	nodes := core.AllocCounter(pe, 1)
+	values := core.AllocArray[int64](pe, len(moves))
 
 	pe.Barrier() // everyone has allocated; counters start at zero
 	start := pe.Now()
 
 	res := &Result{}
 	for {
-		j := pe.FetchAdd(counter, 1)
+		j, err := counter.FetchAdd(0, 1)
+		if err != nil {
+			return nil, err
+		}
 		if j >= int64(len(moves)) {
 			break
 		}
-		v, nodes := SearchMove(root, moves[j], p.Depth)
-		pe.Compute(float64(nodes) * opsPerNode)
+		v, n := SearchMove(root, moves[j], p.Depth)
+		pe.Compute(float64(n) * opsPerNode)
 		res.Jobs++
-		pe.GMWrite(values+uint64(j), int64(v))
-		pe.FetchAdd(nodesAddr, nodes)
+		if err := values.Store(int(j), int64(v)); err != nil {
+			return nil, err
+		}
+		if _, err := nodes.FetchAdd(0, n); err != nil {
+			return nil, err
+		}
 	}
 	pe.Barrier()
 	res.Elapsed = pe.Now() - start
 
 	// Reduce: every PE reads the published values (small array) so all
 	// return the same answer, as the API library would give each process.
-	vals := pe.GMReadBlock(values, len(moves))
+	vals := make([]int64, len(moves))
+	if err := values.LoadRange(0, vals); err != nil {
+		return nil, err
+	}
 	res.BestMove, res.Value = -1, -Inf
 	for i, v := range vals {
 		if int(v) > res.Value {
 			res.Value, res.BestMove = int(v), moves[i]
 		}
 	}
-	res.Nodes = pe.GMRead(nodesAddr)
+	var err error
+	if res.Nodes, err = nodes.Load(0); err != nil {
+		return nil, err
+	}
 	res.Ops = float64(res.Nodes) * opsPerNode
 	pe.Barrier()
 	return res, nil

@@ -25,22 +25,30 @@ const tableWords = 96
 // fills the table first and rewrites one word of it per round.
 func tableApp(rounds int, update bool) app {
 	return func(pe *core.PE) (sim.Duration, error) {
-		table := pe.Alloc(tableWords)
+		table := core.AllocArray[int64](pe, tableWords)
 		if update && pe.ID() == 0 {
 			for i := 0; i < tableWords; i++ {
-				pe.GMWrite(table+uint64(i), int64(i))
+				if err := table.Store(i, int64(i)); err != nil {
+					return 0, err
+				}
 			}
 		}
 		pe.Barrier()
 		start := pe.Now()
 		for r := 0; r < rounds; r++ {
 			for i := 0; i < tableWords; i++ {
-				if v := pe.GMRead(table + uint64(i)); v < 0 {
-					return 0, fmt.Errorf("corrupt table")
+				v, err := table.Load(i)
+				if err != nil {
+					return 0, err
+				}
+				if v < 0 {
+					return 0, fmt.Errorf("corrupt table: %d", v)
 				}
 			}
 			if update && pe.ID() == 0 {
-				pe.GMWrite(table+uint64(r%tableWords), int64(r))
+				if err := table.Store(r%tableWords, int64(r)); err != nil {
+					return 0, err
+				}
 			}
 			pe.Barrier()
 		}

@@ -185,17 +185,6 @@ func namespaceProgram(pe *core.PE) error {
 	rng := sim.NewRand(77 ^ uint64(pe.ID()+1)*0x9e3779b97f4a7c15)
 	uniq := int64(pe.ID()+1) << 40
 	next := func() int64 { uniq++; return uniq }
-	// The block forms have no Err tier: a refused access panics with the
-	// typed error.
-	panicErr := func(fn func()) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err, _ = r.(error)
-			}
-		}()
-		fn()
-		return nil
-	}
 	for i := 0; i < 120; i++ {
 		a := data + uint64(rng.Intn(words-16))
 		var err error
@@ -209,15 +198,15 @@ func namespaceProgram(pe *core.PE) error {
 		case 3:
 			_, _, err = pe.CASErr(data+words-8+uint64(rng.Intn(4)), 0, next())
 		case 4:
-			pe.GMReadBlock(a, 2+rng.Intn(14))
+			_, err = pe.GMReadBlockErr(a, 2+rng.Intn(14))
 		case 5:
 			ws := make([]int64, 2+rng.Intn(14))
 			for j := range ws {
 				ws[j] = next()
 			}
-			pe.GMWriteBlock(a, ws)
+			err = pe.GMWriteBlockErr(a, ws)
 		case 6:
-			pe.GMGather([]uint64{a, data + uint64(rng.Intn(words-16)), a + 9})
+			_, err = pe.GMGatherErr([]uint64{a, data + uint64(rng.Intn(words-16)), a + 9})
 		case 7:
 			err = pe.GMScatterErr([]uint64{a, data + uint64(rng.Intn(words-16))}, []int64{next(), next()})
 		}
@@ -231,6 +220,7 @@ func namespaceProgram(pe *core.PE) error {
 	_, rerr := pe.GMReadErr(outside)
 	_, faerr := pe.FetchAddErr(outside, 1)
 	_, _, caserr := pe.CASErr(outside, 0, 1)
+	errOf := func(_ []int64, err error) error { return err }
 	strays := []struct {
 		what string
 		err  error
@@ -239,9 +229,9 @@ func namespaceProgram(pe *core.PE) error {
 		{"write", pe.GMWriteErr(outside, 1)},
 		{"fetch-add", faerr},
 		{"cas", caserr},
-		{"read-block", panicErr(func() { pe.GMReadBlock(data+words-2, 4) })},
-		{"write-block", panicErr(func() { pe.GMWriteBlock(data+words-2, make([]int64, 4)) })},
-		{"gather", panicErr(func() { pe.GMGather([]uint64{data, outside}) })},
+		{"read-block", errOf(pe.GMReadBlockErr(data+words-2, 4))},
+		{"write-block", pe.GMWriteBlockErr(data+words-2, make([]int64, 4))},
+		{"gather", errOf(pe.GMGatherErr([]uint64{data, outside}))},
 		{"scatter", pe.GMScatterErr([]uint64{data, outside}, []int64{1, 2})},
 	}
 	for _, s := range strays {
@@ -271,24 +261,30 @@ func tierSpanProgram(pe *core.PE) error {
 	for i := 0; i < 96; i++ {
 		n := 8 + rng.Intn(40)
 		a := base + uint64(rng.Intn(4*words-n))
+		var err error
 		switch i % 4 {
 		case 0:
-			pe.GMReadBlock(a, n)
+			_, err = pe.GMReadBlockErr(a, n)
 		case 2:
 			uniq++
-			pe.GMWrite(a, uniq)
-			pe.GMRead(a + uint64(n) - 1)
+			if err = pe.GMWriteErr(a, uniq); err == nil {
+				_, err = pe.GMReadErr(a + uint64(n) - 1)
+			}
 		case 1:
 			ws := make([]int64, n)
 			for j := range ws {
 				uniq++
 				ws[j] = uniq
 			}
-			pe.GMWriteBlock(a, ws)
+			err = pe.GMWriteBlockErr(a, ws)
 		case 3:
 			c := ctrs + uint64(rng.Intn(4))
-			pe.FetchAdd(c, 1)
-			pe.GMRead(c)
+			if _, err = pe.FetchAddErr(c, 1); err == nil {
+				_, err = pe.GMReadErr(c)
+			}
+		}
+		if err != nil {
+			return err
 		}
 		if i%16 == 15 {
 			pe.Barrier()

@@ -92,43 +92,43 @@ func span(n int, v int64) []int64 {
 var accessRows = []accessRow{
 	// --- word executor, strong tier ---
 	{name: "strong/local/read", on: onMsg, mode: strong,
-		prep: func(pe *PE, l, r uint64) { pe.GMWrite(l, 5) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMRead(l) }, want: 5,
+		prep: func(pe *PE, l, r uint64) { mustWrite(pe, l, 5) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustRead(pe, l) }, want: 5,
 		d: pathDelta{local: 1}, ev: []evTag{rd(strong)}},
 	{name: "strong/local/write", on: onMsg, mode: strong,
-		op: func(pe *PE, l, r uint64) int64 { pe.GMWrite(l, 6); return pe.k.seg.ReadWord(l) }, want: 6,
+		op: func(pe *PE, l, r uint64) int64 { mustWrite(pe, l, 6); return pe.k.seg.ReadWord(l) }, want: 6,
 		d: pathDelta{local: 1}, ev: []evTag{wr(strong)}},
 	{name: "strong/local/fetch-add", on: onOne, mode: strong,
-		prep: func(pe *PE, l, r uint64) { pe.FetchAdd(l, 3) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.FetchAdd(l, 3) }, want: 3,
+		prep: func(pe *PE, l, r uint64) { mustFetchAdd(pe, l, 3) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustFetchAdd(pe, l, 3) }, want: 3,
 		d: pathDelta{local: 1}, ev: []evTag{fa(strong)}},
 	{name: "strong/local/cas", on: onOne, mode: strong,
 		op: func(pe *PE, l, r uint64) int64 { prev, _, err := pe.CASErr(l, 0, 9); must(err); return prev }, want: 0,
 		d: pathDelta{local: 1}, ev: []evTag{cas(strong)}},
 	{name: "strong/message/read", on: onMsg, mode: strong,
-		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r, 7) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMRead(r) }, want: 7,
+		prep: func(pe *PE, l, r uint64) { mustWrite(pe, r, 7) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustRead(pe, r) }, want: 7,
 		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{rd(strong)}},
 	{name: "strong/message/write", on: onMsg, mode: strong,
-		op: func(pe *PE, l, r uint64) int64 { pe.GMWrite(r, 8); return pe.GMRead(r) }, want: 8,
+		op: func(pe *PE, l, r uint64) int64 { mustWrite(pe, r, 8); return mustRead(pe, r) }, want: 8,
 		d: pathDelta{remote: 2, msgs: 2}, ev: []evTag{wr(strong), rd(strong)}},
 	{name: "strong/message/fetch-add", on: onMsg, mode: strong,
-		prep: func(pe *PE, l, r uint64) { pe.FetchAdd(r, 2) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.FetchAdd(r, 2) }, want: 2,
+		prep: func(pe *PE, l, r uint64) { mustFetchAdd(pe, r, 2) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustFetchAdd(pe, r, 2) }, want: 2,
 		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{fa(strong)}},
 	{name: "strong/message/cas", on: onMsg, mode: strong,
-		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r, 30) },
+		prep: func(pe *PE, l, r uint64) { mustWrite(pe, r, 30) },
 		op:   func(pe *PE, l, r uint64) int64 { prev, _, err := pe.CASErr(r, 30, 31); must(err); return prev }, want: 30,
 		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{cas(strong)}},
 	{name: "strong/window/read", on: onOne, mode: strong,
-		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r, 7) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMRead(r) }, want: 7,
+		prep: func(pe *PE, l, r uint64) { mustWrite(pe, r, 7) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustRead(pe, r) }, want: 7,
 		d: pathDelta{remote: 1, direct: 1}, ev: []evTag{rd(strong)}},
 	{name: "strong/ring/write", on: onOne, mode: strong,
-		op: func(pe *PE, l, r uint64) int64 { pe.GMWrite(r, 8); return pe.GMRead(r) }, want: 8,
+		op: func(pe *PE, l, r uint64) int64 { mustWrite(pe, r, 8); return mustRead(pe, r) }, want: 8,
 		d: pathDelta{remote: 2, direct: 1, ring: 1}, ev: []evTag{wr(strong), rd(strong)}},
 	{name: "strong/onesided/fetch-add-in-place", on: onOne, mode: strong,
-		op: func(pe *PE, l, r uint64) int64 { return pe.FetchAdd(r, 2) }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { return mustFetchAdd(pe, r, 2) }, want: 0,
 		d: pathDelta{remote: 1, ring: 1}, ev: []evTag{fa(strong)}},
 	{name: "strong/onesided/cas-in-place", on: onOne, mode: strong,
 		op: func(pe *PE, l, r uint64) int64 { prev, _, err := pe.CASErr(r, 1, 2); must(err); return prev }, want: 0,
@@ -138,81 +138,81 @@ var accessRows = []accessRow{
 	{name: "release/write-buffers", on: onMsg, mode: release,
 		op: func(pe *PE, l, r uint64) int64 {
 			n := pe.wc.Len()
-			pe.GMWrite(r, 4)
+			mustWrite(pe, r, 4)
 			return int64(pe.wc.Len() - n)
 		}, want: 1,
 		d: pathDelta{local: 1}, ev: []evTag{wr(release)}},
 	{name: "release/read-own-buffered-write", on: onMsg, mode: release,
-		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r, 4) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMRead(r) }, want: 4,
+		prep: func(pe *PE, l, r uint64) { mustWrite(pe, r, 4) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustRead(pe, r) }, want: 4,
 		d: pathDelta{local: 1}, ev: []evTag{rd(release)}},
 	{name: "release/message/read-miss", on: onMsg, mode: release,
-		op: func(pe *PE, l, r uint64) int64 { return pe.GMRead(r) }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { return mustRead(pe, r) }, want: 0,
 		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{rd(release)}},
 	{name: "release/window/read-miss", on: onOne, mode: release,
-		op: func(pe *PE, l, r uint64) int64 { return pe.GMRead(r) }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { return mustRead(pe, r) }, want: 0,
 		d: pathDelta{remote: 1, direct: 1}, ev: []evTag{rd(release)}},
 	{name: "release/local/read-miss", on: onMsg, mode: release,
-		op: func(pe *PE, l, r uint64) int64 { return pe.GMRead(l) }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { return mustRead(pe, l) }, want: 0,
 		d: pathDelta{local: 1}, ev: []evTag{rd(release)}},
 	{name: "release/message/fetch-add-is-strong", on: onMsg, mode: release,
-		op: func(pe *PE, l, r uint64) int64 { pe.FetchAdd(r, 5); return pe.FetchAdd(r, 5) }, want: 5,
+		op: func(pe *PE, l, r uint64) int64 { mustFetchAdd(pe, r, 5); return mustFetchAdd(pe, r, 5) }, want: 5,
 		d: pathDelta{remote: 2, msgs: 2}, ev: []evTag{fa(release), fa(release)}},
 	{name: "release/onesided/fetch-add-in-place", on: onOne, mode: release,
-		op: func(pe *PE, l, r uint64) int64 { pe.FetchAdd(r, 5); return pe.FetchAdd(r, 5) }, want: 5,
+		op: func(pe *PE, l, r uint64) int64 { mustFetchAdd(pe, r, 5); return mustFetchAdd(pe, r, 5) }, want: 5,
 		d: pathDelta{remote: 2, ring: 2}, ev: []evTag{fa(release), fa(release)}},
 
 	// --- word executor, lease tier ---
 	{name: "lease/read-miss-fetches", on: onOne, mode: lease,
-		op: func(pe *PE, l, r uint64) int64 { return pe.GMRead(r) }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { return mustRead(pe, r) }, want: 0,
 		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{rdC(lease)}},
 	{name: "lease/read-hit", on: onOne, mode: lease,
-		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMRead(r + 1) }, want: 0,
+		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustRead(pe, r+1) }, want: 0,
 		d: pathDelta{local: 1}, ev: []evTag{rdC(lease)}},
 	{name: "lease/local/read", on: onMsg, mode: lease,
-		op: func(pe *PE, l, r uint64) int64 { return pe.GMRead(l) }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { return mustRead(pe, l) }, want: 0,
 		d: pathDelta{local: 1}, ev: []evTag{rd(lease)}},
 	{name: "lease/message/write-drops-own-lease", on: onMsg, mode: lease,
-		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
-		op:   func(pe *PE, l, r uint64) int64 { pe.GMWrite(r, 3); return pe.GMRead(r) }, want: 3,
+		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
+		op:   func(pe *PE, l, r uint64) int64 { mustWrite(pe, r, 3); return mustRead(pe, r) }, want: 3,
 		d: pathDelta{remote: 2, msgs: 2}, ev: []evTag{wr(lease), rdC(lease)}},
 	{name: "lease/ring/write", on: onOne, mode: lease,
-		op: func(pe *PE, l, r uint64) int64 { pe.GMWrite(r, 3); return 0 }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { mustWrite(pe, r, 3); return 0 }, want: 0,
 		d: pathDelta{remote: 1, ring: 1}, ev: []evTag{wr(lease)}},
 	{name: "lease/message/fetch-add-drops-own-lease", on: onMsg, mode: lease,
-		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
-		op:   func(pe *PE, l, r uint64) int64 { pe.FetchAdd(r, 2); return pe.GMRead(r) }, want: 2,
+		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
+		op:   func(pe *PE, l, r uint64) int64 { mustFetchAdd(pe, r, 2); return mustRead(pe, r) }, want: 2,
 		d: pathDelta{remote: 2, msgs: 2}, ev: []evTag{fa(lease), rdC(lease)}},
 	// In place, the fetch-add drops the own lease too: the read after it fetches
 	// a fresh one.
 	{name: "lease/onesided/fetch-add-in-place-drops-own-lease", on: onOne, mode: lease,
-		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
-		op:   func(pe *PE, l, r uint64) int64 { pe.FetchAdd(r, 2); return pe.GMRead(r) }, want: 2,
+		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
+		op:   func(pe *PE, l, r uint64) int64 { mustFetchAdd(pe, r, 2); return mustRead(pe, r) }, want: 2,
 		d: pathDelta{remote: 2, ring: 1, msgs: 1}, ev: []evTag{fa(lease), rdC(lease)}},
 
 	// --- word executor, write-invalidate cache tier ---
 	{name: "cached/read-miss-fetches-block", on: onCache, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 { return pe.GMRead(r) }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { return mustRead(pe, r) }, want: 0,
 		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{rd(strong)}},
 	{name: "cached/read-hit", on: onCache, mode: cached,
-		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMRead(r + 1) }, want: 0,
+		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustRead(pe, r+1) }, want: 0,
 		d: pathDelta{local: 1}, ev: []evTag{rdC(strong)}},
 	{name: "cached/local/read", on: onCache, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 { return pe.GMRead(l) }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { return mustRead(pe, l) }, want: 0,
 		d: pathDelta{local: 1}, ev: []evTag{rd(strong)}},
 	{name: "cached/write-drops-own-copy", on: onCache, mode: cached,
-		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
-		op:   func(pe *PE, l, r uint64) int64 { pe.GMWrite(r, 3); return pe.GMRead(r) }, want: 3,
+		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
+		op:   func(pe *PE, l, r uint64) int64 { mustWrite(pe, r, 3); return mustRead(pe, r) }, want: 3,
 		d: pathDelta{remote: 2, msgs: 2}, ev: []evTag{wr(strong), rd(strong)}},
 	// Own-home mutations go through the own kernel's invalidation machinery as
 	// a message: the request and the kernel's reply both leave this node.
 	{name: "cached/own-home/write-goes-through-kernel", on: onCache, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 { pe.GMWrite(l, 3); return pe.GMRead(l) }, want: 3,
+		op: func(pe *PE, l, r uint64) int64 { mustWrite(pe, l, 3); return mustRead(pe, l) }, want: 3,
 		d: pathDelta{local: 1, remote: 1, msgs: 2}, ev: []evTag{wr(strong), rd(strong)}},
 	{name: "cached/own-home/fetch-add-goes-through-kernel", on: onCache, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 { return pe.FetchAdd(l, 3) }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { return mustFetchAdd(pe, l, 3) }, want: 0,
 		d: pathDelta{remote: 1, msgs: 2}, ev: []evTag{fa(strong)}},
 	{name: "cached/own-home/cas-goes-through-kernel", on: onCache, mode: cached,
 		op: func(pe *PE, l, r uint64) int64 { prev, _, err := pe.CASErr(l, 0, 3); must(err); return prev }, want: 0,
@@ -220,18 +220,18 @@ var accessRows = []accessRow{
 	// A cached allocation in a cluster with the one-sided paths on: its words
 	// reach the home's directory as messages, hits stay local.
 	{name: "cached/onesided/read-miss-takes-message", on: onOne, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 { return pe.GMRead(r) }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { return mustRead(pe, r) }, want: 0,
 		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{rd(strong)}},
 	{name: "cached/onesided/read-hit", on: onOne, mode: cached,
-		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMRead(r + 1) }, want: 0,
+		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustRead(pe, r+1) }, want: 0,
 		d: pathDelta{local: 1}, ev: []evTag{rdC(strong)}},
 	{name: "cached/onesided/write-takes-message", on: onOne, mode: cached,
-		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
-		op:   func(pe *PE, l, r uint64) int64 { pe.GMWrite(r, 3); return pe.GMRead(r) }, want: 3,
+		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
+		op:   func(pe *PE, l, r uint64) int64 { mustWrite(pe, r, 3); return mustRead(pe, r) }, want: 3,
 		d: pathDelta{remote: 2, msgs: 2}, ev: []evTag{wr(strong), rd(strong)}},
 	{name: "cached/onesided/own-home-write-goes-by-message", on: onOne, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 { pe.GMWrite(l, 3); return pe.GMRead(l) }, want: 3,
+		op: func(pe *PE, l, r uint64) int64 { mustWrite(pe, l, 3); return mustRead(pe, l) }, want: 3,
 		d: pathDelta{local: 1, remote: 1, msgs: 2}, ev: []evTag{wr(strong), rd(strong)}},
 
 	// --- range executor: l is followed by r's block or the other way round,
@@ -239,44 +239,53 @@ var accessRows = []accessRow{
 	// one-sided paths on, a peer run is served in place like a scalar: remote,
 	// and a direct read or a store in place, with no message ---
 	{name: "strong/block-read-in-place", on: onOne, mode: strong,
-		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r, 9) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMReadBlock(min(l, r), 64)[r-min(l, r)] }, want: 9,
+		prep: func(pe *PE, l, r uint64) { mustWrite(pe, r, 9) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustReadBlock(pe, min(l, r), 64)[r-min(l, r)] }, want: 9,
 		d: pathDelta{local: 1, remote: 1, direct: 1}, ev: tags(64, rd(strong))},
 	{name: "strong/block-write-in-place", on: onOne, mode: strong,
 		op: func(pe *PE, l, r uint64) int64 {
-			pe.GMWriteBlock(min(l, r), span(64, 100))
+			mustWriteBlock(pe, min(l, r), span(64, 100))
 			return pe.k.seg.ReadWord(l) - int64(l-min(l, r))
 		}, want: 100,
 		d: pathDelta{local: 1, remote: 1, ring: 1}, ev: tags(64, wr(strong))},
 	{name: "strong/gather-in-place", on: onOne, mode: strong,
-		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r+1, 9) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMGather([]uint64{r + 1, l, r})[0] }, want: 9,
+		prep: func(pe *PE, l, r uint64) { mustWrite(pe, r+1, 9) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustGather(pe, []uint64{r + 1, l, r})[0] }, want: 9,
 		d: pathDelta{local: 1, remote: 2, direct: 2}, ev: tags(3, rd(strong))},
 	{name: "strong/scatter-in-place", on: onOne, mode: strong,
 		op: func(pe *PE, l, r uint64) int64 {
 			must(pe.GMScatterErr([]uint64{r, l}, []int64{1, 2}))
-			return pe.GMRead(r)
+			return mustRead(pe, r)
 		}, want: 1,
 		d: pathDelta{local: 1, remote: 2, direct: 1, ring: 1}, ev: []evTag{wr(strong), wr(strong), rd(strong)}},
 	{name: "strong/message/block-read", on: onMsg, mode: strong,
-		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r, 9) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMReadBlock(min(l, r), 64)[r-min(l, r)] }, want: 9,
+		prep: func(pe *PE, l, r uint64) { mustWrite(pe, r, 9) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustReadBlock(pe, min(l, r), 64)[r-min(l, r)] }, want: 9,
 		d: pathDelta{local: 1, remote: 1, msgs: 1}, ev: tags(64, rd(strong))},
 	{name: "strong/message/scatter", on: onMsg, mode: strong,
 		op: func(pe *PE, l, r uint64) int64 {
 			must(pe.GMScatterErr([]uint64{r, l}, []int64{1, 2}))
-			return pe.GMRead(r)
+			return mustRead(pe, r)
 		}, want: 1,
 		d: pathDelta{local: 1, remote: 2, msgs: 2}, ev: []evTag{wr(strong), wr(strong), rd(strong)}},
+	{name: "strong/message/scatter-length-mismatch-refused", on: onMsg, mode: strong,
+		op: func(pe *PE, l, r uint64) int64 {
+			var refused int64
+			if pe.GMScatterErr([]uint64{r, l}, []int64{1}) != nil {
+				refused = 1
+			}
+			return refused
+		}, want: 1,
+		d: pathDelta{}, ev: []evTag{}},
 	{name: "release/onesided/block-read-overlays-own-writes", on: onOne, mode: release,
-		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r+2, 77) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMReadBlock(r, 4)[2] }, want: 77,
+		prep: func(pe *PE, l, r uint64) { mustWrite(pe, r+2, 77) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustReadBlock(pe, r, 4)[2] }, want: 77,
 		d: pathDelta{remote: 1, direct: 1}, ev: tags(4, rd(release))},
 	// The release publication stays a message at a peer: a flush is one
 	// OpFlushV to r's home and a store in place at the own home (prep
 	// publishes what earlier rows left buffered first).
 	{name: "release/onesided/flush-stays-message", on: onOne, mode: release,
-		prep: func(pe *PE, l, r uint64) { pe.flushWC(pe.Now()); pe.GMWrite(r, 5); pe.GMWrite(l, 6) },
+		prep: func(pe *PE, l, r uint64) { pe.flushWC(pe.Now()); mustWrite(pe, r, 5); mustWrite(pe, l, 6) },
 		op: func(pe *PE, l, r uint64) int64 {
 			n := pe.k.Stats().MsgsSent
 			pe.flushWC(pe.Now())
@@ -286,49 +295,49 @@ var accessRows = []accessRow{
 	{name: "release/block-write-buffers", on: onMsg, mode: release,
 		op: func(pe *PE, l, r uint64) int64 {
 			n := pe.wc.Len()
-			pe.GMWriteBlock(min(l, r), span(64, 1))
+			mustWriteBlock(pe, min(l, r), span(64, 1))
 			return int64(pe.wc.Len() - n)
 		}, want: 64,
 		d: pathDelta{local: 1}, ev: tags(64, wr(release))},
 	{name: "release/block-read-overlays-own-writes", on: onMsg, mode: release,
-		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r+2, 77) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMReadBlock(r, 4)[2] }, want: 77,
+		prep: func(pe *PE, l, r uint64) { mustWrite(pe, r+2, 77) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustReadBlock(pe, r, 4)[2] }, want: 77,
 		d: pathDelta{remote: 1, msgs: 1}, ev: tags(4, rd(release))},
 	{name: "lease/block-read", on: onMsg, mode: lease,
-		op: func(pe *PE, l, r uint64) int64 { return pe.GMReadBlock(min(l, r), 64)[0] }, want: 0,
+		op: func(pe *PE, l, r uint64) int64 { return mustReadBlock(pe, min(l, r), 64)[0] }, want: 0,
 		// One own-home block (read fresh, not lease-served) and one fetched under
 		// a lease; which comes first depends on the allocation, so the tags of
 		// this cell are pinned by the single-block rows around it.
 		d: pathDelta{local: 1, remote: 1, msgs: 1}},
 	{name: "lease/block-read-hit", on: onMsg, mode: lease,
-		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMReadBlock(r, 8)[0] }, want: 0,
+		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustReadBlock(pe, r, 8)[0] }, want: 0,
 		d: pathDelta{local: 1}, ev: tags(8, rdC(lease))},
 	{name: "lease/block-write-drops-own-lease", on: onMsg, mode: lease,
-		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
-		op:   func(pe *PE, l, r uint64) int64 { pe.GMWriteBlock(r, span(4, 50)); return pe.GMRead(r + 1) }, want: 51,
+		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
+		op:   func(pe *PE, l, r uint64) int64 { mustWriteBlock(pe, r, span(4, 50)); return mustRead(pe, r+1) }, want: 51,
 		d: pathDelta{remote: 2, msgs: 2}, ev: append(tags(4, wr(lease)), rdC(lease))},
 	{name: "cached/block-write-goes-through-kernels", on: onCache, mode: cached,
 		op: func(pe *PE, l, r uint64) int64 {
-			pe.GMWriteBlock(min(l, r), span(64, 100))
-			return pe.GMRead(l) - int64(l-min(l, r))
+			mustWriteBlock(pe, min(l, r), span(64, 100))
+			return mustRead(pe, l) - int64(l-min(l, r))
 		}, want: 100,
 		d: pathDelta{local: 1, remote: 2, msgs: 3}, ev: append(tags(64, wr(strong)), rd(strong))},
 	{name: "cached/block-read-bypasses-cache", on: onCache, mode: cached,
-		prep: func(pe *PE, l, r uint64) { pe.GMRead(r) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMReadBlock(r, 4)[0] }, want: 0,
+		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustReadBlock(pe, r, 4)[0] }, want: 0,
 		d: pathDelta{remote: 1, msgs: 1}, ev: tags(4, rd(strong))},
 	{name: "cached/onesided/scatter-aggregates-through-kernels", on: onOne, mode: cached,
 		op: func(pe *PE, l, r uint64) int64 {
 			must(pe.GMScatterErr([]uint64{r, r + 1, l}, []int64{1, 2, 3}))
-			return pe.GMRead(r + 1)
+			return mustRead(pe, r+1)
 		}, want: 2,
 		// One vectored request to r's home, one scalar to the PE's own kernel
 		// (whose reply also leaves this node), then the read's block fetch.
 		d: pathDelta{remote: 4, msgs: 4}, ev: append(tags(3, wr(strong)), rd(strong))},
 	{name: "mixed-mode-gather-falls-back-to-words", on: onMsg, mode: release,
-		prep: func(pe *PE, l, r uint64) { pe.GMWrite(r, 6) },
-		op:   func(pe *PE, l, r uint64) int64 { return pe.GMGather([]uint64{r, l})[0] }, want: 6,
+		prep: func(pe *PE, l, r uint64) { mustWrite(pe, r, 6) },
+		op:   func(pe *PE, l, r uint64) int64 { return mustGather(pe, []uint64{r, l})[0] }, want: 6,
 		d: pathDelta{local: 2}, ev: []evTag{rd(release), rd(release)}},
 }
 
@@ -362,7 +371,7 @@ func TestAccessPipelineTable(t *testing.T) {
 				bw := uint64(pe.Space().BlockWords)
 				ls, rs := make([]uint64, len(rows)), make([]uint64, len(rows))
 				for i, row := range rows {
-					a := pe.AllocBlocksMode(int(2*bw), row.mode)
+					a := AllocArrayMode[int64](pe, int(2*bw), row.mode).Addr()
 					ls[i], rs[i] = a, a+bw
 					if pe.HomeOf(a) != 0 {
 						ls[i], rs[i] = a+bw, a
@@ -419,10 +428,10 @@ func TestAccessPipelineTable(t *testing.T) {
 }
 
 // TestPanickingFormsKeepErrorType pins the contract runPE's recover relies
-// on: every panicking Parallel-API form panics with the typed error of the
-// error-returning tier, so a failure reaches Result.Errs classifiable with
-// errors.As. Scalar, block and vectored reads against a killed home must each
-// surface *PeerDownError.
+// on: a program that panics with a GM error (must over the error forms, as
+// GMReadBlock and GMGather do) delivers that typed error to Result.Errs,
+// classifiable with errors.As. Scalar, block and vectored reads against a
+// killed home must each surface *PeerDownError.
 func TestPanickingFormsKeepErrorType(t *testing.T) {
 	cfg := simCfg(4)
 	cfg.RequestTimeout = 20 * sim.Millisecond
@@ -430,9 +439,9 @@ func TestPanickingFormsKeepErrorType(t *testing.T) {
 	cfg.PeerLossBudget = 4
 	cfg.Kills = []simnet.Kill{{Node: 3, At: 50 * sim.Millisecond}}
 	forms := []func(pe *PE, dead uint64){
-		func(pe *PE, dead uint64) { pe.GMRead(dead) },
-		func(pe *PE, dead uint64) { pe.GMReadBlock(dead, 4) },
-		func(pe *PE, dead uint64) { pe.GMGather([]uint64{dead, dead + 1}) },
+		func(pe *PE, dead uint64) { mustRead(pe, dead) },
+		func(pe *PE, dead uint64) { mustReadBlock(pe, dead, 4) },
+		func(pe *PE, dead uint64) { mustGather(pe, []uint64{dead, dead + 1}) },
 	}
 	res, err := Run(cfg, func(pe *PE) error {
 		dead := pe.AllocBlocks(4 * pe.Space().BlockWords)
@@ -504,21 +513,20 @@ func TestPanickingFormsKeepErrorType(t *testing.T) {
 }
 
 // TestPanickingFormsKeepNamespaceError: a bound PE straying outside its
-// namespace gets the typed *NamespaceError from all eight GM entry points,
-// through the panic, into Result.Errs: CASErr and GMScatterErr, which have no
-// panicking form, raise theirs through must like the six that have one.
+// namespace gets the typed *NamespaceError from all eight raw-address GM
+// forms, and a panic with it (must) carries it typed into Result.Errs.
 func TestPanickingFormsKeepNamespaceError(t *testing.T) {
 	forms := []struct {
 		op   string
 		call func(pe *PE, in, out uint64)
 	}{
-		{"read", func(pe *PE, in, out uint64) { pe.GMRead(out) }},
-		{"write", func(pe *PE, in, out uint64) { pe.GMWrite(out, 1) }},
-		{"fetch-add", func(pe *PE, in, out uint64) { pe.FetchAdd(out, 1) }},
+		{"read", func(pe *PE, in, out uint64) { mustRead(pe, out) }},
+		{"write", func(pe *PE, in, out uint64) { mustWrite(pe, out, 1) }},
+		{"fetch-add", func(pe *PE, in, out uint64) { mustFetchAdd(pe, out, 1) }},
 		{"cas", func(pe *PE, in, out uint64) { _, _, err := pe.CASErr(out, 0, 1); must(err) }},
-		{"read-block", func(pe *PE, in, out uint64) { pe.GMReadBlock(out-2, 4) }},
-		{"write-block", func(pe *PE, in, out uint64) { pe.GMWriteBlock(out-2, make([]int64, 4)) }},
-		{"gather", func(pe *PE, in, out uint64) { pe.GMGather([]uint64{in, out}) }},
+		{"read-block", func(pe *PE, in, out uint64) { mustReadBlock(pe, out-2, 4) }},
+		{"write-block", func(pe *PE, in, out uint64) { mustWriteBlock(pe, out-2, make([]int64, 4)) }},
+		{"gather", func(pe *PE, in, out uint64) { mustGather(pe, []uint64{in, out}) }},
 		{"scatter", func(pe *PE, in, out uint64) { must(pe.GMScatterErr([]uint64{in, out}, []int64{1, 2})) }},
 	}
 	cfg := simCfg(len(forms))

@@ -8,13 +8,13 @@ import (
 	"repro/internal/wire"
 )
 
-// The zero-allocation fast path: remote GMRead/GMWrite over the inproc
-// transport must stay allocation-free in steady state (the seed cost was 13
-// and 12 allocs/op respectively; pooled messages, pooled frame buffers and
-// the persistent reply mailbox removed all of them). The regression bound
-// is 1 alloc/op — far below the seed but tolerant of incidental runtime
-// noise under AllocsPerRun, which counts allocations on every goroutine,
-// including the remote kernel's.
+// The zero-allocation fast path: remote scalar reads, writes and fetch-adds
+// over the inproc transport must stay allocation-free in steady state (the
+// seed cost 13 allocs/op a read and 12 a write; pooled messages, pooled
+// frame buffers and the persistent reply mailbox removed all of them). The
+// regression bound is 1 alloc/op — far below the seed but tolerant of
+// incidental runtime noise under AllocsPerRun, which counts allocations on
+// every goroutine, including the remote kernel's.
 func TestRemoteWordOpsAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector defeats sync.Pool reuse")
@@ -26,18 +26,18 @@ func TestRemoteWordOpsAllocationFree(t *testing.T) {
 		}
 		pe.Barrier()
 		if pe.ID() == 0 {
-			readAllocs := testing.AllocsPerRun(2000, func() { pe.GMRead(addr) })
-			writeAllocs := testing.AllocsPerRun(2000, func() { pe.GMWrite(addr, 42) })
-			faAllocs := testing.AllocsPerRun(2000, func() { pe.FetchAdd(addr, 1) })
-			t.Logf("allocs/op: GMRead=%v GMWrite=%v FetchAdd=%v", readAllocs, writeAllocs, faAllocs)
+			readAllocs := testing.AllocsPerRun(2000, func() { mustRead(pe, addr) })
+			writeAllocs := testing.AllocsPerRun(2000, func() { mustWrite(pe, addr, 42) })
+			faAllocs := testing.AllocsPerRun(2000, func() { mustFetchAdd(pe, addr, 1) })
+			t.Logf("allocs/op: read=%v write=%v fetch-add=%v", readAllocs, writeAllocs, faAllocs)
 			if readAllocs > 1 {
-				t.Errorf("GMRead allocates %v/op, want <= 1", readAllocs)
+				t.Errorf("a read allocates %v/op, want <= 1", readAllocs)
 			}
 			if writeAllocs > 1 {
-				t.Errorf("GMWrite allocates %v/op, want <= 1", writeAllocs)
+				t.Errorf("a write allocates %v/op, want <= 1", writeAllocs)
 			}
 			if faAllocs > 1 {
-				t.Errorf("FetchAdd allocates %v/op, want <= 1", faAllocs)
+				t.Errorf("a fetch-add allocates %v/op, want <= 1", faAllocs)
 			}
 		}
 		pe.Barrier()
@@ -107,7 +107,7 @@ func TestGatherScatter(t *testing.T) {
 			must(pe.GMScatterErr(addrs, vals))
 		}
 		pe.Barrier()
-		got := pe.GMGather(addrs)
+		got := mustGather(pe, addrs)
 		for i, v := range got {
 			if v != int64(1000+i) {
 				return errAt(pe.ID(), i, v)
@@ -146,11 +146,11 @@ func TestBlockReadCoalescesPerHome(t *testing.T) {
 			for i := range ws {
 				ws[i] = int64(i)
 			}
-			pe.GMWriteBlock(base, ws)
+			mustWriteBlock(pe, base, ws)
 		}
 		pe.Barrier()
 		if pe.ID() == 1 {
-			got := pe.GMReadBlock(base, n)
+			got := mustReadBlock(pe, base, n)
 			for i, v := range got {
 				if v != int64(i) {
 					return errAt(1, i, v)

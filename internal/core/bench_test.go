@@ -54,7 +54,7 @@ func benchRemoteRead(b *testing.B, cfg Config) {
 		if pe.ID() == 0 {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pe.GMRead(addr)
+				mustRead(pe, addr)
 			}
 			b.StopTimer()
 		}
@@ -90,7 +90,7 @@ func spreadWords(pe *PE, home int) []uint64 {
 	}
 	if pe.ID() == 1 {
 		for k := uint64(0); k < blocks; k++ {
-			pe.GMWrite((first+2*k)*words, 1)
+			mustWrite(pe, (first+2*k)*words, 1)
 		}
 	}
 	return addrs
@@ -142,11 +142,11 @@ func BenchmarkGMWord(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						switch c.op {
 						case wire.OpRead:
-							pe.GMRead(addrs[i%len(addrs)])
+							mustRead(pe, addrs[i%len(addrs)])
 						case wire.OpWrite:
-							pe.GMWrite(addrs[0], int64(i))
+							mustWrite(pe, addrs[0], int64(i))
 						default:
-							pe.FetchAdd(addrs[0], 1)
+							mustFetchAdd(pe, addrs[0], 1)
 						}
 					}
 					b.StopTimer()
@@ -195,13 +195,13 @@ func BenchmarkGMRange(b *testing.B) {
 		{"block64", gmem.ModeStrong, 1, [2]wire.Op{wire.OpRead, wire.OpWrite}, [2]wire.Op{wire.OpReadResp, wire.OpWriteAck},
 			func(pe *PE, i int, block uint64, _ []uint64, vals []int64) {
 				if i%2 == 0 {
-					pe.GMReadBlock(block, words)
+					mustReadBlock(pe, block, words)
 				} else {
-					pe.GMWriteBlock(block, vals)
+					mustWriteBlock(pe, block, vals)
 				}
 			}},
 		{"gather64", gmem.ModeStrong, words, [2]wire.Op{wire.OpReadV}, [2]wire.Op{wire.OpReadVResp},
-			func(pe *PE, _ int, _ uint64, addrs []uint64, _ []int64) { pe.GMGather(addrs) }},
+			func(pe *PE, _ int, _ uint64, addrs []uint64, _ []int64) { mustGather(pe, addrs) }},
 		{"scatter64", gmem.ModeStrong, words, [2]wire.Op{wire.OpWriteV}, [2]wire.Op{wire.OpWriteAck},
 			func(pe *PE, _ int, _ uint64, addrs []uint64, vals []int64) { must(pe.GMScatterErr(addrs, vals)) }},
 		{"flush64", gmem.ModeRelease, words, [2]wire.Op{wire.OpFlushV}, [2]wire.Op{wire.OpWriteAck},
@@ -223,7 +223,7 @@ func BenchmarkGMRange(b *testing.B) {
 			b.Run(axis.name+"/"+c.name, func(b *testing.B) {
 				b.ReportAllocs()
 				res := runBenchProgram(b, cfg, 2, func(pe *PE) error {
-					base := pe.AllocBlocksMode(2*words*words, c.mode)
+					base := AllocArrayMode[int64](pe, 2*words*words, c.mode).Addr()
 					addrs, vals := make([]uint64, words), make([]int64, words)
 					for i := range addrs {
 						addrs[i] = base + uint64((2*i+1)*words+i) // odd blocks are PE 1's
@@ -313,9 +313,9 @@ func benchFanIn(b *testing.B, cfg Config, requesters int, mixed bool) {
 			for i := 0; i < each; i++ {
 				addr := base + uint64(i%fanInBlocks*p*bw+(i+id)%bw)
 				if mixed && i%4 == 3 {
-					pe.GMWrite(addr, int64(i))
+					mustWrite(pe, addr, int64(i))
 				} else {
-					pe.GMRead(addr)
+					mustRead(pe, addr)
 				}
 			}
 		}
@@ -367,7 +367,7 @@ func BenchmarkFetchAddPool(b *testing.B) {
 			b.ResetTimer()
 		}
 		for i := 0; i < b.N; i++ {
-			pe.FetchAdd(counter, 1)
+			mustFetchAdd(pe, counter, 1)
 		}
 		if pe.ID() == 0 {
 			b.StopTimer()

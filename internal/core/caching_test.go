@@ -18,11 +18,11 @@ func TestCachingBasicCoherence(t *testing.T) {
 	res, err := Run(cachingCfg(4), func(pe *PE) error {
 		base := pe.Alloc(256)
 		for i := pe.ID(); i < 256; i += pe.N() {
-			pe.GMWrite(base+uint64(i), int64(i))
+			mustWrite(pe, base+uint64(i), int64(i))
 		}
 		pe.Barrier()
 		for i := 0; i < 256; i++ {
-			if v := pe.GMRead(base + uint64(i)); v != int64(i) {
+			if v := mustRead(pe, base+uint64(i)); v != int64(i) {
 				return fmt.Errorf("PE %d: word %d = %d", pe.ID(), i, v)
 			}
 		}
@@ -40,20 +40,20 @@ func TestCachingInvalidatesStaleCopies(t *testing.T) {
 	res, err := Run(cachingCfg(2), func(pe *PE) error {
 		x := pe.Alloc(1)
 		if pe.ID() == 0 {
-			pe.GMWrite(x, 1)
+			mustWrite(pe, x, 1)
 		}
 		pe.Barrier()
 		// Both PEs read (and PE!=home caches) the value.
-		if v := pe.GMRead(x); v != 1 {
+		if v := mustRead(pe, x); v != 1 {
 			return fmt.Errorf("PE %d: initial read %d", pe.ID(), v)
 		}
 		pe.Barrier()
 		// PE 1 overwrites; PE 0's cached copy (if any) must be invalidated.
 		if pe.ID() == 1 {
-			pe.GMWrite(x, 2)
+			mustWrite(pe, x, 2)
 		}
 		pe.Barrier()
-		if v := pe.GMRead(x); v != 2 {
+		if v := mustRead(pe, x); v != 2 {
 			return fmt.Errorf("PE %d: stale read %d after remote write", pe.ID(), v)
 		}
 		return nil
@@ -76,7 +76,7 @@ func TestCachingRepeatReadsHitCache(t *testing.T) {
 			for remote = x; pe.Space().HomeOf(remote) == pe.ID(); remote++ {
 			}
 			for i := 0; i < 10; i++ {
-				pe.GMRead(remote)
+				mustRead(pe, remote)
 			}
 			hits, misses, _ := pe.CacheStats()
 			if misses == 0 || hits < 9 {
@@ -104,14 +104,14 @@ func TestCachingCutsRemoteTrafficOnReadHeavyWorkload(t *testing.T) {
 			base := pe.Alloc(64)
 			if pe.ID() == 0 {
 				for i := 0; i < 64; i++ {
-					pe.GMWrite(base+uint64(i), int64(i))
+					mustWrite(pe, base+uint64(i), int64(i))
 				}
 			}
 			pe.Barrier()
 			// Everyone re-reads the same shared table many times.
 			for rep := 0; rep < 20; rep++ {
 				for i := 0; i < 64; i++ {
-					if v := pe.GMRead(base + uint64(i)); v != int64(i) {
+					if v := mustRead(pe, base+uint64(i)); v != int64(i) {
 						return fmt.Errorf("bad value %d", v)
 					}
 				}
@@ -135,13 +135,13 @@ func TestCachingCutsRemoteTrafficOnReadHeavyWorkload(t *testing.T) {
 func TestCachingFetchAddInvalidates(t *testing.T) {
 	res, err := Run(cachingCfg(3), func(pe *PE) error {
 		x := pe.Alloc(1)
-		pe.GMRead(x) // everyone caches the block
+		mustRead(pe, x) // everyone caches the block
 		pe.Barrier()
 		if pe.ID() == 2 {
-			pe.FetchAdd(x, 5)
+			mustFetchAdd(pe, x, 5)
 		}
 		pe.Barrier()
-		if v := pe.GMRead(x); v != 5 {
+		if v := mustRead(pe, x); v != 5 {
 			return fmt.Errorf("PE %d: read %d after fetch-add, want 5", pe.ID(), v)
 		}
 		return nil
@@ -157,7 +157,7 @@ func TestCachingFetchAddInvalidates(t *testing.T) {
 func TestCachingCASInvalidates(t *testing.T) {
 	res, err := Run(cachingCfg(3), func(pe *PE) error {
 		x := pe.Alloc(1)
-		pe.GMRead(x)
+		mustRead(pe, x)
 		pe.Barrier()
 		if pe.ID() == 1 {
 			if _, ok, err := pe.CASErr(x, 0, 9); err != nil || !ok {
@@ -165,7 +165,7 @@ func TestCachingCASInvalidates(t *testing.T) {
 			}
 		}
 		pe.Barrier()
-		if v := pe.GMRead(x); v != 9 {
+		if v := mustRead(pe, x); v != 9 {
 			return fmt.Errorf("PE %d: read %d after CAS, want 9", pe.ID(), v)
 		}
 		return nil
@@ -200,12 +200,12 @@ func TestCachingRandomisedCoherence(t *testing.T) {
 					for w := 0; w < words; w++ {
 						owner := int(next() % uint64(pe.N()))
 						if owner == pe.ID() {
-							pe.GMWrite(base+uint64(w), int64(phase*1000+w))
+							mustWrite(pe, base+uint64(w), int64(phase*1000+w))
 						}
 					}
 					pe.Barrier()
 					for w := 0; w < words; w++ {
-						if v := pe.GMRead(base + uint64(w)); v != int64(phase*1000+w) {
+						if v := mustRead(pe, base+uint64(w)); v != int64(phase*1000+w) {
 							return fmt.Errorf("phase %d word %d: %d", phase, w, v)
 						}
 					}
@@ -239,15 +239,15 @@ func TestCachedBlockSharedWithStrongWord(t *testing.T) {
 		x := pe.AllocMode(1, gmem.ModeCached) // the word after y, in y's block
 		pe.Barrier()
 		if pe.ID() == 0 {
-			pe.GMRead(x)     // joins the block's copyset
-			pe.GMWrite(y, 1) // the home takes the copyset, sparing the writer
+			mustRead(pe, x)     // joins the block's copyset
+			mustWrite(pe, y, 1) // the home takes the copyset, sparing the writer
 		}
 		pe.Barrier()
 		if pe.ID() == 2 {
-			pe.GMWrite(x, 5)
+			mustWrite(pe, x, 5)
 		}
 		pe.Barrier()
-		if v := pe.GMRead(x); v != 5 {
+		if v := mustRead(pe, x); v != 5 {
 			return fmt.Errorf("PE %d read %d from the cached word, want 5", pe.ID(), v)
 		}
 		return nil

@@ -46,11 +46,11 @@ func TestGMRemoteReadWrite(t *testing.T) {
 		base := pe.Alloc(256) // spans all homes
 		// Each PE writes a distinct stripe, everyone reads everything back.
 		for i := pe.ID(); i < 256; i += pe.N() {
-			pe.GMWrite(base+uint64(i), int64(1000+i))
+			mustWrite(pe, base+uint64(i), int64(1000+i))
 		}
 		pe.Barrier()
 		for i := 0; i < 256; i++ {
-			if v := pe.GMRead(base + uint64(i)); v != int64(1000+i) {
+			if v := mustRead(pe, base+uint64(i)); v != int64(1000+i) {
 				return fmt.Errorf("PE %d: word %d = %d, want %d", pe.ID(), i, v, 1000+i)
 			}
 		}
@@ -66,10 +66,10 @@ func TestGMBlockOpsSpanHomes(t *testing.T) {
 			for i := range ws {
 				ws[i] = int64(i * 3)
 			}
-			pe.GMWriteBlock(base, ws)
+			mustWriteBlock(pe, base, ws)
 		}
 		pe.Barrier()
-		got := pe.GMReadBlock(base, 500)
+		got := mustReadBlock(pe, base, 500)
 		for i, v := range got {
 			if v != int64(i*3) {
 				return fmt.Errorf("PE %d: block word %d = %d", pe.ID(), i, v)
@@ -91,7 +91,7 @@ func TestFetchAddJobCounter(t *testing.T) {
 				counter := pe.Alloc(1)
 				var mine []int64
 				for {
-					j := pe.FetchAdd(counter, 1)
+					j := mustFetchAdd(pe, counter, 1)
 					if j >= jobs {
 						break
 					}
@@ -126,11 +126,11 @@ func TestBarrierOrdersPhases(t *testing.T) {
 	allTransports(t, 6, func(pe *PE) error {
 		flags := pe.Alloc(6)
 		for phase := 0; phase < 4; phase++ {
-			pe.GMWrite(flags+uint64(pe.ID()), int64(phase+1))
+			mustWrite(pe, flags+uint64(pe.ID()), int64(phase+1))
 			pe.Barrier()
 			// After the barrier, every PE must have finished its write.
 			for i := 0; i < 6; i++ {
-				if v := pe.GMRead(flags + uint64(i)); v != int64(phase+1) {
+				if v := mustRead(pe, flags+uint64(i)); v != int64(phase+1) {
 					return fmt.Errorf("PE %d phase %d: flag %d = %d", pe.ID(), phase, i, v)
 				}
 			}
@@ -149,10 +149,10 @@ func TestTreeBarrierMatchesCentral(t *testing.T) {
 			res, err := Run(cfg, func(pe *PE) error {
 				x := pe.Alloc(7)
 				for round := 0; round < 3; round++ {
-					pe.GMWrite(x+uint64(pe.ID()), int64(round))
+					mustWrite(pe, x+uint64(pe.ID()), int64(round))
 					pe.Barrier()
 					for i := 0; i < 7; i++ {
-						if v := pe.GMRead(x + uint64(i)); v != int64(round) {
+						if v := mustRead(pe, x+uint64(i)); v != int64(round) {
 							return fmt.Errorf("round %d: saw %d", round, v)
 						}
 					}
@@ -178,13 +178,13 @@ func TestLockMutualExclusion(t *testing.T) {
 		cell := pe.Alloc(1)
 		for i := 0; i < perPE; i++ {
 			pe.Lock(1)
-			v := pe.GMRead(cell)
+			v := mustRead(pe, cell)
 			pe.Compute(10)
-			pe.GMWrite(cell, v+1)
+			mustWrite(pe, cell, v+1)
 			pe.Unlock(1)
 		}
 		pe.Barrier()
-		if v := pe.GMRead(cell); v != int64(perPE*pe.N()) {
+		if v := mustRead(pe, cell); v != int64(perPE*pe.N()) {
 			return fmt.Errorf("counter = %d, want %d", v, perPE*pe.N())
 		}
 		return nil
@@ -195,12 +195,12 @@ func TestSemaphoreProducerConsumer(t *testing.T) {
 	allTransports(t, 2, func(pe *PE) error {
 		data := pe.Alloc(1)
 		if pe.ID() == 0 {
-			pe.GMWrite(data, 77)
+			mustWrite(pe, data, 77)
 			pe.SemPost(3)
 			return nil
 		}
 		pe.SemWait(3)
-		if v := pe.GMRead(data); v != 77 {
+		if v := mustRead(pe, data); v != 77 {
 			return fmt.Errorf("consumer saw %d before producer finished", v)
 		}
 		return nil
@@ -327,7 +327,7 @@ func TestDeterministicElapsedAcrossRuns(t *testing.T) {
 		res, err := Run(simCfg(5), func(pe *PE) error {
 			base := pe.Alloc(64)
 			for i := 0; i < 20; i++ {
-				pe.FetchAdd(base, 1)
+				mustFetchAdd(pe, base, 1)
 				pe.Compute(1000)
 			}
 			pe.Barrier()
@@ -349,9 +349,9 @@ func TestDeterministicElapsedAcrossRuns(t *testing.T) {
 func TestStatsAreCollected(t *testing.T) {
 	res, err := Run(simCfg(3), func(pe *PE) error {
 		base := pe.Alloc(64)
-		pe.GMWrite(base+uint64(pe.ID()), 1)
+		mustWrite(pe, base+uint64(pe.ID()), 1)
 		pe.Barrier()
-		pe.GMRead(base + uint64((pe.ID()+1)%3))
+		mustRead(pe, base+uint64((pe.ID()+1)%3))
 		pe.Compute(1e5)
 		return nil
 	})

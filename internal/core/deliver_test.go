@@ -34,7 +34,7 @@ func TestDeliverAppBypassesServeLoop(t *testing.T) {
 				pe.Barrier()
 				if pe.ID() == 0 {
 					for i := 0; i < reads; i++ {
-						pe.GMRead(addr)
+						mustRead(pe, addr)
 					}
 				}
 				pe.Barrier()

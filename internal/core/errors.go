@@ -2,12 +2,11 @@ package core
 
 import "fmt"
 
-// The reliability layer surfaces request failures as typed errors through the
-// *Err API tier (GMReadErr, GMWriteErr, FetchAddErr, CASErr, PingErr). The
-// classic panic tier (GMRead, GMWrite, the block and vectored operations, ...)
-// wraps that tier and panics with the error itself, so the failure reaches
-// Result.Errs with its type visible to errors.As and its original "timed out"
-// / "is down" / "shut down" text.
+// The reliability layer surfaces request failures as typed errors: an
+// Array's accesses (array.go) and the raw-address forms (GMReadErr,
+// GMWriteErr, FetchAddErr, CASErr, the block and vectored forms, PingErr)
+// return them, so a failure reaches the program classifiable with errors.As
+// and with its original "timed out" / "is down" / "shut down" text.
 
 // TimeoutError reports that a request exhausted its timeout (and, when
 // retries are configured, every retry attempt).
@@ -66,4 +65,20 @@ type NamespaceError struct {
 func (e *NamespaceError) Error() string {
 	return fmt.Sprintf("core: PE %d: %s at address %d outside namespace [%d,%d)",
 		e.PE, e.Op, e.Addr, e.Base, e.Limit)
+}
+
+// IndexError reports an Array access outside the array: Count elements from
+// Index do not fit in its Len. It is raised before the access pipeline runs,
+// so nothing is sent, recorded or changed.
+type IndexError struct {
+	PE    int    // requesting PE
+	Op    string // the refused operation
+	Index int
+	Count int
+	Len   int
+}
+
+func (e *IndexError) Error() string {
+	return fmt.Sprintf("core: PE %d: %s of %d elements at index %d outside an array of %d",
+		e.PE, e.Op, e.Count, e.Index, e.Len)
 }

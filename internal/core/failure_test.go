@@ -22,7 +22,7 @@ func TestSimnetTotalLossTimesOutCleanly(t *testing.T) {
 		base := pe.Alloc(64)
 		// Force a remote access from PE 1 to PE 0's segment.
 		if pe.ID() == 1 {
-			pe.GMWrite(base, 1) // block 0 homes at kernel 0
+			mustWrite(pe, base, 1) // block 0 homes at kernel 0
 		}
 		return nil
 	})
@@ -173,9 +173,9 @@ func TestRequestTimeoutHarmlessWhenHealthy(t *testing.T) {
 	cfg := Config{NumPE: 4, Platform: platform.SparcSunOS, Seed: 1, RequestTimeout: 10 * sim.Second}
 	res, err := Run(cfg, func(pe *PE) error {
 		base := pe.Alloc(32)
-		pe.GMWrite(base+uint64(pe.ID()), 1)
+		mustWrite(pe, base+uint64(pe.ID()), 1)
 		pe.Barrier()
-		if got := pe.GMRead(base + uint64((pe.ID()+1)%4)); got != 1 {
+		if got := mustRead(pe, base+uint64((pe.ID()+1)%4)); got != 1 {
 			return fmt.Errorf("read %d", got)
 		}
 		return nil

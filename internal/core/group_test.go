@@ -121,24 +121,24 @@ func jobScopeMember(pe *PE, region gmem.Region, cancel *atomic.Bool, used *uint6
 		return fmt.Errorf("rank %d: quota overrun raised %v, want *gmem.QuotaError", rank, err)
 	}
 	if rank == 0 {
-		pe.GMWrite(a, 42) // release mode: buffered until the barrier publishes it
+		mustWrite(pe, a, 42) // release mode: buffered until the barrier publishes it
 		if pe.wc.Len() != 1 {
 			return fmt.Errorf("rank 0: a release-mode write left %d words buffered, want 1", pe.wc.Len())
 		}
 	}
 	pe.BarrierID(1) // sized to the gang: PEs 0 and 2 never arrive
-	if v := pe.GMRead(a); v != 42 {
+	if v := mustRead(pe, a); v != 42 {
 		return fmt.Errorf("rank %d: read %d after the barrier, want 42", rank, v)
 	}
 	pe.BarrierID(2)
 	if rank == 0 {
-		pe.GMWrite(a, 43) // buffered into the job's region: EndJob drops it
+		mustWrite(pe, a, 43) // buffered into the job's region: EndJob drops it
 	}
 
 	cancel.Store(true)
 	var abort *JobAbortError
-	if err, _ := panicOf(func() { pe.GMRead(a) }).(error); !errors.As(err, &abort) || abort.Rank != rank {
-		return fmt.Errorf("rank %d: GMRead after Cancel raised %v, want *JobAbortError", rank, err)
+	if err, _ := panicOf(func() { mustRead(pe, a) }).(error); !errors.As(err, &abort) || abort.Rank != rank {
+		return fmt.Errorf("rank %d: a read after Cancel raised %v, want *JobAbortError", rank, err)
 	}
 	if err, _ := panicOf(func() { pe.Barrier() }).(error); !errors.As(err, &abort) {
 		return fmt.Errorf("rank %d: Barrier after Cancel raised %v, want *JobAbortError", rank, err)

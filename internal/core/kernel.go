@@ -480,8 +480,12 @@ func (k *Kernel) serve() {
 		// Copy the header before handle: for unconsumed messages ownership
 		// moves to another context (a mailbox) the moment handle returns.
 		op, src, seq, rcv := m.Op, m.Src, m.Seq, m.RecvAt
-		consumed := k.handle(m)
-		end := k.svc.Now()
+		// A GM service ends as its reply leaves (kernelShard.reply), any
+		// other as handle returns.
+		consumed, end := k.handle(m)
+		if end == 0 {
+			end = k.svc.Now()
+		}
 		if int(op) < wire.NumOps {
 			k.extra.ServiceByOp.Of(op).Observe(end - rcv)
 		}
@@ -552,9 +556,11 @@ func (k *Kernel) deliverApp(m *wire.Message) bool {
 // handle dispatches one incoming message. It reports whether the message
 // was consumed here (true → serve recycles it); false means ownership moved
 // to another context: a reply mailbox, the sync mailbox or a user queue.
-func (k *Kernel) handle(m *wire.Message) bool {
+// answered is when a GM request's reply left (dispatchGM), 0 for any other
+// message.
+func (k *Kernel) handle(m *wire.Message) (consumed bool, answered sim.Time) {
 	if k.deliverApp(m) {
-		return false
+		return false, 0
 	}
 	k.logMessage(m)
 	switch m.Op {
@@ -563,7 +569,7 @@ func (k *Kernel) handle(m *wire.Message) bool {
 	case wire.OpRead, wire.OpReadV, wire.OpWrite, wire.OpWriteV,
 		wire.OpFetchAdd, wire.OpCAS, wire.OpInvalidate, wire.OpInvAck,
 		wire.OpFlushV, wire.OpReadLease:
-		k.dispatchGM(m)
+		return true, k.dispatchGM(m)
 
 	// Synchronisation service. The one release that gets here is a tree
 	// barrier's (deliverApp took the others).
@@ -574,7 +580,7 @@ func (k *Kernel) handle(m *wire.Message) bool {
 	// Parallel process management (kernel 0 hosts the global table).
 	case wire.OpProcRegister:
 		if k.absorb(&k.dedup, &k.extra, m) != nil {
-			return true
+			return true, 0
 		}
 		gpid := k.procs.Register(m.Src, string(m.Data), k.svc.Now())
 		resp := wire.GetMessage()
@@ -582,7 +588,7 @@ func (k *Kernel) handle(m *wire.Message) bool {
 		k.reply(&k.dedup, m, resp)
 	case wire.OpProcExit:
 		if k.absorb(&k.dedup, &k.extra, m) != nil {
-			return true
+			return true, 0
 		}
 		if err := k.procs.Exit(m.Arg1, m.Arg2, k.svc.Now()); err != nil {
 			// Unknown or already-exited gpid: a duplicate that outlived the
@@ -602,7 +608,7 @@ func (k *Kernel) handle(m *wire.Message) bool {
 	// via RecvMsg, so the message is never recycled.
 	case wire.OpUserMsg:
 		k.userMb(m.Tag).Put(m)
-		return false
+		return false, 0
 
 	// Coordinated checkpoint: export this kernel's slice of global memory
 	// plus the coherence directory. The requesting PE is this kernel's own
@@ -623,7 +629,7 @@ func (k *Kernel) handle(m *wire.Message) bool {
 	// All serviced on the serial loop (they fence the shards themselves).
 	case wire.OpMigrateStart, wire.OpMigrateInstall, wire.OpJoin, wire.OpLeave:
 		if k.absorb(&k.dedup, &k.extra, m) != nil {
-			return true
+			return true, 0
 		}
 		switch m.Op {
 		case wire.OpMigrateStart:
@@ -660,7 +666,7 @@ func (k *Kernel) handle(m *wire.Message) bool {
 		// down. Count and drop.
 		k.extra.CorruptDrops++
 	}
-	return true
+	return true, 0
 }
 
 // serveSync is the synchronisation service's one entry point: every barrier,

@@ -378,7 +378,7 @@ func TestKernelUserQueuesAfterRelease(t *testing.T) {
 func TestKernelPendingResponseRouting(t *testing.T) {
 	_, ks := testKernels(t, 2, nil)
 	for i := 0; i < 2; i++ {
-		if consumed := ks[0].handle(&wire.Message{Op: wire.OpReadResp, Src: 1, Seq: 9}); consumed {
+		if consumed, _ := ks[0].handle(&wire.Message{Op: wire.OpReadResp, Src: 1, Seq: 9}); consumed {
 			t.Fatalf("reply %d was consumed by the serve loop", i)
 		}
 		if m, ok := ks[0].replyMb.Take(); !ok || m.Seq != 9 {

@@ -26,7 +26,7 @@ func TestJoinLatentPE(t *testing.T) {
 		base := pe.AllocBlocks(words)
 		pe.Barrier()
 		for i := pe.ID(); i < words; i += n {
-			pe.GMWrite(base+uint64(i), int64(i+1))
+			mustWrite(pe, base+uint64(i), int64(i+1))
 		}
 		pe.Barrier()
 		if pe.ID() == n-1 {
@@ -42,7 +42,7 @@ func TestJoinLatentPE(t *testing.T) {
 		}
 		pe.Barrier()
 		for i := 0; i < words; i++ {
-			if v := pe.GMRead(base + uint64(i)); v != int64(i+1) {
+			if v := mustRead(pe, base+uint64(i)); v != int64(i+1) {
 				return fmt.Errorf("PE %d after join: word %d = %d, want %d", pe.ID(), i, v, i+1)
 			}
 		}
@@ -60,11 +60,11 @@ func TestJoinLatentPE(t *testing.T) {
 		pe.Barrier()
 		// Post-join writes land at the new homes and stay exactly-once.
 		for i := pe.ID(); i < words; i += n {
-			pe.GMWrite(base+uint64(i), int64(2*i+1))
+			mustWrite(pe, base+uint64(i), int64(2*i+1))
 		}
 		pe.Barrier()
 		for i := 0; i < words; i++ {
-			if v := pe.GMRead(base + uint64(i)); v != int64(2*i+1) {
+			if v := mustRead(pe, base+uint64(i)); v != int64(2*i+1) {
 				return fmt.Errorf("PE %d post-join write: word %d = %d, want %d", pe.ID(), i, v, 2*i+1)
 			}
 		}
@@ -93,7 +93,7 @@ func TestLeaveRehomesBlocks(t *testing.T) {
 		base := pe.AllocBlocks(words)
 		pe.Barrier()
 		for i := pe.ID(); i < words; i += n {
-			pe.GMWrite(base+uint64(i), int64(i+1))
+			mustWrite(pe, base+uint64(i), int64(i+1))
 		}
 		pe.Barrier()
 		if pe.ID() == n-1 {
@@ -103,7 +103,7 @@ func TestLeaveRehomesBlocks(t *testing.T) {
 		}
 		pe.Barrier()
 		for i := 0; i < words; i++ {
-			if v := pe.GMRead(base + uint64(i)); v != int64(i+1) {
+			if v := mustRead(pe, base+uint64(i)); v != int64(i+1) {
 				return fmt.Errorf("PE %d after leave: word %d = %d, want %d", pe.ID(), i, v, i+1)
 			}
 		}
@@ -115,11 +115,11 @@ func TestLeaveRehomesBlocks(t *testing.T) {
 		pe.Barrier()
 		// The left PE keeps writing as a client.
 		for i := pe.ID(); i < words; i += n {
-			pe.GMWrite(base+uint64(i), int64(3*i+2))
+			mustWrite(pe, base+uint64(i), int64(3*i+2))
 		}
 		pe.Barrier()
 		for i := 0; i < words; i++ {
-			if v := pe.GMRead(base + uint64(i)); v != int64(3*i+2) {
+			if v := mustRead(pe, base+uint64(i)); v != int64(3*i+2) {
 				return fmt.Errorf("PE %d post-leave write: word %d = %d, want %d", pe.ID(), i, v, 3*i+2)
 			}
 		}
@@ -144,7 +144,7 @@ func TestMigrateRangeMovesBlocks(t *testing.T) {
 		pe.Barrier()
 		if pe.ID() == 0 {
 			for i := 0; i < words; i++ {
-				pe.GMWrite(base+uint64(i), int64(100+i))
+				mustWrite(pe, base+uint64(i), int64(100+i))
 			}
 			if err := pe.MigrateRange(base, 2, 1); err != nil {
 				return err
@@ -157,7 +157,7 @@ func TestMigrateRangeMovesBlocks(t *testing.T) {
 			}
 		}
 		for i := 0; i < words; i++ {
-			if v := pe.GMRead(base + uint64(i)); v != int64(100+i) {
+			if v := mustRead(pe, base+uint64(i)); v != int64(100+i) {
 				return fmt.Errorf("PE %d: word %d = %d, want %d", pe.ID(), i, v, 100+i)
 			}
 		}
@@ -230,7 +230,7 @@ func TestOwnHomeAccessDuringMigration(t *testing.T) {
 			cfg.RecordHistory = true
 			res, err := Run(cfg, func(pe *PE) error {
 				bw := uint64(pe.Space().BlockWords)
-				addr := pe.AllocBlocksMode(3*int(bw), c.mode)
+				addr := AllocArrayMode[int64](pe, 3*int(bw), c.mode).Addr()
 				for pe.HomeOf(addr) != 1 {
 					addr += bw
 				}
@@ -251,7 +251,7 @@ func TestOwnHomeAccessDuringMigration(t *testing.T) {
 				if h := pe.HomeOf(addr); h != 2 {
 					return fmt.Errorf("PE %d: block homed at %d after the migration, want 2", pe.ID(), h)
 				}
-				if v := pe.GMRead(addr); v != c.want {
+				if v := mustRead(pe, addr); v != c.want {
 					return fmt.Errorf("PE %d: word = %d after %d ops, want %d", pe.ID(), v, ops, c.want)
 				}
 				pe.Barrier()
@@ -344,7 +344,7 @@ func TestOwnHomeWriteDuringMigrationInproc(t *testing.T) {
 			return err
 		}
 		if pe.ID() == 1 {
-			if v := pe.GMRead(addr); v != last {
+			if v := mustRead(pe, addr); v != last {
 				return fmt.Errorf("word = %d after %d writes", v, last)
 			}
 		}
@@ -397,7 +397,7 @@ func TestInPlaceFetchAddDuringMigrationInproc(t *testing.T) {
 			return err
 		}
 		if pe.ID() == 0 {
-			if v := pe.GMRead(addr); v != adds {
+			if v := mustRead(pe, addr); v != adds {
 				return fmt.Errorf("word = %d after %d fetch-adds", v, adds)
 			}
 		}
@@ -886,7 +886,7 @@ func TestInstallPayloadOutlivesStartResponse(t *testing.T) {
 				pe.Barrier()
 				if pe.ID() == 0 {
 					for i := 0; i < words; i++ {
-						pe.GMWrite(base+uint64(i), int64(100+i))
+						mustWrite(pe, base+uint64(i), int64(100+i))
 					}
 				}
 				pe.Barrier()
@@ -897,7 +897,7 @@ func TestInstallPayloadOutlivesStartResponse(t *testing.T) {
 				}
 				pe.Barrier()
 				for i := 0; i < words; i++ {
-					if v := pe.GMRead(base + uint64(i)); v != int64(100+i) {
+					if v := mustRead(pe, base+uint64(i)); v != int64(100+i) {
 						return fmt.Errorf("PE %d: word %d = %d after the handoff, want %d", pe.ID(), i, v, 100+i)
 					}
 				}

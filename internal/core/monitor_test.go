@@ -106,11 +106,11 @@ func TestServeOnSender(t *testing.T) {
 					if pe.ID() != home {
 						a := words[pe.ID()]
 						for i := 0; i < n; i++ {
-							pe.GMWrite(a, int64(i))
-							if v := pe.GMRead(a); v != int64(i) {
+							mustWrite(pe, a, int64(i))
+							if v := mustRead(pe, a); v != int64(i) {
 								return fmt.Errorf("PE %d: read %d after writing %d", pe.ID(), v, i)
 							}
-							pe.FetchAdd(a, 1)
+							mustFetchAdd(pe, a, 1)
 						}
 					}
 					pe.Barrier()
@@ -185,11 +185,11 @@ func TestServiceSamplesPerRoundTrip(t *testing.T) {
 				if pe.ID() != home {
 					a := words[pe.ID()]
 					for i := 0; i < n; i++ {
-						pe.GMWrite(a, int64(i))
-						if v := pe.GMRead(a); v != int64(i) {
+						mustWrite(pe, a, int64(i))
+						if v := mustRead(pe, a); v != int64(i) {
 							return fmt.Errorf("PE %d: read %d after writing %d", pe.ID(), v, i)
 						}
-						if old := pe.FetchAdd(a, 1); old != int64(i) {
+						if old := mustFetchAdd(pe, a, 1); old != int64(i) {
 							return fmt.Errorf("PE %d: fetch-add found %d, want %d", pe.ID(), old, i)
 						}
 					}
@@ -264,7 +264,7 @@ func TestFirstSampleHistograms(t *testing.T) {
 		pe.Barrier()
 		if pe.ID() != home {
 			for i := 0; i < n; i++ {
-				pe.GMRead(words[pe.ID()])
+				mustRead(pe, words[pe.ID()])
 			}
 		}
 		pe.Barrier()
@@ -321,11 +321,11 @@ func TestTimedRoundTrips(t *testing.T) {
 					if pe.ID() != home {
 						a := words[pe.ID()]
 						for i := 0; i < k; i++ {
-							pe.GMWrite(a, int64(i))
-							pe.GMRead(a)
-							pe.FetchAdd(a, 1)
+							mustWrite(pe, a, int64(i))
+							mustRead(pe, a)
+							mustFetchAdd(pe, a, 1)
 						}
-						pe.GMGather(gather)
+						mustGather(pe, gather)
 					}
 					pe.Barrier()
 					return nil
@@ -398,7 +398,7 @@ func TestMonitorSimTakesNoLock(t *testing.T) {
 	}
 	runWithin(t, time.Minute, cfg, func(pe *PE) error {
 		a := remoteWord(pe)
-		pe.GMWrite(a, 1)
+		mustWrite(pe, a, 1)
 		pe.Barrier()
 		return nil
 	})
@@ -464,14 +464,14 @@ func TestMonitorInvalidateUnderLock(t *testing.T) {
 				for r := 1; r <= rounds; r++ {
 					for b := range blocks { // cache every block here
 						for who := 0; who < pe.N(); who++ {
-							if v := pe.GMRead(slot(b, who)); v != int64(r-1) {
+							if v := mustRead(pe, slot(b, who)); v != int64(r-1) {
 								return fmt.Errorf("PE %d round %d: slot (%d,%d) = %d", pe.ID(), r, b, who, v)
 							}
 						}
 					}
 					pe.Barrier()
 					for b := range blocks {
-						pe.GMWrite(slot(b, pe.ID()), int64(r))
+						mustWrite(pe, slot(b, pe.ID()), int64(r))
 					}
 					pe.Barrier()
 				}
@@ -504,7 +504,7 @@ func TestCachedBesideOneSided(t *testing.T) {
 				bw := pe.Space().BlockWords
 				regions := []uint64{ // one block per home each
 					pe.AllocBlocks(pe.N() * bw),
-					pe.AllocBlocksMode(pe.N()*bw, gmem.ModeCached),
+					AllocArrayMode[int64](pe, pe.N()*bw, gmem.ModeCached).Addr(),
 				}
 				slot := func(base uint64, b, who int) uint64 { return base + uint64(b*bw+who) }
 				pe.Barrier()
@@ -512,7 +512,7 @@ func TestCachedBesideOneSided(t *testing.T) {
 					for _, base := range regions {
 						for b := 0; b < pe.N(); b++ {
 							for who := 0; who < pe.N(); who++ {
-								if v := pe.GMRead(slot(base, b, who)); v != int64(r-1) {
+								if v := mustRead(pe, slot(base, b, who)); v != int64(r-1) {
 									return fmt.Errorf("PE %d round %d: slot (%d,%d) of region %d = %d", pe.ID(), r, b, who, base, v)
 								}
 							}
@@ -521,7 +521,7 @@ func TestCachedBesideOneSided(t *testing.T) {
 					pe.Barrier()
 					for _, base := range regions {
 						for b := 0; b < pe.N(); b++ {
-							pe.GMWrite(slot(base, b, pe.ID()), int64(r))
+							mustWrite(pe, slot(base, b, pe.ID()), int64(r))
 						}
 					}
 					pe.Barrier()
@@ -575,14 +575,14 @@ func TestMonitorContendedShard(t *testing.T) {
 					if pe.ID() != 0 {
 						mine := make([]int64, each)
 						for i := range mine {
-							mine[i] = pe.FetchAdd(ctr, 1)
+							mine[i] = mustFetchAdd(pe, ctr, 1)
 						}
 						mu.Lock()
 						olds = append(olds, mine...)
 						mu.Unlock()
 					}
 					pe.Barrier()
-					if v := pe.GMRead(ctr); v != requesters*each {
+					if v := mustRead(pe, ctr); v != requesters*each {
 						return fmt.Errorf("PE %d: counter = %d, want %d", pe.ID(), v, requesters*each)
 					}
 					pe.Barrier()
@@ -639,7 +639,7 @@ func TestMonitorMigrationUnderInlineService(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if v := pe.GMRead(ctr); v != 2*each {
+		if v := mustRead(pe, ctr); v != 2*each {
 			return fmt.Errorf("PE %d: counter = %d after %d migrations, want %d", pe.ID(), v, hops, 2*each)
 		}
 		pe.Barrier()
@@ -702,7 +702,7 @@ func TestMonitorGatherUnderWriterStorm(t *testing.T) {
 				for i, b := range bases {
 					addrs[i] = b + uint64((r+i)%bw)
 				}
-				got := append(pe.GMGather(addrs), pe.GMReadBlock(bases[r%blocks], bw)...)
+				got := append(mustGather(pe, addrs), mustReadBlock(pe, bases[r%blocks], bw)...)
 				for _, v := range got {
 					if !stored(v) {
 						bad = fmt.Errorf("round %d read %#x, a word no writer stored", r, v)
@@ -719,7 +719,7 @@ func TestMonitorGatherUnderWriterStorm(t *testing.T) {
 				for j := range words {
 					words[j] = int64(i)<<8 | 1
 				}
-				pe.GMWriteBlock(bases[i%blocks], words)
+				mustWriteBlock(pe, bases[i%blocks], words)
 			}
 		case 2:
 			vals := make([]int64, blocks)

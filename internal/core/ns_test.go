@@ -104,33 +104,18 @@ func TestNamespacePEGuardOneSidedPaths(t *testing.T) {
 		if err := pe.GMWriteErr(outside, 7); !errors.As(err, &nsErr) {
 			t.Errorf("one-sided write outside namespace: got %v, want *NamespaceError", err)
 		}
-		// Block/gather tiers panic with the same typed value.
-		func() {
-			defer func() {
-				r := recover()
-				err, ok := r.(error)
-				if !ok || !errors.As(err, &nsErr) {
-					t.Errorf("block read outside namespace: panic %v, want *NamespaceError", r)
-				}
-			}()
-			pe.GMReadBlock(outside, 4)
-		}()
-		func() {
-			defer func() {
-				r := recover()
-				err, ok := r.(error)
-				if !ok || !errors.As(err, &nsErr) {
-					t.Errorf("gather outside namespace: panic %v, want *NamespaceError", r)
-				}
-			}()
-			pe.GMGather([]uint64{region.Base, outside})
-		}()
+		if _, err := pe.GMReadBlockErr(outside, 4); !errors.As(err, &nsErr) {
+			t.Errorf("block read outside namespace: got %v, want *NamespaceError", err)
+		}
+		if _, err := pe.GMGatherErr([]uint64{region.Base, outside}); !errors.As(err, &nsErr) {
+			t.Errorf("gather outside namespace: got %v, want *NamespaceError", err)
+		}
 		// In-region traffic still flows through the one-sided paths.
 		for i := uint64(0); i < 8; i++ {
-			pe.GMWrite(region.Base+i, int64(i+1))
+			mustWrite(pe, region.Base+i, int64(i+1))
 		}
 		for i := uint64(0); i < 8; i++ {
-			if v := pe.GMRead(region.Base + i); v != int64(i+1) {
+			if v := mustRead(pe, region.Base+i); v != int64(i+1) {
 				t.Errorf("in-region word %d = %d", i, v)
 			}
 		}

@@ -170,14 +170,6 @@ func (pe *PE) AllocMode(n int, m gmem.Mode) uint64 {
 	return addr
 }
 
-// AllocBlocksMode is AllocBlocks under the given consistency mode.
-func (pe *PE) AllocBlocksMode(n int, m gmem.Mode) uint64 {
-	pe.checkMode(m)
-	addr := pe.alloc.AllocBlocks(n)
-	pe.modes.Set(addr, n, m)
-	return addr
-}
-
 func (pe *PE) checkMode(m gmem.Mode) {
 	if m == gmem.ModeCached && !pe.k.dir.Static() {
 		panic(fmt.Errorf("core: PE %d: %w", pe.k.id, errCachedElastic))

@@ -418,15 +418,18 @@ func (pe *PE) GMGatherErr(addrs []uint64) ([]int64, error) {
 
 // GMScatterErr stores vals[i] at addrs[i] for every i. All addresses homed at
 // one kernel travel in a single vectored request; copies of touched blocks
-// that cached-mode readers hold are invalidated like GMWrite does.
+// that cached-mode readers hold are invalidated like GMWriteErr does. A
+// length mismatch is an error, and nothing is stored.
 func (pe *PE) GMScatterErr(addrs []uint64, vals []int64) error {
 	if len(addrs) != len(vals) {
-		panic("core: GMScatterErr length mismatch")
+		return fmt.Errorf("core: PE %d: scatter of %d values to %d addresses", pe.k.id, len(vals), len(addrs))
 	}
 	return pe.rangeOp("scatter", check.KindWrite, 0, addrs, vals)
 }
 
-// GMReadBlock is GMReadBlockErr, panicking on failure.
+// GMReadBlock is GMReadBlockErr, panicking on failure. It, GMWriteBlock and
+// GMGather remain for the benchmark module's op-load driver only; programs
+// use an Array or the error forms.
 func (pe *PE) GMReadBlock(addr uint64, n int) []int64 {
 	out, err := pe.GMReadBlockErr(addr, n)
 	must(err)
@@ -441,23 +444,4 @@ func (pe *PE) GMGather(addrs []uint64) []int64 {
 	out, err := pe.GMGatherErr(addrs)
 	must(err)
 	return out
-}
-
-// GMReadBlockF reads n float64 values starting at addr.
-func (pe *PE) GMReadBlockF(addr uint64, n int) []float64 {
-	ws := pe.GMReadBlock(addr, n)
-	fs := make([]float64, len(ws))
-	for i, w := range ws {
-		fs[i] = gmem.W2F(w)
-	}
-	return fs
-}
-
-// GMWriteBlockF stores float64 values starting at addr.
-func (pe *PE) GMWriteBlockF(addr uint64, vs []float64) {
-	ws := make([]int64, len(vs))
-	for i, v := range vs {
-		ws[i] = gmem.F2W(v)
-	}
-	pe.GMWriteBlock(addr, ws)
 }

@@ -49,7 +49,7 @@ func recoverProgram(killAt sim.Time) core.Program {
 
 		// 3 blocks x 32 words: homes 0, 1, 2 under the block-cyclic map,
 		// so the victim (PE 2) owns real data that must be redistributed.
-		base := pe.AllocBlocks(96)
+		base := core.AllocArray[int64](pe, 96)
 
 		if restored {
 			if want := []byte{42, byte(pe.ID())}; !bytes.Equal(blob, want) {
@@ -61,19 +61,23 @@ func recoverProgram(killAt sim.Time) core.Program {
 			if e := pe.CheckpointEpoch(); e != 1 {
 				return fmt.Errorf("PE %d: checkpoint epoch %d, want 1", pe.ID(), e)
 			}
-			if v := pe.GMRead(base + 5); v != 1234 {
-				return fmt.Errorf("PE %d: word on home 0 = %d after restore, want 1234", pe.ID(), v)
+			if v, err := base.Load(5); v != 1234 || err != nil {
+				return fmt.Errorf("PE %d: word on home 0 = %d (%v) after restore, want 1234", pe.ID(), v, err)
 			}
-			if v := pe.GMRead(base + 70); v != 5678 {
-				return fmt.Errorf("PE %d: word on home 2 = %d after restore, want 5678", pe.ID(), v)
+			if v, err := base.Load(70); v != 5678 || err != nil {
+				return fmt.Errorf("PE %d: word on home 2 = %d (%v) after restore, want 5678", pe.ID(), v, err)
 			}
 			pe.Barrier()
 			return nil
 		}
 
 		if pe.ID() == 0 {
-			pe.GMWrite(base+5, 1234)  // block 0, home 0
-			pe.GMWrite(base+70, 5678) // block 2, home 2 — the victim's slice
+			if err := base.Store(5, 1234); err != nil { // block 0, home 0
+				return err
+			}
+			if err := base.Store(70, 5678); err != nil { // block 2, home 2 — the victim's slice
+				return err
+			}
 		}
 		pe.Barrier()
 		if err := pe.Checkpoint(); err != nil {
@@ -84,9 +88,11 @@ func recoverProgram(killAt sim.Time) core.Program {
 		// every survivor eventually touches a dead kernel (or, for the
 		// victim, sends into its own closed station) and aborts. The time
 		// bound catches the one pairing (0 -> 1) that never fails.
-		remote := base + uint64(((pe.ID()+1)%3)*32)
+		remote := ((pe.ID() + 1) % 3) * 32
 		for pe.Now() < 4*killAt {
-			_ = pe.GMRead(remote)
+			if _, err := base.Load(remote); err != nil {
+				return err
+			}
 		}
 		pe.Barrier()
 		return nil
@@ -166,27 +172,31 @@ func TestRecoveryRebindsDirectReadAndRings(t *testing.T) {
 
 	res, rep, err := core.RunWithRecovery(cfg, 3, func(pe *core.PE) error {
 		restored := pe.RegisterCheckpoint(func() []byte { return nil }, func([]byte) {})
-		base := pe.AllocBlocks(96)
-		remote := base + uint64(((pe.ID()+1)%3)*32) // next rank's home
+		base := core.AllocArray[int64](pe, 96)
+		remote := ((pe.ID() + 1) % 3) * 32 // next rank's home
 
 		if restored {
 			// Snapshot state must be visible through the rebound window...
-			if v := pe.GMRead(base + 5); v != 1234 {
-				return fmt.Errorf("PE %d: restored word = %d, want 1234", pe.ID(), v)
+			if v, err := base.Load(5); v != 1234 || err != nil {
+				return fmt.Errorf("PE %d: restored word = %d (%v), want 1234", pe.ID(), v, err)
 			}
 			// ...and fresh writes must be stored into the re-imported
 			// segments, read back one-sidedly.
-			addr := remote + uint64(pe.ID())
-			pe.GMWrite(addr, int64(100+pe.ID()))
-			if v := pe.GMRead(addr); v != int64(100+pe.ID()) {
-				return fmt.Errorf("PE %d: one-sided write read back %d, want %d", pe.ID(), v, 100+pe.ID())
+			i := remote + pe.ID()
+			if err := base.Store(i, int64(100+pe.ID())); err != nil {
+				return err
+			}
+			if v, err := base.Load(i); v != int64(100+pe.ID()) || err != nil {
+				return fmt.Errorf("PE %d: one-sided write read back %d (%v), want %d", pe.ID(), v, err, 100+pe.ID())
 			}
 			pe.Barrier()
 			return nil
 		}
 
 		if pe.ID() == 0 {
-			pe.GMWrite(base+5, 1234) // block 0, home 0
+			if err := base.Store(5, 1234); err != nil { // block 0, home 0
+				return err
+			}
 		}
 		pe.Barrier()
 		if err := pe.Checkpoint(); err != nil {
@@ -194,7 +204,9 @@ func TestRecoveryRebindsDirectReadAndRings(t *testing.T) {
 		}
 		// March into the kill (see recoverProgram).
 		for pe.Now() < 4*killAt {
-			_ = pe.GMRead(remote)
+			if _, err := base.Load(remote); err != nil {
+				return err
+			}
 		}
 		pe.Barrier()
 		return nil
@@ -230,9 +242,11 @@ func TestCheckpointCountersAndStore(t *testing.T) {
 
 	res, rep, err := core.RunWithRecovery(cfg, 1, func(pe *core.PE) error {
 		pe.RegisterCheckpoint(func() []byte { return []byte("s") }, func([]byte) {})
-		base := pe.AllocBlocks(96)
+		base := core.AllocArray[int64](pe, 96)
 		for round := 0; round < 3; round++ {
-			pe.GMWrite(base+uint64(pe.ID()), int64(round))
+			if err := base.Store(pe.ID(), int64(round)); err != nil {
+				return err
+			}
 			pe.Barrier()
 			if err := pe.Checkpoint(); err != nil {
 				return err
@@ -378,10 +392,12 @@ func TestRecoveryRejectsMisplacedBlock(t *testing.T) {
 			const killAt = sim.Time(1 * sim.Second)
 			cfg := recoverConfig(t, store, []simnet.Kill{{Node: 2, At: sim.Duration(killAt)}})
 			_, rep, err := core.RunWithRecovery(cfg, 3, func(pe *core.PE) error {
-				base := pe.AllocBlocks(96)
-				remote := base + uint64(((pe.ID()+1)%3)*32)
+				base := core.AllocArray[int64](pe, 96)
+				remote := ((pe.ID() + 1) % 3) * 32
 				for pe.Now() < 4*killAt {
-					_ = pe.GMRead(remote)
+					if _, err := base.Load(remote); err != nil {
+						return err
+					}
 				}
 				pe.Barrier()
 				return nil

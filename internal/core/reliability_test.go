@@ -192,7 +192,7 @@ func TestMalformedReadReplyIsDropped(t *testing.T) {
 			home.mangle = func(m *wire.Message) { sent = m.Op; tc.mangle(m) }
 			k0, k1 := newKernel(0, net.Node(0), &cfg), newKernel(1, home, &cfg)
 			pe := newPE(k0)
-			addr := pe.AllocBlocksMode(2*cfg.GMBlockWords, tc.mode)
+			addr := AllocArrayMode[int64](pe, 2*cfg.GMBlockWords, tc.mode).Addr()
 			if pe.HomeOf(addr) != 1 {
 				addr += uint64(cfg.GMBlockWords)
 			}

@@ -40,10 +40,11 @@ func (pe *PE) request(dst int, m *wire.Message) *wire.Message {
 	return resp
 }
 
-// must is the whole of every panicking Parallel-API form: the error of the
-// error-returning tier underneath, raised as a panic with its type intact —
-// runPE turns it into the PE's Result.Errs entry, so callers still classify
-// the failure with errors.As.
+// must raises the error of the error-returning tier underneath as a panic
+// with its type intact, for the calls that report failure by panicking
+// (request, the three panicking range forms, a job's abort) — runPE turns it
+// into the PE's Result.Errs entry, so callers still classify the failure
+// with errors.As.
 func must(err error) {
 	if err != nil {
 		panic(err)

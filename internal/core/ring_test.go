@@ -23,14 +23,14 @@ func TestRingWriteFastPath(t *testing.T) {
 		pe.Barrier()
 		// Each PE writes a disjoint scalar stride spanning every home.
 		for i := pe.ID(); i < words; i += n {
-			pe.GMWrite(base+uint64(i), int64(i+1))
+			mustWrite(pe, base+uint64(i), int64(i+1))
 			if pe.HomeOf(base+uint64(i)) != pe.ID() {
 				remote.Add(1)
 			}
 		}
 		pe.Barrier()
 		for i := 0; i < words; i++ {
-			if v := pe.GMRead(base + uint64(i)); v != int64(i+1) {
+			if v := mustRead(pe, base+uint64(i)); v != int64(i+1) {
 				return fmt.Errorf("PE %d: word %d = %d", pe.ID(), i, v)
 			}
 		}
@@ -55,7 +55,7 @@ func TestRingWriteFastPath(t *testing.T) {
 
 // TestMonitorRingWritersSingleShard has several PEs store into the one shard
 // of one home, on a real transport, each under the stripe lock of its word.
-// Every write must be a store in place and be visible when GMWrite returns.
+// Every write must be a store in place and be visible when it returns.
 // (A single-shard kernel on a real transport used to refuse one-sided
 // writes: it had no worker loop to apply them.)
 func TestMonitorRingWritersSingleShard(t *testing.T) {
@@ -68,8 +68,8 @@ func TestMonitorRingWritersSingleShard(t *testing.T) {
 		pe.Barrier()
 		if pe.ID() != 0 {
 			for i := int64(1); i <= writes; i++ {
-				pe.GMWrite(mine, i)
-				if v := pe.GMRead(mine); v != i {
+				mustWrite(pe, mine, i)
+				if v := mustRead(pe, mine); v != i {
 					return fmt.Errorf("PE %d: read %d right after writing %d", pe.ID(), v, i)
 				}
 			}
@@ -104,8 +104,8 @@ func TestOneSidedStoreExactlyOnce(t *testing.T) {
 		inPlace   func(pe *PE, addr uint64)
 		want      int64
 	}{
-		{wire.OpWrite, wire.OpWriteAck, func(pe *PE, addr uint64) { pe.GMWrite(addr, sentinel) }, sentinel},
-		{wire.OpFetchAdd, wire.OpFetchAddResp, func(pe *PE, addr uint64) { pe.FetchAdd(addr, sentinel) }, 7 + sentinel},
+		{wire.OpWrite, wire.OpWriteAck, func(pe *PE, addr uint64) { mustWrite(pe, addr, sentinel) }, sentinel},
+		{wire.OpFetchAdd, wire.OpFetchAddResp, func(pe *PE, addr uint64) { mustFetchAdd(pe, addr, sentinel) }, 7 + sentinel},
 	} {
 		t.Run(c.op.String(), func(t *testing.T) {
 			res := runWithin(t, time.Minute, Config{
@@ -138,7 +138,7 @@ func TestOneSidedStoreExactlyOnce(t *testing.T) {
 					}
 					wire.PutMessage(pe.one[0].resp)
 					wire.PutMessage(req)
-					if v := pe.GMRead(addr); v != c.want {
+					if v := mustRead(pe, addr); v != c.want {
 						return fmt.Errorf("retry of seq %d re-applied: word = %d, want %d", req.Seq, v, c.want)
 					}
 				}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/gmem"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -60,6 +61,7 @@ type kernelShard struct {
 	wscratch []int64      // payload words
 	stale    []gmem.Copy  // cached copies the request being served made stale
 	resp     wire.Message // the reply the handler is building (reply)
+	answered sim.Time     // when reply answered the request being served (0: not yet)
 }
 
 // locRun is one run of the request a shard is serving, decoded, located and
@@ -118,18 +120,23 @@ func (k *Kernel) shardFor(m *wire.Message) int {
 }
 
 // dispatchGM services one GM request the serve loop received, under the lock
-// of the shard it routes to. A message shardFor cannot route is dropped as
-// corrupt — the requester's timeout/retry machinery owns recovery.
-func (k *Kernel) dispatchGM(m *wire.Message) {
+// of the shard it routes to, and returns when its reply left (0 if none did,
+// or the transport is simulated; see reply). A message shardFor cannot route
+// is dropped as corrupt — the requester's timeout/retry machinery owns
+// recovery.
+func (k *Kernel) dispatchGM(m *wire.Message) sim.Time {
 	s := k.shardFor(m)
 	if s < 0 {
 		k.extra.CorruptDrops++
-		return
+		return 0
 	}
 	sh := k.shards[s]
 	sh.lock()
+	sh.answered = 0
 	sh.handleGM(m)
+	end := sh.answered
 	sh.unlock()
+	return end
 }
 
 // serveOnSender is the inproc half of the node's sink: a leaf GM request an
@@ -181,6 +188,7 @@ func servedOnSender(op wire.Op) bool {
 func (sh *kernelShard) serve(m *wire.Message) {
 	sh.lock()
 	defer sh.unlock()
+	sh.answered = 0
 	sh.handleGM(m)
 	sh.extra.ShardedMsgs++
 	h := sh.extra.ServiceByOp.Of(m.Op)
@@ -188,7 +196,10 @@ func (sh *kernelShard) serve(m *wire.Message) {
 		h.Tally()
 		return
 	}
-	end := sh.k.svc.Now()
+	end := sh.answered
+	if end == 0 {
+		end = sh.k.svc.Now()
+	}
 	h.Observe(end - m.RecvAt)
 	if sh.spans != nil && sh.spans.Sampled() {
 		sh.spans.Record(trace.Span{
@@ -442,11 +453,21 @@ func (sh *kernelShard) handleRead(m *wire.Message) {
 }
 
 // reply sends sh.resp, the answer a handler built, to the requester of m and
-// empties it for the next request. The shard's monitor guards it like the rest
+// empties it for the next request. On a real transport it first stamps
+// sh.answered, the end of m's service if m's service is timed (Kernel.serve
+// and serve read it): the requester may close its round trip before Send
+// returns, so a clock read after the handler, by a context descheduled in
+// between, could outlast the round trip that contains the service. On
+// simnet the clock moves only by charges, so the read after the handler is
+// the instant the reply left, its send charge included. The shard's monitor
+// guards it like the rest
 // of the handler scratch: the transport keeps nothing of it once Send has
 // returned, and the dedup window keeps its own copy of a mutation's answer,
 // which is what a duplicate is answered from (absorb).
 func (sh *kernelShard) reply(m *wire.Message) {
+	if m.RecvAt != 0 && !sh.k.simulated {
+		sh.answered = sh.k.svc.Now()
+	}
 	sh.k.respond(&sh.dedup, m, &sh.resp)
 	sh.resp.Reset()
 }

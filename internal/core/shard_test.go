@@ -81,7 +81,7 @@ func TestShardForRouting(t *testing.T) {
 	// there: kernel 2 caches block 0 (a cached-mode block fetch), kernel 1
 	// writes into it.
 	fetch := &wire.Message{Op: wire.OpRead, Src: 2, Dst: 0, Seq: 1, Arg1: 1, Arg2: 1}
-	if !k.handle(fetch) {
+	if consumed, _ := k.handle(fetch); !consumed {
 		t.Fatal("block fetch not consumed")
 	}
 	wire.PutMessage(replyFrom(t, ks[2]))
@@ -112,7 +112,7 @@ func TestShardForRouting(t *testing.T) {
 		}
 		wv := &wire.Message{Op: wire.OpWriteV, Src: 7, Dst: 0, Seq: 1, Arg1: 1}
 		wv.AppendWriteRun(3*bw, []int64{77})
-		if !kk.handle(wv) {
+		if consumed, _ := kk.handle(wv); !consumed {
 			t.Fatal("OpWriteV from a forged Src not consumed")
 		}
 		if got := kk.seg.Read(3*bw, 1)[0]; got != 0 || kk.extra.CorruptDrops != 1 {
@@ -138,7 +138,7 @@ func TestTCPNodesServeRanges(t *testing.T) {
 		bw := pe.Space().BlockWords
 		blocks := homedAt(pe, 1, 8)
 		var rel []uint64 // a word in each of four release-mode blocks homed at node 1
-		for a := pe.AllocBlocksMode(4*pe.N()*bw, gmem.ModeRelease); len(rel) < 4; a += uint64(bw) {
+		for a := AllocArrayMode[int64](pe, 4*pe.N()*bw, gmem.ModeRelease).Addr(); len(rel) < 4; a += uint64(bw) {
 			if pe.Space().HomeOf(a) == 1 {
 				rel = append(rel, a)
 			}
@@ -177,7 +177,7 @@ func TestTCPNodesServeRanges(t *testing.T) {
 		pe.Barrier() // the release flush of node 0's buffered writes
 		if pe.ID() == 1 {
 			for i, b := range rel {
-				if v := pe.GMRead(b); v != int64(7+i) {
+				if v := mustRead(pe, b); v != int64(7+i) {
 					fail(fmt.Errorf("released word %d = %d after the flush, want %d", b, v, 7+i))
 				}
 			}
@@ -230,10 +230,10 @@ func TestShardRangeOneRequestPerHome(t *testing.T) {
 				addrs[i], vals[i] = blocks[i%len(blocks)]+uint64(i/len(blocks)), int64(i+1)
 			}
 			must(pe.GMScatterErr(addrs, vals))
-			if got := pe.GMGather(addrs); !slices.Equal(got, vals) {
+			if got := mustGather(pe, addrs); !slices.Equal(got, vals) {
 				return fmt.Errorf("gather = %v, want %v", got, vals)
 			}
-			pe.GMReadBlock(blocks[0], int(blocks[len(blocks)-1]-blocks[0])+bw)
+			mustReadBlock(pe, blocks[0], int(blocks[len(blocks)-1]-blocks[0])+bw)
 		}
 		pe.Barrier()
 		return nil
@@ -291,8 +291,8 @@ func TestServingModelByTransport(t *testing.T) {
 					res := runWithin(t, time.Minute, cfg, func(pe *PE) error {
 						a := remoteWord(pe)
 						pe.Barrier()
-						pe.GMWrite(a, int64(pe.ID()))
-						pe.GMRead(a)
+						mustWrite(pe, a, int64(pe.ID()))
+						mustRead(pe, a)
 						pe.Barrier()
 						return nil
 					})
@@ -355,11 +355,11 @@ func shardWorkload(pe *PE) error {
 	for i := range buf {
 		buf[i] = int64(pe.ID()*chunk + i)
 	}
-	pe.GMWriteBlock(mine, buf)
-	pe.FetchAdd(ctr, 1)
+	mustWriteBlock(pe, mine, buf)
+	mustFetchAdd(pe, ctr, 1)
 	pe.Barrier()
 	// Everyone verifies everything, via block read and scattered gather.
-	got := pe.GMReadBlock(base, words)
+	got := mustReadBlock(pe, base, words)
 	for i, v := range got {
 		if v != int64(i) {
 			return fmt.Errorf("PE %d: word %d = %d", pe.ID(), i, v)
@@ -369,12 +369,12 @@ func shardWorkload(pe *PE) error {
 	for i := range addrs {
 		addrs[i] = base + uint64((i*37)%words)
 	}
-	for i, v := range pe.GMGather(addrs) {
+	for i, v := range mustGather(pe, addrs) {
 		if v != int64((i*37)%words) {
 			return fmt.Errorf("PE %d: gather %d = %d", pe.ID(), i, v)
 		}
 	}
-	if v := pe.GMRead(ctr); v != int64(n) {
+	if v := mustRead(pe, ctr); v != int64(n) {
 		return fmt.Errorf("PE %d: counter = %d, want %d", pe.ID(), v, n)
 	}
 	pe.Barrier()
@@ -416,7 +416,7 @@ func TestDirectReadFastPath(t *testing.T) {
 	if res.Total.DirectGM > res.Total.RemoteGM {
 		t.Errorf("DirectGM = %d > RemoteGM = %d", res.Total.DirectGM, res.Total.RemoteGM)
 	}
-	// The scalar GMRead traffic must have vanished from the wire.
+	// The scalar read traffic must have vanished from the wire.
 	if msgs := res.Total.ByOp[wire.OpRead].Msgs; msgs != 0 {
 		t.Errorf("OpRead messages = %d, want 0 (all scalar reads direct)", msgs)
 	}
@@ -442,13 +442,13 @@ func TestShardedCheckpointRestart(t *testing.T) {
 			for i := range ws {
 				ws[i] = int64(i + 1)
 			}
-			pe.GMWriteBlock(base, ws)
+			mustWriteBlock(pe, base, ws)
 		}
 		pe.Barrier()
 		if err := pe.Checkpoint(); err != nil {
 			return err
 		}
-		got := pe.GMReadBlock(base, words)
+		got := mustReadBlock(pe, base, words)
 		for i, v := range got {
 			if v != int64(i+1) {
 				return fmt.Errorf("PE %d: word %d = %d", pe.ID(), i, v)

@@ -16,12 +16,12 @@ import (
 func tracedProgram(pe *PE) error {
 	base := pe.Alloc(64)
 	for i := pe.ID(); i < 64; i += pe.N() {
-		pe.GMWrite(base+uint64(i), int64(i))
+		mustWrite(pe, base+uint64(i), int64(i))
 	}
 	pe.Barrier()
-	_ = pe.GMReadBlock(base, 64)
+	_ = mustReadBlock(pe, base, 64)
 	pe.Lock(1)
-	pe.GMWrite(base, pe.GMRead(base)+1)
+	mustWrite(pe, base, mustRead(pe, base)+1)
 	pe.Unlock(1)
 	pe.Barrier()
 	return nil

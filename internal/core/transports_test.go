@@ -18,21 +18,21 @@ func TestCrossTransportGMStateIdentical(t *testing.T) {
 			counter := pe.Alloc(1)
 			// Phase 1: striped writes.
 			for i := pe.ID(); i < words; i += pe.N() {
-				pe.GMWrite(base+uint64(i), int64(i*i))
+				mustWrite(pe, base+uint64(i), int64(i*i))
 			}
 			pe.Barrier()
 			// Phase 2: dynamic pool doubling each word exactly once.
 			for {
-				j := pe.FetchAdd(counter, 1)
+				j := mustFetchAdd(pe, counter, 1)
 				if j >= words {
 					break
 				}
-				v := pe.GMRead(base + uint64(j))
-				pe.GMWrite(base+uint64(j), v*2)
+				v := mustRead(pe, base+uint64(j))
+				mustWrite(pe, base+uint64(j), v*2)
 			}
 			pe.Barrier()
 			if pe.ID() == 0 {
-				*out = pe.GMReadBlock(base, words)
+				*out = mustReadBlock(pe, base, words)
 			}
 			pe.Barrier()
 			return nil
@@ -67,21 +67,26 @@ func TestCrossTransportGMStateIdentical(t *testing.T) {
 	}
 }
 
-// Float helpers must round-trip through global memory.
+// A float64 Array must round-trip through global memory, element by element
+// and by range.
 func TestGMFloatHelpers(t *testing.T) {
 	allTransports(t, 2, func(pe *PE) error {
-		base := pe.Alloc(32)
+		a := AllocArray[float64](pe, 32)
 		if pe.ID() == 0 {
-			pe.GMWriteF(base, 3.25)
-			pe.GMWriteBlockF(base+1, []float64{-1.5, 0, 2.5e300})
+			if err := a.Store(0, 3.25); err != nil {
+				return err
+			}
+			if err := a.StoreRange(1, []float64{-1.5, 0, 2.5e300}); err != nil {
+				return err
+			}
 		}
 		pe.Barrier()
-		if got := pe.GMReadF(base); got != 3.25 {
-			return fmt.Errorf("GMReadF = %v", got)
+		if got, err := a.Load(0); got != 3.25 || err != nil {
+			return fmt.Errorf("Load = %v, %v", got, err)
 		}
-		fs := pe.GMReadBlockF(base+1, 3)
-		if fs[0] != -1.5 || fs[1] != 0 || fs[2] != 2.5e300 {
-			return fmt.Errorf("GMReadBlockF = %v", fs)
+		fs := make([]float64, 3)
+		if err := a.LoadRange(1, fs); err != nil || fs[0] != -1.5 || fs[1] != 0 || fs[2] != 2.5e300 {
+			return fmt.Errorf("LoadRange = %v, %v", fs, err)
 		}
 		return nil
 	})
@@ -124,12 +129,12 @@ func TestLegacyModeSlowsButAgrees(t *testing.T) {
 		res, err := Run(cfg, func(pe *PE) error {
 			base := pe.Alloc(16)
 			for i := pe.ID(); i < 16; i += 2 {
-				pe.GMWrite(base+uint64(i), int64(i))
+				mustWrite(pe, base+uint64(i), int64(i))
 			}
 			pe.Barrier()
 			if pe.ID() == 0 {
 				for i := 0; i < 16; i++ {
-					sum += pe.GMRead(base + uint64(i))
+					sum += mustRead(pe, base+uint64(i))
 				}
 			}
 			pe.Barrier()
@@ -163,16 +168,16 @@ func TestSwitchedMediumAgrees(t *testing.T) {
 			base := pe.Alloc(64)
 			counter := pe.Alloc(1)
 			for {
-				j := pe.FetchAdd(counter, 1)
+				j := mustFetchAdd(pe, counter, 1)
 				if j >= 64 {
 					break
 				}
-				pe.GMWrite(base+uint64(j), j*3)
+				mustWrite(pe, base+uint64(j), j*3)
 			}
 			pe.Barrier()
 			if pe.ID() == 0 {
 				for i := 0; i < 64; i++ {
-					sum += pe.GMRead(base + uint64(i))
+					sum += mustRead(pe, base+uint64(i))
 				}
 			}
 			pe.Barrier()
@@ -200,7 +205,7 @@ func TestMessageLogRecordsProtocol(t *testing.T) {
 	res, err := Run(cfg, func(pe *PE) error {
 		base := pe.Alloc(8)
 		if pe.ID() == 1 {
-			pe.GMWrite(base, 5) // remote write to kernel 0
+			mustWrite(pe, base, 5) // remote write to kernel 0
 		}
 		pe.Barrier()
 		return nil

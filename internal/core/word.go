@@ -162,13 +162,6 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 	return out, ok, nil
 }
 
-// GMRead reads the global-memory word at addr, panicking on failure.
-func (pe *PE) GMRead(addr uint64) int64 {
-	v, err := pe.GMReadErr(addr)
-	must(err)
-	return v
-}
-
 // GMReadErr reads the global-memory word at addr, surfacing request
 // failures (timeout, peer down, shutdown) as errors instead of panicking.
 // The word's consistency mode picks the protocol: strong words take the
@@ -181,9 +174,6 @@ func (pe *PE) GMReadErr(addr uint64) (int64, error) {
 	return v, err
 }
 
-// GMWrite stores v at addr, panicking on failure.
-func (pe *PE) GMWrite(addr uint64, v int64) { must(pe.GMWriteErr(addr, v)) }
-
 // GMWriteErr stores v at addr, surfacing request failures as errors. The
 // word's consistency mode picks the protocol: release-mode stores land in
 // the PE's write-combining buffer (published at the next sync edge), every
@@ -193,17 +183,11 @@ func (pe *PE) GMWriteErr(addr uint64, v int64) error {
 	return err
 }
 
-// FetchAdd atomically adds delta to the word at addr, returning the old
-// value. The primitive behind job pools and work counters. Panics on failure.
-func (pe *PE) FetchAdd(addr uint64, delta int64) int64 {
-	old, err := pe.FetchAddErr(addr, delta)
-	must(err)
-	return old
-}
-
-// FetchAddErr is FetchAdd with request failures surfaced as errors. A retry
-// that slips past a lost reply is absorbed by the home's dedup window, so
-// the addition is applied exactly once even under retransmission.
+// FetchAddErr atomically adds delta to the word at addr, returning the old
+// value, and surfaces request failures as errors: the primitive behind job
+// pools and work counters. A retry that slips past a lost reply is absorbed
+// by the home's dedup window, so the addition is applied exactly once even
+// under retransmission.
 func (pe *PE) FetchAddErr(addr uint64, delta int64) (int64, error) {
 	old, _, err := pe.wordOp(check.KindFetchAdd, addr, delta, 0)
 	return old, err
@@ -216,9 +200,3 @@ func (pe *PE) FetchAddErr(addr uint64, delta int64) (int64, error) {
 func (pe *PE) CASErr(addr uint64, old, new int64) (int64, bool, error) {
 	return pe.wordOp(check.KindCAS, addr, old, new)
 }
-
-// GMReadF reads a float64 stored at addr.
-func (pe *PE) GMReadF(addr uint64) float64 { return gmem.W2F(pe.GMRead(addr)) }
-
-// GMWriteF stores a float64 at addr.
-func (pe *PE) GMWriteF(addr uint64, v float64) { pe.GMWrite(addr, gmem.F2W(v)) }

@@ -249,9 +249,12 @@ func TestHeadOfLineBlocking(t *testing.T) {
 // checks that Cancel aborts it via the gang's cancel gate.
 func TestCancelRunningJob(t *testing.T) {
 	workloads["spin-test"] = func(p *core.PE, size int) error {
-		base := p.Alloc(1)
+		word := core.AllocArray[int64](p, 1)
 		for {
-			p.GMRead(base) // each read checks the job's cancel flag; cancel aborts here
+			// Each read checks the job's cancel flag; cancel aborts here.
+			if _, err := word.Load(0); err != nil {
+				return err
+			}
 		}
 	}
 	defer delete(workloads, "spin-test")

@@ -29,14 +29,20 @@ var workloads = map[string]workloadFn{
 			size = 4
 		}
 		stripe := size * 8
-		base := p.AllocBlocks(p.N() * stripe)
-		mine := base + uint64(p.ID()*stripe)
+		words := core.AllocArray[int64](p, p.N()*stripe)
+		mine := p.ID() * stripe
 		p.Barrier()
 		for i := 0; i < stripe; i++ {
-			p.GMWrite(mine+uint64(i), int64(p.ID()*1000+i))
+			if err := words.Store(mine+i, int64(p.ID()*1000+i)); err != nil {
+				return err
+			}
 		}
 		for i := 0; i < stripe; i++ {
-			if got := p.GMRead(mine + uint64(i)); got != int64(p.ID()*1000+i) {
+			got, err := words.Load(mine + i)
+			if err != nil {
+				return err
+			}
+			if got != int64(p.ID()*1000+i) {
 				return fmt.Errorf("touch: word %d: got %d", i, got)
 			}
 		}

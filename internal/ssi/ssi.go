@@ -254,10 +254,8 @@ func (v *View) Health(rounds int) *HealthReport {
 // All PEs must construct the Registry at the same point in their allocation
 // sequence (it reserves global memory deterministically).
 type Registry struct {
-	pe     *core.PE
-	base   uint64
-	cap    int
-	lockID int32
+	pe    *core.PE
+	slots core.Array[int64]
 }
 
 // slotWords is the per-entry layout: [hash, value].
@@ -273,10 +271,8 @@ func NewRegistry(pe *core.PE, capacity int) *Registry {
 		capacity = 64
 	}
 	return &Registry{
-		pe:     pe,
-		base:   pe.AllocBlocks(capacity * slotWords),
-		cap:    capacity,
-		lockID: registryLockID,
+		pe:    pe,
+		slots: core.AllocArray[int64](pe, capacity*slotWords),
 	}
 }
 
@@ -294,35 +290,39 @@ func fnv1a(name string) int64 {
 }
 
 // Publish stores value under name. Republishing a name overwrites it.
-// It fails when the registry is full.
+// It fails when the registry is full or global memory fails.
 func (r *Registry) Publish(name string, value int64) error {
 	key := fnv1a(name)
-	r.pe.Lock(r.lockID)
-	defer r.pe.Unlock(r.lockID)
-	for i := 0; i < r.cap; i++ {
-		slot := r.base + uint64(i*slotWords)
-		h := r.pe.GMRead(slot)
+	r.pe.Lock(registryLockID)
+	defer r.pe.Unlock(registryLockID)
+	for slot := 0; slot < r.slots.Len(); slot += slotWords {
+		h, err := r.slots.Load(slot)
+		if err != nil {
+			return err
+		}
 		if h == 0 || h == key {
-			r.pe.GMWrite(slot+1, value)
-			r.pe.GMWrite(slot, key)
-			return nil
+			if err := r.slots.Store(slot+1, value); err != nil {
+				return err
+			}
+			return r.slots.Store(slot, key)
 		}
 	}
-	return fmt.Errorf("ssi: registry full (%d names)", r.cap)
+	return fmt.Errorf("ssi: registry full (%d names)", r.slots.Len()/slotWords)
 }
 
-// Lookup retrieves the value published under name.
-func (r *Registry) Lookup(name string) (int64, bool) {
+// Lookup retrieves the value published under name; ok is false if nothing
+// is, and err reports a failure of global memory.
+func (r *Registry) Lookup(name string) (value int64, ok bool, err error) {
 	key := fnv1a(name)
-	for i := 0; i < r.cap; i++ {
-		slot := r.base + uint64(i*slotWords)
-		h := r.pe.GMRead(slot)
-		if h == 0 {
-			return 0, false
+	for slot := 0; slot < r.slots.Len(); slot += slotWords {
+		h, err := r.slots.Load(slot)
+		if err != nil || h == 0 {
+			return 0, false, err
 		}
 		if h == key {
-			return r.pe.GMRead(slot + 1), true
+			value, err = r.slots.Load(slot + 1)
+			return value, err == nil, err
 		}
 	}
-	return 0, false
+	return 0, false, nil
 }

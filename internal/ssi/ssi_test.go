@@ -109,14 +109,14 @@ func TestRegistryPublishLookup(t *testing.T) {
 			}
 		}
 		pe.Barrier()
-		if v, ok := reg.Lookup("matrix"); !ok || v != 12345 {
-			return fmt.Errorf("PE %d: matrix = %d,%v", pe.ID(), v, ok)
+		if v, ok, err := reg.Lookup("matrix"); !ok || v != 12345 {
+			return fmt.Errorf("PE %d: matrix = %d,%v (%v)", pe.ID(), v, ok, err)
 		}
-		if v, ok := reg.Lookup("vector"); !ok || v != 67890 {
-			return fmt.Errorf("PE %d: vector = %d,%v", pe.ID(), v, ok)
+		if v, ok, err := reg.Lookup("vector"); !ok || v != 67890 {
+			return fmt.Errorf("PE %d: vector = %d,%v (%v)", pe.ID(), v, ok, err)
 		}
-		if _, ok := reg.Lookup("absent"); ok {
-			return fmt.Errorf("PE %d: found absent name", pe.ID())
+		if _, ok, err := reg.Lookup("absent"); ok || err != nil {
+			return fmt.Errorf("PE %d: found absent name (%v)", pe.ID(), err)
 		}
 		pe.Barrier()
 		return nil
@@ -131,8 +131,8 @@ func TestRegistryOverwrite(t *testing.T) {
 			reg.Publish("x", 2)
 		}
 		pe.Barrier()
-		if v, ok := reg.Lookup("x"); !ok || v != 2 {
-			return fmt.Errorf("x = %d,%v want 2", v, ok)
+		if v, ok, err := reg.Lookup("x"); !ok || v != 2 {
+			return fmt.Errorf("x = %d,%v (%v) want 2", v, ok, err)
 		}
 		pe.Barrier()
 		return nil
@@ -148,8 +148,8 @@ func TestRegistryConcurrentPublishers(t *testing.T) {
 		}
 		pe.Barrier()
 		for i := 0; i < 4; i++ {
-			if v, ok := reg.Lookup(fmt.Sprintf("pe-%d", i)); !ok || v != int64(100+i) {
-				return fmt.Errorf("pe-%d = %d,%v", i, v, ok)
+			if v, ok, err := reg.Lookup(fmt.Sprintf("pe-%d", i)); !ok || v != int64(100+i) {
+				return fmt.Errorf("pe-%d = %d,%v (%v)", i, v, ok, err)
 			}
 		}
 		pe.Barrier()
@@ -310,7 +310,7 @@ func TestHealthReportsRecoveredGeneration(t *testing.T) {
 	}
 	res, rep, err := core.RunWithRecovery(cfg, 1, func(pe *core.PE) error {
 		restored := pe.RegisterCheckpoint(func() []byte { return nil }, func([]byte) {})
-		base := pe.AllocBlocks(96)
+		base := core.AllocArray[int64](pe, 96)
 		if restored {
 			h := NewView(pe).Health(2)
 			if h.Generation != 1 {
@@ -338,9 +338,11 @@ func TestHealthReportsRecoveredGeneration(t *testing.T) {
 			return err
 		}
 		// March into the scheduled kill (see core's recovery tests).
-		remote := base + uint64(((pe.ID()+1)%3)*32)
+		remote := ((pe.ID() + 1) % 3) * 32
 		for pe.Now() < 4*killAt {
-			_ = pe.GMRead(remote)
+			if _, err := base.Load(remote); err != nil {
+				return err
+			}
 		}
 		pe.Barrier()
 		return nil
@@ -363,9 +365,11 @@ func TestHealthReportsRecoveredGeneration(t *testing.T) {
 func TestHealthReportsVoluntaryLeave(t *testing.T) {
 	const n = 3
 	run(t, n, func(pe *core.PE) error {
-		base := pe.AllocBlocks(n * pe.Space().BlockWords)
+		base := core.AllocArray[int64](pe, n*pe.Space().BlockWords)
 		pe.Barrier()
-		pe.GMWrite(base+uint64(pe.ID()), int64(pe.ID()+1))
+		if err := base.Store(pe.ID(), int64(pe.ID()+1)); err != nil {
+			return err
+		}
 		pe.Barrier()
 		if pe.ID() == n-1 {
 			if err := pe.Leave(); err != nil {
