@@ -122,7 +122,11 @@ func demo(pe *core.PE) error {
 	if pe.ID() == 0 {
 		view := ssi.NewView(pe)
 		fmt.Println(view.Uname())
-		for _, p := range view.Processes() {
+		procs, err := view.Processes()
+		if err != nil {
+			return err
+		}
+		for _, p := range procs {
 			fmt.Printf("  gpid %d on kernel %d (%s): %v\n", p.GPID, p.Kernel, p.Host, p.State)
 		}
 	}

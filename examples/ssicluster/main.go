@@ -48,8 +48,12 @@ func program(pe *core.PE) error {
 		fmt.Println(view.Uname())
 
 		fmt.Println("\nglobal process table (one table, eight kernels, six machines):")
+		procs, err := view.Processes()
+		if err != nil {
+			return err
+		}
 		byHost := map[string][]int64{}
-		for _, p := range view.Processes() {
+		for _, p := range procs {
 			byHost[p.Host] = append(byHost[p.Host], p.GPID)
 		}
 		hosts := make([]string, 0, len(byHost))
@@ -76,7 +80,11 @@ func program(pe *core.PE) error {
 			fmt.Printf("  kernel %d alive=%v rtt=%v\n", st.Kernel, st.Alive, st.RTT)
 		}
 
-		fmt.Printf("\nload-aware placement would pick kernel %d next\n", view.LeastLoadedKernel())
+		next, err := view.LeastLoadedKernel()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("\nload-aware placement would pick kernel %d next\n", next)
 	}
 	pe.Barrier()
 	return nil

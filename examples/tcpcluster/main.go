@@ -73,7 +73,11 @@ func program(pe *core.PE) error {
 	if pe.ID() == 0 {
 		view := ssi.NewView(pe)
 		fmt.Println(view.Uname())
-		fmt.Printf("global process table: %d running DSE processes\n", len(view.Processes()))
+		procs, err := view.Processes()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("global process table: %d running DSE processes\n", len(procs))
 	}
 	pe.Barrier()
 	return nil

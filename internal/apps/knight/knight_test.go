@@ -321,7 +321,9 @@ func TestEnumPrefixesMatchesReference(t *testing.T) {
 // application comes back as Parallel's error, not as a panic. Node 2 — home
 // of the nodes tally — dies mid-search on simnet with RequestTimeout set;
 // each survivor's next FetchAdd there fails, and its Parallel returns the
-// *PeerDownError, which is also what the run records for that PE.
+// *PeerDownError, which is also what the run records for that PE. The
+// victim's Parallel fails the same way, and its run records that error, not
+// its failed exit.
 func TestParallelReturnsGMFailure(t *testing.T) {
 	const victim = 2
 	cfg := core.Config{NumPE: 4, Platform: platform.SparcSunOS, Seed: 1,
@@ -336,13 +338,16 @@ func TestParallelReturnsGMFailure(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	for i, e := range errs {
+		var down *core.PeerDownError
 		if i == victim {
-			if e == nil {
-				t.Errorf("PE %d (the victim): Parallel returned no error", i)
+			// Its exit cannot reach kernel 0 either; the run keeps what the
+			// program returned.
+			if !errors.As(e, &down) || !errors.Is(res.Errs[i], e) {
+				t.Errorf("PE %d (the victim): Parallel returned %v, run recorded %v; want the run to keep Parallel's *PeerDownError",
+					i, e, res.Errs[i])
 			}
 			continue
 		}
-		var down *core.PeerDownError
 		if !errors.As(e, &down) || down.Peer != victim || res.Errs[i] != e {
 			t.Errorf("PE %d: Parallel returned %v, run recorded %v; want the same *PeerDownError naming peer %d",
 				i, e, res.Errs[i], victim)

@@ -108,12 +108,6 @@ func (pe *PE) cacheFill(addr uint64, resp *wire.Message) int64 {
 // again — whatever the written word's mode, as a cached one may share its block.
 func (pe *PE) cacheDrop(addr uint64) { pe.k.cache.Invalidate(addr) }
 
-// CacheStats reports cache hits, misses and invalidations (zeros for a
-// program with no cached-mode reads).
-func (pe *PE) CacheStats() (hits, misses, invalidations uint64) {
-	return pe.k.cache.Stats()
-}
-
 // --- Tier: release consistency (ModeRelease, DESIGN.md §14) ---
 
 // bufferWords absorbs release-mode stores into the write-combining buffer:

@@ -12,15 +12,14 @@ import (
 // calls. A method added to or removed from PE changes this list in the same
 // commit, so no retired spelling comes back unnoticed.
 var peMethods = []string{
-	"AllReduceF", "AllReduceMax", "AllReduceSum", "Alloc", "AllocBlocks", "AllocMode",
-	"Barrier", "BarrierID", "BeginJob", "BindNamespace", "CASErr", "CacheStats",
-	"Checkpoint", "CheckpointEpoch", "ClearNamespace", "Compute", "EndJob", "FetchAddErr",
-	"GMGather", "GMGatherErr", "GMReadBlock", "GMReadBlockErr", "GMReadErr", "GMScatterErr",
-	"GMWriteBlock", "GMWriteBlockErr", "GMWriteErr", "GPID", "HomeOf", "Hostname",
-	"ID", "JobPurge", "Join", "Leave", "Lock", "Members",
-	"MigrateRange", "N", "NamespaceBind", "NamespaceFree", "Now", "PingErr",
-	"Processes", "RecvMsg", "RecvMsgTimeout", "RegisterCheckpoint", "SemPost", "SemWait",
-	"SendMsg", "Space", "Unlock", "ViewGeneration",
+	"AllReduceMax", "AllReduceSum", "Alloc", "AllocBlocks", "AllocMode", "Barrier",
+	"BarrierID", "BeginJob", "BindNamespace", "CASErr", "Checkpoint", "ClearNamespace",
+	"CloseJob", "Compute", "EndJob", "FetchAddErr", "GMGather", "GMGatherErr",
+	"GMReadBlock", "GMReadBlockErr", "GMReadErr", "GMScatterErr", "GMWriteBlock", "GMWriteBlockErr",
+	"GMWriteErr", "HomeOf", "Hostname", "ID", "Join", "Leave",
+	"Lock", "Members", "MigrateRange", "N", "Now", "OpenJob",
+	"PingErr", "Processes", "RecvMsg", "RecvMsgTimeout", "RegisterCheckpoint", "SemPost",
+	"SemWait", "SendMsg", "Space", "Unlock", "ViewGeneration",
 }
 
 func TestPEMethodSet(t *testing.T) {

@@ -78,7 +78,7 @@ func TestCachingRepeatReadsHitCache(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				mustRead(pe, remote)
 			}
-			hits, misses, _ := pe.CacheStats()
+			hits, misses, _ := pe.k.cache.Stats()
 			if misses == 0 || hits < 9 {
 				return fmt.Errorf("cache not effective: hits=%d misses=%d", hits, misses)
 			}

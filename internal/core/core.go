@@ -533,13 +533,19 @@ func runPE(pe *PE, program Program) (err error) {
 			})
 		}
 	}()
-	pe.register()
+	if err := pe.register(); err != nil {
+		return fmt.Errorf("PE %d: register: %w", pe.k.id, err)
+	}
 	err = program(pe)
 	code := int64(0)
 	if err != nil {
 		code = 1
 	}
-	pe.exit(code)
+	// The program's own error is the one to report: an exit that fails
+	// after it (kernel 0 gone) says less about what went wrong.
+	if xerr := pe.exit(code); xerr != nil && err == nil {
+		err = fmt.Errorf("PE %d: exit: %w", pe.k.id, xerr)
+	}
 	return err
 }
 
@@ -592,18 +598,7 @@ func runSim(cfg *Config, program Program) (*Result, error) {
 	if err := eng.Run(); err != nil {
 		return nil, fmt.Errorf("core: simulation: %w", err)
 	}
-	res := &Result{Elapsed: finish, Errs: errs, Bus: net.Medium().Stats()}
-	collectStats(res, kernels, pes)
-	if cfg.recorder != nil {
-		res.History = cfg.recorder.History()
-	}
-	if cfg.Inspect != nil {
-		cfg.Inspect(residueOf(kernels))
-	}
-	if cfg.testInspect != nil {
-		cfg.testInspect(kernels, pes)
-	}
-	return res, nil
+	return finishRun(cfg, &Result{Elapsed: finish, Errs: errs, Bus: net.Medium().Stats()}, kernels, pes), nil
 }
 
 // realNetwork is the common shape of the non-simulated transports.
@@ -642,7 +637,13 @@ func runReal(cfg *Config, net realNetwork, program Program) (*Result, error) {
 	appWG.Wait()
 	net.Stop()
 	svcWG.Wait()
-	res := &Result{Elapsed: finish, Errs: errs}
+	return finishRun(cfg, &Result{Elapsed: finish, Errs: errs}, kernels, pes), nil
+}
+
+// finishRun completes the result of a whole-cluster run once every kernel
+// and PE has quiesced: the merged statistics and the history, and then the
+// residue census for Config.Inspect.
+func finishRun(cfg *Config, res *Result, kernels []*Kernel, pes []*PE) *Result {
 	collectStats(res, kernels, pes)
 	if cfg.recorder != nil {
 		res.History = cfg.recorder.History()
@@ -653,15 +654,15 @@ func runReal(cfg *Config, net realNetwork, program Program) (*Result, error) {
 	if cfg.testInspect != nil {
 		cfg.testInspect(kernels, pes)
 	}
-	return res, nil
+	return res
 }
 
 // Residue is the post-shutdown state report delivered to Config.Inspect:
 // whatever a clean run should have torn down. The scheduler's leak tests
 // assert every field is zero after a full submit/run/teardown cycle.
 type Residue struct {
-	// UserQueues counts user-message mailboxes still registered, summed over
-	// all kernels.
+	// UserQueues counts the user-message mailboxes still registered when the
+	// serve loops exited, summed over all kernels.
 	UserQueues int
 	// NsBindings counts namespace bindings still installed, over all kernels.
 	NsBindings int
@@ -682,9 +683,7 @@ type Residue struct {
 func residueOf(kernels []*Kernel) Residue {
 	r := Residue{}
 	for _, k := range kernels {
-		k.mu.Lock()
-		r.UserQueues += len(k.userq)
-		k.mu.Unlock()
+		r.UserQueues += k.leftQueues
 		r.NsBindings += k.ns.Len()
 	}
 	r.BarrierPend, r.LockResidue, r.SemWaiters = kernels[0].sync.Residue()

@@ -247,11 +247,14 @@ func TestAllReduce(t *testing.T) {
 
 func TestProcessTableSSI(t *testing.T) {
 	allTransports(t, 4, func(pe *PE) error {
-		if pe.GPID() <= 0 {
+		if pe.gpid <= 0 {
 			return fmt.Errorf("no global pid assigned")
 		}
 		pe.Barrier()
-		procs := pe.Processes()
+		procs, err := pe.Processes()
+		if err != nil {
+			return err
+		}
 		if len(procs) != 4 {
 			return fmt.Errorf("process table has %d entries, want 4", len(procs))
 		}

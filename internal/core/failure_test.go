@@ -1,14 +1,18 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/gmem"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/transport/simnet"
 	"repro/internal/transport/tcpnet"
 )
 
@@ -185,5 +189,53 @@ func TestRequestTimeoutHarmlessWhenHealthy(t *testing.T) {
 	}
 	if err := res.FirstErr(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseJobPeerDown kills node 2 of a job's four kernels on simnet between
+// OpenJob and CloseJob. CloseJob returns the *PeerDownError naming it, and
+// still closes the kernels after it: at every live kernel the members are
+// unbound and the blocks PE 0 wrote into the region are gone.
+func TestCloseJobPeerDown(t *testing.T) {
+	const victim, bw = 2, 32
+	job := JobGroup{
+		Name: "doomed", Members: []int{1, 2, 3}, TagBase: JobSlotBase(0),
+		Region: gmem.Region{Base: 8 * bw, Limit: 12 * bw}, // blocks 8..11: one homed at each kernel
+	}
+	cfg := simCfg(4)
+	cfg.RequestTimeout, cfg.RequestRetries, cfg.PeerLossBudget = 20*sim.Millisecond, 5, 2
+	cfg.Kills = []simnet.Kill{{Node: victim, At: 100 * sim.Millisecond}}
+	var left []int // per kernel: bindings and blocks of the region left
+	cfg.testInspect = func(ks []*Kernel, _ []*PE) {
+		for _, k := range ks {
+			left = append(left, k.ns.Len()+k.seg.CountRange(8, 4))
+		}
+	}
+	res, err := Run(cfg, func(pe *PE) error {
+		if pe.k.id != 0 {
+			return nil
+		}
+		if err := pe.OpenJob(job); err != nil {
+			return err
+		}
+		for a := job.Region.Base; a < job.Region.Limit; a += bw {
+			mustWrite(pe, a, 1)
+		}
+		pe.RecvMsgTimeout(1, 200*sim.Millisecond) // past the kill
+		_, err := pe.CloseJob(job)
+		var down *PeerDownError
+		if !errors.As(err, &down) || down.Peer != victim {
+			return fmt.Errorf("CloseJob after the kill: %v, want a *PeerDownError naming %d", err, victim)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 0, 4, 0}; !slices.Equal(left, want) {
+		t.Fatalf("bindings plus region blocks left per kernel = %v, want %v (only the dead kernel untouched)", left, want)
 	}
 }

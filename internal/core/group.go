@@ -11,11 +11,13 @@ package core
 // global-memory access or wait.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync/atomic"
 
 	"repro/internal/gmem"
+	"repro/internal/wire"
 )
 
 // Job tag-window layout. Each resident job owns the window
@@ -75,25 +77,58 @@ type jobScope struct {
 	clusterModes *gmem.ModeTable
 }
 
+// fault reports why g cannot be a job of a cluster of n PEs whose blocks are
+// bw words — an empty or unaligned region, a tag base that is not a slot
+// base, a member outside [0, n) — and "" when it can. OpenJob, CloseJob and
+// BeginJob check a job with it, and a kernel the frame of one (handleJob).
+func (g *JobGroup) fault(n int, bw uint64) string {
+	r := g.Region
+	switch {
+	case r.Limit <= r.Base:
+		return fmt.Sprintf("empty region [%d,%d)", r.Base, r.Limit)
+	case r.Base%bw != 0 || r.Limit%bw != 0:
+		return fmt.Sprintf("region [%d,%d) not aligned to %d-word blocks", r.Base, r.Limit, bw)
+	case g.TagBase%JobTagSpan != 0 || g.TagBase < JobSlotBase(0) || g.TagBase > JobSlotBase(JobSlots-1):
+		return fmt.Sprintf("tag base %d is not a slot base", g.TagBase)
+	}
+	for _, m := range g.Members {
+		if m < 0 || m >= n {
+			return fmt.Sprintf("member %d outside [0,%d)", m, n)
+		}
+	}
+	return ""
+}
+
+// frame writes job g into m as an op request (OpJobOpen or OpJobClose): the
+// region in Addr and Arg2, the tag base in Tag, the members as little-endian
+// uint32 ids in Data. jobOf reads a frame back; ok is false for a payload
+// that is not a whole number of ids.
+func (g *JobGroup) frame(m *wire.Message, op wire.Op) {
+	m.Op, m.Addr, m.Arg2, m.Tag = op, g.Region.Base, int64(g.Region.Limit), g.TagBase
+	for _, id := range g.Members {
+		m.Data = binary.LittleEndian.AppendUint32(m.Data, uint32(id))
+	}
+}
+
+func jobOf(m *wire.Message) (g JobGroup, ok bool) {
+	g = JobGroup{TagBase: m.Tag, Region: gmem.Region{Base: m.Addr, Limit: uint64(m.Arg2)}}
+	for b := m.Data; len(b) >= 4; b = b[4:] {
+		g.Members = append(g.Members, int(binary.LittleEndian.Uint32(b)))
+	}
+	return g, len(m.Data)%4 == 0
+}
+
 // BeginJob makes this PE the given job's member until EndJob. It refuses,
-// with an error and the PE left unscoped, an empty or unaligned region, a
-// PE that is not one of g.Members, a TagBase that is not a slot base and a
-// PE already in a job.
+// with an error and the PE left unscoped, a PE already in a job, a job that
+// fails the check OpenJob makes, and a PE that is not one of g.Members.
 func (pe *PE) BeginJob(g JobGroup) error {
-	bw := uint64(pe.k.space.BlockWords)
 	rank := slices.Index(g.Members, pe.k.id)
-	why := ""
-	switch r := g.Region; {
+	why := g.fault(pe.k.n, uint64(pe.k.space.BlockWords))
+	switch {
 	case pe.job != nil:
 		why = fmt.Sprintf("already in job %q", pe.job.Name)
-	case r.Limit <= r.Base:
-		why = fmt.Sprintf("empty region [%d,%d)", r.Base, r.Limit)
-	case r.Base%bw != 0 || r.Limit%bw != 0:
-		why = fmt.Sprintf("region [%d,%d) not aligned to %d-word blocks", r.Base, r.Limit, bw)
-	case rank < 0:
+	case why == "" && rank < 0:
 		why = fmt.Sprintf("not a member of %v", g.Members)
-	case g.TagBase%JobTagSpan != 0 || g.TagBase < JobSlotBase(0) || g.TagBase > JobSlotBase(JobSlots-1):
-		why = fmt.Sprintf("tag base %d is not a slot base", g.TagBase)
 	}
 	if why != "" {
 		return fmt.Errorf("core: PE %d cannot begin job %q: %s", pe.k.id, g.Name, why)
@@ -120,7 +155,7 @@ func (pe *PE) BeginJob(g JobGroup) error {
 // namespace the job's allocator handed out: the job's GM-quota gauge (every
 // member runs the same deterministic allocation sequence, so any member's
 // number is the job's). The worker calls it after the job's program
-// returns, before the scheduler unbinds and frees the namespace.
+// returns, before the scheduler closes the job (CloseJob).
 func (pe *PE) EndJob() (quotaUsed uint64) {
 	j := pe.job
 	if j == nil {

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/gmem"
+	"repro/internal/wire"
 )
 
 // panicOf runs fn and returns what it panicked with (nil if it returned).
@@ -30,25 +32,25 @@ func TestJobScope(t *testing.T) {
 		used    [4]uint64
 		residue Residue
 	)
-	members := []int{1, 3}
 	cfg := simCfg(4)
 	cfg.Transport = TransportInproc
 	cfg.Inspect = func(r Residue) { residue = r }
-	var freed gmem.Region // the job's region, as PE 0 freed it
+	const bw = 32 // the default block size
+	job := JobGroup{
+		Name: "scope", Members: []int{1, 3}, TagBase: JobSlotBase(0),
+		Region: gmem.Region{Base: 64 * bw, Limit: 66 * bw}, Mode: gmem.ModeRelease,
+	}
 	prog := func(pe *PE) error {
-		bw := uint64(pe.k.space.BlockWords)
-		region := gmem.Region{Base: 64 * bw, Limit: 66 * bw}
 		before := pe.Alloc(1)
 		if pe.k.id == 0 {
-			freed = region
-			for _, m := range members {
-				must(pe.NamespaceBind(m, region.Base, region.Limit))
-			}
+			must(pe.OpenJob(job))
 		}
 		pe.Barrier()
 		var err error
 		if pe.k.id%2 == 1 {
-			err = jobScopeMember(pe, region, &cancel[pe.k.id], &used[pe.k.id])
+			g := job
+			g.Cancel = &cancel[pe.k.id]
+			err = jobScopeMember(pe, g, &used[pe.k.id])
 			switch {
 			case err != nil:
 			case pe.ID() != pe.k.id || pe.N() != 4:
@@ -63,18 +65,14 @@ func TestJobScope(t *testing.T) {
 		}
 		pe.Barrier() // whole cluster, after the gang's scopes ended
 		if pe.k.id == 0 {
-			for _, m := range members {
-				must(pe.NamespaceBind(m, 0, 0))
-			}
-			_, err := pe.NamespaceFree(region.Base, int((region.Limit-region.Base)/bw))
-			must(err)
-			must(pe.JobPurge(JobSlotBase(0), JobTagSpan))
+			_, err = pe.CloseJob(job)
 		}
 		return err
 	}
 	runWithin(t, 20*time.Second, cfg, prog)
-	for _, m := range members {
-		if want := (freed.Limit - freed.Base) / 2; used[m] != want {
+	freed := job.Region
+	for _, m := range job.Members {
+		if want := freed.Words() / 2; used[m] != want {
 			t.Errorf("PE %d: EndJob reports %d quota words used, want %d", m, used[m], want)
 		}
 	}
@@ -88,13 +86,11 @@ func TestJobScope(t *testing.T) {
 
 // jobScopeMember is one gang member's part of TestJobScope: begin the job,
 // check what the scope changes, cancel, and end the job.
-func jobScopeMember(pe *PE, region gmem.Region, cancel *atomic.Bool, used *uint64) error {
-	if err := pe.BeginJob(JobGroup{
-		Name: "scope", Members: []int{1, 3}, TagBase: JobSlotBase(0),
-		Region: region, Mode: gmem.ModeRelease, Cancel: cancel,
-	}); err != nil {
+func jobScopeMember(pe *PE, g JobGroup, used *uint64) error {
+	if err := pe.BeginJob(g); err != nil {
 		return err
 	}
+	region, cancel := g.Region, g.Cancel
 	defer func() { *used = pe.EndJob() }()
 	rank, bw := pe.k.id/2, int(pe.k.space.BlockWords)
 	if pe.ID() != rank || pe.N() != 2 {
@@ -147,7 +143,8 @@ func jobScopeMember(pe *PE, region gmem.Region, cancel *atomic.Bool, used *uint6
 }
 
 // TestBeginJobRejects: an assignment BeginJob cannot honour is an error, and
-// the PE stays in the cluster's scope.
+// the PE stays in the cluster's scope. OpenJob and CloseJob refuse every such
+// job but the one that merely leaves this PE out.
 func TestBeginJobRejects(t *testing.T) {
 	runWithin(t, 10*time.Second, simCfg(2), func(pe *PE) error {
 		if pe.k.id != 1 {
@@ -163,6 +160,8 @@ func TestBeginJobRejects(t *testing.T) {
 			{"inverted region", func(g *JobGroup) { g.Region.Limit = g.Region.Base }},
 			{"unaligned region", func(g *JobGroup) { g.Region.Base++ }},
 			{"not a member", func(g *JobGroup) { g.Members = []int{0} }},
+			{"member outside the cluster", func(g *JobGroup) { g.Members = []int{1, 2} }},
+			{"negative member", func(g *JobGroup) { g.Members = []int{1, -1} }},
 			{"tag base off a slot", func(g *JobGroup) { g.TagBase++ }},
 			{"tag base below the slots", func(g *JobGroup) { g.TagBase = 0 }},
 		} {
@@ -170,6 +169,12 @@ func TestBeginJobRejects(t *testing.T) {
 			tc.edit(&g)
 			if err := pe.BeginJob(g); err == nil {
 				return fmt.Errorf("%s: BeginJob accepted %+v", tc.name, g)
+			}
+			if tc.name != "not a member" {
+				_, cerr := pe.CloseJob(g)
+				if oerr := pe.OpenJob(g); oerr == nil || cerr == nil {
+					return fmt.Errorf("%s: OpenJob, CloseJob = %v, %v; want both refused", tc.name, oerr, cerr)
+				}
 			}
 			if pe.job != nil || pe.ns != (gmem.Region{}) || pe.ID() != 1 || pe.N() != 2 {
 				return fmt.Errorf("%s: the refused job left the PE scoped", tc.name)
@@ -184,4 +189,77 @@ func TestBeginJobRejects(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestJobControlTraffic opens and closes one job on a 5-PE inproc cluster for
+// gangs of 1, 2 and 4: PE 0 sends one OpJobOpen and one OpJobClose to each
+// kernel whatever the gang's size (a bind per member and kernel plus a free
+// and a purge per kernel used to cost 2gN+2N requests: 20, 30 and 50). After
+// the open exactly the members are bound at every kernel; the close frees
+// every block the job wrote and leaves nothing in the residue census, though
+// the job left messages nobody received and a lock nobody released in its
+// window.
+func TestJobControlTraffic(t *testing.T) {
+	const n, bw = 5, 32
+	for _, gang := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("gang%d", gang), func(t *testing.T) {
+			job := JobGroup{
+				Name: "ctl", TagBase: JobSlotBase(1),
+				Region: gmem.Region{Base: 20 * bw, Limit: 28 * bw},
+			}
+			for m := 1; m <= gang; m++ {
+				job.Members = append(job.Members, m)
+			}
+			var (
+				residue Residue
+				freed   int
+			)
+			cfg := Config{NumPE: n, Transport: TransportInproc, Inspect: func(r Residue) { residue = r }}
+			res := runWithin(t, 20*time.Second, cfg, func(pe *PE) error {
+				if pe.k.id == 0 {
+					must(pe.OpenJob(job))
+					for i := 0; i < n; i++ {
+						ns := pe.k.ns
+						if i != 0 {
+							ns = pe.k.peers[i].ns // inproc binds co-located kernels' registries
+						}
+						for p := 0; p < n; p++ {
+							r, bound := ns.Lookup(p)
+							if member := slices.Contains(job.Members, p); bound != member || (bound && r != job.Region) {
+								return fmt.Errorf("kernel %d after the open: PE %d bound %v to %v", i, p, bound, r)
+							}
+						}
+					}
+				}
+				pe.Barrier()
+				if slices.Contains(job.Members, pe.k.id) {
+					must(pe.BeginJob(job))
+					mustWrite(pe, job.Region.Base+uint64(pe.ID())*bw, 1) // one block per rank
+					pe.SendMsg(0, 3, []byte("unread"))
+					if pe.ID() == 0 {
+						pe.Lock(1) // and never unlocked
+					}
+					pe.EndJob()
+				}
+				pe.Barrier()
+				if pe.k.id == 0 {
+					var err error
+					freed, err = pe.CloseJob(job)
+					return err
+				}
+				return nil
+			})
+			sent := &res.PerPE[0].ByOp
+			if opens, closes := sent[wire.OpJobOpen].Msgs, sent[wire.OpJobClose].Msgs; opens != n || closes != n {
+				t.Errorf("PE 0 sent %d OpJobOpen and %d OpJobClose requests, want %d of each", opens, closes, n)
+			}
+			if freed != gang {
+				t.Errorf("CloseJob freed %d blocks, want the %d the job wrote", freed, gang)
+			}
+			if r := residue; r.UserQueues != 0 || r.NsBindings != 0 || r.BarrierPend != 0 ||
+				r.LockResidue != 0 || r.SemWaiters != 0 || r.BlocksIn(job.Region.Base, 8) != 0 {
+				t.Errorf("residue after the job: %+v, %d blocks in its region", r, r.BlocksIn(job.Region.Base, 8))
+			}
+		})
+	}
 }

@@ -2,11 +2,13 @@ package core
 
 // PE-side scheduler API (dsesched, DESIGN.md §15): binding a PE to its
 // job's namespace, the local guard that refuses out-of-namespace accesses
-// before they leave the PE (covering the accesses in place), the
-// control-plane requests the scheduler uses to install kernel-
-// side bindings and tear a finished job down.
+// before they leave the PE (covering the accesses in place), and the two
+// control-plane requests the scheduler opens and closes a job with at every
+// kernel.
 
 import (
+	"fmt"
+
 	"repro/internal/gmem"
 	"repro/internal/wire"
 )
@@ -45,59 +47,40 @@ func (pe *PE) nsCheck(op string, addr uint64, n int) error {
 	}
 }
 
-// NamespaceBind installs (limit != 0) or clears (limit == 0) PE member's
-// kernel-side namespace binding [base, limit) at every kernel, so the homes
-// themselves reject member's traffic outside the region — the enforcement a
-// forged or corrupted requester cannot bypass.
-func (pe *PE) NamespaceBind(member int, base, limit uint64) error {
-	for dst := 0; dst < pe.k.n; dst++ {
-		req := wire.GetMessage()
-		req.Op, req.Addr = wire.OpNsBind, base
-		req.Arg1, req.Arg2 = int64(member), int64(limit)
-		resp, err := pe.requestErr(dst, req)
-		wire.PutMessage(req)
-		if err != nil {
-			return err
-		}
-		wire.PutMessage(resp)
-	}
-	return nil
+// OpenJob binds every member of job g to the job's namespace at every
+// kernel, with one OpJobOpen each, so the homes themselves reject a member's
+// traffic outside the region — the enforcement a forged or corrupted
+// requester cannot bypass. The scheduler opens a job before any member can
+// issue a job GM operation. A job that fails the check BeginJob makes is
+// refused before any request.
+func (pe *PE) OpenJob(g JobGroup) error {
+	_, err := pe.jobRequest(wire.OpJobOpen, g)
+	return err
 }
 
-// NamespaceFree drops every materialised block of the word region starting
-// at base and spanning nBlocks blocks, at every kernel, returning the total
-// number of blocks released — namespace teardown, before the scheduler
-// re-carves the region for the next job.
-func (pe *PE) NamespaceFree(base uint64, nBlocks int) (int, error) {
-	total := 0
-	for dst := 0; dst < pe.k.n; dst++ {
-		req := wire.GetMessage()
-		req.Op, req.Addr, req.Arg1 = wire.OpNsFree, base, int64(nBlocks)
-		resp, err := pe.requestErr(dst, req)
-		wire.PutMessage(req)
-		if err != nil {
-			return total, err
-		}
-		total += int(resp.Arg1)
-		wire.PutMessage(resp)
-	}
-	return total, nil
+// CloseJob tears job g down at every kernel with one OpJobClose each: the
+// members still bound to the job's region are unbound, the region's blocks
+// dropped and the job's tag window purged of queued messages and
+// synchronisation state. It returns the blocks dropped cluster-wide. Every
+// kernel is asked even after one failed, and the first failure is returned.
+func (pe *PE) CloseJob(g JobGroup) (freedBlocks int, err error) {
+	return pe.jobRequest(wire.OpJobClose, g)
 }
 
-// JobPurge releases a finished job's message and synchronisation residue
-// cluster-wide: every user-message mailbox with tag in [tagLo, tagLo+n) is
-// closed at every kernel, and kernel 0 drops the same id range from the
-// central barrier, lock and semaphore managers.
-func (pe *PE) JobPurge(tagLo, n int32) error {
+// jobRequest sends job g's op request to every kernel and sums what the
+// answers carry in Arg1.
+func (pe *PE) jobRequest(op wire.Op, g JobGroup) (sum int, err error) {
+	if why := g.fault(pe.k.n, uint64(pe.k.space.BlockWords)); why != "" {
+		return 0, fmt.Errorf("core: %v of job %q refused: %s", op, g.Name, why)
+	}
 	for dst := 0; dst < pe.k.n; dst++ {
 		req := wire.GetMessage()
-		req.Op, req.Tag, req.Arg1 = wire.OpJobPurge, tagLo, int64(n)
-		resp, err := pe.requestErr(dst, req)
-		wire.PutMessage(req)
-		if err != nil {
-			return err
+		g.frame(req, op)
+		n, rerr := pe.ask(dst, req)
+		if err == nil {
+			err = rerr
 		}
-		wire.PutMessage(resp)
+		sum += int(n)
 	}
-	return nil
+	return sum, err
 }

@@ -75,9 +75,10 @@ type Kernel struct {
 	grantBusyGen    uint64
 
 	// ns holds this kernel's namespace bindings (dsesched per-job GM
-	// isolation): requester PE → bound region. The serial loop installs
-	// bindings (OpNsBind); GM handlers and every access in place, by this
-	// kernel's PE or a co-located one (PE.inPlace), look them up lock-free.
+	// isolation): requester PE → bound region. The serial loop installs and
+	// removes bindings (OpJobOpen, OpJobClose); GM handlers and every access
+	// in place, by this kernel's PE or a co-located one (PE.inPlace), look
+	// them up lock-free.
 	ns *gmem.NSRegistry
 
 	// sync is this kernel's synchronisation state: the central barrier, lock
@@ -107,8 +108,10 @@ type Kernel struct {
 	mu sync.Mutex // guards userq
 	// userq holds the user-message queue of every tag in use; nil once the
 	// serve loop has exited (releaseUserQueues), when nothing can arrive any
-	// more and userMb hands out closed mailboxes.
-	userq map[int32]transport.Mailbox
+	// more and userMb hands out closed mailboxes. leftQueues is how many it
+	// held then: the residue census reads it (Residue.UserQueues).
+	userq      map[int32]transport.Mailbox
+	leftQueues int
 
 	// Home-side global-memory service: nshards independent monitors, each
 	// serving the requesters shardFor maps to it — Config.KernelShards on
@@ -461,6 +464,7 @@ func (k *Kernel) releaseUserQueues() {
 	for _, mb := range k.userq {
 		mb.Close()
 	}
+	k.leftQueues = len(k.userq)
 	k.userq = nil
 }
 
@@ -512,7 +516,7 @@ func isReply(op wire.Op) bool {
 		wire.OpMigrateStartResp, wire.OpMigrateInstallResp, wire.OpMigrateCommitResp,
 		wire.OpMigrateNack, wire.OpJoinResp, wire.OpLeaveResp, wire.OpEpochUpdateResp,
 		wire.OpReadLeaseResp,
-		wire.OpNsBindAck, wire.OpNsFreeAck, wire.OpNsNack, wire.OpJobPurgeAck:
+		wire.OpJobOpenAck, wire.OpJobCloseAck, wire.OpNsNack:
 		return true
 	}
 	return false
@@ -644,16 +648,12 @@ func (k *Kernel) handle(m *wire.Message) (consumed bool, answered sim.Time) {
 	case wire.OpEpochUpdate:
 		k.handleEpochUpdate(m)
 
-	// Scheduler namespaces (dsesched): bind/unbind a requester's region,
-	// free a namespace's homed blocks, purge a finished job's residue. All
-	// idempotent (bind overwrites, free/purge of nothing is a no-op), so no
-	// dedup window is needed; all serial-loop (free fences the shards).
-	case wire.OpNsBind:
-		k.handleNsBind(m)
-	case wire.OpNsFree:
-		k.handleNsFree(m)
-	case wire.OpJobPurge:
-		k.handleJobPurge(m)
+	// Scheduler jobs (dsesched): open binds the members, close unbinds them,
+	// drops the region's blocks and purges the tag window. Both idempotent,
+	// so no dedup window is needed; both serial-loop (close fences the
+	// shards).
+	case wire.OpJobOpen, wire.OpJobClose:
+		k.handleJob(m)
 
 	// Liveness.
 	case wire.OpPing:

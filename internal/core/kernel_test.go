@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"slices"
 	"testing"
@@ -755,5 +756,113 @@ func TestKernelCorruptRunShapesDropped(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestKernelCorruptJobFramesDropped serves the job frames no scheduler sends,
+// as OpJobOpen and as OpJobClose: a torn member list, a member outside the
+// cluster, an empty, inverted or unaligned region and a tag base that is not a
+// slot. Each lists a well-formed member ahead of what is wrong with it, so a
+// handler that applied the frame as it read it would show. Each is counted
+// once in CorruptDrops, not answered, and changes no binding, block, queue or
+// barrier. Members 2³¹+1 and 2³²−1 are the ids whose conversion to int wraps
+// negative on a 32-bit build, the class of the frame that once bound PE 1 on
+// 386 by naming PE 2³²+1: both are refused there as on 64-bit targets.
+func TestKernelCorruptJobFramesDropped(t *testing.T) {
+	const bw = 32
+	region := gmem.Region{Base: 9 * bw, Limit: 12 * bw} // block 9 is homed at kernel 0
+	tagBase := JobSlotBase(2)
+	frame := func(op wire.Op) *wire.Message {
+		m := &wire.Message{Src: 1, Seq: 7}
+		g := JobGroup{Members: []int{1, 2}, TagBase: tagBase, Region: region}
+		g.frame(m, op)
+		return m
+	}
+	member := func(id uint32) func(m *wire.Message) {
+		return func(m *wire.Message) { binary.LittleEndian.PutUint32(m.Data[4:], id) }
+	}
+	for _, op := range []wire.Op{wire.OpJobOpen, wire.OpJobClose} {
+		for _, tc := range []struct {
+			name string
+			edit func(m *wire.Message)
+		}{
+			{"torn member list", func(m *wire.Message) { m.Data = m.Data[:len(m.Data)-1] }},
+			{"member N", member(3)},
+			{"member 2^31+1", member(1<<31 + 1)},
+			{"member 2^32-1", member(1<<32 - 1)},
+			{"empty region", func(m *wire.Message) { m.Arg2 = int64(m.Addr) }},
+			{"inverted region", func(m *wire.Message) { m.Arg2 = int64(m.Addr) - bw }},
+			{"unaligned base", func(m *wire.Message) { m.Addr++ }},
+			{"unaligned limit", func(m *wire.Message) { m.Arg2++ }},
+			{"tag base off a slot", func(m *wire.Message) { m.Tag++ }},
+			{"tag base below the slots", func(m *wire.Message) { m.Tag = 0 }},
+		} {
+			t.Run(op.String()+"/"+tc.name, func(t *testing.T) {
+				_, ks := testKernels(t, 3, nil)
+				k := ks[0]
+				// What a close would undo: member 2 bound, a block of the
+				// region written, a message and a barrier arrival in the
+				// job's tag window.
+				k.ns.Bind(2, region)
+				k.seg.Write(region.Base, []int64{5})
+				k.userMb(tagBase + 5).Put(&wire.Message{Op: wire.OpUserMsg, Tag: tagBase + 5})
+				k.handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 2, Tag: tagBase + 1, Arg2: 2})
+				m := frame(op)
+				tc.edit(m)
+				k.handle(m)
+				if k.extra.CorruptDrops != 1 {
+					t.Fatalf("CorruptDrops = %d, want 1", k.extra.CorruptDrops)
+				}
+				noReplyFrom(t, ks[1], "a malformed job frame")
+				if _, bound := k.ns.Lookup(1); bound {
+					t.Error("member 1 was bound")
+				}
+				if r, bound := k.ns.Lookup(2); !bound || r != region {
+					t.Errorf("member 2's binding = %v, %v; want %v", r, bound, region)
+				}
+				if got := k.seg.CountRange(region.Base/bw, 3); got != 1 {
+					t.Errorf("%d blocks of the region left, want 1", got)
+				}
+				if pend, _, _ := k.sync.Residue(); len(k.userq) != 1 || pend != 1 {
+					t.Errorf("%d user queues, %d barrier arrivals left; want 1 and 1", len(k.userq), pend)
+				}
+			})
+		}
+	}
+}
+
+// TestKernelStaleJobClose: a close of job A that arrives after job B rebound
+// A's member to its own region leaves that member bound to B. It still tears
+// A's region and tag window down.
+func TestKernelStaleJobClose(t *testing.T) {
+	const bw = 32
+	a := JobGroup{Members: []int{1, 2}, TagBase: JobSlotBase(0), Region: gmem.Region{Base: 0, Limit: 4 * bw}}
+	b := JobGroup{Members: []int{2}, TagBase: JobSlotBase(1), Region: gmem.Region{Base: 4 * bw, Limit: 8 * bw}}
+	_, ks := testKernels(t, 3, nil)
+	k := ks[0]
+	seq := uint64(0)
+	send := func(g JobGroup, op wire.Op) *wire.Message {
+		seq++
+		m := &wire.Message{Src: 1, Seq: seq}
+		g.frame(m, op)
+		k.handle(m)
+		return replyFrom(t, ks[1])
+	}
+	send(a, wire.OpJobOpen)
+	k.seg.Write(a.Region.Base, []int64{5})
+	send(a, wire.OpJobClose)
+	send(b, wire.OpJobOpen)
+	k.seg.Write(a.Region.Base, []int64{6}) // somebody's write after the close
+	if ack := send(a, wire.OpJobClose); ack.Op != wire.OpJobCloseAck || ack.Arg1 != 1 {
+		t.Fatalf("stale close answered %v, want an ack dropping 1 block", ack)
+	}
+	if r, bound := k.ns.Lookup(2); !bound || r != b.Region {
+		t.Fatalf("member 2's binding after the stale close = %v, %v; want job B's %v", r, bound, b.Region)
+	}
+	if _, bound := k.ns.Lookup(1); bound {
+		t.Fatal("member 1 is still bound to job A")
+	}
+	if k.extra.CorruptDrops != 0 {
+		t.Fatalf("CorruptDrops = %d for well-formed frames", k.extra.CorruptDrops)
 	}
 }

@@ -450,15 +450,12 @@ func (pe *PE) grant(op wire.Op) (uint64, error) {
 	for attempt := 0; attempt < grantRetries; attempt++ {
 		req := wire.GetMessage()
 		req.Op = op
-		resp, err := pe.requestErr(0, req)
-		wire.PutMessage(req)
+		gen, err := pe.ask(0, req)
 		if err != nil {
 			return 0, err
 		}
-		gen := uint64(resp.Arg1)
-		wire.PutMessage(resp)
 		if gen != 0 {
-			return gen, nil
+			return uint64(gen), nil
 		}
 		pe.app.Sleep(k.cfg.pause)
 	}
@@ -619,12 +616,7 @@ func (pe *PE) MigrateRange(addr uint64, nblocks, dst int) error {
 	for p := 0; p < k.n; p++ {
 		req := wire.GetMessage()
 		req.Op, req.Addr, req.Arg1, req.Arg2 = wire.OpMigrateCommit, b0*bw, int64(nblocks), int64(dst)
-		resp, err := pe.requestErr(p, req)
-		wire.PutMessage(req)
-		if err != nil {
-			continue // dead or slow peers converge via NACK hints
-		}
-		wire.PutMessage(resp)
+		pe.ask(p, req) // dead or slow peers converge via NACK hints
 	}
 	pe.extra.Migrations++
 	return nil
@@ -639,11 +631,6 @@ func (pe *PE) broadcastEpoch(member int, state gmem.MemberState, gen uint64) {
 	for p := 0; p < k.n; p++ {
 		req := wire.GetMessage()
 		req.Op, req.Arg1, req.Arg2, req.Addr = wire.OpEpochUpdate, int64(member), int64(state), gen
-		resp, err := pe.requestErr(p, req)
-		wire.PutMessage(req)
-		if err != nil {
-			continue
-		}
-		wire.PutMessage(resp)
+		pe.ask(p, req)
 	}
 }

@@ -526,7 +526,7 @@ func TestCachedBesideOneSided(t *testing.T) {
 					}
 					pe.Barrier()
 				}
-				h, _, _ := pe.CacheStats()
+				h, _, _ := pe.k.cache.Stats()
 				hits.Add(h)
 				return nil
 			})

@@ -1,58 +1,44 @@
 package core
 
-// Kernel-side namespace support for the dsesched multi-job scheduler
-// (DESIGN.md §15): binding a requester PE to its job's region, rejecting
-// bound traffic that strays outside it with the typed OpNsNack, freeing a
-// namespace's homed blocks at teardown, and purging a finished job's
-// message/sync residue.
+// Kernel-side job support for the dsesched multi-job scheduler (DESIGN.md
+// §15): opening a job (binding its members to its region), rejecting bound
+// traffic that strays outside the region with the typed OpNsNack, and closing
+// a job (unbinding, freeing the region's homed blocks and purging the job's
+// message/sync residue).
 
-import (
-	"repro/internal/gmem"
-	"repro/internal/wire"
-)
+import "repro/internal/wire"
 
-// handleNsBind installs (Arg2 != 0) or removes (Arg2 == 0) the namespace
-// binding of requester PE Arg1: the word region [Addr, Arg2). Idempotent —
-// a rebind overwrites — so no dedup window is needed. Serial loop only; no
-// shard fence is required because GM handlers read the registry through
-// an atomic snapshot, and the scheduler binds before the job's first GM
-// access and unbinds after its last.
-func (k *Kernel) handleNsBind(m *wire.Message) {
-	pe := int(m.Arg1)
-	if m.Arg2 == 0 {
-		k.ns.Unbind(pe)
+// handleJob serves a job's two idempotent control requests (DESIGN.md §15).
+// OpJobOpen binds every listed member to the job's region. OpJobClose unbinds
+// a listed member only while it is still bound to this region (a stale close
+// must not unbind a PE a newer job bound), fences the shards so that no write
+// served before it re-materialises a dropped block, drops the region's
+// blocks, and closes the job tag window's user queues (waking any straggling
+// RecvMsg) and sync state. A malformed frame (fault; it is input from another
+// node) is counted and dropped unanswered with nothing applied, like a
+// corrupt GM request (kernelShard.locate).
+func (k *Kernel) handleJob(m *wire.Message) {
+	bw := uint64(k.space.BlockWords)
+	g, ok := jobOf(m)
+	if !ok || g.fault(k.n, bw) != "" {
+		k.extra.CorruptDrops++
+		return
+	}
+	resp := wire.GetMessage()
+	if m.Op == wire.OpJobOpen {
+		for _, pe := range g.Members {
+			k.ns.Bind(pe, g.Region)
+		}
+		resp.Op = wire.OpJobOpenAck
 	} else {
-		k.ns.Bind(pe, gmem.Region{Base: m.Addr, Limit: uint64(m.Arg2)})
-	}
-	resp := wire.GetMessage()
-	resp.Op = wire.OpNsBindAck
-	k.reply(&k.dedup, m, resp)
-}
-
-// handleNsFree drops every materialised block this kernel homes inside
-// [Addr, Addr + Arg1*BlockWords): namespace teardown, so a finished job's
-// data is released before the region is re-carved for the next job. The
-// shard fence lets in-flight service finish first, so no write served before
-// the free can re-materialise a dropped block (a mutation in place has
-// completed when its PE moves on, fenceShards).
-func (k *Kernel) handleNsFree(m *wire.Message) {
-	dropped := 0
-	if m.Arg1 > 0 {
+		for _, pe := range g.Members {
+			if r, bound := k.ns.Lookup(pe); bound && r == g.Region {
+				k.ns.Unbind(pe)
+			}
+		}
 		k.fenceShards()
-		dropped = k.seg.DropRange(k.space.BlockOf(m.Addr), uint64(m.Arg1))
-	}
-	resp := wire.GetMessage()
-	resp.Op, resp.Arg1 = wire.OpNsFreeAck, int64(dropped)
-	k.reply(&k.dedup, m, resp)
-}
-
-// handleJobPurge releases a finished job's residue at this kernel: every
-// user-message mailbox whose tag lies in [Tag, Tag+Arg1) is closed and
-// forgotten (waking any straggling RecvMsg), and the same id range is
-// purged from the synchronisation state (which only kernel 0 holds any of).
-func (k *Kernel) handleJobPurge(m *wire.Message) {
-	if n := int32(m.Arg1); n > 0 {
-		lo, hi := m.Tag, m.Tag+n
+		dropped := k.seg.DropRange(g.Region.Base/bw, g.Region.Words()/bw)
+		lo, hi := g.TagBase, g.TagBase+JobTagSpan
 		k.mu.Lock()
 		for tag, mb := range k.userq {
 			if tag >= lo && tag < hi {
@@ -62,9 +48,8 @@ func (k *Kernel) handleJobPurge(m *wire.Message) {
 		}
 		k.mu.Unlock()
 		k.sync.Purge(lo, hi)
+		resp.Op, resp.Arg1 = wire.OpJobCloseAck, int64(dropped)
 	}
-	resp := wire.GetMessage()
-	resp.Op = wire.OpJobPurgeAck
 	k.reply(&k.dedup, m, resp)
 }
 

@@ -27,14 +27,16 @@ func TestNamespaceKernelEnforcement(t *testing.T) {
 	// PE 1's namespace: blocks 8..12, words [256, 384).
 	region := gmem.Region{Base: 8 * bw, Limit: 12 * bw}
 	outside := uint64(2 * bw) // block 2, homed at kernel 0: remote for PE 1
+	job := JobGroup{Name: "forged", Members: []int{1}, TagBase: JobSlotBase(0), Region: region}
 	prog := func(pe *PE) error {
 		if pe.ID() == 0 {
-			if err := pe.NamespaceBind(1, region.Base, region.Limit); err != nil {
+			if err := pe.OpenJob(job); err != nil {
 				return err
 			}
 			pe.Barrier()
 			pe.Barrier()
-			return pe.NamespaceBind(1, 0, 0)
+			_, err := pe.CloseJob(job)
+			return err
 		}
 		pe.Barrier()
 		check := func(op string, err error) {

@@ -139,9 +139,6 @@ func (pe *PE) N() int {
 // cluster several PEs share one.
 func (pe *PE) Hostname() string { return pe.k.node.Hostname() }
 
-// GPID returns the cluster-global process id assigned at registration.
-func (pe *PE) GPID() int64 { return pe.gpid }
-
 // Now returns the PE's clock (virtual time under simulation).
 func (pe *PE) Now() sim.Time { return pe.app.Now() }
 
@@ -480,9 +477,6 @@ func (pe *PE) RegisterCheckpoint(save func() []byte, restore func([]byte)) (rest
 // 0 for a fresh run, N after the N-th restart from a snapshot.
 func (pe *PE) ViewGeneration() uint64 { return pe.viewGen }
 
-// CheckpointEpoch reports the last completed checkpoint epoch (0 = none).
-func (pe *PE) CheckpointEpoch() uint64 { return pe.ckptEpoch }
-
 // Checkpoint takes one coordinated cluster snapshot: a collective every PE
 // must call (like Barrier). The protocol is a Chandy-Lamport marker round
 // degenerated to its quiesced special case — a barrier quiesces all
@@ -606,10 +600,10 @@ func (pe *PE) allReduce(v reduceView, x float64, op func(a, b float64) float64) 
 	return acc
 }
 
-// AllReduceF combines one float64 contribution from every PE with op (see
+// allReduceF combines one float64 contribution from every PE with op (see
 // allReduce); PE 0 is the root. Inside a job the gang takes part, under the
 // top two ids of the job's window, and job rank 0 is the root.
-func (pe *PE) AllReduceF(x float64, op func(a, b float64) float64) float64 {
+func (pe *PE) allReduceF(x float64, op func(a, b float64) float64) float64 {
 	if pe.job != nil {
 		return pe.allReduce(pe.job.gang, x, op)
 	}
@@ -635,10 +629,10 @@ func maxF(a, b float64) float64 {
 }
 
 // AllReduceSum sums one float64 contribution per PE.
-func (pe *PE) AllReduceSum(x float64) float64 { return pe.AllReduceF(x, sumF) }
+func (pe *PE) AllReduceSum(x float64) float64 { return pe.allReduceF(x, sumF) }
 
 // AllReduceMax takes the maximum over one float64 contribution per PE.
-func (pe *PE) AllReduceMax(x float64) float64 { return pe.AllReduceF(x, maxF) }
+func (pe *PE) AllReduceMax(x float64) float64 { return pe.allReduceF(x, maxF) }
 
 // --- PE-to-PE messages ---
 
@@ -714,37 +708,39 @@ func (pe *PE) RecvMsgTimeout(tag int32, d sim.Duration) (src int, payload []byte
 // --- Process management / SSI ---
 
 // register announces this DSE process to the global process table.
-func (pe *PE) register() {
+func (pe *PE) register() (err error) {
 	req := wire.GetMessage()
 	req.Op, req.Data = wire.OpProcRegister, []byte(pe.Hostname())
-	resp := pe.request(0, req)
-	wire.PutMessage(req)
-	pe.gpid = resp.Arg1
-	wire.PutMessage(resp)
+	pe.gpid, err = pe.ask(0, req)
+	return err
 }
 
 // exit records this DSE process's termination.
-func (pe *PE) exit(code int64) {
+func (pe *PE) exit(code int64) error {
 	req := wire.GetMessage()
 	req.Op, req.Arg1, req.Arg2 = wire.OpProcExit, pe.gpid, code
-	resp := pe.request(0, req)
-	wire.PutMessage(req)
-	wire.PutMessage(resp)
+	_, err := pe.ask(0, req)
+	return err
 }
 
 // Processes returns the cluster-global process table: the single-system
-// image of everything running on the virtual machine.
-func (pe *PE) Processes() []procmgmt.Entry {
+// image of everything running on the virtual machine. The table comes from
+// kernel 0, so one that does not decode is an error, like one that does not
+// arrive.
+func (pe *PE) Processes() ([]procmgmt.Entry, error) {
 	req := wire.GetMessage()
 	req.Op = wire.OpProcList
-	resp := pe.request(0, req)
+	resp, err := pe.requestErr(0, req)
 	wire.PutMessage(req)
+	if err != nil {
+		return nil, err
+	}
 	entries, err := procmgmt.DecodeSnapshot(resp.Data)
 	wire.PutMessage(resp)
 	if err != nil {
-		panic(fmt.Sprintf("core: PE %d: corrupt process table: %v", pe.k.id, err))
+		return nil, fmt.Errorf("core: PE %d: corrupt process table: %w", pe.k.id, err)
 	}
-	return entries
+	return entries, nil
 }
 
 // PingErr round-trips a liveness probe to kernel dst and reports the
@@ -755,11 +751,8 @@ func (pe *PE) PingErr(dst int) (sim.Duration, error) {
 	start := pe.app.Now()
 	req := wire.GetMessage()
 	req.Op = wire.OpPing
-	resp, err := pe.requestErr(dst, req)
-	wire.PutMessage(req)
-	if err != nil {
+	if _, err := pe.ask(dst, req); err != nil {
 		return 0, err
 	}
-	wire.PutMessage(resp)
 	return pe.app.Now() - start, nil
 }

@@ -58,7 +58,7 @@ func recoverProgram(killAt sim.Time) core.Program {
 			if g := pe.ViewGeneration(); g != 1 {
 				return fmt.Errorf("PE %d: view generation %d after one recovery, want 1", pe.ID(), g)
 			}
-			if e := pe.CheckpointEpoch(); e != 1 {
+			if e := core.CheckpointEpochOf(pe); e != 1 {
 				return fmt.Errorf("PE %d: checkpoint epoch %d, want 1", pe.ID(), e)
 			}
 			if v, err := base.Load(5); v != 1234 || err != nil {

@@ -30,19 +30,9 @@ type flight struct {
 	landed  int  // words of a range read's reply already in the caller's buffer
 }
 
-// request sends m to kernel dst and blocks until the response arrives in the
-// reply mailbox. The caller owns both m and the returned response; recycle
-// them with wire.PutMessage when done. Failures panic with the typed error of
-// requestErr, the error-returning tier underneath.
-func (pe *PE) request(dst int, m *wire.Message) *wire.Message {
-	resp, err := pe.requestErr(dst, m)
-	must(err)
-	return resp
-}
-
 // must raises the error of the error-returning tier underneath as a panic
 // with its type intact, for the calls that report failure by panicking
-// (request, the three panicking range forms, a job's abort) — runPE turns it
+// (the three panicking range forms, a job's abort) — runPE turns it
 // into the PE's Result.Errs entry, so callers still classify the failure
 // with errors.As.
 func must(err error) {
@@ -51,16 +41,32 @@ func must(err error) {
 	}
 }
 
-// requestErr is request with failures surfaced as errors: *TimeoutError after
-// the configured retries are exhausted, *PeerDownError when the transport
-// declared dst dead, *ShutdownError when the cluster went down,
-// *NamespaceError when the home refused the request (see exchange).
+// requestErr sends m to kernel dst and blocks until the response arrives in
+// the reply mailbox. The caller owns both m and the returned response;
+// recycle them with wire.PutMessage when done. Failures are errors:
+// *TimeoutError after the configured retries are exhausted, *PeerDownError
+// when the transport declared dst dead, *ShutdownError when the cluster went
+// down, *NamespaceError when the home refused the request (see exchange).
 // m goes out under a fresh Seq.
 func (pe *PE) requestErr(dst int, m *wire.Message) (*wire.Message, error) {
 	m.Seq = 0
 	pe.one[0] = flight{req: m, dst: dst}
 	err := pe.exchange(pe.one[:], 0)
 	return pe.one[0].resp, err
+}
+
+// ask sends req, a pooled request it recycles, to kernel dst and returns the
+// answer's Arg1, recycling the answer: requestErr for the requests whose
+// answer carries one number or none.
+func (pe *PE) ask(dst int, req *wire.Message) (int64, error) {
+	resp, err := pe.requestErr(dst, req)
+	wire.PutMessage(req)
+	if err != nil {
+		return 0, err
+	}
+	arg := resp.Arg1
+	wire.PutMessage(resp)
+	return arg, nil
 }
 
 // exchange sends every flight of fl and returns once each has its answer in

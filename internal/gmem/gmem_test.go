@@ -159,8 +159,8 @@ func TestDirectoryCacheHint(t *testing.T) {
 
 // TestNSRegistryTable pins the registry's per-PE table: a binding is looked
 // up and enforced for its PE alone, unbinding the last one leaves nobody
-// bound, and a PE id outside the cluster — an OpNsBind argument is wire input
-// — is ignored instead of indexing past the table.
+// bound, and a PE id outside the cluster is ignored instead of indexing past
+// the table.
 func TestNSRegistryTable(t *testing.T) {
 	nr := NewNSRegistry(3)
 	if !nr.Admits(1, 5, 1) || nr.Len() != 0 {

@@ -3,9 +3,9 @@
 //
 // A namespace is a word region [Base, Limit) carved from the global space
 // at block granularity. The scheduler carves one region per job from a
-// RegionAllocator, binds it for every member PE at every kernel (NSRegistry,
-// consulted by the kernel service path), and each member allocates inside
-// the region through a bounded Allocator. Enforcement is kernel-side: a
+// RegionAllocator and opens the job at every kernel, which binds the region
+// for every member PE (NSRegistry, consulted by the kernel service path);
+// each member allocates inside the region through a bounded Allocator. Enforcement is kernel-side: a
 // bound requester whose GM request touches memory outside its region is
 // rejected with the typed OpNsNack, so two jobs can never read or write
 // each other's blocks even if one forges addresses.
@@ -83,10 +83,12 @@ func (a *Allocator) checkBound(n int) {
 
 // NSRegistry is one kernel's view of the namespace bindings: the Region of
 // each requester PE, zero for one that is not bound. The serial serve loop
-// installs and removes bindings (OpNsBind); GM handlers look them up on every
-// GM request, on whichever context serves, and PEs on every access in place,
-// so the table is published copy-on-write behind an atomic pointer (nil until
-// the first binding) and a lookup takes no lock and makes no call.
+// installs them as it opens a job (OpJobOpen, one frame binding every
+// member) and removes them as it closes one (OpJobClose); GM handlers look
+// them up on every GM request, on whichever context serves, and PEs on every
+// access in place, so the table is published copy-on-write behind an atomic
+// pointer (nil until the first binding) and a lookup takes no lock and makes
+// no call.
 type NSRegistry struct {
 	mu       sync.Mutex // serialises writers
 	n        int        // PEs of the cluster: the table's length

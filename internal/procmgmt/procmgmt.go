@@ -105,19 +105,6 @@ func (t *Table) Snapshot() []Entry {
 	return out
 }
 
-// Running counts processes in StateRunning.
-func (t *Table) Running() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, e := range t.entries {
-		if e.State == StateRunning {
-			n++
-		}
-	}
-	return n
-}
-
 // EncodeSnapshot serialises entries for an OpProcListResp payload.
 func EncodeSnapshot(entries []Entry) []byte {
 	var buf []byte

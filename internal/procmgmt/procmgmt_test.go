@@ -14,8 +14,14 @@ func TestRegisterAssignsSequentialGPIDs(t *testing.T) {
 			t.Fatalf("gpid = %d, want %d", gpid, i)
 		}
 	}
-	if tb.Running() != 5 {
-		t.Fatalf("running = %d, want 5", tb.Running())
+	snap := tb.Snapshot()
+	if len(snap) != 5 {
+		t.Fatalf("%d processes in the table, want 5", len(snap))
+	}
+	for _, e := range snap {
+		if e.State != StateRunning {
+			t.Fatalf("gpid %d: state %v, want running", e.GPID, e.State)
+		}
 	}
 }
 

@@ -7,7 +7,8 @@
 // of worker PEs. Every job runs inside an isolated GM namespace carved from
 // the global address space: a quota-bounded allocation region enforced both
 // PE-side and at the home kernels (typed OpNsNack rejection), so two jobs
-// can never read or write each other's blocks. Teardown releases the
+// can never read or write each other's blocks. A job opens and closes with
+// one request per kernel: teardown unbinds the members, releases the
 // namespace, purges the job's message/sync residue and returns the PEs to
 // the pool. See DESIGN.md §15.
 package sched
@@ -369,17 +370,14 @@ func (s *Scheduler) run(pe *core.PE) error {
 	}
 	s.mu.Unlock()
 	for {
-		if _, data, ok := pe.RecvMsgTimeout(doneTag, s.tick()); ok {
-			s.teardown(pe, jobID(data))
-			// Keep draining with a near-zero wait: jobs often finish in
-			// bursts.
-			for {
-				_, data, ok = pe.RecvMsgTimeout(doneTag, 50*sim.Microsecond)
-				if !ok {
-					break
-				}
-				s.teardown(pe, jobID(data))
+		// After the first finished job, keep draining with a near-zero
+		// wait: jobs often finish in bursts.
+		for wait := s.tick(); ; wait = 50 * sim.Microsecond {
+			_, data, ok := pe.RecvMsgTimeout(doneTag, wait)
+			if !ok {
+				break
 			}
+			s.teardown(pe, jobID(data))
 		}
 		s.expireDeadlines()
 		for {
@@ -492,56 +490,65 @@ func (s *Scheduler) accrueBusyLocked(now time.Time) {
 	s.lastBusyAt = now
 }
 
-// dispatch installs the job's kernel-side namespace bindings and sends
-// every member the job's id. Bindings go in before any member can issue a
-// job GM operation.
+// groupLocked is job j's slice of the cluster as core sees it: what the
+// scheduler opens and closes and a worker begins. Call with s.mu held.
+func groupLocked(j *Job) core.JobGroup {
+	return core.JobGroup{
+		Name: j.Spec.Name, Members: j.Members, TagBase: core.JobSlotBase(j.Slot),
+		Region: j.Region, Mode: j.Mode, Cancel: &j.cancel,
+	}
+}
+
+// dispatch opens the job at every kernel and sends every member the job's
+// id, so the members' bindings are in before any of them can issue a job GM
+// operation. A job that does not open fails with the error and is torn down
+// at once; no member hears of it.
 func (s *Scheduler) dispatch(pe *core.PE, j *Job) {
 	s.mu.Lock()
-	members, region := j.Members, j.Region
+	g := groupLocked(j)
 	s.mu.Unlock()
-	for _, m := range members {
-		if err := pe.NamespaceBind(m, region.Base, region.Limit); err != nil {
-			panic(fmt.Sprintf("sched: binding namespace of PE %d: %v", m, err))
-		}
+	if err := pe.OpenJob(g); err != nil {
+		s.mu.Lock()
+		j.Err = fmt.Sprintf("open: %v", err)
+		j.failed = true
+		s.mu.Unlock()
+		s.teardown(pe, j.ID)
+		return
 	}
 	id := idMsg(j.ID)
-	for _, m := range members {
+	for _, m := range g.Members {
 		pe.SendMsg(m, ctlTag, id)
 	}
 }
 
-// teardown releases everything job id held once its last member finished:
-// kernel-side bindings, the namespace's materialised blocks, the tag
-// window's message/sync residue, and finally the PEs, region and slot. Runs
-// on PE 0 with no lock held across the PE calls.
+// teardown closes job id at every kernel once its last member finished and
+// returns its PEs and slot to the pools. Its region goes back too, unless the
+// close failed: then some kernel may still hold the job's words, so the
+// region stays carved, no later job can read them, and the job fails with
+// the error. Runs on PE 0 with no lock held across the PE call.
 func (s *Scheduler) teardown(pe *core.PE, id int) {
 	s.mu.Lock()
 	j := s.jobs[id]
-	members := j.Members
-	region := j.Region
-	slot := j.Slot
-	quota := j.Spec.QuotaBlocks
+	g := groupLocked(j)
 	s.mu.Unlock()
 
-	for _, m := range members {
-		if err := pe.NamespaceBind(m, 0, 0); err != nil {
-			panic(fmt.Sprintf("sched: unbinding namespace of PE %d: %v", m, err))
-		}
-	}
-	if _, err := pe.NamespaceFree(region.Base, int(quota)); err != nil {
-		panic(fmt.Sprintf("sched: freeing namespace of job %d: %v", j.ID, err))
-	}
-	if err := pe.JobPurge(core.JobSlotBase(slot), core.JobTagSpan); err != nil {
-		panic(fmt.Sprintf("sched: purging job %d: %v", j.ID, err))
-	}
+	_, err := pe.CloseJob(g)
 
 	now := time.Now()
 	s.mu.Lock()
 	s.accrueBusyLocked(now)
-	s.freePEs = append(s.freePEs, members...)
+	s.freePEs = append(s.freePEs, g.Members...)
 	sort.Ints(s.freePEs)
-	s.slots[slot] = false
-	s.ra.Release(region)
+	s.slots[j.Slot] = false
+	if err != nil {
+		if j.Err != "" {
+			j.Err += "; "
+		}
+		j.Err += "close: " + err.Error()
+		j.failed = true
+	} else {
+		s.ra.Release(j.Region)
+	}
 	j.Members = nil
 	j.Slot = -1
 	j.Finish = now
@@ -586,10 +593,7 @@ func (s *Scheduler) worker(pe *core.PE) error {
 func (s *Scheduler) runJob(pe *core.PE, id int) {
 	s.mu.Lock()
 	j := s.jobs[id]
-	g := core.JobGroup{
-		Name: j.Spec.Name, Members: j.Members, TagBase: core.JobSlotBase(j.Slot),
-		Region: j.Region, Mode: j.Mode, Cancel: &j.cancel,
-	}
+	g := groupLocked(j)
 	workload, size := j.Spec.Workload, j.Spec.Size
 	s.mu.Unlock()
 	var errStr string

@@ -454,6 +454,68 @@ func TestBadAssignmentFailsJob(t *testing.T) {
 	}
 }
 
+// TestOpenFailureFailsJob: a job record OpenJob refuses — here an unaligned
+// region — fails that job with the error instead of taking PE 0 down, its PE
+// and slot go back to the pools, and the next job runs on the same cluster.
+// CloseJob refuses the record too, so its region stays carved.
+func TestOpenFailureFailsJob(t *testing.T) {
+	s := NewScheduler(Config{Workers: 1, CapacityBlocks: 8})
+	bad, err := s.Submit(JobSpec{Name: "bad", PEs: 1, Workload: "touch", QuotaBlocks: 2, Priority: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := s.Submit(JobSpec{Name: "good", PEs: 1, Workload: "touch", QuotaBlocks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res *core.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := core.Run(s.CoreConfig(), func(pe *core.PE) error {
+			if pe.ID() != 0 {
+				return s.worker(pe)
+			}
+			s.mu.Lock()
+			s.ra = gmem.NewRegionAllocator(pe.Space(), s.cfg.CapacityBlocks)
+			s.mu.Unlock()
+			j := s.pickNext()
+			if j == nil || j.ID != bad {
+				return fmt.Errorf("admitted %v first, want job %d", j, bad)
+			}
+			s.mu.Lock()
+			j.Region.Base++
+			s.mu.Unlock()
+			s.dispatch(pe, j)
+			return s.run(pe)
+		})
+		done <- outcome{res, err}
+	}()
+	g := waitState(t, s, good, 30*time.Second)
+	b := waitState(t, s, bad, time.Second)
+	st := s.Stats()
+	s.Close()
+	o := <-done
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if err := o.res.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	if b.State != StateFailed || !contains(b.Error, "open: ") || !contains(b.Error, "not aligned") {
+		t.Errorf("bad job: state %q, error %q; want failed by the open", b.State, b.Error)
+	}
+	if g.State != StateDone {
+		t.Errorf("next job: state %q, error %q; want done", g.State, g.Error)
+	}
+	if st.FreePEs != 1 || st.Failed != 1 || st.Done != 1 || st.UsedBlocks != 2 {
+		t.Errorf("stats: %d free PEs, %d failed, %d done, %d blocks carved; want 1, 1, 1 and the bad job's 2",
+			st.FreePEs, st.Failed, st.Done, st.UsedBlocks)
+	}
+}
+
 func contains(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {

@@ -57,10 +57,16 @@ func (v *View) Uname() string {
 }
 
 // Processes returns the global process table.
-func (v *View) Processes() []procmgmt.Entry { return v.pe.Processes() }
+func (v *View) Processes() ([]procmgmt.Entry, error) { return v.pe.Processes() }
 
 // LoadByHost reports running DSE processes per physical machine.
-func (v *View) LoadByHost() map[string]int { return loadByHost(v.Processes()) }
+func (v *View) LoadByHost() (map[string]int, error) {
+	entries, err := v.Processes()
+	if err != nil {
+		return nil, err
+	}
+	return loadByHost(entries), nil
+}
 
 // loadByHost counts the running entries of one process-table snapshot per
 // host.
@@ -78,8 +84,11 @@ func loadByHost(entries []procmgmt.Entry) map[string]int {
 // placement decision a load-aware SSI scheduler would make for new work.
 // Ties break toward the lowest kernel id, deterministically. Kernels and
 // load come from one snapshot of the process table.
-func (v *View) LeastLoadedKernel() int {
-	entries := v.Processes()
+func (v *View) LeastLoadedKernel() (int, error) {
+	entries, err := v.Processes()
+	if err != nil {
+		return 0, err
+	}
 	load := loadByHost(entries)
 	hostOf := make(map[int32]string)
 	for _, e := range entries {
@@ -96,7 +105,7 @@ func (v *View) LeastLoadedKernel() int {
 			best, bestLoad = k, l
 		}
 	}
-	return best
+	return best, nil
 }
 
 // PeerStatus reports one kernel's liveness as seen from this PE.

@@ -37,8 +37,8 @@ func TestViewBasics(t *testing.T) {
 			return fmt.Errorf("Uname = %q", v.Uname())
 		}
 		pe.Barrier()
-		if got := len(v.Processes()); got != 4 {
-			return fmt.Errorf("process table has %d entries", got)
+		if procs, err := v.Processes(); err != nil || len(procs) != 4 {
+			return fmt.Errorf("process table has %d entries (%v)", len(procs), err)
 		}
 		pe.Barrier()
 		return nil
@@ -49,8 +49,12 @@ func TestLoadByHostSeesAllProcesses(t *testing.T) {
 	run(t, 3, func(pe *core.PE) error {
 		pe.Barrier()
 		v := NewView(pe)
+		load, err := v.LoadByHost()
+		if err != nil {
+			return err
+		}
 		total := 0
-		for _, l := range v.LoadByHost() {
+		for _, l := range load {
 			total += l
 		}
 		if total != 3 {
@@ -65,9 +69,10 @@ func TestLeastLoadedKernelIsDeterministic(t *testing.T) {
 	picks := make([]int, 5)
 	run(t, 5, func(pe *core.PE) error {
 		pe.Barrier()
-		picks[pe.ID()] = NewView(pe).LeastLoadedKernel()
+		var err error
+		picks[pe.ID()], err = NewView(pe).LeastLoadedKernel()
 		pe.Barrier()
-		return nil
+		return err
 	})
 	for i := 1; i < 5; i++ {
 		if picks[i] != picks[0] {
@@ -82,7 +87,10 @@ func TestLeastLoadedKernelOnVirtualCluster(t *testing.T) {
 	res, err := core.Run(core.Config{NumPE: 7, Platform: platform.SparcSunOS, Seed: 1},
 		func(pe *core.PE) error {
 			pe.Barrier()
-			pick := NewView(pe).LeastLoadedKernel()
+			pick, err := NewView(pe).LeastLoadedKernel()
+			if err != nil {
+				return err
+			}
 			if pick == 0 || pick == 6 {
 				return fmt.Errorf("scheduler picked doubled machine (kernel %d)", pick)
 			}

@@ -143,18 +143,17 @@ const (
 	OpReadLease     // Addr = any word of the wanted block
 	OpReadLeaseResp // Data = the block's words, Arg2 = lease duration (ns of the home's clock)
 
-	// Scheduler namespaces (dsesched, DESIGN.md §15). A job's global-memory
-	// namespace is a word region [base, limit); the scheduler installs one
-	// binding per member at every kernel, and a bound requester's GM traffic
-	// outside its region is rejected with the typed OpNsNack instead of being
-	// served — kernel-side enforcement, not convention.
-	OpNsBind      // bind requester Arg1 to namespace [Addr, Arg2); Arg2 = 0 unbinds
-	OpNsBindAck   //
-	OpNsFree      // drop the homed blocks of [Addr, Addr + Arg1*BlockWords) (namespace teardown)
-	OpNsFreeAck   // Arg1 = blocks dropped at this kernel
+	// Scheduler jobs (dsesched, DESIGN.md §15). A job's global-memory
+	// namespace is a word region [base, limit); the scheduler opens a job
+	// with one OpJobOpen per kernel, which binds every member to the region,
+	// and a bound requester's GM traffic outside its region is rejected with
+	// the typed OpNsNack instead of being served — kernel-side enforcement,
+	// not convention. One OpJobClose per kernel tears the job down.
+	OpJobOpen     // bind every member (Data: little-endian uint32 ids) to namespace [Addr, Arg2)
+	OpJobOpenAck  //
+	OpJobClose    // OpJobOpen's fields plus Tag = the job's tag base: unbind, drop the region's blocks, purge the tag window
+	OpJobCloseAck // Arg1 = blocks dropped at this kernel
 	OpNsNack      // response: request touched memory outside the requester's namespace; Arg1 = bound base, Arg2 = bound limit
-	OpJobPurge    // purge job residue: user-message tags in [Tag, Tag+Arg1) and, at kernel 0, sync state in the same id range
-	OpJobPurgeAck //
 
 	numOps // sentinel: one past the highest op
 )
@@ -228,13 +227,11 @@ var opNames = [...]string{
 	OpFlushV:             "flush-v",
 	OpReadLease:          "read-lease",
 	OpReadLeaseResp:      "read-lease-resp",
-	OpNsBind:             "ns-bind",
-	OpNsBindAck:          "ns-bind-ack",
-	OpNsFree:             "ns-free",
-	OpNsFreeAck:          "ns-free-ack",
+	OpJobOpen:            "job-open",
+	OpJobOpenAck:         "job-open-ack",
+	OpJobClose:           "job-close",
+	OpJobCloseAck:        "job-close-ack",
 	OpNsNack:             "ns-nack",
-	OpJobPurge:           "job-purge",
-	OpJobPurgeAck:        "job-purge-ack",
 }
 
 func (op Op) String() string {
