@@ -110,7 +110,7 @@ func main() {
 		if err != nil {
 			fatalf("opening snapshot store: %v", err)
 		}
-		cfg.Ckpt = &core.CheckpointConfig{Store: store}
+		cfg.Ckpt = store
 	}
 
 	var describe func()

@@ -76,7 +76,7 @@ func RunGaussCkpt(pl *platform.Platform, sc Scale) (*core.Result, error) {
 	}
 	cfg := core.Config{
 		NumPE: referencePE, Platform: pl, Seed: sc.Seed, GMBlockWords: gaussBlockWords,
-		Ckpt: &core.CheckpointConfig{Store: store},
+		Ckpt: store,
 	}
 	solve := gaussApp(gauss.Params{N: ReferenceGaussN(sc), Seed: sc.Seed})
 	_, res, err := run(cfg, func(pe *core.PE) (sim.Duration, error) {

@@ -78,8 +78,8 @@ type Options struct {
 	// CkptEvery is the checkpoint period in ops per PE (0 = 64). Every PE
 	// checkpoints at the same op indices — Checkpoint is collective.
 	CkptEvery int
-	// FaultCorruptSnapshot flips a byte in every stored snapshot object
-	// between the failure and the restart. The store's CRC/content-hash
+	// FaultCorruptSnapshot flips a byte in every stored slice file between
+	// the failure and the restart. The store's CRC32/SHA-256
 	// verification must refuse the snapshot: Run returns an error
 	// mentioning the corruption instead of restoring garbage.
 	FaultCorruptSnapshot bool
@@ -303,7 +303,7 @@ func runRecover(o Options, cfg core.Config) (*Result, error) {
 	if o.FaultCorruptSnapshot {
 		store = &corruptingStore{Store: store, root: dir}
 	}
-	cfg.Ckpt = &core.CheckpointConfig{Store: store}
+	cfg.Ckpt = store
 	res, rep, err := core.RunWithRecovery(cfg, maxRecoveries, recoverProgram(o))
 	if err != nil {
 		return nil, err
@@ -318,8 +318,8 @@ func runRecover(o Options, cfg core.Config) (*Result, error) {
 	}, nil
 }
 
-// corruptingStore flips a byte in every stored object the moment recovery
-// first reads the snapshot back, modelling at-rest corruption. The
+// corruptingStore flips a byte in every stored slice file the moment
+// recovery first reads the snapshot back, modelling at-rest corruption. The
 // underlying store's integrity checks must catch it.
 type corruptingStore struct {
 	ckpt.Store
@@ -330,11 +330,11 @@ type corruptingStore struct {
 func (s *corruptingStore) ReadSlice(gen uint64, pe int) ([]byte, error) {
 	if !s.done {
 		s.done = true
-		objs, err := filepath.Glob(filepath.Join(s.root, "objects", "*"))
+		files, err := filepath.Glob(filepath.Join(s.root, "g*", "p*"))
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range objs {
+		for _, p := range files {
 			data, err := os.ReadFile(p)
 			if err != nil || len(data) == 0 {
 				return nil, fmt.Errorf("corruptingStore: %s: %v", p, err)

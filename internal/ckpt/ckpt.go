@@ -7,32 +7,31 @@
 // application progress (epoch counter plus a user-supplied state blob) and
 // its kernel's slice of global memory with the coherence directory. Slices
 // are written first, then the generation is committed atomically; a
-// generation without a committed manifest never existed as far as recovery
-// is concerned, which is what makes a crash during checkpointing harmless.
+// generation without its commit marker never existed as far as recovery is
+// concerned, which is what makes a crash during checkpointing harmless.
 //
 // The concrete store, DirStore, is a local directory:
 //
-//	objects/<sha256>   content-addressed, CRC-framed slice payloads
-//	staging/g<G>-p<P>  uncommitted slice pointers (hash per PE)
-//	manifests/g<G>     committed generations (written via rename)
+//	g<G>/p<P>        PE P's slice of generation G, framed
+//	g<G>/committed   the commit marker (written via rename)
 //
-// Every object is verified twice on read — frame CRC32 and the content
-// address itself — so a corrupted snapshot fails recovery loudly instead of
-// restoring garbage.
+// A slice file's frame names its generation and PE and carries the
+// payload's length, CRC32 and SHA-256, all verified on read, so a corrupted
+// snapshot, or a slice file copied under another name, fails recovery loudly
+// instead of restoring garbage.
 package ckpt
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
-
-	"crypto/sha256"
-	"encoding/hex"
+	"slices"
 
 	"repro/internal/gmem"
 	"repro/internal/sim"
@@ -46,26 +45,24 @@ type Slice struct {
 	Kernel   []byte   // EncodeKernelState: GM blocks + coherence directory
 }
 
-// Store is the pluggable snapshot backend. WriteSlice stages one PE's slice
+// Store is the pluggable snapshot backend. WriteSlice writes one PE's slice
 // for a generation; Commit makes the generation durable and visible to
-// Latest only once every PE's slice is staged. Implementations must make
-// Commit atomic: a generation is either complete or absent.
+// Latest only once every PE's slice is written, and may drop older
+// generations. Implementations must make Commit atomic: a generation is
+// either complete or absent.
 type Store interface {
 	WriteSlice(gen uint64, pe int, data []byte) error
 	ReadSlice(gen uint64, pe int) ([]byte, error)
 	Commit(gen uint64, numPE int) error
 	// Latest reports the newest committed generation (ok=false when none).
 	Latest() (gen uint64, numPE int, ok bool, err error)
-	// GC drops all but the newest keep committed generations and any
-	// objects only they referenced.
-	GC(keep int) error
 }
 
 // --- Slice encoding ---
 
 var (
-	sliceMagic  = [8]byte{'D', 'S', 'E', 'C', 'K', 'P', 'T', '1'}
-	objectMagic = [8]byte{'D', 'S', 'E', 'O', 'B', 'J', '1', 0}
+	sliceMagic = [8]byte{'D', 'S', 'E', 'C', 'K', 'P', 'T', '1'}
+	fileMagic  = [8]byte{'D', 'S', 'E', 'S', 'L', 'C', '1', 0}
 )
 
 // EncodeSlice serialises a slice for the store.
@@ -83,47 +80,20 @@ func EncodeSlice(s Slice) []byte {
 
 // DecodeSlice parses an EncodeSlice payload.
 func DecodeSlice(data []byte) (Slice, error) {
+	if len(data) < len(sliceMagic) || string(data[:len(sliceMagic)]) != string(sliceMagic[:]) {
+		return Slice{}, errors.New("ckpt: not a checkpoint slice (bad magic)")
+	}
+	d := &decoder{data: data, off: len(sliceMagic), section: "slice"}
 	var s Slice
-	if len(data) < 8+8+8+8 || string(data[:8]) != string(sliceMagic[:]) {
-		return s, errors.New("ckpt: not a checkpoint slice (bad magic)")
+	s.Epoch = d.u64()
+	s.MarkTime = sim.Time(d.u64())
+	s.App = d.blob("app blob")
+	s.Kernel = d.blob("kernel state")
+	if d.off != len(data) {
+		d.fail("slice has trailing bytes after its kernel state")
 	}
-	off := 8
-	get := func() (uint64, error) {
-		if off+8 > len(data) {
-			return 0, fmt.Errorf("ckpt: truncated slice at byte %d", off)
-		}
-		v := binary.LittleEndian.Uint64(data[off:])
-		off += 8
-		return v, nil
-	}
-	var v uint64
-	var err error
-	if v, err = get(); err != nil {
-		return s, err
-	}
-	s.Epoch = v
-	if v, err = get(); err != nil {
-		return s, err
-	}
-	s.MarkTime = sim.Time(v)
-	if v, err = get(); err != nil {
-		return s, err
-	}
-	if v > uint64(len(data)-off) {
-		return s, errors.New("ckpt: truncated app blob")
-	}
-	if v > 0 {
-		s.App = append([]byte(nil), data[off:off+int(v)]...)
-	}
-	off += int(v)
-	if v, err = get(); err != nil {
-		return s, err
-	}
-	if v > uint64(len(data)-off) {
-		return s, errors.New("ckpt: truncated kernel state")
-	}
-	if v > 0 {
-		s.Kernel = append([]byte(nil), data[off:off+int(v)]...)
+	if d.err != nil {
+		return Slice{}, d.err
 	}
 	return s, nil
 }
@@ -159,87 +129,106 @@ func appendBlock(buf []byte, b gmem.BlockSnapshot) []byte {
 	return buf
 }
 
-// decoder reads a kernel state's little-endian uint64 stream. section names
-// the part being read in truncation errors.
+// decoder reads a little-endian uint64 stream. The first failure sticks in
+// err and every later read returns zero, so a caller checks err once, at the
+// end. section names the part being read in truncation errors.
 type decoder struct {
 	data    []byte
 	off     int
 	section string
+	err     error
 }
 
-func (d *decoder) u64() (uint64, error) {
-	if d.off+8 > len(d.data) {
-		return 0, fmt.Errorf("ckpt: truncated %s at byte %d", d.section, d.off)
+// fail records the first failure.
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("ckpt: "+format, args...)
+	}
+}
+
+func (d *decoder) u64() uint64 {
+	if d.err != nil || d.off+8 > len(d.data) {
+		d.fail("truncated %s at byte %d", d.section, d.off)
+		return 0
 	}
 	v := binary.LittleEndian.Uint64(d.data[d.off:])
 	d.off += 8
-	return v, nil
+	return v
+}
+
+// blob reads a length-prefixed byte string, nil when empty.
+func (d *decoder) blob(what string) []byte {
+	n := d.u64()
+	if n > uint64(len(d.data)-d.off) {
+		d.fail("truncated %s", what)
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	d.off += int(n)
+	return bytes.Clone(d.data[d.off-int(n) : d.off])
 }
 
 // count reads a list length, refusing one the payload cannot hold.
-func (d *decoder) count(what string) (uint64, error) {
-	n, err := d.u64()
-	if err == nil && n > uint64(len(d.data)) {
-		err = fmt.Errorf("ckpt: implausible %s %d", what, n)
+func (d *decoder) count(what string) uint64 {
+	n := d.u64()
+	if n > uint64(len(d.data)) {
+		d.fail("implausible %s %d", what, n)
+		return 0
 	}
-	return n, err
+	return n
+}
+
+// id reads a kernel id, refusing one no int of a 32-bit build holds, which
+// would otherwise wrap there to another kernel's id.
+func (d *decoder) id(what string) int {
+	v := d.u64()
+	if v > math.MaxInt32 {
+		d.fail("implausible %s %d", what, v)
+		return 0
+	}
+	return int(v)
 }
 
 // block decodes one appendBlock entry of bw words.
-func (d *decoder) block(bw int) (b gmem.BlockSnapshot, err error) {
-	if b.Index, err = d.u64(); err != nil {
-		return b, err
+func (d *decoder) block(bw int) (b gmem.BlockSnapshot) {
+	b.Index = d.u64()
+	if uint64(len(d.data)-d.off)/8 < uint64(bw) {
+		d.fail("truncated %s at byte %d", d.section, d.off)
+		return b
 	}
 	b.Words = make([]int64, bw)
 	for w := range b.Words {
-		v, err := d.u64()
-		if err != nil {
-			return b, err
-		}
-		b.Words[w] = int64(v)
+		b.Words[w] = int64(d.u64())
 	}
-	nc, err := d.count("copyset size")
-	if err != nil {
-		return b, err
+	for c, nc := uint64(0), d.count("copyset size"); c < nc && d.err == nil; c++ {
+		b.Copyset = append(b.Copyset, d.id("copyset kernel"))
 	}
-	for c := uint64(0); c < nc; c++ {
-		v, err := d.u64()
-		if err != nil {
-			return b, err
-		}
-		b.Copyset = append(b.Copyset, int(v))
-	}
-	return b, nil
+	return b
 }
 
 // blocks parses the V1 block list, leaving d one past it, where a V2
 // trailer (if any) begins.
-func (d *decoder) blocks() (blockWords int, blocks []gmem.BlockSnapshot, err error) {
-	bw, err := d.u64()
-	if err != nil {
-		return 0, nil, err
+func (d *decoder) blocks() (blockWords int, blocks []gmem.BlockSnapshot) {
+	bw, nb := d.u64(), d.u64()
+	if d.err == nil && (bw == 0 || bw > 1<<20 || nb > uint64(len(d.data))) {
+		d.fail("implausible kernel state (blockWords=%d, blocks=%d)", bw, nb)
 	}
-	nb, err := d.u64()
-	if err != nil {
-		return 0, nil, err
-	}
-	if bw == 0 || bw > 1<<20 || nb > uint64(len(d.data)) {
-		return 0, nil, fmt.Errorf("ckpt: implausible kernel state (blockWords=%d, blocks=%d)", bw, nb)
+	if d.err != nil {
+		return 0, nil
 	}
 	blocks = make([]gmem.BlockSnapshot, 0, nb)
 	seen := make(map[uint64]bool)
-	for i := uint64(0); i < nb; i++ {
-		b, err := d.block(int(bw))
-		if err != nil {
-			return 0, nil, err
-		}
+	for i := uint64(0); i < nb && d.err == nil; i++ {
+		b := d.block(int(bw))
 		if seen[b.Index] {
-			return 0, nil, fmt.Errorf("ckpt: kernel state lists block %d twice", b.Index)
+			d.fail("kernel state lists block %d twice", b.Index)
 		}
 		seen[b.Index] = true
 		blocks = append(blocks, b)
 	}
-	return int(bw), blocks, nil
+	return int(bw), blocks
 }
 
 // --- Directory (elastic membership) snapshot: kernel-state V2 trailer ---
@@ -251,7 +240,7 @@ var dirMagic = [8]byte{'D', 'S', 'E', 'D', 'I', 'R', '2', 0}
 
 // MemberSnapshot is one member's state in a directory snapshot.
 type MemberSnapshot struct {
-	State uint64 // gmem.MemberState
+	State uint64 // gmem.MemberState; the decoder refuses any other value
 	Gen   uint64 // membership generation of the last transition
 }
 
@@ -263,9 +252,10 @@ type EscrowSnapshot struct {
 	Block gmem.BlockSnapshot
 }
 
-// DirectorySnapshot captures a kernel's membership directory for the
-// manifest: epoch, per-member states, explicit overrides and in-flight
-// escrow. Nil means the snapshot predates elastic membership (V1).
+// DirectorySnapshot captures a kernel's membership directory for a
+// checkpoint or a join/leave handoff: epoch, per-member states, explicit
+// overrides and in-flight escrow. Nil means the snapshot predates elastic
+// membership (V1).
 type DirectorySnapshot struct {
 	Epoch     uint64
 	Members   []MemberSnapshot
@@ -304,9 +294,9 @@ func EncodeKernelStateDir(blockWords int, blocks []gmem.BlockSnapshot, dir *Dire
 // for a V1 payload (no trailer).
 func DecodeKernelStateDir(data []byte) (blockWords int, blocks []gmem.BlockSnapshot, dir *DirectorySnapshot, err error) {
 	d := &decoder{data: data, section: "kernel state"}
-	blockWords, blocks, err = d.blocks()
-	if err != nil {
-		return 0, nil, nil, err
+	blockWords, blocks = d.blocks()
+	if d.err != nil {
+		return 0, nil, nil, d.err
 	}
 	if d.off == len(data) {
 		return blockWords, blocks, nil, nil // V1
@@ -316,326 +306,226 @@ func DecodeKernelStateDir(data []byte) (blockWords int, blocks []gmem.BlockSnaps
 	}
 	d.off += 8
 	d.section = "directory trailer"
-	dir = &DirectorySnapshot{}
-	if dir.Epoch, err = d.u64(); err != nil {
-		return 0, nil, nil, err
-	}
-	nm, err := d.count("member count")
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	for i := uint64(0); i < nm; i++ {
-		var m MemberSnapshot
-		if m.State, err = d.u64(); err != nil {
-			return 0, nil, nil, err
-		}
-		if m.Gen, err = d.u64(); err != nil {
-			return 0, nil, nil, err
+	dir = &DirectorySnapshot{Epoch: d.u64()}
+	for i, n := uint64(0), d.count("member count"); i < n && d.err == nil; i++ {
+		m := MemberSnapshot{State: d.u64(), Gen: d.u64()}
+		if m.State > uint64(gmem.MemberDead) {
+			d.fail("implausible member state %d", m.State)
 		}
 		dir.Members = append(dir.Members, m)
 	}
-	nov, err := d.count("override count")
-	if err != nil {
-		return 0, nil, nil, err
+	for i, n := uint64(0), d.count("override count"); i < n && d.err == nil; i++ {
+		dir.Overrides = append(dir.Overrides, [2]uint64{d.u64(), d.u64()})
 	}
-	for i := uint64(0); i < nov; i++ {
-		var ov [2]uint64
-		if ov[0], err = d.u64(); err != nil {
-			return 0, nil, nil, err
-		}
-		if ov[1], err = d.u64(); err != nil {
-			return 0, nil, nil, err
-		}
-		dir.Overrides = append(dir.Overrides, ov)
+	for i, n := uint64(0), d.count("escrow count"); i < n && d.err == nil; i++ {
+		dst := d.id("escrow destination")
+		dir.Escrow = append(dir.Escrow, EscrowSnapshot{Dst: dst, Block: d.block(blockWords)})
 	}
-	ne, err := d.count("escrow count")
-	if err != nil {
-		return 0, nil, nil, err
+	if d.off != len(data) {
+		d.fail("kernel state has trailing bytes after its directory trailer")
 	}
-	for i := uint64(0); i < ne; i++ {
-		var e EscrowSnapshot
-		dst, err := d.u64()
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		e.Dst = int(dst)
-		if e.Block, err = d.block(blockWords); err != nil {
-			return 0, nil, nil, err
-		}
-		dir.Escrow = append(dir.Escrow, e)
+	if d.err != nil {
+		return 0, nil, nil, d.err
 	}
 	return blockWords, blocks, dir, nil
 }
 
 // --- DirStore ---
 
-// DirStore is the local-directory Store: content-addressed objects with a
-// CRC-framed payload, per-generation manifests committed by atomic rename.
-// Safe for use by every PE of an in-process cluster and by multiple OS
-// processes sharing the directory (each write lands under a unique temp name
-// before its rename).
+// keepGenerations is how many committed generations a Commit leaves behind.
+const keepGenerations = 2
+
+// committedName is the marker whose rename into a generation's directory
+// commits it; it records the generation's PE count.
+const committedName = "committed"
+
+// DirStore is the local-directory Store: generation G is the directory g<G>,
+// holding one framed slice file p<P> per PE and, once committed, the
+// committed marker. Every file lands under a unique temp name before its
+// rename, so the store is safe for every PE of an in-process cluster and for
+// OS processes sharing the directory.
 type DirStore struct {
 	root string
 }
 
 // OpenDir opens (creating if needed) a snapshot directory.
 func OpenDir(root string) (*DirStore, error) {
-	for _, d := range []string{root, filepath.Join(root, "objects"), filepath.Join(root, "staging"), filepath.Join(root, "manifests")} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("ckpt: %w", err)
-		}
+	if err := os.MkdirAll(root, 0o755); err != nil {
+		return nil, fmt.Errorf("ckpt: %w", err)
 	}
 	return &DirStore{root: root}, nil
 }
 
-// Root returns the store's directory.
-func (d *DirStore) Root() string { return d.root }
+func (d *DirStore) genDir(gen uint64) string {
+	return filepath.Join(d.root, fmt.Sprintf("g%d", gen))
+}
 
-// frame wraps payload as an object file: magic, length, CRC32, payload.
-func frame(payload []byte) []byte {
-	buf := make([]byte, 0, len(objectMagic)+8+4+len(payload))
-	buf = append(buf, objectMagic[:]...)
+func (d *DirStore) slicePath(gen uint64, pe int) string {
+	return filepath.Join(d.genDir(gen), fmt.Sprintf("p%d", pe))
+}
+
+// frameHeader is a slice file's header: magic, generation, PE, payload
+// length, CRC32 and SHA-256 of the payload.
+const frameHeader = len(fileMagic) + 8 + 8 + 8 + 4 + sha256.Size
+
+// frame wraps PE pe's slice payload of generation gen as its slice file.
+func frame(gen uint64, pe int, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	buf := make([]byte, 0, frameHeader+len(payload))
+	buf = append(buf, fileMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, gen)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(pe))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	buf = append(buf, sum[:]...)
 	return append(buf, payload...)
 }
 
-// unframe validates and strips an object frame.
-func unframe(buf []byte) ([]byte, error) {
-	hdr := len(objectMagic) + 8 + 4
-	if len(buf) < hdr || string(buf[:8]) != string(objectMagic[:]) {
-		return nil, errors.New("ckpt: corrupt snapshot object (bad magic)")
+// unframe verifies a slice file read as PE pe's of generation gen and strips
+// its frame. A file copied under another PE's or generation's name fails the
+// header's own names; a damaged one fails the length, the CRC32 or the
+// SHA-256.
+func unframe(buf []byte, gen uint64, pe int) ([]byte, error) {
+	if len(buf) < frameHeader || string(buf[:len(fileMagic)]) != string(fileMagic[:]) {
+		return nil, errors.New("ckpt: corrupt slice file (bad magic)")
 	}
-	n := binary.LittleEndian.Uint64(buf[8:])
-	crc := binary.LittleEndian.Uint32(buf[16:])
-	if n != uint64(len(buf)-hdr) {
-		return nil, errors.New("ckpt: corrupt snapshot object (length mismatch)")
-	}
-	payload := buf[hdr:]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, errors.New("ckpt: corrupt snapshot object (CRC mismatch)")
+	le := binary.LittleEndian
+	payload := buf[frameHeader:]
+	switch g, p := le.Uint64(buf[8:]), le.Uint64(buf[16:]); {
+	case g != gen || p != uint64(pe):
+		return nil, fmt.Errorf("ckpt: corrupt slice file (read as generation %d, PE %d; it holds generation %d, PE %d)", gen, pe, g, p)
+	case le.Uint64(buf[24:]) != uint64(len(payload)):
+		return nil, errors.New("ckpt: corrupt slice file (length mismatch)")
+	case le.Uint32(buf[32:]) != crc32.ChecksumIEEE(payload):
+		return nil, errors.New("ckpt: corrupt slice file (CRC mismatch)")
+	case [sha256.Size]byte(buf[36:frameHeader]) != sha256.Sum256(payload):
+		return nil, errors.New("ckpt: corrupt slice file (SHA-256 mismatch)")
 	}
 	return payload, nil
 }
 
-func (d *DirStore) objectPath(hash string) string {
-	return filepath.Join(d.root, "objects", hash)
-}
-
-func (d *DirStore) stagingPath(gen uint64, pe int) string {
-	return filepath.Join(d.root, "staging", fmt.Sprintf("g%d-p%d", gen, pe))
-}
-
-func (d *DirStore) manifestPath(gen uint64) string {
-	return filepath.Join(d.root, "manifests", fmt.Sprintf("g%d", gen))
-}
-
 // writeAtomic writes data to path via a unique temp file + rename, so a
 // crash mid-write can never leave a half-written file under the final name.
+// The temp file is removed on every failure.
 func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return os.Rename(tmp.Name(), path)
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
-// WriteSlice stores one PE's slice payload as a content-addressed object and
-// stages its hash for Commit.
+// WriteSlice writes PE pe's framed slice into generation gen's directory.
 func (d *DirStore) WriteSlice(gen uint64, pe int, data []byte) error {
-	sum := sha256.Sum256(data)
-	hash := hex.EncodeToString(sum[:])
-	obj := d.objectPath(hash)
-	if _, err := os.Stat(obj); err != nil {
-		if err := writeAtomic(obj, frame(data)); err != nil {
-			return fmt.Errorf("ckpt: writing object: %w", err)
-		}
+	if err := os.MkdirAll(d.genDir(gen), 0o755); err != nil {
+		return fmt.Errorf("ckpt: %w", err)
 	}
-	if err := writeAtomic(d.stagingPath(gen, pe), []byte(hash+"\n")); err != nil {
-		return fmt.Errorf("ckpt: staging slice: %w", err)
+	if err := writeAtomic(d.slicePath(gen, pe), frame(gen, pe, data)); err != nil {
+		return fmt.Errorf("ckpt: writing slice: %w", err)
 	}
 	return nil
 }
 
 // ReadSlice loads and verifies one PE's slice of a committed generation.
 func (d *DirStore) ReadSlice(gen uint64, pe int) ([]byte, error) {
-	hashes, _, err := d.readManifest(gen)
+	numPE, err := d.numPE(gen)
 	if err != nil {
 		return nil, err
 	}
-	if pe < 0 || pe >= len(hashes) {
+	if pe < 0 || pe >= numPE {
 		return nil, fmt.Errorf("ckpt: generation %d has no PE %d", gen, pe)
 	}
-	return d.readObject(hashes[pe])
-}
-
-func (d *DirStore) readObject(hash string) ([]byte, error) {
-	buf, err := os.ReadFile(d.objectPath(hash))
+	buf, err := os.ReadFile(d.slicePath(gen, pe))
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	payload, err := unframe(buf)
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != hash {
-		return nil, errors.New("ckpt: corrupt snapshot object (content hash mismatch)")
-	}
-	out := make([]byte, len(payload))
-	copy(out, payload)
-	return out, nil
+	return unframe(buf, gen, pe)
 }
 
-// Commit publishes generation gen: every staged slice 0..numPE-1 must be
-// present. The manifest is written via rename, so Latest either sees the
-// whole generation or none of it; the staging entries are consumed.
+// Commit publishes generation gen once the slices of PEs 0..numPE-1 are all
+// in its directory. The committed marker lands by rename, so Latest sees the
+// whole generation or none of it. Every generation older than the newest
+// keepGenerations committed ones is then removed, committed or not.
 func (d *DirStore) Commit(gen uint64, numPE int) error {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "ckpt-manifest v1\ngen %d\nnumpe %d\n", gen, numPE)
 	for pe := 0; pe < numPE; pe++ {
-		raw, err := os.ReadFile(d.stagingPath(gen, pe))
-		if err != nil {
-			return fmt.Errorf("ckpt: commit of generation %d: slice for PE %d not staged: %w", gen, pe, err)
+		if _, err := os.Stat(d.slicePath(gen, pe)); err != nil {
+			return fmt.Errorf("ckpt: commit of generation %d: slice for PE %d not written: %w", gen, pe, err)
 		}
-		hash := strings.TrimSpace(string(raw))
-		if len(hash) != sha256.Size*2 {
-			return fmt.Errorf("ckpt: commit of generation %d: malformed staging entry for PE %d", gen, pe)
+	}
+	marker := filepath.Join(d.genDir(gen), committedName)
+	if err := writeAtomic(marker, []byte(fmt.Sprintf("numpe %d\n", numPE))); err != nil {
+		return fmt.Errorf("ckpt: committing generation %d: %w", gen, err)
+	}
+	all, committed, err := d.generations()
+	if err != nil || len(committed) <= keepGenerations {
+		return err
+	}
+	oldest := committed[len(committed)-keepGenerations]
+	for _, g := range all {
+		if g >= oldest {
+			break
 		}
-		fmt.Fprintf(&sb, "pe %d %s\n", pe, hash)
-	}
-	if err := writeAtomic(d.manifestPath(gen), []byte(sb.String())); err != nil {
-		return fmt.Errorf("ckpt: committing manifest: %w", err)
-	}
-	for pe := 0; pe < numPE; pe++ {
-		os.Remove(d.stagingPath(gen, pe))
+		if err := os.RemoveAll(d.genDir(g)); err != nil {
+			return fmt.Errorf("ckpt: %w", err)
+		}
 	}
 	return nil
 }
 
-// readManifest parses a committed generation's manifest into per-PE hashes.
-func (d *DirStore) readManifest(gen uint64) (hashes []string, numPE int, err error) {
-	raw, err := os.ReadFile(d.manifestPath(gen))
+// numPE reads a committed generation's marker.
+func (d *DirStore) numPE(gen uint64) (int, error) {
+	raw, err := os.ReadFile(filepath.Join(d.genDir(gen), committedName))
 	if err != nil {
-		return nil, 0, fmt.Errorf("ckpt: generation %d not committed: %w", gen, err)
+		return 0, fmt.Errorf("ckpt: generation %d not committed: %w", gen, err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) < 3 || lines[0] != "ckpt-manifest v1" {
-		return nil, 0, fmt.Errorf("ckpt: generation %d: malformed manifest", gen)
+	var n int
+	if _, err := fmt.Sscanf(string(raw), "numpe %d\n", &n); err != nil || n <= 0 {
+		return 0, fmt.Errorf("ckpt: generation %d: malformed commit marker", gen)
 	}
-	var g uint64
-	if _, err := fmt.Sscanf(lines[1], "gen %d", &g); err != nil || g != gen {
-		return nil, 0, fmt.Errorf("ckpt: generation %d: manifest names generation %d", gen, g)
-	}
-	if _, err := fmt.Sscanf(lines[2], "numpe %d", &numPE); err != nil || numPE <= 0 {
-		return nil, 0, fmt.Errorf("ckpt: generation %d: malformed numpe line", gen)
-	}
-	hashes = make([]string, numPE)
-	for _, ln := range lines[3:] {
-		var pe int
-		var hash string
-		if _, err := fmt.Sscanf(ln, "pe %d %s", &pe, &hash); err != nil || pe < 0 || pe >= numPE {
-			return nil, 0, fmt.Errorf("ckpt: generation %d: malformed manifest line %q", gen, ln)
-		}
-		hashes[pe] = hash
-	}
-	for pe, h := range hashes {
-		if h == "" {
-			return nil, 0, fmt.Errorf("ckpt: generation %d: manifest missing PE %d", gen, pe)
-		}
-	}
-	return hashes, numPE, nil
+	return n, nil
 }
 
-// generations lists committed generation numbers, ascending. Temp files and
-// anything unparseable are ignored: an interrupted commit left them, and
-// they were never visible.
-func (d *DirStore) generations() ([]uint64, error) {
-	ents, err := os.ReadDir(filepath.Join(d.root, "manifests"))
+// generations lists the generation directories, ascending, and the committed
+// ones among them. Anything else in the root is ignored.
+func (d *DirStore) generations() (all, committed []uint64, err error) {
+	ents, err := os.ReadDir(d.root)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: %w", err)
+		return nil, nil, fmt.Errorf("ckpt: %w", err)
 	}
-	var gens []uint64
 	for _, e := range ents {
 		var g uint64
-		if _, err := fmt.Sscanf(e.Name(), "g%d", &g); err == nil && fmt.Sprintf("g%d", g) == e.Name() {
-			gens = append(gens, g)
+		if _, err := fmt.Sscanf(e.Name(), "g%d", &g); err != nil || !e.IsDir() || fmt.Sprintf("g%d", g) != e.Name() {
+			continue
+		}
+		all = append(all, g)
+		if _, err := os.Stat(filepath.Join(d.root, e.Name(), committedName)); err == nil {
+			committed = append(committed, g)
 		}
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	return gens, nil
+	slices.Sort(all)
+	slices.Sort(committed)
+	return all, committed, nil
 }
 
 // Latest reports the newest committed generation.
 func (d *DirStore) Latest() (gen uint64, numPE int, ok bool, err error) {
-	gens, err := d.generations()
-	if err != nil || len(gens) == 0 {
+	_, committed, err := d.generations()
+	if err != nil || len(committed) == 0 {
 		return 0, 0, false, err
 	}
-	gen = gens[len(gens)-1]
-	_, numPE, err = d.readManifest(gen)
-	if err != nil {
+	gen = committed[len(committed)-1]
+	if numPE, err = d.numPE(gen); err != nil {
 		return 0, 0, false, err
 	}
 	return gen, numPE, true, nil
-}
-
-// GC keeps the newest keep committed generations, deleting older manifests,
-// their staging leftovers, and every object no kept generation references.
-func (d *DirStore) GC(keep int) error {
-	if keep < 1 {
-		keep = 1
-	}
-	gens, err := d.generations()
-	if err != nil {
-		return err
-	}
-	if len(gens) <= keep {
-		return nil
-	}
-	dead, live := gens[:len(gens)-keep], gens[len(gens)-keep:]
-	referenced := make(map[string]bool)
-	for _, g := range live {
-		hashes, _, err := d.readManifest(g)
-		if err != nil {
-			return err
-		}
-		for _, h := range hashes {
-			referenced[h] = true
-		}
-	}
-	for _, g := range dead {
-		if err := os.Remove(d.manifestPath(g)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("ckpt: gc: %w", err)
-		}
-	}
-	// Drop unreferenced objects and stale staging entries for dead gens.
-	objs, err := os.ReadDir(filepath.Join(d.root, "objects"))
-	if err != nil {
-		return fmt.Errorf("ckpt: gc: %w", err)
-	}
-	for _, e := range objs {
-		if !referenced[e.Name()] && !strings.HasPrefix(e.Name(), ".tmp-") {
-			os.Remove(d.objectPath(e.Name()))
-		}
-	}
-	for _, g := range dead {
-		stag, err := filepath.Glob(filepath.Join(d.root, "staging", fmt.Sprintf("g%d-p*", g)))
-		if err == nil {
-			for _, p := range stag {
-				os.Remove(p)
-			}
-		}
-	}
-	return nil
 }

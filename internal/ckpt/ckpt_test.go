@@ -2,11 +2,13 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -86,6 +88,37 @@ func TestDecodeRejectsRepeatedBlock(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsImplausible: a slice with bytes past its kernel state, a
+// kernel state with bytes past its directory trailer or a member state gmem
+// does not define, and a copyset kernel or escrow destination no 32-bit int
+// holds, are refused rather than ignored or narrowed to another value.
+func TestDecodeRejectsImplausible(t *testing.T) {
+	if _, err := DecodeSlice(append(EncodeSlice(testSlice(0)), 0)); err == nil {
+		t.Error("DecodeSlice accepted a trailing byte")
+	}
+	if _, _, _, err := DecodeKernelStateDir(append(EncodeKernelStateDir(2, nil, &DirectorySnapshot{}), 0)); err == nil {
+		t.Error("DecodeKernelStateDir accepted a byte past the directory trailer")
+	}
+	if _, _, _, err := DecodeKernelStateDir(EncodeKernelStateDir(2, nil, &DirectorySnapshot{Members: []MemberSnapshot{{State: 257}}})); err == nil {
+		t.Error("DecodeKernelStateDir accepted member state 257, which a gmem.MemberState narrows to 1")
+	}
+	blk := gmem.BlockSnapshot{Index: 1, Words: make([]int64, 2), Copyset: []int{0}}
+	copyset := EncodeKernelState(2, []gmem.BlockSnapshot{blk})
+	escrow := EncodeKernelStateDir(2, nil, &DirectorySnapshot{Escrow: []EscrowSnapshot{{Block: gmem.BlockSnapshot{Index: 1, Words: make([]int64, 2)}}}})
+	for _, id := range []uint64{1<<32 + 1, 1<<64 - 1} {
+		data := bytes.Clone(copyset)
+		binary.LittleEndian.PutUint64(data[len(data)-8:], id)
+		if _, _, _, err := DecodeKernelStateDir(data); err == nil {
+			t.Errorf("copyset kernel %d accepted", id)
+		}
+		data = bytes.Clone(escrow)
+		binary.LittleEndian.PutUint64(data[len(data)-40:], id)
+		if _, _, _, err := DecodeKernelStateDir(data); err == nil {
+			t.Errorf("escrow destination %d accepted", id)
+		}
+	}
+}
+
 // TestKernelStateDirBytes pins the V2 layout: a fixed snapshot with escrow
 // encodes to the bytes below, in which each escrow entry after its Dst is laid
 // out exactly like a block of the main list, and those bytes decode back to
@@ -131,13 +164,14 @@ func TestKernelStateDirBytes(t *testing.T) {
 	}
 }
 
-func openTestStore(t *testing.T) *DirStore {
+func openTestStore(t *testing.T) (*DirStore, string) {
 	t.Helper()
-	st, err := OpenDir(t.TempDir())
+	dir := t.TempDir()
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}
-	return st
+	return st, dir
 }
 
 func commitGen(t *testing.T, st *DirStore, gen uint64, numPE int) {
@@ -155,7 +189,7 @@ func commitGen(t *testing.T, st *DirStore, gen uint64, numPE int) {
 }
 
 func TestStoreRoundTrip(t *testing.T) {
-	st := openTestStore(t)
+	st, _ := openTestStore(t)
 	commitGen(t, st, 1, 3)
 	gen, numPE, ok, err := st.Latest()
 	if err != nil || !ok || gen != 1 || numPE != 3 {
@@ -176,34 +210,75 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreDetectsCorruptObject(t *testing.T) {
-	st := openTestStore(t)
-	commitGen(t, st, 1, 2)
-	// Flip one payload byte in every object; ReadSlice must refuse.
-	ents, err := os.ReadDir(filepath.Join(st.Root(), "objects"))
+// TestStoreDetectsCorruptSlice damages one field of a slice file at a time —
+// the header, the payload, and each of the checks over it — and ReadSlice
+// must refuse every one.
+func TestStoreDetectsCorruptSlice(t *testing.T) {
+	st, dir := openTestStore(t)
+	commitGen(t, st, 1, 1)
+	path := filepath.Join(dir, "g1", "p0")
+	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range ents {
-		p := filepath.Join(st.Root(), "objects", e.Name())
-		buf, err := os.ReadFile(p)
+	for _, tc := range []struct {
+		name string
+		at   int
+	}{
+		{"magic", 0},
+		{"generation", 8},
+		{"PE", 16},
+		{"length", 24},
+		{"CRC32", 32},
+		{"SHA-256", 36},
+		{"payload", len(good) - 1},
+	} {
+		bad := bytes.Clone(good)
+		bad[tc.at] ^= 0xff
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.ReadSlice(1, 0); err == nil || !strings.Contains(err.Error(), "corrupt") {
+			t.Errorf("%s flipped: err = %v, want a corrupt-slice error", tc.name, err)
+		}
+	}
+	if err := os.WriteFile(path, good[:len(good)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ReadSlice(1, 0); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Errorf("truncated: err = %v, want a corrupt-slice error", err)
+	}
+}
+
+// TestStoreRefusesMisplacedSlice copies an intact slice file under another
+// PE's name and under another generation's: each still passes its checksums,
+// and ReadSlice must refuse it by the names in its frame.
+func TestStoreRefusesMisplacedSlice(t *testing.T) {
+	st, dir := openTestStore(t)
+	commitGen(t, st, 1, 2)
+	commitGen(t, st, 2, 2)
+	copyFile := func(from, to string) {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, from))
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf[len(buf)-1] ^= 0xff
-		if err := os.WriteFile(p, buf, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, to), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for pe := 0; pe < 2; pe++ {
-		if _, err := st.ReadSlice(1, pe); err == nil || !strings.Contains(err.Error(), "corrupt") {
-			t.Fatalf("ReadSlice(1,%d) on corrupted object: err=%v, want corrupt-object error", pe, err)
-		}
+	copyFile("g2/p0", "g2/p1")
+	if _, err := st.ReadSlice(2, 1); err == nil || !strings.Contains(err.Error(), "holds generation 2, PE 0") {
+		t.Errorf("PE 0's slice read as PE 1's: err = %v, want a refusal naming PE 0", err)
+	}
+	copyFile("g1/p0", "g2/p0")
+	if _, err := st.ReadSlice(2, 0); err == nil || !strings.Contains(err.Error(), "holds generation 1, PE 0") {
+		t.Errorf("generation 1's slice read as generation 2's: err = %v, want a refusal naming generation 1", err)
 	}
 }
 
 func TestCommitRequiresAllSlices(t *testing.T) {
-	st := openTestStore(t)
+	st, _ := openTestStore(t)
 	if err := st.WriteSlice(1, 0, []byte("only pe0")); err != nil {
 		t.Fatal(err)
 	}
@@ -215,20 +290,22 @@ func TestCommitRequiresAllSlices(t *testing.T) {
 	}
 }
 
-// An interrupted checkpoint leaves staged slices but no manifest; an
-// interrupted manifest write leaves a .tmp- file. Neither may surface.
+// An interrupted checkpoint leaves slices but no commit marker; an
+// interrupted marker write leaves a .tmp- file. Neither may surface.
 func TestCrashWindowsInvisible(t *testing.T) {
-	st := openTestStore(t)
+	st, dir := openTestStore(t)
 	commitGen(t, st, 1, 2)
 
-	// Crash after staging gen 2 but before Commit.
+	// Crash after writing gen 2's slice but before Commit.
 	if err := st.WriteSlice(2, 0, []byte("half a checkpoint")); err != nil {
 		t.Fatal(err)
 	}
-	// Crash mid-manifest-write for gen 3: simulate the temp file CreateTemp
+	// Crash mid-marker-write for gen 3: simulate the temp file CreateTemp
 	// would leave behind if the process died before rename.
-	tmp := filepath.Join(st.Root(), "manifests", ".tmp-123456")
-	if err := os.WriteFile(tmp, []byte("ckpt-manifest v1\ngen 3\n"), 0o644); err != nil {
+	if err := os.Mkdir(filepath.Join(dir, "g3"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "g3", ".tmp-123456"), []byte("numpe 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -241,62 +318,31 @@ func TestCrashWindowsInvisible(t *testing.T) {
 	}
 }
 
-func TestGCKeepsNewestGenerations(t *testing.T) {
-	st := openTestStore(t)
-	for gen := uint64(1); gen <= 4; gen++ {
-		// Distinct payload per gen so each gets its own objects.
-		for pe := 0; pe < 2; pe++ {
-			if err := st.WriteSlice(gen, pe, []byte(fmt.Sprintf("g%d-p%d", gen, pe))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.Commit(gen, 2); err != nil {
-			t.Fatal(err)
-		}
+// TestCommitKeepsNewestGenerations: after each Commit only the newest two
+// committed generations are left, and a generation that never committed
+// goes once it is older than both.
+func TestCommitKeepsNewestGenerations(t *testing.T) {
+	st, dir := openTestStore(t)
+	if err := st.WriteSlice(1, 0, []byte("never committed")); err != nil {
+		t.Fatal(err)
 	}
-	if err := st.GC(2); err != nil {
-		t.Fatalf("GC: %v", err)
+	for gen := uint64(2); gen <= 5; gen++ {
+		commitGen(t, st, gen, 2)
 	}
-	gens, err := st.generations()
+	all, committed, err := st.generations()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gens) != 2 || gens[0] != 3 || gens[1] != 4 {
-		t.Fatalf("after GC(2) generations = %v, want [3 4]", gens)
+	if !slices.Equal(all, []uint64{4, 5}) || !slices.Equal(committed, []uint64{4, 5}) {
+		t.Fatalf("after 4 commits: generations %v, committed %v; want [4 5] and [4 5]", all, committed)
 	}
-	// Kept generations still read back; dropped ones are gone, and their
-	// objects were pruned.
-	if _, err := st.ReadSlice(4, 1); err != nil {
-		t.Fatalf("kept generation unreadable after GC: %v", err)
+	if _, err := st.ReadSlice(5, 1); err != nil {
+		t.Fatalf("kept generation unreadable: %v", err)
 	}
-	if _, err := st.ReadSlice(1, 0); err == nil {
-		t.Fatal("GC'd generation still readable")
+	if _, err := st.ReadSlice(3, 0); err == nil {
+		t.Fatal("dropped generation still readable")
 	}
-	ents, err := os.ReadDir(filepath.Join(st.Root(), "objects"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 4 {
-		t.Fatalf("after GC want 4 objects (2 gens x 2 PEs), have %d", len(ents))
-	}
-}
-
-// Identical payloads from different PEs share one content-addressed object.
-func TestObjectsDeduplicated(t *testing.T) {
-	st := openTestStore(t)
-	for pe := 0; pe < 3; pe++ {
-		if err := st.WriteSlice(1, pe, []byte("same bytes")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Commit(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(filepath.Join(st.Root(), "objects"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 {
-		t.Fatalf("want 1 deduplicated object, have %d", len(ents))
+	if _, err := os.Stat(filepath.Join(dir, "g1")); !os.IsNotExist(err) {
+		t.Fatalf("uncommitted generation 1 left behind (%v)", err)
 	}
 }

@@ -127,12 +127,12 @@ type Config struct {
 	// (fault-schedule injection; see simnet.Kill).
 	Kills []simnet.Kill
 	// Ckpt enables the coordinated checkpoint/restart subsystem: programs
-	// may call pe.Checkpoint() to take cluster-wide snapshots through the
-	// configured store, and RunWithRecovery restarts a cluster from the last
-	// complete snapshot generation after a PE death. Nil disables
-	// checkpointing entirely (pe.Checkpoint becomes a no-op and the hot path
-	// is untouched).
-	Ckpt *CheckpointConfig
+	// may call pe.Checkpoint() to take cluster-wide snapshots into this
+	// store (e.g. a ckpt.DirStore), and RunWithRecovery restarts a cluster
+	// from the last complete snapshot generation after a PE death. Nil
+	// disables checkpointing entirely (pe.Checkpoint becomes a no-op and the
+	// hot path is untouched).
+	Ckpt ckpt.Store
 	// Fault is a TEST-ONLY protocol fault (NoFault, the zero value, outside
 	// tests): it exists to prove the history checker can fail, so a run with
 	// one set must produce violations.
@@ -239,16 +239,6 @@ func (f Fault) String() string {
 	return fmt.Sprintf("Fault(%d)", uint8(f))
 }
 
-// CheckpointConfig configures the checkpoint/restart subsystem.
-type CheckpointConfig struct {
-	// Store receives snapshot generations (e.g. a ckpt.DirStore).
-	Store ckpt.Store
-}
-
-// keepGenerations is how many committed generations a checkpoint's GC
-// retains.
-const keepGenerations = 2
-
 func (cfg *Config) withDefaults() (Config, error) {
 	c := *cfg
 	if c.NumPE <= 0 {
@@ -286,9 +276,6 @@ func (cfg *Config) withDefaults() (Config, error) {
 	}
 	if c.RecordHistory {
 		c.recorder = check.NewRecorder(c.NumPE)
-	}
-	if c.Ckpt != nil && c.Ckpt.Store == nil {
-		return c, errors.New("core: CheckpointConfig requires a Store")
 	}
 	if c.recorder != nil && c.restore != nil {
 		// Restored words have no writer event in this run's history; feed

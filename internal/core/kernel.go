@@ -512,7 +512,7 @@ func isReply(op wire.Op) bool {
 	case wire.OpReadResp, wire.OpWriteAck, wire.OpFetchAddResp, wire.OpCASResp,
 		wire.OpReadVResp, wire.OpCkptMarkResp,
 		wire.OpProcRegResp, wire.OpProcExitAck, wire.OpProcListResp,
-		wire.OpPong, wire.OpWelcome,
+		wire.OpPong,
 		wire.OpMigrateStartResp, wire.OpMigrateInstallResp, wire.OpMigrateCommitResp,
 		wire.OpMigrateNack, wire.OpJoinResp, wire.OpLeaveResp, wire.OpEpochUpdateResp,
 		wire.OpReadLeaseResp,

@@ -3,12 +3,15 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/gmem"
 	"repro/internal/sim"
+	"repro/internal/transport"
 	"repro/internal/transport/inproc"
 	"repro/internal/wire"
 )
@@ -864,5 +867,134 @@ func TestKernelStaleJobClose(t *testing.T) {
 	}
 	if k.extra.CorruptDrops != 0 {
 		t.Fatalf("CorruptDrops = %d for well-formed frames", k.extra.CorruptDrops)
+	}
+}
+
+// TestKernelCorruptInstallCopyset forges block installs whose copyset names
+// no kernel: kernel N, an id past any 32-bit int, and −1. Adopting one would
+// plant the id in the block's copyset, and the block's next write would open
+// an invalidation round toward it, whose send indexes past the transport's
+// node table and panics whoever serves the write. Each install is counted in
+// CorruptDrops and dropped unanswered, and the write then completes.
+func TestKernelCorruptInstallCopyset(t *testing.T) {
+	for _, holder := range []uint64{3, 1<<31 + 1, 1<<64 - 1} {
+		t.Run(fmt.Sprint(holder), func(t *testing.T) {
+			_, ks := testKernels(t, 3, nil)
+			k := ks[0]
+			bw := k.cfg.GMBlockWords
+			// Block 0 is homed here: the forged install re-offers it, copyset
+			// and all, as an escrow re-offer would.
+			data := ckpt.EncodeKernelState(bw, []gmem.BlockSnapshot{{Index: 0, Words: make([]int64, bw), Copyset: []int{1}}})
+			binary.LittleEndian.PutUint64(data[len(data)-8:], holder)
+			k.handle(&wire.Message{Op: wire.OpMigrateInstall, Src: 1, Seq: 1, Arg1: migModeBlock, Data: data})
+			if k.extra.CorruptDrops != 1 {
+				t.Fatalf("CorruptDrops = %d, want 1", k.extra.CorruptDrops)
+			}
+			noReplyFrom(t, ks[1], "a forged install")
+			w := &wire.Message{Op: wire.OpWrite, Src: 2, Seq: 2, Addr: 1}
+			w.PutWord(7)
+			k.handle(w)
+			if ack := replyFrom(t, ks[2]); ack.Op != wire.OpWriteAck || ack.Seq != 2 {
+				t.Fatalf("write answered %v, want its ack", ack)
+			}
+			if cs := k.seg.Copyset(0); len(cs) != 0 {
+				t.Fatalf("block 0's copyset = %v, want none", cs)
+			}
+		})
+	}
+}
+
+// TestKernelCorruptMembershipFrames sends every membership frame that names a
+// kernel in an int64 field with an id no kernel has: 2³²+1 and 2³¹+1, which
+// a 32-bit build's int narrows to 1 and to a negative id, −1, and N. The
+// commit's block count and the epoch update's member state, which narrows to
+// a byte on every target, get the same values where they are not legitimate.
+// A kernel counts each frame in CorruptDrops and drops it unanswered, with
+// its directory, escrow and segment as they were; a PE given such a NACK hint
+// fails the request instead of chasing it.
+func TestKernelCorruptMembershipFrames(t *testing.T) {
+	const n = 3
+	frames := []struct {
+		name   string
+		nValid bool // the field is no kernel id, and N is a legitimate value of it
+		frame  func(v int64) *wire.Message
+	}{
+		{"migrate-start block destination", false, func(v int64) *wire.Message {
+			return &wire.Message{Op: wire.OpMigrateStart, Arg1: migModeBlock, Arg2: v}
+		}},
+		{"migrate-start joiner", false, func(v int64) *wire.Message {
+			return &wire.Message{Op: wire.OpMigrateStart, Arg1: migModeJoin, Arg2: v, Addr: 5}
+		}},
+		{"migrate-install leaver", false, func(v int64) *wire.Message {
+			return &wire.Message{Op: wire.OpMigrateInstall, Arg1: migModeLeave, Arg2: v, Addr: 5,
+				Data: ckpt.EncodeKernelState(32, nil)}
+		}},
+		{"migrate-commit destination", false, func(v int64) *wire.Message {
+			return &wire.Message{Op: wire.OpMigrateCommit, Arg1: 1, Arg2: v}
+		}},
+		{"migrate-commit count", true, func(v int64) *wire.Message {
+			return &wire.Message{Op: wire.OpMigrateCommit, Arg1: v, Arg2: 1}
+		}},
+		{"epoch-update member", false, func(v int64) *wire.Message {
+			return &wire.Message{Op: wire.OpEpochUpdate, Arg1: v, Arg2: int64(gmem.MemberLeft), Addr: 5}
+		}},
+		{"epoch-update state", true, func(v int64) *wire.Message {
+			return &wire.Message{Op: wire.OpEpochUpdate, Arg1: 2, Arg2: v, Addr: 5}
+		}},
+	}
+	values := []int64{1<<32 + 1, 1<<31 + 1, -1, n}
+	for _, fr := range frames {
+		for _, v := range values {
+			if fr.nValid && v == n {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/%d", fr.name, v), func(t *testing.T) {
+				_, ks := testKernels(t, n, nil)
+				k := ks[0]
+				k.seg.Write(0, []int64{9}) // block 0, homed here
+				members, epoch := k.dir.Members(), k.dir.Epoch()
+				m := fr.frame(v)
+				m.Src, m.Seq = 1, 7
+				k.handle(m)
+				if k.extra.CorruptDrops != 1 {
+					t.Fatalf("CorruptDrops = %d, want 1", k.extra.CorruptDrops)
+				}
+				noReplyFrom(t, ks[1], "a frame naming no kernel")
+				if got := k.dir.Members(); !slices.Equal(got, members) || k.dir.Epoch() != epoch {
+					t.Errorf("members %v at epoch %d, want %v at %d", got, k.dir.Epoch(), members, epoch)
+				}
+				if ov := k.dir.Overrides(); len(ov) != 0 {
+					t.Errorf("overrides %v, want none", ov)
+				}
+				if !k.seg.Has(0) || len(k.escrow) != 0 {
+					t.Error("block 0 left the segment")
+				}
+			})
+		}
+	}
+	for _, v := range values {
+		t.Run(fmt.Sprintf("NACK hint/%d", v), func(t *testing.T) {
+			cfg, err := (&Config{NumPE: n, Transport: TransportInproc, KernelShards: 1, DirectReads: -1}).withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := inproc.New(n)
+			t.Cleanup(net.Stop)
+			home := &holdNode{SinkNode: net.Node(1).(transport.SinkNode), released: true}
+			home.mangle = func(m *wire.Message) { m.Op, m.Arg1 = wire.OpMigrateNack, v }
+			k0 := newKernel(0, net.Node(0), &cfg)
+			k1 := newKernel(1, home, &cfg)
+			newKernel(2, net.Node(2), &cfg)
+			pe := newPE(k0)
+			addr := remoteAddr(t, pe, 1)
+			k1.seg.Write(addr, []int64{77})
+			go k0.serve()
+			if got, err := pe.GMReadErr(addr); err == nil {
+				t.Fatalf("read through a NACK hinting kernel %d = %d, want an error", v, got)
+			}
+			if pe.extra.MigrateNacks != 1 || pe.extra.Retries != 0 {
+				t.Fatalf("MigrateNacks = %d, Retries = %d; want 1 and 0", pe.extra.MigrateNacks, pe.extra.Retries)
+			}
+		})
 	}
 }

@@ -87,6 +87,22 @@ func (k *Kernel) escrowSweep() {
 	k.escrowMu.Unlock()
 }
 
+// dirTable snapshots the membership table and overrides: what a join/leave
+// handoff payload carries (escrow stays local — escrowed blocks are already
+// covered by override entries), and what a checkpoint mark adds its escrow
+// to.
+func (k *Kernel) dirTable() *ckpt.DirectorySnapshot {
+	ds := &ckpt.DirectorySnapshot{Epoch: k.dir.Epoch()}
+	for _, m := range k.dir.Members() {
+		ds.Members = append(ds.Members, ckpt.MemberSnapshot{State: uint64(m.State), Gen: m.Gen})
+	}
+	for b, h := range k.dir.Overrides() {
+		ds.Overrides = append(ds.Overrides, [2]uint64{b, uint64(h)})
+	}
+	sort.Slice(ds.Overrides, func(i, j int) bool { return ds.Overrides[i][0] < ds.Overrides[j][0] })
+	return ds
+}
+
 // dirSnapshot captures the membership directory and escrow for a checkpoint
 // mark. It returns nil — the V1 encoding — while the directory is static and
 // no handoff is in flight, so static clusters produce byte-identical
@@ -98,18 +114,12 @@ func (k *Kernel) dirSnapshot() *ckpt.DirectorySnapshot {
 		esc = append(esc, ckpt.EscrowSnapshot{Dst: e.dst, Block: e.block})
 	}
 	k.escrowMu.Unlock()
-	sort.Slice(esc, func(i, j int) bool { return esc[i].Block.Index < esc[j].Block.Index })
 	if k.dir.Static() && len(esc) == 0 {
 		return nil
 	}
-	ds := &ckpt.DirectorySnapshot{Epoch: k.dir.Epoch(), Escrow: esc}
-	for _, m := range k.dir.Members() {
-		ds.Members = append(ds.Members, ckpt.MemberSnapshot{State: uint64(m.State), Gen: m.Gen})
-	}
-	for b, h := range k.dir.Overrides() {
-		ds.Overrides = append(ds.Overrides, [2]uint64{b, uint64(h)})
-	}
-	sort.Slice(ds.Overrides, func(i, j int) bool { return ds.Overrides[i][0] < ds.Overrides[j][0] })
+	sort.Slice(esc, func(i, j int) bool { return esc[i].Block.Index < esc[j].Block.Index })
+	ds := k.dirTable()
+	ds.Escrow = esc
 	return ds
 }
 
@@ -122,6 +132,16 @@ func (k *Kernel) dirSnapshot() *ckpt.DirectorySnapshot {
 func (k *Kernel) dropCorrupt(m *wire.Message) {
 	k.extra.CorruptDrops++
 	k.dedup.forget(m.Src, m.Seq)
+}
+
+// memberID narrows a frame's int64 kernel id to an int, reporting false when
+// it names no kernel of an n-kernel cluster. The check is made before the
+// narrowing, so an id of 2³²+1 cannot wrap to kernel 1 on a 32-bit target.
+func memberID(v int64, n int) (int, bool) {
+	if v < 0 || v >= int64(n) {
+		return 0, false
+	}
+	return int(v), true
 }
 
 // handleMigrateStart is the old-home half of a handoff. It runs inside every
@@ -140,8 +160,8 @@ func (k *Kernel) handleMigrateStart(m *wire.Message) {
 	switch m.Arg1 {
 	case migModeBlock:
 		b := k.space.BlockOf(m.Addr)
-		dst := int(m.Arg2)
-		if dst < 0 || dst >= k.n {
+		dst, ok := memberID(m.Arg2, k.n)
+		if !ok {
 			k.dropCorrupt(m)
 			return
 		}
@@ -164,8 +184,8 @@ func (k *Kernel) handleMigrateStart(m *wire.Message) {
 		k.dir.SetOverride(b, dst)
 		flips = func(bb uint64) bool { return bb == b }
 	case migModeJoin:
-		j := int(m.Arg2)
-		if j < 0 || j >= k.n {
+		j, ok := memberID(m.Arg2, k.n)
+		if !ok {
 			k.dropCorrupt(m)
 			return
 		}
@@ -206,24 +226,9 @@ func (k *Kernel) handleMigrateStart(m *wire.Message) {
 		// overrides it has never heard of: without the table it would treat
 		// such a block as its own, lazily materialise a zero block and
 		// accept writes that the delayed commit later strands elsewhere.
-		resp.Data = ckpt.EncodeKernelStateDir(k.cfg.GMBlockWords, blocks, k.dirTrailer())
+		resp.Data = ckpt.EncodeKernelStateDir(k.cfg.GMBlockWords, blocks, k.dirTable())
 	}
 	k.reply(&k.dedup, m, resp)
-}
-
-// dirTrailer snapshots the membership table and overrides for a join/leave
-// handoff payload (escrow stays local — escrowed blocks are already covered
-// by override entries).
-func (k *Kernel) dirTrailer() *ckpt.DirectorySnapshot {
-	ds := &ckpt.DirectorySnapshot{Epoch: k.dir.Epoch()}
-	for _, m := range k.dir.Members() {
-		ds.Members = append(ds.Members, ckpt.MemberSnapshot{State: uint64(m.State), Gen: m.Gen})
-	}
-	for b, h := range k.dir.Overrides() {
-		ds.Overrides = append(ds.Overrides, [2]uint64{b, uint64(h)})
-	}
-	sort.Slice(ds.Overrides, func(i, j int) bool { return ds.Overrides[i][0] < ds.Overrides[j][0] })
-	return ds
 }
 
 // handleMigrateInstall is the new-home half: adopt the blocks, then flip the
@@ -233,6 +238,11 @@ func (k *Kernel) dirTrailer() *ckpt.DirectorySnapshot {
 // Blocks this kernel already owns and holds are skipped: a late escrow
 // re-offer must not overwrite writes applied since the first install.
 func (k *Kernel) handleMigrateInstall(m *wire.Message) {
+	leaver, ok := memberID(m.Arg2, k.n)
+	if m.Arg1 < migModeBlock || m.Arg1 > migModeLeave || m.Arg1 == migModeLeave && !ok {
+		k.dropCorrupt(m)
+		return
+	}
 	_, blocks, dirSnap, err := ckpt.DecodeKernelStateDir(m.Data)
 	if err != nil {
 		k.dropCorrupt(m)
@@ -291,10 +301,7 @@ func (k *Kernel) handleMigrateInstall(m *wire.Message) {
 	case migModeJoin:
 		k.dir.SetMember(k.id, gmem.MemberActive, m.Addr)
 	case migModeLeave:
-		k.dir.SetMember(int(m.Arg2), gmem.MemberLeft, m.Addr)
-	default:
-		k.dropCorrupt(m)
-		return
+		k.dir.SetMember(leaver, gmem.MemberLeft, m.Addr)
 	}
 	resp := wire.GetMessage()
 	resp.Op, resp.Arg1 = wire.OpMigrateInstallResp, int64(len(fresh))
@@ -317,13 +324,13 @@ func (k *Kernel) inheritDir(ds *ckpt.DirectorySnapshot, payload []uint64) {
 		carried[b] = true
 	}
 	for _, ov := range ds.Overrides {
-		b, h := ov[0], int(ov[1])
+		b, h := ov[0], ov[1]
 		switch {
 		case carried[b]:
 			k.dir.SetOverride(b, k.id)
-		case h >= 0 && h < k.n:
+		case h < uint64(k.n):
 			if _, known := mine[b]; !known {
-				k.dir.SetOverride(b, h)
+				k.dir.SetOverride(b, int(h))
 			}
 		}
 	}
@@ -339,12 +346,12 @@ func (k *Kernel) inheritDir(ds *ckpt.DirectorySnapshot, payload []uint64) {
 // durable at the destination. Idempotent; not deduped.
 func (k *Kernel) handleMigrateCommit(m *wire.Message) {
 	b0 := k.space.BlockOf(m.Addr)
-	n := int(m.Arg1)
-	dst := int(m.Arg2)
-	if n < 0 || n > 1<<20 || dst < 0 || dst >= k.n {
+	dst, ok := memberID(m.Arg2, k.n)
+	if m.Arg1 < 0 || m.Arg1 > 1<<20 || !ok {
 		k.extra.CorruptDrops++
 		return
 	}
+	n := int(m.Arg1)
 	// Per-block staleness guards: a commit broadcast can interleave with an
 	// independent join/leave/migration that re-homed part of the range after
 	// this commit's install, and blindly installing the hint would overwrite
@@ -414,8 +421,8 @@ func (k *Kernel) handleGrant(m *wire.Message) {
 // handleEpochUpdate applies one broadcast membership transition. Last-writer
 // -wins per member, so replays and reorderings converge in any order.
 func (k *Kernel) handleEpochUpdate(m *wire.Message) {
-	member := int(m.Arg1)
-	if member < 0 || member >= k.n {
+	member, ok := memberID(m.Arg1, k.n)
+	if !ok || m.Arg2 < int64(gmem.MemberActive) || m.Arg2 > int64(gmem.MemberDead) {
 		k.extra.CorruptDrops++
 		return
 	}

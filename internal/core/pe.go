@@ -485,8 +485,8 @@ func (pe *PE) ViewGeneration() uint64 { return pe.viewGen }
 // global memory plus the coherence directory:
 //
 //	barrier(quiesce) -> save app blob + OpCkptMark to own kernel ->
-//	Store.WriteSlice -> barrier(durable) -> PE 0 commits the generation and
-//	GCs old ones -> barrier(commit-visible)
+//	Store.WriteSlice -> barrier(durable) -> PE 0 commits the generation
+//	(the store drops old ones) -> barrier(commit-visible)
 //
 // A nil Config.Ckpt makes Checkpoint a no-op, so programs need no gating.
 // Store errors are returned on the PE that observed them; every PE still
@@ -495,8 +495,8 @@ func (pe *PE) ViewGeneration() uint64 { return pe.viewGen }
 // like the rest of the Parallel API.
 func (pe *PE) Checkpoint() error {
 	k := pe.k
-	cc := k.cfg.Ckpt
-	if cc == nil {
+	st := k.cfg.Ckpt
+	if st == nil {
 		return nil
 	}
 	start := pe.app.Now()
@@ -521,18 +521,14 @@ func (pe *PE) Checkpoint() error {
 			Kernel:   resp.Data,
 		})
 		wire.PutMessage(resp)
-		err = cc.Store.WriteSlice(epoch, k.id, data)
+		err = st.WriteSlice(epoch, k.id, data)
 	}
 
-	pe.BarrierID(tag(1)) // durable: every slice of the generation is staged
+	pe.BarrierID(tag(1)) // durable: every slice of the generation is written
 	if k.id == 0 && err == nil {
 		// Commit refuses a generation with any missing slice, so a peer's
 		// write failure cannot half-commit; its error surfaces on that PE.
-		if cerr := cc.Store.Commit(epoch, k.n); cerr != nil {
-			err = cerr
-		} else if gerr := cc.Store.GC(keepGenerations); gerr != nil {
-			err = gerr
-		}
+		err = st.Commit(epoch, k.n)
 	}
 	pe.BarrierID(tag(2)) // commit-visible: recovery may now target this epoch
 

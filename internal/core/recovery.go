@@ -68,9 +68,9 @@ func (r *RecoveryReport) Recovered() bool { return len(r.Recoveries) > 0 }
 //
 // At most maxRecoveries restarts are attempted; the final Result (and the
 // report of every recovery) is returned. A run that fails without a usable
-// snapshot, or whose snapshot fails its integrity checks (CRC / content
-// hash), returns the last Result plus an error describing why recovery was
-// abandoned.
+// snapshot, or whose snapshot fails its integrity checks (each slice file's
+// generation and PE, CRC32 and SHA-256), returns the last Result plus an
+// error describing why recovery was abandoned.
 //
 // Scheduled kills (cfg.Kills) that already fired in a failed run are pruned
 // before the rerun, so a deterministic fault schedule kills each victim
@@ -97,7 +97,7 @@ func RunWithRecovery(cfg Config, maxRecoveries int, program Program) (*Result, *
 		if blockWords == 0 {
 			blockWords = 32 // withDefaults' value; cfg here is pre-default
 		}
-		rs, markTimes, rerr := loadSnapshot(cfg.Ckpt.Store, cfg.NumPE, cfg.LatentPEs, blockWords)
+		rs, markTimes, rerr := loadSnapshot(cfg.Ckpt, cfg.NumPE, cfg.LatentPEs, blockWords)
 		if rerr != nil {
 			return res, rep, fmt.Errorf("core: recovery after PE(s) %v died: %w", res.DeadPeers, rerr)
 		}
@@ -157,8 +157,9 @@ func electCoordinator(numPE int, dead []int) int {
 }
 
 // loadSnapshot reads and fully validates the newest committed generation:
-// every slice's CRC and content hash (ckpt.Store), its encoding, and its
-// geometry and homes against the cluster being rebuilt (checkHomes).
+// every slice's frame (ckpt.Store: its names, CRC32 and SHA-256), its
+// encoding, and its geometry, homes and copysets against the cluster being
+// rebuilt (checkHomes).
 // markTimes returns each PE's mark instant for rollback accounting.
 func loadSnapshot(st ckpt.Store, numPE, latentPEs, blockWords int) (*restoreState, []sim.Time, error) {
 	gen, n, ok, err := st.Latest()
@@ -209,8 +210,9 @@ func loadSnapshot(st ckpt.Store, numPE, latentPEs, blockWords int) (*restoreStat
 
 // checkHomes refuses a snapshot the rebuilt cluster could not restore: a
 // slice listing a block that its PE's restored directory homes elsewhere (a
-// kernel would refuse to import it), or an override or escrow entry naming
-// no PE.
+// kernel would refuse to import it), an override or escrow entry naming no
+// PE, or a block, escrowed or not, that gmem.Space.CheckBlock refuses (a
+// copyset naming no PE).
 func (rs *restoreState) checkHomes(latentPEs, blockWords int) error {
 	numPE := len(rs.blocks)
 	space := gmem.NewSpace(numPE, blockWords)
@@ -225,12 +227,18 @@ func (rs *restoreState) checkHomes(latentPEs, blockWords int) error {
 				if es.Dst < 0 || es.Dst >= numPE {
 					return fmt.Errorf("snapshot generation %d, PE %d: block %d escrowed for PE %d of %d", rs.gen, pe, es.Block.Index, es.Dst, numPE)
 				}
+				if err := space.CheckBlock(es.Block); err != nil {
+					return fmt.Errorf("snapshot generation %d, PE %d: escrowed %w", rs.gen, pe, err)
+				}
 			}
 		}
 		dir := rs.directory(pe, latentPEs)
 		for _, b := range blocks {
 			if h := dir.HomeAt(space.LocateBlock(b.Index)); h != pe {
 				return fmt.Errorf("snapshot generation %d, PE %d: block %d is homed at PE %d", rs.gen, pe, b.Index, h)
+			}
+			if err := space.CheckBlock(b); err != nil {
+				return fmt.Errorf("snapshot generation %d, PE %d: %w", rs.gen, pe, err)
 			}
 		}
 	}

@@ -30,7 +30,7 @@ func recoverConfig(t *testing.T, store ckpt.Store, kills []simnet.Kill) core.Con
 		RequestRetries: 2,
 		RecordHistory:  true,
 		Kills:          kills,
-		Ckpt:           &core.CheckpointConfig{Store: store},
+		Ckpt:           store,
 	}
 }
 
@@ -278,9 +278,9 @@ func TestCheckpointCountersAndStore(t *testing.T) {
 	}
 }
 
-// tamperingStore corrupts every stored object on disk before the first
-// read, modelling at-rest corruption; the store's CRC/content-hash check
-// must refuse the snapshot and recovery must abort with a clear error.
+// tamperingStore corrupts every stored slice file on disk before the first
+// read, modelling at-rest corruption; the store's CRC/SHA-256 check must
+// refuse the snapshot and recovery must abort with a clear error.
 type tamperingStore struct {
 	ckpt.Store
 	root     string
@@ -290,11 +290,11 @@ type tamperingStore struct {
 func (s *tamperingStore) ReadSlice(gen uint64, pe int) ([]byte, error) {
 	if !s.tampered {
 		s.tampered = true
-		objs, err := filepath.Glob(filepath.Join(s.root, "objects", "*"))
-		if err != nil || len(objs) == 0 {
-			return nil, fmt.Errorf("tamperingStore: no objects to corrupt (%v)", err)
+		files, err := filepath.Glob(filepath.Join(s.root, "g*", "p*"))
+		if err != nil || len(files) == 0 {
+			return nil, fmt.Errorf("tamperingStore: no slice files to corrupt (%v)", err)
 		}
-		for _, p := range objs {
+		for _, p := range files {
 			data, err := os.ReadFile(p)
 			if err != nil {
 				return nil, err
@@ -308,7 +308,7 @@ func (s *tamperingStore) ReadSlice(gen uint64, pe int) ([]byte, error) {
 	return s.Store.ReadSlice(gen, pe)
 }
 
-// TestRecoveryRejectsCorruptSnapshot flips bits in the snapshot objects
+// TestRecoveryRejectsCorruptSnapshot flips bits in the snapshot's slice files
 // between failure and restart: RunWithRecovery must surface the integrity
 // failure instead of restoring garbage.
 func TestRecoveryRejectsCorruptSnapshot(t *testing.T) {
@@ -336,7 +336,8 @@ func TestRecoveryRejectsCorruptSnapshot(t *testing.T) {
 // TestRecoveryRejectsMisplacedBlock commits snapshots that pass every
 // integrity check but that the rebuilt cluster cannot restore: PE 1's slice
 // lists a block PE 0 homes, or its directory overrides a block's home, or
-// escrows a block, to a PE the cluster does not have. Restarting from one
+// escrows a block, to a PE the cluster does not have, or a block's copyset,
+// escrowed or not, names such a PE. Restarting from one
 // must fail with an error naming the PE and the block, before any kernel of
 // the rebuilt cluster is built.
 func TestRecoveryRejectsMisplacedBlock(t *testing.T) {
@@ -365,6 +366,21 @@ func TestRecoveryRejectsMisplacedBlock(t *testing.T) {
 				},
 			},
 			want: "PE 1: block 1 escrowed for PE 4 of 3",
+		},
+		{
+			name:   "copyset-names-no-PE",
+			blocks: []gmem.BlockSnapshot{{Index: 1, Words: make([]int64, 32), Copyset: []int{0, 3}}},
+			want:   "PE 1: block 1's copyset names kernel 3 of 3",
+		},
+		{
+			name: "escrowed-copyset-names-no-PE",
+			dir: &ckpt.DirectorySnapshot{
+				Overrides: [][2]uint64{{1, 0}},
+				Escrow: []ckpt.EscrowSnapshot{
+					{Dst: 0, Block: gmem.BlockSnapshot{Index: 1, Words: make([]int64, 32), Copyset: []int{5}}},
+				},
+			},
+			want: "PE 1: escrowed block 1's copyset names kernel 5 of 3",
 		},
 	}
 	for _, tc := range cases {

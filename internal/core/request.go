@@ -306,7 +306,7 @@ func (pe *PE) await(fl []flight, transfer bool, left, round int) (int, error) {
 			if transfer {
 				f.moved = true
 				left--
-			} else if err := pe.follow(f, int(resp.Arg1)); err != nil {
+			} else if err := pe.follow(f, resp.Arg1); err != nil {
 				wire.PutMessage(resp)
 				return left, err
 			} else if d > 0 {
@@ -346,12 +346,15 @@ func firstInFlight(fl []flight, dst int) *flight {
 	return nil
 }
 
-// follow re-addresses the single-run request f to hint, the new home its old
-// one named in a migrate NACK, and sends it there under the same Seq.
-func (pe *PE) follow(f *flight, hint int) error {
+// follow re-addresses the single-run request f to the new home its old one
+// named in a migrate NACK (arg, the NACK's Arg1), and sends it there under
+// the same Seq. A hint naming no kernel fails the request like a chase that
+// never ends.
+func (pe *PE) follow(f *flight, arg int64) error {
 	k := pe.k
 	m := f.req
-	if f.bounces++; f.bounces > maxMigrateBounces || hint < 0 || hint >= k.n {
+	hint, ok := memberID(arg, k.n)
+	if f.bounces++; f.bounces > maxMigrateBounces || !ok {
 		return fmt.Errorf("core: PE %d: %v to kernel %d bounced %d times chasing a migrating home", k.id, m.Op, f.dst, f.bounces)
 	}
 	if f.bounces > 2 {

@@ -460,7 +460,7 @@ func TestShardedCheckpointRestart(t *testing.T) {
 	res, err := Run(Config{
 		NumPE: 4, Transport: TransportInproc,
 		KernelShards: 8, DirectReads: -1,
-		Ckpt: &CheckpointConfig{Store: store},
+		Ckpt: store,
 	}, prog)
 	if err != nil || res.FirstErr() != nil {
 		t.Fatal(err, res.FirstErr())

@@ -281,7 +281,7 @@ func TestStressRecoverDeterministic(t *testing.T) {
 }
 
 // TestStressRecoverCorruptSnapshot flips bits in the stored snapshot before
-// the restart reads it: the store's CRC/content-hash check must refuse the
+// the restart reads it: the store's CRC32/SHA-256 check must refuse the
 // generation and the run must fail loudly rather than restore garbage.
 func TestStressRecoverCorruptSnapshot(t *testing.T) {
 	_, err := stress.Run(stress.Options{

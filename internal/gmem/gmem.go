@@ -433,14 +433,28 @@ func (g *Segment) Extract(flips func(b uint64) bool) []BlockSnapshot {
 // must not clobber writes applied since the first install).
 func (g *Segment) Has(b uint64) bool { return g.stripeOf(b).lookup(b) != nil }
 
+// CheckBlock refuses a block snapshot this space cannot hold: one of the
+// wrong size, or whose copyset names a kernel outside the space, which the
+// block's next mutation would send an invalidation to.
+func (s Space) CheckBlock(b BlockSnapshot) error {
+	if len(b.Words) != s.BlockWords {
+		return fmt.Errorf("block %d has %d words, block size is %d", b.Index, len(b.Words), s.BlockWords)
+	}
+	for _, k := range b.Copyset {
+		if k < 0 || k >= s.N {
+			return fmt.Errorf("block %d's copyset names kernel %d of %d", b.Index, k, s.N)
+		}
+	}
+	return nil
+}
+
 // stage copies snapshot blocks into new block tables, one per stripe they
-// fall in and nil for the others, refusing a block of the wrong size or one
+// fall in and nil for the others, refusing a block CheckBlock refuses or one
 // listed twice; op names the caller in the error. Nothing is published.
 func (g *Segment) stage(op string, blocks []BlockSnapshot) (tabs [SegStripes]*blockTable, err error) {
 	for _, b := range blocks {
-		if len(b.Words) != g.space.BlockWords {
-			return tabs, fmt.Errorf("gmem: %s: block %d has %d words, segment block size is %d",
-				op, b.Index, len(b.Words), g.space.BlockWords)
+		if err := g.space.CheckBlock(b); err != nil {
+			return tabs, fmt.Errorf("gmem: %s: %w", op, err)
 		}
 		i := g.stripeIndex(b.Index)
 		if tabs[i] == nil {
@@ -456,7 +470,7 @@ func (g *Segment) stage(op string, blocks []BlockSnapshot) (tabs [SegStripes]*bl
 
 // Adopt installs migrated blocks into this segment, overwriting any prior
 // storage for them — the new home's side of a migration. A list that names a
-// block twice, or holds a block of the wrong size, is refused whole. It
+// block twice, or holds a block CheckBlock refuses, is refused whole. It
 // deliberately does not validate ownership: the adopter installs the data
 // BEFORE flipping its directory (so no redirected write can land on a zero
 // block and then be clobbered by the adopted payload), at which point its
@@ -770,9 +784,8 @@ func (g *Segment) Export() []BlockSnapshot {
 }
 
 // Import replaces this segment's contents with a snapshot taken by Export —
-// restart-time restore. Blocks not homed here, blocks whose word count does
-// not match the block size, and a block listed twice are refused, the whole
-// snapshot with them, so a snapshot from a different cluster geometry or a
+// restart-time restore. Blocks not homed here, blocks CheckBlock refuses,
+// and a block listed twice are refused, the whole snapshot with them, so a snapshot from a different cluster geometry or a
 // damaged one cannot be silently misapplied.
 func (g *Segment) Import(blocks []BlockSnapshot) error {
 	for _, b := range blocks {

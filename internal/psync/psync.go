@@ -44,7 +44,7 @@ func NewBarrierManager(n int) *BarrierManager {
 // otherwise it returns nil. The list is the epoch's own storage, which the
 // id's next epoch fills again: it is valid until the next arrival at id.
 func (bm *BarrierManager) Arrive(src int, id int32) []int {
-	release, _ := bm.ArriveSized(src, id, bm.n)
+	release, _ := bm.ArriveSized(src, id, 0)
 	return release
 }
 
@@ -52,23 +52,26 @@ func (bm *BarrierManager) Arrive(src int, id int32) []int {
 // after size arrivals instead of the full cluster count. Job-scoped group
 // barriers use this — a job's gang spans a PE subset, so its barriers
 // complete at the group size. size <= 0 (or > n) falls back to the cluster
-// count, so a zeroed wire field means the classic full barrier.
+// count, so a zeroed wire field means the classic full barrier. size keeps the
+// wire's int64 until it is known to be in range, so 2³²+1 cannot narrow to 1
+// on a 32-bit build.
 //
 // An arrival is a message from another node, so two kinds are refused — ok
 // false, nothing recorded — instead of trusted: one from a source already
 // waiting on id (a duplicate would be counted toward the barrier and release
 // it before everyone has reached it) and one that finds the epoch already at
 // or past its size (arrivals that disagree about the size).
-func (bm *BarrierManager) ArriveSized(src int, id int32, size int) (release []int, ok bool) {
-	if size <= 0 || size > bm.n {
-		size = bm.n
+func (bm *BarrierManager) ArriveSized(src int, id int32, size int64) (release []int, ok bool) {
+	epoch := bm.n
+	if size > 0 && size < int64(bm.n) {
+		epoch = int(size)
 	}
 	waiters := bm.arrived[id]
-	if len(waiters) >= size || slices.Contains(waiters, src) {
+	if len(waiters) >= epoch || slices.Contains(waiters, src) {
 		return nil, false
 	}
 	waiters = append(waiters, src)
-	if len(waiters) == size {
+	if len(waiters) == epoch {
 		bm.arrived[id] = waiters[:0]
 		return waiters, true
 	}
@@ -314,7 +317,7 @@ func (s *Set) Serve(src int, op wire.Op, id int32, size int64) (wake []Grant, ok
 		return nil, false
 	case op == wire.OpBarrierArrive:
 		var waiters []int
-		waiters, ok = s.barrier.ArriveSized(src, id, int(size))
+		waiters, ok = s.barrier.ArriveSized(src, id, size)
 		for _, w := range waiters {
 			s.emit(w, wire.OpBarrierRelease, id, size)
 		}

@@ -83,6 +83,18 @@ func TestBarrierRefusesDuplicateAndOverArrival(t *testing.T) {
 	if r, ok := bm3.ArriveSized(2, 9, 3); !ok || len(r) != 3 {
 		t.Fatalf("well-formed third arrival = %v, %v", r, ok)
 	}
+
+	// A size no int of a 32-bit build holds means the whole cluster, as on
+	// 64-bit targets: 2³²+2 must not narrow to a 2-wide barrier there.
+	bm4 := NewBarrierManager(4)
+	for src := 0; src < 3; src++ {
+		if r, ok := bm4.ArriveSized(src, 9, 1<<32+2); r != nil || !ok {
+			t.Fatalf("arrival %d of a 2³²+2-wide barrier = %v, %v; want it waiting for all 4", src, r, ok)
+		}
+	}
+	if r, ok := bm4.ArriveSized(3, 9, 1<<32+2); !ok || len(r) != 4 {
+		t.Fatalf("fourth arrival = %v, %v, want all 4 released", r, ok)
+	}
 }
 
 // Property: for any arrival permutation, exactly one release of size n fires

@@ -314,7 +314,7 @@ func TestHealthReportsRecoveredGeneration(t *testing.T) {
 		RequestTimeout: 50 * sim.Millisecond,
 		RequestRetries: 2,
 		Kills:          []simnet.Kill{{Node: 2, At: sim.Duration(killAt)}},
-		Ckpt:           &core.CheckpointConfig{Store: store},
+		Ckpt:           store,
 	}
 	res, rep, err := core.RunWithRecovery(cfg, 1, func(pe *core.PE) error {
 		restored := pe.RegisterCheckpoint(func() []byte { return nil }, func([]byte) {})

@@ -80,17 +80,14 @@ const (
 	OpProcExitAck  //
 	OpProcList     // request the global process table
 	OpProcListResp // Data = encoded table
-	OpLoadReport   // Arg1 = runnable count (SSI load exchange)
 
 	// Application-level messages (PE to PE through the API library).
 	OpUserMsg // Tag = user tag, Data = payload
 
-	// Membership, liveness.
-	OpHello   // Arg1 = protocol version
-	OpWelcome //
-	OpPing    //
-	OpPong    //
-	OpShutdown
+	// Liveness.
+	OpHello // Arg1 = protocol version
+	OpPing  //
+	OpPong  //
 
 	// Vectored (scatter/gather) global memory: many (addr, count) ranges
 	// homed at one kernel travel in a single message, so a block transfer
@@ -198,13 +195,10 @@ var opNames = [...]string{
 	OpProcExitAck:        "proc-exit-ack",
 	OpProcList:           "proc-list",
 	OpProcListResp:       "proc-list-resp",
-	OpLoadReport:         "load-report",
 	OpUserMsg:            "user-msg",
 	OpHello:              "hello",
-	OpWelcome:            "welcome",
 	OpPing:               "ping",
 	OpPong:               "pong",
-	OpShutdown:           "shutdown",
 	OpReadV:              "read-v",
 	OpReadVResp:          "read-v-resp",
 	OpWriteV:             "write-v",
