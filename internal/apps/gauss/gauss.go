@@ -21,12 +21,14 @@ import (
 	"repro/internal/sim"
 )
 
+// tol is the convergence threshold on max |Δx|.
+const tol = 1e-8
+
 // Params describes one experiment instance.
 type Params struct {
-	N         int     // system dimension
-	MaxSweeps int     // sweep cap (0 = 200)
-	Tol       float64 // convergence threshold on max |Δx| (0 = 1e-8)
-	Seed      uint64  // system generator seed
+	N         int    // system dimension
+	MaxSweeps int    // sweep cap (0 = 200)
+	Seed      uint64 // system generator seed
 
 	// Omega is the successive-over-relaxation factor in (0, 2); 0 or 1 is
 	// plain Gauss-Seidel (the paper's method). An extension: SOR can cut
@@ -37,9 +39,6 @@ type Params struct {
 func (p Params) withDefaults() Params {
 	if p.MaxSweeps == 0 {
 		p.MaxSweeps = 200
-	}
-	if p.Tol == 0 {
-		p.Tol = 1e-8
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -202,7 +201,7 @@ func Sequential(p Params) *Result {
 		res.Ops += float64(p.N) * opsPerRow(p.N)
 		res.Sweeps++
 		res.Delta = delta
-		if delta < p.Tol {
+		if delta < tol {
 			break
 		}
 	}
@@ -274,7 +273,7 @@ func Parallel(pe *core.PE, p Params) (*Result, error) {
 		}
 		res.Sweeps++
 		res.Delta = pe.AllReduceMax(delta)
-		if res.Delta < p.Tol {
+		if res.Delta < tol {
 			break
 		}
 	}

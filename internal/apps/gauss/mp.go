@@ -60,7 +60,7 @@ func ParallelMP(pe *core.PE, p Params) (*Result, error) {
 
 		res.Sweeps++
 		res.Delta = c.AllReduce(delta, math.Max)
-		if res.Delta < p.Tol {
+		if res.Delta < tol {
 			break
 		}
 	}

@@ -10,17 +10,13 @@ import (
 // Inf bounds every position value.
 const Inf = 1 << 24
 
+// openingPlies is the length of the deterministic opening every search
+// starts after: a wide midgame root.
+const openingPlies = 10
+
 // Params describes one experiment instance.
 type Params struct {
-	Depth        int // search depth in plies (paper: 3..8)
-	OpeningPlies int // deterministic opening length (0 = 10, a wide midgame root)
-}
-
-func (p Params) withDefaults() Params {
-	if p.OpeningPlies == 0 {
-		p.OpeningPlies = 10
-	}
-	return p
+	Depth int // search depth in plies (paper: 3..8)
 }
 
 // Result reports one search.
@@ -80,11 +76,10 @@ func SearchMove(root Board, sq, depth int) (value int, nodes int64) {
 
 // Sequential searches every root move on one processor.
 func Sequential(p Params) (*Result, error) {
-	p = p.withDefaults()
 	if p.Depth < 1 {
 		return nil, fmt.Errorf("othello: depth %d < 1", p.Depth)
 	}
-	root := MidgamePosition(p.OpeningPlies)
+	root := MidgamePosition(openingPlies)
 	moves := MoveList(root.Moves())
 	if len(moves) == 0 {
 		return nil, fmt.Errorf("othello: no legal moves at the root")
@@ -107,11 +102,10 @@ func Sequential(p Params) (*Result, error) {
 // into a global result array; PE 0 reduces to the best move. Every PE
 // returns the same BestMove/Value/Nodes (Jobs is per-PE).
 func Parallel(pe *core.PE, p Params) (*Result, error) {
-	p = p.withDefaults()
 	if p.Depth < 1 {
 		return nil, fmt.Errorf("othello: depth %d < 1", p.Depth)
 	}
-	root := MidgamePosition(p.OpeningPlies)
+	root := MidgamePosition(openingPlies)
 	moves := MoveList(root.Moves())
 	if len(moves) == 0 {
 		return nil, fmt.Errorf("othello: no legal moves at the root")

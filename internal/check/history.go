@@ -34,7 +34,7 @@ const (
 	KindBarrier              // Addr = barrier id; Inv = arrival, Resp = release
 	// KindFlush is a release-consistency write-combining-buffer flush: one is
 	// recorded at EVERY sync edge whose buffer was non-empty (barrier entry,
-	// lock release, semaphore post, membership fence), with Inv stamped to
+	// lock release, membership fence), with Inv stamped to
 	// the enclosing sync operation's own invocation instant and a lower Seq,
 	// so the flush sorts ahead of that sync event at equal Inv. Inv..Resp
 	// brackets drain-to-ack — the window inside which every buffered write

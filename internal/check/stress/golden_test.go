@@ -3,8 +3,6 @@ package stress_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/check"
@@ -172,79 +170,6 @@ func TestLadderGoldenDigests(t *testing.T) {
 	}
 }
 
-// namespaceProgram drives all eight GM entry points from PEs bound to a
-// namespace (dsesched's per-job guard): in-region traffic over the one-sided
-// and message paths, plus one stray per entry point that the PE-side guard
-// must refuse before anything is recorded or sent.
-func namespaceProgram(pe *core.PE) error {
-	const words = 128
-	data := pe.Alloc(words)
-	outside := pe.Alloc(words)
-	pe.Barrier()
-	pe.BindNamespace(data, data+words)
-	rng := sim.NewRand(77 ^ uint64(pe.ID()+1)*0x9e3779b97f4a7c15)
-	uniq := int64(pe.ID()+1) << 40
-	next := func() int64 { uniq++; return uniq }
-	for i := 0; i < 120; i++ {
-		a := data + uint64(rng.Intn(words-16))
-		var err error
-		switch i % 8 {
-		case 0:
-			_, err = pe.GMReadErr(a)
-		case 1:
-			err = pe.GMWriteErr(a, next())
-		case 2:
-			_, err = pe.FetchAddErr(data+words-1-uint64(rng.Intn(4)), 1)
-		case 3:
-			_, _, err = pe.CASErr(data+words-8+uint64(rng.Intn(4)), 0, next())
-		case 4:
-			_, err = pe.GMReadBlockErr(a, 2+rng.Intn(14))
-		case 5:
-			ws := make([]int64, 2+rng.Intn(14))
-			for j := range ws {
-				ws[j] = next()
-			}
-			err = pe.GMWriteBlockErr(a, ws)
-		case 6:
-			_, err = pe.GMGatherErr([]uint64{a, data + uint64(rng.Intn(words-16)), a + 9})
-		case 7:
-			err = pe.GMScatterErr([]uint64{a, data + uint64(rng.Intn(words-16))}, []int64{next(), next()})
-		}
-		if err != nil {
-			return err
-		}
-		if i%40 == 39 {
-			pe.Barrier()
-		}
-	}
-	_, rerr := pe.GMReadErr(outside)
-	_, faerr := pe.FetchAddErr(outside, 1)
-	_, _, caserr := pe.CASErr(outside, 0, 1)
-	errOf := func(_ []int64, err error) error { return err }
-	strays := []struct {
-		what string
-		err  error
-	}{
-		{"read", rerr},
-		{"write", pe.GMWriteErr(outside, 1)},
-		{"fetch-add", faerr},
-		{"cas", caserr},
-		{"read-block", errOf(pe.GMReadBlockErr(data+words-2, 4))},
-		{"write-block", pe.GMWriteBlockErr(data+words-2, make([]int64, 4))},
-		{"gather", errOf(pe.GMGatherErr([]uint64{data, outside}))},
-		{"scatter", pe.GMScatterErr([]uint64{data, outside}, []int64{1, 2})},
-	}
-	for _, s := range strays {
-		var nsErr *core.NamespaceError
-		if !errors.As(s.err, &nsErr) {
-			return fmt.Errorf("PE %d: stray %s: got %v, want *core.NamespaceError", pe.ID(), s.what, s.err)
-		}
-	}
-	pe.ClearNamespace()
-	pe.Barrier()
-	return nil
-}
-
 // tierSpanProgram covers what the stress workload's single-tier regions
 // cannot: block reads and writes that SPAN allocations of different
 // consistency tiers (split per tier by the mode table), and atomics on
@@ -293,38 +218,31 @@ func tierSpanProgram(pe *core.PE) error {
 	return nil
 }
 
-// TestLadderGoldenPrograms pins the ladder branches the stress workload has
-// no option for: PEs bound to a namespace (dsesched binds them exactly like
-// this), the legacy organisation's per-call IPC charge, and tier-spanning
-// block operations.
+// TestLadderGoldenPrograms pins a ladder branch the stress workload has no
+// option for: tier-spanning block operations. (PEs bound to a namespace are
+// pinned the same way by internal/core's TestNamespaceGoldenPrograms, which
+// can reach the PE-side binding.)
 func TestLadderGoldenPrograms(t *testing.T) {
 	for _, g := range []struct {
-		name    string
-		program core.Program
-		direct  int
-		legacy  bool // the old two-process organisation's per-call IPC charge
-		denials uint64
-		want    string
+		name   string
+		direct int
+		want   string
 	}{
-		{"ns-message", namespaceProgram, -1, false, 4 * 8, "5968ed679ff96c1a240c17665ab8e932bdb38b097672aed66cec4e4bbe9e5d64"},
-		{"ns-onesided", namespaceProgram, 1, false, 4 * 8, "d5b17b894ce8bb0d4b852dffb65d5bf2e2c8fbe97fc93c4c36ac519b63032c82"},
-		{"ns-legacy", namespaceProgram, -1, true, 4 * 8, "8729cecea53a0a6c4816972717353f457835ca677c1ea903074191153d782131"},
-		{"tier-span-message", tierSpanProgram, -1, false, 0, "bc9618b87563ff355173e6c86c2bd2337ca7d55b00587c2e70192c5acfaabdeb"},
-		{"tier-span-onesided", tierSpanProgram, 1, false, 0, "ff3f8db12abef1c5e5546a0a3857cf8c38a5afa09af942e42e0a63742aca355d"},
+		{"tier-span-message", -1, "bc9618b87563ff355173e6c86c2bd2337ca7d55b00587c2e70192c5acfaabdeb"},
+		{"tier-span-onesided", 1, "ff3f8db12abef1c5e5546a0a3857cf8c38a5afa09af942e42e0a63742aca355d"},
 	} {
 		res, err := core.Run(core.Config{
 			NumPE: 4, Platform: platform.SparcSunOS, Seed: 77, RecordHistory: true,
-			DirectReads: g.direct, Legacy: g.legacy,
-			LeaseDuration: 200 * sim.Microsecond,
-		}, g.program)
+			DirectReads: g.direct, LeaseDuration: 200 * sim.Microsecond,
+		}, tierSpanProgram)
 		if err != nil {
 			t.Fatalf("%s: run: %v", g.name, err)
 		}
 		if err := res.FirstErr(); err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}
-		if got := res.Total.NsDenials; got != g.denials {
-			t.Errorf("%s: NsDenials = %d, want %d", g.name, got, g.denials)
+		if got := res.Total.NsDenials; got != 0 {
+			t.Errorf("%s: NsDenials = %d, want 0", g.name, got)
 		}
 		if rep := check.Check(res.History); !rep.OK() {
 			t.Fatalf("%s: checker violations:\n%s", g.name, rep)

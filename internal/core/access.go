@@ -238,8 +238,8 @@ func (pe *PE) dropLeases(addr uint64, n int) {
 	}
 }
 
-// clearLeases drops every cached lease: crossing an acquire edge (barrier,
-// lock or semaphore grant, membership transition) must re-observe the
+// clearLeases drops every cached lease: crossing an acquire edge (barrier
+// release, lock grant, membership transition) must re-observe the
 // cluster instead of extending pre-edge snapshots past it.
 func (pe *PE) clearLeases() {
 	clear(pe.leases)

@@ -477,9 +477,8 @@ func TestPanickingFormsKeepErrorType(t *testing.T) {
 	}
 
 	// The synchronisation waits raise the same typed errors: a barrier PE 0
-	// never reaches, a lock it never releases, a semaphore nobody posts and an
-	// all-reduce whose root never joins each time out as a *TimeoutError, not
-	// as a formatted string.
+	// never reaches, a lock it never releases and an all-reduce whose root
+	// never joins each time out as a *TimeoutError, not as a formatted string.
 	syncForms := []struct {
 		name string
 		wait func(pe *PE)
@@ -487,7 +486,6 @@ func TestPanickingFormsKeepErrorType(t *testing.T) {
 	}{
 		{"Barrier", func(pe *PE) { pe.Barrier() }, "sync-wait"},
 		{"Lock", func(pe *PE) { pe.Lock(3) }, "sync-wait"},
-		{"SemWait", func(pe *PE) { pe.SemWait(5) }, "sync-wait"},
 		{"AllReduce", func(pe *PE) { pe.AllReduceSum(1) }, "recv-msg"},
 	}
 	for _, f := range syncForms {
@@ -533,7 +531,7 @@ func TestPanickingFormsKeepNamespaceError(t *testing.T) {
 	res, err := Run(cfg, func(pe *PE) error {
 		in := pe.Alloc(64)
 		out := pe.Alloc(64)
-		pe.BindNamespace(in, in+64)
+		pe.ns = gmem.Region{Base: in, Limit: in + 64}
 		forms[pe.ID()].call(pe, in, out)
 		return fmt.Errorf("PE %d: %s outside the namespace succeeded", pe.ID(), forms[pe.ID()].op)
 	})

@@ -13,13 +13,13 @@ import (
 // commit, so no retired spelling comes back unnoticed.
 var peMethods = []string{
 	"AllReduceMax", "AllReduceSum", "Alloc", "AllocBlocks", "AllocMode", "Barrier",
-	"BarrierID", "BeginJob", "BindNamespace", "CASErr", "Checkpoint", "ClearNamespace",
-	"CloseJob", "Compute", "EndJob", "FetchAddErr", "GMGather", "GMGatherErr",
-	"GMReadBlock", "GMReadBlockErr", "GMReadErr", "GMScatterErr", "GMWriteBlock", "GMWriteBlockErr",
-	"GMWriteErr", "HomeOf", "Hostname", "ID", "Join", "Leave",
-	"Lock", "Members", "MigrateRange", "N", "Now", "OpenJob",
-	"PingErr", "Processes", "RecvMsg", "RecvMsgTimeout", "RegisterCheckpoint", "SemPost",
-	"SemWait", "SendMsg", "Space", "Unlock", "ViewGeneration",
+	"BarrierID", "BeginJob", "CASErr", "Checkpoint", "CloseJob", "Compute",
+	"EndJob", "FetchAddErr", "GMGather", "GMGatherErr", "GMReadBlock", "GMReadBlockErr",
+	"GMReadErr", "GMScatterErr", "GMWriteBlock", "GMWriteBlockErr", "GMWriteErr", "HomeOf",
+	"Hostname", "ID", "Join", "Leave", "Lock", "Members",
+	"MigrateRange", "N", "Now", "OpenJob", "PingErr", "Processes",
+	"RecvMsg", "RecvMsgTimeout", "RegisterCheckpoint", "SendMsg", "Space", "Unlock",
+	"ViewGeneration",
 }
 
 func TestPEMethodSet(t *testing.T) {

@@ -13,8 +13,8 @@ import (
 // (nothing is sent or recorded), so it never lands in the neighbouring
 // allocation. Otherwise an access takes exactly the path, messages and
 // history events of the raw-address error forms and returns their errors.
-// A float64 element is stored as its IEEE-754 bits, like gmem.F2W. The
-// handle is a value: copying it copies the view, not the memory.
+// A float64 element is stored as its IEEE-754 bits. The handle is a value:
+// copying it copies the view, not the memory.
 type Array[T int64 | float64] struct {
 	pe   *PE
 	addr uint64

@@ -96,8 +96,8 @@ type Config struct {
 	LossProbability float64
 	// Tracing enables request span tracing: every request round trip,
 	// synchronisation wait and kernel service event is recorded into a
-	// fixed-size per-context ring buffer (sampling-capable) and surfaced as
-	// Result.Spans, exportable with trace.WriteChromeTrace. Enabled, it
+	// fixed-size per-context ring buffer and surfaced as Result.Spans,
+	// exportable with trace.WriteChromeTrace. Enabled, it
 	// also makes every PE time every round trip (DESIGN.md §8). The zero
 	// value is disabled and costs one nil pointer check per request.
 	Tracing trace.TracingConfig
@@ -657,8 +657,6 @@ type Residue struct {
 	BarrierPend int
 	// LockResidue counts held locks plus queued lock waiters at kernel 0.
 	LockResidue int
-	// SemWaiters counts blocked semaphore waiters at kernel 0.
-	SemWaiters int
 	// BlocksIn reports how many blocks of the word region starting at base
 	// and spanning nBlocks blocks are still materialised across all kernels'
 	// segments — the GM-leak gauge for a freed job namespace.
@@ -673,7 +671,7 @@ func residueOf(kernels []*Kernel) Residue {
 		r.UserQueues += k.leftQueues
 		r.NsBindings += k.ns.Len()
 	}
-	r.BarrierPend, r.LockResidue, r.SemWaiters = kernels[0].sync.Residue()
+	r.BarrierPend, r.LockResidue = kernels[0].sync.Residue()
 	r.BlocksIn = func(base uint64, nBlocks int) int {
 		total := 0
 		for _, k := range kernels {

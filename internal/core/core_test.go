@@ -191,22 +191,6 @@ func TestLockMutualExclusion(t *testing.T) {
 	})
 }
 
-func TestSemaphoreProducerConsumer(t *testing.T) {
-	allTransports(t, 2, func(pe *PE) error {
-		data := pe.Alloc(1)
-		if pe.ID() == 0 {
-			mustWrite(pe, data, 77)
-			pe.SemPost(3)
-			return nil
-		}
-		pe.SemWait(3)
-		if v := mustRead(pe, data); v != 77 {
-			return fmt.Errorf("consumer saw %d before producer finished", v)
-		}
-		return nil
-	})
-}
-
 func TestUserMessagesPingPong(t *testing.T) {
 	allTransports(t, 2, func(pe *PE) error {
 		const rounds = 5

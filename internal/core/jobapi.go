@@ -1,30 +1,15 @@
 package core
 
-// PE-side scheduler API (dsesched, DESIGN.md §15): binding a PE to its
-// job's namespace, the local guard that refuses out-of-namespace accesses
-// before they leave the PE (covering the accesses in place), and the two
-// control-plane requests the scheduler opens and closes a job with at every
-// kernel.
+// PE-side scheduler API (dsesched, DESIGN.md §15): the local guard that
+// refuses out-of-namespace accesses before they leave the PE (covering the
+// accesses in place), and the two control-plane requests the scheduler opens
+// and closes a job with at every kernel.
 
 import (
 	"fmt"
 
-	"repro/internal/gmem"
 	"repro/internal/wire"
 )
-
-// BindNamespace confines this PE's global-memory operations to the word
-// region [base, limit). BeginJob binds a job's region this way; limit 0
-// would mean unbound, so it is rejected — use ClearNamespace.
-func (pe *PE) BindNamespace(base, limit uint64) {
-	if limit == 0 {
-		panic("core: BindNamespace with zero limit (use ClearNamespace)")
-	}
-	pe.ns = gmem.Region{Base: base, Limit: limit}
-}
-
-// ClearNamespace lifts the confinement installed by BindNamespace.
-func (pe *PE) ClearNamespace() { pe.ns = gmem.Region{} }
 
 // nsCheck is the PE-side namespace guard: when this PE is bound, an access
 // of n words at addr outside the bound region is refused with the typed

@@ -81,15 +81,15 @@ type Kernel struct {
 	// them up lock-free.
 	ns *gmem.NSRegistry
 
-	// sync is this kernel's synchronisation state: the central barrier, lock
-	// and semaphore managers at kernel 0, a node of the combining tree when
+	// sync is this kernel's synchronisation state: the central barrier and
+	// lock managers at kernel 0, a node of the combining tree when
 	// cfg.Barrier == BarrierTree. Only serveSync touches it while the kernel
 	// runs.
 	sync *psync.Set
 	// procs is the global process table, present at kernel 0 only.
 	procs *procmgmt.Table
 
-	// syncMb receives barrier releases and lock/semaphore grants for the
+	// syncMb receives barrier releases and lock grants for the
 	// (single-threaded) application context.
 	syncMb transport.Mailbox
 
@@ -493,7 +493,7 @@ func (k *Kernel) serve() {
 		if int(op) < wire.NumOps {
 			k.extra.ServiceByOp.Of(op).Observe(end - rcv)
 		}
-		if k.spans != nil && k.spans.Sampled() {
+		if k.spans != nil {
 			k.spans.Record(trace.Span{
 				Kind: trace.SpanService, Op: op,
 				PE: int32(k.id), Peer: src, Seq: seq,
@@ -523,7 +523,7 @@ func isReply(op wire.Op) bool {
 }
 
 // deliverApp is the one router for app-bound messages: a reply goes to the
-// reply mailbox, a central barrier release or a lock/semaphore grant to the
+// reply mailbox, a central barrier release or a lock grant to the
 // sync mailbox — by op alone, with no table to consult. It reports whether it
 // took m; everything else — a request, a tree-barrier release (which forwards
 // down the tree from the serve loop) — is declined and left to handle. Whether
@@ -544,7 +544,7 @@ func (k *Kernel) deliverApp(m *wire.Message) bool {
 	switch {
 	case isReply(m.Op):
 		mb = k.replyMb
-	case m.Op == wire.OpLockGrant, m.Op == wire.OpSemGrant,
+	case m.Op == wire.OpLockGrant,
 		// Sized releases (job-group barriers) are central by construction
 		// and never forwarded down a tree.
 		m.Op == wire.OpBarrierRelease && (k.cfg.Barrier != BarrierTree || m.Arg2 != 0):
@@ -578,7 +578,7 @@ func (k *Kernel) handle(m *wire.Message) (consumed bool, answered sim.Time) {
 	// Synchronisation service. The one release that gets here is a tree
 	// barrier's (deliverApp took the others).
 	case wire.OpBarrierArrive, wire.OpBarrierRelease,
-		wire.OpLockAcquire, wire.OpLockRelease, wire.OpSemWait, wire.OpSemPost:
+		wire.OpLockAcquire, wire.OpLockRelease:
 		k.serveSync(m)
 
 	// Parallel process management (kernel 0 hosts the global table).
@@ -669,11 +669,11 @@ func (k *Kernel) handle(m *wire.Message) (consumed bool, answered sim.Time) {
 	return true, 0
 }
 
-// serveSync is the synchronisation service's one entry point: every barrier,
-// lock and semaphore message goes through this kernel's psync.Set, and what
-// the set answers is sent. A sync message is input from another node: one
-// whose source names no PE, or that the set refuses — it reached a kernel that
-// does not host what it addresses, repeats an arrival or a wait, re-acquires a
+// serveSync is the synchronisation service's one entry point: every barrier
+// and lock message goes through this kernel's psync.Set, and what the set
+// answers is sent. A sync message is input from another node: one whose
+// source names no PE, or that the set refuses — it reached a kernel that does
+// not host what it addresses, repeats an arrival, re-acquires a
 // lock its source holds or awaits, releases one it does not hold — is counted
 // and dropped, not allowed to take the kernel down, to release a barrier
 // somebody has not reached or to hand out a grant nobody is waiting for.

@@ -424,11 +424,9 @@ func noReplyFrom(t *testing.T, k *Kernel, what string) {
 // manager used to answer with a panic — a re-acquire by the holder, a release
 // by a PE that does not hold the lock — and the ones that fail before they
 // reach it: a second acquire by a waiter (used to be queued twice, i.e. granted
-// twice), a source that names no PE, a lock message at a kernel other than 0 —
-// and a second semaphore wait by a source already queued, which used to take a
-// second place in the queue and with it the post meant for the next waiter.
-// Each is counted in CorruptDrops and dropped, the lock still passes down its
-// queue in order and the semaphore grants once per well-formed wait.
+// twice), a source that names no PE, a lock message at a kernel other than 0.
+// Each is counted in CorruptDrops and dropped, and the lock still passes down
+// its queue in order, once per well-formed acquire.
 func TestKernelCorruptLockMessagesDropped(t *testing.T) {
 	_, ks := testKernels(t, 3, nil)
 	send := func(k *Kernel, op wire.Op, src int32) {
@@ -439,19 +437,17 @@ func TestKernelCorruptLockMessagesDropped(t *testing.T) {
 		t.Fatalf("first acquire: %v", m)
 	}
 	send(ks[0], wire.OpLockAcquire, 2) // queues
-	send(ks[0], wire.OpSemWait, 2)     // queues
 	for i, bad := range []struct {
 		k   *Kernel
 		op  wire.Op
 		src int32
 	}{
-		{ks[0], wire.OpLockAcquire, 1}, // holder again
-		{ks[0], wire.OpLockAcquire, 2}, // waiter again
-		{ks[0], wire.OpLockRelease, 2}, // not the holder
-		{ks[0], wire.OpLockRelease, 0}, // not the holder either
-		{ks[0], wire.OpLockAcquire, 7}, // names no PE
-		{ks[0], wire.OpSemWait, -1},    // names no PE
-		{ks[0], wire.OpSemWait, 2},     // queued already
+		{ks[0], wire.OpLockAcquire, 1},  // holder again
+		{ks[0], wire.OpLockAcquire, 2},  // waiter again
+		{ks[0], wire.OpLockRelease, 2},  // not the holder
+		{ks[0], wire.OpLockRelease, 0},  // not the holder either
+		{ks[0], wire.OpLockAcquire, 7},  // names no PE
+		{ks[0], wire.OpLockRelease, -1}, // names no PE
 	} {
 		send(bad.k, bad.op, bad.src)
 		if got := ks[0].extra.CorruptDrops; got != uint64(i+1) {
@@ -459,7 +455,7 @@ func TestKernelCorruptLockMessagesDropped(t *testing.T) {
 		}
 	}
 	send(ks[1], wire.OpLockAcquire, 0)
-	send(ks[1], wire.OpSemPost, 0)
+	send(ks[1], wire.OpLockRelease, 0)
 	if ks[1].extra.CorruptDrops != 2 {
 		t.Fatalf("sync messages at kernel 1: CorruptDrops = %d, want 2", ks[1].extra.CorruptDrops)
 	}
@@ -467,18 +463,13 @@ func TestKernelCorruptLockMessagesDropped(t *testing.T) {
 	if m := syncFrom(t, ks[2]); m.Op != wire.OpLockGrant || m.Tag != 2 {
 		t.Fatalf("queued acquire: %v", m)
 	}
-	send(ks[0], wire.OpLockRelease, 2)
-	send(ks[0], wire.OpSemPost, 1)
-	if m := syncFrom(t, ks[2]); m.Op != wire.OpSemGrant || m.Tag != 2 {
-		t.Fatalf("queued wait: %v", m)
-	}
-	send(ks[0], wire.OpSemPost, 1) // nobody waits: the refused duplicate must not be granted
+	send(ks[0], wire.OpLockRelease, 2) // nobody waits: the refused duplicate must not be granted
 	for _, k := range ks[1:] {
 		if m, _, timedOut := k.syncMb.TakeTimeout(10 * sim.Millisecond); !timedOut {
 			t.Fatalf("kernel %d got a grant nobody asked for: %v", k.id, m)
 		}
 	}
-	if _, r, _ := ks[0].sync.Residue(); r != 0 {
+	if _, r := ks[0].sync.Residue(); r != 0 {
 		t.Fatalf("lock manager residue = %d, want 0", r)
 	}
 }
@@ -826,7 +817,7 @@ func TestKernelCorruptJobFramesDropped(t *testing.T) {
 				if got := k.seg.CountRange(region.Base/bw, 3); got != 1 {
 					t.Errorf("%d blocks of the region left, want 1", got)
 				}
-				if pend, _, _ := k.sync.Residue(); len(k.userq) != 1 || pend != 1 {
+				if pend, _ := k.sync.Residue(); len(k.userq) != 1 || pend != 1 {
 					t.Errorf("%d user queues, %d barrier arrivals left; want 1 and 1", len(k.userq), pend)
 				}
 			})

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/gmem"
+	"repro/internal/platform"
+	"repro/internal/sim"
 )
 
 // Namespace-isolation enforcement tests (DESIGN.md §15): a PE bound to a
@@ -98,7 +100,7 @@ func TestNamespacePEGuardOneSidedPaths(t *testing.T) {
 			return nil
 		}
 		pe.Barrier()
-		pe.BindNamespace(region.Base, region.Limit)
+		pe.ns = region
 		var nsErr *NamespaceError
 		if _, err := pe.GMReadErr(outside); !errors.As(err, &nsErr) {
 			t.Errorf("window read outside namespace: got %v, want *NamespaceError", err)
@@ -121,7 +123,7 @@ func TestNamespacePEGuardOneSidedPaths(t *testing.T) {
 				t.Errorf("in-region word %d = %d", i, v)
 			}
 		}
-		pe.ClearNamespace()
+		pe.ns = gmem.Region{}
 		pe.Barrier()
 		return nil
 	}
@@ -308,5 +310,118 @@ func TestNamespaceHomeRefusesRanges(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// namespaceProgram drives all eight GM entry points from PEs bound to a
+// namespace (the guard BeginJob installs for a scheduled job): in-region
+// traffic over the one-sided and message paths, plus one stray per entry
+// point that the PE-side guard must refuse before anything is recorded or
+// sent.
+func namespaceProgram(pe *PE) error {
+	const words = 128
+	data := pe.Alloc(words)
+	outside := pe.Alloc(words)
+	pe.Barrier()
+	pe.ns = gmem.Region{Base: data, Limit: data + words}
+	rng := sim.NewRand(77 ^ uint64(pe.ID()+1)*0x9e3779b97f4a7c15)
+	uniq := int64(pe.ID()+1) << 40
+	next := func() int64 { uniq++; return uniq }
+	for i := 0; i < 120; i++ {
+		a := data + uint64(rng.Intn(words-16))
+		var err error
+		switch i % 8 {
+		case 0:
+			_, err = pe.GMReadErr(a)
+		case 1:
+			err = pe.GMWriteErr(a, next())
+		case 2:
+			_, err = pe.FetchAddErr(data+words-1-uint64(rng.Intn(4)), 1)
+		case 3:
+			_, _, err = pe.CASErr(data+words-8+uint64(rng.Intn(4)), 0, next())
+		case 4:
+			_, err = pe.GMReadBlockErr(a, 2+rng.Intn(14))
+		case 5:
+			ws := make([]int64, 2+rng.Intn(14))
+			for j := range ws {
+				ws[j] = next()
+			}
+			err = pe.GMWriteBlockErr(a, ws)
+		case 6:
+			_, err = pe.GMGatherErr([]uint64{a, data + uint64(rng.Intn(words-16)), a + 9})
+		case 7:
+			err = pe.GMScatterErr([]uint64{a, data + uint64(rng.Intn(words-16))}, []int64{next(), next()})
+		}
+		if err != nil {
+			return err
+		}
+		if i%40 == 39 {
+			pe.Barrier()
+		}
+	}
+	_, rerr := pe.GMReadErr(outside)
+	_, faerr := pe.FetchAddErr(outside, 1)
+	_, _, caserr := pe.CASErr(outside, 0, 1)
+	errOf := func(_ []int64, err error) error { return err }
+	strays := []struct {
+		what string
+		err  error
+	}{
+		{"read", rerr},
+		{"write", pe.GMWriteErr(outside, 1)},
+		{"fetch-add", faerr},
+		{"cas", caserr},
+		{"read-block", errOf(pe.GMReadBlockErr(data+words-2, 4))},
+		{"write-block", pe.GMWriteBlockErr(data+words-2, make([]int64, 4))},
+		{"gather", errOf(pe.GMGatherErr([]uint64{data, outside}))},
+		{"scatter", pe.GMScatterErr([]uint64{data, outside}, []int64{1, 2})},
+	}
+	for _, s := range strays {
+		var nsErr *NamespaceError
+		if !errors.As(s.err, &nsErr) {
+			return fmt.Errorf("PE %d: stray %s: got %v, want *NamespaceError", pe.ID(), s.what, s.err)
+		}
+	}
+	pe.ns = gmem.Region{}
+	pe.Barrier()
+	return nil
+}
+
+// TestNamespaceGoldenPrograms pins the access ladder's branches for a PE
+// bound to a namespace as history digests, like check/stress's
+// TestLadderGoldenPrograms (where these rows were captured), over the message
+// path, the one-sided paths and the legacy organisation's per-call IPC
+// charge.
+func TestNamespaceGoldenPrograms(t *testing.T) {
+	for _, g := range []struct {
+		name   string
+		direct int
+		legacy bool // the old two-process organisation's per-call IPC charge
+		want   string
+	}{
+		{"ns-message", -1, false, "5968ed679ff96c1a240c17665ab8e932bdb38b097672aed66cec4e4bbe9e5d64"},
+		{"ns-onesided", 1, false, "d5b17b894ce8bb0d4b852dffb65d5bf2e2c8fbe97fc93c4c36ac519b63032c82"},
+		{"ns-legacy", -1, true, "8729cecea53a0a6c4816972717353f457835ca677c1ea903074191153d782131"},
+	} {
+		res, err := Run(Config{
+			NumPE: 4, Platform: platform.SparcSunOS, Seed: 77, RecordHistory: true,
+			DirectReads: g.direct, Legacy: g.legacy,
+			LeaseDuration: 200 * sim.Microsecond,
+		}, namespaceProgram)
+		if err != nil {
+			t.Fatalf("%s: run: %v", g.name, err)
+		}
+		if err := res.FirstErr(); err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		if got := res.Total.NsDenials; got != 4*8 {
+			t.Errorf("%s: NsDenials = %d, want %d", g.name, got, 4*8)
+		}
+		if rep := check.Check(res.History); !rep.OK() {
+			t.Fatalf("%s: checker violations:\n%s", g.name, rep)
+		}
+		if got := res.History.Digest(); got != g.want {
+			t.Errorf("%s: history digest drifted (%d events):\n got %s\nwant %s", g.name, res.History.Len(), got, g.want)
+		}
 	}
 }

@@ -64,7 +64,8 @@ type PE struct {
 	leases map[uint64]*leaseEntry // keyed by block base address
 
 	// ns, when Limit != 0, confines every global-memory operation to the job
-	// namespace the scheduler bound this PE to (dsesched, DESIGN.md §15).
+	// namespace BeginJob bound this PE to, until EndJob (dsesched, DESIGN.md
+	// §15).
 	// Checked before a request leaves the PE, which is what covers the
 	// accesses in place with the same guard as the message path; the home
 	// kernel independently re-checks arriving messages against its own
@@ -279,9 +280,7 @@ type syncVerb uint8
 const (
 	verbBarrier syncVerb = iota
 	verbLock
-	verbSemWait
 	verbUnlock
-	verbSemPost
 )
 
 var syncVerbs = [...]struct {
@@ -293,26 +292,20 @@ var syncVerbs = [...]struct {
 }{
 	verbBarrier: {req: wire.OpBarrierArrive, reply: wire.OpBarrierRelease, tree: true, release: true, span: trace.SpanBarrier, hist: check.KindBarrier},
 	verbLock:    {req: wire.OpLockAcquire, reply: wire.OpLockGrant, span: trace.SpanLock, hist: check.KindLock},
-	verbSemWait: {req: wire.OpSemWait, reply: wire.OpSemGrant, span: trace.SpanSem},
 	// Unlock is release consistency's namesake release edge: buffered writes
 	// are published while the lock is still held, so the next holder observes
-	// them. A semaphore post has no event of its own: the flush's KindFlush is
-	// the fence the checker orders the published writes by.
-	verbUnlock:  {req: wire.OpLockRelease, release: true, hist: check.KindUnlock},
-	verbSemPost: {req: wire.OpSemPost, release: true},
+	// them.
+	verbUnlock: {req: wire.OpLockRelease, release: true, hist: check.KindUnlock},
 }
 
 // waitStats returns the counter and the wait histogram of a waiting verb:
 // fields of trace.PEStats that reports read by name, so not an array the table
 // could index.
 func (pe *PE) waitStats(v syncVerb) (*uint64, *trace.Histogram) {
-	switch v {
-	case verbBarrier:
+	if v == verbBarrier {
 		return &pe.extra.Barriers, &pe.extra.BarrierWait
-	case verbLock:
-		return &pe.extra.Locks, &pe.extra.LockWait
 	}
-	return &pe.extra.Sems, &pe.extra.SemWait
+	return &pe.extra.Locks, &pe.extra.LockWait
 }
 
 // syncPost sends verb v's request for id — all there is to a post, the front
@@ -381,7 +374,7 @@ func (pe *PE) Barrier() { pe.BarrierID(0) }
 
 // BarrierID blocks on the barrier with the given id; distinct ids are
 // independent barriers. Inside a job the barrier is the gang's, private to
-// the job, like its locks and semaphores.
+// the job, like its locks.
 func (pe *PE) BarrierID(id int32) {
 	size := 0
 	if pe.job != nil {
@@ -396,12 +389,6 @@ func (pe *PE) Lock(id int32) { pe.syncWait(verbLock, pe.scoped(id), 0) }
 // Unlock releases lock id.
 func (pe *PE) Unlock(id int32) { pe.syncPost(verbUnlock, pe.scoped(id), 0) }
 
-// SemWait downs semaphore id, blocking while its value is zero.
-func (pe *PE) SemWait(id int32) { pe.syncWait(verbSemWait, pe.scoped(id), 0) }
-
-// SemPost ups semaphore id.
-func (pe *PE) SemPost(id int32) { pe.syncPost(verbSemPost, pe.scoped(id), 0) }
-
 // takeWithin takes the next message from mb, waiting at most d (0 = forever).
 // ok is false when the mailbox closed (cluster shutdown).
 func takeWithin(mb transport.Mailbox, d sim.Duration) (m *wire.Message, ok, timedOut bool) {
@@ -414,7 +401,7 @@ func takeWithin(mb transport.Mailbox, d sim.Duration) (m *wire.Message, ok, time
 
 // waitFailed raises what ended a wait without a message as the typed errors of
 // the request tier, so runPE reports it with its type and callers classify a
-// Barrier, Lock, SemWait or RecvMsg that failed with errors.As like any GM
+// Barrier, Lock or RecvMsg that failed with errors.As like any GM
 // call. src is the kernel the message was expected from.
 func (pe *PE) waitFailed(op string, src int, timedOut bool) {
 	if timedOut {

@@ -197,7 +197,7 @@ func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
 	if pe.live != nil {
 		pe.live.Observe(end - start)
 	}
-	if pe.spans != nil && pe.spans.Sampled() {
+	if pe.spans != nil {
 		s := trace.Span{Kind: trace.SpanTransfer, Op: op, PE: int32(k.id), Peer: int32(k.id), Start: start, End: end}
 		if xfer == 0 {
 			s.Kind, s.Peer, s.Seq, s.Sent = trace.SpanRequest, int32(fl[0].dst), fl[0].req.Seq, sent

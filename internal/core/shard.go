@@ -201,7 +201,7 @@ func (sh *kernelShard) serve(m *wire.Message) {
 		end = sh.k.svc.Now()
 	}
 	h.Observe(end - m.RecvAt)
-	if sh.spans != nil && sh.spans.Sampled() {
+	if sh.spans != nil {
 		sh.spans.Record(trace.Span{
 			Kind: trace.SpanService, Op: m.Op,
 			PE: int32(sh.k.id), Peer: m.Src, Seq: m.Seq,

@@ -29,8 +29,7 @@ func beginGang(pe *PE) bool {
 // what one row of the verb table promises: its counter, a sample in its wait
 // histogram, a span and — where the checker has a kind — a history event per
 // call, none of them lost because a call site forgot it. The sized barrier of
-// a job's gang used to leave neither span nor event and a semaphore wait
-// nothing at all; the all-reduce, one body for the cluster and a job's
+// a job's gang used to leave neither span nor event; the all-reduce, one body for the cluster and a job's
 // gang, is held to its result and its 2(n-1) messages.
 func TestSyncPipelineRecords(t *testing.T) {
 	const gangID = 7
@@ -74,22 +73,6 @@ func TestSyncPipelineRecords(t *testing.T) {
 			wait:    func(s *trace.PEStats) *trace.Histogram { return &s.LockWait },
 			events:  map[check.Kind]int{check.KindLock: 4, check.KindUnlock: 4},
 			msgs:    map[wire.Op]uint64{wire.OpLockAcquire: 4, wire.OpLockGrant: 4, wire.OpLockRelease: 4},
-		},
-		{
-			name: "sem wait/post", calls: 3, span: trace.SpanSem, id: 5,
-			run: func(pe *PE) error {
-				if pe.ID() != 0 {
-					pe.SemWait(5)
-					return nil
-				}
-				for i := 1; i < pe.N(); i++ {
-					pe.SemPost(5)
-				}
-				return nil
-			},
-			counter: func(s *trace.PEStats) uint64 { return s.Sems },
-			wait:    func(s *trace.PEStats) *trace.Histogram { return &s.SemWait },
-			msgs:    map[wire.Op]uint64{wire.OpSemWait: 3, wire.OpSemGrant: 3, wire.OpSemPost: 3},
 		},
 		{
 			name: "all-reduce",

@@ -132,31 +132,6 @@ func TestTracingDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestTracingSampling(t *testing.T) {
-	full := simCfg(4)
-	full.Tracing = trace.TracingConfig{Enabled: true}
-	sampled := simCfg(4)
-	sampled.Tracing = trace.TracingConfig{Enabled: true, Sample: 4}
-
-	reqSpans := func(cfg Config) int {
-		res, err := Run(cfg, tracedProgram)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for i := range res.Spans {
-			if res.Spans[i].Kind == trace.SpanRequest {
-				n++
-			}
-		}
-		return n
-	}
-	nFull, nSampled := reqSpans(full), reqSpans(sampled)
-	if nSampled == 0 || nSampled*2 >= nFull {
-		t.Fatalf("sampling 1/4: %d of %d request spans survived", nSampled, nFull)
-	}
-}
-
 func TestTracingRingWraparoundInRun(t *testing.T) {
 	cfg := simCfg(2)
 	cfg.Tracing = trace.TracingConfig{Enabled: true, RingSize: 8}

@@ -102,9 +102,6 @@ func (d *Directory) Static() bool { return d.static.Load() }
 // Epoch returns the highest membership generation observed.
 func (d *Directory) Epoch() uint64 { return d.state.Load().epoch }
 
-// N returns the member count (the Space's kernel count).
-func (d *Directory) N() int { return d.n }
-
 // Members returns a copy of the membership table.
 func (d *Directory) Members() []Member {
 	st := d.state.Load()

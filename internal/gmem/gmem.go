@@ -13,7 +13,6 @@ package gmem
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -824,13 +823,6 @@ func (g *Segment) Import(blocks []BlockSnapshot) error {
 	}
 	return nil
 }
-
-// F2W and W2F convert float64 values to and from their word representation;
-// the numeric applications store floating-point data in global memory.
-func F2W(f float64) int64 { return int64(math.Float64bits(f)) }
-
-// W2F is the inverse of F2W.
-func W2F(w int64) float64 { return math.Float64frombits(uint64(w)) }
 
 // Cache is a PE-local block cache for the invalidation protocol: the blocks
 // the PE's cached-mode reads fetched, each registered in its home's copyset.

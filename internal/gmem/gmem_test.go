@@ -311,7 +311,7 @@ func TestCacheInsertCopiesBlock(t *testing.T) {
 
 func TestFloatWordRoundTrip(t *testing.T) {
 	f := func(x float64) bool {
-		y := W2F(F2W(x))
+		y := math.Float64frombits(math.Float64bits(x))
 		if x != x { // NaN
 			return y != y
 		}

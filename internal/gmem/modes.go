@@ -13,7 +13,7 @@ import (
 //
 //   - ModeRelease buffers writes in a per-PE write-combining buffer and
 //     publishes them, coalesced, at synchronisation edges (barrier entry,
-//     lock release, semaphore post). Reads observe the PE's own buffered
+//     lock release). Reads observe the PE's own buffered
 //     writes plus whatever the home last had flushed to it.
 //   - ModeLease serves reads from a time-bounded per-block lease: a miss
 //     fetches the whole block once and subsequent reads skip the

@@ -60,12 +60,6 @@ func NewBoundedAllocator(space Space, r Region) *Allocator {
 	return &Allocator{space: space, next: r.Base, bound: r}
 }
 
-// Bound reports the allocator's namespace region; bounded=false for the
-// classic whole-space allocator.
-func (a *Allocator) Bound() (r Region, bounded bool) {
-	return a.bound, a.bound.Limit != 0
-}
-
 // checkBound panics with *QuotaError if the pending allocation [a.next,
 // a.next+n) escapes the bound. No-op for unbounded allocators.
 func (a *Allocator) checkBound(n int) {
@@ -178,9 +172,6 @@ func NewRegionAllocator(space Space, capacityBlocks uint64) *RegionAllocator {
 		free:     []blockRun{{start: 0, n: capacityBlocks}},
 	}
 }
-
-// CapacityBlocks reports the total managed blocks.
-func (ra *RegionAllocator) CapacityBlocks() uint64 { return ra.capacity }
 
 // UsedBlocks reports the blocks currently carved out.
 func (ra *RegionAllocator) UsedBlocks() uint64 {

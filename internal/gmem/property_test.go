@@ -6,11 +6,11 @@ import (
 	"testing/quick"
 )
 
-// F2W/W2F must be bit-exact, not merely value-preserving: reduction
-// payloads travel through global memory as words, and a conversion that
-// canonicalises NaNs or drops the sign of zero would corrupt them
-// silently. Checked over every special value and all 2^64 bit patterns by
-// property.
+// A float64 travels through global memory as its IEEE-754 bits in a word
+// (core.Array), which must be bit-exact, not merely value-preserving: a
+// conversion that canonicalises NaNs or drops the sign of zero would corrupt
+// reduction payloads silently. Checked over every special value and all 2^64
+// bit patterns by property.
 func TestFloatWordBitExact(t *testing.T) {
 	specials := []float64{
 		0, math.Copysign(0, -1),
@@ -22,11 +22,9 @@ func TestFloatWordBitExact(t *testing.T) {
 	}
 	for _, x := range specials {
 		bits := math.Float64bits(x)
-		if got := uint64(F2W(x)); got != bits {
-			t.Errorf("F2W(%v) = %#x, want bits %#x", x, got, bits)
-		}
-		if got := math.Float64bits(W2F(F2W(x))); got != bits {
-			t.Errorf("W2F(F2W(%v)) changed bits: %#x -> %#x", x, bits, got)
+		w := int64(math.Float64bits(x))
+		if got := math.Float64bits(math.Float64frombits(uint64(w))); got != bits {
+			t.Errorf("word round trip of %v changed bits: %#x -> %#x", x, bits, got)
 		}
 	}
 	// NaN payload bits (signalling vs quiet, sign, mantissa) must survive:
@@ -34,7 +32,8 @@ func TestFloatWordBitExact(t *testing.T) {
 	// NaN encoding no float64 generator would produce.
 	f := func(bits uint64) bool {
 		w := int64(bits)
-		return F2W(W2F(w)) == w && math.Float64bits(W2F(w)) == bits
+		x := math.Float64frombits(uint64(w))
+		return int64(math.Float64bits(x)) == w && math.Float64bits(x) == bits
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package psync holds the synchronisation state machines of the DSE
-// parallel processing library: the centralised barrier, lock and semaphore
-// managers (hosted by kernel 0) and the distributed tree barrier used as an
+// parallel processing library: the centralised barrier and lock managers
+// (hosted by kernel 0) and the distributed tree barrier used as an
 // ablation, gathered per kernel into a Set whose Serve is the one entry point
 // a kernel's synchronisation service calls. The state machines are pure — they
 // consume "PE x arrived/asked" events and emit lists of PEs to notify — so the
@@ -116,64 +116,18 @@ func (lm *LockManager) Release(src int, id int32) (next int, granted, ok bool) {
 	if h, held := lm.holder[id]; !held || h != src {
 		return 0, false, false
 	}
-	next, granted = popWaiter(lm.waitq, id)
-	if granted {
-		lm.holder[id] = next
-	} else {
+	q := lm.waitq[id]
+	switch len(q) {
+	case 0:
 		delete(lm.holder, id)
+		return 0, false, true
+	case 1:
+		delete(lm.waitq, id)
+	default:
+		lm.waitq[id] = q[1:]
 	}
-	return next, granted, true
-}
-
-// popWaiter takes the head of id's wait queue (ok false: nobody waits).
-func popWaiter(waitq map[int32][]int, id int32) (next int, ok bool) {
-	q := waitq[id]
-	if len(q) == 0 {
-		return 0, false
-	}
-	if len(q) == 1 {
-		delete(waitq, id)
-	} else {
-		waitq[id] = q[1:]
-	}
-	return q[0], true
-}
-
-// SemManager implements central counting semaphores.
-type SemManager struct {
-	val   map[int32]int64
-	waitq map[int32][]int
-}
-
-// NewSemManager creates an empty manager; unknown semaphores start at 0.
-func NewSemManager() *SemManager {
-	return &SemManager{val: make(map[int32]int64), waitq: make(map[int32][]int)}
-}
-
-// Wait decrements semaphore id for src. It reports whether the down
-// succeeded immediately; otherwise src is queued. A PE blocks in its wait, so
-// a second one from a source already queued on id is a forged or duplicated
-// message: refused — ok false, nothing recorded — because a second place in
-// the queue would swallow a post meant for somebody else.
-func (sm *SemManager) Wait(src int, id int32) (granted, ok bool) {
-	if sm.val[id] > 0 {
-		sm.val[id]--
-		return true, true
-	}
-	if slices.Contains(sm.waitq[id], src) {
-		return false, false
-	}
-	sm.waitq[id] = append(sm.waitq[id], src)
-	return false, true
-}
-
-// Post increments semaphore id and returns the kernel to grant a pending
-// wait to, if any.
-func (sm *SemManager) Post(id int32) (next int, ok bool) {
-	if next, ok = popWaiter(sm.waitq, id); !ok {
-		sm.val[id]++
-	}
-	return next, ok
+	lm.holder[id] = q[0]
+	return q[0], true, true
 }
 
 // TreeBarrier is the distributed alternative to the central barrier: each
@@ -255,14 +209,13 @@ type Grant struct {
 	Wake bool
 }
 
-// Set is the synchronisation state of one kernel: the central barrier, lock
-// and semaphore managers (kernel 0 only) and this kernel's node of the
+// Set is the synchronisation state of one kernel: the central barrier and
+// lock managers (kernel 0 only) and this kernel's node of the
 // combining tree (tree barriers only). Like the managers it has no lock of
 // its own: whoever calls it serialises the calls.
 type Set struct {
 	barrier *BarrierManager
 	locks   *LockManager
-	sems    *SemManager
 	tree    *TreeBarrier
 	wake    []Grant // Serve's result, overwritten by the next call
 }
@@ -272,7 +225,7 @@ type Set struct {
 func NewSet(self, n int, tree bool) *Set {
 	s := &Set{}
 	if self == 0 {
-		s.barrier, s.locks, s.sems = NewBarrierManager(n), NewLockManager(), NewSemManager()
+		s.barrier, s.locks = NewBarrierManager(n), NewLockManager()
 	}
 	if tree {
 		s.tree = NewTreeBarrier(self, n, 2)
@@ -323,21 +276,15 @@ func (s *Set) Serve(src int, op wire.Op, id int32, size int64) (wake []Grant, ok
 		}
 		return s.wake, ok
 	}
-	dst, grant, granted := src, wire.OpLockGrant, false
+	dst, granted := src, false
 	switch op {
 	case wire.OpLockAcquire:
 		granted, ok = s.locks.Acquire(src, id)
 	case wire.OpLockRelease:
 		dst, granted, ok = s.locks.Release(src, id)
-	case wire.OpSemWait:
-		grant = wire.OpSemGrant
-		granted, ok = s.sems.Wait(src, id)
-	case wire.OpSemPost:
-		grant, ok = wire.OpSemGrant, true
-		dst, granted = s.sems.Post(id)
 	}
 	if granted {
-		s.emit(dst, grant, id, 0)
+		s.emit(dst, wire.OpLockGrant, id, 0)
 	}
 	return s.wake, ok
 }
@@ -355,11 +302,10 @@ func (s *Set) releaseDown(id int32) {
 	s.wake = append(s.wake, Grant{Dst: s.tree.self, Op: wire.OpBarrierRelease, ID: id, Wake: true})
 }
 
-// Purge forgets every barrier epoch, lock and semaphore whose id lies in
-// [lo, hi): teardown for a job whose members may have died mid-barrier,
-// holding a lock or queued on a semaphore, so that a later job reusing the id
-// range finds it clean. (Job barriers are sized, hence central: the tree
-// holds nothing of a job's.)
+// Purge forgets every barrier epoch and lock whose id lies in [lo, hi):
+// teardown for a job whose members may have died mid-barrier or holding or
+// awaiting a lock, so that a later job reusing the id range finds it clean.
+// (Job barriers are sized, hence central: the tree holds nothing of a job's.)
 func (s *Set) Purge(lo, hi int32) {
 	if s.barrier == nil {
 		return
@@ -367,8 +313,6 @@ func (s *Set) Purge(lo, hi int32) {
 	dropRange(s.barrier.arrived, lo, hi)
 	dropRange(s.locks.holder, lo, hi)
 	dropRange(s.locks.waitq, lo, hi)
-	dropRange(s.sems.val, lo, hi)
-	dropRange(s.sems.waitq, lo, hi)
 }
 
 func dropRange[V any](m map[int32]V, lo, hi int32) {
@@ -380,13 +324,13 @@ func dropRange[V any](m map[int32]V, lo, hi int32) {
 }
 
 // Residue reports the leak gauges of job teardown, all zero after a quiesced
-// one: arrivals parked in open barrier epochs, locks held plus lock waiters
-// queued, and semaphore waiters queued.
-func (s *Set) Residue() (barrierPend, lockResidue, semWaiters int) {
+// one: arrivals parked in open barrier epochs, and locks held plus lock
+// waiters queued.
+func (s *Set) Residue() (barrierPend, lockResidue int) {
 	if s.barrier == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
-	return queued(s.barrier.arrived), len(s.locks.holder) + queued(s.locks.waitq), queued(s.sems.waitq)
+	return queued(s.barrier.arrived), len(s.locks.holder) + queued(s.locks.waitq)
 }
 
 func queued(m map[int32][]int) (n int) {

@@ -275,61 +275,6 @@ func TestLockMutualExclusionProperty(t *testing.T) {
 	}
 }
 
-func TestSemaphoreCounting(t *testing.T) {
-	sm := NewSemManager()
-	sm.val[1] = 2
-	for src := 0; src < 2; src++ {
-		if granted, ok := sm.Wait(src, 1); !granted || !ok {
-			t.Fatal("two downs of a 2-valued semaphore should pass")
-		}
-	}
-	if granted, ok := sm.Wait(2, 1); granted || !ok {
-		t.Fatal("third down should block")
-	}
-	next, ok := sm.Post(1)
-	if !ok || next != 2 {
-		t.Fatalf("post granted %d,%v want 2", next, ok)
-	}
-	if _, ok := sm.Post(1); ok {
-		t.Fatal("post with empty queue should just increment")
-	}
-	if sm.val[1] != 1 {
-		t.Fatalf("value = %d, want 1", sm.val[1])
-	}
-}
-
-func TestSemaphoreZeroStart(t *testing.T) {
-	sm := NewSemManager()
-	if granted, ok := sm.Wait(0, 9); granted || !ok {
-		t.Fatal("wait on fresh semaphore should block")
-	}
-	if next, ok := sm.Post(9); !ok || next != 0 {
-		t.Fatal("post should grant the waiter")
-	}
-}
-
-// A PE blocks in its wait, so a second wait from a source already queued is a
-// forged or duplicated message: queued twice, it would swallow the post meant
-// for the next waiter.
-func TestSemaphoreRefusesDuplicateWait(t *testing.T) {
-	sm := NewSemManager()
-	sm.Wait(1, 4)
-	if granted, ok := sm.Wait(1, 4); granted || ok {
-		t.Fatalf("second wait by a queued source = %v, %v, want refused", granted, ok)
-	}
-	sm.Wait(2, 4)
-	if next, _ := sm.Post(4); next != 1 {
-		t.Fatalf("first post granted %d, want 1", next)
-	}
-	if next, granted := sm.Post(4); !granted || next != 2 {
-		t.Fatalf("second post granted %d, %v: the refused duplicate was queued after all", next, granted)
-	}
-	// Granted, the source may wait again.
-	if _, ok := sm.Wait(1, 4); !ok {
-		t.Fatal("wait after the grant refused")
-	}
-}
-
 func TestTreeBarrierTopology(t *testing.T) {
 	n := 10
 	// Every kernel except the root has a parent; child lists are the
@@ -492,13 +437,6 @@ func TestSetServe(t *testing.T) {
 	g, ok = grants(t, s, 1, wire.OpLockRelease, 5, 0)
 	expect("release", g, ok, true, Grant{Dst: 2, Op: wire.OpLockGrant, ID: 5})
 
-	g, ok = grants(t, s, 1, wire.OpSemWait, 6, 0)
-	expect("wait on a zero semaphore", g, ok, true)
-	g, ok = grants(t, s, 1, wire.OpSemWait, 6, 0)
-	expect("second wait by a queued source", g, ok, false)
-	g, ok = grants(t, s, 0, wire.OpSemPost, 6, 0)
-	expect("post", g, ok, true, Grant{Dst: 1, Op: wire.OpSemGrant, ID: 6})
-
 	// A sized barrier releases at its size and the releases carry it.
 	g, ok = grants(t, s, 2, wire.OpBarrierArrive, 7, 2)
 	expect("first sized arrival", g, ok, true)
@@ -516,7 +454,7 @@ func TestSetServe(t *testing.T) {
 
 	// Kernel 1 hosts no central manager.
 	s1 := NewSet(1, 3, false)
-	for _, op := range []wire.Op{wire.OpBarrierArrive, wire.OpLockAcquire, wire.OpLockRelease, wire.OpSemWait, wire.OpSemPost} {
+	for _, op := range []wire.Op{wire.OpBarrierArrive, wire.OpLockAcquire, wire.OpLockRelease} {
 		g, ok = grants(t, s1, 0, op, 1, 0)
 		expect(op.String()+" at kernel 1", g, ok, false)
 	}
@@ -585,23 +523,18 @@ func TestSetPurgeAndResidue(t *testing.T) {
 		s.Serve(2, wire.OpBarrierArrive, id, 3)
 		s.Serve(1, wire.OpLockAcquire, id, 0)
 		s.Serve(2, wire.OpLockAcquire, id, 0)
-		s.Serve(3, wire.OpSemWait, id, 0)
 	}
-	s.Serve(0, wire.OpSemPost, 11, 0) // a value nobody consumed
-	if b, l, w := s.Residue(); b != 4 || l != 4 || w != 2 {
-		t.Fatalf("residue = %d, %d, %d, want 4, 4, 2", b, l, w)
+	if b, l := s.Residue(); b != 4 || l != 4 {
+		t.Fatalf("residue = %d, %d, want 4, 4", b, l)
 	}
 	s.Purge(10, 20)
-	if b, l, w := s.Residue(); b != 2 || l != 2 || w != 1 {
-		t.Fatalf("residue after the purge = %d, %d, %d, want 2, 2, 1", b, l, w)
+	if b, l := s.Residue(); b != 2 || l != 2 {
+		t.Fatalf("residue after the purge = %d, %d, want 2, 2", b, l)
 	}
-	// The next job finds the range clean: a fresh lock, a zero semaphore, a
-	// barrier epoch that needs all three arrivals again.
+	// The next job finds the range clean: a fresh lock and a barrier epoch
+	// that needs all three arrivals again.
 	if g, ok := s.Serve(3, wire.OpLockAcquire, 10, 0); !ok || len(g) != 1 {
 		t.Fatalf("lock 10 after the purge: %v, %v, want granted", g, ok)
-	}
-	if g, ok := s.Serve(3, wire.OpSemWait, 11, 0); !ok || len(g) != 0 {
-		t.Fatalf("semaphore 11 after the purge: %v, %v, want queued", g, ok)
 	}
 	if g, ok := s.Serve(3, wire.OpBarrierArrive, 10, 3); !ok || len(g) != 0 {
 		t.Fatalf("barrier 10 after the purge: %v, %v, want parked", g, ok)
@@ -612,7 +545,7 @@ func TestSetPurgeAndResidue(t *testing.T) {
 	if g, ok := s.Serve(2, wire.OpBarrierArrive, 10, 3); !ok || len(g) != 3 {
 		t.Fatalf("barrier 10 completing: %v, %v, want three releases", g, ok)
 	}
-	if b, _, _ := s.Residue(); b != 2 {
+	if b, _ := s.Residue(); b != 2 {
 		t.Fatalf("barrier residue after barrier 10 completed = %d, want barrier 20's 2", b)
 	}
 	if _, kept := s.barrier.arrived[10]; !kept {
@@ -624,7 +557,7 @@ func TestSetPurgeAndResidue(t *testing.T) {
 	}
 	s1 := NewSet(1, 4, true)
 	s1.Purge(0, 100)
-	if b, l, w := s1.Residue(); b != 0 || l != 0 || w != 0 {
-		t.Fatalf("residue at kernel 1 = %d, %d, %d", b, l, w)
+	if b, l := s1.Residue(); b != 0 || l != 0 {
+		t.Fatalf("residue at kernel 1 = %d, %d", b, l)
 	}
 }

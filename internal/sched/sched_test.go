@@ -117,9 +117,8 @@ func TestSchedEndToEnd(t *testing.T) {
 	if residue.NsBindings != 0 {
 		t.Errorf("leaked namespace bindings: %d", residue.NsBindings)
 	}
-	if residue.BarrierPend != 0 || residue.LockResidue != 0 || residue.SemWaiters != 0 {
-		t.Errorf("leaked sync residue: barriers=%d locks=%d sems=%d",
-			residue.BarrierPend, residue.LockResidue, residue.SemWaiters)
+	if residue.BarrierPend != 0 || residue.LockResidue != 0 {
+		t.Errorf("leaked sync residue: barriers=%d locks=%d", residue.BarrierPend, residue.LockResidue)
 	}
 	// The control-plane mailboxes (ctl at each worker, done at the
 	// scheduler) legitimately survive; job-window mailboxes must not.

@@ -21,15 +21,6 @@ type Proc struct {
 	done   bool
 }
 
-// Name returns the name given to Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// PID returns the engine-unique process id (1-based, in spawn order).
-func (p *Proc) PID() int { return p.pid }
-
-// Engine returns the owning engine.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 

@@ -94,7 +94,7 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		if s.Kind == SpanRequest && s.Sent > 0 {
 			args["sent_us"] = us(s.Sent - s.Start)
 		}
-		if s.Kind == SpanRun || s.Kind == SpanBarrier || s.Kind == SpanLock || s.Kind == SpanSem {
+		if s.Kind == SpanRun || s.Kind == SpanBarrier || s.Kind == SpanLock {
 			delete(args, "peer")
 		}
 		events = append(events, chromeEvent{

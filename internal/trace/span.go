@@ -15,7 +15,7 @@ import (
 // SpanKind classifies a span.
 type SpanKind uint8
 
-// Span kinds. App-context spans (run, request, transfer, barrier, lock, sem)
+// Span kinds. App-context spans (run, request, transfer, barrier, lock)
 // render on a PE's application thread in the Chrome trace; service spans on
 // its kernel thread.
 const (
@@ -26,7 +26,6 @@ const (
 	SpanLock                     // blocked acquiring a cluster lock
 	SpanService                  // kernel handling one incoming message
 	SpanCkpt                     // one coordinated checkpoint, quiesce → commit
-	SpanSem                      // blocked in a semaphore wait
 )
 
 func (k SpanKind) String() string {
@@ -45,8 +44,6 @@ func (k SpanKind) String() string {
 		return "service"
 	case SpanCkpt:
 		return "ckpt"
-	case SpanSem:
-		return "sem"
 	}
 	return "span?"
 }
@@ -82,10 +79,6 @@ type TracingConfig struct {
 	// RingSize is the per-context span capacity (0 = 4096). When a ring is
 	// full the oldest span is overwritten and counted as dropped.
 	RingSize int
-	// Sample records every Sample-th request/service span (0 or 1 = all).
-	// Run and synchronisation spans are always recorded: they are rare and
-	// anchor the timeline.
-	Sample int
 }
 
 // NewRing builds a ring per the config, or nil when tracing is disabled.
@@ -97,11 +90,7 @@ func (c TracingConfig) NewRing() *SpanRing {
 	if size <= 0 {
 		size = 4096
 	}
-	sample := c.Sample
-	if sample <= 0 {
-		sample = 1
-	}
-	return &SpanRing{spans: make([]Span, size), sample: uint64(sample)}
+	return &SpanRing{spans: make([]Span, size)}
 }
 
 // SpanRing is a fixed-size span buffer with wraparound.
@@ -109,23 +98,14 @@ func (c TracingConfig) NewRing() *SpanRing {
 // # Concurrency contract
 //
 // A ring is single-writer: exactly one goroutine (the PE's application
-// context, or one kernel's serve loop) calls Sampled/Record. Snapshot,
+// context, or one kernel's serve loop) calls Record. Snapshot,
 // Len and Dropped may only be called after that writer has quiesced
 // (after core.Run/RunOn returned); they are not synchronised.
 type SpanRing struct {
 	spans   []Span
-	n       int // filled entries
-	next    int // next write position
-	sample  uint64
-	seen    uint64 // sampling counter
+	n       int    // filled entries
+	next    int    // next write position
 	dropped uint64 // spans overwritten by wraparound
-}
-
-// Sampled reports whether the next request/service span should be recorded,
-// advancing the sampling counter.
-func (r *SpanRing) Sampled() bool {
-	r.seen++
-	return r.sample <= 1 || r.seen%r.sample == 0
 }
 
 // Record appends s, overwriting the oldest span when full.

@@ -41,7 +41,6 @@ type PEStats struct {
 	ShardedMsgs uint64
 	Barriers    uint64
 	Locks       uint64
-	Sems        uint64 // semaphore waits
 
 	// Reliability-layer counters.
 	StaleReplies uint64 // mailbox residue discarded by sequence validation
@@ -93,7 +92,6 @@ type PEStats struct {
 	ServiceByOp OpHistograms // kernel time handling each incoming op
 	BarrierWait Histogram    // time blocked per barrier crossing
 	LockWait    Histogram    // time blocked per lock acquisition
-	SemWait     Histogram    // time blocked per semaphore wait
 	FlushStall  Histogram    // time a sync edge stalled draining the WC buffer
 }
 
@@ -154,7 +152,6 @@ func (s *PEStats) Add(o *PEStats) {
 	s.ShardedMsgs += o.ShardedMsgs
 	s.Barriers += o.Barriers
 	s.Locks += o.Locks
-	s.Sems += o.Sems
 	s.StaleReplies += o.StaleReplies
 	s.Retries += o.Retries
 	s.StrayDrops += o.StrayDrops
@@ -183,7 +180,6 @@ func (s *PEStats) Add(o *PEStats) {
 	s.ServiceByOp.add(&o.ServiceByOp)
 	s.BarrierWait.Merge(&o.BarrierWait)
 	s.LockWait.Merge(&o.LockWait)
-	s.SemWait.Merge(&o.SemWait)
 	s.FlushStall.Merge(&o.FlushStall)
 }
 
@@ -227,7 +223,6 @@ func (s *PEStats) LatencyTable(title string) *Table {
 	}
 	row("barrier-wait", &s.BarrierWait)
 	row("lock-wait", &s.LockWait)
-	row("sem-wait", &s.SemWait)
 	row("flush-stall", &s.FlushStall)
 	return t
 }

@@ -132,9 +132,6 @@ func (n *Net) Engine() *sim.Engine { return n.eng }
 // Medium returns the simulated LAN (for statistics and fault injection).
 func (n *Net) Medium() ethernet.Medium { return n.medium }
 
-// Layout returns the kernel-to-machine placement.
-func (n *Net) Layout() platform.Layout { return n.layout }
-
 // N returns the number of nodes.
 func (n *Net) N() int { return len(n.nodes) }
 

@@ -69,9 +69,6 @@ const (
 	OpLockAcquire    // Tag = lock id
 	OpLockGrant      // Tag = lock id
 	OpLockRelease    // Tag = lock id
-	OpSemPost        // Tag = semaphore id
-	OpSemWait        // Tag = semaphore id
-	OpSemGrant       // Tag = semaphore id
 
 	// Parallel process management / SSI.
 	OpProcRegister // Arg1 = kernel-local pid; registers with the global table
@@ -186,9 +183,6 @@ var opNames = [...]string{
 	OpLockAcquire:        "lock-acquire",
 	OpLockGrant:          "lock-grant",
 	OpLockRelease:        "lock-release",
-	OpSemPost:            "sem-post",
-	OpSemWait:            "sem-wait",
-	OpSemGrant:           "sem-grant",
 	OpProcRegister:       "proc-register",
 	OpProcRegResp:        "proc-reg-resp",
 	OpProcExit:           "proc-exit",
@@ -248,7 +242,7 @@ type Message struct {
 	Flags uint8  // Flag* bits (retry marking)
 	Src   int32  // sending kernel id
 	Dst   int32  // destination kernel id
-	Tag   int32  // barrier/lock/semaphore id, or user message tag
+	Tag   int32  // barrier/lock id, or user message tag
 	Seq   uint64 // request id; responses echo the request's Seq
 	Addr  uint64 // global memory word address
 	Arg1  int64
