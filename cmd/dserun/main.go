@@ -9,9 +9,11 @@
 //	dserun -app knight -p 6 -jobs 16
 //	dserun -app gauss -transport tcp -p 4 -n 120   # real loopback sockets
 //	dserun -app gauss -p 4 -recover -kill 2@200ms  # survive a mid-run PE death
+//	dserun -app dct -p 4 -trace run.json           # Chrome trace_event spans
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -28,6 +30,7 @@ import (
 	"repro/internal/gmem"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/transport/simnet"
 )
 
@@ -42,7 +45,7 @@ func main() {
 		tree      = flag.Bool("tree-barrier", false, "use the tree barrier instead of the central one")
 		switched  = flag.Bool("switched", false, "switched Ethernet instead of the shared bus")
 		legacy    = flag.Bool("legacy", false, "model the old two-process DSE organisation")
-		traceFile = flag.String("trace", "", "write a cluster-wide protocol trace to this file")
+		traceFile = flag.String("trace", "", "trace the run's spans and write them to this file as Chrome trace_event JSON")
 		blockW    = flag.Int("gm-block", 0, "DSM block size in words (0 = default)")
 		recoverF  = flag.Bool("recover", false, "run under the checkpoint/restart recovery coordinator (survives -kill)")
 		restarts  = flag.Int("restarts", 1, "recovery budget: maximum cluster restarts under -recover")
@@ -79,12 +82,7 @@ func main() {
 		cfg.Barrier = core.BarrierTree
 	}
 	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fatalf("creating trace file: %v", err)
-		}
-		defer f.Close()
-		cfg.MessageLog = f
+		cfg.Tracing = trace.TracingConfig{Enabled: true, RingSize: 1 << 16}
 	}
 	if *killSpec != "" {
 		if cfg.Transport != core.TransportSim {
@@ -209,6 +207,15 @@ func main() {
 	}
 	if err := res.FirstErr(); err != nil {
 		fatalf("program: %v", err)
+	}
+	if *traceFile != "" {
+		f, err := os.Create(*traceFile)
+		if err == nil {
+			err = errors.Join(res.WriteChromeTrace(f), f.Close())
+		}
+		if err != nil {
+			fatalf("writing trace: %v", err)
+		}
 	}
 	describe()
 	if recRep != nil && recRep.Recovered() {

@@ -1,10 +1,10 @@
 // Package stress is the seeded stress runner of the correctness harness:
 // it generates a randomized mixed workload (scalar, block, gather/scatter
-// global-memory operations, atomics and — in fault-free configurations —
-// locks and barriers) over the deterministic simulated transport, under a
-// replayable fault schedule (frame loss, delay jitter, a mid-run station
-// kill), records the complete operation history and validates it with the
-// check package's consistency checker.
+// global-memory operations, atomics, barriers wherever no kill is scheduled
+// and locks in fault-free configurations) over the deterministic simulated
+// transport, under a replayable fault schedule (frame loss, delay jitter, a
+// mid-run station kill), records the complete operation history and
+// validates it with the check package's consistency checker.
 //
 // Everything is a pure function of Options: running the same Options twice
 // yields bit-identical histories (compare History.Digest), which is what
@@ -71,9 +71,7 @@ type Options struct {
 	// checkpoints every CkptEvery ops, the scheduled kill takes the victim
 	// down abruptly (no wind-down — the snapshot, not a graceful exit, is
 	// what survives), and the run goes through core.RunWithRecovery, so it
-	// must complete with a checker-clean history after the restart. Loss is
-	// forced to 0: checkpoint barriers are fire-and-forget arrivals with no
-	// retransmit, so a lossy medium could wedge the collective.
+	// must complete with a checker-clean history after the restart.
 	Recover bool
 	// CkptEvery is the checkpoint period in ops per PE (0 = 64). Every PE
 	// checkpoints at the same op indices — Checkpoint is collective.
@@ -162,7 +160,7 @@ func (o Options) membership() bool {
 }
 
 // faulty reports whether the configuration can lose messages, which rules
-// out the unreliable fire-and-forget operations (locks, barriers).
+// out locks: an unlock is a one-way post, and a lost one keeps its lock held.
 func (o Options) faulty() bool { return o.Loss > 0 || o.KillAt > 0 }
 
 // lossyCached reports whether cached-mode words meet frame loss. Those rows
@@ -202,9 +200,6 @@ func Run(o Options) (*Result, error) {
 	}
 	if o.OpsPerPE <= 0 {
 		o.OpsPerPE = 200
-	}
-	if o.Recover {
-		o.Loss = 0 // see Options.Recover: lossy barrier arrivals could wedge
 	}
 	if o.membership() {
 		if o.Caching {
@@ -289,7 +284,6 @@ func runRecover(o Options, cfg core.Config) (*Result, error) {
 	if o.CkptEvery <= 0 {
 		o.CkptEvery = 64
 	}
-	// Loss was forced to 0 by Run; the kill (if any) stays scheduled.
 	dir, err := os.MkdirTemp("", "dse-ckpt-")
 	if err != nil {
 		return nil, err
@@ -389,10 +383,10 @@ func program(o Options) core.Program {
 				return err
 			}
 			w.step(i)
-			// Fault-free runs rendezvous periodically: barriers are
-			// fire-and-forget and must be reached by every PE, so their
-			// schedule is fixed, never randomized.
-			if !o.faulty() && i%64 == 63 {
+			// Runs without a kill rendezvous periodically: a barrier must be
+			// reached by every PE (a dead one never arrives; a lost arrival
+			// or release is retransmitted), so its schedule is fixed.
+			if o.KillAt == 0 && i%64 == 63 {
 				pe.BarrierID(int32(1 + i/64%2))
 			}
 		}
@@ -401,7 +395,7 @@ func program(o Options) core.Program {
 }
 
 // recoverProgram is the checkpointing variant of the workload body: the
-// same faulty-mode op mix (everything but the fire-and-forget locks), with a
+// same faulty-mode op mix (everything but the locks), with a
 // collective checkpoint every CkptEvery ops. The victim runs at full tilt
 // into the scheduled kill — no wind-down — so everything past the last
 // checkpoint is genuinely lost and must be recovered from the snapshot.
@@ -614,7 +608,7 @@ func (w *worker) note(err error) {
 func (w *worker) step(i int) {
 	pe, rng := w.pe, w.rng
 	// Two legs have a scalar stand-in, drawn from the same slot of the mix: the
-	// lock leg under any fault schedule (sync messages are fire-and-forget),
+	// lock leg under any fault schedule (an unlock is a one-way post),
 	// and the range legs where cached words meet frame loss (lossyCached).
 	faulty, lossyCached := w.o.faulty(), w.o.lossyCached()
 	switch p := rng.Intn(100); {

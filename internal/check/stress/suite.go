@@ -130,6 +130,10 @@ func recoverSuite(seed uint64) []Case {
 		{MustRecover: true, Options: Options{Seed: seed + 3, NumPE: 4, OpsPerPE: ops,
 			Recover: true, CkptEvery: 32, KillPE: 2, KillAt: killAt / 5,
 			DirectReads: 1}},
+		// Frame loss under the checkpoints: their barrier arrivals and
+		// releases are retransmitted like any request.
+		{MustRecover: true, Options: Options{Seed: seed + 4, NumPE: 4, OpsPerPE: ops, Loss: 0.02,
+			Recover: true, CkptEvery: 32, KillPE: 2, KillAt: killAt}},
 	}
 }
 

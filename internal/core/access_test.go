@@ -9,6 +9,7 @@ import (
 	"repro/internal/gmem"
 	"repro/internal/sim"
 	"repro/internal/transport/simnet"
+	"repro/internal/wire"
 )
 
 // pathDelta is what one operation added to the issuing PE's path counters:
@@ -484,8 +485,8 @@ func TestPanickingFormsKeepErrorType(t *testing.T) {
 		wait func(pe *PE)
 		op   string
 	}{
-		{"Barrier", func(pe *PE) { pe.Barrier() }, "sync-wait"},
-		{"Lock", func(pe *PE) { pe.Lock(3) }, "sync-wait"},
+		{"Barrier", func(pe *PE) { pe.Barrier() }, wire.OpBarrierArrive.String()},
+		{"Lock", func(pe *PE) { pe.Lock(3) }, wire.OpLockAcquire.String()},
 		{"AllReduce", func(pe *PE) { pe.AllReduceSum(1) }, "recv-msg"},
 	}
 	for _, f := range syncForms {

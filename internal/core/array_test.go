@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/check"
@@ -120,5 +121,69 @@ func TestArrayAllocationFree(t *testing.T) {
 	})
 	if err != nil || res.FirstErr() != nil {
 		t.Fatal(err, res.FirstErr())
+	}
+}
+
+// TestArrayFloatBitExact: an Array[float64] views words through unsafe, so a
+// float's bits must reach the home and come back untouched — NaN payloads
+// (quiet and signalling, either sign), −0, ±Inf, the smallest subnormal and
+// the largest finite value — through Store/Load and StoreRange/LoadRange, at
+// the caller's own kernel and at the peer, on the simulated message path and
+// on inproc's paths in place.
+func TestArrayFloatBitExact(t *testing.T) {
+	bits := []uint64{
+		0x7ff8dead0000beef, // quiet NaN, non-default payload
+		0xfff8000000000001, // quiet NaN, sign and low payload bit
+		0x7ff400000000c0de, // signalling NaN
+		0x7ff0000000000001, // signalling NaN, lowest payload
+		0x8000000000000000, // −0
+		0x7ff0000000000000, // +Inf
+		0xfff0000000000000, // −Inf
+		0x0000000000000001, // smallest subnormal
+		0x7fefffffffffffff, // math.MaxFloat64
+	}
+	vals := make([]float64, len(bits))
+	for i, b := range bits {
+		vals[i] = math.Float64frombits(b)
+	}
+	for _, tr := range []TransportKind{TransportSim, TransportInproc} {
+		t.Run(string(tr), func(t *testing.T) {
+			cfg := simCfg(2)
+			cfg.Transport = tr
+			res, err := Run(cfg, func(pe *PE) error {
+				bw, n := pe.Space().BlockWords, len(vals)
+				a := AllocArray[float64](pe, 2*bw) // block 0 homed at kernel 0, block 1 at kernel 1
+				if pe.ID() == 0 {
+					for _, off := range []int{0, bw} {
+						for i, v := range vals {
+							must(a.Store(off+i, v))
+						}
+						must(a.StoreRange(off+n, vals))
+					}
+				}
+				pe.Barrier()
+				got := make([]float64, n)
+				for _, off := range []int{0, n, bw, bw + n} {
+					for i := range vals {
+						v, err := a.Load(off + i)
+						must(err)
+						if math.Float64bits(v) != bits[i] {
+							t.Errorf("PE %d: Load(%d) = %#x, want %#x", pe.ID(), off+i, math.Float64bits(v), bits[i])
+						}
+					}
+					must(a.LoadRange(off, got))
+					for i, v := range got {
+						if math.Float64bits(v) != bits[i] {
+							t.Errorf("PE %d: LoadRange(%d)[%d] = %#x, want %#x", pe.ID(), off, i, math.Float64bits(v), bits[i])
+						}
+					}
+				}
+				pe.Barrier()
+				return nil
+			})
+			if err != nil || res.FirstErr() != nil {
+				t.Fatal(err, res.FirstErr())
+			}
+		})
 	}
 }

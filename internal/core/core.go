@@ -108,10 +108,6 @@ type Config struct {
 	// dsenode's /metrics endpoint) may aggregate it while kernels still
 	// run — the one PEStats surface with that guarantee.
 	LiveRTT *trace.Histogram
-	// MessageLog, when non-nil, receives one line per message any kernel
-	// handles ("t=<time> k=<kernel> <message>") — a cluster-wide protocol
-	// trace for debugging. Writes are serialised across kernels.
-	MessageLog io.Writer
 	// RecordHistory enables the operation-history recorder: every
 	// global-memory operation, lock and barrier is logged with its
 	// invocation/response interval and surfaced as Result.History for
@@ -199,8 +195,6 @@ type Config struct {
 	// pause is how long a PE waits before it chases a migrating home again
 	// or asks again for a busy membership slot; resolved by servingModel.
 	pause sim.Duration
-	// logMu serialises MessageLog writes; created by withDefaults.
-	logMu *sync.Mutex
 	// recorder fans out per-PE history recorders; created by withDefaults
 	// when RecordHistory is set.
 	recorder *check.Recorder
@@ -270,9 +264,6 @@ func (cfg *Config) withDefaults() (Config, error) {
 	}
 	if c.LeaseDuration == 0 {
 		c.LeaseDuration = sim.Millisecond
-	}
-	if c.MessageLog != nil {
-		c.logMu = &sync.Mutex{}
 	}
 	if c.RecordHistory {
 		c.recorder = check.NewRecorder(c.NumPE)
@@ -476,16 +467,8 @@ func RunOn(cfg Config, node transport.Node, program Program) (*Result, error) {
 	perr := runPE(pe, program)
 	// Final rendezvous after runPE (which deregisters with kernel 0): every
 	// kernel keeps serving until all peers are done with it.
-	if berr := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("core: node %d: shutdown barrier: %v", node.ID(), r)
-			}
-		}()
-		pe.syncWait(verbBarrier, shutdownBarrierID, 0)
-		return nil
-	}(); berr != nil && perr == nil {
-		perr = berr
+	if err := pe.syncWait(verbBarrier, shutdownBarrierID, 0); err != nil && perr == nil {
+		perr = fmt.Errorf("core: node %d: shutdown barrier: %w", node.ID(), err)
 	}
 	node.CloseRecv()
 	<-done

@@ -89,20 +89,17 @@ type Kernel struct {
 	// procs is the global process table, present at kernel 0 only.
 	procs *procmgmt.Table
 
-	// syncMb receives barrier releases and lock grants for the
-	// (single-threaded) application context.
-	syncMb transport.Mailbox
-
 	// seqCtr allocates this kernel's request ids: the PE's request engine
 	// and the shards' escrow re-offers draw from it concurrently.
 	seqCtr atomic.Uint64
 
-	// replyMb receives every reply addressed to this node, and the peer-down
-	// notices: the request engine of the kernel's PE (request.go) is its one
-	// taker and matches what it finds against its requests in flight. On
-	// inproc the PE itself puts the replies in (serveOnSender), so the default
-	// depth must exceed what it can have in flight, one request per home:
-	// withDefaults rejects a cluster whose NumPE could come close.
+	// replyMb receives every reply addressed to this node, barrier releases
+	// and lock grants included, and the peer-down notices: the request engine
+	// of the kernel's PE (request.go) is its one taker and matches what it
+	// finds against its requests in flight. On inproc the PE itself puts the
+	// replies in (serveOnSender), so the default depth must exceed what it can
+	// have in flight, one request per home: withDefaults rejects a cluster
+	// whose NumPE could come close.
 	replyMb transport.Mailbox
 
 	mu sync.Mutex // guards userq
@@ -298,7 +295,6 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 		space:   space,
 		seg:     gmem.NewSegment(space, id),
 		cache:   gmem.NewCache(space),
-		syncMb:  node.NewMailbox(16),
 		replyMb: node.NewMailbox(0),
 		userq:   make(map[int32]transport.Mailbox),
 		dedup:   newDedupTable(),
@@ -362,11 +358,11 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 // peerDown is the transport's peer-failure callback (any goroutine). It
 // stores the peer's dead flag FIRST, so new requests to it fail fast, and then
 // puts one OpPeerDown notice into the reply mailbox, which the request engine
-// turns into *PeerDownError iff a request in flight addresses that peer, so a
-// blocked requester wakes immediately instead of waiting out the timeout. The
-// order closes the race without a lock: a request issued after the store sees
-// the flag, one issued before it is still in flight when the notice — put
-// after the store — is taken.
+// turns into *PeerDownError iff a request in flight fails with that peer
+// (deadFor), so a blocked requester wakes immediately instead of waiting out
+// the timeout. The order closes the race without a lock: a request issued
+// after the store sees the flag, one issued before it is still in flight when
+// the notice — put after the store — is taken.
 //
 // It deliberately does NOT fence the GM shards: a handler's own reply Send
 // can be what reports the peer down, made under the shard lock a fence would
@@ -376,20 +372,34 @@ func (k *Kernel) peerDown(peer int) {
 	if k.peers[peer].dead.Swap(true) {
 		return
 	}
-	k.putPeerDown(k.replyMb, peer)
-	if k.cfg.Ckpt != nil {
-		// Under recovery a PE blocked in a barrier/lock wait sends nothing,
-		// so it would only notice the death via the sync timeout. Wake it
-		// with a peer-down notice instead: any peer death aborts the run
-		// (the whole cluster rolls back), so failing the wait fast is right.
-		k.putPeerDown(k.syncMb, peer)
-	}
-}
-
-func (k *Kernel) putPeerDown(mb transport.Mailbox, peer int) {
 	m := wire.GetMessage()
 	m.Op, m.Src, m.Dst = wire.OpPeerDown, int32(peer), int32(k.id)
-	mb.Put(m)
+	k.replyMb.Put(m)
+}
+
+// deadFor returns the dead peer that fails a request of op to kernel dst
+// before it is sent: dst, or any peer under the any-peer rule; -1 if none.
+func (k *Kernel) deadFor(op wire.Op, dst int) int {
+	if k.peers[dst].dead.Load() {
+		return dst
+	}
+	if k.anyPeer(op) {
+		for p := range k.peers {
+			if k.peers[p].dead.Load() {
+				return p
+			}
+		}
+	}
+	return -1
+}
+
+// anyPeer reports whether a request of op fails on the death of any peer, not
+// only of the one it addresses: a sync wait under Config.Ckpt, where any death
+// rolls the whole cluster back (DESIGN.md §10). It fails at send on the dead
+// flags, since an earlier exchange may have taken the death's notice, and on
+// a notice that arrives while it waits.
+func (k *Kernel) anyPeer(op wire.Op) bool {
+	return k.cfg.Ckpt != nil && (op == wire.OpBarrierArrive || op == wire.OpLockAcquire)
 }
 
 // isMutating reports whether op changes state at its destination, i.e.
@@ -516,19 +526,26 @@ func isReply(op wire.Op) bool {
 		wire.OpMigrateStartResp, wire.OpMigrateInstallResp, wire.OpMigrateCommitResp,
 		wire.OpMigrateNack, wire.OpJoinResp, wire.OpLeaveResp, wire.OpEpochUpdateResp,
 		wire.OpReadLeaseResp,
-		wire.OpJobOpenAck, wire.OpJobCloseAck, wire.OpNsNack:
+		wire.OpJobOpenAck, wire.OpJobCloseAck, wire.OpNsNack,
+		wire.OpLockGrant, wire.OpBarrierRelease:
 		return true
 	}
 	return false
 }
 
-// deliverApp is the one router for app-bound messages: a reply goes to the
-// reply mailbox, a central barrier release or a lock grant to the
-// sync mailbox — by op alone, with no table to consult. It reports whether it
-// took m; everything else — a request, a tree-barrier release (which forwards
-// down the tree from the serve loop) — is declined and left to handle. Whether
-// anybody still awaits a reply is the request engine's business: it drops what
-// matches none of its requests in flight (PE.await, StaleReplies).
+// treeRelease reports whether the barrier release m travels the combining
+// tree: an unsized one under tree barriers (a job's are sized, hence central).
+func (k *Kernel) treeRelease(m *wire.Message) bool {
+	return m.Op == wire.OpBarrierRelease && m.Arg2 == 0 && k.cfg.Barrier == BarrierTree
+}
+
+// deliverApp is the one router for app-bound messages: a reply — a lock grant
+// and a central barrier release among them — goes to the reply mailbox, by op
+// alone, with no table to consult. It reports whether it took m; everything
+// else — a request, a tree-barrier release (which forwards down the tree from
+// the serve loop) — is declined and left to handle. Whether anybody still
+// awaits a reply is the request engine's business: it drops what matches none
+// of its requests in flight (PE.await, StaleReplies).
 //
 // It has two callers. Real transports call it as (the first half of) the
 // node's sink, on the context that received m (any goroutine, concurrently),
@@ -537,36 +554,24 @@ func isReply(op wire.Op) bool {
 // kernel, which is why nothing here may take one; handle
 // calls it first for every message Recv returns, which is how simnet and
 // messages that arrived before the sink was installed are routed. It
-// therefore touches only state safe from any goroutine: the mailboxes, and
-// the message log under logMu.
+// therefore touches only state safe from any goroutine: the reply mailbox.
 func (k *Kernel) deliverApp(m *wire.Message) bool {
-	var mb transport.Mailbox
-	switch {
-	case isReply(m.Op):
-		mb = k.replyMb
-	case m.Op == wire.OpLockGrant,
-		// Sized releases (job-group barriers) are central by construction
-		// and never forwarded down a tree.
-		m.Op == wire.OpBarrierRelease && (k.cfg.Barrier != BarrierTree || m.Arg2 != 0):
-		mb = k.syncMb
-	default:
+	if !isReply(m.Op) || k.treeRelease(m) {
 		return false
 	}
-	k.logMessage(m)
-	mb.Put(m)
+	k.replyMb.Put(m)
 	return true
 }
 
 // handle dispatches one incoming message. It reports whether the message
 // was consumed here (true → serve recycles it); false means ownership moved
-// to another context: a reply mailbox, the sync mailbox or a user queue.
+// to another context: the reply mailbox or a user queue.
 // answered is when a GM request's reply left (dispatchGM), 0 for any other
 // message.
 func (k *Kernel) handle(m *wire.Message) (consumed bool, answered sim.Time) {
 	if k.deliverApp(m) {
 		return false, 0
 	}
-	k.logMessage(m)
 	switch m.Op {
 	// Global memory service (this kernel is the home): serve under the lock
 	// of the requester's shard. GM mutations dedup inside the shard.
@@ -672,42 +677,35 @@ func (k *Kernel) handle(m *wire.Message) (consumed bool, answered sim.Time) {
 // serveSync is the synchronisation service's one entry point: every barrier
 // and lock message goes through this kernel's psync.Set, and what the set
 // answers is sent. A sync message is input from another node: one whose
-// source names no PE, or that the set refuses — it reached a kernel that does
-// not host what it addresses, repeats an arrival, re-acquires a
-// lock its source holds or awaits, releases one it does not hold — is counted
-// and dropped, not allowed to take the kernel down, to release a barrier
-// somebody has not reached or to hand out a grant nobody is waiting for.
+// source names no PE, or that the set refuses (Set.Serve), is counted in
+// CorruptDrops and dropped, not allowed to take the kernel down, to release a
+// barrier somebody has not reached or to hand out a grant nobody is waiting
+// for; a retried wait is counted in DupRequests.
 func (k *Kernel) serveSync(m *wire.Message) {
 	var wake []psync.Grant
-	ok := m.Src >= 0 && int(m.Src) < k.n
+	dup, ok := false, m.Src >= 0 && int(m.Src) < k.n
 	if ok {
-		wake, ok = k.sync.Serve(int(m.Src), m.Op, m.Tag, m.Arg2)
+		wake, dup, ok = k.sync.Serve(int(m.Src), m.Op, m.Tag, m.Arg2, m.Seq)
 	}
-	if !ok {
+	switch {
+	case !ok:
 		k.extra.CorruptDrops++
+	case dup:
+		k.extra.DupRequests++
 	}
 	for _, g := range wake {
 		out := wire.GetMessage()
-		out.Op, out.Src, out.Dst = g.Op, int32(k.id), int32(g.Dst)
+		out.Op, out.Src, out.Dst, out.Seq = g.Op, int32(k.id), int32(g.Dst), g.Seq
 		out.Tag, out.Arg2 = g.ID, g.Size
-		if g.Wake {
-			k.syncMb.Put(out)
+		if g.Dst == k.id && k.treeRelease(out) {
+			// The tree's release of this kernel's own PE: sent to itself, it
+			// would come back here and go down the tree again.
+			k.replyMb.Put(out)
 			continue
 		}
 		k.svc.Send(g.Dst, out)
 		wire.PutMessage(out)
 	}
-}
-
-// logMessage appends m to the cluster-wide protocol trace, if enabled.
-func (k *Kernel) logMessage(m *wire.Message) {
-	cfg := k.cfg
-	if cfg.MessageLog == nil {
-		return
-	}
-	cfg.logMu.Lock()
-	fmt.Fprintf(cfg.MessageLog, "t=%v k=%d %s\n", k.svc.Now(), k.id, m)
-	cfg.logMu.Unlock()
 }
 
 // reply answers request m with the pooled message resp (respond) and
@@ -758,6 +756,3 @@ func (k *Kernel) send(dst int32, seq uint64, resp *wire.Message) {
 
 // Stats returns the node's transport-level counters.
 func (k *Kernel) Stats() *trace.PEStats { return k.node.Stats() }
-
-// requestTimeout returns the configured request deadline (0 = wait forever).
-func (k *Kernel) requestTimeout() sim.Duration { return k.cfg.RequestTimeout }

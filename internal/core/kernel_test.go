@@ -60,8 +60,10 @@ func recvFrom(t *testing.T, net *inproc.Net, i int) *wire.Message {
 }
 
 // replyFrom pops the next reply from kernel k's reply mailbox with a deadline.
-// Like grants, replies never reach the peer's receive queue on inproc: the
-// sink routes every reply op to the mailbox its PE's request engine takes from.
+// Replies — barrier releases and lock grants among them — never reach the
+// peer's receive queue on inproc: the sending kernel's Send hands them to the
+// peer's sink (Kernel.deliverApp), which puts them into the mailbox its PE's
+// request engine takes from.
 func replyFrom(t *testing.T, k *Kernel) *wire.Message {
 	t.Helper()
 	m, ok, timedOut := k.replyMb.TakeTimeout(10 * sim.Second)
@@ -71,16 +73,13 @@ func replyFrom(t *testing.T, k *Kernel) *wire.Message {
 	return m
 }
 
-// syncFrom pops the next grant from kernel k's sync mailbox with a deadline.
-// Grants never reach the peer's receive queue on inproc: the sending
-// kernel's Send hands them to the peer's sink (Kernel.deliverApp).
-func syncFrom(t *testing.T, k *Kernel) *wire.Message {
+// grantFrom pops the next reply from kernel k's reply mailbox and checks that
+// it is the grant op about id, answering request seq.
+func grantFrom(t *testing.T, k *Kernel, op wire.Op, id int32, seq uint64) {
 	t.Helper()
-	m, ok, timedOut := k.syncMb.TakeTimeout(10 * sim.Second)
-	if timedOut || !ok {
-		t.Fatalf("no grant arrived at kernel %d's sync mailbox", k.id)
+	if m := replyFrom(t, k); m.Op != op || m.Tag != id || m.Seq != seq {
+		t.Fatalf("kernel %d got %v, want %v about %d answering seq %d", k.id, m, op, id, seq)
 	}
-	return m
 }
 
 func TestKernelHandleReadRepliesWithWords(t *testing.T) {
@@ -117,38 +116,29 @@ func TestKernelHandleWriteAndFetchAdd(t *testing.T) {
 
 func TestKernelCentralBarrierReleasesAll(t *testing.T) {
 	net, ks := testKernels(t, 3, nil)
-	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 1, Tag: 4})
-	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 2, Tag: 4})
-	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 0, Tag: 4})
-	// The remote releases land in their kernels' sync mailboxes without a
-	// handle() at the receiver.
-	for _, k := range ks[1:] {
-		if m := syncFrom(t, k); m.Op != wire.OpBarrierRelease || m.Tag != 4 {
-			t.Fatalf("kernel %d got %v", k.id, m)
-		}
-	}
+	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 1, Tag: 4, Seq: 11})
+	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 2, Tag: 4, Seq: 21})
+	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 0, Tag: 4, Seq: 1})
+	// The remote releases land in their kernels' reply mailboxes without a
+	// handle() at the receiver, each under its arrival's Seq.
+	grantFrom(t, ks[1], wire.OpBarrierRelease, 4, 11)
+	grantFrom(t, ks[2], wire.OpBarrierRelease, 4, 21)
 	// Kernel 0's own release is a self-send, which no sink is offered: it is
-	// routed to the sync mailbox by the next handle(), i.e. only after the
+	// routed to the reply mailbox by the next handle(), i.e. only after the
 	// handler that sent the other releases has returned.
 	self := recvFrom(t, net, 0)
 	ks[0].handle(self)
-	if m := syncFrom(t, ks[0]); m.Op != wire.OpBarrierRelease || m.Tag != 4 {
-		t.Fatalf("kernel 0 got %v", m)
-	}
+	grantFrom(t, ks[0], wire.OpBarrierRelease, 4, 1)
 }
 
 func TestKernelLockGrantChain(t *testing.T) {
 	_, ks := testKernels(t, 3, nil)
-	ks[0].handle(&wire.Message{Op: wire.OpLockAcquire, Src: 1, Tag: 2})
-	if m := syncFrom(t, ks[1]); m.Op != wire.OpLockGrant {
-		t.Fatalf("first acquire: %v", m)
-	}
+	ks[0].handle(&wire.Message{Op: wire.OpLockAcquire, Src: 1, Tag: 2, Seq: 5})
+	grantFrom(t, ks[1], wire.OpLockGrant, 2, 5)
 	// Second acquirer queues: no grant yet.
-	ks[0].handle(&wire.Message{Op: wire.OpLockAcquire, Src: 2, Tag: 2})
+	ks[0].handle(&wire.Message{Op: wire.OpLockAcquire, Src: 2, Tag: 2, Seq: 8})
 	ks[0].handle(&wire.Message{Op: wire.OpLockRelease, Src: 1, Tag: 2})
-	if m := syncFrom(t, ks[2]); m.Op != wire.OpLockGrant || m.Tag != 2 {
-		t.Fatalf("queued acquire: %v", m)
-	}
+	grantFrom(t, ks[2], wire.OpLockGrant, 2, 8)
 }
 
 func TestKernelInvalidationRound(t *testing.T) {
@@ -185,38 +175,42 @@ func TestKernelStrayInvAckDropped(t *testing.T) {
 	}
 }
 
-// TestKernelCorruptBarrierArriveDropped injects the three barrier arrivals a
+// TestKernelCorruptBarrierArriveDropped injects the barrier arrivals a
 // kernel must not trust: one that reached a kernel other than 0 (used to
 // panic it), a second one from a source already waiting (used to be counted:
-// two arrivals from PE 1 released a 2-PE barrier PE 0 never reached) and one
-// past the barrier's size (used to panic kernel 0). Each is counted in
-// CorruptDrops and dropped, and the barrier still completes when PE 0 arrives.
+// two arrivals from PE 1 released a 2-PE barrier PE 0 never reached), one
+// without a Seq, which no PE's request engine sends, and one past the
+// barrier's size (used to panic kernel 0). Each is counted in CorruptDrops
+// and dropped, and the barrier still completes when PE 0 arrives. A retry of
+// the waiting arrival is no forgery: it is counted in DupRequests, not toward
+// the barrier.
 func TestKernelCorruptBarrierArriveDropped(t *testing.T) {
 	_, ks := testKernels(t, 2, nil)
-	arrive := func(k *Kernel, src int32, size int64) {
-		k.handle(&wire.Message{Op: wire.OpBarrierArrive, Src: src, Tag: 4, Arg2: size})
+	arrive := func(k *Kernel, src int32, size int64, seq uint64) {
+		k.handle(&wire.Message{Op: wire.OpBarrierArrive, Src: src, Tag: 4, Arg2: size, Seq: seq})
 	}
-	arrive(ks[1], 0, 0)
+	arrive(ks[1], 0, 0, 1)
 	if ks[1].extra.CorruptDrops != 1 {
 		t.Fatalf("arrival at kernel 1: CorruptDrops = %d, want 1", ks[1].extra.CorruptDrops)
 	}
-	arrive(ks[0], 1, 0)
-	arrive(ks[0], 1, 0) // duplicate
-	arrive(ks[0], 7, 0) // names no PE
-	if ks[0].extra.CorruptDrops != 2 {
-		t.Fatalf("duplicate and out-of-range arrivals: CorruptDrops = %d, want 2", ks[0].extra.CorruptDrops)
-	}
-	if _, _, timedOut := ks[1].syncMb.TakeTimeout(10 * sim.Millisecond); !timedOut {
-		t.Fatal("PE 1 released from a barrier PE 0 never reached")
-	}
-	arrive(ks[0], 0, 1) // claims a 1-PE barrier while PE 1 waits on the same id
+	arrive(ks[0], 1, 0, 5)
+	arrive(ks[0], 1, 0, 6) // a second arrival while the first waits
+	arrive(ks[0], 7, 0, 1) // names no PE
+	arrive(ks[0], 0, 0, 0) // unnumbered
 	if ks[0].extra.CorruptDrops != 3 {
-		t.Fatalf("over-arrival: CorruptDrops = %d, want 3", ks[0].extra.CorruptDrops)
+		t.Fatalf("duplicate, out-of-range and unnumbered arrivals: CorruptDrops = %d, want 3", ks[0].extra.CorruptDrops)
 	}
-	arrive(ks[0], 0, 0)
-	if m := syncFrom(t, ks[1]); m.Op != wire.OpBarrierRelease || m.Tag != 4 {
-		t.Fatalf("release = %v", m)
+	arrive(ks[0], 1, 0, 5) // a retry
+	if ks[0].extra.DupRequests != 1 {
+		t.Fatalf("retry: DupRequests = %d, want 1", ks[0].extra.DupRequests)
 	}
+	noReplyFrom(t, ks[1], "a barrier PE 0 never reached")
+	arrive(ks[0], 0, 1, 2) // claims a 1-PE barrier while PE 1 waits on the same id
+	if ks[0].extra.CorruptDrops != 4 {
+		t.Fatalf("over-arrival: CorruptDrops = %d, want 4", ks[0].extra.CorruptDrops)
+	}
+	arrive(ks[0], 0, 0, 3)
+	grantFrom(t, ks[1], wire.OpBarrierRelease, 4, 5)
 }
 
 func TestKernelUnknownOpDropped(t *testing.T) {
@@ -429,45 +423,41 @@ func noReplyFrom(t *testing.T, k *Kernel, what string) {
 // its queue in order, once per well-formed acquire.
 func TestKernelCorruptLockMessagesDropped(t *testing.T) {
 	_, ks := testKernels(t, 3, nil)
-	send := func(k *Kernel, op wire.Op, src int32) {
-		k.handle(&wire.Message{Op: op, Src: src, Tag: 2})
+	send := func(k *Kernel, op wire.Op, src int32, seq uint64) {
+		k.handle(&wire.Message{Op: op, Src: src, Tag: 2, Seq: seq})
 	}
-	send(ks[0], wire.OpLockAcquire, 1)
-	if m := syncFrom(t, ks[1]); m.Op != wire.OpLockGrant {
-		t.Fatalf("first acquire: %v", m)
-	}
-	send(ks[0], wire.OpLockAcquire, 2) // queues
+	send(ks[0], wire.OpLockAcquire, 1, 10)
+	grantFrom(t, ks[1], wire.OpLockGrant, 2, 10)
+	send(ks[0], wire.OpLockAcquire, 2, 20) // queues
 	for i, bad := range []struct {
 		k   *Kernel
 		op  wire.Op
 		src int32
+		seq uint64
 	}{
-		{ks[0], wire.OpLockAcquire, 1},  // holder again
-		{ks[0], wire.OpLockAcquire, 2},  // waiter again
-		{ks[0], wire.OpLockRelease, 2},  // not the holder
-		{ks[0], wire.OpLockRelease, 0},  // not the holder either
-		{ks[0], wire.OpLockAcquire, 7},  // names no PE
-		{ks[0], wire.OpLockRelease, -1}, // names no PE
+		{ks[0], wire.OpLockAcquire, 1, 11}, // holder again
+		{ks[0], wire.OpLockAcquire, 2, 21}, // waiter again
+		{ks[0], wire.OpLockRelease, 2, 0},  // not the holder
+		{ks[0], wire.OpLockRelease, 0, 0},  // not the holder either
+		{ks[0], wire.OpLockAcquire, 7, 1},  // names no PE
+		{ks[0], wire.OpLockRelease, -1, 0}, // names no PE
+		{ks[0], wire.OpLockAcquire, 0, 0},  // unnumbered
 	} {
-		send(bad.k, bad.op, bad.src)
+		send(bad.k, bad.op, bad.src, bad.seq)
 		if got := ks[0].extra.CorruptDrops; got != uint64(i+1) {
 			t.Fatalf("forged message %d (%v from %d): CorruptDrops = %d, want %d", i, bad.op, bad.src, got, i+1)
 		}
 	}
-	send(ks[1], wire.OpLockAcquire, 0)
-	send(ks[1], wire.OpLockRelease, 0)
+	send(ks[1], wire.OpLockAcquire, 0, 1)
+	send(ks[1], wire.OpLockRelease, 0, 0)
 	if ks[1].extra.CorruptDrops != 2 {
 		t.Fatalf("sync messages at kernel 1: CorruptDrops = %d, want 2", ks[1].extra.CorruptDrops)
 	}
-	send(ks[0], wire.OpLockRelease, 1)
-	if m := syncFrom(t, ks[2]); m.Op != wire.OpLockGrant || m.Tag != 2 {
-		t.Fatalf("queued acquire: %v", m)
-	}
-	send(ks[0], wire.OpLockRelease, 2) // nobody waits: the refused duplicate must not be granted
-	for _, k := range ks[1:] {
-		if m, _, timedOut := k.syncMb.TakeTimeout(10 * sim.Millisecond); !timedOut {
-			t.Fatalf("kernel %d got a grant nobody asked for: %v", k.id, m)
-		}
+	send(ks[0], wire.OpLockRelease, 1, 0)
+	grantFrom(t, ks[2], wire.OpLockGrant, 2, 20)
+	send(ks[0], wire.OpLockRelease, 2, 0) // nobody waits: the refused duplicate must not be granted
+	for _, k := range ks {
+		noReplyFrom(t, k, "a lock nobody asked for")
 	}
 	if _, r := ks[0].sync.Residue(); r != 0 {
 		t.Fatalf("lock manager residue = %d, want 0", r)
@@ -485,8 +475,8 @@ func TestKernelCorruptLockMessagesDropped(t *testing.T) {
 func TestKernelCorruptTreeArrivalsDropped(t *testing.T) {
 	net, ks := testKernels(t, 6, func(cfg *Config) { cfg.Barrier = BarrierTree })
 	k := ks[1] // parent 0, children 3 and 4
-	send := func(op wire.Op, src int32) { k.handle(&wire.Message{Op: op, Src: src, Tag: 4}) }
-	send(wire.OpBarrierArrive, 3)
+	send := func(op wire.Op, src int32, seq uint64) { k.handle(&wire.Message{Op: op, Src: src, Tag: 4, Seq: seq}) }
+	send(wire.OpBarrierArrive, 3, 0)
 	for i, bad := range []struct {
 		op  wire.Op
 		src int32
@@ -495,11 +485,12 @@ func TestKernelCorruptTreeArrivalsDropped(t *testing.T) {
 		{wire.OpBarrierArrive, 0},  // its parent is not its child either
 		{wire.OpBarrierArrive, 3},  // a child, twice in one epoch
 		{wire.OpBarrierArrive, 99}, // names no PE
+		{wire.OpBarrierArrive, 1},  // the own PE's, unnumbered
 		{wire.OpBarrierRelease, -1},
 		{wire.OpBarrierRelease, 3}, // not from the parent
 		{wire.OpLockAcquire, 99},
 	} {
-		send(bad.op, bad.src)
+		send(bad.op, bad.src, 0)
 		if got := k.extra.CorruptDrops; got != uint64(i+1) {
 			t.Fatalf("forged message %d (%v from %d): CorruptDrops = %d, want %d", i, bad.op, bad.src, got, i+1)
 		}
@@ -507,23 +498,19 @@ func TestKernelCorruptTreeArrivalsDropped(t *testing.T) {
 	if n := k.Stats().MsgsSent; n != 0 {
 		t.Fatalf("%d messages sent on forged input", n)
 	}
-	if m, _, timedOut := k.syncMb.TakeTimeout(10 * sim.Millisecond); !timedOut {
-		t.Fatalf("the application was woken by forged input: %v", m)
-	}
-	send(wire.OpBarrierArrive, 1)
-	send(wire.OpBarrierArrive, 4)
+	noReplyFrom(t, k, "forged input")
+	send(wire.OpBarrierArrive, 1, 7)
+	send(wire.OpBarrierArrive, 4, 0)
 	if m := recvFrom(t, net, 0); m.Op != wire.OpBarrierArrive || m.Src != 1 || m.Tag != 4 {
 		t.Fatalf("the complete subtree's arrival at the parent: %v", m)
 	}
-	send(wire.OpBarrierRelease, 0)
+	send(wire.OpBarrierRelease, 0, 0)
 	for _, c := range []int{3, 4} {
-		if m := recvFrom(t, net, c); m.Op != wire.OpBarrierRelease || m.Tag != 4 {
+		if m := recvFrom(t, net, c); m.Op != wire.OpBarrierRelease || m.Tag != 4 || m.Seq != 0 {
 			t.Fatalf("child %d got %v", c, m)
 		}
 	}
-	if m := syncFrom(t, k); m.Op != wire.OpBarrierRelease || m.Tag != 4 {
-		t.Fatalf("the application got %v", m)
-	}
+	grantFrom(t, k, wire.OpBarrierRelease, 4, 7)
 }
 
 // servedRuns is the request TestServedRangeSinglePass sends in each vectored
@@ -800,7 +787,7 @@ func TestKernelCorruptJobFramesDropped(t *testing.T) {
 				k.ns.Bind(2, region)
 				k.seg.Write(region.Base, []int64{5})
 				k.userMb(tagBase + 5).Put(&wire.Message{Op: wire.OpUserMsg, Tag: tagBase + 5})
-				k.handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 2, Tag: tagBase + 1, Arg2: 2})
+				k.handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 2, Tag: tagBase + 1, Arg2: 2, Seq: 3})
 				m := frame(op)
 				tc.edit(m)
 				k.handle(m)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"slices"
@@ -67,7 +66,7 @@ func homedAt(pe *PE, home, n int) []uint64 {
 // services none of the requests and the shards account all of them, each
 // requester's in its own shard when there are two. On tcpnet and simnet the
 // serve loop services every one. Either way each operation is still two
-// counted wire messages, logged once each.
+// counted wire messages, each sent by the kernel it should come from.
 func TestServeOnSender(t *testing.T) {
 	const n, home = 60, 2
 	requesters := []int{0, 1}
@@ -79,11 +78,9 @@ func TestServeOnSender(t *testing.T) {
 	for _, tr := range []TransportKind{TransportInproc, TransportTCP, TransportSim} {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/shards%d", tr, shards), func(t *testing.T) {
-				var log bytes.Buffer
 				cfg := simCfg(3)
 				cfg.Transport = tr
 				cfg.KernelShards, cfg.DirectReads = shards, -1
-				cfg.MessageLog = &log
 				var onLoop, onShards [wire.NumOps]uint64
 				busyShards := 0
 				cfg.testInspect = func(ks []*Kernel, _ []*PE) {
@@ -131,16 +128,14 @@ func TestServeOnSender(t *testing.T) {
 						if got := res.Total.ByOp[o].Msgs; got != all {
 							t.Errorf("%v: %d messages sent, want %d", o, got, all)
 						}
-						for _, r := range requesters {
-							src, dst := r, home
-							if o == op.resp {
-								src, dst = home, r
-							}
-							line := fmt.Sprintf("k=%d %v %d->%d ", dst, o, src, dst)
-							if got := strings.Count(log.String(), line); got != n {
-								t.Errorf("message log holds %d lines %q, want %d", got, line, n)
-							}
+					}
+					for _, r := range requesters {
+						if got := res.PerPE[r].ByOp[op.req].Msgs; got != n {
+							t.Errorf("PE %d sent %d %v, want %d", r, got, op.req, n)
 						}
+					}
+					if got := res.PerPE[home].ByOp[op.resp].Msgs; got != all {
+						t.Errorf("home sent %d %v, want %d", got, op.resp, all)
 					}
 				}
 				wantSharded, wantBusy := uint64(0), 0

@@ -272,7 +272,7 @@ func (pe *PE) syncFence() {
 // A syncVerb indexes syncVerbs, the table every synchronisation call is driven
 // from (DESIGN.md "The synchronisation pipeline"): what the verb sends, what
 // answers it, and the edges and records that go with it. A verb with a reply
-// is a wait (syncWait) and an acquire edge, one without is a post (syncPost).
+// is a wait (syncWait) and an acquire edge, one without is a post (Unlock).
 // Nothing is written down per call site, so no verb loses its span or its
 // history event by omission.
 type syncVerb uint8
@@ -308,14 +308,14 @@ func (pe *PE) waitStats(v syncVerb) (*uint64, *trace.Histogram) {
 	return &pe.extra.Locks, &pe.extra.LockWait
 }
 
-// syncPost sends verb v's request for id — all there is to a post, the front
-// half of a wait — and returns the instant the call began. size != 0 makes a
-// barrier a sized one (a job's gang): always served by kernel 0's central
-// manager, because a subset of PEs cannot complete the combining tree.
-func (pe *PE) syncPost(v syncVerb, id int32, size int) sim.Time {
+// syncRequest opens verb v's call about id — the legacy crossing, the release
+// edge, a post's history event — and returns the instant it began and its
+// request, pooled, to kernel dst. size != 0 makes a barrier a sized one (a
+// job's gang), served centrally: a subset of PEs cannot complete the tree.
+func (pe *PE) syncRequest(v syncVerb, id int32, size int) (t0 sim.Time, m *wire.Message, dst int) {
 	vb, k := &syncVerbs[v], pe.k
 	pe.legacyCrossing()
-	t0 := pe.app.Now()
+	t0 = pe.app.Now()
 	if vb.release {
 		// Before the request, so that whoever it lets go observes the writes.
 		pe.flushWC(t0)
@@ -323,15 +323,12 @@ func (pe *PE) syncPost(v syncVerb, id int32, size int) sim.Time {
 	if vb.reply == wire.OpInvalid {
 		pe.recordSync(v, id, t0)
 	}
-	dst := 0 // the central managers live at kernel 0
 	if vb.tree && size == 0 && k.cfg.Barrier == BarrierTree {
-		dst = k.id
+		dst = k.id // else 0: the central managers live at kernel 0
 	}
-	m := wire.GetMessage()
+	m = wire.GetMessage()
 	m.Op, m.Src, m.Dst, m.Tag, m.Arg2 = vb.req, int32(k.id), int32(dst), id, int64(size)
-	pe.app.Send(dst, m)
-	wire.PutMessage(m)
-	return t0
+	return t0, m, dst
 }
 
 // recordSync adds verb v's history event: begun at inv, complete now.
@@ -341,23 +338,29 @@ func (pe *PE) recordSync(v syncVerb, id int32, inv sim.Time) {
 	}
 }
 
-// syncWait is the one wait of the synchronisation pipeline: post verb v's
-// request for id and block until its reply. A PE awaits one sync at a time
-// and a grant only ever answers a wait, so a grant of another verb or id
-// was forged or duplicated: it is counted in StrayDrops and the wait goes on.
-func (pe *PE) syncWait(v syncVerb, id int32, size int) {
-	must(pe.job.aborted())
+// syncWait is the one wait of the synchronisation pipeline: verb v's request
+// for id is one flight of the request engine (launch, land), so a grant that
+// answers no wait is a stale reply. It keeps its own accounting in place of
+// exchange's round-trip event and span — counter, wait histogram, WaitTime,
+// span, history event — and returns the engine's typed error.
+func (pe *PE) syncWait(v syncVerb, id int32, size int) error {
+	if err := pe.job.aborted(); err != nil {
+		return err
+	}
 	vb := &syncVerbs[v]
 	count, wait := pe.waitStats(v)
 	*count++
-	start := pe.syncPost(v, id, size)
-	m := pe.takeSync()
-	for m.Op != vb.reply || m.Tag != id {
-		pe.extra.StrayDrops++
-		wire.PutMessage(m)
-		m = pe.takeSync()
+	start, m, dst := pe.syncRequest(v, id, size)
+	pe.one[0] = flight{req: m, dst: dst}
+	err := pe.launch(pe.one[:], false, 0)
+	if err == nil {
+		err = pe.land(pe.one[:], false)
 	}
 	wire.PutMessage(m)
+	wire.PutMessage(pe.one[0].resp)
+	if err != nil {
+		return err
+	}
 	end := pe.app.Now()
 	pe.extra.WaitTime += end - start
 	wait.Observe(end - start)
@@ -367,6 +370,7 @@ func (pe *PE) syncWait(v syncVerb, id int32, size int) {
 	pe.recordSync(v, id, start)
 	// Acquire edge: lease snapshots taken before the grant must not outlive it.
 	pe.clearLeases()
+	return nil
 }
 
 // Barrier blocks until every PE has reached it (barrier id 0).
@@ -380,61 +384,17 @@ func (pe *PE) BarrierID(id int32) {
 	if pe.job != nil {
 		size = len(pe.job.Members)
 	}
-	pe.syncWait(verbBarrier, pe.scoped(id), size)
+	must(pe.syncWait(verbBarrier, pe.scoped(id), size))
 }
 
 // Lock acquires the cluster-wide lock id (FIFO, managed by kernel 0).
-func (pe *PE) Lock(id int32) { pe.syncWait(verbLock, pe.scoped(id), 0) }
+func (pe *PE) Lock(id int32) { must(pe.syncWait(verbLock, pe.scoped(id), 0)) }
 
-// Unlock releases lock id.
-func (pe *PE) Unlock(id int32) { pe.syncPost(verbUnlock, pe.scoped(id), 0) }
-
-// takeWithin takes the next message from mb, waiting at most d (0 = forever).
-// ok is false when the mailbox closed (cluster shutdown).
-func takeWithin(mb transport.Mailbox, d sim.Duration) (m *wire.Message, ok, timedOut bool) {
-	if d > 0 {
-		return mb.TakeTimeout(d)
-	}
-	m, ok = mb.Take()
-	return m, ok, false
-}
-
-// waitFailed raises what ended a wait without a message as the typed errors of
-// the request tier, so runPE reports it with its type and callers classify a
-// Barrier, Lock or RecvMsg that failed with errors.As like any GM
-// call. src is the kernel the message was expected from.
-func (pe *PE) waitFailed(op string, src int, timedOut bool) {
-	if timedOut {
-		panic(&TimeoutError{PE: pe.k.id, Dst: src, Op: op, Attempts: 1})
-	}
-	panic(&ShutdownError{PE: pe.k.id, Op: op})
-}
-
-func (pe *PE) takeSync() *wire.Message {
-	d := pe.k.requestTimeout()
-	if pe.k.cfg.Ckpt != nil {
-		// Under checkpoint/restart the kernels wake blocked sync waits with
-		// OpPeerDown (below), so liveness does not need the lost-message
-		// timeout — which would misfire on legitimately long checkpoint
-		// barrier waits. Recovery runs forbid frame loss for exactly this
-		// reason (DESIGN.md §10): a lost fire-and-forget arrival is the one
-		// wedge the wake cannot break.
-		d = 0
-	}
-	m, ok, timedOut := takeWithin(pe.k.syncMb, d)
-	if !ok {
-		pe.waitFailed("sync-wait", 0, timedOut)
-	}
-	if m.Op == wire.OpPeerDown {
-		// A peer died while we were blocked (kernels feed this only under
-		// Config.Ckpt). The wait can never be satisfied — under recovery any
-		// peer death rolls the whole cluster back, so fail fast with a typed
-		// error the recovery coordinator can classify through the panic.
-		peer := int(m.Src)
-		wire.PutMessage(m)
-		panic(&PeerDownError{PE: pe.k.id, Peer: peer, Op: "sync-wait"})
-	}
-	return m
+// Unlock releases lock id: a post, sent one way.
+func (pe *PE) Unlock(id int32) {
+	_, m, dst := pe.syncRequest(verbUnlock, pe.scoped(id), 0)
+	pe.app.Send(dst, m)
+	wire.PutMessage(m)
 }
 
 // --- Coordinated checkpoint/restart ---
@@ -651,14 +611,20 @@ func (pe *PE) recvUser(tag int32, d sim.Duration) (m *wire.Message, ok, timedOut
 	pe.legacyCrossing()
 	mb := pe.k.userMb(tag)
 	start := pe.app.Now()
-	m, ok, timedOut = takeWithin(mb, d)
+	if d > 0 {
+		m, ok, timedOut = mb.TakeTimeout(d)
+	} else {
+		m, ok = mb.Take()
+	}
 	pe.extra.WaitTime += pe.app.Now() - start
 	return m, ok, timedOut
 }
 
 // RecvMsg blocks until a message with tag arrives, returning its sender
-// and payload. It fails like a synchronisation wait (waitFailed), so that a
-// collective which loses a message or outlives the cluster is classifiable.
+// and payload. It fails by panicking with the request tier's typed errors —
+// *TimeoutError after Config.RequestTimeout, *ShutdownError — so that runPE
+// reports a collective which loses a message or outlives the cluster with
+// its type, and callers classify it with errors.As like any GM call.
 // Inside a job the tag is private to the job and the sender a job rank (-1
 // for a sender outside the gang, which only misuse of the tags can produce).
 func (pe *PE) RecvMsg(tag int32) (src int, payload []byte) {
@@ -668,9 +634,12 @@ func (pe *PE) RecvMsg(tag int32) (src int, payload []byte) {
 
 // recvMsg is RecvMsg by raw tag and kernel id, whatever the scope.
 func (pe *PE) recvMsg(tag int32) (src int, payload []byte) {
-	m, ok, timedOut := pe.recvUser(tag, pe.k.requestTimeout())
-	if !ok {
-		pe.waitFailed("recv-msg", pe.k.id, timedOut) // from anybody: the queue is this kernel's
+	m, ok, timedOut := pe.recvUser(tag, pe.k.cfg.RequestTimeout)
+	switch {
+	case timedOut: // from anybody: the queue is this kernel's
+		panic(&TimeoutError{PE: pe.k.id, Dst: pe.k.id, Op: "recv-msg", Attempts: 1})
+	case !ok:
+		panic(&ShutdownError{PE: pe.k.id, Op: "recv-msg"})
 	}
 	return int(m.Src), m.Data
 }

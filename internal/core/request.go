@@ -11,8 +11,10 @@ import (
 // The request engine (DESIGN.md §7): the requester side of the message
 // exchange mechanism. Every request a PE makes of a kernel — a scalar GM
 // operation, the per-home groups of a range transfer, a flush, a ping, a
-// process-management, checkpoint, membership or namespace call — is a flight,
-// and exchange is the one loop that sends flights and awaits their answers.
+// process-management, checkpoint, membership or namespace call, a barrier
+// arrival or a lock acquire — is a flight, and one loop sends flights and
+// awaits their answers: launch and land, which exchange wraps in the
+// round-trip accounting and a sync wait in its own (PE.syncWait).
 // The list of flights is also the only record of what is outstanding: replies
 // reach the PE's reply mailbox unrouted (Kernel.deliverApp) and are matched
 // here by Seq.
@@ -69,22 +71,16 @@ func (pe *PE) ask(dst int, req *wire.Message) (int64, error) {
 	return arg, nil
 }
 
-// exchange sends every flight of fl and returns once each has its answer in
-// resp, or with the first failure (and then no answer is kept). A request that
-// arrives with a Seq keeps it and travels flagged as a retry; the others are
-// numbered here.
+// exchange sends every flight of fl (launch) and returns once each has its
+// answer in resp, or with the first failure, and then no answer is kept
+// (land).
 //
 // Replies are matched by Seq among the flights still in flight, in whatever
 // order they arrive; anything else in the mailbox — the late answer to a
 // request given up on, a duplicate, the response to a kernel's escrow
-// re-offer — is counted in StaleReplies and dropped. Each round of waiting has
-// one deadline (Config.RequestTimeout); what is still unanswered when it
-// passes is sent again with the same Seq and the retry flag, after the
-// configured backoff, up to Config.RequestRetries times: the home's dedup
-// window applies a retried mutation exactly once.
-//
-// Three answers are not the request's result. wire.OpMigrateNack means the
-// addressed kernel no longer homes (one of) the request's blocks. A
+// re-offer, a grant that answers no wait — is counted in StaleReplies and
+// dropped. Three answers are not the request's result. wire.OpMigrateNack
+// means the addressed kernel no longer homes (one of) the request's blocks. A
 // single-run request follows the hinted new home with the SAME Seq —
 // exactly-once carries across the redirect because the old home never applied
 // the operation (NACKs are issued before any mutation) and the new home's
@@ -97,8 +93,9 @@ func (pe *PE) ask(dst int, req *wire.Message) (int64, error) {
 // CorruptDrops and treated as lost.
 //
 // A wire.OpPeerDown notice (Kernel.peerDown) fails the exchange with
-// *PeerDownError iff a flight addresses the dead peer, and is dropped
-// otherwise.
+// *PeerDownError iff a flight in flight fails with the dead peer — addresses
+// it, or is a sync wait under the any-peer rule (Kernel.anyPeer) — and is
+// dropped otherwise.
 //
 // Accounting is per exchange: with xfer zero (fl is one request) the
 // request's own op gets the round-trip event, timed from before the send, and
@@ -130,20 +127,10 @@ func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
 	if timed && xfer == 0 {
 		start = pe.app.Now()
 	}
-	for i := range fl {
-		f := &fl[i]
-		m := f.req
-		if k.peers[f.dst].dead.Load() {
-			return &PeerDownError{PE: k.id, Peer: f.dst, Op: m.Op.String()}
-		}
-		m.Src, m.Dst = int32(k.id), int32(f.dst)
-		if m.Seq == 0 {
-			m.Seq = k.seqCtr.Add(1)
-		} else {
-			m.Flags |= wire.FlagRetry
-		}
-		f.want, f.timed = k.replyWords(m), timed
-		pe.send(f, start) // a transfer's start is 0: its requests are stamped one by one
+	// A transfer's start is 0: its requests are stamped one by one.
+	err := pe.launch(fl, timed, start)
+	if err != nil {
+		return err
 	}
 	switch {
 	case timed && xfer != 0:
@@ -151,39 +138,13 @@ func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
 	case pe.spans != nil: // spans imply a timed exchange (PE.timeMask)
 		sent = pe.app.Now()
 	}
-	left, backoff := len(fl), k.cfg.RequestTimeout/4
-	var err error
-	for round := 1; ; round++ {
-		if left, err = pe.await(fl, xfer != 0, left, round); err == nil {
-			break
-		}
-		if _, timedOut := err.(*TimeoutError); !timedOut || round > k.cfg.RequestRetries {
-			break
-		}
-		if backoff > 0 {
-			pe.app.Sleep(backoff)
-			if backoff < 8*(k.cfg.RequestTimeout/4) {
-				backoff *= 2
-			}
-		}
-		for i := range fl {
-			if f := &fl[i]; f.inFlight() {
-				f.req.Flags |= wire.FlagRetry
-				pe.extra.Retries++
-				pe.send(f, 0)
-			}
-		}
-	}
+	err = pe.land(fl, xfer != 0)
 	var end sim.Time
 	if timed {
 		end = pe.app.Now()
 		pe.extra.WaitTime += (end - start) * weight
 	}
 	if err != nil {
-		for i := range fl {
-			wire.PutMessage(fl[i].resp)
-			fl[i].resp = nil
-		}
 		return err
 	}
 	// Only the per-op histogram is fed on the hot path; the aggregate
@@ -205,6 +166,65 @@ func (pe *PE) exchange(fl []flight, xfer wire.Op) error {
 		pe.spans.Record(s)
 	}
 	return nil
+}
+
+// launch numbers every flight of fl that has no Seq yet (one that has keeps
+// it and travels flagged as a retry) and sends it, stamped when timed (send).
+// A flight a known death fails (Kernel.deadFor) fails the launch unsent.
+func (pe *PE) launch(fl []flight, timed bool, at sim.Time) error {
+	k := pe.k
+	for i := range fl {
+		f := &fl[i]
+		m := f.req
+		if dead := k.deadFor(m.Op, f.dst); dead >= 0 {
+			return &PeerDownError{PE: k.id, Peer: dead, Op: m.Op.String()}
+		}
+		m.Src, m.Dst = int32(k.id), int32(f.dst)
+		if m.Seq == 0 {
+			m.Seq = k.seqCtr.Add(1)
+		} else {
+			m.Flags |= wire.FlagRetry
+		}
+		f.want, f.timed = k.replyWords(m), timed
+		pe.send(f, at)
+	}
+	return nil
+}
+
+// land awaits the answers of the launched flights fl. Each round of waiting
+// has one deadline (Config.RequestTimeout); what is still unanswered then is
+// sent again with the same Seq and the retry flag, after the backoff, up to
+// Config.RequestRetries times: the home's dedup window applies it once.
+func (pe *PE) land(fl []flight, transfer bool) error {
+	k := pe.k
+	left, backoff := len(fl), k.cfg.RequestTimeout/4
+	var err error
+	for round := 1; ; round++ {
+		if left, err = pe.await(fl, transfer, left, round); err == nil {
+			return nil
+		}
+		if _, timedOut := err.(*TimeoutError); !timedOut || round > k.cfg.RequestRetries {
+			break
+		}
+		if backoff > 0 {
+			pe.app.Sleep(backoff)
+			if backoff < 8*(k.cfg.RequestTimeout/4) {
+				backoff *= 2
+			}
+		}
+		for i := range fl {
+			if f := &fl[i]; f.inFlight() {
+				f.req.Flags |= wire.FlagRetry
+				pe.extra.Retries++
+				pe.send(f, 0)
+			}
+		}
+	}
+	for i := range fl {
+		wire.PutMessage(fl[i].resp)
+		fl[i].resp = nil
+	}
+	return err
 }
 
 // send sends f's request to f.dst. The request of a timed exchange leaves
@@ -256,7 +276,7 @@ func (f *flight) inFlight() bool { return f.resp == nil && !f.moved }
 // how many are still unanswered.
 func (pe *PE) await(fl []flight, transfer bool, left, round int) (int, error) {
 	k := pe.k
-	d := k.requestTimeout()
+	d := k.cfg.RequestTimeout
 	var deadline sim.Time
 	if d > 0 {
 		deadline = pe.app.Now() + d // no clock read on the wait-forever path
@@ -286,10 +306,14 @@ func (pe *PE) await(fl []flight, transfer bool, left, round int) (int, error) {
 		if resp.Op == wire.OpPeerDown {
 			peer := int(resp.Src)
 			wire.PutMessage(resp)
-			if f := firstInFlight(fl, peer); f != nil {
+			f := firstInFlight(fl, peer)
+			if f == nil && k.anyPeer(fl[0].req.Op) {
+				f = firstInFlight(fl, -1)
+			}
+			if f != nil {
 				return left, &PeerDownError{PE: k.id, Peer: peer, Op: f.req.Op.String()}
 			}
-			continue // nothing of ours was addressed to it
+			continue // nothing of ours fails with it
 		}
 		var f *flight
 		for i := range fl {

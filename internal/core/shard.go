@@ -28,8 +28,8 @@ import (
 // and handleMigrateStart takes every shard lock before ownership changes.
 // Lock order: a shard lock is outermost and never nested in another shard
 // lock; under it a handler may take the segment's stripe locks, escrowMu and
-// — through its reply Send — the requester's mailboxes and logMu, none of
-// which ever take a shard lock (DESIGN.md §11).
+// — through its reply Send — the requester's mailboxes, none of which ever
+// take a shard lock (DESIGN.md §11).
 type kernelShard struct {
 	k   *Kernel
 	idx int
@@ -159,7 +159,6 @@ func (k *Kernel) serveOnSender(m *wire.Message) bool {
 	if s < 0 {
 		return false
 	}
-	k.logMessage(m)
 	k.shards[s].serve(m)
 	wire.PutMessage(m)
 	return true

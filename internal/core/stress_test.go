@@ -2,9 +2,11 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/check/stress"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -38,11 +40,15 @@ func runCase(t *testing.T, c stress.Case, flag string) *stress.Result {
 // and mixed-tier legs, cached words beside one-sided traffic), the
 // kill-and-recover schedules, one of them over the window and rings, and the
 // elastic-membership churn. The nightly job runs the same rows on a date seed.
+// Every row without a kill, lossy ones included, crosses barriers.
 func TestStressSuites(t *testing.T) {
 	for _, name := range stress.SuiteNames {
 		for _, c := range stress.Suite(name, 1) {
 			t.Run(name+"/"+c.String(), func(t *testing.T) {
-				runCase(t, c, name)
+				res := runCase(t, c, name)
+				if c.KillAt == 0 && !slices.ContainsFunc(res.History.Events, func(e check.Event) bool { return e.Kind == check.KindBarrier }) {
+					t.Errorf("a row without a kill crossed no barrier")
+				}
 			})
 		}
 	}

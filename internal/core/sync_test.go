@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/check"
+	"repro/internal/ckpt"
 	"repro/internal/gmem"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -157,9 +160,10 @@ func TestSyncPipelineRecords(t *testing.T) {
 }
 
 // TestStrayGrantDropped forges a lock grant to a PE that waits at a barrier.
-// A PE awaits one sync at a time and a grant only answers a wait, so the
-// forged one is counted in StrayDrops and dropped, and the barrier completes
-// on its own release: a grant nobody awaits must not take the PE down.
+// A grant is a reply of the request engine like any other, matched by Seq, so
+// the forged one answers no flight: it is counted in StaleReplies and dropped,
+// and the barrier completes on its own release: a grant nobody awaits must
+// not take the PE down.
 func TestStrayGrantDropped(t *testing.T) {
 	for _, tr := range []TransportKind{TransportSim, TransportInproc} {
 		t.Run(string(tr), func(t *testing.T) {
@@ -175,9 +179,141 @@ func TestStrayGrantDropped(t *testing.T) {
 				return nil
 			})
 			for i, want := range []uint64{0, 1} {
-				if s := &res.PerPE[i]; s.StrayDrops != want || s.Barriers != 2 {
-					t.Errorf("PE %d: StrayDrops %d, barriers %d; want %d and 2", i, s.StrayDrops, s.Barriers, want)
+				if s := &res.PerPE[i]; s.StaleReplies != want || s.Barriers != 2 {
+					t.Errorf("PE %d: StaleReplies %d, barriers %d; want %d and 2", i, s.StaleReplies, s.Barriers, want)
 				}
+			}
+		})
+	}
+}
+
+// TestLossyBarriersRetry crosses barriers over a lossy simulated medium. A
+// barrier wait is a flight of the request engine: an arrival the medium lost
+// is sent again, and so is the arrival whose release was lost, which kernel 0
+// answers from its record of the PE's wait instead of counting it again. Both
+// losses must happen in the run and each epoch must still end in one release:
+// every PE crosses every barrier once, and the checker finds no barrier that
+// let a PE go before everybody had arrived.
+func TestLossyBarriersRetry(t *testing.T) {
+	const pes, rounds = 4, 30
+	cfg := simCfg(pes)
+	cfg.Seed, cfg.LossProbability, cfg.RecordHistory = 3, 0.1, true
+	cfg.RequestTimeout, cfg.RequestRetries = 20*sim.Millisecond, 20
+	res := runWithin(t, time.Minute, cfg, func(pe *PE) error {
+		for i := 0; i < rounds; i++ {
+			pe.Compute(float64(1e3 * (1 + (pe.ID()+i)%pes)))
+			pe.BarrierID(int32(1 + i%2))
+		}
+		return nil
+	})
+	if err := res.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := check.Check(res.History); !rep.OK() {
+		t.Fatalf("the checker rejects the barriers: %v", rep.Violations)
+	}
+	for i := range res.PerPE {
+		if s := &res.PerPE[i]; s.Barriers != rounds || s.BarrierWait.Snapshot().Count != rounds {
+			t.Errorf("PE %d crossed %d barriers (%d waits), want %d", i, s.Barriers, s.BarrierWait.Snapshot().Count, rounds)
+		}
+	}
+	// What the medium lost of each: arrivals sent but never served, releases
+	// sent but never routed (on simnet every message goes through a serve loop).
+	tot := &res.Total
+	lostArrivals := tot.ByOp[wire.OpBarrierArrive].Msgs - tot.ServiceByOp[wire.OpBarrierArrive].Snapshot().Count
+	lostReleases := tot.ByOp[wire.OpBarrierRelease].Msgs - tot.ServiceByOp[wire.OpBarrierRelease].Snapshot().Count
+	t.Logf("lost %d arrivals and %d releases; Retries %d, DupRequests %d, StaleReplies %d",
+		lostArrivals, lostReleases, tot.Retries, tot.DupRequests, tot.StaleReplies)
+	if lostArrivals == 0 || lostReleases == 0 {
+		t.Fatalf("the run lost %d arrivals and %d releases: it proves nothing about one of them", lostArrivals, lostReleases)
+	}
+	if tot.Retries == 0 || tot.DupRequests == 0 {
+		t.Errorf("Retries %d, DupRequests %d: the retry path did not run", tot.Retries, tot.DupRequests)
+	}
+}
+
+// TestStaleReleaseEndsNoWait puts a release that carries the Seq of a PE's
+// earlier, answered arrival — a duplicate the network delivered late — into
+// the PE's next barrier wait. It matches no flight in flight: it is counted
+// in StaleReplies and the wait goes on until the barrier really completes.
+func TestStaleReleaseEndsNoWait(t *testing.T) {
+	for _, tr := range []TransportKind{TransportSim, TransportInproc} {
+		t.Run(string(tr), func(t *testing.T) {
+			cfg := simCfg(2)
+			cfg.Transport, cfg.RecordHistory = tr, true
+			res := runWithin(t, 10*time.Second, cfg, func(pe *PE) error {
+				pe.Barrier()
+				if pe.ID() == 1 {
+					old := pe.k.seqCtr.Load() // the answered arrival's: the barrier was the last request
+					pe.app.Send(1, &wire.Message{Op: wire.OpBarrierRelease, Src: 0, Dst: 1, Seq: old})
+				} else {
+					pe.Compute(1e5) // PE 1 waits, and takes the stale release first
+				}
+				pe.Barrier()
+				return nil
+			})
+			if err := res.FirstErr(); err != nil {
+				t.Fatal(err)
+			}
+			if rep := check.Check(res.History); !rep.OK() {
+				t.Fatalf("a stale release ended a wait: %v", rep.Violations)
+			}
+			for i, want := range []uint64{0, 1} {
+				if s := &res.PerPE[i]; s.StaleReplies != want || s.Barriers != 2 {
+					t.Errorf("PE %d: StaleReplies %d, barriers %d; want %d and 2", i, s.StaleReplies, s.Barriers, want)
+				}
+			}
+		})
+	}
+}
+
+// TestCkptBarrierFailsOnAnyPeer: under checkpointing a barrier wait fails
+// with *PeerDownError on any peer's death, not only its manager's (a member
+// that died can never arrive). When the death came first and its notice was
+// already taken by a GM exchange, the dead flag fails the wait before its
+// arrival is sent; when it comes during the wait, the notice does. Kernel 0's
+// serve loop is not running, so nothing else could end the wait.
+func TestCkptBarrierFailsOnAnyPeer(t *testing.T) {
+	store, err := ckpt.OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, before := range []bool{true, false} {
+		t.Run(fmt.Sprintf("died-before-wait=%v", before), func(t *testing.T) {
+			net, ks := testKernels(t, 3, func(cfg *Config) { cfg.Ckpt = store })
+			pe := newPE(ks[1])
+			if before {
+				ks[1].peerDown(2)
+				// Served inline on inproc: the read's exchange takes the
+				// notice, which addresses none of its flights, and drops it.
+				if _, err := pe.GMReadErr(remoteAddr(t, pe, 0)); err != nil {
+					t.Fatalf("read at the live kernel 0: %v", err)
+				}
+			}
+			sent := ks[1].Stats().MsgsSent
+			failed := make(chan any, 1)
+			go func() {
+				defer func() { failed <- recover() }()
+				pe.Barrier()
+			}()
+			if !before {
+				// The arrival reached kernel 0: the PE waits for its release.
+				if m := recvFrom(t, net, 0); m.Op != wire.OpBarrierArrive || m.Src != 1 {
+					t.Fatalf("kernel 0 got %v, want PE 1's arrival", m)
+				}
+				ks[1].peerDown(2)
+			}
+			select {
+			case r := <-failed:
+				var down *PeerDownError
+				if err, _ := r.(error); !errors.As(err, &down) || down.Peer != 2 {
+					t.Fatalf("barrier wait ended with %v, want a *PeerDownError naming peer 2", r)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the barrier wait outlived a peer's death")
+			}
+			if d := ks[1].Stats().MsgsSent - sent; before && d != 0 {
+				t.Errorf("the wait sent %d messages after the death was known", d)
 			}
 		})
 	}

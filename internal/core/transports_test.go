@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -193,39 +191,5 @@ func TestSwitchedMediumAgrees(t *testing.T) {
 	}
 	if a, b := run(false), run(true); a != b {
 		t.Fatalf("media disagree: %d vs %d", a, b)
-	}
-}
-
-// The protocol trace must record kernel-handled messages in virtual-time
-// order with their kernels.
-func TestMessageLogRecordsProtocol(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := simCfg(2)
-	cfg.MessageLog = &buf
-	res, err := Run(cfg, func(pe *PE) error {
-		base := pe.Alloc(8)
-		if pe.ID() == 1 {
-			mustWrite(pe, base, 5) // remote write to kernel 0
-		}
-		pe.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := res.FirstErr(); err != nil {
-		t.Fatal(err)
-	}
-	log := buf.String()
-	for _, want := range []string{"write 1->0", "write-ack 0->1", "barrier-arrive", "barrier-release", "proc-register"} {
-		if !strings.Contains(log, want) {
-			t.Fatalf("protocol trace missing %q:\n%s", want, log)
-		}
-	}
-	// Every line carries a timestamp and a kernel id.
-	for _, line := range strings.Split(strings.TrimSpace(log), "\n") {
-		if !strings.HasPrefix(line, "t=") || !strings.Contains(line, " k=") {
-			t.Fatalf("malformed trace line %q", line)
-		}
 	}
 }

@@ -309,19 +309,6 @@ func TestCacheInsertCopiesBlock(t *testing.T) {
 	}
 }
 
-func TestFloatWordRoundTrip(t *testing.T) {
-	f := func(x float64) bool {
-		y := math.Float64frombits(math.Float64bits(x))
-		if x != x { // NaN
-			return y != y
-		}
-		return x == y
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: a segment behaves as a linearisable map from address to value
 // under any sequence of writes and fetch-adds.
 func TestSegmentModelProperty(t *testing.T) {

@@ -1,44 +1,9 @@
 package gmem
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
-
-// A float64 travels through global memory as its IEEE-754 bits in a word
-// (core.Array), which must be bit-exact, not merely value-preserving: a
-// conversion that canonicalises NaNs or drops the sign of zero would corrupt
-// reduction payloads silently. Checked over every special value and all 2^64
-// bit patterns by property.
-func TestFloatWordBitExact(t *testing.T) {
-	specials := []float64{
-		0, math.Copysign(0, -1),
-		math.Inf(1), math.Inf(-1),
-		math.NaN(),
-		math.MaxFloat64, -math.MaxFloat64,
-		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, // denormals
-		1.0 / 3.0, -math.Pi,
-	}
-	for _, x := range specials {
-		bits := math.Float64bits(x)
-		w := int64(math.Float64bits(x))
-		if got := math.Float64bits(math.Float64frombits(uint64(w))); got != bits {
-			t.Errorf("word round trip of %v changed bits: %#x -> %#x", x, bits, got)
-		}
-	}
-	// NaN payload bits (signalling vs quiet, sign, mantissa) must survive:
-	// quick-check the conversion on raw bit patterns, which reaches every
-	// NaN encoding no float64 generator would produce.
-	f := func(bits uint64) bool {
-		w := int64(bits)
-		x := math.Float64frombits(uint64(w))
-		return int64(math.Float64bits(x)) == w && math.Float64bits(x) == bits
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // Block-cyclic placement round-trip: block b lives at home b mod N as the
 // (b div N)-th block of that home, and (home, ordinal) reconstructs b.

@@ -198,32 +198,40 @@ func (tb *TreeBarrier) Arrive(src int, id int32) (complete, ok bool) {
 }
 
 // Grant is one message a Set asks its kernel to emit: Op to kernel Dst about
-// id, Size in the wire's size field. Wake marks the tree barrier's release of
-// this kernel's own application, which the kernel hands over directly — sent
-// to itself, the release would come back to Serve and go down the tree again.
+// id, Size in the wire's size field, Seq the wait of Dst's PE it answers (0
+// for what one kernel of the tree tells another).
 type Grant struct {
 	Dst  int
 	Op   wire.Op
 	ID   int32
 	Size int64
-	Wake bool
+	Seq  uint64
 }
 
 // Set is the synchronisation state of one kernel: the central barrier and
-// lock managers (kernel 0 only) and this kernel's node of the
-// combining tree (tree barriers only). Like the managers it has no lock of
-// its own: whoever calls it serialises the calls.
+// lock managers (kernel 0 only), this kernel's node of the combining tree
+// (tree barriers only) and, per source, the PE's last wait. Like the
+// managers it has no lock of its own: whoever calls it serialises the calls.
 type Set struct {
 	barrier *BarrierManager
 	locks   *LockManager
 	tree    *TreeBarrier
+	waits   []wait  // by source
 	wake    []Grant // Serve's result, overwritten by the next call
+}
+
+// wait is a source's last wait at a Set, which is all the duplicate
+// suppression a wait needs: a PE awaits one sync at a time.
+type wait struct {
+	seq  uint64
+	id   int32
+	open bool
 }
 
 // NewSet builds kernel self's set for an n-kernel cluster; tree says whether
 // unsized barriers run over the combining tree (of fan-in 2).
 func NewSet(self, n int, tree bool) *Set {
-	s := &Set{}
+	s := &Set{waits: make([]wait, n)}
 	if self == 0 {
 		s.barrier, s.locks = NewBarrierManager(n), NewLockManager()
 	}
@@ -234,30 +242,52 @@ func NewSet(self, n int, tree bool) *Set {
 }
 
 // Serve applies one synchronisation message — op from src about id, size the
-// wire's size field (a sized barrier's gang size, else 0) — and returns the
-// messages to emit in order, valid until the next call. ok is false for a
-// message that is refused: by a manager (see their methods), because it
-// reached a kernel that does not host the state it addresses, or because it is
-// no synchronisation request at all. The caller has checked that src names a
-// kernel.
+// wire's size field (a sized barrier's gang size, else 0), seq its Seq — and
+// returns the messages to emit in order, valid until the next call. The
+// caller has checked that src names a kernel.
+//
+// A PE's wait (a lock acquire, a central arrival, a tree arrival of the
+// kernel's own PE) is answered under its Seq. Its retry is absorbed while it
+// is open and answered again once it is not, and a Seq below the source's
+// last is a stale copy: dup reports either, which reaches no manager. ok is
+// false for what is refused: a wait without a Seq or while the source's last
+// is open, what a manager refuses (see their methods) or a kernel does not
+// host, and what is no synchronisation request. What the tree's kernels send
+// each other and an unlock are one-way and unnumbered.
 //
 // Sized arrivals (job-group barriers over a PE subset) are always central —
 // the tree combines whole-cluster counts and cannot complete a subset — and
 // their releases carry the size, which is what routes them to the arriving
 // PE's application instead of down a tree.
-func (s *Set) Serve(src int, op wire.Op, id int32, size int64) (wake []Grant, ok bool) {
+func (s *Set) Serve(src int, op wire.Op, id int32, size int64, seq uint64) (wake []Grant, dup, ok bool) {
 	s.wake = s.wake[:0]
+	tree := op == wire.OpBarrierArrive && size == 0 && s.tree != nil
+	w, prev := &s.waits[src], s.waits[src]
+	waits := op == wire.OpLockAcquire || op == wire.OpBarrierArrive && (!tree || src == s.tree.self)
+	if waits {
+		switch {
+		case seq == 0 || seq > w.seq && w.open:
+			return nil, false, false
+		case seq == w.seq && !w.open && op == wire.OpLockAcquire:
+			s.answer(src, wire.OpLockGrant, id, 0)
+		case seq == w.seq && !w.open:
+			s.answer(src, wire.OpBarrierRelease, id, size)
+		}
+		if seq <= w.seq {
+			return s.wake, true, true
+		}
+		*w = wait{seq: seq, id: id, open: true}
+	}
 	switch {
-	case op == wire.OpBarrierArrive && size == 0 && s.tree != nil:
+	case tree:
 		var complete bool
 		if complete, ok = s.tree.Arrive(src, id); complete {
 			if parent, has := s.tree.Parent(); has {
-				s.emit(parent, wire.OpBarrierArrive, id, 0)
+				s.emit(parent, wire.OpBarrierArrive, id, 0, 0)
 			} else {
 				s.releaseDown(id)
 			}
 		}
-		return s.wake, ok
 	case op == wire.OpBarrierRelease && s.tree != nil:
 		// Only a tree release is served (a central one goes straight to the
 		// application), and only the parent sends one.
@@ -265,48 +295,64 @@ func (s *Set) Serve(src int, op wire.Op, id int32, size int64) (wake []Grant, ok
 			s.releaseDown(id)
 			ok = true
 		}
-		return s.wake, ok
 	case s.barrier == nil:
-		return nil, false
 	case op == wire.OpBarrierArrive:
 		var waiters []int
 		waiters, ok = s.barrier.ArriveSized(src, id, size)
 		for _, w := range waiters {
-			s.emit(w, wire.OpBarrierRelease, id, size)
+			s.answer(w, wire.OpBarrierRelease, id, size)
 		}
-		return s.wake, ok
+	case op == wire.OpLockAcquire:
+		var granted bool
+		if granted, ok = s.locks.Acquire(src, id); granted {
+			s.answer(src, wire.OpLockGrant, id, 0)
+		}
+	case op == wire.OpLockRelease:
+		var next int
+		var granted bool
+		if next, granted, ok = s.locks.Release(src, id); granted {
+			s.answer(next, wire.OpLockGrant, id, 0)
+		}
 	}
-	dst, granted := src, false
-	switch op {
-	case wire.OpLockAcquire:
-		granted, ok = s.locks.Acquire(src, id)
-	case wire.OpLockRelease:
-		dst, granted, ok = s.locks.Release(src, id)
+	if !ok && waits {
+		*w = prev
 	}
-	if granted {
-		s.emit(dst, wire.OpLockGrant, id, 0)
-	}
-	return s.wake, ok
+	return s.wake, false, ok
 }
 
-func (s *Set) emit(dst int, op wire.Op, id int32, size int64) {
-	s.wake = append(s.wake, Grant{Dst: dst, Op: op, ID: id, Size: size})
+func (s *Set) emit(dst int, op wire.Op, id int32, size int64, seq uint64) {
+	s.wake = append(s.wake, Grant{Dst: dst, Op: op, ID: id, Size: size, Seq: seq})
 }
 
-// releaseDown forwards a tree release to the children and wakes the local
-// application.
+// answer emits op about id to the PE of kernel dst under the Seq of its wait,
+// which it closes.
+func (s *Set) answer(dst int, op wire.Op, id int32, size int64) {
+	s.waits[dst].open = false
+	s.emit(dst, op, id, size, s.waits[dst].seq)
+}
+
+// releaseDown forwards a tree release to the children and answers the own
+// PE last: the kernel hands that release over itself (sent to itself, it
+// would come back to Serve and go down the tree again).
 func (s *Set) releaseDown(id int32) {
 	for _, c := range s.tree.Children() {
-		s.emit(c, wire.OpBarrierRelease, id, 0)
+		s.emit(c, wire.OpBarrierRelease, id, 0, 0)
 	}
-	s.wake = append(s.wake, Grant{Dst: s.tree.self, Op: wire.OpBarrierRelease, ID: id, Wake: true})
+	s.answer(s.tree.self, wire.OpBarrierRelease, id, 0)
 }
 
 // Purge forgets every barrier epoch and lock whose id lies in [lo, hi):
 // teardown for a job whose members may have died mid-barrier or holding or
 // awaiting a lock, so that a later job reusing the id range finds it clean.
-// (Job barriers are sized, hence central: the tree holds nothing of a job's.)
+// A wait about such an id is closed: its PE, whose wait failed, may wait
+// again. (Job barriers are sized, hence central: the tree holds nothing of a
+// job's.)
 func (s *Set) Purge(lo, hi int32) {
+	for i := range s.waits {
+		if w := &s.waits[i]; w.id >= lo && w.id < hi {
+			w.open = false
+		}
+	}
 	if s.barrier == nil {
 		return
 	}

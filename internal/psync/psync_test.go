@@ -405,124 +405,190 @@ func TestTreeBarrierGlobalProperty(t *testing.T) {
 	}
 }
 
-// grants copies what Serve returned, which the next call overwrites.
-func grants(t *testing.T, s *Set, src int, op wire.Op, id int32, size int64) ([]Grant, bool) {
+// grants copies what Serve returned, which the next call overwrites, and
+// checks that nothing but a numbered wait is taken for a duplicate.
+func grants(t *testing.T, s *Set, src int, op wire.Op, id int32, size int64, seq uint64) ([]Grant, bool) {
 	t.Helper()
-	wake, ok := s.Serve(src, op, id, size)
+	wake, dup, ok := s.Serve(src, op, id, size, seq)
+	if dup {
+		t.Fatalf("%v from %d (seq %d) taken for a duplicate", op, src, seq)
+	}
 	return append([]Grant(nil), wake...), ok
 }
 
-// TestSetServe drives every verb through the one entry point: what kernel 0's
-// set grants, what a set without central managers refuses, and how a sized
-// arrival stays central beside a tree.
-func TestSetServe(t *testing.T) {
-	s := NewSet(0, 3, false)
-	expect := func(what string, got []Grant, ok bool, wantOK bool, want ...Grant) {
-		t.Helper()
-		if ok != wantOK || len(got) != len(want) {
-			t.Fatalf("%s: %v, %v, want %v, %v", what, got, ok, want, wantOK)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: grant %d = %+v, want %+v", what, i, got[i], want[i])
-			}
+func expectGrants(t *testing.T, what string, got []Grant, ok bool, wantOK bool, want ...Grant) {
+	t.Helper()
+	if ok != wantOK || len(got) != len(want) {
+		t.Fatalf("%s: %v, %v, want %v, %v", what, got, ok, want, wantOK)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: grant %d = %+v, want %+v", what, i, got[i], want[i])
 		}
 	}
-	g, ok := grants(t, s, 1, wire.OpLockAcquire, 5, 0)
-	expect("acquire of a free lock", g, ok, true, Grant{Dst: 1, Op: wire.OpLockGrant, ID: 5})
-	g, ok = grants(t, s, 2, wire.OpLockAcquire, 5, 0)
-	expect("acquire of a held lock", g, ok, true)
-	g, ok = grants(t, s, 2, wire.OpLockAcquire, 5, 0)
-	expect("second acquire by a waiter", g, ok, false)
-	g, ok = grants(t, s, 1, wire.OpLockRelease, 5, 0)
-	expect("release", g, ok, true, Grant{Dst: 2, Op: wire.OpLockGrant, ID: 5})
+}
+
+// TestSetServe drives every verb through the one entry point: what kernel 0's
+// set grants, under which Seq, what a set without central managers refuses,
+// and how a sized arrival stays central beside a tree.
+func TestSetServe(t *testing.T) {
+	s := NewSet(0, 3, false)
+	g, ok := grants(t, s, 1, wire.OpLockAcquire, 5, 0, 11)
+	expectGrants(t, "acquire of a free lock", g, ok, true, Grant{Dst: 1, Op: wire.OpLockGrant, ID: 5, Seq: 11})
+	g, ok = grants(t, s, 2, wire.OpLockAcquire, 5, 0, 21)
+	expectGrants(t, "acquire of a held lock", g, ok, true)
+	g, ok = grants(t, s, 2, wire.OpLockAcquire, 5, 0, 22)
+	expectGrants(t, "second acquire by a waiter", g, ok, false)
+	g, ok = grants(t, s, 1, wire.OpLockRelease, 5, 0, 0)
+	expectGrants(t, "release", g, ok, true, Grant{Dst: 2, Op: wire.OpLockGrant, ID: 5, Seq: 21})
 
 	// A sized barrier releases at its size and the releases carry it.
-	g, ok = grants(t, s, 2, wire.OpBarrierArrive, 7, 2)
-	expect("first sized arrival", g, ok, true)
-	g, ok = grants(t, s, 2, wire.OpBarrierArrive, 7, 2)
-	expect("duplicate arrival", g, ok, false)
-	g, ok = grants(t, s, 0, wire.OpBarrierArrive, 7, 2)
-	expect("completing sized arrival", g, ok, true,
-		Grant{Dst: 2, Op: wire.OpBarrierRelease, ID: 7, Size: 2},
-		Grant{Dst: 0, Op: wire.OpBarrierRelease, ID: 7, Size: 2})
+	g, ok = grants(t, s, 2, wire.OpBarrierArrive, 7, 2, 23)
+	expectGrants(t, "first sized arrival", g, ok, true)
+	g, ok = grants(t, s, 2, wire.OpBarrierArrive, 7, 2, 24)
+	expectGrants(t, "second arrival while the first waits", g, ok, false)
+	g, ok = grants(t, s, 0, wire.OpBarrierArrive, 7, 2, 1)
+	expectGrants(t, "completing sized arrival", g, ok, true,
+		Grant{Dst: 2, Op: wire.OpBarrierRelease, ID: 7, Size: 2, Seq: 23},
+		Grant{Dst: 0, Op: wire.OpBarrierRelease, ID: 7, Size: 2, Seq: 1})
 
-	g, ok = grants(t, s, 1, wire.OpBarrierRelease, 7, 0)
-	expect("a release served without a tree", g, ok, false)
-	g, ok = grants(t, s, 1, wire.OpLockGrant, 5, 0)
-	expect("an op that is no sync request", g, ok, false)
+	g, ok = grants(t, s, 1, wire.OpBarrierRelease, 7, 0, 0)
+	expectGrants(t, "a release served without a tree", g, ok, false)
+	g, ok = grants(t, s, 1, wire.OpLockGrant, 5, 0, 0)
+	expectGrants(t, "an op that is no sync request", g, ok, false)
+	for _, op := range []wire.Op{wire.OpLockAcquire, wire.OpBarrierArrive} {
+		g, ok = grants(t, s, 0, op, 8, 0, 0)
+		expectGrants(t, "an unnumbered "+op.String(), g, ok, false)
+	}
 
 	// Kernel 1 hosts no central manager.
 	s1 := NewSet(1, 3, false)
 	for _, op := range []wire.Op{wire.OpBarrierArrive, wire.OpLockAcquire, wire.OpLockRelease} {
-		g, ok = grants(t, s1, 0, op, 1, 0)
-		expect(op.String()+" at kernel 1", g, ok, false)
+		g, ok = grants(t, s1, 0, op, 1, 0, 1)
+		expectGrants(t, op.String()+" at kernel 1", g, ok, false)
+	}
+}
+
+// TestSetServeRetries: a retried wait (its Seq again) is absorbed while it is
+// open and answered again once it was, under its own Seq, and a Seq below the
+// source's last is a stale copy; none of them reaches a manager, so no
+// arrival is counted twice and no lock granted twice.
+func TestSetServeRetries(t *testing.T) {
+	s := NewSet(0, 2, false)
+	serve := func(src int, op wire.Op, id int32, seq uint64) ([]Grant, bool, bool) {
+		wake, dup, ok := s.Serve(src, op, id, 0, seq)
+		return append([]Grant(nil), wake...), dup, ok
+	}
+	expectDup := func(what string, got []Grant, dup, ok bool, want ...Grant) {
+		t.Helper()
+		if !dup {
+			t.Fatalf("%s: not taken for a duplicate", what)
+		}
+		expectGrants(t, what, got, ok, true, want...)
+	}
+	g, dup, ok := serve(1, wire.OpBarrierArrive, 4, 10)
+	expectGrants(t, "arrival", g, ok && !dup, true)
+	g, dup, ok = serve(1, wire.OpBarrierArrive, 4, 10)
+	expectDup("retry of an open arrival", g, dup, ok)
+	if len(s.barrier.arrived[4]) != 1 {
+		t.Fatalf("the retry was counted: %v", s.barrier.arrived[4])
+	}
+	g, _, ok = serve(0, wire.OpBarrierArrive, 4, 3)
+	release := []Grant{{Dst: 1, Op: wire.OpBarrierRelease, ID: 4, Seq: 10}, {Dst: 0, Op: wire.OpBarrierRelease, ID: 4, Seq: 3}}
+	expectGrants(t, "completing arrival", g, ok, true, release...)
+	g, dup, ok = serve(1, wire.OpBarrierArrive, 4, 10)
+	expectDup("retry of an answered arrival", g, dup, ok, release[0])
+	if len(s.barrier.arrived[4]) != 0 {
+		t.Fatalf("the retry opened the next epoch: %v", s.barrier.arrived[4])
+	}
+
+	g, dup, ok = serve(1, wire.OpLockAcquire, 2, 12)
+	expectGrants(t, "acquire", g, ok && !dup, true, Grant{Dst: 1, Op: wire.OpLockGrant, ID: 2, Seq: 12})
+	g, dup, ok = serve(1, wire.OpBarrierArrive, 4, 10)
+	expectDup("a copy of an older wait", g, dup, ok)
+	g, dup, ok = serve(0, wire.OpLockAcquire, 2, 5)
+	expectGrants(t, "queued acquire", g, ok && !dup, true)
+	g, dup, ok = serve(0, wire.OpLockAcquire, 2, 5)
+	expectDup("retry of a queued acquire", g, dup, ok)
+	if len(s.locks.waitq[2]) != 1 {
+		t.Fatalf("the retry was queued: %v", s.locks.waitq[2])
+	}
+	g, dup, ok = serve(1, wire.OpLockAcquire, 2, 12)
+	expectDup("retry of a granted acquire", g, dup, ok, Grant{Dst: 1, Op: wire.OpLockGrant, ID: 2, Seq: 12})
+	g, dup, ok = serve(1, wire.OpLockRelease, 2, 0)
+	expectGrants(t, "release", g, ok && !dup, true, Grant{Dst: 0, Op: wire.OpLockGrant, ID: 2, Seq: 5})
+	if _, l := s.Residue(); l != 1 {
+		t.Fatalf("lock residue = %d, want PE 0's hold", l)
 	}
 }
 
 // TestSetServeTree: kernel 1 of 6 (parent 0, children 3 and 4) combines its
 // subtree's arrivals into one to its parent, passes its parent's release down
-// and wakes its own application last; the root, complete, releases at once.
+// and answers its own application last, under the Seq of its arrival; the
+// root, complete, releases at once. What kernels send each other is
+// unnumbered.
 func TestSetServeTree(t *testing.T) {
 	s := NewSet(1, 6, true)
-	for _, src := range []int{3, 1} {
-		if g, ok := grants(t, s, src, wire.OpBarrierArrive, 9, 0); !ok || len(g) != 0 {
-			t.Fatalf("arrival of %d: %v, %v", src, g, ok)
+	for _, a := range []struct {
+		src int
+		seq uint64
+	}{{3, 0}, {1, 17}} {
+		if g, ok := grants(t, s, a.src, wire.OpBarrierArrive, 9, 0, a.seq); !ok || len(g) != 0 {
+			t.Fatalf("arrival of %d: %v, %v", a.src, g, ok)
 		}
 	}
-	if g, ok := grants(t, s, 5, wire.OpBarrierArrive, 9, 0); ok || len(g) != 0 {
+	if g, ok := grants(t, s, 5, wire.OpBarrierArrive, 9, 0, 0); ok || len(g) != 0 {
 		t.Fatalf("arrival of a non-child: %v, %v, want refused", g, ok)
 	}
-	if g, ok := grants(t, s, 3, wire.OpBarrierArrive, 9, 0); ok || len(g) != 0 {
+	if g, ok := grants(t, s, 3, wire.OpBarrierArrive, 9, 0, 0); ok || len(g) != 0 {
 		t.Fatalf("second arrival of child 3: %v, %v, want refused", g, ok)
 	}
-	g, ok := grants(t, s, 4, wire.OpBarrierArrive, 9, 0)
+	g, ok := grants(t, s, 4, wire.OpBarrierArrive, 9, 0, 0)
 	if !ok || len(g) != 1 || g[0] != (Grant{Dst: 0, Op: wire.OpBarrierArrive, ID: 9}) {
 		t.Fatalf("completing arrival: %v, %v, want one arrival to the parent", g, ok)
 	}
-	if g, ok := grants(t, s, 3, wire.OpBarrierRelease, 9, 0); ok || len(g) != 0 {
+	if g, ok := grants(t, s, 3, wire.OpBarrierRelease, 9, 0, 0); ok || len(g) != 0 {
 		t.Fatalf("release from a child: %v, %v, want refused", g, ok)
 	}
-	g, ok = grants(t, s, 0, wire.OpBarrierRelease, 9, 0)
-	want := []Grant{
-		{Dst: 3, Op: wire.OpBarrierRelease, ID: 9},
-		{Dst: 4, Op: wire.OpBarrierRelease, ID: 9},
-		{Dst: 1, Op: wire.OpBarrierRelease, ID: 9, Wake: true},
-	}
-	if !ok || len(g) != len(want) {
-		t.Fatalf("release from the parent: %v, %v, want %v", g, ok, want)
-	}
-	for i := range want {
-		if g[i] != want[i] {
-			t.Fatalf("release grant %d = %+v, want %+v", i, g[i], want[i])
-		}
-	}
+	g, ok = grants(t, s, 0, wire.OpBarrierRelease, 9, 0, 0)
+	expectGrants(t, "release from the parent", g, ok, true,
+		Grant{Dst: 3, Op: wire.OpBarrierRelease, ID: 9},
+		Grant{Dst: 4, Op: wire.OpBarrierRelease, ID: 9},
+		Grant{Dst: 1, Op: wire.OpBarrierRelease, ID: 9, Seq: 17})
 	// A sized arrival is central even beside a tree: refused here, where no
 	// central manager lives, not counted into the tree.
-	if g, ok := grants(t, s, 1, wire.OpBarrierArrive, 9, 2); ok || len(g) != 0 {
+	if g, ok := grants(t, s, 1, wire.OpBarrierArrive, 9, 2, 18); ok || len(g) != 0 {
 		t.Fatalf("sized arrival at kernel 1: %v, %v, want refused", g, ok)
+	}
+	// The own PE's arrival is a wait: unnumbered, it is refused.
+	if g, ok := grants(t, s, 1, wire.OpBarrierArrive, 9, 0, 0); ok || len(g) != 0 {
+		t.Fatalf("unnumbered arrival of the own PE: %v, %v, want refused", g, ok)
 	}
 
 	root := NewSet(0, 1, true) // a lone kernel: its own arrival completes the tree
-	g, ok = grants(t, root, 0, wire.OpBarrierArrive, 9, 0)
-	if !ok || len(g) != 1 || g[0] != (Grant{Dst: 0, Op: wire.OpBarrierRelease, ID: 9, Wake: true}) {
-		t.Fatalf("root completing: %v, %v, want the local wake", g, ok)
-	}
-	if g, ok := grants(t, root, 0, wire.OpBarrierRelease, 9, 0); ok || len(g) != 0 {
+	g, ok = grants(t, root, 0, wire.OpBarrierArrive, 9, 0, 3)
+	expectGrants(t, "root completing", g, ok, true, Grant{Dst: 0, Op: wire.OpBarrierRelease, ID: 9, Seq: 3})
+	if g, ok := grants(t, root, 0, wire.OpBarrierRelease, 9, 0, 0); ok || len(g) != 0 {
 		t.Fatalf("release at the root: %v, %v, want refused", g, ok)
 	}
 }
 
 // TestSetPurgeAndResidue: the set owns job teardown. Residue counts what a
-// job left behind, Purge drops exactly the job's id range, and a set without
-// central managers has nothing of either.
+// job left behind, Purge drops exactly the job's id range and closes the
+// waits about it, and a set without central managers has nothing of either.
 func TestSetPurgeAndResidue(t *testing.T) {
-	s := NewSet(0, 4, false)
-	for _, id := range []int32{10, 20} { // 10 is the job's, 20 somebody else's
-		s.Serve(1, wire.OpBarrierArrive, id, 3)
-		s.Serve(2, wire.OpBarrierArrive, id, 3)
-		s.Serve(1, wire.OpLockAcquire, id, 0)
-		s.Serve(2, wire.OpLockAcquire, id, 0)
+	s := NewSet(0, 8, false)
+	seq := uint64(0)
+	serve := func(src int, op wire.Op, id int32, size int64) ([]Grant, bool) {
+		seq++
+		wake, _, ok := s.Serve(src, op, id, size, seq)
+		return wake, ok
+	}
+	for i, id := range []int32{10, 20} { // 10 is the job's, 20 somebody else's
+		serve(1+2*i, wire.OpBarrierArrive, id, 3)
+		serve(2+2*i, wire.OpBarrierArrive, id, 3)
+		serve(5+i, wire.OpLockAcquire, id, 0)
+		serve(7*i, wire.OpLockAcquire, id, 0)
 	}
 	if b, l := s.Residue(); b != 4 || l != 4 {
 		t.Fatalf("residue = %d, %d, want 4, 4", b, l)
@@ -532,17 +598,22 @@ func TestSetPurgeAndResidue(t *testing.T) {
 		t.Fatalf("residue after the purge = %d, %d, want 2, 2", b, l)
 	}
 	// The next job finds the range clean: a fresh lock and a barrier epoch
-	// that needs all three arrivals again.
-	if g, ok := s.Serve(3, wire.OpLockAcquire, 10, 0); !ok || len(g) != 1 {
+	// that needs all three arrivals again, and PEs 0, 1 and 2, whose waits
+	// about it were open, may wait again.
+	if g, ok := serve(1, wire.OpLockAcquire, 10, 0); !ok || len(g) != 1 {
 		t.Fatalf("lock 10 after the purge: %v, %v, want granted", g, ok)
 	}
-	if g, ok := s.Serve(3, wire.OpBarrierArrive, 10, 3); !ok || len(g) != 0 {
+	if g, ok := serve(3, wire.OpBarrierArrive, 10, 3); ok {
+		t.Fatalf("barrier 10 from PE 3, whose wait about 20 is open: %v, %v, want refused", g, ok)
+	}
+	if g, ok := serve(2, wire.OpBarrierArrive, 10, 3); !ok || len(g) != 0 {
 		t.Fatalf("barrier 10 after the purge: %v, %v, want parked", g, ok)
 	}
 	// A completed epoch keeps its waiter list, emptied, for the id's next
 	// one: that is no residue, and a purge still drops the entry.
-	s.Serve(1, wire.OpBarrierArrive, 10, 3)
-	if g, ok := s.Serve(2, wire.OpBarrierArrive, 10, 3); !ok || len(g) != 3 {
+	serve(1, wire.OpLockRelease, 10, 0)
+	serve(1, wire.OpBarrierArrive, 10, 3)
+	if g, ok := serve(0, wire.OpBarrierArrive, 10, 3); !ok || len(g) != 3 {
 		t.Fatalf("barrier 10 completing: %v, %v, want three releases", g, ok)
 	}
 	if b, _ := s.Residue(); b != 2 {

@@ -328,10 +328,31 @@ func (s *Scheduler) Close() {
 	s.queue = nil
 }
 
-// idMsg and jobID encode and decode a control message: one job id.
+// idMsg and jobID encode and decode a control message: one job id. A
+// control message is input from another PE, so jobID decodes a payload that
+// is not one 8-byte id, or an id past int's range (which a 32-bit build would
+// narrow onto another job), as -1, which names no job.
 func idMsg(id int) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(id)) }
 
-func jobID(data []byte) int { return int(binary.LittleEndian.Uint64(data)) }
+func jobID(data []byte) int {
+	if len(data) != 8 || binary.LittleEndian.Uint64(data) > math.MaxInt {
+		return -1
+	}
+	return int(binary.LittleEndian.Uint64(data))
+}
+
+// running returns job id if it is running and in the state a control message
+// about it implies (want), and nil for anything else, which is dropped.
+func (s *Scheduler) running(id int, want func(j *Job) bool) *Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j := s.jobs[id]; j != nil && j.State == StateRunning && want(j) {
+		return j
+	}
+	return nil
+}
+
+func noneLeft(j *Job) bool { return j.pending == 0 }
 
 // Program is the SPMD body the resident cluster runs: PE 0 drives the
 // scheduler control loop, every other PE is a worker. It returns when the
@@ -377,7 +398,11 @@ func (s *Scheduler) run(pe *core.PE) error {
 			if !ok {
 				break
 			}
-			s.teardown(pe, jobID(data))
+			// A done implies that no member is pending: a torn or unknown
+			// id, or a second done for one job, is dropped.
+			if j := s.running(jobID(data), noneLeft); j != nil {
+				s.teardown(pe, j)
+			}
 		}
 		s.expireDeadlines()
 		for {
@@ -512,7 +537,7 @@ func (s *Scheduler) dispatch(pe *core.PE, j *Job) {
 		j.Err = fmt.Sprintf("open: %v", err)
 		j.failed = true
 		s.mu.Unlock()
-		s.teardown(pe, j.ID)
+		s.teardown(pe, j)
 		return
 	}
 	id := idMsg(j.ID)
@@ -521,14 +546,13 @@ func (s *Scheduler) dispatch(pe *core.PE, j *Job) {
 	}
 }
 
-// teardown closes job id at every kernel once its last member finished and
+// teardown closes job j at every kernel once its last member finished and
 // returns its PEs and slot to the pools. Its region goes back too, unless the
 // close failed: then some kernel may still hold the job's words, so the
 // region stays carved, no later job can read them, and the job fails with
 // the error. Runs on PE 0 with no lock held across the PE call.
-func (s *Scheduler) teardown(pe *core.PE, id int) {
+func (s *Scheduler) teardown(pe *core.PE, j *Job) {
 	s.mu.Lock()
-	j := s.jobs[id]
 	g := groupLocked(j)
 	s.mu.Unlock()
 
@@ -569,9 +593,11 @@ func (s *Scheduler) teardown(pe *core.PE, id int) {
 }
 
 // worker is the loop every PE other than 0 runs: wait for a job id, run
-// that job, repeat — until id 0. The wait has no bound: RecvMsg's would end
-// at the cluster's request timeout, and a worker may idle far longer.
+// that job, repeat — until id 0. A message that names no running job this
+// worker is a member of is dropped. The wait has no bound: RecvMsg's would
+// end at the cluster's request timeout, and a worker may idle far longer.
 func (s *Scheduler) worker(pe *core.PE) error {
+	member := func(j *Job) bool { return slices.Contains(j.Members, pe.ID()) }
 	for {
 		_, data, ok := pe.RecvMsgTimeout(ctlTag, math.MaxInt64)
 		if !ok {
@@ -581,18 +607,19 @@ func (s *Scheduler) worker(pe *core.PE) error {
 		if id == 0 {
 			return nil
 		}
-		s.runJob(pe, id)
+		if j := s.running(id, member); j != nil {
+			s.runJob(pe, j)
+		}
 	}
 }
 
-// runJob runs job id on this worker: begin the job's scope on the PE, run
+// runJob runs job j on this worker: begin the job's scope on the PE, run
 // the workload (recovering panics — quota exhaustion, namespace violations,
 // aborts — as job failure, like a group BeginJob refuses), drop the scope
 // and its local residue and fold the outcome into the job's record. The
 // last member to finish asks PE 0 for the teardown.
-func (s *Scheduler) runJob(pe *core.PE, id int) {
+func (s *Scheduler) runJob(pe *core.PE, j *Job) {
 	s.mu.Lock()
-	j := s.jobs[id]
 	g := groupLocked(j)
 	workload, size := j.Spec.Workload, j.Spec.Size
 	s.mu.Unlock()
@@ -632,7 +659,7 @@ func (s *Scheduler) runJob(pe *core.PE, id int) {
 	last := j.pending == 0
 	s.mu.Unlock()
 	if last {
-		pe.SendMsg(0, doneTag, idMsg(id))
+		pe.SendMsg(0, doneTag, idMsg(j.ID))
 	}
 }
 

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -429,7 +431,10 @@ func TestBadAssignmentFailsJob(t *testing.T) {
 	res, err := core.Run(s.CoreConfig(), func(pe *core.PE) error {
 		if pe.ID() == 1 {
 			for id := 1; id <= len(edits); id++ {
-				s.runJob(pe, id)
+				s.mu.Lock()
+				j := s.jobs[id]
+				s.mu.Unlock()
+				s.runJob(pe, j)
 			}
 			return nil
 		}
@@ -522,4 +527,58 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestForgedControlMessagesDropped injects the control messages no scheduler
+// sends into a resident cluster: to the control loop, a done with a torn id,
+// one naming no job, one past int's range and a second done for a job
+// already torn down; to a worker, the same three ids and a run for a job it
+// is no member of. Each used to panic a PE — reading past the payload, dereferencing
+// a nil job, freeing slot -1 — and each is dropped: the jobs around them
+// complete and the cluster stops cleanly.
+func TestForgedControlMessagesDropped(t *testing.T) {
+	s := NewScheduler(Config{Workers: 2, CapacityBlocks: 16})
+	first, err := s.Submit(JobSpec{Name: "first", PEs: 1, Workload: "touch", QuotaBlocks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn, unknown, past := []byte{1, 2, 3}, idMsg(999), binary.LittleEndian.AppendUint64(nil, math.MaxUint64)
+	firstDone := make(chan struct{})
+	injected := make(chan struct{})
+	c := &Cluster{sched: s, done: make(chan struct{})}
+	go func() {
+		defer close(c.done)
+		c.res, c.err = core.Run(s.CoreConfig(), func(pe *core.PE) error {
+			if pe.ID() == 2 {
+				// The first job runs on worker 1 meanwhile.
+				for _, m := range [][]byte{torn, unknown, past} {
+					pe.SendMsg(0, doneTag, m)
+					pe.SendMsg(2, ctlTag, m)
+				}
+				pe.SendMsg(2, ctlTag, idMsg(first)) // worker 2 is no member of it
+				<-firstDone
+				pe.SendMsg(0, doneTag, idMsg(first))
+				close(injected)
+			}
+			return s.Program(pe)
+		})
+	}()
+	if j := waitState(t, s, first, 30*time.Second); j.State != StateDone {
+		t.Fatalf("first job: state %q, error %q", j.State, j.Error)
+	}
+	close(firstDone)
+	<-injected
+	second, err := s.Submit(JobSpec{Name: "second", PEs: 2, Workload: "touch", QuotaBlocks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j := waitState(t, s, second, 30*time.Second); j.State != StateDone {
+		t.Fatalf("second job: state %q, error %q", j.State, j.Error)
+	}
+	if st := s.Stats(); st.Done != 2 || st.FreePEs != 2 || st.Running != 0 {
+		t.Errorf("stats: %d done, %d free PEs, %d running; want 2, 2 and 0", st.Done, st.FreePEs, st.Running)
+	}
+	if _, err := c.Stop(); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
 }
