@@ -27,7 +27,6 @@ import (
 	"repro/internal/apps/othello"
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/gmem"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -41,7 +40,6 @@ func main() {
 		transport = flag.String("transport", "simnet", "transport: simnet, inproc, tcp")
 		pes       = flag.Int("p", 4, "number of processors (DSE kernels)")
 		seed      = flag.Uint64("seed", 1, "simulation / workload seed")
-		caching   = flag.Bool("caching", false, "run every allocation in cached mode (the write-invalidate caching protocol)")
 		tree      = flag.Bool("tree-barrier", false, "use the tree barrier instead of the central one")
 		switched  = flag.Bool("switched", false, "switched Ethernet instead of the shared bus")
 		legacy    = flag.Bool("legacy", false, "model the old two-process DSE organisation")
@@ -74,9 +72,6 @@ func main() {
 		Switched:     *switched,
 		Legacy:       *legacy,
 		GMBlockWords: *blockW,
-	}
-	if *caching {
-		cfg.GMDefaultMode = gmem.ModeCached
 	}
 	if *tree {
 		cfg.Barrier = core.BarrierTree

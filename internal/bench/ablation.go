@@ -56,20 +56,20 @@ func tableApp(rounds int, update bool) app {
 	}
 }
 
-// AblationCaching compares the plain home-based DSM against the
-// write-invalidate caching protocol (the whole program in gmem.ModeCached) on
-// a read-mostly shared table: every PE repeatedly reads a table of shared
-// words that PE 0 occasionally updates. Caching turns the re-reads into local
-// hits.
-func AblationCaching(pl *platform.Platform, maxPE int, seed uint64) (*Figure, error) {
+// AblationLease compares the plain home-based DSM against read leases (the
+// whole program in gmem.ModeLease) on a read-mostly shared table: every PE
+// repeatedly reads a table of shared words that PE 0 occasionally updates.
+// A lease turns the re-reads of a block into local hits until the next
+// barrier drops it.
+func AblationLease(pl *platform.Platform, maxPE int, seed uint64) (*Figure, error) {
 	table := tableApp(12, true)
 	return sweep(&Figure{
 		ID:     "Ablation A1",
-		Title:  fmt.Sprintf("home-based DSM vs caching protocol (read-mostly table), %s", pl),
+		Title:  fmt.Sprintf("home-based DSM vs read leases (read-mostly table), %s", pl),
 		XLabel: "number of processors", YLabel: "execution time [s]",
 	}, maxPE, seconds,
 		variant{"home-based", core.Config{Platform: pl, Seed: seed, GMDefaultMode: gmem.ModeStrong}, table},
-		variant{"caching", core.Config{Platform: pl, Seed: seed, GMDefaultMode: gmem.ModeCached}, table})
+		variant{"lease", core.Config{Platform: pl, Seed: seed, GMDefaultMode: gmem.ModeLease}, table})
 }
 
 // AblationBarrier compares the central barrier manager against the
@@ -223,7 +223,7 @@ func Ablations(maxPE int, seed uint64) ([]*Figure, error) {
 	pl := platform.SparcSunOS
 	var figs []*Figure
 	for _, f := range []func() (*Figure, error){
-		func() (*Figure, error) { return AblationCaching(pl, maxPE, seed) },
+		func() (*Figure, error) { return AblationLease(pl, maxPE, seed) },
 		func() (*Figure, error) { return AblationBarrier(pl, maxPE, seed) },
 		func() (*Figure, error) { return AblationLoadModel(pl, maxPE, seed) },
 		func() (*Figure, error) { return AblationSharedVsMessage(pl, maxPE, seed) },

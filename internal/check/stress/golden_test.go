@@ -21,7 +21,12 @@ import (
 // violation kinds, messages, and evidence ordering. Both digests of
 // TestCheckerStrongGoldenClean were captured again when barrier waits became
 // requests of the engine and lossy runs began to cross the workload's
-// barriers; the report still reads consistent.
+// barriers; the report still reads consistent. Both goldens were captured
+// again when the write-invalidate cached tier was removed: until then the
+// clean row ran cached and the violating one convicted a home that
+// acknowledged writes without invalidating the cached copies; now the clean
+// row is the same lossy row uncached, and the violating one convicts a home
+// that acknowledges message-path writes without storing them.
 func reportDigest(rep *check.Report) string {
 	sum := sha256.Sum256([]byte(rep.String()))
 	return hex.EncodeToString(sum[:])
@@ -30,18 +35,18 @@ func reportDigest(rep *check.Report) string {
 func TestCheckerStrongGoldenClean(t *testing.T) {
 	res, err := stress.Run(stress.Options{
 		Seed: 42, NumPE: 4, OpsPerPE: 150,
-		Caching: true, Loss: 0.1, Jitter: 300 * sim.Microsecond,
+		Loss: 0.1, Jitter: 300 * sim.Microsecond,
 	})
 	if err != nil {
 		t.Fatalf("stress run: %v", err)
 	}
-	if got, want := res.History.Digest(), "ec04344b1da02b437cf95457f3d80d46255764eb3238ce39256408b19e84e066"; got != want {
+	if got, want := res.History.Digest(), "f14850e996429f68dc5fae7c4a27737cfb00138c7d9db8f94e5fb858251f5f09"; got != want {
 		t.Errorf("history digest drifted from seed recorder:\n got %s\nwant %s", got, want)
 	}
 	if !res.Report.OK() {
 		t.Fatalf("expected consistent history, got:\n%s", res.Report)
 	}
-	if got, want := reportDigest(res.Report), "eb5e941af5689189c739998d5ac543a2e4cb369e7161b7bb301f70585cbd2ee5"; got != want {
+	if got, want := reportDigest(res.Report), "3b706ccebc96009875b2ade4933711c396f0eda65c800ef405a08f7cfa777379"; got != want {
 		t.Errorf("report digest drifted from seed checker:\n got %s\nwant %s\nreport:\n%s", got, want, res.Report)
 	}
 }
@@ -49,9 +54,9 @@ func TestCheckerStrongGoldenClean(t *testing.T) {
 func TestCheckerStrongGoldenViolations(t *testing.T) {
 	wantGoldenViolations(t, stress.Options{
 		Seed: 3, NumPE: 4, OpsPerPE: 300,
-		Caching: true, Fault: core.FaultDropInvalidations,
-	}, "ab1270739a92b5bc24afb0c7f053555888fb08937c5460d479d1224523cc01f3",
-		5, "104c9f111291969d10d6d9819d3b519d54dade3440e580a95ad2eff80082e254")
+		Fault: core.FaultDropWrites,
+	}, "75b38675ee50f9770669bb62188827cd1ec031db7375b52d8841119ddd73a765",
+		16, "3ceb757f482664f6b17850059751598503d8b44bd0694dd1ed07f44782d9763a")
 }
 
 // The release and lease goldens pin the tier rules' verdicts on the rows
@@ -100,11 +105,10 @@ func wantGoldenViolations(t *testing.T, o stress.Options, history string, violat
 
 // The checker mirrors the tags gmem.Mode puts on history events as untyped
 // bytes to stay free of runtime imports; this pins the two enumerations
-// together. Cached words carry the strong tag: they promise the strong
-// contract and no history may tell them apart.
+// together.
 func TestModeTagsMirrorGmem(t *testing.T) {
 	if gmem.ModeStrong.Tag() != 0 || gmem.ModeRelease.Tag() != 1 || gmem.ModeLease.Tag() != 2 ||
-		gmem.ModeCached.Tag() != 0 || gmem.NumModes != 4 {
+		gmem.NumModes != 3 {
 		t.Fatalf("gmem.Mode tags moved; update the check package's mode tags to match")
 	}
 }
@@ -115,24 +119,21 @@ func TestModeTagsMirrorGmem(t *testing.T) {
 // test, not a claim: the digest covers every recorded event's kind, address,
 // arguments, result, flags, mode tag and virtual-time interval, and virtual
 // time moves with every message, local-access charge and retry.
-// mixed-tiers-caching was captured again when caching became the fourth
-// per-allocation mode (its release and lease regions stopped being cached as
-// well), caching-onesided-mixed-tiers for the first time then. The five lossy
-// and kill rows were captured again when range operations began to retry
-// (PR 19): until then the workload replaced every block, gather and scatter
-// with a scalar under a fault schedule; the engine change itself had left all
-// of them bit-identical. (TestCheckerStrongGoldenClean is lossy and cached,
-// the one combination that keeps the scalar stand-ins: stress.lossyCached.)
-// The one-sided rows here and in TestLadderGoldenPrograms, but for
-// caching-onesided-mixed-tiers (whose atomics are cached-mode words), were
-// captured again when fetch-add and CAS to a co-located home began to apply
-// in place instead of as simulated messages; all of them, and
-// caching-onesided-mixed-tiers with them, once more when block reads, block
-// writes, gathers and scatters to a co-located home did the same. The three
-// loss-retry rows were captured again when barrier waits became requests of
-// the engine, retransmitted like any other, and the workload began to cross
-// its barriers wherever no kill is scheduled; with the old barrier schedule
-// the engine change left them bit-identical.
+// The five lossy and kill rows were captured again when range operations
+// began to retry (PR 19): until then the workload replaced every block,
+// gather and scatter with a scalar under a fault schedule; the engine change
+// itself had left all of them bit-identical. The one-sided rows here and in
+// TestLadderGoldenPrograms were captured again when fetch-add and CAS to a
+// co-located home began to apply in place instead of as simulated messages;
+// all of them once more when block reads, block writes, gathers and scatters
+// to a co-located home did the same. The three loss-retry rows were captured
+// again when barrier waits became requests of the engine, retransmitted like
+// any other, and the workload began to cross its barriers wherever no kill is
+// scheduled; with the old barrier schedule the engine change left them
+// bit-identical. The three churn-migrate rows were captured again when the
+// block encoding lost its cached-tier count word: each migration frame is 8
+// bytes a block shorter, and with the count padded back they replay
+// bit-identically.
 var ladderGoldens = []struct {
 	name string
 	o    stress.Options
@@ -140,9 +141,6 @@ var ladderGoldens = []struct {
 }{
 	{"strong-message", stress.Options{Seed: 21, NumPE: 4, OpsPerPE: 300}, "0fb833e71707cce9f8fe1e234b444972b1695852ccad531c9be17b072de3a397"},
 	{"mixed-tiers", stress.Options{Seed: 7, NumPE: 4, OpsPerPE: 400, Modes: true, LeaseDuration: 100 * sim.Microsecond}, "60ce4cacd9db4c82980362b80e4cba864f1222f9876eb2663e0e6433a62bb6c4"},
-	{"mixed-tiers-caching", stress.Options{Seed: 8, NumPE: 4, OpsPerPE: 300, Modes: true, Caching: true}, "2b9e15e785ca6f9de8ef71312cb30c627518116d827ab6ba976480497330c1af"},
-	{"caching-fault-free", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, Caching: true}, "e924f6d44305681474279d8546e35bd2087111dde0cd033a5667c7bc2300c0e7"},
-	{"caching-onesided-mixed-tiers", stress.Options{Seed: 12, NumPE: 4, OpsPerPE: 300, Caching: true, Modes: true, DirectReads: 1}, "bfd89e9d4f60760ec41cb508966cdfbd6b9e5eca6a5f9a4f3845bc50a61815ba"},
 	{"onesided", stress.Options{Seed: 9, NumPE: 4, OpsPerPE: 300, DirectReads: 1}, "8f194534598ccefa5eb520731d4147d768c2293d91a3720e3998f4afa6403f8b"},
 	{"onesided-mixed-tiers", stress.Options{Seed: 10, NumPE: 4, OpsPerPE: 300, DirectReads: 1, Modes: true}, "f571e7041165dee930b13e80c0dbf58cf4521ba03579eaea94e154da000d1203"},
 	{"loss-retry", stress.Options{Seed: 42, NumPE: 4, OpsPerPE: 200, Loss: 0.1, Jitter: 300 * sim.Microsecond}, "2e3f0c23921e8132225fb31b225b740f26847d70e9f9cd613cf2501595a823d4"},
@@ -150,9 +148,9 @@ var ladderGoldens = []struct {
 	{"loss-retry-mixed-tiers", stress.Options{Seed: 43, NumPE: 4, OpsPerPE: 200, Loss: 0.1, Modes: true}, "9931c291e302e67988e95cf44d47b37b6eddd93c6bb4e85e9fa53c426e6019c2"},
 	{"kill", stress.Options{Seed: 11, NumPE: 4, OpsPerPE: 200, Loss: 0.02, Modes: true, KillPE: 2, KillAt: 2 * sim.Second}, "143c9fb420252af853a776872505f3612dd8e5f3f2aa3aef02d526e3fc9050d0"},
 	{"kill-onesided", stress.Options{Seed: 13, NumPE: 4, OpsPerPE: 150, Loss: 0.02, KillPE: 2, KillAt: 100 * sim.Millisecond, DirectReads: 1}, "d6eb66fad2dc87cd7b81725a40509290373ad3ffcb2324902507f677452437f3"},
-	{"churn-migrate", stress.Options{Seed: 3, NumPE: 5, OpsPerPE: 200, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 30}, "860746dcb4113b8919e36749d09cc82fa70b755edb4c5006114009f539432bed"},
-	{"churn-migrate-mixed-tiers", stress.Options{Seed: 4, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 30}, "2283588e47275bd93a16e1d1efa608bbb7426b9e58bb461da54f709a832706dd"},
-	{"churn-migrate-onesided", stress.Options{Seed: 5, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 20, DirectReads: 1}, "7b27fc2e1faa73103b789968503594d6aa18633d04645d27ae458d987860e734"},
+	{"churn-migrate", stress.Options{Seed: 3, NumPE: 5, OpsPerPE: 200, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 30}, "6167eed2f0acc65650d43c4551bb1b7b7fbc4ef2a52415ad4fd30612d1670e98"},
+	{"churn-migrate-mixed-tiers", stress.Options{Seed: 4, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 30}, "61e8621aa6efdda2be3a229fa44a006a44abf359ebcc4e2c5a2f26675a077428"},
+	{"churn-migrate-onesided", stress.Options{Seed: 5, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 20, DirectReads: 1}, "b0d5a427d924ce99b4b15de2b7b0d0357f1948c3e0191146aed96ddfcb3f09b3"},
 }
 
 func TestLadderGoldenDigests(t *testing.T) {

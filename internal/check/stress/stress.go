@@ -47,13 +47,10 @@ const (
 // the deterministic replay: same Options, same history.
 type Options struct {
 	Seed     uint64
-	NumPE    int // 2..8
-	OpsPerPE int // operations issued per PE
-	// Caching makes gmem.ModeCached the default mode: data, counters, CAS
-	// chains and lock words are cached, the Modes regions keep their tiers.
-	Caching bool
-	Loss    float64      // frame-loss probability on the simulated medium
-	Jitter  sim.Duration // per-frame receive-side delay jitter, 0 = off
+	NumPE    int          // 2..8
+	OpsPerPE int          // operations issued per PE
+	Loss     float64      // frame-loss probability on the simulated medium
+	Jitter   sim.Duration // per-frame receive-side delay jitter, 0 = off
 	// KillPE > 0 schedules that PE's network station to die at KillAt
 	// (never PE 0 — kernel 0 hosts the sync managers and process table).
 	// The victim PE winds down shortly before the kill so its exit message
@@ -62,8 +59,8 @@ type Options struct {
 	KillPE int
 	KillAt sim.Duration
 	// Fault passes through the kernel's TEST-ONLY protocol fault
-	// (core.Config.Fault): invalidations dropped, release flushes skipped or
-	// lease expiry ignored. A run with one set must produce checker
+	// (core.Config.Fault): message-path writes dropped, release flushes
+	// skipped or lease expiry ignored. A run with one set must produce checker
 	// violations; the harness tests use it to prove the checker catches the
 	// broken protocol.
 	Fault core.Fault
@@ -88,7 +85,7 @@ type Options struct {
 	// replay deterministically like all others.
 	DirectReads int
 
-	// Membership schedule (incompatible with Caching and with Recover).
+	// Membership schedule (incompatible with Recover).
 	// Latent provisions that many PEs at the tail of the id range as latent
 	// members — clients that own no global memory — and each joins live at
 	// op index JoinAtOp + 32*k (k-th latent PE), taking over its probe-rule
@@ -125,8 +122,8 @@ type Options struct {
 const migratorPE = 1
 
 func (o Options) String() string {
-	s := fmt.Sprintf("seed=%d pe=%d ops=%d caching=%v loss=%g jitter=%v kill=%d@%v",
-		o.Seed, o.NumPE, o.OpsPerPE, o.Caching, o.Loss, o.Jitter, o.KillPE, o.KillAt)
+	s := fmt.Sprintf("seed=%d pe=%d ops=%d loss=%g jitter=%v kill=%d@%v",
+		o.Seed, o.NumPE, o.OpsPerPE, o.Loss, o.Jitter, o.KillPE, o.KillAt)
 	if o.Recover {
 		s += fmt.Sprintf(" recover(every=%d)", o.CkptEvery)
 	}
@@ -163,15 +160,6 @@ func (o Options) membership() bool {
 // out locks: an unlock is a one-way post, and a lost one keeps its lock held.
 func (o Options) faulty() bool { return o.Loss > 0 || o.KillAt > 0 }
 
-// lossyCached reports whether cached-mode words meet frame loss. Those rows
-// keep scalar stand-ins for the block, gather and scatter legs: a write that
-// overlaps an invalidation round whose OpInvalidate was lost is acknowledged
-// while the round's holder still reads its copy (DESIGN.md §14 "Known holes"),
-// which the checker convicts on most seeds whatever the workload — the rows
-// pass at the suite's seed as pinned schedules, and moving them is the job of
-// the change that closes the hole.
-func (o Options) lossyCached() bool { return o.Loss > 0 && o.Caching }
-
 // Result is one stress run's outcome.
 type Result struct {
 	Report  *check.Report
@@ -202,9 +190,6 @@ func Run(o Options) (*Result, error) {
 		o.OpsPerPE = 200
 	}
 	if o.membership() {
-		if o.Caching {
-			return nil, fmt.Errorf("stress: membership schedules cannot combine with cached-mode regions")
-		}
 		if o.Recover {
 			return nil, fmt.Errorf("stress: membership schedules cannot combine with Recover")
 		}
@@ -240,9 +225,6 @@ func Run(o Options) (*Result, error) {
 		DirectReads:     o.DirectReads,
 		LatentPEs:       o.Latent,
 		LeaseDuration:   o.LeaseDuration,
-	}
-	if o.Caching {
-		cfg.GMDefaultMode = gmem.ModeCached
 	}
 	if o.faulty() {
 		cfg.RequestTimeout = 50 * sim.Millisecond
@@ -607,12 +589,11 @@ func (w *worker) note(err error) {
 
 func (w *worker) step(i int) {
 	pe, rng := w.pe, w.rng
-	// Two legs have a scalar stand-in, drawn from the same slot of the mix: the
-	// lock leg under any fault schedule (an unlock is a one-way post),
-	// and the range legs where cached words meet frame loss (lossyCached).
-	faulty, lossyCached := w.o.faulty(), w.o.lossyCached()
+	// The lock leg has a stand-in under any fault schedule, drawn from the
+	// same slot of the mix: an unlock is a one-way post.
+	faulty := w.o.faulty()
 	switch p := rng.Intn(100); {
-	case p < 25, lossyCached && p >= 75 && p < 85: // scalar read
+	case p < 25: // scalar read
 		base, nw := w.region()
 		a := base + uint64(rng.Intn(nw))
 		if w.skip(a) {
@@ -621,7 +602,7 @@ func (w *worker) step(i int) {
 		if _, err := pe.GMReadErr(a); err != nil {
 			w.note(err)
 		}
-	case p < 50, lossyCached && p >= 85 && p < 95: // scalar write
+	case p < 50: // scalar write
 		base, nw := w.region()
 		a := base + uint64(rng.Intn(nw))
 		if w.skip(a) {

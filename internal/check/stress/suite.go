@@ -58,28 +58,26 @@ func Suite(name string, seed uint64) []Case {
 	panic("stress: no suite " + name)
 }
 
-// stressSuite is the consistency matrix: PEs x loss x caching under delay
-// jitter, then the kill, in-place, one-sided and mixed-tier legs.
+// stressSuite is the consistency matrix: PEs x loss under delay jitter, then
+// the kill, in-place, one-sided and mixed-tier legs.
 func stressSuite(seed uint64) []Case {
 	const ops = 1000
 	kill := Options{Seed: seed, NumPE: 4, OpsPerPE: ops, Loss: 0.02, KillPE: 2, KillAt: 2 * sim.Second}
-	lossyCaching := Options{Seed: seed, NumPE: 4, OpsPerPE: ops, Caching: true, Loss: 0.15, Jitter: 200 * sim.Microsecond}
+	lossy := Options{Seed: seed, NumPE: 4, OpsPerPE: ops, Loss: 0.15, Jitter: 200 * sim.Microsecond}
 
 	var rows []Options
 	for _, np := range []int{2, 4, 8} {
 		for _, loss := range []float64{0, 0.05, 0.15} {
-			for _, caching := range []bool{false, true} {
-				rows = append(rows, Options{
-					Seed: seed, NumPE: np, OpsPerPE: ops,
-					Caching: caching, Loss: loss, Jitter: 200 * sim.Microsecond,
-				})
-			}
+			rows = append(rows, Options{
+				Seed: seed, NumPE: np, OpsPerPE: ops,
+				Loss: loss, Jitter: 200 * sim.Microsecond,
+			})
 		}
 	}
 	rows = append(rows, kill)
-	// The harshest lossy-caching corner and the kill again with the paths in
-	// place on: the cached words still travel, the others do not.
-	for _, o := range []Options{lossyCaching, kill} {
+	// The harshest lossy corner and the kill again with the paths in place
+	// on: what the loss drops is only what still travels.
+	for _, o := range []Options{lossy, kill} {
 		o.DirectReads = 1
 		rows = append(rows, o)
 	}
@@ -92,16 +90,14 @@ func stressSuite(seed uint64) []Case {
 	rows = append(rows, a, b)
 	// Mixed consistency tiers — strong, release and lease allocations in one
 	// run, checked by the per-mode rules: fault-free, through the lossy
-	// caching corner, over the one-sided paths, and with a station kill
-	// discarding unflushed WC words and stranding held leases. The last row
-	// has all four modes with the one-sided paths on: cached words run the
-	// write-invalidate protocol beside words read and written one-sidedly.
+	// corner, over the one-sided paths lossy and fault-free, and with a
+	// station kill discarding unflushed WC words and stranding held leases.
 	modes := Options{Seed: seed, NumPE: 4, OpsPerPE: ops, Modes: true}
-	a, b, c := lossyCaching, modes, kill
+	a, b, c := lossy, modes, kill
 	a.Modes, c.Modes = true, true
 	b.DirectReads, b.Loss = 1, 0.05
 	d := b
-	d.Caching, d.Loss = true, 0
+	d.Loss = 0
 	rows = append(rows, modes, a, b, c, d)
 
 	cases := make([]Case, len(rows))
@@ -119,7 +115,7 @@ func recoverSuite(seed uint64) []Case {
 	return []Case{
 		{MustRecover: true, Options: Options{Seed: seed, NumPE: 4, OpsPerPE: ops,
 			Recover: true, CkptEvery: 32, KillPE: 2, KillAt: killAt}},
-		{MustRecover: true, Options: Options{Seed: seed + 1, NumPE: 4, OpsPerPE: ops, Caching: true,
+		{MustRecover: true, Options: Options{Seed: seed + 1, NumPE: 4, OpsPerPE: ops,
 			Recover: true, CkptEvery: 32, KillPE: 1, KillAt: killAt}},
 		// 8 PEs pace slower per op: give the first checkpoint room to commit
 		// before the kill lands.

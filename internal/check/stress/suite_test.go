@@ -9,17 +9,17 @@ import (
 )
 
 // TestCaseVerifyHasTeeth proves the sweep rows' gates can fail: a row over
-// a deliberately broken protocol fails on its violations — cluster-wide
-// cached, and with the cached words beside one-sided traffic — and a
-// membership row whose schedule never fires fails on the event gate although
-// its history is clean.
+// a deliberately broken protocol fails on its violations — all words strong,
+// and strong words beside the release and lease tiers — and a membership row
+// whose schedule never fires fails on the event gate although its history is
+// clean.
 func TestCaseVerifyHasTeeth(t *testing.T) {
 	for _, o := range []stress.Options{
-		{Seed: 3, NumPE: 4, OpsPerPE: 300, Caching: true},
-		{Seed: 12, NumPE: 4, OpsPerPE: 300, Caching: true, Modes: true, DirectReads: 1},
+		{Seed: 3, NumPE: 4, OpsPerPE: 300},
+		{Seed: 12, NumPE: 4, OpsPerPE: 300, Modes: true},
 	} {
-		o.Fault = core.FaultDropInvalidations
-		if !strings.Contains(o.String(), "fault=drop-invalidations") {
+		o.Fault = core.FaultDropWrites
+		if !strings.Contains(o.String(), "fault=drop-writes") {
 			t.Errorf("faulted row prints as %q, like a clean one", o)
 		}
 		res, err := stress.Run(o)
@@ -27,7 +27,7 @@ func TestCaseVerifyHasTeeth(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := (stress.Case{Options: o}).Verify(res); err == nil || !strings.Contains(err.Error(), "violations") {
-			t.Errorf("row with invalidations dropped (%v): Verify = %v, want a violations failure", o, err)
+			t.Errorf("row with writes dropped (%v): Verify = %v, want a violations failure", o, err)
 		}
 	}
 

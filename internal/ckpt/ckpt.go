@@ -5,7 +5,7 @@
 // A checkpoint generation is one coordinated snapshot of the whole cluster,
 // taken at a quiesce barrier: one slice per PE, each slice carrying the PE's
 // application progress (epoch counter plus a user-supplied state blob) and
-// its kernel's slice of global memory with the coherence directory. Slices
+// its kernel's slice of global memory with its membership directory. Slices
 // are written first, then the generation is committed atomically; a
 // generation without its commit marker never existed as far as recovery is
 // concerned, which is what makes a crash during checkpointing harmless.
@@ -42,7 +42,7 @@ type Slice struct {
 	Epoch    uint64   // checkpoint epoch (== generation number)
 	MarkTime sim.Time // kernel clock when the mark was served
 	App      []byte   // user state blob from pe.RegisterCheckpoint's save
-	Kernel   []byte   // EncodeKernelState: GM blocks + coherence directory
+	Kernel   []byte   // EncodeKernelState(Dir): GM blocks + membership directory
 }
 
 // Store is the pluggable snapshot backend. WriteSlice writes one PE's slice
@@ -104,7 +104,7 @@ func DecodeSlice(data []byte) (Slice, error) {
 func EncodeKernelState(blockWords int, blocks []gmem.BlockSnapshot) []byte {
 	n := 16
 	for _, b := range blocks {
-		n += 16 + 8*len(b.Words) + 8*len(b.Copyset)
+		n += 8 + 8*len(b.Words)
 	}
 	buf := make([]byte, 0, n)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(blockWords))
@@ -115,16 +115,12 @@ func EncodeKernelState(blockWords int, blocks []gmem.BlockSnapshot) []byte {
 	return buf
 }
 
-// appendBlock encodes one block: index, words, copyset size, copyset. The
-// block list and every escrow entry of the V2 trailer use it.
+// appendBlock encodes one block: index, then words. The block list and every
+// escrow entry of the V2 trailer use it.
 func appendBlock(buf []byte, b gmem.BlockSnapshot) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, b.Index)
 	for _, w := range b.Words {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(b.Copyset)))
-	for _, k := range b.Copyset {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
 	}
 	return buf
 }
@@ -201,9 +197,6 @@ func (d *decoder) block(bw int) (b gmem.BlockSnapshot) {
 	b.Words = make([]int64, bw)
 	for w := range b.Words {
 		b.Words[w] = int64(d.u64())
-	}
-	for c, nc := uint64(0), d.count("copyset size"); c < nc && d.err == nil; c++ {
-		b.Copyset = append(b.Copyset, d.id("copyset kernel"))
 	}
 	return b
 }

@@ -22,8 +22,8 @@ func testSlice(pe int) Slice {
 		MarkTime: sim.Time(42_000_000),
 		App:      []byte(fmt.Sprintf("app-state-pe%d", pe)),
 		Kernel: EncodeKernelState(8, []gmem.BlockSnapshot{
-			{Index: uint64(pe * 4), Words: []int64{1, -2, 3, 0, 5, 6, 7, 8}, Copyset: []int{0, 2}},
-			{Index: uint64(pe*4 + 2), Words: []int64{9, 10, 11, 12, 13, 14, 15, 16}, Copyset: nil},
+			{Index: uint64(pe * 4), Words: []int64{1, -2, 3, 0, 5, 6, 7, 8}},
+			{Index: uint64(pe*4 + 2), Words: []int64{9, 10, 11, 12, 13, 14, 15, 16}},
 		}),
 	}
 }
@@ -47,10 +47,10 @@ func TestSliceRoundTrip(t *testing.T) {
 	if bw != 8 || len(blocks) != 2 || dir != nil {
 		t.Fatalf("got blockWords=%d blocks=%d dir=%v, want 8/2/nil", bw, len(blocks), dir)
 	}
-	if blocks[0].Index != 4 || blocks[0].Words[1] != -2 || len(blocks[0].Copyset) != 2 {
+	if blocks[0].Index != 4 || blocks[0].Words[1] != -2 {
 		t.Fatalf("block 0 mismatch: %+v", blocks[0])
 	}
-	if blocks[1].Index != 6 || blocks[1].Words[7] != 16 || blocks[1].Copyset != nil {
+	if blocks[1].Index != 6 || blocks[1].Words[7] != 16 {
 		t.Fatalf("block 1 mismatch: %+v", blocks[1])
 	}
 }
@@ -90,8 +90,8 @@ func TestDecodeRejectsRepeatedBlock(t *testing.T) {
 
 // TestDecodeRejectsImplausible: a slice with bytes past its kernel state, a
 // kernel state with bytes past its directory trailer or a member state gmem
-// does not define, and a copyset kernel or escrow destination no 32-bit int
-// holds, are refused rather than ignored or narrowed to another value.
+// does not define, and an escrow destination no 32-bit int holds, are
+// refused rather than ignored or narrowed to another value.
 func TestDecodeRejectsImplausible(t *testing.T) {
 	if _, err := DecodeSlice(append(EncodeSlice(testSlice(0)), 0)); err == nil {
 		t.Error("DecodeSlice accepted a trailing byte")
@@ -102,17 +102,10 @@ func TestDecodeRejectsImplausible(t *testing.T) {
 	if _, _, _, err := DecodeKernelStateDir(EncodeKernelStateDir(2, nil, &DirectorySnapshot{Members: []MemberSnapshot{{State: 257}}})); err == nil {
 		t.Error("DecodeKernelStateDir accepted member state 257, which a gmem.MemberState narrows to 1")
 	}
-	blk := gmem.BlockSnapshot{Index: 1, Words: make([]int64, 2), Copyset: []int{0}}
-	copyset := EncodeKernelState(2, []gmem.BlockSnapshot{blk})
 	escrow := EncodeKernelStateDir(2, nil, &DirectorySnapshot{Escrow: []EscrowSnapshot{{Block: gmem.BlockSnapshot{Index: 1, Words: make([]int64, 2)}}}})
 	for _, id := range []uint64{1<<32 + 1, 1<<64 - 1} {
-		data := bytes.Clone(copyset)
-		binary.LittleEndian.PutUint64(data[len(data)-8:], id)
-		if _, _, _, err := DecodeKernelStateDir(data); err == nil {
-			t.Errorf("copyset kernel %d accepted", id)
-		}
-		data = bytes.Clone(escrow)
-		binary.LittleEndian.PutUint64(data[len(data)-40:], id)
+		data := bytes.Clone(escrow)
+		binary.LittleEndian.PutUint64(data[len(data)-32:], id)
 		if _, _, _, err := DecodeKernelStateDir(data); err == nil {
 			t.Errorf("escrow destination %d accepted", id)
 		}
@@ -125,7 +118,7 @@ func TestDecodeRejectsImplausible(t *testing.T) {
 // the snapshot.
 func TestKernelStateDirBytes(t *testing.T) {
 	blocks := []gmem.BlockSnapshot{
-		{Index: 3, Words: []int64{1, -2}, Copyset: []int{0, 2}},
+		{Index: 3, Words: []int64{1, -2}},
 		{Index: 5, Words: []int64{7, 1 << 40}},
 	}
 	dir := &DirectorySnapshot{
@@ -133,19 +126,18 @@ func TestKernelStateDirBytes(t *testing.T) {
 		Members:   []MemberSnapshot{{State: 1, Gen: 2}, {State: 2, Gen: 3}, {State: 1, Gen: 0}},
 		Overrides: [][2]uint64{{5, 1}},
 		Escrow: []EscrowSnapshot{
-			{Dst: 2, Block: gmem.BlockSnapshot{Index: 8, Words: []int64{-1, 9}, Copyset: []int{1}}},
+			{Dst: 2, Block: gmem.BlockSnapshot{Index: 8, Words: []int64{-1, 9}}},
 			{Dst: 0, Block: gmem.BlockSnapshot{Index: 11, Words: []int64{0, 3}}},
 		},
 	}
 	const want = "0200000000000000020000000000000003000000000000000100000000000000" +
-		"feffffffffffffff0200000000000000000000000000000002000000000000000500000000000000" +
-		"0700000000000000000000000001000000000000000000004453454449523200" +
-		"0400000000000000030000000000000001000000000000000200000000000000" +
-		"0200000000000000030000000000000001000000000000000000000000000000" +
-		"0100000000000000050000000000000001000000000000000200000000000000" +
-		"02000000000000000800000000000000ffffffffffffffff0900000000000000" +
-		"0100000000000000010000000000000000000000000000000b00000000000000" +
-		"000000000000000003000000000000000000000000000000"
+		"feffffffffffffff050000000000000007000000000000000000000000010000" +
+		"4453454449523200040000000000000003000000000000000100000000000000" +
+		"0200000000000000020000000000000003000000000000000100000000000000" +
+		"0000000000000000010000000000000005000000000000000100000000000000" +
+		"020000000000000002000000000000000800000000000000ffffffffffffffff" +
+		"090000000000000000000000000000000b000000000000000000000000000000" +
+		"0300000000000000"
 	got := EncodeKernelStateDir(2, blocks, dir)
 	if hex.EncodeToString(got) != want {
 		t.Fatalf("encoding changed:\n got %x\nwant %s", got, want)

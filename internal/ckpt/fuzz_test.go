@@ -23,7 +23,7 @@ const (
 // payload, which travels unframed.
 func snapshotSeeds() map[string][]byte {
 	blocks := []gmem.BlockSnapshot{
-		{Index: 0, Words: []int64{1, -2, 3, 0}, Copyset: []int{1, 2}},
+		{Index: 0, Words: []int64{1, -2, 3, 0}},
 		{Index: 3, Words: []int64{5, 6, 7, 1 << 40}},
 	}
 	static := Slice{Epoch: 4, MarkTime: 1_500_000, App: []byte("app"), Kernel: EncodeKernelStateDir(4, blocks, nil)}
@@ -31,7 +31,7 @@ func snapshotSeeds() map[string][]byte {
 		Epoch:     3,
 		Members:   []MemberSnapshot{{State: 0, Gen: 1}, {State: 2, Gen: 3}, {State: 1}},
 		Overrides: [][2]uint64{{3, 0}, {7, 2}},
-		Escrow:    []EscrowSnapshot{{Dst: 2, Block: gmem.BlockSnapshot{Index: 7, Words: []int64{9, 8, 7, 6}, Copyset: []int{0}}}},
+		Escrow:    []EscrowSnapshot{{Dst: 2, Block: gmem.BlockSnapshot{Index: 7, Words: []int64{9, 8, 7, 6}}}},
 	}
 	elastic := Slice{Epoch: 5, MarkTime: 2_000_000, Kernel: EncodeKernelStateDir(4, blocks, dir)}
 	return map[string][]byte{

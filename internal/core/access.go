@@ -15,10 +15,10 @@ import (
 // through one of two executors: wordOp (word.go) for scalar read, write,
 // fetch-add and CAS, rangeOp (ranges.go) for block, gather, scatter and the
 // write-combining flush. This file holds the pieces both executors call, each
-// written once: the consistency tiers (write-combining buffer, leases,
-// write-invalidate cache) and the admission rule of the path in place. The
-// word's mode, looked up at the mode step, is the only selector of its tier.
-// A rule that must hold for every access has one place to go.
+// written once: the consistency tiers (write-combining buffer, leases) and
+// the admission rule of the path in place. The word's mode, looked up at the
+// mode step, is the only selector of its tier. A rule that must hold for
+// every access has one place to go.
 //
 // Record: with Config.RecordHistory every access is recorded the same way
 // through pe.hist (nil, and every call a no-op, with recording off): one
@@ -29,15 +29,11 @@ import (
 // --- Path: in place (a home whose segment lives in this address space) ---
 
 // inPlace is the path step's admission rule: it returns the segment of home,
-// the live directory's answer for the n words at addr in mode, if this PE may
-// access them there in place, else nil. One rule for the own kernel and a
+// the live directory's answer for the n words at addr, if this PE may access
+// them there in place, else nil. One rule for the own kernel and a
 // co-located peer (Kernel.peers):
 //   - the home is alive: a dead one is left to the message path, which
 //     produces peer-down;
-//   - the word is not cached, except for a read at the own home: only the
-//     home's request service may change a word other PEs hold copies of (even
-//     at the own kernel, via the own-node message path), and a peer's cached
-//     word is read by a block fetch that joins its copyset;
 //   - at a peer, the paths in place are on (Config.DirectReads);
 //   - the home's namespace binding for this PE admits the words: the message
 //     path's nsDeny answers one it does not with OpNsNack, so a forged
@@ -45,11 +41,10 @@ import (
 //
 // Ownership is the segment's to check, inside the access. Nothing in place
 // retries, so nothing needs a Seq or a dedup record (DESIGN.md §12).
-func (pe *PE) inPlace(home int, mode gmem.Mode, mutates bool, addr uint64, n int) *gmem.Segment {
+func (pe *PE) inPlace(home int, addr uint64, n int) *gmem.Segment {
 	k := pe.k
 	p := &k.peers[home]
-	if p.seg == nil || mode == gmem.ModeCached && (mutates || home != k.id) ||
-		p.dead.Load() || !p.ns.Admits(k.id, addr, n) {
+	if p.seg == nil || p.dead.Load() || !p.ns.Admits(k.id, addr, n) {
 		return nil
 	}
 	return p.seg
@@ -62,8 +57,8 @@ func (pe *PE) inPlace(home int, mode gmem.Mode, mutates bool, addr uint64, n int
 // served; the rest takes the message path to the home the directory names
 // now. A run served at a peer counts as remote, and as a direct read or a
 // store in place.
-func (pe *PE) runInPlace(home int, l gmem.Loc, mode gmem.Mode, write bool, addr uint64, run []int64) (n int) {
-	seg := pe.inPlace(home, mode, write, addr, len(run))
+func (pe *PE) runInPlace(home int, l gmem.Loc, write bool, addr uint64, run []int64) (n int) {
+	seg := pe.inPlace(home, addr, len(run))
 	if seg == nil {
 		return 0
 	}
@@ -91,22 +86,6 @@ func (pe *PE) chargeLocal() {
 	pe.app.LocalAccess()
 	pe.extra.LocalGM++
 }
-
-// --- Tier: write-invalidate cache (ModeCached, DESIGN.md §14) ---
-
-// cacheFill installs the whole block a cached-mode read reply carries (the
-// fetch registered this PE in the home's copyset) and returns addr's word.
-func (pe *PE) cacheFill(addr uint64, resp *wire.Message) int64 {
-	pe.words = resp.WordsInto(pe.words)
-	pe.k.cache.Insert(addr, pe.words)
-	return pe.words[addr%uint64(pe.k.space.BlockWords)]
-}
-
-// cacheDrop discards this PE's copy of addr's block when the home serves one
-// of its mutations as a message: the home takes the writer out of the copyset
-// without invalidating it, so a copy kept warm could never be invalidated
-// again — whatever the written word's mode, as a cached one may share its block.
-func (pe *PE) cacheDrop(addr uint64) { pe.k.cache.Invalidate(addr) }
 
 // --- Tier: release consistency (ModeRelease, DESIGN.md §14) ---
 
@@ -165,7 +144,7 @@ func (pe *PE) leaseRead(out []int64, addr uint64, h int) error {
 		le := pe.leaseHit(base)
 		if le != nil {
 			pe.chargeLocal()
-		} else if l := k.space.Locate(lo); k.dir.HomeAt(l) != k.id || pe.runInPlace(k.id, l, gmem.ModeLease, false, lo, part) == 0 {
+		} else if l := k.space.Locate(lo); k.dir.HomeAt(l) != k.id || pe.runInPlace(k.id, l, false, lo, part) == 0 {
 			var err error
 			if le, err = pe.fetchLease(base, k.dir.HomeAt(l)); err != nil {
 				return err

@@ -42,21 +42,19 @@ func tags(n int, t evTag) []evTag {
 	return out
 }
 
-// The three clusters the table runs on. All simulated (every path exists
+// The two clusters the table runs on. Both simulated (every path exists
 // there, and the counters can be read mid-run because the engine runs one
-// context at a time). A cluster's rows run in one program, so the cached rows
-// on onOne share it with rows that take the window and the mutations in place.
+// context at a time). A cluster's rows run in one program.
 const (
-	onMsg   = "message"  // every one-sided path off
-	onOne   = "onesided" // window reads and mutations in place on
-	onCache = "caching"  // cached is the default mode: the whole program runs the write-invalidate protocol
+	onMsg = "message"  // every one-sided path off
+	onOne = "onesided" // window reads and mutations in place on
 )
 
 // accessRow is one cell of the GM access ladder: an operation issued by PE 0
 // of a 2-PE cluster against l (a word PE 0's kernel homes) and r (a word PE 1
 // homes), the first words of two adjacent blocks of a fresh allocation under
 // mode. prep runs first, outside the measured bracket. The mode in an ev tag
-// is the one the history records: a cached word's is strong.
+// is the one the history records.
 type accessRow struct {
 	name string
 	on   string
@@ -69,7 +67,7 @@ type accessRow struct {
 }
 
 func rd(m gmem.Mode) evTag  { return evTag{check.KindRead, m, false} }
-func rdC(m gmem.Mode) evTag { return evTag{check.KindRead, m, true} } // cache- or lease-served
+func rdC(m gmem.Mode) evTag { return evTag{check.KindRead, m, true} } // lease-served
 func wr(m gmem.Mode) evTag  { return evTag{check.KindWrite, m, false} }
 func fa(m gmem.Mode) evTag  { return evTag{check.KindFetchAdd, m, false} }
 func cas(m gmem.Mode) evTag { return evTag{check.KindCAS, m, false} }
@@ -78,7 +76,6 @@ const (
 	strong  = gmem.ModeStrong
 	release = gmem.ModeRelease
 	lease   = gmem.ModeLease
-	cached  = gmem.ModeCached
 )
 
 // span returns the n consecutive values starting at v.
@@ -192,49 +189,6 @@ var accessRows = []accessRow{
 		op:   func(pe *PE, l, r uint64) int64 { mustFetchAdd(pe, r, 2); return mustRead(pe, r) }, want: 2,
 		d: pathDelta{remote: 2, ring: 1, msgs: 1}, ev: []evTag{fa(lease), rdC(lease)}},
 
-	// --- word executor, write-invalidate cache tier ---
-	{name: "cached/read-miss-fetches-block", on: onCache, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 { return mustRead(pe, r) }, want: 0,
-		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{rd(strong)}},
-	{name: "cached/read-hit", on: onCache, mode: cached,
-		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
-		op:   func(pe *PE, l, r uint64) int64 { return mustRead(pe, r+1) }, want: 0,
-		d: pathDelta{local: 1}, ev: []evTag{rdC(strong)}},
-	{name: "cached/local/read", on: onCache, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 { return mustRead(pe, l) }, want: 0,
-		d: pathDelta{local: 1}, ev: []evTag{rd(strong)}},
-	{name: "cached/write-drops-own-copy", on: onCache, mode: cached,
-		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
-		op:   func(pe *PE, l, r uint64) int64 { mustWrite(pe, r, 3); return mustRead(pe, r) }, want: 3,
-		d: pathDelta{remote: 2, msgs: 2}, ev: []evTag{wr(strong), rd(strong)}},
-	// Own-home mutations go through the own kernel's invalidation machinery as
-	// a message: the request and the kernel's reply both leave this node.
-	{name: "cached/own-home/write-goes-through-kernel", on: onCache, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 { mustWrite(pe, l, 3); return mustRead(pe, l) }, want: 3,
-		d: pathDelta{local: 1, remote: 1, msgs: 2}, ev: []evTag{wr(strong), rd(strong)}},
-	{name: "cached/own-home/fetch-add-goes-through-kernel", on: onCache, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 { return mustFetchAdd(pe, l, 3) }, want: 0,
-		d: pathDelta{remote: 1, msgs: 2}, ev: []evTag{fa(strong)}},
-	{name: "cached/own-home/cas-goes-through-kernel", on: onCache, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 { prev, _, err := pe.CASErr(l, 0, 3); must(err); return prev }, want: 0,
-		d: pathDelta{remote: 1, msgs: 2}, ev: []evTag{cas(strong)}},
-	// A cached allocation in a cluster with the one-sided paths on: its words
-	// reach the home's directory as messages, hits stay local.
-	{name: "cached/onesided/read-miss-takes-message", on: onOne, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 { return mustRead(pe, r) }, want: 0,
-		d: pathDelta{remote: 1, msgs: 1}, ev: []evTag{rd(strong)}},
-	{name: "cached/onesided/read-hit", on: onOne, mode: cached,
-		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
-		op:   func(pe *PE, l, r uint64) int64 { return mustRead(pe, r+1) }, want: 0,
-		d: pathDelta{local: 1}, ev: []evTag{rdC(strong)}},
-	{name: "cached/onesided/write-takes-message", on: onOne, mode: cached,
-		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
-		op:   func(pe *PE, l, r uint64) int64 { mustWrite(pe, r, 3); return mustRead(pe, r) }, want: 3,
-		d: pathDelta{remote: 2, msgs: 2}, ev: []evTag{wr(strong), rd(strong)}},
-	{name: "cached/onesided/own-home-write-goes-by-message", on: onOne, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 { mustWrite(pe, l, 3); return mustRead(pe, l) }, want: 3,
-		d: pathDelta{local: 1, remote: 1, msgs: 2}, ev: []evTag{wr(strong), rd(strong)}},
-
 	// --- range executor: l is followed by r's block or the other way round,
 	// so a two-block range always has one local and one remote run. With the
 	// one-sided paths on, a peer run is served in place like a scalar: remote,
@@ -318,24 +272,6 @@ var accessRows = []accessRow{
 		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
 		op:   func(pe *PE, l, r uint64) int64 { mustWriteBlock(pe, r, span(4, 50)); return mustRead(pe, r+1) }, want: 51,
 		d: pathDelta{remote: 2, msgs: 2}, ev: append(tags(4, wr(lease)), rdC(lease))},
-	{name: "cached/block-write-goes-through-kernels", on: onCache, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 {
-			mustWriteBlock(pe, min(l, r), span(64, 100))
-			return mustRead(pe, l) - int64(l-min(l, r))
-		}, want: 100,
-		d: pathDelta{local: 1, remote: 2, msgs: 3}, ev: append(tags(64, wr(strong)), rd(strong))},
-	{name: "cached/block-read-bypasses-cache", on: onCache, mode: cached,
-		prep: func(pe *PE, l, r uint64) { mustRead(pe, r) },
-		op:   func(pe *PE, l, r uint64) int64 { return mustReadBlock(pe, r, 4)[0] }, want: 0,
-		d: pathDelta{remote: 1, msgs: 1}, ev: tags(4, rd(strong))},
-	{name: "cached/onesided/scatter-aggregates-through-kernels", on: onOne, mode: cached,
-		op: func(pe *PE, l, r uint64) int64 {
-			must(pe.GMScatterErr([]uint64{r, r + 1, l}, []int64{1, 2, 3}))
-			return mustRead(pe, r+1)
-		}, want: 2,
-		// One vectored request to r's home, one scalar to the PE's own kernel
-		// (whose reply also leaves this node), then the read's block fetch.
-		d: pathDelta{remote: 4, msgs: 4}, ev: append(tags(3, wr(strong)), rd(strong))},
 	{name: "mixed-mode-gather-falls-back-to-words", on: onMsg, mode: release,
 		prep: func(pe *PE, l, r uint64) { mustWrite(pe, r, 6) },
 		op:   func(pe *PE, l, r uint64) int64 { return mustGather(pe, []uint64{r, l})[0] }, want: 6,
@@ -349,9 +285,8 @@ var accessRows = []accessRow{
 // tested: a row here.
 func TestAccessPipelineTable(t *testing.T) {
 	for on, cfg := range map[string]Config{
-		onMsg:   {DirectReads: -1},
-		onOne:   {DirectReads: 1},
-		onCache: {GMDefaultMode: cached},
+		onMsg: {DirectReads: -1},
+		onOne: {DirectReads: 1},
 	} {
 		t.Run(on, func(t *testing.T) {
 			base := simCfg(2)

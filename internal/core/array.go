@@ -32,10 +32,8 @@ func AllocArray[T int64 | float64](pe *PE, n int) Array[T] {
 	return Array[T]{pe, pe.AllocBlocks(n), n}
 }
 
-// AllocArrayMode is AllocArray in consistency mode m (DESIGN.md §14). Like
-// AllocMode, a cached-mode array beside moving homes panics.
+// AllocArrayMode is AllocArray in consistency mode m (DESIGN.md §14).
 func AllocArrayMode[T int64 | float64](pe *PE, n int, m gmem.Mode) Array[T] {
-	pe.checkMode(m)
 	a := Array[T]{pe, pe.alloc.AllocBlocks(n), n}
 	pe.modes.Set(a.addr, n, m)
 	return a

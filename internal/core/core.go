@@ -138,7 +138,7 @@ type Config struct {
 	// request (the sender, Kernel.serveOnSender): each kernel's home-side
 	// global-memory service is split into that many monitors, and requester i
 	// is served under shard i mod KernelShards, with that shard's dedup window
-	// and invalidation rounds (see kernelShard). 0 resolves to GOMAXPROCS;
+	// (see kernelShard). 0 resolves to GOMAXPROCS;
 	// values are clamped to [1, gmem.SegStripes]. On simnet and tcpnet the
 	// serve loop serves one request at a time, so every kernel there builds
 	// exactly one monitor whatever KernelShards says (servingModel). No
@@ -146,15 +146,14 @@ type Config struct {
 	KernelShards int
 	// DirectReads is the one switch for the paths in place: a PE reads,
 	// writes, fetch-adds, CASes and moves ranges of a co-located home's words
-	// not in cached mode straight in that home's segment, without a
+	// straight in that home's segment, without a
 	// request/reply message pair — reads under the segment's seqlock, stores
 	// under the stripe lock that also orders the home's migrations (DESIGN.md
 	// §12). 0 takes the transport's default (servingModel): on for inproc, off
 	// for simnet, whose figures and digests model message costs; >0 turns the
 	// paths on where the segments are co-located (inproc, simnet); <0 pins the
 	// message path. Never on over TCP or with Legacy (the old organisation has
-	// no shared address space). A cached-mode word never takes them: its
-	// accesses must reach the home's directory.
+	// no shared address space).
 	DirectReads int
 	// Deprecated: this field has no effect; DirectReads alone switches the
 	// paths in place, mutations included. It is kept only so configurations
@@ -165,20 +164,17 @@ type Config struct {
 	// skips latent members) and their PEs act as pure clients until they call
 	// pe.Join(), which hands them their directory slice live — the elastic
 	// membership extension. Latent PEs still run the program and participate
-	// in barriers. Must leave at least one active rank and is incompatible
-	// with cached-mode allocations (the coherence directory assumes the
-	// static layout).
+	// in barriers. Must leave at least one active rank.
 	LatentPEs int
 	// GMDefaultMode is the consistency tier of allocations that do not pick
 	// one explicitly (pe.Alloc/AllocBlocks); pe.AllocMode selects a tier per
 	// allocation. The zero value is gmem.ModeStrong — the paper's home-based
-	// strong coherence — so existing programs are unaffected;
-	// gmem.ModeCached runs a whole program under the write-invalidate caching
-	// protocol (extension). See DESIGN.md §14 for the mode lattice.
+	// strong coherence — so existing programs are unaffected. See DESIGN.md
+	// §14 for the mode lattice.
 	GMDefaultMode gmem.Mode
 	// LeaseDuration is the validity window granted with every lease-mode
-	// block fetch (0 = 1ms). Longer leases skip more invalidation rounds and
-	// admit proportionally more staleness; the checker bounds each read by
+	// block fetch (0 = 1ms). Longer leases skip more round trips to the home
+	// and admit proportionally more staleness; the checker bounds each read by
 	// its lease's grant-to-expiry window.
 	LeaseDuration sim.Duration
 
@@ -208,11 +204,11 @@ type Fault uint8
 
 const (
 	NoFault Fault = iota // every run outside tests
-	// FaultDropInvalidations: home kernels acknowledge mutating requests
-	// without invalidating remote cached copies, leaving stale data readable
-	// — a deliberately broken invalidation path must surface as stale-read
+	// FaultDropWrites: home kernels acknowledge a write or vectored write
+	// that arrives as a message without storing it, so later reads return
+	// the old words — a run with message-path writes must produce stale-read
 	// violations.
-	FaultDropInvalidations
+	FaultDropWrites
 	// FaultSkipReleaseFlush: synchronisation edges discard the
 	// write-combining buffer instead of flushing it, so release-mode writes
 	// never reach their homes — a run with release-mode traffic must produce
@@ -224,7 +220,7 @@ const (
 	FaultIgnoreLeaseExpiry
 )
 
-var faultNames = [...]string{"none", "drop-invalidations", "skip-release-flush", "ignore-lease-expiry"}
+var faultNames = [...]string{"none", "drop-writes", "skip-release-flush", "ignore-lease-expiry"}
 
 func (f Fault) String() string {
 	if int(f) < len(faultNames) {
@@ -258,9 +254,6 @@ func (cfg *Config) withDefaults() (Config, error) {
 	}
 	if c.LatentPEs < 0 || c.LatentPEs >= c.NumPE {
 		return c, errors.New("core: LatentPEs must leave at least one active PE")
-	}
-	if c.LatentPEs > 0 && c.GMDefaultMode == gmem.ModeCached {
-		return c, fmt.Errorf("core: LatentPEs with GMDefaultMode cached: %w", errCachedElastic)
 	}
 	if c.LeaseDuration == 0 {
 		c.LeaseDuration = sim.Millisecond

@@ -7,14 +7,9 @@
 //
 // Memory consistency: every global-memory word has a single home and, in
 // the default strong mode, all accesses are serialised there (coherent and
-// sequentially consistent per location). Words allocated in cached mode are
-// read through per-PE block copies: their writes are write-through to the
-// home and block until every cached copy has acknowledged invalidation, so a
-// completed write is visible to all subsequent reads; like classic
-// invalidation-based DSMs, a reader may still use its cached copy during the
-// brief window before its kernel processes the invalidation, which is why
-// programs order cross-PE visibility with barriers, locks or reductions (all
-// of which imply write completion).
+// sequentially consistent per location). The release and lease tiers trade
+// that for fewer messages, each bounded at synchronisation edges (DESIGN.md
+// §14).
 package core
 
 import (
@@ -49,7 +44,6 @@ type Kernel struct {
 	cfg   *Config
 	space gmem.Space
 	seg   *gmem.Segment
-	cache *gmem.Cache // the PE's copies of blocks its cached-mode reads fetched
 
 	// dir is this kernel's view of the elastic membership directory, shared
 	// with its PE. Lookups are lock-free; a static directory (all members
@@ -169,7 +163,7 @@ const dedupWindow = 32
 
 const (
 	dedupEmpty      uint8 = iota
-	dedupInProgress       // dispatched; response not yet produced (invalidation round outstanding)
+	dedupInProgress       // dispatched; response not yet produced
 	dedupDone             // response sent; cached for resend
 )
 
@@ -269,21 +263,6 @@ func (d *dedupTable) forget(src int32, seq uint64) {
 	}
 }
 
-// invRound tracks one write/atomic waiting for invalidation acks before the
-// home may acknowledge it. outstanding holds the invalidations not yet
-// acked, so a retried writer request can trigger their retransmission — an
-// OpInvalidate or OpInvAck lost on the wire would otherwise leave the round
-// stuck forever while the writer's retries are absorbed as in-progress
-// duplicates.
-type invRound struct {
-	requester   int32
-	seq         uint64
-	respOp      wire.Op
-	arg1        int64
-	arg2        int64
-	outstanding []gmem.Copy
-}
-
 func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 	space := gmem.NewSpace(cfg.NumPE, cfg.GMBlockWords)
 	k := &Kernel{
@@ -294,7 +273,6 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 		cfg:     cfg,
 		space:   space,
 		seg:     gmem.NewSegment(space, id),
-		cache:   gmem.NewCache(space),
 		replyMb: node.NewMailbox(0),
 		userq:   make(map[int32]transport.Mailbox),
 		dedup:   newDedupTable(),
@@ -320,11 +298,8 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 	}
 	k.sync = psync.NewSet(id, cfg.NumPE, cfg.Barrier == BarrierTree)
 	if cfg.restore != nil {
-		// Recovery: rebuild this kernel's slice of global memory (and the
-		// coherence directory) from the snapshot before serving. Imported
-		// copyset entries may name kernels whose fresh caches hold nothing;
-		// the resulting spurious invalidations are acknowledged harmlessly.
-		// newDirectory restored the membership directory, so ownership checks
+		// Recovery: rebuild this kernel's slice of global memory from the
+		// snapshot before serving. newDirectory restored the membership directory, so ownership checks
 		// on Import (and every later request) see the snapshotted view;
 		// escrowed blocks resume their pending handoff via the re-offer path.
 		// loadSnapshot checked the slice against that view, so Import cannot
@@ -420,17 +395,15 @@ func isMutating(op wire.Op) bool {
 }
 
 // absorb consults the dedup window d before the mutating request m is
-// dispatched, counting a duplicate in st, and returns the duplicate's entry,
-// nil for a request seen first. A duplicate whose response is cached is
-// answered by resend; one still in progress is dropped, as the eventual
-// response will serve it. The serial loop's window and every shard's go
-// through here, each under its owner's guard; only a shard has more to do
-// for an in-progress duplicate (a GM mutation's invalidation round to
-// re-kick — process-management and membership ops never open one).
-func (k *Kernel) absorb(d *dedupTable, st *trace.PEStats, m *wire.Message) *dedupEntry {
+// dispatched, counting a duplicate in st, and reports whether m is one. A
+// duplicate whose response is cached is answered by resend; one still in
+// progress is dropped, as the eventual response will serve it. The serial
+// loop's window and every shard's go through here, each under its owner's
+// guard.
+func (k *Kernel) absorb(d *dedupTable, st *trace.PEStats, m *wire.Message) bool {
 	e := d.lookup(m.Src, m.Seq)
 	if e == nil {
-		return nil
+		return false
 	}
 	st.DupRequests++
 	if e.state == dedupDone {
@@ -441,7 +414,7 @@ func (k *Kernel) absorb(d *dedupTable, st *trace.PEStats, m *wire.Message) *dedu
 		}
 		k.reply(d, m, resp)
 	}
-	return e
+	return true
 }
 
 // userMb returns (creating on demand) the queue for user messages with tag.
@@ -576,8 +549,7 @@ func (k *Kernel) handle(m *wire.Message) (consumed bool, answered sim.Time) {
 	// Global memory service (this kernel is the home): serve under the lock
 	// of the requester's shard. GM mutations dedup inside the shard.
 	case wire.OpRead, wire.OpReadV, wire.OpWrite, wire.OpWriteV,
-		wire.OpFetchAdd, wire.OpCAS, wire.OpInvalidate, wire.OpInvAck,
-		wire.OpFlushV, wire.OpReadLease:
+		wire.OpFetchAdd, wire.OpCAS, wire.OpFlushV, wire.OpReadLease:
 		return true, k.dispatchGM(m)
 
 	// Synchronisation service. The one release that gets here is a tree
@@ -588,7 +560,7 @@ func (k *Kernel) handle(m *wire.Message) (consumed bool, answered sim.Time) {
 
 	// Parallel process management (kernel 0 hosts the global table).
 	case wire.OpProcRegister:
-		if k.absorb(&k.dedup, &k.extra, m) != nil {
+		if k.absorb(&k.dedup, &k.extra, m) {
 			return true, 0
 		}
 		gpid := k.procs.Register(m.Src, string(m.Data), k.svc.Now())
@@ -596,7 +568,7 @@ func (k *Kernel) handle(m *wire.Message) (consumed bool, answered sim.Time) {
 		resp.Op, resp.Arg1 = wire.OpProcRegResp, gpid
 		k.reply(&k.dedup, m, resp)
 	case wire.OpProcExit:
-		if k.absorb(&k.dedup, &k.extra, m) != nil {
+		if k.absorb(&k.dedup, &k.extra, m) {
 			return true, 0
 		}
 		if err := k.procs.Exit(m.Arg1, m.Arg2, k.svc.Now()); err != nil {
@@ -620,7 +592,7 @@ func (k *Kernel) handle(m *wire.Message) (consumed bool, answered sim.Time) {
 		return false, 0
 
 	// Coordinated checkpoint: export this kernel's slice of global memory
-	// plus the coherence directory. The requesting PE is this kernel's own
+	// plus its membership directory. The requesting PE is this kernel's own
 	// application context, quiesced at a barrier, so the slice is a
 	// consistent cut — no request of this PE is in flight while we
 	// serialise. The shard fence extends that cut across the shards: a
@@ -637,7 +609,7 @@ func (k *Kernel) handle(m *wire.Message) (consumed bool, answered sim.Time) {
 	// Elastic membership: home migration, join/leave grants, epoch updates.
 	// All serviced on the serial loop (they fence the shards themselves).
 	case wire.OpMigrateStart, wire.OpMigrateInstall, wire.OpJoin, wire.OpLeave:
-		if k.absorb(&k.dedup, &k.extra, m) != nil {
+		if k.absorb(&k.dedup, &k.extra, m) {
 			return true, 0
 		}
 		switch m.Op {
@@ -735,15 +707,9 @@ func (k *Kernel) refuse(d *dedupTable, m *wire.Message, op wire.Op, arg1, arg2 i
 	if isMutating(m.Op) {
 		d.forget(m.Src, m.Seq)
 	}
-	k.answer(m.Src, m.Seq, op, arg1, arg2)
-}
-
-// answer sends the payload-free answer op(arg1, arg2) to request seq of
-// kernel dst: a refusal, or an invalidation round's deferred answer.
-func (k *Kernel) answer(dst int32, seq uint64, op wire.Op, arg1, arg2 int64) {
 	resp := wire.GetMessage()
 	resp.Op, resp.Arg1, resp.Arg2 = op, arg1, arg2
-	k.send(dst, seq, resp)
+	k.send(m.Src, m.Seq, resp)
 	wire.PutMessage(resp)
 }
 

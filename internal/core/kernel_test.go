@@ -141,40 +141,6 @@ func TestKernelLockGrantChain(t *testing.T) {
 	grantFrom(t, ks[2], wire.OpLockGrant, 2, 8)
 }
 
-func TestKernelInvalidationRound(t *testing.T) {
-	net, ks := testKernels(t, 3, func(cfg *Config) { cfg.GMDefaultMode = gmem.ModeCached })
-	// Kernel 1 caches block 0 (homed at kernel 0).
-	ks[0].handle(&wire.Message{Op: wire.OpRead, Src: 1, Dst: 0, Seq: 1, Addr: 0, Arg2: 1})
-	if m := replyFrom(t, ks[1]); m.Op != wire.OpReadResp {
-		t.Fatalf("block fetch: %v", m)
-	}
-	// Kernel 2 writes the block: kernel 1 must be invalidated before the ack.
-	w := &wire.Message{Op: wire.OpWrite, Src: 2, Dst: 0, Seq: 2, Addr: 0}
-	w.PutWords([]int64{99})
-	ks[0].handle(w)
-	inv := recvFrom(t, net, 1)
-	if inv.Op != wire.OpInvalidate {
-		t.Fatalf("expected invalidate at kernel 1, got %v", inv)
-	}
-	// The writer must NOT have its ack yet: the round is still open.
-	if len(ks[0].shards[0].inv) != 1 {
-		t.Fatalf("invalidation round not tracked: %d open", len(ks[0].shards[0].inv))
-	}
-	// Ack the invalidation (as kernel 1's handler would).
-	ks[0].handle(&wire.Message{Op: wire.OpInvAck, Src: 1, Dst: 0, Seq: inv.Seq, Addr: inv.Addr})
-	if ack := replyFrom(t, ks[2]); ack.Op != wire.OpWriteAck || ack.Seq != 2 {
-		t.Fatalf("writer ack = %v", ack)
-	}
-}
-
-func TestKernelStrayInvAckDropped(t *testing.T) {
-	_, ks := testKernels(t, 2, func(cfg *Config) { cfg.GMDefaultMode = gmem.ModeCached })
-	ks[0].handle(&wire.Message{Op: wire.OpInvAck, Src: 1, Seq: 123})
-	if ks[0].shards[0].extra.StrayDrops != 1 {
-		t.Fatalf("StrayDrops = %d, want 1", ks[0].shards[0].extra.StrayDrops)
-	}
-}
-
 // TestKernelCorruptBarrierArriveDropped injects the barrier arrivals a
 // kernel must not trust: one that reached a kernel other than 0 (used to
 // panic it), a second one from a source already waiting (used to be counted:
@@ -845,40 +811,6 @@ func TestKernelStaleJobClose(t *testing.T) {
 	}
 	if k.extra.CorruptDrops != 0 {
 		t.Fatalf("CorruptDrops = %d for well-formed frames", k.extra.CorruptDrops)
-	}
-}
-
-// TestKernelCorruptInstallCopyset forges block installs whose copyset names
-// no kernel: kernel N, an id past any 32-bit int, and −1. Adopting one would
-// plant the id in the block's copyset, and the block's next write would open
-// an invalidation round toward it, whose send indexes past the transport's
-// node table and panics whoever serves the write. Each install is counted in
-// CorruptDrops and dropped unanswered, and the write then completes.
-func TestKernelCorruptInstallCopyset(t *testing.T) {
-	for _, holder := range []uint64{3, 1<<31 + 1, 1<<64 - 1} {
-		t.Run(fmt.Sprint(holder), func(t *testing.T) {
-			_, ks := testKernels(t, 3, nil)
-			k := ks[0]
-			bw := k.cfg.GMBlockWords
-			// Block 0 is homed here: the forged install re-offers it, copyset
-			// and all, as an escrow re-offer would.
-			data := ckpt.EncodeKernelState(bw, []gmem.BlockSnapshot{{Index: 0, Words: make([]int64, bw), Copyset: []int{1}}})
-			binary.LittleEndian.PutUint64(data[len(data)-8:], holder)
-			k.handle(&wire.Message{Op: wire.OpMigrateInstall, Src: 1, Seq: 1, Arg1: migModeBlock, Data: data})
-			if k.extra.CorruptDrops != 1 {
-				t.Fatalf("CorruptDrops = %d, want 1", k.extra.CorruptDrops)
-			}
-			noReplyFrom(t, ks[1], "a forged install")
-			w := &wire.Message{Op: wire.OpWrite, Src: 2, Seq: 2, Addr: 1}
-			w.PutWord(7)
-			k.handle(w)
-			if ack := replyFrom(t, ks[2]); ack.Op != wire.OpWriteAck || ack.Seq != 2 {
-				t.Fatalf("write answered %v, want its ack", ack)
-			}
-			if cs := k.seg.Copyset(0); len(cs) != 0 {
-				t.Fatalf("block 0's copyset = %v, want none", cs)
-			}
-		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -30,11 +29,6 @@ import (
 //     arrives; any request hitting an escrowed block re-offers the block to
 //     its destination first, so a migration whose initiator died heals
 //     through normal traffic.
-
-// errCachedElastic refuses to combine cached-mode words with homes that move:
-// a PE's copy of a block, and the round that invalidates it, are bound to the
-// home that registered the copy, and no handoff tears them down.
-var errCachedElastic = errors.New("cached-mode allocations need the static home layout (no latent PEs, joins, leaves or migrations)")
 
 // OpMigrateStart modes (wire Arg1).
 const (
@@ -491,9 +485,6 @@ func (pe *PE) install(dst int, inst, start *wire.Message) error {
 // redirects and apply exactly once.
 func (pe *PE) Join() error {
 	k := pe.k
-	if pe.modes.Uses(gmem.ModeCached) {
-		return fmt.Errorf("core: PE %d: %w", k.id, errCachedElastic)
-	}
 	if k.dir.Member(k.id).State == gmem.MemberActive {
 		return nil
 	}
@@ -537,9 +528,6 @@ func (pe *PE) Join() error {
 // synchronisation managers and the grant service.
 func (pe *PE) Leave() error {
 	k := pe.k
-	if pe.modes.Uses(gmem.ModeCached) {
-		return fmt.Errorf("core: PE %d: %w", k.id, errCachedElastic)
-	}
 	if k.id == 0 {
 		return fmt.Errorf("core: PE 0 hosts the central managers and cannot leave")
 	}
@@ -588,9 +576,6 @@ func (pe *PE) Leave() error {
 // per range.
 func (pe *PE) MigrateRange(addr uint64, nblocks, dst int) error {
 	k := pe.k
-	if pe.modes.Uses(gmem.ModeCached) {
-		return fmt.Errorf("core: PE %d: %w", k.id, errCachedElastic)
-	}
 	if dst < 0 || dst >= k.n {
 		return fmt.Errorf("core: PE %d: migrate to invalid kernel %d", k.id, dst)
 	}

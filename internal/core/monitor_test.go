@@ -400,11 +400,10 @@ func TestMonitorSimTakesNoLock(t *testing.T) {
 }
 
 // TestMonitorDeclinesKernelTraffic pins the no-nested-locks rule at the sink:
-// GM traffic a handler sends while holding its shard lock (an invalidation,
-// its ack, an escrow re-offer) is never served on the sending context — the
-// ack would re-enter the lock its sender holds — but queued for the
-// destination's serve loop, as is a request whose Src names no PE. An
-// application's request is served on the spot.
+// what a handler sends while holding its shard lock (an escrow re-offer) is
+// never served on the sending context but queued for the destination's serve
+// loop, as is a request whose Src names no PE. An application's request is
+// served on the spot.
 func TestMonitorDeclinesKernelTraffic(t *testing.T) {
 	net, ks := testKernels(t, 2, func(cfg *Config) { cfg.KernelShards = 2 })
 	send := func(m *wire.Message) {
@@ -414,8 +413,6 @@ func TestMonitorDeclinesKernelTraffic(t *testing.T) {
 	forged := &wire.Message{Op: wire.OpWriteV, Src: 9, Seq: 1}
 	forged.AppendWriteRun(uint64(ks[1].space.BlockWords), []int64{7})
 	for _, m := range []*wire.Message{
-		{Op: wire.OpInvalidate, Seq: 7},
-		{Op: wire.OpInvAck, Seq: 7},
 		{Op: wire.OpMigrateInstall, Seq: 8, Arg1: migModeBlock},
 		forged,
 	} {
@@ -437,114 +434,6 @@ func TestMonitorDeclinesKernelTraffic(t *testing.T) {
 	}
 	if got := ks[1].shards[0].extra.ShardedMsgs + ks[1].shards[1].extra.ShardedMsgs; got != 1 {
 		t.Fatalf("ShardedMsgs = %d after one application read, want 1", got)
-	}
-}
-
-// TestMonitorInvalidateUnderLock runs write-invalidate coherence with every
-// PE holding cached copies of blocks homed at PE 0 and all three writing into
-// them at once: PEs 1 and 2 serve their writes themselves under PE 0's shard
-// lock and send OpInvalidate from inside the handler, PE 0's own writes come
-// through its serve loop under the same lock, and the acks must find their
-// round without any of it deadlocking.
-func TestMonitorInvalidateUnderLock(t *testing.T) {
-	const rounds = 150
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			res := runWithin(t, 2*time.Minute, Config{
-				NumPE: 3, Transport: TransportInproc, GMDefaultMode: gmem.ModeCached, KernelShards: shards,
-			}, func(pe *PE) error {
-				blocks := homedAt(pe, 0, 2)
-				slot := func(b, who int) uint64 { return blocks[b] + uint64(who) }
-				pe.Barrier()
-				for r := 1; r <= rounds; r++ {
-					for b := range blocks { // cache every block here
-						for who := 0; who < pe.N(); who++ {
-							if v := mustRead(pe, slot(b, who)); v != int64(r-1) {
-								return fmt.Errorf("PE %d round %d: slot (%d,%d) = %d", pe.ID(), r, b, who, v)
-							}
-						}
-					}
-					pe.Barrier()
-					for b := range blocks {
-						mustWrite(pe, slot(b, pe.ID()), int64(r))
-					}
-					pe.Barrier()
-				}
-				return nil
-			})
-			if res.Total.ByOp[wire.OpInvAck].Msgs == 0 {
-				t.Fatal("no invalidation round ran")
-			}
-			if res.Total.ShardedMsgs == 0 {
-				t.Fatal("no request was served on its sender")
-			}
-		})
-	}
-}
-
-// TestCachedBesideOneSided runs a strong and a cached allocation side by side
-// on inproc with the window and one-sided stores on. Strong reads come through
-// the seqlock window, strong writes are stores in place under the stripe
-// locks, and cached words go through served-on-sender requests whose
-// invalidations and acks cross the serve loops — every strong access
-// one-sided, no cached one.
-func TestCachedBesideOneSided(t *testing.T) {
-	const rounds = 100
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			var hits atomic.Uint64
-			res := runWithin(t, 2*time.Minute, Config{
-				NumPE: 3, Transport: TransportInproc, KernelShards: shards, DirectReads: 1,
-			}, func(pe *PE) error {
-				bw := pe.Space().BlockWords
-				regions := []uint64{ // one block per home each
-					pe.AllocBlocks(pe.N() * bw),
-					AllocArrayMode[int64](pe, pe.N()*bw, gmem.ModeCached).Addr(),
-				}
-				slot := func(base uint64, b, who int) uint64 { return base + uint64(b*bw+who) }
-				pe.Barrier()
-				for r := 1; r <= rounds; r++ {
-					for _, base := range regions {
-						for b := 0; b < pe.N(); b++ {
-							for who := 0; who < pe.N(); who++ {
-								if v := mustRead(pe, slot(base, b, who)); v != int64(r-1) {
-									return fmt.Errorf("PE %d round %d: slot (%d,%d) of region %d = %d", pe.ID(), r, b, who, base, v)
-								}
-							}
-						}
-					}
-					pe.Barrier()
-					for _, base := range regions {
-						for b := 0; b < pe.N(); b++ {
-							mustWrite(pe, slot(base, b, pe.ID()), int64(r))
-						}
-					}
-					pe.Barrier()
-				}
-				h, _, _ := pe.k.cache.Stats()
-				hits.Add(h)
-				return nil
-			})
-			// Per PE and round the strong region has two remote blocks: three
-			// reads and one write to each.
-			const remoteReads, remoteWrites = 3 * rounds * 2 * 3, 3 * rounds * 2
-			if got := res.Total.DirectGM; got != remoteReads {
-				t.Errorf("DirectGM = %d, want the %d remote strong reads and no cached one", got, remoteReads)
-			}
-			if got := res.Total.RingGM; got != remoteWrites {
-				t.Errorf("RingGM = %d, want the %d remote strong writes", got, remoteWrites)
-			}
-			// Every cached write is a message, even to its own home; no strong one.
-			if got, want := res.Total.ByOp[wire.OpWrite].Msgs, uint64(3*rounds*3); got != want {
-				t.Errorf("OpWrite messages = %d, want the %d cached writes and no strong one", got, want)
-			}
-			if res.Total.ByOp[wire.OpInvAck].Msgs == 0 {
-				t.Error("no invalidation round ran")
-			}
-			if hits.Load() == 0 {
-				t.Error("no cached read hit its copy")
-			}
-		})
 	}
 }
 

@@ -74,7 +74,6 @@ type PE struct {
 	ns gmem.Region
 
 	// Scratch reused across calls by the hot-path operations.
-	words  []int64    // decoded block of a cached-mode fill
 	vruns  []vrun     // remote runs of the range operation being assembled
 	groups []runGroup // their tally per home
 	reqs   []flight   // one in-flight request per non-empty group
@@ -159,19 +158,11 @@ func (pe *PE) AllocBlocks(n int) uint64 { return pe.alloc.AllocBlocks(n) }
 
 // AllocMode reserves n words under the given consistency mode (DESIGN.md
 // §14). Deterministic like Alloc: every PE performs the same AllocMode
-// sequence, so the per-PE mode tables agree without communicating. Like a
-// quota overrun, a cached-mode allocation beside moving homes panics.
+// sequence, so the per-PE mode tables agree without communicating.
 func (pe *PE) AllocMode(n int, m gmem.Mode) uint64 {
-	pe.checkMode(m)
 	addr := pe.alloc.Alloc(n)
 	pe.modes.Set(addr, n, m)
 	return addr
-}
-
-func (pe *PE) checkMode(m gmem.Mode) {
-	if m == gmem.ModeCached && !pe.k.dir.Static() {
-		panic(fmt.Errorf("core: PE %d: %w", pe.k.id, errCachedElastic))
-	}
 }
 
 // Space exposes the global address-space geometry.
@@ -227,7 +218,7 @@ func (pe *PE) flushWC(fenceInv sim.Time) {
 		for j < len(pe.fl) && pe.fl[j] == pe.fl[j-1]+1 && pe.fl[j] < blockEnd {
 			j++
 		}
-		pe.addRun(check.KindFlush, gmem.ModeRelease, pe.flv, addr, j-i, i)
+		pe.addRun(check.KindFlush, pe.flv, addr, j-i, i)
 		i = j
 	}
 	ok := true
@@ -429,7 +420,7 @@ func (pe *PE) ViewGeneration() uint64 { return pe.viewGen }
 // degenerated to its quiesced special case — a barrier quiesces all
 // application traffic, so there are no in-flight application sends to
 // record, and each kernel's marker response carries its entire slice of
-// global memory plus the coherence directory:
+// global memory plus its membership directory:
 //
 //	barrier(quiesce) -> save app blob + OpCkptMark to own kernel ->
 //	Store.WriteSlice -> barrier(durable) -> PE 0 commits the generation

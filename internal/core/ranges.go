@@ -85,7 +85,7 @@ func (pe *PE) rangeOp(name string, kind check.Kind, addr uint64, addrs []uint64,
 
 // wordTiered reports whether any of addrs is a release or lease word, which
 // only the word executor's tiers can serve — the vectored gather/scatter
-// requests aggregate the home-served modes, strong and cached.
+// requests aggregate the home-served mode, strong.
 func (pe *PE) wordTiered(addrs []uint64) bool {
 	if m, sole := pe.modes.Sole(); sole {
 		return m == gmem.ModeRelease || m == gmem.ModeLease
@@ -99,14 +99,12 @@ func (pe *PE) wordTiered(addrs []uint64) bool {
 }
 
 // rangeRun executes one single-mode piece of a range operation — or a whole
-// vector of strong and cached words, passed as strong: tier, then one run per
-// single-home span (runs inPlace admits are served from their home's segment
-// on the spot, the others queued), then the transfer of the queued runs.
-// Strong, cached and release share the home-served path (a release read
-// overlays the PE's own buffered writes afterwards); release writes stop at
-// the write-combining buffer; lease reads are served block by block from the
-// lease cache. Block reads and gathers bypass the read cache: they are always
-// served fresh by the homes.
+// vector of strong words: tier, then one run per single-home span (runs
+// inPlace admits are served from their home's segment on the spot, the others
+// queued), then the transfer of the queued runs. Strong and release share the
+// home-served path (a release read overlays the PE's own buffered writes
+// afterwards); release writes stop at the write-combining buffer; lease reads
+// are served block by block from the lease cache.
 func (pe *PE) rangeRun(kind check.Kind, mode gmem.Mode, addr uint64, addrs []uint64, buf []int64) error {
 	write := kind != check.KindRead
 	switch {
@@ -124,17 +122,13 @@ func (pe *PE) rangeRun(kind check.Kind, mode gmem.Mode, addr uint64, addrs []uin
 		pe.resetRuns()
 		if addrs != nil {
 			for i, a := range addrs {
-				m := mode
-				if write { // only a mutation's route depends on the word's mode
-					m = pe.modes.Lookup(a)
-				}
-				pe.addRun(kind, m, buf, a, 1, i)
+				pe.addRun(kind, buf, a, 1, i)
 			}
 		} else {
 			bw := uint64(pe.k.space.BlockWords)
 			for start, end := addr, addr+uint64(len(buf)); start < end; {
 				stop := min(start-start%bw+bw, end)
-				pe.addRun(kind, mode, buf, start, int(stop-start), int(start-addr))
+				pe.addRun(kind, buf, start, int(stop-start), int(start-addr))
 				start = stop
 			}
 		}
@@ -191,21 +185,20 @@ func (pe *PE) resetRuns() {
 	clear(pe.groups)
 }
 
-// addRun routes one single-home run of a range operation on words in mode:
-// served from its home's segment right away as far as runInPlace allows, the
+// addRun routes one single-home run of a range operation: served from its home's segment right away as far as runInPlace allows, the
 // rest queued in pe.vruns and tallied in its group for that group's request
 // (RemoteGM counts remote runs, not words). A flush at a peer always travels:
 // the home counts the OpFlushV as a publication. A peer with no path in place
 // costs one load, not the calls: a 64-run gather on the message path would
 // pay them 64 times. A run is resolved here and nowhere else. off locates the
 // run's words in buf.
-func (pe *PE) addRun(kind check.Kind, mode gmem.Mode, buf []int64, start uint64, count, off int) {
+func (pe *PE) addRun(kind check.Kind, buf []int64, start uint64, count, off int) {
 	k := pe.k
 	write := kind != check.KindRead
 	l := k.space.Locate(start)
 	home := k.dir.HomeAt(l)
 	if home == k.id || kind != check.KindFlush && k.peers[home].seg != nil {
-		n := pe.runInPlace(home, l, mode, write, start, buf[off:off+count])
+		n := pe.runInPlace(home, l, write, start, buf[off:off+count])
 		if n == count {
 			return
 		}
@@ -217,9 +210,6 @@ func (pe *PE) addRun(kind check.Kind, mode gmem.Mode, buf []int64, start uint64,
 	g.runs++
 	g.words += count
 	pe.vruns = append(pe.vruns, vrun{home: home, start: start, count: count, off: off})
-	if write {
-		pe.cacheDrop(start)
-	}
 }
 
 // buildReqs is the one place the queued runs become wire requests: one flight
@@ -381,8 +371,7 @@ func (pe *PE) replayRun(r *vrun, kind check.Kind, buf []int64) error {
 // homes as needed. A run whose home's segment is in this address space is
 // read there in place; all other runs homed at one kernel travel in a single
 // (vectored, if more than one run) request, and the per-home requests are
-// pipelined. Block reads bypass the read cache (they are always served
-// fresh by the homes). Request failures (timeout after the configured
+// pipelined. Request failures (timeout after the configured
 // retries, peer down, shutdown, a namespace refusal) come back as the typed
 // errors of the scalar forms.
 func (pe *PE) GMReadBlockErr(addr uint64, n int) ([]int64, error) {
@@ -405,8 +394,7 @@ func (pe *PE) GMWriteBlockErr(addr uint64, words []int64) error {
 
 // GMGatherErr reads the words at the given (arbitrary, possibly scattered)
 // addresses, returning them in input order. All addresses homed at one
-// kernel travel in a single vectored request; gathers bypass the read
-// cache. The fine-grained-access aggregation standard in user-level DSMs:
+// kernel travel in a single vectored request. The fine-grained-access aggregation standard in user-level DSMs:
 // one message per home instead of one per word.
 func (pe *PE) GMGatherErr(addrs []uint64) ([]int64, error) {
 	out := make([]int64, len(addrs))
@@ -417,9 +405,7 @@ func (pe *PE) GMGatherErr(addrs []uint64) ([]int64, error) {
 }
 
 // GMScatterErr stores vals[i] at addrs[i] for every i. All addresses homed at
-// one kernel travel in a single vectored request; copies of touched blocks
-// that cached-mode readers hold are invalidated like GMWriteErr does. A
-// length mismatch is an error, and nothing is stored.
+// one kernel travel in a single vectored request. A length mismatch is an error, and nothing is stored.
 func (pe *PE) GMScatterErr(addrs []uint64, vals []int64) error {
 	if len(addrs) != len(vals) {
 		return fmt.Errorf("core: PE %d: scatter of %d values to %d addresses", pe.k.id, len(vals), len(addrs))

@@ -17,7 +17,7 @@ type restoreState struct {
 	epoch    uint64                    // checkpoint epoch of the snapshot
 	viewGen  uint64                    // view generation the restarted cluster runs as
 	app      [][]byte                  // per-PE application blobs
-	blocks   [][]gmem.BlockSnapshot    // per-kernel GM slices + coherence directory
+	blocks   [][]gmem.BlockSnapshot    // per-kernel GM slices
 	dirs     []*ckpt.DirectorySnapshot // per-kernel membership directory (nil entries = static)
 	rollback []uint64                  // per-PE ops discarded by the rollback
 }
@@ -158,8 +158,8 @@ func electCoordinator(numPE int, dead []int) int {
 
 // loadSnapshot reads and fully validates the newest committed generation:
 // every slice's frame (ckpt.Store: its names, CRC32 and SHA-256), its
-// encoding, and its geometry, homes and copysets against the cluster being
-// rebuilt (checkHomes).
+// encoding, and its geometry and homes against the cluster being rebuilt
+// (checkHomes).
 // markTimes returns each PE's mark instant for rollback accounting.
 func loadSnapshot(st ckpt.Store, numPE, latentPEs, blockWords int) (*restoreState, []sim.Time, error) {
 	gen, n, ok, err := st.Latest()
@@ -210,9 +210,9 @@ func loadSnapshot(st ckpt.Store, numPE, latentPEs, blockWords int) (*restoreStat
 
 // checkHomes refuses a snapshot the rebuilt cluster could not restore: a
 // slice listing a block that its PE's restored directory homes elsewhere (a
-// kernel would refuse to import it), an override or escrow entry naming no
-// PE, or a block, escrowed or not, that gmem.Space.CheckBlock refuses (a
-// copyset naming no PE).
+// kernel would refuse to import it), or an override or escrow entry naming
+// no PE. Every block already has the cluster's size: the decoder reads
+// exactly the block size loadSnapshot checked.
 func (rs *restoreState) checkHomes(latentPEs, blockWords int) error {
 	numPE := len(rs.blocks)
 	space := gmem.NewSpace(numPE, blockWords)
@@ -227,18 +227,12 @@ func (rs *restoreState) checkHomes(latentPEs, blockWords int) error {
 				if es.Dst < 0 || es.Dst >= numPE {
 					return fmt.Errorf("snapshot generation %d, PE %d: block %d escrowed for PE %d of %d", rs.gen, pe, es.Block.Index, es.Dst, numPE)
 				}
-				if err := space.CheckBlock(es.Block); err != nil {
-					return fmt.Errorf("snapshot generation %d, PE %d: escrowed %w", rs.gen, pe, err)
-				}
 			}
 		}
 		dir := rs.directory(pe, latentPEs)
 		for _, b := range blocks {
 			if h := dir.HomeAt(space.LocateBlock(b.Index)); h != pe {
 				return fmt.Errorf("snapshot generation %d, PE %d: block %d is homed at PE %d", rs.gen, pe, b.Index, h)
-			}
-			if err := space.CheckBlock(b); err != nil {
-				return fmt.Errorf("snapshot generation %d, PE %d: %w", rs.gen, pe, err)
 			}
 		}
 	}

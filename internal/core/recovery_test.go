@@ -336,8 +336,7 @@ func TestRecoveryRejectsCorruptSnapshot(t *testing.T) {
 // TestRecoveryRejectsMisplacedBlock commits snapshots that pass every
 // integrity check but that the rebuilt cluster cannot restore: PE 1's slice
 // lists a block PE 0 homes, or its directory overrides a block's home, or
-// escrows a block, to a PE the cluster does not have, or a block's copyset,
-// escrowed or not, names such a PE. Restarting from one
+// escrows a block, to a PE the cluster does not have. Restarting from one
 // must fail with an error naming the PE and the block, before any kernel of
 // the rebuilt cluster is built.
 func TestRecoveryRejectsMisplacedBlock(t *testing.T) {
@@ -366,21 +365,6 @@ func TestRecoveryRejectsMisplacedBlock(t *testing.T) {
 				},
 			},
 			want: "PE 1: block 1 escrowed for PE 4 of 3",
-		},
-		{
-			name:   "copyset-names-no-PE",
-			blocks: []gmem.BlockSnapshot{{Index: 1, Words: make([]int64, 32), Copyset: []int{0, 3}}},
-			want:   "PE 1: block 1's copyset names kernel 3 of 3",
-		},
-		{
-			name: "escrowed-copyset-names-no-PE",
-			dir: &ckpt.DirectorySnapshot{
-				Overrides: [][2]uint64{{1, 0}},
-				Escrow: []ckpt.EscrowSnapshot{
-					{Dst: 0, Block: gmem.BlockSnapshot{Index: 1, Words: make([]int64, 32), Copyset: []int{5}}},
-				},
-			},
-			want: "PE 1: escrowed block 1's copyset names kernel 5 of 3",
 		},
 	}
 	for _, tc := range cases {

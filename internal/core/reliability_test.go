@@ -152,8 +152,7 @@ func TestDelayedReplyDoesNotCorruptNextRequest(t *testing.T) {
 
 // TestMalformedReadReplyIsDropped puts one read reply with the wrong payload
 // size on the wire per reply op. Each used to panic the requester — Word(0)
-// on an empty payload, the cache's block-size panic, a slice past the lease
-// snapshot, landReply's bounds, WordsInto on a torn payload; each must now be
+// on an empty payload, a slice past the lease snapshot, landReply's bounds, WordsInto on a torn payload; each must now be
 // counted in CorruptDrops and treated as lost, so the request — a range
 // transfer's like a scalar's: one engine retries both — gets the well-formed
 // answer to its retry.
@@ -169,7 +168,6 @@ func TestMalformedReadReplyIsDropped(t *testing.T) {
 		read   func(pe *PE, addr uint64) (int64, error)
 	}{
 		{"scalar", wire.OpReadResp, gmem.ModeStrong, empty, (*PE).GMReadErr},
-		{"block-fetch", wire.OpReadResp, gmem.ModeCached, oneWord, (*PE).GMReadErr},
 		{"lease", wire.OpReadLeaseResp, gmem.ModeLease, torn, (*PE).GMReadErr},
 		{"vectored", wire.OpReadVResp, gmem.ModeStrong, oneWord, func(pe *PE, addr uint64) (int64, error) {
 			out, err := pe.GMGatherErr([]uint64{addr + 1, addr})

@@ -416,10 +416,7 @@ func (pe *PE) follow(f *flight, arg int64) error {
 func (k *Kernel) replyWords(req *wire.Message) int {
 	switch req.Op {
 	case wire.OpRead:
-		if req.Arg2 != 1 {
-			return int(req.Arg1)
-		}
-		return k.space.BlockWords // block fetch of a cached-mode read
+		return int(req.Arg1)
 	case wire.OpReadLease:
 		return k.space.BlockWords
 	case wire.OpReadV:

@@ -15,8 +15,7 @@ import (
 // The home serves each requester under one shard, the one Kernel.shardFor
 // picks by the requester's id, and the shard owns everything a GM request
 // touches beyond the segment itself: the dedup window of its requesters'
-// mutations, the invalidation rounds they opened, the decode/encode scratch
-// and the service-side counters. How a home is sharded is its own business:
+// mutations, the decode/encode scratch and the service-side counters. How a home is sharded is its own business:
 // no message names a shard.
 //
 // A shard is a monitor, not a thread: mu guards all of that state, and
@@ -42,11 +41,6 @@ type kernelShard struct {
 	// shard's requesters. A retry keeps its Src, so it routes to this window.
 	dedup dedupTable
 
-	// inv holds this shard's in-flight invalidation rounds, keyed by round id;
-	// rounds counts the rounds it has opened (openRound).
-	inv    map[uint64]*invRound
-	rounds uint64
-
 	// extra accumulates this shard's service counters and histograms,
 	// merged into the kernel's totals after shutdown.
 	extra trace.PEStats
@@ -59,7 +53,6 @@ type kernelShard struct {
 	runs     []locRun     // the request being served, located (locate)
 	nwords   int          // words in runs
 	wscratch []int64      // payload words
-	stale    []gmem.Copy  // cached copies the request being served made stale
 	resp     wire.Message // the reply the handler is building (reply)
 	answered sim.Time     // when reply answered the request being served (0: not yet)
 }
@@ -80,7 +73,6 @@ func newKernelShard(k *Kernel, idx int) *kernelShard {
 		k:     k,
 		idx:   idx,
 		dedup: newDedupTable(),
-		inv:   make(map[uint64]*invRound),
 		spans: k.cfg.Tracing.NewRing(),
 	}
 }
@@ -101,20 +93,16 @@ func (sh *kernelShard) unlock() {
 	}
 }
 
-// shardFor routes message m to the shard that serves it: a request to its
-// requester's, Src mod the shard count, and an invalidation ack to the shard
-// that opened the round it answers, which the round id names (openRound). It
-// is the only code that maps a message to a shard. A message whose Src names
-// no PE returns -1: it is input from another node gone wrong.
+// shardFor routes request m to the shard that serves it, its requester's:
+// Src mod the shard count. It is the only code that maps a message to a
+// shard. A message whose Src names no PE returns -1: it is input from another
+// node gone wrong.
 func (k *Kernel) shardFor(m *wire.Message) int {
 	if m.Src < 0 || int(m.Src) >= k.n {
 		return -1
 	}
 	if k.nshards == 1 {
 		return 0 // no division on the path of every single-shard request
-	}
-	if m.Op == wire.OpInvAck {
-		return int(m.Seq % uint64(k.nshards))
 	}
 	return int(m.Src) % k.nshards
 }
@@ -147,10 +135,9 @@ func (k *Kernel) dispatchGM(m *wire.Message) sim.Time {
 // counted wire messages through the same codec, dedup, stats and spans.
 //
 // Only application-originated requests qualify. What a handler itself sends —
-// OpInvalidate, OpInvAck, an escrow re-offer — is declined and queued for the
-// destination's serve loop: served inline, an ack would re-enter the lock its
-// sender still holds. A request shardFor cannot route is declined too, so the
-// serve loop counts the drop.
+// an escrow re-offer — is declined and queued for the destination's serve
+// loop, whose membership handlers serve it. A request shardFor cannot route
+// is declined too, so the serve loop counts the drop.
 func (k *Kernel) serveOnSender(m *wire.Message) bool {
 	if !servedOnSender(m.Op) {
 		return false
@@ -257,24 +244,8 @@ func (k *Kernel) unlockShards() {
 // request whole, before anything of it is applied, and forgets its dedup entry
 // so that a retry is judged afresh.
 func (sh *kernelShard) handleGM(m *wire.Message) {
-	switch m.Op {
-	case wire.OpInvalidate: // invalidation traffic is not home-routed
-		sh.handleInvalidate(m)
-		return
-	case wire.OpInvAck:
-		sh.handleInvAck(m)
-		return
-	}
-	if isMutating(m.Op) {
-		if e := sh.k.absorb(&sh.dedup, &sh.extra, m); e != nil {
-			if e.state != dedupDone && m.Flags&wire.FlagRetry != 0 {
-				// The writer is retrying while its invalidation round is still
-				// open: a lost OpInvalidate/OpInvAck would wedge the round (and
-				// absorb every further retry right here), so nudge it along.
-				sh.resendInvalidations(m.Src, m.Seq)
-			}
-			return // duplicate: absorbed by the shard's dedup window
-		}
+	if isMutating(m.Op) && sh.k.absorb(&sh.dedup, &sh.extra, m) {
+		return // duplicate: absorbed by the shard's dedup window
 	}
 	if !sh.locate(m) {
 		// Corrupt request: dropped unanswered (the requester's timeout and retry
@@ -319,9 +290,6 @@ func (sh *kernelShard) locate(m *wire.Message) bool {
 	sh.runs, sh.nwords = sh.runs[:0], 0
 	switch m.Op {
 	case wire.OpRead:
-		if m.Arg2 == 1 {
-			return sh.addRun(m.Addr, 1, 0) // block fetch of a cached-mode read: any word of the block
-		}
 		return sh.addRun(m.Addr, uint64(m.Arg1), 0)
 	case wire.OpWrite:
 		return len(m.Data)%8 == 0 && sh.addRun(m.Addr, uint64(len(m.Data)/8), 0)
@@ -435,19 +403,13 @@ func (sh *kernelShard) handleRead(m *wire.Message) {
 	if m.Op == wire.OpReadV {
 		resp.Op = wire.OpReadVResp
 	}
-	if m.Op == wire.OpRead && m.Arg2 == 1 {
-		// Block fetch of a cached-mode read: return the whole block and record
-		// the reader in the directory.
-		sh.wscratch = sh.k.seg.ReadBlockFor(sh.wscratch[:0], m.Addr, int(m.Src))
-	} else {
-		ws, at := sh.scratch(sh.nwords), 0
-		for i := range sh.runs {
-			r := &sh.runs[i]
-			sh.k.seg.ReadRun(ws[at:at+r.count], r.block, r.off)
-			at += r.count
-		}
+	ws, at := sh.scratch(sh.nwords), 0
+	for i := range sh.runs {
+		r := &sh.runs[i]
+		sh.k.seg.ReadRun(ws[at:at+r.count], r.block, r.off)
+		at += r.count
 	}
-	resp.PutWords(sh.wscratch)
+	resp.PutWords(ws)
 	sh.reply(m)
 }
 
@@ -472,44 +434,34 @@ func (sh *kernelShard) reply(m *wire.Message) {
 }
 
 // handleMutation is the one home-side path of every mutating request: apply
-// it through the segment's Shared forms, which hand back in sh.stale —
-// collected in the stripe critical section of the store itself — the cached
-// copies it made stale, then acknowledge: at once when there are none (any
-// block nobody caches), else when every copy has acknowledged its
-// invalidation (write-invalidate coherence: the writer may not proceed while
-// stale copies are readable). The home needs no knowledge of modes: only a
-// cached-mode read ever joins a copyset.
+// it to the segment and acknowledge it. The TEST-ONLY FaultDropWrites
+// acknowledges a write or vectored write without storing it: later reads
+// keep returning the old words, which the consistency checker must flag.
 func (sh *kernelShard) handleMutation(m *wire.Message) {
-	seg, writer := sh.k.seg, int(m.Src)
-	sh.stale = sh.stale[:0]
-	respOp, arg1, arg2 := wire.OpWriteAck, int64(0), int64(0)
+	seg := sh.k.seg
+	resp := &sh.resp
+	resp.Op = wire.OpWriteAck
 	switch m.Op {
 	case wire.OpWrite, wire.OpWriteV, wire.OpFlushV:
-		sh.applyRuns(m)
+		if sh.k.cfg.Fault != FaultDropWrites || m.Op == wire.OpFlushV {
+			sh.applyRuns(m)
+		}
 	case wire.OpFetchAdd:
-		respOp, arg1 = wire.OpFetchAddResp, seg.FetchAddShared(m.Addr, m.Arg1, writer, &sh.stale)
+		resp.Op, resp.Arg1 = wire.OpFetchAddResp, seg.FetchAdd(m.Addr, m.Arg1)
 	case wire.OpCAS:
 		var swapped bool
-		respOp = wire.OpCASResp
-		if arg1, swapped = seg.CASShared(m.Addr, m.Arg1, m.Arg2, writer, &sh.stale); swapped {
-			arg2 = 1
+		resp.Op = wire.OpCASResp
+		if resp.Arg1, swapped = seg.CAS(m.Addr, m.Arg1, m.Arg2); swapped {
+			resp.Arg2 = 1
 		}
 	}
-	if len(sh.stale) != 0 && sh.k.cfg.Fault != FaultDropInvalidations {
-		// (The TEST-ONLY fault acknowledges without invalidating: readers keep
-		// serving stale values, which the consistency checker must flag.)
-		sh.openRound(m, respOp, arg1, arg2)
-		return
-	}
-	resp := &sh.resp
-	resp.Op, resp.Arg1, resp.Arg2 = respOp, arg1, arg2
 	sh.reply(m)
 }
 
 // handleReadLease serves a lease-mode block fetch: the whole block containing
-// m.Addr plus the home's lease duration, WITHOUT registering the reader in
-// the coherence directory — a leaseholder is never invalidated; its staleness
-// is bounded by the expiry it got here.
+// m.Addr plus the home's lease duration. The home keeps no record of the
+// reader — a leaseholder is never invalidated; its staleness is bounded by
+// the expiry it got here.
 func (sh *kernelShard) handleReadLease(m *wire.Message) {
 	k := sh.k
 	bw, b := k.space.BlockWords, sh.runs[0].block
@@ -527,100 +479,9 @@ func (sh *kernelShard) handleReadLease(m *wire.Message) {
 // publish at a synchronisation edge).
 func (sh *kernelShard) applyRuns(m *wire.Message) {
 	ws := sh.scratch(sh.k.space.BlockWords) // no run is longer
-	writer := int(m.Src)
 	for i := range sh.runs {
 		r := &sh.runs[i]
 		wire.DecodeWords(ws[:r.count], m.Data[r.at:])
-		sh.k.seg.WriteRun(r.block, r.off, ws[:r.count], writer, &sh.stale)
+		sh.k.seg.WriteRun(r.block, r.off, ws[:r.count])
 	}
-}
-
-// openRound invalidates every copy in sh.stale; the last ack answers m. The
-// round id names its shard: this shard's n-th round is n × the shard count +
-// the shard's index, unique across the kernel's shards, and the ack echoes
-// it as its Seq, so shardFor routes the ack back to the round by id alone.
-func (sh *kernelShard) openRound(m *wire.Message, respOp wire.Op, arg1, arg2 int64) {
-	sh.rounds++
-	id := sh.rounds*uint64(sh.k.nshards) + uint64(sh.idx)
-	r := &invRound{
-		requester: m.Src, seq: m.Seq,
-		respOp: respOp, arg1: arg1, arg2: arg2,
-	}
-	// sh.stale is reused scratch; the round needs its own copy to survive
-	// until the last ack.
-	r.outstanding = append(r.outstanding, sh.stale...)
-	sh.inv[id] = r
-	for _, c := range r.outstanding {
-		sh.sendInvalidate(id, c, 0)
-	}
-}
-
-// sendInvalidate tells c's holder to drop its copy, for round id.
-func (sh *kernelShard) sendInvalidate(id uint64, c gmem.Copy, flags uint8) {
-	k := sh.k
-	inv := wire.GetMessage()
-	inv.Op, inv.Src, inv.Dst = wire.OpInvalidate, int32(k.id), int32(c.Holder)
-	inv.Seq, inv.Addr = id, c.Addr
-	inv.Flags |= flags
-	k.svc.Send(c.Holder, inv)
-	wire.PutMessage(inv)
-}
-
-// resendInvalidations retransmits the still-unacked invalidations of the
-// round started by requester's mutating request seq, if one is in flight.
-// Called when a retried duplicate of that request arrives: the retry means
-// the writer never got its response, and under a lossy transport the likely
-// cause is a lost OpInvalidate or OpInvAck that no other timer would ever
-// recover. The round lives in this shard — a retry keeps its Src, so it
-// routes like the original.
-func (sh *kernelShard) resendInvalidations(requester int32, seq uint64) {
-	for id, r := range sh.inv {
-		if r.requester != requester || r.seq != seq {
-			continue
-		}
-		for _, c := range r.outstanding {
-			sh.sendInvalidate(id, c, wire.FlagRetry)
-		}
-		return
-	}
-}
-
-// handleInvalidate drops the local cached copy and acks under the round's
-// id, the invalidation's Seq, which routes the ack back to the round.
-func (sh *kernelShard) handleInvalidate(m *wire.Message) {
-	sh.k.cache.Invalidate(m.Addr)
-	sh.resp.Op, sh.resp.Addr = wire.OpInvAck, m.Addr
-	sh.reply(m)
-}
-
-func (sh *kernelShard) handleInvAck(m *wire.Message) {
-	r, ok := sh.inv[m.Seq]
-	if !ok {
-		// A duplicate or late ack for a round already completed (or an ack
-		// with a corrupted round id): count and drop instead of taking the
-		// kernel down.
-		sh.extra.StrayDrops++
-		return
-	}
-	// Match the ack against a specific outstanding invalidation so that a
-	// duplicated ack (original + the answer to a retransmission) cannot
-	// complete the round while other copies are still live.
-	found := -1
-	for i, c := range r.outstanding {
-		if c.Holder == int(m.Src) && c.Addr == m.Addr {
-			found = i
-			break
-		}
-	}
-	if found < 0 {
-		sh.extra.StrayDrops++
-		return
-	}
-	r.outstanding = append(r.outstanding[:found], r.outstanding[found+1:]...)
-	if len(r.outstanding) > 0 {
-		return
-	}
-	delete(sh.inv, m.Seq)
-	sh.dedup.complete(r.requester, r.seq, r.respOp, r.arg1, r.arg2, nil)
-	sh.k.answer(r.requester, r.seq, r.respOp, r.arg1, r.arg2)
 }

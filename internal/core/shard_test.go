@@ -54,51 +54,21 @@ func TestUserQueuesReleasedAfterRun(t *testing.T) {
 }
 
 // TestShardForRouting pins the dispatcher's routing rule: a request goes to
-// its requester's shard, Src mod the shard count, whatever it addresses; an
-// invalidation ack goes to the shard its round id names, which is the shard
-// that opened the round; and a message whose Src names no PE is dropped as
-// corrupt, with one shard as with several.
+// its requester's shard, Src mod the shard count, whatever it addresses; and
+// a message whose Src names no PE is dropped as corrupt, with one shard as
+// with several.
 func TestShardForRouting(t *testing.T) {
-	net, ks := testKernels(t, 3, func(cfg *Config) { cfg.KernelShards = 2 })
+	_, ks := testKernels(t, 3, func(cfg *Config) { cfg.KernelShards = 2 })
 	k := ks[0]
 	bw := uint64(k.space.BlockWords)
 	for src := int32(0); src < 3; src++ {
-		for _, op := range []wire.Op{wire.OpRead, wire.OpWrite, wire.OpReadV, wire.OpWriteV, wire.OpFlushV, wire.OpInvalidate} {
+		for _, op := range []wire.Op{wire.OpRead, wire.OpWrite, wire.OpReadV, wire.OpWriteV, wire.OpFlushV, wire.OpReadLease} {
 			for blk := uint64(0); blk < 4; blk++ {
 				if got := k.shardFor(&wire.Message{Op: op, Src: src, Addr: blk * 3 * bw}); got != int(src)%2 {
 					t.Errorf("%v from %d at block %d -> shard %d, want %d", op, src, blk*3, got, src%2)
 				}
 			}
 		}
-		for id := uint64(2); id < 8; id++ {
-			if got := k.shardFor(&wire.Message{Op: wire.OpInvAck, Src: src, Seq: id}); got != int(id%2) {
-				t.Errorf("ack of round %d from %d -> shard %d, want %d", id, src, got, id%2)
-			}
-		}
-	}
-
-	// A round opened by requester 1's write is shard 1's, and its ack finds it
-	// there: kernel 2 caches block 0 (a cached-mode block fetch), kernel 1
-	// writes into it.
-	fetch := &wire.Message{Op: wire.OpRead, Src: 2, Dst: 0, Seq: 1, Arg1: 1, Arg2: 1}
-	if consumed, _ := k.handle(fetch); !consumed {
-		t.Fatal("block fetch not consumed")
-	}
-	wire.PutMessage(replyFrom(t, ks[2]))
-	write := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 0, Seq: 1}
-	write.PutWord(5)
-	k.handle(write)
-	inv := recvFrom(t, net, 2)
-	if inv.Op != wire.OpInvalidate || k.shardFor(&wire.Message{Op: wire.OpInvAck, Src: 2, Seq: inv.Seq}) != 1 || len(k.shards[1].inv) != 1 {
-		t.Fatalf("write from 1 sent %v round %d, shard 1 holds %d rounds; want an invalidation of a shard-1 round", inv.Op, inv.Seq, len(k.shards[1].inv))
-	}
-	ks[2].handle(inv)
-	k.handle(recvFrom(t, net, 0))
-	if ack := replyFrom(t, ks[1]); ack.Op != wire.OpWriteAck || ack.Seq != 1 {
-		t.Fatalf("writer got %v seq %d, want its write-ack", ack.Op, ack.Seq)
-	}
-	if k.shards[1].extra.StrayDrops != 0 || len(k.shards[1].inv) != 0 {
-		t.Fatalf("ack did not close the round: StrayDrops %d, %d rounds open", k.shards[1].extra.StrayDrops, len(k.shards[1].inv))
 	}
 
 	// A Src outside the cluster routes nowhere: the request is dropped as

@@ -36,9 +36,8 @@ func runCase(t *testing.T, c stress.Case, flag string) *stress.Result {
 
 // TestStressSuites runs the three seeded sweeps row for row as
 // `dsebench -stress|-recover|-membership -seed 1` does: the full consistency
-// matrix (up to 8 PEs at 15% loss under caching, kills, sharded, one-sided
-// and mixed-tier legs, cached words beside one-sided traffic), the
-// kill-and-recover schedules, one of them over the window and rings, and the
+// matrix (up to 8 PEs at 15% loss, kills, sharded, one-sided and mixed-tier
+// legs), the kill-and-recover schedules, one of them over the window and rings, and the
 // elastic-membership churn. The nightly job runs the same rows on a date seed.
 // Every row without a kill, lossy ones included, crosses barriers.
 func TestStressSuites(t *testing.T) {
@@ -54,53 +53,30 @@ func TestStressSuites(t *testing.T) {
 	}
 }
 
-// TestStressLossyCaching pins the harshest protocol corner in tier-1: heavy
-// frame loss with caching on, where lost invalidations meet the retry dedup
-// window. Beyond consistency, it demands that every operation eventually
-// completed: before the invalidation-retransmit fix, a lost OpInvalidate
-// wedged its round forever (the writer's retries were silently absorbed as
-// in-progress duplicates) and ops failed despite 30 retries.
-func TestStressLossyCaching(t *testing.T) {
-	for _, seed := range []uint64{7, 19, 31} {
-		res := runStress(t, stress.Options{
-			Seed: seed, NumPE: 4, OpsPerPE: 300, Caching: true, Loss: 0.25,
-		})
-		for _, e := range res.History.Events {
-			if e.Failed {
-				t.Errorf("seed %d: operation never completed (wedged invalidation round?): %v", seed, e)
-			}
-		}
-	}
-}
-
 // TestStressModesMatrix mixes all three consistency tiers (strong, release,
-// lease) in one run and sweeps the fault axes — clean, caching, loss — over
-// them. Every configuration must stay checker-clean under the per-mode rules,
+// lease) in one run and sweeps the loss axis over them. Every configuration must stay checker-clean under the per-mode rules,
 // and every fault-free run must actually exercise the new machinery: WC
 // buffer flushes at sync edges and lease grants on the lease region.
 func TestStressModesMatrix(t *testing.T) {
 	for _, loss := range []float64{0, 0.05} {
-		for _, caching := range []bool{false, true} {
-			o := stress.Options{
-				Seed:     41 + uint64(loss*100),
-				NumPE:    4,
-				OpsPerPE: 200,
-				Caching:  caching,
-				Loss:     loss,
-				Modes:    true,
-			}
-			t.Run(fmt.Sprintf("loss%02.0f_cache%v", loss*100, caching), func(t *testing.T) {
-				res := runStress(t, o)
-				if loss == 0 {
-					if res.WCFlushes == 0 {
-						t.Error("fault-free modes run recorded no WC buffer flushes")
-					}
-					if res.LeaseGrants == 0 {
-						t.Error("fault-free modes run granted no read leases")
-					}
-				}
-			})
+		o := stress.Options{
+			Seed:     41 + uint64(loss*100),
+			NumPE:    4,
+			OpsPerPE: 200,
+			Loss:     loss,
+			Modes:    true,
 		}
+		t.Run(fmt.Sprintf("loss%02.0f", loss*100), func(t *testing.T) {
+			res := runStress(t, o)
+			if loss == 0 {
+				if res.WCFlushes == 0 {
+					t.Error("fault-free modes run recorded no WC buffer flushes")
+				}
+				if res.LeaseGrants == 0 {
+					t.Error("fault-free modes run granted no read leases")
+				}
+			}
+		})
 	}
 }
 
@@ -126,7 +102,7 @@ func TestStressModesLeaseExpiry(t *testing.T) {
 // grant/expiry included — so a printed seed still replays any tier bug.
 func TestStressModesReplayDeterministic(t *testing.T) {
 	o := stress.Options{
-		Seed: 42, NumPE: 4, OpsPerPE: 200, Caching: true, Loss: 0.1,
+		Seed: 42, NumPE: 4, OpsPerPE: 200, Loss: 0.1,
 		Jitter: 300 * sim.Microsecond,
 		Modes:  true,
 	}
@@ -231,20 +207,20 @@ func TestStressCatchesIgnoredLeaseExpiry(t *testing.T) {
 	}
 }
 
-// TestStressCatchesBrokenInvalidation turns on the kernel's test-only
-// coherence fault (writes acknowledged without invalidating remote caches)
-// and demands the checker notice: a harness that cannot see a deliberately
+// TestStressCatchesDroppedWrites turns on the kernel's test-only strong
+// protocol fault (message-path writes acknowledged without being stored) and
+// demands the checker notice: a harness that cannot see a deliberately
 // broken protocol proves nothing about a working one.
-func TestStressCatchesBrokenInvalidation(t *testing.T) {
+func TestStressCatchesDroppedWrites(t *testing.T) {
 	res, err := stress.Run(stress.Options{
-		Seed: 3, NumPE: 4, OpsPerPE: 300, Caching: true,
-		Fault: core.FaultDropInvalidations,
+		Seed: 3, NumPE: 4, OpsPerPE: 300,
+		Fault: core.FaultDropWrites,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Report.OK() {
-		t.Fatal("checker passed a run with invalidations disabled — it cannot detect stale reads")
+		t.Fatal("checker passed a run whose homes drop writes — it cannot detect stale reads")
 	}
 }
 

@@ -35,11 +35,10 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 
 	// Tiers. The word's mode picks the contract: release stores stop at the
 	// write-combining buffer and release reads see them there first; lease
-	// reads are served from time-bounded block snapshots; cached reads from the
-	// PE's copies of whole blocks. Atomics always run the strong protocol at the
-	// home — the mode only tags which per-word rule set judges them — and any
-	// mutation drops the PE's own lease on the word so its later lease reads
-	// re-observe it.
+	// reads are served from time-bounded block snapshots. Atomics always run
+	// the strong protocol at the home — the mode only tags which per-word rule
+	// set judges them — and any mutation drops the PE's own lease on the word
+	// so its later lease reads re-observe it.
 	mode := pe.modes.Lookup(addr)
 	switch {
 	case mode == gmem.ModeRelease && kind == check.KindWrite:
@@ -63,12 +62,6 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 				pe.hist.CloseRead(h, v, false, 0, 0)
 				return v, false, nil
 			}
-		case gmem.ModeCached:
-			if v, hit := k.cache.Lookup(addr); hit {
-				pe.chargeLocal()
-				pe.hist.CloseRead(h, v, true, 0, 0)
-				return v, false, nil
-			}
 		}
 	}
 
@@ -87,7 +80,7 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 	// Extract passes only after the directory has flipped: the access lands
 	// before the block's snapshot is taken, and moves with it, or is refused
 	// with nothing applied and follows the block by message under a fresh Seq.
-	seg := pe.inPlace(home, mode, kind != check.KindRead, addr, 1)
+	seg := pe.inPlace(home, addr, 1)
 	if seg == nil || home != k.id {
 		pe.extra.RemoteGM++
 	} else {
@@ -125,11 +118,7 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 	req.Op, req.Addr = wordOps[kind].wire, addr
 	switch kind {
 	case check.KindRead:
-		if mode == gmem.ModeCached {
-			req.Arg2 = 1 // fetch the whole block and join its copyset
-		} else {
-			req.Arg1 = 1
-		}
+		req.Arg1 = 1
 	case check.KindWrite:
 		req.PutWord(a1)
 	default:
@@ -143,11 +132,7 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 	}
 	switch kind {
 	case check.KindRead:
-		if mode == gmem.ModeCached {
-			out = pe.cacheFill(addr, resp)
-		} else {
-			out = resp.Word(0)
-		}
+		out = resp.Word(0)
 		wire.PutMessage(resp)
 		pe.hist.CloseRead(h, out, false, 0, 0)
 		return out, false, nil
@@ -157,7 +142,6 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 		out, ok = resp.Arg1, resp.Arg2 == 1
 	}
 	wire.PutMessage(resp)
-	pe.cacheDrop(addr)
 	pe.hist.Close(h, out, ok)
 	return out, ok, nil
 }
@@ -167,8 +151,7 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 // The word's consistency mode picks the protocol: strong words take the
 // home-served path, release words consult the PE's own write-combining
 // buffer first (read-your-writes between sync edges), lease words are
-// served from time-bounded block leases, cached words from the PE's copies
-// of whole blocks, which their home invalidates before acknowledging a write.
+// served from time-bounded block leases.
 func (pe *PE) GMReadErr(addr uint64) (int64, error) {
 	v, _, err := pe.wordOp(check.KindRead, addr, 0, 0)
 	return v, err

@@ -71,7 +71,7 @@ func BenchmarkSegmentWordOps(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			words[i%64] = int64(i)
-			g.WriteRun(uint64(i%8), 0, words, 0, nil)
+			g.WriteRun(uint64(i%8), 0, words)
 		}
 	})
 }

@@ -182,7 +182,6 @@ type segModel struct {
 	seg     *Segment
 	nblocks uint64
 	blocks  map[uint64][]int64 // the materialised blocks
-	cs      map[uint64][]int   // their copysets
 	owned   []uint64           // blocks the segment homes
 	foreign []uint64           // blocks of other residues, not adopted yet
 	issued  []atomic.Int64     // per word, the last sequence number written
@@ -193,7 +192,7 @@ type segModel struct {
 func newSegModel(tb testing.TB, nblocks uint64) *segModel {
 	m := &segModel{
 		tb: tb, dir: NewDirectory(modelN, 0), seg: NewSegment(NewSpace(modelN, modelWords), modelSelf),
-		nblocks: nblocks, blocks: map[uint64][]int64{}, cs: map[uint64][]int{},
+		nblocks: nblocks, blocks: map[uint64][]int64{},
 		issued: make([]atomic.Int64, nblocks*modelWords), gone: make([]atomic.Bool, nblocks),
 		seen: map[uint64]bool{},
 	}
@@ -292,9 +291,6 @@ func (m *segModel) adopt(s *modelScript) {
 		for w := range bs.Words {
 			bs.Words[w] = m.value(b*modelWords + uint64(w))
 		}
-		if b%2 == 0 {
-			bs.Copyset = []int{0, 3}
-		}
 		in = append(in, bs)
 	}
 	if len(in) == 0 {
@@ -317,9 +313,6 @@ func (m *segModel) adopt(s *modelScript) {
 		m.dir.SetOverride(bs.Index, modelSelf)
 		m.owned = append(m.owned, bs.Index)
 		m.materialised(bs.Index, slices.Clone(bs.Words))
-		if bs.Copyset != nil {
-			m.cs[bs.Index] = bs.Copyset
-		}
 	}
 }
 
@@ -352,7 +345,6 @@ func (m *segModel) extract(s *modelScript) {
 	}
 	for b := range leaving {
 		delete(m.blocks, b)
-		delete(m.cs, b)
 		m.gone[b].Store(true)
 	}
 }
@@ -365,7 +357,6 @@ func (m *segModel) drop(s *modelScript) {
 		if m.blocks[b] != nil {
 			want++
 			delete(m.blocks, b)
-			delete(m.cs, b)
 		}
 	}
 	if got := m.seg.DropRange(first, n); got != want {
@@ -399,12 +390,8 @@ func (m *segModel) reimport(s *modelScript) {
 		m.tb.Fatalf("Import: %v", err)
 	}
 	clear(m.blocks)
-	clear(m.cs)
 	for _, bs := range snap {
 		m.materialised(bs.Index, slices.Clone(bs.Words))
-		if bs.Copyset != nil {
-			m.cs[bs.Index] = bs.Copyset
-		}
 	}
 }
 
@@ -429,9 +416,9 @@ func (m *segModel) spot(s *modelScript) {
 }
 
 func (m *segModel) checkBlock(op string, bs BlockSnapshot, b uint64) {
-	if bs.Index != b || !slices.Equal(bs.Words, m.blocks[b]) || !slices.Equal(bs.Copyset, m.cs[b]) {
-		m.tb.Fatalf("%s: block %d = %v copyset %v; model block %d = %v copyset %v",
-			op, bs.Index, bs.Words, bs.Copyset, b, m.blocks[b], m.cs[b])
+	if bs.Index != b || !slices.Equal(bs.Words, m.blocks[b]) {
+		m.tb.Fatalf("%s: block %d = %v; model block %d = %v",
+			op, bs.Index, bs.Words, b, m.blocks[b])
 	}
 }
 

@@ -134,17 +134,13 @@ type stripe struct {
 	// in place, and it is replaced whole by publish. Word slices are shared
 	// between generations and mutated in place via atomic stores.
 	table atomic.Pointer[blockTable]
-	// copyset maps a homed block to the kernels caching it (directory for
-	// the invalidation protocol; empty while no cached-mode read has reached
-	// this stripe). Guarded by mu.
-	copyset map[uint64]map[int]struct{}
 }
 
-// Segment is the slice of global memory homed at one kernel, plus the
-// caching directory. It is striped SegStripes ways so accesses to different
-// blocks rarely contend on one mutex, and it supports a lock-free
-// single-word DirectReadOwned for co-located readers (the one-sided read
-// fast path). Methods are safe for concurrent use.
+// Segment is the slice of global memory homed at one kernel. It is striped
+// SegStripes ways so accesses to different blocks rarely contend on one
+// mutex, and it supports a lock-free single-word DirectReadOwned for
+// co-located readers (the one-sided read fast path). Methods are safe for
+// concurrent use.
 type Segment struct {
 	space   Space
 	self    int
@@ -181,7 +177,6 @@ func NewSegment(space Space, self int) *Segment {
 	g := &Segment{space: space, self: self}
 	for i := range g.stripes {
 		g.stripes[i].table.Store(newBlockTable(0, g.freeKey(i)))
-		g.stripes[i].copyset = make(map[uint64]map[int]struct{})
 	}
 	return g
 }
@@ -413,8 +408,7 @@ func (g *Segment) Extract(flips func(b uint64) bool) []BlockSnapshot {
 		var gone []uint64
 		t.each(func(b uint64, words []int64) {
 			if flips(b) {
-				out = append(out, BlockSnapshot{Index: b, Words: slices.Clone(words), Copyset: holders(st.copyset[b])})
-				delete(st.copyset, b)
+				out = append(out, BlockSnapshot{Index: b, Words: slices.Clone(words)})
 				gone = append(gone, b)
 			}
 		})
@@ -433,16 +427,10 @@ func (g *Segment) Extract(flips func(b uint64) bool) []BlockSnapshot {
 func (g *Segment) Has(b uint64) bool { return g.stripeOf(b).lookup(b) != nil }
 
 // CheckBlock refuses a block snapshot this space cannot hold: one of the
-// wrong size, or whose copyset names a kernel outside the space, which the
-// block's next mutation would send an invalidation to.
+// wrong size, whose words a later access would index past.
 func (s Space) CheckBlock(b BlockSnapshot) error {
 	if len(b.Words) != s.BlockWords {
 		return fmt.Errorf("block %d has %d words, block size is %d", b.Index, len(b.Words), s.BlockWords)
-	}
-	for _, k := range b.Copyset {
-		if k < 0 || k >= s.N {
-			return fmt.Errorf("block %d's copyset names kernel %d of %d", b.Index, k, s.N)
-		}
 	}
 	return nil
 }
@@ -490,16 +478,6 @@ func (g *Segment) Adopt(blocks []BlockSnapshot) error {
 				next = next.add(b, words)
 			}
 		})
-		for _, b := range blocks {
-			if g.stripeIndex(b.Index) != i {
-				continue
-			}
-			if len(b.Copyset) > 0 {
-				st.copyset[b.Index] = copysetOf(b.Copyset)
-			} else {
-				delete(st.copyset, b.Index)
-			}
-		}
 		st.publish(next)
 		st.mu.Unlock()
 	}
@@ -555,51 +533,17 @@ func (g *Segment) ReadAppend(dst []int64, addr uint64, n int) []int64 {
 // window), so a reader observing a half-applied run is no new behaviour.
 const writeWindowWords = 32
 
-// Copy names one cached copy a mutation made stale: kernel Holder's copy of
-// the block containing Addr.
-type Copy struct {
-	Addr   uint64
-	Holder int
-}
-
-// takeCopies empties block b's copyset into *stale, one Copy at addr per
-// holder in ascending order, leaving out writer (a PE drops its own copy
-// itself). A nil stale leaves the directory alone. Caller holds st.mu. Until
-// a cached-mode read reaches the stripe a block costs the len test, which
-// is kept apart so that it inlines into the mutators.
-func (st *stripe) takeCopies(b, addr uint64, writer int, stale *[]Copy) {
-	if stale != nil && len(st.copyset) != 0 {
-		st.takeHolders(b, addr, writer, stale)
-	}
-}
-
-func (st *stripe) takeHolders(b, addr uint64, writer int, stale *[]Copy) {
-	for _, k := range holders(st.copyset[b]) {
-		if k != writer {
-			*stale = append(*stale, Copy{Addr: addr, Holder: k})
-		}
-	}
-	delete(st.copyset, b)
-}
-
-// Write stores words starting at addr (all homed here, single block) and
-// leaves the copyset alone: the form for callers not serving a request.
-func (g *Segment) Write(addr uint64, words []int64) { g.WriteShared(addr, words, 0, nil) }
-
-// WriteShared is Write as the home serves it for kernel writer: the critical
-// section of the last store also takes the block's copyset into *stale
-// (takeCopies), so a copy registered earlier is invalidated and a later one
-// holds the new words.
-func (g *Segment) WriteShared(addr uint64, words []int64, writer int, stale *[]Copy) {
+// Write stores words starting at addr (all homed here, single block).
+func (g *Segment) Write(addr uint64, words []int64) {
 	l := g.checkHome(addr, len(words))
-	g.writeRun(g.stripeAt(l), l, words, writer, stale, false)
+	g.writeRun(g.stripeAt(l), l, words, false)
 }
 
-// WriteRun is WriteShared for a run the caller has located and checked, like
+// WriteRun is Write for a run the caller has located and checked, like
 // ReadRun's: words go to offset off of block b. The stripe is locked for at
 // most writeWindowWords stores at a time, each one atomic word store.
-func (g *Segment) WriteRun(b uint64, off int, words []int64, writer int, stale *[]Copy) {
-	g.writeRun(g.stripeOf(b), Loc{Block: b, Off: off}, words, writer, stale, false)
+func (g *Segment) WriteRun(b uint64, off int, words []int64) {
+	g.writeRun(g.stripeOf(b), Loc{Block: b, Off: off}, words, false)
 }
 
 // WriteRunAt is Write for a run located at l that nobody has checked this
@@ -608,12 +552,12 @@ func (g *Segment) WriteRun(b uint64, off int, words []int64, writer int, stale *
 // It returns how many words it stored, a prefix of words — the rest is the
 // caller's to send to the block's new home.
 func (g *Segment) WriteRunAt(l Loc, words []int64) int {
-	return g.writeRun(g.stripeAt(l), l, words, 0, nil, true)
+	return g.writeRun(g.stripeAt(l), l, words, true)
 }
 
 // writeRun is WriteRun on the stripe st of the run at l, checking ownership
 // in every chunk if check is set; it returns the words stored.
-func (g *Segment) writeRun(st *stripe, l Loc, words []int64, writer int, stale *[]Copy, check bool) int {
+func (g *Segment) writeRun(st *stripe, l Loc, words []int64, check bool) int {
 	for start := 0; start == 0 || start < len(words); start += writeWindowWords {
 		chunk := words[start:]
 		if len(chunk) > writeWindowWords {
@@ -628,35 +572,23 @@ func (g *Segment) writeRun(st *stripe, l Loc, words []int64, writer int, stale *
 		for i, v := range chunk {
 			atomic.StoreInt64(&blk[l.Off+start+i], v)
 		}
-		if start+writeWindowWords >= len(words) {
-			st.takeCopies(l.Block, g.addrOf(l), writer, stale)
-		}
 		st.mu.Unlock()
 	}
 	return len(words)
 }
 
 // FetchAdd atomically adds delta to the word at addr, returning the
-// previous value. Like Write it leaves the copyset alone.
+// previous value.
 func (g *Segment) FetchAdd(addr uint64, delta int64) int64 {
-	return g.FetchAddShared(addr, delta, 0, nil)
+	l := g.space.Locate(addr)
+	old, owned := g.FetchAddAt(l, delta)
+	g.mustOwn(l, owned)
+	return old
 }
 
 // FetchAddAt is FetchAdd for a located word, reporting whether this segment
 // homes it instead of panicking (see WriteWordAt).
 func (g *Segment) FetchAddAt(l Loc, delta int64) (old int64, owned bool) {
-	return g.fetchAdd(l, delta, 0, nil)
-}
-
-// FetchAddShared is FetchAdd as the home serves it: see WriteShared.
-func (g *Segment) FetchAddShared(addr uint64, delta int64, writer int, stale *[]Copy) int64 {
-	l := g.space.Locate(addr)
-	old, owned := g.fetchAdd(l, delta, writer, stale)
-	g.mustOwn(l, owned)
-	return old
-}
-
-func (g *Segment) fetchAdd(l Loc, delta int64, writer int, stale *[]Copy) (old int64, owned bool) {
 	st := g.stripeAt(l)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -666,32 +598,21 @@ func (g *Segment) fetchAdd(l Loc, delta int64, writer int, stale *[]Copy) (old i
 	blk := st.materialise(l.Block, g.space.BlockWords)
 	old = blk[l.Off]
 	atomic.StoreInt64(&blk[l.Off], old+delta)
-	st.takeCopies(l.Block, g.addrOf(l), writer, stale)
 	return old, true
 }
 
 // CAS atomically compares-and-swaps the word at addr, returning the previous
-// value and whether the swap happened. Like Write it leaves the copyset alone.
+// value and whether the swap happened.
 func (g *Segment) CAS(addr uint64, old, new int64) (prev int64, swapped bool) {
-	return g.CASShared(addr, old, new, 0, nil)
+	l := g.space.Locate(addr)
+	prev, swapped, owned := g.CASAt(l, old, new)
+	g.mustOwn(l, owned)
+	return prev, swapped
 }
 
 // CASAt is CAS for a located word, reporting whether this segment homes it
 // instead of panicking (see WriteWordAt).
 func (g *Segment) CASAt(l Loc, old, new int64) (prev int64, swapped, owned bool) {
-	return g.cas(l, old, new, 0, nil)
-}
-
-// CASShared is CAS as the home serves it: see WriteShared. A swap that did
-// not happen changed nothing and takes no copyset.
-func (g *Segment) CASShared(addr uint64, old, new int64, writer int, stale *[]Copy) (prev int64, swapped bool) {
-	l := g.space.Locate(addr)
-	prev, swapped, owned := g.cas(l, old, new, writer, stale)
-	g.mustOwn(l, owned)
-	return prev, swapped
-}
-
-func (g *Segment) cas(l Loc, old, new int64, writer int, stale *[]Copy) (prev int64, swapped, owned bool) {
 	st := g.stripeAt(l)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -704,63 +625,14 @@ func (g *Segment) cas(l Loc, old, new int64, writer int, stale *[]Copy) (prev in
 		return prev, false, true
 	}
 	atomic.StoreInt64(&blk[l.Off], new)
-	st.takeCopies(l.Block, g.addrOf(l), writer, stale)
 	return prev, true, true
 }
 
-// ReadBlockFor appends the whole block containing addr to dst and records
-// reader in the block's copyset (the caching protocol's read miss). The block
-// is materialised so the directory entry survives Export.
-func (g *Segment) ReadBlockFor(dst []int64, addr uint64, reader int) []int64 {
-	l := g.checkHome(addr, 1)
-	st := g.stripeAt(l)
-	st.mu.Lock()
-	dst = append(dst, st.materialise(l.Block, g.space.BlockWords)...)
-	if reader != g.self {
-		cs := st.copyset[l.Block]
-		if cs == nil {
-			cs = make(map[int]struct{})
-			st.copyset[l.Block] = cs
-		}
-		cs[reader] = struct{}{}
-	}
-	st.mu.Unlock()
-	return dst
-}
-
-// holders lists one copyset's kernels in ascending order.
-func holders(cs map[int]struct{}) []int {
-	var out []int
-	for k := range cs {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// copysetOf is holders' inverse.
-func copysetOf(ks []int) map[int]struct{} {
-	cs := make(map[int]struct{}, len(ks))
-	for _, k := range ks {
-		cs[k] = struct{}{}
-	}
-	return cs
-}
-
-// Copyset reports the kernels currently caching block b (for tests).
-func (g *Segment) Copyset(b uint64) []int {
-	st := g.stripeOf(b)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return holders(st.copyset[b])
-}
-
-// BlockSnapshot is one homed block's state for checkpointing: the stored
-// words plus the coherence directory entry (which kernels cache the block).
+// BlockSnapshot is one homed block's state for checkpointing and migration:
+// its index and its stored words.
 type BlockSnapshot struct {
-	Index   uint64  // block index (addr / BlockWords)
-	Words   []int64 // BlockWords values
-	Copyset []int   // caching kernels, sorted
+	Index uint64  // block index (addr / BlockWords)
+	Words []int64 // BlockWords values
 }
 
 // Export snapshots every materialised block of this segment, sorted by block
@@ -774,7 +646,7 @@ func (g *Segment) Export() []BlockSnapshot {
 		st := &g.stripes[i]
 		st.mu.Lock()
 		st.table.Load().each(func(b uint64, words []int64) {
-			out = append(out, BlockSnapshot{Index: b, Words: slices.Clone(words), Copyset: holders(st.copyset[b])})
+			out = append(out, BlockSnapshot{Index: b, Words: slices.Clone(words)})
 		})
 		st.mu.Unlock()
 	}
@@ -798,16 +670,9 @@ func (g *Segment) Import(blocks []BlockSnapshot) error {
 	if err != nil {
 		return err
 	}
-	var csets [SegStripes]map[uint64]map[int]struct{}
-	for i := range csets {
-		csets[i] = make(map[uint64]map[int]struct{})
+	for i := range tabs {
 		if tabs[i] == nil {
 			tabs[i] = newBlockTable(0, g.freeKey(i))
-		}
-	}
-	for _, b := range blocks {
-		if len(b.Copyset) > 0 {
-			csets[g.stripeIndex(b.Index)][b.Index] = copysetOf(b.Copyset)
 		}
 	}
 	for i := range g.stripes {
@@ -818,24 +683,18 @@ func (g *Segment) Import(blocks []BlockSnapshot) error {
 		// it fails its seqlock validation and retries against the imported
 		// state instead of returning a word from the discarded generation.
 		st.publish(tabs[i])
-		st.copyset = csets[i]
 		st.mu.Unlock()
 	}
 	return nil
 }
 
-// Cache is a PE-local block cache for the invalidation protocol: the blocks
-// the PE's cached-mode reads fetched, each registered in its home's copyset.
+// Cache is a block cache keyed by block: the whole blocks inserted, and a
+// word looked up in them. Nothing in the runtime uses it; it stays for the
+// benchmark module's gmem.cache_lookup_ns row (DESIGN.md §12).
 type Cache struct {
 	space Space
 	mu    sync.Mutex
 	data  map[uint64][]int64
-	hits  uint64
-	miss  uint64
-	inval uint64
-	// held mirrors len(data): Invalidate, which every message-path mutation
-	// ends in, costs a PE that holds no copies one load and no lock.
-	held atomic.Int64
 }
 
 // NewCache creates an empty cache over the space.
@@ -849,44 +708,17 @@ func (c *Cache) Lookup(addr uint64) (int64, bool) {
 	defer c.mu.Unlock()
 	blk, ok := c.data[c.space.BlockOf(addr)]
 	if !ok {
-		c.miss++
 		return 0, false
 	}
-	c.hits++
 	return blk[addr%uint64(c.space.BlockWords)], true
 }
 
-// Insert installs a whole block fetched from its home.
+// Insert installs a copy of the whole block containing addr.
 func (c *Cache) Insert(addr uint64, block []int64) {
 	if len(block) != c.space.BlockWords {
 		panic("gmem: cache insert of wrong-sized block")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cp := make([]int64, len(block))
-	copy(cp, block)
-	c.data[c.space.BlockOf(addr)] = cp
-	c.held.Store(int64(len(c.data)))
-}
-
-// Invalidate drops the block containing addr.
-func (c *Cache) Invalidate(addr uint64) {
-	if c.held.Load() != 0 {
-		c.drop(addr)
-	}
-}
-
-func (c *Cache) drop(addr uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.data, c.space.BlockOf(addr))
-	c.inval++
-	c.held.Store(int64(len(c.data)))
-}
-
-// Stats reports hits, misses and invalidations so far.
-func (c *Cache) Stats() (hits, misses, invalidations uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.miss, c.inval
+	c.data[c.space.BlockOf(addr)] = slices.Clone(block)
 }

@@ -16,13 +16,9 @@ import (
 //     lock release). Reads observe the PE's own buffered
 //     writes plus whatever the home last had flushed to it.
 //   - ModeLease serves reads from a time-bounded per-block lease: a miss
-//     fetches the whole block once and subsequent reads skip the
-//     invalidation round until the lease expires or a synchronisation
+//     fetches the whole block once and subsequent reads skip the round
+//     trip to the home until the lease expires or a synchronisation
 //     acquire edge (barrier crossing, lock grant) drops it.
-//   - ModeCached keeps the strong contract and replicates reads: a scalar
-//     read miss fetches the whole block and joins the home's copyset, later
-//     reads of the block are local, and every mutation goes to the home as a
-//     message and is acknowledged only after each copy has been invalidated.
 //
 // Atomic operations (fetch-add, CAS) always execute with strong semantics
 // at the home regardless of the containing allocation's mode.
@@ -37,15 +33,13 @@ const (
 	// ModeLease is lease-based read caching: reads served from time-bounded
 	// block leases, staleness bounded by the grant-to-expiry window.
 	ModeLease
-	// ModeCached is write-invalidate read caching under the strong contract.
-	ModeCached
 
 	// NumModes sizes per-mode tables.
 	NumModes = iota
 )
 
 // modeNames is the one table of mode names, for String and ParseMode.
-var modeNames = [NumModes]string{"strong", "release", "lease", "cached"}
+var modeNames = [NumModes]string{"strong", "release", "lease"}
 
 func (m Mode) String() string {
 	if m < NumModes {
@@ -68,14 +62,8 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // Tag is what a history event of an access in mode m carries: the per-word
-// rule set the checker judges it by. A cached word promises what a strong
-// one does and is tagged as one.
-func (m Mode) Tag() uint8 {
-	if m == ModeCached {
-		m = ModeStrong
-	}
-	return uint8(m)
-}
+// rule set the checker judges it by.
+func (m Mode) Tag() uint8 { return uint8(m) }
 
 // ModeTable maps address ranges to consistency modes. Like the Allocator it
 // is pure and deterministic: every PE of an SPMD program records the same
@@ -125,19 +113,6 @@ func (t *ModeTable) Set(base uint64, n int, m Mode) {
 // Sole reports the one mode every address maps to when no range is recorded
 // — the gate the range operations check before consulting per-address modes.
 func (t *ModeTable) Sole() (Mode, bool) { return t.def, len(t.ranges) == 0 }
-
-// Uses reports whether any address maps to mode m.
-func (t *ModeTable) Uses(m Mode) bool {
-	if t.def == m {
-		return true
-	}
-	for i := range t.ranges {
-		if t.ranges[i].mode == m {
-			return true
-		}
-	}
-	return false
-}
 
 // Lookup returns the mode of addr.
 func (t *ModeTable) Lookup(addr uint64) Mode {

@@ -241,9 +241,9 @@ func (ra *RegionAllocator) Release(r Region) {
 }
 
 // DropRange removes every materialised block of this segment whose index
-// lies in [firstBlock, firstBlock+nBlocks) and clears their copysets —
-// namespace teardown, so a finished job's data does not leak to the next
-// job carved into the same region. Each stripe is mutated under its mutex
+// lies in [firstBlock, firstBlock+nBlocks) — namespace teardown, so a
+// finished job's data does not leak to the next job carved into the same
+// region. Each stripe is mutated under its mutex
 // with a seqlock generation bump (a one-sided reader racing the drop
 // retries, exactly like a migration extract). Returns the blocks dropped.
 func (g *Segment) DropRange(firstBlock, nBlocks uint64) int {
@@ -256,7 +256,6 @@ func (g *Segment) DropRange(firstBlock, nBlocks uint64) int {
 		var gone []uint64
 		t.each(func(b uint64, _ []int64) {
 			if b >= firstBlock && b < end {
-				delete(st.copyset, b)
 				gone = append(gone, b)
 			}
 		})

@@ -36,8 +36,6 @@ func TestWordStoresLeaveGeneration(t *testing.T) {
 		return words
 	}
 	g.WriteWord(base, 1) // materialise the block: no store below adds one
-	g.ReadBlockFor(nil, base, 0)
-	var stale []Copy // the shared forms store for kernel 1 and take 0's copy
 
 	stores := []struct {
 		name string
@@ -47,19 +45,16 @@ func TestWordStoresLeaveGeneration(t *testing.T) {
 		{"WriteWordAt", func() { g.WriteWordAt(at(2), 6) }},
 		{"FetchAdd", func() { g.FetchAdd(base+3, 1) }},
 		{"FetchAddAt", func() { g.FetchAddAt(at(3), 1) }},
-		{"FetchAddShared", func() { g.FetchAddShared(base+3, 1, 1, &stale) }},
 		{"CAS/swap", func() { g.CAS(base+4, 0, 9) }},
 		{"CAS/no-swap", func() { g.CAS(base+4, 0, 10) }},
 		{"CASAt/swap", func() { g.CASAt(at(4), 9, 11) }},
 		{"CASAt/no-swap", func() { g.CASAt(at(4), 9, 12) }},
-		{"CASShared/swap", func() { g.CASShared(base+4, 11, 13, 1, &stale) }},
-		{"CASShared/no-swap", func() { g.CASShared(base+4, 11, 14, 1, &stale) }},
-		{"WriteShared/1", func() { g.WriteShared(base+5, run(1), 1, &stale) }},
-		{"WriteShared/32", func() { g.WriteShared(base+8, run(32), 1, &stale) }},
-		{"WriteShared/64", func() { g.WriteShared(base, run(64), 1, &stale) }},
-		{"WriteRun/1", func() { g.WriteRun(b, 6, run(1), 0, nil) }},
-		{"WriteRun/32", func() { g.WriteRun(b, 32, run(32), 0, nil) }},
-		{"WriteRun/64", func() { g.WriteRun(b, 0, run(64), 0, nil) }},
+		{"Write/1", func() { g.Write(base+5, run(1)) }},
+		{"Write/32", func() { g.Write(base+8, run(32)) }},
+		{"Write/64", func() { g.Write(base, run(64)) }},
+		{"WriteRun/1", func() { g.WriteRun(b, 6, run(1)) }},
+		{"WriteRun/32", func() { g.WriteRun(b, 32, run(32)) }},
+		{"WriteRun/64", func() { g.WriteRun(b, 0, run(64)) }},
 		{"WriteRunAt", func() { g.WriteRunAt(at(0), run(64)) }},
 		{"ApplyWrites", func() {
 			g.ApplyWrites([]RingWrite{{Addr: base + 1, Val: 3}, {Addr: base + 40, Val: 4}})
@@ -72,10 +67,6 @@ func TestWordStoresLeaveGeneration(t *testing.T) {
 			t.Errorf("%s moved a stripe generation: %v -> %v", s.name, before, after)
 		}
 	}
-	if len(stale) != 1 || stale[0].Holder != 0 {
-		t.Errorf("the shared stores took copies %+v, want kernel 0's once", stale)
-	}
-
 	// moves checks that change moves stripe i's generation by a positive even
 	// amount and leaves every other stripe's alone unless all is set.
 	moves := func(name string, i int, all bool, change func()) {

@@ -53,7 +53,7 @@ func TestReadVWriteVRoundTrip(t *testing.T) {
 	}
 	runs := []run{{2, 1, []int64{1, 2, 3}}, {0, 2, []int64{4, 5}}, {4, 0, []int64{6, 7, 8, 9}}} // three distinct blocks, out of order
 	for _, r := range runs {
-		g.WriteRun(r.block, r.off, r.words, 0, nil)
+		g.WriteRun(r.block, r.off, r.words)
 	}
 	for _, r := range runs {
 		got := make([]int64, len(r.words))
@@ -84,7 +84,7 @@ func TestVectorAccessorsRejectForeignAddress(t *testing.T) {
 		func() { g.WriteWord(8, 1) },
 		func() { g.ReadInto(make([]int64, 1), 8) },
 		func() { g.ReadAppend(nil, 8, 1) },
-		func() { g.WriteShared(8, []int64{1}, 0, nil) },
+		func() { g.Write(8, []int64{1}) },
 	} {
 		func() {
 			defer func() {

@@ -54,7 +54,7 @@ func admissionCode(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrZeroPEs), errors.Is(err, ErrTooManyPEs),
 		errors.Is(err, ErrQuotaTooLarge), errors.Is(err, ErrDeadlinePassed),
-		errors.Is(err, ErrUnknownWorkload), errors.Is(err, ErrCachedMode):
+		errors.Is(err, ErrUnknownWorkload):
 		return http.StatusUnprocessableEntity
 	}
 	return http.StatusBadRequest

@@ -77,6 +77,11 @@ func TestHTTPServer(t *testing.T) {
 			t.Errorf("spec %s: status %d (%v), want 422", bad, resp.StatusCode, doc)
 		}
 	}
+	// A spec the scheduler cannot parse is a bad request: an unknown
+	// consistency mode is one.
+	if resp, doc := post(`{"pes":1,"workload":"touch","mode":"cached"}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown mode: status %d (%v), want 400", resp.StatusCode, doc)
+	}
 
 	// Unknown job is 404; bad id is 400.
 	if resp, _ := http.Get(srv.URL + "/jobs/999"); resp.StatusCode != http.StatusNotFound {

@@ -55,7 +55,6 @@ var (
 	ErrQuotaTooLarge   = errors.New("sched: GM quota exceeds cluster capacity")
 	ErrDeadlinePassed  = errors.New("sched: deadline already passed at submit")
 	ErrUnknownWorkload = errors.New("sched: unknown workload")
-	ErrCachedMode      = errors.New("sched: cached mode is not available to jobs (a namespace's teardown does not invalidate PE caches)")
 	ErrClosed          = errors.New("sched: scheduler is shut down")
 	ErrNotFound        = errors.New("sched: no such job")
 )
@@ -73,7 +72,7 @@ type JobSpec struct {
 	// QuotaBlocks is the job's GM namespace quota in blocks (0 = 16).
 	QuotaBlocks uint64 `json:"quota_blocks,omitempty"`
 	// Mode is the consistency tier of the job's allocations: "", "strong",
-	// "release" or "lease" ("cached" is refused, see parseMode).
+	// "release" or "lease" (gmem.ParseMode).
 	Mode string `json:"mode,omitempty"`
 	// Priority orders the queue (higher runs first; aging promotes waiters).
 	Priority int `json:"priority,omitempty"`
@@ -214,9 +213,9 @@ func (s *Scheduler) Submit(spec JobSpec) (int, error) {
 	if spec.DeadlineMS < 0 {
 		return 0, ErrDeadlinePassed
 	}
-	mode, err := parseMode(spec.Mode)
+	mode, err := gmem.ParseMode(spec.Mode)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("sched: %w", err)
 	}
 	if _, ok := lookupWorkload(spec.Workload); !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownWorkload, spec.Workload)
@@ -276,21 +275,6 @@ func (s *Scheduler) Job(id int) (ssi.JobRow, error) {
 		return ssi.JobRow{}, ErrNotFound
 	}
 	return rowLocked(j, now), nil
-}
-
-// parseMode maps a spec's consistency-mode string. Cached mode is refused:
-// tearing a namespace down (Segment.DropRange) clears its blocks' copysets
-// without invalidating the copies PEs hold, so the next job carved from the
-// same region would read the previous job's data out of its workers' caches.
-func parseMode(m string) (gmem.Mode, error) {
-	mode, err := gmem.ParseMode(m)
-	if err != nil {
-		return mode, fmt.Errorf("sched: %w", err)
-	}
-	if mode == gmem.ModeCached {
-		return mode, ErrCachedMode
-	}
-	return mode, nil
 }
 
 func (s *Scheduler) dequeueLocked(j *Job) {

@@ -146,15 +146,16 @@ func TestAdmissionErrors(t *testing.T) {
 		{"quota too large", JobSpec{PEs: 1, Workload: "touch", QuotaBlocks: 33}, ErrQuotaTooLarge},
 		{"deadline passed", JobSpec{PEs: 1, Workload: "touch", DeadlineMS: -1}, ErrDeadlinePassed},
 		{"unknown workload", JobSpec{PEs: 1, Workload: "nope"}, ErrUnknownWorkload},
-		{"cached mode", JobSpec{PEs: 1, Workload: "touch", Mode: "cached"}, ErrCachedMode},
 	}
 	for _, tc := range cases {
 		if _, err := s.Submit(tc.spec); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	if _, err := s.Submit(JobSpec{PEs: 1, Workload: "touch", Mode: "weird"}); err == nil {
-		t.Error("bad consistency mode admitted")
+	for _, mode := range []string{"weird", "cached"} {
+		if _, err := s.Submit(JobSpec{PEs: 1, Workload: "touch", Mode: mode}); err == nil {
+			t.Errorf("unknown consistency mode %q admitted", mode)
+		}
 	}
 	s.Close()
 	if _, err := s.Submit(JobSpec{PEs: 1, Workload: "touch"}); !errors.Is(err, ErrClosed) {

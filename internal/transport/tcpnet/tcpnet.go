@@ -248,8 +248,13 @@ func newNode(id, n int, ln net.Listener) *Node {
 	return nd
 }
 
+// protocolVersion is the wire protocol a hello announces (OpHello's Arg1).
+// It names the op numbering: a peer built with another one would misread
+// every frame, so a hello of another version fails the mesh instead.
+const protocolVersion = 2
+
 func (nd *Node) writeHello(conn net.Conn) error {
-	hello := &wire.Message{Op: wire.OpHello, Src: int32(nd.id), Arg1: 1}
+	hello := &wire.Message{Op: wire.OpHello, Src: int32(nd.id), Arg1: protocolVersion}
 	return writeFrame(conn, hello)
 }
 
@@ -261,8 +266,11 @@ func (nd *Node) readHello(conn net.Conn) (int, error) {
 	if m.Op != wire.OpHello {
 		return 0, fmt.Errorf("tcpnet: unexpected handshake op %v", m.Op)
 	}
-	peer := int(m.Src)
+	peer, version := int(m.Src), m.Arg1
 	wire.PutMessage(m)
+	if version != protocolVersion {
+		return 0, fmt.Errorf("tcpnet: hello from rank %d speaks protocol version %d, this node %d", peer, version, protocolVersion)
+	}
 	if peer < 0 || peer >= nd.n {
 		return 0, fmt.Errorf("tcpnet: hello from out-of-range rank %d", peer)
 	}

@@ -1,6 +1,8 @@
 package tcpnet
 
 import (
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -160,5 +162,41 @@ func TestOpenRejectsBadFrameSizes(t *testing.T) {
 	}()
 	if _, err := readFrame(c2); err == nil {
 		t.Fatal("expected error for absurd frame size")
+	}
+}
+
+// TestOpenRefusesOtherProtocolVersion forges a hello from rank 1 that
+// announces protocol version 1, whose op numbering differs: node 0 must fail
+// its Open with an error naming the version instead of taking the peer into
+// the mesh.
+func TestOpenRefusesOtherProtocolVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{ln.Addr().String(), "127.0.0.1:0"}
+	done := make(chan error, 1)
+	go func() {
+		nd, err := open(0, addrs, ln)
+		if nd != nil {
+			nd.Kill()
+		}
+		done <- err
+	}()
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeFrame(conn, &wire.Message{Op: wire.OpHello, Src: 1, Arg1: 1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "protocol version 1") {
+			t.Fatalf("Open = %v, want a protocol version error", err)
+		}
+	case <-time.After(meshTimeout):
+		t.Fatal("Open did not return after a hello of another version")
 	}
 }

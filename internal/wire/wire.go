@@ -60,8 +60,6 @@ const (
 	OpFetchAddResp // Arg1 = previous value
 	OpCAS          // compare-and-swap word at Addr: Arg1 old, Arg2 new
 	OpCASResp      // Arg1 = previous value, Arg2 = 1 if swapped
-	OpInvalidate   // caching protocol: drop cached block containing Addr
-	OpInvAck       //
 
 	// Synchronisation.
 	OpBarrierArrive  // Tag = barrier id, Arg1 = arrival count carried upward
@@ -101,7 +99,7 @@ const (
 
 	// Coordinated checkpoint (Chandy-Lamport-style marker round, taken at a
 	// quiesce barrier): a PE asks its own kernel to export its slice of
-	// global memory plus the coherence directory for the snapshot store.
+	// global memory plus its membership directory for the snapshot store.
 	OpCkptMark     // Tag = checkpoint epoch
 	OpCkptMarkResp // Data = encoded kernel state, Arg1 = mark virtual time
 
@@ -129,10 +127,9 @@ const (
 	// write-combining buffer: same payload encoding as OpWriteV (runs via
 	// AppendWriteRun), acked by OpWriteAck, but kept a distinct op so traces
 	// and per-op counters can watch buffered writes trade against eager ones.
-	// OpReadLease fetches the whole block containing Addr without joining the
-	// coherence copyset; the response carries the block words plus the
-	// granted lease term, bounding how long the requester may serve cached
-	// reads from it.
+	// OpReadLease fetches the whole block containing Addr; the response
+	// carries the block words plus the granted lease term, bounding how long
+	// the requester may serve reads from it.
 	OpFlushV        // Data = runs (AppendWriteRun); Arg1 = run count; acked by OpWriteAck
 	OpReadLease     // Addr = any word of the wanted block
 	OpReadLeaseResp // Data = the block's words, Arg2 = lease duration (ns of the home's clock)
@@ -176,8 +173,6 @@ var opNames = [...]string{
 	OpFetchAddResp:       "fetch-add-resp",
 	OpCAS:                "cas",
 	OpCASResp:            "cas-resp",
-	OpInvalidate:         "invalidate",
-	OpInvAck:             "inv-ack",
 	OpBarrierArrive:      "barrier-arrive",
 	OpBarrierRelease:     "barrier-release",
 	OpLockAcquire:        "lock-acquire",
