@@ -11,14 +11,8 @@ import (
 // The memory model Check enforces (DESIGN.md §9):
 //
 // Every global-memory word is linearizable: each operation appears to take
-// effect atomically at some instant inside its invocation/response interval.
-// Without caching this is immediate — every access is serialised at the
-// word's single home. With the write-invalidate caching protocol it still
-// holds, because a write blocks until every cached copy has acknowledged
-// invalidation: the write's effect point precedes its response, and any read
-// that *starts* after the response can no longer be served from a stale
-// copy. A cached read overlapping the write is concurrent and may observe
-// either value.
+// effect atomically at some instant inside its invocation/response interval,
+// because every strong access is serialised at the word's single home.
 //
 // Failed operations (timeout, peer down) may or may not have applied at the
 // home; the checker gives them an effect window of [Inv, ∞): they can

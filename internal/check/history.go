@@ -2,8 +2,8 @@
 // an operation-history recorder the core runtime hooks into (behind
 // core.Config.RecordHistory), and a consistency checker (Check) that
 // validates recorded histories against the DSM memory model — per-word
-// linearizability for the uncached/atomic operations and write-invalidate
-// coherence for cached reads.
+// linearizability for strong operations and atomics, and the release and
+// lease tiers' relaxed rules.
 //
 // The package is deliberately free of core dependencies so the runtime can
 // import it; the seeded stress runner that drives core lives in the
@@ -70,7 +70,7 @@ type Event struct {
 	Out    int64
 	Ok     bool // CAS: swap happened
 	Failed bool // op errored; effect unknown
-	Cached bool // read served from the local block cache
+	Cached bool // read served from a lease's block snapshot
 	// Mode tags the consistency tier of the operation's allocation
 	// (gmem.Mode values: 0 strong, 1 release, 2 lease). Release-mode writes
 	// record their buffering interval, not a home round trip; lease-mode

@@ -50,6 +50,48 @@ func (pe *PE) inPlace(home int, addr uint64, n int) *gmem.Segment {
 	return p.seg
 }
 
+// --- Home: the PE's resolution table (scalar accesses in place) ---
+
+// pinSlots is the size of a PE's resolution table: direct-mapped by a
+// Fibonacci hash of the block index, whose top pinShift bits pick the slot.
+const (
+	pinSlots = 256
+	pinShift = 64 - 8
+)
+
+// pinSlot is block b's slot in a PE's resolution table.
+func pinSlot(b uint64) uint64 { return (b * 0x9e3779b97f4a7c15) >> pinShift }
+
+// pinned returns the pin in block b's slot of the PE's resolution table if
+// it pins block b, else nil. wordOp decides whether it still stands; whether
+// the pinned storage is still the block's is the pin op's to check
+// (gmem.Pin), and so is ownership at the home.
+func (pe *PE) pinned(b uint64) *gmem.Pin {
+	if pe.pins == nil {
+		return nil
+	}
+	if p := &pe.pins[pinSlot(b)]; p.Held() && p.Loc().Block == b {
+		return p
+	}
+	return nil
+}
+
+// repin pins the block of the word at l in seg, the segment inPlace admitted,
+// into the block's slot, and returns the slot; nil means seg no longer homes
+// the word. Only a held pin is a hit later (pinned): a read never
+// materialises a block, so a never-written block reads as zero unpinned.
+func (pe *PE) repin(seg *gmem.Segment, l gmem.Loc, create bool) *gmem.Pin {
+	if pe.pins == nil {
+		pe.pins = new([pinSlots]gmem.Pin)
+	}
+	slot := &pe.pins[pinSlot(l.Block)]
+	var owned bool
+	if *slot, owned = seg.PinAt(l, create); !owned {
+		return nil
+	}
+	return slot
+}
+
 // runInPlace serves what it may of a range operation's run at addr, located
 // at l and homed at home by the live directory, from home's segment if inPlace
 // admits it: all of a read or none, or a write's prefix stored before a
@@ -62,7 +104,7 @@ func (pe *PE) runInPlace(home int, l gmem.Loc, write bool, addr uint64, run []in
 	if seg == nil {
 		return 0
 	}
-	pe.app.LocalAccess()
+	pe.localAccess()
 	if write {
 		n = seg.WriteRunAt(l, run)
 	} else if seg.ReadRunAt(run, l) {
@@ -83,8 +125,18 @@ func (pe *PE) runInPlace(home int, l gmem.Loc, write bool, addr uint64, run []in
 
 // chargeLocal accounts one access served without leaving the PE.
 func (pe *PE) chargeLocal() {
-	pe.app.LocalAccess()
+	pe.localAccess()
 	pe.extra.LocalGM++
+}
+
+// localAccess charges an access to a word homed in this address space. Only
+// the simulated port charges one (transport.Port.LocalAccess is free on the
+// real transports), and on a resolution-table hit the interface call would
+// cost about as much as the seqlock read, so the real transports skip it.
+func (pe *PE) localAccess() {
+	if pe.k.simulated {
+		pe.app.LocalAccess()
+	}
 }
 
 // --- Tier: release consistency (ModeRelease, DESIGN.md §14) ---

@@ -78,30 +78,55 @@ func BenchmarkGMRemoteWordRoundTrip(b *testing.B) {
 // of those blocks, so that they are materialised at their home.
 func spreadWords(pe *PE, home int) []uint64 {
 	const blocks, words = 64, 64
-	sp := pe.Space()
-	first := sp.BlockOf(pe.AllocBlocks(2 * blocks * words))
-	if sp.HomeOf(first*words) != home {
-		first++
-	}
+	first := homeBlocks(pe, home, blocks)
 	rng := rand.New(rand.NewSource(1))
 	addrs := make([]uint64, 4096)
 	for i := range addrs {
 		addrs[i] = (first+2*uint64(rng.Intn(blocks)))*words + uint64(rng.Intn(words))
 	}
+	return addrs
+}
+
+// walkWords returns a word of each of 2·pinSlots blocks homed at kernel home
+// of a 2-PE cluster whose blocks are 64 words, in block order, materialised
+// like spreadWords'. Walked in order, twice as many blocks as a PE's
+// resolution table has slots share its slots, so that about nine reads in ten
+// find their slot pinning another block and pin their own again.
+func walkWords(pe *PE, home int) []uint64 {
+	const blocks, words = 2 * pinSlots, 64
+	first := homeBlocks(pe, home, blocks)
+	addrs := make([]uint64, blocks)
+	for i := range addrs {
+		addrs[i] = (first+2*uint64(i))*words + uint64(i%words)
+	}
+	return addrs
+}
+
+// homeBlocks allocates 2·blocks blocks of 64 words, has PE 1 write a word of
+// each of the blocks homed at kernel home of a 2-PE cluster, and returns the
+// first of them; the others follow every second block.
+func homeBlocks(pe *PE, home, blocks int) uint64 {
+	const words = 64
+	sp := pe.Space()
+	first := sp.BlockOf(pe.AllocBlocks(2 * blocks * words))
+	if sp.HomeOf(first*words) != home {
+		first++
+	}
 	if pe.ID() == 1 {
-		for k := uint64(0); k < blocks; k++ {
+		for k := uint64(0); k < uint64(blocks); k++ {
 			mustWrite(pe, (first+2*k)*words, 1)
 		}
 	}
-	return addrs
+	return first
 }
 
 // BenchmarkGMWord is the per-layer check that the access pipeline keeps the
 // scalar ladder flat: a read, a write and a fetch-add on each path a word can
 // take, every cell asserting its path from PE 0's counters (PE 0 issues
 // nothing but the timed operations) and reporting allocations. Reads walk
-// spreadWords, so a home's block lookup is not one hot entry; mutations go to
-// one word. ring/write and ring/fetch-add are mutations in place at a
+// spreadWords, so a home's block lookup is not one hot entry, and fit PE 0's
+// resolution table; window/read-miss walks walkWords instead, so nearly every
+// read misses the table and pins its block again. Mutations go to one word. ring/write and ring/fetch-add are mutations in place at a
 // co-located home (they keep the name of the submission ring the stores
 // replaced, as RingGM does). A message cell also pins the timed share: b.N
 // round trips, one in inprocTimeEvery timed, so a change that quietly times
@@ -114,17 +139,19 @@ func BenchmarkGMWord(b *testing.B) {
 		cfg    Config
 		remote bool
 		op     wire.Op
-		per    counts // what one operation adds to the counters
+		per    counts                          // what one operation adds to the counters
+		words  func(pe *PE, home int) []uint64 // the addresses reads walk
 	}{
-		{"local/read", messagePath, false, wire.OpRead, counts{local: 1}},
-		{"local/write", messagePath, false, wire.OpWrite, counts{local: 1}},
-		{"local/fetch-add", messagePath, false, wire.OpFetchAdd, counts{local: 1}},
-		{"window/read", onesided, true, wire.OpRead, counts{remote: 1, direct: 1}},
-		{"ring/write", onesided, true, wire.OpWrite, counts{remote: 1, ring: 1}},
-		{"ring/fetch-add", onesided, true, wire.OpFetchAdd, counts{remote: 1, ring: 1}},
-		{"message/read", messagePath, true, wire.OpRead, counts{remote: 1, msgs: 1}},
-		{"message/write", messagePath, true, wire.OpWrite, counts{remote: 1, msgs: 1}},
-		{"message/fetch-add", messagePath, true, wire.OpFetchAdd, counts{remote: 1, msgs: 1}},
+		{"local/read", messagePath, false, wire.OpRead, counts{local: 1}, spreadWords},
+		{"local/write", messagePath, false, wire.OpWrite, counts{local: 1}, spreadWords},
+		{"local/fetch-add", messagePath, false, wire.OpFetchAdd, counts{local: 1}, spreadWords},
+		{"window/read", onesided, true, wire.OpRead, counts{remote: 1, direct: 1}, spreadWords},
+		{"window/read-miss", onesided, true, wire.OpRead, counts{remote: 1, direct: 1}, walkWords},
+		{"ring/write", onesided, true, wire.OpWrite, counts{remote: 1, ring: 1}, spreadWords},
+		{"ring/fetch-add", onesided, true, wire.OpFetchAdd, counts{remote: 1, ring: 1}, spreadWords},
+		{"message/read", messagePath, true, wire.OpRead, counts{remote: 1, msgs: 1}, spreadWords},
+		{"message/write", messagePath, true, wire.OpWrite, counts{remote: 1, msgs: 1}, spreadWords},
+		{"message/fetch-add", messagePath, true, wire.OpFetchAdd, counts{remote: 1, msgs: 1}, spreadWords},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -135,7 +162,7 @@ func BenchmarkGMWord(b *testing.B) {
 				home = 1
 			}
 			res := runBenchProgram(b, cfg, 2, func(pe *PE) error {
-				addrs := spreadWords(pe, home)
+				addrs := c.words(pe, home)
 				pe.Barrier()
 				if pe.ID() == 0 {
 					b.ResetTimer()

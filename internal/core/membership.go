@@ -144,8 +144,8 @@ func memberID(v int64, n int) (int, bool) {
 // protocol's safety core: (1) the directory flips first, so ownership checks
 // NACK every later request toward the new home; (2) only then are the blocks
 // extracted, each stripe under its mutex, inside which a mutation in place
-// checks ownership (PE.inPlace, gmem.Segment.WriteWordAt and the other …At
-// forms): it landed before the snapshot or is refused. A write can therefore
+// checks ownership (gmem.Pin's Store, FetchAdd and CAS, and WriteRunAt): it
+// landed before the snapshot or is refused. A write can therefore
 // never land in a block after its snapshot was taken.
 func (k *Kernel) handleMigrateStart(m *wire.Message) {
 	k.lockShards()

@@ -73,6 +73,10 @@ type PE struct {
 	// place the same registry (PE.inPlace).
 	ns gmem.Region
 
+	// pins is the PE's resolution table (access.go): block index to home and
+	// pinned block, for the scalar accesses in place. Nil until the first.
+	pins *[pinSlots]gmem.Pin
+
 	// Scratch reused across calls by the hot-path operations.
 	vruns  []vrun     // remote runs of the range operation being assembled
 	groups []runGroup // their tally per home

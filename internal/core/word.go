@@ -27,8 +27,10 @@ var wordOps = [...]struct {
 // the PE's own request message and the pooled reply: the remote paths do not
 // allocate.
 func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok bool, err error) {
-	if err = pe.nsCheck(wordOps[kind].name, addr, 1); err != nil {
-		return 0, false, err
+	if pe.ns.Limit != 0 {
+		if err = pe.nsCheck(wordOps[kind].name, addr, 1); err != nil {
+			return 0, false, err
+		}
 	}
 	pe.legacyCrossing()
 	k := pe.k
@@ -65,47 +67,85 @@ func (pe *PE) wordOp(kind check.Kind, addr uint64, a1, a2 int64) (out int64, ok 
 		}
 	}
 
-	// Home: the word is located once — block, offset, stripe and static
-	// home — and every later step takes the located word.
-	l := k.space.Locate(addr)
-	home := k.dir.HomeAt(l)
+	// Home: the word's block index picks its slot in the PE's resolution
+	// table (pinned). The slot's pin stands if the live directory still names
+	// the pinned segment's kernel as the home and inPlace's rule still admits
+	// the word there — the home is alive and its namespace binding admits it,
+	// written out here because a call costs as much as the rest of the hit.
+	// Those are the answers the steps below would give now, so a hit takes the
+	// path they would. Otherwise the word is located — block, offset, stripe
+	// and static home — the live directory names the home and inPlace
+	// decides. Either way the block index is computed once.
+	b := k.space.BlockOf(addr)
+	var l gmem.Loc
+	var home int
+	var seg *gmem.Segment
+	pin := pe.pinned(b)
+	if pin != nil {
+		l, home = pin.Loc(), pin.Home()
+		if p := &k.peers[home]; k.dir.HomeAt(l) == home && !p.dead.Load() && p.ns.Admits(k.id, addr, 1) {
+			seg = p.seg
+		} else {
+			pin = nil
+		}
+	}
+	if pin == nil {
+		l = k.space.LocateBlock(b)
+		home = k.dir.HomeAt(l)
+		seg = pe.inPlace(home, addr, 1)
+	}
+	l.Off = int(addr - b*uint64(k.space.BlockWords))
 
 	// Every mutation that completes succeeds, except a CAS that finds another
 	// value.
 	ok = true
 
 	// Path: in place if inPlace admits it — the own kernel's segment or a
-	// co-located peer's, by the same four calls — else by a message. Each call
-	// checks ownership under the stripe's seqlock or mutex, which a migration's
-	// Extract passes only after the directory has flipped: the access lands
-	// before the block's snapshot is taken, and moves with it, or is refused
-	// with nothing applied and follows the block by message under a fresh Seq.
-	seg := pe.inPlace(home, addr, 1)
+	// co-located peer's, through one pinned block — else by a message. Each
+	// pin op checks ownership under the stripe's seqlock or mutex, which a
+	// migration's Extract passes only after the directory has flipped: the
+	// access lands before the block's snapshot is taken, and moves with it, or
+	// is refused with nothing applied and follows the block by message under a
+	// fresh Seq.
 	if seg == nil || home != k.id {
 		pe.extra.RemoteGM++
 	} else {
 		pe.extra.LocalGM++
 	}
 	if seg != nil {
-		pe.app.LocalAccess()
-		done := false
-		switch kind {
-		case check.KindRead:
-			if out, done = seg.DirectReadAt(l); done {
+		pe.localAccess()
+		var done bool
+		for {
+			if pin != nil {
+				switch kind {
+				case check.KindRead:
+					out, done = pin.Read(l.Off)
+				case check.KindWrite:
+					done = pin.Store(l.Off, a1)
+				case check.KindFetchAdd:
+					out, done = pin.FetchAdd(l.Off, a1)
+				case check.KindCAS:
+					out, ok, done = pin.CAS(l.Off, a1, a2)
+				}
+				if done {
+					break
+				}
+			}
+			// No pin yet, or a stale one. Only a publish between pinning and
+			// the op makes a fresh pin stale, so this repeats only while
+			// publishes keep winning.
+			if pin = pe.repin(seg, l, kind != check.KindRead); pin == nil {
+				break
+			}
+		}
+		if done {
+			if kind == check.KindRead {
 				if home != k.id {
 					pe.extra.DirectGM++
 				}
 				pe.hist.CloseRead(h, out, false, 0, 0)
 				return out, false, nil
 			}
-		case check.KindWrite:
-			done = seg.WriteWordAt(l, a1)
-		case check.KindFetchAdd:
-			out, done = seg.FetchAddAt(l, a1)
-		case check.KindCAS:
-			out, ok, done = seg.CASAt(l, a1, a2)
-		}
-		if done {
 			if home != k.id {
 				pe.extra.RingGM++
 			}

@@ -15,10 +15,10 @@ func BenchmarkSegmentWordOps(b *testing.B) {
 			g.Read(uint64(i%32), 1)
 		}
 	})
-	// The window read, and the store in place, at the shape of benchmark/'s
-	// gm_onesided workload: 64 written blocks of 64 words homed at kernel 1 of
-	// 2, accessed at seeded addresses, so the block lookup is not one hot,
-	// predicted entry.
+	// The unpinned window read, and the ops through pins, at the shape of
+	// benchmark/'s gm_onesided workload: 64 written blocks of 64 words homed at
+	// kernel 1 of 2, accessed at seeded addresses, so neither the block lookup
+	// nor the pin is one hot, predicted entry.
 	b.Run("direct-read/spread", func(b *testing.B) {
 		g, addrs := spread()
 		var sum int64
@@ -33,33 +33,42 @@ func BenchmarkSegmentWordOps(b *testing.B) {
 		}
 		sink = sum
 	})
-	b.Run("write-at/spread", func(b *testing.B) {
+	b.Run("pin-read/spread", func(b *testing.B) {
 		g, addrs := spread()
-		locs := make([]Loc, len(addrs))
-		for i, a := range addrs {
-			locs[i] = g.space.Locate(a)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !g.WriteWordAt(locs[i%len(locs)], int64(i)) {
-				b.Fatal("a word homed here was refused")
-			}
-		}
-	})
-	b.Run("fetch-add-at/spread", func(b *testing.B) {
-		g, addrs := spread()
-		locs := make([]Loc, len(addrs))
-		for i, a := range addrs {
-			locs[i] = g.space.Locate(a)
-		}
+		pins, offs := pinAll(b, g, addrs)
 		var sum int64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			old, ok := g.FetchAddAt(locs[i%len(locs)], 1)
+			v, ok := pins[i%len(pins)].Read(offs[i%len(offs)])
 			if !ok {
-				b.Fatal("a word homed here was refused")
+				b.Fatal("a pin went stale with nothing published")
+			}
+			sum += v
+		}
+		sink = sum
+	})
+	b.Run("pin-store/spread", func(b *testing.B) {
+		g, addrs := spread()
+		pins, offs := pinAll(b, g, addrs)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !pins[i%len(pins)].Store(offs[i%len(offs)], int64(i)) {
+				b.Fatal("a pin went stale with nothing published")
+			}
+		}
+	})
+	b.Run("pin-fetch-add/spread", func(b *testing.B) {
+		g, addrs := spread()
+		pins, offs := pinAll(b, g, addrs)
+		var sum int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			old, ok := pins[i%len(pins)].FetchAdd(offs[i%len(offs)], 1)
+			if !ok {
+				b.Fatal("a pin went stale with nothing published")
 			}
 			sum += old
 		}
@@ -90,6 +99,21 @@ func spread() (*Segment, []uint64) {
 		g.WriteWord(addrs[i], int64(i))
 	}
 	return g, addrs
+}
+
+// pinAll pins the block of every address, returning the pins and each
+// address's offset in its block.
+func pinAll(b *testing.B, g *Segment, addrs []uint64) ([]Pin, []int) {
+	pins, offs := make([]Pin, len(addrs)), make([]int, len(addrs))
+	for i, a := range addrs {
+		l := g.space.Locate(a)
+		p, ok := g.PinAt(l, false)
+		if !ok || !p.Held() {
+			b.Fatalf("address %d: pinned %v, held %v", a, ok, p.Held())
+		}
+		pins[i], offs[i] = p, l.Off
+	}
+	return pins, offs
 }
 
 // sink keeps the compiler from dropping a benchmark's reads.

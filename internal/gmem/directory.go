@@ -125,12 +125,13 @@ func (d *Directory) HomeOfBlock(b uint64) int {
 }
 
 // HomeAt is HomeOfBlock for a located block: the static layout's answer is
-// the remainder Locate already took.
+// the remainder Locate already took. It is small enough to inline, which the
+// scalar access path relies on; past the static flag it calls HomeOfBlock.
 func (d *Directory) HomeAt(l Loc) int {
 	if d.static.Load() {
 		return l.Home
 	}
-	return d.liveHome(l.Block)
+	return d.HomeOfBlock(l.Block)
 }
 
 // liveHome is HomeOfBlock past the static flag.

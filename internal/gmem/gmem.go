@@ -3,16 +3,16 @@
 // the DSE kernels (paper Fig. 1 — each PE contributes a Global Memory
 // slice; the union forms the Distributed Shared Memory).
 //
-// Each kernel owns a Segment holding the blocks homed at it, serves
-// read/write/atomic requests against it, and keeps a per-block directory of
-// the remote readers whose cached-mode reads hold a copy, to invalidate on
-// writes. Address-space layout (Space) and allocation (Allocator) are pure
-// and deterministic so every PE in an SPMD program computes identical
+// Each kernel owns a Segment holding the blocks homed at it and serves
+// read/write/atomic requests against it; a co-located PE reaches it in place
+// through a Pin. Address-space layout (Space) and allocation (Allocator) are
+// pure and deterministic so every PE in an SPMD program computes identical
 // addresses without coordination.
 package gmem
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -22,7 +22,10 @@ import (
 // Space describes the distributed global address space.
 type Space struct {
 	N          int // kernels sharing the space
-	BlockWords int // words per block (home-placement and caching granularity)
+	BlockWords int // words per block (home-placement granularity)
+	// shift is log2(BlockWords)+1 when BlockWords is a power of two, else 0:
+	// NewSpace sets it so that BlockOf shifts instead of dividing.
+	shift uint8
 }
 
 // DefaultBlockWords is the default block size: 32 words = 256 bytes.
@@ -36,11 +39,20 @@ func NewSpace(n, blockWords int) Space {
 	if blockWords <= 0 {
 		blockWords = DefaultBlockWords
 	}
-	return Space{N: n, BlockWords: blockWords}
+	s := Space{N: n, BlockWords: blockWords}
+	if blockWords&(blockWords-1) == 0 {
+		s.shift = uint8(bits.TrailingZeros(uint(blockWords))) + 1
+	}
+	return s
 }
 
 // BlockOf returns the block index containing word address addr.
-func (s Space) BlockOf(addr uint64) uint64 { return addr / uint64(s.BlockWords) }
+func (s Space) BlockOf(addr uint64) uint64 {
+	if s.shift != 0 {
+		return addr >> (s.shift - 1)
+	}
+	return addr / uint64(s.BlockWords)
+}
 
 // HomeOf returns the kernel that homes word address addr.
 func (s Space) HomeOf(addr uint64) int { return int(s.BlockOf(addr) % uint64(s.N)) }
@@ -49,8 +61,9 @@ func (s Space) HomeOf(addr uint64) int { return int(s.BlockOf(addr) % uint64(s.N
 // its offset in the block, and the quotient and remainder of the block by the
 // kernel count — the block's sequence number among the blocks of its static
 // home, which picks the segment stripe, and that home.
-// An access locates its word once and hands the Loc down, so a one-sided read
-// costs two divisions in all.
+// An access locates its word once and hands the Loc down; a scalar access
+// whose block a PE has pinned needs only the block index (core's resolution
+// table, DESIGN.md §11).
 type Loc struct {
 	Block uint64 // addr / BlockWords
 	Off   int    // addr % BlockWords
@@ -59,12 +72,12 @@ type Loc struct {
 }
 
 // Locate returns addr's place. Each of its two divisions yields both its
-// quotient and its remainder.
+// quotient and its remainder; with a power-of-two block size the first is a
+// shift.
 func (s Space) Locate(addr uint64) Loc {
-	bw := uint64(s.BlockWords)
-	b := addr / bw
+	b := s.BlockOf(addr)
 	l := s.LocateBlock(b)
-	l.Off = int(addr - b*bw)
+	l.Off = int(addr - b*uint64(s.BlockWords))
 	return l
 }
 
@@ -138,18 +151,18 @@ type stripe struct {
 
 // Segment is the slice of global memory homed at one kernel. It is striped
 // SegStripes ways so accesses to different blocks rarely contend on one
-// mutex, and it supports a lock-free single-word DirectReadOwned for
-// co-located readers (the one-sided read fast path). Methods are safe for
-// concurrent use.
+// mutex, and it hands co-located PEs pinned blocks (PinAt) that they read
+// lock-free and store to in place. Methods are safe for concurrent use.
 type Segment struct {
-	space   Space
-	self    int
-	stripes [SegStripes]stripe
+	space Space
+	self  int
 	// dir, when set, replaces the static block-cyclic ownership rule with
 	// the elastic membership directory: checkHome and Import validate
 	// against it, and Extract/Adopt move blocks between segments as homes
-	// migrate. Nil keeps the static Space.HomeOf rule.
-	dir *Directory
+	// migrate. Nil keeps the static Space.HomeOf rule. It shares a cache line
+	// with self, which every ownership check reads with it.
+	dir     *Directory
+	stripes [SegStripes]stripe
 	// fallbacks counts direct reads that exhausted their seqlock spins against
 	// table swaps and took the stripe mutex instead. Observable so tests can
 	// assert the fallback path is actually exercised.
@@ -291,9 +304,9 @@ func (g *Segment) ReadRun(dst []int64, b uint64, off int) {
 }
 
 // ReadRunAt is ReadRun for a run located at l that nobody has checked this
-// segment homes: like DirectReadAt it checks ownership inside the seqlock
-// window, or under the stripe mutex, and reports it, reading nothing of a
-// block it does not own.
+// segment homes: like Pin.Read it checks ownership inside the seqlock window,
+// or under the stripe mutex, and reports it, reading nothing of a block it
+// does not own.
 func (g *Segment) ReadRunAt(dst []int64, l Loc) bool { return g.readRun(g.stripeAt(l), dst, l, true) }
 
 // readRun is ReadRun on the stripe st of the run at l, checking ownership
@@ -341,55 +354,16 @@ func (g *Segment) readRun(st *stripe, dst []int64, l Loc, check bool) bool {
 func (g *Segment) DirectReadFallbacks() uint64 { return g.fallbacks.Load() }
 
 // DirectReadOwned returns the single word at addr without taking the stripe
-// mutex: the one-sided read fast path for co-located PEs. The word is one
-// atomic load, so it is never torn, and it is seqlock validated against the
-// block table — the read retries while a publish is open or the stripe
-// generation moved between its two loads — so it never returns a value that a
-// served OpRead could not also have returned, and falls back to the stripe
-// mutex when publishes keep winning. A store does not move the generation
-// and never makes it retry. On an address this segment
-// does not own it reports ok=false, telling the caller to fall back to the
-// message path (which the current owner will serve, or NACK with a fresh
-// hint). Ownership is validated inside the seqlock window: Extract bumps the
-// stripe generation when it removes migrated blocks, so a reader racing a
-// migration either returns the pre-migration value while it is still
-// globally current, or fails validation, rechecks ownership and falls back —
-// it can never return a stale zero from a dropped block.
+// mutex unless publishes keep winning: ReadRunAt for one word, which checks
+// ownership inside the seqlock window. On an address this segment does not
+// own it reports ok=false, telling the caller to fall back to the message
+// path (which the current owner will serve, or NACK with a fresh hint). The
+// runtime's scalar path reads through a Pin instead; this form stays for the
+// benchmark module's gmem.direct_read_ns row.
 func (g *Segment) DirectReadOwned(addr uint64) (int64, bool) {
-	return g.DirectReadAt(g.space.Locate(addr))
-}
-
-// DirectReadAt is DirectReadOwned for a located word: one probe of the
-// stripe's block table, and no division.
-func (g *Segment) DirectReadAt(l Loc) (int64, bool) {
-	st := g.stripeAt(l)
-	for spin := 0; spin < seqlockSpins; spin++ {
-		s1 := st.wseq.Load()
-		if s1&1 != 0 {
-			continue
-		}
-		if !g.owns(l) {
-			return 0, false
-		}
-		var v int64
-		if blk := st.lookup(l.Block); blk != nil {
-			v = atomic.LoadInt64(&blk[l.Off])
-		}
-		if st.wseq.Load() == s1 {
-			return v, true
-		}
-	}
-	g.fallbacks.Add(1)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !g.owns(l) {
-		return 0, false
-	}
-	var v int64
-	if blk := st.lookup(l.Block); blk != nil {
-		v = blk[l.Off]
-	}
-	return v, true
+	var w [1]int64
+	ok := g.ReadRunAt(w[:], g.space.Locate(addr))
+	return w[0], ok
 }
 
 // Extract atomically snapshots and removes every materialised block for
@@ -488,25 +462,20 @@ func (g *Segment) Adopt(blocks []BlockSnapshot) error {
 // block's first write).
 func (g *Segment) WriteWord(addr uint64, v int64) {
 	l := g.space.Locate(addr)
-	g.mustOwn(l, g.WriteWordAt(l, v))
+	for {
+		if p := g.mustPin(l); p.Store(l.Off, v) {
+			return
+		}
+	}
 }
 
-// WriteWordAt is WriteWord for a located word, reporting whether this segment
-// homes it instead of panicking. Like the other …At mutators it checks
-// ownership inside the stripe's critical section, which Extract also enters
-// once the directory has flipped: a store either lands before the block's
-// snapshot is taken, and moves with it, or sees the flip and is refused with
-// nothing stored. A caller outside the home's monitors needs exactly that.
-func (g *Segment) WriteWordAt(l Loc, v int64) bool {
-	st := g.stripeAt(l)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !g.owns(l) {
-		return false
-	}
-	blk := st.materialise(l.Block, g.space.BlockWords)
-	atomic.StoreInt64(&blk[l.Off], v)
-	return true
+// mustPin pins the block of the word at l, materialising it, and panics
+// unless this segment homes it. The checked word forms re-pin until their op
+// finds the pin current: only a publish between the two makes it stale.
+func (g *Segment) mustPin(l Loc) Pin {
+	p, owned := g.PinAt(l, true)
+	g.mustOwn(l, owned)
+	return p
 }
 
 // ReadInto copies len(dst) words starting at addr into dst (all homed here,
@@ -548,7 +517,7 @@ func (g *Segment) WriteRun(b uint64, off int, words []int64) {
 
 // WriteRunAt is Write for a run located at l that nobody has checked this
 // segment homes: each chunk checks ownership inside the stripe's critical
-// section, as WriteWordAt does, and the run stops at the first chunk refused.
+// section, as Pin.Store does, and the run stops at the first chunk refused.
 // It returns how many words it stored, a prefix of words — the rest is the
 // caller's to send to the block's new home.
 func (g *Segment) WriteRunAt(l Loc, words []int64) int {
@@ -581,51 +550,24 @@ func (g *Segment) writeRun(st *stripe, l Loc, words []int64, check bool) int {
 // previous value.
 func (g *Segment) FetchAdd(addr uint64, delta int64) int64 {
 	l := g.space.Locate(addr)
-	old, owned := g.FetchAddAt(l, delta)
-	g.mustOwn(l, owned)
-	return old
-}
-
-// FetchAddAt is FetchAdd for a located word, reporting whether this segment
-// homes it instead of panicking (see WriteWordAt).
-func (g *Segment) FetchAddAt(l Loc, delta int64) (old int64, owned bool) {
-	st := g.stripeAt(l)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !g.owns(l) {
-		return 0, false
+	for {
+		p := g.mustPin(l)
+		if old, ok := p.FetchAdd(l.Off, delta); ok {
+			return old
+		}
 	}
-	blk := st.materialise(l.Block, g.space.BlockWords)
-	old = blk[l.Off]
-	atomic.StoreInt64(&blk[l.Off], old+delta)
-	return old, true
 }
 
 // CAS atomically compares-and-swaps the word at addr, returning the previous
 // value and whether the swap happened.
 func (g *Segment) CAS(addr uint64, old, new int64) (prev int64, swapped bool) {
 	l := g.space.Locate(addr)
-	prev, swapped, owned := g.CASAt(l, old, new)
-	g.mustOwn(l, owned)
-	return prev, swapped
-}
-
-// CASAt is CAS for a located word, reporting whether this segment homes it
-// instead of panicking (see WriteWordAt).
-func (g *Segment) CASAt(l Loc, old, new int64) (prev int64, swapped, owned bool) {
-	st := g.stripeAt(l)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !g.owns(l) {
-		return 0, false, false
+	for {
+		p := g.mustPin(l)
+		if prev, swapped, ok := p.CAS(l.Off, old, new); ok {
+			return prev, swapped
+		}
 	}
-	blk := st.materialise(l.Block, g.space.BlockWords)
-	prev = blk[l.Off]
-	if prev != old {
-		return prev, false, true
-	}
-	atomic.StoreInt64(&blk[l.Off], new)
-	return prev, true, true
 }
 
 // BlockSnapshot is one homed block's state for checkpointing and migration:

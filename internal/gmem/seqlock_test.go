@@ -19,7 +19,8 @@ func generations(g *Segment) (gens [SegStripes]uint64) {
 // word store under the stripe mutex and moves no stripe's generation, and
 // only what changes a block's storage or owner — table growth, Extract,
 // Adopt, Import, DropRange — moves it, by a positive even amount (publish's
-// window, opened and closed).
+// window, opened and closed). Pins rest on it: a pin taken before the stores
+// is still current after all of them, so stores never make pins churn.
 func TestWordStoresLeaveGeneration(t *testing.T) {
 	const bw = 64
 	space := NewSpace(2, bw)
@@ -36,19 +37,23 @@ func TestWordStoresLeaveGeneration(t *testing.T) {
 		return words
 	}
 	g.WriteWord(base, 1) // materialise the block: no store below adds one
+	pin, owned := g.PinAt(at(0), false)
+	if !owned || !pin.Held() {
+		t.Fatalf("pinning a written block homed here: owned %v, held %v", owned, pin.Held())
+	}
 
 	stores := []struct {
 		name string
 		do   func()
 	}{
 		{"WriteWord", func() { g.WriteWord(base+1, 5) }},
-		{"WriteWordAt", func() { g.WriteWordAt(at(2), 6) }},
+		{"Pin.Store", func() { pin.Store(2, 6) }},
 		{"FetchAdd", func() { g.FetchAdd(base+3, 1) }},
-		{"FetchAddAt", func() { g.FetchAddAt(at(3), 1) }},
+		{"Pin.FetchAdd", func() { pin.FetchAdd(3, 1) }},
 		{"CAS/swap", func() { g.CAS(base+4, 0, 9) }},
 		{"CAS/no-swap", func() { g.CAS(base+4, 0, 10) }},
-		{"CASAt/swap", func() { g.CASAt(at(4), 9, 11) }},
-		{"CASAt/no-swap", func() { g.CASAt(at(4), 9, 12) }},
+		{"Pin.CAS/swap", func() { pin.CAS(4, 9, 11) }},
+		{"Pin.CAS/no-swap", func() { pin.CAS(4, 9, 12) }},
 		{"Write/1", func() { g.Write(base+5, run(1)) }},
 		{"Write/32", func() { g.Write(base+8, run(32)) }},
 		{"Write/64", func() { g.Write(base, run(64)) }},
@@ -66,6 +71,9 @@ func TestWordStoresLeaveGeneration(t *testing.T) {
 		if after := generations(g); after != before {
 			t.Errorf("%s moved a stripe generation: %v -> %v", s.name, before, after)
 		}
+	}
+	if _, ok := pin.Read(2); !ok {
+		t.Error("the pin taken before the stores went stale")
 	}
 	// moves checks that change moves stripe i's generation by a positive even
 	// amount and leaves every other stripe's alone unless all is set.
@@ -111,13 +119,15 @@ func TestWordStoresLeaveGeneration(t *testing.T) {
 
 // TestStoresInPlaceDuringExtract pins the stripe-lock argument that stores in
 // place rest on: a store and Extract both hold the stripe mutex, and the store
-// checks ownership under it, so a store either lands before the snapshot and
-// moves with it, or sees the flipped directory and is refused. Writers run
-// FetchAddAt, WriteWordAt and CASAt on one block while a mover migrates it
-// out and back — flip the directory away, Extract, Adopt the snapshot, flip
-// it back, the holder's side and then the adopter's (data before directory)
-// — and readers read it lock-free. No store may be lost across an extract or
-// applied while disowned, and no read may come from a dropped block.
+// checks ownership and its pin's generation under it, so a store either lands
+// before the snapshot and moves with it, or sees the flipped directory or the
+// replaced storage and is refused. A writer runs Pin.FetchAdd, Pin.Store and
+// Pin.CAS on one block, keeping each pin until it goes stale, while a mover
+// migrates the block out and back — flip the directory away, Extract, Adopt
+// the snapshot, flip it back, the holder's side and then the adopter's (data
+// before directory) — and readers read it lock-free, one through kept pins.
+// No store may be lost across an extract or applied while disowned or to
+// storage the block left, and no read may come from a dropped block.
 func TestStoresInPlaceDuringExtract(t *testing.T) {
 	const bw, b, moves = 32, 1, 1000
 	space := NewSpace(2, bw)
@@ -126,6 +136,19 @@ func TestStoresInPlaceDuringExtract(t *testing.T) {
 	g.SetDirectory(dir)
 	base := uint64(b * bw)
 	counter, written, swapped := space.Locate(base), space.Locate(base+1), space.Locate(base+2)
+
+	// through runs op on *p, pinning the block of the word at l again while op
+	// reports stale; false means the segment does not home it now, and op
+	// applied nothing.
+	through := func(p *Pin, l Loc, create bool, op func(*Pin) bool) bool {
+		for p.seg == nil || !op(p) {
+			var owned bool
+			if *p, owned = g.PinAt(l, create); !owned {
+				return false
+			}
+		}
+		return true
+	}
 
 	// issued* count the stores attempted so far, so a reader can tell whether
 	// a value can have been stored; owned* count those the segment took.
@@ -141,20 +164,26 @@ func TestStoresInPlaceDuringExtract(t *testing.T) {
 	go func() {
 		defer writers.Done()
 		var cur int64 // word 2 as the last owned CAS left it
+		var pins [3]Pin
 		for i := int64(1); !stop.Load(); i++ {
 			runtime.Gosched() // the workers share the processors with the mover
 			issuedAdds.Add(1)
-			if _, ok := g.FetchAddAt(counter, 1); ok {
+			if through(&pins[0], counter, true, func(p *Pin) bool { _, ok := p.FetchAdd(counter.Off, 1); return ok }) {
 				ownedAdds.Add(1)
 			} else {
 				refused++
 			}
 			issuedWrites.Store(i)
-			if g.WriteWordAt(written, i) {
+			if through(&pins[1], written, true, func(p *Pin) bool { return p.Store(written.Off, i) }) {
 				lastWrite = i
 			}
 			issuedCAS.Add(1)
-			if prev, ok, owned := g.CASAt(swapped, cur, cur+1); owned {
+			var prev int64
+			var ok bool
+			if through(&pins[2], swapped, true, func(p *Pin) (current bool) {
+				prev, ok, current = p.CAS(swapped.Off, cur, cur+1)
+				return current
+			}) {
 				if ok {
 					cur++
 					ownedCAS++
@@ -183,19 +212,23 @@ func TestStoresInPlaceDuringExtract(t *testing.T) {
 	}
 	var reads [2]atomic.Int64
 	readers.Add(2)
-	go func() { // single words, through the window read
+	go func() { // single words, through a pin kept until it goes stale
 		defer readers.Done()
 		var last [2]int64
+		var pin Pin
 		words := make([]int64, 3)
 		for ; !stop.Load(); runtime.Gosched() {
-			v0, ok0 := g.DirectReadAt(counter)
-			v1, ok1 := g.DirectReadAt(written)
-			v2, ok2 := g.DirectReadAt(swapped)
-			if !ok0 || !ok1 || !ok2 {
+			owned := true
+			for i, l := range []Loc{counter, written, swapped} {
+				owned = owned && through(&pin, l, false, func(p *Pin) (current bool) {
+					words[i], current = p.Read(l.Off)
+					return current
+				})
+			}
+			if !owned {
 				continue
 			}
-			words[0], words[1], words[2] = v0, v1, v2
-			if !check("DirectReadAt", words, &last) {
+			if !check("Pin.Read", words, &last) {
 				return
 			}
 			reads[0].Add(1)
@@ -253,6 +286,6 @@ func TestStoresInPlaceDuringExtract(t *testing.T) {
 	if final[2] != ownedCAS {
 		t.Errorf("word 2 is %d, but %d CASes swapped", final[2], ownedCAS)
 	}
-	t.Logf("%d fetch-adds owned, %d refused; %d window and %d run reads over %d migrations",
+	t.Logf("%d fetch-adds owned, %d refused; %d pinned and %d run reads over %d migrations",
 		ownedAdds.Load(), refused, reads[0].Load(), reads[1].Load(), moves)
 }
