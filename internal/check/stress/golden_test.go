@@ -133,7 +133,9 @@ func TestModeTagsMirrorGmem(t *testing.T) {
 // bit-identical. The three churn-migrate rows were captured again when the
 // block encoding lost its cached-tier count word: each migration frame is 8
 // bytes a block shorter, and with the count padded back they replay
-// bit-identically.
+// bit-identically. The migrate-back row, added with the stress row of the
+// same shape, moves single blocks away and back under PEs that access them in
+// place; it was captured when it was added.
 var ladderGoldens = []struct {
 	name string
 	o    stress.Options
@@ -151,6 +153,7 @@ var ladderGoldens = []struct {
 	{"churn-migrate", stress.Options{Seed: 3, NumPE: 5, OpsPerPE: 200, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 30}, "6167eed2f0acc65650d43c4551bb1b7b7fbc4ef2a52415ad4fd30612d1670e98"},
 	{"churn-migrate-mixed-tiers", stress.Options{Seed: 4, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 30}, "61e8621aa6efdda2be3a229fa44a006a44abf359ebcc4e2c5a2f26675a077428"},
 	{"churn-migrate-onesided", stress.Options{Seed: 5, NumPE: 5, OpsPerPE: 200, Modes: true, Latent: 1, JoinAtOp: 50, LeavePE: 2, LeaveAtOp: 100, MigrateEvery: 20, DirectReads: 1}, "b0d5a427d924ce99b4b15de2b7b0d0357f1948c3e0191146aed96ddfcb3f09b3"},
+	{"migrate-back-onesided", stress.Options{Seed: 6, NumPE: 4, OpsPerPE: 300, DirectReads: 1, MigrateEvery: 16, MigrateBack: true}, "0171569b9a238c061413dd045c0faa6374b81b11104b8c5357de233ab96dc709"},
 }
 
 func TestLadderGoldenDigests(t *testing.T) {

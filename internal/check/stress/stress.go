@@ -104,6 +104,12 @@ type Options struct {
 	// schedules — the station death. Modes runs re-home the release region
 	// half the time instead, so handoffs overlap unflushed WC buffers.
 	MigrateEvery int
+	// MigrateBack makes the MigrateEvery re-homings bounce: one block of the
+	// data region moves to another active member, and at the next re-homing
+	// back to the home it left, which adopts it into new storage while the
+	// PEs that access it in place may still pin the old (DESIGN.md §11
+	// "Pins").
+	MigrateBack bool
 
 	// Modes mixes the three consistency tiers in one run: two extra data
 	// regions are allocated under ModeRelease and ModeLease and a third of
@@ -138,6 +144,9 @@ func (o Options) String() string {
 	}
 	if o.MigrateEvery > 0 {
 		s += fmt.Sprintf(" migrate/%d", o.MigrateEvery)
+		if o.MigrateBack {
+			s += "(back)"
+		}
 	}
 	if o.Modes {
 		s += " modes"
@@ -428,6 +437,11 @@ type worker struct {
 	resume   int          // recover mode: op index the next incarnation starts at
 	joinAt   int          // op index this (latent) PE joins at; -1 = never
 	leaveAt  int          // op index this PE leaves at; -1 = never
+	away     struct {     // MigrateBack: the block moved away, and the home it left
+		addr uint64
+		home int
+		ok   bool
+	}
 }
 
 // membershipStep fires any membership event scheduled at op index i: this
@@ -454,9 +468,37 @@ func (w *worker) membershipStep(i int) error {
 		}
 	}
 	if w.o.MigrateEvery > 0 && pe.ID() == migratorPE && i > 0 && i%w.o.MigrateEvery == 0 {
+		if w.o.MigrateBack {
+			return w.bounceOnce(i)
+		}
 		return w.migrateOnce(i)
 	}
 	return nil
+}
+
+// bounceOnce moves the block the previous call moved away back to the home it
+// left, or else re-homes a random block of the data region to another active
+// member.
+func (w *worker) bounceOnce(i int) error {
+	if w.away.ok {
+		w.away.ok = false
+		return w.migrate(w.away.addr, 1, w.away.home, i)
+	}
+	pe := w.pe
+	bw := pe.Space().BlockWords
+	addr := w.data + uint64(w.rng.Intn(dataWords/bw)*bw)
+	home := pe.HomeOf(addr)
+	var cands []int
+	for id, m := range pe.Members() {
+		if m.State == gmem.MemberActive && id != home && (w.dead == nil || !w.dead[id]) {
+			cands = append(cands, id)
+		}
+	}
+	if len(cands) == 0 {
+		return nil
+	}
+	w.away.addr, w.away.home, w.away.ok = addr, home, true
+	return w.migrate(addr, 1, cands[w.rng.Intn(len(cands))], i)
 }
 
 // migrateOnce re-homes a random 1-2 block range of the data region — or, in
@@ -490,8 +532,14 @@ func (w *worker) migrateOnce(i int) error {
 	if len(cands) == 0 {
 		return nil
 	}
-	dst := cands[w.rng.Intn(len(cands))]
-	if err := pe.MigrateRange(addr, nblocks, dst); err != nil {
+	return w.migrate(addr, nblocks, cands[w.rng.Intn(len(cands))], i)
+}
+
+// migrate re-homes nblocks blocks from addr to dst at op index i. A
+// destination that concurrently left the membership is a benign race, and in
+// a faulty run so is any failed handoff.
+func (w *worker) migrate(addr uint64, nblocks, dst, i int) error {
+	if err := w.pe.MigrateRange(addr, nblocks, dst); err != nil {
 		w.note(err)
 		if !w.o.faulty() && !strings.Contains(err.Error(), "non-active") {
 			return fmt.Errorf("migrate %d blocks to %d at op %d: %w", nblocks, dst, i, err)

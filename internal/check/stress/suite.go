@@ -104,7 +104,11 @@ func stressSuite(seed uint64) []Case {
 	for i, o := range rows {
 		cases[i] = Case{Options: o}
 	}
-	return cases
+	// Blocks that move away and come back while every PE keeps accessing
+	// them in place: only the pin's generation tells the storage a block
+	// came back into from the storage a PE pinned before it left.
+	bounce := Options{Seed: seed, NumPE: 4, OpsPerPE: ops, DirectReads: 1, MigrateEvery: 16, MigrateBack: true}
+	return append(cases, Case{Options: bounce, MinEvents: 8})
 }
 
 // recoverSuite is the kill-and-recover schedules: each row checkpoints

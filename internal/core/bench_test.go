@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/gmem"
@@ -368,21 +369,64 @@ func benchFanIn(b *testing.B, cfg Config, requesters int, mixed bool) {
 	}
 }
 
-// BenchmarkBarrier measures the central barrier end to end on 4 PEs.
+// BenchmarkBarrier measures the central barrier end to end on inproc: 2 PEs
+// on the message path (benchmark/'s gm_msg cluster) and 4 PEs as Run
+// configures them. Each cell asserts that an arrival is still two messages
+// and that a barrier allocates nothing (benchSync).
 func BenchmarkBarrier(b *testing.B) {
-	runBenchProgram(b, Config{Transport: TransportInproc}, 4, func(pe *PE) error {
+	for _, c := range []struct {
+		n   int
+		cfg Config
+	}{{2, messagePath}, {4, Config{Transport: TransportInproc}}} {
+		b.Run(fmt.Sprintf("pe=%d", c.n), func(b *testing.B) {
+			benchSync(b, c.cfg, c.n, 0, func(pe *PE) { pe.Barrier() })
+		})
+	}
+}
+
+// BenchmarkAllReduce measures AllReduceSum on 4 inproc PEs: a gather to PE 0
+// and a broadcast back, 2(n-1) user messages, beside the barriers around it.
+func BenchmarkAllReduce(b *testing.B) {
+	const n = 4
+	benchSync(b, Config{Transport: TransportInproc}, n, 2*(n-1), func(pe *PE) { pe.AllReduceSum(1) })
+}
+
+// benchSync times b.N calls of op on every PE of an n-PE cluster cfg
+// describes, as PE 0 sees them, between two barriers. It asserts from the
+// counters that every barrier of the run was two messages — an arrival and a
+// release — and every call of op userMsgs user messages, and, off the race
+// detector and over at least 100 calls, that op allocates nothing.
+func benchSync(b *testing.B, cfg Config, n, userMsgs int, op func(pe *PE)) {
+	var allocs uint64
+	res := runBenchProgram(b, cfg, n, func(pe *PE) error {
+		pe.Barrier()
+		var before runtime.MemStats
 		if pe.ID() == 0 {
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 		}
 		for i := 0; i < b.N; i++ {
-			pe.Barrier()
+			op(pe)
 		}
 		if pe.ID() == 0 {
 			b.StopTimer()
+			var after runtime.MemStats
+			runtime.ReadMemStats(&after)
+			allocs = after.Mallocs - before.Mallocs
 		}
 		pe.Barrier()
 		return nil
 	})
+	t := &res.Total
+	if got, want := t.ByOp[wire.OpBarrierArrive].Msgs+t.ByOp[wire.OpBarrierRelease].Msgs, 2*t.Barriers; got != want {
+		b.Fatalf("%d barriers sent %d messages, want %d", t.Barriers, got, want)
+	}
+	if got, want := t.ByOp[wire.OpUserMsg].Msgs, uint64(userMsgs*b.N); got != want {
+		b.Fatalf("%d calls sent %d user messages, want %d", b.N, got, want)
+	}
+	if !raceEnabled && b.N >= 100 && allocs/uint64(b.N) != 0 {
+		b.Fatalf("%d allocations in %d calls, want 0 per call", allocs, b.N)
+	}
 }
 
 // BenchmarkFetchAddPool measures the job-pool primitive under contention.

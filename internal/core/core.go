@@ -453,10 +453,7 @@ func RunOn(cfg Config, node transport.Node, program Program) (*Result, error) {
 	k := newKernel(node.ID(), node, &c)
 	pe := newPE(k)
 	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		k.serve()
-	}()
+	k.goServe(func() { close(done) })
 	perr := runPE(pe, program)
 	// Final rendezvous after runPE (which deregisters with kernel 0): every
 	// kernel keeps serving until all peers are done with it.
@@ -579,13 +576,14 @@ func runReal(cfg *Config, net realNetwork, program Program) (*Result, error) {
 	var svcWG, appWG sync.WaitGroup
 	var mu sync.Mutex
 	var finish sim.Time
+	// Every serve loop first: a PE's sync and user messages are served by
+	// the PE itself only at a kernel that is serving (Kernel.serveInline).
+	for _, k := range kernels {
+		svcWG.Add(1)
+		k.goServe(svcWG.Done)
+	}
 	for i := 0; i < n; i++ {
 		i := i
-		svcWG.Add(1)
-		go func() {
-			defer svcWG.Done()
-			kernels[i].serve()
-		}()
 		appWG.Add(1)
 		go func() {
 			defer appWG.Done()
@@ -647,7 +645,10 @@ func residueOf(kernels []*Kernel) Residue {
 		r.UserQueues += k.leftQueues
 		r.NsBindings += k.ns.Len()
 	}
-	r.BarrierPend, r.LockResidue = kernels[0].sync.Residue()
+	k0 := kernels[0]
+	k0.lockSync()
+	r.BarrierPend, r.LockResidue = k0.sync.Residue()
+	k0.unlockSync()
 	r.BlocksIn = func(base uint64, nBlocks int) int {
 		total := 0
 		for _, k := range kernels {
@@ -676,6 +677,11 @@ func collectStats(res *Result, kernels []*Kernel, pes []*PE) {
 		s.Add(kernels[i].Stats())
 		s.Add(&pes[i].extra)
 		s.Add(&kernels[i].extra)
+		k := kernels[i]
+		k.lockSync()
+		s.CorruptDrops += k.syncDrops
+		s.DupRequests += k.syncDups
+		k.unlockSync()
 		for _, sh := range kernels[i].shards {
 			sh.lock()
 			s.Add(&sh.extra)

@@ -24,6 +24,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/transport"
+	"repro/internal/transport/inproc"
 	"repro/internal/wire"
 )
 
@@ -31,11 +32,12 @@ import (
 // in the node's Svc context and fields every message addressed to this
 // kernel, while the application programs against the PE façade in the App
 // context. The home-side global-memory service is split into monitors, each
-// serving a share of the requesters (see kernelShard), that any context may
-// enter — on inproc the requesting PE's own goroutine does, past the serve
-// loop; everything else —
-// synchronisation, process management, user messages, checkpoint marks,
-// peer-down handling — stays on the serial serve loop.
+// serving a share of the requesters (see kernelShard), and the
+// synchronisation service is one more (syncMu); any context may enter them —
+// on inproc the sending PE's own goroutine does, past the serve loop, and
+// hands user messages to their queues there too. Everything else — process
+// management, checkpoint marks, membership, jobs, the combining tree's
+// kernel-to-kernel frames — stays on the serial serve loop.
 type Kernel struct {
 	id    int
 	n     int
@@ -77,9 +79,23 @@ type Kernel struct {
 
 	// sync is this kernel's synchronisation state: the central barrier and
 	// lock managers at kernel 0, a node of the combining tree when
-	// cfg.Barrier == BarrierTree. Only serveSync touches it while the kernel
-	// runs.
-	sync *psync.Set
+	// cfg.Barrier == BarrierTree. Every call of it (Serve, Purge, Residue) is
+	// made under syncMu, as are syncDrops and syncDups, the CorruptDrops and
+	// DupRequests serveSync counts: on inproc each PE's goroutine serves its
+	// own sync messages beside the serve loop (serveInline). syncMu is not
+	// taken under simulation (lockSync).
+	syncMu              sync.Mutex
+	sync                *psync.Set
+	syncDrops, syncDups uint64
+
+	// serving is set while the serve loop runs (goServe), and only then does
+	// the sender serve sync and user messages (serveInline): before, they
+	// queue for the loop, as everything does on a node without a sink.
+	serving atomic.Bool
+	// selfSink is set where the node offers its messages to itself to
+	// deliverSelf (inproc): a sync grant to the own PE then wakes it at once,
+	// so serveSync sends it after every other.
+	selfSink bool
 	// procs is the global process table, present at kernel 0 only.
 	procs *procmgmt.Table
 
@@ -319,11 +335,17 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 		// the same messages through handle. On inproc that context is the
 		// sending application itself, in this address space and about to do
 		// nothing but wait for the reply, so it also serves its own GM
-		// requests. tcpnet's delivering context is a per-peer reader that
-		// must get back to its socket: there the serve loop keeps serving.
+		// requests and sync messages and queues its user messages, and what
+		// it sends its own kernel of these goes the same way (deliverSelf).
+		// tcpnet's delivering context is a per-peer reader that must get back
+		// to its socket: there the serve loop keeps serving.
 		sink := transport.Sink(k.deliverApp)
 		if cfg.Transport == TransportInproc {
-			sink = func(m *wire.Message) bool { return k.deliverApp(m) || k.serveOnSender(m) }
+			sink = func(m *wire.Message) bool { return k.deliverApp(m) || k.serveOnSender(m) || k.serveInline(m) }
+			if ln, ok := node.(*inproc.Node); ok {
+				ln.SetLocalSink(k.deliverSelf)
+				k.selfSink = true
+			}
 		}
 		sn.SetSink(sink)
 	}
@@ -451,14 +473,28 @@ func (k *Kernel) releaseUserQueues() {
 	k.userq = nil
 }
 
+// goServe runs the serve loop on a goroutine of its own, calling done when it
+// exits. The kernel is marked serving first, so that no PE started after this
+// call finds it not yet serving: a real run starts every serve loop before any
+// PE.
+func (k *Kernel) goServe(done func()) {
+	k.serving.Store(true)
+	go func() {
+		defer done()
+		k.serve()
+	}()
+}
+
 // serve is the DSE kernel main loop (the "parallel processing mechanism"):
 // it receives every message addressed to this kernel and dispatches it,
 // until the node shuts down. Around every dispatch it observes the per-op
 // service time (receive timestamp → handling done) and, when tracing is
-// enabled, records a service span. GM requests served on the sender
-// (serveOnSender) never come through here and are accounted in their shard.
+// enabled, records a service span. What the sender serves or hands over
+// (serveOnSender, serveInline) never comes through here: a GM request is
+// accounted in its shard, a sync or user message records no service.
 func (k *Kernel) serve() {
 	defer k.releaseUserQueues()
+	defer k.serving.Store(false)
 	for {
 		m, ok := k.node.Recv()
 		if !ok {
@@ -512,6 +548,55 @@ func (k *Kernel) treeRelease(m *wire.Message) bool {
 	return m.Op == wire.OpBarrierRelease && m.Arg2 == 0 && k.cfg.Barrier == BarrierTree
 }
 
+// deliverSelf is the inproc node's local sink, offered what this kernel sends
+// its own node. It takes a sync grant, which only serveSync sends and sends
+// last (DESIGN.md §17), into the reply mailbox, and serves a sync request or
+// user message of the own PE (serveInline). Everything else — what a serve
+// loop handler answers its own PE, the PE's GM requests to its own kernel — is
+// declined and queues for the serve loop, routed only after the handler that
+// sent it has returned.
+func (k *Kernel) deliverSelf(m *wire.Message) bool {
+	if m.Op == wire.OpLockGrant || m.Op == wire.OpBarrierRelease {
+		return k.deliverApp(m)
+	}
+	return k.serveInline(m)
+}
+
+// serveInline is the inproc sink's last step: a PE's sync message is served
+// right here, on the sending goroutine, under the sync lock, and a user
+// message is put into its tag's queue — all that the serve loop would do with
+// either — so no barrier, lock or all-reduce waits for a serve loop to wake.
+// Every message still crossed Send, counted and through the codec. Declined,
+// and left to the serve loop: everything while the loop is not running
+// (serving), and the combining tree's kernel-to-kernel frames, whose handling
+// sends further frames from the serve loop (treeArrival; a tree release is
+// no sync request).
+func (k *Kernel) serveInline(m *wire.Message) bool {
+	if !k.serving.Load() {
+		return false
+	}
+	switch m.Op {
+	case wire.OpUserMsg:
+		k.userMb(m.Tag).Put(m)
+		return true
+	case wire.OpBarrierArrive, wire.OpLockAcquire, wire.OpLockRelease:
+		if k.treeArrival(m) {
+			return false
+		}
+		k.serveSync(m)
+		wire.PutMessage(m)
+		return true
+	}
+	return false
+}
+
+// treeArrival reports whether m is an arrival one kernel of the combining tree
+// sends another: unsized, under tree barriers, from a kernel other than this
+// one (a PE's tree arrival goes to its own kernel).
+func (k *Kernel) treeArrival(m *wire.Message) bool {
+	return m.Op == wire.OpBarrierArrive && m.Arg2 == 0 && k.cfg.Barrier == BarrierTree && m.Src != int32(k.id)
+}
+
 // deliverApp is the one router for app-bound messages: a reply — a lock grant
 // and a central barrier release among them — goes to the reply mailbox, by op
 // alone, with no table to consult. It reports whether it took m; everything
@@ -520,11 +605,12 @@ func (k *Kernel) treeRelease(m *wire.Message) bool {
 // awaits a reply is the request engine's business: it drops what matches none
 // of its requests in flight (PE.await, StaleReplies).
 //
-// It has two callers. Real transports call it as (the first half of) the
+// It has three callers. Real transports call it as (the first half of) the
 // node's sink, on the context that received m (any goroutine, concurrently),
 // so the blocked application is woken without a visit to this kernel's serve
-// loop — possibly while that context holds a shard lock of the replying
-// kernel, which is why nothing here may take one; handle
+// loop — possibly while that context holds a shard lock or the sync lock of
+// the replying kernel, which is why nothing here may take one; inproc's local
+// sink (deliverSelf) calls it for a sync grant to the own PE; handle
 // calls it first for every message Recv returns, which is how simnet and
 // messages that arrived before the sink was installed are routed. It
 // therefore touches only state safe from any goroutine: the reply mailbox.
@@ -647,13 +733,23 @@ func (k *Kernel) handle(m *wire.Message) (consumed bool, answered sim.Time) {
 }
 
 // serveSync is the synchronisation service's one entry point: every barrier
-// and lock message goes through this kernel's psync.Set, and what the set
-// answers is sent. A sync message is input from another node: one whose
-// source names no PE, or that the set refuses (Set.Serve), is counted in
-// CorruptDrops and dropped, not allowed to take the kernel down, to release a
-// barrier somebody has not reached or to hand out a grant nobody is waiting
-// for; a retried wait is counted in DupRequests.
+// and lock message goes through this kernel's psync.Set, under the sync lock,
+// and what the set answers is sent. A sync message is input from another
+// node: one whose source names no PE, or that the set refuses (Set.Serve), is
+// counted in CorruptDrops and dropped, not allowed to take the kernel down, to
+// release a barrier somebody has not reached or to hand out a grant nobody is
+// waiting for; a retried wait is counted in DupRequests.
+//
+// Where the node hands its messages to itself to deliverSelf (selfSink), the
+// grant to this kernel's own PE wakes that PE the moment it is sent, so it is
+// sent after every other: a PE let through a shutdown barrier may close its
+// node, and no other grant may wait behind that. Elsewhere the grants leave in
+// the set's order, which every simulated time was measured in. The unlock is
+// deferred so that a panic on the sending PE's goroutine, which its runPE
+// recovers, does not leave every later sync message waiting for the lock.
 func (k *Kernel) serveSync(m *wire.Message) {
+	k.lockSync()
+	defer k.unlockSync()
 	var wake []psync.Grant
 	dup, ok := false, m.Src >= 0 && int(m.Src) < k.n
 	if ok {
@@ -661,22 +757,50 @@ func (k *Kernel) serveSync(m *wire.Message) {
 	}
 	switch {
 	case !ok:
-		k.extra.CorruptDrops++
+		k.syncDrops++
 	case dup:
-		k.extra.DupRequests++
+		k.syncDups++
 	}
-	for _, g := range wake {
-		out := wire.GetMessage()
-		out.Op, out.Src, out.Dst, out.Seq = g.Op, int32(k.id), int32(g.Dst), g.Seq
-		out.Tag, out.Arg2 = g.ID, g.Size
-		if g.Dst == k.id && k.treeRelease(out) {
-			// The tree's release of this kernel's own PE: sent to itself, it
-			// would come back here and go down the tree again.
-			k.replyMb.Put(out)
+	own := -1 // a set answers a PE once per message: at most one grant is the own PE's
+	for i, g := range wake {
+		if g.Dst == k.id && k.selfSink {
+			own = i
 			continue
 		}
-		k.svc.Send(g.Dst, out)
-		wire.PutMessage(out)
+		k.grant(g)
+	}
+	if own >= 0 {
+		k.grant(wake[own])
+	}
+}
+
+// grant sends what the set asked for in g. The tree's release of this
+// kernel's own PE goes straight into the reply mailbox: sent to itself, it
+// would come back to serveSync and go down the tree again.
+func (k *Kernel) grant(g psync.Grant) {
+	out := wire.GetMessage()
+	out.Op, out.Src, out.Dst, out.Seq = g.Op, int32(k.id), int32(g.Dst), g.Seq
+	out.Tag, out.Arg2 = g.ID, g.Size
+	if g.Dst == k.id && k.treeRelease(out) {
+		k.replyMb.Put(out)
+		return
+	}
+	k.svc.Send(g.Dst, out)
+	wire.PutMessage(out)
+}
+
+// lockSync enters the synchronisation service's monitor. Under simulation it
+// does nothing, as kernelShard.lock: one cooperative process runs at a time,
+// and a grant's Send switches to others.
+func (k *Kernel) lockSync() {
+	if !k.simulated {
+		k.syncMu.Lock()
+	}
+}
+
+func (k *Kernel) unlockSync() {
+	if !k.simulated {
+		k.syncMu.Unlock()
 	}
 }
 

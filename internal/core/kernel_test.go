@@ -116,18 +116,30 @@ func TestKernelHandleWriteAndFetchAdd(t *testing.T) {
 
 func TestKernelCentralBarrierReleasesAll(t *testing.T) {
 	net, ks := testKernels(t, 3, nil)
-	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 1, Tag: 4, Seq: 11})
-	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 2, Tag: 4, Seq: 21})
+	// PE 0 arrives first, so the manager lists its release first.
 	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 0, Tag: 4, Seq: 1})
-	// The remote releases land in their kernels' reply mailboxes without a
-	// handle() at the receiver, each under its arrival's Seq.
-	grantFrom(t, ks[1], wire.OpBarrierRelease, 4, 11)
-	grantFrom(t, ks[2], wire.OpBarrierRelease, 4, 21)
-	// Kernel 0's own release is a self-send, which no sink is offered: it is
-	// routed to the reply mailbox by the next handle(), i.e. only after the
-	// handler that sent the other releases has returned.
-	self := recvFrom(t, net, 0)
-	ks[0].handle(self)
+	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 1, Tag: 4, Seq: 11})
+	// Kernel 0's own release is a self-send, which its local sink takes
+	// straight to the reply mailbox: PE 0 may go the moment it lands, so by
+	// then every other release must already be in its kernel's mailbox.
+	var early []uint64
+	net.Node(0).(*inproc.Node).SetLocalSink(func(m *wire.Message) bool {
+		if m.Op == wire.OpBarrierRelease {
+			for _, k := range ks[1:] {
+				if r, ok, timedOut := k.replyMb.TakeTimeout(sim.Millisecond); ok && !timedOut {
+					early = append(early, r.Seq)
+				}
+			}
+		}
+		return ks[0].deliverSelf(m)
+	})
+	ks[0].handle(&wire.Message{Op: wire.OpBarrierArrive, Src: 2, Tag: 4, Seq: 21})
+	// Each release lands in its kernel's reply mailbox without a handle() at
+	// the receiver, under its arrival's Seq; PE 0's does not queue for the
+	// serve loop.
+	if !slices.Equal(early, []uint64{11, 21}) {
+		t.Fatalf("releases in kernels 1 and 2 when PE 0's was sent: seqs %v, want [11 21]", early)
+	}
 	grantFrom(t, ks[0], wire.OpBarrierRelease, 4, 1)
 }
 
@@ -156,24 +168,24 @@ func TestKernelCorruptBarrierArriveDropped(t *testing.T) {
 		k.handle(&wire.Message{Op: wire.OpBarrierArrive, Src: src, Tag: 4, Arg2: size, Seq: seq})
 	}
 	arrive(ks[1], 0, 0, 1)
-	if ks[1].extra.CorruptDrops != 1 {
-		t.Fatalf("arrival at kernel 1: CorruptDrops = %d, want 1", ks[1].extra.CorruptDrops)
+	if ks[1].syncDrops != 1 {
+		t.Fatalf("arrival at kernel 1: CorruptDrops = %d, want 1", ks[1].syncDrops)
 	}
 	arrive(ks[0], 1, 0, 5)
 	arrive(ks[0], 1, 0, 6) // a second arrival while the first waits
 	arrive(ks[0], 7, 0, 1) // names no PE
 	arrive(ks[0], 0, 0, 0) // unnumbered
-	if ks[0].extra.CorruptDrops != 3 {
-		t.Fatalf("duplicate, out-of-range and unnumbered arrivals: CorruptDrops = %d, want 3", ks[0].extra.CorruptDrops)
+	if ks[0].syncDrops != 3 {
+		t.Fatalf("duplicate, out-of-range and unnumbered arrivals: CorruptDrops = %d, want 3", ks[0].syncDrops)
 	}
 	arrive(ks[0], 1, 0, 5) // a retry
-	if ks[0].extra.DupRequests != 1 {
-		t.Fatalf("retry: DupRequests = %d, want 1", ks[0].extra.DupRequests)
+	if ks[0].syncDups != 1 {
+		t.Fatalf("retry: DupRequests = %d, want 1", ks[0].syncDups)
 	}
 	noReplyFrom(t, ks[1], "a barrier PE 0 never reached")
 	arrive(ks[0], 0, 1, 2) // claims a 1-PE barrier while PE 1 waits on the same id
-	if ks[0].extra.CorruptDrops != 4 {
-		t.Fatalf("over-arrival: CorruptDrops = %d, want 4", ks[0].extra.CorruptDrops)
+	if ks[0].syncDrops != 4 {
+		t.Fatalf("over-arrival: CorruptDrops = %d, want 4", ks[0].syncDrops)
 	}
 	arrive(ks[0], 0, 0, 3)
 	grantFrom(t, ks[1], wire.OpBarrierRelease, 4, 5)
@@ -410,14 +422,14 @@ func TestKernelCorruptLockMessagesDropped(t *testing.T) {
 		{ks[0], wire.OpLockAcquire, 0, 0},  // unnumbered
 	} {
 		send(bad.k, bad.op, bad.src, bad.seq)
-		if got := ks[0].extra.CorruptDrops; got != uint64(i+1) {
+		if got := ks[0].syncDrops; got != uint64(i+1) {
 			t.Fatalf("forged message %d (%v from %d): CorruptDrops = %d, want %d", i, bad.op, bad.src, got, i+1)
 		}
 	}
 	send(ks[1], wire.OpLockAcquire, 0, 1)
 	send(ks[1], wire.OpLockRelease, 0, 0)
-	if ks[1].extra.CorruptDrops != 2 {
-		t.Fatalf("sync messages at kernel 1: CorruptDrops = %d, want 2", ks[1].extra.CorruptDrops)
+	if ks[1].syncDrops != 2 {
+		t.Fatalf("sync messages at kernel 1: CorruptDrops = %d, want 2", ks[1].syncDrops)
 	}
 	send(ks[0], wire.OpLockRelease, 1, 0)
 	grantFrom(t, ks[2], wire.OpLockGrant, 2, 20)
@@ -457,7 +469,7 @@ func TestKernelCorruptTreeArrivalsDropped(t *testing.T) {
 		{wire.OpLockAcquire, 99},
 	} {
 		send(bad.op, bad.src, 0)
-		if got := k.extra.CorruptDrops; got != uint64(i+1) {
+		if got := k.syncDrops; got != uint64(i+1) {
 			t.Fatalf("forged message %d (%v from %d): CorruptDrops = %d, want %d", i, bad.op, bad.src, got, i+1)
 		}
 	}

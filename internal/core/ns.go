@@ -47,7 +47,9 @@ func (k *Kernel) handleJob(m *wire.Message) {
 			}
 		}
 		k.mu.Unlock()
+		k.lockSync()
 		k.sync.Purge(lo, hi)
+		k.unlockSync()
 		resp.Op, resp.Arg1 = wire.OpJobCloseAck, int64(dropped)
 	}
 	k.reply(&k.dedup, m, resp)

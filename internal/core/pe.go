@@ -84,6 +84,8 @@ type PE struct {
 	fl     []uint64   // drained WC addresses (ascending) of the current flush
 	flv    []int64    // drained WC values, parallel to fl
 
+	f64 [8]byte // an all-reduce's encoded contribution (f64Bytes)
+
 	// timeMask samples the round trips the sender serves: one of an op kind
 	// is timed when its event count & timeMask is 0 (PE.timing). 0 times
 	// every one, which a PE does whenever spans or LiveRTT read them.
@@ -307,10 +309,14 @@ func (pe *PE) waitStats(v syncVerb) (*uint64, *trace.Histogram) {
 // edge, a post's history event — and returns the instant it began and its
 // request, pooled, to kernel dst. size != 0 makes a barrier a sized one (a
 // job's gang), served centrally: a subset of PEs cannot complete the tree.
-func (pe *PE) syncRequest(v syncVerb, id int32, size int) (t0 sim.Time, m *wire.Message, dst int) {
+// The instant is read only where something consumes it: a timed wait, a
+// history, a release edge that publishes writes; else it is 0.
+func (pe *PE) syncRequest(v syncVerb, id int32, size int, timed bool) (t0 sim.Time, m *wire.Message, dst int) {
 	vb, k := &syncVerbs[v], pe.k
 	pe.legacyCrossing()
-	t0 = pe.app.Now()
+	if timed || pe.hist != nil || vb.release && pe.wc.Len() > 0 {
+		t0 = pe.app.Now()
+	}
 	if vb.release {
 		// Before the request, so that whoever it lets go observes the writes.
 		pe.flushWC(t0)
@@ -337,7 +343,9 @@ func (pe *PE) recordSync(v syncVerb, id int32, inv sim.Time) {
 // for id is one flight of the request engine (launch, land), so a grant that
 // answers no wait is a stale reply. It keeps its own accounting in place of
 // exchange's round-trip event and span — counter, wait histogram, WaitTime,
-// span, history event — and returns the engine's typed error.
+// span, history event — and returns the engine's typed error. Whether the
+// wait is timed is syncTiming's decision; an untimed one is counted and reads
+// no clock.
 func (pe *PE) syncWait(v syncVerb, id int32, size int) error {
 	if err := pe.job.aborted(); err != nil {
 		return err
@@ -345,7 +353,8 @@ func (pe *PE) syncWait(v syncVerb, id int32, size int) error {
 	vb := &syncVerbs[v]
 	count, wait := pe.waitStats(v)
 	*count++
-	start, m, dst := pe.syncRequest(v, id, size)
+	weight := pe.syncTiming(wait)
+	start, m, dst := pe.syncRequest(v, id, size, weight != 0)
 	pe.one[0] = flight{req: m, dst: dst}
 	err := pe.launch(pe.one[:], false, 0)
 	if err == nil {
@@ -356,16 +365,36 @@ func (pe *PE) syncWait(v syncVerb, id int32, size int) error {
 	if err != nil {
 		return err
 	}
-	end := pe.app.Now()
-	pe.extra.WaitTime += end - start
-	wait.Observe(end - start)
-	if pe.spans != nil {
-		pe.spans.Record(trace.Span{Kind: vb.span, PE: int32(pe.k.id), Seq: uint64(uint32(id)), Start: start, End: end})
+	if weight == 0 {
+		wait.Tally()
+	} else {
+		end := pe.app.Now()
+		pe.extra.WaitTime += (end - start) * weight
+		wait.Observe(end - start)
+		if pe.spans != nil {
+			pe.spans.Record(trace.Span{Kind: vb.span, PE: int32(pe.k.id), Seq: uint64(uint32(id)), Start: start, End: end})
+		}
 	}
 	pe.recordSync(v, id, start)
 	// Acquire edge: lease snapshots taken before the grant must not outlive it.
 	pe.clearLeases()
 	return nil
+}
+
+// syncTiming decides whether a wait that counts in histogram h is timed and
+// returns the weight its duration carries in WaitTime, as PE.timing does for
+// a round trip: 0 when it is not timed; on inproc one wait of a verb in
+// timeMask+1, weighed timeMask+1; every one, weighed 1, where the PE times
+// everything (simnet, tcpnet, spans) or records a history, whose events
+// carry both instants.
+func (pe *PE) syncTiming(h *trace.Histogram) sim.Duration {
+	if pe.timeMask == 0 || pe.hist != nil {
+		return 1
+	}
+	if h.Count.Load()&pe.timeMask != 0 {
+		return 0
+	}
+	return sim.Duration(pe.timeMask + 1)
 }
 
 // Barrier blocks until every PE has reached it (barrier id 0).
@@ -387,7 +416,7 @@ func (pe *PE) Lock(id int32) { must(pe.syncWait(verbLock, pe.scoped(id), 0)) }
 
 // Unlock releases lock id: a post, sent one way.
 func (pe *PE) Unlock(id int32) {
-	_, m, dst := pe.syncRequest(verbUnlock, pe.scoped(id), 0)
+	_, m, dst := pe.syncRequest(verbUnlock, pe.scoped(id), 0, false)
 	pe.app.Send(dst, m)
 	wire.PutMessage(m)
 }
@@ -522,16 +551,14 @@ func (pe *PE) allReduce(v reduceView, x float64, op func(a, b float64) float64) 
 		return x
 	}
 	if v.rank != 0 {
-		pe.sendMsg(v.members[0], v.up, f64Bytes(x))
-		_, data := pe.recvMsg(v.down)
-		return f64FromBytes(data)
+		pe.sendMsg(v.members[0], v.up, pe.f64Bytes(x))
+		return pe.recvF64(v.down)
 	}
 	acc := x
 	for i := 1; i < n; i++ {
-		_, data := pe.recvMsg(v.up)
-		acc = op(acc, f64FromBytes(data))
+		acc = op(acc, pe.recvF64(v.up))
 	}
-	out := f64Bytes(acc)
+	out := pe.f64Bytes(acc)
 	for i := 1; i < n; i++ {
 		pe.sendMsg(v.members[i], v.down, out)
 	}
@@ -548,14 +575,20 @@ func (pe *PE) allReduceF(x float64, op func(a, b float64) float64) float64 {
 	return pe.allReduce(pe.everyone, x, op)
 }
 
-func f64Bytes(x float64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-	return b[:]
+// f64Bytes encodes x into the PE's scratch word, which sendMsg may send as
+// it is: Send keeps nothing of a message.
+func (pe *PE) f64Bytes(x float64) []byte {
+	binary.LittleEndian.PutUint64(pe.f64[:], math.Float64bits(x))
+	return pe.f64[:]
 }
 
-func f64FromBytes(b []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+// recvF64 receives a collective's contribution under tag. Its payload does
+// not outlive the call, so the message goes back to the pool.
+func (pe *PE) recvF64(tag int32) float64 {
+	m := pe.recvWait(tag)
+	x := math.Float64frombits(binary.LittleEndian.Uint64(m.Data))
+	wire.PutMessage(m)
+	return x
 }
 
 func sumF(a, b float64) float64 { return a + b }
@@ -629,6 +662,13 @@ func (pe *PE) RecvMsg(tag int32) (src int, payload []byte) {
 
 // recvMsg is RecvMsg by raw tag and kernel id, whatever the scope.
 func (pe *PE) recvMsg(tag int32) (src int, payload []byte) {
+	m := pe.recvWait(tag)
+	return int(m.Src), m.Data
+}
+
+// recvWait takes the next message under raw tag, waiting at most
+// Config.RequestTimeout, and raises the typed errors of RecvMsg.
+func (pe *PE) recvWait(tag int32) *wire.Message {
 	m, ok, timedOut := pe.recvUser(tag, pe.k.cfg.RequestTimeout)
 	switch {
 	case timedOut: // from anybody: the queue is this kernel's
@@ -636,7 +676,7 @@ func (pe *PE) recvMsg(tag int32) (src int, payload []byte) {
 	case !ok:
 		panic(&ShutdownError{PE: pe.k.id, Op: "recv-msg"})
 	}
-	return int(m.Src), m.Data
+	return m
 }
 
 // RecvMsgTimeout is RecvMsg with a bounded wait: ok is false when d expires

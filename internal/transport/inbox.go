@@ -8,7 +8,7 @@ import (
 )
 
 // Inbox is the receive side of a real transport's node (inproc, tcpnet),
-// written once: the queue behind Recv, the opt-in sink in front of it and
+// written once: the queue behind Recv, the opt-in sinks in front of it and
 // the arrival counters. Deliver runs on whichever context holds the decoded
 // message — several at once — so the counters are atomics, not fields of the
 // node's lock-guarded stats.
@@ -16,6 +16,7 @@ type Inbox struct {
 	rx    *ChanMailbox
 	now   func() sim.Time
 	sink  atomic.Pointer[Sink]
+	local atomic.Pointer[Sink] // offered the node's messages to itself
 	msgs  atomic.Uint64
 	bytes atomic.Uint64
 }
@@ -28,6 +29,11 @@ func NewInbox(now func() sim.Time) *Inbox {
 // SetSink implements SinkNode.SetSink. Deliveries may already be running,
 // hence the atomic store.
 func (in *Inbox) SetSink(fn Sink) { in.sink.Store(&fn) }
+
+// SetLocalSink installs the sink DeliverLocal offers the node's messages to
+// itself to, on the sending context, before they queue for Recv; what it
+// declines is queued as without it.
+func (in *Inbox) SetLocalSink(fn Sink) { in.local.Store(&fn) }
 
 // Deliver takes delivery of a message from another node: counted and offered
 // to the sink, queued for Recv if there is none or it declines. It reports
@@ -50,15 +56,19 @@ func (in *Inbox) Deliver(m *wire.Message) bool {
 
 // DeliverLocal takes delivery of a node's message to itself. It is never
 // offered to the sink: a kernel's serve loop sends to its own node from inside
-// a handler (kernel 0 releasing a barrier to every waiter, its own
-// application among them), and the local wake-up must not overtake what that
-// handler has yet to send — once released, the application may shut the node
-// down. Queued, it is routed by the serve loop after the handler returns.
+// a handler (kernel 0 answering its own application), and the local wake-up
+// must not overtake what that handler has yet to send — once released, the
+// application may shut the node down. Queued, it is routed by the serve loop
+// after the handler returns. Only a local sink (SetLocalSink), whose owner
+// picks what it may take at once, is offered it first.
 func (in *Inbox) DeliverLocal(m *wire.Message) bool {
 	if in.rx.closed.Load() {
 		return false
 	}
 	in.count(m)
+	if sink := in.local.Load(); sink != nil && (*sink)(m) {
+		return true
+	}
 	return in.rx.offer(m)
 }
 

@@ -6,7 +6,8 @@
 // A message is encoded and decoded on the sending goroutine, which is
 // therefore the receive-side delivery context: it hands the decoded message
 // to the destination's transport.Inbox, which counts it, offers it to the
-// destination's sink (transport.SinkNode) and queues what the sink declines
+// destination's sink (transport.SinkNode) — a node's message to itself to its
+// local sink (SetLocalSink) — and queues what the sink declines
 // for the destination's Recv.
 package inproc
 
@@ -115,6 +116,10 @@ func (nd *Node) SetPeerDown(fn func(peer int)) { nd.pd.Set(fn) }
 // SetSink implements transport.SinkNode.
 func (nd *Node) SetSink(fn transport.Sink) { nd.in.SetSink(fn) }
 
+// SetLocalSink installs the sink the node offers its messages to itself to
+// (transport.Inbox.SetLocalSink).
+func (nd *Node) SetLocalSink(fn transport.Sink) { nd.in.SetLocalSink(fn) }
+
 // NewMailbox implements transport.Node.
 func (nd *Node) NewMailbox(capacity int) transport.Mailbox {
 	return transport.NewChanMailbox(capacity)
@@ -144,6 +149,14 @@ func (pt *port) Send(dst int, m *wire.Message) {
 		panic("inproc: corrupt message: " + err.Error())
 	}
 	dec.RecvAt = m.SentAt
+	// Counted before it is delivered: the delivery may wake a PE that reads
+	// this node's counters next (RunOn collects them once its PE is through
+	// the shutdown barrier), so it is the last thing Send does to this node.
+	nd.mu.Lock()
+	nd.stats.MsgsSent++
+	nd.stats.BytesSent += uint64(size)
+	nd.stats.CountSent(m.Op, size)
+	nd.mu.Unlock()
 	var delivered bool
 	if dst == nd.id {
 		delivered = nd.in.DeliverLocal(dec)
@@ -151,16 +164,11 @@ func (pt *port) Send(dst int, m *wire.Message) {
 		delivered = nd.net.nodes[dst].in.Deliver(dec)
 	}
 	if !delivered {
-		// Peer shut down: drop, as a real network would, and declare it dead.
+		// Peer shut down: drop what was sent, as a real network would, and
+		// declare it dead.
 		wire.PutMessage(dec)
 		nd.pd.Report(dst)
-		return
 	}
-	nd.mu.Lock()
-	nd.stats.MsgsSent++
-	nd.stats.BytesSent += uint64(size)
-	nd.stats.CountSent(m.Op, size)
-	nd.mu.Unlock()
 }
 
 func (pt *port) Compute(ops float64) {}

@@ -143,3 +143,33 @@ func TestManyConcurrentSenders(t *testing.T) {
 		t.Fatalf("received %d, want %d", got, total)
 	}
 }
+
+// TestLocalSinkTakesSelfSends: the local sink is offered a node's messages to
+// itself and nothing else, on the sending goroutine, and what it declines
+// queues for Recv; the sink proper is never offered a self-send.
+func TestLocalSinkTakesSelfSends(t *testing.T) {
+	net := New(2)
+	defer net.Stop()
+	nd := net.nodes[0]
+	var local, remote []int32
+	nd.SetLocalSink(func(m *wire.Message) bool {
+		local = append(local, m.Tag)
+		return m.Tag == 1
+	})
+	nd.SetSink(func(m *wire.Message) bool {
+		remote = append(remote, m.Tag)
+		return true
+	})
+	nd.App().Send(0, &wire.Message{Op: wire.OpUserMsg, Tag: 1})
+	nd.App().Send(0, &wire.Message{Op: wire.OpUserMsg, Tag: 2})
+	net.Node(1).App().Send(0, &wire.Message{Op: wire.OpUserMsg, Tag: 3})
+	if len(local) != 2 || local[0] != 1 || local[1] != 2 || len(remote) != 1 || remote[0] != 3 {
+		t.Fatalf("local sink offered tags %v, sink %v; want [1 2] and [3]", local, remote)
+	}
+	if m, ok := nd.Recv(); !ok || m.Tag != 2 {
+		t.Fatalf("Recv = %v, %v; want the declined self-send, tag 2", m, ok)
+	}
+	if msgs, _ := nd.in.Received(); msgs != 3 {
+		t.Fatalf("MsgsRecv = %d, want 3: a message the local sink takes is counted", msgs)
+	}
+}

@@ -33,7 +33,9 @@
 // simnet has no sink and keeps one order (DESIGN.md §17). A node's messages
 // to itself are never offered to its sink: they queue for Recv, so what a
 // serve loop sends its own node from inside a handler is routed only after
-// that handler has returned (Inbox.DeliverLocal).
+// that handler has returned (Inbox.DeliverLocal). Only inproc's node offers
+// them to a local sink first (Inbox.SetLocalSink), whose owner takes only
+// what it has ordered against the rest of its sends.
 //
 // Queues and memory. Every queue of the real transports — the receive queue
 // behind Recv and each mailbox NewMailbox makes — is one type, ChanMailbox: a
